@@ -173,9 +173,10 @@ class Internet:
         #: outlives the invalidation
         self.routing_generation = 0
         #: spec -> destination -> {router_id -> FibEntry}; sharded per
-        #: announcement and destination so the walker hashes the
-        #: (expensive) spec and the destination string once per packet,
-        #: leaving a bare-int dict lookup per hop
+        #: announcement and destination so the walker looks up the spec
+        #: (whose hash is computed once, at construction) and hashes
+        #: the destination string once per packet, leaving a bare-int
+        #: dict lookup per hop
         self._fib: Dict[
             AnnouncementSpec, Dict[Address, Dict[int, FibEntry]]
         ] = {}
@@ -473,8 +474,9 @@ class Internet:
     ) -> Optional[int]:
         """A loop-safe alternate next-hop AS, for DBR-violating borders."""
         key = (asn, spec)
-        if key in self._alt_next_as:
-            return self._alt_next_as[key]
+        hit = self._alt_next_as.get(key, _MISS)
+        if hit is not _MISS:
+            return hit  # type: ignore[return-value]
         routes = self.policy.routes(spec)
         best = routes.get(asn)
         result: Optional[int] = None
@@ -695,10 +697,9 @@ class Internet:
     ) -> Optional[Dict[int, FibEntry]]:
         """The per-destination FIB row for *spec* (None = fast path off).
 
-        Fetched once per walk so the spec — whose hash covers origin
-        tuples and poisoning frozensets — and the destination string
-        are each hashed once per packet; the per-hop lookup then keys
-        on the bare router id.
+        Fetched once per walk so the spec and the destination string
+        are each looked up once per packet; the per-hop lookup then
+        keys on the bare router id.
         """
         if not self.fastpath_enabled:
             return None

@@ -80,7 +80,16 @@ class ASNode:
 
 
 class ASGraph:
-    """The AS-level topology: nodes, relationship edges, cones."""
+    """The AS-level topology: nodes, relationship edges, cones.
+
+    The graph does not notify its readers.  A
+    :class:`~repro.topology.policy.RoutingPolicy` computes routes from
+    a compiled copy of the edges and ``neighbor_pref`` tables, so after
+    changing either — :meth:`add_edge`, or an ``ASNode`` edited in
+    place — call ``RoutingPolicy.invalidate()`` (or
+    ``Internet.invalidate_routing()``); until then routes are those of
+    the graph as it was.
+    """
 
     def __init__(self) -> None:
         self.nodes: Dict[int, ASNode] = {}
@@ -121,7 +130,8 @@ class ASGraph:
         self._cones = None
 
     def has_edge(self, a: int, b: int) -> bool:
-        return b in self.nodes.get(a, ASNode(0, ASTier.STUB)).neighbors
+        node = self.nodes.get(a)
+        return node is not None and b in node.neighbors
 
     def relationship(self, a: int, b: int) -> Optional[Relationship]:
         """Return b's relationship as seen from a, or None."""

@@ -7,7 +7,9 @@ AS, and — for anycast announcements — which origin its traffic lands at
 (the *catchment*, the quantity the Section 6.1 traffic-engineering case
 study manipulates).
 
-The computation is the classic three-phase algorithm:
+The computation is the classic three-phase algorithm, run over a
+compiled view of the graph (per-relationship neighbour tuples with the
+tie-breaks already hashed; see DESIGN.md, "Control plane"):
 
 1. customer routes propagate "up" provider edges from the origins;
 2. peer routes are learned in a single hop from ASes holding
@@ -24,10 +26,10 @@ AS paths frequently differ — the asymmetry revtr exists to measure.
 from __future__ import annotations
 
 import enum
-import heapq
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Collection, Dict, FrozenSet, Iterable, List
+from typing import NamedTuple, Optional, Tuple
 
 from repro.topology.asgraph import ASGraph, Relationship
 
@@ -60,6 +62,15 @@ class Origin:
     announce_to: Optional[FrozenSet[int]] = None
     poisoned: FrozenSet[int] = frozenset()
 
+    def __post_init__(self) -> None:
+        # Hashed once: origins sit inside the specs that key every
+        # routes(), FIB and alternate-next-hop lookup.
+        fields = (self.asn, self.prepend, self.announce_to, self.poisoned)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def announces_to(self, neighbor: int) -> bool:
         return self.announce_to is None or neighbor in self.announce_to
 
@@ -80,6 +91,13 @@ class AnnouncementSpec:
     poisoned: FrozenSet[int] = frozenset()
     no_export: FrozenSet[Tuple[int, int]] = frozenset()
 
+    def __post_init__(self) -> None:
+        fields = (self.origins, self.poisoned, self.no_export)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @classmethod
     def single(cls, asn: int) -> "AnnouncementSpec":
         """The default unicast announcement from one AS."""
@@ -93,9 +111,10 @@ class AnnouncementSpec:
         return tuple(origin.asn for origin in self.origins)
 
 
-@dataclass(frozen=True)
-class RouteChoice:
-    """The route an AS selected for one announcement."""
+class RouteChoice(NamedTuple):
+    """The route an AS selected for one announcement (a named tuple:
+    one is built per AS per spec, and a frozen dataclass's constructor
+    costs seven times as much)."""
 
     route_class: RouteClass
     path: Tuple[int, ...]  # from this AS to (and including) the origin
@@ -119,6 +138,35 @@ def _tiebreak_symmetric(asn: int, via: int, salt: int) -> int:
     return zlib.crc32(f"{low}~{high}|{salt}".encode())
 
 
+#: A selection key packs ``path length << _LENGTH_SHIFT | tie-break``
+#: into one int (tie-breaks are CRC-32s), so "shorter path, then lower
+#: tie-break" is a single integer comparison.
+_LENGTH_SHIFT = 32
+
+#: ``(neighbour, tie-break the neighbour gives a route heard from this
+#: AS)`` for every neighbour of one relationship, in graph order.
+_Edges = Tuple[Tuple[int, int], ...]
+
+
+class _CompiledGraph(NamedTuple):
+    """The AS graph as route computation reads it.
+
+    A pure function of the graph, the policy's salt and its
+    ``symmetric_tiebreak_fraction`` — nothing here depends on the
+    announcement — so one instance serves every spec until
+    :meth:`RoutingPolicy.invalidate`.
+    """
+
+    providers: Dict[int, _Edges]
+    peers: Dict[int, _Edges]
+    customers: Dict[int, _Edges]
+    #: tie-break of each AS's own origination
+    origin_tiebreak: Dict[int, int]
+    #: ``(asn, its neighbor_pref, the (provider, pref) pairs in it)`` for
+    #: every AS that has a neighbor_pref and no customers
+    pref_leaves: Tuple[Tuple[int, Dict[int, int], _Edges], ...]
+
+
 class RoutingPolicy:
     """Computes and caches per-announcement route selections.
 
@@ -127,6 +175,14 @@ class RoutingPolicy:
     stable igp costs): those ASes pick the same inter-AS link in both
     directions, while the rest diverge — the knob that calibrates the
     AS-level path-symmetry rate to the Internet's measured 53% (§6.2).
+
+    Routes are computed over a compiled view of the graph, built on
+    first use.  To change the graph under a live policy (edges,
+    ``ASNode.neighbor_pref``, in place or not): **mutate, then call**
+    :meth:`invalidate` — ``Internet.invalidate_routing()`` does — which
+    drops every cached route and the compiled view.  Without the call
+    nothing notices the change: cached routes, and routes of specs
+    first asked for later, stay those of the graph as it was.
     """
 
     def __init__(
@@ -139,13 +195,7 @@ class RoutingPolicy:
         self.salt = salt
         self.symmetric_tiebreak_fraction = symmetric_tiebreak_fraction
         self._cache: Dict[AnnouncementSpec, Dict[int, RouteChoice]] = {}
-
-    def _tb(self, asn: int, via: int) -> int:
-        if self.symmetric_tiebreak_fraction > 0.0:
-            roll = zlib.crc32(f"sym|{asn}|{self.salt}".encode())
-            if (roll % 1000) < self.symmetric_tiebreak_fraction * 1000:
-                return _tiebreak_symmetric(asn, via, self.salt)
-        return _tiebreak(asn, via, self.salt)
+        self._compiled: Optional[_CompiledGraph] = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -181,185 +231,185 @@ class RoutingPolicy:
         return route.origin if route else None
 
     def invalidate(self) -> None:
+        """Drop every cached route and the compiled view of the graph."""
         self._cache.clear()
+        self._compiled = None
 
     # ------------------------------------------------------------------
     # Route computation
     # ------------------------------------------------------------------
 
-    def _compute(self, spec: AnnouncementSpec) -> Dict[int, RouteChoice]:
-        graph = self.graph
-        poisoned = spec.poisoned
-        blocked = spec.no_export
-        origin_poison = {
-            origin.asn: origin.poisoned for origin in spec.origins
+    def _compile(self) -> _CompiledGraph:
+        nodes = self.graph.nodes
+        salt = self.salt
+        threshold = self.symmetric_tiebreak_fraction * 1000
+        symmetric = {
+            asn
+            for asn in nodes
+            if threshold > 0
+            and zlib.crc32(f"sym|{asn}|{salt}".encode()) % 1000 < threshold
         }
 
-        def may_export(exporter: int, neighbor: int) -> bool:
-            return (exporter, neighbor) not in blocked
+        def tiebreak(asn: int, via: int) -> int:
+            if asn in symmetric:
+                return _tiebreak_symmetric(asn, via, salt)
+            return _tiebreak(asn, via, salt)
 
-        def rejects(asn: int, origin_asn: int) -> bool:
-            return asn in poisoned or asn in origin_poison.get(
-                origin_asn, ()
-            )
-
-        def better(
-            candidate: Tuple[int, int], incumbent: Optional[Tuple[int, int]]
-        ) -> bool:
-            """Compare (path_len, tiebreak) keys; lower wins."""
-            return incumbent is None or candidate < incumbent
-
-        # Phase 0/1: origin + customer routes, Dijkstra up provider edges.
-        best: Dict[int, RouteChoice] = {}
-        keys: Dict[int, Tuple[int, int]] = {}
-        heap: List[Tuple[int, int, int, Tuple[int, ...], Optional[int], int]] = []
-        for origin in spec.origins:
-            if origin.asn not in graph or rejects(origin.asn, origin.asn):
-                continue
-            path = (origin.asn,) * (1 + origin.prepend)
-            key = (len(path), self._tb(origin.asn, origin.asn))
-            if better(key, keys.get(origin.asn)):
-                keys[origin.asn] = key
-                best[origin.asn] = RouteChoice(
-                    RouteClass.ORIGIN, path, None, origin.asn
+        edges: Dict[Relationship, Dict[int, _Edges]] = {
+            rel: {
+                asn: tuple(
+                    (neighbor, tiebreak(neighbor, asn))
+                    for neighbor, neighbor_is in node.neighbors.items()
+                    if neighbor_is is rel
                 )
-                heapq.heappush(
-                    heap,
-                    (key[0], key[1], origin.asn, path, None, origin.asn),
-                )
-
-        settled: set = set()
-        while heap:
-            length, tiebreak, asn, path, _, origin_asn = heapq.heappop(heap)
-            if asn in settled:
-                continue
-            settled.add(asn)
-            node = graph.nodes[asn]
-            exporting = best[asn]
-            for provider in node.providers():
-                if rejects(provider, exporting.origin) or provider in settled:
-                    continue
-                if not may_export(asn, provider):
-                    continue
-                origin_cfg = self._origin_config(spec, asn)
-                if origin_cfg is not None and not origin_cfg.announces_to(
-                    provider
-                ):
-                    continue
-                new_path = (provider,) + exporting.path
-                key = (
-                    len(new_path),
-                    self._tb(provider, asn),
-                )
-                if better(key, keys.get(provider)):
-                    keys[provider] = key
-                    best[provider] = RouteChoice(
-                        RouteClass.CUSTOMER, new_path, asn, exporting.origin
-                    )
-                    heapq.heappush(
-                        heap,
-                        (
-                            key[0],
-                            key[1],
-                            provider,
-                            new_path,
-                            asn,
-                            exporting.origin,
-                        ),
-                    )
-
-        # Phase 2: peer routes, one hop from customer-class holders.
-        customer_holders = dict(best)
-        for asn, route in customer_holders.items():
-            node = graph.nodes[asn]
-            origin_cfg = self._origin_config(spec, asn)
-            for peer in node.peers():
-                if rejects(peer, route.origin) or peer in customer_holders:
-                    continue
-                if not may_export(asn, peer):
-                    continue
-                if origin_cfg is not None and not origin_cfg.announces_to(
-                    peer
-                ):
-                    continue
-                new_path = (peer,) + route.path
-                key = (len(new_path), self._tb(peer, asn))
-                incumbent = best.get(peer)
-                if incumbent is not None and incumbent.route_class <= RouteClass.PEER:
-                    if not better(key, keys.get(peer)):
-                        continue
-                elif incumbent is not None:
-                    pass  # provider-class incumbent always loses to peer
-                keys[peer] = key
-                best[peer] = RouteChoice(
-                    RouteClass.PEER, new_path, asn, route.origin
-                )
-
-        # Phase 3: provider routes, Dijkstra down customer edges.
-        heap = []
-        for asn, route in best.items():
-            heapq.heappush(
-                heap,
+                for asn, node in nodes.items()
+            }
+            for rel in Relationship
+        }
+        customers = edges[Relationship.CUSTOMER]
+        return _CompiledGraph(
+            providers=edges[Relationship.PROVIDER],
+            peers=edges[Relationship.PEER],
+            customers=customers,
+            origin_tiebreak={asn: tiebreak(asn, asn) for asn in nodes},
+            pref_leaves=tuple(
                 (
-                    route.length,
-                    keys[asn][1],
                     asn,
-                    route.path,
-                    route.next_as,
-                    route.origin,
-                ),
-            )
-        settled = set()
-        while heap:
-            length, tiebreak, asn, path, _, origin_asn = heapq.heappop(heap)
-            if asn in settled:
-                continue
-            settled.add(asn)
-            exporting = best[asn]
-            node = graph.nodes[asn]
-            origin_cfg = self._origin_config(spec, asn)
-            for customer in node.customers():
-                if rejects(customer, exporting.origin) or customer in settled:
-                    continue
-                if not may_export(asn, customer):
-                    continue
-                if origin_cfg is not None and not origin_cfg.announces_to(
-                    customer
-                ):
-                    continue
-                incumbent = best.get(customer)
-                if (
-                    incumbent is not None
-                    and incumbent.route_class < RouteClass.PROVIDER
-                ):
-                    continue
-                new_path = (customer,) + exporting.path
-                key = (len(new_path), self._tb(customer, asn))
-                if incumbent is not None and not better(
-                    key, keys.get(customer)
-                ):
-                    continue
-                keys[customer] = key
-                best[customer] = RouteChoice(
-                    RouteClass.PROVIDER, new_path, asn, exporting.origin
-                )
-                heapq.heappush(
-                    heap,
-                    (
-                        key[0],
-                        key[1],
-                        customer,
-                        new_path,
-                        asn,
-                        exporting.origin,
+                    dict(node.neighbor_pref),
+                    tuple(
+                        (neighbor, pref)
+                        for neighbor, pref in node.neighbor_pref.items()
+                        if node.neighbors.get(neighbor)
+                        is Relationship.PROVIDER
                     ),
                 )
+                for asn, node in nodes.items()
+                if node.neighbor_pref and not customers[asn]
+            ),
+        )
 
-        self._apply_leaf_preferences(best)
+    def _compute(self, spec: AnnouncementSpec) -> Dict[int, RouteChoice]:
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = self._compile()
+        blocked = spec.no_export
+        # Per origin ASN: the ASes that reject routes to it (loop
+        # detection on the poisoned path) and the neighbours it
+        # announces to (None = all).  Should an ASN be listed twice,
+        # the last entry's poisoning and the first's announce_to apply.
+        rejecting: Dict[int, FrozenSet[int]] = {}
+        announce: Dict[int, Optional[FrozenSet[int]]] = {}
+        for origin in spec.origins:
+            rejecting[origin.asn] = spec.poisoned | origin.poisoned
+            announce.setdefault(origin.asn, origin.announce_to)
+
+        best: Dict[int, Optional[RouteChoice]] = {}
+        keys: Dict[int, int] = {}
+        via: Dict[int, int] = {}
+        make = RouteChoice._make
+
+        def export(
+            asn: int, edges: _Edges, length: int, protected: Collection[int]
+        ) -> List[Tuple[int, int]]:
+            """Offer the route of *asn* along *edges* at *length* hops.
+
+            Returns ``(key, neighbour)`` for each neighbour that takes
+            it.  A taker enters *best* as ``None`` on its first offer —
+            which fixes its place in the dict's order — and is filled in
+            once its choice is final.  ASes in *protected* keep the
+            route they hold whatever they are offered.
+            """
+            reject = rejecting[best[asn].origin]
+            allowed = announce.get(asn)
+            base = length << _LENGTH_SHIFT
+            taken = []
+            for neighbor, tiebreak in edges:
+                offer = base | tiebreak
+                held = keys.get(neighbor)
+                if held is not None and (
+                    held <= offer or neighbor in protected
+                ):
+                    continue
+                if (
+                    neighbor in reject
+                    or (blocked and (asn, neighbor) in blocked)
+                    or (allowed is not None and neighbor not in allowed)
+                ):
+                    continue
+                keys[neighbor] = offer
+                via[neighbor] = asn
+                best[neighbor] = None
+                taken.append((offer, neighbor))
+            return taken
+
+        def flood(
+            edges_of: Dict[int, _Edges],
+            route_class: RouteClass,
+            protected: Collection[int],
+        ) -> None:
+            """Propagate the routes held in *keys* along *edges_of*.
+
+            Dijkstra with every edge one hop long, so the queue is one
+            list of ``(key, asn)`` per path length, sorted when that
+            length is reached.  Each AS's one :class:`RouteChoice` (of
+            *route_class*, through ``via[asn]``) is built when it
+            settles.
+            """
+            levels: Dict[int, List[Tuple[int, int]]] = {}
+            for asn, key in keys.items():
+                levels.setdefault(key >> _LENGTH_SHIFT, []).append((key, asn))
+            while levels:
+                length = min(levels)
+                offers = []
+                for key, asn in sorted(levels.pop(length)):
+                    if keys[asn] != key:
+                        continue  # it has since heard a better offer
+                    if best[asn] is None:
+                        exporter = via[asn]
+                        heard = best[exporter]
+                        path = (asn,) + heard.path
+                        best[asn] = make(
+                            (route_class, path, exporter, heard.origin)
+                        )
+                    edges = edges_of[asn]
+                    if edges:
+                        offers += export(asn, edges, length + 1, protected)
+                if offers:
+                    levels.setdefault(length + 1, []).extend(offers)
+
+        # Phase 0/1: origin + customer routes, Dijkstra up provider edges.
+        for origin in spec.origins:
+            asn = origin.asn
+            tiebreak = compiled.origin_tiebreak.get(asn)
+            if tiebreak is None or asn in rejecting[asn]:
+                continue  # not in the graph, or poisoned against itself
+            path = (asn,) * (1 + origin.prepend)
+            key = len(path) << _LENGTH_SHIFT | tiebreak
+            if asn not in keys or key < keys[asn]:
+                keys[asn] = key
+                best[asn] = RouteChoice(RouteClass.ORIGIN, path, None, asn)
+        flood(compiled.providers, RouteClass.CUSTOMER, ())
+
+        # Phase 2: peer routes, one hop from customer-class holders.
+        holders = dict(best)
+        for asn, route in holders.items():
+            export(asn, compiled.peers[asn], len(route.path) + 1, holders)
+        for peer in list(best)[len(holders):]:  # the placeholders just added
+            heard = holders[via[peer]]
+            best[peer] = RouteChoice(
+                RouteClass.PEER, (peer,) + heard.path, via[peer], heard.origin
+            )
+
+        # Phase 3: provider routes, Dijkstra down customer edges.
+        flood(compiled.customers, RouteClass.PROVIDER, set(best))
+
+        self._apply_leaf_preferences(best, compiled.pref_leaves)
         return best
 
+    @staticmethod
     def _apply_leaf_preferences(
-        self, best: Dict[int, RouteChoice]
+        best: Dict[int, RouteChoice],
+        pref_leaves: Tuple[Tuple[int, Dict[int, int], _Edges], ...],
     ) -> None:
         """Honour per-neighbour local preference for leaf ASes.
 
@@ -369,48 +419,25 @@ class RoutingPolicy:
         re-selected: nobody routes *through* a leaf, so the change
         cannot violate the path-consistency (tree) property.
         """
-        for asn, node in self.graph.nodes.items():
-            if not node.neighbor_pref or node.customers():
-                continue
+        make, provider_class = RouteChoice._make, RouteClass.PROVIDER
+        for asn, prefs, provider_prefs in pref_leaves:
             current = best.get(asn)
-            if current is None or current.route_class is not (
-                RouteClass.PROVIDER
-            ):
+            if current is None or current.route_class is not provider_class:
                 # Never dislodge an origin, customer, or peer route: a
                 # settlement-free peer beats any paid provider, so the
                 # provider local-pref only orders provider routes.
                 continue
-            candidates = []
-            for neighbor, pref in node.neighbor_pref.items():
-                if (
-                    self.graph.relationship(asn, neighbor)
-                    is not Relationship.PROVIDER
-                ):
+            current_pref = prefs.get(current.next_as, 0)
+            chosen = None
+            for neighbor, pref in provider_prefs:
+                if pref <= current_pref:
                     continue
                 route = best.get(neighbor)
                 if route is None or asn in route.path:
                     continue
-                candidates.append((pref, -len(route.path), neighbor))
-            if not candidates:
-                continue
-            current_pref = node.neighbor_pref.get(current.next_as, 0)
-            pref, _, neighbor = max(candidates)
-            if pref <= current_pref:
-                continue
-            via = best[neighbor]
-            best[asn] = RouteChoice(
-                RouteClass.PROVIDER,
-                (asn,) + via.path,
-                neighbor,
-                via.origin,
-            )
-
-    @staticmethod
-    def _origin_config(
-        spec: AnnouncementSpec, asn: int
-    ) -> Optional[Origin]:
-        """Return the Origin config if *asn* is an announcement point."""
-        for origin in spec.origins:
-            if origin.asn == asn:
-                return origin
-        return None
+                rank = (pref, -len(route.path), neighbor)
+                if chosen is None or rank > chosen:
+                    chosen, heard = rank, route
+            if chosen is not None:
+                path, via = (asn,) + heard.path, chosen[2]
+                best[asn] = make((provider_class, path, via, heard.origin))

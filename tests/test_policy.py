@@ -1,14 +1,20 @@
 """Tests for Gao-Rexford route computation, poisoning, and anycast."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.topology.asgraph import ASGraph, ASTier, Relationship
+from repro.topology.config import TopologyConfig
+from repro.topology.generator import build_internet
 from repro.topology.policy import (
     AnnouncementSpec,
     Origin,
     RouteClass,
     RoutingPolicy,
 )
+from tests.helpers.reference_policy import ReferencePolicy
 
 
 def diamond_graph():
@@ -175,3 +181,234 @@ class TestDeterminism:
         for dst in asns[:10]:
             routes = policy.routes(AnnouncementSpec.single(dst))
             assert set(routes) == set(asns), f"unreachable ASes for {dst}"
+
+
+# ----------------------------------------------------------------------
+# The compiled implementation against the reference object walk
+# ----------------------------------------------------------------------
+
+SYMMETRIC_FRACTIONS = (0.0, 0.45, 1.0)
+
+
+def layered_graph(seed):
+    """A hand-built hierarchy: peered core, multihomed transit and stubs
+    (some with a provider local-pref), stub-stub peering, and one
+    isolated AS."""
+    rng = random.Random(seed)
+    graph = ASGraph()
+    core = [10, 20, 30]
+    transit = [110, 120, 130, 140]
+    stubs = list(range(1001, 1013))
+    for asn in core:
+        graph.add_as(asn, ASTier.TIER1)
+    for asn in transit:
+        graph.add_as(asn, ASTier.TRANSIT)
+    for asn in stubs + [9999]:
+        graph.add_as(asn, ASTier.STUB)
+    for i, a in enumerate(core):
+        for b in core[i + 1:]:
+            graph.add_edge(a, b, Relationship.PEER)
+    for asn in transit:
+        for provider in rng.sample(core, rng.randint(1, 2)):
+            graph.add_edge(provider, asn, Relationship.CUSTOMER)
+    graph.add_edge(110, 120, Relationship.PEER)
+    graph.add_edge(130, 140, Relationship.PEER)
+    for asn in stubs:
+        providers = rng.sample(transit + core, rng.randint(1, 3))
+        for provider in providers:
+            graph.add_edge(provider, asn, Relationship.CUSTOMER)
+        if len(providers) > 1 and rng.random() < 0.7:
+            graph.nodes[asn].neighbor_pref[rng.choice(providers)] = 100
+        if len(providers) > 2:  # two equally preferred providers
+            for provider in providers[:2]:
+                graph.nodes[asn].neighbor_pref[provider] = 100
+    for a, b in ((1001, 1002), (1003, 1007), (1010, 1011)):
+        if not graph.has_edge(a, b):
+            graph.add_edge(a, b, Relationship.PEER)
+    # A preference naming a peer and one naming a stranger: neither is
+    # a provider, so neither may attract the route.
+    graph.nodes[1002].neighbor_pref[1001] = 200
+    graph.nodes[1004].neighbor_pref[9999] = 200
+    graph.validate()
+    return graph
+
+
+@pytest.fixture(scope="module")
+def oracle_graphs(tiny_internet, small_internet):
+    return {
+        "tiny": tiny_internet.graph,
+        "small": small_internet.graph,
+        "diamond": diamond_graph(),
+        "layered-1": layered_graph(1),
+        "layered-2": layered_graph(2),
+    }
+
+
+@st.composite
+def announcement_specs(draw, graph):
+    """Everything an AnnouncementSpec can express, over *graph*: 1-4
+    origins with prepends, announce_to subsets and per-origin poisoning;
+    optionally a repeated origin ASN and an ASN the graph lacks; global
+    poisoning; no_export pairs on real edges."""
+    asns = graph.asns()
+    some_asns = st.frozensets(st.sampled_from(asns), max_size=3)
+
+    def origin(asn):
+        neighbors = sorted(graph.nodes[asn].neighbors) if asn in graph else []
+        announce_to = st.none()
+        if neighbors:
+            announce_to = st.one_of(
+                st.none(), st.frozensets(st.sampled_from(neighbors))
+            )
+        return Origin(
+            asn,
+            prepend=draw(st.integers(min_value=0, max_value=3)),
+            announce_to=draw(announce_to),
+            poisoned=draw(st.one_of(st.just(frozenset()), some_asns)),
+        )
+
+    origins = [
+        origin(asn)
+        for asn in draw(
+            st.lists(st.sampled_from(asns), min_size=1, max_size=4)
+        )
+    ]
+    if draw(st.booleans()):
+        origins.append(origin(origins[0].asn))
+    if draw(st.booleans()):
+        origins.insert(
+            draw(st.integers(min_value=0, max_value=len(origins))),
+            origin(max(asns) + 1),
+        )
+    edges = [
+        (asn, neighbor)
+        for asn in asns
+        for neighbor in graph.nodes[asn].neighbors
+    ]
+    return AnnouncementSpec(
+        origins=tuple(origins),
+        poisoned=draw(st.one_of(st.just(frozenset()), some_asns)),
+        no_export=draw(
+            st.one_of(
+                st.just(frozenset()),
+                st.frozensets(st.sampled_from(edges), max_size=4),
+            )
+        ),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_compiled_routes_equal_reference(oracle_graphs, data):
+    """Same RouteChoice for every AS, in the same dict order, as the
+    pre-compilation implementation — for every kind of spec."""
+    name = data.draw(st.sampled_from(sorted(oracle_graphs)), label="graph")
+    graph = oracle_graphs[name]
+    salt = data.draw(st.integers(min_value=0, max_value=50), label="salt")
+    spec = data.draw(announcement_specs(graph), label="spec")
+    for fraction in SYMMETRIC_FRACTIONS:
+        expected = ReferencePolicy(graph, salt, fraction).routes(spec)
+        actual = RoutingPolicy(graph, salt, fraction).routes(spec)
+        assert list(actual.items()) == list(expected.items()), fraction
+
+
+@pytest.mark.parametrize("fraction", SYMMETRIC_FRACTIONS)
+def test_compiled_unicast_routes_equal_reference(small_internet, fraction):
+    """Every unicast spec of the small topology, one policy (so one
+    compiled view) serving all of them."""
+    graph = small_internet.graph
+    salt = small_internet.policy.salt
+    policy = RoutingPolicy(graph, salt, fraction)
+    reference = ReferencePolicy(graph, salt, fraction)
+    for asn in graph.asns():
+        spec = AnnouncementSpec.single(asn)
+        assert list(policy.routes(spec).items()) == list(
+            reference.routes(spec).items()
+        )
+
+
+class TestMutateThenInvalidate:
+    """The compiled view is a snapshot: graph edits show after
+    invalidate(), and not before."""
+
+    @staticmethod
+    def flippable_leaf(internet):
+        """A multihomed leaf whose route to some origin follows its
+        preferred provider, with another provider to flip to."""
+        graph, policy = internet.graph, internet.policy
+        for asn, node in graph.nodes.items():
+            if not node.neighbor_pref or node.customers():
+                continue
+            preferred = max(node.neighbor_pref, key=node.neighbor_pref.get)
+            others = [p for p in node.providers() if p != preferred]
+            for origin in graph.asns():
+                spec = AnnouncementSpec.single(origin)
+                route = policy.route_of(asn, spec)
+                if (
+                    others
+                    and route is not None
+                    and route.route_class is RouteClass.PROVIDER
+                    and route.next_as == preferred
+                    and policy.route_of(others[0], spec) is not None
+                ):
+                    return asn, spec, others[0]
+        raise AssertionError("no flippable leaf in this topology")
+
+    def test_in_place_neighbor_pref_flip(self):
+        internet = build_internet(TopologyConfig.tiny(seed=11))
+        policy = internet.policy
+        asn, spec, other = self.flippable_leaf(internet)
+        before = policy.route_of(asn, spec)
+
+        # As exp_staleness._flip_preference does: edit the dict in place.
+        node = internet.graph.nodes[asn]
+        node.neighbor_pref.clear()
+        node.neighbor_pref[other] = 100
+        assert policy.route_of(asn, spec) == before  # stale until told
+
+        internet.invalidate_routing()
+        after = policy.route_of(asn, spec)
+        assert after.next_as == other
+        assert after != before
+        reference = ReferencePolicy(
+            internet.graph, policy.salt, policy.symmetric_tiebreak_fraction
+        )
+        assert list(policy.routes(spec).items()) == list(
+            reference.routes(spec).items()
+        )
+
+    def test_add_edge_needs_invalidate(self):
+        graph = diamond_graph()
+        policy = RoutingPolicy(graph)
+        spec = AnnouncementSpec.single(3)
+        assert policy.route_of(2, spec).path == (2, 1, 3)
+        # A spec the policy has not seen yet, to show that the compiled
+        # view — not only the route cache — predates the new edge.
+        unseen = AnnouncementSpec(origins=(Origin(3, prepend=1),))
+
+        graph.add_edge(2, 3, Relationship.CUSTOMER)
+        assert policy.route_of(2, spec).path == (2, 1, 3)
+        assert policy.route_of(2, unseen).path == (2, 1, 3, 3)
+
+        policy.invalidate()
+        assert policy.route_of(2, spec).path == (2, 3)
+        assert policy.route_of(2, unseen).path == (2, 3, 3)
+        assert policy.routes(spec) == ReferencePolicy(graph).routes(spec)
+
+
+class TestSpecHashing:
+    def test_equal_specs_hash_equal(self):
+        def build():
+            return AnnouncementSpec(
+                origins=(
+                    Origin(4, prepend=1, announce_to=frozenset({1, 2})),
+                    Origin(3, poisoned=frozenset({2})),
+                ),
+                poisoned=frozenset({9}),
+                no_export=frozenset({(4, 1)}),
+            )
+
+        assert build() == build()
+        assert hash(build()) == hash(build())
+        assert len({build(), build(), AnnouncementSpec.single(4)}) == 2
+        assert build() != AnnouncementSpec.single(4)
