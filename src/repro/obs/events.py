@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Version of the exported event record layout.  Bump on incompatible
 #: changes to the dict shape; readers reject unknown versions rather
@@ -177,10 +177,13 @@ class EventLog:
     is published last, so readers can discard half-written slots);
     the oldest are overwritten (and tallied as :attr:`dropped`) once
     the ring wraps.  Reads (:meth:`events`, :meth:`tail`) snapshot
-    the ring under a lock; writes never take it.  The one write/write
-    hazard is a writer lapped by a full ring revolution mid-emit —
-    ``capacity`` concurrent emits inside one emit's microsecond
-    window — which the drop accounting already treats as data loss.
+    the ring under a lock; writes never take it.  The tallies
+    (:meth:`accounting`: total / dropped / retained) read only the
+    sequence cells, so sampling them never copies the ring.  The one
+    write/write hazard is a writer lapped by a full ring revolution
+    mid-emit — ``capacity`` concurrent emits inside one emit's
+    microsecond window — which the drop accounting already treats as
+    data loss.
     """
 
     __slots__ = (
@@ -315,26 +318,42 @@ class EventLog:
 
     # -- accounting -----------------------------------------------------
 
+    def accounting(self) -> Tuple[int, int, int]:
+        """``(total, dropped, retained)`` from one read of the ring.
+
+        *total* is events emitted over the log's lifetime (including
+        overwritten ones), *dropped* those lost to ring wraparound
+        (explicit clears excluded), *retained* those still in the
+        ring.  All three come from one strided slice of the sequence
+        cells taken under the lock — no slot copies, no Python-level
+        loop — so telemetry can read them on every sample, and they
+        always satisfy ``total == retained + dropped + cleared``.
+        *total* is derived from the highest retained sequence number
+        rather than by peeking at the counter, so reading it never
+        races with the lock-free emit path.
+        """
+        with self._lock:
+            seqs = self._slots[0::6]
+            floor = self._floor
+            cleared = self._cleared
+        # Sequence cells hold -1 (empty or mid-write) or a published
+        # sequence number, so everything that is not -1 is retained.
+        retained = self.capacity - seqs.count(-1)
+        total = max(seqs) + 1 if retained else floor
+        return total, max(0, total - cleared - retained), retained
+
     @property
     def total(self) -> int:
-        """Events emitted over the log's lifetime (incl. overwritten).
-
-        Derived from the highest retained sequence number rather than
-        by peeking at the counter, so reading it never races with the
-        lock-free emit path.
-        """
-        records = self._snapshot()
-        return (records[-1][0] + 1) if records else self._floor
+        """Events emitted over the log's lifetime (incl. overwritten)."""
+        return self.accounting()[0]
 
     @property
     def dropped(self) -> int:
         """Events lost to ring wraparound (explicit clears excluded)."""
-        records = self._snapshot()
-        total = (records[-1][0] + 1) if records else self._floor
-        return max(0, total - self._cleared - len(records))
+        return self.accounting()[1]
 
     def __len__(self) -> int:
-        return len(self._snapshot())
+        return self.accounting()[2]
 
     # -- reads ----------------------------------------------------------
 
@@ -400,24 +419,21 @@ class EventLog:
 
     def summary(self) -> Dict[str, Any]:
         """JSON-able operator view for ``introspect``/service snapshots."""
+        total, dropped, retained = self.accounting()
         return {
             "schema_version": EVENT_SCHEMA_VERSION,
             "capacity": self.capacity,
-            "recorded": len(self),
-            "total": self.total,
-            "dropped": self.dropped,
+            "recorded": retained,
+            "total": total,
+            "dropped": dropped,
             "by_kind": dict(sorted(self.by_kind().items())),
         }
 
     def clear(self) -> None:
         with self._lock:
-            slots = self._slots
-            retained = [
-                slots[base]
-                for base in range(0, len(slots), 6)
-                if slots[base] >= 0
-            ]
+            seqs = self._slots[0::6]
+            retained = self.capacity - seqs.count(-1)
             if retained:
-                self._floor = max(retained) + 1
-            self._cleared += len(retained)
+                self._floor = max(seqs) + 1
+            self._cleared += retained
             self._slots = [-1, 0.0, None, None, "", None] * self.capacity

@@ -363,6 +363,10 @@ class Instrumentation:
         # registry itself canonicalises label order, so two orderings
         # of the same labels still share one series).
         self._series: Dict[Any, Any] = {}
+        # Collection-side twin of ``_series``: a pull source's
+        # (name, label_items) key -> child series, so a collection
+        # resolves each series once, not on every snapshot.
+        self._pulled: Dict[Any, Any] = {}
         # Pull-style sources: callables returning
         # {(metric_name, ((label, value), ...)): tally}.  Their tallies
         # are summed per series and mirrored into the registry at
@@ -421,7 +425,7 @@ class Instrumentation:
         if dropped_traces:
             out[("obs_traces_dropped_total", ())] = float(dropped_traces)
         if self.events is not None:
-            dropped_events = self.events.dropped
+            dropped_events = self.events.accounting()[1]
             if dropped_events:
                 out[("obs_events_dropped_total", ())] = float(
                     dropped_events
@@ -442,23 +446,32 @@ class Instrumentation:
                 continue
         return {}
 
+    def _pulled_child(self, key, family):
+        """The series a pull source's ``(name, label_items)`` key names,
+        resolved through *family* (``registry.counter``/``gauge``) once."""
+        child = self._pulled.get(key)
+        if child is None:
+            name, label_items = key
+            child = self._pulled[key] = family(name).labels(
+                **dict(label_items)
+            )
+        return child
+
     def _collect(self) -> None:
+        counter, gauge = self.registry.counter, self.registry.gauge
+        # Summed per child, not per key: the registry canonicalises
+        # label order, so sources spelling the same series differently
+        # resolve to one child and still sum into one total.
         totals: Dict[Any, float] = {}
         for source in list(self._collect_sources):
-            for (name, label_items), value in self._pull(source).items():
-                # Canonicalise label order so sources spelling the same
-                # series differently still sum into one total.
-                key = (name, tuple(sorted(label_items)))
-                totals[key] = totals.get(key, 0.0) + value
-        for (name, label_items), value in totals.items():
-            self.registry.counter(name).labels(
-                **dict(label_items)
-            ).set_total(value)
+            for key, value in self._pull(source).items():
+                child = self._pulled_child(key, counter)
+                totals[child] = totals.get(child, 0.0) + value
+        for child, value in totals.items():
+            child.set_total(value)
         for source in list(self._gauge_sources):
-            for (name, label_items), value in self._pull(source).items():
-                self.registry.gauge(name).labels(
-                    **dict(label_items)
-                ).set(value)
+            for key, value in self._pull(source).items():
+                self._pulled_child(key, gauge).set(value)
 
     # -- tracing --------------------------------------------------------
 

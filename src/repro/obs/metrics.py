@@ -156,6 +156,10 @@ class MetricFamily:
         self.buckets = tuple(buckets) if buckets is not None else None
         self._lock = lock
         self._children: Dict[LabelKey, _Child] = {}
+        # Children in label-key order, rebuilt by series() after a
+        # child is created: snapshots are taken far more often than
+        # series appear.
+        self._sorted: Optional[List[Tuple[LabelKey, _Child]]] = None
 
     def _make_child(self) -> _Child:
         if self.kind == "counter":
@@ -177,6 +181,7 @@ class MetricFamily:
             if child is None:
                 child = self._make_child()
                 self._children[key] = child
+                self._sorted = None
             return child
 
     # Unlabeled convenience: the family acts as its own default child.
@@ -192,10 +197,11 @@ class MetricFamily:
 
     def series(self) -> List[Tuple[Dict[str, str], _Child]]:
         with self._lock:
-            return [
-                (dict(key), child)
-                for key, child in sorted(self._children.items())
-            ]
+            ordered = self._sorted
+            if ordered is None:
+                ordered = self._sorted = sorted(self._children.items())
+            # Fresh label dicts: snapshots hand them to callers.
+            return [(dict(key), child) for key, child in ordered]
 
 
 class MetricsRegistry:

@@ -186,6 +186,13 @@ class Internet:
         self._announce_cache: Dict[Address, Optional[AnnouncementSpec]] = {}
         self._fib_hits = 0
         self._fib_misses = 0
+        #: entries currently held across all FIB rows: bumped where
+        #: :meth:`_walk` fills a new key, zeroed wherever ``_fib`` is
+        #: cleared, so reading the FIB's size never walks it
+        self._fib_entries = 0
+        #: cache stats read by :meth:`_obs_collect`, handed to
+        #: :meth:`_obs_collect_gauges` later in the same collection
+        self._obs_cache_stats: Optional[Dict[str, Dict[str, int]]] = None
         self._resolve_hits = 0
         self._resolve_misses = 0
         self._announce_hits = 0
@@ -214,9 +221,9 @@ class Internet:
         out[("sim_hops_traversed_total", ())] = float(self._obs_hops)
         for reason, n in self._obs_drops.items():
             out[("sim_drops_total", (("reason", reason),))] = float(n)
-        for cache, stats in self.forwarding_cache_stats()[
-            "caches"
-        ].items():
+        caches = self.forwarding_cache_stats()["caches"]
+        self._obs_cache_stats = caches
+        for cache, stats in caches.items():
             for counted, label in (("hits", "hit"), ("misses", "miss")):
                 n = stats[counted]
                 if n:
@@ -230,15 +237,22 @@ class Internet:
 
     def _obs_collect_gauges(self) -> Dict:
         """Pull-style gauges: cache sizes and the routing generation."""
-        stats = self.forwarding_cache_stats()
+        # A collection runs the tally sources before the gauge
+        # sources, so the stats :meth:`_obs_collect` just read are
+        # this collection's; taken (not kept), so a standalone call
+        # reads fresh ones.
+        caches = self._obs_cache_stats
+        self._obs_cache_stats = None
+        if caches is None:
+            caches = self.forwarding_cache_stats()["caches"]
         out = {
             ("sim_fwd_cache_entries", (("cache", cache),)): float(
                 cache_stats["entries"]
             )
-            for cache, cache_stats in stats["caches"].items()
+            for cache, cache_stats in caches.items()
         }
         out[("sim_routing_generation", ())] = float(
-            stats["routing_generation"]
+            self.routing_generation
         )
         return out
 
@@ -759,6 +773,8 @@ class Internet:
             else:
                 entry = fib.get(current)
                 if entry is None or entry.generation != gen:
+                    if entry is None:
+                        self._fib_entries += 1
                     entry = self._compute_fib_entry(router, target, spec)
                     fib[current] = entry
                     self._fib_misses += 1
@@ -1157,6 +1173,7 @@ class Internet:
         self._alt_next_as.clear()
         self.routing_generation += 1
         self._fib.clear()
+        self._fib_entries = 0
         self._flush_resolution_caches()
         self.prefix_table.flush_lookup_cache()
 
@@ -1175,6 +1192,7 @@ class Internet:
         self.fastpath_enabled = enabled
         self.prefix_table.cache_enabled = enabled
         self._fib.clear()
+        self._fib_entries = 0
         self._flush_resolution_caches()
         self.prefix_table.flush_lookup_cache()
 
@@ -1193,11 +1211,7 @@ class Internet:
                 "fib": {
                     "hits": self._fib_hits,
                     "misses": self._fib_misses,
-                    "entries": sum(
-                        len(row)
-                        for shard in self._fib.values()
-                        for row in shard.values()
-                    ),
+                    "entries": self._fib_entries,
                 },
                 "resolve": {
                     "hits": self._resolve_hits,
