@@ -2,14 +2,16 @@
 
 Keeps the flow identifier constant across TTLs so per-flow load
 balancers see one consistent path (Augustin et al., used by the paper
-to keep the traceroute atlas free of false links). The probe at each
-TTL is charged to the traceroute budget and the walk advances the
-virtual clock by the per-hop RTTs plus a small pacing overhead.
+to keep the traceroute atlas free of false links). Because the path is
+the same at every TTL, the simulator walks it once per traceroute
+(:meth:`~repro.sim.network.Internet.send_ttl_sweep`) and hands back
+one outcome per TTL. The accounting stays per TTL: each TTL's probe is
+charged to the traceroute budget and the vantage point's token bucket
+before it is sent, and advances the virtual clock by its RTT (or the
+loss timeout) plus a small pacing overhead.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.net.addr import Address
 from repro.net.packet import Probe, ProbeKind, TracerouteResult
@@ -35,20 +37,26 @@ def paris_traceroute(
     per TTL (None for an unresponsive hop) and, when the destination
     answered, ends with the destination address itself.
     """
-    internet = prober.internet
+    clock = prober.clock
     result = TracerouteResult(
-        src=src, dst=dst, flow_id=flow_id, timestamp=prober.clock.now()
+        src=src, dst=dst, flow_id=flow_id, timestamp=clock.now()
+    )
+    record = prober.counter.record
+    bucket = prober._bucket(src)
+    sweep = prober.internet.send_ttl_sweep(
+        Probe(src=src, dst=dst, flow_id=flow_id), max_ttl
     )
     consecutive_stars = 0
-    for ttl in range(1, max_ttl + 1):
-        prober.counter.record(ProbeKind.TRACEROUTE)
-        prober._bucket(src).acquire(1)
-        probe = Probe(src=src, dst=dst, ttl=ttl, flow_id=flow_id)
-        outcome = internet.send_probe(probe)
-        prober.clock.advance(_PACING)
+    for _ in range(max_ttl):
+        # Charged before the TTL's probe is sent: the bucket may wait
+        # on the clock, and the simulator's fault hooks read it.
+        record(ProbeKind.TRACEROUTE)
+        bucket.acquire(1)
+        outcome = next(sweep)
+        clock.advance(_PACING)
         if outcome.te_reply is not None:
             reply = outcome.te_reply
-            prober.clock.advance(reply.rtt)
+            clock.advance(reply.rtt)
             result.hops.append(reply.hop_addr)
             if reply.hop_addr is None:
                 consecutive_stars += 1
@@ -63,11 +71,11 @@ def paris_traceroute(
         if outcome.delivered:
             # TTL outlived the path: the destination itself answered.
             rtt = outcome.echo.rtt if outcome.echo else 0.0
-            prober.clock.advance(rtt)
+            clock.advance(rtt)
             result.hops.append(dst)
             result.reached = True
             break
-        prober.clock.advance(LOSS_TIMEOUT)
+        clock.advance(LOSS_TIMEOUT)
         result.hops.append(None)
         consecutive_stars += 1
         if consecutive_stars >= 4:

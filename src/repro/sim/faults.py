@@ -377,8 +377,8 @@ class FaultInjector:
         """The drop reason of the most recent injection, one-shot.
 
         The walker's return tuple has no reason slot; the injector
-        stashes it here and ``Internet._send_probe`` picks it up when
-        labelling the outcome.  Walks run sequentially under the sim
+        stashes it here and ``Internet._send_probe`` (or the TTL
+        sweep) picks it up when labelling the outcome.  Walks run sequentially under the sim
         lock, so one slot suffices.
         """
         reason, self._last_reason = self._last_reason, None

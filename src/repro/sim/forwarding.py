@@ -31,10 +31,6 @@ from repro.net.packet import Probe
 from repro.net.router import Router
 
 
-class ForwardingError(Exception):
-    """A packet hit a dead end (no route, unreachable target)."""
-
-
 #: :class:`FibEntry` kinds.  ``DELIVER`` is a forced single next hop
 #: (directly connected delivery, or a plain router's destination-based
 #: tie-break folded into the entry); ``ECMP`` carries an equal-cost
@@ -72,7 +68,8 @@ class FibEntry:
             adjacency lookups entirely.
         adj: for ECMP, the router's adjacency row mapping candidate ->
             ``(egress_addr, next_ingress)``.
-        reason: the :class:`ForwardingError` message for ERROR entries.
+        reason: for ERROR entries, why the router has no next hop
+            (diagnostic only; the walker just stops).
         alt: at an AS-level DBR-violating border router, the entry for
             the loop-safe alternate next AS; the walker hashes the
             packet source to pick between the two on first visit.

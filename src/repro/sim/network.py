@@ -14,8 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.net.addr import Address, Prefix, PrefixTable
 from repro.net.host import Host
@@ -31,7 +31,6 @@ from repro.sim.forwarding import (
     FIB_LAN,
     DestTarget,
     FibEntry,
-    ForwardingError,
     choose_candidate,
 )
 from repro.topology.asgraph import ASGraph
@@ -557,6 +556,85 @@ class Internet:
             )
         return outcomes
 
+    def send_ttl_sweep(
+        self, probe: Probe, max_ttl: int
+    ) -> Iterator[ProbeOutcome]:
+        """Yield the outcomes of *probe* sent at TTL 1, 2, … *max_ttl*.
+
+        The k-th item is what ``send_probe(replace(probe, ttl=k))``
+        would return at the moment it is asked for, and the simulator
+        is left in the state that call would leave it in; the caller
+        may stop early.  Forwarding never reads the TTL, so the forward
+        path is walked once, fault-free, and TTL k's time-exceeded
+        reply is read off its k-th router.  Whatever reads the clock
+        or a draw counter still runs once per TTL, in the order a
+        single probe runs it: the injection-time faults, one loss draw
+        per link crossed, the expiring router's ICMP policing.  TTLs
+        past the end of the path — the destination's echo, or silence
+        — and probes that cannot be injected or routed are single
+        probes.  *probe* must carry no options: a walk stamps them.
+        """
+        if probe.has_options:
+            raise ValueError("a TTL sweep takes an option-less probe")
+        delivered, path = self._forward_walk(probe)
+        routers = self.routers
+        adjacency = self.adjacency
+        at_owner = delivered and routers[path[-1]].owns(probe.dst)
+        faults = self.faults
+        lossy = faults is not None and faults.has_link_loss
+        expiring = min(len(path), max_ttl)
+        for ttl in range(1, expiring + 1):
+            outcome = ProbeOutcome()
+            reason = None if faults is None else faults.pre_send(probe)
+            if reason is None and lossy:
+                for i in range(ttl - 1):
+                    if faults.link_drops(path[i], path[i + 1], probe):
+                        reason = faults.consume_reason()
+                        outcome.forward_router_path = path[: i + 1]
+                        break
+            if reason is not None:
+                outcome.drop_reason = reason
+            else:
+                hop = path[ttl - 1]
+                outcome.forward_router_path = path[:ttl]
+                outcome.te_reply = self._time_exceeded(
+                    routers[hop],
+                    adjacency[path[ttl - 2]][hop][1] if ttl > 1 else None,
+                    ttl,
+                    probe.dst,
+                    at_owner and ttl == len(path),
+                    faults,
+                )
+            yield self._tally_outcome(outcome)
+        for ttl in range(expiring + 1, max_ttl + 1):
+            yield self.send_probe(replace(probe, ttl=ttl))
+
+    def _forward_walk(self, probe: Probe) -> Tuple[bool, List[int]]:
+        """(delivered, router path) of *probe*'s forward walk alone: no
+        TTL, no options, no fault hooks, no reply, nothing tallied.
+        The path is empty when *probe* cannot be injected or routed."""
+        origin_host = self.hosts.get(probe.injected_at)
+        if origin_host is None or (
+            probe.is_spoofed
+            and not self.graph.nodes[origin_host.asn].allows_spoofing
+        ):
+            return False, []
+        target = self.resolve(probe.dst)
+        spec = self.announcement_for(probe.dst)
+        if target is None or spec is None:
+            return False, []
+        delivered, _, _, path, _ = self._walk(
+            start_router=origin_host.edge_router_id,
+            target=target,
+            spec=spec,
+            probe=probe,
+            rr=None,
+            ts=None,
+            ttl=None,
+            faults=None,
+        )
+        return delivered, path
+
     def _tally_outcome(self, outcome: ProbeOutcome) -> ProbeOutcome:
         self._obs_hops += len(outcome.forward_router_path) + len(
             outcome.reply_router_path
@@ -620,6 +698,7 @@ class Internet:
             rr=rr,
             ts=ts,
             ttl=probe.ttl,
+            faults=faults,
         )
         outcome.forward_router_path = path
         if te is not None:
@@ -667,6 +746,7 @@ class Internet:
             rr=rr,
             ts=ts,
             ttl=None,
+            faults=faults,
         )
         outcome.reply_router_path = reply_path
         if not delivered:
@@ -736,8 +816,13 @@ class Internet:
         rr: Optional[RecordRouteOption],
         ts: Optional[TimestampOption],
         ttl: Optional[int],
+        faults,
     ) -> Tuple[bool, Optional[Address], int, List[int], Optional[TracerouteReply]]:
         """Walk from *start_router* toward *target*.
+
+        *faults* is the injector whose hooks the walk consults, or
+        ``None`` for a fault-free walk (no hook runs, whatever
+        ``self.faults`` holds).
 
         Returns (delivered, responder_addr, hops, router_path, te_reply).
         """
@@ -746,21 +831,19 @@ class Internet:
         hops = 0
         path: List[int] = []
         visited: set = set()
-        latency = self.config.link_latency_ms / 1000.0
         dst = target.dst
         fib = self._fib_for(spec, dst)
         gen = self.routing_generation
         routers = self.routers
         crc32 = zlib.crc32
-        faults = self.faults
         lossy = faults is not None and faults.has_link_loss
-        policed = faults is not None and faults.has_router_faults
+        stamping = rr is not None or ts is not None
 
-        # The loop body below is the FIB dispatch of :meth:`_next_hop`
-        # inlined (plus delivery/TTL handling via the terminal entry
-        # kinds): at tens of thousands of hops per measurement stream,
-        # the per-hop function call and adjacency lookups it saves are
-        # a measurable slice of campaign runtime.
+        # The loop body below is the whole forwarding decision, FIB
+        # dispatch inlined (plus delivery/TTL handling via the terminal
+        # entry kinds): at tens of thousands of hops per measurement
+        # stream, a per-hop function call and adjacency lookups would
+        # be a measurable slice of campaign runtime.
         while hops < MAX_HOPS:
             router = routers[current]
             first_visit = current not in visited
@@ -784,28 +867,8 @@ class Internet:
 
             # TTL expiry check (the router that decrements to zero).
             if ttl is not None and hops == ttl:
-                if kind == FIB_DST:
-                    te = TracerouteReply(
-                        ttl=ttl,
-                        hop_addr=dst,
-                        rtt=2 * hops * latency,
-                        reached=True,
-                    )
-                    return False, None, hops, path, te
-                reply_addr = router.traceroute_reply_address(ingress_addr)
-                if (
-                    policed
-                    and reply_addr is not None
-                    and faults.te_suppressed(current)
-                ):
-                    # Rate-limited/filtered routers stop answering
-                    # TTL-expired too: the hop reads as "*".
-                    reply_addr = None
-                te = TracerouteReply(
-                    ttl=ttl,
-                    hop_addr=reply_addr,
-                    rtt=2 * hops * latency,
-                    reached=False,
+                te = self._time_exceeded(
+                    router, ingress_addr, ttl, dst, kind == FIB_DST, faults
                 )
                 return False, None, hops, path, te
 
@@ -814,12 +877,16 @@ class Internet:
             if kind == FIB_DST:
                 return True, dst, hops, path, None
             if kind == FIB_LAN:
-                self._transit_stamp(router, ingress_addr, None, rr, ts)
+                if stamping:
+                    self._transit_stamp(router, ingress_addr, None, rr, ts)
                 return True, dst, hops, path, None
 
             if entry.alt is not None and first_visit:
                 # AS-level DBR violation: the router hashes the packet
                 # source to deviate toward the alternate next AS (§E).
+                # First visit only: two deviating routers could bounce
+                # a packet between their ASes forever; on a re-visit
+                # the best route is loop-free by the tree property.
                 if crc32(f"{probe.src}|{router.asn}".encode()) & 1:
                     entry = entry.alt
                     kind = entry.kind
@@ -836,47 +903,45 @@ class Internet:
 
             if lossy and faults.link_drops(current, next_router, probe):
                 return False, None, hops, path, None
-            self._transit_stamp(router, ingress_addr, egress_addr, rr, ts)
+            if stamping:
+                self._transit_stamp(
+                    router, ingress_addr, egress_addr, rr, ts
+                )
             ingress_addr = next_ingress
             current = next_router
 
         return False, None, hops, path, None
 
-    def _next_hop(
+    def _time_exceeded(
         self,
         router: Router,
-        target: DestTarget,
-        spec: AnnouncementSpec,
-        probe: Probe,
-        first_visit: bool = True,
-    ) -> Optional[int]:
-        """One forwarding decision; raises ForwardingError on dead ends.
-
-        Reference implementation of a single hop, kept for tests and
-        exploratory use; :meth:`_walk` inlines the same FIB dispatch on
-        the hot path.  The deterministic part of the decision comes
-        from :meth:`_compute_fib_entry`; the packet- and flow-dependent
-        parts (:func:`choose_candidate` and the DBR-violator source
-        hash) are applied on top, so cached and uncached forwarding
-        are bit-identical.
-
-        ``first_visit`` guards the AS-level DBR-violation deviation:
-        two deviating routers can otherwise bounce a packet between
-        their ASes forever; on a re-visit the router falls back to its
-        best route, which is loop-free by the tree property.
-        """
-        entry = self._compute_fib_entry(router, target, spec)
-        if entry.alt is not None and first_visit:
-            if zlib.crc32(f"{probe.src}|{router.asn}".encode()) & 1:
-                entry = entry.alt
-        kind = entry.kind
-        if kind == FIB_DELIVER:
-            return entry.candidates[0]
-        if kind == FIB_ECMP:
-            return choose_candidate(router, entry.candidates, probe)
-        if kind in (FIB_DST, FIB_LAN):
-            return None
-        raise ForwardingError(entry.reason)
+        ingress_addr: Optional[Address],
+        ttl: int,
+        dst: Address,
+        at_destination: bool,
+        faults,
+    ) -> TracerouteReply:
+        """The reply to a packet whose TTL ran out at *router*, *ttl*
+        hops in, having entered through *ingress_addr* (``None`` at the
+        first router).  *at_destination*: the router owns *dst*."""
+        rtt = 2 * ttl * (self.config.link_latency_ms / 1000.0)
+        if at_destination:
+            return TracerouteReply(
+                ttl=ttl, hop_addr=dst, rtt=rtt, reached=True
+            )
+        reply_addr = router.traceroute_reply_address(ingress_addr)
+        if (
+            reply_addr is not None
+            and faults is not None
+            and faults.has_router_faults
+            and faults.te_suppressed(router.router_id)
+        ):
+            # Rate-limited/filtered routers stop answering
+            # TTL-expired too: the hop reads as "*".
+            reply_addr = None
+        return TracerouteReply(
+            ttl=ttl, hop_addr=reply_addr, rtt=rtt, reached=False
+        )
 
     def _compute_fib_entry(
         self, router: Router, target: DestTarget, spec: AnnouncementSpec
@@ -1138,10 +1203,14 @@ class Internet:
     def ground_truth_router_path(
         self, src: Address, dst: Address, flow_id: int = 0
     ) -> List[int]:
-        """Router-id path a plain packet takes from *src* to *dst*."""
-        probe = Probe(src=src, dst=dst, flow_id=flow_id)
-        outcome = self.send_probe(probe)
-        return outcome.forward_router_path
+        """Router-id path a plain packet takes from *src* to *dst*.
+
+        A fault-free forward walk and nothing else: no probe is
+        counted, no fault draw consumed, no reply sent.
+        """
+        return self._forward_walk(
+            Probe(src=src, dst=dst, flow_id=flow_id)
+        )[1]
 
     def topology_fingerprint(self) -> str:
         """Stable digest identifying this generated topology.
