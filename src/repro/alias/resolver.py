@@ -18,7 +18,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence, Set
 
-from repro.net.addr import Address, same_slash30, same_slash31, slash30_peer
+from repro.net.addr import (
+    Address,
+    addr_to_int,
+    same_slash30,
+    same_slash31,
+    slash30_peer,
+)
 
 
 class AliasResolver:
@@ -33,6 +39,10 @@ class AliasResolver:
         self.itdk = dict(itdk or {})
         self.use_point_to_point = use_point_to_point
         self._extra: Dict[Address, int] = {}
+        #: bumped by :meth:`add_group`, the one mutation that can change
+        #: an address's :meth:`align_keys`; holders of derived key sets
+        #: compare it and rebuild on mismatch
+        self.version = 0
         next_group = -1
         for group in extra_groups or []:
             for addr in group:
@@ -44,6 +54,7 @@ class AliasResolver:
         group_id = -(len(self._extra) + 1_000_000)
         for addr in group:
             self._extra[addr] = group_id
+        self.version += 1
 
     # ------------------------------------------------------------------
 
@@ -71,6 +82,31 @@ class AliasResolver:
                 # Only the two usable hosts of a /30 form a link.
                 return slash30_peer(rr_hop) == traceroute_hop
         return False
+
+    def align_keys(self, addr: Address) -> Set[object]:
+        """The keys *addr* aligns under: ``aligned(a, b)`` holds exactly
+        when ``align_keys(a)`` and ``align_keys(b)`` intersect.
+
+        One key per line of evidence :meth:`aligned` weighs — the
+        address itself, its ITDK group, its extra group, its /31 and,
+        for the two usable hosts of a /30 only, its /30 — so a set of
+        addresses can be tested against with one ``isdisjoint`` over
+        the union of their keys instead of one :meth:`aligned` call
+        per member.
+        """
+        keys: Set[object] = {addr}
+        group = self.itdk.get(addr)
+        if group is not None:
+            keys.add(("itdk", group))
+        group = self._extra.get(addr)
+        if group is not None:
+            keys.add(("extra", group))
+        if self.use_point_to_point:
+            value = addr_to_int(addr)
+            keys.add(("31", value >> 1))
+            if value & 0x3 in (1, 2):
+                keys.add(("30", value >> 2))
+        return keys
 
     def can_resolve(self, addr: Address) -> bool:
         """Whether any alias evidence exists for *addr*.

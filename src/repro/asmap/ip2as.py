@@ -25,23 +25,35 @@ class IPToASMapper:
         for prefix, info in internet.prefixes.items():
             self._table.insert(prefix, info.origin_asn)
         self._overrides: Dict[Address, int] = {}
+        #: address -> :meth:`asn` answer.  The prefix table never
+        #: changes after construction, so only :meth:`apply_overrides`
+        #: and :meth:`clear_overrides` can change an answer; both drop
+        #: the memo.
+        self._asn: Dict[Optional[Address], Optional[int]] = {}
 
     def asn(self, addr: Optional[Address]) -> Optional[int]:
         """AS of *addr*, or None (private, unknown, or a ``*`` hop)."""
+        try:
+            return self._asn[addr]
+        except KeyError:
+            pass
         if addr is None or is_private(addr):
-            return None
-        override = self._overrides.get(addr)
-        if override is not None:
-            return override
-        result = self._table.lookup(addr)
+            result = None
+        else:
+            result = self._overrides.get(addr)
+            if result is None:
+                result = self._table.lookup(addr)
+        self._asn[addr] = result
         return result  # type: ignore[return-value]
 
     def apply_overrides(self, overrides: Dict[Address, int]) -> None:
         """Install per-address corrections (e.g. from bdrmapit)."""
         self._overrides.update(overrides)
+        self._asn.clear()
 
     def clear_overrides(self) -> None:
         self._overrides.clear()
+        self._asn.clear()
 
     def as_path(
         self, hops: Sequence[Optional[Address]]

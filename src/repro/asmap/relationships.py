@@ -8,7 +8,7 @@ asymmetry-versus-hierarchy analysis (Fig. 8b, Table 7).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.topology.asgraph import ASGraph, ASTier, Relationship
 
@@ -22,6 +22,12 @@ class ASRelationships:
 
     def __init__(self, graph: ASGraph) -> None:
         self.graph = graph
+        #: (low, high) -> :meth:`is_suspicious_link` verdict, valid for
+        #: the graph's ``edge_version`` it was filled at: dropped
+        #: exactly where ``ASGraph`` drops its cone cache
+        #: (``add_edge``), so it is stale only where the cones are.
+        self._verdicts: Dict[Tuple[int, int], bool] = {}
+        self._verdicts_version = graph.edge_version
 
     def relationship(self, a: int, b: int) -> Optional[Relationship]:
         return self.graph.relationship(a, b)
@@ -58,6 +64,16 @@ class ASRelationships:
         router that forwarded an RR packet without stamping, hiding an
         intermediate AS.
         """
+        if self._verdicts_version != self.graph.edge_version:
+            self._verdicts_version = self.graph.edge_version
+            self._verdicts.clear()
+        key = (low, high)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = self._suspicious(low, high)
+        return verdict
+
+    def _suspicious(self, low: int, high: int) -> bool:
         if low not in self.graph or high not in self.graph:
             return False
         if self.relationship(low, high) is not None:

@@ -39,7 +39,8 @@ def flag_suspicious_links(
     hop is likely missing.
     """
     # Per-hop AS with None for unmappable (private / unknown).
-    per_hop = [ip2as.asn(hop) for hop in hops]
+    asn_of = ip2as.asn
+    per_hop = [asn_of(hop) for hop in hops]
 
     flagged: List[ASPathEntry] = []
     pending_star = False
@@ -57,12 +58,16 @@ def flag_suspicious_links(
             pending_star = False
         flagged.append(asn)
 
-    # Insert stars at suspicious AS links (possible unstamping router).
+    # Insert stars at suspicious AS links (possible unstamping router);
+    # suspicious in either direction, since the path may run either way.
+    suspicious = relationships.is_suspicious_link
     result: List[ASPathEntry] = []
     previous_asn: Optional[int] = None
     for entry in flagged:
         if isinstance(entry, int) and previous_asn is not None:
-            if _is_suspicious(previous_asn, entry, relationships):
+            if suspicious(previous_asn, entry) or suspicious(
+                entry, previous_asn
+            ):
                 result.append(STAR)
         result.append(entry)
         if isinstance(entry, int):
@@ -70,15 +75,6 @@ def flag_suspicious_links(
         else:
             previous_asn = None
     return result
-
-
-def _is_suspicious(
-    a: int, b: int, relationships: ASRelationships
-) -> bool:
-    """Suspicious in either direction (the path may run either way)."""
-    return relationships.is_suspicious_link(
-        a, b
-    ) or relationships.is_suspicious_link(b, a)
 
 
 def has_flags(as_path: Sequence[ASPathEntry]) -> bool:

@@ -264,6 +264,11 @@ class RevtrEngine:
             prober, ip2as, source, cache=self.cache
         )
         self._terminal: Set[Address] = set()
+        #: union of the terminals' ``resolver.align_keys`` — what
+        #: :meth:`_is_terminal` tests against — and the resolver
+        #: version it was built at
+        self._terminal_keys: Set[object] = set()
+        self._terminal_version = self.resolver.version
         self._atlas_by_group: Dict[int, List[Address]] = {}
         self._harvest_terminal_from_atlas()
         if self.config.use_alias_intersection:
@@ -388,7 +393,7 @@ class RevtrEngine:
                 continue
             hops = trace.responsive_hops()
             if len(hops) >= 2 and hops[-1] == self.source:
-                self._terminal.add(hops[-2])
+                self._add_terminal(hops[-2])
 
     def refresh_alias_index(self) -> None:
         """Rebuild the ITDK-group → atlas-hop index (revtr 1.0 path)."""
@@ -398,13 +403,30 @@ class RevtrEngine:
             if group is not None:
                 self._atlas_by_group.setdefault(group, []).append(addr)
 
+    def _add_terminal(self, addr: Address) -> None:
+        """Record *addr* as a first-hop address of the source."""
+        if addr not in self._terminal:
+            self._terminal.add(addr)
+            self._terminal_keys |= self.resolver.align_keys(addr)
+
     def _is_terminal(self, addr: Address) -> bool:
+        """Is *addr* the source, or aligned with one of its first hops?
+
+        ``resolver.aligned(addr, t)`` for some terminal *t*, asked as
+        one intersection with the terminals' key union.  The union is
+        rebuilt when the resolver has regrouped addresses since it was
+        taken, so the answer is the scan's at every moment.
+        """
         if addr == self.source:
             return True
-        if addr in self._terminal:
-            return True
-        return any(
-            self.resolver.aligned(addr, t) for t in self._terminal
+        resolver = self.resolver
+        if self._terminal_version != resolver.version:
+            self._terminal_version = resolver.version
+            self._terminal_keys = set().union(
+                *map(resolver.align_keys, self._terminal)
+            )
+        return not self._terminal_keys.isdisjoint(
+            resolver.align_keys(addr)
         )
 
     # ------------------------------------------------------------------
@@ -759,18 +781,27 @@ class RevtrEngine:
     # The measurement loop
     # ------------------------------------------------------------------
 
-    def _segcache_store(self, hops: List[ReverseHop]) -> None:
-        """Feed a completed path's edges into the segment cache.
+    def _segcache_store(
+        self, hops: List[ReverseHop], read: Set[int]
+    ) -> None:
+        """Feed the edges a completed path revealed into the segment
+        cache.
 
         Each consecutive ``(a, b)`` hop pair is one reusable reverse
         edge: from ``a.addr`` the next reverse hop toward the source is
         ``b.addr``, discovered by *b*'s technique — valid for every
         measurement toward this source under destination-based routing.
         The destination placeholder hop is never a successor, and
-        duplicate-address pairs (alias stitches) are skipped.
+        duplicate-address pairs (alias stitches) are skipped.  So is
+        every pair whose successor's index is in *read*: this
+        measurement read that edge out of the cache under ``a.addr``,
+        and storing it again would restamp it, so an entry's
+        ``stored_at`` stays the time a measurement revealed it.
         """
         segcache = self.segcache
-        for a, b in zip(hops, hops[1:]):
+        for index, (a, b) in enumerate(zip(hops, hops[1:]), 1):
+            if index in read:
+                continue
             if b.technique is HopTechnique.DESTINATION:
                 continue
             if a.addr == b.addr:
@@ -912,6 +943,9 @@ class RevtrEngine:
             ReverseHop(dst, HopTechnique.DESTINATION)
         ]
         seen: Set[Address] = {dst}
+        #: indices into ``hops`` of hops whose edge from their
+        #: predecessor was read from the segment cache
+        spliced_at: Set[int] = set()
         current = dst
         status: Optional[RevtrStatus] = None
         source = self.source
@@ -1027,6 +1061,16 @@ class RevtrEngine:
                         seen.add(addr)
                         if not is_private(addr):
                             next_current = addr
+                    # The chain was fetched under ``current`` (the last
+                    # *public* hop) and then under each spliced hop in
+                    # turn.  When ``hops`` ended in private hops, the
+                    # first spliced hop follows one of those instead:
+                    # an edge keyed by the private address, which this
+                    # measurement revealed rather than read.
+                    first_read = spliced_before
+                    if hops[spliced_before - 1].addr != current:
+                        first_read += 1
+                    spliced_at.update(range(first_read, len(hops)))
                     # Mid-chain hops are provably non-terminal: the
                     # completed measurement that stored them continued
                     # past them (a terminal hop would have ended that
@@ -1136,7 +1180,7 @@ class RevtrEngine:
                     None,
                 )
                 if first is not None:
-                    self._terminal.add(first)
+                    self._add_terminal(first)
             if outcome.adjacent_to_source:
                 self._fallback("adjacent-source", hop=current)
                 hops.append(ReverseHop(source, HopTechnique.SOURCE))
@@ -1198,6 +1242,11 @@ class RevtrEngine:
         result.status = (
             status if status is not None else RevtrStatus.INCOMPLETE
         )
+        if (
+            self.segcache is not None
+            and result.status is RevtrStatus.COMPLETE
+        ):
+            self._segcache_store(hops, spliced_at)
         self._finish(result, start_time, counts_before)
         return result
 
@@ -1268,11 +1317,6 @@ class RevtrEngine:
         clock = self.prober.clock
         result.duration = clock.now() - start_time
         result.probe_counts = self.prober.counter.delta(counts_before)
-        if (
-            self.segcache is not None
-            and result.status is RevtrStatus.COMPLETE
-        ):
-            self._segcache_store(result.hops)
         if result.hops:
             result.flagged_as_path = flag_suspicious_links(
                 result.addresses(), self.ip2as, self.relationships

@@ -6,9 +6,11 @@ once *any* reverse traceroute toward S has revealed that R forwards to
 R', every later measurement that reaches R can reuse the edge while
 routing is stable.  The traceroute and RR atlases exploit this for
 *offline* measurements; :class:`ReverseSegmentCache` extends the same
-amortization to the serving hot path, remembering every adopted hop of
-every completed measurement as a ``router -> (next reverse hop,
-technique)`` edge.
+amortization to the serving hot path, remembering every hop a
+completed measurement *revealed* — measured live, stitched from the
+atlas, or assumed — as a ``router -> (next reverse hop, technique)``
+edge.  Hops a measurement spliced out of this cache are not stored
+again: reading an edge never refreshes it.
 
 Validity is bounded two ways, mirroring the route-stability literature
 (Leguay et al.) and the atlas's own staleness rules:
@@ -17,7 +19,10 @@ Validity is bounded two ways, mirroring the route-stability literature
   ``routing_generation`` at store time; a generation bump (traffic
   engineering, topology change) invalidates it at the next lookup;
 * **TTL** — entries older than ``ttl`` virtual seconds expire, exactly
-  like :class:`~repro.core.cache.MeasurementCache` entries.
+  like :class:`~repro.core.cache.MeasurementCache` entries.  An
+  entry's age is the age of the measurement that revealed the edge
+  (``stored_at``), however often it has been read since, so a spliced
+  path is never older than ``ttl``.
 
 Negative entries remember routers that proved RR-unresponsive, so the
 whole VP fleet is not re-pointed at a black hole once per measurement;
@@ -237,13 +242,14 @@ class ReverseSegmentCache:
                 self.stats.invalidations_generation += 1
                 self.stats.misses += 1
                 return None
-            ttl = self.negative_ttl if entry.negative else self.ttl
+            negative = entry.next_hop is None
+            ttl = self.negative_ttl if negative else self.ttl
             if self.clock.now() - entry.stored_at > ttl:
                 del self._entries[addr]
                 self.stats.invalidations_ttl += 1
                 self.stats.misses += 1
                 return None
-            if entry.negative:
+            if negative:
                 self.stats.negative_hits += 1
             else:
                 self.stats.hits += 1
@@ -289,21 +295,19 @@ class ReverseSegmentCache:
                     stats.invalidations_generation += 1
                     stats.misses += 1
                     break
-                ttl = (
-                    self.negative_ttl if entry.negative else self.ttl
-                )
+                nxt = entry.next_hop
+                ttl = self.negative_ttl if nxt is None else self.ttl
                 if now - entry.stored_at > ttl:
                     del entries[current]
                     stats.invalidations_ttl += 1
                     stats.misses += 1
                     break
-                if entry.negative:
+                if nxt is None:
                     stats.negative_hits += 1
                     if not chain:
                         return [], True
                     break
                 stats.hits += 1
-                nxt = entry.next_hop
                 if nxt in seen_here or (
                     stop is not None and stop(nxt)
                 ):
@@ -333,7 +337,11 @@ class ReverseSegmentCache:
                 if entry.generation != generation:
                     dead.append((addr, "generation"))
                     continue
-                ttl = self.negative_ttl if entry.negative else self.ttl
+                ttl = (
+                    self.negative_ttl
+                    if entry.next_hop is None
+                    else self.ttl
+                )
                 if now - entry.stored_at > ttl:
                     dead.append((addr, "ttl"))
             for addr, reason in dead:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.net.packet import ProbeKind
 
@@ -24,9 +24,19 @@ class ProbeCounter:
 
     counts: Counter = field(default_factory=Counter)
     parent: Optional["ProbeCounter"] = None
+    #: ``counts`` again, by :data:`_KIND_INDEX` position: what
+    #: :meth:`mark` copies, so a mark hashes no enum member.  Every
+    #: method that changes ``counts`` keeps it in step.
+    _by_index: List[int] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._by_index = [self.counts[kind] for kind in ProbeKind]
 
     def record(self, kind: ProbeKind, n: int = 1) -> None:
         self.counts[kind] += n
+        self._by_index[_KIND_INDEX[kind]] += n
         if self.parent is not None:
             self.parent.record(kind, n)
 
@@ -36,19 +46,20 @@ class ProbeCounter:
         A tuple of per-kind totals in :class:`ProbeKind` declaration
         order — O(#kinds) ints, no dict copy, so per-measurement
         snapshots don't scale with how big the counter map has grown.
-        (``Counter.__missing__`` returns 0 without inserting, so
-        marking never mutates the counter.)
         """
-        counts = self.counts
-        return tuple(counts[kind] for kind in ProbeKind)
+        return tuple(self._by_index)
 
     def delta(self, mark: tuple) -> Dict[str, int]:
         """Nonzero per-kind growth since *mark*, keyed by kind value.
 
-        Iterates the live counter in its own insertion order — the
-        same order the previous ``Counter``-copy implementation
-        produced — so downstream dict/JSON ordering is unchanged.
+        Nothing recorded since the mark is ``{}`` off one tuple
+        compare.  Otherwise iterates the live counter in its own
+        insertion order — the same order the previous
+        ``Counter``-copy implementation produced — so downstream
+        dict/JSON ordering is unchanged.
         """
+        if mark == tuple(self._by_index):
+            return {}
         out: Dict[str, int] = {}
         for kind, n in self.counts.items():
             grew = n - mark[_KIND_INDEX[kind]]
@@ -82,13 +93,14 @@ class ProbeCounter:
           declaration order via :meth:`snapshot`, regardless of the
           order probes were recorded in the inputs.
         """
-        merged = ProbeCounter(Counter(self.counts), parent=None)
+        counts = Counter(self.counts)
         for other in others:
-            merged.counts.update(other.counts)
-        return merged
+            counts.update(other.counts)
+        return ProbeCounter(counts, parent=None)
 
     def reset(self) -> None:
         self.counts.clear()
+        self._by_index = [0] * len(_KIND_INDEX)
 
     def table4_row(self) -> Dict[str, int]:
         """The four packet-type columns of the paper's Table 4."""

@@ -94,6 +94,11 @@ class ASGraph:
     def __init__(self) -> None:
         self.nodes: Dict[int, ASNode] = {}
         self._cones: Optional[Dict[int, FrozenSet[int]]] = None
+        #: bumped wherever the cone cache is dropped, so a reader that
+        #: memoises answers derived from edges and cones (e.g.
+        #: ``ASRelationships.is_suspicious_link``) drops them at the
+        #: same moments and is stale in the same cases — never more
+        self.edge_version = 0
 
     def add_as(
         self,
@@ -128,6 +133,7 @@ class ASGraph:
         node_a.neighbors[b] = rel_from_a
         node_b.neighbors[a] = rel_from_a.inverse()
         self._cones = None
+        self.edge_version += 1
 
     def has_edge(self, a: int, b: int) -> bool:
         node = self.nodes.get(a)

@@ -355,10 +355,13 @@ class TestSplicing:
                 break
         assert cold is not None
         assert cold.status is RevtrStatus.COMPLETE
+        stores = engine.segcache.stats.stores
         warm = engine.measure(cold.dst)
         assert path_view(warm) == path_view(cold)
         assert sum(warm.probe_counts.values()) == 0
         assert warm.duration == 0.0
+        # Nothing was revealed, so nothing is stored.
+        assert engine.segcache.stats.stores == stores
 
     def test_whole_path_splice_provenance(self):
         """The fast path leaves a truthful event trail: one full_path
@@ -401,6 +404,114 @@ class TestSplicing:
         narrative = ledger.explain()
         assert "whole-path splice from destination" in narrative
         assert "atlas intersect" not in narrative
+
+class TestReadsDoNotRefresh:
+    """An entry's age is the age of the measurement that revealed it:
+    splicing an edge must not restamp it, or a path requested more
+    often than once per TTL would never be measured again."""
+
+    def test_whole_path_splice_does_not_extend_ttl(self, scenario):
+        source = scenario.sources()[1]
+        engine = fresh_engine(
+            scenario, source, segment_cache=True, use_cache=False
+        )
+        ttl = engine.segcache.ttl
+        cold = next(
+            result
+            for result in map(
+                engine.measure,
+                scenario.responsive_destinations(5, options_only=True),
+            )
+            if result.status is RevtrStatus.COMPLETE
+        )
+        scenario.clock.advance(0.6 * ttl)
+        warm = engine.measure(cold.dst)
+        assert sum(warm.probe_counts.values()) == 0
+        assert engine.segcache.stats.invalidations_ttl == 0
+        scenario.clock.advance(0.6 * ttl)
+        # The path is now 1.2 x ttl old, however recently it was read.
+        again = engine.measure(cold.dst)
+        assert sum(again.probe_counts.values()) > 0
+        assert engine.segcache.stats.invalidations_ttl > 0
+
+    def test_mid_path_splice_does_not_extend_ttl(self, scenario):
+        source = scenario.sources()[1]
+        engine = fresh_engine(
+            scenario, source, segment_cache=True, use_cache=False
+        )
+        stats = engine.segcache.stats
+        ttl = engine.segcache.ttl
+        dsts = scenario.responsive_destinations(40, options_only=True)
+        for dst in dsts[:8]:
+            engine.measure(dst)
+        scenario.clock.advance(0.6 * ttl)
+        # A destination behind a chain the first pass revealed: part
+        # measured now, the rest spliced from 0.6 x ttl ago.
+        behind = None
+        for dst in dsts[8:]:
+            splices = stats.splices
+            result = engine.measure(dst)
+            if (
+                result.status is RevtrStatus.COMPLETE
+                and stats.splices > splices
+                and sum(result.probe_counts.values()) > 0
+            ):
+                behind = dst
+                break
+        assert behind is not None, "no mid-path splice in 32 tries"
+        assert stats.invalidations_ttl == 0
+        scenario.clock.advance(0.6 * ttl)
+        # Its measured head is 0.6 x ttl old, its spliced tail 1.2 x.
+        again = engine.measure(behind)
+        assert sum(again.probe_counts.values()) > 0
+        assert stats.invalidations_ttl > 0
+
+    @pytest.mark.parametrize("private_tail", [False, True])
+    def test_mid_path_splice_stores_only_what_it_measured(
+        self, scenario, private_tail
+    ):
+        """dst reveals pub (and then, with *private_tail*, a private
+        hop) live; the cache holds pub -> nxt -> source.  ``chain()``
+        starts at pub, the last *public* hop, so with a private tail
+        the pair (private, nxt) is an edge this measurement revealed,
+        keyed by an address the cache never held."""
+        source = scenario.sources()[1]
+        engine = fresh_engine(
+            scenario, source, segment_cache=True, use_cache=False,
+            ping_check=False,
+        )
+        dst, pub, nxt = "198.18.0.1", "198.18.0.9", "198.18.0.17"
+        private = "10.9.8.7"
+        revealed = [pub, private] if private_tail else [pub]
+        engine._rr_step = lambda current: (
+            (revealed, HopTechnique.RR) if current == dst
+            else pytest.fail(f"live RR step from {current}")
+        )
+        segcache = engine.segcache
+        segcache.store(pub, nxt, HopTechnique.SPOOFED_RR)
+        segcache.store(nxt, source, HopTechnique.SOURCE)
+        read_at = segcache.lookup(nxt).stored_at
+        stores = segcache.stats.stores
+        scenario.clock.advance(5.0)
+
+        result = engine.measure(dst)
+
+        assert result.status is RevtrStatus.COMPLETE
+        assert result.addresses() == [dst] + revealed + [nxt, source]
+        assert sum(result.probe_counts.values()) == 0
+        # (dst, pub), plus (pub, private) and (private, nxt) when the
+        # private hop sits between them; never the pairs read under
+        # their own key — (pub, nxt) without it, (nxt, source) always.
+        assert segcache.stats.stores - stores == (
+            3 if private_tail else 1
+        )
+        assert segcache.lookup(nxt).stored_at == read_at
+        if private_tail:
+            assert segcache.lookup(pub).next_hop == private
+            assert segcache.lookup(private).next_hop == nxt
+        else:
+            assert segcache.lookup(pub).stored_at == read_at
+
 
 class TestCoalescing:
     def test_coalesced_equals_sequential_routes(self, scenario):
