@@ -43,17 +43,17 @@ class AliasResolver:
         #: an address's :meth:`align_keys`; holders of derived key sets
         #: compare it and rebuild on mismatch
         self.version = 0
-        next_group = -1
+        self._next_group = -1  # extra ids count down, never reused
         for group in extra_groups or []:
             for addr in group:
-                self._extra[addr] = next_group
-            next_group -= 1
+                self._extra[addr] = self._next_group
+            self._next_group -= 1
 
     def add_group(self, group: Set[Address]) -> None:
         """Merge a freshly measured alias set (e.g. from live MIDAR)."""
-        group_id = -(len(self._extra) + 1_000_000)
         for addr in group:
-            self._extra[addr] = group_id
+            self._extra[addr] = self._next_group
+        self._next_group -= 1
         self.version += 1
 
     # ------------------------------------------------------------------

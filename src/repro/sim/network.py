@@ -490,15 +490,15 @@ class Internet:
         hit = self._alt_next_as.get(key, _MISS)
         if hit is not _MISS:
             return hit  # type: ignore[return-value]
-        routes = self.policy.routes(spec)
-        best = routes.get(asn)
+        route_of = self.policy.route_of
+        best = route_of(asn, spec)
         result: Optional[int] = None
         if best is not None and best.next_as is not None:
             candidates = []
             for neighbor in self.graph.nodes[asn].neighbors:
                 if neighbor == best.next_as:
                     continue
-                route = routes.get(neighbor)
+                route = route_of(neighbor, spec)
                 if route is None or asn in route.path:
                     continue
                 candidates.append(neighbor)

@@ -83,12 +83,12 @@ class ASGraph:
     """The AS-level topology: nodes, relationship edges, cones.
 
     The graph does not notify its readers.  A
-    :class:`~repro.topology.policy.RoutingPolicy` computes routes from
-    a compiled copy of the edges and ``neighbor_pref`` tables, so after
-    changing either — :meth:`add_edge`, or an ``ASNode`` edited in
-    place — call ``RoutingPolicy.invalidate()`` (or
-    ``Internet.invalidate_routing()``); until then routes are those of
-    the graph as it was.
+    :class:`~repro.topology.policy.RoutingPolicy` selects each route,
+    when it is first read, from a compiled copy of the edges and
+    ``neighbor_pref`` tables, so after changing either — :meth:`add_edge`,
+    or an ``ASNode`` edited in place — call ``RoutingPolicy.invalidate()``
+    (or ``Internet.invalidate_routing()``); until then every route,
+    read before or after the change, is that of the graph as it was.
     """
 
     def __init__(self) -> None:

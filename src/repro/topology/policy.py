@@ -1,15 +1,16 @@
-"""Gao-Rexford BGP route computation over the AS graph.
+"""Gao-Rexford BGP route selection over the AS graph.
 
 For a given announcement (one or more origin ASes, optional poisoning,
-prepending, and selective-export constraints) this module computes, for
-every AS, the route it selects: learned class, full AS path, next-hop
-AS, and — for anycast announcements — which origin its traffic lands at
-(the *catchment*, the quantity the Section 6.1 traffic-engineering case
+prepending, and selective-export constraints) this module selects, for
+any AS, its route: learned class, full AS path, next-hop AS, and — for
+anycast announcements — which origin its traffic lands at (the
+*catchment*, the quantity the Section 6.1 traffic-engineering case
 study manipulates).
 
-The computation is the classic three-phase algorithm, run over a
-compiled view of the graph (per-relationship neighbour tuples with the
-tie-breaks already hashed; see DESIGN.md, "Control plane"):
+The selection is the classic three-phase algorithm over a compiled view
+of the graph, flooded only through the ASes that can pass a route on;
+an AS without customers applies the same rules to its neighbours'
+routes when it is read (see DESIGN.md, "Control plane"):
 
 1. customer routes propagate "up" provider edges from the origins;
 2. peer routes are learned in a single hop from ASes holding
@@ -143,13 +144,22 @@ def _tiebreak_symmetric(asn: int, via: int, salt: int) -> int:
 #: tie-break" is a single integer comparison.
 _LENGTH_SHIFT = 32
 
-#: ``(neighbour, tie-break the neighbour gives a route heard from this
-#: AS)`` for every neighbour of one relationship, in graph order.
+#: ``(neighbour, tie-break)`` for every neighbour of one relationship
+#: that a table lists, in graph order.
 _Edges = Tuple[Tuple[int, int], ...]
 
 
 class _CompiledGraph(NamedTuple):
-    """The AS graph as route computation reads it.
+    """The AS graph as route selection reads it.
+
+    The *core* is every AS that has customers: only those, and the
+    origins, can pass a route on.  ``providers``, ``peers`` and
+    ``customers`` are the flood's export tables — the tie-break is the
+    one the *neighbour* gives a route heard from this AS — and list
+    core neighbours only (a provider always is one).  ``leaf_peers``
+    and ``leaf_providers`` are the import tables of the customer-less
+    ASes, read when one is asked for its route: the tie-break is the
+    one *this AS* gives a route heard from the neighbour.
 
     A pure function of the graph, the policy's salt and its
     ``symmetric_tiebreak_fraction`` — nothing here depends on the
@@ -162,13 +172,32 @@ class _CompiledGraph(NamedTuple):
     customers: Dict[int, _Edges]
     #: tie-break of each AS's own origination
     origin_tiebreak: Dict[int, int]
-    #: ``(asn, its neighbor_pref, the (provider, pref) pairs in it)`` for
-    #: every AS that has a neighbor_pref and no customers
-    pref_leaves: Tuple[Tuple[int, Dict[int, int], _Edges], ...]
+    leaf_peers: Dict[int, _Edges]
+    leaf_providers: Dict[int, _Edges]
+    #: ``{provider: local pref}`` of every customer-less AS whose
+    #: neighbor_pref names a provider
+    pref_leaves: Dict[int, Dict[int, int]]
+
+
+class _Flooded(NamedTuple):
+    """One announcement after the flood: what every origin and core AS
+    that has a route holds, the spec's export filters, and each
+    :class:`RouteChoice` read so far."""
+
+    keys: Dict[int, int]
+    via: Dict[int, int]  # the neighbour the route was heard from
+    origin: Dict[int, int]
+    route_class: Dict[int, RouteClass]
+    #: per origin ASN: the ASes whose loop detection rejects it
+    rejecting: Dict[int, FrozenSet[int]]
+    #: per origin ASN: the neighbours it announces to (None = all)
+    announce: Dict[int, Optional[FrozenSet[int]]]
+    blocked: FrozenSet[Tuple[int, int]]
+    chosen: Dict[int, Optional[RouteChoice]]
 
 
 class RoutingPolicy:
-    """Computes and caches per-announcement route selections.
+    """Selects and caches routes per announcement, where they are read.
 
     ``symmetric_tiebreak_fraction`` controls what share of ASes break
     equal-preference ties in a direction-neutral way (consistent MEDs,
@@ -176,13 +205,17 @@ class RoutingPolicy:
     directions, while the rest diverge — the knob that calibrates the
     AS-level path-symmetry rate to the Internet's measured 53% (§6.2).
 
-    Routes are computed over a compiled view of the graph, built on
-    first use.  To change the graph under a live policy (edges,
-    ``ASNode.neighbor_pref``, in place or not): **mutate, then call**
-    :meth:`invalidate` — ``Internet.invalidate_routing()`` does — which
-    drops every cached route and the compiled view.  Without the call
-    nothing notices the change: cached routes, and routes of specs
-    first asked for later, stay those of the graph as it was.
+    The first read of a spec floods it through the origins and the
+    ASes that have customers, four ints per AS; one AS's
+    :class:`RouteChoice` is built when that AS is first read — a
+    flooded AS from the neighbours its route came through, a
+    customer-less AS by selecting among its neighbours' routes.  Both
+    read a compiled view of the graph, built on first use.  To change
+    the graph under a live policy (edges, ``ASNode.neighbor_pref``, in
+    place or not): **mutate, then call** :meth:`invalidate` —
+    ``Internet.invalidate_routing()`` does — which drops every cached
+    route and the compiled view.  Without the call nothing notices:
+    routes read before or after it are those of the graph as it was.
     """
 
     def __init__(
@@ -194,7 +227,7 @@ class RoutingPolicy:
         self.graph = graph
         self.salt = salt
         self.symmetric_tiebreak_fraction = symmetric_tiebreak_fraction
-        self._cache: Dict[AnnouncementSpec, Dict[int, RouteChoice]] = {}
+        self._cache: Dict[AnnouncementSpec, _Flooded] = {}
         self._compiled: Optional[_CompiledGraph] = None
 
     # ------------------------------------------------------------------
@@ -202,32 +235,35 @@ class RoutingPolicy:
     # ------------------------------------------------------------------
 
     def routes(self, spec: AnnouncementSpec) -> Dict[int, RouteChoice]:
-        """Return the selected route of every AS that has one."""
-        cached = self._cache.get(spec)
-        if cached is None:
-            cached = self._compute(spec)
-            self._cache[spec] = cached
-        return cached
+        """The full table: :meth:`route_of` of every AS that has one."""
+        found = ((asn, self.route_of(asn, spec)) for asn in self.graph.nodes)
+        return {asn: route for asn, route in found if route is not None}
 
     def route_of(
         self, asn: int, spec: AnnouncementSpec
     ) -> Optional[RouteChoice]:
-        return self.routes(spec).get(asn)
+        """The route *asn* selected, built on its first read."""
+        state = self._cache.get(spec)
+        if state is None:
+            state = self._cache[spec] = self._flood(spec)
+        if asn in state.chosen:
+            return state.chosen[asn]
+        return self._select(state, asn)
 
     def next_hop_as(self, asn: int, spec: AnnouncementSpec) -> Optional[int]:
         """Next-hop AS of *asn* toward the announcement, if any."""
-        route = self.routes(spec).get(asn)
+        route = self.route_of(asn, spec)
         return route.next_as if route else None
 
     def as_path(
         self, asn: int, spec: AnnouncementSpec
     ) -> Optional[Tuple[int, ...]]:
-        route = self.routes(spec).get(asn)
+        route = self.route_of(asn, spec)
         return route.path if route else None
 
     def catchment(self, asn: int, spec: AnnouncementSpec) -> Optional[int]:
         """Origin AS that traffic from *asn* reaches (anycast)."""
-        route = self.routes(spec).get(asn)
+        route = self.route_of(asn, spec)
         return route.origin if route else None
 
     def invalidate(self) -> None:
@@ -236,7 +272,7 @@ class RoutingPolicy:
         self._compiled = None
 
     # ------------------------------------------------------------------
-    # Route computation
+    # Route selection
     # ------------------------------------------------------------------
 
     def _compile(self) -> _CompiledGraph:
@@ -255,71 +291,88 @@ class RoutingPolicy:
                 return _tiebreak_symmetric(asn, via, salt)
             return _tiebreak(asn, via, salt)
 
-        edges: Dict[Relationship, Dict[int, _Edges]] = {
-            rel: {
-                asn: tuple(
-                    (neighbor, tiebreak(neighbor, asn))
-                    for neighbor, neighbor_is in node.neighbors.items()
-                    if neighbor_is is rel
-                )
-                for asn, node in nodes.items()
-            }
-            for rel in Relationship
+        # given[asn][via]: the tie-break asn gives a route heard from via.
+        given = {
+            asn: {via: tiebreak(asn, via) for via in node.neighbors}
+            for asn, node in nodes.items()
         }
-        customers = edges[Relationship.CUSTOMER]
-        return _CompiledGraph(
-            providers=edges[Relationship.PROVIDER],
-            peers=edges[Relationship.PEER],
-            customers=customers,
-            origin_tiebreak={asn: tiebreak(asn, asn) for asn in nodes},
-            pref_leaves=tuple(
-                (
-                    asn,
-                    dict(node.neighbor_pref),
-                    tuple(
-                        (neighbor, pref)
-                        for neighbor, pref in node.neighbor_pref.items()
-                        if node.neighbors.get(neighbor)
-                        is Relationship.PROVIDER
-                    ),
+        leaves = set()  # the customer-less ASes
+        for asn, node in nodes.items():
+            # Two equal offers could only be told apart by the order they
+            # arrive in, which the flood and a read do not share.
+            ranks = {
+                (rel, given[asn][via]) for via, rel in node.neighbors.items()
+            }
+            if len(ranks) < len(node.neighbors):
+                raise ValueError(
+                    f"AS{asn} gives two neighbours of one relationship"
+                    " the same tie-break; use another salt"
                 )
-                for asn, node in nodes.items()
-                if node.neighbor_pref and not customers[asn]
-            ),
+            if Relationship.CUSTOMER not in node.neighbors.values():
+                leaves.add(asn)
+
+        def edges(rel: Relationship, inward: bool) -> Dict[int, _Edges]:
+            """Import tables of the leaves, or export tables of every AS."""
+            return {
+                asn: tuple(
+                    (via, given[asn][via] if inward else given[via][asn])
+                    for via, via_is in nodes[asn].neighbors.items()
+                    if via_is is rel and (inward or via not in leaves)
+                )
+                for asn in (leaves if inward else nodes)
+            }
+
+        leaf_providers = edges(Relationship.PROVIDER, True)
+        pref_leaves = {}
+        for asn, providers in leaf_providers.items():
+            wanted = nodes[asn].neighbor_pref
+            prefs = {via: wanted[via] for via, _ in providers if via in wanted}
+            if prefs:
+                pref_leaves[asn] = prefs
+        return _CompiledGraph(
+            providers=edges(Relationship.PROVIDER, False),
+            peers=edges(Relationship.PEER, False),
+            customers=edges(Relationship.CUSTOMER, False),
+            origin_tiebreak={asn: tiebreak(asn, asn) for asn in nodes},
+            leaf_peers=edges(Relationship.PEER, True),
+            leaf_providers=leaf_providers,
+            pref_leaves=pref_leaves,
         )
 
-    def _compute(self, spec: AnnouncementSpec) -> Dict[int, RouteChoice]:
+    def _flood(self, spec: AnnouncementSpec) -> _Flooded:
+        """Run the three phases over the origins and the core."""
         compiled = self._compiled
         if compiled is None:
             compiled = self._compiled = self._compile()
         blocked = spec.no_export
-        # Per origin ASN: the ASes that reject routes to it (loop
-        # detection on the poisoned path) and the neighbours it
-        # announces to (None = all).  Should an ASN be listed twice,
-        # the last entry's poisoning and the first's announce_to apply.
+        # Should an ASN be listed twice, the last entry's poisoning and
+        # the first's announce_to apply.
         rejecting: Dict[int, FrozenSet[int]] = {}
         announce: Dict[int, Optional[FrozenSet[int]]] = {}
         for origin in spec.origins:
             rejecting[origin.asn] = spec.poisoned | origin.poisoned
             announce.setdefault(origin.asn, origin.announce_to)
 
-        best: Dict[int, Optional[RouteChoice]] = {}
         keys: Dict[int, int] = {}
         via: Dict[int, int] = {}
-        make = RouteChoice._make
+        origin_of: Dict[int, int] = {}
+        class_of: Dict[int, RouteClass] = {}
 
         def export(
-            asn: int, edges: _Edges, length: int, protected: Collection[int]
+            asn: int,
+            edges: _Edges,
+            length: int,
+            route_class: RouteClass,
+            protected: Collection[int],
         ) -> List[Tuple[int, int]]:
             """Offer the route of *asn* along *edges* at *length* hops.
 
             Returns ``(key, neighbour)`` for each neighbour that takes
-            it.  A taker enters *best* as ``None`` on its first offer —
-            which fixes its place in the dict's order — and is filled in
-            once its choice is final.  ASes in *protected* keep the
+            it, as a *route_class* route.  ASes in *protected* keep the
             route they hold whatever they are offered.
             """
-            reject = rejecting[best[asn].origin]
+            origin = origin_of[asn]
+            reject = rejecting[origin]
             allowed = announce.get(asn)
             base = length << _LENGTH_SHIFT
             taken = []
@@ -338,7 +391,8 @@ class RoutingPolicy:
                     continue
                 keys[neighbor] = offer
                 via[neighbor] = asn
-                best[neighbor] = None
+                origin_of[neighbor] = origin
+                class_of[neighbor] = route_class
                 taken.append((offer, neighbor))
             return taken
 
@@ -351,9 +405,7 @@ class RoutingPolicy:
 
             Dijkstra with every edge one hop long, so the queue is one
             list of ``(key, asn)`` per path length, sorted when that
-            length is reached.  Each AS's one :class:`RouteChoice` (of
-            *route_class*, through ``via[asn]``) is built when it
-            settles.
+            length is reached.
             """
             levels: Dict[int, List[Tuple[int, int]]] = {}
             for asn, key in keys.items():
@@ -362,18 +414,11 @@ class RoutingPolicy:
                 length = min(levels)
                 offers = []
                 for key, asn in sorted(levels.pop(length)):
-                    if keys[asn] != key:
-                        continue  # it has since heard a better offer
-                    if best[asn] is None:
-                        exporter = via[asn]
-                        heard = best[exporter]
-                        path = (asn,) + heard.path
-                        best[asn] = make(
-                            (route_class, path, exporter, heard.origin)
-                        )
                     edges = edges_of[asn]
-                    if edges:
-                        offers += export(asn, edges, length + 1, protected)
+                    if edges and keys[asn] == key:  # else: since bettered
+                        offers += export(
+                            asn, edges, length + 1, route_class, protected
+                        )
                 if offers:
                     levels.setdefault(length + 1, []).extend(offers)
 
@@ -383,61 +428,95 @@ class RoutingPolicy:
             tiebreak = compiled.origin_tiebreak.get(asn)
             if tiebreak is None or asn in rejecting[asn]:
                 continue  # not in the graph, or poisoned against itself
-            path = (asn,) * (1 + origin.prepend)
-            key = len(path) << _LENGTH_SHIFT | tiebreak
+            key = (1 + origin.prepend) << _LENGTH_SHIFT | tiebreak
             if asn not in keys or key < keys[asn]:
                 keys[asn] = key
-                best[asn] = RouteChoice(RouteClass.ORIGIN, path, None, asn)
+                origin_of[asn] = asn
+                class_of[asn] = RouteClass.ORIGIN
         flood(compiled.providers, RouteClass.CUSTOMER, ())
 
         # Phase 2: peer routes, one hop from customer-class holders.
-        holders = dict(best)
-        for asn, route in holders.items():
-            export(asn, compiled.peers[asn], len(route.path) + 1, holders)
-        for peer in list(best)[len(holders):]:  # the placeholders just added
-            heard = holders[via[peer]]
-            best[peer] = RouteChoice(
-                RouteClass.PEER, (peer,) + heard.path, via[peer], heard.origin
-            )
+        holders = dict(keys)
+        for asn, key in holders.items():
+            length = (key >> _LENGTH_SHIFT) + 1
+            export(asn, compiled.peers[asn], length, RouteClass.PEER, holders)
 
         # Phase 3: provider routes, Dijkstra down customer edges.
-        flood(compiled.customers, RouteClass.PROVIDER, set(best))
+        flood(compiled.customers, RouteClass.PROVIDER, set(keys))
+        return _Flooded(
+            keys, via, origin_of, class_of, rejecting, announce, blocked, {}
+        )
 
-        self._apply_leaf_preferences(best, compiled.pref_leaves)
-        return best
+    def _select(self, state: _Flooded, asn: int) -> Optional[RouteChoice]:
+        """Build, and remember, the route of *asn* under *state*."""
+        key = state.keys.get(asn)
+        if key is None:
+            route_class, exporter = self._settle(state, asn)
+        else:
+            route_class, exporter = state.route_class[asn], state.via.get(asn)
+        if route_class is None:
+            route = None
+        elif exporter is None:
+            # An origin; the key's length is that of the entry that won.
+            path = (asn,) * (key >> _LENGTH_SHIFT)
+            route = RouteChoice(route_class, path, None, asn)
+        else:
+            heard = state.chosen.get(exporter) or self._select(state, exporter)
+            path = (asn,) + heard.path
+            route = RouteChoice(route_class, path, exporter, heard.origin)
+        state.chosen[asn] = route
+        return route
 
-    @staticmethod
-    def _apply_leaf_preferences(
-        best: Dict[int, RouteChoice],
-        pref_leaves: Tuple[Tuple[int, Dict[int, int], _Edges], ...],
-    ) -> None:
-        """Honour per-neighbour local preference for leaf ASes.
+    def _settle(
+        self, state: _Flooded, asn: int
+    ) -> Tuple[Optional[RouteClass], Optional[int]]:
+        """Class and next-hop AS of an AS the flood left out.
 
-        A multihomed edge network routinely prefers one provider for
-        all outbound traffic (local-pref) even when another provider
-        offers a shorter path. Only leaf ASes (no customers) are
-        re-selected: nobody routes *through* a leaf, so the change
-        cannot violate the path-consistency (tree) property.
+        A customer-less AS never exports, so its choice is a function of
+        its neighbours' final routes: the best offer among peers holding
+        an origin or customer route (phase 2), else among its providers
+        (phase 3), each offer passing the exporter's filters.  Between
+        provider routes its local preference then decides: a multihomed
+        edge network routinely sends all traffic to one provider though
+        another's path is shorter, and as nobody routes *through* it
+        that cannot break path consistency.
         """
-        make, provider_class = RouteChoice._make, RouteClass.PROVIDER
-        for asn, prefs, provider_prefs in pref_leaves:
-            current = best.get(asn)
-            if current is None or current.route_class is not provider_class:
-                # Never dislodge an origin, customer, or peer route: a
-                # settlement-free peer beats any paid provider, so the
-                # provider local-pref only orders provider routes.
-                continue
-            current_pref = prefs.get(current.next_as, 0)
-            chosen = None
-            for neighbor, pref in provider_prefs:
-                if pref <= current_pref:
+        compiled = self._compiled
+        keys, classes, blocked = state.keys, state.route_class, state.blocked
+
+        def best_offer(
+            heard_from: Dict[int, _Edges], worst: RouteClass
+        ) -> Optional[int]:
+            offers = []
+            for exporter, tiebreak in heard_from.get(asn, ()):
+                key = keys.get(exporter)
+                if key is None or classes[exporter] > worst:
                     continue
-                route = best.get(neighbor)
-                if route is None or asn in route.path:
+                allowed = state.announce.get(exporter)
+                if (
+                    asn in state.rejecting[state.origin[exporter]]
+                    or (blocked and (exporter, asn) in blocked)
+                    or (allowed is not None and asn not in allowed)
+                ):
                     continue
-                rank = (pref, -len(route.path), neighbor)
-                if chosen is None or rank > chosen:
-                    chosen, heard = rank, route
-            if chosen is not None:
-                path, via = (asn,) + heard.path, chosen[2]
-                best[asn] = make((provider_class, path, via, heard.origin))
+                length = (key >> _LENGTH_SHIFT) + 1
+                offers.append((length << _LENGTH_SHIFT | tiebreak, exporter))
+            return min(offers)[1] if offers else None
+
+        exporter = best_offer(compiled.leaf_peers, RouteClass.CUSTOMER)
+        if exporter is not None:
+            # A settlement-free peer beats any paid provider, so local
+            # preference only orders provider routes.
+            return RouteClass.PEER, exporter
+        exporter = best_offer(compiled.leaf_providers, RouteClass.PROVIDER)
+        if exporter is None:
+            return None, None
+        prefs = compiled.pref_leaves.get(asn, {})
+        floor = prefs.get(exporter, 0)
+        preferred = [
+            (pref, -(keys[provider] >> _LENGTH_SHIFT), provider)
+            for provider, pref in prefs.items()
+            if pref > floor and provider in keys
+        ]
+        exporter = max(preferred, default=(floor, 0, exporter))[2]
+        return RouteClass.PROVIDER, exporter

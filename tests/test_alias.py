@@ -131,6 +131,20 @@ class TestResolver:
         assert resolver.can_resolve("9.9.9.9")
         assert resolver.same_router("9.9.9.9", "9.9.9.10")
 
+    def test_regrouped_addresses_do_not_merge_the_next_group(self):
+        """Group ids once came from the number of addresses known, so a
+        group that added none handed its id to the next one."""
+        resolver = AliasResolver(extra_groups=[{"5.5.5.5", "6.6.6.6"}])
+        resolver.add_group({"9.9.9.9", "9.9.9.10"})
+        resolver.add_group({"9.9.9.10", "9.9.9.9"})  # nothing new
+        resolver.add_group({"9.9.9.9", "8.8.8.8"})  # one new, one moved
+        assert resolver.same_router("9.9.9.9", "8.8.8.8")
+        assert not resolver.same_router("9.9.9.10", "8.8.8.8")
+        assert not resolver.same_router("5.5.5.5", "8.8.8.8")
+        assert resolver.align_keys("9.9.9.10").isdisjoint(
+            resolver.align_keys("8.8.8.8")
+        )
+
     def test_extra_groups_at_init(self):
         resolver = AliasResolver(extra_groups=[{"5.5.5.5", "6.6.6.6"}])
         assert resolver.same_router("5.5.5.5", "6.6.6.6")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.topology.asgraph import ASGraph, ASTier, Relationship
 from repro.topology.config import TopologyConfig
 from repro.topology.generator import build_internet
+from repro.topology import policy as policy_module
 from repro.topology.policy import (
     AnnouncementSpec,
     Origin,
@@ -184,8 +185,14 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
-# The compiled implementation against the reference object walk
+# Flood-the-core, select-on-read against the reference object walk
 # ----------------------------------------------------------------------
+#
+# Tables are compared as dicts, AS by AS.  The reference fills its dict
+# in the order ASes first hear an offer; routes() fills it in graph
+# order, because a route is now built when it is read.  No reader under
+# src/ iterates the table (grep "\.routes(": only tests call it), so
+# the order was never part of what callers rely on.
 
 SYMMETRIC_FRACTIONS = (0.0, 0.45, 1.0)
 
@@ -297,34 +304,104 @@ def announcement_specs(draw, graph):
     )
 
 
-@settings(max_examples=120, deadline=None)
-@given(data=st.data())
-def test_compiled_routes_equal_reference(oracle_graphs, data):
-    """Same RouteChoice for every AS, in the same dict order, as the
-    pre-compilation implementation — for every kind of spec."""
+def draw_case(data, oracle_graphs):
+    """A graph, a policy salt and a spec over that graph."""
     name = data.draw(st.sampled_from(sorted(oracle_graphs)), label="graph")
     graph = oracle_graphs[name]
     salt = data.draw(st.integers(min_value=0, max_value=50), label="salt")
-    spec = data.draw(announcement_specs(graph), label="spec")
-    for fraction in SYMMETRIC_FRACTIONS:
-        expected = ReferencePolicy(graph, salt, fraction).routes(spec)
-        actual = RoutingPolicy(graph, salt, fraction).routes(spec)
-        assert list(actual.items()) == list(expected.items()), fraction
+    return graph, salt, data.draw(announcement_specs(graph), label="spec")
 
 
-@pytest.mark.parametrize("fraction", SYMMETRIC_FRACTIONS)
-def test_compiled_unicast_routes_equal_reference(small_internet, fraction):
-    """Every unicast spec of the small topology, one policy (so one
-    compiled view) serving all of them."""
-    graph = small_internet.graph
-    salt = small_internet.policy.salt
+def assert_unicast_routes_equal_reference(graph, salt, fraction):
+    """Every unicast spec of *graph*, one policy (so one compiled view)
+    serving all of them."""
     policy = RoutingPolicy(graph, salt, fraction)
     reference = ReferencePolicy(graph, salt, fraction)
     for asn in graph.asns():
         spec = AnnouncementSpec.single(asn)
-        assert list(policy.routes(spec).items()) == list(
-            reference.routes(spec).items()
-        )
+        assert policy.routes(spec) == reference.routes(spec)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_compiled_routes_equal_reference(oracle_graphs, data):
+    """Same RouteChoice for every AS as the eager all-AS
+    implementation — for every kind of spec."""
+    graph, salt, spec = draw_case(data, oracle_graphs)
+    for fraction in SYMMETRIC_FRACTIONS:
+        expected = ReferencePolicy(graph, salt, fraction).routes(spec)
+        actual = RoutingPolicy(graph, salt, fraction).routes(spec)
+        assert actual == expected, fraction
+
+
+READS = ("route_of", "next_hop_as", "catchment", "routes")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reads_in_any_order_equal_reference(oracle_graphs, data):
+    """A route is selected when it is first read, so what was read
+    before it must not matter: any ASes (one of them unknown to the
+    graph), through any accessor, in any order, with the full table
+    asked for in between."""
+    graph, salt, spec = draw_case(data, oracle_graphs)
+    fraction = data.draw(st.sampled_from(SYMMETRIC_FRACTIONS))
+    asns = graph.asns()
+    reads = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(asns + [max(asns) + 1]),
+                st.sampled_from(READS),
+            ),
+            max_size=12,
+        ),
+        label="reads",
+    )
+    expected = ReferencePolicy(graph, salt, fraction).routes(spec)
+    policy = RoutingPolicy(graph, salt, fraction)
+    for asn, read in reads:
+        want = expected.get(asn)
+        if read == "next_hop_as":
+            got = policy.next_hop_as(asn, spec)
+            assert got == (want.next_as if want else None)
+        elif read == "catchment":
+            got = policy.catchment(asn, spec)
+            assert got == (want.origin if want else None)
+        elif read == "routes":
+            assert policy.routes(spec) == expected
+        route = policy.route_of(asn, spec)
+        assert route == want
+        if route is not None and route.next_as is not None:
+            assert route.path[1:] == policy.route_of(route.next_as, spec).path
+    assert policy.routes(spec) == expected
+
+
+@pytest.mark.parametrize("fraction", SYMMETRIC_FRACTIONS)
+def test_compiled_unicast_routes_equal_reference(small_internet, fraction):
+    assert_unicast_routes_equal_reference(
+        small_internet.graph, small_internet.policy.salt, fraction
+    )
+
+
+def test_benchmark_environment_equals_reference():
+    """Every unicast spec of the topology benchmarks/e2e measures on
+    (``TopologyConfig.large(7)``), at its own salt and
+    symmetric_tiebreak_fraction."""
+    built = build_internet(TopologyConfig.large(seed=7)).policy
+    assert_unicast_routes_equal_reference(
+        built.graph, built.salt, built.symmetric_tiebreak_fraction
+    )
+
+
+def test_equal_tiebreaks_are_refused(monkeypatch):
+    """Between two equal offers the flood would keep the one that came
+    first and a read the one it looks at first; rather than define an
+    order for both, a graph that could produce the tie does not
+    compile.  Tie-breaks are CRC-32s, so it takes a patched hash."""
+    monkeypatch.setattr(policy_module, "_tiebreak", lambda asn, via, salt: 7)
+    policy = RoutingPolicy(diamond_graph())  # 3 and 4: customers of 1
+    with pytest.raises(ValueError, match="same tie-break"):
+        policy.route_of(2, AnnouncementSpec.single(4))
 
 
 class TestMutateThenInvalidate:
@@ -373,9 +450,32 @@ class TestMutateThenInvalidate:
         reference = ReferencePolicy(
             internet.graph, policy.salt, policy.symmetric_tiebreak_fraction
         )
-        assert list(policy.routes(spec).items()) == list(
-            reference.routes(spec).items()
+        assert policy.routes(spec) == reference.routes(spec)
+
+    def test_first_read_after_flip_sees_the_compiled_graph(self):
+        """A route selected on read comes from the compiled tables, not
+        the live ASNode — also when its first read follows the edit."""
+        internet = build_internet(TopologyConfig.tiny(seed=11))
+        asn, spec, other = self.flippable_leaf(internet)
+        before = internet.policy.route_of(asn, spec)
+        policy = RoutingPolicy(
+            internet.graph,
+            internet.policy.salt,
+            internet.policy.symmetric_tiebreak_fraction,
         )
+        # Compiles the graph and floods spec; asn itself stays unread.
+        assert policy.route_of(other, spec) is not None
+        unseen = AnnouncementSpec(origins=(Origin(spec.origins[0].asn, 1),))
+
+        node = internet.graph.nodes[asn]
+        node.neighbor_pref.clear()
+        node.neighbor_pref[other] = 100
+        assert policy.route_of(asn, spec) == before
+        assert policy.next_hop_as(asn, unseen) == before.next_as
+
+        policy.invalidate()
+        assert policy.next_hop_as(asn, spec) == other
+        assert policy.next_hop_as(asn, unseen) == other
 
     def test_add_edge_needs_invalidate(self):
         graph = diamond_graph()
