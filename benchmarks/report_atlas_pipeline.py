@@ -1,30 +1,25 @@
-"""Benchmark: the atlas pipeline vs. the serial atlas build.
+"""Benchmark: the atlas pipeline's shard lanes and warm start.
 
 Builds the per-source traceroute atlas (Q1) and RR atlas (Q2) for one
-M-Lab source three ways over identically seeded scenarios:
+M-Lab source through the atlas pipeline (batched probing, per-build
+hop dedup, N-shard virtual-lane accounting), then warm-starts a second
+deployment from a snapshot of it instead of re-probing.
 
-* **serial** — the historical one-probe-at-a-time build with no
-  deduplication;
-* **sharded** — the atlas pipeline: batched probing, per-build hop
-  dedup, and N-shard virtual-lane accounting;
-* **warm** — snapshot save/load instead of re-probing.
-
-Forwarding outcomes are pure functions of each probe, so all build
-modes must produce byte-identical atlases *and* byte-identical
-downstream reverse traceroutes; this script verifies both, then
-reports the deterministic virtual-clock speedup of the sharded
-schedule and the wall-clock speedup of the warm start.
+That the build equals probing one hop occurrence at a time is a tier-1
+test (``tests/test_atlas_pipeline.py`` against
+``tests/helpers/reference_rr_atlas.py``); this script reports the
+deterministic virtual-clock speedup of the sharded schedule over the
+same build's serial work, and the wall-clock speedup of the warm start
+over that cold build.
 
 Checks (exit 1 on failure):
 
-* traceroute atlas and RR mapping identical across serial, serial
-  dedup'd, sharded, and snapshot-loaded builds;
-* reverse traceroute results over a fixed measurement stream identical
-  between the serial-build and sharded-build (and warm-started)
-  deployments;
+* the snapshot-loaded atlases equal the built ones, and reverse
+  traceroute results over a fixed measurement stream are identical
+  between the cold-built and warm-started deployments;
 * sharded virtual-clock speedup >= ``--min-speedup`` (default 3x);
 * warm-start wall-clock speedup >= ``--min-warm-speedup`` (default
-  10x) over the serial cold build;
+  10x) over the cold build;
 * dedup saves probes (``probes_deduped > 0``).
 
 All quantities written to ``benchmarks/reports/BENCH_atlas.json`` are
@@ -58,7 +53,6 @@ from repro.core.atlas_pipeline import (  # noqa: E402
     load_snapshot,
     save_snapshot,
 )
-from repro.core.rr_atlas import RRAtlas  # noqa: E402
 from repro.experiments import Scenario  # noqa: E402
 from repro.topology import TopologyConfig  # noqa: E402
 
@@ -96,38 +90,11 @@ def measure_stream(scenario: Scenario, source, destinations):
     return stream
 
 
-def build_serial(scale: str, atlas_size: int, dedup: bool):
-    """The pre-pipeline build path on a fresh scenario."""
-    scenario = fresh_scenario(scale, atlas_size)
-    source = scenario.sources()[0]
-    virtual_start = scenario.clock.now()
-    wall_start = time.perf_counter()
-    atlas = TracerouteAtlas(source, max_size=atlas_size)
-    atlas.build(
-        scenario.background_prober,
-        scenario.atlas_vp_addrs,
-        scenario.bundle_rng(source),
-        size=atlas_size,
-    )
-    rr_atlas = RRAtlas(atlas)
-    rr_atlas.build(
-        scenario.background_prober,
-        scenario.spoofer_addrs,
-        dedup=dedup,
-        batched=False,
-    )
-    wall = time.perf_counter() - wall_start
-    virtual = scenario.clock.now() - virtual_start
-    scenario.adopt_atlases(source, atlas, rr_atlas)
-    return scenario, source, atlas, rr_atlas, wall, virtual
-
-
 def build_sharded(scale: str, atlas_size: int, shards: int):
-    """The pipeline build path on a fresh scenario."""
+    """Cold-build both atlases through the pipeline."""
     scenario = fresh_scenario(scale, atlas_size)
     source = scenario.sources()[0]
-    pipeline = scenario.atlas_pipeline(shards=shards, dedup=True)
-    virtual_start = scenario.clock.now()
+    pipeline = scenario.atlas_pipeline(shards=shards)
     wall_start = time.perf_counter()
     atlas, rr_atlas = pipeline.bootstrap(
         source,
@@ -136,9 +103,8 @@ def build_sharded(scale: str, atlas_size: int, shards: int):
         max_size=atlas_size,
     )
     wall = time.perf_counter() - wall_start
-    virtual = scenario.clock.now() - virtual_start
     scenario.adopt_atlases(source, atlas, rr_atlas)
-    return scenario, source, atlas, rr_atlas, pipeline, wall, virtual
+    return scenario, source, atlas, rr_atlas, pipeline, wall
 
 
 def main(argv=None) -> int:
@@ -158,13 +124,15 @@ def main(argv=None) -> int:
         "--min-speedup",
         type=float,
         default=3.0,
-        help="required sharded virtual-clock speedup over serial",
+        help="required virtual-clock speedup of the lane makespan "
+        "over the build's serial work",
     )
     parser.add_argument(
         "--min-warm-speedup",
         type=float,
         default=10.0,
-        help="required warm-start wall-clock speedup over cold serial",
+        help="required warm-start wall-clock speedup over the cold "
+        "build",
     )
     args = parser.parse_args(argv)
     failures = []
@@ -175,22 +143,11 @@ def main(argv=None) -> int:
         f"{args.shards} shards, seed {SEED}"
     )
 
-    # -- cold builds ---------------------------------------------------
-    serial = build_serial(args.scale, args.atlas_size, dedup=False)
-    (sc_serial, source, atlas_serial, rr_serial,
-     wall_serial, virtual_serial) = serial
-    print(
-        f"  serial:  {len(atlas_serial)} traceroutes, "
-        f"{len(rr_serial)} aliases, {rr_serial.probes_sent} RR probes, "
-        f"{virtual_serial:8.2f} vs, {wall_serial:6.3f} s wall"
+    # -- cold build ----------------------------------------------------
+    (sc_sharded, source, atlas_sharded, rr_sharded, pipeline,
+     wall_sharded) = build_sharded(
+        args.scale, args.atlas_size, args.shards
     )
-
-    dedup = build_serial(args.scale, args.atlas_size, dedup=True)
-    (_, _, atlas_dedup, rr_dedup, _, virtual_dedup) = dedup
-
-    sharded = build_sharded(args.scale, args.atlas_size, args.shards)
-    (sc_sharded, _, atlas_sharded, rr_sharded, pipeline,
-     wall_sharded, virtual_sharded) = sharded
     stages = [report.as_dict() for report in pipeline.reports]
     serial_virtual_total = sum(
         s["serial_virtual_seconds"] for s in stages
@@ -203,26 +160,15 @@ def main(argv=None) -> int:
     )
     deduped = rr_sharded.probes_deduped
     print(
-        f"  sharded: serial work {serial_virtual_total:8.2f} vs -> "
+        f"  sharded: {len(atlas_sharded)} traceroutes, "
+        f"{len(rr_sharded)} aliases, "
+        f"serial work {serial_virtual_total:8.2f} vs -> "
         f"makespan {makespan_total:8.2f} vs "
         f"({virtual_speedup:.2f}x on {args.shards} shards), "
         f"{rr_sharded.probes_sent} RR probes (+{deduped} deduped), "
         f"{wall_sharded:6.3f} s wall"
     )
 
-    # -- byte-identity across build modes ------------------------------
-    for label, atlas, rr_atlas in (
-        ("serial-dedup", atlas_dedup, rr_dedup),
-        ("sharded", atlas_sharded, rr_sharded),
-    ):
-        if atlas_key(atlas) != atlas_key(atlas_serial):
-            failures.append(
-                f"{label} traceroute atlas differs from serial build"
-            )
-        if rr_atlas._mapping != rr_serial._mapping:
-            failures.append(
-                f"{label} RR mapping differs from serial build"
-            )
     if deduped <= 0:
         failures.append("dedup saved no probes")
     if virtual_speedup < args.min_speedup:
@@ -231,25 +177,11 @@ def main(argv=None) -> int:
             f"required {args.min_speedup:.2f}x"
         )
 
-    # -- downstream identity over a fixed measurement stream -----------
-    destinations = sc_serial.responsive_destinations(
+    # -- the fixed measurement stream, on the cold-built deployment ----
+    destinations = sc_sharded.responsive_destinations(
         args.measurements, options_only=True
     )
-    stream_serial = measure_stream(sc_serial, source, destinations)
     stream_sharded = measure_stream(sc_sharded, source, destinations)
-    if stream_serial != stream_sharded:
-        failures.append(
-            "reverse traceroutes diverge between serial- and "
-            "sharded-built deployments"
-        )
-    complete = sum(
-        1 for _, status, _ in stream_serial if status == "complete"
-    )
-    print(
-        f"  identity stream: {len(stream_serial)} revtrs, "
-        f"{complete} complete, sharded == serial: "
-        f"{stream_serial == stream_sharded}"
-    )
 
     # -- warm start ----------------------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
@@ -265,21 +197,33 @@ def main(argv=None) -> int:
         )
         wall_warm = time.perf_counter() - wall_start
     sc_warm.adopt_atlases(source, atlas_warm, rr_warm)
-    warm_speedup = wall_serial / wall_warm if wall_warm else 0.0
+    warm_speedup = wall_sharded / wall_warm if wall_warm else 0.0
     print(
         f"  warm:    {snap_bytes} byte snapshot loaded in "
-        f"{wall_warm:6.4f} s wall ({warm_speedup:.1f}x over cold "
-        f"serial, 0 probes)"
+        f"{wall_warm:6.4f} s wall ({warm_speedup:.1f}x over the cold "
+        f"build, 0 probes)"
     )
-    if atlas_key(atlas_warm) != atlas_key(atlas_serial):
+    warm_identical = atlas_key(atlas_warm) == atlas_key(atlas_sharded)
+    if not warm_identical:
         failures.append("warm-started traceroute atlas differs")
-    if rr_warm is None or rr_warm._mapping != rr_serial._mapping:
+    rr_identical = (
+        rr_warm is not None and rr_warm._mapping == rr_sharded._mapping
+    )
+    if not rr_identical:
         failures.append("warm-started RR mapping differs")
     stream_warm = measure_stream(sc_warm, source, destinations)
-    if stream_warm != stream_serial:
+    if stream_warm != stream_sharded:
         failures.append(
             "reverse traceroutes diverge on the warm-started deployment"
         )
+    complete = sum(
+        1 for _, status, _ in stream_sharded if status == "complete"
+    )
+    print(
+        f"  identity stream: {len(stream_sharded)} revtrs, "
+        f"{complete} complete, warm == cold: "
+        f"{stream_warm == stream_sharded}"
+    )
     if warm_speedup < args.min_warm_speedup:
         failures.append(
             f"warm-start speedup {warm_speedup:.1f}x < required "
@@ -293,19 +237,10 @@ def main(argv=None) -> int:
         "atlas_size": args.atlas_size,
         "shards": args.shards,
         "source": source,
-        "serial": {
-            "traceroutes": len(atlas_serial),
-            "rr_aliases": len(rr_serial),
-            "rr_probes_sent": rr_serial.probes_sent,
-            "virtual_seconds": round(virtual_serial, 6),
-        },
-        "serial_dedup": {
-            "rr_probes_sent": rr_dedup.probes_sent,
-            "rr_probes_deduped": rr_dedup.probes_deduped,
-            "virtual_seconds": round(virtual_dedup, 6),
-        },
         "sharded": {
             "stages": stages,
+            "traceroutes": len(atlas_sharded),
+            "rr_aliases": len(rr_sharded),
             "rr_probes_sent": rr_sharded.probes_sent,
             "rr_probes_deduped": deduped,
             "serial_virtual_seconds": round(serial_virtual_total, 6),
@@ -318,20 +253,14 @@ def main(argv=None) -> int:
             "min_wall_speedup_required": args.min_warm_speedup,
         },
         "identity": {
-            "atlas_identical": atlas_key(atlas_sharded)
-            == atlas_key(atlas_serial),
-            "rr_mapping_identical": rr_sharded._mapping
-            == rr_serial._mapping,
-            "warm_identical": atlas_key(atlas_warm)
-            == atlas_key(atlas_serial),
-            "measurements": len(stream_serial),
-            "measurements_identical": stream_serial == stream_sharded
-            and stream_serial == stream_warm,
+            "warm_identical": warm_identical,
+            "warm_rr_mapping_identical": rr_identical,
+            "measurements": len(stream_sharded),
+            "measurements_identical": stream_warm == stream_sharded,
         },
         "wall_seconds": {
             "_comment": "machine-dependent; everything above is "
             "deterministic",
-            "serial_cold_build": round(wall_serial, 4),
             "sharded_cold_build": round(wall_sharded, 4),
             "warm_start_load": round(wall_warm, 4),
             "warm_start_speedup": round(warm_speedup, 1),

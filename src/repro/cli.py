@@ -71,15 +71,12 @@ def _scenario(
         "evaluation": TopologyConfig.evaluation,
         "large": TopologyConfig.large,
     }[args.scale](seed=args.seed)
-    scenario = Scenario(
+    return Scenario(
         config=config,
         seed=args.seed,
         atlas_size=args.atlas_size,
         instrumentation=instrumentation,
     )
-    if getattr(args, "no_fastpath", False):
-        scenario.internet.enable_fastpath(False)
-    return scenario
 
 
 def _write_metrics(instr: Instrumentation, path: Optional[str]) -> None:
@@ -543,11 +540,7 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
 
     # build / save: cold-build through the pipeline, optionally
     # snapshotting the result for later warm starts.
-    pipeline = scenario.atlas_pipeline(
-        shards=args.shards,
-        dedup=not args.no_dedup,
-        threaded=args.threaded,
-    )
+    pipeline = scenario.atlas_pipeline(shards=args.shards)
     atlas, rr_atlas = pipeline.bootstrap(
         source,
         scenario.bundle_rng(source),
@@ -561,7 +554,6 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
     doc = {
         "source": source,
         "shards": args.shards,
-        "dedup": not args.no_dedup,
         "traceroutes": len(atlas),
         "rr_aliases": len(rr_atlas),
         "stages": [report.as_dict() for report in pipeline.reports],
@@ -573,8 +565,7 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
         print(
             f"atlas pipeline for {source}: {len(atlas)} traceroutes, "
             f"{len(rr_atlas)} RR aliases "
-            f"({args.shards} shards, dedup "
-            f"{'off' if args.no_dedup else 'on'})"
+            f"({args.shards} shards)"
         )
         for report in pipeline.reports:
             print(
@@ -650,7 +641,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_queue_per_user=args.queue,
             deadline=args.deadline,
             max_retries=args.retries,
-            coalesce=args.coalesce,
         )
     )
     http_server = None
@@ -668,19 +658,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     for user in users:
         for dst in destinations:
             scheduler.submit(user.api_key, dst, source)
-    report = (
-        scheduler.run_threaded()
-        if args.threaded
-        else scheduler.run()
-    )
-    doc = report.as_dict()
+    doc = scheduler.run().as_dict()
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(
             f"served {doc['completed']}/{doc['submitted']} requests "
-            f"over {args.parallel} lanes "
-            f"({'threads' if args.threaded else 'virtual clock'})"
+            f"over {args.parallel} lanes (virtual clock)"
         )
         print(
             f"  makespan:   {doc['makespan_virtual_seconds']:.1f} "
@@ -795,7 +779,6 @@ def _fault_workload(args: argparse.Namespace, instr: Instrumentation):
             parallelism=args.parallel,
             deadline=args.deadline,
             max_retries=args.retries,
-            coalesce=args.coalesce,
         )
     )
     for dst in destinations:
@@ -1031,12 +1014,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="small",
     )
     parser.add_argument("--atlas-size", type=int, default=20)
-    parser.add_argument(
-        "--no-fastpath",
-        action="store_true",
-        help="disable the forwarding fast-path caches (FIB, resolve, "
-        "LPM); useful for timing comparisons and debugging",
-    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1233,16 +1210,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--shards", type=int, default=4,
             help="shard lanes for the parallel build",
         )
-        p.add_argument(
-            "--no-dedup", action="store_true",
-            help="probe every hop occurrence instead of once per "
-            "distinct address",
-        )
-        p.add_argument(
-            "--threaded", action="store_true",
-            help="measure traceroutes on a wall-clock thread pool "
-            "instead of deterministic virtual lanes",
-        )
         _atlas_common(p)
 
     atlas_build = atlas_sub.add_parser(
@@ -1279,7 +1246,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--parallel", type=int, default=4,
-        help="execution lanes / worker threads",
+        help="execution lanes",
     )
     serve.add_argument("--users", type=int, default=3)
     serve.add_argument(
@@ -1297,11 +1264,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--retries", type=int, default=0,
         help="retry budget for unresponsive destinations",
-    )
-    serve.add_argument(
-        "--threaded", action="store_true",
-        help="run on a wall-clock thread pool instead of the "
-        "deterministic virtual-clock lanes",
     )
     serve.add_argument("--source-index", type=int, default=0)
     serve.add_argument("--json", action="store_true")

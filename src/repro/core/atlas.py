@@ -121,22 +121,6 @@ class TracerouteAtlas:
         """Routing generation *vp*'s trace was measured under."""
         return self._generation.get(vp)
 
-    def choose_build_vps(
-        self,
-        candidate_vps: Sequence[Address],
-        rng: random.Random,
-        size: Optional[int] = None,
-    ) -> List[Address]:
-        """The random VP selection of :meth:`build`, without probing.
-
-        Exposed so alternative build drivers (the atlas pipeline)
-        consume exactly one shuffle from *rng*, like :meth:`build`.
-        """
-        size = self.max_size if size is None else size
-        chosen = list(candidate_vps)
-        rng.shuffle(chosen)
-        return chosen[:size]
-
     def build(
         self,
         prober: Prober,
@@ -147,7 +131,10 @@ class TracerouteAtlas:
         """Measure traceroutes from random candidate VPs (Q1)."""
         generation = prober.internet.routing_generation
         self.last_build_durations = []
-        for vp in self.choose_build_vps(candidate_vps, rng, size):
+        size = self.max_size if size is None else size
+        chosen = list(candidate_vps)
+        rng.shuffle(chosen)
+        for vp in chosen[:size]:
             started = prober.clock.now()
             trace = paris_traceroute(prober, vp, self.source)
             self.last_build_durations.append(

@@ -10,15 +10,13 @@ with four legs:
   (`Prober.rr_ping_batch` / `Internet.send_probe_batch`) and each
   unit's virtual-clock cost is assigned to the earliest-free of N
   shard lanes.  Forwarding outcomes are pure functions of each packet
-  (see :func:`repro.sim.forwarding.choose_candidate`), so the sharded
-  build is *byte-identical* to the serial one; the lane makespan is
-  the deterministic virtual-clock cost an N-shard deployment would
-  pay, the same re-simulation device as the request scheduler's
-  virtual mode.  An optional threaded mode measures on a wall-clock
-  thread pool instead (same hops; timestamps interleave).
+  (see :func:`repro.sim.forwarding.choose_candidate`), so the atlases
+  do not depend on the shard count; the lane makespan is the
+  deterministic virtual-clock cost an N-shard deployment would pay,
+  the same re-simulation device as the request scheduler's lanes.
 * **probe dedup** — a hop address appearing in many VPs' traceroutes
-  is RR-probed once per build (``RRAtlas.build(dedup=True)``); the
-  savings are tallied separately from probes sent.
+  is RR-probed once per build (:meth:`RRAtlas.build`); the savings
+  are tallied separately from probes sent.
 * **incremental refresh** — atlas entries are keyed by the simulator's
   routing generation, so ``refresh(incremental=True)`` re-probes only
   traceroutes whose paths could have changed (generation bump or
@@ -34,8 +32,6 @@ import gzip
 import json
 import os
 import random
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -48,7 +44,6 @@ from repro.net.addr import Address
 from repro.net.packet import ProbeKind, TracerouteResult
 from repro.obs.runtime import get_default
 from repro.probing.prober import Prober
-from repro.probing.traceroute import paris_traceroute
 
 #: On-disk snapshot format tag and version.  Bump the version on any
 #: incompatible change to the document layout; loaders reject other
@@ -100,7 +95,6 @@ class StageReport:
     """Deterministic accounting for one pipeline stage."""
 
     stage: str
-    mode: str
     shards: int
     tasks: int = 0
     #: summed virtual-clock cost of every task (what a 1-shard build pays)
@@ -123,7 +117,6 @@ class StageReport:
     def as_dict(self) -> Dict[str, object]:
         return {
             "stage": self.stage,
-            "mode": self.mode,
             "shards": self.shards,
             "tasks": self.tasks,
             "serial_virtual_seconds": round(self.serial_seconds, 6),
@@ -147,14 +140,10 @@ class AtlasPipeline:
     """Drives sharded, deduplicated, resumable atlas construction.
 
     One pipeline serves one prober (and therefore one simulated
-    Internet); it can build atlases for any number of sources.  With
-    ``threaded=False`` (the default) every stage is deterministic and
-    byte-identical to the plain serial ``TracerouteAtlas.build`` /
-    ``RRAtlas.build`` path — sharding is accounted on virtual lanes,
-    batching and dedup only remove redundant work.  ``threaded=True``
-    measures traceroutes on a wall-clock thread pool instead; hop
-    contents still match, but clock interleaving (timestamps, probe
-    accounting order) does not.
+    Internet); it can build atlases for any number of sources.  Every
+    stage is deterministic: the pipeline calls
+    :meth:`TracerouteAtlas.build` / :meth:`RRAtlas.build` and accounts
+    the observed per-task virtual durations on shard lanes.
     """
 
     def __init__(
@@ -163,9 +152,7 @@ class AtlasPipeline:
         atlas_vps: Sequence[Address],
         spoofer_vps: Sequence[Address],
         shards: int = 4,
-        dedup: bool = True,
         max_spoofers_per_hop: int = 2,
-        threaded: bool = False,
         instrumentation=None,
     ) -> None:
         if shards < 1:
@@ -174,16 +161,13 @@ class AtlasPipeline:
         self.atlas_vps = list(atlas_vps)
         self.spoofer_vps = list(spoofer_vps)
         self.shards = shards
-        self.dedup = dedup
         self.max_spoofers_per_hop = max_spoofers_per_hop
-        self.threaded = threaded
         self.obs = (
             instrumentation
             if instrumentation is not None
             else get_default()
         )
         self.reports: List[StageReport] = []
-        self._sim_lock = threading.Lock()
 
     # -- stage accounting ----------------------------------------------
 
@@ -200,7 +184,6 @@ class AtlasPipeline:
             lanes.assign(duration)
         report = StageReport(
             stage=stage,
-            mode="threaded" if self.threaded else "virtual",
             shards=self.shards,
             tasks=len(durations),
             serial_seconds=sum(durations),
@@ -216,7 +199,6 @@ class AtlasPipeline:
                 "atlas_build_seconds",
                 report.makespan_seconds,
                 stage=stage,
-                mode=report.mode,
             )
             self.obs.set_gauge("atlas_pipeline_shards", self.shards)
             for index, lane in enumerate(lanes.lanes):
@@ -235,7 +217,6 @@ class AtlasPipeline:
             self.obs.emit(
                 "atlas.stage",
                 stage=stage,
-                mode=report.mode,
                 shards=self.shards,
                 tasks=report.tasks,
                 serial=round(report.serial_seconds, 6),
@@ -260,12 +241,9 @@ class AtlasPipeline:
     ) -> StageReport:
         """Measure the traceroute atlas (Q1) across shard lanes.
 
-        Consumes exactly one shuffle from *rng*, like
-        :meth:`TracerouteAtlas.build`, so pipeline and serial builds
-        draw identical VP selections from identically seeded RNGs.
+        :meth:`TracerouteAtlas.build` does the measuring (and consumes
+        exactly one shuffle from *rng*); this adds the lane accounting.
         """
-        if self.threaded:
-            return self._build_atlas_threaded(atlas, rng, size)
         before = self.prober.counter.of(ProbeKind.TRACEROUTE)
         atlas.build(self.prober, self.atlas_vps, rng, size=size)
         return self._finish_stage(
@@ -275,58 +253,12 @@ class AtlasPipeline:
             - before,
         )
 
-    def _build_atlas_threaded(
-        self,
-        atlas: TracerouteAtlas,
-        rng: random.Random,
-        size: Optional[int],
-    ) -> StageReport:
-        chosen = atlas.choose_build_vps(self.atlas_vps, rng, size)
-        generation = self.prober.internet.routing_generation
-        before = self.prober.counter.of(ProbeKind.TRACEROUTE)
-        durations: Dict[Address, float] = {}
-        traces: Dict[Address, TracerouteResult] = {}
-
-        def measure(vp: Address) -> None:
-            # The simulator is single-threaded at heart: the virtual
-            # clock, token buckets, and forwarding caches all mutate
-            # under probing, so each traceroute holds the sim lock (the
-            # request scheduler's threaded mode does the same).
-            with self._sim_lock:
-                started = self.prober.clock.now()
-                trace = paris_traceroute(self.prober, vp, atlas.source)
-                durations[vp] = self.prober.clock.now() - started
-                traces[vp] = trace
-
-        with ThreadPoolExecutor(max_workers=self.shards) as pool:
-            list(pool.map(measure, chosen))
-        for vp in chosen:
-            trace = traces[vp]
-            if trace.responsive_hops():
-                atlas.add(trace, generation=generation)
-        return self._finish_stage(
-            "traceroute",
-            [durations[vp] for vp in chosen],
-            probes_sent=self.prober.counter.of(ProbeKind.TRACEROUTE)
-            - before,
-        )
-
     # -- RR atlas stage -------------------------------------------------
 
     def build_rr(self, rr_atlas: RRAtlas) -> StageReport:
-        """Probe every atlas hop with RR toward the source (Q2).
-
-        Always batched; dedup follows the pipeline setting.  The
-        threaded flag is ignored here — RR ladders are already walked
-        through the batch prober, and splitting them across threads
-        would only contend on the sim lock.
-        """
+        """Probe every atlas hop with RR toward the source (Q2)."""
         rr_atlas.build(
-            self.prober,
-            self.spoofer_vps,
-            self.max_spoofers_per_hop,
-            dedup=self.dedup,
-            batched=True,
+            self.prober, self.spoofer_vps, self.max_spoofers_per_hop
         )
         stats = rr_atlas.last_build
         return self._finish_stage(

@@ -90,18 +90,18 @@ class EngineConfig:
     #: stopped answering mid-measurement, report ``UNRESPONSIVE``
     #: (keeping the partial path) instead of ``INCOMPLETE``.
     recheck_unresponsive: bool = False
-    #: Cross-measurement amortization (§5): consult the per-source
-    #: reverse-segment cache before the RR/TS/fallback steps, splicing
-    #: chains of hops that earlier completed measurements toward this
-    #: source already revealed.  Off by default; with it off the
-    #: engine's outputs are byte-identical to pre-cache behaviour.
+    #: The two reuse options — behaviour, not A/B switches: on, hops are
+    #: served from earlier measurements, so results differ from fresh
+    #: ones (both defaults flipped, seed 7: ``cold_sweep`` complete_frac
+    #: 0.607 -> 0.660, probes_per_revtr 27.29 -> 26.88, and all 31 paper
+    #: tables move), and the benchmark runs a workload on each side
+    #: (``hot_repeat`` on, ``cold_sweep`` off).  ``segment_cache`` (§5):
+    #: before the RR/TS/fallback steps, splice chains of hops earlier
+    #: measurements toward this source revealed.  ``coalesce_batches``:
+    #: inside one :meth:`RevtrEngine.measure_many` call, duplicate
+    #: (current-hop, VP-set) spoofed RR batches collapse into one and
+    #: ping checks dedupe per /24 (off: a loop over ``measure``).
     segment_cache: bool = False
-    #: Coalesce concurrent measurements inside one
-    #: :meth:`RevtrEngine.measure_many` call: duplicate
-    #: (current-hop, VP-set) spoofed RR batches collapse into one
-    #: probe batch and ping checks dedupe per destination /24.  Off by
-    #: default; with it off ``measure_many`` is a literal sequential
-    #: loop over :meth:`RevtrEngine.measure`.
     coalesce_batches: bool = False
     #: Negative-result TTL for the measurement cache: empty RR-step
     #: outcomes expire after this many virtual seconds instead of the

@@ -28,10 +28,9 @@ class RRBuildStats:
 
     A *unit* is one probe ladder — direct RR ping from the source,
     then up to ``max_spoofers_per_hop`` spoofed retries — for one
-    target address.  With dedup on there is one unit per distinct hop
-    address; without, one per hop occurrence.  ``unit_costs`` holds
-    each unit's virtual-clock cost in probing order, which is what the
-    pipeline's shard lanes re-schedule.
+    distinct hop address, however many traceroutes it occurs in.
+    ``unit_costs`` holds each unit's virtual-clock cost in probing
+    order, which is what the pipeline's shard lanes re-schedule.
     """
 
     occurrences: int = 0
@@ -73,9 +72,6 @@ class RRAtlas:
         prober: Prober,
         spoofer_vps: Sequence[Address],
         max_spoofers_per_hop: int = 2,
-        *,
-        dedup: bool = True,
-        batched: bool = True,
     ) -> None:
         """Probe every atlas hop with RR toward the source.
 
@@ -83,15 +79,13 @@ class RRAtlas:
         of range, retries spoofed as the source from a few VPs (Fig. 3's
         "from s or spoofing as s").
 
-        ``dedup`` probes each distinct hop address once per build even
-        when it occurs in many VPs' traceroutes (the saved probes are
-        tallied in :attr:`probes_deduped`); ``batched`` drives whole
-        retry rounds through :meth:`Prober.rr_ping_batch` instead of
-        one :meth:`Prober.rr_ping` at a time.  Forwarding outcomes are
-        pure functions of each probe, so every combination produces an
-        identical ``_mapping``; dedup additionally reduces probes sent
-        (and therefore virtual probing time), batching only wall-clock
-        time.
+        Each distinct hop address is probed once per build even when it
+        occurs in many VPs' traceroutes (the saved probes are tallied
+        in :attr:`probes_deduped`), and whole retry rounds go through
+        :meth:`Prober.rr_ping_batch`.  Forwarding outcomes are pure
+        functions of each probe, so the ``_mapping`` equals what one
+        ladder per occurrence, one :meth:`Prober.rr_ping` at a time,
+        registers (``tests/helpers/reference_rr_atlas.py``).
         """
         source = self.atlas.source
         occurrences: List[
@@ -103,73 +97,30 @@ class RRAtlas:
                     continue
                 occurrences.append((vp, index, hop, trace.hops))
         spoofers = list(spoofer_vps[:max_spoofers_per_hop])
-        if dedup:
-            targets = list(
-                dict.fromkeys(occ[2] for occ in occurrences)
-            )
-        else:
-            targets = [occ[2] for occ in occurrences]
-        probe = (
-            self._probe_ladders_batched
-            if batched
-            else self._probe_ladders_serial
+        targets = list(dict.fromkeys(occ[2] for occ in occurrences))
+        ladders = self._probe_ladders_batched(
+            prober, source, targets, spoofers
         )
-        ladders = probe(prober, source, targets, spoofers)
 
         stats = RRBuildStats(occurrences=len(occurrences))
         stats.units = len(ladders)
         for _, probes, cost in ladders:
             stats.probes_sent += probes
             stats.unit_costs.append(cost)
-        if dedup:
-            by_hop = {
-                hop: ladder for hop, ladder in zip(targets, ladders)
-            }
-            seen: set = set()
-            for _, _, hop, _ in occurrences:
-                if hop in seen:
-                    stats.probes_deduped += by_hop[hop][1]
-                else:
-                    seen.add(hop)
-            results = [by_hop[occ[2]][0] for occ in occurrences]
-        else:
-            results = [ladder[0] for ladder in ladders]
+        by_hop = dict(zip(targets, ladders))
+        # What a ladder per occurrence would have sent, minus what was.
+        stats.probes_deduped = (
+            sum(by_hop[occ[2]][1] for occ in occurrences)
+            - stats.probes_sent
+        )
         self.probes_sent += stats.probes_sent
         self.probes_deduped += stats.probes_deduped
         self.last_build = stats
 
-        for (vp, index, hop, trace_hops), result in zip(
-            occurrences, results
-        ):
+        for vp, index, hop, trace_hops in occurrences:
+            result = by_hop[hop][0]
             if result is not None and self._usable(result):
                 self._register(result, vp, index, trace_hops)
-
-    def _probe_ladders_serial(
-        self,
-        prober: Prober,
-        source: Address,
-        targets: Sequence[Address],
-        spoofers: Sequence[Address],
-    ) -> List[Tuple[Optional[RRPingResult], int, float]]:
-        """One full retry ladder at a time (the historical loop)."""
-        ladders = []
-        for hop in targets:
-            result = prober.rr_ping(source, hop)
-            probes = 1
-            cost = result.rtt if result.responded else LOSS_TIMEOUT
-            if not self._usable(result):
-                for spoofer in spoofers:
-                    result = prober.rr_ping(
-                        spoofer, hop, spoof_as=source
-                    )
-                    probes += 1
-                    cost += (
-                        result.rtt if result.responded else LOSS_TIMEOUT
-                    )
-                    if self._usable(result):
-                        break
-            ladders.append((result, probes, cost))
-        return ladders
 
     def _probe_ladders_batched(
         self,
@@ -182,10 +133,9 @@ class RRAtlas:
 
         Round 0 probes every target directly from the source; round
         ``k`` retries the still-unusable remainder spoofed as the
-        source from the k-th spoofer — the same ladder each target
-        climbs serially, probed a round at a time so destination
-        resolution is shared and the Python-level per-probe overhead
-        amortised.
+        source from the k-th spoofer — each target's own ladder,
+        probed a round at a time so destination resolution is shared
+        and the Python-level per-probe overhead amortised.
         """
         states: List[List] = [[None, 0, 0.0] for _ in targets]
         pending = list(range(len(targets)))

@@ -37,7 +37,7 @@ inferred hop).
 One cache serves one source and is shared by every engine measuring
 toward that source — the whole point is that concurrent and successive
 measurements amortize each other's probes.  All operations take an
-internal lock so the scheduler's threaded mode can share it too.
+internal lock: ``repro top`` / ``serve --http`` read it beside the workload.
 """
 
 from __future__ import annotations

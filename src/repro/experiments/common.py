@@ -277,12 +277,7 @@ class Scenario:
             bundle.rr_atlas = rr_atlas
         return bundle.rr_atlas
 
-    def atlas_pipeline(
-        self,
-        shards: int = 4,
-        dedup: bool = True,
-        threaded: bool = False,
-    ) -> "AtlasPipeline":
+    def atlas_pipeline(self, shards: int = 4) -> "AtlasPipeline":
         """An :class:`AtlasPipeline` over the background prober."""
         from repro.core.atlas_pipeline import AtlasPipeline
 
@@ -291,8 +286,6 @@ class Scenario:
             self.atlas_vp_addrs,
             self.spoofer_addrs,
             shards=shards,
-            dedup=dedup,
-            threaded=threaded,
             instrumentation=self.obs,
         )
 

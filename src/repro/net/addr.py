@@ -193,16 +193,12 @@ class PrefixTable:
     Lookups memoize their result per address (the probing workload
     resolves the same destinations over and over); :meth:`insert`
     flushes the memo, so a re-announced or more-specific prefix is
-    always honoured.  Set :attr:`cache_enabled` to ``False`` to force
-    the full longest-match scan on every call.
+    always honoured.
     """
 
     def __init__(self) -> None:
         self._by_length: dict = {}
         self._lengths: List[int] = []
-        #: lookup memoization switch (the sim's forwarding fast path
-        #: toggles it together with its own caches)
-        self.cache_enabled = True
         self._value_cache: dict = {}
         self._prefix_cache: dict = {}
         self.cache_hits = 0
@@ -232,12 +228,11 @@ class PrefixTable:
 
     def lookup(self, addr: Address) -> Optional[object]:
         """Return the value of the longest matching prefix, or None."""
-        if self.cache_enabled:
-            hit = self._value_cache.get(addr, _MISS)
-            if hit is not _MISS:
-                self.cache_hits += 1
-                return hit
-            self.cache_misses += 1
+        hit = self._value_cache.get(addr, _MISS)
+        if hit is not _MISS:
+            self.cache_hits += 1
+            return hit
+        self.cache_misses += 1
         value = addr_to_int(addr)
         result = None
         for length in self._lengths:
@@ -246,18 +241,16 @@ class PrefixTable:
             if hit is not _MISS:
                 result = hit
                 break
-        if self.cache_enabled:
-            self._value_cache[addr] = result
+        self._value_cache[addr] = result
         return result
 
     def lookup_prefix(self, addr: Address) -> Optional[Prefix]:
         """Return the longest matching prefix itself, or None."""
-        if self.cache_enabled:
-            hit = self._prefix_cache.get(addr, _MISS)
-            if hit is not _MISS:
-                self.cache_hits += 1
-                return hit
-            self.cache_misses += 1
+        hit = self._prefix_cache.get(addr, _MISS)
+        if hit is not _MISS:
+            self.cache_hits += 1
+            return hit
+        self.cache_misses += 1
         value = addr_to_int(addr)
         result = None
         for length in self._lengths:
@@ -266,8 +259,7 @@ class PrefixTable:
             if network in self._by_length[length]:
                 result = Prefix(network, length)
                 break
-        if self.cache_enabled:
-            self._prefix_cache[addr] = result
+        self._prefix_cache[addr] = result
         return result
 
     def __len__(self) -> int:

@@ -194,8 +194,7 @@ DECLARED_METRICS: Dict[str, Tuple[str, str, Optional[Sequence[float]]]] = {
     ),
     "atlas_build_seconds": (
         "histogram",
-        "Virtual-clock makespan of one atlas pipeline stage, "
-        "by stage and mode.",
+        "Virtual-clock makespan of one atlas pipeline stage, by stage.",
         DEFAULT_TIME_BUCKETS,
     ),
     "atlas_probes_deduped_total": (

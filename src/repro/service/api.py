@@ -23,7 +23,7 @@ from repro.obs.runtime import get_default, introspect
 from repro.probing.prober import Prober
 from repro.service.sources import SourceRegistry
 from repro.service.store import MeasurementStore
-from repro.service.users import User, UserDatabase
+from repro.service.users import QuotaExceeded, User, UserDatabase
 
 
 @dataclass
@@ -275,20 +275,36 @@ class RevtrService:
         if the engine fails (or quota runs out) mid-batch, the user is
         never charged for measurements that were not attempted.
 
-        With ``coalesce_batches`` on in the engine config, the whole
-        batch is charged up front and executed as one coalesced
-        :meth:`RevtrEngine.measure_many` group — duplicate spoofed
-        batches and ping checks across the batch collapse.
+        With ``coalesce_batches`` on in the engine config, the prefix
+        of the batch that quota admits is charged and executed as one
+        coalesced :meth:`RevtrEngine.measure_many` group — duplicate
+        spoofed batches and ping checks across the batch collapse —
+        before :class:`QuotaExceeded` is raised for the rest; a group
+        that fails inside the engine archives nothing and is refunded.
         """
         user = self.users.authenticate(api_key)
         engine = self._engine_for(src)
         if self.engine_config.coalesce_batches:
             now = self.prober.clock.now()
+            admitted, refused = 0, None
             for _ in dsts:
-                user.charge(now)
-            return self._measure_group(
-                engine, [(dst, user.name, label) for dst in dsts]
-            )
+                try:
+                    user.charge(now)
+                except QuotaExceeded as exc:
+                    refused = exc
+                    break
+                admitted += 1
+            try:
+                results = self._measure_group(
+                    engine,
+                    [(dst, user.name, label) for dst in dsts[:admitted]],
+                )
+            except Exception:
+                user.refund(self.prober.clock.now(), admitted)
+                raise
+            if refused is not None:
+                raise refused
+            return results
         results: List[ReverseTracerouteResult] = []
         for dst in dsts:
             user.charge(self.prober.clock.now())

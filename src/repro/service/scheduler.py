@@ -7,25 +7,18 @@ submitted to bounded per-user queues and multiplexed across a fixed
 number of execution lanes, never running more than ``User.max_parallel``
 of one user's measurements at a time.
 
-Two execution modes share the same admission logic:
-
-* **Virtual mode** (:meth:`RequestScheduler.run` /
-  :meth:`~RequestScheduler.step`) re-simulates a parallel deployment on
-  the virtual clock.  Each of ``parallelism`` lanes carries a virtual
-  timeline; the scheduler repeatedly takes the earliest-free lane and
-  admits the next job by deterministic round-robin over users, skipping
-  users at their parallel cap at that instant.  Job durations come from
-  the engine's own virtual-clock accounting, so the resulting schedule
-  (start/finish times, makespan, throughput) is exactly what an
-  N-worker deployment would see — and byte-identical across runs.
-
-* **Threaded mode** (:meth:`RequestScheduler.run_threaded`) drives the
-  same queues with a wall-clock :class:`~concurrent.futures.ThreadPoolExecutor`.
-  Admission, quota, and archive bookkeeping run concurrently under
-  fine-grained locks (user, store, clock); the measurement itself runs
-  under a per-engine lock plus one global simulator lock, because the
-  simulated Internet is a single shared resource (in a real deployment
-  the per-engine lock alone would apply, with network I/O overlapping).
+:meth:`RequestScheduler.run` / :meth:`~RequestScheduler.step`
+re-simulate a parallel deployment on the virtual clock.  Each of
+``parallelism`` lanes carries a virtual timeline; the scheduler
+repeatedly takes the earliest-free lane and admits the next job by
+deterministic round-robin over users, skipping users at their parallel
+cap at that instant.  Job durations come from the engine's own
+virtual-clock accounting, so the resulting schedule (start/finish
+times, makespan, throughput) is exactly what an N-worker deployment
+would see — and byte-identical across runs.  When the service's engine
+config has ``coalesce_batches`` on, same-source jobs admissible at the
+same instant run as one :meth:`~repro.core.revtr.RevtrEngine.measure_many`
+group (group size bounded by simultaneously-free lanes).
 
 Overload degrades into *typed* outcomes rather than exceptions: a full
 per-user queue, an expired deadline, or an exhausted daily quota turn
@@ -39,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -70,7 +62,7 @@ class RejectReason(enum.Enum):
 class SchedulerConfig:
     """Knobs for the request scheduler."""
 
-    #: execution lanes (virtual mode) / worker threads (threaded mode)
+    #: execution lanes
     parallelism: int = 4
     #: bounded per-user queue; submissions beyond it are rejected
     max_queue_per_user: int = 16
@@ -82,12 +74,6 @@ class SchedulerConfig:
     max_retries: int = 0
     #: base backoff before the first retry; doubles per attempt
     retry_backoff: float = 60.0
-    #: virtual mode: execute same-source jobs that are admissible at
-    #: the same instant as one coalesced
-    #: :meth:`~repro.core.revtr.RevtrEngine.measure_many` group (group
-    #: size bounded by simultaneously-free lanes).  Threaded mode
-    #: ignores this — its jobs arrive at the engine one at a time.
-    coalesce: bool = False
 
 
 @dataclass
@@ -178,20 +164,12 @@ class RequestScheduler:
         self._users: Dict[str, User] = {}
         self._user_order: List[str] = []
         self._rr_index = 0
-        # Virtual-mode lane timelines (created lazily at first step).
+        # Lane timelines (created lazily at first step).
         self._lanes: Optional[List[float]] = None
         self._t0: Optional[float] = None
         #: per-user virtual finish times of admitted jobs (in-flight
         #: at instant t = finishes strictly greater than t)
         self._inflight_finish: Dict[str, List[float]] = {}
-        # Threaded-mode state: live in-flight counters guarded by one
-        # condition variable, plus the execution locks described in the
-        # module docstring.
-        self._cond = threading.Condition()
-        self._live_inflight: Dict[str, int] = {}
-        self._live_total = 0
-        self._engine_locks: Dict[Address, threading.Lock] = {}
-        self._sim_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Submission
@@ -207,41 +185,38 @@ class RequestScheduler:
         """Queue one request; returns the job (possibly already
         rejected with :attr:`RejectReason.QUEUE_FULL`)."""
         user = self.service.users.authenticate(api_key)
-        with self._cond:
-            job = Job(
-                id=next(self._ids),
+        job = Job(
+            id=next(self._ids),
+            user=user.name,
+            dst=dst,
+            src=src,
+            label=label,
+            submitted_at=self.clock.now(),
+        )
+        self.jobs.append(job)
+        queue = self._queues.get(user.name)
+        if queue is None:
+            queue = deque()
+            self._queues[user.name] = queue
+            self._users[user.name] = user
+            self._user_order.append(user.name)
+            self._inflight_finish[user.name] = []
+            self.peak_inflight[user.name] = 0
+        if self.obs.enabled:
+            self.obs.emit(
+                "sched.submit",
+                job=job.id,
                 user=user.name,
-                dst=dst,
-                src=src,
-                label=label,
-                submitted_at=self.clock.now(),
+                dst=str(dst),
             )
-            self.jobs.append(job)
-            queue = self._queues.get(user.name)
-            if queue is None:
-                queue = deque()
-                self._queues[user.name] = queue
-                self._users[user.name] = user
-                self._user_order.append(user.name)
-                self._inflight_finish[user.name] = []
-                self._live_inflight[user.name] = 0
-                self.peak_inflight[user.name] = 0
-            if self.obs.enabled:
-                self.obs.emit(
-                    "sched.submit",
-                    job=job.id,
-                    user=user.name,
-                    dst=str(dst),
-                )
-            if user.max_parallel < 1:
-                self._reject(job, RejectReason.QUOTA)
-                return job
-            if len(queue) >= self.config.max_queue_per_user:
-                self._reject(job, RejectReason.QUEUE_FULL)
-                return job
-            queue.append(job)
-            self._queue_depth_changed()
-            self._cond.notify_all()
+        if user.max_parallel < 1:
+            self._reject(job, RejectReason.QUOTA)
+            return job
+        if len(queue) >= self.config.max_queue_per_user:
+            self._reject(job, RejectReason.QUEUE_FULL)
+            return job
+        queue.append(job)
+        self._queue_depth_changed()
         return job
 
     def submit_batch(
@@ -348,7 +323,7 @@ class RequestScheduler:
         )
 
     # ------------------------------------------------------------------
-    # Virtual mode: deterministic event simulation
+    # Deterministic event simulation on the virtual clock
     # ------------------------------------------------------------------
 
     def run(self) -> SchedulerReport:
@@ -385,12 +360,16 @@ class RequestScheduler:
                 # but a stall must not become an infinite loop.
                 return None
             self._lanes[lane] = nxt
-        if self.config.coalesce:
+        if self.service.engine_config.coalesce_batches:
             return self._execute_group(job, user, lane, t)
         return self._execute_virtual(job, user, lane, t)
 
-    def _pick(self, t: float) -> Optional[Tuple[Job, User]]:
-        """Round-robin choice of the next admissible job at instant t."""
+    def _pick(
+        self, t: float, src: Optional[Address] = None
+    ) -> Optional[Tuple[Job, User]]:
+        """Round-robin choice of the next admissible job at instant t,
+        restricted to jobs toward *src* when given (one coalesced
+        group runs through one per-source engine)."""
         order = self._user_order
         for offset in range(len(order)):
             idx = (self._rr_index + offset) % len(order)
@@ -399,6 +378,8 @@ class RequestScheduler:
             if not queue:
                 continue
             job = queue[0]
+            if src is not None and job.src != src:
+                continue
             if job.eligible_at > t:
                 continue
             if self._inflight_at(name, t) >= self._users[name].max_parallel:
@@ -545,31 +526,6 @@ class RequestScheduler:
             self.deadline_overruns += 1
         return job
 
-    def _pick_same_src(
-        self, t: float, src: Address
-    ) -> Optional[Tuple[Job, User]]:
-        """Like :meth:`_pick`, restricted to jobs toward *src* (one
-        coalesced group runs through one per-source engine)."""
-        order = self._user_order
-        for offset in range(len(order)):
-            idx = (self._rr_index + offset) % len(order)
-            name = order[idx]
-            queue = self._queues[name]
-            if not queue:
-                continue
-            job = queue[0]
-            if job.src != src:
-                continue
-            if job.eligible_at > t:
-                continue
-            if self._inflight_at(name, t) >= self._users[name].max_parallel:
-                continue
-            queue.popleft()
-            self._rr_index = (idx + 1) % len(order)
-            self._queue_depth_changed()
-            return job, self._users[name]
-        return None
-
     def _execute_group(
         self, job: Job, user: User, lane: int, t: float
     ) -> Job:
@@ -591,7 +547,7 @@ class RequestScheduler:
         for other in range(len(self._lanes)):
             if other == lane or self._lanes[other] > t:
                 continue
-            picked = self._pick_same_src(t, job.src)
+            picked = self._pick(t, job.src)
             if picked is None:
                 break
             self._inflight_finish[picked[1].name].append(inf)
@@ -622,199 +578,3 @@ class RequestScheduler:
         for (_job, _user, _lane), result in zip(admitted, results):
             self._complete_virtual(_job, _user, _lane, t, result)
         return job
-
-    # ------------------------------------------------------------------
-    # Threaded mode: wall-clock ThreadPoolExecutor
-    # ------------------------------------------------------------------
-
-    def run_threaded(
-        self, max_workers: Optional[int] = None
-    ) -> SchedulerReport:
-        """Drain the queues with real worker threads.
-
-        Admission decisions are made under one condition variable;
-        measurements execute under a per-engine lock plus the global
-        simulator lock (see module docstring).  Outcomes are the same
-        typed results as virtual mode, but interleaving follows the OS
-        scheduler, so ordering is not reproducible — use :meth:`run`
-        for deterministic experiments.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = (
-            max_workers if max_workers is not None
-            else self.config.parallelism
-        )
-        if self._t0 is None:
-            self._t0 = self.clock.now()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(self._worker_loop) for _ in range(workers)
-            ]
-            for future in futures:
-                future.result()
-        return self.report()
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._cond:
-                picked = self._pick_live()
-                while picked is None:
-                    if not self._any_queued():
-                        return
-                    if self._live_total == 0:
-                        # Nothing is running, so nothing will advance
-                        # the virtual clock: jump to the earliest
-                        # retry-eligibility instant ourselves.
-                        nxt = self._earliest_eligible()
-                        if nxt is not None and nxt > self.clock.now():
-                            self.clock.advance_to(nxt)
-                        picked = self._pick_live()
-                        if picked is not None:
-                            break
-                    self._cond.wait(timeout=0.05)
-                    picked = self._pick_live()
-                job, user = picked
-                self._live_inflight[user.name] += 1
-                self._live_total += 1
-                current = self._live_inflight[user.name]
-                if current > self.peak_inflight[user.name]:
-                    self.peak_inflight[user.name] = current
-                self.obs.set_gauge(
-                    "service_inflight", current, user=user.name
-                )
-            try:
-                self._execute_threaded(job, user)
-            finally:
-                with self._cond:
-                    self._live_inflight[user.name] -= 1
-                    self._live_total -= 1
-                    self.obs.set_gauge(
-                        "service_inflight",
-                        self._live_inflight[user.name],
-                        user=user.name,
-                    )
-                    self._cond.notify_all()
-
-    def _pick_live(self) -> Optional[Tuple[Job, User]]:
-        """Round-robin pick against live in-flight counters.
-
-        Caller must hold :attr:`_cond`.
-        """
-        order = self._user_order
-        now = self.clock.now()
-        for offset in range(len(order)):
-            idx = (self._rr_index + offset) % len(order)
-            name = order[idx]
-            queue = self._queues[name]
-            if not queue:
-                continue
-            job = queue[0]
-            if job.eligible_at > now:
-                continue
-            user = self._users[name]
-            if self._live_inflight[name] >= user.max_parallel:
-                continue
-            queue.popleft()
-            self._rr_index = (idx + 1) % len(order)
-            self._queue_depth_changed()
-            return job, user
-        return None
-
-    def _earliest_eligible(self) -> Optional[float]:
-        times = [
-            queue[0].eligible_at
-            for queue in self._queues.values()
-            if queue
-        ]
-        return min(times) if times else None
-
-    def _execute_threaded(self, job: Job, user: User) -> None:
-        cfg = self.config
-        now = self.clock.now()
-        job.started_at = now
-        self._note_started(job)
-        if (
-            cfg.deadline is not None
-            and now - job.submitted_at > cfg.deadline
-        ):
-            with self._cond:
-                self._reject(job, RejectReason.DEADLINE)
-            return
-        try:
-            user.charge(now)
-        except QuotaExceeded as exc:
-            job.error = str(exc)
-            with self._cond:
-                self._reject(job, RejectReason.QUOTA)
-            return
-        try:
-            engine = self.service._engine_for(job.src)
-            with self._cond:
-                engine_lock = self._engine_locks.setdefault(
-                    job.src, threading.Lock()
-                )
-            with engine_lock, self._sim_lock:
-                result = self.service._measure_one(
-                    engine, job.dst, user.name, job.label
-                )
-        except Exception as exc:
-            job.error = f"{type(exc).__name__}: {exc}"
-            with self._cond:
-                self._reject(job, RejectReason.ERROR)
-            return
-        job.result = result
-        job.finished_at = self.clock.now()
-        self._tick_sampler()
-        if (
-            result.status is RevtrStatus.UNRESPONSIVE
-            and job.attempts < cfg.max_retries
-        ):
-            job.attempts += 1
-            job.eligible_at = job.finished_at + cfg.retry_backoff * (
-                2 ** (job.attempts - 1)
-            )
-            if (
-                cfg.deadline is not None
-                and job.eligible_at - job.submitted_at > cfg.deadline
-            ):
-                # Same doomed-retry cutoff as virtual mode: don't park
-                # a job whose backoff already blows the deadline.
-                with self._cond:
-                    self._reject(job, RejectReason.DEADLINE)
-                return
-            job.state = JobState.QUEUED
-            with self._cond:
-                self.retries += 1
-                self._queues[user.name].append(job)
-                self.obs.inc(
-                    "service_retries_total", attempt=str(job.attempts)
-                )
-                if self.obs.enabled:
-                    self.obs.emit(
-                        "sched.retry",
-                        job=job.id,
-                        user=user.name,
-                        attempt=job.attempts,
-                        eligible_at=job.eligible_at,
-                    )
-                self._queue_depth_changed()
-                self._cond.notify_all()
-            return
-        job.state = JobState.DONE
-        if self.obs.enabled:
-            self.obs.emit(
-                "sched.done",
-                _mid=result.measurement_id,
-                job=job.id,
-                user=user.name,
-                status=result.status.value,
-            )
-        with self._cond:
-            self.completed += 1
-            if (
-                cfg.deadline is not None
-                and job.finished_at - job.submitted_at > cfg.deadline
-            ):
-                job.deadline_exceeded = True
-                self.deadline_overruns += 1

@@ -34,8 +34,8 @@ class MeasurementStore:
         self._by_source: Dict[Address, List[int]] = defaultdict(list)
         self._by_user: Dict[str, List[int]] = defaultdict(list)
         # Appends mutate three structures; the lock keeps the record
-        # list and its indexes consistent under the scheduler's
-        # threaded mode.
+        # list and its indexes consistent for a reader thread running
+        # beside the workload (``serve --http``).
         self._lock = threading.Lock()
 
     def append(

@@ -32,8 +32,8 @@ class User:
     max_per_day: int = 10_000
     _used_today: int = 0
     _day_index: int = 0
-    # Quota accounting is read-modify-write; the lock makes charges
-    # atomic when the scheduler's threaded mode runs jobs in parallel.
+    # Quota accounting is read-modify-write; the lock keeps it atomic
+    # when a reader thread (``serve --http``) runs beside the workload.
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )

@@ -15,9 +15,9 @@ import threading
 class VirtualClock:
     """A monotonically advancing simulated clock, in seconds.
 
-    Advances are guarded by a lock so the request scheduler's threaded
-    mode can share one clock across workers; reads stay lock-free (a
-    float load is atomic under the GIL).
+    Advances are guarded by a lock because ``repro top`` and ``serve
+    --http`` share the clock between a workload thread and a reader;
+    reads stay lock-free (a float load is atomic under the GIL).
     """
 
     def __init__(self, start: float = 0.0) -> None:

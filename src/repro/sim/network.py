@@ -161,11 +161,7 @@ class Internet:
         self._intra_dist: Dict[Tuple[int, int], Dict[int, int]] = {}
         self._alt_next_as: Dict[Tuple[int, AnnouncementSpec], Optional[int]] = {}
 
-        # -- forwarding fast path ---------------------------------------
-        #: master switch; ``enable_fastpath(False)`` recomputes every
-        #: forwarding decision from scratch (bit-identical, for A/B
-        #: benchmarking and determinism guards)
-        self.fastpath_enabled = True
+        # -- forwarding memos -------------------------------------------
         #: routing generation; bumped by :meth:`invalidate_routing` so
         #: FIB entries computed under an old announcement set are
         #: treated as misses even if a reference to a per-spec shard
@@ -348,15 +344,13 @@ class Internet:
         toward a prefix shares one spec object — and therefore one FIB
         shard — instead of re-hashing a fresh spec per packet.
         """
-        if self.fastpath_enabled:
-            hit = self._announce_cache.get(addr, _MISS)
-            if hit is not _MISS:
-                self._announce_hits += 1
-                return hit  # type: ignore[return-value]
-            self._announce_misses += 1
+        hit = self._announce_cache.get(addr, _MISS)
+        if hit is not _MISS:
+            self._announce_hits += 1
+            return hit  # type: ignore[return-value]
+        self._announce_misses += 1
         spec = self._announcement_for_uncached(addr)
-        if self.fastpath_enabled:
-            self._announce_cache[addr] = spec
+        self._announce_cache[addr] = spec
         return spec
 
     def _announcement_for_uncached(
@@ -394,15 +388,13 @@ class Internet:
         anycast anchors.  The memo is flushed on topology mutation and
         by :meth:`invalidate_routing`.
         """
-        if self.fastpath_enabled:
-            hit = self._resolve_cache.get(dst, _MISS)
-            if hit is not _MISS:
-                self._resolve_hits += 1
-                return hit  # type: ignore[return-value]
-            self._resolve_misses += 1
+        hit = self._resolve_cache.get(dst, _MISS)
+        if hit is not _MISS:
+            self._resolve_hits += 1
+            return hit  # type: ignore[return-value]
+        self._resolve_misses += 1
         target = self._resolve_uncached(dst)
-        if self.fastpath_enabled:
-            self._resolve_cache[dst] = target
+        self._resolve_cache[dst] = target
         return target
 
     def _resolve_uncached(self, dst: Address) -> Optional[DestTarget]:
@@ -533,10 +525,9 @@ class Internet:
         The batch is the natural unit of revtr probing — a spoofed-VP
         round fires many probes at one destination — so the destination
         resolution and announcement lookup are computed once per
-        distinct destination and shared across the whole batch (even
-        with the fast-path caches disabled).  Probes are walked in
-        order, so outcomes are bit-identical to sequential
-        :meth:`send_probe` calls.
+        distinct destination and shared across the whole batch.
+        Probes are walked in order, so outcomes are bit-identical to
+        sequential :meth:`send_probe` calls.
         """
         shared: Dict[
             Address,
@@ -788,15 +779,13 @@ class Internet:
 
     def _fib_for(
         self, spec: AnnouncementSpec, dst: Address
-    ) -> Optional[Dict[int, FibEntry]]:
-        """The per-destination FIB row for *spec* (None = fast path off).
+    ) -> Dict[int, FibEntry]:
+        """The per-destination FIB row for *spec*.
 
         Fetched once per walk so the spec and the destination string
         are each looked up once per packet; the per-hop lookup then
         keys on the bare router id.
         """
-        if not self.fastpath_enabled:
-            return None
         shard = self._fib.get(spec)
         if shard is None:
             shard = {}
@@ -851,18 +840,15 @@ class Internet:
             hops += 1
             path.append(current)
 
-            if fib is None:
+            entry = fib.get(current)
+            if entry is None or entry.generation != gen:
+                if entry is None:
+                    self._fib_entries += 1
                 entry = self._compute_fib_entry(router, target, spec)
+                fib[current] = entry
+                self._fib_misses += 1
             else:
-                entry = fib.get(current)
-                if entry is None or entry.generation != gen:
-                    if entry is None:
-                        self._fib_entries += 1
-                    entry = self._compute_fib_entry(router, target, spec)
-                    fib[current] = entry
-                    self._fib_misses += 1
-                else:
-                    self._fib_hits += 1
+                self._fib_hits += 1
             kind = entry.kind
 
             # TTL expiry check (the router that decrements to zero).
@@ -948,8 +934,8 @@ class Internet:
     ) -> FibEntry:
         """Compute the deterministic forwarding action at *router*.
 
-        Exactly the pre-fast-path walk control flow, minus the
-        per-packet choices.  Plain routers' destination-based ECMP
+        Everything about the hop that does not depend on the packet.
+        Plain routers' destination-based ECMP
         tie-break (a hash of ``(router, destination)``) is itself a
         pure function of the cache key, so it is folded into the entry
         as a forced ``FIB_DELIVER``; load balancers and DBR violators
@@ -1246,27 +1232,8 @@ class Internet:
         self._flush_resolution_caches()
         self.prefix_table.flush_lookup_cache()
 
-    # ------------------------------------------------------------------
-    # Fast-path control and introspection
-    # ------------------------------------------------------------------
-
-    def enable_fastpath(self, enabled: bool = True) -> None:
-        """Toggle the forwarding fast path (FIB / resolution / LPM).
-
-        Disabling recomputes every forwarding decision from scratch —
-        bit-identical outcomes, used by determinism guards and the
-        cached-vs-uncached benchmark.  Toggling drops all cached state
-        either way.
-        """
-        self.fastpath_enabled = enabled
-        self.prefix_table.cache_enabled = enabled
-        self._fib.clear()
-        self._fib_entries = 0
-        self._flush_resolution_caches()
-        self.prefix_table.flush_lookup_cache()
-
     def forwarding_cache_stats(self) -> Dict[str, object]:
-        """Hit/miss/size accounting for every fast-path cache.
+        """Hit/miss/size accounting for every forwarding memo.
 
         JSON-able; surfaced through ``repro stats``, the service's
         :meth:`~repro.service.api.RevtrService.metrics_snapshot`, and
@@ -1274,7 +1241,6 @@ class Internet:
         """
         table = self.prefix_table
         return {
-            "enabled": self.fastpath_enabled,
             "routing_generation": self.routing_generation,
             "caches": {
                 "fib": {

@@ -1,11 +1,12 @@
 """Tests for the atlas pipeline (sharded build, dedup, refresh, snapshots).
 
-The acceptance bar for the pipeline is byte-identity: every fast path
-(batched probing, probe dedup, shard-lane accounting, snapshot
-warm-start) must produce exactly the atlases — and exactly the
-downstream reverse-traceroute results — that the plain serial build
-produces.  Forwarding outcomes are pure functions of each probe, so
-these tests can compare dictionaries directly instead of sampling.
+The acceptance bar for the pipeline is byte-identity: batched probing,
+probe dedup, shard-lane accounting and snapshot warm-start must
+produce exactly the atlases — and exactly the downstream
+reverse-traceroute results — that probing one hop occurrence at a
+time produces (``tests/helpers/reference_rr_atlas.py``).  Forwarding
+outcomes are pure functions of each probe, so these tests can compare
+dictionaries directly instead of sampling.
 """
 
 import gzip
@@ -29,6 +30,10 @@ from repro.net.packet import TracerouteResult
 from repro.obs import Instrumentation
 from repro.topology import TopologyConfig
 from repro.topology.generator import build_internet
+from tests.helpers.reference_rr_atlas import (
+    probe_ladders_serial,
+    reference_build,
+)
 
 SEED = 5
 ATLAS_SIZE = 20
@@ -65,7 +70,8 @@ def measure_stream(scenario, source, destinations):
 
 @pytest.fixture(scope="module")
 def serial_world():
-    """Legacy path: serial traceroute build + serial non-dedup RR."""
+    """Oracle path: plain traceroute build + the reference RR build
+    (one probe at a time, one ladder per hop occurrence)."""
     scenario = fresh_scenario()
     source = scenario.sources()[0]
     atlas = TracerouteAtlas(source, max_size=ATLAS_SIZE)
@@ -76,11 +82,8 @@ def serial_world():
         size=ATLAS_SIZE,
     )
     rr_atlas = RRAtlas(atlas)
-    rr_atlas.build(
-        scenario.background_prober,
-        scenario.spoofer_addrs,
-        dedup=False,
-        batched=False,
+    reference_build(
+        rr_atlas, scenario.background_prober, scenario.spoofer_addrs
     )
     scenario.adopt_atlases(source, atlas, rr_atlas)
     return scenario, source, atlas, rr_atlas
@@ -88,7 +91,7 @@ def serial_world():
 
 @pytest.fixture(scope="module")
 def sharded_world():
-    """Pipeline path: sharded virtual-clock build, dedup + batch on."""
+    """Pipeline path: sharded virtual-clock build."""
     scenario = fresh_scenario()
     source = scenario.sources()[0]
     pipeline = scenario.atlas_pipeline(shards=4)
@@ -131,7 +134,7 @@ class TestShardedByteIdentity:
         _, _, _, sharded_rr, _ = sharded_world
         assert sharded_rr._mapping == serial_rr._mapping
         # Dedup removes probes without changing the mapping; together
-        # sent + saved must account for every serial-mode probe.
+        # sent + saved must account for every per-occurrence probe.
         assert sharded_rr.probes_sent < serial_rr.probes_sent
         assert sharded_rr.probes_deduped > 0
         assert (
@@ -159,7 +162,6 @@ class TestShardedByteIdentity:
         stages = {report.stage: report for report in pipeline.reports}
         assert set(stages) == {"traceroute", "rr"}
         for report in stages.values():
-            assert report.mode == "virtual"
             assert report.shards == 4
             assert report.tasks > 0
             assert report.probes_sent > 0
@@ -172,51 +174,62 @@ class TestShardedByteIdentity:
 
 
 class TestBatchedSerialEquivalence:
-    """Satellite: batched RR build == serial loop, probe for probe."""
+    """Satellite: batched, deduplicated RR build == the reference
+    loop, probe for probe, on one prober."""
 
     def test_all_mode_combinations_share_one_mapping(self, serial_world):
+        """Per distinct address in batched rounds (``RRAtlas.build``)
+        or per occurrence one probe at a time (the reference): one
+        mapping, and every reference probe is either sent or saved."""
         scenario, _, atlas, baseline = serial_world
-        prober = scenario.background_prober
-        spoofers = scenario.spoofer_addrs
-        builds = {}
-        for dedup in (False, True):
-            for batched in (False, True):
-                rr_atlas = RRAtlas(atlas)
-                rr_atlas.build(
-                    prober, spoofers, dedup=dedup, batched=batched
-                )
-                builds[(dedup, batched)] = rr_atlas
-        for rr_atlas in builds.values():
-            assert rr_atlas._mapping == baseline._mapping
-        # Probe counts depend on dedup only, never on batching.
-        for dedup in (False, True):
-            assert (
-                builds[(dedup, True)].probes_sent
-                == builds[(dedup, False)].probes_sent
-            )
-            assert (
-                builds[(dedup, True)].probes_deduped
-                == builds[(dedup, False)].probes_deduped
-            )
-        assert builds[(False, True)].probes_sent == baseline.probes_sent
-        assert builds[(False, True)].probes_deduped == 0
+        rr_atlas = RRAtlas(atlas)
+        rr_atlas.build(
+            scenario.background_prober, scenario.spoofer_addrs
+        )
+        assert rr_atlas._mapping == baseline._mapping
+        stats, expected = rr_atlas.last_build, baseline.last_build
+        assert stats.occurrences == expected.occurrences
+        assert stats.units < expected.units == expected.occurrences
+        assert (
+            rr_atlas.probes_sent + rr_atlas.probes_deduped
+            == baseline.probes_sent
+        )
+        assert rr_atlas.probes_deduped > 0
+        assert baseline.probes_deduped == 0
 
     def test_batched_clock_advance_matches_serial(self, serial_world):
         scenario, _, atlas, _ = serial_world
         prober = scenario.background_prober
         spoofers = scenario.spoofer_addrs
-        costs = []
-        for batched in (False, True):
-            started = prober.clock.now()
-            rr_atlas = RRAtlas(atlas)
-            rr_atlas.build(
-                prober, spoofers, dedup=True, batched=batched
+        source = atlas.source
+
+        started = prober.clock.now()
+        rr_atlas = RRAtlas(atlas)
+        rr_atlas.build(prober, spoofers)
+        elapsed = prober.clock.now() - started
+        stats = rr_atlas.last_build
+        assert stats.virtual_seconds == pytest.approx(elapsed)
+
+        # The same distinct targets, one ladder at a time: each ladder
+        # costs what its batched rounds were accounted, and the clock
+        # advances by the same total.
+        targets = list(
+            dict.fromkeys(
+                hop
+                for trace in atlas.traceroutes.values()
+                for hop in trace.hops
+                if hop is not None and hop != source
             )
-            costs.append(prober.clock.now() - started)
-            assert rr_atlas.last_build.virtual_seconds == pytest.approx(
-                costs[-1]
-            )
-        assert costs[0] == pytest.approx(costs[1])
+        )
+        started = prober.clock.now()
+        ladders = probe_ladders_serial(
+            prober, source, targets, spoofers[:2]
+        )
+        assert prober.clock.now() - started == pytest.approx(elapsed)
+        assert [cost for _, _, cost in ladders] == pytest.approx(
+            stats.unit_costs
+        )
+        assert sum(n for _, n, _ in ladders) == stats.probes_sent
 
 
 class TestRRAtlasStaleLookup:
@@ -499,30 +512,6 @@ class TestLoadOrBuild:
         assert rr_atlas2._mapping == rr_atlas._mapping
         # The warm start sent zero probes.
         assert sum(warm_sc.background_counter.counts.values()) == 0
-
-
-class TestThreadedMode:
-    def test_threaded_build_matches_hop_contents(self, sharded_world):
-        _, source, virtual_atlas, virtual_rr, _ = sharded_world
-        threaded_sc = fresh_scenario()
-        pipeline = threaded_sc.atlas_pipeline(shards=4, threaded=True)
-        atlas, rr_atlas = pipeline.bootstrap(
-            source,
-            threaded_sc.bundle_rng(source),
-            size=ATLAS_SIZE,
-            max_size=ATLAS_SIZE,
-        )
-        assert pipeline.reports[0].mode == "threaded"
-        # Hop contents are clock-independent, so they must match the
-        # virtual-mode build even though timestamps interleave.
-        assert {
-            vp: tuple(trace.hops)
-            for vp, trace in atlas.traceroutes.items()
-        } == {
-            vp: tuple(trace.hops)
-            for vp, trace in virtual_atlas.traceroutes.items()
-        }
-        assert rr_atlas._mapping == virtual_rr._mapping
 
 
 class TestPipelineObservability:

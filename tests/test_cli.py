@@ -23,6 +23,23 @@ class TestParser:
         assert args.seed == 5
         assert args.scale == "tiny"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--no-fastpath", "measure"],
+            ["serve", "--threaded"],
+            ["atlas", "build", "--threaded"],
+            ["atlas", "build", "--no-dedup"],
+        ],
+    )
+    def test_retired_switches_are_rejected_not_ignored(
+        self, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_measure_runs(self, capsys):

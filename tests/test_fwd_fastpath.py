@@ -1,13 +1,17 @@
-"""Forwarding fast path: determinism, invalidation, and accounting.
+"""Forwarding memos: determinism, invalidation, and accounting.
 
-The fast path's contract is that it is *invisible* except in speed:
-cached and uncached forwarding must be bit-identical (including the
+The memos' contract is that they are *invisible* except in speed:
+memoised forwarding must be bit-identical to recomputing every
+decision (``tests/helpers/reference_walk.py``), including the
 stochastic load-balancer and DBR-violator hops, whose per-packet
-choices stay outside the cache), and every cache must flush when a
+choices stay outside the cache, and every cache must flush when a
 traffic-engineering announcement change calls ``invalidate_routing()``.
 """
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.addr import Prefix, PrefixTable
 from repro.net.host import Host
@@ -19,13 +23,11 @@ from repro.sim.network import PrefixInfo
 from repro.topology import TopologyConfig
 from repro.topology.generator import build_internet
 from repro.topology.policy import AnnouncementSpec, Origin
+from tests.helpers.reference_walk import uncached_forwarding
 
 
-def fresh_internet(seed: int = 5, fastpath: bool = True):
-    internet = build_internet(TopologyConfig.small(seed=seed))
-    if not fastpath:
-        internet.enable_fastpath(False)
-    return internet
+def fresh_internet(seed: int = 5):
+    return build_internet(TopologyConfig.small(seed=seed))
 
 
 def probe_stream(internet, n: int = 40):
@@ -63,16 +65,155 @@ def outcome_key(outcome):
         None
         if echo is None
         else (echo.src, echo.rtt, echo.ipid, tuple(echo.rr_slots)),
+        outcome.te_reply,
     )
+
+
+# ----------------------------------------------------------------------
+# Property: any interleaving of probes and routing changes
+# ----------------------------------------------------------------------
+
+TINY = TopologyConfig.tiny(seed=11)
+
+
+@lru_cache(maxsize=None)
+def tiny_endpoints():
+    """(sources, destinations, overridable hosts, flippable ASNs) of
+    the tiny topology, each sorted."""
+    internet = build_internet(TINY)
+    graph = internet.graph
+    hosts = sorted(internet.hosts.values(), key=lambda h: h.addr)
+    multihomed = [
+        h for h in hosts if len(graph.nodes[h.asn].providers()) >= 2
+    ]
+    # Few enough ASes that a drawn flip often lands on one whose
+    # hosts were probed (and whose FIB rows were filled) before it.
+    flippable = sorted(
+        asn
+        for asn, node in graph.nodes.items()
+        if node.neighbor_pref and len(node.providers()) >= 2
+    )[:4]
+    destinations = (
+        [
+            addr
+            for asn in flippable
+            for addr in [h.addr for h in hosts if h.asn == asn][:3]
+        ]
+        + [h.addr for h in multihomed][:12]
+        + sorted(internet.iface_owner)[:12]
+        + ["203.0.113.7"]  # inside no prefix
+    )
+    sources = internet.mlab_hosts[:3] + internet.atlas_hosts[:3]
+    return sources, destinations, multihomed[:20], flippable
+
+
+@st.composite
+def forwarding_ops(draw):
+    sources, destinations, multihomed, flippable = tiny_endpoints()
+    probe = st.tuples(
+        st.just("probe"),
+        st.sampled_from(sources),
+        st.sampled_from(destinations),
+        st.sampled_from(("plain", "rr", "spoofed-rr", "ttl")),
+        st.integers(0, 3),
+    )
+    batch = st.tuples(st.just("batch"), st.sampled_from(destinations))
+    override = st.tuples(
+        st.just("override"), st.integers(0, len(multihomed) - 1)
+    )
+    flip = st.tuples(
+        st.just("flip"), st.sampled_from(flippable), st.integers(0, 7)
+    )
+    return draw(
+        st.lists(
+            st.one_of(
+                probe, probe, probe, batch, override, flip,
+                st.just(("clear",)),
+            ),
+            min_size=4,
+            max_size=24,
+        )
+    )
+
+
+def make_probe(src, dst, kind, flow):
+    sources = tiny_endpoints()[0]
+    if kind == "plain":
+        return Probe(src=src, dst=dst, flow_id=flow)
+    if kind == "ttl":
+        return Probe(src=src, dst=dst, flow_id=flow, ttl=2 + flow)
+    spoofed = kind == "spoofed-rr"
+    return Probe(
+        # a spoofed probe claims the next source's address
+        src=sources[(sources.index(src) + 1) % len(sources)]
+        if spoofed
+        else src,
+        dst=dst,
+        kind=ProbeKind.SPOOFED_RECORD_ROUTE
+        if spoofed
+        else ProbeKind.RECORD_ROUTE,
+        injected_at=src,
+        flow_id=flow,
+        record_route=RecordRouteOption(),
+    )
+
+
+def apply_op(internet, op, leak_stale_rows=False):
+    """Run one drawn operation; returns what it observed."""
+    sources, _, multihomed, _ = tiny_endpoints()
+    if op[0] == "probe":
+        return outcome_key(internet.send_probe(make_probe(*op[1:])))
+    if op[0] == "batch":
+        probes = [make_probe(vp, op[1], "rr", 0) for vp in sources[:3]]
+        return [
+            outcome_key(o) for o in internet.send_probe_batch(probes)
+        ]
+    stale = dict(internet._fib)
+    if op[0] == "override":
+        host = multihomed[op[1]]
+        provider = sorted(internet.graph.nodes[host.asn].providers())[0]
+        prefix = internet.prefix_table.lookup_prefix(host.addr)
+        internet.announcements[prefix] = AnnouncementSpec(
+            origins=(Origin(host.asn),),
+            no_export=frozenset({(host.asn, provider)}),
+        )
+    elif op[0] == "clear":
+        internet.announcements.clear()
+    else:  # flip: the in-place local-pref edit of exp_staleness
+        node = internet.graph.nodes[op[1]]
+        providers = sorted(node.providers())
+        node.neighbor_pref.clear()
+        node.neighbor_pref[providers[op[2] % len(providers)]] = 100
+    internet.invalidate_routing()
+    if leak_stale_rows:
+        # A reference to the old rows outlives the invalidation: the
+        # generation stamp alone must make every entry a miss.
+        internet._fib.update(stale)
+    return internet.routing_generation
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=forwarding_ops())
+def test_memoised_forwarding_equals_recomputing_every_hop(ops):
+    memoised, recomputed = build_internet(TINY), build_internet(TINY)
+    # Every probe is sent again at the end, after whatever rerouted it.
+    for op in ops + [op for op in ops if op[0] in ("probe", "batch")]:
+        seen = apply_op(memoised, op, leak_stale_rows=True)
+        with uncached_forwarding():
+            expected = apply_op(recomputed, op)
+        assert seen == expected, op
+    assert memoised.probe_outcome_counts == recomputed.probe_outcome_counts
+    assert memoised._obs_hops == recomputed._obs_hops
+    assert memoised._ipid_counters == recomputed._ipid_counters
 
 
 class TestDeterminism:
     def test_cached_equals_uncached_probe_stream(self):
-        """Same-seed runs with caches on vs. off are byte-identical,
+        """Same-seed runs, memoised vs. recomputed, are byte-identical,
         including RR (option) probes through load balancers and
         DBR-violating routers."""
-        fast = fresh_internet(fastpath=True)
-        slow = fresh_internet(fastpath=False)
+        fast = fresh_internet()
+        slow = fresh_internet()
         # The topology must actually contain the stochastic router
         # kinds the cache is required to leave outside the FIB.
         assert any(r.is_load_balancer for r in fast.routers.values())
@@ -82,15 +223,18 @@ class TestDeterminism:
             probe_stream(fast), probe_stream(slow)
         ):
             out_fast = fast.send_probe(probe_fast)
-            out_slow = slow.send_probe(probe_slow)
+            with uncached_forwarding():
+                out_slow = slow.send_probe(probe_slow)
             assert outcome_key(out_fast) == outcome_key(out_slow)
 
-        stats = fast.forwarding_cache_stats()
-        assert stats["enabled"]
-        assert stats["caches"]["fib"]["hits"] > 0
-        slow_stats = slow.forwarding_cache_stats()
-        assert not slow_stats["enabled"]
-        assert slow_stats["caches"]["fib"]["entries"] == 0
+        stats = fast.forwarding_cache_stats()["caches"]
+        assert stats["fib"]["hits"] > 0
+        assert stats["resolve"]["hits"] > 0
+        assert stats["lpm"]["hits"] > 0
+        # The oracle remembered nothing.
+        assert slow._fib == {}
+        assert slow._resolve_cache == {} and slow._announce_cache == {}
+        assert slow.prefix_table.cache_hits == 0
 
     def test_batch_equals_sequential(self):
         """send_probe_batch shares resolution across the batch but
@@ -122,22 +266,6 @@ class TestDeterminism:
             outcome_key(o) for o in seq_out
         ]
 
-    def test_toggle_fastpath_preserves_paths(self):
-        """Toggling the fast path mid-run never changes ground truth."""
-        internet = fresh_internet()
-        src = internet.mlab_hosts[0]
-        dst = sorted(
-            host.addr
-            for host in internet.hosts.values()
-            if host.responds_to_ping and not host.is_vantage_point
-        )[5]
-        warm = internet.ground_truth_router_path(src, dst)
-        internet.enable_fastpath(False)
-        cold = internet.ground_truth_router_path(src, dst)
-        internet.enable_fastpath(True)
-        rewarmed = internet.ground_truth_router_path(src, dst)
-        assert warm == cold == rewarmed
-
 
 class TestInvalidation:
     def _overridable_route(self, internet, src):
@@ -164,17 +292,20 @@ class TestInvalidation:
     def test_te_override_flushes_every_cache(self):
         """A TE announcement override + invalidate_routing() drops the
         FIB, resolution, announcement, and LPM caches, and the rerouted
-        paths equal those of an uncached fresh Internet."""
+        paths equal those of a fresh Internet that memoises nothing."""
         internet = fresh_internet()
-        reference = fresh_internet(fastpath=False)
+        reference = fresh_internet()
+
+        def reference_path(src, dst):
+            with uncached_forwarding():
+                return reference.ground_truth_router_path(src, dst)
+
         src = internet.mlab_hosts[0]
         host, used_provider = self._overridable_route(internet, src)
         prefix = internet.prefix_table.lookup_prefix(host.addr)
 
         before = internet.ground_truth_router_path(src, host.addr)
-        assert before == reference.ground_truth_router_path(
-            src, host.addr
-        )
+        assert before == reference_path(src, host.addr)
 
         stats = internet.forwarding_cache_stats()["caches"]
         assert stats["fib"]["entries"] > 0
@@ -200,9 +331,7 @@ class TestInvalidation:
         # The cached Internet re-converges to exactly the uncached
         # reference's post-override routing; if the destination is
         # still reachable, the override moved the path.
-        assert after == reference.ground_truth_router_path(
-            src, host.addr
-        )
+        assert after == reference_path(src, host.addr)
         if after:
             assert after != before
 
@@ -302,17 +431,6 @@ class TestPrefixTableCache:
         table.insert(Prefix.parse("10.1.2.0/24"), "fine")
         assert table.cached_lookups == 0
         assert table.lookup("10.1.2.3") == "fine"
-
-    def test_cache_disabled_bypasses_memo(self):
-        table = PrefixTable()
-        table.cache_enabled = False
-        table.insert(Prefix.parse("10.0.0.0/8"), "value")
-        assert table.lookup("10.5.5.5") == "value"
-        assert table.lookup_prefix("10.5.5.5") == Prefix.parse(
-            "10.0.0.0/8"
-        )
-        assert table.cached_lookups == 0
-        assert table.cache_hits == 0
 
     def test_negative_results_are_cached(self):
         table = PrefixTable()

@@ -55,3 +55,39 @@ def test_public_classes_documented():
             ):
                 undocumented.append(f"{module_name}.{name}")
     assert not undocumented, undocumented
+
+
+def test_retired_switches_stay_retired(small_scenario):
+    """One path per concern (DESIGN.md): an alternative implementation
+    lives in ``tests/helpers/`` as an oracle, never behind an option
+    in ``src/``.  The switches PR 17 removed must not come back."""
+    import dataclasses
+
+    from repro.service import RevtrService, SchedulerConfig, SourceRegistry
+
+    sc = small_scenario
+    service = RevtrService(
+        prober=sc.online_prober,
+        registry=SourceRegistry(
+            sc.internet, sc.background_prober, sc.atlas_vp_addrs,
+            sc.spoofer_addrs,
+        ),
+        selector=sc.selector("revtr2.0"),
+        ip2as=sc.ip2as,
+        relationships=sc.relationships,
+    )
+    retired = {
+        "fastpath_enabled", "enable_fastpath", "cache_enabled",
+        "run_threaded", "threaded", "_sim_lock",
+    }
+    for obj in (
+        sc.internet,
+        sc.internet.prefix_table,
+        service.scheduler(),
+        sc.atlas_pipeline(),
+    ):
+        assert not retired & set(dir(obj)), type(obj).__name__
+    assert [f.name for f in dataclasses.fields(SchedulerConfig)] == [
+        "parallelism", "max_queue_per_user", "deadline", "max_retries",
+        "retry_backoff",
+    ]

@@ -1,9 +1,10 @@
 """Tests for the request scheduler: admission control, determinism,
-overload behavior, and the threaded execution mode."""
+overload behavior, and coalesced same-source groups."""
 
 import pytest
 
 from repro.core.result import RevtrStatus
+from repro.core.revtr import EngineConfig
 from repro.experiments import Scenario
 from repro.obs import Instrumentation
 from repro.service import (
@@ -16,7 +17,9 @@ from repro.service import (
 from repro.topology import TopologyConfig
 
 
-def build_service(scenario, instrumentation=None, atlas_size=15):
+def build_service(
+    scenario, instrumentation=None, atlas_size=15, engine_config=None
+):
     registry = SourceRegistry(
         scenario.internet,
         scenario.background_prober,
@@ -32,6 +35,7 @@ def build_service(scenario, instrumentation=None, atlas_size=15):
         ip2as=scenario.ip2as,
         relationships=scenario.relationships,
         resolver=scenario.resolver,
+        engine_config=engine_config,
         instrumentation=instrumentation,
     )
 
@@ -243,75 +247,6 @@ class TestDeterminism:
         scheduler.run()
 
 
-class TestThreadedMode:
-    def test_stress_no_lost_records_or_corrupt_counters(
-        self, small_scenario
-    ):
-        service = build_service(small_scenario)
-        owner = service.add_user("t-owner", max_per_day=100_000)
-        sources = small_scenario.sources()[6:8]
-        service.add_source(owner.api_key, sources[0])
-        service.add_source(owner.api_key, sources[1])
-        users = [
-            service.add_user(
-                f"t-user{i}", max_parallel=2, max_per_day=10_000
-            )
-            for i in range(4)
-        ]
-        dsts = small_scenario.responsive_destinations(
-            8, options_only=True
-        )
-        scheduler = service.scheduler(
-            SchedulerConfig(parallelism=6, max_queue_per_user=64)
-        )
-        expected = 0
-        for user in users:
-            for index, dst in enumerate(dsts):
-                scheduler.submit(
-                    user.api_key, dst, sources[index % 2]
-                )
-                expected += 1
-        report = scheduler.run_threaded(max_workers=6)
-        # Graceful under concurrency: every job reached a terminal
-        # state, nothing raised, nothing was lost.
-        assert report.completed == expected
-        assert not report.rejected
-        assert len(service.store) == expected
-        now = service.prober.clock.now()
-        for user in users:
-            done = len(service.store.by_user(user.name))
-            assert done == len(dsts)
-            # Quota accounting matches executions exactly (no lost or
-            # double charges despite concurrent workers).
-            assert (
-                user.max_per_day - user.remaining_today(now) == done
-            )
-            assert report.peak_inflight[user.name] <= 2
-
-    def test_threaded_queue_full_rejection(self, small_scenario):
-        service = build_service(small_scenario)
-        owner = service.add_user("t2-owner", max_per_day=100_000)
-        source = small_scenario.sources()[6]
-        service.add_source(owner.api_key, source)
-        user = service.add_user(
-            "t2-user", max_parallel=2, max_per_day=1000
-        )
-        dsts = small_scenario.responsive_destinations(
-            6, options_only=True
-        )
-        scheduler = service.scheduler(
-            SchedulerConfig(parallelism=2, max_queue_per_user=2)
-        )
-        jobs = [
-            scheduler.submit(user.api_key, dst, source) for dst in dsts
-        ]
-        report = scheduler.run_threaded(max_workers=2)
-        assert report.completed == 2
-        assert report.rejected["queue-full"] == 4
-        terminal = {JobState.DONE, JobState.REJECTED}
-        assert all(job.state in terminal for job in jobs)
-
-
 class TestDoomedRetry:
     """A retry whose backoff alone overshoots the deadline is rejected
     at requeue time (typed DEADLINE), not parked in the queue to be
@@ -358,17 +293,152 @@ class TestDoomedRetry:
         report = scheduler.run()
         self._check(report, doomed, healthy)
 
-    def test_threaded_mode(self, sched_service, small_scenario):
-        service, source, _ = sched_service
-        user = service.add_user(
-            "doomed-t", max_parallel=2, max_per_day=1000
+
+class TestCoalescedGroups:
+    """The grouped path (`_execute_group` -> `_measure_group`): a
+    service whose engine config coalesces batches runs same-source jobs
+    admissible at one instant as one ``measure_many`` group."""
+
+    def _build(self, coalesce=True, parallelism=4, **config):
+        scenario = Scenario(
+            config=TopologyConfig.tiny(seed=3), seed=3, atlas_size=10
         )
-        dead = unresponsive_destination(small_scenario)
-        alive = small_scenario.responsive_destinations(
-            1, options_only=True
-        )[0]
-        scheduler = service.scheduler(self._config())
-        doomed = scheduler.submit(user.api_key, dead, source)
-        healthy = scheduler.submit(user.api_key, alive, source)
-        report = scheduler.run_threaded(max_workers=2)
-        self._check(report, doomed, healthy)
+        service = build_service(
+            scenario,
+            atlas_size=10,
+            engine_config=EngineConfig(coalesce_batches=coalesce),
+        )
+        owner = service.add_user("owner")
+        sources = scenario.sources()[:2]
+        for source in sources:
+            service.add_source(owner.api_key, source)
+        dsts = scenario.responsive_destinations(8, options_only=True)
+        scheduler = service.scheduler(
+            SchedulerConfig(parallelism=parallelism, **config)
+        )
+        # Every group the scheduler hands the service, as job lists.
+        groups = []
+        measure_group = service._measure_group
+
+        def recording(engine, items):
+            queued = {
+                (job.user, job.dst, job.src): job
+                for job in scheduler.jobs
+                if job.result is None and job.reject_reason is None
+            }
+            groups.append(
+                [
+                    queued[(user, dst, engine.source)]
+                    for dst, user, _ in items
+                ]
+            )
+            return measure_group(engine, items)
+
+        service._measure_group = recording
+        return service, scheduler, sources, dsts, groups
+
+    @staticmethod
+    def _timeline(scheduler):
+        return [
+            (
+                job.user,
+                job.dst,
+                job.state.value,
+                job.started_at,
+                job.finished_at,
+                None if job.result is None else job.result.addresses(),
+            )
+            for job in scheduler.jobs
+        ]
+
+    def test_parallel_cap_holds_inside_a_group(self):
+        service, scheduler, sources, dsts, groups = self._build()
+        solo = service.add_user("solo", max_parallel=1)
+        wide = service.add_user("wide", max_parallel=4)
+        for dst in dsts[:3]:
+            scheduler.submit(solo.api_key, dst, sources[0])
+        for dst in dsts[3:8]:
+            scheduler.submit(wide.api_key, dst, sources[0])
+        report = scheduler.run()
+        assert report.completed == 8
+        # The first instant fills all four lanes: solo's head job and
+        # three of wide's — never solo's second job beside its first.
+        assert [job.user for job in groups[0]] == [
+            "solo", "wide", "wide", "wide",
+        ]
+        for group in groups:
+            assert [job.user for job in group].count("solo") <= 1
+        assert report.peak_inflight == {"solo": 1, "wide": 4}
+
+    def test_group_starts_together_and_finishes_apart(self):
+        service, scheduler, sources, dsts, groups = self._build()
+        users = [
+            service.add_user(f"u{i}", max_parallel=2) for i in range(3)
+        ]
+        for index, dst in enumerate(dsts):
+            scheduler.submit(
+                users[index % 3].api_key, dst, sources[0]
+            )
+        scheduler.run()
+        assert max(len(group) for group in groups) > 1
+        durations = set()
+        for group in groups:
+            start = group[0].started_at
+            for job in group:
+                assert job.started_at == start
+                assert job.finished_at == start + job.result.duration
+                durations.add(job.result.duration)
+        # Not one shared finish: each job keeps its own duration.
+        assert len(durations) > 1
+
+    def test_failed_admission_rejects_one_job_not_its_group(self):
+        service, scheduler, sources, dsts, groups = self._build(
+            deadline=5.0
+        )
+        late = service.add_user("late", max_parallel=1)
+        frugal = service.add_user("frugal", max_parallel=4, max_per_day=1)
+        rich = service.add_user("rich", max_parallel=4)
+        overdue = scheduler.submit(late.api_key, dsts[0], sources[0])
+        # Everything else is submitted 10 s later, so only `overdue`
+        # has out-waited the deadline when the first instant comes.
+        service.prober.clock.advance(10.0)
+        paid = scheduler.submit(frugal.api_key, dsts[1], sources[0])
+        unpaid = scheduler.submit(frugal.api_key, dsts[2], sources[0])
+        sibling = scheduler.submit(rich.api_key, dsts[3], sources[0])
+        t0 = service.prober.clock.now()
+        assert scheduler.step() is overdue
+        # One instant, one group of four picked; two fail admission.
+        assert [job.started_at for job in scheduler.jobs] == [t0] * 4
+        assert overdue.reject_reason is RejectReason.DEADLINE
+        assert unpaid.reject_reason is RejectReason.QUOTA
+        assert overdue.result is None and unpaid.result is None
+        assert groups == [[paid, sibling]]
+        assert paid.state is sibling.state is JobState.DONE
+        assert frugal.remaining_today(t0) == 0
+        report = scheduler.run()
+        assert report.completed == 2
+        assert report.rejected == {"deadline": 1, "quota": 1}
+
+    def test_without_same_source_company_equals_the_solo_path(self):
+        """Two users, one source each, two lanes: at every instant the
+        two admissible jobs go to different engines, so every group is
+        a group of one and the schedule is the uncoalesced one."""
+        timelines, reports = [], []
+        for coalesce in (True, False):
+            service, scheduler, sources, dsts, groups = self._build(
+                coalesce=coalesce, parallelism=2
+            )
+            for name, source in zip(("a", "b"), sources):
+                user = service.add_user(name, max_parallel=1)
+                for dst in dsts[:4]:
+                    scheduler.submit(user.api_key, dst, source)
+            reports.append(scheduler.run().as_dict())
+            timelines.append(self._timeline(scheduler))
+            if coalesce:
+                assert len(groups) == 8
+                assert all(len(group) == 1 for group in groups)
+            else:
+                assert groups == []
+        assert reports[0] == reports[1]
+        assert reports[0]["completed"] == 8
+        assert timelines[0] == timelines[1]

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.result import RevtrStatus
+from repro.core.revtr import EngineConfig
+from repro.experiments import Scenario
 from repro.service import (
     MeasurementRequest,
     MeasurementStore,
@@ -12,6 +14,7 @@ from repro.service import (
 from repro.service.sources import BootstrapError
 from repro.service.users import QuotaExceeded, UserDatabase
 from repro.sim.clock import VirtualClock
+from repro.topology import TopologyConfig
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +206,78 @@ class TestBatchCharging:
         # Only the attempted measurements (1 ok + 1 failed) were
         # charged; the two never-executed ones were not.
         assert user.remaining_today(now) == 8
+
+    @staticmethod
+    def _tiny_service(coalesce):
+        """(service, user, source, 5 destinations) on a service of its
+        own, batches coalesced or not."""
+        scenario = Scenario(
+            config=TopologyConfig.tiny(seed=3), seed=3, atlas_size=10
+        )
+        registry = SourceRegistry(
+            scenario.internet,
+            scenario.background_prober,
+            scenario.atlas_vp_addrs,
+            scenario.spoofer_addrs,
+            atlas_size=10,
+            seed=9,
+        )
+        service = RevtrService(
+            prober=scenario.online_prober,
+            registry=registry,
+            selector=scenario.selector("revtr2.0"),
+            ip2as=scenario.ip2as,
+            relationships=scenario.relationships,
+            resolver=scenario.resolver,
+            engine_config=EngineConfig(coalesce_batches=coalesce),
+        )
+        source = scenario.sources()[0]
+        service.add_source(service.add_user("owner").api_key, source)
+        dsts = scenario.responsive_destinations(5, options_only=True)
+        return service, service.add_user("batcher"), source, dsts
+
+    @pytest.mark.parametrize("coalesce", [False, True])
+    def test_quota_running_out_mid_batch_measures_what_it_charged(
+        self, coalesce
+    ):
+        # Regression: the coalesced path charged destination by
+        # destination *before* measuring, so 5 destinations against 3
+        # remaining quota raised having charged 3 and measured none.
+        service, user, source, dsts = self._tiny_service(coalesce)
+        user.max_per_day = 3
+        with pytest.raises(QuotaExceeded):
+            service.request_batch(user.api_key, dsts, src=source)
+        archived = service.store.by_user("batcher")
+        assert [m.result.dst for m in archived] == dsts[:3]
+        assert user.remaining_today(service.prober.clock.now()) == 0
+
+    @pytest.mark.parametrize(
+        "coalesce, charged, archived", [(False, 2, 1), (True, 0, 0)]
+    )
+    def test_engine_error_charges_nothing_that_was_not_attempted(
+        self, coalesce, charged, archived, monkeypatch
+    ):
+        # One by one, the measurement that raised was attempted and
+        # stays charged; a coalesced group that raises archives
+        # nothing, so everything it charged comes back.
+        service, user, source, dsts = self._tiny_service(coalesce)
+        engine = service._engine_for(source)
+        real_measure = engine.measure
+        calls = []
+
+        def failing_measure(dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise RuntimeError("engine blew up")
+            return real_measure(dst)
+
+        monkeypatch.setattr(engine, "measure", failing_measure)
+        with pytest.raises(RuntimeError):
+            service.request_batch(user.api_key, dsts, src=source)
+        assert calls == dsts[:2]
+        now = service.prober.clock.now()
+        assert user.max_per_day - user.remaining_today(now) == charged
+        assert len(service.store.by_user("batcher")) == archived
 
 
 class TestEngineInvalidation:

@@ -11,6 +11,7 @@ virtual clock, token buckets, probe counters, the simulator's outcome
 draw counter, injection tallies and rate-limit grants.
 """
 
+from contextlib import nullcontext
 from dataclasses import replace
 from functools import lru_cache
 
@@ -26,6 +27,7 @@ from repro.topology import TopologyConfig
 from repro.topology.generator import build_internet
 from repro.topology.policy import AnnouncementSpec, Origin
 from tests.helpers.reference_traceroute import reference_paris_traceroute
+from tests.helpers.reference_walk import uncached_forwarding
 
 CONFIGS = {
     "tiny": TopologyConfig.tiny(seed=11),
@@ -187,14 +189,13 @@ def fixed_jobs(name, count):
 
 
 def assert_same_campaign(
-    name, jobs, plan=None, vp_rate_pps=100.0, fastpath=True
+    name, jobs, plan=None, vp_rate_pps=100.0, forwarding=nullcontext
 ):
     swept, walked = twins(name)
-    if not fastpath:
-        swept.enable_fastpath(False)
-    results, state = campaign(
-        swept, paris_traceroute, jobs, plan, vp_rate_pps
-    )
+    with forwarding():
+        results, state = campaign(
+            swept, paris_traceroute, jobs, plan, vp_rate_pps
+        )
     expected_results, expected_state = campaign(
         walked, reference_paris_traceroute, jobs, plan, vp_rate_pps
     )
@@ -307,15 +308,17 @@ def test_mixed_fault_campaign_equals_one_probe_per_ttl():
 
 
 # ----------------------------------------------------------------------
-# (d) fast path off; rerouting between two traceroutes of one pair
+# (d) no FIB memo; rerouting between two traceroutes of one pair
 # ----------------------------------------------------------------------
 
 
 def test_sweep_with_fastpath_disabled():
-    """The sweep's walk is ``_walk``: with the fast path off it
-    recomputes every decision and still equals a probe per TTL on a
-    cached Internet."""
-    assert_same_campaign("small", fixed_jobs("small", 60), fastpath=False)
+    """The sweep's walk is ``_walk``: recomputing every decision
+    (``tests/helpers/reference_walk.py``) it still equals a probe per
+    TTL on a memoised Internet."""
+    assert_same_campaign(
+        "small", fixed_jobs("small", 60), forwarding=uncached_forwarding
+    )
 
 
 def rerouted_pair(internet):
