@@ -44,10 +44,9 @@ Commands:
   gating regressions beyond ``--threshold`` percent (non-zero exit);
   wall-clock keys are reported but never gated.
 
-``stats --watch SECONDS`` re-renders the stats/SLO view in place
-while a workload runs, and ``serve --http PORT`` exposes
-``/metrics``, ``/metrics.json``, ``/health`` and ``/timeseries``
-over HTTP while the scheduler demo executes.
+``serve --http PORT`` exposes ``/metrics``, ``/metrics.json``,
+``/health`` and ``/timeseries`` over HTTP while the scheduler demo
+executes.
 """
 
 from __future__ import annotations
@@ -226,15 +225,6 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs.exposition import render_text
 
-    if args.watch is not None and args.from_file:
-        print(
-            "error: --watch re-renders a live workload; it cannot be "
-            "combined with --from FILE",
-            file=sys.stderr,
-        )
-        return 2
-    if args.watch is not None:
-        return _stats_watch(args)
     if args.from_file:
         try:
             with open(args.from_file) as fh:
@@ -284,63 +274,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(format_slo(slo_summary(instr.registry.snapshot())))
     else:
         print(instr.registry.render_prometheus(), end="")
-    return 0
-
-
-def _stats_watch(args: argparse.Namespace) -> int:
-    """``stats --watch``: re-render the stats/SLO view in place while
-    a workload runs, sharing the ``repro top`` renderer machinery."""
-    import threading
-
-    from repro.obs.dashboard import live_view, render_top
-    from repro.obs.exposition import render_text
-    from repro.obs.timeseries import install_sampler
-
-    instr = Instrumentation()
-    sampler = install_sampler(instr, sim_interval=args.sample_interval)
-    scenario = _scenario(args, instrumentation=instr)
-    source = scenario.sources()[args.source_index]
-    engine = scenario.engine(
-        source,
-        args.variant,
-        config=_amortization_config(scenario, args),
-    )
-    dsts = scenario.responsive_destinations(
-        args.count, options_only=True
-    )
-    stop = threading.Event()
-
-    def workload() -> None:
-        for dst in dsts:
-            if stop.is_set():
-                return
-            engine.measure(dst)
-
-    worker = threading.Thread(
-        target=workload, name="repro-stats-workload", daemon=True
-    )
-    worker.start()
-
-    def frame():
-        sampler.sample()
-        snapshot = instr.registry.snapshot()
-        if args.slo:
-            latest = sampler.latest
-            text = render_top(
-                snapshot,
-                sampler=sampler,
-                title="repro stats --slo",
-                now_sim=latest.sim if latest is not None else None,
-            )
-        else:
-            text = render_text(snapshot).rstrip("\n")
-        return text, not worker.is_alive()
-
-    try:
-        live_view(frame, args.watch, max_frames=args.frames)
-    finally:
-        stop.set()
-        worker.join(timeout=10)
     return 0
 
 
@@ -710,8 +643,8 @@ def _fault_workload(args: argparse.Namespace, instr: Instrumentation):
 
     Construction order matches the original ``repro chaos`` wiring
     exactly — the chaos plan-replay byte-identity tests depend on it.
-    Returns ``(scenario, source, plan, service, tracker, injector,
-    report, engine)``.
+    Returns ``(plan, tracker, injector, report, engine)``, or None
+    after reporting an unusable ``--plan`` (before anything is built).
     """
     from repro.core.revtr import EngineConfig
     from repro.service import (
@@ -721,12 +654,18 @@ def _fault_workload(args: argparse.Namespace, instr: Instrumentation):
     )
     from repro.sim.faults import FaultPlan, preset_plan
 
+    plan = None
+    if args.plan:
+        try:
+            with open(args.plan) as fh:
+                plan = FaultPlan.from_json(fh.read())
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot load fault plan {args.plan}: {exc}",
+                  file=sys.stderr)
+            return None
     scenario = _scenario(args, instrumentation=instr)
     source = scenario.sources()[args.source_index]
-    if args.plan:
-        with open(args.plan) as fh:
-            plan = FaultPlan.from_json(fh.read())
-    else:
+    if plan is None:
         # The source is itself a spoof-capable host; an outage preset
         # that downed it would kill every direct probe at injection and
         # measure source death, not VP churn — keep it out of the
@@ -785,18 +724,15 @@ def _fault_workload(args: argparse.Namespace, instr: Instrumentation):
         scheduler.submit(user.api_key, dst, source)
     report = scheduler.run()
     engine = service._engine_for(source)
-    return (
-        scenario, source, plan, service, tracker, injector, report,
-        engine,
-    )
+    return plan, tracker, injector, report, engine
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     instr = Instrumentation()
-    (
-        scenario, source, plan, service, tracker, injector, report,
-        engine,
-    ) = _fault_workload(args, instr)
+    workload = _fault_workload(args, instr)
+    if workload is None:
+        return 2
+    plan, tracker, injector, report, engine = workload
 
     if args.plan_out:
         with open(args.plan_out, "w") as fh:
@@ -848,10 +784,10 @@ def _cmd_health(args: argparse.Namespace) -> int:
 
     instr = Instrumentation()
     sampler = install_sampler(instr, sim_interval=args.sample_interval)
-    (
-        scenario, source, plan, service, tracker, injector, report,
-        engine,
-    ) = _fault_workload(args, instr)
+    workload = _fault_workload(args, instr)
+    if workload is None:
+        return 2
+    plan, tracker, injector, report, engine = workload
     # Close the last window so the final state is always in the ring.
     sampler.sample()
 
@@ -1002,6 +938,66 @@ def _add_amortization_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_export_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--metrics-out", metavar="FILE",
+        help="write the metrics JSON snapshot to FILE",
+    )
+    p.add_argument(
+        "--events-out", metavar="FILE",
+        help="export the flight-recorder event log to FILE (JSONL)",
+    )
+
+
+def _add_fault_workload_flags(
+    p: argparse.ArgumentParser, requests: int
+) -> None:
+    """What ``chaos`` and ``health`` share: the flags that
+    :func:`_fault_workload` reads."""
+    p.add_argument(
+        "--preset",
+        choices=(
+            "none", "loss", "rate-limit", "vp-flap", "blackhole",
+            "mixed",
+        ),
+        default="mixed",
+        help="named fault scenario (seeded by the global --seed); "
+        "'none' checks a healthy run",
+    )
+    p.add_argument(
+        "--plan", metavar="FILE",
+        help="replay a fault plan saved as JSON instead of a preset",
+    )
+    p.add_argument(
+        "--requests", type=int, default=requests,
+        help="measurement requests submitted under faults",
+    )
+    p.add_argument(
+        "--parallel", type=int, default=2,
+        help="scheduler execution lanes",
+    )
+    p.add_argument(
+        "--deadline", type=float, default=None,
+        help="per-request queue-wait deadline (virtual seconds)",
+    )
+    p.add_argument(
+        "--retries", type=int, default=1,
+        help="scheduler retry budget for unresponsive destinations",
+    )
+    p.add_argument(
+        "--retry-budget", type=int, default=8,
+        help="engine-level technique retries per measurement",
+    )
+    p.add_argument(
+        "--quarantine", type=float, default=900.0,
+        help="VP quarantine window (virtual seconds)",
+    )
+    p.add_argument("--source-index", type=int, default=0)
+    p.add_argument("--json", action="store_true")
+    _add_export_flags(p)
+    _add_amortization_flags(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1034,16 +1030,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="machine-readable output: results, traces, metrics",
     )
-    measure.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        help="write the metrics JSON snapshot to FILE",
-    )
-    measure.add_argument(
-        "--events-out",
-        metavar="FILE",
-        help="export the flight-recorder event log to FILE (JSONL)",
-    )
+    _add_export_flags(measure)
     measure.set_defaults(func=_cmd_measure)
 
     asymmetry = sub.add_parser(
@@ -1088,30 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the SLO rollup (per-technique success rates, "
         "latency quantiles) instead of the raw exposition",
-    )
-    stats.add_argument(
-        "--watch",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="re-render the view in place every SECONDS while a "
-        "fresh workload runs (shares the `repro top` renderer)",
-    )
-    stats.add_argument(
-        "--frames",
-        type=int,
-        default=0,
-        metavar="N",
-        help="with --watch: stop after N frames (default: until the "
-        "workload finishes)",
-    )
-    stats.add_argument(
-        "--sample-interval",
-        type=float,
-        default=15.0,
-        metavar="SIM_SECONDS",
-        help="with --watch: telemetry sampling interval on the "
-        "virtual clock",
     )
     stats.set_defaults(func=_cmd_stats)
 
@@ -1267,15 +1230,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--source-index", type=int, default=0)
     serve.add_argument("--json", action="store_true")
-    serve.add_argument(
-        "--metrics-out", metavar="FILE",
-        help="write the metrics JSON snapshot to FILE",
-    )
-    serve.add_argument(
-        "--events-out",
-        metavar="FILE",
-        help="export the flight-recorder event log to FILE (JSONL)",
-    )
+    _add_export_flags(serve)
     serve.add_argument(
         "--events-rotate",
         type=int,
@@ -1321,59 +1276,11 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="fault-injection scenario with graceful degradation",
     )
-    chaos.add_argument(
-        "--preset",
-        choices=(
-            "none", "loss", "rate-limit", "vp-flap", "blackhole",
-            "mixed",
-        ),
-        default="mixed",
-        help="named fault scenario (seeded by the global --seed)",
-    )
-    chaos.add_argument(
-        "--plan", metavar="FILE",
-        help="replay a fault plan saved as JSON instead of a preset",
-    )
+    _add_fault_workload_flags(chaos, requests=6)
     chaos.add_argument(
         "--plan-out", metavar="FILE",
         help="save the effective fault plan as JSON (for replay)",
     )
-    chaos.add_argument(
-        "--requests", type=int, default=6,
-        help="measurement requests submitted under faults",
-    )
-    chaos.add_argument(
-        "--parallel", type=int, default=2,
-        help="scheduler execution lanes",
-    )
-    chaos.add_argument(
-        "--deadline", type=float, default=None,
-        help="per-request queue-wait deadline (virtual seconds)",
-    )
-    chaos.add_argument(
-        "--retries", type=int, default=1,
-        help="scheduler retry budget for unresponsive destinations",
-    )
-    chaos.add_argument(
-        "--retry-budget", type=int, default=8,
-        help="engine-level technique retries per measurement",
-    )
-    chaos.add_argument(
-        "--quarantine", type=float, default=900.0,
-        help="VP quarantine window (virtual seconds)",
-    )
-    chaos.add_argument("--source-index", type=int, default=0)
-    chaos.add_argument("--json", action="store_true")
-    chaos.add_argument(
-        "--metrics-out", metavar="FILE",
-        help="write the metrics JSON snapshot to FILE",
-    )
-    chaos.add_argument(
-        "--events-out",
-        metavar="FILE",
-        help="export the flight-recorder event log to FILE (JSONL)",
-    )
-    _add_amortization_flags(chaos)
     chaos.set_defaults(func=_cmd_chaos)
 
     health = sub.add_parser(
@@ -1381,44 +1288,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one-command diagnosis: run a (faulted) workload, sample "
         "the telemetry time-series, report typed health findings",
     )
-    health.add_argument(
-        "--preset",
-        choices=(
-            "none", "loss", "rate-limit", "vp-flap", "blackhole",
-            "mixed",
-        ),
-        default="mixed",
-        help="named fault scenario (seeded by the global --seed); "
-        "'none' checks a healthy run",
-    )
-    health.add_argument(
-        "--plan", metavar="FILE",
-        help="replay a fault plan saved as JSON instead of a preset",
-    )
-    health.add_argument(
-        "--requests", type=int, default=8,
-        help="measurement requests submitted under faults",
-    )
-    health.add_argument(
-        "--parallel", type=int, default=2,
-        help="scheduler execution lanes",
-    )
-    health.add_argument(
-        "--deadline", type=float, default=None,
-        help="per-request queue-wait deadline (virtual seconds)",
-    )
-    health.add_argument(
-        "--retries", type=int, default=1,
-        help="scheduler retry budget for unresponsive destinations",
-    )
-    health.add_argument(
-        "--retry-budget", type=int, default=8,
-        help="engine-level technique retries per measurement",
-    )
-    health.add_argument(
-        "--quarantine", type=float, default=900.0,
-        help="VP quarantine window (virtual seconds)",
-    )
+    _add_fault_workload_flags(health, requests=8)
     health.add_argument(
         "--sample-interval", type=float, default=15.0,
         metavar="SIM_SECONDS",
@@ -1430,21 +1300,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="override every detector's evaluation window "
         "(default: per-rule windows)",
     )
-    health.add_argument("--source-index", type=int, default=0)
-    health.add_argument("--json", action="store_true")
-    health.add_argument(
-        "--metrics-out", metavar="FILE",
-        help="write the metrics JSON snapshot to FILE",
-    )
-    health.add_argument(
-        "--events-out", metavar="FILE",
-        help="export the flight-recorder event log to FILE (JSONL)",
-    )
     health.add_argument(
         "--timeseries-out", metavar="FILE",
         help="write the sampled telemetry time-series to FILE (JSON)",
     )
-    _add_amortization_flags(health)
     health.set_defaults(func=_cmd_health)
 
     top = sub.add_parser(

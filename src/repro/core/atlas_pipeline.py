@@ -513,35 +513,43 @@ def load_snapshot(
             ),
         )
 
-    spec = doc["atlas"]
-    atlas = TracerouteAtlas(
-        spec["source"],
-        max_size=spec["max_size"],
-        staleness=spec["staleness"],
-    )
-    for entry in spec["traceroutes"]:
-        trace = TracerouteResult(
-            src=entry["src"],
-            dst=spec["source"],
-            hops=list(entry["hops"]),
-            reached=entry["reached"],
-            flow_id=entry["flow_id"],
-            timestamp=entry["timestamp"],
+    try:
+        spec = doc["atlas"]
+        atlas = TracerouteAtlas(
+            spec["source"],
+            max_size=spec["max_size"],
+            staleness=spec["staleness"],
         )
-        atlas.add(trace, generation=entry.get("generation"))
-    for vp in spec.get("useful", []):
-        atlas.mark_useful(vp)
+        for entry in spec["traceroutes"]:
+            trace = TracerouteResult(
+                src=entry["src"],
+                dst=spec["source"],
+                hops=list(entry["hops"]),
+                reached=entry["reached"],
+                flow_id=entry["flow_id"],
+                timestamp=entry["timestamp"],
+            )
+            atlas.add(trace, generation=entry.get("generation"))
+        for vp in spec.get("useful", []):
+            atlas.mark_useful(vp)
 
-    rr_atlas: Optional[RRAtlas] = None
-    rr_spec = doc.get("rr_atlas")
-    if rr_spec is not None:
-        rr_atlas = RRAtlas(atlas)
-        rr_atlas._mapping = {
-            addr: (vp, index)
-            for addr, vp, index in rr_spec["mapping"]
-        }
-        rr_atlas.probes_sent = rr_spec.get("probes_sent", 0)
-        rr_atlas.probes_deduped = rr_spec.get("probes_deduped", 0)
+        rr_atlas: Optional[RRAtlas] = None
+        rr_spec = doc.get("rr_atlas")
+        if rr_spec is not None:
+            rr_atlas = RRAtlas(atlas)
+            rr_atlas._mapping = {
+                addr: (vp, index)
+                for addr, vp, index in rr_spec["mapping"]
+            }
+            rr_atlas.probes_sent = rr_spec.get("probes_sent", 0)
+            rr_atlas.probes_deduped = rr_spec.get("probes_deduped", 0)
+    except (KeyError, TypeError, ValueError) as exc:
+        # the header matched but the body is not what save_snapshot
+        # writes: a missing key, or a value of the wrong shape
+        raise _fail(
+            "error",
+            SnapshotError(f"snapshot {path} is malformed: {exc!r}"),
+        ) from exc
     if obs.enabled:
         obs.inc("atlas_snapshots_total", op="load", outcome="ok")
         obs.emit("atlas.snapshot", op="load", outcome="ok", path=path)

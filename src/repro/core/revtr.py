@@ -19,7 +19,10 @@ hop-by-hop from the destination back to the source:
 
 The same engine class, parameterised by :class:`EngineConfig`, realises
 revtr 2.0, revtr 1.0, and every intermediate variant of Table 4 /
-Fig. 5c ("revtr 2.0 = revtr 1.0 + ingress + cache − TS + RR atlas").
+Fig. 5c ("revtr 2.0 = revtr 1.0 + ingress + cache − TS + RR atlas"):
+:meth:`RevtrEngine._measure` is the loop, each numbered technique is
+one ``_step_*`` method, and a variant is the list of steps its config
+selects (DESIGN.md, "The measurement loop").
 """
 
 from __future__ import annotations
@@ -49,12 +52,23 @@ from repro.obs.runtime import attach, get_default
 from repro.probing.prober import Prober
 
 
+#: Spoofed-RR batches tried per hop before the RR step gives up.
+_MAX_BATCHES_PER_HOP = 60
+#: Adjacency candidates one timestamp step tests.
+_MAX_ADJACENCIES = 8
+
+
 @dataclass
 class EngineConfig:
     """Feature flags selecting a system variant.
 
     The defaults are revtr 2.0; see
     :func:`repro.core.revtr_legacy.legacy_engine_config` for revtr 1.0.
+    Fixed at construction: the engine chooses its openers and steps
+    once from ``segment_cache``, ``ping_check`` and ``use_timestamp``,
+    so build a new engine rather than editing a live one's config.
+    What no caller varies is not a field: the per-hop caps are the
+    module constants above, and batch size belongs to the selector.
     """
 
     use_rr_atlas: bool = True
@@ -62,10 +76,7 @@ class EngineConfig:
     use_timestamp: bool = False
     use_cache: bool = True
     symmetry: SymmetryPolicy = SymmetryPolicy.INTRADOMAIN_ONLY
-    batch_size: int = 3
     max_path_hops: int = 48
-    max_batches_per_hop: int = 60
-    max_adjacencies: int = 8
     ping_check: bool = True
     #: Appendix A request option: refuse intersections with atlas
     #: traceroutes older than this (seconds); the engine re-measures
@@ -155,6 +166,49 @@ class _BatchCoalescer:
         self.pings_coalesced = 0
 
 
+class _Run:
+    """One measurement in flight: what the openers and steps of
+    :meth:`RevtrEngine._measure` read and advance."""
+
+    __slots__ = (
+        "result", "start_time", "mark", "hops", "seen",
+        "spliced_at", "current", "status", "rr_dead",
+    )
+
+    def __init__(self, result, start_time, mark) -> None:
+        self.result = result
+        self.start_time = start_time
+        #: the probe counter's position when the measurement began
+        self.mark = mark
+        #: the result's own hop list, grown in place
+        self.hops: List[ReverseHop] = result.hops
+        self.seen: Set[Address] = {result.dst}
+        #: indices into ``hops`` of hops whose edge from their
+        #: predecessor was read from the segment cache
+        self.spliced_at: Set[int] = set()
+        self.current: Address = result.dst
+        #: None until an opener or step settles the measurement
+        self.status: Optional[RevtrStatus] = None
+        #: the segment cache's verdict on ``current`` (it ignored the
+        #: whole RR arsenal), rewritten by the splice step at every hop
+        self.rr_dead = False
+
+    def reach(self, source: Address) -> None:
+        """The path arrived: close it with the source hop."""
+        self.hops.append(ReverseHop(source, HopTechnique.SOURCE))
+        self.status = RevtrStatus.COMPLETE
+
+    def advance(self, next_current: Optional[Address]) -> bool:
+        """After adopting hops, go on from the last public one.  False
+        when every one was private: the next technique tries from the
+        same ``current``.  A settled path has nowhere to go."""
+        if self.status is None:
+            if next_current is None:
+                return False
+            self.current = next_current
+        return True
+
+
 class RevtrEngine:
     """Measures reverse traceroutes from arbitrary destinations back to
     one source."""
@@ -197,8 +251,8 @@ class RevtrEngine:
         if self.config.negative_ttl is not None:
             self.cache.negative_ttl = self.config.negative_ttl
         #: per-source reverse-segment cache; None unless the
-        #: ``segment_cache`` flag is on, so the flags-off hot loop
-        #: tests one attribute and touches nothing else.  The service
+        #: ``segment_cache`` flag is on, so the flags-off loop has no
+        #: splice opener or step at all.  The service
         #: passes a shared instance so every engine measuring toward
         #: one source amortizes the same segments.
         self.segcache: Optional[ReverseSegmentCache] = None
@@ -273,6 +327,20 @@ class RevtrEngine:
         self._harvest_terminal_from_atlas()
         if self.config.use_alias_intersection:
             self.refresh_alias_index()
+        # Table 4's ladder, chosen once: what may settle a measurement
+        # before the loop, and the techniques tried in order per hop.
+        self._openers = []
+        if self.segcache is not None:
+            self._openers.append(self._open_full_splice)
+        if self.config.ping_check:
+            self._openers.append(self._open_ping_check)
+        self._steps = [self._step_intersect]
+        if self.segcache is not None:
+            self._steps.append(self._step_splice)
+        self._steps.append(self._step_rr)
+        if self.config.use_timestamp:
+            self._steps.append(self._step_timestamp)
+        self._steps.append(self._step_symmetry)
 
     # ------------------------------------------------------------------
     # Bootstrap helpers
@@ -601,7 +669,7 @@ class RevtrEngine:
         if hasattr(self.selector, "session"):
             session = self.selector.session(current)
         if session is not None:
-            for index in range(self.config.max_batches_per_hop):
+            for index in range(_MAX_BATCHES_PER_HOP):
                 batch = [
                     vp
                     for vp in session.next_batch()
@@ -619,7 +687,7 @@ class RevtrEngine:
                 yield results
             return
         for index, batch in enumerate(self.selector.batches(current)):
-            if index >= self.config.max_batches_per_hop:
+            if index >= _MAX_BATCHES_PER_HOP:
                 return
             vps = [vp for vp in batch if vp != self.source]
             if not vps:
@@ -742,14 +810,14 @@ class RevtrEngine:
             candidates += self.adjacency.neighbors(
                 current,
                 aliases=[peer] if peer else None,
-                limit=self.config.max_adjacencies,
+                limit=_MAX_ADJACENCIES,
             )
             seen_candidates: Set[Address] = set()
             candidates = [
                 c
                 for c in candidates
                 if not (c in seen_candidates or seen_candidates.add(c))
-            ][: self.config.max_adjacencies]
+            ][: _MAX_ADJACENCIES]
             span.annotate(candidates=len(candidates))
             for adj in candidates:
                 result = self.prober.ts_ping(
@@ -871,8 +939,37 @@ class RevtrEngine:
                 ev.set_current(previous_mid)
 
     def _measure(self, dst: Address) -> ReverseTracerouteResult:
-        clock = self.prober.clock
-        start_time = clock.now()
+        """Fig. 2.  Unless an opener settles the measurement outright,
+        walk back from the destination, trying this variant's techniques
+        in order at each hop.  The loop owns termination, a step owns
+        one hop: True when it advanced ``run.current`` or settled
+        ``run.status``, False to fall through to the next technique."""
+        run = self._begin(dst)
+        for opener in self._openers:
+            if opener(run):
+                break
+        else:
+            hops = run.hops
+            hops.append(ReverseHop(dst, HopTechnique.DESTINATION))
+            max_hops = self.config.max_path_hops
+            while run.status is None and len(hops) < max_hops:
+                if self._is_terminal(run.current):
+                    run.reach(self.source)
+                    break
+                for step in self._steps:
+                    if step(run):
+                        break
+            if (
+                run.status is RevtrStatus.COMPLETE
+                and self.segcache is not None
+            ):
+                self._segcache_store(hops, run.spliced_at)
+        self._finish(run)
+        return run.result
+
+    def _begin(self, dst: Address) -> _Run:
+        """Reset the per-measurement tallies; open the run state."""
+        start_time = self.prober.clock.now()
         # Opportunistic TTL sweep so a long-running service does not
         # accumulate a day of dead entries (rate-limited internally).
         self.cache.maybe_purge()
@@ -882,381 +979,15 @@ class RevtrEngine:
         # measure.end event instead of an event of its own — one ping
         # is not worth a flight-recorder record per measurement.
         self._m_ping = None
-        # Fixed-size position marker, not a Counter copy: the
-        # per-measurement probe delta must not scale with how many
-        # probe kinds the global counter has accumulated.
-        counts_before = self.prober.counter.mark()
-
         result = ReverseTracerouteResult(
             src=self.source, dst=dst, status=RevtrStatus.INCOMPLETE
         )
+        # Fixed-size position marker, not a Counter copy: the
+        # per-measurement probe delta must not scale with how many
+        # probe kinds the global counter has accumulated.
+        return _Run(result, start_time, self.prober.counter.mark())
 
-        if self.segcache is not None:
-            fast = self._splice_full_path(
-                dst, result, start_time, counts_before
-            )
-            if fast is not None:
-                return fast
-
-        if self.config.ping_check:
-            # Annotated on the root span rather than opening a span of
-            # its own: a single ping is not worth a tree node on the
-            # measurement hot path.
-            coalescer = self._coalescer
-            dst_prefix = (
-                prefix_of(dst) if coalescer is not None else None
-            )
-            alive = (
-                coalescer.ping_alive.get(dst_prefix)
-                if coalescer is not None
-                else None
-            )
-            if alive is not None:
-                # A sibling in the coalesced group already checked this
-                # destination prefix's liveness.
-                coalescer.pings_coalesced += 1
-            else:
-                alive = self.prober.ping(self.source, dst) is not None
-                attempts = 0
-                while (
-                    not alive
-                    and attempts < self.config.ping_retries
-                    and self._retry_allowed("ping")
-                ):
-                    attempts += 1
-                    alive = (
-                        self.prober.ping(self.source, dst) is not None
-                    )
-                if coalescer is not None:
-                    coalescer.ping_alive[dst_prefix] = alive
-            self._m_ping = alive
-            if self._obs_on:
-                root = self.obs.tracer.active_span
-                if root is not None:
-                    root.annotate(ping_check=alive)
-            if not alive:
-                result.status = RevtrStatus.UNRESPONSIVE
-                self._finish(result, start_time, counts_before)
-                return result
-
-        hops: List[ReverseHop] = [
-            ReverseHop(dst, HopTechnique.DESTINATION)
-        ]
-        seen: Set[Address] = {dst}
-        #: indices into ``hops`` of hops whose edge from their
-        #: predecessor was read from the segment cache
-        spliced_at: Set[int] = set()
-        current = dst
-        status: Optional[RevtrStatus] = None
-        source = self.source
-
-        while len(hops) < self.config.max_path_hops:
-            if self._is_terminal(current):
-                hops.append(ReverseHop(source, HopTechnique.SOURCE))
-                status = RevtrStatus.COMPLETE
-                break
-
-            hit = self._intersect(current)
-            if (
-                hit is not None
-                and self.config.max_intersection_age is not None
-                and clock.now() - hit.timestamp
-                > self.config.max_intersection_age
-            ):
-                # Appendix A option: the user asked for fresher data
-                # than the atlas holds — re-measure the traceroute
-                # online before trusting the intersection.
-                hit = self._refresh_intersection(hit, current)
-            if hit is not None:
-                result.intersection_vp = hit.vp
-                result.stale_intersection = self.atlas.is_stale(
-                    hit, clock.now()
-                )
-                if result.stale_intersection:
-                    self._t_stale += 1
-                self.atlas.mark_useful(hit.vp)
-                with self.obs.span(
-                    "stitch", vp=hit.vp, index=hit.index
-                ) as stitch:
-                    before = len(hops)
-                    for addr in self.atlas.suffix(hit):
-                        technique = (
-                            HopTechnique.SOURCE
-                            if addr == source
-                            else HopTechnique.INTERSECTION
-                        )
-                        hops.append(ReverseHop(addr, technique))
-                    if hops[-1].addr != source:
-                        hops.append(
-                            ReverseHop(source, HopTechnique.SOURCE)
-                        )
-                    stitch.annotate(
-                        hops=len(hops) - before,
-                        stale=result.stale_intersection,
-                    )
-                if self._ev is not None:
-                    self._ev.emit_t(
-                        "stitch",
-                        (hit.vp, hit.index, len(hops) - before,
-                         result.stale_intersection),
-                    )
-                status = RevtrStatus.COMPLETE
-                break
-
-            revealed: List[Address] = []
-            technique = HopTechnique.SPOOFED_RR
-            skip_rr = False
-            if self.segcache is not None:
-                # The atlas missed; before spending probes, splice any
-                # chain of reverse hops that an earlier completed
-                # measurement toward this source already revealed from
-                # here.  Generation/TTL invalidation happens inside the
-                # lookup; the seen-set stop keeps splices loop-free.
-                limit = self.config.max_path_hops - len(hops)
-                chain, known_dead = self.segcache.chain(
-                    current, limit, stop=seen.__contains__
-                )
-                if known_dead:
-                    # Cached negative entry: this router recently
-                    # ignored the entire RR arsenal — skip straight to
-                    # the TS/fallback steps instead of re-aiming the
-                    # VP fleet at it.
-                    skip_rr = True
-                    if self._ev is not None:
-                        self._ev.emit_t(
-                            "splice.negative", (current,)
-                        )
-                elif chain:
-                    addrs = [entry.next_hop for entry in chain]
-                    if (
-                        self.config.detect_violations
-                        and len(addrs) >= 2
-                    ):
-                        # Spliced chains earn the same Appendix E
-                        # redundant-probe gating as RR-revealed hops:
-                        # reuse must ride behind the violation check,
-                        # not around it.
-                        suspect = self._violation_check(addrs)
-                        if suspect is not None:
-                            result.suspected_violations.append(suspect)
-                    terminated = False
-                    next_current: Optional[Address] = None
-                    spliced_before = len(hops)
-                    for entry in chain:
-                        addr = entry.next_hop
-                        if addr == source:
-                            hops.append(
-                                ReverseHop(source, HopTechnique.SOURCE)
-                            )
-                            status = RevtrStatus.COMPLETE
-                            terminated = True
-                            break
-                        hops.append(
-                            ReverseHop(
-                                addr,
-                                entry.technique,
-                                assumed_link=entry.assumed_link,
-                            )
-                        )
-                        seen.add(addr)
-                        if not is_private(addr):
-                            next_current = addr
-                    # The chain was fetched under ``current`` (the last
-                    # *public* hop) and then under each spliced hop in
-                    # turn.  When ``hops`` ended in private hops, the
-                    # first spliced hop follows one of those instead:
-                    # an edge keyed by the private address, which this
-                    # measurement revealed rather than read.
-                    first_read = spliced_before
-                    if hops[spliced_before - 1].addr != current:
-                        first_read += 1
-                    spliced_at.update(range(first_read, len(hops)))
-                    # Mid-chain hops are provably non-terminal: the
-                    # completed measurement that stored them continued
-                    # past them (a terminal hop would have ended that
-                    # path with a cached hop -> source edge, which the
-                    # loop above adopts).  Only a partial chain's last
-                    # hop needs the alias-of-source check, so the
-                    # per-hop ``_is_terminal`` scan collapses to one.
-                    if (
-                        not terminated
-                        and next_current is not None
-                        and self._is_terminal(next_current)
-                    ):
-                        hops.append(
-                            ReverseHop(source, HopTechnique.SOURCE)
-                        )
-                        status = RevtrStatus.COMPLETE
-                        terminated = True
-                    spliced = len(hops) - spliced_before
-                    self.segcache.note_splice(spliced)
-                    if self._ev is not None:
-                        self._ev.emit_t(
-                            "splice", (current, spliced, terminated)
-                        )
-                    if terminated:
-                        break
-                    if next_current is not None:
-                        current = next_current
-                        continue
-                    # Every spliced hop was private: fall through to
-                    # the RR step from the pre-splice current hop.
-
-            if not skip_rr:
-                revealed, technique = self._rr_step(current)
-            fresh = [addr for addr in revealed if addr not in seen]
-            if (
-                fresh
-                and self.config.detect_violations
-                and len(revealed) >= 2
-            ):
-                suspect = self._violation_check(revealed)
-                if suspect is not None:
-                    result.suspected_violations.append(suspect)
-            if fresh:
-                terminated = False
-                next_current: Optional[Address] = None
-                adopted_before = len(hops)
-                for addr in fresh:
-                    hops.append(ReverseHop(addr, technique))
-                    seen.add(addr)
-                    if not is_private(addr):
-                        next_current = addr
-                    if self._is_terminal(addr):
-                        hops.append(
-                            ReverseHop(source, HopTechnique.SOURCE)
-                        )
-                        status = RevtrStatus.COMPLETE
-                        terminated = True
-                        break
-                if self._ev is not None:
-                    self._ev.emit_t(
-                        "hops.adopted",
-                        (
-                            technique._value_,
-                            tuple(
-                                [
-                                    hop.addr
-                                    for hop in hops[adopted_before:]
-                                    if hop.technique is technique
-                                ]
-                            ),
-                        ),
-                    )
-                if terminated:
-                    break
-                if next_current is not None:
-                    current = next_current
-                    continue
-                # Every fresh hop was private: fall through.
-
-            if self.config.use_timestamp:
-                adjacent = self._timestamp_step(current)
-                if adjacent is not None and adjacent not in seen:
-                    hops.append(
-                        ReverseHop(adjacent, HopTechnique.TIMESTAMP)
-                    )
-                    seen.add(adjacent)
-                    current = adjacent
-                    continue
-
-            with self.obs.span(
-                "symmetry.assume", hop=current
-            ) as sym_span:
-                outcome = self.symmetry.step(current)
-                sym_span.annotate(
-                    link=outcome.link.value,
-                    penultimate=(
-                        None
-                        if outcome.penultimate is None
-                        else str(outcome.penultimate)
-                    ),
-                    adjacent_to_source=outcome.adjacent_to_source,
-                )
-            self._step("symmetry")
-            if outcome.traceroute is not None:
-                first = next(
-                    (h for h in outcome.traceroute.hops if h is not None),
-                    None,
-                )
-                if first is not None:
-                    self._add_terminal(first)
-            if outcome.adjacent_to_source:
-                self._fallback("adjacent-source", hop=current)
-                hops.append(ReverseHop(source, HopTechnique.SOURCE))
-                status = RevtrStatus.COMPLETE
-                break
-            if (
-                outcome.penultimate is None
-                or outcome.penultimate in seen
-            ):
-                self._fallback("dead-end", hop=current)
-                status = RevtrStatus.INCOMPLETE
-                if (
-                    self.config.recheck_unresponsive
-                    and self.config.ping_check
-                    and self.prober.ping(self.source, dst) is None
-                ):
-                    # The destination died mid-measurement: classify
-                    # as UNRESPONSIVE while keeping every hop gathered
-                    # before the stall (``result.hops`` is assigned
-                    # after the loop, so the partial path and its
-                    # probe accounting survive this break).
-                    status = RevtrStatus.UNRESPONSIVE
-                    if self._ev is not None:
-                        self._ev.emit(
-                            "degrade.unresponsive",
-                            dst=dst,
-                            hops_kept=len(hops),
-                        )
-                break
-            if (
-                self.config.symmetry is SymmetryPolicy.INTRADOMAIN_ONLY
-                and outcome.link is not LinkType.INTRA
-            ):
-                self._fallback(
-                    "aborted-interdomain",
-                    outcome.link.value,
-                    hop=current,
-                    penultimate=outcome.penultimate,
-                )
-                status = RevtrStatus.ABORTED_INTERDOMAIN
-                break
-            self._fallback(
-                "adopted",
-                outcome.link.value,
-                hop=current,
-                penultimate=outcome.penultimate,
-            )
-            hops.append(
-                ReverseHop(
-                    outcome.penultimate,
-                    HopTechnique.ASSUMED_SYMMETRY,
-                    assumed_link=outcome.link.value,
-                )
-            )
-            seen.add(outcome.penultimate)
-            current = outcome.penultimate
-
-        result.hops = hops
-        result.status = (
-            status if status is not None else RevtrStatus.INCOMPLETE
-        )
-        if (
-            self.segcache is not None
-            and result.status is RevtrStatus.COMPLETE
-        ):
-            self._segcache_store(hops, spliced_at)
-        self._finish(result, start_time, counts_before)
-        return result
-
-    def _splice_full_path(
-        self,
-        dst: Address,
-        result: ReverseTracerouteResult,
-        start_time: float,
-        counts_before: tuple,
-    ) -> Optional[ReverseTracerouteResult]:
+    def _open_full_splice(self, run: _Run) -> bool:
         """Serve a measurement entirely from the segment cache.
 
         When the cache holds an unbroken chain from *dst* all the way
@@ -1267,56 +998,324 @@ class RevtrEngine:
         the same path one cache hit at a time, so the whole path is
         spliced in one step for zero probes.  Any break in the chain —
         miss, negative entry, generation bump, TTL expiry, a loop, or
-        a chain longer than the hop budget — returns None and the
+        a chain longer than the hop budget — returns False and the
         normal measurement loop (ping check included) takes over.
+        Every edge served was read, so nothing is stored back.
         """
+        dst = run.result.dst
         chain, _ = self.segcache.chain(
             dst, self.config.max_path_hops - 1
         )
         if not chain or chain[-1].next_hop != self.source:
-            return None
+            return False
         addrs = [entry.next_hop for entry in chain]
         if self.config.detect_violations and len(addrs) >= 2:
             # Whole-path reuse earns the same Appendix E gating as a
             # mid-path splice: ride behind the violation check.
             suspect = self._violation_check(addrs)
             if suspect is not None:
-                result.suspected_violations.append(suspect)
-        hops: List[ReverseHop] = [
-            ReverseHop(dst, HopTechnique.DESTINATION)
-        ]
+                run.result.suspected_violations.append(suspect)
+        hops = run.hops
+        hops.append(ReverseHop(dst, HopTechnique.DESTINATION))
         for entry in chain[:-1]:
             hops.append(
                 ReverseHop(
-                    entry.next_hop,
-                    entry.technique,
+                    entry.next_hop, entry.technique,
                     assumed_link=entry.assumed_link,
                 )
             )
-        hops.append(ReverseHop(self.source, HopTechnique.SOURCE))
+        run.reach(self.source)
         self.segcache.note_splice(len(chain))
         if self._obs_on:
             root = self.obs.tracer.active_span
             if root is not None:
                 root.annotate(full_splice=True)
         if self._ev is not None:
-            self._ev.emit_t(
-                "splice", (dst, len(chain), True, True)
-            )
-        result.hops = hops
-        result.status = RevtrStatus.COMPLETE
-        self._finish(result, start_time, counts_before)
-        return result
+            self._ev.emit_t("splice", (dst, len(chain), True, True))
+        return True
 
-    def _finish(
-        self,
-        result: ReverseTracerouteResult,
-        start_time: float,
-        counts_before: tuple,
-    ) -> None:
+    def _open_ping_check(self, run: _Run) -> bool:
+        """Settle a destination that answers no ping, with no hops."""
+        # Annotated on the root span rather than opening a span of
+        # its own: a single ping is not worth a tree node on the
+        # measurement hot path.
+        dst = run.result.dst
+        coalescer = self._coalescer
+        alive = None
+        if coalescer is not None:
+            dst_prefix = prefix_of(dst)
+            alive = coalescer.ping_alive.get(dst_prefix)
+        if alive is not None:
+            # A sibling in the coalesced group already checked this
+            # destination prefix's liveness.
+            coalescer.pings_coalesced += 1
+        else:
+            alive = self.prober.ping(self.source, dst) is not None
+            attempts = 0
+            while (
+                not alive
+                and attempts < self.config.ping_retries
+                and self._retry_allowed("ping")
+            ):
+                attempts += 1
+                alive = self.prober.ping(self.source, dst) is not None
+            if coalescer is not None:
+                coalescer.ping_alive[dst_prefix] = alive
+        self._m_ping = alive
+        if self._obs_on:
+            root = self.obs.tracer.active_span
+            if root is not None:
+                root.annotate(ping_check=alive)
+        if not alive:
+            run.status = RevtrStatus.UNRESPONSIVE
+        return not alive
+
+    def _step_intersect(self, run: _Run) -> bool:
+        """Is the current hop on a known route to the source?  A hit
+        stitches the rest of that route on and completes the path."""
+        current = run.current
         clock = self.prober.clock
-        result.duration = clock.now() - start_time
-        result.probe_counts = self.prober.counter.delta(counts_before)
+        max_age = self.config.max_intersection_age
+        hit = self._intersect(current)
+        if (
+            hit is not None
+            and max_age is not None
+            and clock.now() - hit.timestamp > max_age
+        ):
+            # Appendix A option: the user asked for fresher data
+            # than the atlas holds — re-measure the traceroute
+            # online before trusting the intersection.
+            hit = self._refresh_intersection(hit, current)
+        if hit is None:
+            return False
+        result = run.result
+        hops = run.hops
+        source = self.source
+        result.intersection_vp = hit.vp
+        stale = self.atlas.is_stale(hit, clock.now())
+        result.stale_intersection = stale
+        if stale:
+            self._t_stale += 1
+        self.atlas.mark_useful(hit.vp)
+        with self.obs.span(
+            "stitch", vp=hit.vp, index=hit.index
+        ) as stitch:
+            before = len(hops)
+            for addr in self.atlas.suffix(hit):
+                technique = (
+                    HopTechnique.SOURCE
+                    if addr == source
+                    else HopTechnique.INTERSECTION
+                )
+                hops.append(ReverseHop(addr, technique))
+            if hops[-1].addr != source:
+                hops.append(ReverseHop(source, HopTechnique.SOURCE))
+            stitch.annotate(hops=len(hops) - before, stale=stale)
+        if self._ev is not None:
+            self._ev.emit_t(
+                "stitch", (hit.vp, hit.index, len(hops) - before, stale)
+            )
+        run.status = RevtrStatus.COMPLETE
+        return True
+
+    def _step_splice(self, run: _Run) -> bool:
+        """Reuse (§5): the atlas missed; before spending probes, splice
+        any chain of reverse hops that an earlier completed measurement
+        toward this source already revealed from here.  Generation/TTL
+        invalidation happens inside the lookup; the seen-set stop keeps
+        splices loop-free."""
+        current = run.current
+        hops = run.hops
+        seen = run.seen
+        chain, run.rr_dead = self.segcache.chain(
+            current,
+            self.config.max_path_hops - len(hops),
+            stop=seen.__contains__,
+        )
+        if run.rr_dead:
+            # Cached negative entry: this router recently ignored the
+            # entire RR arsenal — skip straight to the TS/fallback
+            # steps instead of re-aiming the VP fleet at it.
+            if self._ev is not None:
+                self._ev.emit_t("splice.negative", (current,))
+            return False
+        if not chain:
+            return False
+        addrs = [entry.next_hop for entry in chain]
+        if self.config.detect_violations and len(addrs) >= 2:
+            # Spliced chains earn the same Appendix E redundant-probe
+            # gating as RR-revealed hops: reuse must ride behind the
+            # violation check, not around it.
+            suspect = self._violation_check(addrs)
+            if suspect is not None:
+                run.result.suspected_violations.append(suspect)
+        next_current: Optional[Address] = None
+        spliced_before = len(hops)
+        for entry in chain:
+            addr = entry.next_hop
+            if addr == self.source:
+                run.reach(addr)
+                break
+            hops.append(
+                ReverseHop(
+                    addr, entry.technique,
+                    assumed_link=entry.assumed_link,
+                )
+            )
+            seen.add(addr)
+            if not is_private(addr):
+                next_current = addr
+        # The chain was fetched under ``current`` (the last *public*
+        # hop) and then under each spliced hop in turn.  When ``hops``
+        # ended in private hops, the first spliced hop follows one of
+        # those instead: an edge keyed by the private address, which
+        # this measurement revealed rather than read.
+        first_read = spliced_before
+        if hops[spliced_before - 1].addr != current:
+            first_read += 1
+        run.spliced_at.update(range(first_read, len(hops)))
+        # Mid-chain hops are provably non-terminal: the completed
+        # measurement that stored them continued past them (a terminal
+        # hop would have ended that path with a cached hop -> source
+        # edge, which the loop above adopts).  Only a partial chain's
+        # last hop needs the alias-of-source check, so the per-hop
+        # ``_is_terminal`` scan collapses to one.
+        if (
+            run.status is None
+            and next_current is not None
+            and self._is_terminal(next_current)
+        ):
+            run.reach(self.source)
+        spliced = len(hops) - spliced_before
+        self.segcache.note_splice(spliced)
+        if self._ev is not None:
+            self._ev.emit_t(
+                "splice", (current, spliced, run.status is not None)
+            )
+        return run.advance(next_current)
+
+    def _step_rr(self, run: _Run) -> bool:
+        """Record route, direct then spoofed (:meth:`_rr_step`): adopt
+        the revealed hops this path has not seen yet."""
+        if run.rr_dead:
+            return False
+        revealed, technique = self._rr_step(run.current)
+        hops = run.hops
+        seen = run.seen
+        fresh = [addr for addr in revealed if addr not in seen]
+        if not fresh:
+            return False
+        if self.config.detect_violations and len(revealed) >= 2:
+            suspect = self._violation_check(revealed)
+            if suspect is not None:
+                run.result.suspected_violations.append(suspect)
+        next_current: Optional[Address] = None
+        adopted_before = len(hops)
+        for addr in fresh:
+            hops.append(ReverseHop(addr, technique))
+            seen.add(addr)
+            if not is_private(addr):
+                next_current = addr
+            if self._is_terminal(addr):
+                run.reach(self.source)
+                break
+        if self._ev is not None:
+            adopted = [
+                hop.addr
+                for hop in hops[adopted_before:]
+                if hop.technique is technique
+            ]
+            self._ev.emit_t(
+                "hops.adopted", (technique._value_, tuple(adopted))
+            )
+        return run.advance(next_current)
+
+    def _step_timestamp(self, run: _Run) -> bool:
+        """revtr 1.0 only: adopt an adjacency a tsprespec test put on
+        the reverse path (:meth:`_timestamp_step`)."""
+        adjacent = self._timestamp_step(run.current)
+        if adjacent is None or adjacent in run.seen:
+            return False
+        run.hops.append(ReverseHop(adjacent, HopTechnique.TIMESTAMP))
+        run.seen.add(adjacent)
+        run.current = adjacent
+        return True
+
+    def _step_symmetry(self, run: _Run) -> bool:
+        """Last resort, always decisive: from a forward traceroute,
+        reach the source, adopt the penultimate hop, or give up."""
+        current = run.current
+        with self.obs.span("symmetry.assume", hop=current) as sym_span:
+            outcome = self.symmetry.step(current)
+            penultimate = outcome.penultimate
+            link = outcome.link
+            sym_span.annotate(
+                link=link.value,
+                penultimate=(
+                    None if penultimate is None else str(penultimate)
+                ),
+                adjacent_to_source=outcome.adjacent_to_source,
+            )
+        self._step("symmetry")
+        if outcome.traceroute is not None:
+            first = next(
+                (h for h in outcome.traceroute.hops if h is not None),
+                None,
+            )
+            if first is not None:
+                self._add_terminal(first)
+        if outcome.adjacent_to_source:
+            self._fallback("adjacent-source", hop=current)
+            run.reach(self.source)
+        elif penultimate is None or penultimate in run.seen:
+            self._fallback("dead-end", hop=current)
+            run.status = RevtrStatus.INCOMPLETE
+            dst = run.result.dst
+            if (
+                self.config.recheck_unresponsive
+                and self.config.ping_check
+                and self.prober.ping(self.source, dst) is None
+            ):
+                # The destination died mid-measurement: classify as
+                # UNRESPONSIVE while keeping every hop gathered before
+                # the stall (the partial path and its probe accounting
+                # survive: only the ping opener reports no hops).
+                run.status = RevtrStatus.UNRESPONSIVE
+                if self._ev is not None:
+                    self._ev.emit(
+                        "degrade.unresponsive", dst=dst,
+                        hops_kept=len(run.hops),
+                    )
+        elif (
+            self.config.symmetry is SymmetryPolicy.INTRADOMAIN_ONLY
+            and link is not LinkType.INTRA
+        ):
+            self._fallback(
+                "aborted-interdomain", link.value,
+                hop=current, penultimate=penultimate,
+            )
+            run.status = RevtrStatus.ABORTED_INTERDOMAIN
+        else:
+            self._fallback(
+                "adopted", link.value,
+                hop=current, penultimate=penultimate,
+            )
+            run.hops.append(
+                ReverseHop(
+                    penultimate, HopTechnique.ASSUMED_SYMMETRY,
+                    assumed_link=link.value,
+                )
+            )
+            run.seen.add(penultimate)
+            run.current = penultimate
+        return True
+
+    def _finish(self, run: _Run) -> None:
+        result = run.result
+        if run.status is not None:
+            result.status = run.status
+        result.duration = self.prober.clock.now() - run.start_time
+        result.probe_counts = self.prober.counter.delta(run.mark)
         if result.hops:
             result.flagged_as_path = flag_suspicious_links(
                 result.addresses(), self.ip2as, self.relationships

@@ -138,6 +138,8 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, object]) -> "FaultSpec":
+        if "kind" not in doc:
+            raise ValueError("fault spec lacks the required field 'kind'")
         return cls(
             kind=doc["kind"],  # type: ignore[arg-type]
             start=float(doc.get("start", 0.0)),
@@ -207,7 +209,11 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
+        try:
+            return cls.from_dict(json.loads(text))
+        except (AttributeError, TypeError) as exc:
+            # valid JSON of the wrong shape (a list, a number for specs)
+            raise ValueError(f"malformed fault plan: {exc}") from exc
 
 
 def _pick_vps(

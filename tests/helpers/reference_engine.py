@@ -99,21 +99,22 @@ def reference_segcache_store(
 
 @contextmanager
 def oracle_engine() -> Iterator[None]:
-    """Run with every oracle patched in, process-wide."""
-    splice_full_path = RevtrEngine._splice_full_path
+    """Run with every oracle patched in, process-wide.
 
-    def splice_and_restore(self, dst, result, start_time, counts_before):
-        served = splice_full_path(
-            self, dst, result, start_time, counts_before
-        )
-        if served is not None:
-            reference_segcache_store(self, served.hops)
+    An engine binds its openers and steps when it is constructed, so
+    build the engines under test inside the block."""
+    open_full_splice = RevtrEngine._open_full_splice
+
+    def splice_and_restore(self, run):
+        served = open_full_splice(self, run)
+        if served:
+            reference_segcache_store(self, run.hops)
         return served
 
     patches = [
         (RevtrEngine, "_is_terminal", scan_is_terminal),
         (RevtrEngine, "_segcache_store", reference_segcache_store),
-        (RevtrEngine, "_splice_full_path", splice_and_restore),
+        (RevtrEngine, "_open_full_splice", splice_and_restore),
         (IPToASMapper, "asn", reference_asn),
         (
             ASRelationships,

@@ -483,6 +483,45 @@ class TestSnapshotRejection:
         with pytest.raises(SnapshotError):
             load_snapshot(path, scenario.internet)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda doc: doc.pop("atlas"),
+            lambda doc: doc["atlas"].pop("source"),
+            lambda doc: doc["atlas"].pop("traceroutes"),
+            lambda doc: doc["atlas"]["traceroutes"][0].pop("hops"),
+            lambda doc: doc["atlas"]["traceroutes"].append("a string"),
+            lambda doc: doc["atlas"].update(traceroutes=7),
+            lambda doc: doc["rr_atlas"].pop("mapping"),
+            lambda doc: doc["rr_atlas"]["mapping"].append(["one"]),
+            lambda doc: doc.update(rr_atlas=[]),
+        ],
+        ids=[
+            "no-atlas", "no-source", "no-traceroutes", "no-hops",
+            "entry-not-object", "traceroutes-not-list", "no-mapping",
+            "short-mapping-row", "rr-atlas-not-object",
+        ],
+    )
+    def test_right_header_wrong_body_rejected(
+        self, sharded_world, tmp_path, damage
+    ):
+        """Format, version and fingerprint match, the body does not: a
+        typed error counted as a failed load, not a KeyError."""
+        _, path = self._saved(sharded_world, tmp_path)
+        with gzip.open(path, "rb") as fh:
+            doc = json.loads(fh.read().decode())
+        damage(doc)
+        with gzip.open(path, "wb") as fh:
+            fh.write(json.dumps(doc).encode())
+        instr = Instrumentation()
+        scenario = sharded_world[0]
+        with pytest.raises(SnapshotError, match="malformed"):
+            load_snapshot(path, scenario.internet, instrumentation=instr)
+        series = instr.registry.snapshot()["atlas_snapshots_total"]
+        assert [(s["labels"], s["value"]) for s in series["series"]] == [
+            ({"op": "load", "outcome": "error"}, 1.0)
+        ]
+
 
 class TestLoadOrBuild:
     def test_cold_then_warm(self, tmp_path):

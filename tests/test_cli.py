@@ -30,6 +30,9 @@ class TestParser:
             ["serve", "--threaded"],
             ["atlas", "build", "--threaded"],
             ["atlas", "build", "--no-dedup"],
+            # `repro top` is the live view, `serve --http` the live
+            # raw exposition
+            ["stats", "--watch", "1"],
         ],
     )
     def test_retired_switches_are_rejected_not_ignored(
@@ -228,6 +231,67 @@ class TestChaosVerb:
         assert doc["vp_health"]["quarantines"] == 0
 
 
+class TestMalformedFilesAreUsageErrors:
+    """A file named on the command line that cannot be used is an
+    ``error: ...`` line and exit status 2, never a traceback."""
+
+    PLANS = {
+        "not-json": "{not json",
+        "spec-without-kind": '{"v": 1, "specs": [{"start": 1.0}]}',
+        "future-version": '{"v": 99, "specs": []}',
+        "unknown-kind": '{"specs": [{"kind": "meteor"}]}',
+        "not-an-object": "[1, 2]",
+        "specs-not-a-list": '{"specs": 7}',
+    }
+
+    @pytest.mark.parametrize("verb", ["chaos", "health"])
+    def test_missing_plan_file(self, verb, capsys, tmp_path):
+        missing = str(tmp_path / "no-such-plan.json")
+        code = main(["--scale", "tiny", verb, "--plan", missing])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err
+
+    @pytest.mark.parametrize("damage", sorted(PLANS))
+    def test_unusable_plan_file(self, damage, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text(self.PLANS[damage])
+        code = main(["--scale", "tiny", "chaos", "--plan", str(plan)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot load fault plan")
+        assert captured.out == ""
+
+    def test_spec_without_kind_names_the_field(self):
+        from repro.sim.faults import FaultSpec
+
+        with pytest.raises(ValueError, match="'kind'"):
+            FaultSpec.from_dict({"start": 1.0})
+
+    @pytest.mark.parametrize("damage", ["missing", "not-gzip", "no-atlas"])
+    def test_unusable_atlas_snapshot(self, damage, capsys, tmp_path):
+        import gzip
+        import json
+
+        path = tmp_path / "atlas.snap"
+        argv = ["--scale", "tiny", "--seed", "3", "--atlas-size", "4"]
+        if damage == "not-gzip":
+            path.write_text("{}")
+        elif damage == "no-atlas":
+            assert main(argv + ["atlas", "save", "--out", str(path)]) == 0
+            with gzip.open(path, "rb") as fh:
+                doc = json.loads(fh.read().decode())
+            del doc["atlas"]
+            with gzip.open(path, "wb") as fh:
+                fh.write(json.dumps(doc).encode())
+            capsys.readouterr()
+        code = main(argv + ["atlas", "load", "--path", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+
 class TestHealthVerb:
     def test_health_defaults(self):
         args = build_parser().parse_args(["health"])
@@ -306,39 +370,6 @@ class TestTopAndWatchVerbs:
         assert "repro top" in out
         assert "== SLO summary ==" in out
         assert "== health:" in out
-
-    def test_stats_watch_shares_live_renderer(self, capsys):
-        code = main(
-            [
-                "--scale", "tiny", "stats", "--watch", "0.02",
-                "--frames", "2", "--count", "3",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        # The watch loop renders the same Prometheus-text stats view
-        # (a short workload may finish within the first frame, so the
-        # inter-frame separator is not guaranteed).
-        assert "probes_sent_total" in out
-        assert "revtr_measurements_total" in out
-
-    def test_stats_watch_rejects_from(self, capsys, tmp_path):
-        snap = tmp_path / "snap.json"
-        snap.write_text("{}")
-        code = main(
-            ["stats", "--watch", "1", "--from", str(snap)]
-        )
-        assert code == 2
-
-    def test_stats_watch_slo_view(self, capsys):
-        code = main(
-            [
-                "--scale", "tiny", "stats", "--watch", "0.02",
-                "--frames", "2", "--count", "3", "--slo",
-            ]
-        )
-        assert code == 0
-        assert "== SLO summary ==" in capsys.readouterr().out
 
 
 class TestServeHttp:

@@ -63,6 +63,7 @@ def test_retired_switches_stay_retired(small_scenario):
     in ``src/``.  The switches PR 17 removed must not come back."""
     import dataclasses
 
+    from repro.core.revtr import EngineConfig
     from repro.service import RevtrService, SchedulerConfig, SourceRegistry
 
     sc = small_scenario
@@ -91,3 +92,38 @@ def test_retired_switches_stay_retired(small_scenario):
         "parallelism", "max_queue_per_user", "deadline", "max_retries",
         "retry_backoff",
     ]
+    # Knobs no caller varied are constants, not EngineConfig fields.
+    engine_fields = {f.name for f in dataclasses.fields(EngineConfig)}
+    assert not engine_fields & {
+        "batch_size", "max_batches_per_hop", "max_adjacencies",
+    }
+    assert len(engine_fields) == 16
+
+
+def test_measure_stays_a_loop_over_named_steps():
+    """``RevtrEngine._measure`` reads like Fig. 2 (DESIGN.md, "The
+    measurement loop"): a technique that needs room gets a step of its
+    own, not a branch in the loop or a longer neighbour."""
+    import ast
+    import inspect
+
+    import repro.core.revtr as module
+
+    tree = ast.parse(inspect.getsource(module))
+    engine = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "RevtrEngine"
+    )
+    lengths = {
+        node.name: node.end_lineno - node.lineno + 1
+        for node in engine.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert lengths["_measure"] <= 30, lengths["_measure"]
+    too_long = {
+        name: n
+        for name, n in lengths.items()
+        if n > 110 and name != "__init__"
+    }
+    assert not too_long, too_long
