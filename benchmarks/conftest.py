@@ -7,7 +7,6 @@ prints it, so a ``pytest benchmarks/ --benchmark-only`` run regenerates
 every table and figure of the paper.
 """
 
-import json
 import os
 
 import pytest
@@ -33,31 +32,6 @@ def write_report(name: str, text: str) -> None:
         handle.write(text + "\n")
     print()
     print(text)
-
-
-def write_bench_json(name: str, payload: dict) -> None:
-    """Write ``BENCH_<name>.json`` next to the text reports.
-
-    Machine-readable perf artifacts (wall-clock, ops/s, topology size)
-    give future PRs a trajectory to compare against; CI uploads the
-    whole ``reports/`` directory, so every run leaves both the
-    human-readable table and the JSON record.
-    """
-    os.makedirs(REPORT_DIR, exist_ok=True)
-    path = os.path.join(REPORT_DIR, f"BENCH_{name}.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {path}")
-
-
-def topology_summary(internet) -> dict:
-    """Topology-size block shared by every BENCH_*.json payload."""
-    return {
-        "ases": len(internet.graph),
-        "routers": len(internet.routers),
-        "hosts": len(internet.hosts),
-    }
 
 
 def fresh_scenario(seed: int = BENCH_SEED, atlas_size: int = 25):

@@ -74,7 +74,7 @@ def _run_variant(scenario, config):
         atlas.build(
             scenario.background_prober,
             atlas_pool,
-            random.Random(scenario.seed ^ hash(source) & 0xFF),
+            scenario.bundle_rng(source),
             size=scenario.atlas_size,
         )
         rr_atlas = None

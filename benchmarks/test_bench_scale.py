@@ -1,13 +1,12 @@
-"""Wall-clock scale benchmark: the simulator at ~500 ASes.
+"""Scale check: the simulator at ~500 ASes.
 
-Not a paper figure — a performance regression guard: building a large
-Internet and running a stream of revtr 2.0 measurements must stay
-cheap enough that the evaluation-scale campaigns remain interactive.
+Not a paper figure: a large Internet builds, and a stream of revtr 2.0
+measurements over it completes in the expected proportion. How fast
+it runs is ``benchmarks/e2e``'s question (its workloads use this
+topology).
 """
 
-import time
-
-from conftest import topology_summary, write_bench_json, write_report
+from conftest import write_report
 
 from repro.core.result import RevtrStatus
 from repro.experiments import Scenario
@@ -24,16 +23,14 @@ def test_scale_revtr_stream(benchmark):
         400, options_only=True
     )
 
-    state = {"complete": 0, "total": 0, "elapsed": 0.0}
+    state = {"complete": 0, "total": 0}
 
     def run_stream():
-        start = time.perf_counter()
         for dst in destinations[:200]:
             result = engine.measure(dst)
             state["total"] += 1
             if result.status is RevtrStatus.COMPLETE:
                 state["complete"] += 1
-        state["elapsed"] = time.perf_counter() - start
         return state["complete"]
 
     benchmark.pedantic(run_stream, rounds=1, iterations=1)
@@ -49,19 +46,4 @@ def test_scale_revtr_stream(benchmark):
         ]
     )
     write_report("scale", report)
-    elapsed = state["elapsed"]
-    write_bench_json(
-        "scale",
-        {
-            "benchmark": "scale_revtr_stream",
-            "wall_clock_seconds": round(elapsed, 6),
-            "measurements": state["total"],
-            "complete": state["complete"],
-            "ops_per_second": round(state["total"] / elapsed, 2)
-            if elapsed
-            else None,
-            "topology": topology_summary(internet),
-            "forwarding_caches": internet.forwarding_cache_stats(),
-        },
-    )
     assert state["complete"] >= 0.3 * state["total"]

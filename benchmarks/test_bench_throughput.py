@@ -1,39 +1,18 @@
 """§5.2.4 throughput: projected reverse traceroutes per second/day."""
 
-import time
-
-from conftest import topology_summary, write_bench_json, write_report
+from conftest import write_report
 
 from repro.experiments import exp_comparison
 
 
 def test_throughput(benchmark, comparison):
-    start = time.perf_counter()
     report = benchmark(exp_comparison.format_throughput, comparison)
-    elapsed = time.perf_counter() - start
     write_report("throughput", report)
 
     projections = {
         p.variant: p
         for p in exp_comparison.throughput_projections(comparison)
     }
-    write_bench_json(
-        "throughput",
-        {
-            "benchmark": "throughput",
-            "wall_clock_seconds": round(elapsed, 6),
-            "topology": topology_summary(comparison.scenario.internet),
-            "projections": {
-                variant: {
-                    "revtrs_per_second": p.revtrs_per_second,
-                    "revtrs_per_day_146_sites": p.scaled_to(
-                        146
-                    ).revtrs_per_day,
-                }
-                for variant, p in projections.items()
-            },
-        },
-    )
     # revtr 2.0 sustains an order of magnitude more measurements than
     # revtr 1.0 on the same fleet (paper: 173/s vs 4/s, a 43x gap).
     assert (

@@ -39,10 +39,7 @@ Commands:
   metric windows behind it (``--json`` for machines);
 * ``top`` — live refreshing terminal dashboard (rates with
   sparklines, SLO rollup, health findings) over a background
-  measurement workload;
-* ``benchdiff`` — compare two or more ``BENCH_*.json`` artifacts,
-  gating regressions beyond ``--threshold`` percent (non-zero exit);
-  wall-clock keys are reported but never gated.
+  measurement workload.
 
 ``serve --http PORT`` exposes ``/metrics``, ``/metrics.json``,
 ``/health`` and ``/timeseries`` over HTTP while the scheduler demo
@@ -91,7 +88,7 @@ def _write_events(
     rotate_bytes: Optional[int] = None,
 ) -> None:
     """Drain the flight recorder to a JSONL file (optional rotation)."""
-    if not path or instr.events is None:
+    if not path:
         return
     from repro.obs.eventio import JsonlEventWriter
 
@@ -775,11 +772,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
-    from repro.obs.health import (
-        HealthConfig,
-        HealthEngine,
-        format_findings,
-    )
+    from repro.obs.health import HealthEngine, format_findings
     from repro.obs.timeseries import install_sampler
 
     instr = Instrumentation()
@@ -791,15 +784,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
     # Close the last window so the final state is always in the ring.
     sampler.sample()
 
-    config = HealthConfig()
-    if args.window is not None:
-        for attr in (
-            "slo_window", "cache_window", "retry_window",
-            "quarantine_window", "queue_window", "drops_window",
-            "atlas_window", "rejection_window",
-        ):
-            setattr(config, attr, args.window)
-    health = HealthEngine(config)
+    health = HealthEngine(window=args.window)
     findings = health.evaluate(sampler, instr.events)
     status = HealthEngine.status(findings)
 
@@ -892,34 +877,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     finally:
         stop.set()
         worker.join(timeout=10)
-    return 0
-
-
-def _cmd_benchdiff(args: argparse.Namespace) -> int:
-    from repro.obs.benchdiff import diff_files, format_diff
-
-    try:
-        report = diff_files(
-            args.base, args.candidates, threshold_pct=args.threshold
-        )
-    except OSError as exc:
-        print(
-            f"error: cannot read benchmark file: {exc}", file=sys.stderr
-        )
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid benchmark JSON: {exc}", file=sys.stderr)
-        return 2
-    if args.report_out:
-        with open(args.report_out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_diff(report, verbose=args.verbose))
-    if not report["ok"] and not args.report_only:
-        return 1
     return 0
 
 
@@ -1338,39 +1295,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--variant", default="revtr2.0")
     _add_amortization_flags(top)
     top.set_defaults(func=_cmd_top)
-
-    benchdiff = sub.add_parser(
-        "benchdiff",
-        help="compare BENCH_*.json artifacts and flag regressions",
-    )
-    benchdiff.add_argument(
-        "base", help="baseline benchmark JSON (e.g. the committed one)"
-    )
-    benchdiff.add_argument(
-        "candidates", nargs="+",
-        help="one or more candidate benchmark JSON files",
-    )
-    benchdiff.add_argument(
-        "--threshold", type=float, default=20.0, metavar="PCT",
-        help="gated regression threshold in percent (default: 20)",
-    )
-    benchdiff.add_argument(
-        "--json", action="store_true",
-        help="machine-readable diff report",
-    )
-    benchdiff.add_argument(
-        "--verbose", action="store_true",
-        help="also list ungated (wall-clock/informational) changes",
-    )
-    benchdiff.add_argument(
-        "--report-out", metavar="FILE",
-        help="also write the JSON diff report to FILE",
-    )
-    benchdiff.add_argument(
-        "--report-only", action="store_true",
-        help="always exit 0, even when gated regressions were found",
-    )
-    benchdiff.set_defaults(func=_cmd_benchdiff)
     return parser
 
 

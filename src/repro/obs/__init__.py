@@ -29,19 +29,16 @@ The *time dimension* adds a fifth layer: :mod:`repro.obs.timeseries`
 (bounded ring of periodic registry snapshots with rate/window
 queries), :mod:`repro.obs.health` (rule-based detectors producing
 typed findings correlated to flight-recorder events),
-:mod:`repro.obs.dashboard` (``repro top`` / ``stats --watch``
-rendering), :mod:`repro.obs.httpd` (HTTP exposition endpoint for
-``repro serve --http``), and :mod:`repro.obs.benchdiff`
-(``BENCH_*.json`` regression diffing behind ``repro benchdiff``).
+:mod:`repro.obs.dashboard` (``repro top`` rendering), and
+:mod:`repro.obs.httpd` (HTTP exposition endpoint for
+``repro serve --http``).
 """
 
-from repro.obs.benchdiff import diff_benchmarks, diff_files, format_diff
 from repro.obs.dashboard import live_view, render_top, sparkline
 from repro.obs.eventio import JsonlEventWriter, follow_jsonl, read_events
 from repro.obs.events import EVENT_SCHEMA_VERSION, Event, EventLog
 from repro.obs.exposition import render_text
 from repro.obs.health import (
-    HealthConfig,
     HealthEngine,
     HealthFinding,
     format_findings,
@@ -88,7 +85,6 @@ __all__ = [
     "Event",
     "EventLog",
     "Gauge",
-    "HealthConfig",
     "HealthEngine",
     "HealthFinding",
     "Histogram",
@@ -104,13 +100,10 @@ __all__ = [
     "TimeSeriesSampler",
     "Tracer",
     "delta_buckets",
-    "diff_benchmarks",
-    "diff_files",
     "disable",
     "enable",
     "explain_measurement",
     "follow_jsonl",
-    "format_diff",
     "format_findings",
     "format_slo",
     "get_default",

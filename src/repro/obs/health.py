@@ -13,8 +13,11 @@ diagnosis that links straight back to ``repro explain``/``repro
 events``.
 
 The rules table is intentionally declarative — signal → window →
-threshold → finding — and mirrored in ``DESIGN.md``.  Thresholds are
-configurable per-rule through :class:`HealthConfig`.
+threshold → finding — and mirrored in ``DESIGN.md``.  Windows and
+thresholds are the values in :data:`RULES_TABLE` and the constants
+below it, tuned for the small/tiny simulated scenarios the CLI runs;
+the one thing a caller varies is a single window for every rule
+(``HealthEngine(window=...)``, ``repro health --window``).
 """
 
 from __future__ import annotations
@@ -63,58 +66,81 @@ class HealthFinding:
         }
 
 
-@dataclass
-class HealthConfig:
-    """Tunable windows and thresholds, one block per rule.
+#: The rules, in evaluation order: signal → window (sim-clock seconds)
+#: → threshold → finding kind.  The contract mirrored in DESIGN.md;
+#: :meth:`HealthEngine.evaluate` reads each rule's window and
+#: threshold from here.
+RULES_TABLE: Tuple[Tuple[str, float, float, str], ...] = (
+    # Error-budget burn: window error fraction / (1 - SLO_TARGET).
+    (
+        "completion error-budget burn (revtr_measurements_total)",
+        600.0,
+        1.6,
+        "slo-burn-rate",
+    ),
+    # Absolute drop of the windowed hit rate below the pre-window
+    # baseline (a cold cache never had a baseline to lose).
+    (
+        "cache hit rate vs pre-window baseline (cache_lookups_total)",
+        600.0,
+        0.25,
+        "cache-hit-collapse",
+    ),
+    (
+        "engine + scheduler retries (revtr_retries_total, service_retries_total)",
+        600.0,
+        3.0,
+        "retry-storm",
+    ),
+    (
+        "VP quarantines + replacements (vp_quarantines_total, vp_replacements_total)",
+        900.0,
+        1.0,
+        "quarantine-churn",
+    ),
+    # Depth non-decreasing across the trailing QUEUE_MIN_SAMPLES
+    # samples and at/above the threshold.
+    (
+        "queue depth trend (service_queue_depth)",
+        300.0,
+        8.0,
+        "queue-buildup",
+    ),
+    # Overwrites beginning (or accelerating) inside the window.
+    (
+        "flight-recorder overwrites (obs_events_dropped_total)",
+        600.0,
+        1.0,
+        "event-ring-drops",
+    ),
+    # Stale intersections adopted per window, or the oldest atlas
+    # traceroute exceeding ATLAS_AGE_THRESHOLD.
+    (
+        "stale intersections + atlas age (atlas_stale_intersections_total, atlas_age_seconds)",
+        900.0,
+        3.0,
+        "atlas-staleness",
+    ),
+    (
+        "admission refusals (service_rejections_total)",
+        300.0,
+        5.0,
+        "rejection-storm",
+    ),
+)
 
-    Windows are sim-clock seconds.  Defaults are tuned for the small/
-    tiny simulated scenarios the CLI runs; production deployments
-    would widen windows and tighten thresholds.
-    """
-
-    # slo-burn-rate: error budget burn over the window.  With
-    # ``slo_target`` completion objective the allowed error fraction is
-    # ``1 - slo_target``; burn = window error fraction / allowed.
-    slo_window: float = 600.0
-    slo_target: float = 0.75
-    slo_burn_threshold: float = 1.6
-    slo_min_requests: int = 4
-
-    # cache-hit-collapse: windowed hit rate dropping well below the
-    # pre-window baseline (a cold cache never had a baseline to lose).
-    cache_window: float = 600.0
-    cache_min_lookups: int = 8
-    cache_baseline_rate: float = 0.3
-    cache_drop_threshold: float = 0.25
-
-    # retry-storm: degradation retries (engine + scheduler) per window.
-    retry_window: float = 600.0
-    retry_threshold: float = 3.0
-
-    # quarantine-churn: VP quarantines/replacements per window.
-    quarantine_window: float = 900.0
-    quarantine_threshold: float = 1.0
-
-    # queue-buildup: scheduler queue depth non-decreasing across the
-    # trailing samples and at/above the depth threshold.
-    queue_window: float = 300.0
-    queue_depth_threshold: float = 8.0
-    queue_min_samples: int = 3
-
-    # event-ring-drops: flight-recorder overwrites beginning (or
-    # accelerating) inside the window.
-    drops_window: float = 600.0
-    drops_threshold: float = 1.0
-
-    # atlas-staleness: stale intersections adopted per window, or the
-    # oldest atlas traceroute exceeding the age bound.
-    atlas_window: float = 900.0
-    atlas_stale_threshold: float = 3.0
-    atlas_age_threshold: float = 2 * 86400.0
-
-    # rejection-storm: scheduler admission refusals per window.
-    rejection_window: float = 300.0
-    rejection_threshold: float = 5.0
+#: Completion objective; the allowed error fraction is ``1 - SLO_TARGET``.
+SLO_TARGET = 0.75
+#: Fewer measurements than this in the window say nothing about burn.
+SLO_MIN_REQUESTS = 4
+#: Fewer lookups than this in the window say nothing about hit rate.
+CACHE_MIN_LOOKUPS = 8
+#: A pre-window hit rate below this was never a warm cache.
+CACHE_BASELINE_RATE = 0.3
+#: Trailing samples the queue depth must be non-decreasing across.
+QUEUE_MIN_SAMPLES = 3
+#: Oldest atlas traceroute age (sim-seconds) that counts as stale.
+ATLAS_AGE_THRESHOLD = 2 * 86400.0
 
 
 def _window_bounds(samples: Sequence[Any]) -> Tuple[Optional[float], Optional[float]]:
@@ -130,18 +156,20 @@ def _severity(value: float, threshold: float) -> str:
 class HealthEngine:
     """Evaluate health rules over a sampler's retained time-series."""
 
-    def __init__(self, config: Optional[HealthConfig] = None) -> None:
-        self.config = config or HealthConfig()
-        self._rules: List[Callable[..., Optional[HealthFinding]]] = [
-            self._rule_slo_burn,
-            self._rule_cache_collapse,
-            self._rule_retry_storm,
-            self._rule_quarantine_churn,
-            self._rule_queue_buildup,
-            self._rule_event_drops,
-            self._rule_atlas_staleness,
-            self._rule_rejection_storm,
-        ]
+    def __init__(self, window: Optional[float] = None) -> None:
+        #: One window (sim-clock seconds) for every rule, overriding
+        #: the table's; ``None`` keeps each rule's own.
+        self.window = window
+        self._rules: Dict[str, Callable[..., Optional[HealthFinding]]] = {
+            "slo-burn-rate": self._rule_slo_burn,
+            "cache-hit-collapse": self._rule_cache_collapse,
+            "retry-storm": self._rule_retry_storm,
+            "quarantine-churn": self._rule_quarantine_churn,
+            "queue-buildup": self._rule_queue_buildup,
+            "event-ring-drops": self._rule_event_drops,
+            "atlas-staleness": self._rule_atlas_staleness,
+            "rejection-storm": self._rule_rejection_storm,
+        }
 
     # -- entry points ---------------------------------------------------
 
@@ -155,8 +183,10 @@ class HealthEngine:
         if events is None:
             events = getattr(getattr(sampler, "obs", None), "events", None)
         findings: List[HealthFinding] = []
-        for rule in self._rules:
-            finding = rule(sampler)
+        for _signal, window, threshold, kind in RULES_TABLE:
+            if self.window is not None:
+                window = self.window
+            finding = self._rules[kind](sampler, window, threshold)
             if finding is None:
                 continue
             self._attach_events(finding, events)
@@ -228,9 +258,10 @@ class HealthEngine:
 
     # -- rules ----------------------------------------------------------
 
-    def _rule_slo_burn(self, sampler) -> Optional[HealthFinding]:
-        cfg = self.config
-        samples = sampler.window(cfg.slo_window)
+    def _rule_slo_burn(
+        self, sampler, window: float, threshold: float
+    ) -> Optional[HealthFinding]:
+        samples = sampler.window(window)
         if len(samples) < 2:
             return None
         first, last = samples[0], samples[-1]
@@ -241,18 +272,18 @@ class HealthEngine:
             for status in new
         }
         total = sum(deltas.values())
-        if total < cfg.slo_min_requests:
+        if total < SLO_MIN_REQUESTS:
             return None
         errors = total - deltas.get("complete", 0.0)
         error_fraction = errors / total
-        allowed = max(1e-9, 1.0 - cfg.slo_target)
+        allowed = max(1e-9, 1.0 - SLO_TARGET)
         burn = error_fraction / allowed
-        if burn < cfg.slo_burn_threshold:
+        if burn < threshold:
             return None
-        window = _window_bounds(samples)
+        bounds = _window_bounds(samples)
         return HealthFinding(
             kind="slo-burn-rate",
-            severity=_severity(burn, cfg.slo_burn_threshold),
+            severity=_severity(burn, threshold),
             message=(
                 "completion SLO burning at {burn:.1f}x budget: "
                 "{errors:.0f}/{total:.0f} measurements missed "
@@ -260,32 +291,33 @@ class HealthEngine:
                     burn=burn,
                     errors=errors,
                     total=total,
-                    target=cfg.slo_target,
+                    target=SLO_TARGET,
                 )
             ),
-            window=window,
+            window=bounds,
             value=burn,
-            threshold=cfg.slo_burn_threshold,
+            threshold=threshold,
             evidence={
                 "metric": "revtr_measurements_total",
                 "window_statuses": {
                     k: v for k, v in sorted(deltas.items()) if v
                 },
                 "error_fraction": error_fraction,
-                "slo_target": cfg.slo_target,
+                "slo_target": SLO_TARGET,
             },
         )
 
-    def _rule_cache_collapse(self, sampler) -> Optional[HealthFinding]:
-        cfg = self.config
-        samples = sampler.window(cfg.cache_window)
+    def _rule_cache_collapse(
+        self, sampler, window: float, threshold: float
+    ) -> Optional[HealthFinding]:
+        samples = sampler.window(window)
         if len(samples) < 2:
             return None
         first, last = samples[0], samples[-1]
         new = last.counter_by_label("cache_lookups_total", "outcome")
         old = first.counter_by_label("cache_lookups_total", "outcome")
         lookups = sum(new.values()) - sum(old.values())
-        if lookups < cfg.cache_min_lookups:
+        if lookups < CACHE_MIN_LOOKUPS:
             return None
         hits = new.get("hit", 0.0) - old.get("hit", 0.0)
         window_rate = hits / lookups
@@ -293,24 +325,24 @@ class HealthEngine:
         if baseline_lookups <= 0:
             return None  # cold cache: nothing collapsed
         baseline_rate = old.get("hit", 0.0) / baseline_lookups
-        if baseline_rate < cfg.cache_baseline_rate:
+        if baseline_rate < CACHE_BASELINE_RATE:
             return None
         drop = baseline_rate - window_rate
-        if drop < cfg.cache_drop_threshold:
+        if drop < threshold:
             return None
-        window = _window_bounds(samples)
+        bounds = _window_bounds(samples)
         return HealthFinding(
             kind="cache-hit-collapse",
-            severity=_severity(drop, cfg.cache_drop_threshold),
+            severity=_severity(drop, threshold),
             message=(
                 "measurement-cache hit rate collapsed: {now:.0%} in the "
                 "window vs {base:.0%} baseline over {n:.0f} lookups".format(
                     now=window_rate, base=baseline_rate, n=lookups
                 )
             ),
-            window=window,
+            window=bounds,
             value=drop,
-            threshold=cfg.cache_drop_threshold,
+            threshold=threshold,
             evidence={
                 "metric": "cache_lookups_total",
                 "window_hit_rate": window_rate,
@@ -319,23 +351,24 @@ class HealthEngine:
             },
         )
 
-    def _rule_retry_storm(self, sampler) -> Optional[HealthFinding]:
-        cfg = self.config
-        samples = sampler.window(cfg.retry_window)
+    def _rule_retry_storm(
+        self, sampler, window: float, threshold: float
+    ) -> Optional[HealthFinding]:
+        samples = sampler.window(window)
         if len(samples) < 2:
             return None
-        engine = sampler.delta("revtr_retries_total", window=cfg.retry_window)
-        sched = sampler.delta("service_retries_total", window=cfg.retry_window)
+        engine = sampler.delta("revtr_retries_total", window=window)
+        sched = sampler.delta("service_retries_total", window=window)
         retries = engine + sched
-        if retries < cfg.retry_threshold:
+        if retries < threshold:
             return None
         measurements = sampler.delta(
-            "revtr_measurements_total", window=cfg.retry_window
+            "revtr_measurements_total", window=window
         )
-        window = _window_bounds(samples)
+        bounds = _window_bounds(samples)
         return HealthFinding(
             kind="retry-storm",
-            severity=_severity(retries, cfg.retry_threshold),
+            severity=_severity(retries, threshold),
             message=(
                 "retry storm: {n:.0f} degradation retries in the window "
                 "({engine:.0f} engine, {sched:.0f} scheduler) across "
@@ -343,9 +376,9 @@ class HealthEngine:
                     n=retries, engine=engine, sched=sched, m=measurements
                 )
             ),
-            window=window,
+            window=bounds,
             value=retries,
-            threshold=cfg.retry_threshold,
+            threshold=threshold,
             evidence={
                 "metrics": [
                     "revtr_retries_total",
@@ -360,35 +393,36 @@ class HealthEngine:
             },
         )
 
-    def _rule_quarantine_churn(self, sampler) -> Optional[HealthFinding]:
-        cfg = self.config
-        samples = sampler.window(cfg.quarantine_window)
+    def _rule_quarantine_churn(
+        self, sampler, window: float, threshold: float
+    ) -> Optional[HealthFinding]:
+        samples = sampler.window(window)
         if len(samples) < 2:
             return None
         quarantines = sampler.delta(
-            "vp_quarantines_total", window=cfg.quarantine_window
+            "vp_quarantines_total", window=window
         )
         replacements = sampler.delta(
-            "vp_replacements_total", window=cfg.quarantine_window
+            "vp_replacements_total", window=window
         )
         churn = quarantines + replacements
-        if churn < cfg.quarantine_threshold:
+        if churn < threshold:
             return None
         latest = samples[-1]
         active = latest.gauge_value("vp_quarantined_current") or 0.0
-        window = _window_bounds(samples)
+        bounds = _window_bounds(samples)
         return HealthFinding(
             kind="quarantine-churn",
-            severity=_severity(churn, 2.0 * cfg.quarantine_threshold),
+            severity=_severity(churn, 2.0 * threshold),
             message=(
                 "VP churn: {q:.0f} quarantines and {r:.0f} replacements "
                 "in the window ({a:.0f} VPs quarantined now)".format(
                     q=quarantines, r=replacements, a=active
                 )
             ),
-            window=window,
+            window=bounds,
             value=churn,
-            threshold=cfg.quarantine_threshold,
+            threshold=threshold,
             evidence={
                 "metrics": [
                     "vp_quarantines_total",
@@ -401,45 +435,47 @@ class HealthEngine:
             },
         )
 
-    def _rule_queue_buildup(self, sampler) -> Optional[HealthFinding]:
-        cfg = self.config
-        samples = sampler.window(cfg.queue_window)
-        if len(samples) < cfg.queue_min_samples:
+    def _rule_queue_buildup(
+        self, sampler, window: float, threshold: float
+    ) -> Optional[HealthFinding]:
+        samples = sampler.window(window)
+        if len(samples) < QUEUE_MIN_SAMPLES:
             return None
         depths = [
             s.gauge_value("service_queue_depth") for s in samples
         ]
         depths = [d for d in depths if d is not None]
-        if len(depths) < cfg.queue_min_samples:
+        if len(depths) < QUEUE_MIN_SAMPLES:
             return None
-        tail = depths[-cfg.queue_min_samples:]
+        tail = depths[-QUEUE_MIN_SAMPLES:]
         non_decreasing = all(b >= a for a, b in zip(tail, tail[1:]))
-        if not non_decreasing or tail[-1] < cfg.queue_depth_threshold:
+        if not non_decreasing or tail[-1] < threshold:
             return None
         if tail[-1] <= tail[0]:
             return None  # flat at threshold isn't buildup
-        window = _window_bounds(samples)
+        bounds = _window_bounds(samples)
         return HealthFinding(
             kind="queue-buildup",
-            severity=_severity(tail[-1], cfg.queue_depth_threshold),
+            severity=_severity(tail[-1], threshold),
             message=(
                 "scheduler queue building up: depth {d:.0f} and "
                 "non-decreasing over the last {n} samples".format(
                     d=tail[-1], n=len(tail)
                 )
             ),
-            window=window,
+            window=bounds,
             value=tail[-1],
-            threshold=cfg.queue_depth_threshold,
+            threshold=threshold,
             evidence={
                 "metric": "service_queue_depth",
                 "depths": depths,
             },
         )
 
-    def _rule_event_drops(self, sampler) -> Optional[HealthFinding]:
-        cfg = self.config
-        samples = sampler.window(cfg.drops_window)
+    def _rule_event_drops(
+        self, sampler, window: float, threshold: float
+    ) -> Optional[HealthFinding]:
+        samples = sampler.window(window)
         if len(samples) < 2:
             return None
         first, last = samples[0], samples[-1]
@@ -448,13 +484,13 @@ class HealthEngine:
         dropped = last.events.get("dropped", 0) - first.events.get(
             "dropped", 0
         )
-        if dropped < cfg.drops_threshold:
+        if dropped < threshold:
             return None
-        window = _window_bounds(samples)
+        bounds = _window_bounds(samples)
         onset = first.events.get("dropped", 0) == 0
         return HealthFinding(
             kind="event-ring-drops",
-            severity=_severity(float(dropped), 50.0 * cfg.drops_threshold),
+            severity=_severity(float(dropped), 50.0 * threshold),
             message=(
                 "flight recorder {what}: {n} events overwritten in the "
                 "window — raise event capacity or drain with "
@@ -465,9 +501,9 @@ class HealthEngine:
                     n=int(dropped),
                 )
             ),
-            window=window,
+            window=bounds,
             value=float(dropped),
-            threshold=cfg.drops_threshold,
+            threshold=threshold,
             evidence={
                 "metric": "obs_events_dropped_total",
                 "window_dropped": dropped,
@@ -476,14 +512,15 @@ class HealthEngine:
             },
         )
 
-    def _rule_atlas_staleness(self, sampler) -> Optional[HealthFinding]:
-        cfg = self.config
-        samples = sampler.window(cfg.atlas_window)
+    def _rule_atlas_staleness(
+        self, sampler, window: float, threshold: float
+    ) -> Optional[HealthFinding]:
+        samples = sampler.window(window)
         if len(samples) < 1:
             return None
         stale = (
             sampler.delta(
-                "atlas_stale_intersections_total", window=cfg.atlas_window
+                "atlas_stale_intersections_total", window=window
             )
             if len(samples) >= 2
             else 0.0
@@ -492,31 +529,31 @@ class HealthEngine:
         oldest_age = latest.gauge_value(
             "atlas_age_seconds", {"stat": "oldest"}
         )
-        stale_breach = stale >= cfg.atlas_stale_threshold
+        stale_breach = stale >= threshold
         age_breach = (
-            oldest_age is not None and oldest_age >= cfg.atlas_age_threshold
+            oldest_age is not None and oldest_age >= ATLAS_AGE_THRESHOLD
         )
         if not stale_breach and not age_breach:
             return None
-        window = _window_bounds(samples)
+        bounds = _window_bounds(samples)
         if stale_breach:
-            value, threshold = stale, cfg.atlas_stale_threshold
+            value = stale
             message = (
                 "atlas staleness: {n:.0f} stale intersections adopted "
                 "in the window".format(n=stale)
             )
         else:
-            value, threshold = float(oldest_age), cfg.atlas_age_threshold
+            value, threshold = float(oldest_age), ATLAS_AGE_THRESHOLD
             message = (
                 "atlas staleness: oldest traceroute is {age:.0f} "
                 "sim-seconds old (budget {budget:.0f}) — refresh the "
-                "atlas".format(age=oldest_age, budget=cfg.atlas_age_threshold)
+                "atlas".format(age=oldest_age, budget=ATLAS_AGE_THRESHOLD)
             )
         return HealthFinding(
             kind="atlas-staleness",
             severity=_severity(value, threshold),
             message=message,
-            window=window,
+            window=bounds,
             value=value,
             threshold=threshold,
             evidence={
@@ -529,9 +566,10 @@ class HealthEngine:
             },
         )
 
-    def _rule_rejection_storm(self, sampler) -> Optional[HealthFinding]:
-        cfg = self.config
-        samples = sampler.window(cfg.rejection_window)
+    def _rule_rejection_storm(
+        self, sampler, window: float, threshold: float
+    ) -> Optional[HealthFinding]:
+        samples = sampler.window(window)
         if len(samples) < 2:
             return None
         first, last = samples[0], samples[-1]
@@ -542,9 +580,9 @@ class HealthEngine:
             for reason in new
         }
         rejected = sum(deltas.values())
-        if rejected < cfg.rejection_threshold:
+        if rejected < threshold:
             return None
-        window = _window_bounds(samples)
+        bounds = _window_bounds(samples)
         breakdown = ", ".join(
             f"{reason}={int(n)}"
             for reason, n in sorted(deltas.items())
@@ -552,14 +590,14 @@ class HealthEngine:
         )
         return HealthFinding(
             kind="rejection-storm",
-            severity=_severity(rejected, cfg.rejection_threshold),
+            severity=_severity(rejected, threshold),
             message=(
                 "admission rejections spiking: {n:.0f} in the window "
                 "({breakdown})".format(n=rejected, breakdown=breakdown)
             ),
-            window=window,
+            window=bounds,
             value=rejected,
-            threshold=cfg.rejection_threshold,
+            threshold=threshold,
             evidence={
                 "metric": "service_rejections_total",
                 "window_by_reason": {
@@ -567,61 +605,6 @@ class HealthEngine:
                 },
             },
         )
-
-
-#: Declarative rules table (signal → window attr → threshold attr →
-#: finding kind), the contract mirrored in DESIGN.md and used by docs
-#: and tests to keep the three in sync.
-RULES_TABLE: Tuple[Tuple[str, str, str, str], ...] = (
-    (
-        "completion error-budget burn (revtr_measurements_total)",
-        "slo_window",
-        "slo_burn_threshold",
-        "slo-burn-rate",
-    ),
-    (
-        "cache hit rate vs pre-window baseline (cache_lookups_total)",
-        "cache_window",
-        "cache_drop_threshold",
-        "cache-hit-collapse",
-    ),
-    (
-        "engine + scheduler retries (revtr_retries_total, service_retries_total)",
-        "retry_window",
-        "retry_threshold",
-        "retry-storm",
-    ),
-    (
-        "VP quarantines + replacements (vp_quarantines_total, vp_replacements_total)",
-        "quarantine_window",
-        "quarantine_threshold",
-        "quarantine-churn",
-    ),
-    (
-        "queue depth trend (service_queue_depth)",
-        "queue_window",
-        "queue_depth_threshold",
-        "queue-buildup",
-    ),
-    (
-        "flight-recorder overwrites (obs_events_dropped_total)",
-        "drops_window",
-        "drops_threshold",
-        "event-ring-drops",
-    ),
-    (
-        "stale intersections + atlas age (atlas_stale_intersections_total, atlas_age_seconds)",
-        "atlas_window",
-        "atlas_stale_threshold",
-        "atlas-staleness",
-    ),
-    (
-        "admission refusals (service_rejections_total)",
-        "rejection_window",
-        "rejection_threshold",
-        "rejection-storm",
-    ),
-)
 
 
 def format_findings(

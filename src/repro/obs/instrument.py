@@ -330,7 +330,8 @@ class BoundCounter:
 
 
 class Instrumentation:
-    """Live instrumentation: a metrics registry plus a tracer."""
+    """Live instrumentation: a metrics registry, a tracer and a
+    flight recorder."""
 
     enabled = True
 
@@ -340,19 +341,15 @@ class Instrumentation:
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         events: Optional[EventLog] = None,
-        event_capacity: Optional[int] = DEFAULT_EVENT_CAPACITY,
+        event_capacity: int = DEFAULT_EVENT_CAPACITY,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(clock=clock)
-        # ``event_capacity=0``/``None`` runs metrics + tracing without
-        # the flight recorder (used by the overhead benchmark to price
-        # event emission separately).
-        if events is not None:
-            self.events: Optional[EventLog] = events
-        elif event_capacity:
-            self.events = EventLog(capacity=event_capacity, clock=clock)
-        else:
-            self.events = None
+        self.events: EventLog = (
+            events
+            if events is not None
+            else EventLog(capacity=event_capacity, clock=clock)
+        )
         # Installed by repro.obs.timeseries.install_sampler; scheduler/
         # service completion hooks tick it via ``maybe_sample``.
         self.sampler = None
@@ -387,9 +384,8 @@ class Instrumentation:
         # binding the tracer's method directly skips one Python frame
         # per span.  Same trick for emits — the second-hottest call.
         self.span = self.tracer.span
-        if self.events is not None:
-            self.emit = self.events.emit
-            self.emit_t = self.events.emit_t
+        self.emit = self.events.emit
+        self.emit_t = self.events.emit_t
         self.register_collect_source(self._obs_self_collect)
 
     # -- pull-style collection ------------------------------------------
@@ -423,12 +419,9 @@ class Instrumentation:
         dropped_traces = getattr(self.tracer, "dropped", 0)
         if dropped_traces:
             out[("obs_traces_dropped_total", ())] = float(dropped_traces)
-        if self.events is not None:
-            dropped_events = self.events.accounting()[1]
-            if dropped_events:
-                out[("obs_events_dropped_total", ())] = float(
-                    dropped_events
-                )
+        dropped_events = self.events.accounting()[1]
+        if dropped_events:
+            out[("obs_events_dropped_total", ())] = float(dropped_events)
         return out
 
     @staticmethod
@@ -511,14 +504,10 @@ class Instrumentation:
         self, kind: str, /, _mid: Any = None, **fields: Any
     ) -> None:
         # Shadowed by the bound ``events.emit`` in ``__init__`` on the
-        # hot path (when the event log exists); kept so the facade
-        # surface stays self-documenting, and a no-op when the flight
-        # recorder is disabled.
-        if self.events is not None:
-            self.events.emit(kind, _mid=_mid, **fields)
+        # hot path; kept so the facade surface stays self-documenting.
+        self.events.emit(kind, _mid=_mid, **fields)
 
     def emit_t(self, kind: str, values: tuple) -> None:
         # Shadowed like ``emit`` above.  The tuple-payload fast path:
         # *values* match ``events.TUPLE_FIELDS[kind]`` positionally.
-        if self.events is not None:
-            self.events.emit_t(kind, values)
+        self.events.emit_t(kind, values)

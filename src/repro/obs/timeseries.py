@@ -6,8 +6,8 @@ trace tree, event ring).  This module adds the time dimension: a
 snapshot — counters, gauges and histogram buckets — into a bounded ring
 of :class:`TimeSample` records, and offers rate/derivative and
 sliding-window queries over them.  The health engine
-(:mod:`repro.obs.health`) and the live views (``repro top``,
-``repro stats --watch``, the HTTP endpoint) are all built on it.
+(:mod:`repro.obs.health`) and the live views (``repro top``, the
+HTTP endpoint) are all built on it.
 
 Design constraints, in the spirit of the pull-style obs layer:
 
@@ -30,8 +30,7 @@ Design constraints, in the spirit of the pull-style obs layer:
   sample schedule is a pure function of the virtual clock, so two runs
   of the same seeded workload produce byte-identical series
   (:meth:`export` excludes wall timestamps by default for exactly this
-  reason).  ``wall_interval`` exists for live wall-clock views and is
-  never enabled in deterministic contexts.
+  reason).
 * **Bounded.**  The ring keeps the newest ``capacity`` samples;
   overwritten samples are counted in :attr:`dropped`, mirroring the
   flight recorder's accounting.
@@ -150,14 +149,10 @@ class TimeSample:
 class TimeSeriesSampler:
     """Periodically snapshot an :class:`Instrumentation`'s registry.
 
-    Tick sources:
-
-    * ``sim_interval`` — sample whenever the virtual clock has advanced
-      at least this many sim-seconds since the last sample.  The
-      deterministic mode; used by ``repro health`` and tests.
-    * ``wall_interval`` — sample whenever this much wall time elapsed.
-      For live views and long-running wall-clock services; ``None``
-      (the default) disables wall ticks entirely.
+    The one tick source is the virtual clock: a sample is due
+    whenever it has advanced at least ``sim_interval`` sim-seconds
+    since the last one (``None`` disables ticks; live views pace
+    themselves and force captures).
 
     Hook points call :meth:`maybe_sample`; views force a capture with
     :meth:`sample`.  All query helpers operate on the retained ring.
@@ -167,7 +162,6 @@ class TimeSeriesSampler:
         self,
         instrumentation,
         sim_interval: Optional[float] = DEFAULT_SIM_INTERVAL,
-        wall_interval: Optional[float] = None,
         capacity: int = DEFAULT_CAPACITY,
         clock=None,
     ) -> None:
@@ -175,14 +169,12 @@ class TimeSeriesSampler:
             raise ValueError("capacity must be positive")
         self.obs = instrumentation
         self.sim_interval = sim_interval
-        self.wall_interval = wall_interval
         self.capacity = capacity
         self.clock = clock
         self._ring: List[TimeSample] = []
         self._count = 0
         self._dropped = 0
         self._last_sim: Optional[float] = None
-        self._last_wall: Optional[float] = None
 
     # -- clock resolution ----------------------------------------------
 
@@ -202,7 +194,7 @@ class TimeSeriesSampler:
     # -- capture --------------------------------------------------------
 
     def maybe_sample(self) -> Optional[TimeSample]:
-        """Capture a sample iff a tick interval has elapsed.
+        """Capture a sample iff the tick interval has elapsed.
 
         The not-due path costs one clock read plus a compare — cheap
         enough for per-completion hooks.
@@ -212,13 +204,6 @@ class TimeSeriesSampler:
             if sim is not None and (
                 self._last_sim is None
                 or sim - self._last_sim >= self.sim_interval
-            ):
-                return self.sample()
-        if self.wall_interval is not None:
-            wall = time.monotonic()
-            if (
-                self._last_wall is None
-                or wall - self._last_wall >= self.wall_interval
             ):
                 return self.sample()
         return None
@@ -242,7 +227,6 @@ class TimeSeriesSampler:
         )
         self._count += 1
         self._last_sim = sim
-        self._last_wall = time.monotonic()
         if len(self._ring) >= self.capacity:
             self._ring.pop(0)
             self._dropped += 1
@@ -368,7 +352,6 @@ class TimeSeriesSampler:
             "dropped": self._dropped,
             "capacity": self.capacity,
             "sim_interval": self.sim_interval,
-            "wall_interval": self.wall_interval,
             "span_sim": (
                 [first.sim, last.sim] if first is not None else None
             ),
@@ -404,7 +387,6 @@ class TimeSeriesSampler:
 def install_sampler(
     instrumentation,
     sim_interval: Optional[float] = DEFAULT_SIM_INTERVAL,
-    wall_interval: Optional[float] = None,
     capacity: int = DEFAULT_CAPACITY,
     clock=None,
 ) -> TimeSeriesSampler:
@@ -417,7 +399,6 @@ def install_sampler(
     sampler = TimeSeriesSampler(
         instrumentation,
         sim_interval=sim_interval,
-        wall_interval=wall_interval,
         capacity=capacity,
         clock=clock,
     )

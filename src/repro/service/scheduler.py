@@ -137,8 +137,8 @@ class SchedulerReport:
             "statuses": dict(sorted(self.statuses.items())),
         }
         if self.partial:
-            # Keyed in only when nonzero so fault-free reports (and the
-            # BENCH_* files built from them) keep their exact shape.
+            # Keyed in only when nonzero so fault-free reports keep
+            # their exact shape.
             doc["partial_results"] = self.partial
         return doc
 

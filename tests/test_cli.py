@@ -43,6 +43,14 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_retired_verb_is_an_invalid_choice(self, capsys):
+        # Committed numbers regenerate in place (DESIGN.md,
+        # "Evidence"); there is no artifact left for a verb to diff.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["benchdiff", "a.json", "b.json"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_measure_runs(self, capsys):

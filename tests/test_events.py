@@ -18,6 +18,7 @@ from repro.cli import main
 from repro.experiments import Scenario
 from repro.obs import (
     EVENT_SCHEMA_VERSION,
+    NULL,
     Event,
     EventLog,
     Instrumentation,
@@ -343,22 +344,14 @@ class TestProvenance:
         ).explain()
 
 
-class TestEventsDisabled:
-    def test_event_capacity_zero_still_measures(self):
-        instr = Instrumentation(event_capacity=0)
-        assert instr.events is None
-        scenario = Scenario(
-            config=TopologyConfig.tiny(seed=5), seed=5, atlas_size=20,
-            instrumentation=instr,
-        )
-        engine = scenario.engine(scenario.sources()[0], "revtr2.0")
-        dst = scenario.responsive_destinations(1, options_only=True)[0]
-        result = engine.measure(dst)
-        assert result.hops
-        assert result.measurement_id is None
-        # Metrics and traces still flow without the recorder.
-        assert instr.tracer.last_trace is not None
-        instr.emit("ignored", x=1)  # the facade stays a no-op
+class TestRecorderAlwaysOn:
+    def test_nonpositive_event_capacity_is_rejected(self):
+        # There is no "metrics + tracer, no flight recorder" mode: a
+        # live facade always records, only the null facade does not.
+        for capacity in (0, -1):
+            with pytest.raises(ValueError, match="capacity"):
+                Instrumentation(event_capacity=capacity)
+        assert NULL.events is None
 
 
 class TestCliVerbs:

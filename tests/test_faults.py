@@ -399,31 +399,91 @@ class TestVPHealthTracker:
         assert snap["quarantined_now"] == ["vp9"]
 
 
-class TestEngineDegradation:
-    def test_retry_budget_spent_under_loss(self):
-        scenario = chaos_scenario()
-        source = scenario.sources()[0]
-        engine = scenario.engine(
-            source,
-            "revtr2.0",
-            config=EngineConfig(
-                retry_budget=8,
-                ping_retries=4,
-                rr_retries=2,
-                recheck_unresponsive=True,
-            ),
-        )
+def measure_degraded(plan, destinations=None):
+    """Four measurements on a fresh tiny scenario under *plan*, with
+    the retry, recheck and VP-quarantine machinery on; returns
+    ``(results, engine, vp_health_tracker)``."""
+    scenario = chaos_scenario()
+    source = scenario.sources()[0]
+    engine = scenario.engine(
+        source,
+        "revtr2.0",
+        config=EngineConfig(
+            retry_budget=8,
+            ping_retries=4,
+            rr_retries=2,
+            recheck_unresponsive=True,
+        ),
+    )
+    if destinations is None:
         destinations = scenario.responsive_destinations(
             4, options_only=True
         )
-        scenario.install_faults(
-            FaultPlan(
-                specs=[FaultSpec(kind="link-loss", rate=0.2)], seed=7
-            )
-        )
-        for dst in destinations:
-            engine.measure(dst)
+    tracker = scenario.install_vp_health(
+        threshold=2, quarantine_seconds=300.0
+    )
+    scenario.install_faults(plan)
+    return [engine.measure(dst) for dst in destinations], engine, tracker
+
+
+def loss_plan(rate):
+    specs = [FaultSpec(kind="link-loss", rate=rate)] if rate else []
+    return FaultPlan(specs=specs, seed=7)
+
+
+class TestEngineDegradation:
+    def test_retry_budget_spent_under_loss(self):
+        _, engine, _ = measure_degraded(loss_plan(0.2))
         assert sum(engine.retry_counts.values()) >= 1
+
+    def test_loss_degrades_without_a_cliff(self):
+        """Full credit for a complete path, up to half for a degraded
+        result that still revealed reverse hops: the mean never rises
+        with the loss rate, and no rate goes totally dark."""
+
+        def credit(result):
+            if result.status is RevtrStatus.COMPLETE:
+                return 1.0
+            return 0.5 * min(1.0, (len(result.hops) - 1) / 4.0)
+
+        scores = []
+        for rate in (0.0, 0.1, 0.2, 0.3):
+            results, _, _ = measure_degraded(loss_plan(rate))
+            assert any(
+                r.status is RevtrStatus.COMPLETE or r.is_partial
+                for r in results
+            ), rate
+            scores.append(sum(map(credit, results)) / len(results))
+        assert scores[0] == 1.0
+        assert scores == sorted(scores, reverse=True)
+
+    def test_vp_outage_quarantines_and_replaces(self):
+        # Destinations whose direct RR ping answers but reveals no
+        # reverse hop can only be measured through spoofed batches, so
+        # the downed third of the fleet is on the probing path.  Found
+        # on a scratch scenario: direct RR is a function of topology.
+        scout = chaos_scenario()
+        source = scout.sources()[0]
+        hungry = []
+        for dst in scout.responsive_destinations(options_only=True):
+            rr = scout.online_prober.rr_ping(source, dst)
+            if rr.responded and not rr.reverse_hops():
+                hungry.append(dst)
+        # Never the source: that would measure source death, not churn.
+        fleet = sorted(vp for vp in scout.spoofer_addrs if vp != source)
+        plan = FaultPlan(
+            specs=[
+                FaultSpec(
+                    kind="vp-outage", vps=tuple(fleet[: len(fleet) // 3])
+                )
+            ],
+            seed=7,
+        )
+        results, _, tracker = measure_degraded(plan, hungry[:4])
+        health = tracker.snapshot()
+        assert health["quarantines"] >= 1
+        assert health["replacements"] >= 1
+        assert any(r.status is RevtrStatus.COMPLETE for r in results)
 
     def test_zero_budget_never_retries(self):
         scenario = chaos_scenario()

@@ -7,7 +7,6 @@ import pytest
 from repro.obs import Instrumentation
 from repro.obs.health import (
     RULES_TABLE,
-    HealthConfig,
     HealthEngine,
     HealthFinding,
     format_findings,
@@ -65,8 +64,7 @@ class TestRules:
         clock.advance(60.0)
         instr.inc("revtr_measurements_total", n=2, status="failed")
         sampler.sample()
-        config = HealthConfig(slo_min_requests=4)
-        assert HealthEngine(config).evaluate(sampler) == []
+        assert HealthEngine().evaluate(sampler) == []
 
     def test_retry_storm_counts_engine_and_scheduler(self):
         instr, clock, sampler = make_sampler()
@@ -98,14 +96,13 @@ class TestRules:
         assert churn.evidence["quarantined_now"] == 2.0
 
     def test_cache_collapse_needs_a_baseline(self):
-        config = HealthConfig(cache_min_lookups=4)
         # Cold cache: all misses from the start, no finding.
         instr, clock, sampler = make_sampler()
         sampler.sample()
         clock.advance(60.0)
         instr.inc("cache_lookups_total", n=10, outcome="miss", kind="m")
         sampler.sample()
-        assert HealthEngine(config).evaluate(sampler) == []
+        assert HealthEngine().evaluate(sampler) == []
         # Warm baseline that collapses inside the window: finding.
         instr, clock, sampler = make_sampler()
         instr.inc("cache_lookups_total", n=6, outcome="hit", kind="m")
@@ -114,7 +111,7 @@ class TestRules:
         clock.advance(60.0)
         instr.inc("cache_lookups_total", n=10, outcome="miss", kind="m")
         sampler.sample()
-        findings = HealthEngine(config).evaluate(sampler)
+        findings = HealthEngine().evaluate(sampler)
         collapse = next(
             f for f in findings if f.kind == "cache-hit-collapse"
         )
@@ -264,11 +261,27 @@ class TestContract:
         }
         # Every correlation entry belongs to a tabled rule kind.
         assert set(HealthEngine.EVENT_CORRELATION) <= rule_kinds
-        config = HealthConfig()
-        for signal, window_attr, threshold_attr, kind in RULES_TABLE:
-            assert hasattr(config, window_attr), kind
-            assert hasattr(config, threshold_attr), kind
-        assert len(RULES_TABLE) == len(engine._rules)
+        # The table is the configuration: one rule per row, evaluated
+        # in row order with that row's window and threshold.
+        assert [t[3] for t in RULES_TABLE] == list(engine._rules)
+        for signal, window, threshold, kind in RULES_TABLE:
+            assert window > 0 and threshold > 0, kind
+
+    def test_one_window_overrides_every_rule(self):
+        # `repro health --window N`: a storm three minutes back is
+        # inside every rule's own window and outside a 30 s one.
+        instr, clock, sampler = make_sampler()
+        sampler.sample()
+        clock.advance(60.0)
+        instr.inc("revtr_retries_total", n=8, reason="unresponsive")
+        instr.inc("vp_quarantines_total", n=2)
+        for _ in range(4):
+            sampler.sample()
+            clock.advance(60.0)
+        assert kinds(HealthEngine().evaluate(sampler)) == {
+            "retry-storm", "quarantine-churn",
+        }
+        assert HealthEngine(window=30.0).evaluate(sampler) == []
 
     def test_status_rollup(self):
         warn = HealthFinding(

@@ -286,9 +286,7 @@ class TestTracer:
         assert tracer.dropped == 6
 
     def test_dropped_traces_surface_as_a_counter(self):
-        instr = Instrumentation(
-            tracer=Tracer(max_traces=2), event_capacity=0
-        )
+        instr = Instrumentation(tracer=Tracer(max_traces=2))
         for i in range(5):
             with instr.span(f"t{i}"):
                 pass

@@ -117,6 +117,11 @@ class TestAdmissionControl:
         report = scheduler.run()
         assert report.completed == 3
         assert report.rejected["queue-full"] == 5
+        # Saturation loses nothing: every job is served or refused.
+        assert (
+            report.completed + sum(report.rejected.values())
+            == report.submitted
+        )
         counter = (
             instr.registry.counter("service_rejections_total")
             .labels(reason="queue-full")
@@ -197,7 +202,7 @@ class TestAdmissionControl:
 
 
 class TestDeterminism:
-    def _build(self):
+    def _build(self, parallelism=4):
         scenario = Scenario(
             config=TopologyConfig.tiny(seed=3), seed=3, atlas_size=10
         )
@@ -212,7 +217,9 @@ class TestDeterminism:
         service.add_source(alpha.api_key, source)
         dsts = scenario.responsive_destinations(6, options_only=True)
         scheduler = service.scheduler(
-            SchedulerConfig(parallelism=4, max_queue_per_user=16)
+            SchedulerConfig(
+                parallelism=parallelism, max_queue_per_user=16
+            )
         )
         for dst in dsts:
             scheduler.submit(alpha.api_key, dst, source)
@@ -237,6 +244,15 @@ class TestDeterminism:
 
     def test_round_robin_schedule_is_reproducible(self):
         assert self._run_once() == self._run_once()
+
+    def test_lanes_beat_sequential_on_the_virtual_clock(self):
+        sequential = self._build(parallelism=1).run()
+        scheduler = self._build(parallelism=4)
+        laned = scheduler.run()
+        assert laned.completed == sequential.completed == 12
+        assert len(scheduler.service.store) == laned.completed
+        assert laned.makespan < sequential.makespan
+        assert laned.throughput > sequential.throughput
 
     def test_round_robin_alternates_users(self):
         scheduler = self._build()

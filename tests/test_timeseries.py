@@ -61,9 +61,7 @@ class TestTickGating:
         assert sampler.total == 2
 
     def test_disabled_ticks_never_sample(self):
-        instr, clock, sampler = make_sampler(
-            sim_interval=None, wall_interval=None
-        )
+        instr, clock, sampler = make_sampler(sim_interval=None)
         clock.advance(1000.0)
         assert sampler.maybe_sample() is None
         assert sampler.total == 0
