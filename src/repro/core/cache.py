@@ -11,8 +11,8 @@ The cache is bounded two ways: entries expire after ``ttl`` (and the
 measurement path sweeps them out via :meth:`maybe_purge`), and an
 optional ``max_entries`` cap evicts least-recently-used entries so a
 long-running service cannot grow the cache without bound.  All
-operations take an internal lock: ``repro top``, ``stats --watch`` and
-``serve --http`` read its stats from a thread beside the workload.
+operations take an internal lock: ``repro top`` and ``serve --http``
+read its stats from a thread beside the workload.
 """
 
 from __future__ import annotations

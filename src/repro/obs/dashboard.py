@@ -1,11 +1,11 @@
-"""Terminal dashboard rendering for ``repro top`` / ``stats --watch``.
+"""Terminal dashboard rendering for ``repro top``.
 
 Pure text assembly: given the latest metrics snapshot, the time-series
 sampler and the current health findings, :func:`render_top` produces
 one dashboard frame; :func:`live_view` owns the redraw loop (ANSI
-home+clear on TTYs, frame separators otherwise) shared by ``repro
-top`` and ``repro stats --watch``.  Nothing here touches measurement
-state, so rendering can run concurrently with a workload thread.
+home+clear on TTYs, frame separators otherwise).  Nothing here touches
+measurement state, so rendering can run concurrently with a workload
+thread.
 """
 
 from __future__ import annotations

@@ -384,8 +384,8 @@ class FaultInjector:
 
         The walker's return tuple has no reason slot; the injector
         stashes it here and ``Internet._send_probe`` (or the TTL
-        sweep) picks it up when labelling the outcome.  Walks run sequentially under the sim
-        lock, so one slot suffices.
+        sweep) picks it up when labelling the outcome.  One thread
+        walks, one packet at a time, so one slot suffices.
         """
         reason, self._last_reason = self._last_reason, None
         return reason

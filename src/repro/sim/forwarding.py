@@ -49,10 +49,17 @@ FIB_LAN = 4
 class FibEntry:
     """The deterministic part of one forwarding decision, memoizable.
 
-    A FIB entry is everything about one hop of ``Internet._walk`` that
-    depends only on ``(router, destination, announcement)`` — delivery
-    detection, resolved intra-AS target, egress-border pick, and the
-    equal-cost candidate list — and *not* on the individual packet.
+    A slot of ``Internet._fib`` — one per ``(announcement, destination,
+    router)`` — holds everything about that hop of ``Internet._walk``
+    that does *not* depend on the individual packet: delivery
+    detection, resolved intra-AS target, egress-border pick, equal-cost
+    candidates.  Which entry a slot holds depends on all three; what a
+    DELIVER or ECMP entry says depends only on the router and its next
+    hop(s), so there is one object per ``(router, next router)`` (or
+    candidate tuple) per routing generation, held by every slot that
+    resolves to it and read-only once built — except the primary entry
+    of an AS-level DBR violator, private because its ``alt`` depends on
+    the announcement.
     The flow/packet-dependent pieces (load-balancer hashing,
     DBR-violator source hashing, Paris flow ids) are applied by the
     walker on top of the entry, so cached and uncached forwarding are
@@ -76,7 +83,8 @@ class FibEntry:
         generation: routing generation the entry was computed under;
             entries from older generations are treated as misses, so
             traffic-engineering announcement changes can never be
-            served stale routes.
+            served stale routes.  A shared entry keeps the stamp it was
+            built with, which is why there is one per generation.
     """
 
     __slots__ = (

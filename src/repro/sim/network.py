@@ -14,8 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
+from copy import copy
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.net.addr import Address, Prefix, PrefixTable
 from repro.net.host import Host
@@ -171,19 +172,27 @@ class Internet:
         #: announcement and destination so the walker looks up the spec
         #: (whose hash is computed once, at construction) and hashes
         #: the destination string once per packet, leaving a bare-int
-        #: dict lookup per hop
+        #: dict lookup per hop.  Slots are per address; the entries in
+        #: them are shared (see ``_link_entries``)
         self._fib: Dict[
             AnnouncementSpec, Dict[Address, Dict[int, FibEntry]]
         ] = {}
+        #: (router, next AS) -> the equal-cost next hops of the egress
+        #: pick, or the reason there is none; reads no address
+        self._egress: Dict[Tuple[int, int], Union[str, List[int]]] = {}
+        #: (router, next router) -> the one FIB_DELIVER entry that every
+        #: row slot forwarding over that link refers to; (router,
+        #: candidate tuple) -> the one FIB_ECMP entry, likewise
+        self._link_entries: Dict[Tuple[int, object], FibEntry] = {}
         #: memoized Internet.resolve() / announcement_for() results;
         #: flushed on topology mutation and invalidate_routing()
         self._resolve_cache: Dict[Address, Optional[DestTarget]] = {}
         self._announce_cache: Dict[Address, Optional[AnnouncementSpec]] = {}
         self._fib_hits = 0
         self._fib_misses = 0
-        #: entries currently held across all FIB rows: bumped where
-        #: :meth:`_walk` fills a new key, zeroed wherever ``_fib`` is
-        #: cleared, so reading the FIB's size never walks it
+        #: slots (not distinct entry objects) currently held across all
+        #: FIB rows: bumped where :meth:`_walk` fills a new key, zeroed
+        #: wherever ``_fib`` is cleared, so reading it never walks it
         self._fib_entries = 0
         #: cache stats read by :meth:`_obs_collect`, handed to
         #: :meth:`_obs_collect_gauges` later in the same collection
@@ -284,6 +293,27 @@ class Internet:
         if self._announce_cache:
             self._announce_cache.clear()
 
+    def _drop_forwarding_memos(self) -> None:
+        """Start a routing generation: no FIB row, egress pick, shared
+        entry or resolution computed before it is read after it."""
+        self.routing_generation += 1
+        self._fib.clear()
+        self._fib_entries = 0
+        self._egress.clear()
+        self._link_entries.clear()
+        self._flush_resolution_caches()
+
+    def _flush_topology_memos(self) -> None:
+        """Drop what was computed from the link set before it changed:
+        the IGP tables and, once a walk has filled a row (the memos fill
+        nowhere else), everything forwarding remembers.  Free until then:
+        the generator's calls pay two truth tests."""
+        if self._intra_next:
+            self._intra_next.clear()
+            self._intra_dist.clear()
+        if self._fib:
+            self._drop_forwarding_memos()
+
     def connect(
         self,
         a: int,
@@ -292,6 +322,7 @@ class Internet:
         addr_b: Address,
     ) -> None:
         """Record a bidirectional /30 link between routers *a* and *b*."""
+        self._flush_topology_memos()
         self.adjacency.setdefault(a, {})[b] = (addr_a, addr_b)
         self.adjacency.setdefault(b, {})[a] = (addr_b, addr_a)
         router_a, router_b = self.routers[a], self.routers[b]
@@ -937,8 +968,8 @@ class Internet:
         Everything about the hop that does not depend on the packet.
         Plain routers' destination-based ECMP
         tie-break (a hash of ``(router, destination)``) is itself a
-        pure function of the cache key, so it is folded into the entry
-        as a forced ``FIB_DELIVER``; load balancers and DBR violators
+        pure function of the slot's key, so it is folded in as a forced
+        ``FIB_DELIVER``; load balancers and DBR violators
         keep their full candidate list.  Delivery detection is folded
         in as the terminal kinds ``FIB_DST``/``FIB_LAN``, and DELIVER
         entries carry their precomputed link triple, so the walker's
@@ -1023,6 +1054,9 @@ class Internet:
         if router.dbr_as_violator:
             alt_as = self.alt_next_as(asn, spec)
             if alt_as is not None:
+                # ``.alt`` depends on the spec: set it on a private copy,
+                # never on the entry other rows share.
+                entry = copy(entry)
                 entry.alt = self._border_entry(
                     router, target, alt_as, gen
                 )
@@ -1035,22 +1069,32 @@ class Internet:
         next_as: int,
         gen: int,
     ) -> FibEntry:
-        """The deterministic egress action toward *next_as*."""
+        """The deterministic egress action toward *next_as*: the pick is
+        made once per ``(router, next AS)``, the entry per destination."""
+        key = (router.router_id, next_as)
+        egress = self._egress.get(key)
+        if egress is None:
+            egress = self._egress[key] = self._egress_toward(router, next_as)
+        if isinstance(egress, str):
+            return FibEntry(FIB_ERROR, reason=egress, generation=gen)
+        return self._ecmp_entry(router, target, egress, gen)
+
+    def _egress_toward(
+        self, router: Router, next_as: int
+    ) -> Union[str, List[int]]:
+        """Equal-cost next hops from *router* toward its AS's egress to
+        *next_as*, or why there is none."""
         current = router.router_id
         asn = router.asn
         pairs = self.borders.get(asn, {}).get(next_as)
         if not pairs:
-            return FibEntry(
-                FIB_ERROR, reason="no border link to next AS",
-                generation=gen,
-            )
+            return "no border link to next AS"
 
         # If we are a border router on one of the candidate links,
         # egress directly (hot potato at zero cost).
         own_pairs = [p for p in pairs if p[0] == current]
         if own_pairs:
-            remotes = sorted(p[1] for p in own_pairs)
-            return self._ecmp_entry(router, target, remotes, gen)
+            return sorted(p[1] for p in own_pairs)
 
         # Pick an egress border router.
         if self.graph.nodes[asn].cold_potato:
@@ -1060,21 +1104,24 @@ class Internet:
                 (self.intra_distance(asn, p[0], current), p[0])
                 for p in pairs
             )[1]
-        candidates = self.intra_next_hops(asn, local_border, current)
-        if not candidates:
-            return FibEntry(
-                FIB_ERROR, reason="border unreachable intra-AS",
-                generation=gen,
-            )
-        return self._ecmp_entry(router, target, candidates, gen)
+        return (
+            self.intra_next_hops(asn, local_border, current)
+            or "border unreachable intra-AS"
+        )
 
     def _deliver_entry(
         self, current: int, next_router: int, gen: int
     ) -> FibEntry:
-        """A forced-next-hop entry with its link triple precomputed."""
-        entry = FibEntry(FIB_DELIVER, (next_router,), generation=gen)
-        egress_addr, next_ingress = self.adjacency[current][next_router]
-        entry.via = (next_router, egress_addr, next_ingress)
+        """The forced-next-hop entry of link *current* -> *next_router*,
+        its link triple precomputed: one object per routing generation,
+        shared by every row slot that crosses the link."""
+        key = (current, next_router)
+        entry = self._link_entries.get(key)
+        if entry is None or entry.generation != gen:
+            entry = FibEntry(FIB_DELIVER, (next_router,), generation=gen)
+            egress_addr, next_ingress = self.adjacency[current][next_router]
+            entry.via = (next_router, egress_addr, next_ingress)
+            self._link_entries[key] = entry
         return entry
 
     def _ecmp_entry(
@@ -1100,8 +1147,12 @@ class Internet:
                 f"{router.router_id}|{target.dst}".encode()
             ) % len(candidates)
             return self._deliver_entry(current, candidates[index], gen)
-        entry = FibEntry(FIB_ECMP, tuple(candidates), generation=gen)
-        entry.adj = self.adjacency[current]
+        key = (current, tuple(candidates))
+        entry = self._link_entries.get(key)
+        if entry is None or entry.generation != gen:
+            entry = FibEntry(FIB_ECMP, key[1], generation=gen)
+            entry.adj = self.adjacency[current]
+            self._link_entries[key] = entry
         return entry
 
     def _transit_stamp(
@@ -1220,16 +1271,15 @@ class Internet:
 
         Bumps the routing generation — every cached
         :class:`~repro.sim.forwarding.FibEntry` stamped with an older
-        generation becomes a miss, even if a per-spec FIB shard is
-        still referenced by an in-flight batch — and flushes the
-        destination-resolution memos (anycast anchors may have moved).
+        generation becomes a miss, even if a reference to a FIB row
+        outlives the call — and drops the rows, the egress picks
+        (``cold_potato`` may have been edited), the shared entries and
+        the destination-resolution memos (anycast anchors may have
+        moved).
         """
         self.policy.invalidate()
         self._alt_next_as.clear()
-        self.routing_generation += 1
-        self._fib.clear()
-        self._fib_entries = 0
-        self._flush_resolution_caches()
+        self._drop_forwarding_memos()
         self.prefix_table.flush_lookup_cache()
 
     def forwarding_cache_stats(self) -> Dict[str, object]:

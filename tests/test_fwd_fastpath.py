@@ -1,11 +1,13 @@
-"""Forwarding memos: determinism, invalidation, and accounting.
+"""Forwarding memos: determinism, invalidation, sharing, and accounting.
 
-The memos' contract is that they are *invisible* except in speed:
-memoised forwarding must be bit-identical to recomputing every
+The memos' contract is that they are *invisible* except in speed and
+size: memoised forwarding must be bit-identical to recomputing every
 decision (``tests/helpers/reference_walk.py``), including the
 stochastic load-balancer and DBR-violator hops, whose per-packet
-choices stay outside the cache, and every cache must flush when a
-traffic-engineering announcement change calls ``invalidate_routing()``.
+choices stay outside the cache; every memo must be dropped when a
+traffic-engineering announcement change calls ``invalidate_routing()``
+or ``connect()`` adds a link; and sharing one ``FibEntry`` between the
+row slots that resolve to the same link must move no lookup.
 """
 
 from functools import lru_cache
@@ -19,15 +21,31 @@ from repro.net.options import RecordRouteOption
 from repro.net.packet import Probe, ProbeKind
 from repro.obs import Instrumentation
 from repro.obs.runtime import attach, introspect
+from repro.sim.forwarding import FIB_DELIVER
 from repro.sim.network import PrefixInfo
 from repro.topology import TopologyConfig
+from repro.topology.asgraph import ASTier
 from repro.topology.generator import build_internet
 from repro.topology.policy import AnnouncementSpec, Origin
-from tests.helpers.reference_walk import uncached_forwarding
+from tests.helpers.reference_obs import fib_entry_count
+from tests.helpers.reference_walk import (
+    private_entries,
+    uncached_forwarding,
+)
 
 
 def fresh_internet(seed: int = 5):
     return build_internet(TopologyConfig.small(seed=seed))
+
+
+def rr_ping(src, dst):
+    return Probe(
+        src=src,
+        dst=dst,
+        kind=ProbeKind.RECORD_ROUTE,
+        injected_at=src,
+        record_route=RecordRouteOption(),
+    )
 
 
 def probe_stream(internet, n: int = 40):
@@ -42,19 +60,11 @@ def probe_stream(internet, n: int = 40):
     for index, dst in enumerate(destinations):
         src = sources[index % len(sources)]
         probes.append(Probe(src=src, dst=dst, flow_id=index % 3))
-        probes.append(
-            Probe(
-                src=src,
-                dst=dst,
-                kind=ProbeKind.RECORD_ROUTE,
-                injected_at=src,
-                record_route=RecordRouteOption(),
-            )
-        )
+        probes.append(rr_ping(src, dst))
     return probes
 
 
-def outcome_key(outcome):
+def outcome_key(outcome, ipid=True):
     echo = outcome.echo
     return (
         outcome.delivered,
@@ -64,7 +74,7 @@ def outcome_key(outcome):
         tuple(outcome.reply_router_path),
         None
         if echo is None
-        else (echo.src, echo.rtt, echo.ipid, tuple(echo.rr_slots)),
+        else (echo.src, echo.rtt, ipid and echo.ipid, tuple(echo.rr_slots)),
         outcome.te_reply,
     )
 
@@ -107,6 +117,21 @@ def tiny_endpoints():
     return sources, destinations, multihomed[:20], flippable
 
 
+def tiny_with_as_violators():
+    """The tiny topology with every fourth router outside the M-Lab
+    ASes an AS-level DBR violator.  The generator draws one such router
+    at this scale, on no path the stream probes; flagged like this a
+    third of the probed paths deviate through an ``.alt`` entry."""
+    internet = build_internet(TINY)
+    for router in internet.routers.values():
+        if (
+            router.router_id % 4 == 0
+            and internet.graph.nodes[router.asn].tier is not ASTier.MLAB
+        ):
+            router.dbr_as_violator = True
+    return internet
+
+
 @st.composite
 def forwarding_ops(draw):
     sources, destinations, multihomed, flippable = tiny_endpoints()
@@ -118,6 +143,12 @@ def forwarding_ops(draw):
         st.integers(0, 3),
     )
     batch = st.tuples(st.just("batch"), st.sampled_from(destinations))
+    sweep = st.tuples(
+        st.just("sweep"),
+        st.sampled_from(sources),
+        st.sampled_from(destinations),
+        st.integers(0, 3),
+    )
     override = st.tuples(
         st.just("override"), st.integers(0, len(multihomed) - 1)
     )
@@ -127,7 +158,7 @@ def forwarding_ops(draw):
     return draw(
         st.lists(
             st.one_of(
-                probe, probe, probe, batch, override, flip,
+                probe, probe, probe, batch, sweep, override, flip,
                 st.just(("clear",)),
             ),
             min_size=4,
@@ -168,6 +199,11 @@ def apply_op(internet, op, leak_stale_rows=False):
         return [
             outcome_key(o) for o in internet.send_probe_batch(probes)
         ]
+    if op[0] == "sweep":
+        probe = make_probe(op[1], op[2], "plain", op[3])
+        return [
+            outcome_key(o) for o in internet.send_ttl_sweep(probe, 12)
+        ]
     stale = dict(internet._fib)
     if op[0] == "override":
         host = multihomed[op[1]]
@@ -195,9 +231,11 @@ def apply_op(internet, op, leak_stale_rows=False):
 @settings(max_examples=60, deadline=None)
 @given(ops=forwarding_ops())
 def test_memoised_forwarding_equals_recomputing_every_hop(ops):
-    memoised, recomputed = build_internet(TINY), build_internet(TINY)
+    memoised, recomputed = tiny_with_as_violators(), tiny_with_as_violators()
     # Every probe is sent again at the end, after whatever rerouted it.
-    for op in ops + [op for op in ops if op[0] in ("probe", "batch")]:
+    for op in ops + [
+        op for op in ops if op[0] in ("probe", "batch", "sweep")
+    ]:
         seen = apply_op(memoised, op, leak_stale_rows=True)
         with uncached_forwarding():
             expected = apply_op(recomputed, op)
@@ -249,16 +287,7 @@ class TestDeterminism:
         )[0]
 
         def make(vp_list):
-            return [
-                Probe(
-                    src=vp,
-                    dst=dst,
-                    kind=ProbeKind.RECORD_ROUTE,
-                    injected_at=vp,
-                    record_route=RecordRouteOption(),
-                )
-                for vp in vp_list
-            ]
+            return [rr_ping(vp, dst) for vp in vp_list]
 
         batch_out = batched.send_probe_batch(make(vps))
         seq_out = [sequential.send_probe(p) for p in make(vps)]
@@ -352,11 +381,171 @@ class TestInvalidation:
             }
             for spec, shard in internet._fib.items()
         }
+        stale_links = dict(internet._link_entries)
         internet.invalidate_routing()
-        internet._fib.update(stale)  # simulate a leaked stale shard
+        assert not internet._egress and not internet._link_entries
+        # Simulate a leaked stale shard, and a leaked shared entry.
+        internet._fib.update(stale)
+        internet._link_entries.update(stale_links)
         misses_before = internet._fib_misses
+        path = internet.ground_truth_router_path(src, dst)
+        assert internet._fib_misses == misses_before + len(path)
+        # What the misses wrote carries this generation's stamp, not a
+        # stale shared entry's: walked again, every hop is a hit.
         internet.ground_truth_router_path(src, dst)
-        assert internet._fib_misses > misses_before
+        assert internet._fib_misses == misses_before + len(path)
+
+    def test_cold_potato_flip_is_honoured_after_invalidation(self):
+        """The egress pick reads ``ASNode.cold_potato``; flipped in
+        place, ``invalidate_routing()`` must drop the picks made under
+        the old value."""
+        internet, reference = build_internet(TINY), build_internet(TINY)
+        sources, destinations, _, _ = tiny_endpoints()
+        pairs = [(s, d) for s in sources for d in destinations]
+
+        def paths(net):
+            return [net.ground_truth_router_path(s, d) for s, d in pairs]
+
+        before = paths(internet)
+        for net in (internet, reference):
+            for node in net.graph.nodes.values():
+                node.cold_potato = not node.cold_potato
+            net.invalidate_routing()
+        after = paths(internet)
+        with uncached_forwarding():
+            assert after == paths(reference)
+        assert after != before
+
+
+class TestTopologyMutation:
+    def test_links_connected_after_a_walk_are_forwarded_over(self):
+        """``connect()`` after the first walk: the IGP tables, the
+        egress picks, the shared entries and the filled rows all
+        predate the link and must all be dropped, so paths equal those
+        of a twin built with the links from the start."""
+        late, twin = build_internet(TINY), build_internet(TINY)
+        sources, destinations, _, _ = tiny_endpoints()
+        pairs = [(s, d) for s in sources for d in destinations]
+
+        def observe(net):
+            return [
+                (
+                    net.ground_truth_router_path(s, d),
+                    # IP-IDs count the replies sent so far: not compared
+                    outcome_key(net.send_probe(rr_ping(s, d)), ipid=False),
+                )
+                for s, d in pairs
+            ]
+
+        before = observe(late)
+        asn_of = {rid: r.asn for rid, r in late.routers.items()}
+        shortcut = border = None
+        for path, _ in before:
+            for a, b, c in zip(path, path[1:], path[2:]):
+                if asn_of[a] == asn_of[b] == asn_of[c]:
+                    # a -> c directly: an intra-AS shortcut past b
+                    shortcut = shortcut or (a, c)
+                elif asn_of[a] == asn_of[b] != asn_of[c]:
+                    # a reaches the next AS itself: an extra border link
+                    border = border or (a, c)
+        assert shortcut and border and shortcut[0] != border[0]
+        generation = late.routing_generation
+        for net in (twin, late):
+            net.connect(*shortcut, "198.18.0.1", "198.18.0.2")
+            net.connect(*border, "198.18.0.5", "198.18.0.6")
+            net.finalize()
+        # Before a walk the flush is free; after one it starts a
+        # routing generation.
+        assert twin.routing_generation == 0
+        assert late.routing_generation > generation
+        after = observe(late)
+        assert after == observe(twin)
+        assert after != before
+        for a, c in (shortcut, border):
+            assert any(
+                (a, c) in zip(path, path[1:]) for path, _ in after
+            ), (a, c)
+
+
+def vantage_point_wave(internet):
+    """200 probes: ten vantage points at each of twenty destinations,
+    pings and RR pings alternating."""
+    sources = (internet.mlab_hosts + internet.atlas_hosts)[:10]
+    destinations = sorted(
+        host.addr
+        for host in internet.hosts.values()
+        if host.responds_to_ping and not host.is_vantage_point
+    )[:20]
+    probes = []
+    for dst in destinations:
+        for src in sources:
+            if len(probes) % 2:
+                probes.append(rr_ping(src, dst))
+            else:
+                probes.append(
+                    Probe(src=src, dst=dst, flow_id=len(probes) % 3)
+                )
+    return probes
+
+
+class TestSharedEntries:
+    """One ``FibEntry`` per link, referenced from every row slot that
+    resolves to it.  Counts only: what the sharing buys in bytes and
+    seconds is the end-to-end benchmark's to say."""
+
+    @pytest.fixture(scope="class")
+    def walked(self):
+        internet = fresh_internet()
+        for probe in vantage_point_wave(internet):
+            internet.send_probe(probe)
+        return internet
+
+    @staticmethod
+    def slots(internet):
+        return [
+            (router_id, entry)
+            for shard in internet._fib.values()
+            for row in shard.values()
+            for router_id, entry in row.items()
+        ]
+
+    def test_a_quarter_as_many_objects_as_slots(self, walked):
+        slots = self.slots(walked)
+        objects = {id(entry) for _, entry in slots} | {
+            id(entry.alt) for _, entry in slots if entry.alt is not None
+        }
+        assert len(objects) <= 0.25 * len(slots)
+
+    def test_deliver_slots_are_the_link_memos_objects(self, walked):
+        delivers = [
+            (router_id, entry)
+            for router_id, entry in self.slots(walked)
+            if entry.kind == FIB_DELIVER
+            and not walked.routers[router_id].dbr_as_violator
+        ]
+        assert len(delivers) > 700
+        for router_id, entry in delivers:
+            assert (
+                entry is walked._link_entries[router_id, entry.via[0]]
+            )
+
+    def test_entries_still_counts_slots(self, walked):
+        stats = walked.forwarding_cache_stats()["caches"]["fib"]
+        assert stats["entries"] == fib_entry_count(walked) > 900
+
+    def test_sharing_moved_no_lookup(self, walked):
+        """Same hits, misses and slot count as a twin whose rows are
+        memoised but whose every slot holds a private entry."""
+        twin = fresh_internet()
+        with private_entries():
+            for probe in vantage_point_wave(twin):
+                twin.send_probe(probe)
+        slots = self.slots(twin)
+        assert len({id(entry) for _, entry in slots}) == len(slots)
+        assert (
+            walked.forwarding_cache_stats()["caches"]["fib"]
+            == twin.forwarding_cache_stats()["caches"]["fib"]
+        )
 
 
 class TestResolutionCaches:
