@@ -26,11 +26,7 @@ from repro.obs import (
     ObsHTTPServer,
     install_sampler,
 )
-from repro.service import (
-    MeasurementRequest,
-    RevtrService,
-    SourceRegistry,
-)
+from repro.service import MeasurementRequest
 from repro.service.users import QuotaExceeded
 from repro.topology import TopologyConfig
 
@@ -84,23 +80,7 @@ def main() -> None:
         atlas_size=15,
         instrumentation=instrumentation,
     )
-    registry = SourceRegistry(
-        scenario.internet,
-        scenario.background_prober,
-        scenario.atlas_vp_addrs,
-        scenario.spoofer_addrs,
-        atlas_size=15,
-        seed=args.seed,
-    )
-    service = RevtrService(
-        prober=scenario.online_prober,
-        registry=registry,
-        selector=scenario.selector("revtr2.0"),
-        ip2as=scenario.ip2as,
-        relationships=scenario.relationships,
-        resolver=scenario.resolver,
-        instrumentation=instrumentation,
-    )
+    service = scenario.service()
 
     print("registering user 'operator' (quota: 5 measurements/day)")
     user = service.add_user("operator", max_per_day=5)

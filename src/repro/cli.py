@@ -125,7 +125,20 @@ def _amortization_config(scenario, args):
     return config
 
 
-def _cmd_measure(args: argparse.Namespace) -> int:
+def _instrumented_run(
+    args: argparse.Namespace, requests: Optional[int] = None
+):
+    """What ``measure``, ``stats``, ``explain``, ``events`` and ``top``
+    share: a live instrumentation, the scenario, the ``--variant``
+    engine toward the ``--source-index`` source (honouring
+    ``--segment-cache`` / ``--coalesce`` where the verb has them) and
+    its measurements.
+
+    Returns ``(instr, scenario, source, results)``.  *results* measures
+    as it is consumed: ``--dst``, else ``--count`` hitlist
+    destinations, once each — as one ``measure_many`` group under
+    ``--coalesce`` — or, given *requests*, that many cycling over them.
+    """
     instr = Instrumentation()
     scenario = _scenario(args, instrumentation=instr)
     source = scenario.sources()[args.source_index]
@@ -134,29 +147,40 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         args.variant,
         config=_amortization_config(scenario, args),
     )
+    dst = getattr(args, "dst", None)
     destinations = (
-        [args.dst]
-        if args.dst
+        [dst]
+        if dst
         else scenario.responsive_destinations(
             args.count, options_only=True
         )
     )
+
+    def results():
+        if requests is not None:
+            for issued in range(requests):
+                yield engine.measure(
+                    destinations[issued % len(destinations)]
+                )
+        elif getattr(args, "coalesce", False):
+            yield from engine.measure_many(destinations)
+        else:
+            for dst in destinations:
+                yield engine.measure(dst)
+
+    return instr, scenario, source, results()
+
+
+def _cmd_measure(args: argparse.Namespace) -> int:
+    instr, scenario, _, results = _instrumented_run(args)
     measurements = []
-    # With --coalesce the whole stream runs as one measure_many group;
-    # per-measurement trace trees are only attributable in the
-    # sequential path.
-    coalesced = (
-        engine.measure_many(destinations) if args.coalesce else None
-    )
-    for index, dst in enumerate(destinations):
-        result = (
-            coalesced[index]
-            if coalesced is not None
-            else engine.measure(dst)
-        )
+    for result in results:
         if args.json:
             doc = result.to_dict()
-            if coalesced is None:
+            # With --coalesce the whole stream runs as one
+            # measure_many group; per-measurement trace trees are only
+            # attributable in the sequential path.
+            if not args.coalesce:
                 trace = instr.tracer.last_trace
                 if trace is not None:
                     doc["trace"] = trace.to_dict()
@@ -223,9 +247,22 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs.exposition import render_text
 
     if args.from_file:
+        from repro.obs.metrics import check_snapshot
+
         try:
             with open(args.from_file) as fh:
                 snapshot = json.load(fh)
+            # Accept both a bare registry snapshot (--metrics-out) and
+            # a full ``measure --json`` document, whose "metrics" is an
+            # object that is not itself a family.
+            wrapped = (
+                snapshot.get("metrics")
+                if isinstance(snapshot, dict)
+                else None
+            )
+            if isinstance(wrapped, dict) and "series" not in wrapped:
+                snapshot = wrapped
+            check_snapshot(snapshot, args.from_file)
         except OSError as exc:
             print(f"error: cannot read {args.from_file}: {exc.strerror}",
                   file=sys.stderr)
@@ -234,12 +271,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             print(f"error: {args.from_file} is not valid JSON: {exc}",
                   file=sys.stderr)
             return 2
-        # Accept both a bare registry snapshot (--metrics-out) and a
-        # full ``measure --json`` document.
-        if "metrics" in snapshot and "series" not in next(
-            iter(snapshot.values()), {}
-        ):
-            snapshot = snapshot["metrics"]
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if args.slo:
             from repro.obs.slo import format_slo, slo_summary
 
@@ -249,22 +283,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         return 0
 
     # No snapshot given: run a fresh instrumented workload and report.
-    instr = Instrumentation()
-    scenario = _scenario(args, instrumentation=instr)
-    source = scenario.sources()[args.source_index]
-    engine = scenario.engine(
-        source,
-        args.variant,
-        config=_amortization_config(scenario, args),
-    )
-    dsts = scenario.responsive_destinations(
-        args.count, options_only=True
-    )
-    if args.coalesce:
-        engine.measure_many(dsts)
-    else:
-        for dst in dsts:
-            engine.measure(dst)
+    instr, _, _, results = _instrumented_run(args)
+    list(results)
     if args.slo:
         from repro.obs.slo import format_slo, slo_summary
 
@@ -294,19 +314,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     else:
         # No export given: run a fresh instrumented measurement (or
         # --count of them) and explain from the live flight recorder.
-        instr = Instrumentation()
-        scenario = _scenario(args, instrumentation=instr)
-        source = scenario.sources()[args.source_index]
-        engine = scenario.engine(source, args.variant)
-        destinations = (
-            [args.dst]
-            if args.dst
-            else scenario.responsive_destinations(
-                args.count, options_only=True
-            )
-        )
-        for dst in destinations:
-            engine.measure(dst)
+        instr, _, _, results = _instrumented_run(args)
+        list(results)
         events = instr.events.events()
 
     ordered_mids: List[str] = []
@@ -394,14 +403,8 @@ def _cmd_events(args: argparse.Namespace) -> int:
             return 2
     else:
         # No file: run a fresh instrumented workload and dump its log.
-        instr = Instrumentation()
-        scenario = _scenario(args, instrumentation=instr)
-        source = scenario.sources()[args.source_index]
-        engine = scenario.engine(source, args.variant)
-        for dst in scenario.responsive_destinations(
-            args.count, options_only=True
-        ):
-            engine.measure(dst)
+        instr, _, _, results = _instrumented_run(args)
+        list(results)
         events = instr.events.events()
 
     if args.kind:
@@ -518,11 +521,7 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core.revtr import EngineConfig
-    from repro.service import (
-        RevtrService,
-        SchedulerConfig,
-        SourceRegistry,
-    )
+    from repro.service import SchedulerConfig
 
     instr = Instrumentation()
     if args.http is not None or args.timeseries_out:
@@ -530,26 +529,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         install_sampler(instr, sim_interval=args.sample_interval)
     scenario = _scenario(args, instrumentation=instr)
-    registry = SourceRegistry(
-        scenario.internet,
-        scenario.background_prober,
-        scenario.atlas_vp_addrs,
-        scenario.spoofer_addrs,
-        atlas_size=args.atlas_size,
-        seed=args.seed,
-    )
-    service = RevtrService(
-        prober=scenario.online_prober,
-        registry=registry,
-        selector=scenario.selector("revtr2.0"),
-        ip2as=scenario.ip2as,
-        relationships=scenario.relationships,
-        resolver=scenario.resolver,
-        engine_config=EngineConfig(
+    service = scenario.service(
+        EngineConfig(
             segment_cache=args.segment_cache,
             coalesce_batches=args.coalesce,
-        ),
-        instrumentation=instr,
+        )
     )
     # A demo population: per-user parallel caps cycle 1, 2, 4, ...
     users = [
@@ -644,11 +628,7 @@ def _fault_workload(args: argparse.Namespace, instr: Instrumentation):
     after reporting an unusable ``--plan`` (before anything is built).
     """
     from repro.core.revtr import EngineConfig
-    from repro.service import (
-        RevtrService,
-        SchedulerConfig,
-        SourceRegistry,
-    )
+    from repro.service import SchedulerConfig
     from repro.sim.faults import FaultPlan, preset_plan
 
     plan = None
@@ -673,28 +653,13 @@ def _fault_workload(args: argparse.Namespace, instr: Instrumentation):
             vps=[vp for vp in scenario.spoofer_addrs if vp != source],
         )
 
-    registry = SourceRegistry(
-        scenario.internet,
-        scenario.background_prober,
-        scenario.atlas_vp_addrs,
-        scenario.spoofer_addrs,
-        atlas_size=args.atlas_size,
-        seed=args.seed,
-    )
-    service = RevtrService(
-        prober=scenario.online_prober,
-        registry=registry,
-        selector=scenario.selector("revtr2.0"),
-        ip2as=scenario.ip2as,
-        relationships=scenario.relationships,
-        resolver=scenario.resolver,
-        engine_config=EngineConfig(
+    service = scenario.service(
+        EngineConfig(
             retry_budget=args.retry_budget,
             recheck_unresponsive=True,
             segment_cache=args.segment_cache,
             coalesce_batches=args.coalesce,
-        ),
-        instrumentation=instr,
+        )
     )
     user = service.add_user(
         "chaos", max_parallel=4, max_per_day=args.requests * 8
@@ -832,26 +797,17 @@ def _cmd_top(args: argparse.Namespace) -> int:
     from repro.obs.health import HealthEngine
     from repro.obs.timeseries import install_sampler
 
-    instr = Instrumentation()
+    instr, _, source, results = _instrumented_run(
+        args, requests=args.requests
+    )
     sampler = install_sampler(instr, sim_interval=args.sample_interval)
-    scenario = _scenario(args, instrumentation=instr)
-    source = scenario.sources()[args.source_index]
-    engine = scenario.engine(
-        source,
-        args.variant,
-        config=_amortization_config(scenario, args),
-    )
-    pool = scenario.responsive_destinations(
-        args.count, options_only=True
-    )
     health = HealthEngine()
     stop = threading.Event()
 
     def workload() -> None:
-        issued = 0
-        while issued < args.requests and not stop.is_set():
-            engine.measure(pool[issued % len(pool)])
-            issued += 1
+        for _ in results:
+            if stop.is_set():
+                break
 
     worker = threading.Thread(
         target=workload, name="repro-top-workload", daemon=True

@@ -18,7 +18,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.net.addr import Address
 from repro.net.packet import TracerouteResult
-from repro.obs.instrument import NULL
 from repro.probing.prober import Prober
 from repro.probing.traceroute import paris_traceroute
 
@@ -48,10 +47,6 @@ class TracerouteAtlas:
         self.source = source
         self.max_size = max_size
         self.staleness = staleness
-        #: instrumentation sink; rewired by the engine when enabled
-        self.obs = NULL
-        self._obs_hits = 0
-        self._obs_misses = 0
         self.traceroutes: Dict[Address, TracerouteResult] = {}
         self._index: Dict[Address, List[Tuple[Address, int]]] = {}
         self._useful: Set[Address] = set()
@@ -226,28 +221,11 @@ class TracerouteAtlas:
     # Queries
     # ------------------------------------------------------------------
 
-    def _on_obs_attached(self, instrumentation) -> None:
-        if instrumentation.enabled:
-            instrumentation.register_collect_source(self._obs_collect)
-
-    def _obs_collect(self) -> Dict:
-        key = ("atlas", "traceroute")
-        return {
-            ("atlas_lookups_total", (key, ("outcome", "hit"))): float(
-                self._obs_hits
-            ),
-            ("atlas_lookups_total", (key, ("outcome", "miss"))): float(
-                self._obs_misses
-            ),
-        }
-
     def lookup(self, addr: Address) -> Optional[Intersection]:
         """Find the freshest traceroute containing *addr*."""
         entries = self._index.get(addr)
         if not entries:
-            self._obs_misses += 1
             return None
-        self._obs_hits += 1
         best: Optional[Intersection] = None
         for vp, index in entries:
             trace = self.traceroutes[vp]

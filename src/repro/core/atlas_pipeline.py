@@ -42,7 +42,6 @@ from repro.core.atlas import (
 from repro.core.rr_atlas import RRAtlas
 from repro.net.addr import Address
 from repro.net.packet import ProbeKind, TracerouteResult
-from repro.obs.runtime import get_default
 from repro.probing.prober import Prober
 
 #: On-disk snapshot format tag and version.  Bump the version on any
@@ -153,7 +152,6 @@ class AtlasPipeline:
         spoofer_vps: Sequence[Address],
         shards: int = 4,
         max_spoofers_per_hop: int = 2,
-        instrumentation=None,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -162,11 +160,6 @@ class AtlasPipeline:
         self.spoofer_vps = list(spoofer_vps)
         self.shards = shards
         self.max_spoofers_per_hop = max_spoofers_per_hop
-        self.obs = (
-            instrumentation
-            if instrumentation is not None
-            else get_default()
-        )
         self.reports: List[StageReport] = []
 
     # -- stage accounting ----------------------------------------------
@@ -194,41 +187,6 @@ class AtlasPipeline:
             dispositions=dict(dispositions or {}),
         )
         self.reports.append(report)
-        if self.obs.enabled:
-            self.obs.observe(
-                "atlas_build_seconds",
-                report.makespan_seconds,
-                stage=stage,
-            )
-            self.obs.set_gauge("atlas_pipeline_shards", self.shards)
-            for index, lane in enumerate(lanes.lanes):
-                self.obs.set_gauge(
-                    "atlas_shard_virtual_seconds",
-                    lane,
-                    stage=stage,
-                    shard=str(index),
-                )
-            if probes_deduped:
-                self.obs.inc(
-                    "atlas_probes_deduped_total",
-                    probes_deduped,
-                    atlas="rr",
-                )
-            self.obs.emit(
-                "atlas.stage",
-                stage=stage,
-                shards=self.shards,
-                tasks=report.tasks,
-                serial=round(report.serial_seconds, 6),
-                makespan=round(report.makespan_seconds, 6),
-                probes_sent=probes_sent,
-                probes_deduped=probes_deduped,
-                **(
-                    {"dispositions": dict(dispositions)}
-                    if dispositions
-                    else {}
-                ),
-            )
         return report
 
     # -- traceroute atlas stage ----------------------------------------
@@ -280,20 +238,11 @@ class AtlasPipeline:
         atlas.refresh(
             self.prober, self.atlas_vps, rng, incremental=incremental
         )
-        summary = atlas.last_refresh
-        report = self._finish_stage(
+        return self._finish_stage(
             "refresh",
             atlas.last_build_durations,
-            dispositions=summary,
+            dispositions=atlas.last_refresh,
         )
-        if self.obs.enabled:
-            for disposition, count in summary.items():
-                self.obs.inc(
-                    "atlas_refresh_traceroutes_total",
-                    count,
-                    disposition=disposition,
-                )
-        return report
 
     # -- whole-pipeline conveniences -------------------------------------
 
@@ -334,9 +283,7 @@ class AtlasPipeline:
         internet = self.prober.internet
         if os.path.exists(path):
             try:
-                atlas, rr_atlas = load_snapshot(
-                    path, internet, instrumentation=self.obs
-                )
+                atlas, rr_atlas = load_snapshot(path, internet)
             except SnapshotError:
                 pass
             else:
@@ -344,36 +291,12 @@ class AtlasPipeline:
                     atlas.source == source
                     and rr_atlas is not None
                 ):
-                    if self.obs.enabled:
-                        self.obs.inc(
-                            "atlas_snapshots_total",
-                            op="warm_start",
-                            outcome="hit",
-                        )
-                        self.obs.emit(
-                            "atlas.snapshot",
-                            op="warm_start",
-                            outcome="hit",
-                            path=path,
-                        )
                     return atlas, rr_atlas, True
-        if self.obs.enabled:
-            self.obs.inc(
-                "atlas_snapshots_total", op="warm_start", outcome="miss"
-            )
-            self.obs.emit(
-                "atlas.snapshot",
-                op="warm_start",
-                outcome="miss",
-                path=path,
-            )
         atlas, rr_atlas = self.bootstrap(
             source, rng, size=size, max_size=max_size, staleness=staleness
         )
         if save:
-            save_snapshot(
-                path, atlas, rr_atlas, internet, instrumentation=self.obs
-            )
+            save_snapshot(path, atlas, rr_atlas, internet)
         return atlas, rr_atlas, False
 
 
@@ -396,7 +319,6 @@ def save_snapshot(
     atlas: TracerouteAtlas,
     rr_atlas: Optional[RRAtlas],
     internet,
-    instrumentation=None,
 ) -> None:
     """Serialise both atlases to a versioned gzip-JSON snapshot.
 
@@ -405,9 +327,6 @@ def save_snapshot(
     the fingerprint so stale snapshots can never leak traces from a
     different simulated Internet into an experiment.
     """
-    obs = (
-        instrumentation if instrumentation is not None else get_default()
-    )
     doc = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
@@ -450,15 +369,11 @@ def save_snapshot(
             filename="", fileobj=raw, mode="wb", mtime=0
         ) as fh:
             fh.write(payload)
-    if obs.enabled:
-        obs.inc("atlas_snapshots_total", op="save", outcome="ok")
-        obs.emit("atlas.snapshot", op="save", outcome="ok", path=path)
 
 
 def load_snapshot(
     path: str,
     internet,
-    instrumentation=None,
 ) -> Tuple[TracerouteAtlas, Optional[RRAtlas]]:
     """Load a snapshot saved by :func:`save_snapshot`.
 
@@ -466,51 +381,30 @@ def load_snapshot(
     :class:`SnapshotMismatch` when the snapshot's format, version, or
     topology fingerprint does not match *internet*.
     """
-    obs = (
-        instrumentation if instrumentation is not None else get_default()
-    )
-
-    def _fail(outcome: str, exc: SnapshotError) -> SnapshotError:
-        if obs.enabled:
-            obs.inc("atlas_snapshots_total", op="load", outcome=outcome)
-            obs.emit(
-                "atlas.snapshot", op="load", outcome=outcome, path=path
-            )
-        return exc
-
     try:
         with gzip.open(path, "rb") as fh:
             doc = json.loads(fh.read().decode())
     except (OSError, EOFError, ValueError) as exc:
-        raise _fail(
-            "error", SnapshotError(f"cannot read snapshot {path}: {exc}")
+        raise SnapshotError(
+            f"cannot read snapshot {path}: {exc}"
         ) from exc
     if (
         not isinstance(doc, dict)
         or doc.get("format") != SNAPSHOT_FORMAT
     ):
-        raise _fail(
-            "error",
-            SnapshotError(f"{path} is not a {SNAPSHOT_FORMAT} file"),
-        )
+        raise SnapshotError(f"{path} is not a {SNAPSHOT_FORMAT} file")
     if doc.get("version") != SNAPSHOT_VERSION:
-        raise _fail(
-            "mismatch",
-            SnapshotMismatch(
-                f"snapshot version {doc.get('version')} != "
-                f"supported {SNAPSHOT_VERSION}"
-            ),
+        raise SnapshotMismatch(
+            f"snapshot version {doc.get('version')} != "
+            f"supported {SNAPSHOT_VERSION}"
         )
     fingerprint = internet.topology_fingerprint()
     saved = doc.get("topology", {}).get("fingerprint")
     if saved != fingerprint:
-        raise _fail(
-            "mismatch",
-            SnapshotMismatch(
-                f"snapshot topology {saved} does not match this "
-                f"simulation ({fingerprint}); rebuild instead of "
-                "replaying traces from a different Internet"
-            ),
+        raise SnapshotMismatch(
+            f"snapshot topology {saved} does not match this "
+            f"simulation ({fingerprint}); rebuild instead of "
+            "replaying traces from a different Internet"
         )
 
     try:
@@ -546,11 +440,7 @@ def load_snapshot(
     except (KeyError, TypeError, ValueError) as exc:
         # the header matched but the body is not what save_snapshot
         # writes: a missing key, or a value of the wrong shape
-        raise _fail(
-            "error",
-            SnapshotError(f"snapshot {path} is malformed: {exc!r}"),
+        raise SnapshotError(
+            f"snapshot {path} is malformed: {exc!r}"
         ) from exc
-    if obs.enabled:
-        obs.inc("atlas_snapshots_total", op="load", outcome="ok")
-        obs.emit("atlas.snapshot", op="load", outcome="ok", path=path)
     return atlas, rr_atlas

@@ -99,8 +99,7 @@ class MeasurementCache:
 
         Pull-style: the stats object already tallies every lookup, so
         ``get`` pays nothing extra; an expired lookup counts as both a
-        miss (in stats) and an ``expired`` metric outcome.  LRU
-        evictions ride the same source as ``cache_evictions_total``.
+        miss (in stats) and an ``expired`` metric outcome.
         """
         if instrumentation.enabled:
             instrumentation.register_collect_source(self._obs_collect)
@@ -117,7 +116,6 @@ class MeasurementCache:
             ("cache_lookups_total", (("outcome", "expired"),)): float(
                 stats.expirations
             ),
-            ("cache_evictions_total", ()): float(stats.evictions),
         }
 
     def get(self, key: Hashable) -> Optional[Any]:

@@ -48,7 +48,8 @@ from repro.core.rr_atlas import RRAtlas
 from repro.core.segcache import ReverseSegmentCache
 from repro.core.symmetry import LinkType, SymmetryPolicy, SymmetryStepper
 from repro.net.addr import Address, is_private, prefix_of, slash30_peer
-from repro.obs.runtime import attach, get_default
+from repro.obs.instrument import NULL
+from repro.obs.runtime import attach
 from repro.probing.prober import Prober
 
 
@@ -269,13 +270,8 @@ class RevtrEngine:
         #: makes every instrumented call a no-op.  Components still on
         #: the null default inherit the engine's sink so one parameter
         #: instruments the whole measurement path.
-        self.obs = (
-            instrumentation if instrumentation is not None else get_default()
-        )
-        attach(
-            self.obs, self.cache, self.atlas, self.rr_atlas,
-            self.segcache,
-        )
+        self.obs = instrumentation if instrumentation is not None else NULL
+        attach(self.obs, self.cache, self.segcache)
         # Per-hop counters are plain tallies mirrored into the registry
         # at collection time (pull-style), so the measurement loop pays
         # a dict increment, not a registry update, per step.
@@ -294,8 +290,6 @@ class RevtrEngine:
         self._t_retries: Dict[str, int] = {}
         #: retry budget left in the measurement in flight
         self._m_retry_left = 0
-        #: (outcome, link-or-None) -> count, for revtr_fallbacks_total
-        self._t_fallbacks: Dict[tuple, int] = {}
         #: intersect attempts in the measurement in flight (annotated
         #: onto the root span when it closes)
         self._m_intersects = 0
@@ -402,11 +396,6 @@ class RevtrEngine:
             out[
                 ("revtr_retries_total", (("technique", technique),))
             ] = float(n)
-        for (outcome, link), n in self._t_fallbacks.items():
-            labels = (("outcome", outcome),)
-            if link is not None:
-                labels += (("link", link),)
-            out[("revtr_fallbacks_total", labels)] = float(n)
         return out
 
     def _obs_gauges(self) -> Dict:
@@ -426,9 +415,6 @@ class RevtrEngine:
             for trace in traceroutes.values()
         ]
         source_label = (("source", self._source_str),)
-        out[("atlas_traceroutes_current", source_label)] = float(
-            len(ages)
-        )
         out[
             ("atlas_age_seconds", source_label + (("stat", "oldest"),))
         ] = max(ages)
@@ -444,8 +430,6 @@ class RevtrEngine:
         hop: Optional[Address] = None,
         penultimate: Optional[Address] = None,
     ) -> None:
-        key = (outcome, link)
-        self._t_fallbacks[key] = self._t_fallbacks.get(key, 0) + 1
         if self._ev is not None:
             # One event carries the whole assume-symmetry decision
             # (outcome + the penultimate hop it hinged on) — the hot
@@ -640,15 +624,12 @@ class RevtrEngine:
                     "rr.step",
                     (current, "none", "spoofed-rr", 0, batches),
                 )
-            if faults is not None and faults.injections != mark:
-                # An injected fault fired during this step: the empty
-                # outcome may be transient, so keep it out of the
-                # day-scale negative cache (positive outcomes above
-                # are still cached — revealed hops are real however
-                # lossy the path was).
-                if ev is not None:
-                    ev.emit("degrade.nocache", hop=current)
-            else:
+            if faults is None or faults.injections == mark:
+                # Not when an injected fault fired during this step:
+                # the empty outcome may be transient, so it stays out
+                # of the day-scale negative cache (positive outcomes
+                # above are still cached — revealed hops are real
+                # however lossy the path was).
                 self.cache.put(key, outcome, negative=True)
                 if self.segcache is not None:
                     # The router ignored the whole RR arsenal: remember
@@ -1281,11 +1262,6 @@ class RevtrEngine:
                 # the stall (the partial path and its probe accounting
                 # survive: only the ping opener reports no hops).
                 run.status = RevtrStatus.UNRESPONSIVE
-                if self._ev is not None:
-                    self._ev.emit(
-                        "degrade.unresponsive", dst=dst,
-                        hops_kept=len(run.hops),
-                    )
         elif (
             self.config.symmetry is SymmetryPolicy.INTRADOMAIN_ONLY
             and link is not LinkType.INTRA

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.addr import Address, same_slash30, same_slash31, slash30_peer
 from repro.core.atlas import Intersection, TracerouteAtlas
-from repro.obs.instrument import NULL
 from repro.probing.budget import ProbeCounter
 from repro.probing.prober import LOSS_TIMEOUT, Prober, RRPingResult
 
@@ -49,8 +48,8 @@ class RRAtlas:
 
     def __init__(self, atlas: TracerouteAtlas) -> None:
         self.atlas = atlas
-        #: instrumentation sink; rewired by the engine when enabled
-        self.obs = NULL
+        #: lookup outcomes; *stale* is an alias whose traceroute the
+        #: atlas has since pruned (read by ``tests/test_atlas_pipeline.py``)
         self._obs_hits = 0
         self._obs_misses = 0
         self._obs_stale = 0
@@ -215,27 +214,6 @@ class RRAtlas:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    def _on_obs_attached(self, instrumentation) -> None:
-        if instrumentation.enabled:
-            instrumentation.register_collect_source(self._obs_collect)
-
-    def _obs_collect(self) -> Dict:
-        key = ("atlas", "rr")
-        return {
-            ("atlas_lookups_total", (key, ("outcome", "hit"))): float(
-                self._obs_hits
-            ),
-            ("atlas_lookups_total", (key, ("outcome", "miss"))): float(
-                self._obs_misses
-            ),
-            ("atlas_lookups_total", (key, ("outcome", "stale"))): float(
-                self._obs_stale
-            ),
-            ("atlas_probes_deduped_total", (key,)): float(
-                self.probes_deduped
-            ),
-        }
 
     def lookup(self, addr: Address) -> Optional[Intersection]:
         """Intersection for an RR-visible alias, if registered."""

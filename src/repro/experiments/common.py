@@ -39,7 +39,7 @@ from repro.core.revtr_legacy import legacy_engine_config
 from repro.core.rr_atlas import RRAtlas
 from repro.core.segcache import ReverseSegmentCache
 from repro.net.addr import Address
-from repro.obs.runtime import attach, get_default
+from repro.obs.instrument import NULL
 from repro.probing.budget import ProbeCounter
 from repro.probing.prober import Prober
 from repro.probing.vantage import VantagePointPool
@@ -89,11 +89,9 @@ class Scenario:
         self.atlas_size = atlas_size
         self.rng = random.Random(seed ^ 0xA11A5)
 
-        #: one observability sink for the whole deployment (simulator,
-        #: probers, engines); NULL unless passed or globally enabled
-        self.obs = (
-            instrumentation if instrumentation is not None else get_default()
-        )
+        #: one observability sink for the whole deployment (service,
+        #: probers, engines); NULL unless passed
+        self.obs = instrumentation if instrumentation is not None else NULL
 
         self.internet: Internet = build_internet(self.config)
         self.pool = VantagePointPool(self.internet)
@@ -105,7 +103,6 @@ class Scenario:
         if events is not None and events.clock is None:
             # Same late-binding for flight-recorder sim timestamps.
             events.clock = self.clock
-        attach(self.obs, self.internet)
         self.online_counter = ProbeCounter()
         self.background_counter = ProbeCounter()
         self.online_prober = Prober(
@@ -177,9 +174,7 @@ class Scenario:
         """
         from repro.sim.faults import FaultInjector
 
-        injector = FaultInjector(
-            plan, self.clock, instrumentation=self.obs
-        )
+        injector = FaultInjector(plan, self.clock)
         self.internet.faults = injector
         return injector
 
@@ -286,7 +281,6 @@ class Scenario:
             self.atlas_vp_addrs,
             self.spoofer_addrs,
             shards=shards,
-            instrumentation=self.obs,
         )
 
     def adopt_atlases(
@@ -313,11 +307,7 @@ class Scenario:
 
         bundle = self.bundle(source)
         save_snapshot(
-            path,
-            bundle.atlas,
-            bundle.rr_atlas,
-            self.internet,
-            instrumentation=self.obs,
+            path, bundle.atlas, bundle.rr_atlas, self.internet
         )
 
     def load_atlases(self, source: Address, path: str) -> SourceBundle:
@@ -332,9 +322,7 @@ class Scenario:
             load_snapshot,
         )
 
-        atlas, rr_atlas = load_snapshot(
-            path, self.internet, instrumentation=self.obs
-        )
+        atlas, rr_atlas = load_snapshot(path, self.internet)
         if atlas.source != source:
             raise SnapshotMismatch(
                 f"snapshot holds atlases for {atlas.source}, "
@@ -345,6 +333,34 @@ class Scenario:
     # ------------------------------------------------------------------
     # Engines
     # ------------------------------------------------------------------
+
+    def service(
+        self, engine_config: Optional[EngineConfig] = None
+    ) -> "RevtrService":
+        """The Appendix A service over this deployment: a fresh source
+        registry (this scenario's seed and atlas size) and a
+        :class:`~repro.service.api.RevtrService` on the online prober,
+        the revtr 2.0 selector and this scenario's instrumentation."""
+        from repro.service import RevtrService, SourceRegistry
+
+        registry = SourceRegistry(
+            self.internet,
+            self.background_prober,
+            self.atlas_vp_addrs,
+            self.spoofer_addrs,
+            atlas_size=self.atlas_size,
+            seed=self.seed,
+        )
+        return RevtrService(
+            prober=self.online_prober,
+            registry=registry,
+            selector=self.selector("revtr2.0"),
+            ip2as=self.ip2as,
+            relationships=self.relationships,
+            resolver=self.resolver,
+            engine_config=engine_config,
+            instrumentation=self.obs,
+        )
 
     def selector(self, variant: str):
         if "ingress" in variant or variant.startswith("revtr2"):

@@ -1,37 +1,31 @@
 """Observability: metrics, per-measurement tracing, introspection.
 
-The package has three layers:
+Every metric family, event kind and span name the codebase emits has
+a named reader (DESIGN.md, "Who reads what";
+``tests/test_obs_consumers.py`` holds the table to the code).  The
+package, by what reads it:
 
-* :mod:`repro.obs.metrics` — a thread-safe registry of counters,
-  gauges, and fixed-bucket histograms with labeled children;
-* :mod:`repro.obs.tracing` — a span tracer that records one structured
-  trace tree per reverse traceroute, with wall-clock *and* sim-clock
-  durations;
-* :mod:`repro.obs.instrument` — the facade the rest of the codebase
-  talks to.  Instrumented call sites hold an ``obs`` attribute that is
-  either a live :class:`~repro.obs.instrument.Instrumentation` or the
-  :data:`~repro.obs.instrument.NULL` null object, so hot paths pay
-  near-zero cost when observability is off.
-
-:mod:`repro.obs.exposition` renders registry snapshots in the
-Prometheus text format, and :mod:`repro.obs.runtime` holds the
-process-wide default instrumentation plus the runtime-introspection
-helpers used by ``repro stats`` and
-:meth:`repro.service.api.RevtrService.metrics_snapshot`.
-
-The *flight recorder* adds a fourth layer: :mod:`repro.obs.events`
-(bounded structured event log), :mod:`repro.obs.eventio` (JSONL export
-with gzip rotation), :mod:`repro.obs.provenance` (per-measurement
-decision ledger behind ``repro explain``), and :mod:`repro.obs.slo`
-(histogram-derived SLO summaries for ``repro stats --slo``).
-
-The *time dimension* adds a fifth layer: :mod:`repro.obs.timeseries`
-(bounded ring of periodic registry snapshots with rate/window
-queries), :mod:`repro.obs.health` (rule-based detectors producing
-typed findings correlated to flight-recorder events),
-:mod:`repro.obs.dashboard` (``repro top`` rendering), and
-:mod:`repro.obs.httpd` (HTTP exposition endpoint for
-``repro serve --http``).
+* the facade instrumented code talks to — :mod:`repro.obs.instrument`
+  (a live :class:`~repro.obs.instrument.Instrumentation` or the
+  :data:`~repro.obs.instrument.NULL` null object, which every
+  component not handed one runs on), over :mod:`repro.obs.metrics`
+  (registry of counters, gauges and fixed-bucket histograms, plus the
+  readers of its snapshot shape), :mod:`repro.obs.tracing` (one span
+  tree per reverse traceroute, wall-clock *and* sim-clock durations)
+  and :mod:`repro.obs.events` (the flight recorder: a bounded
+  structured event log);
+* per measurement — :mod:`repro.obs.provenance` (the decision ledger
+  behind ``repro explain``) and :mod:`repro.obs.eventio` (JSONL export
+  with gzip rotation, behind ``repro events``);
+* per run — :mod:`repro.obs.slo` (histogram-derived SLO rollup for
+  ``repro stats --slo``), :mod:`repro.obs.exposition` (Prometheus text
+  format) and :mod:`repro.obs.runtime` (``introspect``, the document
+  behind :meth:`repro.service.api.RevtrService.metrics_snapshot`);
+* over time — :mod:`repro.obs.timeseries` (bounded ring of periodic
+  registry snapshots), :mod:`repro.obs.health` (one table of rules
+  over those windows, each finding citing flight-recorder events),
+  :mod:`repro.obs.dashboard` (``repro top``) and :mod:`repro.obs.httpd`
+  (``repro serve --http``).
 """
 
 from repro.obs.dashboard import live_view, render_top, sparkline
@@ -46,7 +40,6 @@ from repro.obs.health import (
 from repro.obs.httpd import ObsHTTPServer
 from repro.obs.instrument import (
     NULL,
-    BoundCounter,
     Instrumentation,
     NullInstrumentation,
 )
@@ -56,16 +49,9 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.provenance import ProvenanceLedger, explain_measurement
-from repro.obs.runtime import (
-    disable,
-    enable,
-    get_default,
-    introspect,
-    set_default,
-)
+from repro.obs.provenance import ProvenanceLedger
+from repro.obs.runtime import introspect
 from repro.obs.slo import (
-    delta_buckets,
     format_slo,
     histogram_quantile,
     merged_buckets,
@@ -79,7 +65,6 @@ from repro.obs.timeseries import (
 from repro.obs.tracing import Span, Tracer
 
 __all__ = [
-    "BoundCounter",
     "Counter",
     "EVENT_SCHEMA_VERSION",
     "Event",
@@ -99,14 +84,9 @@ __all__ = [
     "TimeSample",
     "TimeSeriesSampler",
     "Tracer",
-    "delta_buckets",
-    "disable",
-    "enable",
-    "explain_measurement",
     "follow_jsonl",
     "format_findings",
     "format_slo",
-    "get_default",
     "histogram_quantile",
     "install_sampler",
     "introspect",
@@ -115,7 +95,6 @@ __all__ = [
     "read_events",
     "render_text",
     "render_top",
-    "set_default",
     "slo_summary",
     "sparkline",
 ]

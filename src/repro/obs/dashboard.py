@@ -78,7 +78,6 @@ def render_top(
     title: str = "repro top",
     now_sim: Optional[float] = None,
     window: Optional[float] = None,
-    extra_lines: Sequence[str] = (),
 ) -> str:
     """Assemble one dashboard frame from the current telemetry."""
     lines: List[str] = []
@@ -137,7 +136,6 @@ def render_top(
     lines.append(format_slo(slo_summary(snapshot)))
     if findings is not None:
         lines.append(format_findings(findings))
-    lines.extend(extra_lines)
     return "\n".join(lines)
 
 

@@ -20,6 +20,7 @@ import gzip
 import json
 import os
 import time
+import zlib
 from typing import (
     Any,
     Dict,
@@ -138,14 +139,20 @@ class JsonlEventWriter:
 # ----------------------------------------------------------------------
 
 
-def iter_jsonl(path: str) -> Iterator[Dict[str, Any]]:
-    """Yield raw JSON documents from a ``.jsonl`` or ``.jsonl.gz`` file."""
+def _lines(path: str) -> Iterator[Tuple[int, str]]:
+    """``(line number, text)`` for each non-blank line of a ``.jsonl``
+    or ``.jsonl.gz`` file."""
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "rt") as fh:  # type: ignore[operator]
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                yield number, line
+
+
+def iter_jsonl(path: str) -> Iterator[Dict[str, Any]]:
+    """Yield raw JSON documents from a ``.jsonl`` or ``.jsonl.gz`` file."""
+    for _, line in _lines(path):
+        yield json.loads(line)
 
 
 def _rotated_segments(path: str) -> List[str]:
@@ -165,8 +172,10 @@ def read_events(
     """Load events from *path* (plus rotated segments), oldest-first.
 
     Raises :class:`FileNotFoundError` when neither the live file nor
-    any rotated segment exists, and :class:`ValueError` on records
-    from an unknown schema version.
+    any rotated segment exists, and :class:`ValueError`, naming the
+    file, the line and the field, for anything in them that is not an
+    event record of this schema version: a truncated or retyped line,
+    a damaged gzip segment.
     """
     sources: List[str] = []
     if include_rotated:
@@ -177,8 +186,16 @@ def read_events(
         raise FileNotFoundError(path)
     events: List[Event] = []
     for source in sources:
-        for doc in iter_jsonl(source):
-            events.append(Event.from_dict(doc))
+        try:
+            for number, line in _lines(source):
+                try:
+                    events.append(Event.from_dict(json.loads(line)))
+                except ValueError as exc:
+                    raise ValueError(f"{source}:{number}: {exc}") from exc
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise ValueError(f"{source}: damaged gzip: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{source}: not text: {exc}") from exc
     events.sort(key=lambda event: event.seq)
     return events
 

@@ -16,10 +16,12 @@ Design constraints, in order:
   preallocated ring slot: no per-event allocation beyond the caller's
   keyword dict, so emitting never feeds the cyclic GC (a ring of
   freshly allocated records would be re-scanned on every collection).
-  The slot index comes from an :class:`itertools.count` (whose
-  ``next()`` is atomic under the GIL) and each event writes only its
-  own slot, so the common path takes no lock; the ring silently
-  overwrites the oldest events when full and counts them as dropped.
+  The slot index comes from an :class:`itertools.count` — ``next()``
+  is one C call, so concurrent emitters never claim the same one
+  (``tests/test_events.py``, ``test_concurrent_emit``) — and each
+  event writes only its own slot, so the common path takes no lock;
+  the ring silently overwrites the oldest events when full and counts
+  them as dropped.
 * **correlation** — every event carries a monotonic sequence number
   plus wall-clock and sim-clock timestamps, and is stamped with the
   current *measurement id* (thread-local, set by the engine for the
@@ -79,8 +81,51 @@ TUPLE_FIELDS: Dict[str, tuple] = {
     "splice": ("hop", "hops", "to_source", "full_path"),
     "splice.negative": ("hop",),
     "cache.lookup": ("kind", "outcome"),
-    "probe.batch": ("kind", "probes", "responses", "dst"),
 }
+
+
+def _string(value: Any) -> bool:
+    """a string"""
+    return isinstance(value, str)
+
+
+def _integer(value: Any) -> bool:
+    """an integer"""
+    return type(value) is int
+
+
+def _strings(value: Any) -> bool:
+    """a list of strings"""
+    return isinstance(value, list) and all(map(_string, value))
+
+
+def _string_pairs(value: Any) -> bool:
+    """a list of [address, technique] string pairs"""
+    return isinstance(value, list) and all(
+        _strings(pair) and len(pair) == 2 for pair in value
+    )
+
+
+def _counts(value: Any) -> bool:
+    """an object of integer counts"""
+    return isinstance(value, dict) and all(map(_integer, value.values()))
+
+
+#: What a record read back from a file must look like where a reader
+#: (:mod:`repro.obs.provenance`) iterates, sums or keys a dict by a
+#: field: kind -> field -> test (its docstring says what for).  Absent
+#: and ``null`` fields pass; :meth:`Event.from_dict` refuses the rest.
+_FIELD_SHAPES: Dict[str, Dict[str, Any]] = {
+    "measure.end": {"probes": _counts, "path": _string_pairs},
+    "hops.adopted": {"technique": _string, "addrs": _strings},
+    "rr.batch": {"vps": _strings},
+    "splice": {"hops": _integer},
+    "cache.lookup": {"outcome": _string},
+    "fallback": {"outcome": _string},
+}
+
+
+_REQUIRED = object()
 
 
 class Event:
@@ -125,20 +170,55 @@ class Event:
         return out
 
     @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "Event":
+    def from_dict(cls, doc: Any) -> "Event":
+        """The event a :meth:`to_dict` record describes.
+
+        Records come from files, so nothing about *doc* is trusted:
+        :class:`ValueError`, naming the field, for anything that is
+        not a record of this schema version in the shape the readers
+        index (see :data:`_FIELD_SHAPES`).
+        """
+        if not isinstance(doc, dict):
+            raise ValueError(
+                f"event record is {type(doc).__name__}, not an object"
+            )
         version = doc.get("v")
         if version != EVENT_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported event schema version {version!r} "
                 f"(this build reads v{EVENT_SCHEMA_VERSION})"
             )
+
+        def field(name: str, types: tuple, what: str, default=_REQUIRED):
+            value = doc.get(name, default)
+            if value is _REQUIRED:
+                raise ValueError(f"event record has no {name!r}")
+            if value is not default and (
+                not isinstance(value, types) or isinstance(value, bool)
+            ):
+                raise ValueError(
+                    f"event field {name!r} is {value!r}, not {what}"
+                )
+            return value
+
+        number = (int, float)
+        kind = field("kind", (str,), "a string")
+        seq = field("seq", (int,), "an integer")
+        fields = field("fields", (dict,), "an object", None)
+        for name, test in _FIELD_SHAPES.get(kind, {}).items():
+            value = (fields or {}).get(name)
+            if value is not None and not test(value):
+                raise ValueError(
+                    f"{kind} field {name!r} is {value!r}, "
+                    f"not {test.__doc__}"
+                )
         return cls(
-            seq=doc["seq"],
-            wall=doc.get("wall", 0.0),
-            sim=doc.get("sim"),
-            mid=doc.get("mid"),
-            kind=doc["kind"],
-            fields=doc.get("fields"),
+            seq=seq,
+            wall=field("wall", number, "a number", 0.0),
+            sim=field("sim", number, "a number", None),
+            mid=field("mid", (str,), "a string", None),
+            kind=kind,
+            fields=fields,
         )
 
     def __repr__(self) -> str:
@@ -215,8 +295,8 @@ class EventLog:
         self._slots: List[Any] = (
             [-1, 0.0, None, None, "", None] * capacity
         )
-        # next() is atomic under the GIL: each emit claims a distinct
-        # sequence number / slot without locking.
+        # next() is one C call: each emit claims a distinct sequence
+        # number / slot without locking (test_concurrent_emit).
         self._seq = itertools.count()
         self._mids = itertools.count(1)
         self._local = _LocalMid()
@@ -255,10 +335,6 @@ class EventLog:
         local.mid = mid
         return previous
 
-    @property
-    def current_measurement(self) -> Optional[str]:
-        return self._local.mid
-
     # -- the hot path ---------------------------------------------------
 
     def emit(
@@ -282,9 +358,11 @@ class EventLog:
         # Invalidate, fill, then publish the sequence number last
         # (seqlock-style; cheaper than one slice assignment, which
         # would allocate a 6-tuple per emit): readers copy each slot
-        # atomically (a C-level slice under the GIL) and drop copies
-        # still carrying the -1 sentinel, so a half-written slot is
-        # never surfaced as an event.
+        # with one slice — a single C call, which no item store here
+        # can interleave with — and drop copies still carrying the -1
+        # sentinel, so a half-written slot is never surfaced as an
+        # event.  tests/test_reader_thread.py reads the ring from a
+        # second thread for the length of a workload.
         slots[base] = -1
         slots[base + 1] = _time()
         slots[base + 2] = now() if now is not None else None
@@ -358,10 +436,10 @@ class EventLog:
     # -- reads ----------------------------------------------------------
 
     def _snapshot(self) -> List[Any]:
-        # Copy each live slot (a slice is a single C call, atomic
-        # under the GIL) so records cannot be mutated by a concurrent
-        # emit after we return; re-check the sentinel on the *copy* to
-        # discard slots caught mid-write.
+        # Copy each live slot (one slice, one C call: see emit) so
+        # records cannot be mutated by a concurrent emit after we
+        # return; re-check the sentinel on the *copy* to discard slots
+        # caught mid-write.
         with self._lock:
             slots = self._slots
             copies = [
@@ -400,15 +478,6 @@ class EventLog:
         """The most recent *n* events, oldest-first."""
         records = self._snapshot()
         return [Event(*record) for record in records[-n:]]
-
-    def measurement_ids(self) -> List[str]:
-        """Distinct measurement ids retained in the ring, in order of
-        first appearance."""
-        seen: Dict[str, None] = {}
-        for record in self._snapshot():
-            if record[3] is not None and record[3] not in seen:
-                seen[record[3]] = None
-        return list(seen)
 
     def by_kind(self) -> Dict[str, int]:
         """Retained event counts per kind (for snapshots/stats)."""

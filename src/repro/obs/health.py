@@ -12,18 +12,33 @@ kinds explain the signal, so ``repro health`` is a one-command
 diagnosis that links straight back to ``repro explain``/``repro
 events``.
 
-The rules table is intentionally declarative — signal → window →
-threshold → finding — and mirrored in ``DESIGN.md``.  Windows and
-thresholds are the values in :data:`RULES_TABLE` and the constants
-below it, tuned for the small/tiny simulated scenarios the CLI runs;
-the one thing a caller varies is a single window for every rule
+The rules are one table, :data:`RULES`: a :class:`Rule` per finding
+kind holding everything that differs between rules — the signal, the
+window, the threshold, the function that reads the signal out of the
+windowed samples, the events a finding cites — while
+:meth:`HealthEngine.evaluate` does what they share.  A rule is added
+or deleted by adding or deleting its row; DESIGN.md's table is
+:func:`render_rules_table` of it.  Windows and thresholds are tuned
+for the small/tiny simulated scenarios the CLI runs; the one thing a
+caller varies is a single window for every rule
 (``HealthEngine(window=...)``, ``repro health --window``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+from repro.obs.metrics import family_by_label, family_total
 
 #: How many supporting event seqs a finding cites at most; the full
 #: window is recoverable from the window bounds + ``repro events``.
@@ -66,69 +81,6 @@ class HealthFinding:
         }
 
 
-#: The rules, in evaluation order: signal → window (sim-clock seconds)
-#: → threshold → finding kind.  The contract mirrored in DESIGN.md;
-#: :meth:`HealthEngine.evaluate` reads each rule's window and
-#: threshold from here.
-RULES_TABLE: Tuple[Tuple[str, float, float, str], ...] = (
-    # Error-budget burn: window error fraction / (1 - SLO_TARGET).
-    (
-        "completion error-budget burn (revtr_measurements_total)",
-        600.0,
-        1.6,
-        "slo-burn-rate",
-    ),
-    # Absolute drop of the windowed hit rate below the pre-window
-    # baseline (a cold cache never had a baseline to lose).
-    (
-        "cache hit rate vs pre-window baseline (cache_lookups_total)",
-        600.0,
-        0.25,
-        "cache-hit-collapse",
-    ),
-    (
-        "engine + scheduler retries (revtr_retries_total, service_retries_total)",
-        600.0,
-        3.0,
-        "retry-storm",
-    ),
-    (
-        "VP quarantines + replacements (vp_quarantines_total, vp_replacements_total)",
-        900.0,
-        1.0,
-        "quarantine-churn",
-    ),
-    # Depth non-decreasing across the trailing QUEUE_MIN_SAMPLES
-    # samples and at/above the threshold.
-    (
-        "queue depth trend (service_queue_depth)",
-        300.0,
-        8.0,
-        "queue-buildup",
-    ),
-    # Overwrites beginning (or accelerating) inside the window.
-    (
-        "flight-recorder overwrites (obs_events_dropped_total)",
-        600.0,
-        1.0,
-        "event-ring-drops",
-    ),
-    # Stale intersections adopted per window, or the oldest atlas
-    # traceroute exceeding ATLAS_AGE_THRESHOLD.
-    (
-        "stale intersections + atlas age (atlas_stale_intersections_total, atlas_age_seconds)",
-        900.0,
-        3.0,
-        "atlas-staleness",
-    ),
-    (
-        "admission refusals (service_rejections_total)",
-        300.0,
-        5.0,
-        "rejection-storm",
-    ),
-)
-
 #: Completion objective; the allowed error fraction is ``1 - SLO_TARGET``.
 SLO_TARGET = 0.75
 #: Fewer measurements than this in the window say nothing about burn.
@@ -139,39 +91,409 @@ CACHE_MIN_LOOKUPS = 8
 CACHE_BASELINE_RATE = 0.3
 #: Trailing samples the queue depth must be non-decreasing across.
 QUEUE_MIN_SAMPLES = 3
+#: Stale intersections adopted in the window that count as staleness.
+ATLAS_STALE_THRESHOLD = 3.0
 #: Oldest atlas traceroute age (sim-seconds) that counts as stale.
 ATLAS_AGE_THRESHOLD = 2 * 86400.0
 
 
-def _window_bounds(samples: Sequence[Any]) -> Tuple[Optional[float], Optional[float]]:
-    if not samples:
-        return (None, None)
-    return (samples[0].sim, samples[-1].sim)
+class Reading(NamedTuple):
+    """What a rule read out of its window: the value compared with the
+    threshold, and the finding's message and evidence if it breaches."""
+
+    value: float
+    message: str
+    evidence: Dict[str, Any]
+    #: set only where a rule's second signal has a scale of its own
+    threshold: Optional[float] = None
 
 
-def _severity(value: float, threshold: float) -> str:
-    return "critical" if value >= 2.0 * threshold else "warning"
+@dataclass(frozen=True)
+class Rule:
+    """One row of the rules table."""
+
+    #: the finding kind
+    kind: str
+    #: what is watched, as DESIGN.md's table prints it
+    signal: str
+    #: trailing sim-clock seconds evaluated
+    window: float
+    #: a reading at or above this is a finding
+    threshold: float
+    #: the windowed samples, oldest first -> what they say, or None
+    #: when they say nothing (too little traffic, no baseline)
+    read: Callable[[Sequence[Any]], Optional[Reading]]
+    #: flight-recorder kinds a finding cites, and which of those
+    #: events (the filter's docstring is its column in the table)
+    cites: Tuple[str, ...] = ()
+    keep: Optional[Callable[[Any], bool]] = None
+    #: fewer samples than this in the window give no verdict
+    min_samples: int = 2
+    #: ``critical`` at ``2 * critical_scale`` times the threshold
+    critical_scale: float = 1.0
+
+
+def _delta(samples: Sequence[Any], name: str) -> float:
+    """Newest-minus-oldest total of one counter family."""
+    return max(
+        0.0,
+        family_total(samples[-1].metrics, name)
+        - family_total(samples[0].metrics, name),
+    )
+
+
+def _delta_by_label(
+    samples: Sequence[Any], name: str, label: str
+) -> Dict[str, float]:
+    """:func:`_delta` per value of *label*."""
+    new = family_by_label(samples[-1].metrics, name, label)
+    old = family_by_label(samples[0].metrics, name, label)
+    return {key: new[key] - old.get(key, 0.0) for key in new}
+
+
+def _read_slo_burn(samples: Sequence[Any]) -> Optional[Reading]:
+    deltas = _delta_by_label(samples, "revtr_measurements_total", "status")
+    total = sum(deltas.values())
+    if total < SLO_MIN_REQUESTS:
+        return None
+    errors = total - deltas.get("complete", 0.0)
+    error_fraction = errors / total
+    burn = error_fraction / max(1e-9, 1.0 - SLO_TARGET)
+    return Reading(
+        burn,
+        "completion SLO burning at {burn:.1f}x budget: "
+        "{errors:.0f}/{total:.0f} measurements missed "
+        "'complete' in the window (objective {target:.0%})".format(
+            burn=burn, errors=errors, total=total, target=SLO_TARGET
+        ),
+        {
+            "metric": "revtr_measurements_total",
+            "window_statuses": {
+                k: v for k, v in sorted(deltas.items()) if v
+            },
+            "error_fraction": error_fraction,
+            "slo_target": SLO_TARGET,
+        },
+    )
+
+
+def _read_cache_collapse(samples: Sequence[Any]) -> Optional[Reading]:
+    old = family_by_label(
+        samples[0].metrics, "cache_lookups_total", "outcome"
+    )
+    new = family_by_label(
+        samples[-1].metrics, "cache_lookups_total", "outcome"
+    )
+    baseline_lookups = sum(old.values())
+    lookups = sum(new.values()) - baseline_lookups
+    # A cold cache (no baseline, or never warm) has nothing to lose.
+    if lookups < CACHE_MIN_LOOKUPS or baseline_lookups <= 0:
+        return None
+    baseline_rate = old.get("hit", 0.0) / baseline_lookups
+    if baseline_rate < CACHE_BASELINE_RATE:
+        return None
+    window_rate = (new.get("hit", 0.0) - old.get("hit", 0.0)) / lookups
+    return Reading(
+        baseline_rate - window_rate,
+        "measurement-cache hit rate collapsed: {now:.0%} in the "
+        "window vs {base:.0%} baseline over {n:.0f} lookups".format(
+            now=window_rate, base=baseline_rate, n=lookups
+        ),
+        {
+            "metric": "cache_lookups_total",
+            "window_hit_rate": window_rate,
+            "baseline_hit_rate": baseline_rate,
+            "window_lookups": lookups,
+        },
+    )
+
+
+def _read_retry_storm(samples: Sequence[Any]) -> Optional[Reading]:
+    engine = _delta(samples, "revtr_retries_total")
+    sched = _delta(samples, "service_retries_total")
+    retries = engine + sched
+    measurements = _delta(samples, "revtr_measurements_total")
+    return Reading(
+        retries,
+        "retry storm: {n:.0f} degradation retries in the window "
+        "({engine:.0f} engine, {sched:.0f} scheduler) across "
+        "{m:.0f} measurements".format(
+            n=retries, engine=engine, sched=sched, m=measurements
+        ),
+        {
+            "metrics": ["revtr_retries_total", "service_retries_total"],
+            "engine_retries": engine,
+            "scheduler_retries": sched,
+            "window_measurements": measurements,
+            "retries_per_measurement": (
+                retries / measurements if measurements else None
+            ),
+        },
+    )
+
+
+def _read_quarantine_churn(samples: Sequence[Any]) -> Optional[Reading]:
+    quarantines = _delta(samples, "vp_quarantines_total")
+    replacements = _delta(samples, "vp_replacements_total")
+    active = samples[-1].gauge_value("vp_quarantined_current") or 0.0
+    return Reading(
+        quarantines + replacements,
+        "VP churn: {q:.0f} quarantines and {r:.0f} replacements "
+        "in the window ({a:.0f} VPs quarantined now)".format(
+            q=quarantines, r=replacements, a=active
+        ),
+        {
+            "metrics": [
+                "vp_quarantines_total",
+                "vp_replacements_total",
+                "vp_quarantined_current",
+            ],
+            "quarantines": quarantines,
+            "replacements": replacements,
+            "quarantined_now": active,
+        },
+    )
+
+
+def _read_queue_buildup(samples: Sequence[Any]) -> Optional[Reading]:
+    depths = [s.gauge_value("service_queue_depth") for s in samples]
+    depths = [d for d in depths if d is not None]
+    tail = depths[-QUEUE_MIN_SAMPLES:]
+    # Draining is not buildup, and neither is flat at the threshold.
+    if (
+        len(tail) < QUEUE_MIN_SAMPLES
+        or any(b < a for a, b in zip(tail, tail[1:]))
+        or tail[-1] <= tail[0]
+    ):
+        return None
+    return Reading(
+        tail[-1],
+        "scheduler queue building up: depth {d:.0f} and "
+        "non-decreasing over the last {n} samples".format(
+            d=tail[-1], n=len(tail)
+        ),
+        {"metric": "service_queue_depth", "depths": depths},
+    )
+
+
+def _read_event_drops(samples: Sequence[Any]) -> Optional[Reading]:
+    first, last = samples[0].events, samples[-1].events
+    if first is None or last is None:
+        return None
+    before = first.get("dropped", 0)
+    dropped = last.get("dropped", 0) - before
+    return Reading(
+        float(dropped),
+        "flight recorder {what}: {n} events overwritten in the "
+        "window — raise event capacity or drain with "
+        "--events-out".format(
+            what="still dropping" if before else "started dropping",
+            n=int(dropped),
+        ),
+        {
+            "metric": "obs_events_dropped_total",
+            "window_dropped": dropped,
+            "total_dropped": last.get("dropped", 0),
+            "onset": before == 0,
+        },
+    )
+
+
+def _read_atlas_staleness(samples: Sequence[Any]) -> Optional[Reading]:
+    stale = _delta(samples, "atlas_stale_intersections_total")
+    oldest_age = samples[-1].gauge_value(
+        "atlas_age_seconds", {"stat": "oldest"}
+    )
+    evidence = {
+        "metrics": [
+            "atlas_stale_intersections_total",
+            "atlas_age_seconds",
+        ],
+        "window_stale_intersections": stale,
+        "oldest_age_seconds": oldest_age,
+    }
+    if stale >= ATLAS_STALE_THRESHOLD or oldest_age is None:
+        return Reading(
+            stale,
+            "atlas staleness: {n:.0f} stale intersections adopted "
+            "in the window".format(n=stale),
+            evidence,
+        )
+    return Reading(
+        float(oldest_age),
+        "atlas staleness: oldest traceroute is {age:.0f} "
+        "sim-seconds old (budget {budget:.0f}) — refresh the "
+        "atlas".format(age=oldest_age, budget=ATLAS_AGE_THRESHOLD),
+        evidence,
+        threshold=ATLAS_AGE_THRESHOLD,
+    )
+
+
+def _read_rejection_storm(samples: Sequence[Any]) -> Optional[Reading]:
+    deltas = _delta_by_label(samples, "service_rejections_total", "reason")
+    rejected = sum(deltas.values())
+    return Reading(
+        rejected,
+        "admission rejections spiking: {n:.0f} in the window "
+        "({breakdown})".format(
+            n=rejected,
+            breakdown=", ".join(
+                f"{reason}={int(n)}"
+                for reason, n in sorted(deltas.items())
+                if n
+            ),
+        ),
+        {
+            "metric": "service_rejections_total",
+            "window_by_reason": {
+                k: v for k, v in sorted(deltas.items()) if v
+            },
+        },
+    )
+
+
+def _missed_complete(event) -> bool:
+    """`status` other than `complete`"""
+    return event.fields.get("status") not in (None, "complete")
+
+
+def _not_a_hit(event) -> bool:
+    """`outcome` other than `hit`"""
+    return event.fields.get("outcome") != "hit"
+
+
+def _queue_full(event) -> bool:
+    """`reason` is `queue-full`"""
+    return event.fields.get("reason") in (None, "queue-full")
+
+
+def _stale(event) -> bool:
+    """`stale` is set"""
+    return bool(event.fields.get("stale"))
+
+
+#: The rules, in evaluation order.
+RULES: Tuple[Rule, ...] = (
+    Rule(
+        kind="slo-burn-rate",
+        signal="completion error-budget burn, in multiples of the "
+        "budget the 75 % objective allows (`revtr_measurements_total`)",
+        window=600.0,
+        threshold=1.6,
+        read=_read_slo_burn,
+        cites=("measure.end",),
+        keep=_missed_complete,
+    ),
+    Rule(
+        kind="cache-hit-collapse",
+        signal="hit-rate drop below the pre-window baseline, absolute; "
+        "a cold cache has none to lose (`cache_lookups_total`)",
+        window=600.0,
+        threshold=0.25,
+        read=_read_cache_collapse,
+        cites=("cache.lookup",),
+        keep=_not_a_hit,
+    ),
+    Rule(
+        kind="retry-storm",
+        signal="engine + scheduler retries (`revtr_retries_total`, "
+        "`service_retries_total`)",
+        window=600.0,
+        threshold=3.0,
+        read=_read_retry_storm,
+        cites=("degrade.retry", "sched.retry"),
+    ),
+    Rule(
+        kind="quarantine-churn",
+        signal="VP quarantines + replacements (`vp_quarantines_total`, "
+        "`vp_replacements_total`; cites `vp_quarantined_current`)",
+        window=900.0,
+        threshold=1.0,
+        read=_read_quarantine_churn,
+        cites=(
+            "degrade.quarantine", "degrade.replace", "degrade.requalify",
+        ),
+        critical_scale=2.0,
+    ),
+    Rule(
+        kind="queue-buildup",
+        signal="queue depth, non-decreasing and grown over the last "
+        "3 samples (`service_queue_depth`)",
+        window=300.0,
+        threshold=8.0,
+        read=_read_queue_buildup,
+        cites=("sched.reject",),
+        keep=_queue_full,
+        min_samples=QUEUE_MIN_SAMPLES,
+    ),
+    Rule(
+        kind="event-ring-drops",
+        signal="flight-recorder overwrites (the ring's `dropped`, "
+        "mirrored as `obs_events_dropped_total`)",
+        window=600.0,
+        threshold=1.0,
+        read=_read_event_drops,
+        critical_scale=50.0,
+    ),
+    Rule(
+        kind="atlas-staleness",
+        signal="stale intersections adopted "
+        "(`atlas_stale_intersections_total`); or, on its own scale, "
+        "the oldest atlas traceroute reaching 2 days "
+        "(`atlas_age_seconds`)",
+        window=900.0,
+        threshold=ATLAS_STALE_THRESHOLD,
+        read=_read_atlas_staleness,
+        cites=("stitch",),
+        keep=_stale,
+        min_samples=1,
+    ),
+    Rule(
+        kind="rejection-storm",
+        signal="admission refusals (`service_rejections_total`)",
+        window=300.0,
+        threshold=5.0,
+        read=_read_rejection_storm,
+        cites=("sched.reject",),
+    ),
+)
+
+
+def render_rules_table() -> str:
+    """:data:`RULES` as the Markdown table DESIGN.md carries
+    (``tests/test_health.py`` holds the document to it)."""
+    lines = [
+        "| finding | signal | window | threshold | critical at "
+        "| samples | cites |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    for rule in RULES:
+        lines.append(
+            "| `{kind}` | {signal} | {window:g}s | {threshold:g} "
+            "| {critical:g} | ≥ {samples} | {cites} |".format(
+                kind=rule.kind,
+                signal=rule.signal,
+                window=rule.window,
+                threshold=rule.threshold,
+                critical=2.0 * rule.critical_scale * rule.threshold,
+                samples=rule.min_samples,
+                cites=(
+                    ", ".join(f"`{kind}`" for kind in rule.cites)
+                    + (f" where {rule.keep.__doc__}" if rule.keep else "")
+                    or "—"
+                ),
+            )
+        )
+    return "\n".join(lines)
 
 
 class HealthEngine:
-    """Evaluate health rules over a sampler's retained time-series."""
+    """Evaluate :data:`RULES` over a sampler's retained time-series."""
 
     def __init__(self, window: Optional[float] = None) -> None:
         #: One window (sim-clock seconds) for every rule, overriding
         #: the table's; ``None`` keeps each rule's own.
         self.window = window
-        self._rules: Dict[str, Callable[..., Optional[HealthFinding]]] = {
-            "slo-burn-rate": self._rule_slo_burn,
-            "cache-hit-collapse": self._rule_cache_collapse,
-            "retry-storm": self._rule_retry_storm,
-            "quarantine-churn": self._rule_quarantine_churn,
-            "queue-buildup": self._rule_queue_buildup,
-            "event-ring-drops": self._rule_event_drops,
-            "atlas-staleness": self._rule_atlas_staleness,
-            "rejection-storm": self._rule_rejection_storm,
-        }
-
-    # -- entry points ---------------------------------------------------
 
     def evaluate(self, sampler, events=None) -> List[HealthFinding]:
         """Run every rule; returns findings sorted most severe first.
@@ -183,13 +505,39 @@ class HealthEngine:
         if events is None:
             events = getattr(getattr(sampler, "obs", None), "events", None)
         findings: List[HealthFinding] = []
-        for _signal, window, threshold, kind in RULES_TABLE:
-            if self.window is not None:
-                window = self.window
-            finding = self._rules[kind](sampler, window, threshold)
-            if finding is None:
+        for rule in RULES:
+            samples = sampler.window(
+                self.window if self.window is not None else rule.window
+            )
+            if len(samples) < rule.min_samples:
                 continue
-            self._attach_events(finding, events)
+            reading = rule.read(samples)
+            if reading is None:
+                continue
+            threshold = (
+                reading.threshold
+                if reading.threshold is not None
+                else rule.threshold
+            )
+            if reading.value < threshold:
+                continue
+            critical = 2.0 * rule.critical_scale * threshold
+            finding = HealthFinding(
+                kind=rule.kind,
+                severity=(
+                    "critical" if reading.value >= critical else "warning"
+                ),
+                message=reading.message,
+                window=(samples[0].sim, samples[-1].sim),
+                value=reading.value,
+                threshold=threshold,
+                evidence=reading.evidence,
+            )
+            if events is not None and rule.cites:
+                finding.event_kinds = rule.cites
+                finding.event_seqs = _cited_seqs(
+                    events, rule, finding.window
+                )
             findings.append(finding)
         findings.sort(
             key=lambda f: (-_SEVERITY_RANK.get(f.severity, 0), f.kind)
@@ -205,406 +553,26 @@ class HealthEngine:
             return "degraded"
         return "healthy"
 
-    # -- event correlation ----------------------------------------------
 
-    #: finding kind -> (event kinds, optional field filter) used to
-    #: cite flight-recorder evidence.
-    EVENT_CORRELATION: Dict[str, Tuple[Tuple[str, ...], Optional[Callable]]] = {
-        "slo-burn-rate": (
-            ("measure.end",),
-            lambda e: e.fields.get("status") not in (None, "complete"),
-        ),
-        "cache-hit-collapse": (
-            ("cache.lookup",),
-            lambda e: e.fields.get("outcome") != "hit",
-        ),
-        "retry-storm": (("degrade.retry", "sched.retry"), None),
-        "quarantine-churn": (
-            ("degrade.quarantine", "degrade.replace", "degrade.requalify"),
-            None,
-        ),
-        "queue-buildup": (
-            ("sched.reject",),
-            lambda e: e.fields.get("reason") in (None, "queue-full"),
-        ),
-        "atlas-staleness": (
-            ("intersect",),
-            lambda e: e.fields.get("outcome") == "stale",
-        ),
-        "rejection-storm": (("sched.reject",), None),
-    }
-
-    def _attach_events(self, finding: HealthFinding, events) -> None:
-        if events is None:
-            return
-        kinds, keep = self.EVENT_CORRELATION.get(finding.kind, ((), None))
-        if not kinds:
-            return
-        start, end = finding.window
-        seqs: List[int] = []
-        for kind in kinds:
-            for event in events.events(kind=kind):
-                sim = event.sim
-                if start is not None and sim is not None and sim < start:
-                    continue
-                if end is not None and sim is not None and sim > end:
-                    continue
-                if keep is not None and not keep(event):
-                    continue
-                seqs.append(event.seq)
-        seqs.sort()
-        finding.event_kinds = kinds
-        finding.event_seqs = seqs[-MAX_CITED_EVENTS:]
-
-    # -- rules ----------------------------------------------------------
-
-    def _rule_slo_burn(
-        self, sampler, window: float, threshold: float
-    ) -> Optional[HealthFinding]:
-        samples = sampler.window(window)
-        if len(samples) < 2:
-            return None
-        first, last = samples[0], samples[-1]
-        new = last.counter_by_label("revtr_measurements_total", "status")
-        old = first.counter_by_label("revtr_measurements_total", "status")
-        deltas = {
-            status: new.get(status, 0.0) - old.get(status, 0.0)
-            for status in new
-        }
-        total = sum(deltas.values())
-        if total < SLO_MIN_REQUESTS:
-            return None
-        errors = total - deltas.get("complete", 0.0)
-        error_fraction = errors / total
-        allowed = max(1e-9, 1.0 - SLO_TARGET)
-        burn = error_fraction / allowed
-        if burn < threshold:
-            return None
-        bounds = _window_bounds(samples)
-        return HealthFinding(
-            kind="slo-burn-rate",
-            severity=_severity(burn, threshold),
-            message=(
-                "completion SLO burning at {burn:.1f}x budget: "
-                "{errors:.0f}/{total:.0f} measurements missed "
-                "'complete' in the window (objective {target:.0%})".format(
-                    burn=burn,
-                    errors=errors,
-                    total=total,
-                    target=SLO_TARGET,
-                )
-            ),
-            window=bounds,
-            value=burn,
-            threshold=threshold,
-            evidence={
-                "metric": "revtr_measurements_total",
-                "window_statuses": {
-                    k: v for k, v in sorted(deltas.items()) if v
-                },
-                "error_fraction": error_fraction,
-                "slo_target": SLO_TARGET,
-            },
-        )
-
-    def _rule_cache_collapse(
-        self, sampler, window: float, threshold: float
-    ) -> Optional[HealthFinding]:
-        samples = sampler.window(window)
-        if len(samples) < 2:
-            return None
-        first, last = samples[0], samples[-1]
-        new = last.counter_by_label("cache_lookups_total", "outcome")
-        old = first.counter_by_label("cache_lookups_total", "outcome")
-        lookups = sum(new.values()) - sum(old.values())
-        if lookups < CACHE_MIN_LOOKUPS:
-            return None
-        hits = new.get("hit", 0.0) - old.get("hit", 0.0)
-        window_rate = hits / lookups
-        baseline_lookups = sum(old.values())
-        if baseline_lookups <= 0:
-            return None  # cold cache: nothing collapsed
-        baseline_rate = old.get("hit", 0.0) / baseline_lookups
-        if baseline_rate < CACHE_BASELINE_RATE:
-            return None
-        drop = baseline_rate - window_rate
-        if drop < threshold:
-            return None
-        bounds = _window_bounds(samples)
-        return HealthFinding(
-            kind="cache-hit-collapse",
-            severity=_severity(drop, threshold),
-            message=(
-                "measurement-cache hit rate collapsed: {now:.0%} in the "
-                "window vs {base:.0%} baseline over {n:.0f} lookups".format(
-                    now=window_rate, base=baseline_rate, n=lookups
-                )
-            ),
-            window=bounds,
-            value=drop,
-            threshold=threshold,
-            evidence={
-                "metric": "cache_lookups_total",
-                "window_hit_rate": window_rate,
-                "baseline_hit_rate": baseline_rate,
-                "window_lookups": lookups,
-            },
-        )
-
-    def _rule_retry_storm(
-        self, sampler, window: float, threshold: float
-    ) -> Optional[HealthFinding]:
-        samples = sampler.window(window)
-        if len(samples) < 2:
-            return None
-        engine = sampler.delta("revtr_retries_total", window=window)
-        sched = sampler.delta("service_retries_total", window=window)
-        retries = engine + sched
-        if retries < threshold:
-            return None
-        measurements = sampler.delta(
-            "revtr_measurements_total", window=window
-        )
-        bounds = _window_bounds(samples)
-        return HealthFinding(
-            kind="retry-storm",
-            severity=_severity(retries, threshold),
-            message=(
-                "retry storm: {n:.0f} degradation retries in the window "
-                "({engine:.0f} engine, {sched:.0f} scheduler) across "
-                "{m:.0f} measurements".format(
-                    n=retries, engine=engine, sched=sched, m=measurements
-                )
-            ),
-            window=bounds,
-            value=retries,
-            threshold=threshold,
-            evidence={
-                "metrics": [
-                    "revtr_retries_total",
-                    "service_retries_total",
-                ],
-                "engine_retries": engine,
-                "scheduler_retries": sched,
-                "window_measurements": measurements,
-                "retries_per_measurement": (
-                    retries / measurements if measurements else None
-                ),
-            },
-        )
-
-    def _rule_quarantine_churn(
-        self, sampler, window: float, threshold: float
-    ) -> Optional[HealthFinding]:
-        samples = sampler.window(window)
-        if len(samples) < 2:
-            return None
-        quarantines = sampler.delta(
-            "vp_quarantines_total", window=window
-        )
-        replacements = sampler.delta(
-            "vp_replacements_total", window=window
-        )
-        churn = quarantines + replacements
-        if churn < threshold:
-            return None
-        latest = samples[-1]
-        active = latest.gauge_value("vp_quarantined_current") or 0.0
-        bounds = _window_bounds(samples)
-        return HealthFinding(
-            kind="quarantine-churn",
-            severity=_severity(churn, 2.0 * threshold),
-            message=(
-                "VP churn: {q:.0f} quarantines and {r:.0f} replacements "
-                "in the window ({a:.0f} VPs quarantined now)".format(
-                    q=quarantines, r=replacements, a=active
-                )
-            ),
-            window=bounds,
-            value=churn,
-            threshold=threshold,
-            evidence={
-                "metrics": [
-                    "vp_quarantines_total",
-                    "vp_replacements_total",
-                    "vp_quarantined_current",
-                ],
-                "quarantines": quarantines,
-                "replacements": replacements,
-                "quarantined_now": active,
-            },
-        )
-
-    def _rule_queue_buildup(
-        self, sampler, window: float, threshold: float
-    ) -> Optional[HealthFinding]:
-        samples = sampler.window(window)
-        if len(samples) < QUEUE_MIN_SAMPLES:
-            return None
-        depths = [
-            s.gauge_value("service_queue_depth") for s in samples
-        ]
-        depths = [d for d in depths if d is not None]
-        if len(depths) < QUEUE_MIN_SAMPLES:
-            return None
-        tail = depths[-QUEUE_MIN_SAMPLES:]
-        non_decreasing = all(b >= a for a, b in zip(tail, tail[1:]))
-        if not non_decreasing or tail[-1] < threshold:
-            return None
-        if tail[-1] <= tail[0]:
-            return None  # flat at threshold isn't buildup
-        bounds = _window_bounds(samples)
-        return HealthFinding(
-            kind="queue-buildup",
-            severity=_severity(tail[-1], threshold),
-            message=(
-                "scheduler queue building up: depth {d:.0f} and "
-                "non-decreasing over the last {n} samples".format(
-                    d=tail[-1], n=len(tail)
-                )
-            ),
-            window=bounds,
-            value=tail[-1],
-            threshold=threshold,
-            evidence={
-                "metric": "service_queue_depth",
-                "depths": depths,
-            },
-        )
-
-    def _rule_event_drops(
-        self, sampler, window: float, threshold: float
-    ) -> Optional[HealthFinding]:
-        samples = sampler.window(window)
-        if len(samples) < 2:
-            return None
-        first, last = samples[0], samples[-1]
-        if last.events is None or first.events is None:
-            return None
-        dropped = last.events.get("dropped", 0) - first.events.get(
-            "dropped", 0
-        )
-        if dropped < threshold:
-            return None
-        bounds = _window_bounds(samples)
-        onset = first.events.get("dropped", 0) == 0
-        return HealthFinding(
-            kind="event-ring-drops",
-            severity=_severity(float(dropped), 50.0 * threshold),
-            message=(
-                "flight recorder {what}: {n} events overwritten in the "
-                "window — raise event capacity or drain with "
-                "--events-out".format(
-                    what=(
-                        "started dropping" if onset else "still dropping"
-                    ),
-                    n=int(dropped),
-                )
-            ),
-            window=bounds,
-            value=float(dropped),
-            threshold=threshold,
-            evidence={
-                "metric": "obs_events_dropped_total",
-                "window_dropped": dropped,
-                "total_dropped": last.events.get("dropped", 0),
-                "onset": onset,
-            },
-        )
-
-    def _rule_atlas_staleness(
-        self, sampler, window: float, threshold: float
-    ) -> Optional[HealthFinding]:
-        samples = sampler.window(window)
-        if len(samples) < 1:
-            return None
-        stale = (
-            sampler.delta(
-                "atlas_stale_intersections_total", window=window
-            )
-            if len(samples) >= 2
-            else 0.0
-        )
-        latest = samples[-1]
-        oldest_age = latest.gauge_value(
-            "atlas_age_seconds", {"stat": "oldest"}
-        )
-        stale_breach = stale >= threshold
-        age_breach = (
-            oldest_age is not None and oldest_age >= ATLAS_AGE_THRESHOLD
-        )
-        if not stale_breach and not age_breach:
-            return None
-        bounds = _window_bounds(samples)
-        if stale_breach:
-            value = stale
-            message = (
-                "atlas staleness: {n:.0f} stale intersections adopted "
-                "in the window".format(n=stale)
-            )
-        else:
-            value, threshold = float(oldest_age), ATLAS_AGE_THRESHOLD
-            message = (
-                "atlas staleness: oldest traceroute is {age:.0f} "
-                "sim-seconds old (budget {budget:.0f}) — refresh the "
-                "atlas".format(age=oldest_age, budget=ATLAS_AGE_THRESHOLD)
-            )
-        return HealthFinding(
-            kind="atlas-staleness",
-            severity=_severity(value, threshold),
-            message=message,
-            window=bounds,
-            value=value,
-            threshold=threshold,
-            evidence={
-                "metrics": [
-                    "atlas_stale_intersections_total",
-                    "atlas_age_seconds",
-                ],
-                "window_stale_intersections": stale,
-                "oldest_age_seconds": oldest_age,
-            },
-        )
-
-    def _rule_rejection_storm(
-        self, sampler, window: float, threshold: float
-    ) -> Optional[HealthFinding]:
-        samples = sampler.window(window)
-        if len(samples) < 2:
-            return None
-        first, last = samples[0], samples[-1]
-        new = last.counter_by_label("service_rejections_total", "reason")
-        old = first.counter_by_label("service_rejections_total", "reason")
-        deltas = {
-            reason: new.get(reason, 0.0) - old.get(reason, 0.0)
-            for reason in new
-        }
-        rejected = sum(deltas.values())
-        if rejected < threshold:
-            return None
-        bounds = _window_bounds(samples)
-        breakdown = ", ".join(
-            f"{reason}={int(n)}"
-            for reason, n in sorted(deltas.items())
-            if n
-        )
-        return HealthFinding(
-            kind="rejection-storm",
-            severity=_severity(rejected, threshold),
-            message=(
-                "admission rejections spiking: {n:.0f} in the window "
-                "({breakdown})".format(n=rejected, breakdown=breakdown)
-            ),
-            window=bounds,
-            value=rejected,
-            threshold=threshold,
-            evidence={
-                "metric": "service_rejections_total",
-                "window_by_reason": {
-                    k: v for k, v in sorted(deltas.items()) if v
-                },
-            },
-        )
+def _cited_seqs(
+    events, rule: Rule, window: Tuple[Optional[float], Optional[float]]
+) -> List[int]:
+    """The newest :data:`MAX_CITED_EVENTS` seqs of *rule*'s cited
+    events inside *window* (events without a sim time count as in)."""
+    start, end = window
+    seqs: List[int] = []
+    for kind in rule.cites:
+        for event in events.events(kind=kind):
+            sim = event.sim
+            if start is not None and sim is not None and sim < start:
+                continue
+            if end is not None and sim is not None and sim > end:
+                continue
+            if rule.keep is not None and not rule.keep(event):
+                continue
+            seqs.append(event.seq)
+    seqs.sort()
+    return seqs[-MAX_CITED_EVENTS:]
 
 
 def format_findings(

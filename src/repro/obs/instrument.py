@@ -32,8 +32,10 @@ from repro.obs.tracing import Tracer
 
 #: Metric declarations: name -> (type, help, histogram buckets).  The
 #: live facade pre-registers these so expositions carry HELP text and
-#: histograms get their intended bucket grids; call sites may still
-#: emit undeclared metrics, which are created on first use.
+#: histograms get their intended bucket grids.  Every family ``src/``
+#: emits is declared here and none is declared that nothing emits;
+#: ``tests/test_obs_consumers.py`` holds both, and that each has a
+#: reader (DESIGN.md, "Who reads what").
 DECLARED_METRICS: Dict[str, Tuple[str, str, Optional[Sequence[float]]]] = {
     "probes_sent_total": (
         "counter",
@@ -55,11 +57,6 @@ DECLARED_METRICS: Dict[str, Tuple[str, str, Optional[Sequence[float]]]] = {
         "Reverse hops adopted into results, by discovering technique.",
         None,
     ),
-    "revtr_fallbacks_total": (
-        "counter",
-        "Assume-symmetry fallback decisions, by outcome.",
-        None,
-    ),
     "revtr_measure_duration_seconds": (
         "histogram",
         "Sim-clock duration of one reverse traceroute.",
@@ -70,34 +67,30 @@ DECLARED_METRICS: Dict[str, Tuple[str, str, Optional[Sequence[float]]]] = {
         "Measurement-cache lookups, by outcome (hit/miss/expired).",
         None,
     ),
-    "atlas_lookups_total": (
+    "revtr_segment_hits_total": (
         "counter",
-        "Traceroute/RR atlas intersection lookups, by atlas and outcome.",
+        "Reverse-segment cache lookups served, by kind (chain/negative).",
+        None,
+    ),
+    "revtr_segment_misses_total": (
+        "counter",
+        "Reverse-segment cache lookups that found nothing usable.",
+        None,
+    ),
+    "revtr_segment_splices_total": (
+        "counter",
+        "Segment-cache chains spliced into results.",
+        None,
+    ),
+    "revtr_segment_invalidations_total": (
+        "counter",
+        "Reverse-segment cache entries dropped, by reason "
+        "(generation/ttl).",
         None,
     ),
     "atlas_stale_intersections_total": (
         "counter",
         "Accepted intersections older than the staleness bound.",
-        None,
-    ),
-    "sim_probes_total": (
-        "counter",
-        "Probes walked by the simulated Internet, by outcome.",
-        None,
-    ),
-    "sim_drops_total": (
-        "counter",
-        "Probes the simulator dropped, by drop reason.",
-        None,
-    ),
-    "sim_hops_traversed_total": (
-        "counter",
-        "Router hops traversed across forward and reply walks.",
-        None,
-    ),
-    "sim_faults_injected_total": (
-        "counter",
-        "Faults injected by the chaos harness, by fault kind.",
         None,
     ),
     "revtr_retries_total": (
@@ -108,11 +101,6 @@ DECLARED_METRICS: Dict[str, Tuple[str, str, Optional[Sequence[float]]]] = {
     "vp_quarantines_total": (
         "counter",
         "Vantage points quarantined after consecutive non-responses.",
-        None,
-    ),
-    "vp_recoveries_total": (
-        "counter",
-        "Quarantined vantage points requalified after probation.",
         None,
     ),
     "vp_replacements_total": (
@@ -129,31 +117,6 @@ DECLARED_METRICS: Dict[str, Tuple[str, str, Optional[Sequence[float]]]] = {
         "gauge",
         "Age of the source's atlas traceroutes on the sim clock, "
         "by stat (oldest/mean).",
-        None,
-    ),
-    "atlas_traceroutes_current": (
-        "gauge",
-        "Traceroutes currently held by the source's atlas.",
-        None,
-    ),
-    "service_partial_results_total": (
-        "counter",
-        "Requests finishing with a partial (degraded) reverse path.",
-        None,
-    ),
-    "sim_fwd_cache_lookups_total": (
-        "counter",
-        "Forwarding fast-path cache lookups, by cache and hit/miss.",
-        None,
-    ),
-    "sim_fwd_cache_entries": (
-        "gauge",
-        "Entries currently held by each forwarding fast-path cache.",
-        None,
-    ),
-    "sim_routing_generation": (
-        "gauge",
-        "Routing generation; bumps flush the forwarding caches.",
         None,
     ),
     "service_requests_total": (
@@ -187,54 +150,11 @@ DECLARED_METRICS: Dict[str, Tuple[str, str, Optional[Sequence[float]]]] = {
         "Reverse traceroutes currently in flight, by user.",
         None,
     ),
-    "cache_evictions_total": (
-        "counter",
-        "Measurement-cache entries evicted by the LRU bound.",
-        None,
-    ),
-    "atlas_build_seconds": (
-        "histogram",
-        "Virtual-clock makespan of one atlas pipeline stage, by stage.",
-        DEFAULT_TIME_BUCKETS,
-    ),
-    "atlas_probes_deduped_total": (
-        "counter",
-        "RR-atlas probes skipped by the per-build hop deduplicator.",
-        None,
-    ),
-    "atlas_pipeline_shards": (
-        "gauge",
-        "Shard lanes configured on the atlas pipeline.",
-        None,
-    ),
-    "atlas_shard_virtual_seconds": (
-        "gauge",
-        "Virtual-clock probing time assigned to each shard lane "
-        "by the last pipeline stage.",
-        None,
-    ),
-    "atlas_snapshots_total": (
-        "counter",
-        "Atlas snapshot operations, by op (save/load/warm_start) "
-        "and outcome (ok/hit/miss/mismatch/error).",
-        None,
-    ),
-    "atlas_refresh_traceroutes_total": (
-        "counter",
-        "Atlas refresh traceroute dispositions "
-        "(remeasured/skipped/replaced/pruned/dropped).",
-        None,
-    ),
     "service_queue_wait_seconds": (
         "histogram",
         "Sim-clock time jobs spent queued before execution, "
         "by admission attempt.",
         DEFAULT_TIME_BUCKETS,
-    ),
-    "obs_traces_dropped_total": (
-        "counter",
-        "Finished traces evicted from the tracer's bounded ring.",
-        None,
     ),
     "obs_events_dropped_total": (
         "counter",
@@ -299,34 +219,6 @@ class NullInstrumentation:
 #: ("is the obs on this component still the default?"), so there should
 #: be exactly one.
 NULL = NullInstrumentation()
-
-
-class BoundCounter:
-    """A call-site cache for one labelled counter series.
-
-    Code that bumps the same counter on every probe keeps one of these
-    and passes its current ``obs`` on each call; the child series is
-    re-resolved only when the instrumentation object changes (e.g.
-    after :func:`repro.obs.runtime.attach`), so the steady-state cost
-    is one identity check plus the child increment.  Guard calls with
-    ``obs.enabled`` — the null facade has no registry to resolve from.
-    """
-
-    __slots__ = ("name", "label_kwargs", "_obs", "_child")
-
-    def __init__(self, name: str, **labels: Any) -> None:
-        self.name = name
-        self.label_kwargs = labels
-        self._obs: Optional["Instrumentation"] = None
-        self._child = None
-
-    def inc(self, obs: "Instrumentation", n: float = 1.0) -> None:
-        if obs is not self._obs:
-            self._child = obs.registry.counter(self.name).labels(
-                **self.label_kwargs
-            )
-            self._obs = obs
-        self._child.inc(n)
 
 
 class Instrumentation:
@@ -414,15 +306,11 @@ class Instrumentation:
             self._gauge_sources.append(source)
 
     def _obs_self_collect(self) -> Dict[Any, float]:
-        """Mirror the obs layer's own drop tallies into counters."""
-        out: Dict[Any, float] = {}
-        dropped_traces = getattr(self.tracer, "dropped", 0)
-        if dropped_traces:
-            out[("obs_traces_dropped_total", ())] = float(dropped_traces)
-        dropped_events = self.events.accounting()[1]
-        if dropped_events:
-            out[("obs_events_dropped_total", ())] = float(dropped_events)
-        return out
+        """Mirror the flight recorder's drop tally into its counter."""
+        dropped = self.events.accounting()[1]
+        if dropped:
+            return {("obs_events_dropped_total", ()): float(dropped)}
+        return {}
 
     @staticmethod
     def _pull(source) -> Dict[Any, float]:

@@ -15,9 +15,10 @@ dicts; the Prometheus text rendering lives in
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -88,9 +89,6 @@ class Gauge(_Child):
     def inc(self, n: float = 1.0) -> None:
         with self._lock:
             self._value += n
-
-    def dec(self, n: float = 1.0) -> None:
-        self.inc(-n)
 
     @property
     def value(self) -> float:
@@ -325,3 +323,121 @@ class MetricsRegistry:
         from repro.obs.exposition import render_text
 
         return render_text(self.snapshot())
+
+
+# ----------------------------------------------------------------------
+# Snapshot readers: the one place that walks the snapshot shape above,
+# whether the snapshot is live, a sampler's, or loaded back from disk.
+# ----------------------------------------------------------------------
+
+
+def family_series(
+    snapshot: Dict[str, Any],
+    name: str,
+    labels: Optional[Dict[str, str]] = None,
+) -> Iterator[Dict[str, Any]]:
+    """One family's series in *snapshot* whose labels include *labels*
+    (every series when None; nothing when the family is absent)."""
+    family = snapshot.get(name)
+    if not family:
+        return
+    for series in family.get("series", []):
+        if labels:
+            have = series.get("labels", {})
+            if any(have.get(k) != v for k, v in labels.items()):
+                continue
+        yield series
+
+
+def family_total(
+    snapshot: Dict[str, Any],
+    name: str,
+    labels: Optional[Dict[str, str]] = None,
+) -> float:
+    """Sum of the values :func:`family_series` selects (0.0 if none)."""
+    return sum(
+        series.get("value", 0.0)
+        for series in family_series(snapshot, name, labels)
+    )
+
+
+def family_by_label(
+    snapshot: Dict[str, Any], name: str, label: str
+) -> Dict[str, float]:
+    """``{label_value: total}`` for one family, over the series that
+    carry *label*."""
+    out: Dict[str, float] = {}
+    for series in family_series(snapshot, name):
+        value = series.get("labels", {}).get(label)
+        if value is not None:
+            out[value] = out.get(value, 0.0) + series.get("value", 0.0)
+    return out
+
+
+def check_snapshot(doc: Any, source: str) -> Dict[str, Any]:
+    """*doc* if it has the snapshot shape, else :class:`ValueError`
+    naming *source*, the family and the field.
+
+    For snapshots that arrive from outside the process (``repro stats
+    --from``): the readers above, :mod:`repro.obs.slo` and
+    :mod:`repro.obs.exposition` index into the document without
+    looking, so valid JSON of the wrong shape is refused here instead
+    of escaping from them as a ``KeyError`` / ``AttributeError``.
+    """
+
+    def bad(what: str) -> ValueError:
+        return ValueError(f"{source} is not a metrics snapshot: {what}")
+
+    if not isinstance(doc, dict):
+        raise bad(f"top level is {type(doc).__name__}, not an object")
+    for name, family in doc.items():
+        kind = family.get("type") if isinstance(family, dict) else None
+        if kind not in ("counter", "gauge", "histogram"):
+            raise bad(
+                f"family {name!r} has no 'type' of counter, gauge "
+                "or histogram"
+            )
+        if not isinstance(family.get("series"), list) or not isinstance(
+            family.get("help", ""), str
+        ):
+            raise bad(
+                f"family {name!r} needs a 'series' list and a string "
+                "'help'"
+            )
+        for index, series in enumerate(family["series"]):
+            where = f"family {name!r} series {index}"
+            labels = (
+                series.get("labels", {})
+                if isinstance(series, dict)
+                else None
+            )
+            if not isinstance(labels, dict) or not all(
+                isinstance(value, str) for value in labels.values()
+            ):
+                raise bad(f"{where} is not an object with string 'labels'")
+            for field in (
+                ("sum", "count") if kind == "histogram" else ("value",)
+            ):
+                if not _is_number(series.get(field)):
+                    raise bad(f"{where} has no finite number {field!r}")
+            if kind != "histogram":
+                continue
+            buckets = series.get("buckets")
+            if not isinstance(buckets, list) or not all(
+                isinstance(bucket, list)
+                and len(bucket) == 2
+                and (bucket[0] == "+Inf" or _is_number(bucket[0]))
+                and _is_number(bucket[1])
+                for bucket in buckets
+            ):
+                raise bad(
+                    f"{where} 'buckets' is not a list of [le, count] "
+                    "pairs"
+                )
+    return doc
+
+
+def _is_number(value: Any) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)

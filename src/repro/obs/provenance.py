@@ -39,7 +39,8 @@ kind                      meaning / fields
                           first engine action, so the narrative renders
                           it as step 1 rather than spending a
                           flight-recorder record per measurement on it)
-``sched.*``               scheduler transitions (submit/start/retry/done)
+``sched.*``               scheduler transitions (submit/start/reject/retry/
+                          done)
 ``service.request``       service-level request record: user, status
 ========================  ====================================================
 
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.events import Event, EventLog
+from repro.obs.events import Event
 
 
 class ProvenanceLedger:
@@ -69,10 +70,6 @@ class ProvenanceLedger:
     ) -> "ProvenanceLedger":
         """Build from any event iterable (e.g. a JSONL export)."""
         return cls(mid, [e for e in events if e.mid == mid])
-
-    @classmethod
-    def from_log(cls, log: EventLog, mid: str) -> "ProvenanceLedger":
-        return cls(mid, log.events(mid=mid))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -451,10 +448,3 @@ class ProvenanceLedger:
         # Unknown kind: render generically rather than dropping it.
         detail = ", ".join(f"{k}={v}" for k, v in sorted(f.items()))
         return f"{kind}: {detail}" if detail else kind
-
-
-def explain_measurement(
-    events: Sequence[Event], mid: str
-) -> str:
-    """Convenience wrapper: ledger + narrative in one call."""
-    return ProvenanceLedger.from_events(events, mid).explain()

@@ -1,9 +1,9 @@
-"""Process-wide instrumentation default and runtime introspection.
+"""Wiring and runtime introspection.
 
 Components that are not constructed with an explicit instrumentation
-(engines, probers, the simulated Internet, the service) fall back to
-the process default held here — :data:`~repro.obs.instrument.NULL`
-unless :func:`enable` (or :func:`set_default`) installed a live one.
+(engines, probers, the service) run on
+:data:`~repro.obs.instrument.NULL`; :func:`attach` points the ones an
+engine owns at the engine's sink.
 
 :func:`introspect` assembles the operator-facing view: the metrics
 snapshot plus the pre-existing accounting objects (probe counters,
@@ -15,33 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.obs.instrument import NULL, Instrumentation
-
-_default = NULL
-
-
-def get_default():
-    """The process-wide instrumentation (NULL unless enabled)."""
-    return _default
-
-
-def set_default(instrumentation) -> None:
-    """Install *instrumentation* as the process-wide default."""
-    global _default
-    _default = instrumentation
-
-
-def enable(clock=None) -> Instrumentation:
-    """Create a live :class:`Instrumentation` and install it as the
-    default; returns it so callers can also wire it explicitly."""
-    instrumentation = Instrumentation(clock=clock)
-    set_default(instrumentation)
-    return instrumentation
-
-
-def disable() -> None:
-    """Reset the default back to the null instrumentation."""
-    set_default(NULL)
+from repro.obs.instrument import NULL
 
 
 def attach(instrumentation, *objects: Any) -> None:
@@ -81,7 +55,7 @@ def introspect(
     cache memory growth is visible from ``repro stats`` and the
     service snapshot.
     """
-    obs = instrumentation if instrumentation is not None else _default
+    obs = instrumentation if instrumentation is not None else NULL
     out: Dict[str, Any] = {"enabled": bool(obs.enabled)}
     if obs.registry is not None:
         out["metrics"] = obs.registry.snapshot()

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.metrics import family_by_label, family_total
+
 #: Quantiles reported by default.
 DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
 
@@ -90,35 +92,6 @@ def merged_buckets(
     return merged
 
 
-def delta_buckets(
-    newer: Sequence[Tuple[float, float]],
-    older: Sequence[Tuple[float, float]],
-) -> List[Tuple[float, float]]:
-    """Windowed histogram: newer-minus-older cumulative buckets.
-
-    Both operands are cumulative ``(edge, count)`` lists as returned by
-    :func:`merged_buckets`.  The older distribution is aligned to the
-    newer grid as a step function (counts carry forward between its
-    edges), and per-edge differences are clamped at zero so a reset
-    never yields a negative bucket.
-    """
-    if not older:
-        return list(newer)
-    older_sorted = sorted(older)
-    out: List[Tuple[float, float]] = []
-    position = 0
-    held = 0.0
-    for edge, cumulative in sorted(newer):
-        while (
-            position < len(older_sorted)
-            and older_sorted[position][0] <= edge
-        ):
-            held = older_sorted[position][1]
-            position += 1
-        out.append((edge, max(0.0, cumulative - held)))
-    return out
-
-
 def histogram_quantile(
     buckets: Sequence[Tuple[float, float]], q: float
 ) -> Optional[float]:
@@ -161,31 +134,6 @@ def histogram_quantile(
     return previous_edge
 
 
-def _family_counts(
-    snapshot: Dict[str, Any], name: str, label: str
-) -> Dict[str, float]:
-    """``{label_value: total}`` for one counter family."""
-    out: Dict[str, float] = {}
-    family = snapshot.get(name)
-    if not family:
-        return out
-    for series in family.get("series", []):
-        value = series.get("labels", {}).get(label)
-        if value is not None:
-            out[value] = out.get(value, 0.0) + series.get("value", 0.0)
-    return out
-
-
-def _family_total(snapshot: Dict[str, Any], name: str) -> float:
-    """Sum of every series value in one family (0.0 if absent)."""
-    family = snapshot.get(name)
-    if not family:
-        return 0.0
-    return sum(
-        series.get("value", 0.0) for series in family.get("series", [])
-    )
-
-
 def slo_summary(
     snapshot: Dict[str, Any],
     quantiles: Sequence[float] = DEFAULT_QUANTILES,
@@ -193,7 +141,7 @@ def slo_summary(
     """Compute the SLO rollup from a metrics snapshot."""
     out: Dict[str, Any] = {}
 
-    statuses = _family_counts(
+    statuses = family_by_label(
         snapshot, "revtr_measurements_total", "status"
     )
     total = sum(statuses.values())
@@ -205,8 +153,8 @@ def slo_summary(
         ),
     }
 
-    steps = _family_counts(snapshot, "revtr_steps_total", "kind")
-    hops = _family_counts(snapshot, "revtr_hops_total", "technique")
+    steps = family_by_label(snapshot, "revtr_steps_total", "kind")
+    hops = family_by_label(snapshot, "revtr_hops_total", "technique")
     techniques: Dict[str, Any] = {}
     intersect_attempts = steps.get("intersect_hit", 0.0) + steps.get(
         "intersect_miss", 0.0
@@ -262,7 +210,7 @@ def slo_summary(
     # rates read 0 lookups (and stay hidden) unless the corresponding
     # feature ran, so the section only appears when it is meaningful.
     amortization: Dict[str, Any] = {}
-    cache_outcomes = _family_counts(
+    cache_outcomes = family_by_label(
         snapshot, "cache_lookups_total", "outcome"
     )
     cache_lookups = sum(cache_outcomes.values())
@@ -274,10 +222,10 @@ def slo_summary(
             "hit_rate": cache_hits / cache_lookups,
             "expired": cache_outcomes.get("expired", 0.0),
         }
-    segment_hits = _family_counts(
+    segment_hits = family_by_label(
         snapshot, "revtr_segment_hits_total", "kind"
     )
-    segment_misses = _family_total(
+    segment_misses = family_total(
         snapshot, "revtr_segment_misses_total"
     )
     segment_lookups = sum(segment_hits.values()) + segment_misses
@@ -288,11 +236,11 @@ def slo_summary(
             "hits": hit_total,
             "hit_rate": hit_total / segment_lookups,
             "negative_hits": segment_hits.get("negative", 0.0),
-            "splices": _family_total(
+            "splices": family_total(
                 snapshot, "revtr_segment_splices_total"
             ),
             "invalidations": sum(
-                _family_counts(
+                family_by_label(
                     snapshot,
                     "revtr_segment_invalidations_total",
                     "reason",
@@ -302,7 +250,7 @@ def slo_summary(
     if amortization:
         out["amortization"] = amortization
 
-    rejections = _family_counts(
+    rejections = family_by_label(
         snapshot, "service_rejections_total", "reason"
     )
     if rejections:

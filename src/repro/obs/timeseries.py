@@ -42,7 +42,7 @@ import json
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.slo import delta_buckets, merged_buckets
+from repro.obs.metrics import family_series, family_total
 
 #: Default sim-clock seconds between samples.  Virtual workloads
 #: advance tens of sim-seconds per measurement, so on a serial clock
@@ -93,57 +93,13 @@ class TimeSample:
             out["wall"] = self.wall
         return out
 
-    # -- per-sample readers (shared by the sampler's window queries) ----
-
-    def counter_total(
-        self, name: str, labels: Optional[Dict[str, str]] = None
-    ) -> float:
-        """Sum of series values in one family, filtered by a label subset."""
-        family = self.metrics.get(name)
-        if not family:
-            return 0.0
-        total = 0.0
-        for series in family.get("series", []):
-            if labels:
-                have = series.get("labels", {})
-                if any(have.get(k) != v for k, v in labels.items()):
-                    continue
-            total += series.get("value", 0.0)
-        return total
-
-    def counter_by_label(self, name: str, label: str) -> Dict[str, float]:
-        """``{label_value: total}`` for one family at this sample."""
-        out: Dict[str, float] = {}
-        family = self.metrics.get(name)
-        if not family:
-            return out
-        for series in family.get("series", []):
-            value = series.get("labels", {}).get(label)
-            if value is not None:
-                out[value] = out.get(value, 0.0) + series.get("value", 0.0)
-        return out
-
     def gauge_value(
         self, name: str, labels: Optional[Dict[str, str]] = None
     ) -> Optional[float]:
         """First matching gauge series value, or None if absent."""
-        family = self.metrics.get(name)
-        if not family:
-            return None
-        for series in family.get("series", []):
-            if labels:
-                have = series.get("labels", {})
-                if any(have.get(k) != v for k, v in labels.items()):
-                    continue
+        for series in family_series(self.metrics, name, labels):
             return series.get("value")
         return None
-
-    def histogram_buckets(self, name: str) -> List[Tuple[float, float]]:
-        """Family-wide cumulative buckets at this sample."""
-        family = self.metrics.get(name)
-        if not family or family.get("type") != "histogram":
-            return []
-        return merged_buckets(family)
 
 
 class TimeSeriesSampler:
@@ -289,7 +245,7 @@ class TimeSeriesSampler:
         if kind == "gauge":
             reader = lambda s: s.gauge_value(name, labels)  # noqa: E731
         else:
-            reader = lambda s: s.counter_total(name, labels)  # noqa: E731
+            reader = lambda s: family_total(s.metrics, name, labels)  # noqa: E731
         return [(s.sim, reader(s)) for s in self.window(window)]
 
     def delta(
@@ -302,8 +258,8 @@ class TimeSeriesSampler:
         samples = self.window(window)
         if len(samples) < 2:
             return 0.0
-        newest = samples[-1].counter_total(name, labels)
-        oldest = samples[0].counter_total(name, labels)
+        newest = family_total(samples[-1].metrics, name, labels)
+        oldest = family_total(samples[0].metrics, name, labels)
         return max(0.0, newest - oldest)
 
     def rate(
@@ -322,23 +278,10 @@ class TimeSeriesSampler:
         span = last.sim - first.sim
         if span <= 0:
             return None
-        change = last.counter_total(name, labels) - first.counter_total(
-            name, labels
+        change = family_total(last.metrics, name, labels) - family_total(
+            first.metrics, name, labels
         )
         return max(0.0, change) / span
-
-    def histogram_delta(
-        self, name: str, window: Optional[float] = None
-    ) -> List[Tuple[float, float]]:
-        """Windowed cumulative-bucket delta for one histogram family."""
-        samples = self.window(window)
-        if not samples:
-            return []
-        newest = samples[-1].histogram_buckets(name)
-        if len(samples) < 2:
-            return newest
-        oldest = samples[0].histogram_buckets(name)
-        return delta_buckets(newest, oldest)
 
     # -- export ---------------------------------------------------------
 
@@ -357,9 +300,7 @@ class TimeSeriesSampler:
             ),
         }
 
-    def export(
-        self, include_wall: bool = False, include_metrics: bool = True
-    ) -> Dict[str, Any]:
+    def export(self, include_wall: bool = False) -> Dict[str, Any]:
         """JSON-able dump of the retained series.
 
         Wall timestamps are excluded by default so sim-driven runs
@@ -367,16 +308,13 @@ class TimeSeriesSampler:
         ``include_wall=True`` for operational dumps where real
         timestamps matter more than reproducibility.
         """
-        samples = []
-        for record in self._ring:
-            entry = record.to_dict(include_wall=include_wall)
-            if not include_metrics:
-                entry.pop("metrics", None)
-            samples.append(entry)
         return {
             "schema_version": 1,
             "summary": self.summary(),
-            "samples": samples,
+            "samples": [
+                record.to_dict(include_wall=include_wall)
+                for record in self._ring
+            ],
         }
 
     def export_json(self, **kwargs: Any) -> str:

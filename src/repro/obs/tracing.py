@@ -108,13 +108,17 @@ class Span:
             else:
                 parent._children.append(self)
         else:
-            # deque.append is atomic under the GIL; the lock is only
-            # needed for compound read-modify operations (export/clear).
+            # One thread closes spans; a telemetry reader may copy
+            # the ring meanwhile (``list(traces)`` under the lock).
+            # Both are single C calls, so the copy sees the ring
+            # before or after this append, never during — the lock is
+            # for the compound operations (export/clear) only.
+            # tests/test_reader_thread.py exports traces from a second
+            # thread while a workload closes them.
             traces = tracer.traces
             if len(traces) == traces.maxlen:
                 # The ring is full: this append evicts the oldest
-                # completed trace.  Tallied (obs_traces_dropped_total)
-                # so long-running serves can see the loss.
+                # completed trace; tallied so the loss is countable.
                 tracer.dropped += 1
             traces.append(self)
         # Drop the tracer and stack backrefs: they form reference
@@ -209,8 +213,7 @@ class Tracer:
         self._lock = threading.Lock()
         self._local = threading.local()
         self.traces: deque = deque(maxlen=max_traces)
-        #: completed traces evicted from the full ring (lifetime tally;
-        #: mirrored into ``obs_traces_dropped_total`` at collection).
+        #: completed traces evicted from the full ring (lifetime tally)
         self.dropped = 0
 
     # -- stack ----------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.net.addr import Address
 from repro.net.options import RecordRouteOption, TimestampOption
 from repro.net.packet import EchoReply, Probe, ProbeKind
-from repro.obs.runtime import get_default
+from repro.obs.instrument import NULL
 from repro.probing.budget import ProbeCounter
 from repro.probing.ratelimit import TokenBucket
 from repro.sim.clock import VirtualClock
@@ -122,9 +122,7 @@ class Prober:
         self.vp_rate_pps = vp_rate_pps
         #: observability sink; probe counts are mirrored into the
         #: ``probes_sent_total`` metric alongside the ProbeCounter
-        self.obs = (
-            instrumentation if instrumentation is not None else get_default()
-        )
+        self.obs = instrumentation if instrumentation is not None else NULL
         self._buckets: Dict[Address, TokenBucket] = {}
         #: optional :class:`~repro.probing.vantage.VPHealthTracker`;
         #: when installed, spoofed-batch outcomes feed its quarantine
@@ -277,17 +275,6 @@ class Prober:
                 result.rtt if result.responded else LOSS_TIMEOUT
             )
             results.append(result)
-        if self.obs.enabled:
-            # Batch-level only: per-probe events would dominate the
-            # atlas pipeline's emit budget for no diagnostic gain.
-            self.obs.emit_t(
-                "probe.batch",
-                (
-                    "rr",
-                    len(results),
-                    sum(1 for r in results if r.responded),
-                ),
-            )
         return results
 
     def spoofed_rr_batch(
@@ -343,16 +330,6 @@ class Prober:
         if self.health is not None:
             for result in results:
                 self.health.record(result.vp, result.responded)
-        if self.obs.enabled:
-            self.obs.emit_t(
-                "probe.batch",
-                (
-                    "spoofed-rr",
-                    len(results),
-                    sum(1 for r in results if r.responded),
-                    dst,
-                ),
-            )
         return results
 
     def ts_ping(

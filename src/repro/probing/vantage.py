@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.net.addr import Address
-from repro.obs.runtime import get_default
+from repro.obs.instrument import NULL
 from repro.sim.network import Internet
 
 
@@ -108,9 +108,7 @@ class VPHealthTracker:
         self.clock = clock
         self.threshold = threshold
         self.quarantine_seconds = quarantine_seconds
-        self.obs = (
-            instrumentation if instrumentation is not None else get_default()
-        )
+        self.obs = instrumentation if instrumentation is not None else NULL
         #: consecutive non-responses per VP
         self._streak: Dict[Address, int] = {}
         #: vp -> virtual time its quarantine lifts
@@ -129,7 +127,6 @@ class VPHealthTracker:
     def _obs_collect(self) -> Dict:
         return {
             ("vp_quarantines_total", ()): float(self.quarantines),
-            ("vp_recoveries_total", ()): float(self.recoveries),
             ("vp_replacements_total", ()): float(self.replacements),
         }
 

@@ -19,7 +19,8 @@ from repro.core.revtr import EngineConfig, RevtrEngine
 from repro.core.result import ReverseTracerouteResult
 from repro.core.segcache import ReverseSegmentCache
 from repro.net.addr import Address
-from repro.obs.runtime import get_default, introspect
+from repro.obs.instrument import NULL
+from repro.obs.runtime import introspect
 from repro.probing.prober import Prober
 from repro.service.sources import SourceRegistry
 from repro.service.store import MeasurementStore
@@ -60,9 +61,7 @@ class RevtrService:
             engine_config if engine_config is not None else EngineConfig()
         )
         #: observability sink shared with every per-source engine
-        self.obs = (
-            instrumentation if instrumentation is not None else get_default()
-        )
+        self.obs = instrumentation if instrumentation is not None else NULL
         self.users = UserDatabase(prober.clock)
         self.store = MeasurementStore()
         self._engines: Dict[Address, RevtrEngine] = {}
@@ -217,25 +216,6 @@ class RevtrService:
             user=user_name,
             status=result.status.value,
         )
-        if result.is_partial:
-            # Degraded-but-useful: the measurement stalled short of the
-            # source yet still revealed reverse hops.  Surfaced as its
-            # own series so operators can tell graceful degradation
-            # from total failure.
-            self.obs.inc(
-                "service_partial_results_total",
-                user=user_name,
-                status=result.status.value,
-            )
-            if self.obs.enabled:
-                self.obs.emit(
-                    "degrade.partial",
-                    _mid=result.measurement_id,
-                    user=user_name,
-                    dst=str(dst),
-                    hops=len(result.hops),
-                    status=result.status.value,
-                )
         self.obs.observe(
             "service_request_duration_seconds", result.duration
         )
@@ -328,19 +308,13 @@ class RevtrService:
     # Introspection
     # ------------------------------------------------------------------
 
-    def metrics_snapshot(
-        self,
-        include_traces: bool = False,
-        include_health: bool = False,
-    ) -> Dict:
+    def metrics_snapshot(self, include_traces: bool = False) -> Dict:
         """The operator view: metrics, probe counters, cache stats.
 
         JSON-serializable; non-empty (probe counters at minimum) even
         when the service runs on the null instrumentation.  With a
         time-series sampler installed the document also carries the
-        sampler summary (via :func:`introspect`), and
-        ``include_health=True`` adds the health engine's findings over
-        the retained series.
+        sampler summary (via :func:`introspect`).
         """
         caches = {
             f"engine[{source}]": engine.cache
@@ -348,23 +322,10 @@ class RevtrService:
         }
         for source, segcache in self._segcaches.items():
             caches[f"segments[{source}]"] = segcache
-        out = introspect(
+        return introspect(
             instrumentation=self.obs,
             probe_counters={"prober": self.prober.counter},
             caches=caches,
             forwarding=self.prober.internet.forwarding_cache_stats(),
             include_traces=include_traces,
         )
-        sampler = getattr(self.obs, "sampler", None)
-        if include_health and sampler is not None:
-            from repro.obs.health import HealthEngine
-
-            engine = HealthEngine()
-            findings = engine.evaluate(
-                sampler, getattr(self.obs, "events", None)
-            )
-            out["health"] = {
-                "status": HealthEngine.status(findings),
-                "findings": [f.to_dict() for f in findings],
-            }
-        return out

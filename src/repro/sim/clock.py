@@ -17,7 +17,10 @@ class VirtualClock:
 
     Advances are guarded by a lock because ``repro top`` and ``serve
     --http`` share the clock between a workload thread and a reader;
-    reads stay lock-free (a float load is atomic under the GIL).
+    reads stay lock-free: ``now()`` loads one attribute that
+    ``advance`` rebinds in one store, so a reader sees the time before
+    or after an advance (``tests/test_reader_thread.py`` samples the
+    clock from a second thread while a workload advances it).
     """
 
     def __init__(self, start: float = 0.0) -> None:

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.addr import Address
-from repro.obs.runtime import get_default
 
 #: Fault classes the injector understands.
 FAULT_KINDS = (
@@ -318,20 +317,15 @@ class FaultInjector:
     Installed on ``Internet.faults``; every hook below is reached only
     behind an ``internet.faults is not None`` guard, so a run without
     an injector pays one attribute read per probe and nothing else.
-    Injections are tallied per kind (plain counters mirrored into
-    ``sim_faults_injected_total`` at collection time) and emitted as
-    ``fault.inject`` flight-recorder events.
+    Injections are tallied per kind and published by
+    :meth:`snapshot`; what an injection *did* to a measurement is the
+    engine's ``degrade.retry`` event and the dropped probe's reason.
     """
 
-    def __init__(
-        self, plan: FaultPlan, clock, instrumentation=None
-    ) -> None:
+    def __init__(self, plan: FaultPlan, clock) -> None:
         self.plan = plan
         self.clock = clock
         self.seed = plan.seed
-        self.obs = (
-            instrumentation if instrumentation is not None else get_default()
-        )
         #: monotone injection counter; the engine snapshots it around a
         #: technique step to tell fault-tainted failures from organic
         #: ones (see ``RevtrEngine._rr_step``'s negative-cache gate)
@@ -350,18 +344,6 @@ class FaultInjector:
         self.has_router_faults = bool(
             self._rate_limits or self._filters
         )
-        if self.obs.enabled:
-            self._on_obs_attached(self.obs)
-
-    def _on_obs_attached(self, instrumentation) -> None:
-        if instrumentation.enabled:
-            instrumentation.register_collect_source(self._obs_collect)
-
-    def _obs_collect(self) -> Dict:
-        return {
-            ("sim_faults_injected_total", (("kind", kind),)): float(n)
-            for kind, n in self.counts.items()
-        }
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-able injection tallies (``repro chaos`` output)."""
@@ -372,12 +354,10 @@ class FaultInjector:
 
     # -- bookkeeping ----------------------------------------------------
 
-    def _inject(self, kind: str, **fields) -> None:
+    def _inject(self, kind: str) -> None:
         self.injections += 1
         self.counts[kind] = self.counts.get(kind, 0) + 1
         self._last_reason = f"fault:{kind}"
-        if self.obs.enabled:
-            self.obs.emit("fault.inject", kind=kind, **fields)
 
     def consume_reason(self) -> Optional[str]:
         """The drop reason of the most recent injection, one-shot.
@@ -397,16 +377,14 @@ class FaultInjector:
         now = self.clock.now()
         for spec in self._outages:
             if spec.active(now) and probe.injected_at in spec.vps:
-                self._inject("vp-outage", vp=str(probe.injected_at))
+                self._inject("vp-outage")
                 return self.consume_reason()
         if probe.is_spoofed:
             for spec in self._blackholes:
                 if spec.active(now) and (
                     not spec.dsts or probe.dst in spec.dsts
                 ):
-                    self._inject(
-                        "spoof-blackhole", dst=str(probe.dst)
-                    )
+                    self._inject("spoof-blackhole")
                     return self.consume_reason()
         return None
 
@@ -433,7 +411,7 @@ class FaultInjector:
                 f"{probe.src}|{probe.dst}|{probe.flow_id}".encode()
             )
             if digest / 4294967296.0 < spec.rate:
-                self._inject("link-loss", link=f"{a}-{b}")
+                self._inject("link-loss")
                 return True
         return False
 
@@ -442,7 +420,7 @@ class FaultInjector:
             if spec.active(now) and (
                 not spec.routers or router_id in spec.routers
             ):
-                self._inject("router-filter", router=router_id)
+                self._inject("router-filter")
                 return True
         for index, spec in enumerate(self._rate_limits):
             if not spec.active(now):
@@ -453,7 +431,7 @@ class FaultInjector:
             key = (index, router_id, window)
             granted = self._granted.get(key, 0)
             if granted >= spec.limit:
-                self._inject("router-rate-limit", router=router_id)
+                self._inject("router-rate-limit")
                 return True
             self._granted[key] = granted + 1
         return False

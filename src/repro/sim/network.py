@@ -23,7 +23,6 @@ from repro.net.host import Host
 from repro.net.options import RecordRouteOption, TimestampOption
 from repro.net.packet import EchoReply, Probe, TracerouteReply
 from repro.net.router import Router
-from repro.obs.runtime import get_default
 from repro.sim.forwarding import (
     FIB_DELIVER,
     FIB_DST,
@@ -139,17 +138,12 @@ class Internet:
         self.mlab_hosts: List[Address] = []
         self.atlas_hosts: List[Address] = []
 
-        #: observability sink (null by default).  Probe outcomes,
-        #: router hops traversed, and drops by reason are tallied
-        #: unconditionally as plain counters (see
-        #: :attr:`probe_outcome_counts`); attached instrumentation
-        #: mirrors them into the metrics registry at collection time.
-        self.obs = get_default()
+        #: Probe outcomes, router hops traversed, and drops by reason:
+        #: plain tallies, read through :attr:`probe_outcome_counts`
+        #: and by the walk-equality oracles in ``tests/``.
         self._obs_outcomes = {"delivered": 0, "ttl-expired": 0, "dropped": 0}
         self._obs_hops = 0
         self._obs_drops: Dict[str, int] = {}
-        if self.obs.enabled:
-            self._on_obs_attached(self.obs)
 
         #: fault injector (:class:`repro.sim.faults.FaultInjector`) or
         #: ``None``.  Every hook sits behind this attribute check, so a
@@ -194,9 +188,6 @@ class Internet:
         #: FIB rows: bumped where :meth:`_walk` fills a new key, zeroed
         #: wherever ``_fib`` is cleared, so reading it never walks it
         self._fib_entries = 0
-        #: cache stats read by :meth:`_obs_collect`, handed to
-        #: :meth:`_obs_collect_gauges` later in the same collection
-        self._obs_cache_stats: Optional[Dict[str, Dict[str, int]]] = None
         self._resolve_hits = 0
         self._resolve_misses = 0
         self._announce_hits = 0
@@ -206,59 +197,6 @@ class Internet:
     def probe_outcome_counts(self) -> Dict[str, int]:
         """Probes walked so far, keyed by outcome."""
         return dict(self._obs_outcomes)
-
-    def _on_obs_attached(self, instrumentation) -> None:
-        if instrumentation.enabled:
-            instrumentation.register_collect_source(self._obs_collect)
-            register_gauges = getattr(
-                instrumentation, "register_gauge_source", None
-            )
-            if register_gauges is not None:
-                register_gauges(self._obs_collect_gauges)
-
-    def _obs_collect(self) -> Dict:
-        out = {
-            ("sim_probes_total", (("outcome", outcome),)): float(n)
-            for outcome, n in self._obs_outcomes.items()
-            if n
-        }
-        out[("sim_hops_traversed_total", ())] = float(self._obs_hops)
-        for reason, n in self._obs_drops.items():
-            out[("sim_drops_total", (("reason", reason),))] = float(n)
-        caches = self.forwarding_cache_stats()["caches"]
-        self._obs_cache_stats = caches
-        for cache, stats in caches.items():
-            for counted, label in (("hits", "hit"), ("misses", "miss")):
-                n = stats[counted]
-                if n:
-                    out[
-                        (
-                            "sim_fwd_cache_lookups_total",
-                            (("cache", cache), ("result", label)),
-                        )
-                    ] = float(n)
-        return out
-
-    def _obs_collect_gauges(self) -> Dict:
-        """Pull-style gauges: cache sizes and the routing generation."""
-        # A collection runs the tally sources before the gauge
-        # sources, so the stats :meth:`_obs_collect` just read are
-        # this collection's; taken (not kept), so a standalone call
-        # reads fresh ones.
-        caches = self._obs_cache_stats
-        self._obs_cache_stats = None
-        if caches is None:
-            caches = self.forwarding_cache_stats()["caches"]
-        out = {
-            ("sim_fwd_cache_entries", (("cache", cache),)): float(
-                cache_stats["entries"]
-            )
-            for cache, cache_stats in caches.items()
-        }
-        out[("sim_routing_generation", ())] = float(
-            self.routing_generation
-        )
-        return out
 
     # ------------------------------------------------------------------
     # Construction helpers (used by the generator)
@@ -543,8 +481,7 @@ class Internet:
         Outcome statistics are tallied unconditionally — like
         :class:`~repro.probing.budget.ProbeCounter` and
         :class:`~repro.core.cache.CacheStats` they are first-class sim
-        state, and attached instrumentation merely mirrors them into
-        the registry at collection time.
+        state (:attr:`probe_outcome_counts`).
         """
         return self._tally_outcome(self._send_probe(probe))
 
@@ -1285,9 +1222,9 @@ class Internet:
     def forwarding_cache_stats(self) -> Dict[str, object]:
         """Hit/miss/size accounting for every forwarding memo.
 
-        JSON-able; surfaced through ``repro stats``, the service's
-        :meth:`~repro.service.api.RevtrService.metrics_snapshot`, and
-        the ``sim_fwd_cache_*`` metric families.
+        JSON-able; the one place these tallies are published: the
+        service's :meth:`~repro.service.api.RevtrService.metrics_snapshot`
+        embeds it and the e2e ledger's ``sim.*_hit_frac`` read it.
         """
         table = self.prefix_table
         return {

@@ -378,12 +378,6 @@ class ReferenceMeasureEngine(RevtrEngine):
                     # after the loop, so the partial path and its
                     # probe accounting survive this break).
                     status = RevtrStatus.UNRESPONSIVE
-                    if self._ev is not None:
-                        self._ev.emit(
-                            "degrade.unresponsive",
-                            dst=dst,
-                            hops_kept=len(hops),
-                        )
                 break
             if (
                 self.config.symmetry is SymmetryPolicy.INTRADOMAIN_ONLY

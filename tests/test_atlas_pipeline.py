@@ -27,7 +27,6 @@ from repro.core.atlas_pipeline import SNAPSHOT_VERSION
 from repro.core.rr_atlas import RRAtlas
 from repro.experiments import Scenario
 from repro.net.packet import TracerouteResult
-from repro.obs import Instrumentation
 from repro.topology import TopologyConfig
 from repro.topology.generator import build_internet
 from tests.helpers.reference_rr_atlas import (
@@ -40,12 +39,11 @@ ATLAS_SIZE = 20
 N_MEASURE = 4
 
 
-def fresh_scenario(instrumentation=None):
+def fresh_scenario():
     return Scenario(
         config=TopologyConfig.small(seed=SEED),
         seed=SEED,
         atlas_size=ATLAS_SIZE,
-        instrumentation=instrumentation,
     )
 
 
@@ -263,10 +261,6 @@ class TestRRAtlasStaleLookup:
         assert rr_atlas._obs_hits == 0
         assert rr_atlas._obs_misses == 0
         assert rr_atlas._obs_stale == 1
-        counts = rr_atlas._obs_collect()
-        assert counts[
-            ("atlas_lookups_total", (("atlas", "rr"), ("outcome", "stale")))
-        ] == 1.0
 
     def test_unknown_alias_still_a_miss(self):
         _, rr_atlas = self._tiny_rr()
@@ -506,21 +500,16 @@ class TestSnapshotRejection:
         self, sharded_world, tmp_path, damage
     ):
         """Format, version and fingerprint match, the body does not: a
-        typed error counted as a failed load, not a KeyError."""
+        typed error, not a KeyError."""
         _, path = self._saved(sharded_world, tmp_path)
         with gzip.open(path, "rb") as fh:
             doc = json.loads(fh.read().decode())
         damage(doc)
         with gzip.open(path, "wb") as fh:
             fh.write(json.dumps(doc).encode())
-        instr = Instrumentation()
         scenario = sharded_world[0]
         with pytest.raises(SnapshotError, match="malformed"):
-            load_snapshot(path, scenario.internet, instrumentation=instr)
-        series = instr.registry.snapshot()["atlas_snapshots_total"]
-        assert [(s["labels"], s["value"]) for s in series["series"]] == [
-            ({"op": "load", "outcome": "error"}, 1.0)
-        ]
+            load_snapshot(path, scenario.internet)
 
 
 class TestLoadOrBuild:
@@ -551,45 +540,6 @@ class TestLoadOrBuild:
         assert rr_atlas2._mapping == rr_atlas._mapping
         # The warm start sent zero probes.
         assert sum(warm_sc.background_counter.counts.values()) == 0
-
-
-class TestPipelineObservability:
-    def test_metrics_flow_through_registry(self, tmp_path):
-        instr = Instrumentation()
-        scenario = fresh_scenario(instrumentation=instr)
-        source = scenario.sources()[0]
-        pipeline = scenario.atlas_pipeline(shards=4)
-        atlas, rr_atlas = pipeline.bootstrap(
-            source,
-            scenario.bundle_rng(source),
-            size=ATLAS_SIZE,
-            max_size=ATLAS_SIZE,
-        )
-        path = str(tmp_path / "atlas.snap")
-        scenario.adopt_atlases(source, atlas, rr_atlas)
-        scenario.save_atlases(source, path)
-        scenario.load_atlases(source, path)
-        snapshot = instr.registry.snapshot()
-
-        built = {
-            series["labels"]["stage"]
-            for series in snapshot["atlas_build_seconds"]["series"]
-        }
-        assert built == {"traceroute", "rr"}
-        shards = snapshot["atlas_pipeline_shards"]["series"]
-        assert shards[0]["value"] == 4.0
-        lanes = snapshot["atlas_shard_virtual_seconds"]["series"]
-        assert {s["labels"]["shard"] for s in lanes} == {
-            "0", "1", "2", "3",
-        }
-        deduped = snapshot["atlas_probes_deduped_total"]["series"]
-        assert sum(s["value"] for s in deduped) > 0
-        snaps = {
-            (s["labels"]["op"], s["labels"]["outcome"]): s["value"]
-            for s in snapshot["atlas_snapshots_total"]["series"]
-        }
-        assert snaps[("save", "ok")] == 1.0
-        assert snaps[("load", "ok")] == 1.0
 
 
 class TestAtlasCLI:

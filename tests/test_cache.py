@@ -179,19 +179,16 @@ class TestBoundedCache:
         assert cache.stats.as_dict()["evictions"] == 2
 
     def test_evictions_reach_metrics(self):
-        from repro.obs import Instrumentation
-        from repro.obs.runtime import attach
+        # Not as a family of their own: the operator document
+        # (`RevtrService.metrics_snapshot()` is `introspect`) prints
+        # the cache's own stats.
+        from repro.obs.runtime import introspect
 
-        instr = Instrumentation()
-        clock = VirtualClock()
-        cache = MeasurementCache(clock, ttl=100, max_entries=2)
-        attach(instr, cache)
+        cache = MeasurementCache(VirtualClock(), ttl=100, max_entries=2)
         for i in range(5):
             cache.put(i, i)
-        series = instr.registry.snapshot()["cache_evictions_total"][
-            "series"
-        ]
-        assert series and series[0]["value"] == 3.0
+        doc = introspect(caches={"engine": cache})
+        assert doc["caches"]["engine"]["evictions"] == 3
 
     def test_maybe_purge_rate_limited(self):
         clock = VirtualClock()

@@ -24,7 +24,6 @@ from repro.obs import (
     Instrumentation,
     JsonlEventWriter,
     ProvenanceLedger,
-    explain_measurement,
     format_slo,
     read_events,
     slo_summary,
@@ -53,13 +52,13 @@ class TestEventLog:
         assert events[0].seq < events[1].seq
 
     def test_kind_is_positional_only(self):
-        # The payload may itself carry a field named "kind" (the cache
-        # and prober use it as a label).
+        # The payload may itself carry a field named "kind" (the
+        # cache uses it as a label).
         log = EventLog(capacity=4)
-        log.emit("probe.batch", kind="rr", n=7)
+        log.emit("cache.lookup", kind="rr-step", n=7)
         event = log.events()[0]
-        assert event.kind == "probe.batch"
-        assert event.fields == {"kind": "rr", "n": 7}
+        assert event.kind == "cache.lookup"
+        assert event.fields == {"kind": "rr-step", "n": 7}
 
     def test_measurement_correlation(self):
         log = EventLog(capacity=16)
@@ -77,7 +76,6 @@ class TestEventLog:
             mid, mid, "m-000099", None,
         ]
         assert log.events(mid=mid)[-1].kind == "rr.step"
-        assert log.measurement_ids() == [mid, "m-000099"]
 
     def test_ring_is_bounded_and_counts_drops(self):
         log = EventLog(capacity=8)
@@ -245,7 +243,11 @@ def recorded_run():
 class TestProvenance:
     def test_measurements_are_correlated(self, recorded_run):
         instr, results_on, _ = recorded_run
-        mids = instr.events.measurement_ids()
+        mids = list(
+            dict.fromkeys(
+                e.mid for e in instr.events.events() if e.mid is not None
+            )
+        )
         assert [r.measurement_id for r in results_on] == mids
         for mid in mids:
             kinds = {e.kind for e in instr.events.events(mid=mid)}
@@ -266,8 +268,8 @@ class TestProvenance:
     def test_explain_narrative(self, recorded_run):
         instr, results_on, _ = recorded_run
         result = results_on[0]
-        ledger = ProvenanceLedger.from_log(
-            instr.events, result.measurement_id
+        ledger = ProvenanceLedger.from_events(
+            instr.events.events(), result.measurement_id
         )
         text = ledger.explain()
         assert f"measurement {result.measurement_id}" in text
@@ -275,10 +277,6 @@ class TestProvenance:
         assert " 1. " in text
         assert "outcome:" in text
         assert "probe budget spent:" in text
-        # The wrapper renders the same narrative from plain events.
-        assert explain_measurement(
-            instr.events.events(), result.measurement_id
-        ) == text
 
     def test_implied_intersect_misses_are_synthesized(
         self, recorded_run
@@ -290,16 +288,16 @@ class TestProvenance:
         for result in results_on:
             mid = result.measurement_id
             rr_steps = instr.events.events(mid=mid, kind="rr.step")
-            text = ProvenanceLedger.from_log(
-                instr.events, mid
+            text = ProvenanceLedger.from_events(
+                instr.events.events(), mid
             ).explain()
             assert text.count(": miss") == len(rr_steps)
 
     def test_summary_counts(self, recorded_run):
         instr, results_on, _ = recorded_run
         result = results_on[0]
-        ledger = ProvenanceLedger.from_log(
-            instr.events, result.measurement_id
+        ledger = ProvenanceLedger.from_events(
+            instr.events.events(), result.measurement_id
         )
         summary = ledger.summary()
         assert summary["mid"] == result.measurement_id
@@ -339,8 +337,8 @@ class TestProvenance:
         mid = results_on[0].measurement_id
         assert ProvenanceLedger.from_events(
             events, mid
-        ).explain() == ProvenanceLedger.from_log(
-            instr.events, mid
+        ).explain() == ProvenanceLedger.from_events(
+            instr.events.events(), mid
         ).explain()
 
 
@@ -588,20 +586,3 @@ class TestQuantileEdgeCases:
         # Monotone non-decreasing despite the grid mismatch.
         counts = [count for _, count in merged]
         assert counts == sorted(counts)
-
-    def test_delta_buckets_alignment_and_clamp(self):
-        from repro.obs.slo import delta_buckets
-
-        newer = [(1.0, 5.0), (2.0, 9.0), (float("inf"), 12.0)]
-        older = [(2.0, 4.0), (float("inf"), 5.0)]
-        delta = dict(delta_buckets(newer, older))
-        # older holds 0 below its first edge, 4 at 2.0, 5 at +Inf.
-        assert delta[1.0] == pytest.approx(5.0)
-        assert delta[2.0] == pytest.approx(5.0)
-        assert delta[float("inf")] == pytest.approx(7.0)
-        # A reset (newer below older) clamps at zero.
-        assert dict(
-            delta_buckets([(1.0, 1.0)], [(1.0, 6.0)])
-        )[1.0] == 0.0
-        # Empty older is the identity.
-        assert delta_buckets(newer, []) == newer

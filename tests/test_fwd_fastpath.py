@@ -19,8 +19,7 @@ from repro.net.addr import Prefix, PrefixTable
 from repro.net.host import Host
 from repro.net.options import RecordRouteOption
 from repro.net.packet import Probe, ProbeKind
-from repro.obs import Instrumentation
-from repro.obs.runtime import attach, introspect
+from repro.obs.runtime import introspect
 from repro.sim.forwarding import FIB_DELIVER
 from repro.sim.network import PrefixInfo
 from repro.topology import TopologyConfig
@@ -639,28 +638,3 @@ class TestAccounting:
             assert set(cache_stats) == {"hits", "misses", "entries"}
         doc = introspect(forwarding=stats)
         assert doc["forwarding_caches"] is stats
-
-    def test_metrics_registry_carries_cache_series(self):
-        internet = fresh_internet()
-        instr = Instrumentation()
-        attach(instr, internet)
-        src = internet.mlab_hosts[0]
-        dst = sorted(
-            host.addr
-            for host in internet.hosts.values()
-            if host.responds_to_ping and not host.is_vantage_point
-        )[0]
-        internet.ground_truth_router_path(src, dst)
-        internet.ground_truth_router_path(src, dst)
-        snapshot = instr.registry.snapshot()
-        lookup_series = snapshot["sim_fwd_cache_lookups_total"]["series"]
-        assert any(
-            s["labels"] == {"cache": "fib", "result": "hit"}
-            for s in lookup_series
-        )
-        entries_series = snapshot["sim_fwd_cache_entries"]["series"]
-        assert any(
-            s["labels"] == {"cache": "fib"} and s["value"] > 0
-            for s in entries_series
-        )
-        assert snapshot["sim_routing_generation"]["series"]

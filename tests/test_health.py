@@ -1,15 +1,17 @@
 """Tests for the health engine (repro.obs.health) and ``repro health``."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.obs import Instrumentation
 from repro.obs.health import (
-    RULES_TABLE,
+    RULES,
     HealthEngine,
     HealthFinding,
     format_findings,
+    render_rules_table,
 )
 from repro.obs.timeseries import install_sampler
 from repro.sim.clock import VirtualClock
@@ -147,7 +149,7 @@ class TestRules:
         small_sampler.sample()
         small_clock.advance(30.0)
         for n in range(10):
-            small.emit("fault.inject", n=n)
+            small.emit("degrade.retry", n=n)
         small_sampler.sample()
         findings = HealthEngine().evaluate(small_sampler)
         drops = next(
@@ -254,18 +256,16 @@ class TestEvidence:
 
 
 class TestContract:
-    def test_rules_table_matches_engine_and_config(self):
-        engine = HealthEngine()
-        rule_kinds = {
-            t[3] for t in RULES_TABLE
-        }
-        # Every correlation entry belongs to a tabled rule kind.
-        assert set(HealthEngine.EVENT_CORRELATION) <= rule_kinds
-        # The table is the configuration: one rule per row, evaluated
-        # in row order with that row's window and threshold.
-        assert [t[3] for t in RULES_TABLE] == list(engine._rules)
-        for signal, window, threshold, kind in RULES_TABLE:
-            assert window > 0 and threshold > 0, kind
+    def test_design_md_carries_the_rendered_rules_table(self):
+        # The way tests/test_evidence.py holds EXPERIMENTS.md: the
+        # document's table is what the records render to, verbatim.
+        design = Path(__file__).resolve().parent.parent / "DESIGN.md"
+        table = render_rules_table()
+        assert table in design.read_text(), (
+            "DESIGN.md's health rules table is not "
+            "repro.obs.health.render_rules_table():\n" + table
+        )
+        assert len({rule.kind for rule in RULES}) == len(RULES)
 
     def test_one_window_overrides_every_rule(self):
         # `repro health --window N`: a storm three minutes back is
@@ -311,3 +311,167 @@ class TestContract:
         assert "window: sim" in text
         assert "events (" in text
         assert "no findings" in format_findings([])
+
+
+# -- a rule is a reader only if it can fire -----------------------------
+#
+# The four rules no `repro health` preset trips, each driven by its
+# cause through Scenario / RevtrService / RequestScheduler calls alone
+# (no hand-fed `inc` / `set_gauge`): the rule fires, and falls silent
+# once the cause is gone.
+
+
+def live_world(seed: int = 5):
+    from repro.experiments import Scenario
+    from repro.topology import TopologyConfig
+
+    instr = Instrumentation()
+    sampler = install_sampler(instr, sim_interval=None)
+    scenario = Scenario(
+        config=TopologyConfig.tiny(seed=seed),
+        seed=seed,
+        atlas_size=10,
+        instrumentation=instr,
+    )
+    return instr, sampler, scenario
+
+
+def scheduled_world(**config):
+    from repro.service import SchedulerConfig
+
+    instr, sampler, scenario = live_world()
+    service = scenario.service()
+    user = service.add_user("u", max_parallel=1, max_per_day=10_000)
+    source = scenario.sources()[0]
+    service.add_source(user.api_key, source)
+    scheduler = service.scheduler(
+        SchedulerConfig(parallelism=1, **config)
+    )
+    dsts = iter(scenario.responsive_destinations(options_only=True))
+
+    def submit(n):
+        for _ in range(n):
+            scheduler.submit(user.api_key, next(dsts), source)
+
+    return instr, sampler, scenario, scheduler, submit
+
+
+def fired(sampler, instr, kind):
+    findings = HealthEngine().evaluate(sampler, instr.events)
+    return next((f for f in findings if f.kind == kind), None)
+
+
+class TestRulesFireForTheirCause:
+    def test_atlas_staleness_cites_the_stale_stitch(self):
+        instr, sampler, scenario = live_world()
+        engine = scenario.engine(scenario.sources()[0], "revtr2.0")
+        sampler.sample()
+        assert fired(sampler, instr, "atlas-staleness") is None
+        # Cause: the atlas outlives its staleness bound and the engine
+        # goes on adopting intersections from it.
+        scenario.clock.advance(engine.atlas.staleness + 60.0)
+        sampler.sample()
+        stale = []
+        for dst in scenario.responsive_destinations(options_only=True):
+            result = engine.measure(dst)
+            if result.stale_intersection:
+                stale.append(result.measurement_id)
+            if len(stale) == 3:
+                break
+        sampler.sample()
+        finding = fired(sampler, instr, "atlas-staleness")
+        assert finding is not None and finding.value == 3.0
+        # The evidence is those measurements' `stitch` events (it was
+        # `intersect` with an outcome the engine never emits: no
+        # finding could cite anything).
+        assert finding.event_kinds == ("stitch",)
+        assert finding.event_seqs == [
+            event.seq
+            for mid in stale
+            for event in instr.events.events(mid=mid, kind="stitch")
+        ]
+        # Cause gone: a refreshed atlas, and the window moves on.
+        engine.atlas.refresh(
+            scenario.background_prober,
+            scenario.atlas_vp_addrs,
+            scenario.bundle_rng(engine.source),
+        )
+        scenario.clock.advance(1000.0)
+        sampler.sample()
+        for dst in scenario.responsive_destinations(6, options_only=True):
+            engine.measure(dst)
+        sampler.sample()
+        assert fired(sampler, instr, "atlas-staleness") is None
+
+    def test_cache_hit_collapse_after_the_ttl(self):
+        instr, sampler, scenario = live_world()
+        engine = scenario.engine(scenario.sources()[0], "revtr2.0")
+        dsts = scenario.responsive_destinations(6, options_only=True)
+
+        def passes(n):
+            for _ in range(n):
+                for dst in dsts:
+                    engine.measure(dst)
+
+        passes(3)  # warm: the repeats hit
+        sampler.sample()
+        assert fired(sampler, instr, "cache-hit-collapse") is None
+        # Cause: every entry ages out at once.
+        scenario.clock.advance(engine.cache.ttl + 1.0)
+        sampler.sample()
+        passes(1)
+        sampler.sample()
+        finding = fired(sampler, instr, "cache-hit-collapse")
+        assert finding is not None
+        assert finding.evidence["window_hit_rate"] == 0.0
+        assert finding.evidence["baseline_hit_rate"] > 0.5
+        # Cause gone: the cache is warm again and the window moves on.
+        scenario.clock.advance(700.0)
+        sampler.sample()
+        passes(2)
+        sampler.sample()
+        assert fired(sampler, instr, "cache-hit-collapse") is None
+
+    def test_queue_buildup_while_submits_outrun_steps(self):
+        instr, sampler, _, scheduler, submit = scheduled_world(
+            max_queue_per_user=64
+        )
+        sampler.sample()
+        # Cause: four submissions for every job executed.
+        for _ in range(3):
+            submit(4)
+            scheduler.step()
+            sampler.sample()
+        finding = fired(sampler, instr, "queue-buildup")
+        assert finding is not None and finding.value == 9.0
+        assert finding.evidence["depths"][-3:] == [3.0, 6.0, 9.0]
+        # Cause gone: no more submissions, the queue drains.
+        while scheduler.step() is not None:
+            sampler.sample()
+        assert sampler.latest.gauge_value("service_queue_depth") == 0.0
+        assert fired(sampler, instr, "queue-buildup") is None
+
+    def test_rejection_storm_against_a_short_queue(self):
+        instr, sampler, scenario, scheduler, submit = scheduled_world(
+            max_queue_per_user=2
+        )
+        sampler.sample()
+        # Cause: a burst of nine into a queue of two.
+        submit(9)
+        sampler.sample()
+        finding = fired(sampler, instr, "rejection-storm")
+        assert finding is not None and finding.value == 7.0
+        assert finding.evidence["window_by_reason"] == {"queue-full": 7.0}
+        rejects = instr.events.events(kind="sched.reject")
+        assert finding.event_seqs == [event.seq for event in rejects]
+        # Cause gone: the queue drains, later submissions fit, and the
+        # burst leaves the window.
+        while scheduler.step() is not None:
+            pass
+        scenario.clock.advance(400.0)
+        sampler.sample()
+        submit(2)
+        while scheduler.step() is not None:
+            pass
+        sampler.sample()
+        assert fired(sampler, instr, "rejection-storm") is None
