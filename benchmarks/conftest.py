@@ -3,8 +3,8 @@
 Heavy campaigns are computed once per session at evaluation scale and
 shared by the per-figure benchmarks. Every benchmark writes its
 paper-vs-measured report to ``benchmarks/reports/<name>.txt`` and
-prints it, so a ``pytest benchmarks/ --benchmark-only`` run regenerates
-every table and figure of the paper.
+prints it, so a ``pytest benchmarks/ --ignore=benchmarks/e2e`` run
+regenerates every table and figure of the paper.
 """
 
 import os

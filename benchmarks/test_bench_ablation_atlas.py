@@ -37,14 +37,14 @@ def _campaign_stats(scenario, atlas_size, n_pairs=150):
     }
 
 
-def test_ablation_atlas_size(benchmark, bench_scenario):
+def test_ablation_atlas_size(bench_scenario):
     def run_ablation():
         return {
             size: _campaign_stats(bench_scenario, size)
             for size in (0, 8, 25)
         }
 
-    stats = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+    stats = run_ablation()
 
     lines = [
         "Ablation — atlas size (Q1)",

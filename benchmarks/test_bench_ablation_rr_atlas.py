@@ -12,7 +12,7 @@ from repro.core.result import HopTechnique, RevtrStatus
 # exp_comparison not needed: engines are driven directly
 
 
-def test_ablation_rr_atlas(benchmark, bench_scenario):
+def test_ablation_rr_atlas(bench_scenario):
     def run_ablation():
         from repro.core.revtr import EngineConfig
 
@@ -25,7 +25,7 @@ def test_ablation_rr_atlas(benchmark, bench_scenario):
             ),
         }
 
-    stats = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+    stats = run_ablation()
 
     lines = [
         "Ablation — RR atlas (Q2)",

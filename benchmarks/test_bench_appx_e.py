@@ -5,14 +5,8 @@ from conftest import write_report
 from repro.experiments import exp_dbr_violations
 
 
-def test_appx_e(benchmark, bench_scenario):
-    result = benchmark.pedantic(
-        exp_dbr_violations.run,
-        args=(bench_scenario,),
-        kwargs={"n_pairs": 400},
-        rounds=1,
-        iterations=1,
-    )
+def test_appx_e(bench_scenario):
+    result = exp_dbr_violations.run(bench_scenario, n_pairs=400)
     write_report(
         "appx_e", exp_dbr_violations.format_report(result)
     )

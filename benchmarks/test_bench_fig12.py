@@ -5,8 +5,8 @@ from conftest import write_report
 from repro.experiments import exp_asymmetry
 
 
-def test_fig12(benchmark, asymmetry):
-    report = benchmark(exp_asymmetry.format_fig12, asymmetry)
+def test_fig12(asymmetry):
+    report = exp_asymmetry.format_fig12(asymmetry)
     write_report("fig12", report)
 
     full = asymmetry.as_symmetric_fraction()

@@ -7,8 +7,8 @@ from repro.analysis.stats import mean
 from repro.experiments import exp_asymmetry
 
 
-def test_fig13(benchmark, asymmetry):
-    report = benchmark(exp_asymmetry.format_fig13, asymmetry)
+def test_fig13(asymmetry):
+    report = exp_asymmetry.format_fig13(asymmetry)
     write_report("fig13", report)
 
     pairs = asymmetry.as_pairs()

@@ -7,8 +7,8 @@ from repro.analysis.asymmetry import positional_symmetry
 from repro.experiments import exp_asymmetry
 
 
-def test_fig14(benchmark, asymmetry):
-    report = benchmark(exp_asymmetry.format_fig14, asymmetry)
+def test_fig14(asymmetry):
+    report = exp_asymmetry.format_fig14(asymmetry)
     write_report("fig14", report)
 
     pairs = asymmetry.as_pairs()

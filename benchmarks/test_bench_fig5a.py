@@ -6,8 +6,8 @@ from repro.analysis.stats import median
 from repro.experiments import exp_comparison
 
 
-def test_fig5a(benchmark, comparison):
-    report = benchmark(exp_comparison.format_fig5a, comparison)
+def test_fig5a(comparison):
+    report = exp_comparison.format_fig5a(comparison)
     write_report("fig5a", report)
 
     acc10 = comparison.accuracy("revtr1.0")

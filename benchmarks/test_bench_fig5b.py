@@ -5,8 +5,8 @@ from conftest import write_report
 from repro.experiments import exp_comparison
 
 
-def test_fig5b(benchmark, comparison):
-    report = benchmark(exp_comparison.format_fig5b, comparison)
+def test_fig5b(comparison):
+    report = exp_comparison.format_fig5b(comparison)
     write_report("fig5b", report)
 
     coverage = {

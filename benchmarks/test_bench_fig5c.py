@@ -5,8 +5,8 @@ from conftest import write_report
 from repro.experiments import exp_comparison
 
 
-def test_fig5c(benchmark, comparison):
-    report = benchmark(exp_comparison.format_fig5c, comparison)
+def test_fig5c(comparison):
+    report = exp_comparison.format_fig5c(comparison)
     write_report("fig5c", report)
 
     medians = {

@@ -6,8 +6,8 @@ from repro.analysis.stats import mean
 from repro.experiments import exp_vp_selection
 
 
-def test_fig6a(benchmark, vp_selection):
-    report = benchmark(exp_vp_selection.format_fig6, vp_selection)
+def test_fig6a(vp_selection):
+    report = exp_vp_selection.format_fig6(vp_selection)
     write_report("fig6a", report)
 
     means = {

@@ -6,8 +6,8 @@ from repro.analysis.stats import mean
 from repro.experiments import exp_vp_selection
 
 
-def test_fig6b(benchmark, vp_selection):
-    report = benchmark(exp_vp_selection.format_fig6, vp_selection)
+def test_fig6b(vp_selection):
+    report = exp_vp_selection.format_fig6(vp_selection)
     write_report("fig6b", report)
 
     ingress = mean(vp_selection.first_batch_distribution("ingress"))

@@ -6,7 +6,7 @@ from repro.experiments import Scenario, exp_traffic_eng
 from repro.topology import TopologyConfig
 
 
-def test_fig7_te(benchmark):
+def test_fig7_te():
     # A private scenario: the anycast deployment and announcement
     # changes must not leak into the other benchmarks.
     scenario = Scenario(
@@ -14,13 +14,7 @@ def test_fig7_te(benchmark):
         seed=9,
         atlas_size=20,
     )
-    result = benchmark.pedantic(
-        exp_traffic_eng.run,
-        args=(scenario,),
-        kwargs={"n_monitors": 80},
-        rounds=1,
-        iterations=1,
-    )
+    result = exp_traffic_eng.run(scenario, n_monitors=80)
     write_report(
         "fig7_te", exp_traffic_eng.format_report(result)
     )

@@ -6,8 +6,8 @@ from repro.analysis.stats import median
 from repro.experiments import exp_asymmetry
 
 
-def test_fig8a(benchmark, asymmetry):
-    report = benchmark(exp_asymmetry.format_fig8a, asymmetry)
+def test_fig8a(asymmetry):
+    report = exp_asymmetry.format_fig8a(asymmetry)
     write_report("fig8a", report)
 
     assert len(asymmetry.records) > 100

@@ -5,10 +5,8 @@ from conftest import write_report
 from repro.experiments import exp_asymmetry
 
 
-def test_fig8b(benchmark, asymmetry):
-    report = benchmark(
-        exp_asymmetry.format_fig8b_table7, asymmetry
-    )
+def test_fig8b(asymmetry):
+    report = exp_asymmetry.format_fig8b_table7(asymmetry)
     write_report("fig8b", report)
 
     points = asymmetry.cone_scatter()

@@ -5,8 +5,8 @@ from conftest import write_report
 from repro.experiments import exp_atlas
 
 
-def test_fig9b(benchmark, atlas_study):
-    report = benchmark(exp_atlas.format_report, atlas_study)
+def test_fig9b(atlas_study):
+    report = exp_atlas.format_report(atlas_study)
     write_report("fig9b", report)
 
     curve = atlas_study.convergence

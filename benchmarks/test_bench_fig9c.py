@@ -5,8 +5,8 @@ from conftest import write_report
 from repro.experiments import exp_atlas
 
 
-def test_fig9c(benchmark, atlas_study):
-    report = benchmark(exp_atlas.format_report, atlas_study)
+def test_fig9c(atlas_study):
+    report = exp_atlas.format_report(atlas_study)
     write_report("fig9c", report)
 
     scaling = atlas_study.scaling

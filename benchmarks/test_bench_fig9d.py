@@ -6,7 +6,7 @@ from repro.experiments import Scenario, exp_staleness
 from repro.topology import TopologyConfig
 
 
-def test_fig9d(benchmark):
+def test_fig9d():
     # A private scenario: the 24-hour run churns routing preferences,
     # which must not leak into the other benchmarks.
     scenario = Scenario(
@@ -14,13 +14,7 @@ def test_fig9d(benchmark):
         seed=21,
         atlas_size=25,
     )
-    result = benchmark.pedantic(
-        exp_staleness.run,
-        args=(scenario,),
-        kwargs={"hours": 24, "revtrs_per_hour": 15},
-        rounds=1,
-        iterations=1,
-    )
+    result = exp_staleness.run(scenario, hours=24, revtrs_per_hour=15)
     write_report("fig9d", exp_staleness.format_report(result))
 
     fractions = result.cumulative_stale_fraction()

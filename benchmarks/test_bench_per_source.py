@@ -5,15 +5,9 @@ from conftest import fresh_scenario, write_report
 from repro.experiments import exp_completeness
 
 
-def test_per_source_completeness(benchmark):
+def test_per_source_completeness():
     scenario = fresh_scenario(seed=15)
-    result = benchmark.pedantic(
-        exp_completeness.run,
-        args=(scenario,),
-        kwargs={"n_destinations": 250, "n_sources": 6},
-        rounds=1,
-        iterations=1,
-    )
+    result = exp_completeness.run(scenario, n_destinations=250, n_sources=6)
     write_report(
         "per_source", exp_completeness.format_report(result)
     )

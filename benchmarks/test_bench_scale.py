@@ -13,7 +13,7 @@ from repro.experiments import Scenario
 from repro.topology import TopologyConfig
 
 
-def test_scale_revtr_stream(benchmark):
+def test_scale_revtr_stream():
     scenario = Scenario(
         config=TopologyConfig.large(seed=11), seed=11, atlas_size=40
     )
@@ -33,7 +33,7 @@ def test_scale_revtr_stream(benchmark):
                 state["complete"] += 1
         return state["complete"]
 
-    benchmark.pedantic(run_stream, rounds=1, iterations=1)
+    run_stream()
 
     internet = scenario.internet
     report = "\n".join(

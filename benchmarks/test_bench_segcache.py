@@ -81,13 +81,11 @@ def _path_of(result):
     return [(str(hop.addr), hop.technique.value) for hop in result.hops]
 
 
-def test_segcache_repeated_stream(benchmark):
+def test_segcache_repeated_stream():
     def run_both():
         return _run_stream(amortized=False), _run_stream(amortized=True)
 
-    default, amortized = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
+    default, amortized = run_both()
     _, destinations, base_rows, base_first, _ = default
     scenario, _, fast_rows, _, fast_final = amortized
     internet = scenario.internet

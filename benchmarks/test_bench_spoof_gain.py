@@ -6,16 +6,12 @@ from repro.experiments import exp_rr_responsiveness
 from repro.topology import TopologyConfig, build_internet
 
 
-def test_spoofing_gain(benchmark):
+def test_spoofing_gain():
     internet = build_internet(
         TopologyConfig.evaluation(seed=BENCH_SEED)
     )
-    result = benchmark.pedantic(
-        exp_rr_responsiveness.measure_spoofing_gain,
-        args=(internet,),
-        kwargs={"max_pairs": 300, "seed": BENCH_SEED},
-        rounds=1,
-        iterations=1,
+    result = exp_rr_responsiveness.measure_spoofing_gain(
+        internet, max_pairs=300, seed=BENCH_SEED
     )
     write_report(
         "spoof_gain",

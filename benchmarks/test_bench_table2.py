@@ -21,7 +21,7 @@ def _merged(results):
     return merged
 
 
-def test_table2(benchmark):
+def test_table2():
     def run_study():
         # Aggregate over two topologies: the per-seed sample is a few
         # hundred paths, so one seed's intra/inter split is noisy
@@ -35,7 +35,7 @@ def test_table2(benchmark):
             ]
         )
 
-    result = benchmark.pedantic(run_study, rounds=1, iterations=1)
+    result = run_study()
     write_report(
         "table2", exp_symmetry_assumption.format_report(result)
     )

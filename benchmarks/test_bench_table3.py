@@ -5,14 +5,8 @@ from conftest import write_report
 from repro.experiments import exp_as_graph
 
 
-def test_table3(benchmark, bench_scenario):
-    result = benchmark.pedantic(
-        exp_as_graph.run,
-        args=(bench_scenario,),
-        kwargs={"n_destinations": 250, "n_sources": 3},
-        rounds=1,
-        iterations=1,
-    )
+def test_table3(bench_scenario):
+    result = exp_as_graph.run(bench_scenario, n_destinations=250, n_sources=3)
     write_report("table3", exp_as_graph.format_report(result))
     rows = {name: (corr, compl) for name, corr, compl, _ in result.rows()}
     # revtr gives correctness AND completeness; Atlas is correct but

@@ -5,8 +5,8 @@ from conftest import write_report
 from repro.experiments import exp_comparison
 
 
-def test_table4(benchmark, comparison):
-    report = benchmark(exp_comparison.format_table4, comparison)
+def test_table4(comparison):
+    report = exp_comparison.format_table4(comparison)
     write_report("table4", report)
 
     totals = {

@@ -5,8 +5,8 @@ from conftest import write_report
 from repro.experiments import exp_vp_selection
 
 
-def test_table5(benchmark, vp_selection):
-    report = benchmark(exp_vp_selection.format_table5, vp_selection)
+def test_table5(vp_selection):
+    report = exp_vp_selection.format_table5(vp_selection)
     write_report("table5", report)
 
     table = vp_selection.table5

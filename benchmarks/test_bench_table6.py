@@ -5,10 +5,8 @@ from conftest import write_report
 from repro.experiments import exp_rr_responsiveness
 
 
-def test_table6(benchmark, rr_surveys):
-    report = benchmark(
-        exp_rr_responsiveness.format_table6, rr_surveys
-    )
+def test_table6(rr_surveys):
+    report = exp_rr_responsiveness.format_table6(rr_surveys)
     write_report("table6", report)
 
     f16 = rr_surveys.surveys["2016"].fractions()

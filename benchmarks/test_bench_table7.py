@@ -6,10 +6,8 @@ from repro.experiments import exp_asymmetry
 from repro.topology.asgraph import ASTier
 
 
-def test_table7(benchmark, asymmetry):
-    report = benchmark(
-        exp_asymmetry.format_fig8b_table7, asymmetry, 10
-    )
+def test_table7(asymmetry):
+    report = exp_asymmetry.format_fig8b_table7(asymmetry, 10)
     write_report("table7", report)
 
     graph = asymmetry.scenario.internet.graph

@@ -5,8 +5,8 @@ from conftest import write_report
 from repro.experiments import exp_comparison
 
 
-def test_throughput(benchmark, comparison):
-    report = benchmark(exp_comparison.format_throughput, comparison)
+def test_throughput(comparison):
+    report = exp_comparison.format_throughput(comparison)
     write_report("throughput", report)
 
     projections = {

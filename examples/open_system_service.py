@@ -21,7 +21,6 @@ import urllib.request
 
 from repro.experiments import Scenario
 from repro.obs import (
-    HealthEngine,
     Instrumentation,
     ObsHTTPServer,
     install_sampler,
@@ -96,9 +95,7 @@ def main() -> None:
         f"{report.duration / 60:.1f} virtual minutes"
     )
 
-    with ObsHTTPServer(
-        instrumentation, sampler, HealthEngine()
-    ) as server:
+    with ObsHTTPServer(instrumentation, sampler) as server:
         print(f"obs endpoint up at {server.url}")
         destinations = scenario.responsive_destinations(
             6, options_only=True

@@ -3,23 +3,21 @@
 Incomplete alias knowledge is a central theme of the paper — it is why
 router-level accuracy is hard to assess (Fig. 5a's shaded region) and
 why the RR atlas (Q2) sidesteps aliasing entirely. This package
-implements the three sources the paper combines (Appendix B.1):
+implements the sources the paper combines (Appendix B.1):
 
-* a MIDAR-like shared-IP-ID-counter test (:mod:`repro.alias.midar`);
+* the offline ITDK-like dataset (:mod:`repro.alias.itdk`), which
+  stands for the MIDAR-derived map every engine reads;
 * SNMPv3 engine-id fingerprinting (:mod:`repro.alias.snmp`);
-* the /30-/31 point-to-point heuristic, plus the offline ITDK-like
-  dataset (:mod:`repro.alias.itdk`), combined by
+* the /30-/31 point-to-point heuristic, combined with the dataset by
   :class:`repro.alias.resolver.AliasResolver`.
 """
 
 from repro.alias.itdk import build_itdk_dataset
-from repro.alias.midar import MidarResolver
 from repro.alias.resolver import AliasResolver
 from repro.alias.snmp import SnmpResolver
 
 __all__ = [
     "build_itdk_dataset",
-    "MidarResolver",
     "AliasResolver",
     "SnmpResolver",
 ]

@@ -7,7 +7,7 @@ Layers the available evidence, cheapest first:
 3. the /30-/31 point-to-point heuristic: an RR hop followed by a
    traceroute hop in the same tiny subnet is the two ends of one link,
    so the two addresses *align* the RR and traceroute views;
-4. optionally, live MIDAR and SNMPv3 results supplied by the caller.
+4. alias sets measured live, merged in with :meth:`add_group`.
 
 `can_resolve` reports whether *any* alias evidence exists for an
 address — the distinction that produces the "router level optimistic"
@@ -16,7 +16,7 @@ band in Fig. 5a.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set
 
 from repro.net.addr import (
     Address,
@@ -33,21 +33,14 @@ class AliasResolver:
     def __init__(
         self,
         itdk: Optional[Dict[Address, int]] = None,
-        extra_groups: Optional[Iterable[Set[Address]]] = None,
-        use_point_to_point: bool = True,
     ) -> None:
         self.itdk = dict(itdk or {})
-        self.use_point_to_point = use_point_to_point
         self._extra: Dict[Address, int] = {}
         #: bumped by :meth:`add_group`, the one mutation that can change
         #: an address's :meth:`align_keys`; holders of derived key sets
         #: compare it and rebuild on mismatch
         self.version = 0
         self._next_group = -1  # extra ids count down, never reused
-        for group in extra_groups or []:
-            for addr in group:
-                self._extra[addr] = self._next_group
-            self._next_group -= 1
 
     def add_group(self, group: Set[Address]) -> None:
         """Merge a freshly measured alias set (e.g. from live MIDAR)."""
@@ -75,12 +68,11 @@ class AliasResolver:
         of one point-to-point link (Appendix B.1's /30-/31 rule)."""
         if self.same_router(rr_hop, traceroute_hop):
             return True
-        if self.use_point_to_point:
-            if same_slash31(rr_hop, traceroute_hop):
-                return True
-            if same_slash30(rr_hop, traceroute_hop):
-                # Only the two usable hosts of a /30 form a link.
-                return slash30_peer(rr_hop) == traceroute_hop
+        if same_slash31(rr_hop, traceroute_hop):
+            return True
+        if same_slash30(rr_hop, traceroute_hop):
+            # Only the two usable hosts of a /30 form a link.
+            return slash30_peer(rr_hop) == traceroute_hop
         return False
 
     def align_keys(self, addr: Address) -> Set[object]:
@@ -101,11 +93,10 @@ class AliasResolver:
         group = self._extra.get(addr)
         if group is not None:
             keys.add(("extra", group))
-        if self.use_point_to_point:
-            value = addr_to_int(addr)
-            keys.add(("31", value >> 1))
-            if value & 0x3 in (1, 2):
-                keys.add(("30", value >> 2))
+        value = addr_to_int(addr)
+        keys.add(("31", value >> 1))
+        if value & 0x3 in (1, 2):
+            keys.add(("30", value >> 2))
         return keys
 
     def can_resolve(self, addr: Address) -> bool:

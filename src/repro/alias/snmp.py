@@ -27,9 +27,6 @@ class SnmpResolver:
             self._cache[addr] = self.prober.snmpv3_probe(addr)
         return self._cache[addr]
 
-    def is_responsive(self, addr: Address) -> bool:
-        return self.engine_id(addr) is not None
-
     def same_router(self, a: Address, b: Address) -> Optional[bool]:
         """True/False when both respond; None when evidence is missing."""
         id_a, id_b = self.engine_id(a), self.engine_id(b)

@@ -8,7 +8,6 @@ shared by the benchmark reports.
 
 from repro.analysis.accuracy import PathComparison, compare_paths
 from repro.analysis.asymmetry import (
-    as_level_paths,
     asymmetry_prevalence,
     hop_symmetry_fraction,
     positional_symmetry,
@@ -18,7 +17,7 @@ from repro.analysis.hidden_providers import (
     HiddenProviderReport,
     find_hidden_providers,
 )
-from repro.analysis.stats import cdf_points, fraction_leq, median, percentile
+from repro.analysis.stats import fraction_leq, median, percentile
 from repro.analysis.throughput import (
     ThroughputProjection,
     project_throughput,
@@ -27,7 +26,6 @@ from repro.analysis.throughput import (
 __all__ = [
     "PathComparison",
     "compare_paths",
-    "as_level_paths",
     "asymmetry_prevalence",
     "hop_symmetry_fraction",
     "positional_symmetry",
@@ -35,7 +33,6 @@ __all__ = [
     "score_as_graph",
     "HiddenProviderReport",
     "find_hidden_providers",
-    "cdf_points",
     "fraction_leq",
     "median",
     "percentile",

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.alias.resolver import AliasResolver
-from repro.asmap.ip2as import IPToASMapper
 from repro.net.addr import Address
 
 
@@ -38,20 +37,6 @@ def hop_symmetry_fraction(
         if any(resolver.aligned(addr, hop) for addr in reverse_addrs)
     )
     return matched / len(routers)
-
-
-def as_level_paths(
-    forward_hops: Sequence[Optional[Address]],
-    reverse_addrs: Sequence[Address],
-    ip2as: IPToASMapper,
-) -> Tuple[List[int], List[int]]:
-    """Collapsed AS paths of the forward and reverse measurements."""
-    return (
-        ip2as.collapsed_as_path(
-            [h for h in forward_hops if h is not None]
-        ),
-        ip2as.collapsed_as_path(reverse_addrs),
-    )
 
 
 def as_symmetry_fraction(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 
 def median(values: Sequence[float]) -> float:
@@ -34,26 +34,6 @@ def fraction_leq(values: Sequence[float], threshold: float) -> float:
     if not values:
         return 0.0
     return sum(1 for v in values if v <= threshold) / len(values)
-
-
-def cdf_points(
-    values: Sequence[float],
-) -> Tuple[List[float], List[float]]:
-    """Empirical CDF as (sorted values, cumulative fractions)."""
-    ordered = sorted(values)
-    n = len(ordered)
-    ys = [(i + 1) / n for i in range(n)]
-    return list(map(float, ordered)), ys
-
-
-def ccdf_points(
-    values: Sequence[float],
-) -> Tuple[List[float], List[float]]:
-    """Empirical CCDF: fraction of values >= x at each x."""
-    ordered = sorted(values)
-    n = len(ordered)
-    ys = [1.0 - i / n for i in range(n)]
-    return list(map(float, ordered)), ys
 
 
 def mean(values: Sequence[float]) -> float:

@@ -22,6 +22,10 @@ from repro.asmap.ip2as import IPToASMapper
 #: Virtual-clock cost of one bdrmapit run (paper: ≈30 minutes).
 BDRMAPIT_RUNTIME_SECONDS = 30 * 60.0
 
+#: Share of an address's observed successors that must sit in one other
+#: AS before the address is handed to it.
+_MAJORITY_THRESHOLD = 0.75
+
 
 class BdrmapitLite:
     """Majority-vote border ownership inference over traceroutes."""
@@ -29,11 +33,9 @@ class BdrmapitLite:
     def __init__(
         self,
         base: IPToASMapper,
-        majority_threshold: float = 0.75,
         min_observations: int = 2,
     ) -> None:
         self.base = base
-        self.majority_threshold = majority_threshold
         self.min_observations = min_observations
 
     def infer(
@@ -68,7 +70,7 @@ class BdrmapitLite:
             winner, hits = counts.most_common(1)[0]
             if winner == own:
                 continue
-            if hits / total >= self.majority_threshold:
+            if hits / total >= _MAJORITY_THRESHOLD:
                 overrides[addr] = winner
         return overrides
 

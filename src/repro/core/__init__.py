@@ -3,8 +3,9 @@
 Implements the full revtr 2.0 pipeline of Fig. 2 — traceroute atlas
 (Q1), RR-atlas intersection aliases (Q2), ingress-based vantage-point
 selection (Q3), no-timestamp policy (Q4), intradomain-only symmetry
-assumptions (Q5) — plus the revtr 1.0 baseline reimplementation used
-throughout Section 5's comparisons.
+assumptions (Q5).  The revtr 1.0 baseline of Section 5's comparisons
+is a configuration of the same engine
+(:meth:`repro.experiments.common.Scenario.engine_config`).
 """
 
 from repro.core.atlas import TracerouteAtlas
@@ -33,7 +34,6 @@ from repro.core.result import (
     RevtrStatus,
 )
 from repro.core.revtr import EngineConfig, RevtrEngine
-from repro.core.revtr_legacy import legacy_engine_config
 from repro.core.rr_atlas import RRAtlas
 from repro.core.symmetry import SymmetryPolicy, SymmetryStepper
 
@@ -59,7 +59,6 @@ __all__ = [
     "RevtrStatus",
     "EngineConfig",
     "RevtrEngine",
-    "legacy_engine_config",
     "RRAtlas",
     "SymmetryPolicy",
     "SymmetryStepper",

@@ -11,7 +11,7 @@ but the Table 4 / Fig. 5b ablations need it.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.net.addr import Address
 from repro.net.packet import TracerouteResult
@@ -35,12 +35,6 @@ class AdjacencyDatabase:
             self._adjacent.setdefault(left, set()).add(right)
             self._adjacent.setdefault(right, set()).add(left)
         self.traceroutes_ingested += 1
-
-    def build_from_corpus(
-        self, traceroutes: Iterable[TracerouteResult]
-    ) -> None:
-        for trace in traceroutes:
-            self.add_traceroute(trace)
 
     def build_ark_style(
         self,

@@ -253,9 +253,6 @@ class TracerouteAtlas:
         """Every distinct responsive hop address in the atlas."""
         return list(self._index)
 
-    def hop_positions(self, addr: Address) -> List[Tuple[Address, int]]:
-        return list(self._index.get(addr, []))
-
     def __len__(self) -> int:
         return len(self.traceroutes)
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import gzip
 import json
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -151,7 +150,6 @@ class AtlasPipeline:
         atlas_vps: Sequence[Address],
         spoofer_vps: Sequence[Address],
         shards: int = 4,
-        max_spoofers_per_hop: int = 2,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -159,7 +157,6 @@ class AtlasPipeline:
         self.atlas_vps = list(atlas_vps)
         self.spoofer_vps = list(spoofer_vps)
         self.shards = shards
-        self.max_spoofers_per_hop = max_spoofers_per_hop
         self.reports: List[StageReport] = []
 
     # -- stage accounting ----------------------------------------------
@@ -215,9 +212,7 @@ class AtlasPipeline:
 
     def build_rr(self, rr_atlas: RRAtlas) -> StageReport:
         """Probe every atlas hop with RR toward the source (Q2)."""
-        rr_atlas.build(
-            self.prober, self.spoofer_vps, self.max_spoofers_per_hop
-        )
+        rr_atlas.build(self.prober, self.spoofer_vps)
         stats = rr_atlas.last_build
         return self._finish_stage(
             "rr",
@@ -264,40 +259,6 @@ class AtlasPipeline:
         rr_atlas = RRAtlas(atlas)
         self.build_rr(rr_atlas)
         return atlas, rr_atlas
-
-    def load_or_build(
-        self,
-        path: str,
-        source: Address,
-        rng: random.Random,
-        size: Optional[int] = None,
-        max_size: Optional[int] = None,
-        staleness: float = DEFAULT_STALENESS,
-        save: bool = True,
-    ) -> Tuple[TracerouteAtlas, RRAtlas, bool]:
-        """Warm-start from *path* if compatible, else cold-build.
-
-        Returns ``(atlas, rr_atlas, warm)``; a cold build is saved back
-        to *path* (unless ``save=False``) so the next run warm-starts.
-        """
-        internet = self.prober.internet
-        if os.path.exists(path):
-            try:
-                atlas, rr_atlas = load_snapshot(path, internet)
-            except SnapshotError:
-                pass
-            else:
-                if (
-                    atlas.source == source
-                    and rr_atlas is not None
-                ):
-                    return atlas, rr_atlas, True
-        atlas, rr_atlas = self.bootstrap(
-            source, rng, size=size, max_size=max_size, staleness=staleness
-        )
-        if save:
-            save_snapshot(path, atlas, rr_atlas, internet)
-        return atlas, rr_atlas, False
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,11 @@ The cache is a large share of the Table 4 probe savings because reverse
 paths toward one source converge, so later reverse traceroutes re-hit
 the same (hop, source) measurements.
 
-The cache is bounded two ways: entries expire after ``ttl`` (and the
-measurement path sweeps them out via :meth:`maybe_purge`), and an
-optional ``max_entries`` cap evicts least-recently-used entries so a
-long-running service cannot grow the cache without bound.  All
-operations take an internal lock: ``repro top`` and ``serve --http``
-read its stats from a thread beside the workload.
+The cache is bounded by time: entries expire after ``ttl`` and the
+measurement path sweeps them out via :meth:`maybe_purge`, at most once
+per `PURGE_INTERVAL`.  All operations take an internal lock:
+``repro top`` and ``serve --http`` read its stats from a thread beside
+the workload.
 """
 
 from __future__ import annotations
@@ -27,10 +26,10 @@ from repro.sim.clock import VirtualClock
 #: Default entry lifetime: one day (paper: daily refresh).
 DEFAULT_TTL = 86_400.0
 
-#: Default spacing of opportunistic expired-entry sweeps (virtual
-#: seconds); one sweep per simulated hour keeps the dict from
-#: accumulating a day's worth of dead entries between measurements.
-DEFAULT_PURGE_INTERVAL = 3_600.0
+#: Spacing of opportunistic expired-entry sweeps (virtual seconds);
+#: one sweep per simulated hour keeps the dict from accumulating a
+#: day's worth of dead entries between measurements.
+PURGE_INTERVAL = 3_600.0
 
 
 @dataclass
@@ -38,6 +37,8 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     expirations: int = 0
+    #: Always 0: there is no size bound to evict for.  The e2e ledger
+    #: reads it (``core.cache.evictions``).
     evictions: int = 0
 
     @property
@@ -63,34 +64,22 @@ class CacheStats:
 
 
 class MeasurementCache:
-    """A TTL + optional-LRU cache driven by virtual time."""
+    """A TTL cache driven by virtual time."""
 
     def __init__(
         self,
         clock: VirtualClock,
         ttl: float = DEFAULT_TTL,
         enabled: bool = True,
-        max_entries: Optional[int] = None,
-        purge_interval: float = DEFAULT_PURGE_INTERVAL,
-        negative_ttl: Optional[float] = None,
     ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
         self.clock = clock
         self.ttl = ttl
-        #: Lifetime for entries stored with ``put(..., negative=True)``
-        #: (empty / UNRESPONSIVE verdicts).  None keeps the historical
-        #: behaviour — negative results linger as long as good ones.
-        self.negative_ttl = negative_ttl
         self.enabled = enabled
-        self.max_entries = max_entries
-        self.purge_interval = purge_interval
         self.stats = CacheStats()
         #: instrumentation sink; rewired by the engine when enabled
         self.obs = NULL
-        #: key -> (stored_at, value, effective ttl) — per-entry TTL so
-        #: negative results can expire on their own (shorter) schedule.
-        self._entries: Dict[Hashable, Tuple[float, Any, float]] = {}
+        #: key -> (stored_at, value)
+        self._entries: Dict[Hashable, Tuple[float, Any]] = {}
         self._lock = threading.RLock()
         self._last_purge = clock.now()
 
@@ -128,20 +117,13 @@ class MeasurementCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                stored_at, stored, ttl = entry
-                if self.clock.now() - stored_at > ttl:
+                stored_at, stored = entry
+                if self.clock.now() - stored_at > self.ttl:
                     del self._entries[key]
                     self.stats.expirations += 1
                     self.stats.misses += 1
                     outcome = "expired"
                 else:
-                    if self.max_entries is not None:
-                        # LRU bookkeeping: re-insert so dict order
-                        # tracks recency.  Only paid when a bound is
-                        # configured — the unbounded cache keeps the
-                        # plain-dict fast path.
-                        del self._entries[key]
-                        self._entries[key] = entry
                     self.stats.hits += 1
                     outcome = "hit"
                     value = stored
@@ -163,35 +145,19 @@ class MeasurementCache:
             )
         return value
 
-    def put(
-        self, key: Hashable, value: Any, negative: bool = False
-    ) -> None:
-        """Store *value*; ``negative=True`` marks an empty/unresponsive
-        verdict that should expire after ``negative_ttl`` instead of the
-        full ``ttl`` (no effect unless ``negative_ttl`` is set)."""
+    def put(self, key: Hashable, value: Any) -> None:
+        """Store *value* under *key*, stamped with the current time."""
         if not self.enabled:
             return
-        ttl = (
-            self.negative_ttl
-            if negative and self.negative_ttl is not None
-            else self.ttl
-        )
         with self._lock:
-            if key in self._entries:
-                del self._entries[key]
-            self._entries[key] = (self.clock.now(), value, ttl)
-            if self.max_entries is not None:
-                while len(self._entries) > self.max_entries:
-                    oldest = next(iter(self._entries))
-                    del self._entries[oldest]
-                    self.stats.evictions += 1
+            self._entries[key] = (self.clock.now(), value)
 
     def contains_fresh(self, key: Hashable) -> bool:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 return False
-            return self.clock.now() - entry[0] <= entry[2]
+            return self.clock.now() - entry[0] <= self.ttl
 
     def age(self, key: Hashable) -> Optional[float]:
         with self._lock:
@@ -206,15 +172,15 @@ class MeasurementCache:
             now = self.clock.now()
             expired = [
                 key
-                for key, (stored_at, _, ttl) in self._entries.items()
-                if now - stored_at > ttl
+                for key, (stored_at, _) in self._entries.items()
+                if now - stored_at > self.ttl
             ]
             for key in expired:
                 del self._entries[key]
             return len(expired)
 
     def maybe_purge(self) -> int:
-        """Sweep expired entries at most once per ``purge_interval``.
+        """Sweep expired entries at most once per `PURGE_INTERVAL`.
 
         Called from the measurement path (the engine, the scheduler)
         so long-running services shed dead entries without a dedicated
@@ -223,7 +189,7 @@ class MeasurementCache:
         """
         with self._lock:
             now = self.clock.now()
-            if now - self._last_purge < self.purge_interval:
+            if now - self._last_purge < PURGE_INTERVAL:
                 return 0
             self._last_purge = now
             return self.purge_expired()

@@ -75,11 +75,3 @@ def flag_suspicious_links(
         else:
             previous_asn = None
     return result
-
-
-def has_flags(as_path: Sequence[ASPathEntry]) -> bool:
-    return any(entry == STAR for entry in as_path)
-
-
-def strip_flags(as_path: Sequence[ASPathEntry]) -> List[int]:
-    return [entry for entry in as_path if isinstance(entry, int)]

@@ -62,9 +62,6 @@ class PrefixSurvey:
     #: VP -> mean distance over the probed destinations
     mean_distance: Dict[Address, float] = field(default_factory=dict)
 
-    def has_vp_in_range(self) -> bool:
-        return bool(self.in_range)
-
     def fallback_order(self) -> List[Address]:
         """VPs within range ranked by mean distance (no-ingress case)."""
         return sorted(self.in_range, key=lambda vp: self.mean_distance[vp])
@@ -298,20 +295,16 @@ class IngressSelector:
     def __init__(
         self,
         directory: IngressDirectory,
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         self.directory = directory
-        self.batch_size = batch_size
 
     def batches(self, dst: Address) -> List[List[Address]]:
         order = self.directory.vp_order_for(dst)
-        return _chunk(order, self.batch_size)
+        return _chunk(order, DEFAULT_BATCH_SIZE)
 
     def session(self, dst: Address) -> "IngressProbeSession":
         """A stateful probing session with ingress feedback (§4.3)."""
-        return IngressProbeSession(
-            self.directory.survey_for(dst), self.batch_size
-        )
+        return IngressProbeSession(self.directory.survey_for(dst))
 
 
 def survey_vp_ranges(
@@ -360,12 +353,10 @@ class SetCoverSelector:
         internet: Internet,
         ranges: Dict[Prefix, Dict[Address, int]],
         vp_addrs: Sequence[Address],
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         self.internet = internet
         self.ranges = ranges
         self.vp_addrs = list(vp_addrs)
-        self.batch_size = batch_size
         self._cover_order = self._greedy_cover()
 
     def _greedy_cover(self) -> List[Address]:
@@ -388,7 +379,7 @@ class SetCoverSelector:
         return order
 
     def batches(self, dst: Address) -> List[List[Address]]:
-        return _chunk(self._cover_order, self.batch_size)
+        return _chunk(self._cover_order, DEFAULT_BATCH_SIZE)
 
 
 class GlobalOrderSelector:
@@ -399,7 +390,6 @@ class GlobalOrderSelector:
         self,
         ranges: Dict[Prefix, Dict[Address, int]],
         vp_addrs: Sequence[Address],
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         counts = {vp: 0 for vp in vp_addrs}
         for per_vp in ranges.values():
@@ -407,10 +397,9 @@ class GlobalOrderSelector:
                 if vp in counts:
                     counts[vp] += 1
         self._order = sorted(counts, key=lambda vp: (-counts[vp], vp))
-        self.batch_size = batch_size
 
     def batches(self, dst: Address) -> List[List[Address]]:
-        return _chunk(self._order, self.batch_size)
+        return _chunk(self._order, DEFAULT_BATCH_SIZE)
 
 
 def _chunk(items: Sequence[Address], size: int) -> List[List[Address]]:
@@ -431,12 +420,7 @@ class IngressProbeSession:
     distance ranking.
     """
 
-    def __init__(
-        self,
-        survey: Optional[PrefixSurvey],
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ) -> None:
-        self.batch_size = batch_size
+    def __init__(self, survey: Optional[PrefixSurvey]) -> None:
         #: per-ingress pending VP queues, in coverage order
         self._queues: List[List[Address]] = []
         self._ingress_addr: List[Address] = []
@@ -461,7 +445,7 @@ class IngressProbeSession:
         """The next batch of VPs to try (empty when exhausted)."""
         batch: List[Address] = []
         for index, queue in enumerate(self._queues):
-            if len(batch) >= self.batch_size:
+            if len(batch) >= DEFAULT_BATCH_SIZE:
                 break
             if (
                 self._done[index]
@@ -476,7 +460,7 @@ class IngressProbeSession:
                 self._emitted.add(vp)
                 self._vp_queue[vp] = index
                 break
-        while len(batch) < self.batch_size and self._fallback:
+        while len(batch) < DEFAULT_BATCH_SIZE and self._fallback:
             vp = self._fallback.pop(0)
             if vp in self._emitted:
                 continue
@@ -503,15 +487,3 @@ class IngressProbeSession:
             self._failures[index] = 0
         else:
             self._failures[index] += 1
-
-    def exhausted(self) -> bool:
-        if self._fallback:
-            return False
-        for index, queue in enumerate(self._queues):
-            if (
-                queue
-                and not self._done[index]
-                and self._failures[index] < MAX_VPS_PER_INGRESS
-            ):
-                return False
-        return True

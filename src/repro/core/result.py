@@ -35,10 +35,6 @@ class RevtrStatus(enum.Enum):
     INCOMPLETE = "incomplete"  # ran out of techniques / hops / loop
     UNRESPONSIVE = "destination-unresponsive"
 
-    @property
-    def succeeded(self) -> bool:
-        return self is RevtrStatus.COMPLETE
-
 
 @dataclass(frozen=True)
 class ReverseHop:
@@ -110,10 +106,6 @@ class ReverseTracerouteResult:
             self.status is not RevtrStatus.COMPLETE
             and len(self.hops) > 1
         )
-
-    @property
-    def has_interdomain_assumption(self) -> bool:
-        return any(h.assumed_link == "inter" for h in self.assumed_hops())
 
     def hops_by_technique(self) -> Dict[HopTechnique, int]:
         counts: Dict[HopTechnique, int] = {}

@@ -57,19 +57,30 @@ from repro.probing.prober import Prober
 _MAX_BATCHES_PER_HOP = 60
 #: Adjacency candidates one timestamp step tests.
 _MAX_ADJACENCIES = 8
+#: Hops a reverse path may hold before the loop gives up (INCOMPLETE).
+_MAX_PATH_HOPS = 48
+#: Of a measurement's ``retry_budget``, how many extra attempts any one
+#: liveness check / direct-RR step may consume.
+_PING_RETRIES = 2
+_RR_RETRIES = 1
 
 
 @dataclass
 class EngineConfig:
     """Feature flags selecting a system variant.
 
-    The defaults are revtr 2.0; see
-    :func:`repro.core.revtr_legacy.legacy_engine_config` for revtr 1.0.
+    The defaults are revtr 2.0; revtr 1.0 is the literal in
+    :meth:`repro.experiments.common.Scenario.engine_config`.
     Fixed at construction: the engine chooses its openers and steps
     once from ``segment_cache``, ``ping_check`` and ``use_timestamp``,
     so build a new engine rather than editing a live one's config.
-    What no caller varies is not a field: the per-hop caps are the
-    module constants above, and batch size belongs to the selector.
+    What no caller varies is not a field but a module constant above:
+    ``_MAX_BATCHES_PER_HOP``, ``_MAX_ADJACENCIES``, ``_MAX_PATH_HOPS``
+    (was ``max_path_hops``), ``_PING_RETRIES`` / ``_RR_RETRIES`` (were
+    ``ping_retries`` / ``rr_retries``); batch size is
+    :data:`repro.core.ingress.DEFAULT_BATCH_SIZE`, and an empty RR
+    outcome lives in the measurement cache as long as any other entry
+    (there was a ``negative_ttl``; nothing set it).
     """
 
     use_rr_atlas: bool = True
@@ -77,7 +88,6 @@ class EngineConfig:
     use_timestamp: bool = False
     use_cache: bool = True
     symmetry: SymmetryPolicy = SymmetryPolicy.INTRADOMAIN_ONLY
-    max_path_hops: int = 48
     ping_check: bool = True
     #: Appendix A request option: refuse intersections with atlas
     #: traceroutes older than this (seconds); the engine re-measures
@@ -89,15 +99,11 @@ class EngineConfig:
     #: violations are flagged on the result rather than silently
     #: trusted.
     detect_violations: bool = False
-    #: Graceful-degradation knobs, all off by default so fault-free
-    #: runs stay byte-identical.  ``retry_budget`` is the total extra
+    #: Graceful-degradation knobs, off by default so fault-free runs
+    #: stay byte-identical.  ``retry_budget`` is the total extra
     #: technique attempts one measurement may spend recovering from
-    #: transient failures; ``ping_retries`` / ``rr_retries`` cap how
-    #: many of those any single liveness check / direct-RR step may
-    #: consume.
+    #: transient failures.
     retry_budget: int = 0
-    ping_retries: int = 2
-    rr_retries: int = 1
     #: When a measurement dead-ends, re-ping the destination: if it
     #: stopped answering mid-measurement, report ``UNRESPONSIVE``
     #: (keeping the partial path) instead of ``INCOMPLETE``.
@@ -115,11 +121,6 @@ class EngineConfig:
     #: ping checks dedupe per /24 (off: a loop over ``measure``).
     segment_cache: bool = False
     coalesce_batches: bool = False
-    #: Negative-result TTL for the measurement cache: empty RR-step
-    #: outcomes expire after this many virtual seconds instead of the
-    #: full day-scale TTL.  None keeps the historical single-TTL
-    #: behaviour.
-    negative_ttl: Optional[float] = None
 
     def variant_name(self) -> str:
         """Short label for reports (Table 4 row names)."""
@@ -249,8 +250,6 @@ class RevtrEngine:
             )
         )
         self.cache.enabled = self.config.use_cache
-        if self.config.negative_ttl is not None:
-            self.cache.negative_ttl = self.config.negative_ttl
         #: per-source reverse-segment cache; None unless the
         #: ``segment_cache`` flag is on, so the flags-off loop has no
         #: splice opener or step at all.  The service
@@ -563,7 +562,7 @@ class RevtrEngine:
             attempts = 0
             while (
                 not result.responded
-                and attempts < self.config.rr_retries
+                and attempts < _RR_RETRIES
                 and self._retry_allowed("rr")
             ):
                 # A silent direct RR may just be a lost packet; the
@@ -630,7 +629,7 @@ class RevtrEngine:
                 # of the day-scale negative cache (positive outcomes
                 # above are still cached — revealed hops are real
                 # however lossy the path was).
-                self.cache.put(key, outcome, negative=True)
+                self.cache.put(key, outcome)
                 if self.segcache is not None:
                     # The router ignored the whole RR arsenal: remember
                     # that so sibling measurements skip the fleet too.
@@ -932,8 +931,7 @@ class RevtrEngine:
         else:
             hops = run.hops
             hops.append(ReverseHop(dst, HopTechnique.DESTINATION))
-            max_hops = self.config.max_path_hops
-            while run.status is None and len(hops) < max_hops:
+            while run.status is None and len(hops) < _MAX_PATH_HOPS:
                 if self._is_terminal(run.current):
                     run.reach(self.source)
                     break
@@ -984,9 +982,7 @@ class RevtrEngine:
         Every edge served was read, so nothing is stored back.
         """
         dst = run.result.dst
-        chain, _ = self.segcache.chain(
-            dst, self.config.max_path_hops - 1
-        )
+        chain, _ = self.segcache.chain(dst, _MAX_PATH_HOPS - 1)
         if not chain or chain[-1].next_hop != self.source:
             return False
         addrs = [entry.next_hop for entry in chain]
@@ -1035,7 +1031,7 @@ class RevtrEngine:
             attempts = 0
             while (
                 not alive
-                and attempts < self.config.ping_retries
+                and attempts < _PING_RETRIES
                 and self._retry_allowed("ping")
             ):
                 attempts += 1
@@ -1110,7 +1106,7 @@ class RevtrEngine:
         seen = run.seen
         chain, run.rr_dead = self.segcache.chain(
             current,
-            self.config.max_path_hops - len(hops),
+            _MAX_PATH_HOPS - len(hops),
             stop=seen.__contains__,
         )
         if run.rr_dead:

@@ -21,12 +21,16 @@ from repro.probing.budget import ProbeCounter
 from repro.probing.prober import LOSS_TIMEOUT, Prober, RRPingResult
 
 
+#: Spoofing VPs a hop's probe ladder tries after the direct RR ping.
+MAX_SPOOFERS_PER_HOP = 2
+
+
 @dataclass
 class RRBuildStats:
     """Accounting for one :meth:`RRAtlas.build` call.
 
     A *unit* is one probe ladder — direct RR ping from the source,
-    then up to ``max_spoofers_per_hop`` spoofed retries — for one
+    then up to ``MAX_SPOOFERS_PER_HOP`` spoofed retries — for one
     distinct hop address, however many traceroutes it occurs in.
     ``unit_costs`` holds each unit's virtual-clock cost in probing
     order, which is what the pipeline's shard lanes re-schedule.
@@ -37,10 +41,6 @@ class RRBuildStats:
     probes_sent: int = 0
     probes_deduped: int = 0
     unit_costs: List[float] = field(default_factory=list)
-
-    @property
-    def virtual_seconds(self) -> float:
-        return sum(self.unit_costs)
 
 
 class RRAtlas:
@@ -70,7 +70,6 @@ class RRAtlas:
         self,
         prober: Prober,
         spoofer_vps: Sequence[Address],
-        max_spoofers_per_hop: int = 2,
     ) -> None:
         """Probe every atlas hop with RR toward the source.
 
@@ -95,7 +94,7 @@ class RRAtlas:
                 if hop is None or hop == source:
                     continue
                 occurrences.append((vp, index, hop, trace.hops))
-        spoofers = list(spoofer_vps[:max_spoofers_per_hop])
+        spoofers = list(spoofer_vps[:MAX_SPOOFERS_PER_HOP])
         targets = list(dict.fromkeys(occ[2] for occ in occurrences))
         ladders = self._probe_ladders_batched(
             prober, source, targets, spoofers

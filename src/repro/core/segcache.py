@@ -54,8 +54,8 @@ from repro.obs.instrument import NULL
 #: routes are stable enough to reuse for a day).
 DEFAULT_SEGMENT_TTL = 86_400.0
 
-#: Negative (unresponsive-router) entries default to a tighter bound:
-#: a router that ignored RR may be load-shedding, not dead forever.
+#: Negative (unresponsive-router) entries live a tighter bound: a
+#: router that ignored RR may be load-shedding, not dead forever.
 DEFAULT_NEGATIVE_TTL = 3_600.0
 
 
@@ -130,12 +130,10 @@ class ReverseSegmentCache:
         clock,
         internet,
         ttl: float = DEFAULT_SEGMENT_TTL,
-        negative_ttl: float = DEFAULT_NEGATIVE_TTL,
     ) -> None:
         self.clock = clock
         self.internet = internet
         self.ttl = ttl
-        self.negative_ttl = negative_ttl
         self.stats = SegmentCacheStats()
         #: instrumentation sink; rewired via the attach protocol
         self.obs = NULL
@@ -243,7 +241,7 @@ class ReverseSegmentCache:
                 self.stats.misses += 1
                 return None
             negative = entry.next_hop is None
-            ttl = self.negative_ttl if negative else self.ttl
+            ttl = DEFAULT_NEGATIVE_TTL if negative else self.ttl
             if self.clock.now() - entry.stored_at > ttl:
                 del self._entries[addr]
                 self.stats.invalidations_ttl += 1
@@ -296,7 +294,7 @@ class ReverseSegmentCache:
                     stats.misses += 1
                     break
                 nxt = entry.next_hop
-                ttl = self.negative_ttl if nxt is None else self.ttl
+                ttl = DEFAULT_NEGATIVE_TTL if nxt is None else self.ttl
                 if now - entry.stored_at > ttl:
                     del entries[current]
                     stats.invalidations_ttl += 1
@@ -338,7 +336,7 @@ class ReverseSegmentCache:
                     dead.append((addr, "generation"))
                     continue
                 ttl = (
-                    self.negative_ttl
+                    DEFAULT_NEGATIVE_TTL
                     if entry.next_hop is None
                     else self.ttl
                 )

@@ -28,16 +28,15 @@ from repro.core.adjacency import AdjacencyDatabase
 from repro.core.atlas import TracerouteAtlas
 from repro.core.cache import MeasurementCache
 from repro.core.ingress import (
-    GlobalOrderSelector,
     IngressDirectory,
     IngressSelector,
     SetCoverSelector,
     survey_vp_ranges,
 )
 from repro.core.revtr import EngineConfig, RevtrEngine
-from repro.core.revtr_legacy import legacy_engine_config
 from repro.core.rr_atlas import RRAtlas
 from repro.core.segcache import ReverseSegmentCache
+from repro.core.symmetry import SymmetryPolicy
 from repro.net.addr import Address
 from repro.obs.instrument import NULL
 from repro.probing.budget import ProbeCounter
@@ -369,25 +368,32 @@ class Scenario:
             self.internet, self.vp_ranges(), self.spoofer_addrs
         )
 
-    def global_selector(self) -> GlobalOrderSelector:
-        return GlobalOrderSelector(self.vp_ranges(), self.spoofer_addrs)
-
     def engine_config(self, variant: str) -> EngineConfig:
-        if variant == "revtr1.0":
-            return legacy_engine_config()
-        if variant == "revtr1.0+ingress":
-            return legacy_engine_config()
-        if variant == "revtr1.0+ingress+cache":
-            return legacy_engine_config(use_cache=True)
-        if variant == "revtr1.0+ingress+cache-TS":
-            return legacy_engine_config(
-                use_cache=True, use_timestamp=False
-            )
-        if variant == "revtr2.0":
-            return EngineConfig()
-        if variant == "revtr2.0+TS":
-            return EngineConfig(use_timestamp=True)
-        raise ValueError(f"unknown variant {variant!r}")
+        if variant in ("revtr2.0", "revtr2.0+TS"):
+            return EngineConfig(use_timestamp=variant.endswith("+TS"))
+        # revtr 1.0, the 2010 design re-implemented on the same engine
+        # (§5.2.1): intersections through the offline alias dataset and
+        # the /30 heuristic instead of the RR atlas, timestamp
+        # adjacency tests when record route fails, symmetry always
+        # assumed, no cross-measurement cache.  The Table 4 / Fig. 5c
+        # ladder turns the new components on one at a time (the
+        # ``+ingress`` rung is the selector, see :meth:`selector`).
+        ladder = {
+            "revtr1.0": (False, True),
+            "revtr1.0+ingress": (False, True),
+            "revtr1.0+ingress+cache": (True, True),
+            "revtr1.0+ingress+cache-TS": (True, False),
+        }
+        if variant not in ladder:
+            raise ValueError(f"unknown variant {variant!r}")
+        use_cache, use_timestamp = ladder[variant]
+        return EngineConfig(
+            use_rr_atlas=False,
+            use_alias_intersection=True,
+            use_timestamp=use_timestamp,
+            use_cache=use_cache,
+            symmetry=SymmetryPolicy.ALWAYS,
+        )
 
     def engine(
         self,

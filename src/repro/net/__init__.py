@@ -11,7 +11,6 @@ from repro.net.addr import (
     Address,
     Prefix,
     addr_to_int,
-    addr_to_str,
     int_to_addr,
     prefix_of,
     same_slash30,
@@ -36,7 +35,6 @@ __all__ = [
     "Address",
     "Prefix",
     "addr_to_int",
-    "addr_to_str",
     "int_to_addr",
     "prefix_of",
     "same_slash30",

@@ -50,11 +50,6 @@ def int_to_addr(value: int) -> Address:
     )
 
 
-def addr_to_str(value: int) -> Address:
-    """Alias of :func:`int_to_addr`, provided for symmetry."""
-    return int_to_addr(value)
-
-
 def is_private(addr: Address) -> bool:
     """Return True for RFC 1918 private addresses.
 
@@ -117,10 +112,6 @@ class Prefix:
         """Return True if *addr* falls within this prefix."""
         return (addr_to_int(addr) & self.mask()) == self.network
 
-    def contains_int(self, value: int) -> bool:
-        """Integer-valued variant of :meth:`contains`."""
-        return (value & self.mask()) == self.network
-
     @property
     def num_addresses(self) -> int:
         return 1 << (32 - self.length)
@@ -137,16 +128,6 @@ class Prefix:
                 f"offset {offset} out of range for /{self.length}"
             )
         return int_to_addr(self.network + offset)
-
-    def subnets(self, new_length: int) -> Iterator["Prefix"]:
-        """Yield the sub-prefixes of the given longer length."""
-        if new_length < self.length:
-            raise ValueError("new_length must not be shorter")
-        step = 1 << (32 - new_length)
-        for network in range(
-            self.network, self.network + self.num_addresses, step
-        ):
-            yield Prefix(network, new_length)
 
     def __str__(self) -> str:
         return f"{int_to_addr(self.network)}/{self.length}"

@@ -49,29 +49,14 @@ class RecordRouteOption:
     def copy(self) -> "RecordRouteOption":
         return RecordRouteOption(list(self.slots))
 
-    def hops_after(self, addr: Address) -> List[Address]:
-        """Return the recorded hops strictly after the first *addr*.
-
-        Reverse Traceroute uses this to extract reverse hops following
-        the destination's own stamp.
-        """
-        try:
-            index = self.slots.index(addr)
-        except ValueError:
-            return []
-        return self.slots[index + 1:]
-
-    def has_loop(self) -> bool:
-        """True if an address repeats with other hops in between.
+    def loop_address(self) -> Optional[Address]:
+        """Return the address that repeats with other hops in between
+        (the first such loop), if any.
 
         An ``a - S - a`` pattern indicates the probe reached a
         destination that did not stamp, with hop *a* traversed on both
         the forward and reverse legs (Appendix C of the paper).
         """
-        return self.loop_address() is not None
-
-    def loop_address(self) -> Optional[Address]:
-        """Return the repeated address of the first loop, if any."""
         seen = {}
         for index, addr in enumerate(self.slots):
             first = seen.get(addr)
@@ -89,18 +74,6 @@ class RecordRouteOption:
         first = self.slots.index(addr)
         second = self.slots.index(addr, first + 1)
         return self.slots[first + 1:second]
-
-    def double_stamp_address(self) -> Optional[Address]:
-        """Return an address stamped in two adjacent slots, if any.
-
-        A double stamp without the destination address appearing in the
-        path indicates either an alias of the destination or a
-        penultimate hop traversed in both directions (Appendix C).
-        """
-        for left, right in zip(self.slots, self.slots[1:]):
-            if left == right:
-                return left
-        return None
 
 
 @dataclass
@@ -148,12 +121,6 @@ class TimestampOption:
         index = self.stamped.index(None)
         self.stamped[index] = now
         return True
-
-    def all_stamped(self) -> bool:
-        return all(stamp is not None for stamp in self.stamped)
-
-    def stamp_count(self) -> int:
-        return sum(1 for stamp in self.stamped if stamp is not None)
 
     def copy(self) -> "TimestampOption":
         option = TimestampOption(self.prespecified, list(self.stamped))

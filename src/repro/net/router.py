@@ -78,8 +78,14 @@ class Router:
             78% figure (Appendix F).
         snmpv3_responsive: answers unsolicited SNMPv3 with engine id.
         supports_timestamp: honours tsprespec options.
-        ipid_shared: shares one IP-ID counter across interfaces, making
-            the router resolvable by MIDAR-style probing.
+        ipid_shared: shares one IP-ID counter across interfaces (the
+            signal MIDAR-style probing resolves aliases from).  Every
+            reply carries the counter as ``Packet.ipid``; no engine
+            reads it (their MIDAR-derived aliases are the ITDK dataset
+            of :mod:`repro.alias.itdk`), but the walk oracles in
+            ``tests/test_fwd_fastpath.py`` / ``tests/test_ttl_sweep.py``
+            compare it reply for reply, which pins the order in which
+            the simulator generates replies.
         is_load_balancer: installs multiple equal next hops and splits
             flows across them (per packet for option-carrying packets).
         private_addr: management address used by PRIVATE stampers.

@@ -1,4 +1,4 @@
-"""Observability: metrics, per-measurement tracing, introspection.
+"""Observability: metrics, per-measurement tracing, the flight recorder.
 
 Every metric family, event kind and span name the codebase emits has
 a named reader (DESIGN.md, "Who reads what";
@@ -13,14 +13,14 @@ package, by what reads it:
   readers of its snapshot shape), :mod:`repro.obs.tracing` (one span
   tree per reverse traceroute, wall-clock *and* sim-clock durations)
   and :mod:`repro.obs.events` (the flight recorder: a bounded
-  structured event log);
+  structured event log); :mod:`repro.obs.runtime` points an engine's
+  components at its sink;
 * per measurement — :mod:`repro.obs.provenance` (the decision ledger
   behind ``repro explain``) and :mod:`repro.obs.eventio` (JSONL export
   with gzip rotation, behind ``repro events``);
 * per run — :mod:`repro.obs.slo` (histogram-derived SLO rollup for
-  ``repro stats --slo``), :mod:`repro.obs.exposition` (Prometheus text
-  format) and :mod:`repro.obs.runtime` (``introspect``, the document
-  behind :meth:`repro.service.api.RevtrService.metrics_snapshot`);
+  ``repro stats --slo``) and :mod:`repro.obs.exposition` (Prometheus
+  text format);
 * over time — :mod:`repro.obs.timeseries` (bounded ring of periodic
   registry snapshots), :mod:`repro.obs.health` (one table of rules
   over those windows, each finding citing flight-recorder events),
@@ -50,7 +50,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.provenance import ProvenanceLedger
-from repro.obs.runtime import introspect
 from repro.obs.slo import (
     format_slo,
     histogram_quantile,
@@ -89,7 +88,6 @@ __all__ = [
     "format_slo",
     "histogram_quantile",
     "install_sampler",
-    "introspect",
     "live_view",
     "merged_buckets",
     "read_events",

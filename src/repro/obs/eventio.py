@@ -5,7 +5,7 @@ The on-disk format is one JSON document per line in the shape of
 -record ``"v"`` field).  :class:`JsonlEventWriter` appends events to a
 plain-text ``.jsonl`` file and, when a size threshold is crossed,
 rotates the full file aside as ``<path>.1.gz`` (older generations
-shift to ``.2.gz``, ``.3.gz``, ... up to ``max_rotations``), so a
+shift to ``.2.gz``, ``.3.gz``, ... up to `MAX_ROTATIONS`), so a
 long-running ``repro serve`` keeps a bounded, compressed history
 instead of one unbounded log.
 
@@ -35,6 +35,11 @@ from typing import (
 from repro.obs.events import Event, EventLog
 
 
+#: Rotated generations kept beside the live file; the oldest is
+#: dropped when one more rotation would exceed it.
+MAX_ROTATIONS = 8
+
+
 class JsonlEventWriter:
     """Appends events to a JSONL file with optional gzip rotation.
 
@@ -49,15 +54,11 @@ class JsonlEventWriter:
         self,
         path: str,
         rotate_bytes: Optional[int] = None,
-        max_rotations: int = 8,
     ) -> None:
         if rotate_bytes is not None and rotate_bytes < 1:
             raise ValueError("rotate_bytes must be >= 1")
-        if max_rotations < 1:
-            raise ValueError("max_rotations must be >= 1")
         self.path = path
         self.rotate_bytes = rotate_bytes
-        self.max_rotations = max_rotations
         self.rotations = 0
         self.written = 0
         self._last_seq = -1
@@ -101,11 +102,11 @@ class JsonlEventWriter:
             self._fh.close()
             self._fh = None
         # Shift older generations up: .N-1.gz -> .N.gz, dropping the
-        # oldest once max_rotations is reached.
-        oldest = f"{self.path}.{self.max_rotations}.gz"
+        # oldest once MAX_ROTATIONS is reached.
+        oldest = f"{self.path}.{MAX_ROTATIONS}.gz"
         if os.path.exists(oldest):
             os.remove(oldest)
-        for generation in range(self.max_rotations - 1, 0, -1):
+        for generation in range(MAX_ROTATIONS - 1, 0, -1):
             src = f"{self.path}.{generation}.gz"
             if os.path.exists(src):
                 os.replace(src, f"{self.path}.{generation + 1}.gz")

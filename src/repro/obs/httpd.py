@@ -99,13 +99,12 @@ class ObsHTTPServer:
         self,
         instrumentation,
         sampler=None,
-        health: Optional[HealthEngine] = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         self.obs = instrumentation
         self.sampler = sampler
-        self.health = health or HealthEngine()
+        self.health = HealthEngine()
         self._requested = (host, port)
         self._server: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None

@@ -231,12 +231,11 @@ class Instrumentation:
         self,
         clock=None,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         events: Optional[EventLog] = None,
         event_capacity: int = DEFAULT_EVENT_CAPACITY,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(clock=clock)
+        self.tracer = Tracer(clock=clock)
         self.events: EventLog = (
             events
             if events is not None

@@ -38,9 +38,10 @@ class Span:
     completed-trace ring).
     """
 
-    # attrs and children are lazily allocated (None until first use):
-    # most spans are leaves and every avoided container keeps the
-    # cyclic GC quieter on the measurement hot path.
+    # Built field by field in :meth:`Tracer.span`, its only
+    # constructor.  attrs and children are lazily allocated (None until
+    # first use): most spans are leaves and every avoided container
+    # keeps the cyclic GC quieter on the measurement hot path.
     __slots__ = (
         "name",
         "_attrs",
@@ -53,28 +54,6 @@ class Span:
         "_tracer",
         "_stack",
     )
-
-    def __init__(
-        self,
-        name: str,
-        attrs: Optional[Dict[str, Any]] = None,
-        tracer: Optional["Tracer"] = None,
-    ):
-        self.name = name
-        # The kwargs dict from Tracer.span is fresh per call, so it is
-        # adopted rather than copied.
-        self._attrs = attrs
-        self._children: Optional[List["Span"]] = None
-        self.wall_start: float = 0.0
-        self.wall_end: Optional[float] = None
-        self.sim_start: Optional[float] = None
-        self.sim_end: Optional[float] = None
-        self.error: Optional[str] = None
-        self._tracer = tracer
-        # The thread-local active-span stack this span was pushed onto,
-        # captured at creation so __exit__ skips the threading.local
-        # lookup (spans never migrate threads).
-        self._stack: Optional[List["Span"]] = None
 
     def __enter__(self) -> "Span":
         # Already started: Tracer.span() pushes at creation time, so
@@ -198,6 +177,10 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
+#: Completed traces the ring keeps; older ones are dropped and tallied.
+MAX_TRACES = 256
+
+
 class Tracer:
     """Builds per-measurement span trees.
 
@@ -206,13 +189,13 @@ class Tracer:
     ring is shared and lock-protected.
     """
 
-    def __init__(self, clock=None, max_traces: int = 256) -> None:
+    def __init__(self, clock=None) -> None:
         #: object with a ``now() -> float`` method (duck-typed so the
         #: tracer does not import the simulator); may be set late.
         self.clock = clock
         self._lock = threading.Lock()
         self._local = threading.local()
-        self.traces: deque = deque(maxlen=max_traces)
+        self.traces: deque = deque(maxlen=MAX_TRACES)
         #: completed traces evicted from the full ring (lifetime tally)
         self.dropped = 0
 
@@ -234,8 +217,10 @@ class Tracer:
         ``__enter__``), so a span created outside a ``with`` block must
         still be closed via ``__exit__``.
         """
-        # Built inline rather than via Span() — this runs ~10x per
-        # measurement and the constructor frame is measurable there.
+        # Built inline rather than in a Span.__init__ — this runs ~10x
+        # per measurement and the constructor frame is measurable
+        # there.  The kwargs dict is fresh per call, so it is adopted
+        # rather than copied.
         span = Span.__new__(Span)
         span.name = name
         span._attrs = attrs or None
@@ -251,6 +236,8 @@ class Tracer:
             stack = local.stack
         except AttributeError:
             stack = local.stack = []
+        # Captured so __exit__ skips the threading.local lookup (spans
+        # never migrate threads).
         span._stack = stack
         stack.append(span)
         span.wall_start = _perf_counter()

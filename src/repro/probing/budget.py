@@ -97,16 +97,3 @@ class ProbeCounter:
         for other in others:
             counts.update(other.counts)
         return ProbeCounter(counts, parent=None)
-
-    def reset(self) -> None:
-        self.counts.clear()
-        self._by_index = [0] * len(_KIND_INDEX)
-
-    def table4_row(self) -> Dict[str, int]:
-        """The four packet-type columns of the paper's Table 4."""
-        return {
-            "RR": self.counts[ProbeKind.RECORD_ROUTE],
-            "Spoof RR": self.counts[ProbeKind.SPOOFED_RECORD_ROUTE],
-            "TS": self.counts[ProbeKind.TIMESTAMP],
-            "Spoof TS": self.counts[ProbeKind.SPOOFED_TIMESTAMP],
-        }

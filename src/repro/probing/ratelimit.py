@@ -57,10 +57,3 @@ class TokenBucket:
         self._tokens = 0.0
         self._last = self.clock.now()
         return wait
-
-    def would_wait(self, n: int = 1) -> float:
-        """Seconds a caller would wait for *n* tokens, without taking."""
-        self._refill()
-        if self._tokens >= n:
-            return 0.0
-        return (n - self._tokens) / self.rate

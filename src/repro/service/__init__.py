@@ -8,7 +8,6 @@ that operational shell over the measurement core.
 """
 
 from repro.service.api import MeasurementRequest, RevtrService
-from repro.service.ndt import NdtTrigger
 from repro.service.scheduler import (
     Job,
     JobState,
@@ -24,7 +23,6 @@ from repro.service.users import User, UserDatabase
 __all__ = [
     "MeasurementRequest",
     "RevtrService",
-    "NdtTrigger",
     "BootstrapReport",
     "SourceRegistry",
     "MeasurementStore",

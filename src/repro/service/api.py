@@ -20,11 +20,10 @@ from repro.core.result import ReverseTracerouteResult
 from repro.core.segcache import ReverseSegmentCache
 from repro.net.addr import Address
 from repro.obs.instrument import NULL
-from repro.obs.runtime import introspect
 from repro.probing.prober import Prober
 from repro.service.sources import SourceRegistry
 from repro.service.store import MeasurementStore
-from repro.service.users import QuotaExceeded, User, UserDatabase
+from repro.service.users import User, UserDatabase
 
 
 @dataclass
@@ -236,62 +235,13 @@ class RevtrService:
     ) -> ReverseTracerouteResult:
         """Execute one authenticated reverse-traceroute request."""
         user = self.users.authenticate(request.api_key)
-        user.charge(self.prober.clock.now())
+        # Resolved before the charge: an unregistered source raises
+        # here and costs the user nothing.
         engine = self._engine_for(request.src)
+        user.charge(self.prober.clock.now())
         return self._measure_one(
             engine, request.dst, user.name, request.label
         )
-
-    def request_batch(
-        self,
-        api_key: str,
-        dsts: Sequence[Address],
-        src: Address,
-        label: str = "",
-    ) -> List[ReverseTracerouteResult]:
-        """A batch of requests, charged and archived individually.
-
-        Quota is charged per measurement, immediately before it runs:
-        if the engine fails (or quota runs out) mid-batch, the user is
-        never charged for measurements that were not attempted.
-
-        With ``coalesce_batches`` on in the engine config, the prefix
-        of the batch that quota admits is charged and executed as one
-        coalesced :meth:`RevtrEngine.measure_many` group — duplicate
-        spoofed batches and ping checks across the batch collapse —
-        before :class:`QuotaExceeded` is raised for the rest; a group
-        that fails inside the engine archives nothing and is refunded.
-        """
-        user = self.users.authenticate(api_key)
-        engine = self._engine_for(src)
-        if self.engine_config.coalesce_batches:
-            now = self.prober.clock.now()
-            admitted, refused = 0, None
-            for _ in dsts:
-                try:
-                    user.charge(now)
-                except QuotaExceeded as exc:
-                    refused = exc
-                    break
-                admitted += 1
-            try:
-                results = self._measure_group(
-                    engine,
-                    [(dst, user.name, label) for dst in dsts[:admitted]],
-                )
-            except Exception:
-                user.refund(self.prober.clock.now(), admitted)
-                raise
-            if refused is not None:
-                raise refused
-            return results
-        results: List[ReverseTracerouteResult] = []
-        for dst in dsts:
-            user.charge(self.prober.clock.now())
-            results.append(
-                self._measure_one(engine, dst, user.name, label)
-            )
-        return results
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -303,29 +253,3 @@ class RevtrService:
         from repro.service.scheduler import RequestScheduler
 
         return RequestScheduler(self, config=config)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def metrics_snapshot(self, include_traces: bool = False) -> Dict:
-        """The operator view: metrics, probe counters, cache stats.
-
-        JSON-serializable; non-empty (probe counters at minimum) even
-        when the service runs on the null instrumentation.  With a
-        time-series sampler installed the document also carries the
-        sampler summary (via :func:`introspect`).
-        """
-        caches = {
-            f"engine[{source}]": engine.cache
-            for source, engine in self._engines.items()
-        }
-        for source, segcache in self._segcaches.items():
-            caches[f"segments[{source}]"] = segcache
-        return introspect(
-            instrumentation=self.obs,
-            probe_counters={"prober": self.prober.counter},
-            caches=caches,
-            forwarding=self.prober.internet.forwarding_cache_stats(),
-            include_traces=include_traces,
-        )

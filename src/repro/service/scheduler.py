@@ -58,6 +58,11 @@ class RejectReason(enum.Enum):
     ERROR = "error"
 
 
+#: Base backoff (virtual seconds) before the first retry of an
+#: unresponsive destination; doubles per attempt.
+RETRY_BACKOFF = 60.0
+
+
 @dataclass
 class SchedulerConfig:
     """Knobs for the request scheduler."""
@@ -72,8 +77,6 @@ class SchedulerConfig:
     #: re-run jobs whose destination was unresponsive up to this many
     #: extra times
     max_retries: int = 0
-    #: base backoff before the first retry; doubles per attempt
-    retry_backoff: float = 60.0
 
 
 @dataclass
@@ -219,15 +222,6 @@ class RequestScheduler:
         self._queue_depth_changed()
         return job
 
-    def submit_batch(
-        self,
-        api_key: str,
-        dsts,
-        src: Address,
-        label: str = "",
-    ) -> List[Job]:
-        return [self.submit(api_key, dst, src, label) for dst in dsts]
-
     # ------------------------------------------------------------------
     # Shared bookkeeping
     # ------------------------------------------------------------------
@@ -235,6 +229,11 @@ class RequestScheduler:
     def _reject(self, job: Job, reason: RejectReason) -> None:
         job.state = JobState.REJECTED
         job.reject_reason = reason
+        if reason is RejectReason.ERROR:
+            # The engine failed past admission: the charge made at
+            # start time bought nothing, so it goes back.  Every other
+            # reason rejects before (or instead of) charging.
+            self._users[job.user].refund(job.started_at)
         self.rejections[reason.value] = (
             self.rejections.get(reason.value, 0) + 1
         )
@@ -475,7 +474,7 @@ class RequestScheduler:
             and job.attempts < cfg.max_retries
         ):
             job.attempts += 1
-            job.eligible_at = finish + cfg.retry_backoff * (
+            job.eligible_at = finish + RETRY_BACKOFF * (
                 2 ** (job.attempts - 1)
             )
             if (

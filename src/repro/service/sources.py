@@ -69,9 +69,6 @@ class SourceRegistry:
         #: callables invoked with the address after every (re-)register
         self._listeners: List = []
 
-    def is_registered(self, addr: Address) -> bool:
-        return addr in self.sources
-
     def subscribe(self, listener) -> None:
         """Call *listener(addr)* whenever a source is (re-)registered.
 

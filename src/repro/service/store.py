@@ -1,19 +1,17 @@
 """Measurement archive (Appendix A).
 
-The deployed system stores every reverse traceroute (user-driven and
-NDT-triggered) to M-Lab's cloud storage; this is the in-process
-equivalent with the query surface the examples and tests need.
+The deployed system stores every reverse traceroute to M-Lab's cloud
+storage; this is the in-process equivalent: an append-only list of
+results with their request metadata, iterated by whoever queries it.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List
 
 from repro.core.result import ReverseTracerouteResult, RevtrStatus
-from repro.net.addr import Address
 
 
 @dataclass
@@ -27,15 +25,12 @@ class StoredMeasurement:
 
 
 class MeasurementStore:
-    """Append-only archive with simple per-key indexes."""
+    """Append-only archive."""
 
     def __init__(self) -> None:
         self._records: List[StoredMeasurement] = []
-        self._by_source: Dict[Address, List[int]] = defaultdict(list)
-        self._by_user: Dict[str, List[int]] = defaultdict(list)
-        # Appends mutate three structures; the lock keeps the record
-        # list and its indexes consistent for a reader thread running
-        # beside the workload (``serve --http``).
+        # Held around every append and every copy-out, for a reader
+        # thread running beside the workload (``serve --http``).
         self._lock = threading.Lock()
 
     def append(
@@ -52,23 +47,8 @@ class MeasurementStore:
             label=label,
         )
         with self._lock:
-            index = len(self._records)
             self._records.append(record)
-            self._by_source[result.src].append(index)
-            self._by_user[user].append(index)
         return record
-
-    def by_source(self, source: Address) -> List[StoredMeasurement]:
-        with self._lock:
-            return [
-                self._records[i] for i in self._by_source.get(source, [])
-            ]
-
-    def by_user(self, user: str) -> List[StoredMeasurement]:
-        with self._lock:
-            return [
-                self._records[i] for i in self._by_user.get(user, [])
-            ]
 
     def all(self) -> List[StoredMeasurement]:
         with self._lock:

@@ -54,30 +54,9 @@ class PrefixInfo:
     hosts: Dict[Address, Host] = field(default_factory=dict)
     is_infrastructure: bool = False
 
-    def __post_init__(self) -> None:
-        # (host-count, hosts) memo for responsive_hosts(); survey and
-        # atlas loops call it per prefix per round, and the host set is
-        # static after generation.
-        self._responsive: Optional[Tuple[int, List[Host]]] = None
-
     def add_host(self, host: Host) -> None:
-        """Attach *host* to the prefix, invalidating cached views."""
+        """Attach *host* to the prefix."""
         self.hosts[host.addr] = host
-        self._responsive = None
-
-    def responsive_hosts(self) -> List[Host]:
-        """Hosts that answer pings (cached; do not mutate the list).
-
-        The cache is invalidated by :meth:`add_host` and, as a belt and
-        braces guard for direct ``hosts`` mutation, whenever the host
-        count changes.
-        """
-        cached = self._responsive
-        if cached is not None and cached[0] == len(self.hosts):
-            return cached[1]
-        responsive = [h for h in self.hosts.values() if h.responds_to_ping]
-        self._responsive = (len(self.hosts), responsive)
-        return responsive
 
 
 @dataclass
@@ -292,10 +271,6 @@ class Internet:
         owner = self.iface_owner.get(addr)
         return None if owner is None else self.routers[owner]
 
-    def prefix_info(self, addr: Address) -> Optional[PrefixInfo]:
-        info = self.prefix_table.lookup(addr)
-        return info  # type: ignore[return-value]
-
     def host_prefixes(self) -> List[PrefixInfo]:
         """All announced prefixes that contain hosts."""
         return [
@@ -333,16 +308,6 @@ class Internet:
             return spec
         info = self.prefixes[prefix]
         return AnnouncementSpec.single(info.origin_asn)
-
-    def asn_of_address(self, addr: Address) -> Optional[int]:
-        """Ground-truth AS of an address (owner router or host AS)."""
-        router = self.router_of(addr)
-        if router is not None:
-            return router.asn
-        host = self.hosts.get(addr)
-        if host is not None:
-            return host.asn
-        return None
 
     # ------------------------------------------------------------------
     # Destination resolution
@@ -1222,9 +1187,8 @@ class Internet:
     def forwarding_cache_stats(self) -> Dict[str, object]:
         """Hit/miss/size accounting for every forwarding memo.
 
-        JSON-able; the one place these tallies are published: the
-        service's :meth:`~repro.service.api.RevtrService.metrics_snapshot`
-        embeds it and the e2e ledger's ``sim.*_hit_frac`` read it.
+        JSON-able; the one place these tallies are published: the e2e
+        ledger's ``sim.*_hit_frac`` and CI's FIB-sharing check read it.
         """
         table = self.prefix_table
         return {

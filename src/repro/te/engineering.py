@@ -46,17 +46,6 @@ class CatchmentReport:
             return {}
         return {site: n / total for site, n in counts.items()}
 
-    def share_through(self, transit_asn: int) -> float:
-        """Fraction of measured paths traversing *transit_asn*."""
-        if not self.transits_of:
-            return 0.0
-        hits = sum(
-            1
-            for transits in self.transits_of.values()
-            if transit_asn in transits
-        )
-        return hits / len(self.transits_of)
-
     def destinations_through(
         self, transit_asn: int
     ) -> List[Address]:
@@ -65,16 +54,6 @@ class CatchmentReport:
             for dst, transits in self.transits_of.items()
             if transit_asn in transits
         ]
-
-    def mean_rtt(self, dsts: Optional[Sequence[Address]] = None) -> float:
-        values = [
-            rtt
-            for dst, rtt in self.rtt_of.items()
-            if dsts is None or dst in set(dsts)
-        ]
-        if not values:
-            return float("nan")
-        return sum(values) / len(values)
 
 
 class TrafficEngineer:

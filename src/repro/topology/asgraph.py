@@ -186,21 +186,6 @@ class ASGraph:
     def cone_size(self, asn: int) -> int:
         return len(self.customer_cone(asn))
 
-    def is_provider_chain(self, low: int, high: int, max_depth: int = 4) -> bool:
-        """True if *high* is an (indirect) provider of *low*."""
-        frontier = {low}
-        for _ in range(max_depth):
-            next_frontier: Set[int] = set()
-            for asn in frontier:
-                for provider in self.nodes[asn].providers():
-                    if provider == high:
-                        return True
-                    next_frontier.add(provider)
-            frontier = next_frontier
-            if not frontier:
-                break
-        return False
-
     def tier1_asns(self) -> List[int]:
         return [
             asn

@@ -133,17 +133,6 @@ class TopologyConfig:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 
-    @property
-    def n_ases(self) -> int:
-        """Total AS count, including measurement-infrastructure ASes."""
-        return (
-            self.n_tier1
-            + self.n_transit
-            + self.n_stub
-            + self.n_nren
-            + self.n_mlab_sites
-        )
-
     @classmethod
     def tiny(cls, seed: int = 0) -> "TopologyConfig":
         """A minimal topology for fast unit tests."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass
-from typing import Collection, Dict, FrozenSet, Iterable, List
+from typing import Collection, Dict, FrozenSet, List
 from typing import NamedTuple, Optional, Tuple
 
 from repro.topology.asgraph import ASGraph, Relationship
@@ -103,13 +103,6 @@ class AnnouncementSpec:
     def single(cls, asn: int) -> "AnnouncementSpec":
         """The default unicast announcement from one AS."""
         return cls(origins=(Origin(asn),))
-
-    @classmethod
-    def anycast(cls, asns: Iterable[int]) -> "AnnouncementSpec":
-        return cls(origins=tuple(Origin(asn) for asn in sorted(asns)))
-
-    def origin_asns(self) -> Tuple[int, ...]:
-        return tuple(origin.asn for origin in self.origins)
 
 
 class RouteChoice(NamedTuple):

@@ -5,7 +5,9 @@ Fig. 2's control flow, segment-cache reuse, the coalescer, degradation
 retries, the Appendix A/E options and the obs recording into each
 other, with ``_splice_full_path`` and a three-argument ``_finish``
 beside it.  ``src/`` now runs a loop over named openers and steps; the
-three original methods are kept here, unedited, on a subclass, so
+three original methods are kept here on a subclass, unedited but for
+reading ``_MAX_PATH_HOPS`` / ``_PING_RETRIES`` where they read the
+``EngineConfig`` fields of those names before they became constants, so
 ``tests/test_measure_loop.py`` can serve one request stream through
 both and require every observable to agree.  Everything the methods
 call (``_rr_step``, ``_intersect``, ``_timestamp_step``,
@@ -26,7 +28,7 @@ from repro.core.result import (
     ReverseTracerouteResult,
     RevtrStatus,
 )
-from repro.core.revtr import RevtrEngine
+from repro.core.revtr import _MAX_PATH_HOPS, _PING_RETRIES, RevtrEngine
 from repro.core.symmetry import LinkType, SymmetryPolicy
 from repro.net.addr import Address, is_private, prefix_of
 
@@ -95,7 +97,7 @@ class ReferenceMeasureEngine(RevtrEngine):
                 attempts = 0
                 while (
                     not alive
-                    and attempts < self.config.ping_retries
+                    and attempts < _PING_RETRIES
                     and self._retry_allowed("ping")
                 ):
                     attempts += 1
@@ -125,7 +127,7 @@ class ReferenceMeasureEngine(RevtrEngine):
         status: Optional[RevtrStatus] = None
         source = self.source
 
-        while len(hops) < self.config.max_path_hops:
+        while len(hops) < _MAX_PATH_HOPS:
             if self._is_terminal(current):
                 hops.append(ReverseHop(source, HopTechnique.SOURCE))
                 status = RevtrStatus.COMPLETE
@@ -187,7 +189,7 @@ class ReferenceMeasureEngine(RevtrEngine):
                 # measurement toward this source already revealed from
                 # here.  Generation/TTL invalidation happens inside the
                 # lookup; the seen-set stop keeps splices loop-free.
-                limit = self.config.max_path_hops - len(hops)
+                limit = _MAX_PATH_HOPS - len(hops)
                 chain, known_dead = self.segcache.chain(
                     current, limit, stop=seen.__contains__
                 )
@@ -440,7 +442,7 @@ class ReferenceMeasureEngine(RevtrEngine):
         normal measurement loop (ping check included) takes over.
         """
         chain, _ = self.segcache.chain(
-            dst, self.config.max_path_hops - 1
+            dst, _MAX_PATH_HOPS - 1
         )
         if not chain or chain[-1].next_hop != self.source:
             return None

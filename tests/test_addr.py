@@ -91,12 +91,6 @@ class TestPrefix:
         assert Prefix.parse("0.0.0.0/0").num_addresses == 1 << 32
         assert Prefix.parse("10.0.0.0/30").num_addresses == 4
 
-    def test_subnets(self):
-        subnets = list(Prefix.parse("10.0.0.0/23").subnets(24))
-        assert [str(s) for s in subnets] == ["10.0.0.0/24", "10.0.1.0/24"]
-        with pytest.raises(ValueError):
-            list(Prefix.parse("10.0.0.0/24").subnets(23))
-
     def test_addresses_enumeration(self):
         addrs = list(Prefix.parse("10.0.0.0/30").addresses())
         assert addrs == ["10.0.0.0", "10.0.0.1", "10.0.0.2", "10.0.0.3"]

@@ -1,23 +1,20 @@
-"""Tests for alias resolution: ITDK sampling, MIDAR, SNMP, resolver."""
+"""Tests for alias resolution: ITDK sampling, SNMP, resolver."""
 
 import pytest
 
 from repro.alias import (
     AliasResolver,
-    MidarResolver,
     SnmpResolver,
     build_itdk_dataset,
 )
 from repro.probing import Prober
 
 
-def multi_iface_router(internet, snmp=None, shared=None):
+def multi_iface_router(internet, snmp=None):
     for router in internet.routers.values():
         if len(router.addresses()) < 3:
             continue
         if snmp is not None and router.snmpv3_responsive != snmp:
-            continue
-        if shared is not None and router.ipid_shared != shared:
             continue
         if not router.responds_to_ping:
             continue
@@ -46,39 +43,6 @@ class TestITDK:
         a = build_itdk_dataset(tiny_internet, coverage=0.5, seed=3)
         b = build_itdk_dataset(tiny_internet, coverage=0.5, seed=3)
         assert a == b
-
-
-class TestMidar:
-    def test_aliases_of_shared_counter_router(self, tiny_internet):
-        router = multi_iface_router(tiny_internet, shared=True)
-        prober = Prober(tiny_internet)
-        midar = MidarResolver(prober, tiny_internet.mlab_hosts[0])
-        addrs = router.addresses()[:3]
-        groups = midar.resolve(addrs)
-        assert len(groups) == 1
-        assert groups[0] == set(addrs)
-
-    def test_different_routers_not_merged(self, tiny_internet):
-        prober = Prober(tiny_internet)
-        midar = MidarResolver(prober, tiny_internet.mlab_hosts[0])
-        routers = [
-            r
-            for r in tiny_internet.routers.values()
-            if r.responds_to_ping and r.loopback
-        ][:4]
-        loopbacks = [r.loopback for r in routers]
-        groups = midar.resolve(loopbacks)
-        for group in groups:
-            owners = {tiny_internet.iface_owner[a] for a in group}
-            assert len(owners) == 1
-
-    def test_unshared_counter_unresolvable(self, tiny_internet):
-        router = multi_iface_router(tiny_internet, shared=False)
-        prober = Prober(tiny_internet)
-        midar = MidarResolver(prober, tiny_internet.mlab_hosts[0])
-        addrs = router.addresses()[:2]
-        groups = midar.resolve(addrs)
-        assert all(len(g) == 1 for g in groups)
 
 
 class TestSnmp:
@@ -119,10 +83,6 @@ class TestResolver:
         # .4 is a network address of its /30 — not a link peer of .5.
         assert not resolver.aligned("1.0.0.4", "1.0.0.6")
 
-    def test_point_to_point_can_be_disabled(self):
-        resolver = AliasResolver(use_point_to_point=False)
-        assert not resolver.aligned("1.0.0.1", "1.0.0.2")
-
     def test_can_resolve(self):
         resolver = AliasResolver(itdk={"1.1.1.1": 5})
         assert resolver.can_resolve("1.1.1.1")
@@ -134,7 +94,8 @@ class TestResolver:
     def test_regrouped_addresses_do_not_merge_the_next_group(self):
         """Group ids once came from the number of addresses known, so a
         group that added none handed its id to the next one."""
-        resolver = AliasResolver(extra_groups=[{"5.5.5.5", "6.6.6.6"}])
+        resolver = AliasResolver()
+        resolver.add_group({"5.5.5.5", "6.6.6.6"})
         resolver.add_group({"9.9.9.9", "9.9.9.10"})
         resolver.add_group({"9.9.9.10", "9.9.9.9"})  # nothing new
         resolver.add_group({"9.9.9.9", "8.8.8.8"})  # one new, one moved
@@ -144,10 +105,6 @@ class TestResolver:
         assert resolver.align_keys("9.9.9.10").isdisjoint(
             resolver.align_keys("8.8.8.8")
         )
-
-    def test_extra_groups_at_init(self):
-        resolver = AliasResolver(extra_groups=[{"5.5.5.5", "6.6.6.6"}])
-        assert resolver.same_router("5.5.5.5", "6.6.6.6")
 
     def test_matches_any(self):
         resolver = AliasResolver()

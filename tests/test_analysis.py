@@ -17,8 +17,6 @@ from repro.analysis.coverage import (
     score_as_graph,
 )
 from repro.analysis.stats import (
-    cdf_points,
-    ccdf_points,
     fraction_leq,
     mean,
     median,
@@ -51,13 +49,6 @@ class TestStats:
     def test_fraction_leq(self):
         assert fraction_leq([1, 2, 3, 4], 2) == 0.5
         assert fraction_leq([], 5) == 0.0
-
-    def test_cdf_ccdf(self):
-        xs, ys = cdf_points([3, 1, 2])
-        assert xs == [1.0, 2.0, 3.0]
-        assert ys == [pytest.approx(1 / 3), pytest.approx(2 / 3), 1.0]
-        xs, ys = ccdf_points([1, 2, 3])
-        assert ys[0] == 1.0
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
                               width=32), min_size=1))

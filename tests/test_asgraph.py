@@ -62,11 +62,6 @@ class TestCones:
         graph.add_edge(1, 4, Relationship.CUSTOMER)
         assert graph.cone_size(1) == 4
 
-    def test_is_provider_chain(self):
-        graph = chain_graph()
-        assert graph.is_provider_chain(3, 1)
-        assert not graph.is_provider_chain(1, 3)
-
 
 class TestValidation:
     def test_valid_graph_passes(self):

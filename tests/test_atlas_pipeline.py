@@ -206,7 +206,7 @@ class TestBatchedSerialEquivalence:
         rr_atlas.build(prober, spoofers)
         elapsed = prober.clock.now() - started
         stats = rr_atlas.last_build
-        assert stats.virtual_seconds == pytest.approx(elapsed)
+        assert sum(stats.unit_costs) == pytest.approx(elapsed)
 
         # The same distinct targets, one ladder at a time: each ladder
         # costs what its batched rounds were accounted, and the clock
@@ -510,36 +510,6 @@ class TestSnapshotRejection:
         scenario = sharded_world[0]
         with pytest.raises(SnapshotError, match="malformed"):
             load_snapshot(path, scenario.internet)
-
-
-class TestLoadOrBuild:
-    def test_cold_then_warm(self, tmp_path):
-        path = str(tmp_path / "atlas.snap")
-        cold_sc = fresh_scenario()
-        source = cold_sc.sources()[0]
-        pipeline = cold_sc.atlas_pipeline(shards=4)
-        atlas, rr_atlas, warm = pipeline.load_or_build(
-            path,
-            source,
-            cold_sc.bundle_rng(source),
-            size=ATLAS_SIZE,
-            max_size=ATLAS_SIZE,
-        )
-        assert not warm and len(atlas) > 0
-        warm_sc = fresh_scenario()
-        warm_pipeline = warm_sc.atlas_pipeline(shards=4)
-        atlas2, rr_atlas2, warm2 = warm_pipeline.load_or_build(
-            path,
-            source,
-            warm_sc.bundle_rng(source),
-            size=ATLAS_SIZE,
-            max_size=ATLAS_SIZE,
-        )
-        assert warm2
-        assert atlas_key(atlas2) == atlas_key(atlas)
-        assert rr_atlas2._mapping == rr_atlas._mapping
-        # The warm start sent zero probes.
-        assert sum(warm_sc.background_counter.counts.values()) == 0
 
 
 class TestAtlasCLI:

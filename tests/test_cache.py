@@ -1,6 +1,6 @@
 """Tests for the measurement cache."""
 
-from repro.core.cache import MeasurementCache
+from repro.core.cache import PURGE_INTERVAL, MeasurementCache
 from repro.sim.clock import VirtualClock
 
 
@@ -114,95 +114,21 @@ class TestCache:
         assert cache.get("k") == 2
 
 
-class TestNegativeTTL:
-    def test_negative_entries_expire_sooner(self):
-        clock = VirtualClock()
-        cache = MeasurementCache(clock, ttl=100, negative_ttl=10)
-        cache.put("pos", 1)
-        cache.put("neg", (), negative=True)
-        clock.advance(11)
-        # The negative entry is past its own TTL; the positive one is
-        # still well inside the default.
-        assert cache.get("neg") is None
-        assert cache.get("pos") == 1
-        assert cache.stats.expirations == 1
-        assert cache.stats.hits == 1
-
-    def test_negative_without_split_uses_default_ttl(self):
-        clock = VirtualClock()
-        cache = MeasurementCache(clock, ttl=100)
-        cache.put("neg", (), negative=True)
-        clock.advance(50)
-        assert cache.get("neg") == ()
-
-    def test_purge_respects_per_entry_ttl(self):
-        clock = VirtualClock()
-        cache = MeasurementCache(clock, ttl=100, negative_ttl=10)
-        cache.put("pos", 1)
-        cache.put("neg", (), negative=True)
-        clock.advance(11)
-        assert cache.purge_expired() == 1
-        assert len(cache) == 1
-        assert cache.contains_fresh("pos")
-
-    def test_overwrite_flips_ttl_class(self):
-        clock = VirtualClock()
-        cache = MeasurementCache(clock, ttl=100, negative_ttl=10)
-        cache.put("k", (), negative=True)
-        cache.put("k", 7)  # now a positive result
-        clock.advance(50)
-        assert cache.get("k") == 7
-
-
 class TestBoundedCache:
-    def test_lru_eviction_at_capacity(self):
-        clock = VirtualClock()
-        cache = MeasurementCache(clock, ttl=100, max_entries=3)
-        for key in ("a", "b", "c"):
-            cache.put(key, key)
-        # Touch "a" so "b" becomes the least recently used entry.
-        assert cache.get("a") == "a"
-        cache.put("d", "d")
-        assert len(cache) == 3
-        assert cache.get("b") is None
-        assert cache.get("a") == "a"
-        assert cache.get("d") == "d"
-        assert cache.stats.evictions == 1
-
-    def test_eviction_counter_in_stats_dict(self):
-        clock = VirtualClock()
-        cache = MeasurementCache(clock, ttl=100, max_entries=1)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)
-        assert cache.stats.evictions == 2
-        assert cache.stats.as_dict()["evictions"] == 2
-
-    def test_evictions_reach_metrics(self):
-        # Not as a family of their own: the operator document
-        # (`RevtrService.metrics_snapshot()` is `introspect`) prints
-        # the cache's own stats.
-        from repro.obs.runtime import introspect
-
-        cache = MeasurementCache(VirtualClock(), ttl=100, max_entries=2)
-        for i in range(5):
-            cache.put(i, i)
-        doc = introspect(caches={"engine": cache})
-        assert doc["caches"]["engine"]["evictions"] == 3
+    """Bounded by time: the TTL, swept at most once per
+    `PURGE_INTERVAL`; there is no size bound."""
 
     def test_maybe_purge_rate_limited(self):
         clock = VirtualClock()
-        cache = MeasurementCache(
-            clock, ttl=10, purge_interval=100
-        )
+        cache = MeasurementCache(clock, ttl=10)
         cache.put("k", 1)
-        clock.advance(150)  # entry expired at t=10
+        clock.advance(1.5 * PURGE_INTERVAL)  # entry expired at t=10
         assert cache.maybe_purge() == 1
         assert len(cache) == 0
         cache.put("j", 1)
-        clock.advance(50)  # expired again, but inside the interval
+        clock.advance(0.5 * PURGE_INTERVAL)  # expired, inside the interval
         assert cache.maybe_purge() == 0
-        clock.advance(60)
+        clock.advance(0.6 * PURGE_INTERVAL)
         assert cache.maybe_purge() == 1
 
     def test_unbounded_cache_never_evicts(self):
@@ -215,16 +141,17 @@ class TestBoundedCache:
 
 
 class TestThreadedPurge:
-    def test_concurrent_maybe_purge_and_access(self):
+    def test_concurrent_maybe_purge_and_access(self, monkeypatch):
         """Sweepers and writers hammer one cache concurrently: every
         dead entry is removed exactly once, no fresh entry is lost,
         and the stats stay consistent."""
         import threading
 
         clock = VirtualClock()
-        # purge_interval=0 makes every maybe_purge call sweep, so the
+        # No interval makes every maybe_purge call sweep, so the
         # contention window is as wide as it can get.
-        cache = MeasurementCache(clock, ttl=10, purge_interval=0.0)
+        monkeypatch.setattr("repro.core.cache.PURGE_INTERVAL", 0.0)
+        cache = MeasurementCache(clock, ttl=10)
         for i in range(400):
             cache.put(("old", i), i)
         clock.advance(11)

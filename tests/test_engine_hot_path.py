@@ -70,15 +70,11 @@ def tiny():
 @settings(max_examples=150, deadline=None)
 @given(
     itdk=itdk_maps,
-    extra=st.lists(groups, max_size=2),
-    later=st.lists(groups, max_size=2),
-    p2p=st.booleans(),
+    measured=st.lists(groups, max_size=4),
 )
-def test_align_keys_intersect_iff_aligned(itdk, extra, later, p2p):
-    resolver = AliasResolver(
-        itdk=itdk, extra_groups=extra, use_point_to_point=p2p
-    )
-    for group in later:
+def test_align_keys_intersect_iff_aligned(itdk, measured):
+    resolver = AliasResolver(itdk=itdk)
+    for group in measured:
         resolver.add_group(group)
     keys = {addr: resolver.align_keys(addr) for addr in POOL}
     for a in POOL:
@@ -98,12 +94,12 @@ terminal_ops = st.lists(
 
 
 @settings(max_examples=100, deadline=None)
-@given(itdk=itdk_maps, p2p=st.booleans(), ops=terminal_ops)
-def test_terminal_index_equals_scan(tiny, itdk, p2p, ops):
+@given(itdk=itdk_maps, ops=terminal_ops)
+def test_terminal_index_equals_scan(tiny, itdk, ops):
     """After any interleaving of terminal additions and ``add_group``
     calls — which can regroup an address that is already a terminal —
     the index answers what the scan answers, for every address."""
-    resolver = AliasResolver(itdk=itdk, use_point_to_point=p2p)
+    resolver = AliasResolver(itdk=itdk)
     source = tiny.sources()[0]
     engine = RevtrEngine(
         prober=tiny.online_prober,
@@ -238,7 +234,6 @@ counter_ops = st.lists(
     st.one_of(
         st.tuples(st.just("record"), st.integers(0, 1), kinds),
         st.tuples(st.just("mark"), st.integers(0, 1), st.none()),
-        st.tuples(st.just("reset"), st.integers(0, 1), st.none()),
         st.tuples(st.just("merged"), st.integers(0, 1), st.none()),
     ),
     max_size=25,
@@ -264,8 +259,6 @@ def test_marks_and_deltas_equal_oracle(seeded, ops):
             counter.record(kind)
         elif op == "mark":
             marks[who].append(counter.mark())
-        elif op == "reset":
-            counter.reset()
         else:
             counters.append(counter.merged([counters[1 - who]]))
             marks.append([counters[-1].mark()])

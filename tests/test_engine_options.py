@@ -1,11 +1,9 @@
-"""Tests for the Appendix A/E engine options and the NDT trigger."""
+"""Tests for the Appendix A/E engine options."""
 
 import pytest
 
 from repro.core.result import HopTechnique, RevtrStatus
 from repro.core.revtr import EngineConfig
-from repro.service import MeasurementStore
-from repro.service.ndt import NdtTrigger
 
 
 class TestStalenessOption:
@@ -99,47 +97,3 @@ class TestViolationDetection:
         )[0]
         result = engine.measure(dst)
         assert result.suspected_violations == []
-
-
-class TestNdtTrigger:
-    def test_measurements_archived_under_ndt(self, small_scenario):
-        source = small_scenario.sources()[0]
-        engine = small_scenario.engine(source, "revtr2.0")
-        store = MeasurementStore()
-        trigger = NdtTrigger(engine, store, max_per_minute=600)
-        clients = small_scenario.responsive_destinations(
-            5, options_only=True
-        )
-        for client in clients:
-            trigger.on_ndt_test(client)
-        assert trigger.stats.accepted == 5
-        assert len(trigger.dataset()) == 5
-        assert all(
-            record.label == "ndt" for record in store.by_user("ndt")
-        )
-
-    def test_load_shedding(self, small_scenario):
-        source = small_scenario.sources()[0]
-        engine = small_scenario.engine(source, "revtr2.0")
-        store = MeasurementStore()
-        # One measurement per 10 minutes: the burst is a single slot.
-        trigger = NdtTrigger(engine, store, max_per_minute=0.1)
-        clients = small_scenario.responsive_destinations(
-            4, options_only=True
-        )
-        results = [trigger.on_ndt_test(c) for c in clients]
-        assert results[0] is not None
-        assert trigger.stats.rejected_load >= 1
-        assert trigger.stats.acceptance_rate < 1.0
-
-    def test_rate_recovers_over_time(self, small_scenario):
-        source = small_scenario.sources()[0]
-        engine = small_scenario.engine(source, "revtr2.0")
-        store = MeasurementStore()
-        trigger = NdtTrigger(engine, store, max_per_minute=1.0)
-        clients = small_scenario.responsive_destinations(
-            2, options_only=True
-        )
-        assert trigger.on_ndt_test(clients[0]) is not None
-        small_scenario.clock.advance(120.0)
-        assert trigger.on_ndt_test(clients[1]) is not None

@@ -198,7 +198,7 @@ class TestJsonlIO:
         log = EventLog(capacity=4_096)
         path = str(tmp_path / "ev.jsonl")
         # ~60 bytes/record: 100 records span a handful of generations
-        # without exceeding the default max_rotations retention.
+        # without exceeding the MAX_ROTATIONS retention.
         with JsonlEventWriter(path, rotate_bytes=1500) as writer:
             for i in range(100):
                 log.emit("tick", i=i)

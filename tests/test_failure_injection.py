@@ -208,11 +208,13 @@ class TestLegacyUnderDegradation:
 
 
 class TestMaxHops:
-    def test_path_length_bounded(self, degraded_scenario):
+    def test_path_length_bounded(self, degraded_scenario, monkeypatch):
         scenario = degraded_scenario
         source = scenario.sources()[0]
-        config = EngineConfig(max_path_hops=5)
-        engine = scenario.engine(source, "revtr2.0", config=config)
+        monkeypatch.setattr("repro.core.revtr._MAX_PATH_HOPS", 5)
+        engine = scenario.engine(
+            source, "revtr2.0", config=EngineConfig()
+        )
         from repro.core.result import HopTechnique
 
         for dst in scenario.responsive_destinations(

@@ -410,8 +410,6 @@ def measure_degraded(plan, destinations=None):
         "revtr2.0",
         config=EngineConfig(
             retry_budget=8,
-            ping_retries=4,
-            rr_retries=2,
             recheck_unresponsive=True,
         ),
     )
@@ -515,8 +513,6 @@ class TestEngineDegradation:
             "revtr2.0",
             config=EngineConfig(
                 retry_budget=4,
-                ping_retries=1,
-                rr_retries=0,
                 recheck_unresponsive=True,
             ),
         )
@@ -561,7 +557,7 @@ class TestFaultObservability:
         engine = scenario.engine(
             source,
             "revtr2.0",
-            config=EngineConfig(retry_budget=4, ping_retries=2),
+            config=EngineConfig(retry_budget=4),
         )
         destinations = scenario.responsive_destinations(
             3, options_only=True

@@ -1,68 +1,7 @@
-"""Extra coverage: flag helpers, wire edge cases, store iteration."""
+"""Extra coverage: store iteration."""
 
-import pytest
-
-from repro.core.flags import STAR, has_flags, strip_flags
-from repro.core.result import (
-    HopTechnique,
-    ReverseHop,
-    ReverseTracerouteResult,
-    RevtrStatus,
-)
+from repro.core.result import ReverseTracerouteResult, RevtrStatus
 from repro.service.store import MeasurementStore
-from repro.service.wire import result_from_dict, result_to_dict
-
-
-class TestFlagHelpers:
-    def test_has_flags(self):
-        assert has_flags([1, STAR, 2])
-        assert not has_flags([1, 2, 3])
-        assert not has_flags([])
-
-    def test_strip_flags(self):
-        assert strip_flags([1, STAR, 2, STAR]) == [1, 2]
-        assert strip_flags([]) == []
-
-
-class TestWireEdgeCases:
-    def _result(self):
-        return ReverseTracerouteResult(
-            src="9.9.9.9",
-            dst="10.0.0.1",
-            status=RevtrStatus.ABORTED_INTERDOMAIN,
-            hops=[
-                ReverseHop("10.0.0.1", HopTechnique.DESTINATION),
-                ReverseHop(
-                    "10.0.1.1",
-                    HopTechnique.ASSUMED_SYMMETRY,
-                    assumed_link="intra",
-                ),
-            ],
-        )
-
-    def test_aborted_status_round_trips(self):
-        result = self._result()
-        back = result_from_dict(result_to_dict(result))
-        assert back.status is RevtrStatus.ABORTED_INTERDOMAIN
-        assert back.hops[1].assumed_link == "intra"
-
-    def test_violations_round_trip(self):
-        result = self._result()
-        result.suspected_violations = ["10.0.2.2"]
-        back = result_from_dict(result_to_dict(result))
-        assert back.suspected_violations == ["10.0.2.2"]
-
-    def test_flagged_path_with_stars(self):
-        result = self._result()
-        result.flagged_as_path = [100, STAR, 200]
-        back = result_from_dict(result_to_dict(result))
-        assert back.flagged_as_path == [100, STAR, 200]
-
-    def test_none_flagged_path(self):
-        result = self._result()
-        result.flagged_as_path = None
-        back = result_from_dict(result_to_dict(result))
-        assert back.flagged_as_path is None
 
 
 class TestStoreIteration:

@@ -19,9 +19,7 @@ from repro.net.addr import Prefix, PrefixTable
 from repro.net.host import Host
 from repro.net.options import RecordRouteOption
 from repro.net.packet import Probe, ProbeKind
-from repro.obs.runtime import introspect
 from repro.sim.forwarding import FIB_DELIVER
-from repro.sim.network import PrefixInfo
 from repro.topology import TopologyConfig
 from repro.topology.asgraph import ASTier
 from repro.topology.generator import build_internet
@@ -589,22 +587,6 @@ class TestResolutionCaches:
         resolved = internet.resolve(free)
         assert resolved is not None and resolved.host is host
 
-    def test_responsive_hosts_cached_until_add(self):
-        prefix = Prefix.parse("10.9.0.0/24")
-        info = PrefixInfo(
-            prefix=prefix, origin_asn=7, edge_router_id=None
-        )
-        a = Host(addr="10.9.0.1", asn=7, edge_router_id=1,
-                 responds_to_ping=True)
-        info.add_host(a)
-        first = info.responsive_hosts()
-        assert first == [a]
-        assert info.responsive_hosts() is first  # memoized list
-        b = Host(addr="10.9.0.2", asn=7, edge_router_id=1,
-                 responds_to_ping=True)
-        info.add_host(b)
-        assert info.responsive_hosts() == [a, b]
-
 
 class TestPrefixTableCache:
     def test_lookup_cache_counts_and_insert_flush(self):
@@ -636,5 +618,3 @@ class TestAccounting:
         }
         for cache_stats in stats["caches"].values():
             assert set(cache_stats) == {"hits", "misses", "entries"}
-        doc = introspect(forwarding=stats)
-        assert doc["forwarding_caches"] is stats

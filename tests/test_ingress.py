@@ -31,7 +31,7 @@ class TestIngressDirectory:
         with_ingress = [s for s in surveys.values() if s.ingresses]
         # Paper: ingresses found for 97.7% of prefixes with a VP in
         # range; require a healthy majority here.
-        in_range = [s for s in surveys.values() if s.has_vp_in_range()]
+        in_range = [s for s in surveys.values() if s.in_range]
         assert len(with_ingress) >= 0.7 * max(1, len(in_range))
 
     def test_ingress_covers_vps(self, small_scenario):
@@ -86,7 +86,7 @@ class TestIngressDirectory:
 class TestSelectors:
     def test_ingress_selector_batches(self, small_scenario):
         directory = small_scenario.ingress_directory()
-        selector = IngressSelector(directory, batch_size=3)
+        selector = IngressSelector(directory)
         survey = next(
             s for s in directory.surveys.values() if s.ingresses
         )

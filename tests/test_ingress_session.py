@@ -29,6 +29,13 @@ def make_survey(ingresses, fallback=()):
     return survey
 
 
+@pytest.fixture
+def one_vp_at_a_time(monkeypatch):
+    """Batches of one, so a test can answer each probe before the
+    session picks the next VP."""
+    monkeypatch.setattr("repro.core.ingress.DEFAULT_BATCH_SIZE", 1)
+
+
 class TestSession:
     def test_first_batch_is_closest_per_ingress(self):
         survey = make_survey(
@@ -37,25 +44,25 @@ class TestSession:
                 ("10.0.0.2", ["2.2.2.1", "2.2.2.2"]),
             ]
         )
-        session = IngressProbeSession(survey, batch_size=3)
+        session = IngressProbeSession(survey)
         batch = session.next_batch()
         assert batch[:2] == ["1.1.1.1", "2.2.2.1"]
 
-    def test_failure_substitutes_next_closest(self):
+    def test_failure_substitutes_next_closest(self, one_vp_at_a_time):
         survey = make_survey(
             [("10.0.0.1", ["1.1.1.1", "1.1.1.2", "1.1.1.3"])]
         )
-        session = IngressProbeSession(survey, batch_size=1)
+        session = IngressProbeSession(survey)
         first = session.next_batch()
         assert first == ["1.1.1.1"]
         # The probe did not traverse the expected ingress.
         session.observe("1.1.1.1", ["9.9.9.9"])
         assert session.next_batch() == ["1.1.1.2"]
 
-    def test_gives_up_after_max_failures(self):
+    def test_gives_up_after_max_failures(self, one_vp_at_a_time):
         vps = [f"1.1.1.{i}" for i in range(1, 10)]
         survey = make_survey([("10.0.0.1", vps)])
-        session = IngressProbeSession(survey, batch_size=1)
+        session = IngressProbeSession(survey)
         tried = 0
         while True:
             batch = session.next_batch()
@@ -66,23 +73,22 @@ class TestSession:
                 session.observe(vp, ["9.9.9.9"])  # always a miss
         assert tried == MAX_VPS_PER_INGRESS
 
-    def test_success_marks_ingress_tested(self):
+    def test_success_marks_ingress_tested(self, one_vp_at_a_time):
         """A probe that traversed the ingress settles it: by
         destination-based routing, more VPs through the same ingress
         are redundant (§4.3's "all ingresses have been tested")."""
         vps = [f"1.1.1.{i}" for i in range(1, 10)]
         survey = make_survey([("10.0.0.1", vps)])
-        session = IngressProbeSession(survey, batch_size=1)
+        session = IngressProbeSession(survey)
         batch = session.next_batch()
         assert batch == ["1.1.1.1"]
         session.observe("1.1.1.1", ["10.0.0.1", "10.0.9.1"])
         assert session.next_batch() == []
-        assert session.exhausted()
 
-    def test_mixed_failure_then_success(self):
+    def test_mixed_failure_then_success(self, one_vp_at_a_time):
         vps = [f"1.1.1.{i}" for i in range(1, 10)]
         survey = make_survey([("10.0.0.1", vps)])
-        session = IngressProbeSession(survey, batch_size=1)
+        session = IngressProbeSession(survey)
         assert session.next_batch() == ["1.1.1.1"]
         session.observe("1.1.1.1", ["9.9.9.9"])  # missed ingress
         assert session.next_batch() == ["1.1.1.2"]
@@ -94,14 +100,13 @@ class TestSession:
             [("10.0.0.1", ["1.1.1.1"])],
             fallback=["3.3.3.1", "3.3.3.2"],
         )
-        session = IngressProbeSession(survey, batch_size=3)
+        session = IngressProbeSession(survey)
         batch = session.next_batch()
         assert batch == ["1.1.1.1", "3.3.3.1", "3.3.3.2"]
 
     def test_no_survey_yields_nothing(self):
         session = IngressProbeSession(None)
         assert session.next_batch() == []
-        assert session.exhausted()
 
     def test_no_duplicate_vps(self):
         survey = make_survey(
@@ -111,7 +116,7 @@ class TestSession:
             ],
             fallback=["1.1.1.1"],
         )
-        session = IngressProbeSession(survey, batch_size=4)
+        session = IngressProbeSession(survey)
         seen = []
         while True:
             batch = session.next_batch()

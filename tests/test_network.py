@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.options import RECORD_ROUTE_SLOTS, RecordRouteOption, TimestampOption
 from repro.net.packet import Probe, ProbeKind
-from repro.topology.policy import AnnouncementSpec
+from repro.topology.policy import AnnouncementSpec, Origin
 
 
 def responsive_host(internet, skip=0):
@@ -233,7 +233,11 @@ class TestAnycast:
         host_a = internet.hosts[mlab[0]]
         host_b = internet.hosts[mlab[1]]
         prefix = internet.prefix_table.lookup_prefix(mlab[0])
-        spec = AnnouncementSpec.anycast([host_a.asn, host_b.asn])
+        spec = AnnouncementSpec(
+            origins=tuple(
+                Origin(asn) for asn in sorted([host_a.asn, host_b.asn])
+            )
+        )
         internet.announcements[prefix] = spec
         internet.anycast_anchors[prefix] = {
             host_a.asn: host_a.edge_router_id,

@@ -15,6 +15,7 @@ from repro.obs import (
     Tracer,
     render_text,
 )
+from repro.obs.tracing import MAX_TRACES
 from repro.obs import runtime
 from repro.topology import TopologyConfig
 
@@ -276,12 +277,12 @@ class TestTracer:
         assert docs[0]["children"][0]["name"] == "b"
 
     def test_trace_ring_is_bounded(self):
-        tracer = Tracer(max_traces=4)
-        for i in range(10):
+        tracer = Tracer()
+        for i in range(MAX_TRACES + 6):
             with tracer.span(f"t{i}"):
                 pass
-        assert len(tracer.traces) == 4
-        assert tracer.last_trace.name == "t9"
+        assert len(tracer.traces) == MAX_TRACES
+        assert tracer.last_trace.name == f"t{MAX_TRACES + 5}"
         # The six evicted traces are tallied, not silently lost.
         assert tracer.dropped == 6
 
@@ -501,18 +502,13 @@ class TestServiceIntrospection:
         service.request(
             MeasurementRequest(api_key=user.api_key, dst=dst, src=source)
         )
-        snap = service.metrics_snapshot(include_traces=True)
+        # What an operator scrapes: the registry snapshot behind
+        # ``/metrics`` and the completed span trees.
+        snap = instr.registry.snapshot()
         json.dumps(snap)
-        assert snap["enabled"] is True
-        assert snap["probe_counters"]["prober"]
         assert any(
             series["labels"].get("user") == "alice"
-            for series in snap["metrics"]["service_requests_total"][
-                "series"
-            ]
+            for series in snap["service_requests_total"]["series"]
         )
-        caches = list(snap["caches"].values())
-        assert caches and "hit_rate" in caches[0]
-        assert snap["traces_recorded"] >= 1
-        trace_names = {t["name"] for t in snap["traces"]}
+        trace_names = {t["name"] for t in instr.tracer.export_json()}
         assert "service.request" in trace_names

@@ -24,12 +24,6 @@ class TestRecordRoute:
         option = RecordRouteOption(["1.1.1.1"])
         assert option.remaining() == RECORD_ROUTE_SLOTS - 1
 
-    def test_hops_after(self):
-        option = RecordRouteOption(["a", "b", "c", "d"])
-        assert option.hops_after("b") == ["c", "d"]
-        assert option.hops_after("d") == []
-        assert option.hops_after("zz") == []
-
     def test_copy_is_independent(self):
         option = RecordRouteOption(["a"])
         clone = option.copy()
@@ -38,21 +32,18 @@ class TestRecordRoute:
 
     def test_loop_detection(self):
         option = RecordRouteOption(["x", "a", "b", "x"])
-        assert option.has_loop()
         assert option.loop_address() == "x"
         assert option.loop_interior() == ["a", "b"]
 
     def test_adjacent_repeat_is_not_a_loop(self):
         # a-a is a double stamp, not an a-S-a loop.
         option = RecordRouteOption(["a", "a", "b"])
-        assert not option.has_loop()
-        assert option.double_stamp_address() == "a"
+        assert option.loop_address() is None
 
     def test_no_loop(self):
         option = RecordRouteOption(["a", "b", "c"])
-        assert not option.has_loop()
+        assert option.loop_address() is None
         assert option.loop_interior() == []
-        assert option.double_stamp_address() is None
 
 
 class TestTimestamp:
@@ -67,13 +58,12 @@ class TestTimestamp:
         assert option.stamp_if_match(["r3", "other"], now=2)
         assert option.next_pending() == "r4"
         assert option.stamp_if_match(["r4"], now=3)
-        assert option.all_stamped()
-        assert option.stamp_count() == 2
+        assert option.stamped == [2, 3]
 
     def test_non_matching_router_does_not_stamp(self):
         option = TimestampOption.prespec(["a", "b"])
         assert not option.stamp_if_match(["x", "y"], now=1)
-        assert option.stamp_count() == 0
+        assert option.stamped == [None, None]
 
     def test_stamp_after_complete(self):
         option = TimestampOption.prespec(["a"])
@@ -85,8 +75,8 @@ class TestTimestamp:
         option.stamp_if_match(["a"], now=1)
         clone = option.copy()
         clone.stamp_if_match(["b"], now=2)
-        assert option.stamp_count() == 1
-        assert clone.stamp_count() == 2
+        assert option.stamped == [1, None]
+        assert clone.stamped == [1, 2]
 
     @given(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
     def test_stamps_follow_prespec_order(self, names):
@@ -94,4 +84,4 @@ class TestTimestamp:
         # Present routers one at a time in prespec order: all stamp.
         for name in names:
             assert option.stamp_if_match([name], now=1)
-        assert option.all_stamped()
+        assert option.next_pending() is None

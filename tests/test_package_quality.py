@@ -60,9 +60,12 @@ def test_public_classes_documented():
 def test_retired_switches_stay_retired(small_scenario):
     """One path per concern (DESIGN.md): an alternative implementation
     lives in ``tests/helpers/`` as an oracle, never behind an option
-    in ``src/``.  The switches PR 17 removed must not come back."""
+    in ``src/``.  The switches PR 17 removed must not come back, nor
+    the options PR 24 found nobody setting (``tests/test_surface.py``
+    is the rule; these are its first deletions)."""
     import dataclasses
 
+    from repro.core.cache import MeasurementCache
     from repro.core.revtr import EngineConfig
     from repro.service import RevtrService, SchedulerConfig, SourceRegistry
 
@@ -90,14 +93,21 @@ def test_retired_switches_stay_retired(small_scenario):
         assert not retired & set(dir(obj)), type(obj).__name__
     assert [f.name for f in dataclasses.fields(SchedulerConfig)] == [
         "parallelism", "max_queue_per_user", "deadline", "max_retries",
-        "retry_backoff",
     ]
     # Knobs no caller varied are constants, not EngineConfig fields.
     engine_fields = {f.name for f in dataclasses.fields(EngineConfig)}
     assert not engine_fields & {
         "batch_size", "max_batches_per_hop", "max_adjacencies",
+        "max_path_hops", "ping_retries", "rr_retries", "negative_ttl",
     }
-    assert len(engine_fields) == 16
+    assert len(engine_fields) == 12
+    for build in (
+        lambda: EngineConfig(max_path_hops=5),
+        lambda: MeasurementCache(sc.clock, max_entries=8),
+        lambda: SchedulerConfig(retry_backoff=1.0),
+    ):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_measure_stays_a_loop_over_named_steps():

@@ -158,7 +158,7 @@ class TestAnycast:
     def test_catchment_partition(self):
         graph = diamond_graph()
         policy = RoutingPolicy(graph)
-        spec = AnnouncementSpec.anycast([3, 4])
+        spec = AnnouncementSpec(origins=(Origin(3), Origin(4)))
         # Each origin catches itself.
         assert policy.catchment(3, spec) == 3
         assert policy.catchment(4, spec) == 4

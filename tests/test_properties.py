@@ -244,7 +244,7 @@ def test_generated_internet_invariants(seed):
             assert anchor in internet.adjacency[owner_id]
     # Hosts sit on announced prefixes of their own AS.
     for host in internet.hosts.values():
-        info = internet.prefix_info(host.addr)
+        info = internet.prefix_table.lookup(host.addr)
         assert info is not None
         assert info.origin_asn == host.asn
     # Links are symmetric in the adjacency map.

@@ -1,10 +1,11 @@
 """Engine tests: revtr 2.0 and revtr 1.0 behaviour, ground-truth checks."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.result import HopTechnique, RevtrStatus
 from repro.core.revtr import EngineConfig
-from repro.core.revtr_legacy import legacy_engine_config
 from repro.core.symmetry import SymmetryPolicy
 
 
@@ -30,24 +31,22 @@ def destinations(small_scenario):
 
 
 class TestEngineConfig:
-    def test_legacy_defaults(self):
-        config = legacy_engine_config()
+    def test_legacy_defaults(self, small_scenario):
+        config = small_scenario.engine_config("revtr1.0")
         assert config.use_timestamp
         assert not config.use_rr_atlas
+        assert not config.use_cache
         assert config.use_alias_intersection
         assert config.symmetry is SymmetryPolicy.ALWAYS
 
-    def test_legacy_override(self):
-        config = legacy_engine_config(use_cache=True)
-        assert config.use_cache
+    def test_legacy_override(self, small_scenario):
+        config = small_scenario.engine_config("revtr1.0+ingress+cache")
+        assert config.use_cache and config.use_timestamp
 
-    def test_legacy_unknown_field_rejected(self):
-        with pytest.raises(TypeError):
-            legacy_engine_config(bogus=True)
-
-    def test_variant_names(self):
+    def test_variant_names(self, small_scenario):
         assert EngineConfig().variant_name() == "revtr2.0"
-        assert "revtr1.0" in legacy_engine_config().variant_name()
+        legacy = small_scenario.engine_config("revtr1.0")
+        assert "revtr1.0" in legacy.variant_name()
 
 
 class TestMeasurement:
@@ -92,7 +91,9 @@ class TestMeasurement:
             # Whatever the status, a returned revtr 2.0 path never
             # carries an interdomain symmetry assumption.
             if result.status is RevtrStatus.COMPLETE:
-                assert not result.has_interdomain_assumption
+                assert "inter" not in {
+                    hop.assumed_link for hop in result.assumed_hops()
+                }
 
     def test_probe_counts_recorded(self, engine20, destinations):
         result = engine20.measure(destinations[0])
@@ -198,14 +199,17 @@ class TestVariantNaming:
         assert not config.use_timestamp
         assert config.variant_name() == "revtr2.0+alias"
 
-    def test_legacy_ladder_labels_unchanged(self):
+    def test_legacy_ladder_labels_unchanged(self, small_scenario):
         assert (
-            legacy_engine_config(
-                use_cache=True, use_timestamp=False
+            small_scenario.engine_config(
+                "revtr1.0+ingress+cache-TS"
             ).variant_name()
             == "revtr1.0 +cache -TS"
         )
 
-    def test_legacy_without_alias_flagged(self):
-        config = legacy_engine_config(use_alias_intersection=False)
+    def test_legacy_without_alias_flagged(self, small_scenario):
+        config = dataclasses.replace(
+            small_scenario.engine_config("revtr1.0"),
+            use_alias_intersection=False,
+        )
         assert "-alias" in config.variant_name()

@@ -14,6 +14,7 @@ from repro.service import (
     SchedulerConfig,
     SourceRegistry,
 )
+from repro.service.scheduler import RETRY_BACKOFF
 from repro.topology import TopologyConfig
 
 
@@ -186,9 +187,7 @@ class TestAdmissionControl:
         )
         dst = unresponsive_destination(small_scenario)
         scheduler = service.scheduler(
-            SchedulerConfig(
-                parallelism=2, max_retries=2, retry_backoff=30.0
-            )
+            SchedulerConfig(parallelism=2, max_retries=2)
         )
         job = scheduler.submit(user.api_key, dst, source)
         report = scheduler.run()
@@ -197,8 +196,8 @@ class TestAdmissionControl:
         assert job.attempts == 2
         assert report.retries == 2
         # The final attempt started no earlier than the exponential
-        # backoff schedule allows (30 then 60 seconds).
-        assert job.started_at >= job.submitted_at + 30.0 + 60.0
+        # backoff schedule allows (60 then 120 seconds).
+        assert job.started_at >= job.submitted_at + 3 * RETRY_BACKOFF
 
 
 class TestDeterminism:
@@ -272,8 +271,7 @@ class TestDoomedRetry:
         return SchedulerConfig(
             parallelism=2,
             max_retries=2,
-            retry_backoff=1000.0,
-            deadline=60.0,
+            deadline=RETRY_BACKOFF,
         )
 
     def _check(self, report, doomed, healthy):
@@ -286,7 +284,7 @@ class TestDoomedRetry:
         assert doomed.attempts == 1
         assert (
             doomed.finished_at - doomed.submitted_at
-            < self._config().retry_backoff
+            < RETRY_BACKOFF
         )
         # The last attempt's result survives on the rejected job.
         assert doomed.result is not None
@@ -453,10 +451,65 @@ class TestCoalescedGroups:
         assert overdue.result is None and unpaid.result is None
         assert groups == [[paid, sibling]]
         assert paid.state is sibling.state is JobState.DONE
+        # A rejection at admission charged nothing, so refunds nothing.
         assert frugal.remaining_today(t0) == 0
+        assert late.remaining_today(t0) == late.max_per_day
         report = scheduler.run()
         assert report.completed == 2
         assert report.rejected == {"deadline": 1, "quota": 1}
+
+    @pytest.mark.parametrize("coalesce", [False, True])
+    def test_engine_failure_refunds_the_charge(self, coalesce):
+        """ERROR is the one rejection that comes after the charge: the
+        job was admitted and paid for, then no engine could take it.
+        Solo or as one coalesced group, the quota reads what it read
+        before the request and nothing is archived."""
+        service, scheduler, sources, dsts, groups = self._build(
+            coalesce=coalesce
+        )
+        user = service.add_user("u", max_parallel=4, max_per_day=10)
+        t0 = service.prober.clock.now()
+        jobs = [
+            scheduler.submit(user.api_key, dst, "203.0.113.10")
+            for dst in dsts[:3]
+        ]
+        report = scheduler.run()
+        assert report.rejected == {"error": 3}
+        assert all(job.error.startswith("KeyError") for job in jobs)
+        assert user.remaining_today(t0) == 10
+        assert len(service.store) == 0
+
+    @pytest.mark.parametrize("coalesce", [False, True])
+    def test_failed_measurement_refunds_what_it_failed(
+        self, coalesce, monkeypatch
+    ):
+        """The engine raises on one destination.  Job by job that is
+        one refund beside three paid measurements; a coalesced group
+        fails as a unit, archives nothing and is refunded whole."""
+        service, scheduler, sources, dsts, groups = self._build(
+            coalesce=coalesce
+        )
+        engine = service._engine_for(sources[0])
+        real_measure = engine.measure
+
+        def failing_measure(dst):
+            if dst == dsts[1]:
+                raise RuntimeError("engine blew up")
+            return real_measure(dst)
+
+        monkeypatch.setattr(engine, "measure", failing_measure)
+        user = service.add_user("u", max_parallel=4, max_per_day=10)
+        t0 = service.prober.clock.now()
+        jobs = [
+            scheduler.submit(user.api_key, dst, sources[0])
+            for dst in dsts[:4]
+        ]
+        report = scheduler.run()
+        done = 0 if coalesce else 3
+        assert report.completed == len(service.store) == done
+        assert report.rejected == {"error": 4 - done}
+        assert jobs[1].reject_reason is RejectReason.ERROR
+        assert user.remaining_today(t0) == 10 - done
 
     def test_without_same_source_company_equals_the_solo_path(self):
         """Two users, one source each, two lanes: at every instant the

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.result import HopTechnique, RevtrStatus
 from repro.core.revtr import EngineConfig
-from repro.core.segcache import ReverseSegmentCache
+from repro.core.segcache import DEFAULT_NEGATIVE_TTL, ReverseSegmentCache
 from repro.experiments import Scenario
 from repro.sim.clock import VirtualClock
 from repro.topology import TopologyConfig
@@ -66,13 +66,12 @@ class FakeInternet:
         self.routing_generation = 0
 
 
-def make_cache(ttl=100.0, negative_ttl=10.0):
-    return (
-        ReverseSegmentCache(
-            VirtualClock(), FakeInternet(), ttl=ttl,
-            negative_ttl=negative_ttl,
-        )
-    )
+#: A positive-entry lifetime well clear of the negative one.
+TTL = 10 * DEFAULT_NEGATIVE_TTL
+
+
+def make_cache():
+    return ReverseSegmentCache(VirtualClock(), FakeInternet(), ttl=TTL)
 
 
 class TestSegmentCacheUnit:
@@ -95,19 +94,19 @@ class TestSegmentCacheUnit:
         assert "a" not in cache
 
     def test_ttl_expiry_invalidates(self):
-        cache = make_cache(ttl=100.0)
+        cache = make_cache()
         cache.store("a", "b", HopTechnique.RR)
-        cache.clock.advance(101.0)
+        cache.clock.advance(TTL + 1)
         assert cache.lookup("a") is None
         assert cache.stats.invalidations_ttl == 1
 
     def test_negative_entries_use_shorter_ttl(self):
-        cache = make_cache(ttl=100.0, negative_ttl=10.0)
+        cache = make_cache()
         cache.store_negative("dead")
         entry = cache.lookup("dead")
         assert entry is not None and entry.negative
         assert cache.stats.negative_hits == 1
-        cache.clock.advance(11.0)
+        cache.clock.advance(DEFAULT_NEGATIVE_TTL + 1)
         assert cache.lookup("dead") is None
         assert cache.stats.invalidations_ttl == 1
 
@@ -151,12 +150,12 @@ class TestSegmentCacheUnit:
         assert not dead
 
     def test_purge_expired_counts_by_reason(self):
-        cache = make_cache(ttl=100.0, negative_ttl=10.0)
+        cache = make_cache()
         cache.store("a", "b", HopTechnique.RR)
         cache.internet.routing_generation += 1
         cache.store("c", "d", HopTechnique.RR)
         cache.store_negative("e")
-        cache.clock.advance(11.0)
+        cache.clock.advance(DEFAULT_NEGATIVE_TTL + 1)
         assert cache.purge_expired() == 2
         assert cache.stats.invalidations_generation == 1
         assert cache.stats.invalidations_ttl == 1

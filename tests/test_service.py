@@ -7,8 +7,9 @@ from repro.core.revtr import EngineConfig
 from repro.experiments import Scenario
 from repro.service import (
     MeasurementRequest,
-    MeasurementStore,
+    RejectReason,
     RevtrService,
+    SchedulerConfig,
     SourceRegistry,
 )
 from repro.service.sources import BootstrapError
@@ -35,6 +36,10 @@ def service(small_scenario):
         relationships=small_scenario.relationships,
         resolver=small_scenario.resolver,
     )
+
+
+def archived_for(service, user_name):
+    return [m for m in service.store if m.user == user_name]
 
 
 def ensure_source(service, key, source):
@@ -72,21 +77,6 @@ class TestUsers:
         assert user.remaining_today(clock.now()) == 1
 
 
-class TestStore:
-    def test_indexes(self, small_scenario):
-        store = MeasurementStore()
-        engine = small_scenario.engine(
-            small_scenario.sources()[0], "revtr2.0"
-        )
-        dst = small_scenario.responsive_destinations(1)[0]
-        result = engine.measure(dst)
-        store.append(result, user="alice", requested_at=0.0)
-        assert len(store) == 1
-        assert store.by_user("alice")[0].result is result
-        assert store.by_source(result.src)[0].result is result
-        assert store.by_user("nobody") == []
-
-
 class TestBootstrap:
     def test_register_builds_atlas(self, service, small_scenario):
         key = service.add_user("carol").api_key
@@ -118,9 +108,11 @@ class TestRequests:
         dsts = small_scenario.responsive_destinations(
             4, options_only=True
         )
-        results = service.request_batch(key, dsts, src=source)
-        assert len(results) == 4
-        assert len(service.store.by_user("frank")) == 4
+        results = [
+            service.request(MeasurementRequest(key, dst, source))
+            for dst in dsts
+        ]
+        assert [m.result for m in archived_for(service, "frank")] == results
         assert any(
             r.status is RevtrStatus.COMPLETE for r in results
         )
@@ -135,12 +127,15 @@ class TestRequests:
             service.request(MeasurementRequest(key, dst, source))
 
     def test_unregistered_source_rejected(self, service, small_scenario):
-        key = service.add_user("heidi").api_key
+        user = service.add_user("heidi", max_per_day=10)
         dst = small_scenario.responsive_destinations(1)[0]
         with pytest.raises(KeyError):
             service.request(
-                MeasurementRequest(key, dst, "203.0.113.10")
+                MeasurementRequest(user.api_key, dst, "203.0.113.10")
             )
+        # A request no engine could take costs nothing.
+        assert user.remaining_today(service.prober.clock.now()) == 10
+        assert archived_for(service, "heidi") == []
 
 
 class TestQuotaRollover:
@@ -176,15 +171,26 @@ class TestQuotaRollover:
 
 
 class TestBatchCharging:
+    """A user's batch goes through the scheduler (`submit` per
+    destination, then `run`): each job is charged when it starts, and
+    a charge that bought no measurement comes back."""
+
+    @staticmethod
+    def _run_batch(service, user, dsts, source):
+        scheduler = service.scheduler(SchedulerConfig(parallelism=1))
+        jobs = [
+            scheduler.submit(user.api_key, dst, source) for dst in dsts
+        ]
+        return jobs, scheduler.run()
+
     def test_engine_error_does_not_forfeit_remainder(
         self, service, small_scenario, monkeypatch
     ):
-        # Regression: the whole batch used to be charged up front, so
-        # a mid-batch engine error forfeited quota for measurements
-        # that never ran.
-        key = service.add_user("leo", max_per_day=10).api_key
+        # One job's engine error is typed onto that job: the rest of
+        # the batch still runs, and the failed one is not paid for.
+        user = service.add_user("leo", max_per_day=10)
         source = small_scenario.sources()[1]
-        ensure_source(service, key, source)
+        ensure_source(service, user.api_key, source)
         dsts = small_scenario.responsive_destinations(
             4, options_only=True
         )
@@ -199,13 +205,14 @@ class TestBatchCharging:
             return real_measure(dst)
 
         monkeypatch.setattr(engine, "measure", failing_measure)
-        user = service.users.get("leo")
-        with pytest.raises(RuntimeError):
-            service.request_batch(key, dsts, src=source)
+        jobs, report = self._run_batch(service, user, dsts, source)
+        assert [job.reject_reason for job in jobs] == [
+            None, RejectReason.ERROR, None, None,
+        ]
+        assert "engine blew up" in jobs[1].error
+        assert report.completed == 3
         now = service.prober.clock.now()
-        # Only the attempted measurements (1 ok + 1 failed) were
-        # charged; the two never-executed ones were not.
-        assert user.remaining_today(now) == 8
+        assert user.remaining_today(now) == 7
 
     @staticmethod
     def _tiny_service(coalesce):
@@ -240,44 +247,38 @@ class TestBatchCharging:
     def test_quota_running_out_mid_batch_measures_what_it_charged(
         self, coalesce
     ):
-        # Regression: the coalesced path charged destination by
-        # destination *before* measuring, so 5 destinations against 3
-        # remaining quota raised having charged 3 and measured none.
+        # 5 destinations against 3 remaining quota: exactly the three
+        # that were charged are measured and archived, the other two
+        # are typed QUOTA rejections that charged nothing.
         service, user, source, dsts = self._tiny_service(coalesce)
         user.max_per_day = 3
-        with pytest.raises(QuotaExceeded):
-            service.request_batch(user.api_key, dsts, src=source)
-        archived = service.store.by_user("batcher")
-        assert [m.result.dst for m in archived] == dsts[:3]
+        jobs, report = self._run_batch(service, user, dsts, source)
+        assert report.rejected == {"quota": 2}
+        assert [
+            m.result.dst for m in archived_for(service, "batcher")
+        ] == dsts[:3]
         assert user.remaining_today(service.prober.clock.now()) == 0
 
     @pytest.mark.parametrize(
-        "coalesce, charged, archived", [(False, 2, 1), (True, 0, 0)]
+        "coalesce", [False, True], ids=["False-solo", "True-group"]
     )
     def test_engine_error_charges_nothing_that_was_not_attempted(
-        self, coalesce, charged, archived, monkeypatch
+        self, coalesce
     ):
-        # One by one, the measurement that raised was attempted and
-        # stays charged; a coalesced group that raises archives
-        # nothing, so everything it charged comes back.
+        # A source nobody registered: every job gets past admission
+        # (and is charged) before the engine lookup raises, solo or as
+        # one coalesced group.  Nothing ran, so nothing stays charged.
         service, user, source, dsts = self._tiny_service(coalesce)
-        engine = service._engine_for(source)
-        real_measure = engine.measure
-        calls = []
-
-        def failing_measure(dst):
-            calls.append(dst)
-            if len(calls) == 2:
-                raise RuntimeError("engine blew up")
-            return real_measure(dst)
-
-        monkeypatch.setattr(engine, "measure", failing_measure)
-        with pytest.raises(RuntimeError):
-            service.request_batch(user.api_key, dsts, src=source)
-        assert calls == dsts[:2]
+        user.max_per_day = 10
+        service.request(MeasurementRequest(user.api_key, dsts[0], source))
+        jobs, report = self._run_batch(
+            service, user, dsts[1:4], "203.0.113.10"
+        )
+        assert report.rejected == {"error": 3}
+        assert all("KeyError" in job.error for job in jobs)
         now = service.prober.clock.now()
-        assert user.max_per_day - user.remaining_today(now) == charged
-        assert len(service.store.by_user("batcher")) == archived
+        assert user.remaining_today(now) == 9
+        assert len(archived_for(service, "batcher")) == 1
 
 
 class TestEngineInvalidation:

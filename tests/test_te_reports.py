@@ -34,28 +34,14 @@ class TestCatchmentReport:
         assert shares[100] == pytest.approx(2 / 3)
         assert shares[200] == pytest.approx(1 / 3)
 
-    def test_share_through(self):
-        report = self._report()
-        assert report.share_through(10) == pytest.approx(2 / 3)
-        assert report.share_through(12) == pytest.approx(1 / 3)
-        assert report.share_through(99) == 0.0
-
     def test_destinations_through(self):
         report = self._report()
         assert sorted(report.destinations_through(10)) == ["d1", "d2"]
 
-    def test_mean_rtt(self):
-        report = self._report()
-        assert report.mean_rtt() == pytest.approx(0.040)
-        assert report.mean_rtt(["d1", "d2"]) == pytest.approx(0.050)
-        import math
-
-        assert math.isnan(report.mean_rtt(["missing"]))
-
     def test_empty_report(self):
         report = CatchmentReport()
         assert report.site_shares() == {}
-        assert report.share_through(1) == 0.0
+        assert report.destinations_through(1) == []
 
 
 class TestVariantOutcome:

@@ -200,13 +200,12 @@ class TestHttpEndpoint:
         import urllib.error
         import urllib.request
 
-        from repro.obs.health import HealthEngine
         from repro.obs.httpd import ObsHTTPServer
 
         instr, clock, sampler = make_sampler(sim_interval=None)
         instr.inc("service_requests_total", status="complete")
         sampler.sample()
-        with ObsHTTPServer(instr, sampler, HealthEngine()) as server:
+        with ObsHTTPServer(instr, sampler) as server:
             def get(path):
                 with urllib.request.urlopen(
                     server.url + path, timeout=10
@@ -241,7 +240,6 @@ class TestHttpEndpoint:
         import urllib.error
         import urllib.request
 
-        from repro.obs.health import HealthEngine
         from repro.obs.httpd import ObsHTTPServer
 
         instr, clock, sampler = make_sampler(sim_interval=None)
@@ -249,7 +247,7 @@ class TestHttpEndpoint:
         clock.advance(60.0)
         # 10 retries >= 2x the storm threshold: critical finding.
         instr.inc("revtr_retries_total", n=10, reason="unresponsive")
-        with ObsHTTPServer(instr, sampler, HealthEngine()) as server:
+        with ObsHTTPServer(instr, sampler) as server:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(server.url + "/health", timeout=10)
             assert err.value.code == 503
