@@ -9,7 +9,7 @@ not answer SNMPv3 are — like reality — simply unknown.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.net.addr import Address
 from repro.probing.prober import Prober

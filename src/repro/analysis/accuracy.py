@@ -14,7 +14,7 @@ AS-path agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.alias.resolver import AliasResolver
 from repro.asmap.ip2as import IPToASMapper

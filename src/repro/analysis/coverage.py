@@ -14,7 +14,7 @@ AS-level link it uses to route *toward* a given source, then score:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 ASLink = Tuple[int, int]
 

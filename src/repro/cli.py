@@ -5,68 +5,74 @@ Commands:
 * ``measure`` — build a simulated Internet and run reverse traceroutes
   toward an M-Lab-like source, printing hop-by-hop results
   (``--json`` for machine-readable output with per-measurement trace
-  trees, ``--metrics-out FILE`` to save the metrics snapshot);
+  trees, ``--metrics-out`` / ``--events-out`` to save the metrics
+  snapshot and the flight-recorder log the readers below render);
 * ``asymmetry`` — run a miniature §6.2 bidirectional study;
 * ``te`` — run the §6.1 traffic-engineering loop;
 * ``survey`` — the Appendix F record-route responsiveness survey
   (``--json`` for machine-readable output);
-* ``stats`` — render a Prometheus-style metrics exposition, either
-  from a saved snapshot (``--from``) or by running a fresh workload
-  (``--slo`` for the event/histogram-derived SLO rollup instead);
-* ``explain`` — reconstruct one measurement's decision path from the
-  flight recorder: which techniques ran, which VPs were probed, where
-  the probe budget went (from a ``--events`` JSONL export or a fresh
-  instrumented run);
-* ``events`` — dump or tail the structured event log (``--from`` for
-  a JSONL export incl. rotated ``.gz`` segments, ``--follow`` to
-  poll a live file, ``--json`` for raw records);
+* ``stats`` — render a saved metrics snapshot (``--from``) as a
+  Prometheus-style exposition, or ``--slo`` as the SLO rollup;
+* ``explain`` — reconstruct a measurement's decision path from an
+  exported event log (``--events``): which techniques ran, which VPs
+  were probed, where the probe budget went;
+* ``events`` — dump or tail an exported event log (``--from``,
+  incl. rotated ``.gz`` segments; ``--follow`` to poll a live file,
+  ``--json`` for raw records);
 * ``atlas`` — the offline atlas pipeline: ``build`` both atlases for
-  a source over shard lanes with probe dedup, ``save`` a versioned
-  snapshot, ``load`` to warm-start (optionally running measurements
-  off the loaded atlases);
+  a source over shard lanes with probe dedup (``--out`` also saves a
+  versioned snapshot), ``load`` to warm-start (optionally running
+  measurements off the loaded atlases);
 * ``serve`` — demo the request scheduler: several users with
   different parallel limits submit a burst of requests which are
-  multiplexed over ``--parallel`` lanes with admission control
+  multiplexed over the scheduler's lanes with admission control
   (``--json`` for the machine-readable report);
-* ``chaos`` — run a measurement workload under deterministic fault
-  injection (packet loss, ICMP rate limiting, VP outages, spoofed
-  black-holes) and report how gracefully the system degraded
-  (``--preset`` scenarios seeded by ``--seed``; ``--plan`` replays a
-  saved JSON plan bit-for-bit);
-* ``health`` — one-command diagnosis: run a (faulted) workload with
-  the telemetry sampler on, evaluate windowed health rules, and
-  report typed findings each citing the flight-recorder events and
-  metric windows behind it (``--json`` for machines);
+* ``health`` — one-command diagnosis: run a workload under
+  deterministic fault injection (``--preset`` scenarios seeded by
+  ``--seed``; ``--plan`` replays a plan saved with ``--plan-out``
+  bit-for-bit) with the telemetry sampler on, report how gracefully
+  the system degraded, and evaluate windowed health rules into typed
+  findings citing the flight-recorder events and metric windows
+  behind them (``--json`` for machines);
 * ``top`` — live refreshing terminal dashboard (rates with
-  sparklines, SLO rollup, health findings) over a background
+  sparklines, SLO rollup, health findings) over a scheduled
   measurement workload.
 
-``serve --http PORT`` exposes ``/metrics``, ``/metrics.json``,
-``/health`` and ``/timeseries`` over HTTP while the scheduler demo
-executes.
+``measure`` is the one producer that calls the engine directly;
+``serve``, ``health`` and ``top`` submit through the front door
+(:meth:`repro.experiments.Scenario.front_door`).  ``serve --http
+PORT`` exposes ``/metrics``, ``/metrics.json``, ``/health`` and
+``/timeseries`` over HTTP while the scheduler demo executes.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional
 
+from repro.core.revtr import EngineConfig
 from repro.experiments import Scenario
 from repro.obs import Instrumentation
+from repro.service import SchedulerConfig
+from repro.sim.faults import PRESETS
 from repro.topology import TopologyConfig
+
+#: Telemetry sampling interval (virtual seconds) of ``serve`` and
+#: ``health``; ``top`` samples once per frame instead.
+SAMPLE_INTERVAL = 15.0
+
+#: Distinct destinations the ``top`` workload cycles over.
+TOP_DESTINATIONS = 10
 
 
 def _scenario(
     args: argparse.Namespace, instrumentation=None
 ) -> Scenario:
-    config = {
-        "tiny": TopologyConfig.tiny,
-        "small": TopologyConfig.small,
-        "evaluation": TopologyConfig.evaluation,
-        "large": TopologyConfig.large,
-    }[args.scale](seed=args.seed)
+    # --scale's choices are the names of TopologyConfig's presets.
+    config = getattr(TopologyConfig, args.scale)(seed=args.seed)
     return Scenario(
         config=config,
         seed=args.seed,
@@ -96,6 +102,20 @@ def _write_events(
         writer.drain(instr.events)
 
 
+def _read_events(path: str):
+    """The events of a JSONL export, or None after reporting why the
+    file cannot be used."""
+    from repro.obs.eventio import read_events
+
+    try:
+        return read_events(path)
+    except FileNotFoundError:
+        print(f"error: no event log at {path}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return None
+
+
 def _format_event_doc(doc: dict) -> str:
     """One human-readable line per event record."""
     clock = (
@@ -111,68 +131,29 @@ def _format_event_doc(doc: dict) -> str:
     )
 
 
-def _amortization_config(scenario, args):
-    """Engine config honouring --segment-cache/--coalesce, or None
-    when neither flag is set (so the cached default engine and its
-    byte-identical behaviour are untouched)."""
-    segment_cache = getattr(args, "segment_cache", False)
-    coalesce = getattr(args, "coalesce", False)
-    if not segment_cache and not coalesce:
-        return None
-    config = scenario.engine_config(args.variant)
-    config.segment_cache = segment_cache
-    config.coalesce_batches = coalesce
-    return config
-
-
-def _instrumented_run(
-    args: argparse.Namespace, requests: Optional[int] = None
-):
-    """What ``measure``, ``stats``, ``explain``, ``events`` and ``top``
-    share: a live instrumentation, the scenario, the ``--variant``
-    engine toward the ``--source-index`` source (honouring
-    ``--segment-cache`` / ``--coalesce`` where the verb has them) and
-    its measurements.
-
-    Returns ``(instr, scenario, source, results)``.  *results* measures
-    as it is consumed: ``--dst``, else ``--count`` hitlist
-    destinations, once each — as one ``measure_many`` group under
-    ``--coalesce`` — or, given *requests*, that many cycling over them.
-    """
+def _cmd_measure(args: argparse.Namespace) -> int:
     instr = Instrumentation()
     scenario = _scenario(args, instrumentation=instr)
-    source = scenario.sources()[args.source_index]
     engine = scenario.engine(
-        source,
+        scenario.sources()[0],
         args.variant,
-        config=_amortization_config(scenario, args),
+        config=dataclasses.replace(
+            scenario.engine_config(args.variant),
+            segment_cache=args.segment_cache,
+            coalesce_batches=args.coalesce,
+        ),
     )
-    dst = getattr(args, "dst", None)
     destinations = (
-        [dst]
-        if dst
+        [args.dst]
+        if args.dst
         else scenario.responsive_destinations(
             args.count, options_only=True
         )
     )
-
-    def results():
-        if requests is not None:
-            for issued in range(requests):
-                yield engine.measure(
-                    destinations[issued % len(destinations)]
-                )
-        elif getattr(args, "coalesce", False):
-            yield from engine.measure_many(destinations)
-        else:
-            for dst in destinations:
-                yield engine.measure(dst)
-
-    return instr, scenario, source, results()
-
-
-def _cmd_measure(args: argparse.Namespace) -> int:
-    instr, scenario, _, results = _instrumented_run(args)
+    if args.coalesce:
+        results = engine.measure_many(destinations)
+    else:
+        results = (engine.measure(dst) for dst in destinations)
     measurements = []
     for result in results:
         if args.json:
@@ -245,79 +226,46 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs.exposition import render_text
+    from repro.obs.metrics import check_snapshot
 
-    if args.from_file:
-        from repro.obs.metrics import check_snapshot
-
-        try:
-            with open(args.from_file) as fh:
-                snapshot = json.load(fh)
-            # Accept both a bare registry snapshot (--metrics-out) and
-            # a full ``measure --json`` document, whose "metrics" is an
-            # object that is not itself a family.
-            wrapped = (
-                snapshot.get("metrics")
-                if isinstance(snapshot, dict)
-                else None
-            )
-            if isinstance(wrapped, dict) and "series" not in wrapped:
-                snapshot = wrapped
-            check_snapshot(snapshot, args.from_file)
-        except OSError as exc:
-            print(f"error: cannot read {args.from_file}: {exc.strerror}",
-                  file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"error: {args.from_file} is not valid JSON: {exc}",
-                  file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.slo:
-            from repro.obs.slo import format_slo, slo_summary
-
-            print(format_slo(slo_summary(snapshot)))
-        else:
-            print(render_text(snapshot), end="")
-        return 0
-
-    # No snapshot given: run a fresh instrumented workload and report.
-    instr, _, _, results = _instrumented_run(args)
-    list(results)
+    try:
+        with open(args.from_file) as fh:
+            snapshot = json.load(fh)
+        # Accept both a bare registry snapshot (--metrics-out) and a
+        # full ``measure --json`` document, whose "metrics" is an
+        # object that is not itself a family.
+        wrapped = (
+            snapshot.get("metrics") if isinstance(snapshot, dict) else None
+        )
+        if isinstance(wrapped, dict) and "series" not in wrapped:
+            snapshot = wrapped
+        check_snapshot(snapshot, args.from_file)
+    except OSError as exc:
+        print(f"error: cannot read {args.from_file}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
+    except json.JSONDecodeError as exc:
+        print(f"error: {args.from_file} is not valid JSON: {exc}",
+              file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.slo:
         from repro.obs.slo import format_slo, slo_summary
 
-        print(format_slo(slo_summary(instr.registry.snapshot())))
+        print(format_slo(slo_summary(snapshot)))
     else:
-        print(instr.registry.render_prometheus(), end="")
+        print(render_text(snapshot), end="")
     return 0
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.obs.provenance import ProvenanceLedger
 
-    if args.events_file:
-        from repro.obs.eventio import read_events
-
-        try:
-            events = read_events(args.events_file)
-        except FileNotFoundError:
-            print(
-                f"error: no event log at {args.events_file}",
-                file=sys.stderr,
-            )
-            return 2
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        # No export given: run a fresh instrumented measurement (or
-        # --count of them) and explain from the live flight recorder.
-        instr, _, _, results = _instrumented_run(args)
-        list(results)
-        events = instr.events.events()
-
+    events = _read_events(args.events_file)
+    if events is None:
+        return 2
     ordered_mids: List[str] = []
     for event in events:
         if event.mid is not None and event.mid not in ordered_mids:
@@ -362,64 +310,31 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_events(args: argparse.Namespace) -> int:
     if args.follow:
-        if not args.from_file:
-            print(
-                "error: --follow needs --from FILE (a live JSONL log)",
-                file=sys.stderr,
-            )
-            return 2
         from repro.obs.eventio import follow_jsonl
 
-        try:
-            for doc in follow_jsonl(
-                args.from_file, max_seconds=args.max_seconds
-            ):
-                if args.kind and doc.get("kind") != args.kind:
-                    continue
-                if args.mid and doc.get("mid") != args.mid:
-                    continue
-                print(
-                    json.dumps(doc, sort_keys=True)
-                    if args.json
-                    else _format_event_doc(doc)
-                )
-        except KeyboardInterrupt:
-            pass
-        return 0
-
-    if args.from_file:
-        from repro.obs.eventio import read_events
-
-        try:
-            events = read_events(args.from_file)
-        except FileNotFoundError:
-            print(
-                f"error: no event log at {args.from_file}",
-                file=sys.stderr,
-            )
-            return 2
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        docs = follow_jsonl(args.from_file)
     else:
-        # No file: run a fresh instrumented workload and dump its log.
-        instr, _, _, results = _instrumented_run(args)
-        list(results)
-        events = instr.events.events()
-
-    if args.kind:
-        events = [e for e in events if e.kind == args.kind]
-    if args.mid:
-        events = [e for e in events if e.mid == args.mid]
-    if args.tail:
-        events = events[-args.tail:]
-    for event in events:
-        doc = event.to_dict()
-        print(
-            json.dumps(doc, sort_keys=True)
-            if args.json
-            else _format_event_doc(doc)
-        )
+        events = _read_events(args.from_file)
+        if events is None:
+            return 2
+        docs = [event.to_dict() for event in events]
+    docs = (
+        doc
+        for doc in docs
+        if (not args.kind or doc.get("kind") == args.kind)
+        and (not args.mid or doc.get("mid") == args.mid)
+    )
+    if args.tail and not args.follow:
+        docs = list(docs)[-args.tail:]
+    try:
+        for doc in docs:
+            print(
+                json.dumps(doc, sort_keys=True)
+                if args.json
+                else _format_event_doc(doc)
+            )
+    except KeyboardInterrupt:
+        pass
     return 0
 
 
@@ -428,7 +343,7 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
 
     instr = Instrumentation()
     scenario = _scenario(args, instrumentation=instr)
-    source = scenario.sources()[args.source_index]
+    source = scenario.sources()[0]
 
     if args.atlas_command == "load":
         try:
@@ -471,8 +386,8 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
         _write_metrics(instr, args.metrics_out)
         return 0
 
-    # build / save: cold-build through the pipeline, optionally
-    # snapshotting the result for later warm starts.
+    # build: cold-build through the pipeline, optionally snapshotting
+    # the result for later warm starts.
     pipeline = scenario.atlas_pipeline(shards=args.shards)
     atlas, rr_atlas = pipeline.bootstrap(
         source,
@@ -481,16 +396,15 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
         max_size=args.atlas_size,
     )
     scenario.adopt_atlases(source, atlas, rr_atlas)
-    out = getattr(args, "out", None)
-    if out:
-        scenario.save_atlases(source, out)
+    if args.out:
+        scenario.save_atlases(source, args.out)
     doc = {
         "source": source,
         "shards": args.shards,
         "traceroutes": len(atlas),
         "rr_aliases": len(rr_atlas),
         "stages": [report.as_dict() for report in pipeline.reports],
-        "snapshot": out,
+        "snapshot": args.out,
     }
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -513,49 +427,27 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
                     else ""
                 )
             )
-        if out:
-            print(f"  snapshot saved to {out}")
+        if args.out:
+            print(f"  snapshot saved to {args.out}")
     _write_metrics(instr, args.metrics_out)
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core.revtr import EngineConfig
-    from repro.service import SchedulerConfig
-
     instr = Instrumentation()
     if args.http is not None or args.timeseries_out:
         from repro.obs.timeseries import install_sampler
 
-        install_sampler(instr, sim_interval=args.sample_interval)
+        install_sampler(instr, sim_interval=SAMPLE_INTERVAL)
     scenario = _scenario(args, instrumentation=instr)
-    service = scenario.service(
-        EngineConfig(
-            segment_cache=args.segment_cache,
-            coalesce_batches=args.coalesce,
-        )
+    # A demo population: per-user parallel caps 1, 2 and 4.
+    door = scenario.front_door(
+        EngineConfig(),
+        [(f"user{i}", 2**i, args.requests * 4) for i in range(3)],
+        SchedulerConfig(),
     )
-    # A demo population: per-user parallel caps cycle 1, 2, 4, ...
-    users = [
-        service.add_user(
-            f"user{i}",
-            max_parallel=min(2**i, 8),
-            max_per_day=args.requests * 4,
-        )
-        for i in range(args.users)
-    ]
-    source = scenario.sources()[args.source_index]
-    service.add_source(users[0].api_key, source)
     destinations = scenario.responsive_destinations(
         args.requests, options_only=True
-    )
-    scheduler = service.scheduler(
-        SchedulerConfig(
-            parallelism=args.parallel,
-            max_queue_per_user=args.queue,
-            deadline=args.deadline,
-            max_retries=args.retries,
-        )
     )
     http_server = None
     if args.http is not None:
@@ -569,16 +461,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"(/metrics, /metrics.json, /health, /timeseries)",
             file=sys.stderr,
         )
-    for user in users:
+    for user in door.users:
         for dst in destinations:
-            scheduler.submit(user.api_key, dst, source)
-    doc = scheduler.run().as_dict()
+            door.scheduler.submit(user.api_key, dst, door.source)
+    doc = door.scheduler.run().as_dict()
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(
             f"served {doc['completed']}/{doc['submitted']} requests "
-            f"over {args.parallel} lanes (virtual clock)"
+            f"over {doc['parallelism']} lanes (virtual clock)"
         )
         print(
             f"  makespan:   {doc['makespan_virtual_seconds']:.1f} "
@@ -591,7 +483,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"  rejected:   {doc['rejected'] or 'none'}")
         print(f"  retries:    {doc['retries']}")
         for name, peak in doc["peak_inflight"].items():
-            cap = service.users.get(name).max_parallel
+            cap = door.service.users.get(name).max_parallel
             print(f"  {name}: peak {peak} in flight (cap {cap})")
     if instr.sampler is not None:
         instr.sampler.sample()
@@ -618,17 +510,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fault_workload(args: argparse.Namespace, instr: Instrumentation):
-    """Build and run the faulted scheduler workload shared by
-    ``repro chaos`` and ``repro health``.
-
-    Construction order matches the original ``repro chaos`` wiring
-    exactly — the chaos plan-replay byte-identity tests depend on it.
-    Returns ``(plan, tracker, injector, report, engine)``, or None
-    after reporting an unusable ``--plan`` (before anything is built).
-    """
-    from repro.core.revtr import EngineConfig
-    from repro.service import SchedulerConfig
+def _cmd_health(args: argparse.Namespace) -> int:
+    from repro.obs.health import HealthEngine, format_findings
+    from repro.obs.timeseries import install_sampler
     from repro.sim.faults import FaultPlan, preset_plan
 
     plan = None
@@ -639,113 +523,31 @@ def _fault_workload(args: argparse.Namespace, instr: Instrumentation):
         except (OSError, ValueError) as exc:
             print(f"error: cannot load fault plan {args.plan}: {exc}",
                   file=sys.stderr)
-            return None
+            return 2
+    instr = Instrumentation()
+    sampler = install_sampler(instr, sim_interval=SAMPLE_INTERVAL)
     scenario = _scenario(args, instrumentation=instr)
-    source = scenario.sources()[args.source_index]
     if plan is None:
-        # The source is itself a spoof-capable host; an outage preset
-        # that downed it would kill every direct probe at injection and
-        # measure source death, not VP churn — keep it out of the
-        # fleet the presets draw from.
+        # An outage preset that downed the source would kill every
+        # direct probe at injection and measure source death, not VP
+        # churn: the fleet the presets draw from leaves it out.
+        source = scenario.sources()[0]
         plan = preset_plan(
             args.preset,
             seed=args.seed,
             vps=[vp for vp in scenario.spoofer_addrs if vp != source],
         )
-
-    service = scenario.service(
-        EngineConfig(
-            retry_budget=args.retry_budget,
-            recheck_unresponsive=True,
-            segment_cache=args.segment_cache,
-            coalesce_batches=args.coalesce,
-        )
+    door = scenario.front_door(
+        EngineConfig(retry_budget=8, recheck_unresponsive=True),
+        [("chaos", 4, args.requests * 8)],
+        SchedulerConfig(parallelism=2, max_retries=1),
+        plan=plan,
     )
-    user = service.add_user(
-        "chaos", max_parallel=4, max_per_day=args.requests * 8
-    )
-    # Bootstrap (atlas builds) runs fault-free; the injector and the
-    # quarantine tracker arm just before the measurement workload.
-    service.add_source(user.api_key, source)
-    tracker = scenario.install_vp_health(
-        quarantine_seconds=args.quarantine
-    )
-    injector = scenario.install_faults(plan)
-
-    destinations = scenario.responsive_destinations(
+    for dst in scenario.responsive_destinations(
         args.requests, options_only=True
-    )
-    scheduler = service.scheduler(
-        SchedulerConfig(
-            parallelism=args.parallel,
-            deadline=args.deadline,
-            max_retries=args.retries,
-        )
-    )
-    for dst in destinations:
-        scheduler.submit(user.api_key, dst, source)
-    report = scheduler.run()
-    engine = service._engine_for(source)
-    return plan, tracker, injector, report, engine
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    instr = Instrumentation()
-    workload = _fault_workload(args, instr)
-    if workload is None:
-        return 2
-    plan, tracker, injector, report, engine = workload
-
-    if args.plan_out:
-        with open(args.plan_out, "w") as fh:
-            fh.write(plan.to_json())
-            fh.write("\n")
-    doc = {
-        "preset": None if args.plan else args.preset,
-        "seed": args.seed,
-        "plan": plan.to_dict(),
-        "faults": injector.snapshot(),
-        "vp_health": tracker.snapshot(),
-        "engine_retries": dict(sorted(engine.retry_counts.items())),
-        "scheduler": report.as_dict(),
-    }
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        label = args.plan if args.plan else f"preset '{args.preset}'"
-        sched = doc["scheduler"]
-        print(
-            f"chaos {label}: {doc['faults']['total']} faults injected "
-            f"{dict(doc['faults']['by_kind'])}"
-        )
-        print(
-            f"  requests:    {sched['completed']}/{sched['submitted']} "
-            f"completed, statuses {sched['statuses']}"
-        )
-        print(
-            f"  degradation: {sched.get('partial_results', 0)} partial "
-            f"results, retries {doc['engine_retries'] or 'none'}"
-        )
-        print(
-            f"  vp health:   {doc['vp_health']['quarantines']} "
-            f"quarantined, {doc['vp_health']['replacements']} replaced, "
-            f"{doc['vp_health']['recoveries']} requalified"
-        )
-    _write_metrics(instr, args.metrics_out)
-    _write_events(instr, args.events_out)
-    return 0
-
-
-def _cmd_health(args: argparse.Namespace) -> int:
-    from repro.obs.health import HealthEngine, format_findings
-    from repro.obs.timeseries import install_sampler
-
-    instr = Instrumentation()
-    sampler = install_sampler(instr, sim_interval=args.sample_interval)
-    workload = _fault_workload(args, instr)
-    if workload is None:
-        return 2
-    plan, tracker, injector, report, engine = workload
+    ):
+        door.scheduler.submit(door.users[0].api_key, dst, door.source)
+    report = door.scheduler.run()
     # Close the last window so the final state is always in the ring.
     sampler.sample()
 
@@ -753,18 +555,24 @@ def _cmd_health(args: argparse.Namespace) -> int:
     findings = health.evaluate(sampler, instr.events)
     status = HealthEngine.status(findings)
 
+    if args.plan_out:
+        with open(args.plan_out, "w") as fh:
+            fh.write(plan.to_json())
+            fh.write("\n")
     if args.timeseries_out:
         with open(args.timeseries_out, "w") as fh:
             fh.write(sampler.export_json())
             fh.write("\n")
+    engine = door.service._engine_for(door.source)
     doc = {
         "preset": None if args.plan else args.preset,
         "seed": args.seed,
         "status": status,
         "findings": [finding.to_dict() for finding in findings],
         "timeseries": sampler.summary(),
-        "faults": injector.snapshot(),
-        "vp_health": tracker.snapshot(),
+        "plan": plan.to_dict(),
+        "faults": door.injector.snapshot(),
+        "vp_health": door.tracker.snapshot(),
         "engine_retries": dict(sorted(engine.retry_counts.items())),
         "scheduler": report.as_dict(),
     }
@@ -773,11 +581,25 @@ def _cmd_health(args: argparse.Namespace) -> int:
     else:
         label = args.plan if args.plan else f"preset '{args.preset}'"
         sched = doc["scheduler"]
+        vp_health = doc["vp_health"]
         print(
             f"health check under {label}: "
             f"{sched['completed']}/{sched['submitted']} requests "
             f"completed, {doc['faults']['total']} faults injected, "
             f"{doc['timeseries']['samples']} telemetry samples"
+        )
+        print(
+            f"  faults:      {dict(doc['faults']['by_kind'])}, "
+            f"statuses {sched['statuses']}"
+        )
+        print(
+            f"  degradation: {sched.get('partial_results', 0)} partial "
+            f"results, retries {doc['engine_retries'] or 'none'}"
+        )
+        print(
+            f"  vp health:   {vp_health['quarantines']} quarantined, "
+            f"{vp_health['replacements']} replaced, "
+            f"{vp_health['recoveries']} requalified"
         )
         print(format_findings(findings, status))
         if findings:
@@ -797,17 +619,31 @@ def _cmd_top(args: argparse.Namespace) -> int:
     from repro.obs.health import HealthEngine
     from repro.obs.timeseries import install_sampler
 
-    instr, _, source, results = _instrumented_run(
-        args, requests=args.requests
+    instr = Instrumentation()
+    scenario = _scenario(args, instrumentation=instr)
+    door = scenario.front_door(
+        EngineConfig(),
+        [("top", 4, args.requests * 4)],
+        SchedulerConfig(max_queue_per_user=args.requests),
     )
-    sampler = install_sampler(instr, sim_interval=args.sample_interval)
+    destinations = scenario.responsive_destinations(
+        TOP_DESTINATIONS, options_only=True
+    )
+    for issued in range(args.requests):
+        door.scheduler.submit(
+            door.users[0].api_key,
+            destinations[issued % len(destinations)],
+            door.source,
+        )
+    # No virtual-clock ticks: the view samples once per frame, so the
+    # sampler is only ever written from this thread.
+    sampler = install_sampler(instr, sim_interval=None)
     health = HealthEngine()
     stop = threading.Event()
 
     def workload() -> None:
-        for _ in results:
-            if stop.is_set():
-                break
+        while not stop.is_set() and door.scheduler.step() is not None:
+            pass
 
     worker = threading.Thread(
         target=workload, name="repro-top-workload", daemon=True
@@ -815,18 +651,19 @@ def _cmd_top(args: argparse.Namespace) -> int:
     worker.start()
 
     def frame():
+        # Read before rendering, so the last frame shows the end state.
+        done = not worker.is_alive()
         sampler.sample()
-        snapshot = instr.registry.snapshot()
-        findings = health.evaluate(sampler, instr.events)
         latest = sampler.latest
         text = render_top(
-            snapshot,
+            instr.registry.snapshot(),
             sampler=sampler,
-            findings=findings,
-            title=f"repro top — {args.requests} requests to {source}",
+            findings=health.evaluate(sampler, instr.events),
+            title=f"repro top — {args.requests} requests to "
+            f"{door.source}",
             now_sim=latest.sim if latest is not None else None,
         )
-        return text, not worker.is_alive()
+        return text, done
 
     try:
         live_view(frame, args.interval, max_frames=args.frames)
@@ -836,79 +673,22 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_amortization_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--segment-cache",
-        action="store_true",
-        help="reuse reverse segments across measurements toward the "
-        "same source (off by default; invalidated on routing change)",
-    )
-    p.add_argument(
-        "--coalesce",
-        action="store_true",
-        help="coalesce concurrent measurements: duplicate spoofed-RR "
-        "batches and ping checks collapse (off by default)",
-    )
+#: The file outputs a verb can take, and what each writes.
+OUTPUTS = {
+    "--metrics-out": "write the metrics JSON snapshot to FILE",
+    "--events-out": "export the flight-recorder event log to FILE (JSONL)",
+    "--timeseries-out": "write the sampled telemetry time-series to "
+    "FILE (JSON)",
+}
 
 
-def _add_export_flags(p: argparse.ArgumentParser) -> None:
+def _add_outputs(p: argparse.ArgumentParser, *files: str) -> None:
+    """``--json`` plus the named file outputs of :data:`OUTPUTS`."""
     p.add_argument(
-        "--metrics-out", metavar="FILE",
-        help="write the metrics JSON snapshot to FILE",
+        "--json", action="store_true", help="machine-readable output"
     )
-    p.add_argument(
-        "--events-out", metavar="FILE",
-        help="export the flight-recorder event log to FILE (JSONL)",
-    )
-
-
-def _add_fault_workload_flags(
-    p: argparse.ArgumentParser, requests: int
-) -> None:
-    """What ``chaos`` and ``health`` share: the flags that
-    :func:`_fault_workload` reads."""
-    p.add_argument(
-        "--preset",
-        choices=(
-            "none", "loss", "rate-limit", "vp-flap", "blackhole",
-            "mixed",
-        ),
-        default="mixed",
-        help="named fault scenario (seeded by the global --seed); "
-        "'none' checks a healthy run",
-    )
-    p.add_argument(
-        "--plan", metavar="FILE",
-        help="replay a fault plan saved as JSON instead of a preset",
-    )
-    p.add_argument(
-        "--requests", type=int, default=requests,
-        help="measurement requests submitted under faults",
-    )
-    p.add_argument(
-        "--parallel", type=int, default=2,
-        help="scheduler execution lanes",
-    )
-    p.add_argument(
-        "--deadline", type=float, default=None,
-        help="per-request queue-wait deadline (virtual seconds)",
-    )
-    p.add_argument(
-        "--retries", type=int, default=1,
-        help="scheduler retry budget for unresponsive destinations",
-    )
-    p.add_argument(
-        "--retry-budget", type=int, default=8,
-        help="engine-level technique retries per measurement",
-    )
-    p.add_argument(
-        "--quarantine", type=float, default=900.0,
-        help="VP quarantine window (virtual seconds)",
-    )
-    p.add_argument("--source-index", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    _add_export_flags(p)
-    _add_amortization_flags(p)
+    for flag in files:
+        p.add_argument(flag, metavar="FILE", help=OUTPUTS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -931,19 +711,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     measure.add_argument("--dst", help="specific destination address")
     measure.add_argument("--count", type=int, default=3)
-    measure.add_argument("--source-index", type=int, default=0)
     measure.add_argument(
         "--variant",
         default="revtr2.0",
         help="system variant (e.g. revtr2.0, revtr1.0)",
     )
-    _add_amortization_flags(measure)
     measure.add_argument(
-        "--json",
+        "--segment-cache",
         action="store_true",
-        help="machine-readable output: results, traces, metrics",
+        help="reuse reverse segments across measurements toward the "
+        "same source (off by default; invalidated on routing change)",
     )
-    _add_export_flags(measure)
+    measure.add_argument(
+        "--coalesce",
+        action="store_true",
+        help="measure as one batch: duplicate spoofed-RR batches and "
+        "ping checks collapse (off by default)",
+    )
+    _add_outputs(measure, "--metrics-out", "--events-out")
     measure.set_defaults(func=_cmd_measure)
 
     asymmetry = sub.add_parser(
@@ -970,19 +755,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser(
         "stats",
-        help="Prometheus-style metrics exposition",
+        help="Prometheus-style exposition of a saved metrics snapshot",
     )
     stats.add_argument(
         "--from",
         dest="from_file",
         metavar="FILE",
-        help="render a saved snapshot (measure --metrics-out/--json) "
-        "instead of running a workload",
+        required=True,
+        help="the snapshot (measure --metrics-out, or measure --json)",
     )
-    stats.add_argument("--count", type=int, default=3)
-    stats.add_argument("--source-index", type=int, default=0)
-    stats.add_argument("--variant", default="revtr2.0")
-    _add_amortization_flags(stats)
     stats.add_argument(
         "--slo",
         action="store_true",
@@ -993,8 +774,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain = sub.add_parser(
         "explain",
-        help="reconstruct one measurement's decision path from the "
-        "flight recorder",
+        help="reconstruct one measurement's decision path from an "
+        "exported event log",
     )
     explain.add_argument(
         "mid",
@@ -1007,13 +788,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--events",
         dest="events_file",
         metavar="FILE",
-        help="read a JSONL event export (measure/serve --events-out) "
-        "instead of running a fresh measurement",
+        required=True,
+        help="the JSONL event export (measure/serve --events-out)",
     )
-    explain.add_argument("--dst", help="specific destination address")
-    explain.add_argument("--count", type=int, default=1)
-    explain.add_argument("--source-index", type=int, default=0)
-    explain.add_argument("--variant", default="revtr2.0")
     explain.add_argument(
         "--json",
         action="store_true",
@@ -1024,25 +801,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     events = sub.add_parser(
         "events",
-        help="dump or tail the structured event log",
+        help="dump or tail an exported event log",
     )
     events.add_argument(
         "--from",
         dest="from_file",
         metavar="FILE",
-        help="read a JSONL export (incl. rotated .gz segments) "
-        "instead of running a fresh workload",
+        required=True,
+        help="the JSONL export (incl. rotated .gz segments)",
     )
     events.add_argument(
         "--follow",
         action="store_true",
-        help="poll FILE for appended events (tail -f); needs --from",
-    )
-    events.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="stop following after this many seconds (default: never)",
+        help="poll FILE for appended events (tail -f) until ctrl-C",
     )
     events.add_argument(
         "--kind", help="only events of this kind (e.g. rr.step)"
@@ -1062,9 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="raw JSONL records instead of formatted lines",
     )
-    events.add_argument("--count", type=int, default=3)
-    events.add_argument("--source-index", type=int, default=0)
-    events.add_argument("--variant", default="revtr2.0")
     events.set_defaults(func=_cmd_events)
 
     atlas = sub.add_parser(
@@ -1073,21 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     atlas_sub = atlas.add_subparsers(dest="atlas_command", required=True)
 
-    def _atlas_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--source-index", type=int, default=0)
-        p.add_argument("--json", action="store_true")
-        p.add_argument(
-            "--metrics-out", metavar="FILE",
-            help="write the metrics JSON snapshot to FILE",
-        )
-
-    def _atlas_build_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--shards", type=int, default=4,
-            help="shard lanes for the parallel build",
-        )
-        _atlas_common(p)
-
     atlas_build = atlas_sub.add_parser(
         "build", help="cold-build both atlases through the pipeline"
     )
@@ -1095,15 +848,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="FILE",
         help="also save a snapshot for later warm starts",
     )
-    _atlas_build_args(atlas_build)
-    atlas_build.set_defaults(func=_cmd_atlas)
-
-    atlas_save = atlas_sub.add_parser(
-        "save", help="cold-build and snapshot to --out"
+    atlas_build.add_argument(
+        "--shards", type=int, default=4,
+        help="shard lanes for the parallel build",
     )
-    atlas_save.add_argument("--out", metavar="FILE", required=True)
-    _atlas_build_args(atlas_save)
-    atlas_save.set_defaults(func=_cmd_atlas)
+    _add_outputs(atlas_build, "--metrics-out")
+    atlas_build.set_defaults(func=_cmd_atlas)
 
     atlas_load = atlas_sub.add_parser(
         "load", help="warm-start from a snapshot"
@@ -1113,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--measure", type=int, default=0,
         help="run this many reverse traceroutes off the loaded atlases",
     )
-    _atlas_common(atlas_load)
+    _add_outputs(atlas_load, "--metrics-out")
     atlas_load.set_defaults(func=_cmd_atlas)
 
     serve = sub.add_parser(
@@ -1121,29 +871,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="request-scheduler demo: admission control under load",
     )
     serve.add_argument(
-        "--parallel", type=int, default=4,
-        help="execution lanes",
-    )
-    serve.add_argument("--users", type=int, default=3)
-    serve.add_argument(
         "--requests", type=int, default=6,
         help="requests submitted per user",
     )
-    serve.add_argument(
-        "--queue", type=int, default=16,
-        help="bounded per-user queue length",
-    )
-    serve.add_argument(
-        "--deadline", type=float, default=None,
-        help="per-request queue-wait deadline (virtual seconds)",
-    )
-    serve.add_argument(
-        "--retries", type=int, default=0,
-        help="retry budget for unresponsive destinations",
-    )
-    serve.add_argument("--source-index", type=int, default=0)
-    serve.add_argument("--json", action="store_true")
-    _add_export_flags(serve)
+    _add_outputs(serve, "--metrics-out", "--events-out", "--timeseries-out")
     serve.add_argument(
         "--events-rotate",
         type=int,
@@ -1169,43 +900,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep the obs endpoint up for SECONDS after the workload "
         "finishes (for scraping the final state)",
     )
-    serve.add_argument(
-        "--sample-interval",
-        type=float,
-        default=15.0,
-        metavar="SIM_SECONDS",
-        help="telemetry sampling interval on the virtual clock "
-        "(used with --http/--timeseries-out)",
-    )
-    serve.add_argument(
-        "--timeseries-out",
-        metavar="FILE",
-        help="write the sampled telemetry time-series to FILE (JSON)",
-    )
-    _add_amortization_flags(serve)
     serve.set_defaults(func=_cmd_serve)
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="fault-injection scenario with graceful degradation",
-    )
-    _add_fault_workload_flags(chaos, requests=6)
-    chaos.add_argument(
-        "--plan-out", metavar="FILE",
-        help="save the effective fault plan as JSON (for replay)",
-    )
-    chaos.set_defaults(func=_cmd_chaos)
 
     health = sub.add_parser(
         "health",
-        help="one-command diagnosis: run a (faulted) workload, sample "
-        "the telemetry time-series, report typed health findings",
+        help="one-command diagnosis: run a workload under fault "
+        "injection, sample the telemetry time-series, report how it "
+        "degraded and the typed health findings",
     )
-    _add_fault_workload_flags(health, requests=8)
     health.add_argument(
-        "--sample-interval", type=float, default=15.0,
-        metavar="SIM_SECONDS",
-        help="telemetry sampling interval on the virtual clock",
+        "--preset",
+        choices=PRESETS,
+        default="mixed",
+        help="named fault scenario (seeded by the global --seed); "
+        "'none' checks a healthy run",
+    )
+    health.add_argument(
+        "--plan", metavar="FILE",
+        help="replay a fault plan saved as JSON instead of a preset",
+    )
+    health.add_argument(
+        "--plan-out", metavar="FILE",
+        help="save the effective fault plan as JSON (for replay)",
+    )
+    health.add_argument(
+        "--requests", type=int, default=8,
+        help="measurement requests submitted under faults",
     )
     health.add_argument(
         "--window", type=float, default=None,
@@ -1213,24 +933,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="override every detector's evaluation window "
         "(default: per-rule windows)",
     )
-    health.add_argument(
-        "--timeseries-out", metavar="FILE",
-        help="write the sampled telemetry time-series to FILE (JSON)",
-    )
+    _add_outputs(health, "--metrics-out", "--events-out", "--timeseries-out")
     health.set_defaults(func=_cmd_health)
 
     top = sub.add_parser(
         "top",
-        help="live refreshing terminal dashboard over a running "
+        help="live refreshing terminal dashboard over a scheduled "
         "measurement workload",
     )
     top.add_argument(
         "--requests", type=int, default=30,
-        help="measurements the background workload issues",
-    )
-    top.add_argument(
-        "--count", type=int, default=10,
-        help="distinct destinations cycled by the workload",
+        help="requests the background workload submits",
     )
     top.add_argument(
         "--interval", type=float, default=1.0,
@@ -1242,14 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop after N frames (default: until the workload "
         "finishes)",
     )
-    top.add_argument(
-        "--sample-interval", type=float, default=15.0,
-        metavar="SIM_SECONDS",
-        help="telemetry sampling interval on the virtual clock",
-    )
-    top.add_argument("--source-index", type=int, default=0)
-    top.add_argument("--variant", default="revtr2.0")
-    _add_amortization_flags(top)
     top.set_defaults(func=_cmd_top)
     return parser
 

@@ -17,7 +17,7 @@ the workload.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.obs.instrument import NULL

@@ -27,8 +27,7 @@ selects (DESIGN.md, "The measurement loop").
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.alias.resolver import AliasResolver

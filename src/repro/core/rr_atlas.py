@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.addr import Address, same_slash30, same_slash31, slash30_peer
 from repro.core.atlas import Intersection, TracerouteAtlas
-from repro.probing.budget import ProbeCounter
 from repro.probing.prober import LOSS_TIMEOUT, Prober, RRPingResult
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.alias.itdk import build_itdk_dataset
 from repro.alias.resolver import AliasResolver
@@ -69,6 +69,21 @@ class SourceBundle:
     #: reverse-segment cache shared by every segment_cache-enabled
     #: engine built for this source
     segcache: Optional[ReverseSegmentCache] = None
+
+
+@dataclass
+class FrontDoor:
+    """What :meth:`Scenario.front_door` wires: the service, its users
+    and bootstrapped source, the scheduler requests are submitted to,
+    and - when a fault plan was given - the armed VP-health tracker
+    and fault injector."""
+
+    service: "RevtrService"
+    users: List["User"]
+    source: Address
+    scheduler: "RequestScheduler"
+    tracker: Optional["VPHealthTracker"] = None
+    injector: Optional["FaultInjector"] = None
 
 
 class Scenario:
@@ -359,6 +374,51 @@ class Scenario:
             resolver=self.resolver,
             engine_config=engine_config,
             instrumentation=self.obs,
+        )
+
+    def front_door(
+        self,
+        engine_config: EngineConfig,
+        users: Sequence[Tuple[str, int, int]],
+        scheduler_config: "SchedulerConfig",
+        plan: Optional["FaultPlan"] = None,
+    ) -> FrontDoor:
+        """The Appendix A front door, built in the one order the
+        service verbs rely on: the :meth:`service` on *engine_config*;
+        the *users*, given as ``(name, max_parallel, max_per_day)``;
+        the bootstrap of the first source, owned by the first user;
+        given a *plan*, VP health and then the fault injector; the
+        scheduler.
+
+        The bootstrap runs fault-free, so the atlases are the healthy
+        ones of "yesterday", and both trackers are armed before a
+        request can be submitted, so they see every probe of the
+        workload.  The source is ``self.sources()[0]`` and is itself a
+        spoof-capable host: a preset plan must leave it out of its
+        fleet.  A plan that depends on the post-bootstrap clock is
+        armed by the caller, after this returns, with
+        :meth:`install_vp_health` and :meth:`install_faults`.
+        """
+        service = self.service(engine_config)
+        accounts = [
+            service.add_user(
+                name, max_parallel=max_parallel, max_per_day=max_per_day
+            )
+            for name, max_parallel, max_per_day in users
+        ]
+        source = self.sources()[0]
+        service.add_source(accounts[0].api_key, source)
+        tracker = injector = None
+        if plan is not None:
+            tracker = self.install_vp_health()
+            injector = self.install_faults(plan)
+        return FrontDoor(
+            service=service,
+            users=accounts,
+            source=source,
+            scheduler=service.scheduler(scheduler_config),
+            tracker=tracker,
+            injector=injector,
         )
 
     def selector(self, variant: str):

@@ -17,7 +17,7 @@ the first two as correct by construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.analysis.coverage import ASGraphScore, score_as_graph

@@ -15,9 +15,8 @@ each destination, reverse traceroute back — feeding:
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.analysis.asymmetry import (
     AsymmetryPrevalence,
@@ -27,12 +26,11 @@ from repro.analysis.asymmetry import (
     path_length_distribution,
     positional_symmetry,
 )
-from repro.analysis.stats import fraction_leq, mean, median
+from repro.analysis.stats import mean, median
 from repro.core.result import RevtrStatus
 from repro.experiments.common import Scenario
 from repro.net.addr import Address
 from repro.probing.traceroute import paris_traceroute
-from repro.topology.asgraph import ASTier
 
 #: Paper reference values.
 PAPER_AS_SYMMETRIC = 0.53

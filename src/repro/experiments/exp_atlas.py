@@ -18,8 +18,8 @@ from a VP follows that VP's traceroute). Metrics:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set
 
 from repro.analysis.stats import mean
 from repro.experiments.common import Scenario

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.accuracy import PathComparison, compare_paths
-from repro.analysis.stats import fraction_leq, median
+from repro.analysis.stats import median
 from repro.core.adjacency import AdjacencyDatabase
 from repro.core.atlas import TracerouteAtlas
 from repro.core.result import ReverseTracerouteResult, RevtrStatus

@@ -13,7 +13,7 @@ complete reverse traceroute was measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.analysis.stats import median

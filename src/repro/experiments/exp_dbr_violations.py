@@ -15,8 +15,8 @@ deviation (1.1% affecting revtr AS accuracy).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set
 
 from repro.core.ingress import IngressSelector
 from repro.experiments.common import Scenario

@@ -13,15 +13,11 @@ both years); within 4 hops of the closest VP: 16% (2016) → 39% (2020).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.stats import fraction_leq
-from repro.experiments.common import Scenario
 from repro.net.addr import Address
 from repro.probing.prober import Prober
-from repro.probing.vantage import VantagePointPool
 from repro.sim.network import Internet
 from repro.topology.config import TopologyConfig
 from repro.topology.generator import build_internet

@@ -17,8 +17,8 @@ traceroute over a day.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.core.result import RevtrStatus
 from repro.experiments.common import Scenario

@@ -24,10 +24,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.atlas import TracerouteAtlas
-from repro.core.result import RevtrStatus
 from repro.core.revtr import EngineConfig, RevtrEngine
 from repro.core.rr_atlas import RRAtlas
 from repro.experiments.common import Scenario

@@ -15,14 +15,13 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.ingress import (
     GlobalOrderSelector,
     IngressDirectory,
     IngressSelector,
     SetCoverSelector,
-    survey_vp_ranges,
 )
 from repro.experiments.common import Scenario
 from repro.net.addr import Address, Prefix

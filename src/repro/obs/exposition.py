@@ -2,7 +2,7 @@
 
 Works off the JSON snapshot shape produced by
 :meth:`repro.obs.metrics.MetricsRegistry.snapshot`, so the same
-renderer serves a live registry (``registry.render_prometheus()``) and
+renderer serves a live registry (``serve --http``'s ``/metrics``) and
 a snapshot loaded back from disk (``repro stats --from FILE``).
 """
 

@@ -318,12 +318,6 @@ class MetricsRegistry:
                 }
         return out
 
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition of the current state."""
-        from repro.obs.exposition import render_text
-
-        return render_text(self.snapshot())
-
 
 # ----------------------------------------------------------------------
 # Snapshot readers: the one place that walks the snapshot shape above,

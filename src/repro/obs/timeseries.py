@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import family_series, family_total
 
@@ -287,10 +287,13 @@ class TimeSeriesSampler:
 
     def summary(self) -> Dict[str, Any]:
         """Small JSON-able state block for introspection/snapshots."""
-        first = self._ring[0] if self._ring else None
-        last = self._ring[-1] if self._ring else None
+        return self._summary(list(self._ring))
+
+    def _summary(self, ring: List[TimeSample]) -> Dict[str, Any]:
+        first = ring[0] if ring else None
+        last = ring[-1] if ring else None
         return {
-            "samples": len(self._ring),
+            "samples": len(ring),
             "total": self._count,
             "dropped": self._dropped,
             "capacity": self.capacity,
@@ -308,12 +311,16 @@ class TimeSeriesSampler:
         ``include_wall=True`` for operational dumps where real
         timestamps matter more than reproducibility.
         """
+        # One copy of the ring (one C call) feeds both the summary and
+        # the samples, so a sample appended while `/timeseries` is being
+        # served cannot make the two disagree (tests/test_reader_thread.py).
+        ring = list(self._ring)
         return {
             "schema_version": 1,
-            "summary": self.summary(),
+            "summary": self._summary(ring),
             "samples": [
                 record.to_dict(include_wall=include_wall)
-                for record in self._ring
+                for record in ring
             ],
         }
 

@@ -19,7 +19,7 @@ VP once its quarantine window expires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.net.addr import Address
@@ -196,7 +196,7 @@ class VPHealthTracker:
         return kept, replaced
 
     def snapshot(self) -> Dict[str, object]:
-        """JSON-able tallies (``repro chaos`` output)."""
+        """JSON-able tallies (``repro health`` output)."""
         return {
             "quarantines": self.quarantines,
             "recoveries": self.recoveries,

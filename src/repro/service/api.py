@@ -10,7 +10,7 @@ engine, and archived in the measurement store.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.asmap.ip2as import IPToASMapper

@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.result import ReverseTracerouteResult, RevtrStatus

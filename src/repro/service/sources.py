@@ -10,8 +10,8 @@ this takes about 15 minutes, dominated by the RIPE Atlas traceroutes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 from repro.core.atlas import TracerouteAtlas
 from repro.core.rr_atlas import RRAtlas

@@ -8,7 +8,7 @@ results with their request metadata, iterated by whoever queries it.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List
 
 from repro.core.result import ReverseTracerouteResult, RevtrStatus

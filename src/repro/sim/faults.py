@@ -29,14 +29,14 @@ Determinism guarantees:
 * With a non-empty plan, outcomes are a pure function of
   ``(plan, seed, workload)``: no wall clock, no shared RNG state.
   Saving a plan with :meth:`FaultPlan.to_json` and replaying it via
-  ``repro chaos --plan`` reproduces a run bit-for-bit.
+  ``repro health --plan`` reproduces a run bit-for-bit.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.addr import Address
@@ -50,7 +50,7 @@ FAULT_KINDS = (
     "spoof-blackhole",
 )
 
-#: Named scenario presets accepted by ``preset_plan`` / ``repro chaos``.
+#: Named scenario presets accepted by ``preset_plan`` / ``repro health``.
 PRESETS = ("none", "loss", "rate-limit", "vp-flap", "blackhole", "mixed")
 
 
@@ -346,7 +346,7 @@ class FaultInjector:
         )
 
     def snapshot(self) -> Dict[str, object]:
-        """JSON-able injection tallies (``repro chaos`` output)."""
+        """JSON-able injection tallies (``repro health`` output)."""
         return {
             "total": self.injections,
             "by_kind": dict(sorted(self.counts.items())),

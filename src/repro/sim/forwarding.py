@@ -22,7 +22,7 @@ are auditable in one place:
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.addr import Address

@@ -16,7 +16,7 @@ import json
 import zlib
 from copy import copy
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.net.addr import Address, Prefix, PrefixTable
 from repro.net.host import Host

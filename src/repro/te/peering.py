@@ -11,7 +11,7 @@ way BGP reconverges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.net.addr import Address, Prefix
 from repro.sim.network import Internet

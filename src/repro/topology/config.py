@@ -8,8 +8,7 @@ revtr pipeline downstream reproduces the paper's comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 
 @dataclass

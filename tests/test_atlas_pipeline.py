@@ -521,7 +521,7 @@ class TestAtlasCLI:
             [
                 "--scale", "small", "--seed", str(SEED),
                 "--atlas-size", "12",
-                "atlas", "save", "--out", path,
+                "atlas", "build", "--out", path,
             ]
         )
         assert code == 0
@@ -548,7 +548,7 @@ class TestAtlasCLI:
                 [
                     "--scale", "small", "--seed", str(SEED),
                     "--atlas-size", "8",
-                    "atlas", "save", "--out", path,
+                    "atlas", "build", "--out", path,
                 ]
             )
             == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import SAMPLE_INTERVAL, build_parser, main
 
 
 class TestParser:
@@ -32,7 +32,18 @@ class TestParser:
             ["atlas", "build", "--no-dedup"],
             # `repro top` is the live view, `serve --http` the live
             # raw exposition
-            ["stats", "--watch", "1"],
+            ["stats", "--from", "m.json", "--watch", "1"],
+            # `health` runs the fault workload and prints the plan
+            ["chaos"],
+            # `atlas build --out` saves the snapshot
+            ["atlas", "save", "--out", "a.snap"],
+            # Flags nothing set are the constants they defaulted to;
+            # the readers render files `measure` wrote.
+            ["serve", "--parallel", "2"],
+            ["stats", "--from", "m.json", "--count", "1"],
+            ["explain", "--events", "e.jsonl", "--dst", "X"],
+            ["top", "--variant", "revtr1.0"],
+            ["events", "--from", "e.jsonl", "--max-seconds", "1"],
         ],
     )
     def test_retired_switches_are_rejected_not_ignored(
@@ -41,7 +52,19 @@ class TestParser:
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["stats"], ["explain", "all"], ["events", "--tail", "3"]]
+    )
+    def test_readers_need_the_file_they_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--scale", "tiny"] + argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: the following arguments are required" in err
+        assert "Traceback" not in err
 
     def test_retired_verb_is_an_invalid_choice(self, capsys):
         # Committed numbers regenerate in place (DESIGN.md,
@@ -147,11 +170,15 @@ class TestJsonAndStats:
         assert code == 0
         assert "probes_sent_total" in capsys.readouterr().out
 
-    def test_stats_fresh_workload(self, capsys):
+    def test_stats_fresh_workload(self, capsys, tmp_path):
+        metrics_file = str(tmp_path / "metrics.json")
         code = main(
-            ["--scale", "tiny", "--seed", "3", "stats", "--count", "1"]
+            ["--scale", "tiny", "--seed", "3",
+             "measure", "--count", "1", "--metrics-out", metrics_file]
         )
         assert code == 0
+        capsys.readouterr()
+        assert main(["stats", "--from", metrics_file]) == 0
         out = capsys.readouterr().out
         assert "# TYPE revtr_measure_duration_seconds histogram" in out
         assert "revtr_measure_duration_seconds_count" in out
@@ -171,74 +198,6 @@ class TestJsonAndStats:
         assert "fractions" in epoch and "distance_cdf" in epoch
 
 
-class TestChaosVerb:
-    def test_chaos_defaults(self):
-        args = build_parser().parse_args(["chaos"])
-        assert args.preset == "mixed"
-        assert args.requests == 6
-        assert args.retry_budget == 8
-
-    def test_chaos_json_runs_and_injects(self, capsys):
-        import json
-
-        code = main(
-            [
-                "--scale", "tiny", "--seed", "7",
-                "chaos", "--preset", "loss", "--json",
-            ]
-        )
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["preset"] == "loss"
-        assert doc["faults"]["total"] > 0
-        assert "link-loss" in doc["faults"]["by_kind"]
-        assert doc["scheduler"]["submitted"] == 6
-
-    def test_chaos_plan_replay_reproduces(self, capsys, tmp_path):
-        import json
-
-        plan_path = str(tmp_path / "plan.json")
-        code = main(
-            [
-                "--scale", "tiny", "--seed", "7",
-                "chaos", "--preset", "mixed", "--json",
-                "--plan-out", plan_path,
-            ]
-        )
-        assert code == 0
-        first = json.loads(capsys.readouterr().out)
-        code = main(
-            [
-                "--scale", "tiny", "--seed", "7",
-                "chaos", "--plan", plan_path, "--json",
-            ]
-        )
-        assert code == 0
-        replayed = json.loads(capsys.readouterr().out)
-        # A saved plan replays bit-for-bit: same injections, same
-        # degradation, same scheduler outcome.
-        assert replayed["preset"] is None
-        assert replayed["plan"] == first["plan"]
-        assert replayed["faults"] == first["faults"]
-        assert replayed["vp_health"] == first["vp_health"]
-        assert replayed["engine_retries"] == first["engine_retries"]
-        assert replayed["scheduler"] == first["scheduler"]
-
-    def test_chaos_none_preset_is_clean(self, capsys):
-        import json
-
-        code = main(
-            [
-                "--scale", "tiny", "--seed", "7",
-                "chaos", "--preset", "none", "--json",
-            ]
-        )
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["faults"] == {"total": 0, "by_kind": {}}
-        assert doc["vp_health"]["quarantines"] == 0
-
-
 class TestMalformedFilesAreUsageErrors:
     """A file named on the command line that cannot be used is an
     ``error: ...`` line and exit status 2, never a traceback."""
@@ -252,7 +211,8 @@ class TestMalformedFilesAreUsageErrors:
         "specs-not-a-list": '{"specs": 7}',
     }
 
-    @pytest.mark.parametrize("verb", ["chaos", "health"])
+    # The verbs that read a fault plan.
+    @pytest.mark.parametrize("verb", ["health"])
     def test_missing_plan_file(self, verb, capsys, tmp_path):
         missing = str(tmp_path / "no-such-plan.json")
         code = main(["--scale", "tiny", verb, "--plan", missing])
@@ -264,7 +224,7 @@ class TestMalformedFilesAreUsageErrors:
     def test_unusable_plan_file(self, damage, capsys, tmp_path):
         plan = tmp_path / "plan.json"
         plan.write_text(self.PLANS[damage])
-        code = main(["--scale", "tiny", "chaos", "--plan", str(plan)])
+        code = main(["--scale", "tiny", "health", "--plan", str(plan)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot load fault plan")
@@ -286,7 +246,7 @@ class TestMalformedFilesAreUsageErrors:
         if damage == "not-gzip":
             path.write_text("{}")
         elif damage == "no-atlas":
-            assert main(argv + ["atlas", "save", "--out", str(path)]) == 0
+            assert main(argv + ["atlas", "build", "--out", str(path)]) == 0
             with gzip.open(path, "rb") as fh:
                 doc = json.loads(fh.read().decode())
             del doc["atlas"]
@@ -300,12 +260,79 @@ class TestMalformedFilesAreUsageErrors:
         assert captured.out == ""
 
 
+class TestChaosVerb:
+    """Fault injection, once the ``chaos`` verb, is run by ``health``."""
+
+    def test_chaos_defaults(self):
+        args = build_parser().parse_args(["health"])
+        assert args.preset == "mixed"
+        assert args.plan is None and args.plan_out is None
+
+    def test_chaos_none_preset_is_clean(self, capsys):
+        import json
+
+        code = main(
+            [
+                "--scale", "tiny", "--seed", "7",
+                "health", "--preset", "none", "--requests", "6", "--json",
+            ]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["faults"] == {"total": 0, "by_kind": {}}
+        assert doc["vp_health"]["quarantines"] == 0
+
+
 class TestHealthVerb:
     def test_health_defaults(self):
         args = build_parser().parse_args(["health"])
         assert args.preset == "mixed"
         assert args.requests == 8
-        assert args.sample_interval == 15.0
+        assert SAMPLE_INTERVAL == 15.0
+
+    def test_health_json_runs_and_injects(self, capsys):
+        import json
+
+        code = main(
+            [
+                "--scale", "tiny", "--seed", "7",
+                "health", "--preset", "loss", "--json",
+            ]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["preset"] == "loss"
+        assert doc["plan"]["specs"]
+        assert doc["faults"]["total"] > 0
+        assert "link-loss" in doc["faults"]["by_kind"]
+        assert doc["scheduler"]["submitted"] == 8
+
+    def test_health_plan_replay_reproduces(self, capsys, tmp_path):
+        import json
+
+        plan_path = str(tmp_path / "plan.json")
+        code = main(
+            [
+                "--scale", "tiny", "--seed", "7",
+                "health", "--preset", "mixed", "--json",
+                "--plan-out", plan_path,
+            ]
+        )
+        assert code == 0
+        first = json.loads(capsys.readouterr().out)
+        code = main(
+            [
+                "--scale", "tiny", "--seed", "7",
+                "health", "--plan", plan_path, "--json",
+            ]
+        )
+        assert code == 0
+        replayed = json.loads(capsys.readouterr().out)
+        # A saved plan replays bit-for-bit: same injections, same
+        # degradation, same scheduler outcome, same findings.
+        assert replayed["preset"] is None
+        del first["preset"], replayed["preset"]
+        assert replayed == first
 
     def test_health_json_reports_correlated_findings(self, capsys):
         import json
@@ -349,6 +376,8 @@ class TestHealthVerb:
         assert code == 0
         out = capsys.readouterr().out
         assert "== health:" in out
+        for line in ("  faults:", "  degradation:", "  vp health:"):
+            assert line in out
         series = json.loads(ts_path.read_text())
         assert series["schema_version"] == 1
         assert series["summary"]["samples"] >= 1
@@ -384,6 +413,22 @@ class TestTopAndWatchVerbs:
         assert "repro top" in out
         assert "== SLO summary ==" in out
         assert "== health:" in out
+
+    def test_top_watches_the_front_door(self, capsys):
+        # The workload is submitted to the scheduler, so the latency
+        # lines only the service and the scheduler feed are filled by
+        # the time the last frame is drawn.
+        code = main(
+            [
+                "--scale", "tiny", "top", "--requests", "8",
+                "--frames", "0", "--interval", "0.01",
+            ]
+        )
+        assert code == 0
+        last = capsys.readouterr().out.split("--- frame")[-1]
+        assert "request (end-to-end)" in last
+        assert "queue wait (scheduler)" in last
+        assert "measurements: 8" in last
 
 
 class TestServeHttp:

@@ -411,14 +411,17 @@ class TestCliVerbs:
         assert lines
         assert all(doc["kind"] == "rr.step" for doc in lines)
 
-    def test_stats_slo(self, capsys):
+    def test_stats_slo(self, tmp_path, capsys):
+        path = str(tmp_path / "metrics.json")
         code = main(
             [
                 "--scale", "tiny", "--seed", "3",
-                "stats", "--slo", "--count", "2",
+                "measure", "--count", "2", "--metrics-out", path,
             ]
         )
         assert code == 0
+        capsys.readouterr()
+        assert main(["stats", "--slo", "--from", path]) == 0
         assert "SLO summary" in capsys.readouterr().out
 
 

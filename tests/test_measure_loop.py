@@ -101,7 +101,7 @@ class _Deployment:
             DEAD, min(self.engine._terminal),
         ]
         # Atlases are built fault-free; the tracker and the injector
-        # arm just before the stream, as in ``repro chaos``.
+        # arm just before the stream, as in ``repro health``.
         scenario.install_vp_health(quarantine_seconds=300.0)
         scenario.install_faults(
             preset_plan(

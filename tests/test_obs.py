@@ -106,7 +106,7 @@ class TestRegistry:
             kind="rr_spoofed"
         ).inc(7)
         registry.histogram("lat", buckets=(1.0,)).labels().observe(0.5)
-        text = registry.render_prometheus()
+        text = render_text(registry.snapshot())
         assert "# HELP steps_total Steps." in text
         assert "# TYPE steps_total counter" in text
         assert 'steps_total{kind="rr_spoofed"} 7' in text
@@ -117,7 +117,7 @@ class TestRegistry:
     def test_render_text_roundtrips_through_json(self):
         registry = MetricsRegistry()
         registry.counter("c").labels(x="y").inc()
-        direct = registry.render_prometheus()
+        direct = render_text(registry.snapshot())
         via_json = render_text(
             json.loads(json.dumps(registry.snapshot()))
         )
@@ -128,7 +128,7 @@ class TestRegistry:
         registry.counter(
             "weird_total", 'Backslash \\ and\nnewline "quoted".'
         ).labels(path='C:\\tmp\n"x"').inc()
-        text = registry.render_prometheus()
+        text = render_text(registry.snapshot())
         # HELP escapes backslash and newline but NOT double quotes
         # (per the Prometheus text-format spec).
         assert (
@@ -161,7 +161,7 @@ class TestRegistry:
         ).labels(op="measure")
         for value in (0.05, 0.5, 5.0):
             hist.observe(value)
-        text = registry.render_prometheus()
+        text = render_text(registry.snapshot())
 
         def unescape(raw):
             out, i = [], 0
@@ -427,7 +427,7 @@ class TestEndToEnd:
         hist = registry.snapshot()["revtr_measure_duration_seconds"]
         assert hist["series"][0]["count"] == len(results)
         # The exposition is non-empty and parseable-ish.
-        text = registry.render_prometheus()
+        text = render_text(registry.snapshot())
         assert "revtr_measurements_total" in text
 
     def test_json_trace_export(self, traced_run):

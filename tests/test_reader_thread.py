@@ -43,12 +43,14 @@ def faulted_run(reader=None):
         atlas_size=10,
         instrumentation=instr,
     )
-    service = scenario.service(
-        EngineConfig(retry_budget=4, recheck_unresponsive=True)
+    door = scenario.front_door(
+        EngineConfig(retry_budget=4, recheck_unresponsive=True),
+        [("ops", 10, 10_000)],
+        SchedulerConfig(parallelism=4, max_queue_per_user=REQUESTS),
     )
-    user = service.add_user("ops", max_per_day=10_000)
-    source = scenario.sources()[0]
-    service.add_source(user.api_key, source)
+    source, scheduler = door.source, door.scheduler
+    # The outage starts at the post-bootstrap clock, so the plan is
+    # armed here rather than handed to the builder.
     tracker = scenario.install_vp_health()
     spoofers = sorted(set(scenario.spoofer_addrs) - {source})
     now = scenario.clock.now()
@@ -64,12 +66,9 @@ def faulted_run(reader=None):
             seed=SEED,
         )
     )
-    scheduler = service.scheduler(
-        SchedulerConfig(parallelism=4, max_queue_per_user=REQUESTS)
-    )
     dsts = scenario.responsive_destinations(options_only=True)
     for dst in random.Random(SEED).choices(dsts, k=REQUESTS):
-        scheduler.submit(user.api_key, dst, source)
+        scheduler.submit(door.users[0].api_key, dst, source)
     if reader is not None:
         reader.start(instr, sampler)
     try:

@@ -11,8 +11,10 @@ only code that *sets* it counts - a keyword argument (which is what
 ``dataclasses.replace`` takes), a positional argument to the class, an
 attribute store outside the class - because the code that reads an
 option is not a reason to have it.  ``__init__.py`` re-exports,
-``__all__`` and ``tests/`` vouch for nothing, and the scan runs to a
-fixed point: what only dead code called is dead too.
+``__all__`` and ``tests/`` vouch for nothing, an import counts only
+in a file that uses what it imports (and an unused import under
+``src/`` fails on its own), and the scan runs to a fixed point: what
+only dead code called is dead too.
 
 What has no caller is deleted, or - an observer tests need, a mutation
 ROADMAP item 1's state machine is specified to drive, an option the
@@ -101,6 +103,11 @@ TEST_ONLY = {
     "EngineConfig.detect_violations": (
         "Appendix E option: redundant spoofed RR to flag destination-"
         "based-routing violations"
+    ),
+    "SchedulerConfig.deadline": (
+        "the queue-wait bound behind the typed `deadline` rejection "
+        "tests/test_scheduler.py drives; the benchmark builds "
+        "SchedulerConfig by field name, so the field stays"
     ),
 }
 
@@ -206,14 +213,57 @@ def class_surface(cls, path):
 USE, IMPORT, KEYWORD, STORE = "use", "import", "keyword", "store"
 
 
+def names_read(tree):
+    """Every name a file reads: its ``Name`` nodes, plus the names in
+    string literals that parse as expressions (quoted annotations)."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            read.update(
+                n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)
+            )
+    return read
+
+
+def bound_name(node, alias):
+    """The name an import binds for one of its aliases."""
+    if alias.asname:
+        return alias.asname
+    if isinstance(node, ast.Import):
+        return alias.name.split(".")[0]
+    return alias.name
+
+
+def unused_imports(tree):
+    """``(line, name)`` of every import binding the file never reads."""
+    read = names_read(tree)
+    return [
+        (node.lineno, bound_name(node, alias))
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if bound_name(node, alias) not in read
+    ]
+
+
 class ReferenceCollector(ast.NodeVisitor):
     """Walks one file and records ``(name, how, scope)`` per reference,
     *scope* being the keys of the collected definitions it sits inside
     (empty in a caller directory: everything there is traffic)."""
 
-    def __init__(self, module_key, init_params):
+    def __init__(self, module_key, init_params, read):
         self.scope = (module_key,) if module_key else ()
         self.init_params = init_params
+        #: names the file reads; an import of anything else vouches
+        #: for nothing
+        self.read = read
         self.references = []
         #: 0 at module level, 1 inside a top-level definition; None
         #: where scopes are not tracked.
@@ -260,14 +310,21 @@ class ReferenceCollector(ast.NodeVisitor):
 
     def visit_Import(self, node):
         for alias in node.names:
-            for part in alias.name.split("."):
-                self.note(part, IMPORT)
+            if bound_name(node, alias) in self.read:
+                for part in alias.name.split("."):
+                    self.note(part, IMPORT)
 
     def visit_ImportFrom(self, node):
-        for part in (node.module or "").split("."):
-            self.note(part, IMPORT)
-        for alias in node.names:
-            self.note(alias.name, IMPORT)
+        used = [
+            alias.name
+            for alias in node.names
+            if bound_name(node, alias) in self.read
+        ]
+        if used:
+            for part in (node.module or "").split("."):
+                self.note(part, IMPORT)
+        for name in used:
+            self.note(name, IMPORT)
 
     def visit_Call(self, node):
         for keyword in node.keywords:
@@ -315,13 +372,15 @@ def collect_references():
             continue
         # `python -m repro` is an entry point: its code is traffic.
         key = None if path.name == "__main__.py" else path.name
-        collectors.append((path, ReferenceCollector(key, params)))
+        collectors.append((path, key))
     for directory in CALLER_DIRS:
         for path in sorted(directory.rglob("*.py")):
-            collectors.append((path, ReferenceCollector(None, params)))
+            collectors.append((path, None))
     by_name = {}
-    for path, collector in collectors:
-        collector.visit(parsed(path))
+    for path, key in collectors:
+        tree = parsed(path)
+        collector = ReferenceCollector(key, params, names_read(tree))
+        collector.visit(tree)
         for name, how, scope in collector.references:
             by_name.setdefault(name, []).append((how, scope))
     return by_name
@@ -401,6 +460,19 @@ def test_every_definition_has_a_caller_outside_tests():
         "definition), benchmarks/ or examples/, and not in TEST_ONLY - "
         f"call it, delete it, or list it with a reason: {unexplained}"
     )
+
+
+def test_no_unused_import_under_src():
+    # An import nothing reads is dead code of its own, and it used to
+    # vouch for what it imported.  ``__init__.py`` re-exports are
+    # their package's surface, not uses.
+    unused = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in unused_imports(parsed(path))
+    ]
+    assert not unused, unused
 
 
 def test_test_only_is_short_and_true():
