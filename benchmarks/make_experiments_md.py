@@ -7,12 +7,19 @@ are the one command behind every number in EXPERIMENTS.md (DESIGN.md,
 
     PYTHONPATH=src python -m pytest benchmarks/ -q --ignore=benchmarks/e2e
     python benchmarks/make_experiments_md.py
+
+Sections follow the rows of `claims.CLAIMS`, headed by their titles; a
+row with no `COMMENTARY` entry gets no section.
 """
 
 import os
+import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-REPORTS = os.path.join(HERE, "reports")
+sys.path[:0] = [HERE, os.path.join(HERE, os.pardir, "src")]
+
+from claims import CLAIMS, REPORT_DIR  # noqa: E402
+
 TARGET = os.path.join(HERE, os.pardir, "EXPERIMENTS.md")
 
 COMMENTARY = {
@@ -44,9 +51,9 @@ often (destinations share fewer distinct reverse paths at this scale).""",
 optimal, like the paper's 0.65 -> 0.70 -> 0.71 vs 0.72. Our absolute
 level reflects the simulator's RR-reachability calibration (~72% of
 prefixes have a VP in range).""",
-    "table6": """**Match: excellent.** Ping responsiveness (0.76/0.68 vs paper
-0.77/0.73), RR responsiveness (0.60/0.59 vs 0.58/0.57), and reachability
-within 8 hops (0.33/0.41 vs 0.36/0.36) all land close, with
+    "table6": """**Match: excellent.** Ping responsiveness (0.75/0.77 vs paper
+0.77/0.73), RR responsiveness (0.60/0.58 vs 0.58/0.57), and reachability
+within 8 hops (0.35/0.44 vs 0.36/0.36) all land close, with
 responsiveness stable across epochs as the paper found.""",
     "table7": """**Match: good.** The top of the ranking is transit networks, as in the
 paper's all-transit top-10. Cone sizes correlate with prevalence
@@ -79,31 +86,30 @@ batch-timeout-dominated regime as the paper.""",
     "fig6a": """**Match: excellent.** Batches of 3 capture almost everything batches
 of 5 do, and sit within a few percent of optimal — the paper's exact
 argument for batch size 3.""",
-    "fig6b": """**Match: excellent.** Ingress selection is near-optimal (2.28 vs 2.33
-mean reverse hops) and well above revtr 1.0's set cover (1.61), the
+    "fig6b": """**Match: excellent.** Ingress selection is near-optimal (2.51 vs 2.56
+mean reverse hops) and well above revtr 1.0's set cover (1.84), the
 paper's central Fig 6b finding (2.0 ~ optimal >> 1.0).""",
-    "fig6c": """**Match: excellent.** revtr 2.0 tries ~2 spoofers per prefix and
-exceeds 6 tried for only 1% of prefixes, vs 35% for revtr 1.0 and
-Global — the paper's <5% vs 28% contrast, scaled to our 12-VP fleet.""",
-    "fig7_te": """**Match: the full case-study dynamics reproduce — including the
-plot twist.** Poisoning the chosen transit on the majority site's
-announcement moves all of its clients off that site. The first
-no-export community barely moves the top entry provider's share
-because the blocked feeder re-routes through another neighbour of the
-same provider — exactly the paper's Fusix-through-True episode — and a
-second no-export round completes the rebalancing (top provider
-55% -> 10%; paper: 91.2% -> 60.5%).""",
-    "fig8a": """**Match: excellent.** 56% of paths are symmetric at AS granularity
+    "fig6c": """**Match: excellent.** revtr 2.0 tries 2.5 spoofers per prefix on
+average and exceeds 6 tried for only 2% of prefixes, vs 31% / 32% for
+revtr 1.0 / Global — the paper's <5% vs 28% contrast, scaled to our
+12-VP fleet.""",
+    "fig7_te": """**Match: the case-study dynamics reproduce.** Poisoning the chosen
+transit on the majority site's announcement moves all of its clients
+off that site. One no-export round, on the top entry provider's link
+to its feeder, halves that provider's share (AS126 50% -> 25%; paper:
+91.2% -> 60.5%).""",
+    "fig8a": """**Match: excellent.** 57% of paths are symmetric at AS granularity
 under the paper's membership metric (paper: 53%). The router-level
-shared fraction (~0.6 median) lies near the paper's alias-corrected
-upper bound (~0.61), as expected with the simulator's near-complete
-alias knowledge.""",
+shared fraction (median 0.67, next to the 0.28 the report prints as the
+paper's measured median) lies near the paper's alias-corrected upper
+bound (0.68), as expected with the simulator's near-complete alias
+knowledge.""",
     "fig8b": """**Match: good.** Large-cone transits dominate asymmetry involvement;
 prevalence grows with cone size, with the paper's tier-1-heavy top
 ranks.""",
     "fig9a": """**Match: good shape.** Strong diminishing returns with atlas size and
 random selection within ~90% of the greedy oracle — the paper's
-justification for 1000 random traceroutes. Absolute levels (~0.25 vs
+justification for 1000 random traceroutes. Absolute levels (about 0.40 vs
 the paper's ~0.50) are lower because our atlas VP pool is ~60 probes,
 not 10,000, so path-tree overlap is thinner.""",
     "fig9b": """**Match: good.** The Random++ replacement policy converges within a
@@ -113,11 +119,11 @@ the paper's five-iteration convergence.""",
 traceroutes, supporting the paper's conjecture that the atlas scales
 to millions of measurements.""",
     "fig9d": """**Match: good shape.** Staleness stays a small, slowly accumulating
-minority over the virtual day (1.8% vs the paper's 0.7%); our absolute
+minority over the virtual day (2.0% vs the paper's 0.7%); our absolute
 rate is higher because the atlas is ~50x smaller, so each churned
 traceroute weighs proportionally more.""",
     "fig11": """**Match: excellent.** The 2020 distribution strictly dominates 2016
-at every hop count, the within-4 share roughly doubles (16% -> 27%;
+at every hop count, the within-4 share roughly triples (14% -> 41%;
 paper 16% -> 39%), and the "2020 with 2016 VPs" control sits between
 the two — reproducing the paper's flattening-vs-fleet decomposition.""",
     "fig12": """**Match: excellent.** Excluding assumption-bearing measurements moves
@@ -137,8 +143,8 @@ sample to say more. (The configured router-level violation rate is the
 paper's 6.6%; the measured per-tuple rate is lower because violating
 routers need equal-cost alternatives on the probed path to express the
 violation.)""",
-    "spoof_gain": """**Match: excellent.** Spoofing raises reverse-hop coverage from 40%
-to 74% of pairs, a 1.8x gain against the paper's 32% -> 63% (~2.0x) —
+    "spoof_gain": """**Match: excellent.** Spoofing raises reverse-hop coverage from 33%
+to 66% of pairs, a 2.0x gain against the paper's 32% -> 63% (~2.0x) —
 the Insight 1.3 headline that justifies the whole spoofed-probe
 architecture.""",
     "per_source": """**Match: good shape.** Every source covers a majority of the AS-level
@@ -181,47 +187,6 @@ atlas intersection yields a different tail over the same ground-truth
 routers. That a cold or switched-off cache changes nothing is a
 tier-1 test (`tests/test_segcache.py`).""",
 }
-
-TITLES = {
-    "table2": "Table 2 — symmetry of penultimate traceroute hops (§4.4)",
-    "table3": "Table 3 — reverse AS graph correctness & completeness (§5.1)",
-    "table4": "Table 4 — probe counts across the component ladder (§5.2.4)",
-    "table5": "Table 5 — VP-in-range fraction per technique (§5.3)",
-    "table6": "Table 6 — RR responsiveness per epoch (Appendix F)",
-    "table7": "Table 7 — ASes most involved in asymmetry (§6.2)",
-    "fig5a": "Figure 5a — accuracy vs direct traceroutes (§5.2.2)",
-    "fig5b": "Figure 5b — coverage and TS ablations (§5.2.3, Appendix D.1)",
-    "fig5c": "Figure 5c — per-measurement latency (§5.2.4)",
-    "fig6a": "Figure 6a — reverse hops vs batch size (§5.3)",
-    "fig6b": "Figure 6b — reverse hops per selection technique (§5.3)",
-    "fig6c": "Figure 6c — spoofers tried per prefix (§5.3)",
-    "fig7_te": "Figure 7 — traffic-engineering case study (§6.1)",
-    "fig8a": "Figure 8a — Internet path asymmetry (§6.2)",
-    "fig8b": "Figure 8b — asymmetry vs customer cone (§6.2)",
-    "fig9a": "Figure 9a — atlas savings vs size (Appendix D.2.1)",
-    "fig9b": "Figure 9b — Random++ convergence (Appendix D.2.1)",
-    "fig9c": "Figure 9c — savings vs number of revtrs (Appendix D.2.1)",
-    "fig9d": "Figure 9d — staleness over a day (Appendix D.2.2)",
-    "fig11": "Figure 11 — RR distance from the closest VP (Appendix F)",
-    "fig12": "Figure 12 — symmetry without assumptions (Appendix G.1)",
-    "fig13": "Figure 13 — path length vs symmetry (Appendix G.2)",
-    "fig14": "Figure 14 — positional symmetry profile (Appendix G.2)",
-    "appx_e": "Appendix E — destination-based routing violations",
-    "throughput": "Throughput projection (§5.2.4, §3 goals)",
-    "segcache": "Serving amortization — segment cache on a repeated stream (§5)",
-    "ablation_atlas": "Ablation — atlas size (design question Q1)",
-    "ablation_rr_atlas": "Ablation — the RR atlas (design question Q2)",
-    "spoof_gain": "Insight 1.3 — coverage with and without spoofing (Appendix F)",
-    "per_source": "§5.1 — per-source completeness",
-}
-
-ORDER = [
-    "table2", "table3", "table4", "fig5a", "fig5b", "fig5c", "table5",
-    "fig6a", "fig6b", "fig6c", "table6", "fig11", "fig7_te", "fig8a",
-    "fig8b", "table7", "fig12", "fig13", "fig14", "fig9a", "fig9b",
-    "fig9c", "fig9d", "appx_e", "spoof_gain", "per_source",
-    "throughput", "segcache", "ablation_atlas", "ablation_rr_atlas",
-]
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
@@ -269,15 +234,15 @@ FOOTER = """## Known fidelity gaps (and why they are acceptable)
 
 def main() -> None:
     sections = [HEADER]
-    for key in ORDER:
-        path = os.path.join(REPORTS, f"{key}.txt")
-        if not os.path.exists(path):
+    for claim in CLAIMS:
+        path = os.path.join(REPORT_DIR, f"{claim.id}.txt")
+        if claim.id not in COMMENTARY or not os.path.exists(path):
             continue
         with open(path) as handle:
             body = handle.read().rstrip()
-        sections.append(f"## {TITLES[key]}\n")
+        sections.append(f"## {claim.title}\n")
         sections.append("```text\n" + body + "\n```\n")
-        sections.append(COMMENTARY[key] + "\n")
+        sections.append(COMMENTARY[claim.id] + "\n")
     sections.append(FOOTER)
     with open(TARGET, "w") as handle:
         handle.write("\n".join(sections))

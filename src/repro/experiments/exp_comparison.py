@@ -319,9 +319,12 @@ def format_table4(campaign: ComparisonCampaign) -> str:
             f"{counts['total']:9d}"
             f"{counts['total'] / base_total:8.0%}"
         )
+    paper_share = sum(PAPER_TABLE4["revtr2.0"]) / sum(
+        PAPER_TABLE4["revtr1.0"]
+    )
     lines.append(
-        "(paper: revtr 2.0 sends 26% as many probes as revtr 1.0; "
-        "most savings from ingress-based VP selection)"
+        f"(paper: revtr 2.0 sends {paper_share:.0%} as many probes as "
+        "revtr 1.0; most savings from ingress-based VP selection)"
     )
     return "\n".join(lines)
 
@@ -396,8 +399,9 @@ def format_fig5c(campaign: ComparisonCampaign) -> str:
             f"{percentile(durations, 90):9.2f}"
         )
     lines.append(
-        "(paper: median 78 s for revtr 1.0 vs 6 s for revtr 2.0, "
-        "driven by 10 s spoofed-batch timeouts)"
+        f"(paper: median {PAPER_MEDIAN_LATENCY['revtr1.0']:.0f} s for "
+        f"revtr 1.0 vs {PAPER_MEDIAN_LATENCY['revtr2.0']:.0f} s for "
+        "revtr 2.0, driven by 10 s spoofed-batch timeouts)"
     )
     return "\n".join(lines)
 

@@ -193,9 +193,12 @@ def format_fig11(result: RRResponsivenessResult) -> str:
         )
     f16 = result.surveys["2016"].fractions()
     f20 = result.surveys["2020"].fractions()
+    paper16 = PAPER["2016"]["within4_of_rr"]
+    paper20 = PAPER["2020"]["within4_of_rr"]
     lines.append(
         f"within 4 of RR-responsive: 2016 {f16['within4_of_rr']:.0%} "
-        f"(paper 16%), 2020 {f20['within4_of_rr']:.0%} (paper 39%)"
+        f"(paper {paper16:.0%}), 2020 {f20['within4_of_rr']:.0%} "
+        f"(paper {paper20:.0%})"
     )
     return "\n".join(lines)
 

@@ -145,10 +145,18 @@ class TestStaleness:
             scenario, hours=6, revtrs_per_hour=5, churn_hours=(2,)
         )
         assert len(result.hours) == 6
-        fractions = result.cumulative_stale_fraction()
-        assert all(
-            b >= a - 1e-9 or True for a, b in zip(fractions, fractions[1:])
-        )
+        stale = [
+            b.stale_no_intersection + b.stale_wrong_as_path
+            for b in result.hours
+        ]
+        # A stale verdict is one of the hour's intersections, and an
+        # intersection one of its complete reverse traceroutes.
+        for bucket, n_stale in zip(result.hours, stale):
+            assert n_stale <= bucket.intersections <= bucket.revtrs
+        # No route has changed before the first churn event, so a stale
+        # verdict there is a false positive of the staleness check.
+        first_churn = (result.churn_events or [len(result.hours)])[0]
+        assert not any(stale[:first_churn])
         assert exp_staleness.format_report(result)
 
 

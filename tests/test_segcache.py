@@ -566,9 +566,9 @@ if HAVE_HYPOTHESIS:
         measurement loop at a router the cold run never evaluated as a
         current hop, where an atlas intersection yields a different
         (but equally valid) path tail.  Ground-truth accuracy of the
-        divergent paths is asserted by
-        benchmarks/test_bench_segcache.py, which scores every
-        whole-path splice against the simulator's true reverse path.
+        divergent paths is asserted by the ``segcache`` row of
+        benchmarks/claims.py, which scores every whole-path splice
+        against the simulator's true reverse path.
         """
         source = scenario.sources()[0]
         pool = scenario.responsive_destinations(6, options_only=True)
