@@ -107,12 +107,6 @@ class ReverseTracerouteResult:
             and len(self.hops) > 1
         )
 
-    def hops_by_technique(self) -> Dict[HopTechnique, int]:
-        counts: Dict[HopTechnique, int] = {}
-        for hop in self.hops:
-            counts[hop.technique] = counts.get(hop.technique, 0) + 1
-        return counts
-
     def atlas_fraction(self) -> float:
         """Fraction of hops contributed by the traceroute atlas
         (Insight 1.5: ~56% in the paper's deployment)."""

@@ -194,9 +194,15 @@ class _Run:
         #: whole RR arsenal), rewritten by the splice step at every hop
         self.rr_dead = False
 
-    def reach(self, source: Address) -> None:
-        """The path arrived: close it with the source hop."""
-        self.hops.append(ReverseHop(source, HopTechnique.SOURCE))
+    def depart(self) -> None:
+        """Open the path with the destination placeholder hop."""
+        self.hops.append(
+            ReverseHop(self.result.dst, HopTechnique.DESTINATION)
+        )
+
+    def reach(self, source_hop: ReverseHop) -> None:
+        """The path arrived: close it with the engine's source hop."""
+        self.hops.append(source_hop)
         self.status = RevtrStatus.COMPLETE
 
     def advance(self, next_current: Optional[Address]) -> bool:
@@ -302,6 +308,9 @@ class RevtrEngine:
         #: ``variant_name()`` re-derives its label from flags per call
         self._variant_label = self.config.variant_name()
         self._source_str = str(source)
+        #: the one SOURCE hop every path this engine completes ends
+        #: with (frozen, so results share it)
+        self._source_hop = ReverseHop(source, HopTechnique.SOURCE)
         if self._obs_on:
             self.obs.register_collect_source(self._obs_collect)
             self.obs.register_gauge_source(self._obs_gauges)
@@ -500,10 +509,11 @@ class RevtrEngine:
             self._step("intersect_miss")
             return None
         self._step("intersect_hit")
-        with self.obs.span(
-            "atlas.intersect", hop=current, via=via
-        ) as span:
-            span.annotate(vp=hit.vp, index=hit.index)
+        if self._obs_on:
+            with self.obs.span(
+                "atlas.intersect", hop=current, via=via
+            ) as span:
+                span.annotate(vp=hit.vp, index=hit.index)
         if self._ev is not None:
             self._ev.emit_t(
                 "intersect", (current, "hit", via, hit.vp, hit.index)
@@ -540,11 +550,13 @@ class RevtrEngine:
     ) -> Tuple[List[Address], HopTechnique]:
         """Try to reveal reverse hops from *current* with record route."""
         ev = self._ev
+        obs_on = self._obs_on
         with self.obs.span("rr.step", hop=current) as span:
             key = ("rr-step", self.source, current)
             cached = self.cache.get(key)
             if cached is not None:
-                span.annotate(cached=True, revealed=len(cached[0]))
+                if obs_on:
+                    span.annotate(cached=True, revealed=len(cached[0]))
                 if ev is not None:
                     ev.emit_t(
                         "rr.step",
@@ -572,11 +584,12 @@ class RevtrEngine:
                 self._step("rr_direct")
             if result.responded and result.reverse_hops():
                 outcome = (result.reverse_hops(), HopTechnique.RR)
-                span.annotate(
-                    direct_responded=True,
-                    technique="rr",
-                    revealed=len(outcome[0]),
-                )
+                if obs_on:
+                    span.annotate(
+                        direct_responded=True,
+                        technique="rr",
+                        revealed=len(outcome[0]),
+                    )
                 if ev is not None:
                     ev.emit_t(
                         "rr.step",
@@ -598,11 +611,12 @@ class RevtrEngine:
                         best.reverse_hops(),
                         HopTechnique.SPOOFED_RR,
                     )
-                    span.annotate(
-                        direct_responded=result.responded,
-                        technique="spoofed-rr",
-                        revealed=len(outcome[0]),
-                    )
+                    if obs_on:
+                        span.annotate(
+                            direct_responded=result.responded,
+                            technique="spoofed-rr",
+                            revealed=len(outcome[0]),
+                        )
                     if ev is not None:
                         ev.emit_t(
                             "rr.step",
@@ -612,11 +626,12 @@ class RevtrEngine:
                     self.cache.put(key, outcome)
                     return outcome
             outcome = ([], HopTechnique.SPOOFED_RR)
-            span.annotate(
-                direct_responded=result.responded,
-                technique="spoofed-rr",
-                revealed=0,
-            )
+            if obs_on:
+                span.annotate(
+                    direct_responded=result.responded,
+                    technique="spoofed-rr",
+                    revealed=0,
+                )
             if ev is not None:
                 ev.emit_t(
                     "rr.step",
@@ -710,13 +725,15 @@ class RevtrEngine:
             results = self.prober.spoofed_rr_batch(
                 vps, current, spoof_as=self.source
             )
-            responses = sum(1 for r in results if r.responded)
-            span.annotate(responses=responses)
+            if self._obs_on:
+                responses = sum(1 for r in results if r.responded)
+                span.annotate(responses=responses)
         self._step("rr_spoofed")
         if self._ev is not None:
             # The VP list is the "which vantage points and why" record:
             # order reflects the selector's ranking (ingress-closest
-            # first in session mode).
+            # first in session mode).  ``_ev`` implies ``_obs_on``, so
+            # ``responses`` was counted above.
             self._ev.emit_t(
                 "rr.batch",
                 (current, index, mode, tuple(vps), responses),
@@ -797,7 +814,9 @@ class RevtrEngine:
                 for c in candidates
                 if not (c in seen_candidates or seen_candidates.add(c))
             ][: _MAX_ADJACENCIES]
-            span.annotate(candidates=len(candidates))
+            obs_on = self._obs_on
+            if obs_on:
+                span.annotate(candidates=len(candidates))
             for adj in candidates:
                 result = self.prober.ts_ping(
                     self.source, current, [current, adj]
@@ -810,14 +829,16 @@ class RevtrEngine:
                         spoof_as=self.source,
                     )
                 if result.adjacency_on_reverse_path:
-                    span.annotate(adjacent=str(adj))
+                    if obs_on:
+                        span.annotate(adjacent=str(adj))
                     if self._ev is not None:
                         self._ev.emit_t(
                             "ts.step",
                             (current, len(candidates), adj),
                         )
                     return adj
-            span.annotate(adjacent=None)
+            if obs_on:
+                span.annotate(adjacent=None)
             if self._ev is not None:
                 self._ev.emit_t(
                     "ts.step", (current, len(candidates), None)
@@ -836,7 +857,7 @@ class RevtrEngine:
 
         Each consecutive ``(a, b)`` hop pair is one reusable reverse
         edge: from ``a.addr`` the next reverse hop toward the source is
-        ``b.addr``, discovered by *b*'s technique — valid for every
+        *b* itself, address, technique and all — valid for every
         measurement toward this source under destination-based routing.
         The destination placeholder hop is never a successor, and
         duplicate-address pairs (alias stitches) are skipped.  So is
@@ -853,12 +874,7 @@ class RevtrEngine:
                 continue
             if a.addr == b.addr:
                 continue
-            segcache.store(
-                a.addr,
-                b.addr,
-                b.technique,
-                assumed_link=b.assumed_link,
-            )
+            segcache.store(a.addr, b)
 
     def measure_many(
         self, dsts: Sequence[Address]
@@ -887,23 +903,25 @@ class RevtrEngine:
         With live instrumentation, each call produces one trace tree
         rooted at a ``revtr.measure`` span (readable off
         ``engine.obs.tracer``) and bumps the ``revtr_*`` metrics; with
-        the null facade the control flow is byte-for-byte the same.
+        the null facade the control flow is byte-for-byte the same, and
+        nothing is built for the facade.
         """
         ev = self._ev
-        mid = previous_mid = None
-        if ev is not None:
-            mid = ev.new_measurement_id()
-            previous_mid = ev.set_current(mid)
-            ev.emit_t(
-                "measure.begin",
-                (self._source_str, dst, self._variant_label),
-            )
+        if ev is None:
+            # ``_ev`` is None exactly when observability is off.
+            return self._measure(dst)
+        mid = ev.new_measurement_id()
+        previous_mid = ev.set_current(mid)
+        ev.emit_t(
+            "measure.begin",
+            (self._source_str, dst, self._variant_label),
+        )
         try:
             with self.obs.span(
                 "revtr.measure",
-                src=str(self.source),
+                src=self._source_str,
                 dst=dst,
-                variant=self.config.variant_name(),
+                variant=self._variant_label,
             ) as span:
                 result = self._measure(dst)
                 span.annotate(
@@ -914,8 +932,7 @@ class RevtrEngine:
             result.measurement_id = mid
             return result
         finally:
-            if ev is not None:
-                ev.set_current(previous_mid)
+            ev.set_current(previous_mid)
 
     def _measure(self, dst: Address) -> ReverseTracerouteResult:
         """Fig. 2.  Unless an opener settles the measurement outright,
@@ -929,10 +946,10 @@ class RevtrEngine:
                 break
         else:
             hops = run.hops
-            hops.append(ReverseHop(dst, HopTechnique.DESTINATION))
+            run.depart()
             while run.status is None and len(hops) < _MAX_PATH_HOPS:
                 if self._is_terminal(run.current):
-                    run.reach(self.source)
+                    run.reach(self._source_hop)
                     break
                 for step in self._steps:
                     if step(run):
@@ -974,33 +991,31 @@ class RevtrEngine:
         measurement already verified the destination's liveness.
         Re-running the ping check and the per-hop loop would re-derive
         the same path one cache hit at a time, so the whole path is
-        spliced in one step for zero probes.  Any break in the chain —
-        miss, negative entry, generation bump, TTL expiry, a loop, or
-        a chain longer than the hop budget — returns False and the
-        normal measurement loop (ping check included) takes over.
-        Every edge served was read, so nothing is stored back.
+        spliced in one step: no ping check and no per-hop probes (with
+        ``detect_violations`` on, one redundant RR per splice, as
+        :meth:`_violation_check` sends for every adopted chain).  Each
+        spliced hop is the stored entry's hop, not a copy.  Any break
+        in the chain — miss, negative entry, generation bump, TTL
+        expiry, a loop, or a chain longer than the hop budget — returns
+        False and the normal measurement loop (ping check included)
+        takes over.  Every edge served was read, so nothing is stored
+        back.
         """
         dst = run.result.dst
         chain, _ = self.segcache.chain(dst, _MAX_PATH_HOPS - 1)
         if not chain or chain[-1].next_hop != self.source:
             return False
-        addrs = [entry.next_hop for entry in chain]
-        if self.config.detect_violations and len(addrs) >= 2:
+        if self.config.detect_violations and len(chain) >= 2:
             # Whole-path reuse earns the same Appendix E gating as a
             # mid-path splice: ride behind the violation check.
-            suspect = self._violation_check(addrs)
+            suspect = self._violation_check(
+                [entry.next_hop for entry in chain]
+            )
             if suspect is not None:
                 run.result.suspected_violations.append(suspect)
-        hops = run.hops
-        hops.append(ReverseHop(dst, HopTechnique.DESTINATION))
-        for entry in chain[:-1]:
-            hops.append(
-                ReverseHop(
-                    entry.next_hop, entry.technique,
-                    assumed_link=entry.assumed_link,
-                )
-            )
-        run.reach(self.source)
+        run.depart()
+        run.hops.extend([entry.hop for entry in chain[:-1]])
+        run.reach(self._source_hop)
         self.segcache.note_splice(len(chain))
         if self._obs_on:
             root = self.obs.tracer.active_span
@@ -1073,20 +1088,21 @@ class RevtrEngine:
         if stale:
             self._t_stale += 1
         self.atlas.mark_useful(hit.vp)
+        source_hop = self._source_hop
         with self.obs.span(
             "stitch", vp=hit.vp, index=hit.index
         ) as stitch:
             before = len(hops)
             for addr in self.atlas.suffix(hit):
-                technique = (
-                    HopTechnique.SOURCE
+                hops.append(
+                    source_hop
                     if addr == source
-                    else HopTechnique.INTERSECTION
+                    else ReverseHop(addr, HopTechnique.INTERSECTION)
                 )
-                hops.append(ReverseHop(addr, technique))
             if hops[-1].addr != source:
-                hops.append(ReverseHop(source, HopTechnique.SOURCE))
-            stitch.annotate(hops=len(hops) - before, stale=stale)
+                hops.append(source_hop)
+            if self._obs_on:
+                stitch.annotate(hops=len(hops) - before, stale=stale)
         if self._ev is not None:
             self._ev.emit_t(
                 "stitch", (hit.vp, hit.index, len(hops) - before, stale)
@@ -1117,27 +1133,25 @@ class RevtrEngine:
             return False
         if not chain:
             return False
-        addrs = [entry.next_hop for entry in chain]
-        if self.config.detect_violations and len(addrs) >= 2:
+        if self.config.detect_violations and len(chain) >= 2:
             # Spliced chains earn the same Appendix E redundant-probe
             # gating as RR-revealed hops: reuse must ride behind the
             # violation check, not around it.
-            suspect = self._violation_check(addrs)
+            suspect = self._violation_check(
+                [entry.next_hop for entry in chain]
+            )
             if suspect is not None:
                 run.result.suspected_violations.append(suspect)
+        source = self.source
         next_current: Optional[Address] = None
         spliced_before = len(hops)
         for entry in chain:
             addr = entry.next_hop
-            if addr == self.source:
-                run.reach(addr)
+            if addr == source:
+                run.reach(self._source_hop)
                 break
-            hops.append(
-                ReverseHop(
-                    addr, entry.technique,
-                    assumed_link=entry.assumed_link,
-                )
-            )
+            # The stored hop itself: frozen, so shared, not copied.
+            hops.append(entry.hop)
             seen.add(addr)
             if not is_private(addr):
                 next_current = addr
@@ -1161,7 +1175,7 @@ class RevtrEngine:
             and next_current is not None
             and self._is_terminal(next_current)
         ):
-            run.reach(self.source)
+            run.reach(self._source_hop)
         spliced = len(hops) - spliced_before
         self.segcache.note_splice(spliced)
         if self._ev is not None:
@@ -1193,7 +1207,7 @@ class RevtrEngine:
             if not is_private(addr):
                 next_current = addr
             if self._is_terminal(addr):
-                run.reach(self.source)
+                run.reach(self._source_hop)
                 break
         if self._ev is not None:
             adopted = [
@@ -1225,13 +1239,14 @@ class RevtrEngine:
             outcome = self.symmetry.step(current)
             penultimate = outcome.penultimate
             link = outcome.link
-            sym_span.annotate(
-                link=link.value,
-                penultimate=(
-                    None if penultimate is None else str(penultimate)
-                ),
-                adjacent_to_source=outcome.adjacent_to_source,
-            )
+            if self._obs_on:
+                sym_span.annotate(
+                    link=link.value,
+                    penultimate=(
+                        None if penultimate is None else str(penultimate)
+                    ),
+                    adjacent_to_source=outcome.adjacent_to_source,
+                )
         self._step("symmetry")
         if outcome.traceroute is not None:
             first = next(
@@ -1242,7 +1257,7 @@ class RevtrEngine:
                 self._add_terminal(first)
         if outcome.adjacent_to_source:
             self._fallback("adjacent-source", hop=current)
-            run.reach(self.source)
+            run.reach(self._source_hop)
         elif penultimate is None or penultimate in run.seen:
             self._fallback("dead-end", hop=current)
             run.status = RevtrStatus.INCOMPLETE
@@ -1295,9 +1310,13 @@ class RevtrEngine:
         self._t_measurements[status] = (
             self._t_measurements.get(status, 0) + 1
         )
-        for technique, n in result.hops_by_technique().items():
-            value = technique.value
-            self._t_hops[value] = self._t_hops.get(value, 0) + n
+        # Keyed by ``._value_``: an enum-keyed tally would pay a
+        # Python-level ``Enum.__hash__`` per hop, and ``.value`` a
+        # descriptor call (see the measure.end note below).
+        t_hops = self._t_hops
+        for hop in result.hops:
+            value = hop.technique._value_
+            t_hops[value] = t_hops.get(value, 0) + 1
         if self._obs_on:
             self.obs.observe(
                 "revtr_measure_duration_seconds", result.duration

@@ -8,9 +8,10 @@ routing is stable.  The traceroute and RR atlases exploit this for
 *offline* measurements; :class:`ReverseSegmentCache` extends the same
 amortization to the serving hot path, remembering every hop a
 completed measurement *revealed* — measured live, stitched from the
-atlas, or assumed — as a ``router -> (next reverse hop, technique)``
-edge.  Hops a measurement spliced out of this cache are not stored
-again: reading an edge never refreshes it.
+atlas, or assumed — as a ``router -> next reverse hop`` edge that holds
+the adopted :class:`~repro.core.result.ReverseHop` itself, so a splice
+shares it rather than copying it.  Hops a measurement spliced out of
+this cache are not stored again: reading an edge never refreshes it.
 
 Validity is bounded two ways, mirroring the route-stability literature
 (Leguay et al.) and the atlas's own staleness rules:
@@ -46,7 +47,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.result import HopTechnique
+from repro.core.result import ReverseHop
 from repro.net.addr import Address
 from repro.obs.instrument import NULL
 
@@ -64,12 +65,13 @@ class SegmentEntry:
     """One cached reverse edge: the next hop *from* the keyed router."""
 
     next_hop: Optional[Address]
-    technique: Optional[HopTechnique]
+    #: the hop the storing measurement adopted (``next_hop`` with its
+    #: technique and symmetry annotation), None for a negative entry.
+    #: :class:`ReverseHop` is frozen, so a splice appends this very
+    #: object instead of rebuilding it.
+    hop: Optional[ReverseHop]
     generation: int
     stored_at: float
-    #: "intra"/"inter" for ASSUMED_SYMMETRY hops, so a splice
-    #: reproduces the hop annotation byte-for-byte
-    assumed_link: Optional[str] = None
 
     @property
     def negative(self) -> bool:
@@ -190,21 +192,14 @@ class ReverseSegmentCache:
     # Population
     # ------------------------------------------------------------------
 
-    def store(
-        self,
-        addr: Address,
-        next_hop: Address,
-        technique: HopTechnique,
-        assumed_link: Optional[str] = None,
-    ) -> None:
-        """Remember that *addr* forwards reverse traffic to *next_hop*."""
+    def store(self, addr: Address, hop: ReverseHop) -> None:
+        """Remember that *addr* forwards reverse traffic to *hop*."""
         with self._lock:
             self._entries[addr] = SegmentEntry(
-                next_hop=next_hop,
-                technique=technique,
+                next_hop=hop.addr,
+                hop=hop,
                 generation=self.internet.routing_generation,
                 stored_at=self.clock.now(),
-                assumed_link=assumed_link,
             )
             self.stats.stores += 1
 
@@ -213,7 +208,7 @@ class ReverseSegmentCache:
         with self._lock:
             self._entries[addr] = SegmentEntry(
                 next_hop=None,
-                technique=None,
+                hop=None,
                 generation=self.internet.routing_generation,
                 stored_at=self.clock.now(),
             )
@@ -263,7 +258,7 @@ class ReverseSegmentCache:
 
         Returns ``(chain, negative)`` where *chain* is the list of
         :class:`SegmentEntry` edges in reverse-path order (each entry's
-        ``next_hop`` is the spliced hop) and *negative* is True when
+        ``hop`` is the spliced hop) and *negative* is True when
         the *first* lookup hit a negative entry (the router is
         known-unresponsive; there is nothing to splice but the RR step
         can be skipped).  *stop* is an optional predicate; chain

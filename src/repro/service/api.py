@@ -151,14 +151,17 @@ class RevtrService:
         self, engine: RevtrEngine, dst: Address, user_name: str, label: str
     ) -> ReverseTracerouteResult:
         """Run one measurement with service-level accounting."""
-        with self.obs.span(
-            "service.request",
-            user=user_name,
-            src=str(engine.source),
-            dst=str(dst),
-        ) as span:
+        if self.obs.enabled:
+            with self.obs.span(
+                "service.request",
+                user=user_name,
+                src=str(engine.source),
+                dst=str(dst),
+            ) as span:
+                result = engine.measure(dst)
+                span.annotate(status=result.status.value)
+        else:
             result = engine.measure(dst)
-            span.annotate(status=result.status.value)
         self._account(engine, result, dst, user_name, label)
         return result
 
@@ -177,15 +180,18 @@ class RevtrService:
         is not individually attributable).
         """
         dsts = [dst for dst, _, _ in items]
-        with self.obs.span(
-            "service.request_group",
-            src=str(engine.source),
-            size=len(items),
-        ) as span:
+        if self.obs.enabled:
+            with self.obs.span(
+                "service.request_group",
+                src=str(engine.source),
+                size=len(items),
+            ) as span:
+                results = engine.measure_many(dsts)
+                span.annotate(
+                    statuses=[r.status.value for r in results]
+                )
+        else:
             results = engine.measure_many(dsts)
-            span.annotate(
-                statuses=[r.status.value for r in results]
-            )
         for (dst, user_name, label), result in zip(items, results):
             self._account(engine, result, dst, user_name, label)
         return results
@@ -210,14 +216,14 @@ class RevtrService:
                 dst=str(dst),
                 status=result.status.value,
             )
-        self.obs.inc(
-            "service_requests_total",
-            user=user_name,
-            status=result.status.value,
-        )
-        self.obs.observe(
-            "service_request_duration_seconds", result.duration
-        )
+            self.obs.inc(
+                "service_requests_total",
+                user=user_name,
+                status=result.status.value,
+            )
+            self.obs.observe(
+                "service_request_duration_seconds", result.duration
+            )
         self.store.append(
             result,
             user=user_name,

@@ -164,6 +164,9 @@ class RequestScheduler:
         self.peak_inflight: Dict[str, int] = {}
         self._ids = itertools.count(1)
         self._queues: Dict[str, Deque[Job]] = {}
+        #: jobs across every user's queue, kept where the queues change
+        #: (submit, pick, retry requeue) so nothing re-sums them
+        self._queued = 0
         self._users: Dict[str, User] = {}
         self._user_order: List[str] = []
         self._rr_index = 0
@@ -219,7 +222,7 @@ class RequestScheduler:
             self._reject(job, RejectReason.QUEUE_FULL)
             return job
         queue.append(job)
-        self._queue_depth_changed()
+        self._queue_depth_changed(1)
         return job
 
     # ------------------------------------------------------------------
@@ -237,8 +240,8 @@ class RequestScheduler:
         self.rejections[reason.value] = (
             self.rejections.get(reason.value, 0) + 1
         )
-        self.obs.inc("service_rejections_total", reason=reason.value)
         if self.obs.enabled:
+            self.obs.inc("service_rejections_total", reason=reason.value)
             self.obs.emit(
                 "sched.reject",
                 job=job.id,
@@ -267,9 +270,10 @@ class RequestScheduler:
             queue_wait=wait,
         )
 
-    def _queue_depth_changed(self) -> None:
-        depth = sum(len(q) for q in self._queues.values())
-        self.obs.set_gauge("service_queue_depth", depth)
+    def _queue_depth_changed(self, delta: int) -> None:
+        self._queued += delta
+        if self.obs.enabled:
+            self.obs.set_gauge("service_queue_depth", self._queued)
 
     def _tick_sampler(self) -> None:
         # Completion is the scheduler's natural heartbeat: tick the
@@ -280,7 +284,7 @@ class RequestScheduler:
             sampler.maybe_sample()
 
     def _any_queued(self) -> bool:
-        return any(self._queues.values())
+        return self._queued > 0
 
     def _note_status(self, statuses: Dict[str, int], job: Job) -> None:
         if job.result is not None:
@@ -385,7 +389,7 @@ class RequestScheduler:
                 continue
             queue.popleft()
             self._rr_index = (idx + 1) % len(order)
-            self._queue_depth_changed()
+            self._queue_depth_changed(-1)
             return job, self._users[name]
         return None
 
@@ -466,9 +470,10 @@ class RequestScheduler:
         current = len(finishes)
         if current > self.peak_inflight[user.name]:
             self.peak_inflight[user.name] = current
-        self.obs.set_gauge(
-            "service_inflight", current, user=user.name
-        )
+        if self.obs.enabled:
+            self.obs.set_gauge(
+                "service_inflight", current, user=user.name
+            )
         if (
             result.status is RevtrStatus.UNRESPONSIVE
             and job.attempts < cfg.max_retries
@@ -492,10 +497,10 @@ class RequestScheduler:
             job.state = JobState.QUEUED
             self._queues[user.name].append(job)
             self.retries += 1
-            self.obs.inc(
-                "service_retries_total", attempt=str(job.attempts)
-            )
             if self.obs.enabled:
+                self.obs.inc(
+                    "service_retries_total", attempt=str(job.attempts)
+                )
                 self.obs.emit(
                     "sched.retry",
                     job=job.id,
@@ -503,7 +508,7 @@ class RequestScheduler:
                     attempt=job.attempts,
                     eligible_at=job.eligible_at,
                 )
-            self._queue_depth_changed()
+            self._queue_depth_changed(1)
             return job
         job.state = JobState.DONE
         self.completed += 1

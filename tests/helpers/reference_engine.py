@@ -5,9 +5,15 @@ read them from indexes and memos: the terminal test as a scan of the
 terminal set with ``AliasResolver.aligned``, ``IPToASMapper.asn`` as a
 private/override/longest-prefix derivation per call,
 ``ASRelationships.is_suspicious_link`` rebuilt from the graph per call,
-``ProbeCounter.mark`` / ``delta`` read through the ``Counter``, and
+``ProbeCounter.mark`` / ``delta`` read through the ``Counter``,
 ``RevtrEngine._segcache_store`` storing every hop pair of a completed
-path whether the measurement revealed it or read it.  They are kept so
+path whether the measurement revealed it or read it, and the two
+segment-cache splices (``_open_full_splice``, ``_step_splice``)
+building a fresh ``ReverseHop`` for every spliced edge and source hop
+where ``src/`` appends the stored and the engine's own.  The splices
+are the old methods verbatim but for reading a segment entry's
+technique and link through its ``hop`` and handing ``_Run.reach`` the
+source hop it used to build.  They are kept so
 ``tests/test_engine_hot_path.py`` can require the indexed versions to
 agree with them after every mutation, and so a whole request stream
 can be compared against one served with the oracles patched in.
@@ -22,7 +28,7 @@ from typing import Dict, Iterator, List, Optional
 from repro.asmap.ip2as import IPToASMapper
 from repro.asmap.relationships import ASRelationships
 from repro.core.result import HopTechnique, ReverseHop
-from repro.core.revtr import RevtrEngine
+from repro.core.revtr import _MAX_PATH_HOPS, RevtrEngine
 from repro.net.addr import Address, is_private
 from repro.net.packet import ProbeKind
 from repro.probing.budget import ProbeCounter
@@ -92,9 +98,115 @@ def reference_segcache_store(
             continue
         if a.addr == b.addr:
             continue
-        engine.segcache.store(
-            a.addr, b.addr, b.technique, assumed_link=b.assumed_link
+        engine.segcache.store(a.addr, b)
+
+
+def rebuild_open_full_splice(self: RevtrEngine, run) -> bool:
+    """The whole-path splice that builds a fresh ``ReverseHop`` per
+    spliced edge (and a fresh source hop) instead of appending the
+    stored ones."""
+    dst = run.result.dst
+    chain, _ = self.segcache.chain(dst, _MAX_PATH_HOPS - 1)
+    if not chain or chain[-1].next_hop != self.source:
+        return False
+    addrs = [entry.next_hop for entry in chain]
+    if self.config.detect_violations and len(addrs) >= 2:
+        # Whole-path reuse earns the same Appendix E gating as a
+        # mid-path splice: ride behind the violation check.
+        suspect = self._violation_check(addrs)
+        if suspect is not None:
+            run.result.suspected_violations.append(suspect)
+    hops = run.hops
+    hops.append(ReverseHop(dst, HopTechnique.DESTINATION))
+    for entry in chain[:-1]:
+        hops.append(
+            ReverseHop(
+                entry.next_hop, entry.hop.technique,
+                assumed_link=entry.hop.assumed_link,
+            )
         )
+    run.reach(ReverseHop(self.source, HopTechnique.SOURCE))
+    self.segcache.note_splice(len(chain))
+    if self._obs_on:
+        root = self.obs.tracer.active_span
+        if root is not None:
+            root.annotate(full_splice=True)
+    if self._ev is not None:
+        self._ev.emit_t("splice", (dst, len(chain), True, True))
+    return True
+
+
+def rebuild_step_splice(self: RevtrEngine, run) -> bool:
+    """The mid-path splice step, rebuilding each spliced hop."""
+    current = run.current
+    hops = run.hops
+    seen = run.seen
+    chain, run.rr_dead = self.segcache.chain(
+        current,
+        _MAX_PATH_HOPS - len(hops),
+        stop=seen.__contains__,
+    )
+    if run.rr_dead:
+        # Cached negative entry: this router recently ignored the
+        # entire RR arsenal — skip straight to the TS/fallback
+        # steps instead of re-aiming the VP fleet at it.
+        if self._ev is not None:
+            self._ev.emit_t("splice.negative", (current,))
+        return False
+    if not chain:
+        return False
+    addrs = [entry.next_hop for entry in chain]
+    if self.config.detect_violations and len(addrs) >= 2:
+        # Spliced chains earn the same Appendix E redundant-probe
+        # gating as RR-revealed hops: reuse must ride behind the
+        # violation check, not around it.
+        suspect = self._violation_check(addrs)
+        if suspect is not None:
+            run.result.suspected_violations.append(suspect)
+    next_current: Optional[Address] = None
+    spliced_before = len(hops)
+    for entry in chain:
+        addr = entry.next_hop
+        if addr == self.source:
+            run.reach(ReverseHop(addr, HopTechnique.SOURCE))
+            break
+        hops.append(
+            ReverseHop(
+                addr, entry.hop.technique,
+                assumed_link=entry.hop.assumed_link,
+            )
+        )
+        seen.add(addr)
+        if not is_private(addr):
+            next_current = addr
+    # The chain was fetched under ``current`` (the last *public*
+    # hop) and then under each spliced hop in turn.  When ``hops``
+    # ended in private hops, the first spliced hop follows one of
+    # those instead: an edge keyed by the private address, which
+    # this measurement revealed rather than read.
+    first_read = spliced_before
+    if hops[spliced_before - 1].addr != current:
+        first_read += 1
+    run.spliced_at.update(range(first_read, len(hops)))
+    # Mid-chain hops are provably non-terminal: the completed
+    # measurement that stored them continued past them (a terminal
+    # hop would have ended that path with a cached hop -> source
+    # edge, which the loop above adopts).  Only a partial chain's
+    # last hop needs the alias-of-source check, so the per-hop
+    # ``_is_terminal`` scan collapses to one.
+    if (
+        run.status is None
+        and next_current is not None
+        and self._is_terminal(next_current)
+    ):
+        run.reach(ReverseHop(self.source, HopTechnique.SOURCE))
+    spliced = len(hops) - spliced_before
+    self.segcache.note_splice(spliced)
+    if self._ev is not None:
+        self._ev.emit_t(
+            "splice", (current, spliced, run.status is not None)
+        )
+    return run.advance(next_current)
 
 
 @contextmanager
@@ -103,10 +215,9 @@ def oracle_engine() -> Iterator[None]:
 
     An engine binds its openers and steps when it is constructed, so
     build the engines under test inside the block."""
-    open_full_splice = RevtrEngine._open_full_splice
 
     def splice_and_restore(self, run):
-        served = open_full_splice(self, run)
+        served = rebuild_open_full_splice(self, run)
         if served:
             reference_segcache_store(self, run.hops)
         return served
@@ -115,6 +226,7 @@ def oracle_engine() -> Iterator[None]:
         (RevtrEngine, "_is_terminal", scan_is_terminal),
         (RevtrEngine, "_segcache_store", reference_segcache_store),
         (RevtrEngine, "_open_full_splice", splice_and_restore),
+        (RevtrEngine, "_step_splice", rebuild_step_splice),
         (IPToASMapper, "asn", reference_asn),
         (
             ASRelationships,

@@ -7,7 +7,10 @@ other, with ``_splice_full_path`` and a three-argument ``_finish``
 beside it.  ``src/`` now runs a loop over named openers and steps; the
 three original methods are kept here on a subclass, unedited but for
 reading ``_MAX_PATH_HOPS`` / ``_PING_RETRIES`` where they read the
-``EngineConfig`` fields of those names before they became constants, so
+``EngineConfig`` fields of those names before they became constants,
+reading a segment entry's technique and link through its ``hop``, and
+counting hops per technique inline where they called the deleted
+``ReverseTracerouteResult.hops_by_technique``, so
 ``tests/test_measure_loop.py`` can serve one request stream through
 both and require every observable to agree.  Everything the methods
 call (``_rr_step``, ``_intersect``, ``_timestamp_step``,
@@ -18,7 +21,7 @@ Test-only: nothing under ``src/`` imports it.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set
 
 import repro.experiments.common as scenario_module
 from repro.core.flags import flag_suspicious_links
@@ -231,8 +234,8 @@ class ReferenceMeasureEngine(RevtrEngine):
                         hops.append(
                             ReverseHop(
                                 addr,
-                                entry.technique,
-                                assumed_link=entry.assumed_link,
+                                entry.hop.technique,
+                                assumed_link=entry.hop.assumed_link,
                             )
                         )
                         seen.add(addr)
@@ -460,8 +463,8 @@ class ReferenceMeasureEngine(RevtrEngine):
             hops.append(
                 ReverseHop(
                     entry.next_hop,
-                    entry.technique,
-                    assumed_link=entry.assumed_link,
+                    entry.hop.technique,
+                    assumed_link=entry.hop.assumed_link,
                 )
             )
         hops.append(ReverseHop(self.source, HopTechnique.SOURCE))
@@ -496,7 +499,12 @@ class ReferenceMeasureEngine(RevtrEngine):
         self._t_measurements[status] = (
             self._t_measurements.get(status, 0) + 1
         )
-        for technique, n in result.hops_by_technique().items():
+        # ``ReverseTracerouteResult.hops_by_technique``, inlined: the
+        # method went when ``_finish`` began tallying by value.
+        counts: Dict[HopTechnique, int] = {}
+        for hop in result.hops:
+            counts[hop.technique] = counts.get(hop.technique, 0) + 1
+        for technique, n in counts.items():
             value = technique.value
             self._t_hops[value] = self._t_hops.get(value, 0) + n
         if self._obs_on:

@@ -7,8 +7,10 @@ memo read) and the probe counter's position (one list copy).  Each
 memo names the one mutation that drops it; every test here issues that
 mutation *after* the memo was filled and requires the answer of
 ``tests/helpers/reference_engine.py`` — the previous implementations,
-verbatim.  The last test serves one seeded request stream twice, once
-with every oracle patched in, and requires equal output.
+verbatim.  The last two tests serve one seeded request stream twice:
+once with every oracle patched in (the splices rebuilding each hop
+they now share), and once through the scheduler with no observer
+against once observed; each pair requires equal output.
 """
 
 import random
@@ -25,8 +27,15 @@ from repro.core.revtr import EngineConfig, RevtrEngine
 from repro.experiments import Scenario
 from repro.net.addr import addr_to_int, int_to_addr
 from repro.net.packet import ProbeKind
+from repro.obs import Instrumentation
+from repro.obs.instrument import NullInstrumentation, _NullSpan
 from repro.probing.budget import ProbeCounter
-from repro.service import MeasurementRequest, RevtrService, SourceRegistry
+from repro.service import (
+    JobState,
+    MeasurementRequest,
+    RevtrService,
+    SourceRegistry,
+)
 from repro.topology import TopologyConfig
 from repro.topology.asgraph import ASGraph, ASTier, Relationship
 from tests.helpers.reference_engine import (
@@ -276,10 +285,10 @@ def test_marks_and_deltas_equal_oracle(seeded, ops):
 # ----------------------------------------------------------------------
 
 
-def _serve_stream(check_terminal):
-    """320 Zipf requests over 16 destinations and 2 sources on a fresh
-    tiny deployment, reuse flags on; returns what was served and what
-    the segment caches hold afterwards."""
+def _zipf_deployment(instrumentation=None):
+    """A fresh tiny deployment with the reuse flags on, one user and 2
+    sources, and the stream to serve on it: 320 Zipf requests over 16
+    destinations, as ``(source, destination)`` pairs."""
     scenario = Scenario(
         config=TopologyConfig.tiny(seed=11), seed=11, atlas_size=8
     )
@@ -300,6 +309,7 @@ def _serve_stream(check_terminal):
         engine_config=EngineConfig(
             segment_cache=True, coalesce_batches=True
         ),
+        instrumentation=instrumentation,
     )
     key = service.add_user("zipf", max_per_day=10_000).api_key
     sources = scenario.sources()[:2]
@@ -312,9 +322,33 @@ def _serve_stream(check_terminal):
         (rng.choice(sources), dst)
         for dst in rng.choices(dsts, weights=weights, k=320)
     ]
+    return service, key, stream
+
+
+def _segcache_state(service):
+    """Every cached edge, keyed ``(source, router)``, and each source's
+    cache stats."""
+    edges = {
+        (source, addr): entry
+        for source, cache in service._segcaches.items()
+        for addr, entry in cache._entries.items()
+    }
+    stats = [cache.stats for cache in service._segcaches.values()]
+    return edges, stats
+
+
+def _serve_stream(check):
+    """Serve the Zipf stream request by request; returns what was served
+    and what the segment caches hold afterwards.  With *check*, every
+    terminal test is held to the scan and every whole-path splice to
+    the cache: each hop after the destination *is* the hop stored under
+    its predecessor, not a copy."""
+    service, key, stream = _zipf_deployment()
 
     checked = [0]
+    shared = [0]
     index_is_terminal = RevtrEngine._is_terminal
+    open_full_splice = RevtrEngine._open_full_splice
 
     def checked_is_terminal(self, addr):
         answer = index_is_terminal(self, addr)
@@ -322,30 +356,38 @@ def _serve_stream(check_terminal):
         checked[0] += 1
         return answer
 
-    if check_terminal:
+    def checked_full_splice(self, run):
+        served = open_full_splice(self, run)
+        if served:
+            entries = self.segcache._entries
+            for before, hop in zip(run.hops, run.hops[1:]):
+                assert hop is entries[before.addr].hop, hop
+            assert run.hops[-1] is self._source_hop
+            shared[0] += 1
+        return served
+
+    if check:
         RevtrEngine._is_terminal = checked_is_terminal
+        RevtrEngine._open_full_splice = checked_full_splice
     try:
         served = [
             service.request(MeasurementRequest(key, dst, src)).to_dict()
             for src, dst in stream
         ]
     finally:
-        if check_terminal:
+        if check:
             RevtrEngine._is_terminal = index_is_terminal
-    edges = {
-        (source, addr): entry
-        for source, cache in service._segcaches.items()
-        for addr, entry in cache._entries.items()
-    }
-    stats = [cache.stats for cache in service._segcaches.values()]
-    return served, edges, stats, checked[0]
+            RevtrEngine._open_full_splice = open_full_splice
+    edges, stats = _segcache_state(service)
+    return served, edges, stats, checked[0], shared[0]
 
 
 def test_request_stream_identical_with_oracles_patched_in():
-    served, edges, stats, checked = _serve_stream(check_terminal=True)
+    """Against the oracles, which also rebuild every spliced hop."""
+    served, edges, stats, checked, shared = _serve_stream(check=True)
     with oracle_engine():
-        ref_served, ref_edges, ref_stats, _ = _serve_stream(
-            check_terminal=False
+        ref_served, ref_edges, ref_stats, _, _ = _serve_stream(
+            check=False
         )
     assert served == ref_served
     # The index answered every terminal test the stream asked (whole-
@@ -353,19 +395,54 @@ def test_request_stream_identical_with_oracles_patched_in():
     assert checked > 100
     assert sum(s.splices for s in stats) > 100
     assert [s.splices for s in stats] == [s.splices for s in ref_stats]
+    # Whole-path splices happened, and shared the stored hops.
+    assert shared > 50
     # Same edges; only the oracle restamps the ones it re-reads.
     assert edges.keys() == ref_edges.keys()
     restamped = 0
     for where, entry in edges.items():
         ref = ref_edges[where]
-        assert (
-            entry.next_hop, entry.technique, entry.generation,
-            entry.assumed_link,
-        ) == (
-            ref.next_hop, ref.technique, ref.generation,
-            ref.assumed_link,
+        assert (entry.next_hop, entry.hop, entry.generation) == (
+            ref.next_hop, ref.hop, ref.generation,
         ), where
         assert entry.stored_at <= ref.stored_at, where
         restamped += entry.stored_at < ref.stored_at
     assert restamped > 0
     assert sum(s.stores for s in stats) < sum(s.stores for s in ref_stats)
+
+
+def test_scheduled_stream_identical_without_an_observer(monkeypatch):
+    """The Zipf stream through the scheduler (coalesced groups, reuse
+    on), once on ``NULL`` and once observed: every job's result and the
+    segment caches agree, and on ``NULL`` nothing calls ``annotate``,
+    ``inc``, ``observe`` or ``set_gauge``."""
+
+    def run(instrumentation):
+        service, key, stream = _zipf_deployment(instrumentation)
+        scheduler = service.scheduler()
+        jobs = []
+        # Waves that fit the per-user queue, each drained before the
+        # next, so lanes free together and groups form.
+        for start in range(0, len(stream), 8):
+            for src, dst in stream[start:start + 8]:
+                jobs.append(scheduler.submit(key, dst, src))
+            scheduler.run()
+        assert all(job.state is JobState.DONE for job in jobs)
+        edges, stats = _segcache_state(service)
+        return (
+            [job.result.to_dict() for job in jobs],
+            {where: (e.hop, e.generation) for where, e in edges.items()},
+            [s.as_dict() for s in stats],
+        )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the NULL facade was called")
+
+    monkeypatch.setattr(_NullSpan, "annotate", refuse)
+    for name in ("inc", "observe", "set_gauge"):
+        monkeypatch.setattr(NullInstrumentation, name, refuse)
+    plain = run(None)
+    monkeypatch.undo()
+    observed = run(Instrumentation())
+    assert plain == observed
+    assert sum(s["splices"] for s in plain[2]) > 100

@@ -3,13 +3,17 @@ and the vantage-point pool."""
 
 import pytest
 
+from repro.asmap.ip2as import IPToASMapper
+from repro.asmap.relationships import ASRelationships
+from repro.core.atlas import TracerouteAtlas
 from repro.core.result import (
     HopTechnique,
     ReverseHop,
     ReverseTracerouteResult,
     RevtrStatus,
 )
-from repro.probing.prober import RRPingResult
+from repro.core.revtr import RevtrEngine
+from repro.probing.prober import Prober, RRPingResult
 from repro.probing.vantage import VantagePointPool
 from repro.topology.config import TopologyConfig
 
@@ -60,12 +64,32 @@ class TestReverseTracerouteResult:
         assert result.has_symmetry_assumption
         assert [h.assumed_link for h in result.assumed_hops()] == ["intra"]
 
-    def test_hops_by_technique(self):
-        result = _result_with(
-            [HopTechnique.DESTINATION, HopTechnique.RR, HopTechnique.RR]
+    def test_hops_by_technique(self, tiny_internet):
+        """A finished measurement's hops are tallied per technique into
+        ``revtr_hops_total``, summed across measurements."""
+        source = tiny_internet.mlab_hosts[0]
+        engine = RevtrEngine(
+            prober=Prober(tiny_internet),
+            source=source,
+            atlas=TracerouteAtlas(source),
+            selector=None,
+            ip2as=IPToASMapper(tiny_internet),
+            relationships=ASRelationships(tiny_internet.graph),
         )
-        counts = result.hops_by_technique()
-        assert counts[HopTechnique.RR] == 2
+        for techniques in (
+            [HopTechnique.DESTINATION, HopTechnique.RR, HopTechnique.RR],
+            [HopTechnique.DESTINATION, HopTechnique.SOURCE],
+        ):
+            result = _result_with(techniques)
+            run = engine._begin(result.dst)
+            run.hops.extend(result.hops)
+            engine._finish(run)
+        tallies = engine._obs_collect()
+        assert {
+            dict(labels)["technique"]: n
+            for (name, labels), n in tallies.items()
+            if name == "revtr_hops_total"
+        } == {"destination": 2.0, "rr": 2.0, "source": 1.0}
 
     def test_render_contains_everything(self):
         result = _result_with(

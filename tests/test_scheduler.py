@@ -200,6 +200,45 @@ class TestAdmissionControl:
         assert job.started_at >= job.submitted_at + 3 * RETRY_BACKOFF
 
 
+def test_queue_depth_gauge_is_the_queued_total_after_every_change():
+    """``service_queue_depth`` is a running count kept where the queues
+    change (submit, pick, retry requeue); after every submit and every
+    step of a stream that retries and overflows a queue it still reads
+    what summing every user's queue would."""
+    scenario = Scenario(
+        config=TopologyConfig.tiny(seed=3), seed=3, atlas_size=10
+    )
+    instr = Instrumentation(clock=scenario.clock)
+    service = build_service(scenario, instrumentation=instr, atlas_size=10)
+    users = [
+        service.add_user(name, max_parallel=2, max_per_day=1000)
+        for name in ("alpha", "beta")
+    ]
+    source = scenario.sources()[0]
+    service.add_source(users[0].api_key, source)
+    # Four per user into queues of three: the unresponsive one first,
+    # so it is queued (and retried) and the last one overflows.
+    dsts = [unresponsive_destination(scenario)]
+    dsts += scenario.responsive_destinations(3, options_only=True)
+    scheduler = service.scheduler(
+        SchedulerConfig(parallelism=2, max_queue_per_user=3, max_retries=2)
+    )
+    gauge = instr.registry.gauge("service_queue_depth").labels()
+
+    def queued():
+        return sum(len(queue) for queue in scheduler._queues.values())
+
+    for dst in dsts:
+        for user in users:
+            scheduler.submit(user.api_key, dst, source)
+            assert gauge.value == queued()
+    while scheduler.step() is not None:
+        assert gauge.value == queued()
+    assert gauge.value == 0
+    assert scheduler.retries > 0
+    assert scheduler.rejections["queue-full"] > 0
+
+
 class TestDeterminism:
     def _build(self, parallelism=4):
         scenario = Scenario(

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.core.result import HopTechnique, RevtrStatus
+from repro.core.result import HopTechnique, ReverseHop, RevtrStatus
 from repro.core.revtr import EngineConfig
 from repro.core.segcache import DEFAULT_NEGATIVE_TTL, ReverseSegmentCache
 from repro.experiments import Scenario
@@ -77,16 +77,17 @@ def make_cache():
 class TestSegmentCacheUnit:
     def test_store_lookup_roundtrip(self):
         cache = make_cache()
-        cache.store("a", "b", HopTechnique.RR)
+        hop = ReverseHop("b", HopTechnique.RR)
+        cache.store("a", hop)
         entry = cache.lookup("a")
         assert entry.next_hop == "b"
-        assert entry.technique is HopTechnique.RR
+        assert entry.hop is hop
         assert not entry.negative
         assert cache.stats.hits == 1
 
     def test_generation_bump_invalidates(self):
         cache = make_cache()
-        cache.store("a", "b", HopTechnique.RR)
+        cache.store("a", ReverseHop("b", HopTechnique.RR))
         cache.internet.routing_generation += 1
         assert cache.lookup("a") is None
         assert cache.stats.invalidations_generation == 1
@@ -95,7 +96,7 @@ class TestSegmentCacheUnit:
 
     def test_ttl_expiry_invalidates(self):
         cache = make_cache()
-        cache.store("a", "b", HopTechnique.RR)
+        cache.store("a", ReverseHop("b", HopTechnique.RR))
         cache.clock.advance(TTL + 1)
         assert cache.lookup("a") is None
         assert cache.stats.invalidations_ttl == 1
@@ -112,17 +113,17 @@ class TestSegmentCacheUnit:
 
     def test_chain_follows_edges_in_order(self):
         cache = make_cache()
-        cache.store("a", "b", HopTechnique.RR)
-        cache.store("b", "c", HopTechnique.SPOOFED_RR)
-        cache.store("c", "d", HopTechnique.TIMESTAMP)
+        cache.store("a", ReverseHop("b", HopTechnique.RR))
+        cache.store("b", ReverseHop("c", HopTechnique.SPOOFED_RR))
+        cache.store("c", ReverseHop("d", HopTechnique.TIMESTAMP))
         chain, dead = cache.chain("a", limit=10)
         assert not dead
         assert [e.next_hop for e in chain] == ["b", "c", "d"]
 
     def test_chain_respects_limit_and_stop(self):
         cache = make_cache()
-        cache.store("a", "b", HopTechnique.RR)
-        cache.store("b", "c", HopTechnique.RR)
+        cache.store("a", ReverseHop("b", HopTechnique.RR))
+        cache.store("b", ReverseHop("c", HopTechnique.RR))
         chain, _ = cache.chain("a", limit=1)
         assert [e.next_hop for e in chain] == ["b"]
         chain, _ = cache.chain("a", limit=10, stop={"c"}.__contains__)
@@ -130,8 +131,8 @@ class TestSegmentCacheUnit:
 
     def test_chain_is_loop_free(self):
         cache = make_cache()
-        cache.store("a", "b", HopTechnique.RR)
-        cache.store("b", "a", HopTechnique.RR)
+        cache.store("a", ReverseHop("b", HopTechnique.RR))
+        cache.store("b", ReverseHop("a", HopTechnique.RR))
         chain, _ = cache.chain("a", limit=10)
         assert [e.next_hop for e in chain] == ["b"]
 
@@ -143,7 +144,7 @@ class TestSegmentCacheUnit:
 
     def test_chain_mid_negative_just_ends(self):
         cache = make_cache()
-        cache.store("a", "b", HopTechnique.RR)
+        cache.store("a", ReverseHop("b", HopTechnique.RR))
         cache.store_negative("b")
         chain, dead = cache.chain("a", limit=10)
         assert [e.next_hop for e in chain] == ["b"]
@@ -151,9 +152,9 @@ class TestSegmentCacheUnit:
 
     def test_purge_expired_counts_by_reason(self):
         cache = make_cache()
-        cache.store("a", "b", HopTechnique.RR)
+        cache.store("a", ReverseHop("b", HopTechnique.RR))
         cache.internet.routing_generation += 1
-        cache.store("c", "d", HopTechnique.RR)
+        cache.store("c", ReverseHop("d", HopTechnique.RR))
         cache.store_negative("e")
         cache.clock.advance(DEFAULT_NEGATIVE_TTL + 1)
         assert cache.purge_expired() == 2
@@ -487,8 +488,8 @@ class TestReadsDoNotRefresh:
             else pytest.fail(f"live RR step from {current}")
         )
         segcache = engine.segcache
-        segcache.store(pub, nxt, HopTechnique.SPOOFED_RR)
-        segcache.store(nxt, source, HopTechnique.SOURCE)
+        segcache.store(pub, ReverseHop(nxt, HopTechnique.SPOOFED_RR))
+        segcache.store(nxt, ReverseHop(source, HopTechnique.SOURCE))
         read_at = segcache.lookup(nxt).stored_at
         stores = segcache.stats.stores
         scenario.clock.advance(5.0)
