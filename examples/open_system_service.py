@@ -10,7 +10,8 @@ The service runs fully instrumented: a telemetry sampler records the
 registry into a bounded time-series, and an HTTP endpoint (ephemeral
 port) exposes `/metrics`, `/metrics.json`, `/health` and
 `/timeseries` while requests execute — polled here the way an
-external monitoring stack would.
+external monitoring stack would.  The endpoint serves the samples the
+request thread published; it never samples itself.
 
 Run:  python examples/open_system_service.py [--seed N]
 """
@@ -95,7 +96,7 @@ def main() -> None:
         f"{report.duration / 60:.1f} virtual minutes"
     )
 
-    with ObsHTTPServer(instrumentation, sampler) as server:
+    with ObsHTTPServer(sampler) as server:
         print(f"obs endpoint up at {server.url}")
         destinations = scenario.responsive_destinations(
             6, options_only=True
@@ -114,6 +115,7 @@ def main() -> None:
                 f"{len(result.hops)} hops, {result.duration:.1f}s"
             )
 
+        # Publish the state after the last request, then scrape it.
         sampler.sample()
         poll(server.url)
 

@@ -453,9 +453,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.http is not None:
         from repro.obs.httpd import ObsHTTPServer
 
-        http_server = ObsHTTPServer(
-            instr, sampler=instr.sampler, port=args.http
-        ).start()
+        http_server = ObsHTTPServer(instr.sampler, port=args.http).start()
         print(
             f"obs endpoint: {http_server.url} "
             f"(/metrics, /metrics.json, /health, /timeseries)",
@@ -552,7 +550,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
     sampler.sample()
 
     health = HealthEngine(window=args.window)
-    findings = health.evaluate(sampler, instr.events)
+    findings = health.evaluate(sampler.samples(), instr.events)
     status = HealthEngine.status(findings)
 
     if args.plan_out:
@@ -635,15 +633,19 @@ def _cmd_top(args: argparse.Namespace) -> int:
             destinations[issued % len(destinations)],
             door.source,
         )
-    # No virtual-clock ticks: the view samples once per frame, so the
-    # sampler is only ever written from this thread.
-    sampler = install_sampler(instr, sim_interval=None)
+    # The worker is the one writer: the scheduler's completion hooks
+    # tick the sampler on it, and it publishes the end state once the
+    # queue drains.  Frames read only what it published.  The first
+    # sample is published here, before the worker exists.
+    sampler = install_sampler(instr, sim_interval=SAMPLE_INTERVAL)
+    sampler.sample()
     health = HealthEngine()
     stop = threading.Event()
 
     def workload() -> None:
         while not stop.is_set() and door.scheduler.step() is not None:
             pass
+        sampler.sample()
 
     worker = threading.Thread(
         target=workload, name="repro-top-workload", daemon=True
@@ -653,15 +655,13 @@ def _cmd_top(args: argparse.Namespace) -> int:
     def frame():
         # Read before rendering, so the last frame shows the end state.
         done = not worker.is_alive()
-        sampler.sample()
-        latest = sampler.latest
+        samples = sampler.samples()
         text = render_top(
-            instr.registry.snapshot(),
-            sampler=sampler,
-            findings=health.evaluate(sampler, instr.events),
+            samples,
+            sampler.capacity,
+            findings=health.evaluate(samples, instr.events),
             title=f"repro top — {args.requests} requests to "
             f"{door.source}",
-            now_sim=latest.sim if latest is not None else None,
         )
         return text, done
 

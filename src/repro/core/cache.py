@@ -9,14 +9,13 @@ the same (hop, source) measurements.
 
 The cache is bounded by time: entries expire after ``ttl`` and the
 measurement path sweeps them out via :meth:`maybe_purge`, at most once
-per `PURGE_INTERVAL`.  All operations take an internal lock:
-``repro top`` and ``serve --http`` read its stats from a thread beside
-the workload.
+per `PURGE_INTERVAL`.  Only the thread that serves requests touches
+it; telemetry readers see its stats as mirrored into a published
+sample, so it takes no lock.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
@@ -80,7 +79,6 @@ class MeasurementCache:
         self.obs = NULL
         #: key -> (stored_at, value)
         self._entries: Dict[Hashable, Tuple[float, Any]] = {}
-        self._lock = threading.RLock()
         self._last_purge = clock.now()
 
     def _on_obs_attached(self, instrumentation) -> None:
@@ -114,28 +112,27 @@ class MeasurementCache:
             return None
         outcome = "miss"
         value: Optional[Any] = None
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                stored_at, stored = entry
-                if self.clock.now() - stored_at > self.ttl:
-                    del self._entries[key]
-                    self.stats.expirations += 1
-                    self.stats.misses += 1
-                    outcome = "expired"
-                else:
-                    self.stats.hits += 1
-                    outcome = "hit"
-                    value = stored
-            else:
+        entry = self._entries.get(key)
+        if entry is not None:
+            stored_at, stored = entry
+            if self.clock.now() - stored_at > self.ttl:
+                del self._entries[key]
+                self.stats.expirations += 1
                 self.stats.misses += 1
+                outcome = "expired"
+            else:
+                self.stats.hits += 1
+                outcome = "hit"
+                value = stored
+        else:
+            self.stats.misses += 1
         if outcome != "miss" and self.obs.enabled:
-            # Flight-recorder entry outside the lock.  Misses are the
-            # overwhelmingly common case and carry no information the
-            # engine's own step events don't — only hits and expiries
-            # (decisions that changed the measurement's course) earn an
-            # event.  The kind label is the first element of tuple keys
-            # ("rr-step", "fwd-trace", ...).
+            # Misses are the overwhelmingly common case and carry no
+            # information the engine's own step events don't — only
+            # hits and expiries (decisions that changed the
+            # measurement's course) earn an event.  The kind label is
+            # the first element of tuple keys ("rr-step", "fwd-trace",
+            # ...).
             self.obs.emit_t(
                 "cache.lookup",
                 (
@@ -149,35 +146,31 @@ class MeasurementCache:
         """Store *value* under *key*, stamped with the current time."""
         if not self.enabled:
             return
-        with self._lock:
-            self._entries[key] = (self.clock.now(), value)
+        self._entries[key] = (self.clock.now(), value)
 
     def contains_fresh(self, key: Hashable) -> bool:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False
-            return self.clock.now() - entry[0] <= self.ttl
+        entry = self._entries.get(key)
+        if entry is None:
+            return False
+        return self.clock.now() - entry[0] <= self.ttl
 
     def age(self, key: Hashable) -> Optional[float]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            return self.clock.now() - entry[0]
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        return self.clock.now() - entry[0]
 
     def purge_expired(self) -> int:
         """Drop expired entries; returns how many were removed."""
-        with self._lock:
-            now = self.clock.now()
-            expired = [
-                key
-                for key, (stored_at, _) in self._entries.items()
-                if now - stored_at > self.ttl
-            ]
-            for key in expired:
-                del self._entries[key]
-            return len(expired)
+        now = self.clock.now()
+        expired = [
+            key
+            for key, (stored_at, _) in self._entries.items()
+            if now - stored_at > self.ttl
+        ]
+        for key in expired:
+            del self._entries[key]
+        return len(expired)
 
     def maybe_purge(self) -> int:
         """Sweep expired entries at most once per `PURGE_INTERVAL`.
@@ -187,16 +180,14 @@ class MeasurementCache:
         maintenance thread; returns the number removed (0 when the
         sweep is skipped).
         """
-        with self._lock:
-            now = self.clock.now()
-            if now - self._last_purge < PURGE_INTERVAL:
-                return 0
-            self._last_purge = now
-            return self.purge_expired()
+        now = self.clock.now()
+        if now - self._last_purge < PURGE_INTERVAL:
+            return 0
+        self._last_purge = now
+        return self.purge_expired()
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

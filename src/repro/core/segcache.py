@@ -37,13 +37,13 @@ inferred hop).
 
 One cache serves one source and is shared by every engine measuring
 toward that source — the whole point is that concurrent and successive
-measurements amortize each other's probes.  All operations take an
-internal lock: ``repro top`` / ``serve --http`` read it beside the workload.
+measurements amortize each other's probes.  Only the thread that serves
+requests touches it (telemetry readers see its stats in a published
+sample), so it takes no lock.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -140,7 +140,6 @@ class ReverseSegmentCache:
         #: instrumentation sink; rewired via the attach protocol
         self.obs = NULL
         self._entries: Dict[Address, SegmentEntry] = {}
-        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Observability
@@ -194,25 +193,23 @@ class ReverseSegmentCache:
 
     def store(self, addr: Address, hop: ReverseHop) -> None:
         """Remember that *addr* forwards reverse traffic to *hop*."""
-        with self._lock:
-            self._entries[addr] = SegmentEntry(
-                next_hop=hop.addr,
-                hop=hop,
-                generation=self.internet.routing_generation,
-                stored_at=self.clock.now(),
-            )
-            self.stats.stores += 1
+        self._entries[addr] = SegmentEntry(
+            next_hop=hop.addr,
+            hop=hop,
+            generation=self.internet.routing_generation,
+            stored_at=self.clock.now(),
+        )
+        self.stats.stores += 1
 
     def store_negative(self, addr: Address) -> None:
         """Remember that *addr* revealed nothing to the RR arsenal."""
-        with self._lock:
-            self._entries[addr] = SegmentEntry(
-                next_hop=None,
-                hop=None,
-                generation=self.internet.routing_generation,
-                stored_at=self.clock.now(),
-            )
-            self.stats.negative_stores += 1
+        self._entries[addr] = SegmentEntry(
+            next_hop=None,
+            hop=None,
+            generation=self.internet.routing_generation,
+            stored_at=self.clock.now(),
+        )
+        self.stats.negative_stores += 1
 
     # ------------------------------------------------------------------
     # Lookup
@@ -225,28 +222,27 @@ class ReverseSegmentCache:
         counted by reason) at lookup time, so one sweep of measurements
         after a routing change scrubs every touched entry.
         """
-        with self._lock:
-            entry = self._entries.get(addr)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            if entry.generation != self.internet.routing_generation:
-                del self._entries[addr]
-                self.stats.invalidations_generation += 1
-                self.stats.misses += 1
-                return None
-            negative = entry.next_hop is None
-            ttl = DEFAULT_NEGATIVE_TTL if negative else self.ttl
-            if self.clock.now() - entry.stored_at > ttl:
-                del self._entries[addr]
-                self.stats.invalidations_ttl += 1
-                self.stats.misses += 1
-                return None
-            if negative:
-                self.stats.negative_hits += 1
-            else:
-                self.stats.hits += 1
-            return entry
+        entry = self._entries.get(addr)
+        if entry is None:
+            self.stats.misses += 1
+            return None
+        if entry.generation != self.internet.routing_generation:
+            del self._entries[addr]
+            self.stats.invalidations_generation += 1
+            self.stats.misses += 1
+            return None
+        negative = entry.next_hop is None
+        ttl = DEFAULT_NEGATIVE_TTL if negative else self.ttl
+        if self.clock.now() - entry.stored_at > ttl:
+            del self._entries[addr]
+            self.stats.invalidations_ttl += 1
+            self.stats.misses += 1
+            return None
+        if negative:
+            self.stats.negative_hits += 1
+        else:
+            self.stats.hits += 1
+        return entry
 
     def chain(
         self,
@@ -270,51 +266,44 @@ class ReverseSegmentCache:
         chain: List[SegmentEntry] = []
         seen_here = {addr}
         current = addr
-        # One lock acquisition for the whole walk: chains splice on
-        # the serving hot path, where a per-hop lock round-trip is
-        # measurable.
-        with self._lock:
-            generation = self.internet.routing_generation
-            now = self.clock.now()
-            stats = self.stats
-            entries = self._entries
-            while len(chain) < limit:
-                entry = entries.get(current)
-                if entry is None:
-                    stats.misses += 1
-                    break
-                if entry.generation != generation:
-                    del entries[current]
-                    stats.invalidations_generation += 1
-                    stats.misses += 1
-                    break
-                nxt = entry.next_hop
-                ttl = DEFAULT_NEGATIVE_TTL if nxt is None else self.ttl
-                if now - entry.stored_at > ttl:
-                    del entries[current]
-                    stats.invalidations_ttl += 1
-                    stats.misses += 1
-                    break
-                if nxt is None:
-                    stats.negative_hits += 1
-                    if not chain:
-                        return [], True
-                    break
-                stats.hits += 1
-                if nxt in seen_here or (
-                    stop is not None and stop(nxt)
-                ):
-                    break
-                chain.append(entry)
-                seen_here.add(nxt)
-                current = nxt
+        generation = self.internet.routing_generation
+        now = self.clock.now()
+        stats = self.stats
+        entries = self._entries
+        while len(chain) < limit:
+            entry = entries.get(current)
+            if entry is None:
+                stats.misses += 1
+                break
+            if entry.generation != generation:
+                del entries[current]
+                stats.invalidations_generation += 1
+                stats.misses += 1
+                break
+            nxt = entry.next_hop
+            ttl = DEFAULT_NEGATIVE_TTL if nxt is None else self.ttl
+            if now - entry.stored_at > ttl:
+                del entries[current]
+                stats.invalidations_ttl += 1
+                stats.misses += 1
+                break
+            if nxt is None:
+                stats.negative_hits += 1
+                if not chain:
+                    return [], True
+                break
+            stats.hits += 1
+            if nxt in seen_here or (stop is not None and stop(nxt)):
+                break
+            chain.append(entry)
+            seen_here.add(nxt)
+            current = nxt
         return chain, False
 
     def note_splice(self, hops: int) -> None:
         """Tally one spliced chain of *hops* hops (engine-reported)."""
-        with self._lock:
-            self.stats.splices += 1
-            self.stats.spliced_hops += hops
+        self.stats.splices += 1
+        self.stats.spliced_hops += hops
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -322,32 +311,30 @@ class ReverseSegmentCache:
 
     def purge_expired(self) -> int:
         """Drop generation-stale and TTL-expired entries."""
-        with self._lock:
-            now = self.clock.now()
-            generation = self.internet.routing_generation
-            dead = []
-            for addr, entry in self._entries.items():
-                if entry.generation != generation:
-                    dead.append((addr, "generation"))
-                    continue
-                ttl = (
-                    DEFAULT_NEGATIVE_TTL
-                    if entry.next_hop is None
-                    else self.ttl
-                )
-                if now - entry.stored_at > ttl:
-                    dead.append((addr, "ttl"))
-            for addr, reason in dead:
-                del self._entries[addr]
-                if reason == "generation":
-                    self.stats.invalidations_generation += 1
-                else:
-                    self.stats.invalidations_ttl += 1
-            return len(dead)
+        now = self.clock.now()
+        generation = self.internet.routing_generation
+        dead = []
+        for addr, entry in self._entries.items():
+            if entry.generation != generation:
+                dead.append((addr, "generation"))
+                continue
+            ttl = (
+                DEFAULT_NEGATIVE_TTL
+                if entry.next_hop is None
+                else self.ttl
+            )
+            if now - entry.stored_at > ttl:
+                dead.append((addr, "ttl"))
+        for addr, reason in dead:
+            del self._entries[addr]
+            if reason == "generation":
+                self.stats.invalidations_generation += 1
+            else:
+                self.stats.invalidations_ttl += 1
+        return len(dead)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

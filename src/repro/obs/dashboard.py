@@ -1,19 +1,20 @@
 """Terminal dashboard rendering for ``repro top``.
 
-Pure text assembly: given the latest metrics snapshot, the time-series
-sampler and the current health findings, :func:`render_top` produces
-one dashboard frame; :func:`live_view` owns the redraw loop (ANSI
-home+clear on TTYs, frame separators otherwise).  Nothing here touches
-measurement state, so rendering can run concurrently with a workload
-thread.
+Pure text assembly: given one copy of the sampler's ring and the health
+findings over it, :func:`render_top` produces one dashboard frame;
+:func:`live_view` owns the redraw loop (ANSI home+clear on TTYs, frame
+separators otherwise).  Nothing here touches measurement state or
+samples anything: the frame is what the workload thread last published,
+so rendering can run beside it.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs import timeseries
 from repro.obs.health import HealthFinding, format_findings
 from repro.obs.slo import format_slo, slo_summary
 
@@ -72,43 +73,38 @@ GAUGE_ROWS: Tuple[Tuple[str, str, Optional[Dict[str, str]]], ...] = (
 
 
 def render_top(
-    snapshot: Dict[str, Any],
-    sampler=None,
+    samples: List[timeseries.TimeSample],
+    capacity: int,
     findings: Optional[Sequence[HealthFinding]] = None,
     title: str = "repro top",
-    now_sim: Optional[float] = None,
-    window: Optional[float] = None,
 ) -> str:
-    """Assemble one dashboard frame from the current telemetry."""
+    """Assemble one dashboard frame from *samples*, one copy of a
+    sampler's ring (oldest first) holding at most *capacity*."""
+    latest = samples[-1] if samples else None
     lines: List[str] = []
     header = f"== {title} =="
-    if now_sim is not None:
-        header += f"  sim t={now_sim:.1f}s"
-    if sampler is not None:
-        state = sampler.summary()
-        header += "  samples={n}/{cap}".format(
-            n=state["samples"], cap=state["capacity"]
-        )
-        if state["dropped"]:
-            header += f" (dropped {state['dropped']})"
+    if latest is not None and latest.sim is not None:
+        header += f"  sim t={latest.sim:.1f}s"
+    header += f"  samples={len(samples)}/{capacity}"
+    # Indexes count every sample taken; the ring keeps the newest.
+    if samples and samples[0].index:
+        header += f" (dropped {samples[0].index})"
     lines.append(header)
 
-    if sampler is not None and len(sampler.samples()) >= 2:
+    if len(samples) >= 2:
         lines.append("rates (per sim-second, trailing window):")
         for label, metric, labels in RATE_ROWS:
-            series = sampler.series(metric, labels, window=window)
-            values = [v for _, v in series]
+            values = [v for _, v in timeseries.series(samples, metric, labels)]
             if not any(values):
                 continue
-            rate = sampler.rate(metric, labels, window=window)
-            delta = sampler.delta(metric, labels, window=window)
+            rate = timeseries.rate(samples, metric, labels)
             lines.append(
                 "  {label:<18s} {spark:<24s} total={total:<8s} "
                 "Δwindow={delta:<6s} rate={rate}".format(
                     label=label,
                     spark=sparkline(values),
                     total=_fmt(values[-1] if values else None),
-                    delta=_fmt(delta),
+                    delta=_fmt(timeseries.delta(samples, metric, labels)),
                     rate=(
                         f"{rate:.3f}/s" if rate is not None else "-"
                     ),
@@ -116,10 +112,8 @@ def render_top(
             )
         gauge_lines: List[str] = []
         for label, metric, labels in GAUGE_ROWS:
-            series = sampler.series(
-                metric, labels, window=window, kind="gauge"
-            )
-            values = [v for _, v in series if v is not None]
+            points = timeseries.series(samples, metric, labels, kind="gauge")
+            values = [v for _, v in points if v is not None]
             if not values or not any(values):
                 continue
             gauge_lines.append(
@@ -133,7 +127,9 @@ def render_top(
             lines.append("gauges:")
             lines.extend(gauge_lines)
 
-    lines.append(format_slo(slo_summary(snapshot)))
+    lines.append(
+        format_slo(slo_summary(latest.metrics if latest is not None else {}))
+    )
     if findings is not None:
         lines.append(format_findings(findings))
     return "\n".join(lines)

@@ -24,9 +24,9 @@ Design constraints, in order:
   them as dropped.
 * **correlation** — every event carries a monotonic sequence number
   plus wall-clock and sim-clock timestamps, and is stamped with the
-  current *measurement id* (thread-local, set by the engine for the
-  duration of one ``measure()`` call) so one measurement's events can
-  be pulled out of the shared log.
+  current *measurement id* (set by the engine for the duration of one
+  ``measure()`` call) so one measurement's events can be pulled out of
+  the shared log.
 * **serialisability** — events export as JSONL-able dicts under a
   versioned schema (:data:`EVENT_SCHEMA_VERSION`); see
   :mod:`repro.obs.eventio` for the file format and gzip rotation.
@@ -242,13 +242,6 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-class _LocalMid(threading.local):
-    """Thread-local current measurement id with a class-level default,
-    so the hot path reads ``self._local.mid`` without ``getattr``."""
-
-    mid: Optional[str] = None
-
-
 class EventLog:
     """A thread-safe, bounded, low-overhead structured event log.
 
@@ -268,7 +261,7 @@ class EventLog:
 
     __slots__ = (
         "capacity", "_clock", "_now", "_slots", "_seq", "_mids",
-        "_local", "_lock", "_cleared", "_floor",
+        "_mid", "_lock", "_cleared", "_floor",
     )
 
     def __init__(
@@ -299,7 +292,8 @@ class EventLog:
         # number / slot without locking (test_concurrent_emit).
         self._seq = itertools.count()
         self._mids = itertools.count(1)
-        self._local = _LocalMid()
+        #: the current measurement id every emit is stamped with
+        self._mid: Optional[str] = None
         self._lock = threading.Lock()
         #: events discarded by explicit :meth:`clear` calls (they are
         #: not "dropped" — the operator asked for them to go)
@@ -324,15 +318,14 @@ class EventLog:
         return f"m-{next(self._mids):06d}"
 
     def set_current(self, mid: Optional[str]) -> Optional[str]:
-        """Install *mid* as this thread's current measurement id.
+        """Install *mid* as the current measurement id.
 
         Returns the previous id so callers can restore it (the engine
         brackets each ``measure()`` with set/restore), keeping nested
         or re-entrant uses safe.
         """
-        local = self._local
-        previous = local.mid
-        local.mid = mid
+        previous = self._mid
+        self._mid = mid
         return previous
 
     # -- the hot path ---------------------------------------------------
@@ -348,8 +341,8 @@ class EventLog:
 
         The event kind is positional-only so a payload field may also
         be named ``kind`` (the cache and prober use it as a label).
-        ``_mid`` overrides the thread-local current measurement id
-        (used by the scheduler, whose events straddle measurements).
+        ``_mid`` overrides the current measurement id (used by the
+        scheduler, whose events straddle measurements).
         """
         now = self._now
         seq = next(self._seq)
@@ -366,7 +359,7 @@ class EventLog:
         slots[base] = -1
         slots[base + 1] = _time()
         slots[base + 2] = now() if now is not None else None
-        slots[base + 3] = _mid if _mid is not None else self._local.mid
+        slots[base + 3] = _mid if _mid is not None else self._mid
         slots[base + 4] = kind
         slots[base + 5] = fields or None
         slots[base] = seq
@@ -389,7 +382,7 @@ class EventLog:
         slots[base] = -1
         slots[base + 1] = _time()
         slots[base + 2] = now() if now is not None else None
-        slots[base + 3] = self._local.mid
+        slots[base + 3] = self._mid
         slots[base + 4] = kind
         slots[base + 5] = values
         slots[base] = seq

@@ -1,16 +1,16 @@
 """Rule-based health detection over the telemetry time-series.
 
-A :class:`HealthEngine` evaluates sliding windows of a
-:class:`repro.obs.timeseries.TimeSeriesSampler` against a table of
-rules and produces typed :class:`HealthFinding`\\ s — SLO burn-rate
-breaches, cache hit-rate collapse, retry/quarantine storms, scheduler
-queue buildup, event-ring drop onset, atlas staleness, rejection
-storms.  Each finding carries machine-readable *evidence*: the metric
-window it was computed over (start/end sim time, deltas, rates) and
-the flight-recorder event sequence numbers inside that window whose
-kinds explain the signal, so ``repro health`` is a one-command
-diagnosis that links straight back to ``repro explain``/``repro
-events``.
+A :class:`HealthEngine` evaluates sliding windows of published
+:class:`repro.obs.timeseries.TimeSample`\\ s (one copy of a sampler's
+ring) against a table of rules and produces typed
+:class:`HealthFinding`\\ s — SLO burn-rate breaches, cache hit-rate
+collapse, retry/quarantine storms, scheduler queue buildup, event-ring
+drop onset, atlas staleness, rejection storms.  Each finding carries
+machine-readable *evidence*: the metric window it was computed over
+(start/end sim time, deltas, rates) and the flight-recorder event
+sequence numbers inside that window whose kinds explain the signal, so
+``repro health`` is a one-command diagnosis that links straight back
+to ``repro explain``/``repro events``.
 
 The rules are one table, :data:`RULES`: a :class:`Rule` per finding
 kind holding everything that differs between rules — the signal, the
@@ -38,7 +38,8 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.metrics import family_by_label, family_total
+from repro.obs.metrics import family_by_label
+from repro.obs.timeseries import delta as _delta, window as _window
 
 #: How many supporting event seqs a finding cites at most; the full
 #: window is recoverable from the window bounds + ``repro events``.
@@ -131,15 +132,6 @@ class Rule:
     min_samples: int = 2
     #: ``critical`` at ``2 * critical_scale`` times the threshold
     critical_scale: float = 1.0
-
-
-def _delta(samples: Sequence[Any], name: str) -> float:
-    """Newest-minus-oldest total of one counter family."""
-    return max(
-        0.0,
-        family_total(samples[-1].metrics, name)
-        - family_total(samples[0].metrics, name),
-    )
 
 
 def _delta_by_label(
@@ -488,26 +480,28 @@ def render_rules_table() -> str:
 
 
 class HealthEngine:
-    """Evaluate :data:`RULES` over a sampler's retained time-series."""
+    """Evaluate :data:`RULES` over a copy of a sampler's ring."""
 
     def __init__(self, window: Optional[float] = None) -> None:
         #: One window (sim-clock seconds) for every rule, overriding
         #: the table's; ``None`` keeps each rule's own.
         self.window = window
 
-    def evaluate(self, sampler, events=None) -> List[HealthFinding]:
+    def evaluate(self, ring, events=None) -> List[HealthFinding]:
         """Run every rule; returns findings sorted most severe first.
 
-        *events* is an optional :class:`repro.obs.events.EventLog`
-        used to cite supporting event seqs; when omitted the engine
-        tries ``sampler.obs.events``.
+        *ring* is one copy of a sampler's ring
+        (:meth:`~repro.obs.timeseries.TimeSeriesSampler.samples`), so
+        every rule reads the same published samples.  *events* is an
+        optional :class:`repro.obs.events.EventLog` used to cite
+        supporting event seqs; it is read once, when the first finding
+        cites anything.
         """
-        if events is None:
-            events = getattr(getattr(sampler, "obs", None), "events", None)
+        recorded = None
         findings: List[HealthFinding] = []
         for rule in RULES:
-            samples = sampler.window(
-                self.window if self.window is not None else rule.window
+            samples = _window(
+                ring, self.window if self.window is not None else rule.window
             )
             if len(samples) < rule.min_samples:
                 continue
@@ -534,9 +528,11 @@ class HealthEngine:
                 evidence=reading.evidence,
             )
             if events is not None and rule.cites:
+                if recorded is None:
+                    recorded = events.events()
                 finding.event_kinds = rule.cites
                 finding.event_seqs = _cited_seqs(
-                    events, rule, finding.window
+                    recorded, rule, finding.window
                 )
             findings.append(finding)
         findings.sort(
@@ -555,23 +551,24 @@ class HealthEngine:
 
 
 def _cited_seqs(
-    events, rule: Rule, window: Tuple[Optional[float], Optional[float]]
+    recorded, rule: Rule, window: Tuple[Optional[float], Optional[float]]
 ) -> List[int]:
     """The newest :data:`MAX_CITED_EVENTS` seqs of *rule*'s cited
-    events inside *window* (events without a sim time count as in)."""
+    events among *recorded* (one read of the ring, oldest first) inside
+    *window* (events without a sim time count as in)."""
     start, end = window
     seqs: List[int] = []
-    for kind in rule.cites:
-        for event in events.events(kind=kind):
-            sim = event.sim
-            if start is not None and sim is not None and sim < start:
-                continue
-            if end is not None and sim is not None and sim > end:
-                continue
-            if rule.keep is not None and not rule.keep(event):
-                continue
-            seqs.append(event.seq)
-    seqs.sort()
+    for event in recorded:
+        if event.kind not in rule.cites:
+            continue
+        sim = event.sim
+        if start is not None and sim is not None and sim < start:
+            continue
+        if end is not None and sim is not None and sim > end:
+            continue
+        if rule.keep is not None and not rule.keep(event):
+            continue
+        seqs.append(event.seq)
     return seqs[-MAX_CITED_EVENTS:]
 
 

@@ -5,18 +5,20 @@ thread so ``repro serve --http`` (and library users, see
 ``examples/open_system_service.py``) can be scraped while a workload
 runs:
 
-* ``GET /metrics`` — Prometheus text exposition of the registry;
-* ``GET /metrics.json`` — the JSON registry snapshot;
-* ``GET /health`` — health-engine findings over the time-series
-  (HTTP 200 when healthy/degraded, 503 when critical);
-* ``GET /timeseries`` — the sampler's retained series
+* ``GET /metrics`` — Prometheus text exposition of the latest sample;
+* ``GET /metrics.json`` — that sample's JSON registry snapshot;
+* ``GET /health`` — health-engine findings over one copy of the
+  sampler's ring (HTTP 200 when healthy/degraded, 503 when critical);
+* ``GET /timeseries`` — one copy of the sampler's retained series
   (``?wall=1`` includes wall timestamps);
 * ``GET /`` — a small index of the routes.
 
-Reads go through the registry's own locking, so scraping is safe
-against concurrent measurement threads.  The server binds
-``127.0.0.1`` by default and supports ``port=0`` (ephemeral) for
-tests and examples.
+The server thread only reads what the workload thread published: the
+sampler's samples and the flight recorder's ring.  It never samples
+or snapshots the registry itself, so a scrape cannot change the run
+it watches; what it sees is at most one sample interval old.  The
+server binds ``127.0.0.1`` by default and supports ``port=0``
+(ephemeral) for tests and examples.
 """
 
 from __future__ import annotations
@@ -93,16 +95,15 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class ObsHTTPServer:
-    """Serve an instrumentation facade's state over HTTP."""
+    """Serve what a :class:`~repro.obs.timeseries.TimeSeriesSampler`
+    publishes over HTTP."""
 
     def __init__(
         self,
-        instrumentation,
-        sampler=None,
+        sampler,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        self.obs = instrumentation
         self.sampler = sampler
         self.health = HealthEngine()
         self._requested = (host, port)
@@ -112,31 +113,28 @@ class ObsHTTPServer:
     # -- document builders (also used by tests directly) ---------------
 
     def snapshot(self) -> Dict[str, Any]:
-        registry = getattr(self.obs, "registry", None)
-        return registry.snapshot() if registry is not None else {}
+        return self.sampler.latest.metrics
 
     def health_doc(self) -> Dict[str, Any]:
-        findings = []
-        if self.sampler is not None:
-            # Refresh so a scrape always sees current state even when
-            # no completion hook has ticked recently.
-            self.sampler.sample()
-            findings = self.health.evaluate(
-                self.sampler, getattr(self.obs, "events", None)
-            )
+        findings = self.health.evaluate(
+            self.sampler.samples(), self.sampler.obs.events
+        )
         return {
             "status": HealthEngine.status(findings),
             "findings": [finding.to_dict() for finding in findings],
         }
 
     def timeseries_doc(self, include_wall: bool = False) -> Dict[str, Any]:
-        if self.sampler is None:
-            return {"schema_version": 1, "summary": None, "samples": []}
         return self.sampler.export(include_wall=include_wall)
 
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "ObsHTTPServer":
+        """Serve from a background thread.  Called on the workload's
+        thread, which publishes one sample first if it has none, so an
+        early scrape is never empty."""
+        if self.sampler.latest is None:
+            self.sampler.sample()
         host, port = self._requested
         server = ThreadingHTTPServer((host, port), _Handler)
         server.daemon_threads = True

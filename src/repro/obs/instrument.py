@@ -7,7 +7,7 @@ Instrumented code holds an ``obs`` attribute and calls a tiny surface:
 * ``obs.observe(name, value, **labels)`` — record a histogram sample;
 * ``obs.set_gauge(name, value, **labels)`` — set a gauge;
 * ``obs.emit(kind, **fields)`` — record a flight-recorder event
-  (:mod:`repro.obs.events`); ``_mid=`` overrides the thread-local
+  (:mod:`repro.obs.events`); ``_mid=`` overrides the current
   measurement id;
 * ``obs.enabled`` — cheap guard for computations only worth doing when
   somebody is watching.
@@ -311,20 +311,6 @@ class Instrumentation:
             return {("obs_events_dropped_total", ()): float(dropped)}
         return {}
 
-    @staticmethod
-    def _pull(source) -> Dict[Any, float]:
-        # Sources iterate plain tally dicts that a workload thread may
-        # be inserting into when a live view samples concurrently; a
-        # resize mid-iteration raises RuntimeError.  Retrying re-reads
-        # the (slightly newer) tallies — counters are monotone, so any
-        # consistent read is valid.
-        for _ in range(3):
-            try:
-                return dict(source().items())
-            except RuntimeError:
-                continue
-        return {}
-
     def _pulled_child(self, key, family):
         """The series a pull source's ``(name, label_items)`` key names,
         resolved through *family* (``registry.counter``/``gauge``) once."""
@@ -342,14 +328,14 @@ class Instrumentation:
         # label order, so sources spelling the same series differently
         # resolve to one child and still sum into one total.
         totals: Dict[Any, float] = {}
-        for source in list(self._collect_sources):
-            for key, value in self._pull(source).items():
+        for source in self._collect_sources:
+            for key, value in source().items():
                 child = self._pulled_child(key, counter)
                 totals[child] = totals.get(child, 0.0) + value
         for child, value in totals.items():
             child.set_total(value)
-        for source in list(self._gauge_sources):
-            for key, value in self._pull(source).items():
+        for source in self._gauge_sources:
+            for key, value in source().items():
                 self._pulled_child(key, gauge).set(value)
 
     # -- tracing --------------------------------------------------------

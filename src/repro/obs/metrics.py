@@ -1,4 +1,4 @@
-"""A thread-safe metrics registry.
+"""A metrics registry.
 
 Three metric types — :class:`Counter`, :class:`Gauge`, and fixed-bucket
 :class:`Histogram` — are organised into *families* addressable by name.
@@ -6,17 +6,17 @@ A family without labels acts as a single series; ``family.labels(...)``
 returns (creating on first use) the labeled child for one label
 combination, e.g. ``revtr_steps_total{kind="rr_spoofed"}``.
 
-All mutation goes through one registry-wide reentrant lock, which is
-plenty at the update rates the measurement pipeline produces and keeps
-cross-metric snapshots consistent.  Snapshots are plain JSON-able
-dicts; the Prometheus text rendering lives in
-:mod:`repro.obs.exposition`.
+The registry has one writer: the thread that runs the workload updates
+series, runs the pull collectors and takes snapshots, so it takes no
+lock.  Other threads read what that writer published, a snapshot held
+in a :class:`~repro.obs.timeseries.TimeSample` (DESIGN.md, "One writer,
+published samples").  Snapshots are plain JSON-able dicts; the
+Prometheus text rendering lives in :mod:`repro.obs.exposition`.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -37,10 +37,7 @@ def _label_key(labels: Dict[str, Any]) -> LabelKey:
 class _Child:
     """Base for one labeled series of a family."""
 
-    __slots__ = ("_lock",)
-
-    def __init__(self, lock: threading.RLock) -> None:
-        self._lock = lock
+    __slots__ = ()
 
 
 class Counter(_Child):
@@ -48,15 +45,13 @@ class Counter(_Child):
 
     __slots__ = ("_value",)
 
-    def __init__(self, lock: threading.RLock) -> None:
-        super().__init__(lock)
+    def __init__(self) -> None:
         self._value = 0.0
 
     def inc(self, n: float = 1.0) -> None:
         if n < 0:
             raise ValueError(f"counter increment must be >= 0, got {n}")
-        with self._lock:
-            self._value += n
+        self._value += n
 
     def set_total(self, value: float) -> None:
         """Overwrite the absolute value.
@@ -65,8 +60,7 @@ class Counter(_Child):
         monotonic tally (a ProbeCounter, cache stats, ...) at
         collection time.  Regular call sites should use :meth:`inc`.
         """
-        with self._lock:
-            self._value = float(value)
+        self._value = float(value)
 
     @property
     def value(self) -> float:
@@ -78,17 +72,14 @@ class Gauge(_Child):
 
     __slots__ = ("_value",)
 
-    def __init__(self, lock: threading.RLock) -> None:
-        super().__init__(lock)
+    def __init__(self) -> None:
         self._value = 0.0
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
+        self._value = float(value)
 
     def inc(self, n: float = 1.0) -> None:
-        with self._lock:
-            self._value += n
+        self._value += n
 
     @property
     def value(self) -> float:
@@ -100,10 +91,7 @@ class Histogram(_Child):
 
     __slots__ = ("edges", "_bucket_counts", "_sum", "_count")
 
-    def __init__(
-        self, lock: threading.RLock, edges: Sequence[float]
-    ) -> None:
-        super().__init__(lock)
+    def __init__(self, edges: Sequence[float]) -> None:
         self.edges: Tuple[float, ...] = tuple(edges)
         # One slot per finite edge plus the implicit +Inf bucket.
         self._bucket_counts = [0] * (len(self.edges) + 1)
@@ -111,11 +99,9 @@ class Histogram(_Child):
         self._count = 0
 
     def observe(self, value: float) -> None:
-        index = bisect_left(self.edges, value)
-        with self._lock:
-            self._bucket_counts[index] += 1
-            self._sum += value
-            self._count += 1
+        self._bucket_counts[bisect_left(self.edges, value)] += 1
+        self._sum += value
+        self._count += 1
 
     @property
     def count(self) -> int:
@@ -129,11 +115,10 @@ class Histogram(_Child):
         """``(upper_bound, cumulative_count)`` pairs, +Inf last."""
         out: List[Tuple[float, int]] = []
         running = 0
-        with self._lock:
-            for edge, n in zip(self.edges, self._bucket_counts):
-                running += n
-                out.append((edge, running))
-            out.append((float("inf"), self._count))
+        for edge, n in zip(self.edges, self._bucket_counts):
+            running += n
+            out.append((edge, running))
+        out.append((float("inf"), self._count))
         return out
 
 
@@ -145,14 +130,12 @@ class MetricFamily:
         name: str,
         kind: str,
         help: str,
-        lock: threading.RLock,
         buckets: Optional[Sequence[float]] = None,
     ) -> None:
         self.name = name
         self.kind = kind
         self.help = help
         self.buckets = tuple(buckets) if buckets is not None else None
-        self._lock = lock
         self._children: Dict[LabelKey, _Child] = {}
         # Children in label-key order, rebuilt by series() after a
         # child is created: snapshots are taken far more often than
@@ -161,26 +144,24 @@ class MetricFamily:
 
     def _make_child(self) -> _Child:
         if self.kind == "counter":
-            return Counter(self._lock)
+            return Counter()
         if self.kind == "gauge":
-            return Gauge(self._lock)
+            return Gauge()
         edges = (
             self.buckets
             if self.buckets is not None
             else DEFAULT_TIME_BUCKETS
         )
-        return Histogram(self._lock, edges)
+        return Histogram(edges)
 
     def labels(self, **labels: Any):
         """The child for one label combination, created on first use."""
         key = _label_key(labels)
-        with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = self._make_child()
-                self._children[key] = child
-                self._sorted = None
-            return child
+        child = self._children.get(key)
+        if child is None:
+            child = self._children[key] = self._make_child()
+            self._sorted = None
+        return child
 
     # Unlabeled convenience: the family acts as its own default child.
 
@@ -194,19 +175,17 @@ class MetricFamily:
         self.labels().observe(value)  # type: ignore[union-attr]
 
     def series(self) -> List[Tuple[Dict[str, str], _Child]]:
-        with self._lock:
-            ordered = self._sorted
-            if ordered is None:
-                ordered = self._sorted = sorted(self._children.items())
-            # Fresh label dicts: snapshots hand them to callers.
-            return [(dict(key), child) for key, child in ordered]
+        ordered = self._sorted
+        if ordered is None:
+            ordered = self._sorted = sorted(self._children.items())
+        # Fresh label dicts: snapshots hand them to callers.
+        return [(dict(key), child) for key, child in ordered]
 
 
 class MetricsRegistry:
-    """Named metric families behind one lock."""
+    """Named metric families."""
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         self._families: Dict[str, MetricFamily] = {}
         self._collectors: List[Any] = []
 
@@ -217,9 +196,8 @@ class MetricsRegistry:
         them into metric series only when somebody actually looks —
         the same model as Prometheus custom collectors.
         """
-        with self._lock:
-            if fn not in self._collectors:
-                self._collectors.append(fn)
+        if fn not in self._collectors:
+            self._collectors.append(fn)
 
     def _family(
         self,
@@ -228,19 +206,16 @@ class MetricsRegistry:
         help: str,
         buckets: Optional[Sequence[float]] = None,
     ) -> MetricFamily:
-        with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                family = MetricFamily(
-                    name, kind, help, self._lock, buckets=buckets
-                )
-                self._families[name] = family
-            elif family.kind != kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{family.kind}, not {kind}"
-                )
-            return family
+        family = self._families.get(name)
+        if family is None:
+            family = MetricFamily(name, kind, help, buckets=buckets)
+            self._families[name] = family
+        elif family.kind != kind:
+            raise ValueError(
+                f"metric {name!r} already registered as "
+                f"{family.kind}, not {kind}"
+            )
+        return family
 
     def counter(self, name: str, help: str = "") -> MetricFamily:
         return self._family(name, "counter", help)
@@ -257,10 +232,7 @@ class MetricsRegistry:
         return self._family(name, "histogram", help, buckets=buckets)
 
     def families(self) -> List[MetricFamily]:
-        with self._lock:
-            return [
-                self._families[name] for name in sorted(self._families)
-            ]
+        return [self._families[name] for name in sorted(self._families)]
 
     def __contains__(self, name: str) -> bool:
         return name in self._families
@@ -270,7 +242,8 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """A consistent JSON-able view of every series.
+        """A JSON-able view of every series, after running the pull
+        collectors; the writer's to call.
 
         Shape::
 
@@ -279,43 +252,33 @@ class MetricsRegistry:
                                | {"labels": {...}, "sum": s, "count": n,
                                   "buckets": [[le, cumulative], ...]}]}}
         """
-        # Pull-style collection happens outside the snapshot lock so a
-        # collector may freely create families/children.
-        for fn in list(self._collectors):
+        for fn in self._collectors:
             fn()
         out: Dict[str, Dict[str, Any]] = {}
-        with self._lock:
-            for family in self.families():
-                series: List[Dict[str, Any]] = []
-                for labels, child in family.series():
-                    if isinstance(child, Histogram):
-                        series.append(
-                            {
-                                "labels": labels,
-                                "sum": child.sum,
-                                "count": child.count,
-                                # +Inf spelled out so the snapshot is
-                                # strict JSON, not just json-module JSON.
-                                "buckets": [
-                                    [
-                                        "+Inf"
-                                        if le == float("inf")
-                                        else le,
-                                        n,
-                                    ]
-                                    for le, n in child.cumulative_buckets()
-                                ],
-                            }
-                        )
-                    else:
-                        series.append(
-                            {"labels": labels, "value": child.value}
-                        )
-                out[family.name] = {
-                    "type": family.kind,
-                    "help": family.help,
-                    "series": series,
-                }
+        for family in self.families():
+            series: List[Dict[str, Any]] = []
+            for labels, child in family.series():
+                if isinstance(child, Histogram):
+                    series.append(
+                        {
+                            "labels": labels,
+                            "sum": child.sum,
+                            "count": child.count,
+                            # +Inf spelled out so the snapshot is
+                            # strict JSON, not just json-module JSON.
+                            "buckets": [
+                                ["+Inf" if le == float("inf") else le, n]
+                                for le, n in child.cumulative_buckets()
+                            ],
+                        }
+                    )
+                else:
+                    series.append({"labels": labels, "value": child.value})
+            out[family.name] = {
+                "type": family.kind,
+                "help": family.help,
+                "series": series,
+            }
         return out
 
 

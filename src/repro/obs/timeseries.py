@@ -11,6 +11,14 @@ HTTP endpoint) are all built on it.
 
 Design constraints, in the spirit of the pull-style obs layer:
 
+* **One writer, published samples.**  Only the thread that runs the
+  workload samples, and so only it runs the registry's pull
+  collectors.  A sample is the published snapshot: ``/metrics``,
+  ``/health`` and ``repro top`` read :attr:`TimeSeriesSampler.latest`
+  or one copy of the ring and never sample themselves, so looking at
+  a run does not change what it records.  Findings are as fresh as the
+  last sample, at most one ``sim_interval`` old.
+
 * **Beside the measurement path, and priced per series.**  Nothing
   inside a measurement calls the sampler; completion hooks in the
   scheduler/service call :meth:`TimeSeriesSampler.maybe_sample`,
@@ -40,7 +48,8 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import family_series, family_total
 
@@ -107,11 +116,13 @@ class TimeSeriesSampler:
 
     The one tick source is the virtual clock: a sample is due
     whenever it has advanced at least ``sim_interval`` sim-seconds
-    since the last one (``None`` disables ticks; live views pace
-    themselves and force captures).
+    since the last one (``None`` disables ticks).
 
-    Hook points call :meth:`maybe_sample`; views force a capture with
-    :meth:`sample`.  All query helpers operate on the retained ring.
+    One writer, published samples: the thread that runs the workload
+    is the only one that calls :meth:`maybe_sample` / :meth:`sample`,
+    and publishing is one append to the ring.  Any other thread reads
+    :attr:`latest` or one copy of the ring (:meth:`samples`) and runs
+    the queries below on that copy, never on the live ring.
     """
 
     def __init__(
@@ -127,9 +138,10 @@ class TimeSeriesSampler:
         self.sim_interval = sim_interval
         self.capacity = capacity
         self.clock = clock
-        self._ring: List[TimeSample] = []
+        # Append-and-evict is one C call, so a reader's copy sees the
+        # ring before or after a publish, never during one.
+        self._ring: Deque[TimeSample] = deque(maxlen=capacity)
         self._count = 0
-        self._dropped = 0
         self._last_sim: Optional[float] = None
 
     # -- clock resolution ----------------------------------------------
@@ -147,7 +159,7 @@ class TimeSeriesSampler:
                 self.clock = clock
         return clock.now() if clock is not None else None
 
-    # -- capture --------------------------------------------------------
+    # -- capture (the writer) -------------------------------------------
 
     def maybe_sample(self) -> Optional[TimeSample]:
         """Capture a sample iff the tick interval has elapsed.
@@ -165,7 +177,7 @@ class TimeSeriesSampler:
         return None
 
     def sample(self) -> TimeSample:
-        """Unconditionally capture one sample into the ring."""
+        """Unconditionally capture one sample and publish it."""
         registry = self.obs.registry
         sim = self._sim_now()
         metrics = registry.snapshot() if registry is not None else {}
@@ -183,18 +195,15 @@ class TimeSeriesSampler:
         )
         self._count += 1
         self._last_sim = sim
-        if len(self._ring) >= self.capacity:
-            self._ring.pop(0)
-            self._dropped += 1
         self._ring.append(record)
         return record
 
-    # -- ring state -----------------------------------------------------
+    # -- what readers read ----------------------------------------------
 
     @property
     def dropped(self) -> int:
         """Samples lost to the ring bound."""
-        return self._dropped
+        return self._count - len(self._ring)
 
     @property
     def total(self) -> int:
@@ -202,100 +211,30 @@ class TimeSeriesSampler:
         return self._count
 
     def samples(self) -> List[TimeSample]:
-        """Retained samples, oldest first."""
+        """One copy of the retained samples, oldest first."""
         return list(self._ring)
 
     @property
     def latest(self) -> Optional[TimeSample]:
+        """The newest published sample, or None before the first."""
         return self._ring[-1] if self._ring else None
-
-    def window(self, seconds: Optional[float]) -> List[TimeSample]:
-        """Retained samples within the trailing sim window.
-
-        ``None`` (or samples without sim timestamps) returns the whole
-        ring.  The sample immediately *before* the window boundary is
-        included so deltas across the window edge are well-defined.
-        """
-        if not self._ring or seconds is None:
-            return list(self._ring)
-        end = self._ring[-1].sim
-        if end is None:
-            return list(self._ring)
-        start = end - seconds
-        out: List[TimeSample] = []
-        for record in self._ring:
-            if record.sim is None or record.sim >= start:
-                out.append(record)
-            else:
-                # keep only the newest pre-window sample as the base
-                out = [record]
-        return out
-
-    # -- windowed queries -----------------------------------------------
-
-    def series(
-        self,
-        name: str,
-        labels: Optional[Dict[str, str]] = None,
-        window: Optional[float] = None,
-        kind: str = "counter",
-    ) -> List[Tuple[Optional[float], Optional[float]]]:
-        """``(sim, value)`` points for one metric across the window."""
-        reader: Callable[[TimeSample], Optional[float]]
-        if kind == "gauge":
-            reader = lambda s: s.gauge_value(name, labels)  # noqa: E731
-        else:
-            reader = lambda s: family_total(s.metrics, name, labels)  # noqa: E731
-        return [(s.sim, reader(s)) for s in self.window(window)]
-
-    def delta(
-        self,
-        name: str,
-        labels: Optional[Dict[str, str]] = None,
-        window: Optional[float] = None,
-    ) -> float:
-        """Newest-minus-oldest counter total across the window."""
-        samples = self.window(window)
-        if len(samples) < 2:
-            return 0.0
-        newest = family_total(samples[-1].metrics, name, labels)
-        oldest = family_total(samples[0].metrics, name, labels)
-        return max(0.0, newest - oldest)
-
-    def rate(
-        self,
-        name: str,
-        labels: Optional[Dict[str, str]] = None,
-        window: Optional[float] = None,
-    ) -> Optional[float]:
-        """Per-sim-second rate of a counter across the window."""
-        samples = self.window(window)
-        if len(samples) < 2:
-            return None
-        first, last = samples[0], samples[-1]
-        if first.sim is None or last.sim is None:
-            return None
-        span = last.sim - first.sim
-        if span <= 0:
-            return None
-        change = family_total(last.metrics, name, labels) - family_total(
-            first.metrics, name, labels
-        )
-        return max(0.0, change) / span
 
     # -- export ---------------------------------------------------------
 
     def summary(self) -> Dict[str, Any]:
         """Small JSON-able state block for introspection/snapshots."""
-        return self._summary(list(self._ring))
+        return self._summary(self.samples())
 
     def _summary(self, ring: List[TimeSample]) -> Dict[str, Any]:
+        # Read off the copy, not the live counters, so the block
+        # describes exactly the samples it is exported with: indexes
+        # count every sample taken, and the ring keeps the newest.
         first = ring[0] if ring else None
         last = ring[-1] if ring else None
         return {
             "samples": len(ring),
-            "total": self._count,
-            "dropped": self._dropped,
+            "total": last.index + 1 if last is not None else 0,
+            "dropped": first.index if first is not None else 0,
             "capacity": self.capacity,
             "sim_interval": self.sim_interval,
             "span_sim": (
@@ -311,10 +250,7 @@ class TimeSeriesSampler:
         ``include_wall=True`` for operational dumps where real
         timestamps matter more than reproducibility.
         """
-        # One copy of the ring (one C call) feeds both the summary and
-        # the samples, so a sample appended while `/timeseries` is being
-        # served cannot make the two disagree (tests/test_reader_thread.py).
-        ring = list(self._ring)
+        ring = self.samples()
         return {
             "schema_version": 1,
             "summary": self._summary(ring),
@@ -327,6 +263,77 @@ class TimeSeriesSampler:
     def export_json(self, **kwargs: Any) -> str:
         """Canonical JSON text of :meth:`export` (stable key order)."""
         return json.dumps(self.export(**kwargs), sort_keys=True, indent=2)
+
+
+# -- windowed queries over one copy of the ring ---------------------------
+
+
+def window(
+    samples: List[TimeSample], seconds: Optional[float]
+) -> List[TimeSample]:
+    """The *samples* (one ring copy, oldest first) within the trailing
+    sim window.
+
+    ``None`` (or samples without sim timestamps) returns them all.
+    The sample immediately *before* the window boundary is included so
+    deltas across the window edge are well-defined.
+    """
+    if not samples or seconds is None or samples[-1].sim is None:
+        return list(samples)
+    start = samples[-1].sim - seconds
+    out: List[TimeSample] = []
+    for record in samples:
+        if record.sim is None or record.sim >= start:
+            out.append(record)
+        else:
+            # keep only the newest pre-window sample as the base
+            out = [record]
+    return out
+
+
+def series(
+    samples: List[TimeSample],
+    name: str,
+    labels: Optional[Dict[str, str]] = None,
+    kind: str = "counter",
+) -> List[Tuple[Optional[float], Optional[float]]]:
+    """``(sim, value)`` points for one metric across *samples*."""
+    reader: Callable[[TimeSample], Optional[float]]
+    if kind == "gauge":
+        reader = lambda s: s.gauge_value(name, labels)  # noqa: E731
+    else:
+        reader = lambda s: family_total(s.metrics, name, labels)  # noqa: E731
+    return [(s.sim, reader(s)) for s in samples]
+
+
+def delta(
+    samples: List[TimeSample],
+    name: str,
+    labels: Optional[Dict[str, str]] = None,
+) -> float:
+    """Newest-minus-oldest counter total across *samples*."""
+    if len(samples) < 2:
+        return 0.0
+    newest = family_total(samples[-1].metrics, name, labels)
+    oldest = family_total(samples[0].metrics, name, labels)
+    return max(0.0, newest - oldest)
+
+
+def rate(
+    samples: List[TimeSample],
+    name: str,
+    labels: Optional[Dict[str, str]] = None,
+) -> Optional[float]:
+    """Per-sim-second rate of a counter across *samples*."""
+    if len(samples) < 2:
+        return None
+    first, last = samples[0], samples[-1]
+    if first.sim is None or last.sim is None:
+        return None
+    span = last.sim - first.sim
+    if span <= 0:
+        return None
+    return delta(samples, name, labels) / span
 
 
 def install_sampler(

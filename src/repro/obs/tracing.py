@@ -21,7 +21,6 @@ export as plain JSON-able dicts for post-hoc analysis.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from typing import Any, Dict, Iterator, List, Optional, Sequence
@@ -52,7 +51,6 @@ class Span:
         "sim_end",
         "error",
         "_tracer",
-        "_stack",
     )
 
     def __enter__(self) -> "Span":
@@ -70,7 +68,7 @@ class Span:
         clock = tracer.clock
         if clock is not None:
             self.sim_end = clock.now()
-        stack = self._stack
+        stack = tracer._stack
         if stack:
             if stack[-1] is self:
                 stack.pop()
@@ -87,25 +85,17 @@ class Span:
             else:
                 parent._children.append(self)
         else:
-            # One thread closes spans; a telemetry reader may copy
-            # the ring meanwhile (``list(traces)`` under the lock).
-            # Both are single C calls, so the copy sees the ring
-            # before or after this append, never during — the lock is
-            # for the compound operations (export/clear) only.
-            # tests/test_reader_thread.py exports traces from a second
-            # thread while a workload closes them.
             traces = tracer.traces
             if len(traces) == traces.maxlen:
                 # The ring is full: this append evicts the oldest
                 # completed trace; tallied so the loss is countable.
                 tracer.dropped += 1
             traces.append(self)
-        # Drop the tracer and stack backrefs: they form reference
-        # cycles through the completed-trace ring (span -> tracer ->
-        # traces -> span), and closed spans can be long-lived there —
-        # without this every retained trace tree is cyclic-GC work.
+        # Drop the tracer backref: it forms a reference cycle through
+        # the completed-trace ring (span -> tracer -> traces -> span),
+        # and closed spans can be long-lived there — without this every
+        # retained trace tree is cyclic-GC work.
         self._tracer = None
-        self._stack = None
         return False
 
     @property
@@ -184,29 +174,19 @@ MAX_TRACES = 256
 class Tracer:
     """Builds per-measurement span trees.
 
-    The active-span stack is thread-local, so concurrent measurements
-    on different threads build independent trees; the completed-trace
-    ring is shared and lock-protected.
+    Spans are opened and closed by the one thread that runs the
+    workload (DESIGN.md, "One writer, published samples"), so the
+    active-span stack is one plain list.
     """
 
     def __init__(self, clock=None) -> None:
         #: object with a ``now() -> float`` method (duck-typed so the
         #: tracer does not import the simulator); may be set late.
         self.clock = clock
-        self._lock = threading.Lock()
-        self._local = threading.local()
+        self._stack: List[Span] = []
         self.traces: deque = deque(maxlen=MAX_TRACES)
         #: completed traces evicted from the full ring (lifetime tally)
         self.dropped = 0
-
-    # -- stack ----------------------------------------------------------
-
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
 
     # -- public API -----------------------------------------------------
 
@@ -231,34 +211,22 @@ class Tracer:
         span._tracer = self
         clock = self.clock
         span.sim_start = clock.now() if clock is not None else None
-        local = self._local
-        try:
-            stack = local.stack
-        except AttributeError:
-            stack = local.stack = []
-        # Captured so __exit__ skips the threading.local lookup (spans
-        # never migrate threads).
-        span._stack = stack
-        stack.append(span)
+        self._stack.append(span)
         span.wall_start = _perf_counter()
         return span
 
     @property
     def active_span(self) -> Optional[Span]:
-        stack = self._stack()
+        stack = self._stack
         return stack[-1] if stack else None
 
     @property
     def last_trace(self) -> Optional[Span]:
-        with self._lock:
-            return self.traces[-1] if self.traces else None
+        return self.traces[-1] if self.traces else None
 
     def export_json(self) -> List[Dict[str, Any]]:
         """All completed traces as JSON-able dicts, oldest first."""
-        with self._lock:
-            roots = list(self.traces)
-        return [root.to_dict() for root in roots]
+        return [root.to_dict() for root in self.traces]
 
     def clear(self) -> None:
-        with self._lock:
-            self.traces.clear()
+        self.traces.clear()

@@ -9,7 +9,6 @@ engine, and archived in the measurement store.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -71,7 +70,6 @@ class RevtrService:
         #: governs their validity, so a re-registered source keeps the
         #: amortization it earned.
         self._segcaches: Dict[Address, ReverseSegmentCache] = {}
-        self._engines_lock = threading.Lock()
         # A re-registered source gets a rebuilt atlas/RR atlas; drop
         # any engine built against the old one so requests never keep
         # serving stale state.
@@ -112,40 +110,38 @@ class RevtrService:
     # ------------------------------------------------------------------
 
     def _invalidate_engine(self, source: Address) -> None:
-        with self._engines_lock:
-            self._engines.pop(source, None)
+        self._engines.pop(source, None)
 
     def _engine_for(self, source: Address) -> RevtrEngine:
-        with self._engines_lock:
-            engine = self._engines.get(source)
-            if engine is None:
-                registered = self.registry.sources.get(source)
-                if registered is None:
-                    raise KeyError(f"source {source} not registered")
-                segcache = None
-                if self.engine_config.segment_cache:
-                    segcache = self._segcaches.get(source)
-                    if segcache is None:
-                        segcache = ReverseSegmentCache(
-                            self.prober.clock, self.prober.internet
-                        )
-                        self._segcaches[source] = segcache
-                engine = RevtrEngine(
-                    prober=self.prober,
-                    source=source,
-                    atlas=registered.atlas,
-                    selector=self.selector,
-                    ip2as=self.ip2as,
-                    relationships=self.relationships,
-                    config=self.engine_config,
-                    rr_atlas=registered.rr_atlas,
-                    resolver=self.resolver,
-                    spoofers=self.registry.spoofer_vps,
-                    instrumentation=self.obs,
-                    segcache=segcache,
-                )
-                self._engines[source] = engine
-            return engine
+        engine = self._engines.get(source)
+        if engine is None:
+            registered = self.registry.sources.get(source)
+            if registered is None:
+                raise KeyError(f"source {source} not registered")
+            segcache = None
+            if self.engine_config.segment_cache:
+                segcache = self._segcaches.get(source)
+                if segcache is None:
+                    segcache = ReverseSegmentCache(
+                        self.prober.clock, self.prober.internet
+                    )
+                    self._segcaches[source] = segcache
+            engine = RevtrEngine(
+                prober=self.prober,
+                source=source,
+                atlas=registered.atlas,
+                selector=self.selector,
+                ip2as=self.ip2as,
+                relationships=self.relationships,
+                config=self.engine_config,
+                rr_atlas=registered.rr_atlas,
+                resolver=self.resolver,
+                spoofers=self.registry.spoofer_vps,
+                instrumentation=self.obs,
+                segcache=segcache,
+            )
+            self._engines[source] = engine
+        return engine
 
     def _measure_one(
         self, engine: RevtrEngine, dst: Address, user_name: str, label: str

@@ -3,11 +3,11 @@
 The deployed system stores every reverse traceroute to M-Lab's cloud
 storage; this is the in-process equivalent: an append-only list of
 results with their request metadata, iterated by whoever queries it.
+Only the thread that serves requests appends to it or reads it.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterator, List
 
@@ -29,9 +29,6 @@ class MeasurementStore:
 
     def __init__(self) -> None:
         self._records: List[StoredMeasurement] = []
-        # Held around every append and every copy-out, for a reader
-        # thread running beside the workload (``serve --http``).
-        self._lock = threading.Lock()
 
     def append(
         self,
@@ -46,21 +43,18 @@ class MeasurementStore:
             requested_at=requested_at,
             label=label,
         )
-        with self._lock:
-            self._records.append(record)
+        self._records.append(record)
         return record
 
     def all(self) -> List[StoredMeasurement]:
-        with self._lock:
-            return list(self._records)
+        return list(self._records)
 
     def complete(self) -> List[StoredMeasurement]:
-        with self._lock:
-            return [
-                r
-                for r in self._records
-                if r.result.status is RevtrStatus.COMPLETE
-            ]
+        return [
+            r
+            for r in self._records
+            if r.result.status is RevtrStatus.COMPLETE
+        ]
 
     def completion_rate(self) -> float:
         if not self._records:

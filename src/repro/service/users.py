@@ -4,13 +4,14 @@ The deployed system keeps a manually maintained user database with two
 rate-limiting parameters per user: the number of parallel reverse
 traceroutes and the maximum measurements per day — "similar to what
 RIPE Atlas does". Day boundaries are read off the virtual clock.
+Quotas are charged and refunded only by the thread that serves
+requests, so the read-modify-write needs no lock.
 """
 
 from __future__ import annotations
 
 import secrets
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.sim.clock import VirtualClock
@@ -32,11 +33,6 @@ class User:
     max_per_day: int = 10_000
     _used_today: int = 0
     _day_index: int = 0
-    # Quota accounting is read-modify-write; the lock keeps it atomic
-    # when a reader thread (``serve --http``) runs beside the workload.
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def _roll_day(self, now: float) -> None:
         day = int(now // _DAY)
@@ -46,13 +42,12 @@ class User:
 
     def charge(self, now: float, n: int = 1) -> None:
         """Charge *n* measurements against today's quota."""
-        with self._lock:
-            self._roll_day(now)
-            if self._used_today + n > self.max_per_day:
-                raise QuotaExceeded(
-                    f"user {self.name} exceeded {self.max_per_day}/day"
-                )
-            self._used_today += n
+        self._roll_day(now)
+        if self._used_today + n > self.max_per_day:
+            raise QuotaExceeded(
+                f"user {self.name} exceeded {self.max_per_day}/day"
+            )
+        self._used_today += n
 
     def refund(self, now: float, n: int = 1) -> None:
         """Return *n* unused charges to today's quota.
@@ -60,14 +55,12 @@ class User:
         Only charges made the same (virtual) day can come back; after
         a day rollover there is nothing to refund against.
         """
-        with self._lock:
-            self._roll_day(now)
-            self._used_today = max(0, self._used_today - n)
+        self._roll_day(now)
+        self._used_today = max(0, self._used_today - n)
 
     def remaining_today(self, now: float) -> int:
-        with self._lock:
-            self._roll_day(now)
-            return self.max_per_day - self._used_today
+        self._roll_day(now)
+        return self.max_per_day - self._used_today
 
 
 class UserDatabase:

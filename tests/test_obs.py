@@ -15,6 +15,8 @@ from repro.obs import (
     Tracer,
     render_text,
 )
+from repro.obs.metrics import family_total
+from repro.obs.timeseries import install_sampler
 from repro.obs.tracing import MAX_TRACES
 from repro.obs import runtime
 from repro.topology import TopologyConfig
@@ -77,19 +79,44 @@ class TestRegistry:
         assert child.sum == pytest.approx(26.5)
 
     def test_concurrent_increments(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("contended").labels()
+        # One writer increments and publishes samples; reader threads
+        # read only what was published, and never see it go back.
+        instr = Instrumentation()
+        sampler = install_sampler(instr, sim_interval=None)
+        counter = instr.registry.counter("contended").labels()
+        stop = threading.Event()
+        seen = []
+        errors = []
 
-        def hammer():
-            for _ in range(10_000):
-                counter.inc()
+        def read():
+            last = 0.0
+            try:
+                while not stop.is_set():
+                    latest = sampler.latest
+                    if latest is None:
+                        continue
+                    value = family_total(latest.metrics, "contended")
+                    assert value >= last, (value, last)
+                    last = value
+                seen.append(last)
+            except Exception as exc:  # reported below
+                errors.append(exc)
 
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for t in threads:
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        for t in readers:
             t.start()
-        for t in threads:
-            t.join()
+        for i in range(80_000):
+            counter.inc()
+            if i % 1_000 == 999:
+                sampler.sample()
+        stop.set()
+        for t in readers:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in readers)
+        assert errors == []
         assert counter.value == 80_000
+        assert family_total(sampler.latest.metrics, "contended") == 80_000
+        assert len(seen) == 4 and max(seen) > 0
 
     def test_snapshot_is_json_serializable(self):
         registry = MetricsRegistry()

@@ -3,15 +3,19 @@
 `repro serve --http` and `repro top` read metrics, health, the
 time-series and the event ring from a thread of their own while the
 workload runs on the main thread; nothing else in `src/` is
-concurrent.  What the lock-free paths in `obs/events.py`,
-`obs/tracing.py` and `sim/clock.py` rely on ("under the GIL" in their
-comments) is asserted here, on a faulted scheduler workload with the
-interpreter switching threads every 10 microseconds: neither side
-raises, every read of the ring accounts for every event, counters
-never run backwards between reads, and the workload's results are
-those of the same run with nobody watching.
+concurrent.  The design is one writer, published samples: only the
+workload thread mutates state, runs the pull collectors and samples,
+and the reader reads what it published (the sampler's ring, through
+`ObsHTTPServer`) plus the flight recorder's seqlocked ring.  Asserted
+here, on a faulted scheduler workload with the interpreter switching
+threads every 10 microseconds: neither side raises, every read of the
+event ring accounts for every event, counters never run backwards
+between reads, every writer-side entry point runs on the workload
+thread alone, and the workload's results and exported time series are
+those of the same run with nobody reading.
 """
 
+import functools
 import json
 import random
 import sys
@@ -19,10 +23,19 @@ import threading
 import urllib.error
 import urllib.request
 
+import pytest
+
+from repro.core.cache import MeasurementCache
 from repro.core.revtr import EngineConfig
 from repro.experiments import Scenario
 from repro.obs import Instrumentation, ObsHTTPServer, install_sampler
+from repro.obs.metrics import MetricFamily, MetricsRegistry
+from repro.obs.timeseries import TimeSeriesSampler
+from repro.obs.tracing import Tracer
 from repro.service import SchedulerConfig
+from repro.service.store import MeasurementStore
+from repro.service.users import User
+from repro.sim.clock import VirtualClock
 from repro.sim.faults import FaultPlan, FaultSpec
 from repro.topology import TopologyConfig
 
@@ -30,11 +43,29 @@ SEED = 9
 REQUESTS = 600
 
 
+#: The writer's side: what mutates state, runs the pull collectors or
+#: publishes a sample.  (class, method name)
+WRITER_ENTRY_POINTS = (
+    (MetricsRegistry, "snapshot"),
+    (Instrumentation, "_collect"),
+    (MetricFamily, "labels"),
+    (TimeSeriesSampler, "sample"),
+    (VirtualClock, "advance"),
+    (MeasurementCache, "get"),
+    (MeasurementCache, "put"),
+    (User, "charge"),
+    (MeasurementStore, "append"),
+    (Tracer, "span"),
+)
+
+
 def faulted_run(reader=None):
     """A seeded scheduler run under link loss and a VP outage, full
-    obs on and an event ring small enough to wrap; *reader*, if given,
-    is started once the workload is wired and stopped when it ends.
-    Returns what a result digest would cover."""
+    obs on and an event ring small enough to wrap.  The obs endpoint
+    is started once the workload is wired (its first sample published
+    there) and stopped when the run ends; *reader*, if given, loops
+    over it meanwhile.  Returns what a result digest would cover, and
+    the exported time series."""
     instr = Instrumentation(event_capacity=256)
     sampler = install_sampler(instr, sim_interval=5.0)
     scenario = Scenario(
@@ -69,13 +100,15 @@ def faulted_run(reader=None):
     dsts = scenario.responsive_destinations(options_only=True)
     for dst in random.Random(SEED).choices(dsts, k=REQUESTS):
         scheduler.submit(door.users[0].api_key, dst, source)
+    server = ObsHTTPServer(sampler).start()
     if reader is not None:
-        reader.start(instr, sampler)
+        reader.start(instr, server)
     try:
         report = scheduler.run()
     finally:
         if reader is not None:
             reader.stop()
+        server.stop()
     return {
         "results": [
             job.result.to_dict() if job.result is not None else None
@@ -86,6 +119,7 @@ def faulted_run(reader=None):
         "vp_health": tracker.snapshot(),
         "clock": scenario.clock.now(),
         "events": instr.events.total,
+        "series": sampler.export_json(),
     }
 
 
@@ -99,16 +133,15 @@ class Reader:
         self.wrapped = False
         self._stop = threading.Event()
 
-    def start(self, instr, sampler):
+    def start(self, instr, server):
         self.instr = instr
-        self.server = ObsHTTPServer(instr, sampler).start()
+        self.server = server
         self.thread = threading.Thread(target=self._loop, daemon=True)
         self.thread.start()
 
     def stop(self):
         self._stop.set()
         self.thread.join(timeout=30)
-        self.server.stop()
 
     def _get(self, route):
         try:
@@ -142,8 +175,6 @@ class Reader:
                 assert series["summary"]["samples"] == len(
                     series["samples"]
                 )
-                for trace in self.instr.tracer.export_json():
-                    assert trace["name"].startswith("service.request")
                 log = self.instr.events
                 # The ring is what is written without a lock: read it
                 # many times for every pass over the routes.
@@ -166,15 +197,52 @@ class Reader:
             self.errors.append(exc)
 
 
-def test_workload_and_telemetry_reader_share_nothing_unsafely():
+def recording_writers(stack):
+    """Wrap every :data:`WRITER_ENTRY_POINTS` method so it records the
+    thread it runs on; returns ``{"Class.method": {thread ident}}``.
+    Applied before the run builds anything, since the facade binds
+    ``Tracer.span`` and ``Instrumentation._collect`` at construction."""
+    threads = {}
+
+    def recorded(name, method):
+        seen = threads[name] = set()
+
+        @functools.wraps(method)
+        def wrapper(*args, **kwargs):
+            seen.add(threading.get_ident())
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    for cls, method in WRITER_ENTRY_POINTS:
+        stack.setattr(
+            cls,
+            method,
+            recorded(f"{cls.__name__}.{method}", cls.__dict__[method]),
+        )
+    return threads
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """The same faulted run with nobody reading its endpoint, and
+    watched by a :class:`Reader` at a 10 microsecond switch interval
+    with the writer-side entry points recording their threads."""
     alone = faulted_run()
     reader = Reader()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        watched = faulted_run(reader)
+        with pytest.MonkeyPatch.context() as stack:
+            threads = recording_writers(stack)
+            watched = faulted_run(reader)
     finally:
         sys.setswitchinterval(interval)
+    return alone, watched, reader, threads
+
+
+def test_workload_and_telemetry_reader_share_nothing_unsafely(runs):
+    alone, watched, reader, _ = runs
     assert not reader.thread.is_alive()
     assert reader.errors == []
     assert reader.rounds >= 2
@@ -182,3 +250,24 @@ def test_workload_and_telemetry_reader_share_nothing_unsafely():
     # was checked with drops in it.
     assert reader.wrapped and alone["events"] > 256
     assert watched == alone
+
+
+def test_scrapes_do_not_write_the_time_series(runs):
+    # A scrape reads published samples; it used to take one of its
+    # own, which moved the sim-clock tick schedule of every later
+    # sample by when somebody happened to look.
+    alone, watched, reader, _ = runs
+    assert reader.rounds >= 2
+    assert watched["series"] == alone["series"]
+
+
+def test_only_the_workload_thread_writes(runs):
+    _, _, reader, threads = runs
+    workload = threading.get_ident()
+    assert reader.rounds >= 2
+    for name, seen in threads.items():
+        assert seen == {workload}, (
+            f"{name} ran on {len(seen - {workload})} other thread(s)"
+            if seen
+            else f"{name} never ran, so the check says nothing"
+        )

@@ -8,7 +8,11 @@ from repro.experiments import Scenario
 from repro.obs import Instrumentation
 from repro.obs.timeseries import (
     TimeSeriesSampler,
+    delta,
     install_sampler,
+    rate,
+    series,
+    window,
 )
 from repro.sim.clock import VirtualClock
 from repro.topology import TopologyConfig
@@ -94,11 +98,12 @@ class TestWindowQueries:
     def test_delta_and_rate(self):
         instr, clock, sampler = self._sampled_counter_run()
         # 5 samples spanning sim 0..40; counter grows 3/sample.
-        assert sampler.delta("service_requests_total") == pytest.approx(12.0)
-        assert sampler.delta(
-            "service_requests_total", labels={"status": "complete"}
+        ring = sampler.samples()
+        assert delta(ring, "service_requests_total") == pytest.approx(12.0)
+        assert delta(
+            ring, "service_requests_total", labels={"status": "complete"}
         ) == pytest.approx(8.0)
-        assert sampler.rate("service_requests_total") == pytest.approx(
+        assert rate(ring, "service_requests_total") == pytest.approx(
             12.0 / 40.0
         )
 
@@ -106,19 +111,18 @@ class TestWindowQueries:
         instr, clock, sampler = self._sampled_counter_run()
         # Trailing 15s window over samples at sim 0/10/20/30/40 keeps
         # 30 and 40 plus 20 as the delta base.
-        window = sampler.window(15.0)
-        assert [s.sim for s in window] == [20.0, 30.0, 40.0]
-        assert sampler.delta(
-            "service_requests_total", window=15.0
-        ) == pytest.approx(6.0)
+        recent = window(sampler.samples(), 15.0)
+        assert [s.sim for s in recent] == [20.0, 30.0, 40.0]
+        assert delta(recent, "service_requests_total") == pytest.approx(6.0)
+        assert window(sampler.samples(), None) == sampler.samples()
 
     def test_rate_needs_two_samples_and_positive_span(self):
         instr, clock, sampler = make_sampler(sim_interval=None)
-        assert sampler.rate("service_requests_total") is None
+        assert rate(sampler.samples(), "service_requests_total") is None
         sampler.sample()
-        assert sampler.rate("service_requests_total") is None
+        assert rate(sampler.samples(), "service_requests_total") is None
         sampler.sample()  # same sim timestamp -> zero span
-        assert sampler.rate("service_requests_total") is None
+        assert rate(sampler.samples(), "service_requests_total") is None
 
     def test_series_and_gauge_reader(self):
         instr, clock, sampler = make_sampler(sim_interval=None)
@@ -126,8 +130,8 @@ class TestWindowQueries:
             instr.set_gauge("service_queue_depth", depth, user="u")
             sampler.sample()
             clock.advance(5.0)
-        points = sampler.series(
-            "service_queue_depth", kind="gauge"
+        points = series(
+            sampler.samples(), "service_queue_depth", kind="gauge"
         )
         assert [value for _, value in points] == [1.0, 4.0, 2.0]
 
@@ -205,7 +209,7 @@ class TestHttpEndpoint:
         instr, clock, sampler = make_sampler(sim_interval=None)
         instr.inc("service_requests_total", status="complete")
         sampler.sample()
-        with ObsHTTPServer(instr, sampler) as server:
+        with ObsHTTPServer(sampler) as server:
             def get(path):
                 with urllib.request.urlopen(
                     server.url + path, timeout=10
@@ -226,10 +230,12 @@ class TestHttpEndpoint:
             assert health["findings"] == []
             status, body = get("/timeseries")
             assert status == 200
-            series = json.loads(body)
-            assert series["schema_version"] == 1
-            # Sample indexes grow: /health forces a fresh capture.
-            assert series["summary"]["total"] >= 2
+            doc = json.loads(body)
+            assert doc["schema_version"] == 1
+            # Readers read what was published: neither the server's
+            # start (a sample existed) nor /metrics or /health sampled.
+            assert doc["summary"]["total"] == 1
+            assert sampler.total == 1
             status, body = get("/")
             assert status == 200
             with pytest.raises(urllib.error.HTTPError) as err:
@@ -247,7 +253,10 @@ class TestHttpEndpoint:
         clock.advance(60.0)
         # 10 retries >= 2x the storm threshold: critical finding.
         instr.inc("revtr_retries_total", n=10, reason="unresponsive")
-        with ObsHTTPServer(instr, sampler) as server:
+        with ObsHTTPServer(sampler) as server:
+            # The scrape sees the storm once the writer (this thread)
+            # publishes it; /health never samples on its own.
+            sampler.sample()
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(server.url + "/health", timeout=10)
             assert err.value.code == 503
