@@ -4,8 +4,8 @@ Commands:
 
 * ``measure`` — build a simulated Internet and run reverse traceroutes
   toward an M-Lab-like source, printing hop-by-hop results
-  (``--json`` for machine-readable output with per-measurement trace
-  trees, ``--metrics-out`` / ``--events-out`` to save the metrics
+  (``--json`` for machine-readable results and metrics,
+  ``--metrics-out`` / ``--events-out`` to save the metrics
   snapshot and the flight-recorder log the readers below render);
 * ``asymmetry`` — run a miniature §6.2 bidirectional study;
 * ``te`` — run the §6.1 traffic-engineering loop;
@@ -157,15 +157,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     measurements = []
     for result in results:
         if args.json:
-            doc = result.to_dict()
-            # With --coalesce the whole stream runs as one
-            # measure_many group; per-measurement trace trees are only
-            # attributable in the sequential path.
-            if not args.coalesce:
-                trace = instr.tracer.last_trace
-                if trace is not None:
-                    doc["trace"] = trace.to_dict()
-            measurements.append(doc)
+            measurements.append(result.to_dict())
             continue
         print(result.render())
         print(

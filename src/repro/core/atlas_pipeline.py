@@ -359,8 +359,13 @@ def load_snapshot(
             f"snapshot version {doc.get('version')} != "
             f"supported {SNAPSHOT_VERSION}"
         )
+    topology = doc.get("topology", {})
+    if not isinstance(topology, dict):
+        raise SnapshotError(
+            f"snapshot {path} is malformed: 'topology' is not an object"
+        )
     fingerprint = internet.topology_fingerprint()
-    saved = doc.get("topology", {}).get("fingerprint")
+    saved = topology.get("fingerprint")
     if saved != fingerprint:
         raise SnapshotMismatch(
             f"snapshot topology {saved} does not match this "
@@ -376,10 +381,13 @@ def load_snapshot(
             staleness=spec["staleness"],
         )
         for entry in spec["traceroutes"]:
+            hops = entry["hops"]
+            if not isinstance(hops, list):
+                raise ValueError(f"'hops' of {entry['src']!r} is not a list")
             trace = TracerouteResult(
                 src=entry["src"],
                 dst=spec["source"],
-                hops=list(entry["hops"]),
+                hops=hops,
                 reached=entry["reached"],
                 flow_id=entry["flow_id"],
                 timestamp=entry["timestamp"],

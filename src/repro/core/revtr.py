@@ -270,7 +270,7 @@ class RevtrEngine:
         #: in-flight coalescer; installed by :meth:`measure_many` when
         #: ``coalesce_batches`` is on, None otherwise
         self._coalescer: Optional[_BatchCoalescer] = None
-        #: observability facade (metrics + tracing); the NULL default
+        #: observability facade (metrics + events); the NULL default
         #: makes every instrumented call a no-op.  Components still on
         #: the null default inherit the engine's sink so one parameter
         #: instruments the whole measurement path.
@@ -294,9 +294,6 @@ class RevtrEngine:
         self._t_retries: Dict[str, int] = {}
         #: retry budget left in the measurement in flight
         self._m_retry_left = 0
-        #: intersect attempts in the measurement in flight (annotated
-        #: onto the root span when it closes)
-        self._m_intersects = 0
         #: ping-check outcome of the measurement in flight (None until
         #: a check runs; carried on the measure.end event)
         self._m_ping = None
@@ -495,11 +492,9 @@ class RevtrEngine:
     def _intersect(self, current: Address) -> Optional[Intersection]:
         # A miss is a handful of dict lookups — tallied (the
         # ``revtr_steps_total{kind="intersect_miss"}`` counter and the
-        # atlas's own hit/miss series) but not worth a tree node.  A
-        # hit ends the measurement, so it gets a marker span carrying
-        # the intersection details; the stitch span that follows holds
-        # the interesting timing.
-        self._m_intersects += 1
+        # atlas's own hit/miss series) but not worth a record.  A hit
+        # ends the measurement, so its event carries the intersection
+        # details.
         hit, via = self._intersect_lookup(current)
         if hit is None:
             # No event for the miss: the loop proceeds to an rr.step,
@@ -509,11 +504,6 @@ class RevtrEngine:
             self._step("intersect_miss")
             return None
         self._step("intersect_hit")
-        if self._obs_on:
-            with self.obs.span(
-                "atlas.intersect", hop=current, via=via
-            ) as span:
-                span.annotate(vp=hit.vp, index=hit.index)
         if self._ev is not None:
             self._ev.emit_t(
                 "intersect", (current, "hit", via, hit.vp, hit.index)
@@ -550,105 +540,77 @@ class RevtrEngine:
     ) -> Tuple[List[Address], HopTechnique]:
         """Try to reveal reverse hops from *current* with record route."""
         ev = self._ev
-        obs_on = self._obs_on
-        with self.obs.span("rr.step", hop=current) as span:
-            key = ("rr-step", self.source, current)
-            cached = self.cache.get(key)
-            if cached is not None:
-                if obs_on:
-                    span.annotate(cached=True, revealed=len(cached[0]))
-                if ev is not None:
-                    ev.emit_t(
-                        "rr.step",
-                        (current, "cache", cached[1]._value_,
-                         len(cached[0])),
-                    )
-                return cached
-
-            faults = getattr(self.prober.internet, "faults", None)
-            mark = faults.injections if faults is not None else 0
-
-            result = self.prober.rr_ping(self.source, current)
-            self._step("rr_direct")
-            attempts = 0
-            while (
-                not result.responded
-                and attempts < _RR_RETRIES
-                and self._retry_allowed("rr")
-            ):
-                # A silent direct RR may just be a lost packet; the
-                # budget buys another look before the spoofed fleet
-                # (10 s of batch timeout per round) takes over.
-                attempts += 1
-                result = self.prober.rr_ping(self.source, current)
-                self._step("rr_direct")
-            if result.responded and result.reverse_hops():
-                outcome = (result.reverse_hops(), HopTechnique.RR)
-                if obs_on:
-                    span.annotate(
-                        direct_responded=True,
-                        technique="rr",
-                        revealed=len(outcome[0]),
-                    )
-                if ev is not None:
-                    ev.emit_t(
-                        "rr.step",
-                        (current, "direct", "rr", len(outcome[0])),
-                    )
-                self.cache.put(key, outcome)
-                return outcome
-
-            batches = 0
-            for results in self._spoofed_batches(current):
-                batches += 1
-                if not results:
-                    # Health filtering can empty a batch entirely
-                    # (every VP quarantined, no healthy replacement).
-                    continue
-                best = max(results, key=lambda r: len(r.reverse_hops()))
-                if best.reverse_hops():
-                    outcome = (
-                        best.reverse_hops(),
-                        HopTechnique.SPOOFED_RR,
-                    )
-                    if obs_on:
-                        span.annotate(
-                            direct_responded=result.responded,
-                            technique="spoofed-rr",
-                            revealed=len(outcome[0]),
-                        )
-                    if ev is not None:
-                        ev.emit_t(
-                            "rr.step",
-                            (current, "spoofed", "spoofed-rr",
-                             len(outcome[0]), batches),
-                        )
-                    self.cache.put(key, outcome)
-                    return outcome
-            outcome = ([], HopTechnique.SPOOFED_RR)
-            if obs_on:
-                span.annotate(
-                    direct_responded=result.responded,
-                    technique="spoofed-rr",
-                    revealed=0,
-                )
+        key = ("rr-step", self.source, current)
+        cached = self.cache.get(key)
+        if cached is not None:
             if ev is not None:
                 ev.emit_t(
                     "rr.step",
-                    (current, "none", "spoofed-rr", 0, batches),
+                    (current, "cache", cached[1]._value_, len(cached[0])),
                 )
-            if faults is None or faults.injections == mark:
-                # Not when an injected fault fired during this step:
-                # the empty outcome may be transient, so it stays out
-                # of the day-scale negative cache (positive outcomes
-                # above are still cached — revealed hops are real
-                # however lossy the path was).
-                self.cache.put(key, outcome)
-                if self.segcache is not None:
-                    # The router ignored the whole RR arsenal: remember
-                    # that so sibling measurements skip the fleet too.
-                    self.segcache.store_negative(current)
+            return cached
+
+        faults = getattr(self.prober.internet, "faults", None)
+        mark = faults.injections if faults is not None else 0
+
+        result = self.prober.rr_ping(self.source, current)
+        self._step("rr_direct")
+        attempts = 0
+        while (
+            not result.responded
+            and attempts < _RR_RETRIES
+            and self._retry_allowed("rr")
+        ):
+            # A silent direct RR may just be a lost packet; the budget
+            # buys another look before the spoofed fleet (10 s of batch
+            # timeout per round) takes over.
+            attempts += 1
+            result = self.prober.rr_ping(self.source, current)
+            self._step("rr_direct")
+        if result.responded and result.reverse_hops():
+            outcome = (result.reverse_hops(), HopTechnique.RR)
+            if ev is not None:
+                ev.emit_t(
+                    "rr.step", (current, "direct", "rr", len(outcome[0]))
+                )
+            self.cache.put(key, outcome)
             return outcome
+
+        batches = 0
+        for results in self._spoofed_batches(current):
+            batches += 1
+            if not results:
+                # Health filtering can empty a batch entirely (every VP
+                # quarantined, no healthy replacement).
+                continue
+            best = max(results, key=lambda r: len(r.reverse_hops()))
+            if best.reverse_hops():
+                outcome = (best.reverse_hops(), HopTechnique.SPOOFED_RR)
+                if ev is not None:
+                    ev.emit_t(
+                        "rr.step",
+                        (current, "spoofed", "spoofed-rr",
+                         len(outcome[0]), batches),
+                    )
+                self.cache.put(key, outcome)
+                return outcome
+        outcome = ([], HopTechnique.SPOOFED_RR)
+        if ev is not None:
+            ev.emit_t(
+                "rr.step", (current, "none", "spoofed-rr", 0, batches)
+            )
+        if faults is None or faults.injections == mark:
+            # Not when an injected fault fired during this step: the
+            # empty outcome may be transient, so it stays out of the
+            # day-scale negative cache (positive outcomes above are
+            # still cached — revealed hops are real however lossy the
+            # path was).
+            self.cache.put(key, outcome)
+            if self.segcache is not None:
+                # The router ignored the whole RR arsenal: remember that
+                # so sibling measurements skip the fleet too.
+                self.segcache.store_negative(current)
+        return outcome
 
     def _spoofed_batches(self, current: Address):
         """Yield spoofed-RR result batches for *current*.
@@ -718,22 +680,15 @@ class RevtrEngine:
             if cached is not None:
                 coalescer.batches_coalesced += 1
                 return cached
-        with self.obs.span(
-            "rr.spoofed_batch", hop=current, vps=len(vps),
-            batched=True,
-        ) as span:
-            results = self.prober.spoofed_rr_batch(
-                vps, current, spoof_as=self.source
-            )
-            if self._obs_on:
-                responses = sum(1 for r in results if r.responded)
-                span.annotate(responses=responses)
+        results = self.prober.spoofed_rr_batch(
+            vps, current, spoof_as=self.source
+        )
         self._step("rr_spoofed")
         if self._ev is not None:
             # The VP list is the "which vantage points and why" record:
             # order reflects the selector's ranking (ingress-closest
-            # first in session mode).  ``_ev`` implies ``_obs_on``, so
-            # ``responses`` was counted above.
+            # first in session mode).
+            responses = sum(1 for r in results if r.responded)
             self._ev.emit_t(
                 "rr.batch",
                 (current, index, mode, tuple(vps), responses),
@@ -797,53 +752,42 @@ class RevtrEngine:
         """
         if self.adjacency is None:
             return None
-        with self.obs.span("ts.step", hop=current) as span:
-            self._step("ts")
-            candidates: List[Address] = []
-            peer = slash30_peer(current)
-            if peer is not None:
-                candidates.append(peer)
-            candidates += self.adjacency.neighbors(
-                current,
-                aliases=[peer] if peer else None,
-                limit=_MAX_ADJACENCIES,
+        self._step("ts")
+        candidates: List[Address] = []
+        peer = slash30_peer(current)
+        if peer is not None:
+            candidates.append(peer)
+        candidates += self.adjacency.neighbors(
+            current,
+            aliases=[peer] if peer else None,
+            limit=_MAX_ADJACENCIES,
+        )
+        seen_candidates: Set[Address] = set()
+        candidates = [
+            c
+            for c in candidates
+            if not (c in seen_candidates or seen_candidates.add(c))
+        ][: _MAX_ADJACENCIES]
+        for adj in candidates:
+            result = self.prober.ts_ping(
+                self.source, current, [current, adj]
             )
-            seen_candidates: Set[Address] = set()
-            candidates = [
-                c
-                for c in candidates
-                if not (c in seen_candidates or seen_candidates.add(c))
-            ][: _MAX_ADJACENCIES]
-            obs_on = self._obs_on
-            if obs_on:
-                span.annotate(candidates=len(candidates))
-            for adj in candidates:
+            if not result.responded and self.spoofers:
                 result = self.prober.ts_ping(
-                    self.source, current, [current, adj]
+                    self.spoofers[0],
+                    current,
+                    [current, adj],
+                    spoof_as=self.source,
                 )
-                if not result.responded and self.spoofers:
-                    result = self.prober.ts_ping(
-                        self.spoofers[0],
-                        current,
-                        [current, adj],
-                        spoof_as=self.source,
+            if result.adjacency_on_reverse_path:
+                if self._ev is not None:
+                    self._ev.emit_t(
+                        "ts.step", (current, len(candidates), adj)
                     )
-                if result.adjacency_on_reverse_path:
-                    if obs_on:
-                        span.annotate(adjacent=str(adj))
-                    if self._ev is not None:
-                        self._ev.emit_t(
-                            "ts.step",
-                            (current, len(candidates), adj),
-                        )
-                    return adj
-            if obs_on:
-                span.annotate(adjacent=None)
-            if self._ev is not None:
-                self._ev.emit_t(
-                    "ts.step", (current, len(candidates), None)
-                )
-            return None
+                return adj
+        if self._ev is not None:
+            self._ev.emit_t("ts.step", (current, len(candidates), None))
+        return None
 
     # ------------------------------------------------------------------
     # The measurement loop
@@ -900,11 +844,11 @@ class RevtrEngine:
     def measure(self, dst: Address) -> ReverseTracerouteResult:
         """Measure the reverse path from *dst* back to the source.
 
-        With live instrumentation, each call produces one trace tree
-        rooted at a ``revtr.measure`` span (readable off
-        ``engine.obs.tracer``) and bumps the ``revtr_*`` metrics; with
-        the null facade the control flow is byte-for-byte the same, and
-        nothing is built for the facade.
+        With live instrumentation, each call records its decisions in
+        the flight recorder under one measurement id, from
+        ``measure.begin`` to ``measure.end``, and bumps the ``revtr_*``
+        metrics; with the null facade the control flow is byte-for-byte
+        the same, and nothing is built for the facade.
         """
         ev = self._ev
         if ev is None:
@@ -917,18 +861,7 @@ class RevtrEngine:
             (self._source_str, dst, self._variant_label),
         )
         try:
-            with self.obs.span(
-                "revtr.measure",
-                src=self._source_str,
-                dst=dst,
-                variant=self._variant_label,
-            ) as span:
-                result = self._measure(dst)
-                span.annotate(
-                    status=result.status.value,
-                    hops=len(result.hops),
-                    intersect_attempts=self._m_intersects,
-                )
+            result = self._measure(dst)
             result.measurement_id = mid
             return result
         finally:
@@ -968,7 +901,6 @@ class RevtrEngine:
         # Opportunistic TTL sweep so a long-running service does not
         # accumulate a day of dead entries (rate-limited internally).
         self.cache.maybe_purge()
-        self._m_intersects = 0
         self._m_retry_left = self.config.retry_budget
         # Ping-check outcome (None until checked); rides on the
         # measure.end event instead of an event of its own — one ping
@@ -1017,19 +949,12 @@ class RevtrEngine:
         run.hops.extend([entry.hop for entry in chain[:-1]])
         run.reach(self._source_hop)
         self.segcache.note_splice(len(chain))
-        if self._obs_on:
-            root = self.obs.tracer.active_span
-            if root is not None:
-                root.annotate(full_splice=True)
         if self._ev is not None:
             self._ev.emit_t("splice", (dst, len(chain), True, True))
         return True
 
     def _open_ping_check(self, run: _Run) -> bool:
         """Settle a destination that answers no ping, with no hops."""
-        # Annotated on the root span rather than opening a span of
-        # its own: a single ping is not worth a tree node on the
-        # measurement hot path.
         dst = run.result.dst
         coalescer = self._coalescer
         alive = None
@@ -1053,10 +978,6 @@ class RevtrEngine:
             if coalescer is not None:
                 coalescer.ping_alive[dst_prefix] = alive
         self._m_ping = alive
-        if self._obs_on:
-            root = self.obs.tracer.active_span
-            if root is not None:
-                root.annotate(ping_check=alive)
         if not alive:
             run.status = RevtrStatus.UNRESPONSIVE
         return not alive
@@ -1089,20 +1010,15 @@ class RevtrEngine:
             self._t_stale += 1
         self.atlas.mark_useful(hit.vp)
         source_hop = self._source_hop
-        with self.obs.span(
-            "stitch", vp=hit.vp, index=hit.index
-        ) as stitch:
-            before = len(hops)
-            for addr in self.atlas.suffix(hit):
-                hops.append(
-                    source_hop
-                    if addr == source
-                    else ReverseHop(addr, HopTechnique.INTERSECTION)
-                )
-            if hops[-1].addr != source:
-                hops.append(source_hop)
-            if self._obs_on:
-                stitch.annotate(hops=len(hops) - before, stale=stale)
+        before = len(hops)
+        for addr in self.atlas.suffix(hit):
+            hops.append(
+                source_hop
+                if addr == source
+                else ReverseHop(addr, HopTechnique.INTERSECTION)
+            )
+        if hops[-1].addr != source:
+            hops.append(source_hop)
         if self._ev is not None:
             self._ev.emit_t(
                 "stitch", (hit.vp, hit.index, len(hops) - before, stale)
@@ -1235,18 +1151,9 @@ class RevtrEngine:
         """Last resort, always decisive: from a forward traceroute,
         reach the source, adopt the penultimate hop, or give up."""
         current = run.current
-        with self.obs.span("symmetry.assume", hop=current) as sym_span:
-            outcome = self.symmetry.step(current)
-            penultimate = outcome.penultimate
-            link = outcome.link
-            if self._obs_on:
-                sym_span.annotate(
-                    link=link.value,
-                    penultimate=(
-                        None if penultimate is None else str(penultimate)
-                    ),
-                    adjacent_to_source=outcome.adjacent_to_source,
-                )
+        outcome = self.symmetry.step(current)
+        penultimate = outcome.penultimate
+        link = outcome.link
         self._step("symmetry")
         if outcome.traceroute is not None:
             first = next(

@@ -110,12 +110,10 @@ class Scenario:
         self.internet: Internet = build_internet(self.config)
         self.pool = VantagePointPool(self.internet)
         self.clock = VirtualClock()
-        if self.obs.tracer is not None and self.obs.tracer.clock is None:
-            # Late-bind the sim clock so spans record sim durations.
-            self.obs.tracer.clock = self.clock
         events = getattr(self.obs, "events", None)
         if events is not None and events.clock is None:
-            # Same late-binding for flight-recorder sim timestamps.
+            # Late-bind the sim clock so flight-recorder events carry
+            # sim timestamps.
             events.clock = self.clock
         self.online_counter = ProbeCounter()
         self.background_counter = ProbeCounter()

@@ -1,20 +1,19 @@
-"""Observability: metrics, per-measurement tracing, the flight recorder.
+"""Observability: metrics and the flight recorder.
 
-Every metric family, event kind and span name the codebase emits has
-a named reader (DESIGN.md, "Who reads what";
-``tests/test_obs_consumers.py`` holds the table to the code).  The
-package, by what reads it:
+Every metric family and event kind the codebase emits has a named
+reader (DESIGN.md, "Who reads what"; ``tests/test_obs_consumers.py``
+holds the table to the code), and each engine decision is recorded
+once, as an event.  The package, by what reads it:
 
 * the facade instrumented code talks to — :mod:`repro.obs.instrument`
   (a live :class:`~repro.obs.instrument.Instrumentation` or the
   :data:`~repro.obs.instrument.NULL` null object, which every
   component not handed one runs on), over :mod:`repro.obs.metrics`
   (registry of counters, gauges and fixed-bucket histograms, plus the
-  readers of its snapshot shape), :mod:`repro.obs.tracing` (one span
-  tree per reverse traceroute, wall-clock *and* sim-clock durations)
-  and :mod:`repro.obs.events` (the flight recorder: a bounded
-  structured event log); :mod:`repro.obs.runtime` points an engine's
-  components at its sink;
+  readers of its snapshot shape) and :mod:`repro.obs.events` (the
+  flight recorder: a bounded structured event log, each event stamped
+  with wall *and* sim time); :mod:`repro.obs.runtime` points an
+  engine's components at its sink;
 * per measurement — :mod:`repro.obs.provenance` (the decision ledger
   behind ``repro explain``) and :mod:`repro.obs.eventio` (JSONL export
   with gzip rotation, behind ``repro events``);
@@ -61,7 +60,6 @@ from repro.obs.timeseries import (
     TimeSeriesSampler,
     install_sampler,
 )
-from repro.obs.tracing import Span, Tracer
 
 __all__ = [
     "Counter",
@@ -79,10 +77,8 @@ __all__ = [
     "NullInstrumentation",
     "ObsHTTPServer",
     "ProvenanceLedger",
-    "Span",
     "TimeSample",
     "TimeSeriesSampler",
-    "Tracer",
     "follow_jsonl",
     "format_findings",
     "format_slo",

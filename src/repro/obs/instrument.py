@@ -2,21 +2,20 @@
 
 Instrumented code holds an ``obs`` attribute and calls a tiny surface:
 
-* ``obs.span(name, **attrs)`` — a context manager opening a trace span;
 * ``obs.inc(name, n=1, **labels)`` — bump a counter;
 * ``obs.observe(name, value, **labels)`` — record a histogram sample;
 * ``obs.set_gauge(name, value, **labels)`` — set a gauge;
 * ``obs.emit(kind, **fields)`` — record a flight-recorder event
-  (:mod:`repro.obs.events`); ``_mid=`` overrides the current
-  measurement id;
+  (:mod:`repro.obs.events`), the one record of an engine decision;
+  ``_mid=`` overrides the current measurement id;
 * ``obs.enabled`` — cheap guard for computations only worth doing when
   somebody is watching.
 
 Two implementations exist: :class:`Instrumentation` (live registry +
-tracer) and :class:`NullInstrumentation`, whose shared :data:`NULL`
-singleton is the default everywhere — every method is a ``pass`` and
-``span`` returns one reusable null context manager, so hot paths pay a
-single attribute lookup and call when observability is off.
+flight recorder) and :class:`NullInstrumentation`, whose shared
+:data:`NULL` singleton is the default everywhere — every method is a
+``pass``, so hot paths pay a single attribute lookup and call when
+observability is off.
 """
 
 from __future__ import annotations
@@ -164,38 +163,15 @@ DECLARED_METRICS: Dict[str, Tuple[str, str, Optional[Sequence[float]]]] = {
 }
 
 
-class _NullSpan:
-    """A reusable no-op span/context-manager."""
-
-    __slots__ = ()
-    attrs: Dict[str, Any] = {}
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-    def annotate(self, **attrs: Any) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class NullInstrumentation:
     """Observability turned off: every operation is a no-op."""
 
     enabled = False
     registry: Optional[MetricsRegistry] = None
-    tracer: Optional[Tracer] = None
     events = None
     # Time-series sampler (repro.obs.timeseries); hook points guard
     # with ``obs.sampler is not None`` so both facades carry the slot.
     sampler = None
-
-    def span(self, name: str, **attrs: Any) -> _NullSpan:
-        return _NULL_SPAN
 
     def inc(self, name: str, n: float = 1.0, **labels: Any) -> None:
         pass
@@ -222,8 +198,8 @@ NULL = NullInstrumentation()
 
 
 class Instrumentation:
-    """Live instrumentation: a metrics registry, a tracer and a
-    flight recorder."""
+    """Live instrumentation: a metrics registry and a flight
+    recorder."""
 
     enabled = True
 
@@ -235,7 +211,9 @@ class Instrumentation:
         event_capacity: int = DEFAULT_EVENT_CAPACITY,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = Tracer(clock=clock)
+        # Inert (repro.obs.tracing): kept for the e2e layer tracer only.
+        self.tracer = Tracer()
+        self.span = self.tracer.span
         self.events: EventLog = (
             events
             if events is not None
@@ -271,10 +249,8 @@ class Instrumentation:
             else:
                 self.registry.histogram(name, help, buckets=buckets)
         self.registry.register_collector(self._collect)
-        # Spans are the hottest facade call (~10 per measurement);
-        # binding the tracer's method directly skips one Python frame
-        # per span.  Same trick for emits — the second-hottest call.
-        self.span = self.tracer.span
+        # Emits are the hottest facade call; binding the recorder's
+        # methods directly skips one Python frame per event.
         self.emit = self.events.emit
         self.emit_t = self.events.emit_t
         self.register_collect_source(self._obs_self_collect)
@@ -337,13 +313,6 @@ class Instrumentation:
         for source in self._gauge_sources:
             for key, value in source().items():
                 self._pulled_child(key, gauge).set(value)
-
-    # -- tracing --------------------------------------------------------
-
-    def span(self, name: str, **attrs: Any):
-        # Shadowed by the bound ``tracer.span`` in ``__init__`` on the
-        # hot path; kept so the facade surface stays self-documenting.
-        return self.tracer.span(name, **attrs)
 
     # -- metrics --------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Telemetry time-series: a bounded ring of periodic registry snapshots.
 
 The obs stack so far exposes *point-in-time* state (metrics snapshot,
-trace tree, event ring).  This module adds the time dimension: a
+event ring).  This module adds the time dimension: a
 :class:`TimeSeriesSampler` periodically captures the full registry
 snapshot — counters, gauges and histogram buckets — into a bounded ring
 of :class:`TimeSample` records, and offers rate/derivative and

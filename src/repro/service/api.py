@@ -147,17 +147,7 @@ class RevtrService:
         self, engine: RevtrEngine, dst: Address, user_name: str, label: str
     ) -> ReverseTracerouteResult:
         """Run one measurement with service-level accounting."""
-        if self.obs.enabled:
-            with self.obs.span(
-                "service.request",
-                user=user_name,
-                src=str(engine.source),
-                dst=str(dst),
-            ) as span:
-                result = engine.measure(dst)
-                span.annotate(status=result.status.value)
-        else:
-            result = engine.measure(dst)
+        result = engine.measure(dst)
         self._account(engine, result, dst, user_name, label)
         return result
 
@@ -170,24 +160,9 @@ class RevtrService:
 
         *items* is a sequence of ``(dst, user_name, label)`` triples;
         every result gets the same per-request accounting (ledger
-        event, metrics, archive entry) as :meth:`_measure_one`, under
-        one ``service.request_group`` span instead of per-request
-        spans (the group executes as a unit, so per-request wall time
-        is not individually attributable).
+        event, metrics, archive entry) as :meth:`_measure_one`.
         """
-        dsts = [dst for dst, _, _ in items]
-        if self.obs.enabled:
-            with self.obs.span(
-                "service.request_group",
-                src=str(engine.source),
-                size=len(items),
-            ) as span:
-                results = engine.measure_many(dsts)
-                span.annotate(
-                    statuses=[r.status.value for r in results]
-                )
-        else:
-            results = engine.measure_many(dsts)
+        results = engine.measure_many([dst for dst, _, _ in items])
         for (dst, user_name, label), result in zip(items, results):
             self._account(engine, result, dst, user_name, label)
         return results

@@ -35,6 +35,7 @@ Determinism guarantees:
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -137,25 +138,76 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, object]) -> "FaultSpec":
+        """The spec a :meth:`to_dict` document describes.  Plans come
+        from files, so a field of the wrong shape is refused with
+        :class:`ValueError`, never coerced."""
         if "kind" not in doc:
             raise ValueError("fault spec lacks the required field 'kind'")
         return cls(
             kind=doc["kind"],  # type: ignore[arg-type]
-            start=float(doc.get("start", 0.0)),
-            end=(
-                None if doc.get("end") is None else float(doc["end"])
-            ),
-            routers=tuple(doc.get("routers", ())),
-            links=tuple(
-                tuple(pair) for pair in doc.get("links", ())
-            ),
-            vps=tuple(doc.get("vps", ())),
-            dsts=tuple(doc.get("dsts", ())),
-            rate=float(doc.get("rate", 1.0)),
-            limit=int(doc.get("limit", 0)),
-            window=float(doc.get("window", 10.0)),
-            label=str(doc.get("label", "")),
+            start=_number(doc, "start", 0.0),
+            end=None if doc.get("end") is None else _number(doc, "end", 0),
+            routers=_list_of(doc, "routers", _is_int, "router ids"),
+            links=_list_of(doc, "links", _is_link, "id pairs"),
+            vps=_list_of(doc, "vps", _is_str, "addresses"),
+            dsts=_list_of(doc, "dsts", _is_str, "addresses"),
+            rate=_number(doc, "rate", 1.0),
+            limit=_integer(doc, "limit", 0),
+            window=_number(doc, "window", 10.0),
+            label=_field(doc, "label", "", _is_str, "a string"),
         )
+
+
+def _is_str(value: object) -> bool:
+    return isinstance(value, str)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_link(value: object) -> bool:
+    return (
+        isinstance(value, list) and len(value) == 2
+        and all(map(_is_int, value))
+    )
+
+
+def _is_number(value: object) -> bool:
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _field(doc, name: str, default, test, what: str):
+    """*doc*'s *name* (or *default*), refused unless it passes *test*."""
+    value = doc.get(name, default)
+    if not test(value):
+        raise ValueError(f"fault field {name!r} is {value!r}, not {what}")
+    return value
+
+
+def _number(doc, name: str, default: float) -> float:
+    return float(_field(doc, name, default, _is_number, "a finite number"))
+
+
+def _integer(doc, name: str, default: int) -> int:
+    return int(
+        _field(
+            doc, name, default,
+            lambda value: _is_number(value) and value == int(value),
+            "an integer",
+        )
+    )
+
+
+def _list_of(doc, name: str, test, what: str) -> list:
+    return _field(
+        doc, name, [],
+        lambda value: isinstance(value, list) and all(map(test, value)),
+        f"a list of {what}",
+    )
 
 
 class FaultPlan:
@@ -191,16 +243,16 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, doc: Dict[str, object]) -> "FaultPlan":
         version = doc.get("v", cls.VERSION)
-        if version != cls.VERSION:
+        if isinstance(version, bool) or version != cls.VERSION:
             raise ValueError(
                 f"unsupported fault-plan version {version!r}"
             )
+        specs = _list_of(
+            doc, "specs", lambda spec: isinstance(spec, dict), "objects"
+        )
         return cls(
-            specs=[
-                FaultSpec.from_dict(spec)
-                for spec in doc.get("specs", ())
-            ],
-            seed=int(doc.get("seed", 0)),
+            specs=[FaultSpec.from_dict(spec) for spec in specs],
+            seed=_integer(doc, "seed", 0),
         )
 
     def to_json(self) -> str:

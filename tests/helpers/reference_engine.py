@@ -127,10 +127,6 @@ def rebuild_open_full_splice(self: RevtrEngine, run) -> bool:
         )
     run.reach(ReverseHop(self.source, HopTechnique.SOURCE))
     self.segcache.note_splice(len(chain))
-    if self._obs_on:
-        root = self.obs.tracer.active_span
-        if root is not None:
-            root.annotate(full_splice=True)
     if self._ev is not None:
         self._ev.emit_t("splice", (dst, len(chain), True, True))
     return True

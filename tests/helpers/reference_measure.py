@@ -56,7 +56,6 @@ class ReferenceMeasureEngine(RevtrEngine):
         # Opportunistic TTL sweep so a long-running service does not
         # accumulate a day of dead entries (rate-limited internally).
         self.cache.maybe_purge()
-        self._m_intersects = 0
         self._m_retry_left = self.config.retry_budget
         # Ping-check outcome (None until checked); rides on the
         # measure.end event instead of an event of its own — one ping
@@ -79,9 +78,6 @@ class ReferenceMeasureEngine(RevtrEngine):
                 return fast
 
         if self.config.ping_check:
-            # Annotated on the root span rather than opening a span of
-            # its own: a single ping is not worth a tree node on the
-            # measurement hot path.
             coalescer = self._coalescer
             dst_prefix = (
                 prefix_of(dst) if coalescer is not None else None
@@ -110,10 +106,6 @@ class ReferenceMeasureEngine(RevtrEngine):
                 if coalescer is not None:
                     coalescer.ping_alive[dst_prefix] = alive
             self._m_ping = alive
-            if self._obs_on:
-                root = self.obs.tracer.active_span
-                if root is not None:
-                    root.annotate(ping_check=alive)
             if not alive:
                 result.status = RevtrStatus.UNRESPONSIVE
                 self._finish(result, start_time, counts_before)
@@ -155,25 +147,16 @@ class ReferenceMeasureEngine(RevtrEngine):
                 if result.stale_intersection:
                     self._t_stale += 1
                 self.atlas.mark_useful(hit.vp)
-                with self.obs.span(
-                    "stitch", vp=hit.vp, index=hit.index
-                ) as stitch:
-                    before = len(hops)
-                    for addr in self.atlas.suffix(hit):
-                        technique = (
-                            HopTechnique.SOURCE
-                            if addr == source
-                            else HopTechnique.INTERSECTION
-                        )
-                        hops.append(ReverseHop(addr, technique))
-                    if hops[-1].addr != source:
-                        hops.append(
-                            ReverseHop(source, HopTechnique.SOURCE)
-                        )
-                    stitch.annotate(
-                        hops=len(hops) - before,
-                        stale=result.stale_intersection,
+                before = len(hops)
+                for addr in self.atlas.suffix(hit):
+                    technique = (
+                        HopTechnique.SOURCE
+                        if addr == source
+                        else HopTechnique.INTERSECTION
                     )
+                    hops.append(ReverseHop(addr, technique))
+                if hops[-1].addr != source:
+                    hops.append(ReverseHop(source, HopTechnique.SOURCE))
                 if self._ev is not None:
                     self._ev.emit_t(
                         "stitch",
@@ -340,19 +323,7 @@ class ReferenceMeasureEngine(RevtrEngine):
                     current = adjacent
                     continue
 
-            with self.obs.span(
-                "symmetry.assume", hop=current
-            ) as sym_span:
-                outcome = self.symmetry.step(current)
-                sym_span.annotate(
-                    link=outcome.link.value,
-                    penultimate=(
-                        None
-                        if outcome.penultimate is None
-                        else str(outcome.penultimate)
-                    ),
-                    adjacent_to_source=outcome.adjacent_to_source,
-                )
+            outcome = self.symmetry.step(current)
             self._step("symmetry")
             if outcome.traceroute is not None:
                 first = next(
@@ -469,10 +440,6 @@ class ReferenceMeasureEngine(RevtrEngine):
             )
         hops.append(ReverseHop(self.source, HopTechnique.SOURCE))
         self.segcache.note_splice(len(chain))
-        if self._obs_on:
-            root = self.obs.tracer.active_span
-            if root is not None:
-                root.annotate(full_splice=True)
         if self._ev is not None:
             self._ev.emit_t(
                 "splice", (dst, len(chain), True, True)

@@ -489,11 +489,14 @@ class TestSnapshotRejection:
             lambda doc: doc["rr_atlas"].pop("mapping"),
             lambda doc: doc["rr_atlas"]["mapping"].append(["one"]),
             lambda doc: doc.update(rr_atlas=[]),
+            lambda doc: doc.update(topology="x"),
+            lambda doc: doc["atlas"]["traceroutes"][0].update(hops="abc"),
         ],
         ids=[
             "no-atlas", "no-source", "no-traceroutes", "no-hops",
             "entry-not-object", "traceroutes-not-list", "no-mapping",
             "short-mapping-row", "rr-atlas-not-object",
+            "topology-not-object", "hops-not-list",
         ],
     )
     def test_right_header_wrong_body_rejected(

@@ -136,8 +136,10 @@ class TestJsonAndStats:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["measurements"]) == 2
         first = doc["measurements"][0]
-        assert {"src", "dst", "status", "hops", "trace"} <= set(first)
-        assert first["trace"]["name"] == "revtr.measure"
+        # A measurement is its result record; the decisions behind it
+        # are the events `--events-out` writes.
+        assert {"src", "dst", "status", "hops"} <= set(first)
+        assert "trace" not in first
         assert "revtr_measurements_total" in doc["metrics"]
 
     def test_measure_metrics_out_and_stats_from(
@@ -209,6 +211,27 @@ class TestMalformedFilesAreUsageErrors:
         "unknown-kind": '{"specs": [{"kind": "meteor"}]}',
         "not-an-object": "[1, 2]",
         "specs-not-a-list": '{"specs": 7}',
+        "vps-not-a-list": (
+            '{"specs": [{"kind": "vp-outage", "vps": "10.0.0.1"}]}'
+        ),
+        "routers-not-a-list": (
+            '{"specs": [{"kind": "router-filter", "routers": "12"}]}'
+        ),
+        "link-not-a-pair": (
+            '{"specs": [{"kind": "link-loss", "links": [[1, 2, 3]]}]}'
+        ),
+        "window-not-finite": (
+            '{"specs": [{"kind": "router-rate-limit", "window": NaN}]}'
+        ),
+        "start-not-finite": (
+            '{"specs": [{"kind": "link-loss", "start": Infinity}]}'
+        ),
+        "limit-not-integral": (
+            '{"specs": [{"kind": "router-rate-limit", "limit": 1.5}]}'
+        ),
+        "seed-a-bool": (
+            '{"seed": true, "specs": []}'
+        ),
     }
 
     # The verbs that read a fault plan.

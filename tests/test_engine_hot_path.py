@@ -28,7 +28,7 @@ from repro.experiments import Scenario
 from repro.net.addr import addr_to_int, int_to_addr
 from repro.net.packet import ProbeKind
 from repro.obs import Instrumentation
-from repro.obs.instrument import NullInstrumentation, _NullSpan
+from repro.obs.instrument import NullInstrumentation
 from repro.probing.budget import ProbeCounter
 from repro.service import (
     JobState,
@@ -414,8 +414,8 @@ def test_request_stream_identical_with_oracles_patched_in():
 def test_scheduled_stream_identical_without_an_observer(monkeypatch):
     """The Zipf stream through the scheduler (coalesced groups, reuse
     on), once on ``NULL`` and once observed: every job's result and the
-    segment caches agree, and on ``NULL`` nothing calls ``annotate``,
-    ``inc``, ``observe`` or ``set_gauge``."""
+    segment caches agree, and on ``NULL`` nothing calls ``inc``,
+    ``observe`` or ``set_gauge``."""
 
     def run(instrumentation):
         service, key, stream = _zipf_deployment(instrumentation)
@@ -438,7 +438,6 @@ def test_scheduled_stream_identical_without_an_observer(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the NULL facade was called")
 
-    monkeypatch.setattr(_NullSpan, "annotate", refuse)
     for name in ("inc", "observe", "set_gauge"):
         monkeypatch.setattr(NullInstrumentation, name, refuse)
     plain = run(None)

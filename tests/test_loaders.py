@@ -3,7 +3,10 @@ file holds, `read_events` (behind `repro events --from` and `repro
 explain --events`) and the snapshot check behind `repro stats --from`
 give a value every reader can render, or `ValueError` /
 `FileNotFoundError` - never a `KeyError`, `AttributeError` or
-`TypeError` from the middle of a renderer.
+`TypeError` from the middle of a renderer.  A fault plan (`repro
+health --plan`) and an atlas snapshot (`repro atlas load --path`)
+load as written or are refused: a field of the wrong shape is never
+coerced into something else.
 
 Seeds are real exports; Hypothesis deletes, retypes and truncates.
 """
@@ -20,12 +23,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import _format_event_doc, main
+from repro.core.atlas_pipeline import SnapshotError, load_snapshot
 from repro.experiments import Scenario
 from repro.obs import (
     Instrumentation,
     ProvenanceLedger,
     read_events,
 )
+from repro.sim.faults import FaultPlan, FaultSpec, preset_plan
 from repro.topology import TopologyConfig
 
 #: What a retyped field becomes.
@@ -50,14 +55,59 @@ def slots(doc):
 
 
 def damaged(doc, data):
-    """A copy of *doc* with one drawn slot deleted or retyped."""
+    """A copy of *doc* with one drawn slot deleted or retyped.  The
+    field is drawn first (a list's items are one field), then one of
+    its slots, so a field written once is as likely a victim as a
+    field a long list repeats."""
     doc = copy.deepcopy(doc)
-    container, key = data.draw(st.sampled_from(slots(doc)))
+    fields = {}
+    for container, key in slots(doc):
+        field = key if isinstance(container, dict) else "[]"
+        fields.setdefault(field, []).append((container, key))
+    field = data.draw(st.sampled_from(sorted(fields)))
+    container, key = data.draw(st.sampled_from(fields[field]))
     if data.draw(st.booleans()):
         del container[key]
     else:
         container[key] = data.draw(JUNK)
     return doc
+
+
+def run_cli(argv):
+    """``main(argv)`` with its output captured: (exit code, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def same(read, written):
+    """Whether a loaded value is what the file wrote: numbers compare
+    by value, a bool only to itself, a tuple to the list it was
+    written as."""
+    if isinstance(read, tuple):
+        return (
+            isinstance(written, list)
+            and len(read) == len(written)
+            and all(map(same, read, written))
+        )
+    if isinstance(read, bool) or isinstance(written, bool):
+        return read is written
+    return read == written
+
+
+def damaged_text(doc, data):
+    """*doc* as JSON with one slot deleted or retyped, truncated, or
+    replaced by a scalar."""
+    how = data.draw(
+        st.sampled_from(["damage", "damage", "damage", "truncate", "scalar"])
+    )
+    if how == "damage":
+        return json.dumps(damaged(doc, data))
+    if how == "scalar":
+        return json.dumps(data.draw(JUNK))
+    text = json.dumps(doc)
+    return text[: data.draw(st.integers(0, len(text) - 1))]
 
 
 @pytest.fixture(scope="module")
@@ -131,15 +181,11 @@ def test_read_events_parses_or_refuses(real_run, data):
             ["events", "--from", path],
             ["explain", "all", "--events", path],
         ):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), (
-                contextlib.redirect_stderr(err)
-            ):
-                code = main(argv)
+            code, err = run_cli(argv)
             if refused:
-                assert code == 2 and err.getvalue().startswith("error: ")
+                assert code == 2 and err.startswith("error: ")
             else:
-                assert code == 0, err.getvalue()
+                assert code == 0, err
 
 
 def test_read_events_names_file_line_and_field(tmp_path):
@@ -172,14 +218,7 @@ def test_stats_from_renders_or_refuses(real_run, data):
             [snapshot, {"measurements": [], "metrics": snapshot}]
         )
     )
-    how = data.draw(st.sampled_from(["damage", "truncate", "scalar"]))
-    if how == "damage":
-        text = json.dumps(damaged(doc, data))
-    elif how == "scalar":
-        text = json.dumps(data.draw(JUNK))
-    else:
-        text = json.dumps(doc)
-        text = text[: data.draw(st.integers(0, len(text) - 1))]
+    text = damaged_text(doc, data)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "metrics.json")
         with open(path, "w") as fh:
@@ -188,12 +227,102 @@ def test_stats_from_renders_or_refuses(real_run, data):
             ["stats", "--from", path],
             ["stats", "--slo", "--from", path],
         ):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), (
-                contextlib.redirect_stderr(err)
-            ):
-                code = main(argv)
+            code, err = run_cli(argv)
             assert code in (0, 2)
             if code == 2:
-                assert err.getvalue().startswith("error: ")
-                assert path in err.getvalue()
+                assert err.startswith("error: ")
+                assert path in err
+
+
+#: The deployment `health --plan` and `atlas load --path` run on.
+GLOBAL_ARGV = ["--scale", "tiny", "--seed", "3", "--atlas-size", "4"]
+
+
+@pytest.fixture(scope="module")
+def mixed_plan():
+    """The `mixed` preset, with its VP outage, plus one spec that sets
+    every other targeting field."""
+    plan = preset_plan(
+        "mixed", seed=3, vps=[f"192.0.2.{i}" for i in range(1, 9)]
+    )
+    plan.add(
+        FaultSpec(
+            kind="router-filter", end=5.0, routers=(1, 2),
+            links=((1, 2),), dsts=("192.0.2.99",), label="targets",
+        )
+    )
+    return plan.to_dict()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fault_plan_loads_as_written_or_refuses(mixed_plan, data):
+    text = damaged_text(mixed_plan, data)
+    try:
+        plan = FaultPlan.from_json(text)
+    except ValueError:
+        refused = True
+    else:
+        doc = json.loads(text)
+        specs = doc.get("specs", [])
+        assert same(plan.seed, doc.get("seed", 0))
+        assert len(plan.specs) == len(specs)
+        for spec, written in zip(plan.specs, specs):
+            for name, value in written.items():
+                assert same(getattr(spec, name), value), (name, value)
+        refused = False
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "plan.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        code, err = run_cli(
+            GLOBAL_ARGV + ["health", "--plan", path, "--requests", "1"]
+        )
+    if refused:
+        assert code == 2 and err.startswith("error: "), err
+    else:
+        assert code == 0, err
+
+
+@pytest.fixture(scope="module")
+def snapshot(tmp_path_factory):
+    """A tiny `atlas build --out` snapshot, as a JSON document, and
+    the Internet it was built on."""
+    path = tmp_path_factory.mktemp("atlas") / "atlas.snap"
+    code, err = run_cli(GLOBAL_ARGV + ["atlas", "build", "--out", str(path)])
+    assert code == 0, err
+    with gzip.open(path, "rb") as fh:
+        doc = json.loads(fh.read().decode())
+    scenario = Scenario(config=TopologyConfig.tiny(seed=3), seed=3)
+    return doc, scenario.internet
+
+
+# Cheap per case, and the two fields the parent mis-loaded are 2 of ~25.
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_atlas_snapshot_loads_as_written_or_refuses(snapshot, data):
+    doc, internet = snapshot
+    text = damaged_text(doc, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "atlas.snap")
+        with gzip.open(path, "wb") as fh:
+            fh.write(text.encode())
+        try:
+            atlas, _ = load_snapshot(path, internet)
+        except SnapshotError:
+            refused = True
+        else:
+            written = {
+                entry["src"]: entry["hops"]
+                for entry in json.loads(text)["atlas"]["traceroutes"]
+            }
+            assert {
+                src: trace.hops for src, trace in atlas.traceroutes.items()
+            } == written
+            # The verb serves the deployment's source only.
+            refused = atlas.source != doc["atlas"]["source"]
+        code, err = run_cli(GLOBAL_ARGV + ["atlas", "load", "--path", path])
+    if refused:
+        assert code == 2 and err.startswith("error: "), err
+    else:
+        assert code == 0, err

@@ -9,7 +9,7 @@ faults with VP health installed, repeats, routing invalidations and
 clock jumps past the cache TTLs — one through each, and everything an
 operator or a test can observe must agree: results, step and retry
 tallies, probe counters, the clock, both caches' stats, the learned
-terminals, the flight-recorder stream and the span trees.
+terminals and the flight-recorder stream.
 """
 
 import dataclasses
@@ -145,7 +145,6 @@ class _Deployment:
                 _without_wall(event.to_dict())
                 for event in scenario.obs.events.events()
             ],
-            "traces": _without_wall(scenario.obs.tracer.export_json()),
         }
 
 

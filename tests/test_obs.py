@@ -12,12 +12,10 @@ from repro.obs import (
     Instrumentation,
     MetricsRegistry,
     NullInstrumentation,
-    Tracer,
     render_text,
 )
 from repro.obs.metrics import family_total
 from repro.obs.timeseries import install_sampler
-from repro.obs.tracing import MAX_TRACES
 from repro.obs import runtime
 from repro.topology import TopologyConfig
 
@@ -249,84 +247,15 @@ class TestRegistry:
         ] == pytest.approx(5.55)
 
 
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def now(self):
-        return self.t
-
-
-class TestTracer:
-    def test_span_nesting(self):
-        tracer = Tracer()
-        with tracer.span("root", job="x"):
-            with tracer.span("child1"):
-                with tracer.span("grandchild"):
-                    pass
-            with tracer.span("child2") as c2:
-                c2.annotate(note="hi")
-        root = tracer.last_trace
-        assert root.name == "root"
-        assert [c.name for c in root.children] == ["child1", "child2"]
-        assert root.children[0].children[0].name == "grandchild"
-        assert root.children[1].attrs["note"] == "hi"
-        assert [s.name for s in root.walk()] == [
-            "root", "child1", "grandchild", "child2",
-        ]
-        assert len(root.find("child2")) == 1
-
-    def test_sim_and_wall_durations(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        with tracer.span("op"):
-            clock.t += 12.5
-        span = tracer.last_trace
-        assert span.sim_duration == pytest.approx(12.5)
-        assert span.wall_duration >= 0.0
-
-    def test_exception_recorded_and_propagated(self):
-        tracer = Tracer()
-        with pytest.raises(RuntimeError):
-            with tracer.span("boom"):
-                raise RuntimeError("bad")
-        span = tracer.last_trace
-        assert "RuntimeError" in span.error
-
-    def test_export_json(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            with tracer.span("b"):
-                pass
-        docs = tracer.export_json()
-        json.dumps(docs)
-        assert docs[0]["name"] == "a"
-        assert docs[0]["children"][0]["name"] == "b"
-
-    def test_trace_ring_is_bounded(self):
-        tracer = Tracer()
-        for i in range(MAX_TRACES + 6):
-            with tracer.span(f"t{i}"):
-                pass
-        assert len(tracer.traces) == MAX_TRACES
-        assert tracer.last_trace.name == f"t{MAX_TRACES + 5}"
-        # The six evicted traces are tallied, not silently lost.
-        assert tracer.dropped == 6
-
-
 class TestNullInstrumentation:
     def test_noop_surface(self):
         null = NullInstrumentation()
         assert null.enabled is False
-        with null.span("anything", x=1) as span:
-            span.annotate(y=2)
         null.inc("c", kind="x")
         null.observe("h", 1.0)
         null.set_gauge("g", 5)
-        assert null.registry is None and null.tracer is None
-
-    def test_null_span_is_reused(self):
-        assert NULL.span("a") is NULL.span("b")
+        null.emit("x", y=2)
+        assert null.registry is None and null.events is None
 
 
 class TestRuntime:
@@ -362,43 +291,52 @@ def traced_run():
     return instr, engine, results
 
 
+def measurement_events(instr):
+    """The flight recorder's events by measurement id, in order."""
+    by_mid = {}
+    for event in instr.events.events():
+        if event.mid is not None:
+            by_mid.setdefault(event.mid, []).append(event)
+    return by_mid
+
+
+def recorded(events):
+    """What *events* record: each kind, and ``kind/outcome`` where the
+    event has an outcome."""
+    return {event.kind for event in events} | {
+        f"{event.kind}/{event.fields['outcome']}"
+        for event in events
+        if "outcome" in event.fields
+    }
+
+
 class TestEndToEnd:
-    def test_span_tree_covers_the_pipeline(self, traced_run):
+    def test_events_cover_the_pipeline(self, traced_run):
+        """Each measurement is one run of events under its id, from
+        ``measure.begin`` to ``measure.end``; the end event carries the
+        result, and its duration is the sim gap between the two."""
         instr, engine, results = traced_run
-        assert len(instr.tracer.traces) == len(results)
-        for root, result in zip(instr.tracer.traces, results):
-            assert root.name == "revtr.measure"
-            assert root.attrs["status"] == result.status.value
-            assert root.attrs["hops"] == len(result.hops)
-            names = {span.name for span in root.walk()}
-            # Every measurement at least pings (annotated on the root)
-            # and tries to intersect; a successful intersection leaves
-            # a marker span, misses are tallied on the root.
-            assert root.attrs["ping_check"] is True
-            assert root.attrs["intersect_attempts"] >= 1
+        by_mid = measurement_events(instr)
+        assert list(by_mid) == [r.measurement_id for r in results]
+        for result in results:
+            events = by_mid[result.measurement_id]
+            begin, end = events[0], events[-1]
+            assert begin.kind == "measure.begin"
+            assert end.kind == "measure.end"
+            assert end.fields["status"] == result.status.value
+            assert end.fields["hops"] == len(result.hops)
+            # Every measurement pings first; a successful intersection
+            # is recorded, misses only tallied.
+            assert end.fields["ping"] is True
             if result.intersection_vp is not None:
-                assert "atlas.intersect" in names
-            # Sim-clock duration mirrors the result's duration.
-            assert root.sim_duration == pytest.approx(result.duration)
+                assert "intersect/hit" in recorded(events)
+            assert end.fields["duration"] == result.duration
+            assert end.sim - begin.sim == result.duration
 
-    def test_rr_and_stitch_spans_match_techniques(self, traced_run):
-        instr, engine, results = traced_run
-        from repro.core.result import HopTechnique
-
-        for root, result in zip(instr.tracer.traces, results):
-            techniques = set(result.techniques())
-            if (
-                HopTechnique.RR in techniques
-                or HopTechnique.SPOOFED_RR in techniques
-            ):
-                assert root.find("rr.step")
-            if HopTechnique.INTERSECTION in techniques:
-                assert root.find("stitch")
-
-    def test_span_names_cover_the_techniques(self):
-        """A hop's technique has a span of its own under the
-        measurement that adopted it, and a spoofed batch's span is as
-        long on the virtual clock as its timeout, whoever answered."""
+    def test_events_cover_the_techniques(self):
+        """A hop's technique has the events that adopted it under the
+        measurement's id, and a spoofed batch is stamped a full batch
+        timeout after the event before it, whoever answered."""
         from repro.core.result import HopTechnique
         from repro.probing.prober import SPOOF_BATCH_TIMEOUT
 
@@ -410,23 +348,29 @@ class TestEndToEnd:
             instrumentation=instr,
         )
         engine = scenario.engine(scenario.sources()[0], "revtr2.0")
-        span_of = {
-            HopTechnique.SPOOFED_RR: "rr.spoofed_batch",
-            HopTechnique.ASSUMED_SYMMETRY: "symmetry.assume",
-            HopTechnique.INTERSECTION: "atlas.intersect",
+        events_of = {
+            HopTechnique.RR: {"rr.step"},
+            HopTechnique.SPOOFED_RR: {"rr.step", "rr.batch"},
+            HopTechnique.ASSUMED_SYMMETRY: {"fallback/adopted"},
+            HopTechnique.INTERSECTION: {"intersect/hit", "stitch"},
         }
         seen = set()
+        batches = 0
         for dst in scenario.responsive_destinations(options_only=True):
             result = engine.measure(dst)
-            root = instr.tracer.last_trace
-            for technique in span_of.keys() & set(result.techniques()):
-                assert root.find(span_of[technique]), (dst, technique)
+            events = measurement_events(instr)[result.measurement_id]
+            for technique in events_of.keys() & set(result.techniques()):
+                assert events_of[technique] <= recorded(events), (
+                    dst, technique,
+                )
                 seen.add(technique)
-            for span in root.find("rr.spoofed_batch"):
-                assert span.sim_duration == SPOOF_BATCH_TIMEOUT
-            if len(seen) == len(span_of):
+            for before, event in zip(events, events[1:]):
+                if event.kind == "rr.batch":
+                    assert event.sim - before.sim >= SPOOF_BATCH_TIMEOUT
+                    batches += 1
+            if len(seen) == len(events_of):
                 break
-        assert len(seen) == len(span_of)
+        assert len(seen) == len(events_of) and batches
 
     def test_metric_deltas(self, traced_run):
         instr, engine, results = traced_run
@@ -456,12 +400,6 @@ class TestEndToEnd:
         # The exposition is non-empty and parseable-ish.
         text = render_text(registry.snapshot())
         assert "revtr_measurements_total" in text
-
-    def test_json_trace_export(self, traced_run):
-        instr, _, _ = traced_run
-        docs = instr.tracer.export_json()
-        json.dumps(docs)
-        assert all(doc["name"] == "revtr.measure" for doc in docs)
 
     def test_null_facade_changes_nothing(self):
         def run(instrumentation):
@@ -530,12 +468,67 @@ class TestServiceIntrospection:
             MeasurementRequest(api_key=user.api_key, dst=dst, src=source)
         )
         # What an operator scrapes: the registry snapshot behind
-        # ``/metrics`` and the completed span trees.
+        # ``/metrics``, and the request's ledger entry.
         snap = instr.registry.snapshot()
         json.dumps(snap)
         assert any(
             series["labels"].get("user") == "alice"
             for series in snap["service_requests_total"]["series"]
         )
-        trace_names = {t["name"] for t in instr.tracer.export_json()}
-        assert "service.request" in trace_names
+        (request,) = [
+            event
+            for event in instr.events.events()
+            if event.kind == "service.request"
+        ]
+        assert request.fields["user"] == "alice"
+
+
+def test_no_span_is_opened(monkeypatch, capsys):
+    """The event is the only record of a decision: with
+    ``Tracer.span`` raising, a live facade serves a faulted scheduled
+    stream with coalescing on, a direct ``service.request`` and
+    ``repro measure --json --coalesce``."""
+    from repro.cli import main
+    from repro.core.revtr import EngineConfig
+    from repro.obs.tracing import Tracer
+    from repro.service import JobState, MeasurementRequest, SchedulerConfig
+    from repro.sim.faults import preset_plan
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a span was opened")
+
+    monkeypatch.setattr(Tracer, "span", refuse)
+    instr = Instrumentation()
+    scenario = Scenario(
+        config=TopologyConfig.tiny(seed=3),
+        seed=3,
+        atlas_size=10,
+        instrumentation=instr,
+    )
+    source = scenario.sources()[0]
+    door = scenario.front_door(
+        EngineConfig(
+            segment_cache=True, coalesce_batches=True, retry_budget=4
+        ),
+        [("ops", 4, 1_000)],
+        SchedulerConfig(parallelism=4, max_queue_per_user=100),
+        plan=preset_plan(
+            "mixed",
+            seed=3,
+            vps=[vp for vp in scenario.spoofer_addrs if vp != source],
+        ),
+    )
+    key = door.users[0].api_key
+    dsts = scenario.responsive_destinations(12, options_only=True)
+    jobs = [door.scheduler.submit(key, dst, source) for dst in dsts * 2]
+    door.scheduler.run()
+    assert all(job.state is JobState.DONE for job in jobs)
+    door.service.request(
+        MeasurementRequest(api_key=key, dst=dsts[0], src=source)
+    )
+    ends = [e for e in instr.events.events() if e.kind == "measure.end"]
+    assert len(ends) == len(jobs) + 1
+    argv = ["--scale", "tiny", "--seed", "3", "measure", "--count", "3"]
+    assert main(argv + ["--json", "--coalesce"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["measurements"]) == 3

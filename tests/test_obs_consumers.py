@@ -1,14 +1,14 @@
 """Nothing emitted that nothing reads (ROADMAP item 4(b)).
 
-Every metric family, event kind and span name that `src/` emits is
-collected here by AST and required to have a *reader*: code that names
-it - a health rule or its citation, the SLO rollup, a provenance line,
-a `top` row, the e2e benchmark - or, failing that, a test that uses it
+Every metric family and event kind that `src/` emits is collected
+here by AST and required to have a *reader*: code that names it - a
+health rule or its citation, the SLO rollup, a provenance line, a
+`top` row, the e2e benchmark - or, failing that, a test that uses it
 as an oracle for behaviour, listed in `ORACLE_ONLY` with the reason.
-The generic renderers (`repro events`, `/metrics`, span-tree dumps,
-provenance's "unknown kind" line) read everything and so vouch for
-nothing.  What has no reader is deleted at the emit site, not sampled
-and not put behind a level.
+The generic renderers (`repro events`, `/metrics`, provenance's
+"unknown kind" line) read everything and so vouch for nothing.  What
+has no reader is deleted at the emit site, not sampled and not put
+behind a level.
 
 The same collection holds `DECLARED_METRICS` and `TUPLE_FIELDS` to
 what is emitted (both ways), and DESIGN.md's "Who reads what" table
@@ -43,7 +43,6 @@ EMITTERS = {
     "set_gauge": "gauge",
     "emit": "event",
     "emit_t": "event",
-    "span": "span",
 }
 #: Registration call -> what the keys of the registered source name.
 PULL_SOURCES = {
@@ -55,34 +54,11 @@ NOT_THE_FACADE = {"session.observe"}
 
 #: Emitted names with no reader in `READERS`, kept because a test uses
 #: them as an oracle for behaviour: name -> (test id, why it stays).
-#: The spans wait for ROADMAP item 4(a), which folds them and the
-#: events that shadow them one-for-one into a single record.
 ORACLE_ONLY = {
     "service_requests_total": (
         "tests/test_obs.py::TestServiceIntrospection::test_metrics_snapshot",
         "per-user request accounting reaches the operator document; "
         "examples/open_system_service.py scrapes it off /metrics",
-    ),
-    "revtr.measure": (
-        "tests/test_obs.py::TestEndToEnd::test_span_tree_covers_the_pipeline",
-        "root of the span tree: one per measurement, carrying its "
-        "status, hop count and sim-clock duration",
-    ),
-    "atlas.intersect": (
-        "tests/test_obs.py::TestEndToEnd::test_span_names_cover_the_techniques",
-        "marks the intersection a measurement was completed from",
-    ),
-    "rr.spoofed_batch": (
-        "tests/test_obs.py::TestEndToEnd::test_span_names_cover_the_techniques",
-        "the 10 s batch timeout is visible as sim time on this span",
-    ),
-    "symmetry.assume": (
-        "tests/test_obs.py::TestEndToEnd::test_span_names_cover_the_techniques",
-        "the fallback's forward traceroute is this span's duration",
-    ),
-    "service.request_group": (
-        "tests/test_scheduler.py::TestCoalescedGroups::test_group_runs_under_one_span",
-        "a coalesced group executes as a unit under one span",
     ),
 }
 
@@ -101,9 +77,7 @@ def source_keys(function):
 
 def emitted():
     """``{name: (category, [site, ...])}`` for every literal name `src/`
-    passes to the facade or keys a registered pull source by.  A name
-    that is both a span and the event that closes it (`stitch`) reads
-    ``"event, span"``."""
+    passes to the facade or keys a registered pull source by."""
     found = {}
 
     def note(name, category, path, node):

@@ -31,7 +31,6 @@ from repro.experiments import Scenario
 from repro.obs import Instrumentation, ObsHTTPServer, install_sampler
 from repro.obs.metrics import MetricFamily, MetricsRegistry
 from repro.obs.timeseries import TimeSeriesSampler
-from repro.obs.tracing import Tracer
 from repro.service import SchedulerConfig
 from repro.service.store import MeasurementStore
 from repro.service.users import User
@@ -55,7 +54,6 @@ WRITER_ENTRY_POINTS = (
     (MeasurementCache, "put"),
     (User, "charge"),
     (MeasurementStore, "append"),
-    (Tracer, "span"),
 )
 
 
@@ -201,7 +199,7 @@ def recording_writers(stack):
     """Wrap every :data:`WRITER_ENTRY_POINTS` method so it records the
     thread it runs on; returns ``{"Class.method": {thread ident}}``.
     Applied before the run builds anything, since the facade binds
-    ``Tracer.span`` and ``Instrumentation._collect`` at construction."""
+    ``Instrumentation._collect`` at construction."""
     threads = {}
 
     def recorded(name, method):

@@ -352,15 +352,12 @@ class TestCoalescedGroups:
     service whose engine config coalesces batches runs same-source jobs
     admissible at one instant as one ``measure_many`` group."""
 
-    def _build(
-        self, coalesce=True, parallelism=4, instrumentation=None, **config
-    ):
+    def _build(self, coalesce=True, parallelism=4, **config):
         scenario = Scenario(
             config=TopologyConfig.tiny(seed=3), seed=3, atlas_size=10
         )
         service = build_service(
             scenario,
-            instrumentation=instrumentation,
             atlas_size=10,
             engine_config=EngineConfig(coalesce_batches=coalesce),
         )
@@ -446,26 +443,6 @@ class TestCoalescedGroups:
                 durations.add(job.result.duration)
         # Not one shared finish: each job keeps its own duration.
         assert len(durations) > 1
-
-    def test_group_runs_under_one_span(self):
-        instr = Instrumentation()
-        service, scheduler, sources, dsts, groups = self._build(
-            instrumentation=instr
-        )
-        user = service.add_user("u", max_parallel=4)
-        for dst in dsts:
-            scheduler.submit(user.api_key, dst, sources[0])
-        scheduler.run()
-        traces = list(instr.tracer.traces)
-        # One trace per group, its measurements nested under it: the
-        # group executes as a unit, not as per-request spans.
-        assert [trace.name for trace in traces] == [
-            "service.request_group"
-        ] * len(groups)
-        assert max(len(group) for group in groups) > 1
-        for trace, group in zip(traces, groups):
-            assert trace.attrs["size"] == len(group)
-            assert len(trace.find("revtr.measure")) == len(group)
 
     def test_failed_admission_rejects_one_job_not_its_group(self):
         service, scheduler, sources, dsts, groups = self._build(

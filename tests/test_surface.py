@@ -59,11 +59,6 @@ TEST_ONLY = {
         "the RR atlas's key set, walked by the attribution and "
         "snapshot round-trip tests"
     ),
-    "Span.walk": (
-        "depth-first view of a span tree; the reference_*.py oracles "
-        "compare trees with it"
-    ),
-    "Span.find": "spans by name in one tree, for the span-tree tests",
     "render_rules_table": (
         "tests/test_health.py holds DESIGN.md's health table to RULES "
         "through it"
@@ -99,6 +94,10 @@ TEST_ONLY = {
     "EngineConfig.max_intersection_age": (
         "Appendix A request option: refuse atlas intersections older "
         "than this"
+    ),
+    "EngineConfig.ping_check": (
+        "Fig. 2's \"destination responsive?\" box; tests turn it off to "
+        "walk the loop from destinations that answer no ping"
     ),
     "EngineConfig.detect_violations": (
         "Appendix E option: redundant spoofed RR to flag destination-"
