@@ -333,7 +333,26 @@ class TestEndToEnd:
             assert end.fields["duration"] == result.duration
             assert end.sim - begin.sim == result.duration
 
-    def test_events_cover_the_techniques(self):
+    def test_rr_and_stitch_spans_match_techniques(self, traced_run):
+        """An RR or spoofed-RR hop has an ``rr.step`` event under its
+        measurement's id, and an intersection hop has the hit and the
+        ``stitch`` that spliced it."""
+        instr, engine, results = traced_run
+        from repro.core.result import HopTechnique
+
+        by_mid = measurement_events(instr)
+        for result in results:
+            techniques = set(result.techniques())
+            kinds = recorded(by_mid[result.measurement_id])
+            if (
+                HopTechnique.RR in techniques
+                or HopTechnique.SPOOFED_RR in techniques
+            ):
+                assert "rr.step" in kinds
+            if HopTechnique.INTERSECTION in techniques:
+                assert {"intersect/hit", "stitch"} <= kinds
+
+    def test_span_names_cover_the_techniques(self):
         """A hop's technique has the events that adopted it under the
         measurement's id, and a spoofed batch is stamped a full batch
         timeout after the event before it, whoever answered."""
