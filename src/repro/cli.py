@@ -7,6 +7,8 @@ Commands:
   (``--json`` for machine-readable results and metrics,
   ``--metrics-out`` / ``--events-out`` to save the metrics
   snapshot and the flight-recorder log the readers below render);
+  an event export is the run's last ``DEFAULT_CAPACITY`` (4,096)
+  events, written once at exit over whatever the file held;
 * ``asymmetry`` — run a miniature §6.2 bidirectional study;
 * ``te`` — run the §6.1 traffic-engineering loop;
 * ``survey`` — the Appendix F record-route responsiveness survey
@@ -16,8 +18,7 @@ Commands:
 * ``explain`` — reconstruct a measurement's decision path from an
   exported event log (``--events``): which techniques ran, which VPs
   were probed, where the probe budget went;
-* ``events`` — dump or tail an exported event log (``--from``,
-  incl. rotated ``.gz`` segments; ``--follow`` to poll a live file,
+* ``events`` — dump or tail an exported event log (``--from``;
   ``--json`` for raw records);
 * ``atlas`` — the offline atlas pipeline: ``build`` both atlases for
   a source over shard lanes with probe dedup (``--out`` also saves a
@@ -55,7 +56,7 @@ from typing import List, Optional
 
 from repro.core.revtr import EngineConfig
 from repro.experiments import Scenario
-from repro.obs import Instrumentation
+from repro.obs import Instrumentation, read_events, write_events
 from repro.service import SchedulerConfig
 from repro.sim.faults import PRESETS
 from repro.topology import TopologyConfig
@@ -88,25 +89,16 @@ def _write_metrics(instr: Instrumentation, path: Optional[str]) -> None:
         json.dump(instr.registry.snapshot(), fh, indent=2)
 
 
-def _write_events(
-    instr: Instrumentation,
-    path: Optional[str],
-    rotate_bytes: Optional[int] = None,
-) -> None:
-    """Drain the flight recorder to a JSONL file (optional rotation)."""
-    if not path:
-        return
-    from repro.obs.eventio import JsonlEventWriter
-
-    with JsonlEventWriter(path, rotate_bytes=rotate_bytes) as writer:
-        writer.drain(instr.events)
+def _write_events(instr: Instrumentation, path: Optional[str]) -> None:
+    """Export the flight recorder's retained events to *path*,
+    replacing the file."""
+    if path:
+        write_events(path, instr.events.events())
 
 
 def _read_events(path: str):
     """The events of a JSONL export, or None after reporting why the
     file cannot be used."""
-    from repro.obs.eventio import read_events
-
     try:
         return read_events(path)
     except FileNotFoundError:
@@ -301,32 +293,23 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_events(args: argparse.Namespace) -> int:
-    if args.follow:
-        from repro.obs.eventio import follow_jsonl
-
-        docs = follow_jsonl(args.from_file)
-    else:
-        events = _read_events(args.from_file)
-        if events is None:
-            return 2
-        docs = [event.to_dict() for event in events]
-    docs = (
-        doc
-        for doc in docs
-        if (not args.kind or doc.get("kind") == args.kind)
-        and (not args.mid or doc.get("mid") == args.mid)
-    )
-    if args.tail and not args.follow:
-        docs = list(docs)[-args.tail:]
-    try:
-        for doc in docs:
-            print(
-                json.dumps(doc, sort_keys=True)
-                if args.json
-                else _format_event_doc(doc)
-            )
-    except KeyboardInterrupt:
-        pass
+    events = _read_events(args.from_file)
+    if events is None:
+        return 2
+    docs = [
+        event.to_dict()
+        for event in events
+        if (not args.kind or event.kind == args.kind)
+        and (not args.mid or event.mid == args.mid)
+    ]
+    if args.tail:
+        docs = docs[-args.tail:]
+    for doc in docs:
+        print(
+            json.dumps(doc, sort_keys=True)
+            if args.json
+            else _format_event_doc(doc)
+        )
     return 0
 
 
@@ -496,7 +479,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 pass
         http_server.stop()
     _write_metrics(instr, args.metrics_out)
-    _write_events(instr, args.events_out, rotate_bytes=args.events_rotate)
+    _write_events(instr, args.events_out)
     return 0
 
 
@@ -668,7 +651,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
 #: The file outputs a verb can take, and what each writes.
 OUTPUTS = {
     "--metrics-out": "write the metrics JSON snapshot to FILE",
-    "--events-out": "export the flight-recorder event log to FILE (JSONL)",
+    "--events-out": "export the flight recorder's last events to FILE "
+    "(JSONL), replacing it",
     "--timeseries-out": "write the sampled telemetry time-series to "
     "FILE (JSON)",
 }
@@ -800,12 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="from_file",
         metavar="FILE",
         required=True,
-        help="the JSONL export (incl. rotated .gz segments)",
-    )
-    events.add_argument(
-        "--follow",
-        action="store_true",
-        help="poll FILE for appended events (tail -f) until ctrl-C",
+        help="the JSONL export (measure/serve/health --events-out)",
     )
     events.add_argument(
         "--kind", help="only events of this kind (e.g. rr.step)"
@@ -867,14 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests submitted per user",
     )
     _add_outputs(serve, "--metrics-out", "--events-out", "--timeseries-out")
-    serve.add_argument(
-        "--events-rotate",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="gzip-rotate the event log once it exceeds BYTES "
-        "(FILE.1.gz, FILE.2.gz, ...)",
-    )
     serve.add_argument(
         "--http",
         type=int,

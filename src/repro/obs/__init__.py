@@ -12,11 +12,11 @@ once, as an event.  The package, by what reads it:
   (registry of counters, gauges and fixed-bucket histograms, plus the
   readers of its snapshot shape) and :mod:`repro.obs.events` (the
   flight recorder: a bounded structured event log, each event stamped
-  with wall *and* sim time); :mod:`repro.obs.runtime` points an
-  engine's components at its sink;
+  with wall *and* sim time, and its JSONL export, written once at exit
+  and read back whole by ``repro events``); :mod:`repro.obs.runtime`
+  points an engine's components at its sink;
 * per measurement — :mod:`repro.obs.provenance` (the decision ledger
-  behind ``repro explain``) and :mod:`repro.obs.eventio` (JSONL export
-  with gzip rotation, behind ``repro events``);
+  behind ``repro explain``);
 * per run — :mod:`repro.obs.slo` (histogram-derived SLO rollup for
   ``repro stats --slo``) and :mod:`repro.obs.exposition` (Prometheus
   text format);
@@ -28,8 +28,13 @@ once, as an event.  The package, by what reads it:
 """
 
 from repro.obs.dashboard import live_view, render_top, sparkline
-from repro.obs.eventio import JsonlEventWriter, follow_jsonl, read_events
-from repro.obs.events import EVENT_SCHEMA_VERSION, Event, EventLog
+from repro.obs.events import (
+    EVENT_SCHEMA_VERSION,
+    Event,
+    EventLog,
+    read_events,
+    write_events,
+)
 from repro.obs.exposition import render_text
 from repro.obs.health import (
     HealthEngine,
@@ -71,7 +76,6 @@ __all__ = [
     "HealthFinding",
     "Histogram",
     "Instrumentation",
-    "JsonlEventWriter",
     "MetricsRegistry",
     "NULL",
     "NullInstrumentation",
@@ -79,7 +83,6 @@ __all__ = [
     "ProvenanceLedger",
     "TimeSample",
     "TimeSeriesSampler",
-    "follow_jsonl",
     "format_findings",
     "format_slo",
     "histogram_quantile",
@@ -91,4 +94,5 @@ __all__ = [
     "render_top",
     "slo_summary",
     "sparkline",
+    "write_events",
 ]

@@ -28,8 +28,9 @@ Design constraints, in order:
   ``measure()`` call) so one measurement's events can be pulled out of
   the shared log.
 * **serialisability** — events export as JSONL-able dicts under a
-  versioned schema (:data:`EVENT_SCHEMA_VERSION`); see
-  :mod:`repro.obs.eventio` for the file format and gzip rotation.
+  versioned schema (:data:`EVENT_SCHEMA_VERSION`):
+  :func:`write_events` writes a run's retained events once, at exit,
+  and :func:`read_events` reads such a file back whole.
 
 The log is reached through the instrumentation facade
 (``obs.emit(kind, **fields)``): with the null facade the emit is a
@@ -39,9 +40,10 @@ no-op ``pass``, so disabled-mode overhead stays ~zero.
 from __future__ import annotations
 
 import itertools
+import json
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 #: Version of the exported event record layout.  Bump on incompatible
 #: changes to the dict shape; readers reject unknown versions rather
@@ -50,8 +52,9 @@ EVENT_SCHEMA_VERSION = 1
 
 #: Default ring capacity.  At the engine's ~12 events per measurement
 #: this retains the last ~350 measurements' worth of decisions —
-#: ample for ``explain``/``tail``, whose subjects are recent; export
-#: to JSONL (:mod:`repro.obs.eventio`) covers full-history needs.
+#: ample for ``explain`` and ``events``, whose subjects are recent.  An
+#: export (:func:`write_events`) is these last events of one run,
+#: written at exit: what the ring dropped is not in it.
 #: Sized deliberately small: at 16k slots the ring never wrapped
 #: between reads, so every emit touched a cold cache line and the
 #: retained payloads inflated collector scans — a measured ~30% of
@@ -228,6 +231,39 @@ class Event:
         )
 
 
+def write_events(path: str, events: Iterable[Event]) -> None:
+    """Write *events* to *path*, one sorted-key JSON record per line,
+    replacing whatever the file held: one file is one run's export."""
+    with open(path, "w") as fh:
+        for event in events:
+            fh.write(json.dumps(event.to_dict(), sort_keys=True))
+            fh.write("\n")
+
+
+def read_events(path: str) -> List[Event]:
+    """The events of a :func:`write_events` file, oldest-first.
+
+    Raises :class:`FileNotFoundError` when *path* does not exist, and
+    :class:`ValueError`, naming the file, the line and the field, for
+    anything in it that is not an event record of this schema version:
+    a truncated or retyped line, bytes that are not text.
+    """
+    events: List[Event] = []
+    try:
+        with open(path) as fh:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    events.append(Event.from_dict(json.loads(line)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not text: {exc}") from exc
+    events.sort(key=lambda event: event.seq)
+    return events
+
+
 def _jsonable_fields(fields: Dict[str, Any]) -> Dict[str, Any]:
     return {k: _jsonable(v) for k, v in fields.items()}
 
@@ -249,8 +285,8 @@ class EventLog:
     cells each) written in place (seqlock-style: the sequence number
     is published last, so readers can discard half-written slots);
     the oldest are overwritten (and tallied as :attr:`dropped`) once
-    the ring wraps.  Reads (:meth:`events`, :meth:`tail`) snapshot
-    the ring under a lock; writes never take it.  The tallies
+    the ring wraps.  Reads (:meth:`events`) snapshot the ring under a
+    lock; writes never take it.  The tallies
     (:meth:`accounting`: total / dropped / retained) read only the
     sequence cells, so sampling them never copies the ring.  The one
     write/write hazard is a writer lapped by a full ring revolution
@@ -261,7 +297,7 @@ class EventLog:
 
     __slots__ = (
         "capacity", "_clock", "_now", "_slots", "_seq", "_mids",
-        "_mid", "_lock", "_cleared", "_floor",
+        "_mid", "_lock",
     )
 
     def __init__(
@@ -295,12 +331,6 @@ class EventLog:
         #: the current measurement id every emit is stamped with
         self._mid: Optional[str] = None
         self._lock = threading.Lock()
-        #: events discarded by explicit :meth:`clear` calls (they are
-        #: not "dropped" — the operator asked for them to go)
-        self._cleared = 0
-        # Sequence floor after a clear, so lifetime totals stay exact
-        # even when the ring is empty.
-        self._floor = 0
 
     @property
     def clock(self):
@@ -393,25 +423,22 @@ class EventLog:
         """``(total, dropped, retained)`` from one read of the ring.
 
         *total* is events emitted over the log's lifetime (including
-        overwritten ones), *dropped* those lost to ring wraparound
-        (explicit clears excluded), *retained* those still in the
-        ring.  All three come from one strided slice of the sequence
-        cells taken under the lock — no slot copies, no Python-level
-        loop — so telemetry can read them on every sample, and they
-        always satisfy ``total == retained + dropped + cleared``.
-        *total* is derived from the highest retained sequence number
-        rather than by peeking at the counter, so reading it never
-        races with the lock-free emit path.
+        overwritten ones), *dropped* those lost to ring wraparound,
+        *retained* those still in the ring.  All three come from one
+        strided slice of the sequence cells taken under the lock — no
+        slot copies, no Python-level loop — so telemetry can read them
+        on every sample, and they always satisfy ``total == retained +
+        dropped``.  *total* is derived from the highest retained
+        sequence number rather than by peeking at the counter, so
+        reading it never races with the lock-free emit path.
         """
         with self._lock:
             seqs = self._slots[0::6]
-            floor = self._floor
-            cleared = self._cleared
         # Sequence cells hold -1 (empty or mid-write) or a published
         # sequence number, so everything that is not -1 is retained.
         retained = self.capacity - seqs.count(-1)
-        total = max(seqs) + 1 if retained else floor
-        return total, max(0, total - cleared - retained), retained
+        total = max(seqs) + 1 if retained else 0
+        return total, total - retained, retained
 
     @property
     def total(self) -> int:
@@ -420,7 +447,7 @@ class EventLog:
 
     @property
     def dropped(self) -> int:
-        """Events lost to ring wraparound (explicit clears excluded)."""
+        """Events lost to ring wraparound."""
         return self.accounting()[1]
 
     def __len__(self) -> int:
@@ -448,54 +475,14 @@ class EventLog:
         self,
         mid: Optional[str] = None,
         kind: Optional[str] = None,
-        since_seq: int = -1,
     ) -> List[Event]:
-        """Retained events oldest-first, optionally filtered.
-
-        *mid* selects one measurement's events, *kind* one event kind,
-        and *since_seq* skips events at or below a sequence number
-        (for incremental drains).
-        """
+        """Retained events oldest-first, optionally filtered: *mid*
+        selects one measurement's events, *kind* one event kind."""
         out: List[Event] = []
         for record in self._snapshot():
-            if record[0] <= since_seq:
-                continue
             if mid is not None and record[3] != mid:
                 continue
             if kind is not None and record[4] != kind:
                 continue
             out.append(Event(*record))
         return out
-
-    def tail(self, n: int = 20) -> List[Event]:
-        """The most recent *n* events, oldest-first."""
-        records = self._snapshot()
-        return [Event(*record) for record in records[-n:]]
-
-    def by_kind(self) -> Dict[str, int]:
-        """Retained event counts per kind (for snapshots/stats)."""
-        counts: Dict[str, int] = {}
-        for record in self._snapshot():
-            counts[record[4]] = counts.get(record[4], 0) + 1
-        return counts
-
-    def summary(self) -> Dict[str, Any]:
-        """JSON-able operator view for ``introspect``/service snapshots."""
-        total, dropped, retained = self.accounting()
-        return {
-            "schema_version": EVENT_SCHEMA_VERSION,
-            "capacity": self.capacity,
-            "recorded": retained,
-            "total": total,
-            "dropped": dropped,
-            "by_kind": dict(sorted(self.by_kind().items())),
-        }
-
-    def clear(self) -> None:
-        with self._lock:
-            seqs = self._slots[0::6]
-            retained = self.capacity - seqs.count(-1)
-            if retained:
-                self._floor = max(seqs) + 1
-            self._cleared += retained
-            self._slots = [-1, 0.0, None, None, "", None] * self.capacity

@@ -249,8 +249,9 @@ class Instrumentation:
             else:
                 self.registry.histogram(name, help, buckets=buckets)
         self.registry.register_collector(self._collect)
-        # Emits are the hottest facade call; binding the recorder's
-        # methods directly skips one Python frame per event.
+        # Emits are the hottest facade call, so the facade's ``emit`` /
+        # ``emit_t`` are the recorder's bound methods (the tuple form's
+        # values match ``events.TUPLE_FIELDS[kind]`` positionally).
         self.emit = self.events.emit
         self.emit_t = self.events.emit_t
         self.register_collect_source(self._obs_self_collect)
@@ -339,17 +340,3 @@ class Instrumentation:
             child = self.registry.gauge(name).labels(**labels)
             self._series[key] = child
         child.set(value)
-
-    # -- events ---------------------------------------------------------
-
-    def emit(
-        self, kind: str, /, _mid: Any = None, **fields: Any
-    ) -> None:
-        # Shadowed by the bound ``events.emit`` in ``__init__`` on the
-        # hot path; kept so the facade surface stays self-documenting.
-        self.events.emit(kind, _mid=_mid, **fields)
-
-    def emit_t(self, kind: str, values: tuple) -> None:
-        # Shadowed like ``emit`` above.  The tuple-payload fast path:
-        # *values* match ``events.TUPLE_FIELDS[kind]`` positionally.
-        self.events.emit_t(kind, values)

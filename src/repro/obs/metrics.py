@@ -361,6 +361,7 @@ def check_snapshot(doc: Any, source: str) -> Dict[str, Any]:
                 f"family {name!r} needs a 'series' list and a string "
                 "'help'"
             )
+        grid = None
         for index, series in enumerate(family["series"]):
             where = f"family {name!r} series {index}"
             labels = (
@@ -391,6 +392,14 @@ def check_snapshot(doc: Any, source: str) -> Dict[str, Any]:
                     f"{where} 'buckets' is not a list of [le, count] "
                     "pairs"
                 )
+            # A family has one bucket grid (every declared histogram
+            # uses DEFAULT_TIME_BUCKETS), and the readers sum its
+            # series edge by edge.
+            edges = [bucket[0] for bucket in buckets]
+            if grid is None:
+                grid = edges
+            elif edges != grid:
+                raise bad(f"{where} has other bucket edges than series 0")
     return doc
 
 

@@ -41,55 +41,19 @@ def _edge(le: Any) -> float:
 def merged_buckets(
     family: Dict[str, Any]
 ) -> List[Tuple[float, float]]:
-    """Sum cumulative buckets across a family's label children.
+    """Sum cumulative buckets across a family's label children, edge
+    by edge.
 
-    Children of a live family share one bucket grid, so the merge is a
-    per-edge sum.  Snapshots loaded back from disk (or from older
-    schema versions) may carry *mismatched* grids between children;
-    summing cumulative counts edge-by-edge would then undercount
-    coarse-grid children at fine-grid edges and break monotonicity.
-    Instead each child is treated as the step function it is: its
-    cumulative value at a union edge is the count at the greatest child
-    edge ≤ that union edge (0 before the first), which is exact for
-    edges the child has and conservative (step-held) in between.
+    The children of a family share one bucket grid: a live registry
+    gives each histogram one, and :func:`repro.obs.metrics.check_snapshot`
+    refuses a loaded snapshot whose children disagree.
     """
-    per_series: List[List[Tuple[float, float]]] = []
-    edges: set = set()
+    totals: Dict[float, float] = {}
     for series in family.get("series", []):
-        buckets = sorted(
-            (_edge(le), cumulative)
-            for le, cumulative in series.get("buckets", [])
-        )
-        if buckets:
-            per_series.append(buckets)
-            edges.update(edge for edge, _ in buckets)
-    if not per_series:
-        return []
-    union = sorted(edges)
-    grids_match = all(
-        [edge for edge, _ in buckets] == union for buckets in per_series
-    )
-    if grids_match:
-        totals = [0.0] * len(union)
-        for buckets in per_series:
-            for i, (_, cumulative) in enumerate(buckets):
-                totals[i] += cumulative
-        return list(zip(union, totals))
-    merged: List[Tuple[float, float]] = []
-    positions = [0] * len(per_series)
-    held = [0.0] * len(per_series)
-    for edge in union:
-        total = 0.0
-        for i, buckets in enumerate(per_series):
-            while (
-                positions[i] < len(buckets)
-                and buckets[positions[i]][0] <= edge
-            ):
-                held[i] = buckets[positions[i]][1]
-                positions[i] += 1
-            total += held[i]
-        merged.append((edge, total))
-    return merged
+        for le, cumulative in series.get("buckets", []):
+            edge = _edge(le)
+            totals[edge] = totals.get(edge, 0.0) + cumulative
+    return sorted(totals.items())
 
 
 def histogram_quantile(

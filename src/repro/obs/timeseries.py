@@ -149,12 +149,10 @@ class TimeSeriesSampler:
     def _sim_now(self) -> Optional[float]:
         clock = self.clock
         if clock is None:
-            # The sim clock is late-bound onto the tracer/event log by
+            # The sim clock is late-bound onto the event log by
             # Scenario; adopt it from there the first time it appears.
             events = getattr(self.obs, "events", None)
             clock = getattr(events, "clock", None) if events is not None else None
-            if clock is None:
-                clock = getattr(getattr(self.obs, "tracer", None), "clock", None)
             if clock is not None:
                 self.clock = clock
         return clock.now() if clock is not None else None

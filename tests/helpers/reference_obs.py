@@ -22,9 +22,8 @@ from repro.sim.network import Internet
 def ring_accounting(log: EventLog) -> Tuple[int, int, int]:
     """``(total, dropped, retained)`` from a full copy of the ring."""
     records = log._snapshot()
-    total = (records[-1][0] + 1) if records else log._floor
-    dropped = max(0, total - log._cleared - len(records))
-    return total, dropped, len(records)
+    total = (records[-1][0] + 1) if records else 0
+    return total, total - len(records), len(records)
 
 
 def fib_entry_count(internet: Internet) -> int:

@@ -44,6 +44,9 @@ class TestParser:
             ["explain", "--events", "e.jsonl", "--dst", "X"],
             ["top", "--variant", "revtr1.0"],
             ["events", "--from", "e.jsonl", "--max-seconds", "1"],
+            # An export is written once, at exit, and read whole.
+            ["serve", "--events-rotate", "1000"],
+            ["events", "--from", "e.jsonl", "--follow"],
         ],
     )
     def test_retired_switches_are_rejected_not_ignored(

@@ -1,15 +1,13 @@
 """Tests for the measurement flight recorder (repro.obs events).
 
 Covers the event ring (bounded, lock-free, correlated), the versioned
-JSONL schema and its gzip-rotating writer, the provenance ledger's
+JSONL schema and its one-run export, the provenance ledger's
 narrative and summary, the byte-identity guarantee (measurement output
 is unchanged by recording), and the CLI verbs built on top
 (``explain``, ``events``, ``--events-out``, ``stats --slo``).
 """
 
-import gzip
 import json
-import os
 import threading
 
 import pytest
@@ -22,11 +20,11 @@ from repro.obs import (
     Event,
     EventLog,
     Instrumentation,
-    JsonlEventWriter,
     ProvenanceLedger,
     format_slo,
     read_events,
     slo_summary,
+    write_events,
 )
 from repro.topology import TopologyConfig
 
@@ -89,17 +87,6 @@ class TestEventLog:
             range(12, 20)
         )
 
-    def test_clear_is_not_a_drop(self):
-        log = EventLog(capacity=8)
-        for _ in range(5):
-            log.emit("tick")
-        log.clear()
-        assert len(log) == 0
-        assert log.dropped == 0
-        log.emit("after")
-        assert log.total == 6
-        assert [e.kind for e in log.events()] == ["after"]
-
     def test_sim_clock_late_binding(self):
         log = EventLog(capacity=4)
         log.emit("before")
@@ -110,17 +97,6 @@ class TestEventLog:
         before, after = log.events()
         assert before.sim is None
         assert after.sim == 2.5
-
-    def test_tail_and_by_kind(self):
-        log = EventLog(capacity=32)
-        for i in range(10):
-            log.emit("a" if i % 2 else "b")
-        assert len(log.tail(3)) == 3
-        assert log.tail(3)[-1].seq == log.events()[-1].seq
-        assert log.by_kind() == {"a": 5, "b": 5}
-        summary = log.summary()
-        assert summary["schema_version"] == EVENT_SCHEMA_VERSION
-        assert summary["total"] == 10
 
     def test_concurrent_emit(self):
         log = EventLog(capacity=16_384)
@@ -185,34 +161,13 @@ class TestJsonlIO:
         log.emit("a", x=1)
         log.emit("b")
         path = str(tmp_path / "ev.jsonl")
-        with JsonlEventWriter(path) as writer:
-            assert writer.drain(log) == 2
-            # A second drain persists only what is new.
-            log.emit("c")
-            assert writer.drain(log) == 1
+        write_events(path, log.events())
         events = read_events(path)
-        assert [e.kind for e in events] == ["a", "b", "c"]
+        assert [e.kind for e in events] == ["a", "b"]
         assert events[0].fields == {"x": 1}
-
-    def test_rotation_stitches_back_in_order(self, tmp_path):
-        log = EventLog(capacity=4_096)
-        path = str(tmp_path / "ev.jsonl")
-        # ~60 bytes/record: 100 records span a handful of generations
-        # without exceeding the MAX_ROTATIONS retention.
-        with JsonlEventWriter(path, rotate_bytes=1500) as writer:
-            for i in range(100):
-                log.emit("tick", i=i)
-                writer.drain(log)
-        assert writer.rotations > 0
-        assert os.path.exists(path + ".1.gz")
-        with gzip.open(path + ".1.gz", "rt") as fh:
-            assert fh.readline().strip().startswith("{")
-        events = read_events(path)
-        assert [e.fields["i"] for e in events] == list(range(100))
-        # Rotated-only read still works when the live file was just
-        # rotated away.
-        live_only = read_events(path, include_rotated=False)
-        assert len(live_only) <= len(events)
+        # A second write replaces the file; it never appends.
+        write_events(path, log.events(kind="b"))
+        assert [e.kind for e in read_events(path)] == ["b"]
 
     def test_read_rejects_foreign_schema(self, tmp_path):
         path = tmp_path / "ev.jsonl"
@@ -331,8 +286,7 @@ class TestProvenance:
     ):
         instr, results_on, _ = recorded_run
         path = str(tmp_path / "run.jsonl")
-        with JsonlEventWriter(path) as writer:
-            writer.drain(instr.events)
+        write_events(path, instr.events.events())
         events = read_events(path)
         mid = results_on[0].measurement_id
         assert ProvenanceLedger.from_events(
@@ -374,6 +328,33 @@ class TestCliVerbs:
         assert code == 0
         docs = json.loads(capsys.readouterr().out)
         assert isinstance(docs, list) and len(docs) == 2
+
+    def test_a_second_export_replaces_the_first(self, tmp_path, capsys):
+        # One file is one run: exporting seed 3 and then seed 4 to the
+        # same path leaves exactly what a fresh seed-4 export holds, so
+        # `explain` never narrates two runs' events as one measurement.
+        shared, fresh = tmp_path / "shared.jsonl", tmp_path / "fresh.jsonl"
+        for seed, path in ((3, shared), (4, shared), (4, fresh)):
+            assert main(
+                [
+                    "--scale", "tiny", "--seed", str(seed),
+                    "measure", "--count", "2", "--events-out", str(path),
+                ]
+            ) == 0
+        capsys.readouterr()
+
+        def records(path):
+            docs = [json.loads(line) for line in path.read_text().splitlines()]
+            for doc in docs:
+                del doc["wall"]
+            return docs
+
+        assert records(shared) == records(fresh)
+        for argv in (["explain", "all"], ["explain", "all", "--json"]):
+            assert main(argv + ["--events", str(shared)]) == 0
+            narrated = capsys.readouterr().out
+            assert main(argv + ["--events", str(fresh)]) == 0
+            assert narrated == capsys.readouterr().out
 
     def test_explain_unknown_mid_errors(self, tmp_path, capsys):
         path = str(tmp_path / "ev.jsonl")
@@ -423,73 +404,6 @@ class TestCliVerbs:
         capsys.readouterr()
         assert main(["stats", "--slo", "--from", path]) == 0
         assert "SLO summary" in capsys.readouterr().out
-
-
-class TestFollowJsonl:
-    """The rotation-aware tail: no skipped and no duplicated records
-    across a writer rotation or an out-of-band truncation."""
-
-    def _take(self, follower, n):
-        return [next(follower) for _ in range(n)]
-
-    def test_rotation_handoff_no_loss_no_dupes(self, tmp_path):
-        from repro.obs import follow_jsonl
-
-        log = EventLog(capacity=4_096)
-        path = str(tmp_path / "ev.jsonl")
-        # ~60 bytes/record: three records stay under the threshold,
-        # two more cross it and trigger a rotation.
-        writer = JsonlEventWriter(path, rotate_bytes=250)
-        for i in range(3):
-            log.emit("tick", i=i)
-        writer.drain(log)
-
-        follower = follow_jsonl(path, poll_interval=0.01)
-        first = self._take(follower, 3)
-        assert [doc["fields"]["i"] for doc in first] == [0, 1, 2]
-
-        # The next drain crosses rotate_bytes: the live file (all five
-        # records) moves to .1.gz and is removed.
-        for i in range(3, 5):
-            log.emit("tick", i=i)
-        writer.drain(log)
-        assert writer.rotations == 1
-        assert not os.path.exists(path)
-        # A fresh live file starts after the rotation.
-        for i in range(5, 7):
-            log.emit("tick", i=i)
-        writer.drain(log)
-        writer.close()
-
-        # The follower drains the archive for the records it missed
-        # (3, 4) — deduplicating 0-2 by seq — then resumes on the new
-        # live file (5, 6).
-        rest = self._take(follower, 4)
-        assert [doc["fields"]["i"] for doc in rest] == [3, 4, 5, 6]
-        seqs = [doc["seq"] for doc in first + rest]
-        assert seqs == sorted(set(seqs))
-        follower.close()
-
-    def test_truncation_resets_offset(self, tmp_path):
-        from repro.obs import follow_jsonl
-
-        path = tmp_path / "ev.jsonl"
-        path.write_text(
-            '{"seq": 0, "kind": "a"}\n'
-            '{"seq": 1, "kind": "b"}\n'
-            '{"seq": 2, "kind": "c"}\n'
-        )
-        follower = follow_jsonl(str(path), poll_interval=0.01)
-        assert [doc["seq"] for doc in self._take(follower, 3)] == [
-            0, 1, 2,
-        ]
-        # Out-of-band truncation (copytruncate-style logrotate): the
-        # file shrinks below the follower's offset and restarts with
-        # fresh records.  A stale-offset read would yield garbage or
-        # nothing; the follower must restart from the top.
-        path.write_text('{"seq": 3, "kind": "d"}\n')
-        assert self._take(follower, 1)[0]["seq"] == 3
-        follower.close()
 
 
 class TestQuantileEdgeCases:
@@ -560,32 +474,3 @@ class TestQuantileEdgeCases:
             (1.0, 3.0),
             (float("inf"), 7.0),
         ]
-
-    def test_merged_buckets_mismatched_grids_step_aligned(self):
-        from repro.obs.slo import merged_buckets
-
-        # Children with different grids (as loaded from an old
-        # snapshot): each child is a step function; its value at a
-        # union edge is held from its greatest edge <= that edge.
-        family = {
-            "type": "histogram",
-            "series": [
-                {
-                    "labels": {"k": "fine"},
-                    "buckets": [[1.0, 1.0], [2.0, 3.0], ["+Inf", 3.0]],
-                },
-                {
-                    "labels": {"k": "coarse"},
-                    "buckets": [[2.0, 4.0], ["+Inf", 6.0]],
-                },
-            ],
-        }
-        merged = merged_buckets(family)
-        assert merged == [
-            (1.0, 1.0),  # coarse child holds 0 below its first edge
-            (2.0, 7.0),
-            (float("inf"), 9.0),
-        ]
-        # Monotone non-decreasing despite the grid mismatch.
-        counts = [count for _, count in merged]
-        assert counts == sorted(counts)

@@ -145,9 +145,7 @@ def test_read_events_parses_or_refuses(real_run, data):
     records, _ = real_run
     lines = [json.dumps(record, sort_keys=True) for record in records]
     victim = data.draw(st.integers(0, len(lines) - 1))
-    how = data.draw(
-        st.sampled_from(["damage", "truncate", "scalar", "gzip"])
-    )
+    how = data.draw(st.sampled_from(["damage", "truncate", "scalar"]))
     if how == "damage":
         lines[victim] = json.dumps(damaged(records[victim], data))
     elif how == "truncate":
@@ -155,18 +153,10 @@ def test_read_events_parses_or_refuses(real_run, data):
         lines[victim] = lines[victim][:cut]
     elif how == "scalar":
         lines[victim] = json.dumps(data.draw(JUNK))
-    # The older half is a rotated segment, the newer half the live file.
-    half = len(lines) // 2
-    rotated = ("\n".join(lines[:half]) + "\n").encode()
-    packed = gzip.compress(rotated, mtime=0)
-    if how == "gzip":
-        packed = packed[: data.draw(st.integers(0, len(packed) - 1))]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ev.jsonl")
-        with open(path + ".1.gz", "wb") as fh:
-            fh.write(packed)
         with open(path, "w") as fh:
-            fh.write("\n".join(lines[half:]) + "\n")
+            fh.write("\n".join(lines) + "\n")
         try:
             events = read_events(path)
         except ValueError as exc:
@@ -232,6 +222,44 @@ def test_stats_from_renders_or_refuses(real_run, data):
             if code == 2:
                 assert err.startswith("error: ")
                 assert path in err
+
+
+def test_stats_from_refuses_mismatched_bucket_grids(tmp_path):
+    # Every declared histogram has one grid, so no producer writes a
+    # family whose series disagree on edges; summing such a family
+    # edge by edge would be wrong, so it is refused, not merged.
+    path = tmp_path / "metrics.json"
+    path.write_text(
+        json.dumps(
+            {
+                "revtr_measure_duration_seconds": {
+                    "type": "histogram",
+                    "help": "",
+                    "series": [
+                        {
+                            "labels": {"k": "fine"},
+                            "sum": 3.0,
+                            "count": 3,
+                            "buckets": [[1.0, 1], [2.0, 3], ["+Inf", 3]],
+                        },
+                        {
+                            "labels": {"k": "coarse"},
+                            "sum": 9.0,
+                            "count": 6,
+                            "buckets": [[2.0, 4], ["+Inf", 6]],
+                        },
+                    ],
+                }
+            }
+        )
+    )
+    for argv in (
+        ["stats", "--from", str(path)],
+        ["stats", "--slo", "--from", str(path)],
+    ):
+        code, err = run_cli(argv)
+        assert code == 2 and err.startswith("error: "), err
+        assert "series 1 has other bucket edges" in err
 
 
 #: The deployment `health --plan` and `atlas load --path` run on.

@@ -180,16 +180,11 @@ class Reader:
                     seqs = [event.seq for event in log.events()]
                     assert seqs == sorted(set(seqs))
                     assert len(seqs) <= log.capacity
-                    summary = log.summary()
-                    assert (
-                        summary["recorded"]
-                        + summary["dropped"]
-                        + log._cleared
-                        == summary["total"]
-                    )
-                    assert summary["total"] >= self.seen
-                    self.seen = summary["total"]
-                self.wrapped = self.wrapped or summary["dropped"] > 0
+                    total, dropped, retained = log.accounting()
+                    assert retained + dropped == total
+                    assert total >= self.seen
+                    self.seen = total
+                self.wrapped = self.wrapped or dropped > 0
                 self.rounds += 1
         except BaseException as exc:  # reported by the test, below
             self.errors.append(exc)
