@@ -609,12 +609,13 @@ def _cmd_top(args: argparse.Namespace) -> int:
             door.source,
         )
     # The worker is the one writer: the scheduler's completion hooks
-    # tick the sampler on it, and it publishes the end state once the
-    # queue drains.  Frames read only what it published.  The first
-    # sample is published here, before the worker exists.
+    # tick the sampler on it, each sample carrying its health findings,
+    # and it publishes the end state once the queue drains.  Frames
+    # read only what it published.  The first sample is published
+    # here, before the worker exists.
     sampler = install_sampler(instr, sim_interval=SAMPLE_INTERVAL)
+    sampler.health = HealthEngine()
     sampler.sample()
-    health = HealthEngine()
     stop = threading.Event()
 
     def workload() -> None:
@@ -630,11 +631,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
     def frame():
         # Read before rendering, so the last frame shows the end state.
         done = not worker.is_alive()
-        samples = sampler.samples()
         text = render_top(
-            samples,
+            sampler.samples(),
             sampler.capacity,
-            findings=health.evaluate(samples, instr.events),
             title=f"repro top — {args.requests} requests to "
             f"{door.source}",
         )

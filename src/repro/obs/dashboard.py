@@ -1,7 +1,8 @@
 """Terminal dashboard rendering for ``repro top``.
 
-Pure text assembly: given one copy of the sampler's ring and the health
-findings over it, :func:`render_top` produces one dashboard frame;
+Pure text assembly: given one copy of the sampler's ring, whose newest
+sample carries the health findings, :func:`render_top` produces one
+dashboard frame;
 :func:`live_view` owns the redraw loop (ANSI home+clear on TTYs, frame
 separators otherwise).  Nothing here touches measurement state or
 samples anything: the frame is what the workload thread last published,
@@ -15,7 +16,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import timeseries
-from repro.obs.health import HealthFinding, format_findings
+from repro.obs.health import format_findings
 from repro.obs.slo import format_slo, slo_summary
 
 #: Eight-level block characters, lowest to highest.
@@ -75,11 +76,11 @@ GAUGE_ROWS: Tuple[Tuple[str, str, Optional[Dict[str, str]]], ...] = (
 def render_top(
     samples: List[timeseries.TimeSample],
     capacity: int,
-    findings: Optional[Sequence[HealthFinding]] = None,
     title: str = "repro top",
 ) -> str:
     """Assemble one dashboard frame from *samples*, one copy of a
-    sampler's ring (oldest first) holding at most *capacity*."""
+    sampler's ring (oldest first) holding at most *capacity*, and the
+    health findings published with the newest."""
     latest = samples[-1] if samples else None
     lines: List[str] = []
     header = f"== {title} =="
@@ -130,8 +131,8 @@ def render_top(
     lines.append(
         format_slo(slo_summary(latest.metrics if latest is not None else {}))
     )
-    if findings is not None:
-        lines.append(format_findings(findings))
+    if latest is not None:
+        lines.append(format_findings(latest.findings))
     return "\n".join(lines)
 
 

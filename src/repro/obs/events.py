@@ -16,12 +16,10 @@ Design constraints, in order:
   preallocated ring slot: no per-event allocation beyond the caller's
   keyword dict, so emitting never feeds the cyclic GC (a ring of
   freshly allocated records would be re-scanned on every collection).
-  The slot index comes from an :class:`itertools.count` — ``next()``
-  is one C call, so concurrent emitters never claim the same one
-  (``tests/test_events.py``, ``test_concurrent_emit``) — and each
-  event writes only its own slot, so the common path takes no lock;
-  the ring silently overwrites the oldest events when full and counts
-  them as dropped.
+  One thread emits and reads (DESIGN.md, "One writer, published
+  samples"), so the slot index is a plain count and the common path
+  takes no lock; the ring silently overwrites the oldest events when
+  full and counts them as dropped.
 * **correlation** — every event carries a monotonic sequence number
   plus wall-clock and sim-clock timestamps, and is stamped with the
   current *measurement id* (set by the engine for the duration of one
@@ -41,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -279,25 +276,21 @@ def _jsonable(value: Any) -> Any:
 
 
 class EventLog:
-    """A thread-safe, bounded, low-overhead structured event log.
+    """A bounded, low-overhead structured event log.
 
     Events live in a preallocated flat ring of ``capacity`` slots (6
-    cells each) written in place (seqlock-style: the sequence number
-    is published last, so readers can discard half-written slots);
-    the oldest are overwritten (and tallied as :attr:`dropped`) once
-    the ring wraps.  Reads (:meth:`events`) snapshot the ring under a
-    lock; writes never take it.  The tallies
-    (:meth:`accounting`: total / dropped / retained) read only the
-    sequence cells, so sampling them never copies the ring.  The one
-    write/write hazard is a writer lapped by a full ring revolution
-    mid-emit — ``capacity`` concurrent emits inside one emit's
-    microsecond window — which the drop accounting already treats as
-    data loss.
+    cells each) written in place; the oldest are overwritten (and
+    tallied as :attr:`dropped`) once the ring wraps.  One thread emits
+    and reads: a reader on another thread reads what the sampler
+    published, never this ring, so nothing here takes a lock or guards
+    a half-written slot.  The tallies (:meth:`accounting`: total /
+    dropped / retained) are a count of emits, so sampling them reads
+    no slot at all.
     """
 
     __slots__ = (
-        "capacity", "_clock", "_now", "_slots", "_seq", "_mids",
-        "_mid", "_lock",
+        "capacity", "_clock", "_now", "_slots", "_total", "_mids",
+        "_mid",
     )
 
     def __init__(
@@ -314,23 +307,20 @@ class EventLog:
         # emit path pays one attribute read, not two plus a lookup.
         self.clock = clock
         # One flat list, 6 cells per slot: [seq, wall, sim, mid, kind,
-        # fields, seq, wall, ...]; seq -1 marks an empty (or
-        # in-flight) slot.  Flat rather than list-of-lists so an emit
-        # writes 6 adjacent cells of one backing array — typically a
-        # single cache line, instead of a pointer chase through a
-        # per-slot object whose lines the measurement loop just
-        # evicted.  Allocated once and mutated for the life of the
-        # log.
+        # fields, seq, wall, ...]; seq -1 marks a slot never written.
+        # Flat rather than list-of-lists so an emit writes 6 adjacent
+        # cells of one backing array — typically a single cache line,
+        # instead of a pointer chase through a per-slot object whose
+        # lines the measurement loop just evicted.  Allocated once and
+        # mutated for the life of the log.
         self._slots: List[Any] = (
             [-1, 0.0, None, None, "", None] * capacity
         )
-        # next() is one C call: each emit claims a distinct sequence
-        # number / slot without locking (test_concurrent_emit).
-        self._seq = itertools.count()
+        #: events emitted so far: the next event's sequence number
+        self._total = 0
         self._mids = itertools.count(1)
         #: the current measurement id every emit is stamped with
         self._mid: Optional[str] = None
-        self._lock = threading.Lock()
 
     @property
     def clock(self):
@@ -375,24 +365,16 @@ class EventLog:
         scheduler, whose events straddle measurements).
         """
         now = self._now
-        seq = next(self._seq)
+        seq = self._total
+        self._total = seq + 1
         slots = self._slots
         base = seq % self.capacity * 6
-        # Invalidate, fill, then publish the sequence number last
-        # (seqlock-style; cheaper than one slice assignment, which
-        # would allocate a 6-tuple per emit): readers copy each slot
-        # with one slice — a single C call, which no item store here
-        # can interleave with — and drop copies still carrying the -1
-        # sentinel, so a half-written slot is never surfaced as an
-        # event.  tests/test_reader_thread.py reads the ring from a
-        # second thread for the length of a workload.
-        slots[base] = -1
+        slots[base] = seq
         slots[base + 1] = _time()
         slots[base + 2] = now() if now is not None else None
         slots[base + 3] = _mid if _mid is not None else self._mid
         slots[base + 4] = kind
         slots[base + 5] = fields or None
-        slots[base] = seq
 
     def emit_t(self, kind: str, values: tuple) -> None:
         """Record one event whose payload is a plain tuple.
@@ -406,38 +388,28 @@ class EventLog:
         :meth:`emit`.
         """
         now = self._now
-        seq = next(self._seq)
+        seq = self._total
+        self._total = seq + 1
         slots = self._slots
         base = seq % self.capacity * 6
-        slots[base] = -1
+        slots[base] = seq
         slots[base + 1] = _time()
         slots[base + 2] = now() if now is not None else None
         slots[base + 3] = self._mid
         slots[base + 4] = kind
         slots[base + 5] = values
-        slots[base] = seq
 
     # -- accounting -----------------------------------------------------
 
     def accounting(self) -> Tuple[int, int, int]:
-        """``(total, dropped, retained)`` from one read of the ring.
-
-        *total* is events emitted over the log's lifetime (including
-        overwritten ones), *dropped* those lost to ring wraparound,
-        *retained* those still in the ring.  All three come from one
-        strided slice of the sequence cells taken under the lock — no
-        slot copies, no Python-level loop — so telemetry can read them
-        on every sample, and they always satisfy ``total == retained +
-        dropped``.  *total* is derived from the highest retained
-        sequence number rather than by peeking at the counter, so
-        reading it never races with the lock-free emit path.
+        """``(total, dropped, retained)``: *total* is events emitted
+        over the log's lifetime (including overwritten ones), *dropped*
+        those lost to ring wraparound, *retained* those still in the
+        ring, so ``total == retained + dropped``.  Computed from the
+        emit count alone, so telemetry can read it on every sample.
         """
-        with self._lock:
-            seqs = self._slots[0::6]
-        # Sequence cells hold -1 (empty or mid-write) or a published
-        # sequence number, so everything that is not -1 is retained.
-        retained = self.capacity - seqs.count(-1)
-        total = max(seqs) + 1 if retained else 0
+        total = self._total
+        retained = min(total, self.capacity)
         return total, total - retained, retained
 
     @property
@@ -456,18 +428,14 @@ class EventLog:
     # -- reads ----------------------------------------------------------
 
     def _snapshot(self) -> List[Any]:
-        # Copy each live slot (one slice, one C call: see emit) so
-        # records cannot be mutated by a concurrent emit after we
-        # return; re-check the sentinel on the *copy* to discard slots
-        # caught mid-write.
-        with self._lock:
-            slots = self._slots
-            copies = [
-                slots[base:base + 6]
-                for base in range(0, len(slots), 6)
-                if slots[base] >= 0
-            ]
-        records = [copy for copy in copies if copy[0] >= 0]
+        # A copy of each written slot (seq -1 marks one never
+        # written), oldest first.
+        slots = self._slots
+        records = [
+            slots[base:base + 6]
+            for base in range(0, len(slots), 6)
+            if slots[base] >= 0
+        ]
         records.sort(key=lambda record: record[0])
         return records
 

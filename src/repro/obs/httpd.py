@@ -7,18 +7,19 @@ runs:
 
 * ``GET /metrics`` — Prometheus text exposition of the latest sample;
 * ``GET /metrics.json`` — that sample's JSON registry snapshot;
-* ``GET /health`` — health-engine findings over one copy of the
-  sampler's ring (HTTP 200 when healthy/degraded, 503 when critical);
+* ``GET /health`` — the health findings published with the latest
+  sample (HTTP 200 when healthy/degraded, 503 when critical);
 * ``GET /timeseries`` — one copy of the sampler's retained series
   (``?wall=1`` includes wall timestamps);
 * ``GET /`` — a small index of the routes.
 
 The server thread only reads what the workload thread published: the
-sampler's samples and the flight recorder's ring.  It never samples
-or snapshots the registry itself, so a scrape cannot change the run
-it watches; what it sees is at most one sample interval old.  The
-server binds ``127.0.0.1`` by default and supports ``port=0``
-(ephemeral) for tests and examples.
+sampler's samples, each carrying the findings the writer evaluated
+for it.  It never samples, evaluates or reads the flight recorder
+itself, so a scrape cannot change the run it watches, and what it
+sees is at most one sample interval old.  The server binds
+``127.0.0.1`` by default and supports ``port=0`` (ephemeral) for
+tests and examples.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ class _Handler(BaseHTTPRequestHandler):
 
 class ObsHTTPServer:
     """Serve what a :class:`~repro.obs.timeseries.TimeSeriesSampler`
-    publishes over HTTP."""
+    publishes over HTTP.  Constructed on the workload's thread, which
+    it asks to evaluate health findings with every sample."""
 
     def __init__(
         self,
@@ -105,7 +107,7 @@ class ObsHTTPServer:
         port: int = 0,
     ) -> None:
         self.sampler = sampler
-        self.health = HealthEngine()
+        sampler.health = HealthEngine()
         self._requested = (host, port)
         self._server: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
@@ -116,9 +118,7 @@ class ObsHTTPServer:
         return self.sampler.latest.metrics
 
     def health_doc(self) -> Dict[str, Any]:
-        findings = self.health.evaluate(
-            self.sampler.samples(), self.sampler.obs.events
-        )
+        findings = self.sampler.latest.findings
         return {
             "status": HealthEngine.status(findings),
             "findings": [finding.to_dict() for finding in findings],

@@ -16,8 +16,10 @@ Design constraints, in the spirit of the pull-style obs layer:
   collectors.  A sample is the published snapshot: ``/metrics``,
   ``/health`` and ``repro top`` read :attr:`TimeSeriesSampler.latest`
   or one copy of the ring and never sample themselves, so looking at
-  a run does not change what it records.  Findings are as fresh as the
-  last sample, at most one ``sim_interval`` old.
+  a run does not change what it records.  ``/health`` and ``top``
+  render the findings the writer evaluated as it published the
+  sample, so they are as fresh as the last sample, at most one
+  ``sim_interval`` old, and no reader touches the flight recorder.
 
 * **Beside the measurement path, and priced per series.**  Nothing
   inside a measurement calls the sampler; completion hooks in the
@@ -31,9 +33,10 @@ Design constraints, in the spirit of the pull-style obs layer:
   per look.  That cost is O(metric series) and nothing else: every
   pull source reads tallies, none iterates state that grows with the
   workload (DESIGN.md, "Pull sources read tallies"), and the flight
-  recorder's totals come from one strided read of its sequence
-  cells.  Measured at ~150 series: ~0.5 ms per sample, 0.2 ms of it
-  the two ring-accounting reads.
+  recorder's totals are its emit count.  Measured at the ~80 series
+  of ``faulted_ops`` on a 2-CPU host: ~0.2 ms per sample, plus the
+  health rules when a reader attached them; a sampler with no reader
+  pays one ``is None`` test for those.
 * **Deterministic.**  With ``sim_interval`` driving the ticks, the
   sample schedule is a pure function of the virtual clock, so two runs
   of the same seeded workload produce byte-identical series
@@ -72,9 +75,13 @@ class TimeSample:
     small dict with the flight recorder's ``total``/``dropped``
     tallies at capture time (``None`` when no event log is attached),
     used by the health engine to window event sequence numbers.
+    ``findings`` are the health findings the writer evaluated as it
+    published the sample (empty when no reader attached a health
+    engine); :meth:`to_dict` leaves them out, so exports do not depend
+    on who watched.
     """
 
-    __slots__ = ("index", "wall", "sim", "metrics", "events")
+    __slots__ = ("index", "wall", "sim", "metrics", "events", "findings")
 
     def __init__(
         self,
@@ -89,6 +96,7 @@ class TimeSample:
         self.sim = sim
         self.metrics = metrics
         self.events = events
+        self.findings: List[Any] = []
 
     def to_dict(self, include_wall: bool = False) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -122,7 +130,11 @@ class TimeSeriesSampler:
     is the only one that calls :meth:`maybe_sample` / :meth:`sample`,
     and publishing is one append to the ring.  Any other thread reads
     :attr:`latest` or one copy of the ring (:meth:`samples`) and runs
-    the queries below on that copy, never on the live ring.
+    the queries below on that copy, never on the live ring.  A reader
+    that wants health findings attaches a
+    :class:`~repro.obs.health.HealthEngine` as :attr:`health` from the
+    writer's thread before it starts; each later sample then carries
+    them (:attr:`TimeSample.findings`).
     """
 
     def __init__(
@@ -143,6 +155,8 @@ class TimeSeriesSampler:
         self._ring: Deque[TimeSample] = deque(maxlen=capacity)
         self._count = 0
         self._last_sim: Optional[float] = None
+        #: the reader's health engine, evaluated on every sample
+        self.health = None
 
     # -- clock resolution ----------------------------------------------
 
@@ -191,6 +205,12 @@ class TimeSeriesSampler:
             metrics=metrics,
             events=event_state,
         )
+        if self.health is not None:
+            # Over the ring this sample completes, citing the events
+            # recorded so far: fixed at publication, like the sample.
+            record.findings = self.health.evaluate(
+                [*self._ring, record][-self.capacity:], events
+            )
         self._count += 1
         self._last_sim = sim
         self._ring.append(record)

@@ -8,7 +8,6 @@ is unchanged by recording), and the CLI verbs built on top
 """
 
 import json
-import threading
 
 import pytest
 
@@ -97,34 +96,6 @@ class TestEventLog:
         before, after = log.events()
         assert before.sim is None
         assert after.sim == 2.5
-
-    def test_concurrent_emit(self):
-        log = EventLog(capacity=16_384)
-
-        def hammer(tid):
-            for i in range(1_000):
-                log.emit("tick", tid=tid, i=i)
-
-        threads = [
-            threading.Thread(target=hammer, args=(t,)) for t in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        events = log.events()
-        assert log.total == 8_000
-        assert log.dropped == 0
-        # Every emit claimed a distinct slot: no sequence collisions,
-        # no lost or duplicated records.
-        assert len({e.seq for e in events}) == 8_000
-        per_thread = {}
-        for e in events:
-            per_thread.setdefault(e.fields["tid"], []).append(
-                e.fields["i"]
-            )
-        for tid, seen in per_thread.items():
-            assert sorted(seen) == list(range(1_000))
 
 
 class TestEventSchema:

@@ -1,4 +1,4 @@
-"""Nothing emitted that nothing reads (ROADMAP item 4(b)).
+"""Nothing emitted that nothing reads.
 
 Every metric family and event kind that `src/` emits is collected
 here by AST and required to have a *reader*: code that names it - a

@@ -110,6 +110,45 @@ def test_retired_switches_stay_retired(small_scenario):
             build()
 
 
+def test_no_obs_structure_holds_a_lock():
+    """One writer, published samples (DESIGN.md): the flight recorder
+    is written and read on the workload's thread only, so it keeps no
+    lock, and the only threads under ``src/`` are the two telemetry
+    readers, ``serve --http``'s server and ``repro top``'s worker."""
+    import ast
+    from pathlib import Path
+
+    from repro.obs.events import EventLog
+
+    assert not hasattr(EventLog(), "_lock")
+    root = Path(repro.__file__).parent
+    importers = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "threading" not in names:
+                continue
+            scope = next(
+                (
+                    fn.name for fn in scopes
+                    if fn.lineno <= node.lineno <= fn.end_lineno
+                ),
+                None,
+            )
+            importers.add((path.relative_to(root).as_posix(), scope))
+    assert importers == {("obs/httpd.py", None), ("cli.py", "_cmd_top")}
+
+
 def test_measure_stays_a_loop_over_named_steps():
     """``RevtrEngine._measure`` reads like Fig. 2 (DESIGN.md, "The
     measurement loop"): a technique that needs room gets a step of its

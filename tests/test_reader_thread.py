@@ -1,18 +1,18 @@
 """The one remaining second thread: the telemetry reader.
 
-`repro serve --http` and `repro top` read metrics, health, the
-time-series and the event ring from a thread of their own while the
-workload runs on the main thread; nothing else in `src/` is
-concurrent.  The design is one writer, published samples: only the
-workload thread mutates state, runs the pull collectors and samples,
-and the reader reads what it published (the sampler's ring, through
-`ObsHTTPServer`) plus the flight recorder's seqlocked ring.  Asserted
-here, on a faulted scheduler workload with the interpreter switching
-threads every 10 microseconds: neither side raises, every read of the
-event ring accounts for every event, counters never run backwards
-between reads, every writer-side entry point runs on the workload
-thread alone, and the workload's results and exported time series are
-those of the same run with nobody reading.
+`repro serve --http` and `repro top` read metrics, health findings and
+the time-series from a thread of their own while the workload runs on
+the main thread; nothing else in `src/` is concurrent.  The design is
+one writer, published samples: only the workload thread mutates
+state, runs the pull collectors, samples, evaluates the health rules
+and reads the flight recorder, and the reader reads what it published
+(the sampler's ring, through `ObsHTTPServer`) and nothing else.
+Asserted here, on a faulted scheduler workload with the interpreter
+switching threads every 10 microseconds: neither side raises, counters
+never run backwards between reads, the event tallies in the published
+samples account for every event, every writer-side entry point runs on
+the workload thread alone, and the workload's results and exported
+time series are those of the same run with nobody reading.
 """
 
 import functools
@@ -29,6 +29,8 @@ from repro.core.cache import MeasurementCache
 from repro.core.revtr import EngineConfig
 from repro.experiments import Scenario
 from repro.obs import Instrumentation, ObsHTTPServer, install_sampler
+from repro.obs.events import EventLog
+from repro.obs.health import HealthEngine
 from repro.obs.metrics import MetricFamily, MetricsRegistry
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.service import SchedulerConfig
@@ -42,13 +44,17 @@ SEED = 9
 REQUESTS = 600
 
 
-#: The writer's side: what mutates state, runs the pull collectors or
-#: publishes a sample.  (class, method name)
+#: The writer's side: what mutates state, runs the pull collectors,
+#: publishes a sample or reads the flight recorder.  (class, method
+#: name)
 WRITER_ENTRY_POINTS = (
     (MetricsRegistry, "snapshot"),
     (Instrumentation, "_collect"),
     (MetricFamily, "labels"),
     (TimeSeriesSampler, "sample"),
+    (HealthEngine, "evaluate"),
+    (EventLog, "events"),
+    (EventLog, "accounting"),
     (VirtualClock, "advance"),
     (MeasurementCache, "get"),
     (MeasurementCache, "put"),
@@ -100,7 +106,7 @@ def faulted_run(reader=None):
         scheduler.submit(door.users[0].api_key, dst, source)
     server = ObsHTTPServer(sampler).start()
     if reader is not None:
-        reader.start(instr, server)
+        reader.start(server)
     try:
         report = scheduler.run()
     finally:
@@ -122,7 +128,7 @@ def faulted_run(reader=None):
 
 
 class Reader:
-    """Loops the HTTP routes and the event ring on a second thread."""
+    """Loops the HTTP routes on a second thread."""
 
     def __init__(self):
         self.errors = []
@@ -131,8 +137,7 @@ class Reader:
         self.wrapped = False
         self._stop = threading.Event()
 
-    def start(self, instr, server):
-        self.instr = instr
+    def start(self, server):
         self.server = server
         self.thread = threading.Thread(target=self._loop, daemon=True)
         self.thread.start()
@@ -173,18 +178,18 @@ class Reader:
                 assert series["summary"]["samples"] == len(
                     series["samples"]
                 )
-                log = self.instr.events
-                # The ring is what is written without a lock: read it
-                # many times for every pass over the routes.
-                for _ in range(25):
-                    seqs = [event.seq for event in log.events()]
-                    assert seqs == sorted(set(seqs))
-                    assert len(seqs) <= log.capacity
-                    total, dropped, retained = log.accounting()
-                    assert retained + dropped == total
-                    assert total >= self.seen
-                    self.seen = total
-                self.wrapped = self.wrapped or dropped > 0
+                # The flight recorder's tallies, as each sample
+                # published them.
+                totals = []
+                for sample in series["samples"]:
+                    total = sample["events"]["total"]
+                    dropped = sample["events"]["dropped"]
+                    assert dropped <= total
+                    self.wrapped = self.wrapped or dropped > 0
+                    totals.append(total)
+                assert totals == sorted(totals)
+                assert totals[-1] >= self.seen
+                self.seen = totals[-1]
                 self.rounds += 1
         except BaseException as exc:  # reported by the test, below
             self.errors.append(exc)
@@ -239,8 +244,8 @@ def test_workload_and_telemetry_reader_share_nothing_unsafely(runs):
     assert not reader.thread.is_alive()
     assert reader.errors == []
     assert reader.rounds >= 2
-    # The ring wrapped under the reader, so the accounting identity
-    # was checked with drops in it.
+    # The ring wrapped during the run, so the published tallies were
+    # checked with drops in them.
     assert reader.wrapped and alone["events"] > 256
     assert watched == alone
 

@@ -1,4 +1,4 @@
-"""Nothing defined that nothing calls (ROADMAP item 5(b)/(c)).
+"""Nothing defined that nothing calls.
 
 Every module under ``src/repro``, every public top-level function and
 class, every public method, every field of a ``*Config`` dataclass and
@@ -47,8 +47,9 @@ CALLED_BY_STDLIB = {
 
 #: ``*Config`` classes whose fields describe the simulated world, not
 #: the system: each is a fitted fraction with the paper section it is
-#: calibrated to in its docstring, and ROADMAP item 2(b) sweeps them one
-#: knob at a time.  Their fields are not options of the service.
+#: calibrated to in its docstring, and ROADMAP item 4 replaces this
+#: exemption with a calibration table.  Their fields are not options of
+#: the service.
 CALIBRATION = {"TopologyConfig"}
 
 #: Surface with no caller outside ``tests/``, kept on purpose:

@@ -242,6 +242,40 @@ class TestHttpEndpoint:
                 get("/nope")
             assert err.value.code == 404
 
+    def test_health_doc_is_what_the_writer_published(self):
+        # The flight recorder keeps moving between samples: the
+        # scheduler ticks the sampler and then emits at that same clock
+        # reading, and later emits lap the ring.  /health answers what
+        # the writer evaluated as it published the sample, whenever
+        # the scrape lands.
+        from repro.obs.health import HealthEngine
+        from repro.obs.httpd import ObsHTTPServer
+
+        instr = Instrumentation(event_capacity=16)
+        clock = VirtualClock()
+        instr.events.clock = clock
+        sampler = install_sampler(instr, sim_interval=None, clock=clock)
+        server = ObsHTTPServer(sampler)
+        sampler.sample()
+        clock.advance(10.0)
+        for _ in range(4):
+            instr.emit("degrade.retry", vp="1.2.3.4")
+            instr.inc("revtr_retries_total", reason="unresponsive")
+        sampler.sample()
+        findings = HealthEngine().evaluate(sampler.samples(), instr.events)
+        published = {
+            "status": HealthEngine.status(findings),
+            "findings": [finding.to_dict() for finding in findings],
+        }
+        storm = next(f for f in findings if f.kind == "retry-storm")
+        assert len(storm.event_seqs) == 4
+        assert server.health_doc() == published
+        instr.emit("sched.retry", job=1, attempt=1)
+        assert server.health_doc() == published
+        for _ in range(16):
+            instr.emit("probe")
+        assert server.health_doc() == published
+
     def test_critical_health_returns_503(self):
         import urllib.error
         import urllib.request
