@@ -32,6 +32,7 @@ from repro.core.atlas import TracerouteAtlas
 from repro.core.result import HopTechnique, RevtrStatus
 from repro.core.revtr import EngineConfig, RevtrEngine
 from repro.core.rr_atlas import RRAtlas
+from repro.core.segcache import ReverseSegmentCache
 from repro.experiments import (
     Scenario,
     exp_as_graph,
@@ -593,19 +594,38 @@ PASSES = 6
 
 def _run_stream(amortized):
     """Per-pass ``(virtual_seconds, probes)`` rows plus the first- and
-    final-pass results of one arm, on its own scenario."""
+    final-pass results of one arm, on its own scenario.
+
+    The direct arm is the paper's engine, one destination at a time.
+    The amortized arm is wired as the service wires an engine: a
+    segment cache of the source's own, one coalesced group per pass.
+    It is built on the scenario's atlases rather than taken from a
+    service, whose bootstrap draws an atlas of its own: both arms then
+    start from one atlas, so the warm-up cost and the ground-truth
+    comparison set cache against no cache, not atlas against atlas.
+    """
     scenario = Scenario(
         config=TopologyConfig.large(seed=SEGCACHE_SEED),
         seed=SEGCACHE_SEED,
         atlas_size=40,
     )
-    engine = scenario.engine(
-        scenario.sources()[0],
-        "revtr2.0",
-        config=EngineConfig(
-            segment_cache=amortized, coalesce_batches=amortized
-        ),
-    )
+    source = scenario.sources()[0]
+    if amortized:
+        rr_atlas = scenario.rr_atlas(source)
+        engine = RevtrEngine(
+            prober=scenario.online_prober,
+            source=source,
+            atlas=scenario.bundle(source).atlas,
+            selector=scenario.selector("revtr2.0"),
+            ip2as=scenario.ip2as,
+            relationships=scenario.relationships,
+            rr_atlas=rr_atlas,
+            resolver=scenario.resolver,
+            spoofers=scenario.spoofer_addrs,
+            segcache=ReverseSegmentCache(scenario.clock, scenario.internet),
+        )
+    else:
+        engine = scenario.engine(source, "revtr2.0")
     destinations = scenario.responsive_destinations(
         N_DESTINATIONS, options_only=True
     )
@@ -656,9 +676,9 @@ def run_segcache():
 
     The deployment re-measures popular destinations continuously (M-Lab
     clients, CDN prefixes). Two identically seeded large-topology
-    scenarios run the same destinations pass after pass: the default
-    engine, and one with ``segment_cache`` + ``coalesce_batches`` on. The
-    first pass is the warm-up (the cache is cold; that it changes nothing
+    scenarios run the same destinations pass after pass: the paper's
+    engine, and one given a segment cache that measures each pass as one
+    coalesced group, as the service does. The first pass is the warm-up (the cache is cold; that it changes nothing
     is ``tests/test_segcache.py``'s ``TestFlagsOffByteIdentity``); the
     claim is about the passes after it, counted in virtual seconds and
     probes — the deployed system is bound by probe RTTs and spoofed-batch

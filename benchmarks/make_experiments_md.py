@@ -171,21 +171,22 @@ simulator.""",
     "segcache": """**Beyond the paper's tables.** The paper describes the serving pattern
 (popular destinations re-measured continuously) but reports no number
 for reuse across measurements; this claim is the repo's own. On the
-passes after the warm-up the amortized engine serves 58 measurements
-per virtual second against 20 (2.9x) for 3.6x fewer probes, because
-18 of 25 destinations are answered by a whole-path splice that sends
-nothing. Throughput is in *virtual* time because the deployed system
-is bound by probe RTTs and spoofed-batch timeouts, not CPU; the
-wall-clock side of the same reuse is `wall_ops_per_s` and
+passes after the warm-up the amortized engine (wired as the service
+wires one: a segment cache, one coalesced group per pass) serves 49
+measurements per virtual second against 20 (2.5x) for 3.1x fewer
+probes, because 17 of 25 destinations are answered by a whole-path
+splice that sends nothing. Throughput is in *virtual* time because the
+deployed system is bound by probe RTTs and spoofed-batch timeouts, not
+CPU; the wall-clock side of the same reuse is `wall_ops_per_s` and
 `probes_per_revtr` on the `hot_repeat` workload of `benchmarks/e2e`
-against `cold_sweep`. Every whole-path splice scores at least the
-from-scratch measurement's router-level precision against the
-simulator's true reverse path (asserted by the benchmark); 14 of 18
-are also hop-for-hop equal to it — the other four re-enter the
-measurement loop at a router the cold run never evaluated, where an
-atlas intersection yields a different tail over the same ground-truth
-routers. That a cold or switched-off cache changes nothing is a
-tier-1 test (`tests/test_segcache.py`).""",
+(repeated requests) against `cold_sweep` (unique pairs). Every
+whole-path splice scores at least the from-scratch measurement's
+router-level precision against the simulator's true reverse path
+(asserted by the benchmark); 13 of 17 are also hop-for-hop equal to
+it — the other four re-enter the measurement loop at a router the
+cold run never evaluated, where an atlas intersection yields a
+different tail over the same ground-truth routers. That a cold cache changes nothing is a tier-1 test
+(`tests/test_segcache.py`).""",
 }
 
 HEADER = """# EXPERIMENTS — paper vs. measured

@@ -49,7 +49,6 @@ PORT`` exposes ``/metrics``, ``/metrics.json``, ``/health`` and
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import List, Optional
@@ -126,15 +125,9 @@ def _format_event_doc(doc: dict) -> str:
 def _cmd_measure(args: argparse.Namespace) -> int:
     instr = Instrumentation()
     scenario = _scenario(args, instrumentation=instr)
-    engine = scenario.engine(
-        scenario.sources()[0],
-        args.variant,
-        config=dataclasses.replace(
-            scenario.engine_config(args.variant),
-            segment_cache=args.segment_cache,
-            coalesce_batches=args.coalesce,
-        ),
-    )
+    # The paper's engine, one destination at a time; the amortizing
+    # service is ``serve`` / ``health`` / ``top``.
+    engine = scenario.engine(scenario.sources()[0], args.variant)
     destinations = (
         [args.dst]
         if args.dst
@@ -142,12 +135,8 @@ def _cmd_measure(args: argparse.Namespace) -> int:
             args.count, options_only=True
         )
     )
-    if args.coalesce:
-        results = engine.measure_many(destinations)
-    else:
-        results = (engine.measure(dst) for dst in destinations)
     measurements = []
-    for result in results:
+    for result in map(engine.measure, destinations):
         if args.json:
             measurements.append(result.to_dict())
             continue
@@ -690,18 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant",
         default="revtr2.0",
         help="system variant (e.g. revtr2.0, revtr1.0)",
-    )
-    measure.add_argument(
-        "--segment-cache",
-        action="store_true",
-        help="reuse reverse segments across measurements toward the "
-        "same source (off by default; invalidated on routing change)",
-    )
-    measure.add_argument(
-        "--coalesce",
-        action="store_true",
-        help="measure as one batch: duplicate spoofed-RR batches and "
-        "ping checks collapse (off by default)",
     )
     _add_outputs(measure, "--metrics-out", "--events-out")
     measure.set_defaults(func=_cmd_measure)

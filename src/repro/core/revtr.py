@@ -46,7 +46,7 @@ from repro.core.result import (
 from repro.core.rr_atlas import RRAtlas
 from repro.core.segcache import ReverseSegmentCache
 from repro.core.symmetry import LinkType, SymmetryPolicy, SymmetryStepper
-from repro.net.addr import Address, is_private, prefix_of, slash30_peer
+from repro.net.addr import Address, is_private, slash30_peer
 from repro.obs.instrument import NULL
 from repro.obs.runtime import attach
 from repro.probing.prober import Prober
@@ -71,8 +71,9 @@ class EngineConfig:
     The defaults are revtr 2.0; revtr 1.0 is the literal in
     :meth:`repro.experiments.common.Scenario.engine_config`.
     Fixed at construction: the engine chooses its openers and steps
-    once from ``segment_cache``, ``ping_check`` and ``use_timestamp``,
-    so build a new engine rather than editing a live one's config.
+    once from ``ping_check``, ``use_timestamp`` and whether it was
+    given a segment cache, so build a new engine rather than editing a
+    live one's config.
     What no caller varies is not a field but a module constant above:
     ``_MAX_BATCHES_PER_HOP``, ``_MAX_ADJACENCIES``, ``_MAX_PATH_HOPS``
     (was ``max_path_hops``), ``_PING_RETRIES`` / ``_RR_RETRIES`` (were
@@ -80,6 +81,11 @@ class EngineConfig:
     :data:`repro.core.ingress.DEFAULT_BATCH_SIZE`, and an empty RR
     outcome lives in the measurement cache as long as any other entry
     (there was a ``negative_ttl``; nothing set it).
+    Reuse is wiring, not a field: an engine splices when it is given a
+    :class:`~repro.core.segcache.ReverseSegmentCache` (the service
+    gives every engine for a source the same one; the paper's engines
+    from ``Scenario.engine`` get none and measure from scratch), and
+    :meth:`RevtrEngine.measure_many` always coalesces its group.
     """
 
     use_rr_atlas: bool = True
@@ -107,19 +113,6 @@ class EngineConfig:
     #: stopped answering mid-measurement, report ``UNRESPONSIVE``
     #: (keeping the partial path) instead of ``INCOMPLETE``.
     recheck_unresponsive: bool = False
-    #: The two reuse options — behaviour, not A/B switches: on, hops are
-    #: served from earlier measurements, so results differ from fresh
-    #: ones (both defaults flipped, seed 7: ``cold_sweep`` complete_frac
-    #: 0.607 -> 0.660, probes_per_revtr 27.29 -> 26.88, and all 31 paper
-    #: tables move), and the benchmark runs a workload on each side
-    #: (``hot_repeat`` on, ``cold_sweep`` off).  ``segment_cache`` (§5):
-    #: before the RR/TS/fallback steps, splice chains of hops earlier
-    #: measurements toward this source revealed.  ``coalesce_batches``:
-    #: inside one :meth:`RevtrEngine.measure_many` call, duplicate
-    #: (current-hop, VP-set) spoofed RR batches collapse into one and
-    #: ping checks dedupe per /24 (off: a loop over ``measure``).
-    segment_cache: bool = False
-    coalesce_batches: bool = False
 
     def variant_name(self) -> str:
         """Short label for reports (Table 4 row names)."""
@@ -160,11 +153,8 @@ class _BatchCoalescer:
     def __init__(self) -> None:
         #: (current hop, VP tuple) -> replies of the batch that ran
         self.batches: Dict[tuple, list] = {}
-        #: destination /24 prefix -> liveness verdict of the first
-        #: ping check against that prefix
-        self.ping_alive: Dict[object, bool] = {}
-        self.batches_coalesced = 0
-        self.pings_coalesced = 0
+        #: destination -> liveness verdict of its first ping check
+        self.ping_alive: Dict[Address, bool] = {}
 
 
 class _Run:
@@ -255,20 +245,13 @@ class RevtrEngine:
             )
         )
         self.cache.enabled = self.config.use_cache
-        #: per-source reverse-segment cache; None unless the
-        #: ``segment_cache`` flag is on, so the flags-off loop has no
-        #: splice opener or step at all.  The service
-        #: passes a shared instance so every engine measuring toward
-        #: one source amortizes the same segments.
-        self.segcache: Optional[ReverseSegmentCache] = None
-        if self.config.segment_cache:
-            self.segcache = (
-                segcache
-                if segcache is not None
-                else ReverseSegmentCache(prober.clock, prober.internet)
-            )
-        #: in-flight coalescer; installed by :meth:`measure_many` when
-        #: ``coalesce_batches`` is on, None otherwise
+        #: per-source reverse-segment cache, or None: an engine built
+        #: without one has no splice opener or step at all.  The
+        #: service passes a shared instance so every engine measuring
+        #: toward one source amortizes the same segments.
+        self.segcache: Optional[ReverseSegmentCache] = segcache
+        #: in-flight coalescer; installed by :meth:`measure_many` for
+        #: the length of its group, None otherwise
         self._coalescer: Optional[_BatchCoalescer] = None
         #: observability facade (metrics + events); the NULL default
         #: makes every instrumented call a no-op.  Components still on
@@ -678,7 +661,6 @@ class RevtrEngine:
             batch_key = (current, tuple(vps))
             cached = coalescer.batches.get(batch_key)
             if cached is not None:
-                coalescer.batches_coalesced += 1
                 return cached
         results = self.prober.spoofed_rr_batch(
             vps, current, spoof_as=self.source
@@ -825,16 +807,12 @@ class RevtrEngine:
     ) -> List[ReverseTracerouteResult]:
         """Measure a batch of destinations toward the source.
 
-        With ``coalesce_batches`` off this is literally a sequential
-        loop over :meth:`measure`, so results are byte-identical to N
-        independent calls.  With it on, the group shares one
-        :class:`_BatchCoalescer`: duplicate (current-hop, VP-set)
-        spoofed batches collapse into the first one's replies and ping
-        checks dedupe per destination /24 — same reverse hops, a
-        fraction of the probes and spoof timeouts.
+        The group shares one :class:`_BatchCoalescer`: duplicate
+        (current-hop, VP-set) spoofed batches collapse into the first
+        one's replies and each destination is ping-checked once per
+        group — same reverse hops, a fraction of the probes and spoof
+        timeouts.  A group of one is :meth:`measure`.
         """
-        if not self.config.coalesce_batches:
-            return [self.measure(dst) for dst in dsts]
         self._coalescer = _BatchCoalescer()
         try:
             return [self.measure(dst) for dst in dsts]
@@ -959,13 +937,10 @@ class RevtrEngine:
         coalescer = self._coalescer
         alive = None
         if coalescer is not None:
-            dst_prefix = prefix_of(dst)
-            alive = coalescer.ping_alive.get(dst_prefix)
-        if alive is not None:
-            # A sibling in the coalesced group already checked this
-            # destination prefix's liveness.
-            coalescer.pings_coalesced += 1
-        else:
+            # Keyed by address, not prefix: hosts of one /24 answer
+            # pings independently.
+            alive = coalescer.ping_alive.get(dst)
+        if alive is None:
             alive = self.prober.ping(self.source, dst) is not None
             attempts = 0
             while (
@@ -976,7 +951,7 @@ class RevtrEngine:
                 attempts += 1
                 alive = self.prober.ping(self.source, dst) is not None
             if coalescer is not None:
-                coalescer.ping_alive[dst_prefix] = alive
+                coalescer.ping_alive[dst] = alive
         self._m_ping = alive
         if not alive:
             run.status = RevtrStatus.UNRESPONSIVE

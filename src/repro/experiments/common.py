@@ -35,7 +35,6 @@ from repro.core.ingress import (
 )
 from repro.core.revtr import EngineConfig, RevtrEngine
 from repro.core.rr_atlas import RRAtlas
-from repro.core.segcache import ReverseSegmentCache
 from repro.core.symmetry import SymmetryPolicy
 from repro.net.addr import Address
 from repro.obs.instrument import NULL
@@ -66,9 +65,6 @@ class SourceBundle:
     atlas: TracerouteAtlas
     rr_atlas: Optional[RRAtlas] = None
     engines: Dict[str, RevtrEngine] = field(default_factory=dict)
-    #: reverse-segment cache shared by every segment_cache-enabled
-    #: engine built for this source
-    segcache: Optional[ReverseSegmentCache] = None
 
 
 @dataclass
@@ -459,7 +455,13 @@ class Scenario:
         variant: str = "revtr2.0",
         config: Optional[EngineConfig] = None,
     ) -> RevtrEngine:
-        """A fully wired engine for *variant*, cached per source."""
+        """A fully wired engine for *variant*, cached per source.
+
+        The paper's engine: it measures every destination from scratch
+        and is given no reverse-segment cache (the service's engines
+        are; :class:`~repro.service.api.RevtrService`), so Table 4 /
+        Fig. 5c variants never splice paths another variant measured.
+        """
         bundle = self.bundle(source)
         if variant in bundle.engines and config is None:
             return bundle.engines[variant]
@@ -472,16 +474,6 @@ class Scenario:
         adjacency = (
             self.adjacency_db() if engine_config.use_timestamp else None
         )
-        segcache = None
-        if engine_config.segment_cache:
-            # Shared per source, like the deployed service: every
-            # engine measuring toward this source amortizes the same
-            # reverse segments.
-            if bundle.segcache is None:
-                bundle.segcache = ReverseSegmentCache(
-                    self.clock, self.internet
-                )
-            segcache = bundle.segcache
         engine = RevtrEngine(
             prober=self.online_prober,
             source=source,
@@ -498,7 +490,6 @@ class Scenario:
             ),
             spoofers=self.spoofer_addrs,
             instrumentation=self.obs,
-            segcache=segcache,
         )
         if config is None:
             bundle.engines[variant] = engine

@@ -12,7 +12,6 @@ from repro.net.addr import (
     Prefix,
     addr_to_int,
     int_to_addr,
-    prefix_of,
     same_slash30,
     same_slash31,
     slash30_peer,
@@ -36,7 +35,6 @@ __all__ = [
     "Prefix",
     "addr_to_int",
     "int_to_addr",
-    "prefix_of",
     "same_slash30",
     "same_slash31",
     "slash30_peer",

@@ -133,11 +133,6 @@ class Prefix:
         return f"{int_to_addr(self.network)}/{self.length}"
 
 
-def prefix_of(addr: Address, length: int = 24) -> Prefix:
-    """Return the enclosing prefix of the given length (default /24)."""
-    return Prefix.of(addr, length)
-
-
 def same_slash30(a: Address, b: Address) -> bool:
     """True if the two addresses share a /30 (point-to-point subnet)."""
     return (addr_to_int(a) >> 2) == (addr_to_int(b) >> 2)

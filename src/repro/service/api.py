@@ -63,9 +63,9 @@ class RevtrService:
         self.users = UserDatabase(prober.clock)
         self.store = MeasurementStore()
         self._engines: Dict[Address, RevtrEngine] = {}
-        #: per-source reverse-segment caches (only populated when the
-        #: engine config enables ``segment_cache``).  Deliberately NOT
-        #: dropped by :meth:`_invalidate_engine`: segments survive
+        #: per-source reverse-segment caches: every engine the service
+        #: builds for a source splices from the same one.  Deliberately
+        #: NOT dropped by :meth:`_invalidate_engine`: segments survive
         #: engine rebuilds because generation/TTL invalidation already
         #: governs their validity, so a re-registered source keeps the
         #: amortization it earned.
@@ -118,14 +118,12 @@ class RevtrService:
             registered = self.registry.sources.get(source)
             if registered is None:
                 raise KeyError(f"source {source} not registered")
-            segcache = None
-            if self.engine_config.segment_cache:
-                segcache = self._segcaches.get(source)
-                if segcache is None:
-                    segcache = ReverseSegmentCache(
-                        self.prober.clock, self.prober.internet
-                    )
-                    self._segcaches[source] = segcache
+            segcache = self._segcaches.get(source)
+            if segcache is None:
+                segcache = ReverseSegmentCache(
+                    self.prober.clock, self.prober.internet
+                )
+                self._segcaches[source] = segcache
             engine = RevtrEngine(
                 prober=self.prober,
                 source=source,
@@ -143,24 +141,17 @@ class RevtrService:
             self._engines[source] = engine
         return engine
 
-    def _measure_one(
-        self, engine: RevtrEngine, dst: Address, user_name: str, label: str
-    ) -> ReverseTracerouteResult:
-        """Run one measurement with service-level accounting."""
-        result = engine.measure(dst)
-        self._account(engine, result, dst, user_name, label)
-        return result
-
     def _measure_group(
         self,
         engine: RevtrEngine,
         items: Sequence[tuple],
     ) -> List[ReverseTracerouteResult]:
-        """Run a coalesced group through :meth:`RevtrEngine.measure_many`.
+        """Run a group through :meth:`RevtrEngine.measure_many`.
 
         *items* is a sequence of ``(dst, user_name, label)`` triples;
-        every result gets the same per-request accounting (ledger
-        event, metrics, archive entry) as :meth:`_measure_one`.
+        every result gets its own per-request accounting (ledger
+        event, metrics, archive entry).  A direct request is a group
+        of one.
         """
         results = engine.measure_many([dst for dst, _, _ in items])
         for (dst, user_name, label), result in zip(items, results):
@@ -216,9 +207,10 @@ class RevtrService:
         # here and costs the user nothing.
         engine = self._engine_for(request.src)
         user.charge(self.prober.clock.now())
-        return self._measure_one(
-            engine, request.dst, user.name, request.label
+        (result,) = self._measure_group(
+            engine, [(request.dst, user.name, request.label)]
         )
+        return result
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -15,10 +15,11 @@ deterministic round-robin over users, skipping users at their parallel
 cap at that instant.  Job durations come from the engine's own
 virtual-clock accounting, so the resulting schedule (start/finish
 times, makespan, throughput) is exactly what an N-worker deployment
-would see — and byte-identical across runs.  When the service's engine
-config has ``coalesce_batches`` on, same-source jobs admissible at the
-same instant run as one :meth:`~repro.core.revtr.RevtrEngine.measure_many`
-group (group size bounded by simultaneously-free lanes).
+would see — and byte-identical across runs.  Same-source jobs
+admissible at the same instant run as one
+:meth:`~repro.core.revtr.RevtrEngine.measure_many` group (group size
+bounded by simultaneously-free lanes); a job with no same-source
+company is a group of one.
 
 Overload degrades into *typed* outcomes rather than exceptions: a full
 per-user queue, an expired deadline, or an exhausted daily quota turn
@@ -363,9 +364,7 @@ class RequestScheduler:
                 # but a stall must not become an infinite loop.
                 return None
             self._lanes[lane] = nxt
-        if self.service.engine_config.coalesce_batches:
-            return self._execute_group(job, user, lane, t)
-        return self._execute_virtual(job, user, lane, t)
+        return self._execute_group(job, user, lane, t)
 
     def _pick(
         self, t: float, src: Optional[Address] = None
@@ -413,9 +412,8 @@ class RequestScheduler:
         return min(candidates) if candidates else None
 
     def _admit_virtual(self, job: Job, user: User, t: float) -> bool:
-        """Start-time checks shared by solo and group execution:
-        deadline at start, then quota.  Returns False when the job was
-        rejected."""
+        """Start-time checks, per job of a group: deadline at start,
+        then quota.  Returns False when the job was rejected."""
         cfg = self.config
         job.started_at = t
         self._note_started(job)
@@ -432,22 +430,6 @@ class RequestScheduler:
             self._reject(job, RejectReason.QUOTA)
             return False
         return True
-
-    def _execute_virtual(
-        self, job: Job, user: User, lane: int, t: float
-    ) -> Job:
-        if not self._admit_virtual(job, user, t):
-            return job
-        try:
-            engine = self.service._engine_for(job.src)
-            result = self.service._measure_one(
-                engine, job.dst, user.name, job.label
-            )
-        except Exception as exc:  # typed, never kills the batch
-            job.error = f"{type(exc).__name__}: {exc}"
-            self._reject(job, RejectReason.ERROR)
-            return job
-        return self._complete_virtual(job, user, lane, t, result)
 
     def _complete_virtual(
         self,
@@ -533,13 +515,12 @@ class RequestScheduler:
     def _execute_group(
         self, job: Job, user: User, lane: int, t: float
     ) -> Job:
-        """Coalesced execution: fill every lane free at instant *t*
-        with same-source admissible jobs and run them as one
+        """Fill every lane free at instant *t* with same-source
+        admissible jobs and run them as one
         :meth:`~repro.core.revtr.RevtrEngine.measure_many` group.
 
         Admission semantics are per job (deadline/quota checks, typed
-        rejections, retry scheduling all match solo execution); only
-        the probing is shared.  Each job's virtual finish is
+        rejections, retry scheduling); only the probing is shared.  Each job's virtual finish is
         ``t + its own duration`` — the group starts together, like N
         lanes of a real deployment hitting the same engine at once.
         """

@@ -26,12 +26,11 @@ from repro.topology import TopologyConfig
 CHAOS_DEFAULTS = dict(
     preset="mixed", plan=None, plan_out=None, requests=6, parallel=2,
     deadline=None, retries=1, retry_budget=8, quarantine=900.0,
-    source_index=0, segment_cache=False, coalesce=False,
+    source_index=0,
 )
 SERVE_DEFAULTS = dict(
     parallel=4, users=3, requests=6, queue=16, deadline=None, retries=0,
     source_index=0, http=None, sample_interval=15.0, timeseries_out=None,
-    segment_cache=False, coalesce=False,
 )
 
 
@@ -99,8 +98,6 @@ def _fault_workload(args: argparse.Namespace, instr: Instrumentation):
         EngineConfig(
             retry_budget=args.retry_budget,
             recheck_unresponsive=True,
-            segment_cache=args.segment_cache,
-            coalesce_batches=args.coalesce,
         )
     )
     user = service.add_user(
@@ -164,12 +161,7 @@ def serve_report(args: argparse.Namespace) -> dict:
 
         install_sampler(instr, sim_interval=args.sample_interval)
     scenario = _scenario(args, instrumentation=instr)
-    service = scenario.service(
-        EngineConfig(
-            segment_cache=args.segment_cache,
-            coalesce_batches=args.coalesce,
-        )
-    )
+    service = scenario.service(EngineConfig())
     # A demo population: per-user parallel caps cycle 1, 2, 4, ...
     users = [
         service.add_user(

@@ -8,9 +8,12 @@ beside it.  ``src/`` now runs a loop over named openers and steps; the
 three original methods are kept here on a subclass, unedited but for
 reading ``_MAX_PATH_HOPS`` / ``_PING_RETRIES`` where they read the
 ``EngineConfig`` fields of those names before they became constants,
-reading a segment entry's technique and link through its ``hop``, and
+reading a segment entry's technique and link through its ``hop``,
 counting hops per technique inline where they called the deleted
-``ReverseTracerouteResult.hops_by_technique``, so
+``ReverseTracerouteResult.hops_by_technique``, keying the coalesced
+ping memo by destination where it keyed it by /24 (hosts of one /24
+answer pings independently) and dropping the never-read
+``pings_coalesced`` tally, so
 ``tests/test_measure_loop.py`` can serve one request stream through
 both and require every observable to agree.  Everything the methods
 call (``_rr_step``, ``_intersect``, ``_timestamp_step``,
@@ -33,7 +36,7 @@ from repro.core.result import (
 )
 from repro.core.revtr import _MAX_PATH_HOPS, _PING_RETRIES, RevtrEngine
 from repro.core.symmetry import LinkType, SymmetryPolicy
-from repro.net.addr import Address, is_private, prefix_of
+from repro.net.addr import Address, is_private
 
 
 @contextmanager
@@ -80,7 +83,7 @@ class ReferenceMeasureEngine(RevtrEngine):
         if self.config.ping_check:
             coalescer = self._coalescer
             dst_prefix = (
-                prefix_of(dst) if coalescer is not None else None
+                dst if coalescer is not None else None
             )
             alive = (
                 coalescer.ping_alive.get(dst_prefix)
@@ -90,7 +93,7 @@ class ReferenceMeasureEngine(RevtrEngine):
             if alive is not None:
                 # A sibling in the coalesced group already checked this
                 # destination prefix's liveness.
-                coalescer.pings_coalesced += 1
+                pass
             else:
                 alive = self.prober.ping(self.source, dst) is not None
                 attempts = 0

@@ -9,7 +9,6 @@ from repro.net.addr import (
     addr_to_int,
     int_to_addr,
     is_private,
-    prefix_of,
     same_slash30,
     same_slash31,
     slash30_peer,

@@ -47,6 +47,10 @@ class TestParser:
             # An export is written once, at exit, and read whole.
             ["serve", "--events-rotate", "1000"],
             ["events", "--from", "e.jsonl", "--follow"],
+            # `measure` is the paper's engine; `serve` / `health` /
+            # `top` are the service, which always amortizes.
+            ["measure", "--segment-cache"],
+            ["measure", "--coalesce"],
         ],
     )
     def test_retired_switches_are_rejected_not_ignored(

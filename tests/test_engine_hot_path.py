@@ -23,7 +23,7 @@ from repro.alias.resolver import AliasResolver
 from repro.asmap.ip2as import IPToASMapper
 from repro.asmap.relationships import ASRelationships
 from repro.core.atlas import TracerouteAtlas
-from repro.core.revtr import EngineConfig, RevtrEngine
+from repro.core.revtr import RevtrEngine
 from repro.experiments import Scenario
 from repro.net.addr import addr_to_int, int_to_addr
 from repro.net.packet import ProbeKind
@@ -286,7 +286,7 @@ def test_marks_and_deltas_equal_oracle(seeded, ops):
 
 
 def _zipf_deployment(instrumentation=None):
-    """A fresh tiny deployment with the reuse flags on, one user and 2
+    """A fresh tiny (always amortizing) service, one user and 2
     sources, and the stream to serve on it: 320 Zipf requests over 16
     destinations, as ``(source, destination)`` pairs."""
     scenario = Scenario(
@@ -306,9 +306,6 @@ def _zipf_deployment(instrumentation=None):
         ip2as=scenario.ip2as,
         relationships=scenario.relationships,
         resolver=scenario.resolver,
-        engine_config=EngineConfig(
-            segment_cache=True, coalesce_batches=True
-        ),
         instrumentation=instrumentation,
     )
     key = service.add_user("zipf", max_per_day=10_000).api_key

@@ -24,9 +24,10 @@ from repro.obs import Instrumentation
 from repro.sim.faults import preset_plan
 from repro.topology import TopologyConfig
 from tests.helpers.reference_measure import reference_measure_loop
+from tests.helpers.segcache_engine import engine_with_segcache
 
 #: Table 4's ladder as step lists: what the config selects at
-#: construction (``+ reuse`` is ``segment_cache``).
+#: construction (``+ reuse`` is an engine given a segment cache).
 INTERSECT, SPLICE, RR, TS, SYMMETRY = (
     "_step_intersect", "_step_splice", "_step_rr", "_step_timestamp",
     "_step_symmetry",
@@ -69,8 +70,6 @@ ops = st.lists(
 )
 options = st.fixed_dictionaries(
     {
-        "segment_cache": st.booleans(),
-        "coalesce_batches": st.booleans(),
         "detect_violations": st.booleans(),
         "max_intersection_age": st.sampled_from((None, 1.0)),
         "ping_check": st.sampled_from((True, True, False)),
@@ -80,10 +79,20 @@ options = st.fixed_dictionaries(
 )
 
 
+def _engine(scenario, source, variant, config, reuse):
+    """The scenario's engine for *variant*, given a segment cache of
+    its own when *reuse*."""
+    if reuse:
+        return engine_with_segcache(scenario, source, variant, config)
+    return scenario.engine(source, variant, config=config)
+
+
 class _Deployment:
     """One seeded tiny deployment with a single engine under test."""
 
-    def __init__(self, seed, source_index, variant, options, preset):
+    def __init__(
+        self, seed, source_index, variant, options, preset, reuse
+    ):
         self.scenario = scenario = Scenario(
             config=TopologyConfig.tiny(seed=seed),
             seed=seed,
@@ -94,7 +103,7 @@ class _Deployment:
         config = dataclasses.replace(
             scenario.engine_config(variant), **options
         )
-        self.engine = scenario.engine(source, variant, config=config)
+        self.engine = _engine(scenario, source, variant, config, reuse)
         # ... and a first hop of the source: the loop's own terminal
         # test settles it before any technique runs.
         self.dsts = scenario.responsive_destinations(N_DSTS) + [
@@ -169,14 +178,15 @@ def _without_wall(doc):
     # 30 % loss per link leaves few destinations pingable: weight the
     # fault-free deployment so the deep paths keep their share.
     preset=st.sampled_from(("none", "none", "loss", "mixed")),
+    reuse=st.booleans(),
     stream=ops,
 )
 def test_loop_equals_the_function_it_replaced(
-    world, variant, options, preset, stream
+    world, variant, options, preset, reuse, stream
 ):
-    loop = _Deployment(*world, variant, options, preset)
+    loop = _Deployment(*world, variant, options, preset, reuse)
     with reference_measure_loop():
-        reference = _Deployment(*world, variant, options, preset)
+        reference = _Deployment(*world, variant, options, preset, reuse)
     assert type(loop.engine) is not type(reference.engine)
     for op, arg in stream:
         assert loop.apply(op, arg) == reference.apply(op, arg), (op, arg)
@@ -196,10 +206,8 @@ def tiny():
 @pytest.mark.parametrize("reuse", (False, True))
 def test_a_variant_is_its_list_of_steps(tiny, variant, reuse):
     scenario = tiny
-    config = dataclasses.replace(
-        scenario.engine_config(variant), segment_cache=reuse
-    )
-    engine = scenario.engine(scenario.sources()[0], variant, config=config)
+    config = scenario.engine_config(variant)
+    engine = _engine(scenario, scenario.sources()[0], variant, config, reuse)
     expected = list(STEPS[variant])
     if reuse:
         expected.insert(1, SPLICE)

@@ -505,8 +505,8 @@ class TestServiceIntrospection:
 def test_no_span_is_opened(monkeypatch, capsys):
     """The event is the only record of a decision: with
     ``Tracer.span`` raising, a live facade serves a faulted scheduled
-    stream with coalescing on, a direct ``service.request`` and
-    ``repro measure --json --coalesce``."""
+    stream (coalesced groups, segment cache), a direct
+    ``service.request`` and ``repro measure --json``."""
     from repro.cli import main
     from repro.core.revtr import EngineConfig
     from repro.obs.tracing import Tracer
@@ -526,9 +526,7 @@ def test_no_span_is_opened(monkeypatch, capsys):
     )
     source = scenario.sources()[0]
     door = scenario.front_door(
-        EngineConfig(
-            segment_cache=True, coalesce_batches=True, retry_budget=4
-        ),
+        EngineConfig(retry_budget=4),
         [("ops", 4, 1_000)],
         SchedulerConfig(parallelism=4, max_queue_per_user=100),
         plan=preset_plan(
@@ -548,6 +546,6 @@ def test_no_span_is_opened(monkeypatch, capsys):
     ends = [e for e in instr.events.events() if e.kind == "measure.end"]
     assert len(ends) == len(jobs) + 1
     argv = ["--scale", "tiny", "--seed", "3", "measure", "--count", "3"]
-    assert main(argv + ["--json", "--coalesce"]) == 0
+    assert main(argv + ["--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["measurements"]) == 3

@@ -128,7 +128,12 @@ def faulted_run(requests: int = 24):
         )
     )
     scenario.install_faults(plan)
-    scheduler = service.scheduler(SchedulerConfig(parallelism=4))
+    # Every request is queued (none bounced as queue-full), so the
+    # virtual timeline is long enough to sample even though repeats
+    # and coalesced groups cost the service little time.
+    scheduler = service.scheduler(
+        SchedulerConfig(parallelism=4, max_queue_per_user=requests)
+    )
     dsts = scenario.responsive_destinations(options_only=True)
     for dst in random.Random(9).choices(dsts, k=requests):
         scheduler.submit(user.api_key, dst, source)

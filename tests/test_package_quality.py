@@ -62,7 +62,9 @@ def test_retired_switches_stay_retired(small_scenario):
     lives in ``tests/helpers/`` as an oracle, never behind an option
     in ``src/``.  The switches PR 17 removed must not come back, nor
     the options PR 24 found nobody setting (``tests/test_surface.py``
-    is the rule; these are its first deletions)."""
+    is the rule; these are its first deletions), nor the two reuse
+    switches: the service always amortizes, the paper's engines never
+    do."""
     import dataclasses
 
     from repro.core.cache import MeasurementCache
@@ -99,10 +101,13 @@ def test_retired_switches_stay_retired(small_scenario):
     assert not engine_fields & {
         "batch_size", "max_batches_per_hop", "max_adjacencies",
         "max_path_hops", "ping_retries", "rr_retries", "negative_ttl",
+        "segment_cache", "coalesce_batches",
     }
-    assert len(engine_fields) == 12
+    assert len(engine_fields) == 10
     for build in (
         lambda: EngineConfig(max_path_hops=5),
+        lambda: EngineConfig(segment_cache=True),
+        lambda: EngineConfig(coalesce_batches=True),
         lambda: MeasurementCache(sc.clock, max_entries=8),
         lambda: SchedulerConfig(retry_backoff=1.0),
     ):

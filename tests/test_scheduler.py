@@ -1,7 +1,11 @@
 """Tests for the request scheduler: admission control, determinism,
 overload behavior, and coalesced same-source groups."""
 
+import contextlib
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.result import RevtrStatus
 from repro.core.revtr import EngineConfig
@@ -9,18 +13,19 @@ from repro.experiments import Scenario
 from repro.obs import Instrumentation
 from repro.service import (
     JobState,
+    MeasurementRequest,
     RejectReason,
     RevtrService,
     SchedulerConfig,
     SourceRegistry,
 )
 from repro.service.scheduler import RETRY_BACKOFF
+from repro.sim.faults import preset_plan
 from repro.topology import TopologyConfig
+from tests.helpers.reference_scheduler import solo_path
 
 
-def build_service(
-    scenario, instrumentation=None, atlas_size=15, engine_config=None
-):
+def build_service(scenario, instrumentation=None, atlas_size=15):
     registry = SourceRegistry(
         scenario.internet,
         scenario.background_prober,
@@ -36,7 +41,6 @@ def build_service(
         ip2as=scenario.ip2as,
         relationships=scenario.relationships,
         resolver=scenario.resolver,
-        engine_config=engine_config,
         instrumentation=instrumentation,
     )
 
@@ -348,19 +352,15 @@ class TestDoomedRetry:
 
 
 class TestCoalescedGroups:
-    """The grouped path (`_execute_group` -> `_measure_group`): a
-    service whose engine config coalesces batches runs same-source jobs
-    admissible at one instant as one ``measure_many`` group."""
+    """The grouped path (`_execute_group` -> `_measure_group`): the
+    scheduler runs same-source jobs admissible at one instant as one
+    ``measure_many`` group."""
 
-    def _build(self, coalesce=True, parallelism=4, **config):
+    def _build(self, parallelism=4, **config):
         scenario = Scenario(
             config=TopologyConfig.tiny(seed=3), seed=3, atlas_size=10
         )
-        service = build_service(
-            scenario,
-            atlas_size=10,
-            engine_config=EngineConfig(coalesce_batches=coalesce),
-        )
+        service = build_service(scenario, atlas_size=10)
         owner = service.add_user("owner")
         sources = scenario.sources()[:2]
         for source in sources:
@@ -474,15 +474,12 @@ class TestCoalescedGroups:
         assert report.completed == 2
         assert report.rejected == {"deadline": 1, "quota": 1}
 
-    @pytest.mark.parametrize("coalesce", [False, True])
-    def test_engine_failure_refunds_the_charge(self, coalesce):
+    def test_engine_failure_refunds_the_charge(self):
         """ERROR is the one rejection that comes after the charge: the
         job was admitted and paid for, then no engine could take it.
-        Solo or as one coalesced group, the quota reads what it read
-        before the request and nothing is archived."""
-        service, scheduler, sources, dsts, groups = self._build(
-            coalesce=coalesce
-        )
+        The quota reads what it read before the request and nothing is
+        archived."""
+        service, scheduler, sources, dsts, groups = self._build()
         user = service.add_user("u", max_parallel=4, max_per_day=10)
         t0 = service.prober.clock.now()
         jobs = [
@@ -495,16 +492,10 @@ class TestCoalescedGroups:
         assert user.remaining_today(t0) == 10
         assert len(service.store) == 0
 
-    @pytest.mark.parametrize("coalesce", [False, True])
-    def test_failed_measurement_refunds_what_it_failed(
-        self, coalesce, monkeypatch
-    ):
-        """The engine raises on one destination.  Job by job that is
-        one refund beside three paid measurements; a coalesced group
-        fails as a unit, archives nothing and is refunded whole."""
-        service, scheduler, sources, dsts, groups = self._build(
-            coalesce=coalesce
-        )
+    def test_failed_measurement_refunds_what_it_failed(self, monkeypatch):
+        """The engine raises on one destination: the group fails as a
+        unit, archives nothing and is refunded whole."""
+        service, scheduler, sources, dsts, groups = self._build()
         engine = service._engine_for(sources[0])
         real_measure = engine.measure
 
@@ -521,32 +512,136 @@ class TestCoalescedGroups:
             for dst in dsts[:4]
         ]
         report = scheduler.run()
-        done = 0 if coalesce else 3
-        assert report.completed == len(service.store) == done
-        assert report.rejected == {"error": 4 - done}
+        assert report.completed == len(service.store) == 0
+        assert report.rejected == {"error": 4}
         assert jobs[1].reject_reason is RejectReason.ERROR
-        assert user.remaining_today(t0) == 10 - done
+        assert user.remaining_today(t0) == 10
 
     def test_without_same_source_company_equals_the_solo_path(self):
         """Two users, one source each, two lanes: at every instant the
         two admissible jobs go to different engines, so every group is
-        a group of one and the schedule is the uncoalesced one."""
+        a group of one and the schedule is the solo path's
+        (``tests/helpers/reference_scheduler.py``)."""
         timelines, reports = [], []
-        for coalesce in (True, False):
-            service, scheduler, sources, dsts, groups = self._build(
-                coalesce=coalesce, parallelism=2
-            )
-            for name, source in zip(("a", "b"), sources):
-                user = service.add_user(name, max_parallel=1)
-                for dst in dsts[:4]:
-                    scheduler.submit(user.api_key, dst, source)
-            reports.append(scheduler.run().as_dict())
+        for solo in (False, True):
+            with solo_path() if solo else contextlib.nullcontext():
+                service, scheduler, sources, dsts, groups = self._build(
+                    parallelism=2
+                )
+                for name, source in zip(("a", "b"), sources):
+                    user = service.add_user(name, max_parallel=1)
+                    for dst in dsts[:4]:
+                        scheduler.submit(user.api_key, dst, source)
+                reports.append(scheduler.run().as_dict())
             timelines.append(self._timeline(scheduler))
-            if coalesce:
+            if solo:
+                assert groups == []
+            else:
                 assert len(groups) == 8
                 assert all(len(group) == 1 for group in groups)
-            else:
-                assert groups == []
         assert reports[0] == reports[1]
         assert reports[0]["completed"] == 8
         assert timelines[0] == timelines[1]
+
+
+#: a host that answers nothing: its jobs end UNRESPONSIVE and retry
+DEAD = "203.0.113.9"
+
+
+def _serve(seed, preset, retry_budget, max_retries, stream):
+    """Serve *stream* on one lane of a fresh tiny deployment under
+    *preset*: ``("submit", i)`` queues a job, ``("request", i)`` is a
+    direct request, ``("run", None)`` drains the scheduler."""
+    instr = Instrumentation()
+    scenario = Scenario(
+        config=TopologyConfig.tiny(seed=seed),
+        seed=seed,
+        atlas_size=8,
+        instrumentation=instr,
+    )
+    door = scenario.front_door(
+        EngineConfig(
+            retry_budget=retry_budget, recheck_unresponsive=True
+        ),
+        [("ops", 2, 1_000)],
+        SchedulerConfig(parallelism=1, max_retries=max_retries),
+        plan=preset_plan(
+            preset,
+            seed=seed,
+            vps=[
+                vp for vp in scenario.spoofer_addrs
+                if vp != scenario.sources()[0]
+            ],
+        ),
+    )
+    key, source = door.users[0].api_key, door.source
+    dsts = scenario.responsive_destinations(6) + [DEAD]
+    for op, index in stream:
+        if op == "submit":
+            door.scheduler.submit(key, dsts[index], source)
+        elif op == "request":
+            door.service.request(
+                MeasurementRequest(api_key=key, dst=dsts[index], src=source)
+            )
+        else:
+            door.scheduler.run()
+    door.scheduler.run()
+    engine = door.service._engine_for(source)
+    return {
+        "report": door.scheduler.report().as_dict(),
+        "jobs": [
+            (
+                job.state, job.reject_reason, job.attempts,
+                job.started_at, job.finished_at,
+                None if job.result is None else job.result.to_dict(),
+            )
+            for job in door.scheduler.jobs
+        ],
+        "store": [
+            (record.user, record.requested_at, record.result.to_dict())
+            for record in door.service.store.all()
+        ],
+        "probes": dict(scenario.online_prober.counter.counts),
+        "clock": scenario.clock.now(),
+        "steps": engine.step_counts,
+        "retries": engine.retry_counts,
+        "segcache": dataclasses.asdict(engine.segcache.stats),
+        "events": [
+            {k: v for k, v in event.to_dict().items() if k != "wall"}
+            for event in instr.events.events()
+        ],
+        "metrics": instr.registry.snapshot(),
+    }
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.sampled_from((3, 9, 11)),
+    preset=st.sampled_from(("none", "loss", "mixed")),
+    retry_budget=st.sampled_from((0, 4)),
+    max_retries=st.sampled_from((0, 2)),
+    stream=st.lists(
+        st.one_of(
+            st.tuples(
+                st.sampled_from(("submit", "request")),
+                st.integers(0, 6),
+            ),
+            st.tuples(st.just("run"), st.none()),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_a_group_of_one_is_the_solo_path(
+    seed, preset, retry_budget, max_retries, stream
+):
+    """One lane, so every group is a group of one, and direct requests
+    beside it: under faults, retries and repeats, ``measure_many`` of
+    one destination is the solo path (``_execute_virtual`` ->
+    ``_measure_one`` -> ``measure``, kept in
+    ``tests/helpers/reference_scheduler.py``) in every observable."""
+    grouped = _serve(seed, preset, retry_budget, max_retries, stream)
+    with solo_path():
+        solo = _serve(seed, preset, retry_budget, max_retries, stream)
+    for name, value in grouped.items():
+        assert value == solo[name], name

@@ -1,10 +1,11 @@
 """Cross-measurement reverse-segment cache and coalesced batching.
 
-Covers the amortization acceptance criteria: flags-off byte-identity,
-spliced == from-scratch equality under stable routing, invalidation on
-routing-generation bumps and TTL expiry, negative entries, the
-violation-check gating of spliced chains, and coalesced == sequential
-equivalence for ``measure_many``.
+Covers the amortization acceptance criteria: a cold cache is
+byte-identical to no cache, spliced == from-scratch equality under
+stable routing, invalidation on routing-generation bumps and TTL
+expiry, negative entries, the violation-check gating of spliced
+chains, coalesced == sequential routes for ``measure_many``, and the
+paper's engines never splicing.
 """
 
 import json
@@ -15,8 +16,11 @@ from repro.core.result import HopTechnique, ReverseHop, RevtrStatus
 from repro.core.revtr import EngineConfig
 from repro.core.segcache import DEFAULT_NEGATIVE_TTL, ReverseSegmentCache
 from repro.experiments import Scenario
+from repro.experiments.common import VARIANTS
+from repro.net.addr import Prefix
 from repro.sim.clock import VirtualClock
 from repro.topology import TopologyConfig
+from tests.helpers.segcache_engine import engine_with_segcache
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -37,19 +41,12 @@ def scenario():
     )
 
 
-def fresh_engine(
-    scenario, source, *, segment_cache=False, coalesce=False, **extra
-):
-    """An uncached engine with its own segment cache (when enabled)."""
-    config = EngineConfig(
-        segment_cache=segment_cache,
-        coalesce_batches=coalesce,
-        **extra,
-    )
+def fresh_engine(scenario, source, *, segment_cache=False, **extra):
+    """A new revtr 2.0 engine; with *segment_cache*, splicing from an
+    empty reverse-segment cache of its own."""
+    config = EngineConfig(**extra)
     if segment_cache:
-        # Bundle-level sharing is the production behaviour; tests want
-        # isolation, so start every engine from an empty cache.
-        scenario.bundle(source).segcache = None
+        return engine_with_segcache(scenario, source, config=config)
     return scenario.engine(source, "revtr2.0", config=config)
 
 
@@ -164,23 +161,26 @@ class TestSegmentCacheUnit:
 
 
 class TestFlagsOffByteIdentity:
+    """A cold segment cache only observes: an engine given one answers
+    exactly as an engine without one."""
+
     def test_measure_many_off_is_byte_identical(self, scenario):
-        """With both flags off, ``measure_many`` is literally the
-        sequential loop — identical JSON including durations and
-        probe counts."""
+        """One coalesced group, without a cache and with a cold one —
+        identical JSON including durations and probe counts."""
         source = scenario.sources()[0]
         dsts = scenario.responsive_destinations(4, options_only=True)
-        sequential = fresh_engine(scenario, source)
+        plain = fresh_engine(scenario, source)
         baseline = [
-            json.dumps(sequential.measure(d).to_dict(), sort_keys=True)
-            for d in dsts
+            json.dumps(r.to_dict(), sort_keys=True)
+            for r in plain.measure_many(dsts)
         ]
-        batched = fresh_engine(scenario, source)
+        batched = fresh_engine(scenario, source, segment_cache=True)
         got = [
             json.dumps(r.to_dict(), sort_keys=True)
             for r in batched.measure_many(dsts)
         ]
         assert got == baseline
+        assert batched.segcache.stats.stores > 0
 
     def test_cold_segment_cache_is_byte_identical(self, scenario):
         """The first pass over a destination set must not change a
@@ -200,11 +200,6 @@ class TestFlagsOffByteIdentity:
         ]
         assert got == baseline
         assert cached.segcache.stats.stores > 0
-
-    def test_flag_defaults_are_off(self):
-        config = EngineConfig()
-        assert config.segment_cache is False
-        assert config.coalesce_batches is False
 
 
 class TestSplicing:
@@ -523,16 +518,79 @@ class TestCoalescing:
             path_view(fresh_engine(scenario, source).measure(d))
             for d in dsts
         ]
-        engine = fresh_engine(scenario, source, coalesce=True)
+        engine = fresh_engine(scenario, source)
         got = [path_view(r) for r in engine.measure_many(dsts)]
         assert got == baseline
 
     def test_coalescer_is_per_call(self, scenario):
         source = scenario.sources()[0]
         dsts = scenario.responsive_destinations(2, options_only=True)
-        engine = fresh_engine(scenario, source, coalesce=True)
+        engine = fresh_engine(scenario, source)
         engine.measure_many(dsts)
         assert engine._coalescer is None
+
+    def test_silent_neighbour_does_not_silence_a_live_host(self, scenario):
+        """Hosts of one /24 answer pings independently: a group that
+        pings a silent host first must still measure its live /24
+        neighbour, exactly as a group of its own would."""
+        source = scenario.sources()[0]
+        dead_by_prefix = {}
+        for host in sorted(
+            scenario.internet.hosts.values(), key=lambda h: h.addr
+        ):
+            if not host.responds_to_ping and not host.is_vantage_point:
+                dead_by_prefix.setdefault(Prefix.of(host.addr, 24), host.addr)
+        engine = fresh_engine(scenario, source)
+        for alive in scenario.responsive_destinations(options_only=True):
+            dead = dead_by_prefix.get(Prefix.of(alive, 24))
+            if dead is None:
+                continue
+            solo = engine.measure(alive)
+            if solo.status is RevtrStatus.COMPLETE:
+                break
+        else:
+            pytest.fail("no live host completes beside a silent one")
+        gone, grouped = engine.measure_many([dead, alive])
+        assert gone.status is RevtrStatus.UNRESPONSIVE
+        assert path_view(grouped) == path_view(solo)
+
+
+class TestPaperEnginesStayFresh:
+    """The paper's evaluation measures every variant from scratch.  An
+    engine ``Scenario.engine`` builds is given no segment cache: were
+    the variants for one source to share one, each later variant would
+    splice whole paths an earlier one measured (Fig. 5c's medians all
+    read 0 s)."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        return Scenario(
+            config=TopologyConfig.tiny(seed=3), seed=3, atlas_size=10
+        )
+
+    def test_no_variant_is_given_a_segment_cache(self, tiny):
+        source = tiny.sources()[0]
+        for variant in VARIANTS:
+            engine = tiny.engine(source, variant)
+            assert engine.segcache is None, variant
+            assert [o.__name__ for o in engine._openers] == [
+                "_open_ping_check"
+            ]
+
+    def test_a_second_variant_measures_again(self, tiny):
+        source = tiny.sources()[0]
+        first = tiny.engine(source, "revtr2.0")
+        done = next(
+            result
+            for result in map(
+                first.measure,
+                tiny.responsive_destinations(8, options_only=True),
+            )
+            if result.status is RevtrStatus.COMPLETE
+        )
+        for variant in VARIANTS:
+            again = tiny.engine(source, variant).measure(done.dst)
+            assert sum(again.probe_counts.values()) > 0, variant
 
 
 if HAVE_HYPOTHESIS:

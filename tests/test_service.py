@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.result import RevtrStatus
-from repro.core.revtr import EngineConfig
 from repro.experiments import Scenario
 from repro.service import (
     MeasurementRequest,
@@ -215,9 +214,9 @@ class TestBatchCharging:
         assert user.remaining_today(now) == 7
 
     @staticmethod
-    def _tiny_service(coalesce):
+    def _tiny_service():
         """(service, user, source, 5 destinations) on a service of its
-        own, batches coalesced or not."""
+        own."""
         scenario = Scenario(
             config=TopologyConfig.tiny(seed=3), seed=3, atlas_size=10
         )
@@ -236,21 +235,17 @@ class TestBatchCharging:
             ip2as=scenario.ip2as,
             relationships=scenario.relationships,
             resolver=scenario.resolver,
-            engine_config=EngineConfig(coalesce_batches=coalesce),
         )
         source = scenario.sources()[0]
         service.add_source(service.add_user("owner").api_key, source)
         dsts = scenario.responsive_destinations(5, options_only=True)
         return service, service.add_user("batcher"), source, dsts
 
-    @pytest.mark.parametrize("coalesce", [False, True])
-    def test_quota_running_out_mid_batch_measures_what_it_charged(
-        self, coalesce
-    ):
+    def test_quota_running_out_mid_batch_measures_what_it_charged(self):
         # 5 destinations against 3 remaining quota: exactly the three
         # that were charged are measured and archived, the other two
         # are typed QUOTA rejections that charged nothing.
-        service, user, source, dsts = self._tiny_service(coalesce)
+        service, user, source, dsts = self._tiny_service()
         user.max_per_day = 3
         jobs, report = self._run_batch(service, user, dsts, source)
         assert report.rejected == {"quota": 2}
@@ -259,16 +254,11 @@ class TestBatchCharging:
         ] == dsts[:3]
         assert user.remaining_today(service.prober.clock.now()) == 0
 
-    @pytest.mark.parametrize(
-        "coalesce", [False, True], ids=["False-solo", "True-group"]
-    )
-    def test_engine_error_charges_nothing_that_was_not_attempted(
-        self, coalesce
-    ):
+    def test_engine_error_charges_nothing_that_was_not_attempted(self):
         # A source nobody registered: every job gets past admission
-        # (and is charged) before the engine lookup raises, solo or as
-        # one coalesced group.  Nothing ran, so nothing stays charged.
-        service, user, source, dsts = self._tiny_service(coalesce)
+        # (and is charged) before the engine lookup raises.  Nothing
+        # ran, so nothing stays charged.
+        service, user, source, dsts = self._tiny_service()
         user.max_per_day = 10
         service.request(MeasurementRequest(user.api_key, dsts[0], source))
         jobs, report = self._run_batch(
