@@ -20,10 +20,10 @@ Commands:
   were probed, where the probe budget went;
 * ``events`` — dump or tail an exported event log (``--from``;
   ``--json`` for raw records);
-* ``atlas`` — the offline atlas pipeline: ``build`` both atlases for
-  a source over shard lanes with probe dedup (``--out`` also saves a
-  versioned snapshot), ``load`` to warm-start (optionally running
-  measurements off the loaded atlases);
+* ``atlas`` — the offline atlases: ``build`` both atlases for a
+  source with probe dedup (``--out`` also saves a versioned
+  snapshot), ``load`` to warm-start (optionally running measurements
+  off the loaded atlases);
 * ``serve`` — demo the request scheduler: several users with
   different parallel limits submit a burst of requests which are
   multiplexed over the scheduler's lanes with admission control
@@ -303,7 +303,7 @@ def _cmd_events(args: argparse.Namespace) -> int:
 
 
 def _cmd_atlas(args: argparse.Namespace) -> int:
-    from repro.core.atlas_pipeline import SnapshotError
+    from repro.core.snapshot import SnapshotError
 
     instr = Instrumentation()
     scenario = _scenario(args, instrumentation=instr)
@@ -350,47 +350,28 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
         _write_metrics(instr, args.metrics_out)
         return 0
 
-    # build: cold-build through the pipeline, optionally snapshotting
-    # the result for later warm starts.
-    pipeline = scenario.atlas_pipeline(shards=args.shards)
-    atlas, rr_atlas = pipeline.bootstrap(
-        source,
-        scenario.bundle_rng(source),
-        size=args.atlas_size,
-        max_size=args.atlas_size,
-    )
-    scenario.adopt_atlases(source, atlas, rr_atlas)
+    # build: the scenario's own cold build of both atlases, optionally
+    # snapshotted for later warm starts.
+    rr_atlas = scenario.rr_atlas(source)
     if args.out:
         scenario.save_atlases(source, args.out)
     doc = {
         "source": source,
-        "shards": args.shards,
-        "traceroutes": len(atlas),
+        "traceroutes": len(rr_atlas.atlas),
         "rr_aliases": len(rr_atlas),
-        "stages": [report.as_dict() for report in pipeline.reports],
+        "probes_sent": rr_atlas.probes_sent,
+        "probes_deduped": rr_atlas.probes_deduped,
         "snapshot": args.out,
     }
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(
-            f"atlas pipeline for {source}: {len(atlas)} traceroutes, "
-            f"{len(rr_atlas)} RR aliases "
-            f"({args.shards} shards)"
+            f"atlases for {source}: {doc['traceroutes']} traceroutes, "
+            f"{doc['rr_aliases']} RR aliases from "
+            f"{doc['probes_sent']} RR probes "
+            f"(+{doc['probes_deduped']} deduped)"
         )
-        for report in pipeline.reports:
-            print(
-                f"  {report.stage:<10s} {report.tasks:4d} tasks, "
-                f"serial {report.serial_seconds:8.2f} vs -> "
-                f"makespan {report.makespan_seconds:8.2f} vs "
-                f"({report.speedup:.2f}x), "
-                f"probes {report.probes_sent}"
-                + (
-                    f" (+{report.probes_deduped} deduped)"
-                    if report.probes_deduped
-                    else ""
-                )
-            )
         if args.out:
             print(f"  snapshot saved to {args.out}")
     _write_metrics(instr, args.metrics_out)
@@ -784,20 +765,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     atlas = sub.add_parser(
         "atlas",
-        help="offline atlas pipeline: sharded build, snapshots",
+        help="offline atlases: cold build, snapshots",
     )
     atlas_sub = atlas.add_subparsers(dest="atlas_command", required=True)
 
     atlas_build = atlas_sub.add_parser(
-        "build", help="cold-build both atlases through the pipeline"
+        "build", help="cold-build both atlases"
     )
     atlas_build.add_argument(
         "--out", metavar="FILE",
         help="also save a snapshot for later warm starts",
-    )
-    atlas_build.add_argument(
-        "--shards", type=int, default=4,
-        help="shard lanes for the parallel build",
     )
     _add_outputs(atlas_build, "--metrics-out")
     atlas_build.set_defaults(func=_cmd_atlas)

@@ -9,12 +9,9 @@ is a configuration of the same engine
 """
 
 from repro.core.atlas import TracerouteAtlas
-from repro.core.atlas_pipeline import (
-    AtlasPipeline,
-    LaneSchedule,
+from repro.core.snapshot import (
     SnapshotError,
     SnapshotMismatch,
-    StageReport,
     load_snapshot,
     save_snapshot,
 )
@@ -39,11 +36,8 @@ from repro.core.symmetry import SymmetryPolicy, SymmetryStepper
 
 __all__ = [
     "TracerouteAtlas",
-    "AtlasPipeline",
-    "LaneSchedule",
     "SnapshotError",
     "SnapshotMismatch",
-    "StageReport",
     "load_snapshot",
     "save_snapshot",
     "AdjacencyDatabase",

@@ -50,14 +50,9 @@ class TracerouteAtlas:
         self.traceroutes: Dict[Address, TracerouteResult] = {}
         self._index: Dict[Address, List[Tuple[Address, int]]] = {}
         self._useful: Set[Address] = set()
-        #: vp -> routing generation its trace was measured under; used
-        #: by the generation-keyed incremental refresh.  Traces added
-        #: without a generation always re-measure.
+        #: vp -> routing generation its trace was measured under, as
+        #: a snapshot records it (no entry for traces added without one)
         self._generation: Dict[Address, int] = {}
-        #: per-traceroute virtual-clock cost of the last build /
-        #: refresh, in measurement order; consumed by the atlas
-        #: pipeline's shard-lane accounting.
-        self.last_build_durations: List[float] = []
         #: summary counters of the last :meth:`refresh` call.
         self.last_refresh: Dict[str, object] = {}
 
@@ -73,8 +68,8 @@ class TracerouteAtlas:
         """Insert (or replace) the traceroute from ``trace.src``.
 
         *generation* stamps the routing generation the trace was
-        measured under (see :meth:`refresh`); traces added without one
-        are never eligible for the incremental-refresh skip.
+        measured under, which :func:`repro.core.snapshot.save_snapshot`
+        writes.
         """
         if trace.dst != self.source:
             raise ValueError(
@@ -125,16 +120,11 @@ class TracerouteAtlas:
     ) -> None:
         """Measure traceroutes from random candidate VPs (Q1)."""
         generation = prober.internet.routing_generation
-        self.last_build_durations = []
         size = self.max_size if size is None else size
         chosen = list(candidate_vps)
         rng.shuffle(chosen)
         for vp in chosen[:size]:
-            started = prober.clock.now()
             trace = paris_traceroute(prober, vp, self.source)
-            self.last_build_durations.append(
-                prober.clock.now() - started
-            )
             if trace.responsive_hops():
                 self.add(trace, generation=generation)
 
@@ -143,20 +133,12 @@ class TracerouteAtlas:
         prober: Prober,
         candidate_vps: Sequence[Address],
         rng: random.Random,
-        incremental: bool = False,
     ) -> int:
         """Daily Random++ refresh (Fig. 9b).
 
         Re-measures traceroutes that produced intersections since the
         last refresh and replaces the others with fresh random VPs.
         Returns the number of replaced traceroutes.
-
-        With ``incremental=True``, a kept traceroute is re-measured
-        only if it *could* have changed: the simulator's routing
-        generation moved since it was measured, or it aged past the
-        staleness budget.  Destination-based routing makes the skip
-        sound — with announcements unchanged, re-measuring the same
-        VP-to-source path returns the same hops.
 
         A kept VP whose re-measurement comes back fully unresponsive
         is removed (not silently retained stale), and the freed slot is
@@ -172,27 +154,11 @@ class TracerouteAtlas:
         rng.shuffle(unused_pool)
         generation = prober.internet.routing_generation
         replaced = 0
-        remeasured = 0
-        skipped = 0
         pruned = 0
-        durations: List[float] = []
         for vp in drop:
             self.remove(vp)
         for vp in sorted(keep):
-            trace = self.traceroutes.get(vp)
-            if (
-                incremental
-                and trace is not None
-                and self._generation.get(vp) == generation
-                and prober.clock.now() - trace.timestamp
-                < self.staleness
-            ):
-                skipped += 1
-                continue
-            started = prober.clock.now()
             fresh = paris_traceroute(prober, vp, self.source)
-            durations.append(prober.clock.now() - started)
-            remeasured += 1
             if fresh.responsive_hops():
                 self.add(fresh, generation=generation)
             else:
@@ -200,18 +166,14 @@ class TracerouteAtlas:
                 pruned += 1
         want = self.max_size - len(self.traceroutes)
         for vp in unused_pool[:want]:
-            started = prober.clock.now()
             trace = paris_traceroute(prober, vp, self.source)
-            durations.append(prober.clock.now() - started)
             if trace.responsive_hops():
                 self.add(trace, generation=generation)
                 replaced += 1
         self._useful.clear()
-        self.last_build_durations = durations
         self.last_refresh = {
             "dropped": len(drop),
-            "remeasured": remeasured,
-            "skipped": skipped,
+            "remeasured": len(keep),
             "pruned_unresponsive": pruned,
             "replaced": replaced,
         }

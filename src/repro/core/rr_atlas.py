@@ -12,34 +12,15 @@ intersection alias pointing into the atlas (Fig. 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.addr import Address, same_slash30, same_slash31, slash30_peer
 from repro.core.atlas import Intersection, TracerouteAtlas
-from repro.probing.prober import LOSS_TIMEOUT, Prober, RRPingResult
+from repro.probing.prober import Prober, RRPingResult
 
 
 #: Spoofing VPs a hop's probe ladder tries after the direct RR ping.
 MAX_SPOOFERS_PER_HOP = 2
-
-
-@dataclass
-class RRBuildStats:
-    """Accounting for one :meth:`RRAtlas.build` call.
-
-    A *unit* is one probe ladder — direct RR ping from the source,
-    then up to ``MAX_SPOOFERS_PER_HOP`` spoofed retries — for one
-    distinct hop address, however many traceroutes it occurs in.
-    ``unit_costs`` holds each unit's virtual-clock cost in probing
-    order, which is what the pipeline's shard lanes re-schedule.
-    """
-
-    occurrences: int = 0
-    units: int = 0
-    probes_sent: int = 0
-    probes_deduped: int = 0
-    unit_costs: List[float] = field(default_factory=list)
 
 
 class RRAtlas:
@@ -58,8 +39,6 @@ class RRAtlas:
         #: probes *not* sent because a hop address recurring across
         #: atlas traceroutes was already probed this build
         self.probes_deduped = 0
-        #: accounting for the most recent :meth:`build`
-        self.last_build: RRBuildStats = RRBuildStats()
 
     # ------------------------------------------------------------------
     # Offline construction
@@ -98,21 +77,13 @@ class RRAtlas:
         ladders = self._probe_ladders_batched(
             prober, source, targets, spoofers
         )
-
-        stats = RRBuildStats(occurrences=len(occurrences))
-        stats.units = len(ladders)
-        for _, probes, cost in ladders:
-            stats.probes_sent += probes
-            stats.unit_costs.append(cost)
         by_hop = dict(zip(targets, ladders))
+        sent = sum(probes for _, probes in ladders)
+        self.probes_sent += sent
         # What a ladder per occurrence would have sent, minus what was.
-        stats.probes_deduped = (
-            sum(by_hop[occ[2]][1] for occ in occurrences)
-            - stats.probes_sent
+        self.probes_deduped += (
+            sum(by_hop[occ[2]][1] for occ in occurrences) - sent
         )
-        self.probes_sent += stats.probes_sent
-        self.probes_deduped += stats.probes_deduped
-        self.last_build = stats
 
         for vp, index, hop, trace_hops in occurrences:
             result = by_hop[hop][0]
@@ -125,16 +96,17 @@ class RRAtlas:
         source: Address,
         targets: Sequence[Address],
         spoofers: Sequence[Address],
-    ) -> List[Tuple[Optional[RRPingResult], int, float]]:
+    ) -> List[Tuple[Optional[RRPingResult], int]]:
         """Retry rounds through the batch walker.
 
         Round 0 probes every target directly from the source; round
         ``k`` retries the still-unusable remainder spoofed as the
         source from the k-th spoofer — each target's own ladder,
         probed a round at a time so destination resolution is shared
-        and the Python-level per-probe overhead amortised.
+        and the Python-level per-probe overhead amortised.  Returns
+        ``(last result, probes sent)`` per target.
         """
-        states: List[List] = [[None, 0, 0.0] for _ in targets]
+        states: List[List] = [[None, 0] for _ in targets]
         pending = list(range(len(targets)))
         for vp in [None] + list(spoofers):
             if not pending:
@@ -149,9 +121,6 @@ class RRAtlas:
                 state = states[i]
                 state[0] = result
                 state[1] += 1
-                state[2] += (
-                    result.rtt if result.responded else LOSS_TIMEOUT
-                )
                 if not self._usable(result):
                     still.append(i)
             pending = still

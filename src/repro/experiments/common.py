@@ -280,24 +280,13 @@ class Scenario:
             bundle.rr_atlas = rr_atlas
         return bundle.rr_atlas
 
-    def atlas_pipeline(self, shards: int = 4) -> "AtlasPipeline":
-        """An :class:`AtlasPipeline` over the background prober."""
-        from repro.core.atlas_pipeline import AtlasPipeline
-
-        return AtlasPipeline(
-            self.background_prober,
-            self.atlas_vp_addrs,
-            self.spoofer_addrs,
-            shards=shards,
-        )
-
     def adopt_atlases(
         self,
         source: Address,
         atlas: TracerouteAtlas,
         rr_atlas: Optional[RRAtlas] = None,
     ) -> SourceBundle:
-        """Install externally built atlases (pipeline or snapshot) as
+        """Install externally built atlases (a loaded snapshot) as
         *source*'s bundle, replacing any lazily built state."""
         if atlas.source != source:
             raise ValueError(
@@ -311,7 +300,7 @@ class Scenario:
 
     def save_atlases(self, source: Address, path: str) -> None:
         """Snapshot *source*'s bundle (atlas + RR atlas) to *path*."""
-        from repro.core.atlas_pipeline import save_snapshot
+        from repro.core.snapshot import save_snapshot
 
         bundle = self.bundle(source)
         save_snapshot(
@@ -321,14 +310,11 @@ class Scenario:
     def load_atlases(self, source: Address, path: str) -> SourceBundle:
         """Warm-start *source*'s bundle from a snapshot at *path*.
 
-        Raises :class:`repro.core.atlas_pipeline.SnapshotError` (or
-        :class:`~repro.core.atlas_pipeline.SnapshotMismatch`) when the
+        Raises :class:`repro.core.snapshot.SnapshotError` (or
+        :class:`~repro.core.snapshot.SnapshotMismatch`) when the
         file is unreadable or from a different topology/source.
         """
-        from repro.core.atlas_pipeline import (
-            SnapshotMismatch,
-            load_snapshot,
-        )
+        from repro.core.snapshot import SnapshotMismatch, load_snapshot
 
         atlas, rr_atlas = load_snapshot(path, self.internet)
         if atlas.source != source:

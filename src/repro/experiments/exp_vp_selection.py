@@ -3,7 +3,7 @@
 Covers Fig. 6a (batch size sweep), Fig. 6b (reverse hops uncovered by
 the first batch, per technique), Fig. 6c (number of spoofers tried),
 and Table 5 (fraction of prefixes with a VP found within 8 RR hops,
-with the Appendix C heuristics enabled incrementally).
+with the Appendix C heuristics enabled one after another).
 
 Per the paper's methodology, each evaluated prefix needs at least
 three RR-responsive destinations: two feed the ingress inference, the

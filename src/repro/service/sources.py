@@ -140,21 +140,11 @@ class SourceRegistry:
         result = self.prober.rr_ping(self.spoofer_vps[0], addr)
         return result.responded
 
-    def refresh_atlas(
-        self, addr: Address, incremental: bool = False
-    ) -> int:
-        """Daily atlas refresh for a registered source (Q1 policy).
-
-        ``incremental=True`` applies the generation-keyed skip: kept
-        traceroutes measured under the current routing generation and
-        inside the staleness budget are not re-probed.
-        """
+    def refresh_atlas(self, addr: Address) -> int:
+        """Daily atlas refresh for a registered source (Q1 policy)."""
         registered = self.sources.get(addr)
         if registered is None:
             raise KeyError(f"source {addr} not registered")
         return registered.atlas.refresh(
-            self.prober,
-            self.atlas_vps,
-            self._rng,
-            incremental=incremental,
+            self.prober, self.atlas_vps, self._rng
         )

@@ -7,15 +7,20 @@ also carried the loop it replaced, behind ``dedup=False,
 batched=False``; that loop is kept here so
 ``tests/test_atlas_pipeline.py`` can require the same ``_mapping``, the
 same per-occurrence probe count (``probes_sent + probes_deduped``) and
-— ladder for ladder — the same virtual-clock cost.  Test-only: nothing
-under ``src/`` imports it.
+the same virtual-clock cost.  Test-only: nothing under ``src/``
+imports it.
+
+One edit since it moved here: the ``RRBuildStats`` bookkeeping
+(``RRAtlas.last_build``, per-ladder unit costs) went with the atlas
+pipeline that read it, so ``reference_build`` now only adds its
+probes to ``probes_sent``.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.rr_atlas import RRAtlas, RRBuildStats
+from repro.core.rr_atlas import RRAtlas
 from repro.net.addr import Address
 from repro.probing.prober import LOSS_TIMEOUT, Prober, RRPingResult
 
@@ -66,14 +71,7 @@ def reference_build(
     ladders = probe_ladders_serial(
         prober, source, [occ[2] for occ in occurrences], spoofers
     )
-
-    stats = RRBuildStats(occurrences=len(occurrences))
-    stats.units = len(ladders)
-    for _, probes, cost in ladders:
-        stats.probes_sent += probes
-        stats.unit_costs.append(cost)
-    rr_atlas.probes_sent += stats.probes_sent
-    rr_atlas.last_build = stats
+    rr_atlas.probes_sent += sum(probes for _, probes, _ in ladders)
 
     for (vp, index, _, trace_hops), (result, _, _) in zip(
         occurrences, ladders

@@ -1,7 +1,7 @@
-"""Tests for the atlas pipeline (sharded build, dedup, refresh, snapshots).
+"""Tests for offline atlas construction (build, dedup, refresh, snapshots).
 
-The acceptance bar for the pipeline is byte-identity: batched probing,
-probe dedup, shard-lane accounting and snapshot warm-start must
+The acceptance bar is byte-identity: the scenario's own build, with
+batched and deduplicated RR probing, and a snapshot warm start must
 produce exactly the atlases — and exactly the downstream
 reverse-traceroute results — that probing one hop occurrence at a
 time produces (``tests/helpers/reference_rr_atlas.py``).  Forwarding
@@ -15,16 +15,14 @@ import json
 import pytest
 
 from repro.core import (
-    AtlasPipeline,
-    LaneSchedule,
     SnapshotError,
     SnapshotMismatch,
     load_snapshot,
     save_snapshot,
 )
 from repro.core.atlas import TracerouteAtlas
-from repro.core.atlas_pipeline import SNAPSHOT_VERSION
 from repro.core.rr_atlas import RRAtlas
+from repro.core.snapshot import SNAPSHOT_VERSION
 from repro.experiments import Scenario
 from repro.net.packet import TracerouteResult
 from repro.topology import TopologyConfig
@@ -88,87 +86,51 @@ def serial_world():
 
 
 @pytest.fixture(scope="module")
-def sharded_world():
-    """Pipeline path: sharded virtual-clock build."""
+def built_world():
+    """The scenario's own lazy build, what ``repro atlas build`` runs."""
     scenario = fresh_scenario()
     source = scenario.sources()[0]
-    pipeline = scenario.atlas_pipeline(shards=4)
-    atlas, rr_atlas = pipeline.bootstrap(
-        source,
-        scenario.bundle_rng(source),
-        size=ATLAS_SIZE,
-        max_size=ATLAS_SIZE,
-    )
-    scenario.adopt_atlases(source, atlas, rr_atlas)
-    return scenario, source, atlas, rr_atlas, pipeline
-
-
-class TestLaneSchedule:
-    def test_earliest_free_lane_with_low_index_ties(self):
-        lanes = LaneSchedule(3)
-        assert [lanes.assign(d) for d in (4.0, 1.0, 1.0, 1.0, 3.0)] == [
-            0, 1, 2, 1, 2,
-        ]
-        assert lanes.lanes == [4.0, 2.0, 4.0]
-        assert lanes.makespan == 4.0
-
-    def test_rejects_zero_lanes(self):
-        with pytest.raises(ValueError):
-            LaneSchedule(0)
+    rr_atlas = scenario.rr_atlas(source)
+    return scenario, source, rr_atlas.atlas, rr_atlas
 
 
 class TestShardedByteIdentity:
-    """Acceptance criterion: sharded == serial, bytes and downstream."""
+    """Acceptance criterion: the scenario's build == the reference
+    build, bytes and downstream.  (The class keeps the name it had
+    when the build also ran on shard lanes.)"""
 
-    def test_atlas_contents_identical(self, serial_world, sharded_world):
+    def test_atlas_contents_identical(self, serial_world, built_world):
         _, _, serial_atlas, _ = serial_world
-        _, _, sharded_atlas, _, _ = sharded_world
-        assert atlas_key(sharded_atlas) == atlas_key(serial_atlas)
+        _, _, built_atlas, _ = built_world
+        assert atlas_key(built_atlas) == atlas_key(serial_atlas)
 
     def test_rr_mapping_identical_and_dedup_cheaper(
-        self, serial_world, sharded_world
+        self, serial_world, built_world
     ):
         _, _, _, serial_rr = serial_world
-        _, _, _, sharded_rr, _ = sharded_world
-        assert sharded_rr._mapping == serial_rr._mapping
+        _, _, _, built_rr = built_world
+        assert built_rr._mapping == serial_rr._mapping
         # Dedup removes probes without changing the mapping; together
         # sent + saved must account for every per-occurrence probe.
-        assert sharded_rr.probes_sent < serial_rr.probes_sent
-        assert sharded_rr.probes_deduped > 0
+        assert built_rr.probes_sent < serial_rr.probes_sent
+        assert built_rr.probes_deduped > 0
         assert (
-            sharded_rr.probes_sent + sharded_rr.probes_deduped
+            built_rr.probes_sent + built_rr.probes_deduped
             == serial_rr.probes_sent
         )
 
     def test_downstream_revtr_results_identical(
-        self, serial_world, sharded_world
+        self, serial_world, built_world
     ):
         serial_sc, source, _, _ = serial_world
-        sharded_sc, _, _, _, _ = sharded_world
+        built_sc, _, _, _ = built_world
         destinations = serial_sc.responsive_destinations(N_MEASURE)
-        assert destinations == sharded_sc.responsive_destinations(
+        assert destinations == built_sc.responsive_destinations(
             N_MEASURE
         )
         assert measure_stream(
             serial_sc, source, destinations
-        ) == measure_stream(sharded_sc, source, destinations)
-
-    def test_stage_reports_account_every_virtual_second(
-        self, sharded_world
-    ):
-        _, _, _, _, pipeline = sharded_world
-        stages = {report.stage: report for report in pipeline.reports}
-        assert set(stages) == {"traceroute", "rr"}
-        for report in stages.values():
-            assert report.shards == 4
-            assert report.tasks > 0
-            assert report.probes_sent > 0
-            assert report.serial_seconds == pytest.approx(
-                sum(report.lane_seconds)
-            )
-            assert report.makespan_seconds == max(report.lane_seconds)
-            assert report.speedup > 1.0
-        assert stages["rr"].probes_deduped > 0
+        ) == measure_stream(built_sc, source, destinations)
 
 
 class TestBatchedSerialEquivalence:
@@ -185,9 +147,6 @@ class TestBatchedSerialEquivalence:
             scenario.background_prober, scenario.spoofer_addrs
         )
         assert rr_atlas._mapping == baseline._mapping
-        stats, expected = rr_atlas.last_build, baseline.last_build
-        assert stats.occurrences == expected.occurrences
-        assert stats.units < expected.units == expected.occurrences
         assert (
             rr_atlas.probes_sent + rr_atlas.probes_deduped
             == baseline.probes_sent
@@ -205,12 +164,10 @@ class TestBatchedSerialEquivalence:
         rr_atlas = RRAtlas(atlas)
         rr_atlas.build(prober, spoofers)
         elapsed = prober.clock.now() - started
-        stats = rr_atlas.last_build
-        assert sum(stats.unit_costs) == pytest.approx(elapsed)
 
-        # The same distinct targets, one ladder at a time: each ladder
-        # costs what its batched rounds were accounted, and the clock
-        # advances by the same total.
+        # The same distinct targets, one ladder at a time: the clock
+        # advances by the same total and the ladders send the same
+        # probes.
         targets = list(
             dict.fromkeys(
                 hop
@@ -224,10 +181,7 @@ class TestBatchedSerialEquivalence:
             prober, source, targets, spoofers[:2]
         )
         assert prober.clock.now() - started == pytest.approx(elapsed)
-        assert [cost for _, _, cost in ladders] == pytest.approx(
-            stats.unit_costs
-        )
-        assert sum(n for _, n, _ in ladders) == stats.probes_sent
+        assert sum(n for _, n, _ in ladders) == rr_atlas.probes_sent
 
 
 class TestRRAtlasStaleLookup:
@@ -302,88 +256,42 @@ class TestRefreshPrunesUnresponsive:
 
 
 class TestIncrementalRefresh:
-    def _built_atlas(self, scenario, source, staleness=1e9):
-        atlas = TracerouteAtlas(
-            source, max_size=8, staleness=staleness
-        )
+    """Refresh re-measures every kept traceroute.  (The class keeps
+    the name it had when an ``incremental`` option could skip them.)"""
+
+    def test_default_refresh_still_remeasures(self, serial_world):
+        scenario, source, _, _ = serial_world
+        atlas = TracerouteAtlas(source, max_size=8)
         atlas.build(
             scenario.background_prober,
             scenario.atlas_vp_addrs,
             scenario.bundle_rng(source),
             size=8,
         )
-        return atlas
-
-    def test_generation_fresh_keeps_are_skipped(self, serial_world):
-        scenario, source, _, _ = serial_world
-        atlas = self._built_atlas(scenario, source)
-        for vp in list(atlas.traceroutes):
+        kept = list(atlas.traceroutes)
+        for vp in kept:
             atlas.mark_useful(vp)
-        before = atlas_key(atlas)
-        atlas.refresh(
-            scenario.background_prober,
-            scenario.atlas_vp_addrs,
-            scenario.bundle_rng(source),
-            incremental=True,
-        )
-        assert atlas.last_refresh["remeasured"] == 0
-        assert atlas.last_refresh["skipped"] == len(before)
-        assert atlas_key(atlas) == before
-
-    def test_routing_generation_bump_forces_remeasure(
-        self, serial_world
-    ):
-        scenario, source, _, _ = serial_world
-        atlas = self._built_atlas(scenario, source)
-        kept = len(atlas)
-        for vp in list(atlas.traceroutes):
-            atlas.mark_useful(vp)
-        scenario.internet.invalidate_routing()
-        atlas.refresh(
-            scenario.background_prober,
-            scenario.atlas_vp_addrs,
-            scenario.bundle_rng(source),
-            incremental=True,
-        )
-        assert atlas.last_refresh["skipped"] == 0
-        assert atlas.last_refresh["remeasured"] == kept
-
-    def test_staleness_budget_forces_remeasure(self, serial_world):
-        scenario, source, _, _ = serial_world
-        atlas = self._built_atlas(scenario, source, staleness=10.0)
-        kept = len(atlas)
-        for vp in list(atlas.traceroutes):
-            atlas.mark_useful(vp)
-        scenario.clock.advance(11.0)
-        atlas.refresh(
-            scenario.background_prober,
-            scenario.atlas_vp_addrs,
-            scenario.bundle_rng(source),
-            incremental=True,
-        )
-        assert atlas.last_refresh["skipped"] == 0
-        assert atlas.last_refresh["remeasured"] == kept
-
-    def test_default_refresh_still_remeasures(self, serial_world):
-        scenario, source, _, _ = serial_world
-        atlas = self._built_atlas(scenario, source)
-        kept = len(atlas)
-        for vp in list(atlas.traceroutes):
-            atlas.mark_useful(vp)
+        scenario.clock.advance(1.0)
+        started = scenario.clock.now()
         atlas.refresh(
             scenario.background_prober,
             scenario.atlas_vp_addrs,
             scenario.bundle_rng(source),
         )
-        assert atlas.last_refresh["skipped"] == 0
-        assert atlas.last_refresh["remeasured"] == kept
+        assert atlas.last_refresh["remeasured"] == len(kept)
+        # Nothing kept is carried over: every kept trace is fresh.
+        assert all(
+            atlas.traceroutes[vp].timestamp >= started
+            for vp in kept
+            if vp in atlas.traceroutes
+        )
 
 
 class TestSnapshotRoundTrip:
     """Satellite: save -> load must be observably identical."""
 
-    def test_lookup_and_suffix_identical(self, sharded_world, tmp_path):
-        scenario, _, atlas, rr_atlas, _ = sharded_world
+    def test_lookup_and_suffix_identical(self, built_world, tmp_path):
+        scenario, _, atlas, rr_atlas = built_world
         path = str(tmp_path / "atlas.snap")
         save_snapshot(path, atlas, rr_atlas, scenario.internet)
         loaded_atlas, loaded_rr = load_snapshot(path, scenario.internet)
@@ -398,11 +306,11 @@ class TestSnapshotRoundTrip:
             assert loaded_rr.lookup(alias) == rr_atlas.lookup(alias)
 
     def test_engine_output_identical_after_warm_start(
-        self, sharded_world, tmp_path
+        self, built_world, tmp_path
     ):
-        sharded_sc, source, _, _, _ = sharded_world
+        built_sc, source, _, _ = built_world
         path = str(tmp_path / "atlas.snap")
-        sharded_sc.save_atlases(source, path)
+        built_sc.save_atlases(source, path)
         warm = fresh_scenario()
         warm.load_atlases(source, path)
         # One scenario's deterministic draw serves both deployments
@@ -410,13 +318,13 @@ class TestSnapshotRoundTrip:
         # one of them would yield a different list).
         destinations = warm.responsive_destinations(N_MEASURE)
         assert measure_stream(
-            sharded_sc, source, destinations
+            built_sc, source, destinations
         ) == measure_stream(warm, source, destinations)
 
     def test_snapshot_bytes_are_deterministic(
-        self, sharded_world, tmp_path
+        self, built_world, tmp_path
     ):
-        scenario, _, atlas, rr_atlas, _ = sharded_world
+        scenario, _, atlas, rr_atlas = built_world
         first = str(tmp_path / "a.snap")
         second = str(tmp_path / "b.snap")
         save_snapshot(first, atlas, rr_atlas, scenario.internet)
@@ -425,9 +333,9 @@ class TestSnapshotRoundTrip:
             assert fh_a.read() == fh_b.read()
 
     def test_wrong_source_rejected_by_scenario(
-        self, sharded_world, tmp_path
+        self, built_world, tmp_path
     ):
-        scenario, source, atlas, rr_atlas, _ = sharded_world
+        scenario, source, atlas, rr_atlas = built_world
         path = str(tmp_path / "atlas.snap")
         save_snapshot(path, atlas, rr_atlas, scenario.internet)
         other = next(
@@ -438,8 +346,8 @@ class TestSnapshotRoundTrip:
 
 
 class TestSnapshotRejection:
-    def _saved(self, sharded_world, tmp_path):
-        scenario, _, atlas, rr_atlas, _ = sharded_world
+    def _saved(self, built_world, tmp_path):
+        scenario, _, atlas, rr_atlas = built_world
         path = str(tmp_path / "atlas.snap")
         save_snapshot(path, atlas, rr_atlas, scenario.internet)
         return scenario, path
@@ -451,26 +359,26 @@ class TestSnapshotRejection:
         with gzip.open(path, "wb") as fh:
             fh.write(json.dumps(doc).encode())
 
-    def test_version_mismatch_rejected(self, sharded_world, tmp_path):
-        scenario, path = self._saved(sharded_world, tmp_path)
+    def test_version_mismatch_rejected(self, built_world, tmp_path):
+        scenario, path = self._saved(built_world, tmp_path)
         self._tamper(path, version=SNAPSHOT_VERSION + 1)
         with pytest.raises(SnapshotMismatch):
             load_snapshot(path, scenario.internet)
 
-    def test_foreign_format_rejected(self, sharded_world, tmp_path):
-        scenario, path = self._saved(sharded_world, tmp_path)
+    def test_foreign_format_rejected(self, built_world, tmp_path):
+        scenario, path = self._saved(built_world, tmp_path)
         self._tamper(path, format="some-other-format")
         with pytest.raises(SnapshotError):
             load_snapshot(path, scenario.internet)
 
-    def test_topology_mismatch_rejected(self, sharded_world, tmp_path):
-        _, path = self._saved(sharded_world, tmp_path)
+    def test_topology_mismatch_rejected(self, built_world, tmp_path):
+        _, path = self._saved(built_world, tmp_path)
         other = build_internet(TopologyConfig.small(seed=SEED + 1))
         with pytest.raises(SnapshotMismatch):
             load_snapshot(path, other)
 
-    def test_corrupt_file_rejected(self, sharded_world, tmp_path):
-        scenario, _, _, _, _ = sharded_world
+    def test_corrupt_file_rejected(self, built_world, tmp_path):
+        scenario, _, _, _ = built_world
         path = str(tmp_path / "corrupt.snap")
         with open(path, "wb") as fh:
             fh.write(b"not a gzip snapshot")
@@ -500,17 +408,17 @@ class TestSnapshotRejection:
         ],
     )
     def test_right_header_wrong_body_rejected(
-        self, sharded_world, tmp_path, damage
+        self, built_world, tmp_path, damage
     ):
         """Format, version and fingerprint match, the body does not: a
         typed error, not a KeyError."""
-        _, path = self._saved(sharded_world, tmp_path)
+        _, path = self._saved(built_world, tmp_path)
         with gzip.open(path, "rb") as fh:
             doc = json.loads(fh.read().decode())
         damage(doc)
         with gzip.open(path, "wb") as fh:
             fh.write(json.dumps(doc).encode())
-        scenario = sharded_world[0]
+        scenario = built_world[0]
         with pytest.raises(SnapshotError, match="malformed"):
             load_snapshot(path, scenario.internet)
 
@@ -529,7 +437,8 @@ class TestAtlasCLI:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "traceroute" in out and "rr" in out
+        assert "traceroutes" in out and "RR aliases" in out
+        assert "deduped" in out and "snapshot saved" in out
         code = main(
             [
                 "--scale", "small", "--seed", str(SEED),

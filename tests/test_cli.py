@@ -51,6 +51,8 @@ class TestParser:
             # `top` are the service, which always amortizes.
             ["measure", "--segment-cache"],
             ["measure", "--coalesce"],
+            # One atlas builder, the scenario's own: no shard lanes.
+            ["atlas", "build", "--shards", "4"],
         ],
     )
     def test_retired_switches_are_rejected_not_ignored(

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import _format_event_doc, main
-from repro.core.atlas_pipeline import SnapshotError, load_snapshot
+from repro.core.snapshot import SnapshotError, load_snapshot
 from repro.experiments import Scenario
 from repro.obs import (
     Instrumentation,
@@ -325,6 +325,37 @@ def snapshot(tmp_path_factory):
     return doc, scenario.internet
 
 
+def assert_loaded_as_written(atlas, rr_atlas, written):
+    """Every field the loader accepted is the value the file holds."""
+    spec = written["atlas"]
+    for name in ("source", "max_size", "staleness"):
+        assert same(getattr(atlas, name), spec[name]), name
+    entries = spec["traceroutes"]
+    assert len(atlas.traceroutes) == len(entries)
+    for entry in entries:
+        trace = atlas.traceroutes[entry["src"]]
+        assert same(trace.dst, spec["source"])
+        assert same(tuple(trace.hops), entry["hops"])
+        for name in ("reached", "flow_id", "timestamp"):
+            assert same(getattr(trace, name), entry[name]), name
+        assert same(
+            atlas.generation_of(entry["src"]), entry.get("generation")
+        )
+    assert same(tuple(sorted(atlas._useful)), spec.get("useful", []))
+    rr_spec = written.get("rr_atlas")
+    assert (rr_atlas is None) == (rr_spec is None)
+    if rr_atlas is not None:
+        assert same(
+            tuple(
+                (addr, vp, index)
+                for addr, (vp, index) in rr_atlas._mapping.items()
+            ),
+            rr_spec["mapping"],
+        )
+        for name in ("probes_sent", "probes_deduped"):
+            assert same(getattr(rr_atlas, name), rr_spec.get(name, 0))
+
+
 # Cheap per case, and the two fields the parent mis-loaded are 2 of ~25.
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
@@ -336,17 +367,11 @@ def test_atlas_snapshot_loads_as_written_or_refuses(snapshot, data):
         with gzip.open(path, "wb") as fh:
             fh.write(text.encode())
         try:
-            atlas, _ = load_snapshot(path, internet)
+            atlas, rr_atlas = load_snapshot(path, internet)
         except SnapshotError:
             refused = True
         else:
-            written = {
-                entry["src"]: entry["hops"]
-                for entry in json.loads(text)["atlas"]["traceroutes"]
-            }
-            assert {
-                src: trace.hops for src, trace in atlas.traceroutes.items()
-            } == written
+            assert_loaded_as_written(atlas, rr_atlas, json.loads(text))
             # The verb serves the deployment's source only.
             refused = atlas.source != doc["atlas"]["source"]
         code, err = run_cli(GLOBAL_ARGV + ["atlas", "load", "--path", path])
@@ -354,3 +379,24 @@ def test_atlas_snapshot_loads_as_written_or_refuses(snapshot, data):
         assert code == 2 and err.startswith("error: "), err
     else:
         assert code == 0, err
+
+
+def test_retyped_snapshot_hop_is_refused_not_measured(tmp_path):
+    """A hop `save_snapshot` wrote as a string, retyped to a number,
+    used to load and then crash the first measurement that read it
+    (`AttributeError` in the address parser): now `atlas load`
+    refuses the file, naming the field."""
+    argv = ["--scale", "tiny", "--seed", "3", "--atlas-size", "10"]
+    path = tmp_path / "atlas.snap"
+    code, err = run_cli(argv + ["atlas", "build", "--out", str(path)])
+    assert code == 0, err
+    with gzip.open(path, "rb") as fh:
+        doc = json.loads(fh.read().decode())
+    doc["atlas"]["traceroutes"][0]["hops"][5] = 7
+    with gzip.open(path, "wb") as fh:
+        fh.write(json.dumps(doc).encode())
+    code, err = run_cli(
+        argv + ["atlas", "load", "--path", str(path), "--measure", "6"]
+    )
+    assert code == 2 and err.startswith("error: "), err
+    assert "hop of traceroute" in err

@@ -63,10 +63,14 @@ def test_retired_switches_stay_retired(small_scenario):
     in ``src/``.  The switches PR 17 removed must not come back, nor
     the options PR 24 found nobody setting (``tests/test_surface.py``
     is the rule; these are its first deletions), nor the two reuse
-    switches: the service always amortizes, the paper's engines never
-    do."""
+    switches (the service always amortizes, the paper's engines never
+    do), nor a second atlas builder or its incremental refresh: the
+    scenario's own build is the one, and refresh re-measures what it
+    keeps."""
     import dataclasses
 
+    import repro.core
+    from repro.core.atlas import TracerouteAtlas
     from repro.core.cache import MeasurementCache
     from repro.core.revtr import EngineConfig
     from repro.service import RevtrService, SchedulerConfig, SourceRegistry
@@ -84,15 +88,18 @@ def test_retired_switches_stay_retired(small_scenario):
     )
     retired = {
         "fastpath_enabled", "enable_fastpath", "cache_enabled",
-        "run_threaded", "threaded", "_sim_lock",
+        "run_threaded", "threaded", "_sim_lock", "atlas_pipeline",
     }
     for obj in (
         sc.internet,
         sc.internet.prefix_table,
         service.scheduler(),
-        sc.atlas_pipeline(),
+        sc,
     ):
         assert not retired & set(dir(obj)), type(obj).__name__
+    assert not {"AtlasPipeline", "LaneSchedule", "StageReport"} & set(
+        dir(repro.core)
+    )
     assert [f.name for f in dataclasses.fields(SchedulerConfig)] == [
         "parallelism", "max_queue_per_user", "deadline", "max_retries",
     ]
@@ -110,6 +117,13 @@ def test_retired_switches_stay_retired(small_scenario):
         lambda: EngineConfig(coalesce_batches=True),
         lambda: MeasurementCache(sc.clock, max_entries=8),
         lambda: SchedulerConfig(retry_backoff=1.0),
+        lambda: service.registry.refresh_atlas(
+            sc.sources()[0], incremental=True
+        ),
+        lambda: TracerouteAtlas(sc.sources()[0]).refresh(
+            sc.background_prober, sc.atlas_vp_addrs, sc.rng,
+            incremental=True,
+        ),
     ):
         with pytest.raises(TypeError):
             build()
