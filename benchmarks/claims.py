@@ -31,7 +31,6 @@ from repro.analysis.stats import mean, median
 from repro.core.atlas import TracerouteAtlas
 from repro.core.result import HopTechnique, RevtrStatus
 from repro.core.revtr import EngineConfig, RevtrEngine
-from repro.core.rr_atlas import RRAtlas
 from repro.core.segcache import ReverseSegmentCache
 from repro.experiments import (
     Scenario,
@@ -598,7 +597,7 @@ def _run_stream(amortized):
 
     The direct arm is the paper's engine, one destination at a time.
     The amortized arm is wired as the service wires an engine: a
-    segment cache of the source's own, one coalesced group per pass.
+    segment cache of the source's own, one ``measure_many`` per pass.
     It is built on the scenario's atlases rather than taken from a
     service, whose bootstrap draws an atlas of its own: both arms then
     start from one atlas, so the warm-up cost and the ground-truth
@@ -678,7 +677,7 @@ def run_segcache():
     clients, CDN prefixes). Two identically seeded large-topology
     scenarios run the same destinations pass after pass: the paper's
     engine, and one given a segment cache that measures each pass as one
-    coalesced group, as the service does. The first pass is the warm-up (the cache is cold; that it changes nothing
+    ``measure_many`` group, as the service does. The first pass is the warm-up (the cache is cold; that it changes nothing
     is ``tests/test_segcache.py``'s ``TestFlagsOffByteIdentity``); the
     claim is about the passes after it, counted in virtual seconds and
     probes — the deployed system is bound by probe RTTs and spoofed-batch
@@ -730,8 +729,7 @@ def format_segcache(stream):
     spliced, exact, accurate = stream.spliced, stream.exact, stream.accurate
     n_steady = N_DESTINATIONS * (PASSES - 1)
     lines = [
-        "Serving amortization — segment cache + coalescing on a "
-        "repeated stream",
+        "Serving amortization — segment cache on a repeated stream",
         f"workload: {N_DESTINATIONS} destinations x {PASSES} passes, "
         f"large topology (ASes: {len(internet.graph)}, routers: "
         f"{len(internet.routers)})",
@@ -867,26 +865,9 @@ def _run_variant(scenario, config):
             scenario.background_prober,
             atlas_pool,
             scenario.bundle_rng(source),
-            size=scenario.atlas_size,
         )
-        rr_atlas = None
-        if config.use_rr_atlas:
-            rr_atlas = RRAtlas(atlas)
-            rr_atlas.build(
-                scenario.background_prober, scenario.spoofer_addrs
-            )
-        engines[source] = RevtrEngine(
-            prober=scenario.online_prober,
-            source=source,
-            atlas=atlas,
-            selector=scenario.selector("revtr2.0"),
-            ip2as=scenario.ip2as,
-            relationships=scenario.relationships,
-            config=config,
-            rr_atlas=rr_atlas,
-            resolver=scenario.resolver,
-            spoofers=scenario.spoofer_addrs,
-        )
+        scenario.adopt_atlases(source, atlas)
+        engines[source] = scenario.engine(source, "revtr2.0", config)
 
     probes_total = 0
     intersected = 0

@@ -172,7 +172,7 @@ simulator.""",
 (popular destinations re-measured continuously) but reports no number
 for reuse across measurements; this claim is the repo's own. On the
 passes after the warm-up the amortized engine (wired as the service
-wires one: a segment cache, one coalesced group per pass) serves 49
+wires one: a segment cache, one `measure_many` group per pass) serves 49
 measurements per virtual second against 20 (2.5x) for 3.1x fewer
 probes, because 17 of 25 destinations are answered by a whole-path
 splice that sends nothing. Throughput is in *virtual* time because the

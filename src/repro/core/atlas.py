@@ -116,14 +116,13 @@ class TracerouteAtlas:
         prober: Prober,
         candidate_vps: Sequence[Address],
         rng: random.Random,
-        size: Optional[int] = None,
     ) -> None:
-        """Measure traceroutes from random candidate VPs (Q1)."""
+        """Measure traceroutes from up to ``max_size`` random candidate
+        VPs (Q1)."""
         generation = prober.internet.routing_generation
-        size = self.max_size if size is None else size
         chosen = list(candidate_vps)
         rng.shuffle(chosen)
-        for vp in chosen[:size]:
+        for vp in chosen[: self.max_size]:
             trace = paris_traceroute(prober, vp, self.source)
             if trace.responsive_hops():
                 self.add(trace, generation=generation)

@@ -44,23 +44,6 @@ class CacheStats:
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        # Guarded: zero lookups must read as 0.0, not raise.
-        total = self.lookups
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Uniform scrape format for the observability layer."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "expirations": self.expirations,
-            "evictions": self.evictions,
-            "lookups": self.lookups,
-            "hit_rate": self.hit_rate,
-        }
-
 
 class MeasurementCache:
     """A TTL cache driven by virtual time."""

@@ -84,8 +84,8 @@ class EngineConfig:
     Reuse is wiring, not a field: an engine splices when it is given a
     :class:`~repro.core.segcache.ReverseSegmentCache` (the service
     gives every engine for a source the same one; the paper's engines
-    from ``Scenario.engine`` get none and measure from scratch), and
-    :meth:`RevtrEngine.measure_many` always coalesces its group.
+    from ``Scenario.engine`` get none and measure from scratch); the
+    measurement cache is the engine's own, on when ``use_cache`` is.
     """
 
     use_rr_atlas: bool = True
@@ -139,22 +139,6 @@ class EngineConfig:
             # datasets; flag configs that switch that off.
             parts.append("-alias")
         return " ".join(parts)
-
-
-class _BatchCoalescer:
-    """Shared dedup state for one coalesced ``measure_many`` group.
-
-    Lives only for the duration of the call that installed it, so
-    coalescing never reuses anything across groups — cross-group
-    amortization is the segment cache's job, with its generation/TTL
-    invalidation; this object just collapses *concurrent* duplicates.
-    """
-
-    def __init__(self) -> None:
-        #: (current hop, VP tuple) -> replies of the batch that ran
-        self.batches: Dict[tuple, list] = {}
-        #: destination -> liveness verdict of its first ping check
-        self.ping_alive: Dict[Address, bool] = {}
 
 
 class _Run:
@@ -222,7 +206,6 @@ class RevtrEngine:
         rr_atlas: Optional[RRAtlas] = None,
         resolver: Optional[AliasResolver] = None,
         adjacency: Optional[AdjacencyDatabase] = None,
-        cache: Optional[MeasurementCache] = None,
         spoofers: Sequence[Address] = (),
         instrumentation=None,
         segcache: Optional[ReverseSegmentCache] = None,
@@ -237,22 +220,14 @@ class RevtrEngine:
         self.rr_atlas = rr_atlas
         self.resolver = resolver if resolver is not None else AliasResolver()
         self.adjacency = adjacency
-        self.cache = (
-            cache
-            if cache is not None
-            else MeasurementCache(
-                prober.clock, enabled=self.config.use_cache
-            )
+        self.cache = MeasurementCache(
+            prober.clock, enabled=self.config.use_cache
         )
-        self.cache.enabled = self.config.use_cache
         #: per-source reverse-segment cache, or None: an engine built
         #: without one has no splice opener or step at all.  The
         #: service passes a shared instance so every engine measuring
         #: toward one source amortizes the same segments.
         self.segcache: Optional[ReverseSegmentCache] = segcache
-        #: in-flight coalescer; installed by :meth:`measure_many` for
-        #: the length of its group, None otherwise
-        self._coalescer: Optional[_BatchCoalescer] = None
         #: observability facade (metrics + events); the NULL default
         #: makes every instrumented call a no-op.  Components still on
         #: the null default inherit the engine's sink so one parameter
@@ -652,16 +627,6 @@ class RevtrEngine:
                 )
             if not vps:
                 return []
-        coalescer = self._coalescer
-        batch_key = None
-        if coalescer is not None:
-            # Duplicate (current-hop, VP-set) batches across the
-            # in-flight group collapse into the first one's replies:
-            # no probes, no 10 s spoof timeout, no batch event.
-            batch_key = (current, tuple(vps))
-            cached = coalescer.batches.get(batch_key)
-            if cached is not None:
-                return cached
         results = self.prober.spoofed_rr_batch(
             vps, current, spoof_as=self.source
         )
@@ -675,8 +640,6 @@ class RevtrEngine:
                 "rr.batch",
                 (current, index, mode, tuple(vps), responses),
             )
-        if coalescer is not None:
-            coalescer.batches[batch_key] = results
         return results
 
     def _refresh_intersection(self, hit, current: Address):
@@ -805,19 +768,10 @@ class RevtrEngine:
     def measure_many(
         self, dsts: Sequence[Address]
     ) -> List[ReverseTracerouteResult]:
-        """Measure a batch of destinations toward the source.
-
-        The group shares one :class:`_BatchCoalescer`: duplicate
-        (current-hop, VP-set) spoofed batches collapse into the first
-        one's replies and each destination is ping-checked once per
-        group — same reverse hops, a fraction of the probes and spoof
-        timeouts.  A group of one is :meth:`measure`.
-        """
-        self._coalescer = _BatchCoalescer()
-        try:
-            return [self.measure(dst) for dst in dsts]
-        finally:
-            self._coalescer = None
+        """Measure a batch of destinations toward the source, one after
+        another: the group shares the engine's caches and nothing else,
+        so a group of one is :meth:`measure`."""
+        return [self.measure(dst) for dst in dsts]
 
     def measure(self, dst: Address) -> ReverseTracerouteResult:
         """Measure the reverse path from *dst* back to the source.
@@ -934,24 +888,15 @@ class RevtrEngine:
     def _open_ping_check(self, run: _Run) -> bool:
         """Settle a destination that answers no ping, with no hops."""
         dst = run.result.dst
-        coalescer = self._coalescer
-        alive = None
-        if coalescer is not None:
-            # Keyed by address, not prefix: hosts of one /24 answer
-            # pings independently.
-            alive = coalescer.ping_alive.get(dst)
-        if alive is None:
+        alive = self.prober.ping(self.source, dst) is not None
+        attempts = 0
+        while (
+            not alive
+            and attempts < _PING_RETRIES
+            and self._retry_allowed("ping")
+        ):
+            attempts += 1
             alive = self.prober.ping(self.source, dst) is not None
-            attempts = 0
-            while (
-                not alive
-                and attempts < _PING_RETRIES
-                and self._retry_allowed("ping")
-            ):
-                attempts += 1
-                alive = self.prober.ping(self.source, dst) is not None
-            if coalescer is not None:
-                coalescer.ping_alive[dst] = alive
         self._m_ping = alive
         if not alive:
             run.status = RevtrStatus.UNRESPONSIVE

@@ -29,12 +29,15 @@ class RRAtlas:
     def __init__(self, atlas: TracerouteAtlas) -> None:
         self.atlas = atlas
         #: lookup outcomes; *stale* is an alias whose traceroute the
-        #: atlas has since pruned (read by ``tests/test_atlas_pipeline.py``)
+        #: atlas has since pruned or re-measured onto other hops (read
+        #: by ``tests/test_atlas_pipeline.py``)
         self._obs_hits = 0
         self._obs_misses = 0
         self._obs_stale = 0
         #: RR-visible address -> (vp, traceroute index) it intersects at
         self._mapping: Dict[Address, Tuple[Address, int]] = {}
+        #: vp -> the traceroute hops its aliases were registered against
+        self._registered: Dict[Address, Sequence[Optional[Address]]] = {}
         self.probes_sent = 0
         #: probes *not* sent because a hop address recurring across
         #: atlas traceroutes was already probed this build
@@ -154,6 +157,7 @@ class RRAtlas:
         """
         stamp_index = result.destination_stamp_index()
         assert stamp_index is not None
+        self._registered[vp] = trace_hops
         revealed = [result.slots[stamp_index]] + result.reverse_hops()
         last_index = len(trace_hops) - 1
         for offset, addr in enumerate(revealed):
@@ -189,15 +193,35 @@ class RRAtlas:
             self._obs_misses += 1
             return None
         vp, index = entry
-        trace = self.atlas.traceroutes.get(vp)
+        trace = self._live_trace(vp, index)
         if trace is None:
             # The alias points into a traceroute the atlas has since
-            # pruned (Random++ replacement): no usable intersection, so
-            # it must not count as a hit.
+            # pruned or re-measured onto other hops (Random++ refresh):
+            # no usable intersection, so it must not count as a hit.
             self._obs_stale += 1
             return None
         self._obs_hits += 1
         return Intersection(vp, index, trace.timestamp)
+
+    def _live_trace(self, vp: Address, index: int):
+        """*vp*'s traceroute, if it still reads the hops its aliases
+        were registered against from *index* on; else None.
+
+        A refresh re-measures a kept VP in place, and the engine
+        stitches the new trace's suffix from the alias's index, so a
+        suffix that moved would splice hops the alias never saw.
+        """
+        trace = self.atlas.traceroutes.get(vp)
+        if trace is None:
+            return None
+        registered = self._registered.get(vp)
+        if (
+            registered is None
+            or trace.hops is registered
+            or trace.hops[index:] == registered[index:]
+        ):
+            return trace
+        return None
 
     def known_aliases(self) -> List[Address]:
         return list(self._mapping)

@@ -99,29 +99,8 @@ class SegmentCacheStats:
         return self.hits + self.misses + self.negative_hits
 
     @property
-    def hit_rate(self) -> float:
-        total = self.lookups
-        return (self.hits + self.negative_hits) / total if total else 0.0
-
-    @property
     def invalidations(self) -> int:
         return self.invalidations_generation + self.invalidations_ttl
-
-    def as_dict(self) -> Dict[str, float]:
-        """Uniform scrape format for the observability layer."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "negative_hits": self.negative_hits,
-            "stores": self.stores,
-            "negative_stores": self.negative_stores,
-            "splices": self.splices,
-            "spliced_hops": self.spliced_hops,
-            "invalidations_generation": self.invalidations_generation,
-            "invalidations_ttl": self.invalidations_ttl,
-            "lookups": self.lookups,
-            "hit_rate": self.hit_rate,
-        }
 
 
 class ReverseSegmentCache:

@@ -81,9 +81,12 @@ def save_snapshot(
         "rr_atlas": None
         if rr_atlas is None
         else {
+            # only what lookup would answer: a round trip must not
+            # revive an alias into a pruned or re-measured traceroute
             "mapping": [
                 [addr, vp, index]
                 for addr, (vp, index) in rr_atlas._mapping.items()
+                if rr_atlas._live_trace(vp, index) is not None
             ],
             "probes_sent": rr_atlas.probes_sent,
             "probes_deduped": rr_atlas.probes_deduped,
@@ -220,6 +223,8 @@ def load_snapshot(
             for row in _want(rr_spec["mapping"], "a list", "'mapping'"):
                 addr, vp, index = _want(row, _ROW, "a 'mapping' row")
                 rr_atlas._mapping[addr] = (vp, index)
+                if vp in atlas.traceroutes:
+                    rr_atlas._registered[vp] = atlas.traceroutes[vp].hops
             for name in ("probes_sent", "probes_deduped"):
                 count = _want(rr_spec.get(name, 0), _COUNT, f"{name!r}")
                 setattr(rr_atlas, name, count)

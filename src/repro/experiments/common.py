@@ -26,7 +26,6 @@ from repro.asmap.ip2as import IPToASMapper
 from repro.asmap.relationships import ASRelationships
 from repro.core.adjacency import AdjacencyDatabase
 from repro.core.atlas import TracerouteAtlas
-from repro.core.cache import MeasurementCache
 from repro.core.ingress import (
     IngressDirectory,
     IngressSelector,
@@ -250,9 +249,10 @@ class Scenario:
     def bundle_rng(self, source: Address) -> random.Random:
         """The per-source RNG every atlas build for *source* draws from.
 
-        Centralised so the lazy :meth:`bundle` build, the atlas
-        pipeline, and the ``repro atlas`` CLI verbs all select the
-        same VPs for the same ``(seed, source)``.
+        Centralised so the lazy :meth:`bundle` build (and with it the
+        ``repro atlas`` CLI verbs) and an experiment that draws its own
+        atlas from another VP pool seed the draw the same way for the
+        same ``(seed, source)``.
         """
         return random.Random(
             self.seed ^ zlib.crc32(source.encode()) & 0xFFFF
@@ -266,7 +266,6 @@ class Scenario:
                 self.background_prober,
                 self.atlas_vp_addrs,
                 self.bundle_rng(source),
-                size=self.atlas_size,
             )
             bundle = SourceBundle(source=source, atlas=atlas)
             self._bundles[source] = bundle
@@ -286,8 +285,13 @@ class Scenario:
         atlas: TracerouteAtlas,
         rr_atlas: Optional[RRAtlas] = None,
     ) -> SourceBundle:
-        """Install externally built atlases (a loaded snapshot) as
-        *source*'s bundle, replacing any lazily built state."""
+        """Install externally built atlases as *source*'s bundle,
+        replacing any lazily built state and the engines built on it.
+
+        The atlases are a loaded snapshot, or an experiment's own draw
+        (its own VP pool and RNG); :meth:`engine` then wires engines on
+        them, and :meth:`rr_atlas` builds the RR atlas when none is
+        given."""
         if atlas.source != source:
             raise ValueError(
                 f"atlas for {atlas.source} cannot serve source {source}"
@@ -440,16 +444,21 @@ class Scenario:
         source: Address,
         variant: str = "revtr2.0",
         config: Optional[EngineConfig] = None,
+        adjacency: Optional[AdjacencyDatabase] = None,
     ) -> RevtrEngine:
-        """A fully wired engine for *variant*, cached per source.
+        """A fully wired engine for *variant* on *source*'s bundle,
+        cached per source unless given a *config* or *adjacency*.
 
         The paper's engine: it measures every destination from scratch
         and is given no reverse-segment cache (the service's engines
         are; :class:`~repro.service.api.RevtrService`), so Table 4 /
         Fig. 5c variants never splice paths another variant measured.
+        A timestamp variant tests *adjacency* when given one (Fig. 5b's
+        ground-truth rung), else :meth:`adjacency_db`.
         """
         bundle = self.bundle(source)
-        if variant in bundle.engines and config is None:
+        cached = config is None and adjacency is None
+        if cached and variant in bundle.engines:
             return bundle.engines[variant]
         engine_config = (
             config if config is not None else self.engine_config(variant)
@@ -457,9 +466,10 @@ class Scenario:
         rr_atlas = (
             self.rr_atlas(source) if engine_config.use_rr_atlas else None
         )
-        adjacency = (
-            self.adjacency_db() if engine_config.use_timestamp else None
-        )
+        if not engine_config.use_timestamp:
+            adjacency = None
+        elif adjacency is None:
+            adjacency = self.adjacency_db()
         engine = RevtrEngine(
             prober=self.online_prober,
             source=source,
@@ -471,12 +481,9 @@ class Scenario:
             rr_atlas=rr_atlas,
             resolver=self.resolver,
             adjacency=adjacency,
-            cache=MeasurementCache(
-                self.clock, enabled=engine_config.use_cache
-            ),
             spoofers=self.spoofer_addrs,
             instrumentation=self.obs,
         )
-        if config is None:
+        if cached:
             bundle.engines[variant] = engine
         return engine

@@ -24,8 +24,6 @@ from repro.analysis.stats import median
 from repro.core.adjacency import AdjacencyDatabase
 from repro.core.atlas import TracerouteAtlas
 from repro.core.result import ReverseTracerouteResult, RevtrStatus
-from repro.core.revtr import RevtrEngine
-from repro.core.rr_atlas import RRAtlas
 from repro.experiments.common import Scenario
 from repro.net.addr import Address
 from repro.net.packet import TracerouteResult
@@ -185,8 +183,6 @@ def run(
         )
 
     # Per-source atlases from the disjoint pool, plus RR atlases.
-    atlases: Dict[Address, TracerouteAtlas] = {}
-    rr_atlases: Dict[Address, RRAtlas] = {}
     for source in sources:
         atlas = TracerouteAtlas(source, max_size=atlas_size)
         atlas.build(
@@ -195,14 +191,9 @@ def run(
             random.Random(
                 scenario.seed ^ zlib.crc32(source.encode()) & 0xFFF
             ),
-            size=atlas_size,
         )
-        atlases[source] = atlas
-        rr_atlas = RRAtlas(atlas)
-        rr_atlas.build(
-            scenario.background_prober, scenario.spoofer_addrs
-        )
-        rr_atlases[source] = rr_atlas
+        scenario.adopt_atlases(source, atlas)
+        scenario.rr_atlas(source)
 
     # Reference measurements (charged to the background).
     direct: Dict[Tuple[Address, Address], TracerouteResult] = {}
@@ -233,33 +224,15 @@ def run(
     outcomes: Dict[str, VariantOutcome] = {}
     for variant in all_variants:
         outcome = VariantOutcome(variant=variant)
-        engines: Dict[Address, RevtrEngine] = {}
-        base_variant = (
-            "revtr2.0+TS" if variant.endswith("+truth") else variant
-        )
-        config = scenario.engine_config(base_variant)
-        for source in sources:
-            adjacency = None
-            if config.use_timestamp:
-                if variant.endswith("+truth"):
-                    adjacency = truth_adjacency
-                else:
-                    adjacency = scenario.adjacency_db()
-            engines[source] = RevtrEngine(
-                prober=scenario.online_prober,
-                source=source,
-                atlas=atlases[source],
-                selector=scenario.selector(base_variant),
-                ip2as=scenario.ip2as,
-                relationships=scenario.relationships,
-                config=config,
-                rr_atlas=(
-                    rr_atlases[source] if config.use_rr_atlas else None
-                ),
-                resolver=scenario.resolver,
-                adjacency=adjacency,
-                spoofers=scenario.spoofer_addrs,
+        truth = variant.endswith("+truth")
+        engines = {
+            source: scenario.engine(
+                source,
+                "revtr2.0+TS" if truth else variant,
+                adjacency=truth_adjacency if truth else None,
             )
+            for source in sources
+        }
         for dst, src in pairs:
             outcome.results.append(engines[src].measure(dst))
         outcomes[variant] = outcome

@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Set
 
-from repro.core.ingress import IngressSelector
 from repro.experiments.common import Scenario
 from repro.net.addr import Address, is_private, same_slash30
 
@@ -70,7 +69,7 @@ def run(
     """Run the Appendix E replication."""
     rng = random.Random(scenario.seed ^ 0xDB12)
     prober = scenario.online_prober
-    selector = IngressSelector(scenario.ingress_directory())
+    selector = scenario.selector("revtr2.0")
     sources = scenario.sources()
     destinations = scenario.responsive_destinations(
         options_only=True

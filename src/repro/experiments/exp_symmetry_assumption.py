@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.alias.snmp import SnmpResolver
-from repro.core.ingress import IngressSelector
 from repro.core.symmetry import LinkType
 from repro.experiments.common import Scenario
 from repro.net.addr import Address, is_private, slash30_peer
@@ -154,7 +153,7 @@ def run(
     rng = random.Random(scenario.seed ^ 0x7AB2)
     prober = scenario.online_prober
     snmp = SnmpResolver(scenario.background_prober)
-    selector = IngressSelector(scenario.ingress_directory())
+    selector = scenario.selector("revtr2.0")
     mapper = _refined_mapper(scenario)
     result = Table2Result()
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.atlas import TracerouteAtlas
-from repro.core.revtr import EngineConfig, RevtrEngine
-from repro.core.rr_atlas import RRAtlas
+from repro.core.revtr import RevtrEngine
 from repro.experiments.common import Scenario
 from repro.net.addr import Address
 from repro.te.engineering import CatchmentReport, TrafficEngineer
@@ -77,29 +76,12 @@ def _fresh_engine(
         scenario.background_prober,
         scenario.atlas_vp_addrs,
         random.Random(scenario.seed ^ tag),
-        size=scenario.atlas_size,
     )
-    rr_atlas = RRAtlas(atlas)
-    rr_atlas.build(scenario.background_prober, scenario.spoofer_addrs)
-    return RevtrEngine(
-        prober=scenario.online_prober,
-        source=source,
-        atlas=atlas,
-        selector=scenario.selector("revtr2.0"),
-        ip2as=scenario.ip2as,
-        relationships=scenario.relationships,
-        config=EngineConfig(),
-        rr_atlas=rr_atlas,
-        resolver=scenario.resolver,
-        spoofers=scenario.spoofer_addrs,
-    )
+    scenario.adopt_atlases(source, atlas)
+    return scenario.engine(source, "revtr2.0")
 
 
-def _entry_providers(
-    scenario: Scenario,
-    report: CatchmentReport,
-    site_asns: Tuple[int, ...],
-) -> Counter:
+def _entry_providers(report: CatchmentReport) -> Counter:
     """Which AS hands each measured path into its catchment site."""
     counts: Counter = Counter()
     for dst, transits in report.transits_of.items():
@@ -180,9 +162,6 @@ def run(
             shifted_before = majority_before / max(1, len(affected))
             rtt_before = _mean_ping_rtt(scenario, source, affected)
             # Poison the transit on the majority site's announcement.
-            origins = []
-            for origin in deployment.spec().origins:
-                pass
             new_origins = tuple(
                 (asn, frozenset({poisoned_transit}))
                 if asn == majority_site
@@ -230,9 +209,7 @@ def run(
         # provider's biggest feeder, re-measure, repeat until the top
         # provider's entry share drops or we run out of rounds.
         report = rounds[-1].report
-        providers_before = _entry_providers(
-            scenario, report, deployment.site_asns
-        )
+        providers_before = _entry_providers(report)
         providers_after = providers_before
         no_export_pairs: List[Tuple[int, int]] = []
         if providers_before:
@@ -270,9 +247,7 @@ def run(
                     f"no-export AS{top_provider}→AS{feeder}"
                 )
                 current_report = balanced
-                providers_after = _entry_providers(
-                    scenario, balanced, deployment.site_asns
-                )
+                providers_after = _entry_providers(balanced)
                 new_count = providers_after.get(top_provider, 0)
                 if new_count < top_count:
                     break

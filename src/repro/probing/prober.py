@@ -338,7 +338,6 @@ class Prober:
         dst: Address,
         prespec: Sequence[Address],
         spoof_as: Optional[Address] = None,
-        advance_clock: bool = True,
     ) -> TSPingResult:
         """tsprespec ping testing whether an adjacency is on the
         reverse path (Fig. 1e). ``prespec`` is ⟨hop, adjacency⟩."""
@@ -370,10 +369,9 @@ class Prober:
             result.adjacency_stamped = (
                 len(stamped) > 1 and stamped[1] is not None
             )
-        if advance_clock:
-            self.clock.advance(
-                outcome.echo.rtt if outcome.echo else LOSS_TIMEOUT
-            )
+        self.clock.advance(
+            outcome.echo.rtt if outcome.echo else LOSS_TIMEOUT
+        )
         return result
 
     def snmpv3_probe(self, addr: Address) -> Optional[str]:

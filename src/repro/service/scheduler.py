@@ -370,7 +370,7 @@ class RequestScheduler:
         self, t: float, src: Optional[Address] = None
     ) -> Optional[Tuple[Job, User]]:
         """Round-robin choice of the next admissible job at instant t,
-        restricted to jobs toward *src* when given (one coalesced
+        restricted to jobs toward *src* when given (one same-source
         group runs through one per-source engine)."""
         order = self._user_order
         for offset in range(len(order)):
@@ -520,7 +520,9 @@ class RequestScheduler:
         :meth:`~repro.core.revtr.RevtrEngine.measure_many` group.
 
         Admission semantics are per job (deadline/quota checks, typed
-        rejections, retry scheduling); only the probing is shared.  Each job's virtual finish is
+        rejections, retry scheduling), and so is the probing: a group is
+        jobs started at one instant through one engine, sharing only
+        that engine's caches.  Each job's virtual finish is
         ``t + its own duration`` — the group starts together, like N
         lanes of a real deployment hitting the same engine at once.
         """

@@ -107,9 +107,7 @@ class SourceRegistry:
             )
 
         atlas = TracerouteAtlas(addr, max_size=self.atlas_size)
-        atlas.build(
-            self.prober, self.atlas_vps, self._rng, size=self.atlas_size
-        )
+        atlas.build(self.prober, self.atlas_vps, self._rng)
         rr_atlas = RRAtlas(atlas)
         rr_atlas.build(self.prober, self.spoofer_vps)
 

@@ -12,8 +12,11 @@ reading a segment entry's technique and link through its ``hop``,
 counting hops per technique inline where they called the deleted
 ``ReverseTracerouteResult.hops_by_technique``, keying the coalesced
 ping memo by destination where it keyed it by /24 (hosts of one /24
-answer pings independently) and dropping the never-read
-``pings_coalesced`` tally, so
+answer pings independently), dropping the never-read
+``pings_coalesced`` tally, and reading the coalescer through
+``getattr(self, "_coalescer", None)`` since ``src/`` deleted it (so
+the memo is never consulted: every ``measure_many`` group runs
+destination by destination), so
 ``tests/test_measure_loop.py`` can serve one request stream through
 both and require every observable to agree.  Everything the methods
 call (``_rr_step``, ``_intersect``, ``_timestamp_step``,
@@ -81,7 +84,7 @@ class ReferenceMeasureEngine(RevtrEngine):
                 return fast
 
         if self.config.ping_check:
-            coalescer = self._coalescer
+            coalescer = getattr(self, "_coalescer", None)
             dst_prefix = (
                 dst if coalescer is not None else None
             )

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Optional
 
 import repro.experiments.common as scenario_module
-from repro.core.cache import MeasurementCache
 from repro.core.revtr import EngineConfig
 from repro.core.segcache import ReverseSegmentCache
 
@@ -49,7 +48,6 @@ def engine_with_segcache(
         rr_atlas=rr_atlas,
         resolver=scenario.resolver,
         adjacency=adjacency,
-        cache=MeasurementCache(scenario.clock, enabled=config.use_cache),
         spoofers=scenario.spoofer_addrs,
         instrumentation=scenario.obs,
         segcache=segcache,

@@ -74,7 +74,7 @@ class TestAtlasRefresh:
         source = small_internet.mlab_hosts[0]
         atlas = TracerouteAtlas(source, max_size=6)
         rng = random.Random(1)
-        atlas.build(prober, small_internet.atlas_hosts, rng, size=6)
+        atlas.build(prober, small_internet.atlas_hosts, rng)
         assert len(atlas) >= 4
         kept_vp = next(iter(atlas.traceroutes))
         atlas.mark_useful(kept_vp)
@@ -86,7 +86,7 @@ class TestAtlasRefresh:
         source = small_internet.mlab_hosts[0]
         atlas = TracerouteAtlas(source, max_size=5)
         rng = random.Random(2)
-        atlas.build(prober, small_internet.atlas_hosts, rng, size=5)
+        atlas.build(prober, small_internet.atlas_hosts, rng)
         before = set(atlas.traceroutes)
         replaced = atlas.refresh(
             prober, small_internet.atlas_hosts, rng
@@ -102,9 +102,7 @@ class TestAtlasBuildOverSim:
         prober = Prober(small_internet)
         source = small_internet.mlab_hosts[0]
         atlas = TracerouteAtlas(source, max_size=8)
-        atlas.build(
-            prober, small_internet.atlas_hosts, random.Random(0), size=8
-        )
+        atlas.build(prober, small_internet.atlas_hosts, random.Random(0))
         for trace in atlas.traceroutes.values():
             if trace.reached:
                 assert trace.hops[-1] == source

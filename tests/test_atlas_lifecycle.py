@@ -15,9 +15,7 @@ def lifecycle(small_internet):
     prober = Prober(small_internet)
     source = small_internet.mlab_hosts[2]
     atlas = TracerouteAtlas(source, max_size=10, staleness=86_400.0)
-    atlas.build(
-        prober, small_internet.atlas_hosts, random.Random(7), size=10
-    )
+    atlas.build(prober, small_internet.atlas_hosts, random.Random(7))
     return small_internet, prober, source, atlas
 
 

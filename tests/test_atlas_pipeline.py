@@ -25,6 +25,7 @@ from repro.core.rr_atlas import RRAtlas
 from repro.core.snapshot import SNAPSHOT_VERSION
 from repro.experiments import Scenario
 from repro.net.packet import TracerouteResult
+from repro.te.peering import PeeringTestbed
 from repro.topology import TopologyConfig
 from repro.topology.generator import build_internet
 from tests.helpers.reference_rr_atlas import (
@@ -75,7 +76,6 @@ def serial_world():
         scenario.background_prober,
         scenario.atlas_vp_addrs,
         scenario.bundle_rng(source),
-        size=ATLAS_SIZE,
     )
     rr_atlas = RRAtlas(atlas)
     reference_build(
@@ -185,7 +185,8 @@ class TestBatchedSerialEquivalence:
 
 
 class TestRRAtlasStaleLookup:
-    """Satellite: a pruned-VP alias must not count as an obs hit."""
+    """An alias into a pruned traceroute, or into one a refresh
+    re-measured onto other hops, must not count as an obs hit."""
 
     def _tiny_rr(self):
         atlas = TracerouteAtlas("10.0.0.1", max_size=4)
@@ -220,6 +221,74 @@ class TestRRAtlasStaleLookup:
         _, rr_atlas = self._tiny_rr()
         assert rr_atlas.lookup("10.3.3.3") is None
         assert (rr_atlas._obs_misses, rr_atlas._obs_stale) == (1, 0)
+
+    @pytest.fixture(scope="class")
+    def rerouted(self):
+        """A tiny deployment whose routes to the source moved (an
+        anycast announcement) before a refresh re-measured every kept
+        traceroute in place: its RR atlas, the atlas's hops before the
+        refresh, and the aliases whose trace now reads other hops from
+        their index on."""
+        scenario = Scenario(
+            config=TopologyConfig.tiny(seed=1), seed=1, atlas_size=10
+        )
+        source = scenario.sources()[0]
+        rr_atlas = scenario.rr_atlas(source)
+        atlas = rr_atlas.atlas
+        before = {
+            vp: list(trace.hops) for vp, trace in atlas.traceroutes.items()
+        }
+        sites = [
+            scenario.internet.hosts[addr].asn
+            for addr in scenario.sources()[1:3]
+        ]
+        PeeringTestbed(scenario.internet).deploy(source, sites)
+        scenario.clock.advance(86_400.0)
+        for vp in before:
+            atlas.mark_useful(vp)
+        atlas.refresh(
+            scenario.background_prober,
+            scenario.atlas_vp_addrs,
+            scenario.bundle_rng(source),
+        )
+        moved = {
+            alias
+            for alias, (vp, index) in rr_atlas._mapping.items()
+            if vp not in atlas.traceroutes
+            or atlas.traceroutes[vp].hops[index:] != before[vp][index:]
+        }
+        assert moved and len(moved) < len(rr_atlas)
+        return scenario, rr_atlas, before, moved
+
+    def test_alias_into_a_remeasured_suffix_counts_stale(self, rerouted):
+        """The engine stitches the re-measured trace's suffix from the
+        alias's index, so an alias whose suffix moved must answer no
+        intersection; one whose suffix held still answers."""
+        _, rr_atlas, before, moved = rerouted
+        atlas = rr_atlas.atlas
+        stale = rr_atlas._obs_stale
+        for alias in rr_atlas.known_aliases():
+            hit = rr_atlas.lookup(alias)
+            if alias in moved:
+                assert hit is None, alias
+            else:
+                assert hit is not None, alias
+                assert atlas.suffix(hit) == [
+                    hop for hop in before[hit.vp][hit.index + 1:]
+                    if hop is not None
+                ]
+        assert rr_atlas._obs_stale - stale == len(moved)
+
+    def test_snapshot_writes_only_live_aliases(self, rerouted, tmp_path):
+        scenario, rr_atlas, _, moved = rerouted
+        path = str(tmp_path / "atlas.snap")
+        save_snapshot(path, rr_atlas.atlas, rr_atlas, scenario.internet)
+        _, loaded = load_snapshot(path, scenario.internet)
+        assert set(loaded.known_aliases()) == (
+            set(rr_atlas.known_aliases()) - moved
+        )
+        for alias in loaded.known_aliases():
+            assert loaded.lookup(alias) == rr_atlas.lookup(alias)
 
 
 class TestRefreshPrunesUnresponsive:
@@ -266,7 +335,6 @@ class TestIncrementalRefresh:
             scenario.background_prober,
             scenario.atlas_vp_addrs,
             scenario.bundle_rng(source),
-            size=8,
         )
         kept = list(atlas.traceroutes)
         for vp in kept:

@@ -52,36 +52,6 @@ class TestCache:
         assert cache.purge_expired() == 1
         assert len(cache) == 1
 
-    def test_hit_rate(self):
-        clock = VirtualClock()
-        cache = MeasurementCache(clock)
-        cache.put("k", 1)
-        cache.get("k")
-        cache.get("missing")
-        assert cache.stats.hit_rate == 0.5
-
-    def test_hit_rate_zero_lookups(self):
-        cache = MeasurementCache(VirtualClock())
-        assert cache.stats.lookups == 0
-        assert cache.stats.hit_rate == 0.0
-
-    def test_stats_as_dict(self):
-        clock = VirtualClock()
-        cache = MeasurementCache(clock, ttl=10)
-        cache.put("k", 1)
-        cache.get("k")
-        cache.get("missing")
-        clock.advance(11)
-        cache.get("k")
-        assert cache.stats.as_dict() == {
-            "hits": 1,
-            "misses": 2,
-            "expirations": 1,
-            "evictions": 0,
-            "lookups": 3,
-            "hit_rate": 1 / 3,
-        }
-
     def test_lookups_mirrored_into_metrics(self):
         from repro.obs import Instrumentation
         from repro.obs.runtime import attach

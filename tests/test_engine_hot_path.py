@@ -13,6 +13,7 @@ they now share), and once through the scheduler with no observer
 against once observed; each pair requires equal output.
 """
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -409,7 +410,7 @@ def test_request_stream_identical_with_oracles_patched_in():
 
 
 def test_scheduled_stream_identical_without_an_observer(monkeypatch):
-    """The Zipf stream through the scheduler (coalesced groups, reuse
+    """The Zipf stream through the scheduler (same-source groups, reuse
     on), once on ``NULL`` and once observed: every job's result and the
     segment caches agree, and on ``NULL`` nothing calls ``inc``,
     ``observe`` or ``set_gauge``."""
@@ -429,7 +430,7 @@ def test_scheduled_stream_identical_without_an_observer(monkeypatch):
         return (
             [job.result.to_dict() for job in jobs],
             {where: (e.hop, e.generation) for where, e in edges.items()},
-            [s.as_dict() for s in stats],
+            [dataclasses.asdict(s) for s in stats],
         )
 
     def refuse(*args, **kwargs):

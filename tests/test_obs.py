@@ -505,7 +505,7 @@ class TestServiceIntrospection:
 def test_no_span_is_opened(monkeypatch, capsys):
     """The event is the only record of a decision: with
     ``Tracer.span`` raising, a live facade serves a faulted scheduled
-    stream (coalesced groups, segment cache), a direct
+    stream (same-source groups, segment cache), a direct
     ``service.request`` and ``repro measure --json``."""
     from repro.cli import main
     from repro.core.revtr import EngineConfig

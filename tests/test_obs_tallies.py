@@ -129,8 +129,8 @@ def faulted_run(requests: int = 24):
     )
     scenario.install_faults(plan)
     # Every request is queued (none bounced as queue-full), so the
-    # virtual timeline is long enough to sample even though repeats
-    # and coalesced groups cost the service little time.
+    # virtual timeline is long enough to sample even though spliced
+    # repeats cost the service little time.
     scheduler = service.scheduler(
         SchedulerConfig(parallelism=4, max_queue_per_user=requests)
     )

@@ -66,13 +66,18 @@ def test_retired_switches_stay_retired(small_scenario):
     switches (the service always amortizes, the paper's engines never
     do), nor a second atlas builder or its incremental refresh: the
     scenario's own build is the one, and refresh re-measures what it
-    keeps."""
+    keeps.  Nor the batch coalescer or the settable values only hand
+    wiring passed: ``Scenario.engine`` is the one place an experiment
+    gets an engine."""
     import dataclasses
+    import inspect
 
     import repro.core
+    import repro.core.revtr
     from repro.core.atlas import TracerouteAtlas
     from repro.core.cache import MeasurementCache
-    from repro.core.revtr import EngineConfig
+    from repro.core.revtr import EngineConfig, RevtrEngine
+    from repro.probing.prober import Prober
     from repro.service import RevtrService, SchedulerConfig, SourceRegistry
 
     sc = small_scenario
@@ -100,6 +105,13 @@ def test_retired_switches_stay_retired(small_scenario):
     assert not {"AtlasPipeline", "LaneSchedule", "StageReport"} & set(
         dir(repro.core)
     )
+    assert not hasattr(repro.core.revtr, "_BatchCoalescer")
+    for function, name in (
+        (RevtrEngine, "cache"),
+        (TracerouteAtlas.build, "size"),
+        (Prober.ts_ping, "advance_clock"),
+    ):
+        assert name not in inspect.signature(function).parameters, name
     assert [f.name for f in dataclasses.fields(SchedulerConfig)] == [
         "parallelism", "max_queue_per_user", "deadline", "max_retries",
     ]

@@ -1,11 +1,11 @@
 """Tests for the request scheduler: admission control, determinism,
-overload behavior, and coalesced same-source groups."""
+overload behavior, and same-source groups."""
 
 import contextlib
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.result import RevtrStatus
 from repro.core.revtr import EngineConfig
@@ -632,6 +632,20 @@ def _serve(seed, preset, retry_budget, max_retries, stream):
         max_size=12,
     ),
 )
+# A measurement whose VP-health replacement makes two spoofed batches
+# at one hop the same VP list: each batch is probed, waits out its
+# spoof timeout and is recorded, as on the solo path.
+@example(
+    seed=11,
+    preset="loss",
+    retry_budget=4,
+    max_retries=0,
+    stream=[
+        ("submit", 5), ("submit", 5), ("run", None), ("submit", 0),
+        ("submit", 4), ("submit", 4), ("request", 4), ("request", 1),
+        ("request", 3),
+    ],
+)
 def test_a_group_of_one_is_the_solo_path(
     seed, preset, retry_budget, max_retries, stream
 ):
@@ -639,7 +653,8 @@ def test_a_group_of_one_is_the_solo_path(
     beside it: under faults, retries and repeats, ``measure_many`` of
     one destination is the solo path (``_execute_virtual`` ->
     ``_measure_one`` -> ``measure``, kept in
-    ``tests/helpers/reference_scheduler.py``) in every observable."""
+    ``tests/helpers/reference_scheduler.py``) in every observable,
+    since ``measure_many`` is a loop over ``measure``."""
     grouped = _serve(seed, preset, retry_budget, max_retries, stream)
     with solo_path():
         solo = _serve(seed, preset, retry_budget, max_retries, stream)

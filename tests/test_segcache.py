@@ -1,10 +1,10 @@
-"""Cross-measurement reverse-segment cache and coalesced batching.
+"""Cross-measurement reverse-segment cache and ``measure_many`` groups.
 
 Covers the amortization acceptance criteria: a cold cache is
 byte-identical to no cache, spliced == from-scratch equality under
 stable routing, invalidation on routing-generation bumps and TTL
 expiry, negative entries, the violation-check gating of spliced
-chains, coalesced == sequential routes for ``measure_many``, and the
+chains, grouped == sequential routes for ``measure_many``, and the
 paper's engines never splicing.
 """
 
@@ -165,7 +165,7 @@ class TestFlagsOffByteIdentity:
     exactly as an engine without one."""
 
     def test_measure_many_off_is_byte_identical(self, scenario):
-        """One coalesced group, without a cache and with a cold one —
+        """One ``measure_many`` group, without a cache and with a cold one —
         identical JSON including durations and probe counts."""
         source = scenario.sources()[0]
         dsts = scenario.responsive_destinations(4, options_only=True)
@@ -510,8 +510,8 @@ class TestReadsDoNotRefresh:
 
 class TestCoalescing:
     def test_coalesced_equals_sequential_routes(self, scenario):
-        """Batch coalescing may drop redundant probes (and therefore
-        time and budget) but must not change any measured route."""
+        """A ``measure_many`` group measures the routes that one
+        engine measuring the same destinations one by one does."""
         source = scenario.sources()[0]
         dsts = scenario.responsive_destinations(6, options_only=True)
         baseline = [
@@ -521,13 +521,6 @@ class TestCoalescing:
         engine = fresh_engine(scenario, source)
         got = [path_view(r) for r in engine.measure_many(dsts)]
         assert got == baseline
-
-    def test_coalescer_is_per_call(self, scenario):
-        source = scenario.sources()[0]
-        dsts = scenario.responsive_destinations(2, options_only=True)
-        engine = fresh_engine(scenario, source)
-        engine.measure_many(dsts)
-        assert engine._coalescer is None
 
     def test_silent_neighbour_does_not_silence_a_live_host(self, scenario):
         """Hosts of one /24 answer pings independently: a group that

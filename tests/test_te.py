@@ -126,7 +126,6 @@ class TestEngineering:
             scenario.background_prober,
             scenario.atlas_vp_addrs,
             random.Random(3),
-            size=15,
         )
         engine = scenario.engine(source, "revtr2.0")
         engineer = TrafficEngineer(

@@ -36,7 +36,6 @@ class TestTimestampStep:
             scenario.background_prober,
             scenario.atlas_vp_addrs,
             random.Random(1),
-            size=5,
         )
         engine = RevtrEngine(
             prober=scenario.online_prober,
