@@ -58,23 +58,19 @@ class MeasurementCache:
         self.ttl = ttl
         self.enabled = enabled
         self.stats = CacheStats()
-        #: instrumentation sink; rewired by the engine when enabled
+        #: instrumentation sink; the owning engine sets its own
         self.obs = NULL
         #: key -> (stored_at, value)
         self._entries: Dict[Hashable, Tuple[float, Any]] = {}
         self._last_purge = clock.now()
 
-    def _on_obs_attached(self, instrumentation) -> None:
+    def _obs_collect(self) -> Dict:
         """Mirror :class:`CacheStats` into ``cache_lookups_total``.
 
         Pull-style: the stats object already tallies every lookup, so
         ``get`` pays nothing extra; an expired lookup counts as both a
         miss (in stats) and an ``expired`` metric outcome.
         """
-        if instrumentation.enabled:
-            instrumentation.register_collect_source(self._obs_collect)
-
-    def _obs_collect(self) -> Dict:
         stats = self.stats
         return {
             ("cache_lookups_total", (("outcome", "hit"),)): float(

@@ -48,7 +48,6 @@ from repro.core.segcache import ReverseSegmentCache
 from repro.core.symmetry import LinkType, SymmetryPolicy, SymmetryStepper
 from repro.net.addr import Address, is_private, slash30_peer
 from repro.obs.instrument import NULL
-from repro.obs.runtime import attach
 from repro.probing.prober import Prober
 
 
@@ -229,11 +228,11 @@ class RevtrEngine:
         #: toward one source amortizes the same segments.
         self.segcache: Optional[ReverseSegmentCache] = segcache
         #: observability facade (metrics + events); the NULL default
-        #: makes every instrumented call a no-op.  Components still on
-        #: the null default inherit the engine's sink so one parameter
+        #: makes every instrumented call a no-op.  The engine wires the
+        #: caches it builds and is given into it, so one parameter
         #: instruments the whole measurement path.
         self.obs = instrumentation if instrumentation is not None else NULL
-        attach(self.obs, self.cache, self.segcache)
+        self.cache.obs = self.obs
         # Per-hop counters are plain tallies mirrored into the registry
         # at collection time (pull-style), so the measurement loop pays
         # a dict increment, not a registry update, per step.
@@ -267,8 +266,12 @@ class RevtrEngine:
         #: with (frozen, so results share it)
         self._source_hop = ReverseHop(source, HopTechnique.SOURCE)
         if self._obs_on:
+            # A segment cache shared by a source's engines is collected
+            # once: registration deduplicates by equality.
+            self.obs.register_collect_source(self.cache._obs_collect)
+            if self.segcache is not None:
+                self.obs.register_collect_source(self.segcache._obs_collect)
             self.obs.register_collect_source(self._obs_collect)
-            self.obs.register_gauge_source(self._obs_gauges)
         self.spoofers = list(spoofers)
         self.symmetry = SymmetryStepper(
             prober, ip2as, source, cache=self.cache
@@ -338,7 +341,14 @@ class RevtrEngine:
         return True
 
     def _obs_collect(self) -> Dict:
-        out = {}
+        """Step, measurement, hop, stale-intersection and retry
+        tallies, plus the age gauges of the source's atlas.
+
+        Evaluated only at collection (snapshot/sample) time: atlas ages
+        are derived from the traceroutes' stored timestamps against the
+        sim clock, so the measurement path never touches them.
+        """
+        out: Dict = {}
         for kind, n in self._t_steps.items():
             if n:
                 out[("revtr_steps_total", (("kind", kind),))] = float(n)
@@ -358,16 +368,6 @@ class RevtrEngine:
             out[
                 ("revtr_retries_total", (("technique", technique),))
             ] = float(n)
-        return out
-
-    def _obs_gauges(self) -> Dict:
-        """Pull-style staleness gauges over the source's atlas.
-
-        Evaluated only at collection (snapshot/sample) time: ages are
-        derived from the traceroutes' stored timestamps against the
-        sim clock, so the measurement path never touches them.
-        """
-        out: Dict = {}
         traceroutes = getattr(self.atlas, "traceroutes", None)
         if not traceroutes:
             return out
@@ -880,7 +880,7 @@ class RevtrEngine:
         run.depart()
         run.hops.extend([entry.hop for entry in chain[:-1]])
         run.reach(self._source_hop)
-        self.segcache.note_splice(len(chain))
+        self.segcache.note_splice()
         if self._ev is not None:
             self._ev.emit_t("splice", (dst, len(chain), True, True))
         return True
@@ -1013,7 +1013,7 @@ class RevtrEngine:
         ):
             run.reach(self._source_hop)
         spliced = len(hops) - spliced_before
-        self.segcache.note_splice(spliced)
+        self.segcache.note_splice()
         if self._ev is not None:
             self._ev.emit_t(
                 "splice", (current, spliced, run.status is not None)

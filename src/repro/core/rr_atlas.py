@@ -105,9 +105,9 @@ class RRAtlas:
         Round 0 probes every target directly from the source; round
         ``k`` retries the still-unusable remainder spoofed as the
         source from the k-th spoofer — each target's own ladder,
-        probed a round at a time so destination resolution is shared
-        and the Python-level per-probe overhead amortised.  Returns
-        ``(last result, probes sent)`` per target.
+        probed a round at a time so the Python-level per-probe overhead
+        is amortised.  Returns ``(last result, probes sent)`` per
+        target.
         """
         states: List[List] = [[None, 0] for _ in targets]
         pending = list(range(len(targets)))

@@ -49,7 +49,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.result import ReverseHop
 from repro.net.addr import Address
-from repro.obs.instrument import NULL
 
 #: Default entry lifetime, matching the measurement cache (paper:
 #: routes are stable enough to reuse for a day).
@@ -87,10 +86,8 @@ class SegmentCacheStats:
     misses: int = 0
     negative_hits: int = 0
     stores: int = 0
-    negative_stores: int = 0
-    #: chains spliced into results / total hops those chains carried
+    #: chains spliced into results
     splices: int = 0
-    spliced_hops: int = 0
     invalidations_generation: int = 0
     invalidations_ttl: int = 0
 
@@ -116,20 +113,15 @@ class ReverseSegmentCache:
         self.internet = internet
         self.ttl = ttl
         self.stats = SegmentCacheStats()
-        #: instrumentation sink; rewired via the attach protocol
-        self.obs = NULL
         self._entries: Dict[Address, SegmentEntry] = {}
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
 
-    def _on_obs_attached(self, instrumentation) -> None:
-        """Mirror stats into the ``revtr_segment_*`` families on pull."""
-        if instrumentation.enabled:
-            instrumentation.register_collect_source(self._obs_collect)
-
     def _obs_collect(self) -> Dict:
+        """Mirror stats into the ``revtr_segment_*`` families on pull;
+        the engines this cache serves register it."""
         stats = self.stats
         out: Dict = {}
         if stats.hits or stats.negative_hits:
@@ -188,7 +180,6 @@ class ReverseSegmentCache:
             generation=self.internet.routing_generation,
             stored_at=self.clock.now(),
         )
-        self.stats.negative_stores += 1
 
     # ------------------------------------------------------------------
     # Lookup
@@ -279,10 +270,9 @@ class ReverseSegmentCache:
             current = nxt
         return chain, False
 
-    def note_splice(self, hops: int) -> None:
-        """Tally one spliced chain of *hops* hops (engine-reported)."""
+    def note_splice(self) -> None:
+        """Tally one spliced chain (engine-reported)."""
         self.stats.splices += 1
-        self.stats.spliced_hops += hops
 
     # ------------------------------------------------------------------
     # Maintenance

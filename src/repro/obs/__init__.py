@@ -13,8 +13,7 @@ once, as an event.  The package, by what reads it:
   readers of its snapshot shape) and :mod:`repro.obs.events` (the
   flight recorder: a bounded structured event log, each event stamped
   with wall *and* sim time, and its JSONL export, written once at exit
-  and read back whole by ``repro events``); :mod:`repro.obs.runtime`
-  points an engine's components at its sink;
+  and read back whole by ``repro events``);
 * per measurement — :mod:`repro.obs.provenance` (the decision ledger
   behind ``repro explain``);
 * per run — :mod:`repro.obs.slo` (histogram-derived SLO rollup for

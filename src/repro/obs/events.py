@@ -293,19 +293,15 @@ class EventLog:
         "_mid",
     )
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        clock=None,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        # Duck-typed ``now() -> float`` sim clock; may be bound late
-        # (the Scenario wires it the same way as the tracer's).  The
-        # ``clock`` property keeps a prebound ``now`` method so the
-        # emit path pays one attribute read, not two plus a lookup.
-        self.clock = clock
+        # Duck-typed ``now() -> float`` sim clock, bound late by its
+        # owner (Scenario).  The ``clock`` property keeps a prebound
+        # ``now`` method so the emit path pays one attribute read, not
+        # two plus a lookup.
+        self.clock = None
         # One flat list, 6 cells per slot: [seq, wall, sim, mid, kind,
         # fields, seq, wall, ...]; seq -1 marks a slot never written.
         # Flat rather than list-of-lists so an emit writes 6 adjacent

@@ -269,11 +269,9 @@ def _read_queue_buildup(samples: Sequence[Any]) -> Optional[Reading]:
 
 
 def _read_event_drops(samples: Sequence[Any]) -> Optional[Reading]:
-    first, last = samples[0].events, samples[-1].events
-    if first is None or last is None:
-        return None
-    before = first.get("dropped", 0)
-    dropped = last.get("dropped", 0) - before
+    before = samples[0].events["dropped"]
+    after = samples[-1].events["dropped"]
+    dropped = after - before
     return Reading(
         float(dropped),
         "flight recorder {what}: {n} events overwritten in the "
@@ -285,7 +283,7 @@ def _read_event_drops(samples: Sequence[Any]) -> Optional[Reading]:
         {
             "metric": "obs_events_dropped_total",
             "window_dropped": dropped,
-            "total_dropped": last.get("dropped", 0),
+            "total_dropped": after,
             "onset": before == 0,
         },
     )

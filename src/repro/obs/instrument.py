@@ -191,9 +191,8 @@ class NullInstrumentation:
         pass
 
 
-#: The process-wide null object.  Identity-compared by wiring code
-#: ("is the obs on this component still the default?"), so there should
-#: be exactly one.
+#: The process-wide null object every component not handed a live
+#: facade runs on.
 NULL = NullInstrumentation()
 
 
@@ -204,21 +203,15 @@ class Instrumentation:
     enabled = True
 
     def __init__(
-        self,
-        clock=None,
-        registry: Optional[MetricsRegistry] = None,
-        events: Optional[EventLog] = None,
-        event_capacity: int = DEFAULT_EVENT_CAPACITY,
+        self, event_capacity: int = DEFAULT_EVENT_CAPACITY
     ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         # Inert (repro.obs.tracing): kept for the e2e layer tracer only.
         self.tracer = Tracer()
         self.span = self.tracer.span
-        self.events: EventLog = (
-            events
-            if events is not None
-            else EventLog(capacity=event_capacity, clock=clock)
-        )
+        # The sim clock is bound on the recorder by whoever owns it
+        # (Scenario); the sampler reads it from there.
+        self.events = EventLog(capacity=event_capacity)
         # Installed by repro.obs.timeseries.install_sampler; scheduler/
         # service completion hooks tick it via ``maybe_sample``.
         self.sampler = None
@@ -229,18 +222,15 @@ class Instrumentation:
         # of the same labels still share one series).
         self._series: Dict[Any, Any] = {}
         # Collection-side twin of ``_series``: a pull source's
-        # (name, label_items) key -> child series, so a collection
-        # resolves each series once, not on every snapshot.
+        # (name, label_items) key -> (child series, is a counter), so a
+        # collection resolves each series once, not on every snapshot.
         self._pulled: Dict[Any, Any] = {}
         # Pull-style sources: callables returning
-        # {(metric_name, ((label, value), ...)): tally}.  Their tallies
-        # are summed per series and mirrored into the registry at
-        # collection (snapshot/exposition) time, so per-probe hot paths
-        # pay a plain Python increment instead of a registry update.
+        # {(metric_name, ((label, value), ...)): value}.  Mirrored into
+        # the registry at collection (snapshot/exposition) time, so
+        # per-probe hot paths pay a plain Python increment instead of
+        # a registry update.
         self._collect_sources: List[Any] = []
-        # Gauge analogue of ``_collect_sources``: snapshots that *set*
-        # their series (cache sizes, generations) rather than summing.
-        self._gauge_sources: List[Any] = []
         for name, (kind, help, buckets) in DECLARED_METRICS.items():
             if kind == "counter":
                 self.registry.counter(name, help)
@@ -259,27 +249,19 @@ class Instrumentation:
     # -- pull-style collection ------------------------------------------
 
     def register_collect_source(self, source) -> None:
-        """Register a tally source mirrored into counters on snapshot.
+        """Register a source mirrored into the registry on snapshot.
 
-        *source* is a callable returning ``{(name, label_items): n}``
-        where ``label_items`` is a tuple of ``(label, value)`` pairs.
-        Sources are deduplicated by equality, and tallies from distinct
-        sources targeting the same series are summed (several probers
-        may mirror into one ``probes_sent_total`` family).
+        *source* is a callable returning ``{(name, label_items): value}``
+        where ``label_items`` is a tuple of ``(label, value)`` pairs and
+        *name* is a counter or a gauge of :data:`DECLARED_METRICS`.
+        Counter tallies from distinct sources targeting the same series
+        are summed (several probers may mirror into one
+        ``probes_sent_total`` family); a gauge is set, and the latest
+        reading wins.  Sources are deduplicated by equality, so a
+        component shared by several engines is collected once.
         """
         if source not in self._collect_sources:
             self._collect_sources.append(source)
-
-    def register_gauge_source(self, source) -> None:
-        """Register a gauge snapshot source evaluated on collection.
-
-        Same calling convention as :meth:`register_collect_source`, but
-        values are *set* on gauge series instead of summed into
-        counters — the right semantics for sizes and generations, where
-        the latest reading wins.
-        """
-        if source not in self._gauge_sources:
-            self._gauge_sources.append(source)
 
     def _obs_self_collect(self) -> Dict[Any, float]:
         """Mirror the flight recorder's drop tally into its counter."""
@@ -288,32 +270,36 @@ class Instrumentation:
             return {("obs_events_dropped_total", ()): float(dropped)}
         return {}
 
-    def _pulled_child(self, key, family):
-        """The series a pull source's ``(name, label_items)`` key names,
-        resolved through *family* (``registry.counter``/``gauge``) once."""
-        child = self._pulled.get(key)
-        if child is None:
+    def _pulled_child(self, key):
+        """``(series, is a counter)`` for a pull source's
+        ``(name, label_items)`` key, resolved once through the name's
+        declared type."""
+        pulled = self._pulled.get(key)
+        if pulled is None:
             name, label_items = key
-            child = self._pulled[key] = family(name).labels(
-                **dict(label_items)
+            counter = DECLARED_METRICS[name][0] == "counter"
+            family = self.registry.counter if counter else self.registry.gauge
+            pulled = self._pulled[key] = (
+                family(name).labels(**dict(label_items)),
+                counter,
             )
-        return child
+        return pulled
 
     def _collect(self) -> None:
-        counter, gauge = self.registry.counter, self.registry.gauge
-        # Summed per child, not per key: the registry canonicalises
-        # label order, so sources spelling the same series differently
-        # resolve to one child and still sum into one total.
+        # Counters are summed per child, not per key: the registry
+        # canonicalises label order, so sources spelling the same
+        # series differently resolve to one child and still sum into
+        # one total.
         totals: Dict[Any, float] = {}
         for source in self._collect_sources:
             for key, value in source().items():
-                child = self._pulled_child(key, counter)
-                totals[child] = totals.get(child, 0.0) + value
+                child, counter = self._pulled_child(key)
+                if counter:
+                    totals[child] = totals.get(child, 0.0) + value
+                else:
+                    child.set(value)
         for child, value in totals.items():
             child.set_total(value)
-        for source in self._gauge_sources:
-            for key, value in source().items():
-                self._pulled_child(key, gauge).set(value)
 
     # -- metrics --------------------------------------------------------
 

@@ -42,9 +42,9 @@ Design constraints, in the spirit of the pull-style obs layer:
   of the same seeded workload produce byte-identical series
   (:meth:`export` excludes wall timestamps by default for exactly this
   reason).
-* **Bounded.**  The ring keeps the newest ``capacity`` samples;
-  overwritten samples are counted in :attr:`dropped`, mirroring the
-  flight recorder's accounting.
+* **Bounded.**  The ring keeps the newest :data:`DEFAULT_CAPACITY`
+  samples; overwritten samples are counted in :attr:`dropped`,
+  mirroring the flight recorder's accounting.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ class TimeSample:
     ``metrics`` is the full JSON snapshot shape of
     :meth:`repro.obs.metrics.MetricsRegistry.snapshot`; ``events`` is a
     small dict with the flight recorder's ``total``/``dropped``
-    tallies at capture time (``None`` when no event log is attached),
-    used by the health engine to window event sequence numbers.
+    tallies at capture time, used by the health engine to window event
+    sequence numbers.
     ``findings`` are the health findings the writer evaluated as it
     published the sample (empty when no reader attached a health
     engine); :meth:`to_dict` leaves them out, so exports do not depend
@@ -89,7 +89,7 @@ class TimeSample:
         wall: float,
         sim: Optional[float],
         metrics: Dict[str, Any],
-        events: Optional[Dict[str, int]],
+        events: Dict[str, int],
     ) -> None:
         self.index = index
         self.wall = wall
@@ -103,9 +103,8 @@ class TimeSample:
             "index": self.index,
             "sim": self.sim,
             "metrics": self.metrics,
+            "events": dict(self.events),
         }
-        if self.events is not None:
-            out["events"] = dict(self.events)
         if include_wall:
             out["wall"] = self.wall
         return out
@@ -141,34 +140,22 @@ class TimeSeriesSampler:
         self,
         instrumentation,
         sim_interval: Optional[float] = DEFAULT_SIM_INTERVAL,
-        capacity: int = DEFAULT_CAPACITY,
-        clock=None,
     ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
         self.obs = instrumentation
         self.sim_interval = sim_interval
-        self.capacity = capacity
-        self.clock = clock
+        self.capacity = DEFAULT_CAPACITY
         # Append-and-evict is one C call, so a reader's copy sees the
         # ring before or after a publish, never during one.
-        self._ring: Deque[TimeSample] = deque(maxlen=capacity)
+        self._ring: Deque[TimeSample] = deque(maxlen=self.capacity)
         self._count = 0
         self._last_sim: Optional[float] = None
         #: the reader's health engine, evaluated on every sample
         self.health = None
 
-    # -- clock resolution ----------------------------------------------
-
     def _sim_now(self) -> Optional[float]:
-        clock = self.clock
-        if clock is None:
-            # The sim clock is late-bound onto the event log by
-            # Scenario; adopt it from there the first time it appears.
-            events = getattr(self.obs, "events", None)
-            clock = getattr(events, "clock", None) if events is not None else None
-            if clock is not None:
-                self.clock = clock
+        # The sim clock reaches obs one way: its owner (Scenario) binds
+        # it on the flight recorder, read here on every tick.
+        clock = self.obs.events.clock
         return clock.now() if clock is not None else None
 
     # -- capture (the writer) -------------------------------------------
@@ -190,20 +177,16 @@ class TimeSeriesSampler:
 
     def sample(self) -> TimeSample:
         """Unconditionally capture one sample and publish it."""
-        registry = self.obs.registry
         sim = self._sim_now()
-        metrics = registry.snapshot() if registry is not None else {}
-        events = getattr(self.obs, "events", None)
-        event_state: Optional[Dict[str, int]] = None
-        if events is not None:
-            total, dropped, _ = events.accounting()
-            event_state = {"total": total, "dropped": dropped}
+        metrics = self.obs.registry.snapshot()
+        events = self.obs.events
+        total, dropped, _ = events.accounting()
         record = TimeSample(
             index=self._count,
             wall=time.time(),
             sim=sim,
             metrics=metrics,
-            events=event_state,
+            events={"total": total, "dropped": dropped},
         )
         if self.health is not None:
             # Over the ring this sample completes, citing the events
@@ -357,8 +340,6 @@ def rate(
 def install_sampler(
     instrumentation,
     sim_interval: Optional[float] = DEFAULT_SIM_INTERVAL,
-    capacity: int = DEFAULT_CAPACITY,
-    clock=None,
 ) -> TimeSeriesSampler:
     """Create a sampler and hang it on the instrumentation facade.
 
@@ -366,11 +347,6 @@ def install_sampler(
     facade and on live facades without one), so installation is a
     single attribute assignment — no re-wiring of instrumented objects.
     """
-    sampler = TimeSeriesSampler(
-        instrumentation,
-        sim_interval=sim_interval,
-        capacity=capacity,
-        clock=clock,
-    )
+    sampler = TimeSeriesSampler(instrumentation, sim_interval=sim_interval)
     instrumentation.sampler = sampler
     return sampler

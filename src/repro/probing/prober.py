@@ -129,7 +129,7 @@ class Prober:
         #: accounting (``None`` = no liveness tracking, zero overhead)
         self.health = None
         if self.obs.enabled:
-            self._on_obs_attached(self.obs)
+            self.obs.register_collect_source(self._obs_collect)
 
     # ------------------------------------------------------------------
     # Internals
@@ -144,17 +144,13 @@ class Prober:
             self._buckets[vp] = bucket
         return bucket
 
-    def _on_obs_attached(self, instrumentation) -> None:
+    def _obs_collect(self) -> Dict:
         """Mirror the ProbeCounter into ``probes_sent_total`` on pull.
 
         The counter already tallies every probe by kind, so the hot
         path pays nothing extra; the metric materialises at snapshot
         time (summed across probers sharing one instrumentation).
         """
-        if instrumentation.enabled:
-            instrumentation.register_collect_source(self._obs_collect)
-
-    def _obs_collect(self) -> Dict:
         return {
             ("probes_sent_total", (("kind", kind.value),)): float(n)
             for kind, n in self.counter.counts.items()
@@ -230,14 +226,13 @@ class Prober:
 
         *items* is a sequence of ``(vp, dst, spoof_as)`` triples
         (``spoof_as=None`` for direct probes).  The probes are walked
-        through :meth:`Internet.send_probe_batch` — destination
-        resolution and announcement lookup are shared per distinct
-        destination — and then charged and clock-advanced per probe in
-        item order.  Because forwarding outcomes are pure functions of
-        each packet and walks never read the clock, the results, the
-        rate-limiter token dynamics, and the final virtual-clock
-        reading are all byte-identical to an equivalent loop of
-        :meth:`rr_ping` calls; only wall-clock time shrinks.
+        through :meth:`Internet.send_probe_batch` and then charged and
+        clock-advanced per probe in item order.  Because forwarding
+        outcomes are pure functions of each packet and walks never read
+        the clock, the results, the rate-limiter token dynamics, and
+        the final virtual-clock reading are all byte-identical to an
+        equivalent loop of :meth:`rr_ping` calls; only wall-clock time
+        shrinks.
         """
         probes = []
         metas = []
@@ -289,9 +284,9 @@ class Prober:
         the spoofed source and the system waits the full timeout since
         it cannot know how many will arrive.
 
-        All probes in the batch share one destination, so they are
-        handed to :meth:`Internet.send_probe_batch`, which resolves the
-        destination once and reuses it across the whole VP fleet.
+        The probes are walked through :meth:`Internet.send_probe_batch`;
+        the destination they share is resolved through the simulator's
+        own memo, like any single probe's.
         """
         probes = []
         metas = []

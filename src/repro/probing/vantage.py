@@ -117,26 +117,19 @@ class VPHealthTracker:
         self.recoveries = 0
         self.replacements = 0
         if self.obs.enabled:
-            self._on_obs_attached(self.obs)
-
-    def _on_obs_attached(self, instrumentation) -> None:
-        if instrumentation.enabled:
-            instrumentation.register_collect_source(self._obs_collect)
-            instrumentation.register_gauge_source(self._obs_gauges)
+            self.obs.register_collect_source(self._obs_collect)
 
     def _obs_collect(self) -> Dict:
-        return {
-            ("vp_quarantines_total", ()): float(self.quarantines),
-            ("vp_replacements_total", ()): float(self.replacements),
-        }
-
-    def _obs_gauges(self) -> Dict:
         # Count only quarantines still in force; expired entries are
         # lazily removed by is_quarantined and shouldn't inflate the
         # gauge in between.
         now = self.clock.now()
         active = sum(1 for until in self._until.values() if until > now)
-        return {("vp_quarantined_current", ()): float(active)}
+        return {
+            ("vp_quarantines_total", ()): float(self.quarantines),
+            ("vp_replacements_total", ()): float(self.replacements),
+            ("vp_quarantined_current", ()): float(active),
+        }
 
     def record(self, vp: Address, responded: bool) -> None:
         """Account one spoofed-batch outcome for *vp*."""

@@ -34,14 +34,24 @@ class User:
     _used_today: int = 0
     _day_index: int = 0
 
-    def _roll_day(self, now: float) -> None:
+    def _roll_day(self, now: float) -> bool:
+        """Move to *now*'s day if it is a later one; False when *now*
+        is dated before the current day.
+
+        The day only moves forward: the scheduler charges at lane
+        time, which can lag the serial clock a direct request charged
+        at, and an earlier-dated charge must not reopen a day that is
+        over and zero the count.
+        """
         day = int(now // _DAY)
-        if day != self._day_index:
+        if day > self._day_index:
             self._day_index = day
             self._used_today = 0
+        return day == self._day_index
 
     def charge(self, now: float, n: int = 1) -> None:
-        """Charge *n* measurements against today's quota."""
+        """Charge *n* measurements against today's quota; a charge
+        dated before today counts against today."""
         self._roll_day(now)
         if self._used_today + n > self.max_per_day:
             raise QuotaExceeded(
@@ -53,10 +63,11 @@ class User:
         """Return *n* unused charges to today's quota.
 
         Only charges made the same (virtual) day can come back; after
-        a day rollover there is nothing to refund against.
+        a day rollover there is nothing to refund against, and a
+        refund dated before today returns nothing.
         """
-        self._roll_day(now)
-        self._used_today = max(0, self._used_today - n)
+        if self._roll_day(now):
+            self._used_today = max(0, self._used_today - n)
 
     def remaining_today(self, now: float) -> int:
         self._roll_day(now)

@@ -453,32 +453,14 @@ class Internet:
     def send_probe_batch(
         self, probes: Sequence[Probe]
     ) -> List[ProbeOutcome]:
-        """Walk a batch of probes, resolving each destination once.
+        """Walk a batch of probes in order.
 
-        The batch is the natural unit of revtr probing — a spoofed-VP
-        round fires many probes at one destination — so the destination
-        resolution and announcement lookup are computed once per
-        distinct destination and shared across the whole batch.
-        Probes are walked in order, so outcomes are bit-identical to
-        sequential :meth:`send_probe` calls.
+        Outcomes are bit-identical to sequential :meth:`send_probe`
+        calls: each probe's destination resolution and announcement
+        lookup are the simulator's own memos, so a batch shares nothing
+        they do not.
         """
-        shared: Dict[
-            Address,
-            Tuple[Optional[DestTarget], Optional[AnnouncementSpec]],
-        ] = {}
-        outcomes: List[ProbeOutcome] = []
-        for probe in probes:
-            context = shared.get(probe.dst)
-            if context is None:
-                context = (
-                    self.resolve(probe.dst),
-                    self.announcement_for(probe.dst),
-                )
-                shared[probe.dst] = context
-            outcomes.append(
-                self._tally_outcome(self._send_probe(probe, context))
-            )
-        return outcomes
+        return [self._tally_outcome(self._send_probe(p)) for p in probes]
 
     def send_ttl_sweep(
         self, probe: Probe, max_ttl: int
@@ -576,13 +558,7 @@ class Internet:
                 )
         return outcome
 
-    def _send_probe(
-        self,
-        probe: Probe,
-        context: Optional[
-            Tuple[Optional[DestTarget], Optional[AnnouncementSpec]]
-        ] = None,
-    ) -> ProbeOutcome:
+    def _send_probe(self, probe: Probe) -> ProbeOutcome:
         outcome = ProbeOutcome()
         faults = self.faults
         origin_host = self.hosts.get(probe.injected_at)
@@ -600,11 +576,8 @@ class Internet:
                 outcome.drop_reason = reason
                 return outcome
 
-        if context is not None:
-            target, spec = context
-        else:
-            target = self.resolve(probe.dst)
-            spec = self.announcement_for(probe.dst)
+        target = self.resolve(probe.dst)
+        spec = self.announcement_for(probe.dst)
         if target is None:
             outcome.drop_reason = "unreachable-destination"
             return outcome

@@ -126,7 +126,7 @@ def rebuild_open_full_splice(self: RevtrEngine, run) -> bool:
             )
         )
     run.reach(ReverseHop(self.source, HopTechnique.SOURCE))
-    self.segcache.note_splice(len(chain))
+    self.segcache.note_splice()
     if self._ev is not None:
         self._ev.emit_t("splice", (dst, len(chain), True, True))
     return True
@@ -197,7 +197,7 @@ def rebuild_step_splice(self: RevtrEngine, run) -> bool:
     ):
         run.reach(ReverseHop(self.source, HopTechnique.SOURCE))
     spliced = len(hops) - spliced_before
-    self.segcache.note_splice(spliced)
+    self.segcache.note_splice()
     if self._ev is not None:
         self._ev.emit_t(
             "splice", (current, spliced, run.status is not None)

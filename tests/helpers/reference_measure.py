@@ -258,7 +258,7 @@ class ReferenceMeasureEngine(RevtrEngine):
                         status = RevtrStatus.COMPLETE
                         terminated = True
                     spliced = len(hops) - spliced_before
-                    self.segcache.note_splice(spliced)
+                    self.segcache.note_splice()
                     if self._ev is not None:
                         self._ev.emit_t(
                             "splice", (current, spliced, terminated)
@@ -445,7 +445,7 @@ class ReferenceMeasureEngine(RevtrEngine):
                 )
             )
         hops.append(ReverseHop(self.source, HopTechnique.SOURCE))
-        self.segcache.note_splice(len(chain))
+        self.segcache.note_splice()
         if self._ev is not None:
             self._ev.emit_t(
                 "splice", (dst, len(chain), True, True)

@@ -54,12 +54,12 @@ class TestCache:
 
     def test_lookups_mirrored_into_metrics(self):
         from repro.obs import Instrumentation
-        from repro.obs.runtime import attach
 
         instr = Instrumentation()
         clock = VirtualClock()
         cache = MeasurementCache(clock, ttl=10)
-        attach(instr, cache)
+        # What the owning engine does with the cache it builds.
+        instr.register_collect_source(cache._obs_collect)
         cache.put("k", 1)
         cache.get("k")
         cache.get("missing")

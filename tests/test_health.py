@@ -20,7 +20,8 @@ from repro.sim.clock import VirtualClock
 def make_sampler():
     instr = Instrumentation()
     clock = VirtualClock()
-    sampler = install_sampler(instr, sim_interval=None, clock=clock)
+    instr.events.clock = clock
+    sampler = install_sampler(instr, sim_interval=None)
     return instr, clock, sampler
 
 
@@ -143,9 +144,8 @@ class TestRules:
         # the drop by emitting more events than a tiny ring holds.
         small = Instrumentation(event_capacity=4)
         small_clock = VirtualClock()
-        small_sampler = install_sampler(
-            small, sim_interval=None, clock=small_clock
-        )
+        small.events.clock = small_clock
+        small_sampler = install_sampler(small, sim_interval=None)
         small_sampler.sample()
         small_clock.advance(30.0)
         for n in range(10):

@@ -8,7 +8,6 @@ import pytest
 
 from repro.experiments import Scenario
 from repro.obs import (
-    NULL,
     Instrumentation,
     MetricsRegistry,
     NullInstrumentation,
@@ -16,7 +15,6 @@ from repro.obs import (
 )
 from repro.obs.metrics import family_total
 from repro.obs.timeseries import install_sampler
-from repro.obs import runtime
 from repro.topology import TopologyConfig
 
 
@@ -256,20 +254,6 @@ class TestNullInstrumentation:
         null.set_gauge("g", 5)
         null.emit("x", y=2)
         assert null.registry is None and null.events is None
-
-
-class TestRuntime:
-    def test_attach_respects_explicit_sinks(self):
-        class Holder:
-            def __init__(self, obs):
-                self.obs = obs
-
-        instr = Instrumentation()
-        other = Instrumentation()
-        defaulted, explicit = Holder(NULL), Holder(other)
-        runtime.attach(instr, defaulted, explicit, None)
-        assert defaulted.obs is instr
-        assert explicit.obs is other
 
 
 @pytest.fixture(scope="module")

@@ -44,11 +44,9 @@ EMITTERS = {
     "emit": "event",
     "emit_t": "event",
 }
-#: Registration call -> what the keys of the registered source name.
-PULL_SOURCES = {
-    "register_collect_source": "counter",
-    "register_gauge_source": "gauge",
-}
+#: The one registration call: the keys of the source it registers name
+#: counters or gauges, each typed by its `DECLARED_METRICS` entry.
+PULL_SOURCE = "register_collect_source"
 #: Calls to a method of one of those names that are not the facade's.
 NOT_THE_FACADE = {"session.observe"}
 
@@ -77,7 +75,10 @@ def source_keys(function):
 
 def emitted():
     """``{name: (category, [site, ...])}`` for every literal name `src/`
-    passes to the facade or keys a registered pull source by."""
+    passes to the facade or keys a registered pull source by.  A source
+    may be registered in another file than the one defining it (the
+    engine registers its caches'), so registrations are collected
+    across all of `src/` first."""
     found = {}
 
     def note(name, category, path, node):
@@ -85,9 +86,12 @@ def emitted():
         categories.add(category)
         sites.append(f"{path.relative_to(SRC)}:{node.lineno}")
 
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text())
-        sources = {}
+    trees = {
+        path: ast.parse(path.read_text())
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    sources = set()
+    for path, tree in trees.items():
         for node in ast.walk(tree):
             if not (
                 isinstance(node, ast.Call)
@@ -95,9 +99,9 @@ def emitted():
             ):
                 continue
             method = node.func.attr
-            if method in PULL_SOURCES:
+            if method == PULL_SOURCE:
                 (registered,) = node.args
-                sources[registered.attr] = PULL_SOURCES[method]
+                sources.add(registered.attr)
             elif method in EMITTERS and node.args:
                 first = node.args[0]
                 if isinstance(first, ast.Constant) and isinstance(
@@ -111,6 +115,7 @@ def emitted():
                         path.parent == SRC / "obs"
                         or ast.unparse(node.func) in NOT_THE_FACADE
                     ), f"{path}:{node.lineno}: {ast.unparse(node)}"
+    for path, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.name in sources:
                 for key in source_keys(node):
@@ -120,10 +125,14 @@ def emitted():
                         and isinstance(key.elts[0], ast.Constant)
                         and isinstance(key.elts[0].value, str)
                     ):
-                        note(
-                            key.elts[0].value, sources[node.name],
-                            path, key,
+                        name = key.elts[0].value
+                        kind = DECLARED_METRICS.get(name, (None,))[0]
+                        assert kind in ("counter", "gauge"), (
+                            f"{path}:{key.lineno}: pull-source key "
+                            f"{name} is declared {kind}; a source "
+                            "mirrors counters and gauges only"
                         )
+                        note(name, kind, path, key)
     return {
         name: (", ".join(sorted(categories)), sites)
         for name, (categories, sites) in found.items()

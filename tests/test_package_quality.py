@@ -68,8 +68,11 @@ def test_retired_switches_stay_retired(small_scenario):
     scenario's own build is the one, and refresh re-measures what it
     keeps.  Nor the batch coalescer or the settable values only hand
     wiring passed: ``Scenario.engine`` is the one place an experiment
-    gets an engine."""
+    gets an engine.  Nor a second way into observability: a component
+    gets its sink when it is built and registers one kind of pull
+    source, and the sim clock reaches obs through the recorder."""
     import dataclasses
+    import importlib.util
     import inspect
 
     import repro.core
@@ -77,6 +80,12 @@ def test_retired_switches_stay_retired(small_scenario):
     from repro.core.atlas import TracerouteAtlas
     from repro.core.cache import MeasurementCache
     from repro.core.revtr import EngineConfig, RevtrEngine
+    from repro.obs import (
+        EventLog,
+        Instrumentation,
+        TimeSeriesSampler,
+        install_sampler,
+    )
     from repro.probing.prober import Prober
     from repro.service import RevtrService, SchedulerConfig, SourceRegistry
 
@@ -136,9 +145,15 @@ def test_retired_switches_stay_retired(small_scenario):
             sc.background_prober, sc.atlas_vp_addrs, sc.rng,
             incremental=True,
         ),
+        lambda: Instrumentation(clock=sc.clock),
+        lambda: EventLog(clock=sc.clock),
+        lambda: TimeSeriesSampler(Instrumentation(), capacity=8),
+        lambda: install_sampler(Instrumentation(), clock=sc.clock),
     ):
         with pytest.raises(TypeError):
             build()
+    assert importlib.util.find_spec("repro.obs.runtime") is None
+    assert not hasattr(Instrumentation, "register_gauge_source")
 
 
 def test_no_obs_structure_holds_a_lock():

@@ -48,7 +48,8 @@ def build_service(scenario, instrumentation=None, atlas_size=15):
 @pytest.fixture(scope="module")
 def sched_service(small_scenario):
     """A service with live metrics and one registered source."""
-    instr = Instrumentation(clock=small_scenario.clock)
+    instr = Instrumentation()
+    instr.events.clock = small_scenario.clock
     service = build_service(small_scenario, instrumentation=instr)
     owner = service.add_user("owner", max_per_day=100_000)
     source = small_scenario.sources()[5]
@@ -212,7 +213,8 @@ def test_queue_depth_gauge_is_the_queued_total_after_every_change():
     scenario = Scenario(
         config=TopologyConfig.tiny(seed=3), seed=3, atlas_size=10
     )
-    instr = Instrumentation(clock=scenario.clock)
+    instr = Instrumentation()
+    instr.events.clock = scenario.clock
     service = build_service(scenario, instrumentation=instr, atlas_size=10)
     users = [
         service.add_user(name, max_parallel=2, max_per_day=1000)

@@ -169,6 +169,54 @@ class TestQuotaRollover:
         assert user.remaining_today(clock.now()) == 4
 
 
+class TestQuotaDayMovesForward:
+    def test_an_earlier_dated_charge_counts_against_today(self):
+        # The scheduler charges at lane time, which after its first run
+        # lags the serial clock a direct request charges at.  A charge
+        # dated before the user's current day counts against that day
+        # instead of reopening an earlier one with a fresh quota.
+        scenario = Scenario(
+            config=TopologyConfig.tiny(seed=3), seed=3, atlas_size=10
+        )
+        service = scenario.service()
+        user = service.add_user("mia", max_per_day=2)
+        source = scenario.sources()[0]
+        service.add_source(user.api_key, source)
+        dsts = iter(scenario.responsive_destinations(5, options_only=True))
+        scheduler = service.scheduler(SchedulerConfig(parallelism=1))
+
+        def scheduled():
+            job = scheduler.submit(user.api_key, next(dsts), source)
+            scheduler.run()
+            return job
+
+        def direct():
+            request = MeasurementRequest(user.api_key, next(dsts), source)
+            try:
+                service.request(request)
+            except QuotaExceeded:
+                return False
+            return True
+
+        first = scheduled()
+        assert first.reject_reason is None
+        scenario.clock.advance(86_400)
+        before = len(archived_for(service, "mia"))
+        outcomes = [direct(), direct(), scheduled(), direct()]
+        assert len(archived_for(service, "mia")) - before == 2
+        assert outcomes[:2] == [True, True]
+        assert outcomes[2].reject_reason is RejectReason.QUOTA
+        assert outcomes[3] is False
+
+    def test_a_refund_dated_before_today_returns_nothing(self):
+        clock = VirtualClock()
+        user = UserDatabase(clock).add_user("noor", max_per_day=2)
+        clock.advance(86_400)
+        user.charge(clock.now(), n=2)
+        user.refund(0.0)
+        assert user.remaining_today(clock.now()) == 0
+
+
 class TestBatchCharging:
     """A user's batch goes through the scheduler (`submit` per
     destination, then `run`): each job is charged when it starts, and

@@ -7,7 +7,7 @@ import pytest
 from repro.experiments import Scenario
 from repro.obs import Instrumentation
 from repro.obs.timeseries import (
-    TimeSeriesSampler,
+    DEFAULT_CAPACITY,
     delta,
     install_sampler,
     rate,
@@ -21,27 +21,25 @@ from repro.topology import TopologyConfig
 def make_sampler(**kwargs):
     instr = Instrumentation()
     clock = VirtualClock()
-    kwargs.setdefault("clock", clock)
+    instr.events.clock = clock
     sampler = install_sampler(instr, **kwargs)
     return instr, clock, sampler
 
 
 class TestRing:
     def test_capacity_bound_and_dropped(self):
-        instr, clock, sampler = make_sampler(capacity=3)
-        for _ in range(5):
+        instr, clock, sampler = make_sampler()
+        taken = DEFAULT_CAPACITY + 2
+        for _ in range(taken):
             sampler.sample()
-        assert len(sampler.samples()) == 3
+        assert len(sampler.samples()) == DEFAULT_CAPACITY
         assert sampler.dropped == 2
-        assert sampler.total == 5
+        assert sampler.total == taken
         # Oldest first; newest retained.
-        assert [s.index for s in sampler.samples()] == [2, 3, 4]
-        assert sampler.latest.index == 4
-
-    def test_capacity_must_be_positive(self):
-        instr = Instrumentation()
-        with pytest.raises(ValueError):
-            TimeSeriesSampler(instr, capacity=0)
+        assert [s.index for s in sampler.samples()] == list(
+            range(2, taken)
+        )
+        assert sampler.latest.index == taken - 1
 
     def test_install_hangs_sampler_on_facade(self):
         instr, clock, sampler = make_sampler()
@@ -74,15 +72,15 @@ class TestTickGating:
 
     def test_clock_adopted_from_event_log(self):
         # Scenario late-binds the virtual clock onto the event log; the
-        # sampler adopts it on first use instead of requiring wiring.
+        # sampler reads it from there on every tick.
         instr = Instrumentation()
+        sampler = install_sampler(instr, sim_interval=5.0)
+        assert sampler.sample().sim is None
         clock = VirtualClock()
         instr.events.clock = clock
-        sampler = install_sampler(instr, sim_interval=5.0)
         clock.advance(42.0)
         record = sampler.sample()
         assert record.sim == pytest.approx(42.0)
-        assert sampler.clock is clock
 
 
 class TestWindowQueries:
@@ -254,7 +252,7 @@ class TestHttpEndpoint:
         instr = Instrumentation(event_capacity=16)
         clock = VirtualClock()
         instr.events.clock = clock
-        sampler = install_sampler(instr, sim_interval=None, clock=clock)
+        sampler = install_sampler(instr, sim_interval=None)
         server = ObsHTTPServer(sampler)
         sampler.sample()
         clock.advance(10.0)
