@@ -172,10 +172,12 @@ simulator.""",
 (popular destinations re-measured continuously) but reports no number
 for reuse across measurements; this claim is the repo's own. On the
 passes after the warm-up the amortized engine (wired as the service
-wires one: a segment cache, one `measure_many` group per pass) serves 49
-measurements per virtual second against 20 (2.5x) for 3.1x fewer
-probes, because 17 of 25 destinations are answered by a whole-path
-splice that sends nothing. Throughput is in *virtual* time because the
+wires one: a segment cache, one `measure_many` group per pass) spends
+no probe and no virtual time, against 125 probes and 6.2 virtual s by
+default: 17 of 25 destinations are answered by a whole-path splice and
+the other 8 by a remembered abort (the cached hops of their
+`aborted-interdomain-symmetry` result), and neither sends anything.
+Throughput is in *virtual* time because the
 deployed system is bound by probe RTTs and spoofed-batch timeouts, not
 CPU; the wall-clock side of the same reuse is `wall_ops_per_s` and
 `probes_per_revtr` on the `hot_repeat` workload of `benchmarks/e2e`
@@ -185,8 +187,10 @@ router-level precision against the simulator's true reverse path
 (asserted by the benchmark); 13 of 17 are also hop-for-hop equal to
 it — the other four re-enter the measurement loop at a router the
 cold run never evaluated, where an atlas intersection yields a
-different tail over the same ground-truth routers. That a cold cache changes nothing is a tier-1 test
-(`tests/test_segcache.py`).""",
+different tail over the same ground-truth routers. All 8 remembered
+aborts are hop-for-hop equal to it. That a cold cache changes
+nothing, and that a served abort equals the re-derivation it
+replaces, are tier-1 tests (`tests/test_segcache.py`).""",
 }
 
 HEADER = """# EXPERIMENTS — paper vs. measured

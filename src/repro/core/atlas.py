@@ -55,6 +55,10 @@ class TracerouteAtlas:
         self._generation: Dict[Address, int] = {}
         #: summary counters of the last :meth:`refresh` call.
         self.last_refresh: Dict[str, object] = {}
+        #: a new token on every :meth:`add` / :meth:`remove`: a holder
+        #: of this one knows the traceroutes have not changed since
+        #: (the segment cache's remembered aborts rest on that)
+        self.version = object()
 
     # ------------------------------------------------------------------
     # Population
@@ -76,6 +80,7 @@ class TracerouteAtlas:
                 f"traceroute to {trace.dst} does not target atlas "
                 f"source {self.source}"
             )
+        self.version = object()
         previous = self.traceroutes.get(trace.src)
         if previous is not None:
             self._unindex(previous)
@@ -103,6 +108,7 @@ class TracerouteAtlas:
     def remove(self, vp: Address) -> None:
         trace = self.traceroutes.pop(vp, None)
         if trace is not None:
+            self.version = object()
             self._unindex(trace)
         self._useful.discard(vp)
         self._generation.pop(vp, None)

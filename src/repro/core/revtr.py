@@ -145,15 +145,17 @@ class _Run:
     :meth:`RevtrEngine._measure` read and advance."""
 
     __slots__ = (
-        "result", "start_time", "mark", "hops", "seen",
+        "result", "start_time", "mark", "injections", "hops", "seen",
         "spliced_at", "current", "status", "rr_dead",
     )
 
-    def __init__(self, result, start_time, mark) -> None:
+    def __init__(self, result, start_time, mark, injections) -> None:
         self.result = result
         self.start_time = start_time
         #: the probe counter's position when the measurement began
         self.mark = mark
+        #: the fault injector's count when it began (None: no injector)
+        self.injections = injections
         #: the result's own hop list, grown in place
         self.hops: List[ReverseHop] = result.hops
         self.seen: Set[Address] = {result.dst}
@@ -282,6 +284,11 @@ class RevtrEngine:
         #: version it was built at
         self._terminal_keys: Set[object] = set()
         self._terminal_version = self.resolver.version
+        #: destination -> (remembered abort hops, terminal state) when
+        #: rule (d) last passed for them: the terminal set only grows
+        #: and the resolver versions its changes, so while both stand
+        #: the answer stands
+        self._abort_checked: Dict[Address, Tuple[tuple, tuple]] = {}
         self._atlas_by_group: Dict[int, List[Address]] = {}
         self._harvest_terminal_from_atlas()
         if self.config.use_alias_intersection:
@@ -819,11 +826,11 @@ class RevtrEngine:
                 for step in self._steps:
                     if step(run):
                         break
-            if (
-                run.status is RevtrStatus.COMPLETE
-                and self.segcache is not None
-            ):
-                self._segcache_store(hops, run.spliced_at)
+            if self.segcache is not None:
+                if run.status is RevtrStatus.COMPLETE:
+                    self._segcache_store(hops, run.spliced_at)
+                elif run.status is RevtrStatus.ABORTED_INTERDOMAIN:
+                    self._remember_abort(run)
         self._finish(run)
         return run.result
 
@@ -841,10 +848,61 @@ class RevtrEngine:
         result = ReverseTracerouteResult(
             src=self.source, dst=dst, status=RevtrStatus.INCOMPLETE
         )
+        faults = getattr(self.prober.internet, "faults", None)
         # Fixed-size position marker, not a Counter copy: the
         # per-measurement probe delta must not scale with how many
         # probe kinds the global counter has accumulated.
-        return _Run(result, start_time, self.prober.counter.mark())
+        return _Run(
+            result, start_time, self.prober.counter.mark(),
+            faults.injections if faults is not None else None,
+        )
+
+    def _atlas_versions(self) -> Tuple[object, ...]:
+        """What a remembered abort's rule (e) compares: the versions of
+        the atlases this engine intersects with."""
+        rr_atlas = self.rr_atlas
+        return (
+            self.atlas.version,
+            rr_atlas.version if rr_atlas is not None else None,
+        )
+
+    def _remember_abort(self, run: _Run) -> None:
+        """Hand an aborted path to the segment cache, unless a fault
+        fired while it was measured (rule (f)) or the engine runs the
+        violation check (rule (g)): either can make a repeat differ."""
+        if self.config.detect_violations:
+            return
+        faults = getattr(self.prober.internet, "faults", None)
+        if faults is not None and faults.injections != run.injections:
+            return
+        self.segcache.store_abort(
+            run.result.dst, run.hops, self._atlas_versions()
+        )
+
+    def _remembered_abort(
+        self, dst: Address
+    ) -> Optional[Tuple[ReverseHop, ...]]:
+        """The hops of the abort the segment cache remembers toward
+        *dst*, while a fresh measurement would reach it again (the
+        cache checks rules (a)-(c) and (e); this adds (d), (f) and
+        (g)); else None."""
+        if (
+            self.config.detect_violations
+            or getattr(self.prober.internet, "faults", None) is not None
+        ):
+            return None
+        hops = self.segcache.lookup_abort(dst, self._atlas_versions())
+        if hops is None:
+            self._abort_checked.pop(dst, None)
+            return None
+        state = (len(self._terminal), self.resolver.version)
+        checked = self._abort_checked.get(dst)
+        if checked is None or checked[0] is not hops or checked[1] != state:
+            is_terminal = self._is_terminal
+            if any(is_terminal(hop.addr) for hop in hops):
+                return None
+            self._abort_checked[dst] = (hops, state)
+        return hops
 
     def _open_full_splice(self, run: _Run) -> bool:
         """Serve a measurement entirely from the segment cache.
@@ -864,11 +922,23 @@ class RevtrEngine:
         False and the normal measurement loop (ping check included)
         takes over.  Every edge served was read, so nothing is stored
         back.
+
+        Without such a chain, a remembered abort toward *dst*
+        (:meth:`_remembered_abort`) is served the same way: its stored
+        hops, status ``aborted-interdomain-symmetry``, no probe.
         """
         dst = run.result.dst
         chain, _ = self.segcache.chain(dst, _MAX_PATH_HOPS - 1)
         if not chain or chain[-1].next_hop != self.source:
-            return False
+            hops = self._remembered_abort(dst)
+            if hops is None:
+                return False
+            run.hops.extend(hops)
+            run.status = RevtrStatus.ABORTED_INTERDOMAIN
+            self.segcache.note_splice()
+            if self._ev is not None:
+                self._ev.emit_t("splice", (dst, len(hops) - 1, False, True))
+            return True
         if self.config.detect_violations and len(chain) >= 2:
             # Whole-path reuse earns the same Appendix E gating as a
             # mid-path splice: ride behind the violation check.

@@ -38,6 +38,9 @@ class RRAtlas:
         self._mapping: Dict[Address, Tuple[Address, int]] = {}
         #: vp -> the traceroute hops its aliases were registered against
         self._registered: Dict[Address, Sequence[Optional[Address]]] = {}
+        #: a new token on every :meth:`build`, as
+        #: :attr:`TracerouteAtlas.version`
+        self.version = object()
         self.probes_sent = 0
         #: probes *not* sent because a hop address recurring across
         #: atlas traceroutes was already probed this build
@@ -66,6 +69,7 @@ class RRAtlas:
         ladder per occurrence, one :meth:`Prober.rr_ping` at a time,
         registers (``tests/helpers/reference_rr_atlas.py``).
         """
+        self.version = object()
         source = self.atlas.source
         occurrences: List[
             Tuple[Address, int, Address, Sequence[Optional[Address]]]

@@ -29,6 +29,34 @@ Negative entries remember routers that proved RR-unresponsive, so the
 whole VP fleet is not re-pointed at a black hole once per measurement;
 they carry their own (shorter) TTL.
 
+**Remembered aborts.**  revtr 2.0 aborts rather than assume
+interdomain symmetry (Insight 1.10), and an abort stores no edge: no
+hop of it reached the source.  So the cache also remembers, per
+destination, the hops of a measurement that ended
+``aborted-interdomain-symmetry`` with no fault injected during it, and
+a repeat toward that destination is served those very hops with no
+probe.  A fresh run would re-derive the same abort only while nothing
+it reads has changed, so a remembered abort is served only while:
+
+(a) the routing generation is the one it was stored under;
+(b) it is younger than :data:`DEFAULT_NEGATIVE_TTL`: it rests on
+    record route having found nothing at its last hop, so it ages from
+    the oldest negative entry on its hops, if that predates it;
+(c) each of its hops — the destination and trailing private RR hops
+    included — has the same live positive edge it had when stored: a
+    hop that gained one would splice past the abort;
+(d) none of its hops has since become terminal (the engine checks);
+(e) the source's traceroute atlas and RR atlas are the versions it was
+    stored under: a fresh run could now intersect;
+(f) no fault was injected during the measurement that stored it, and
+    no fault injector is installed now (the engine checks; a served
+    abort skips the probes whose loss draws the injector counts);
+(g) the engine does not run ``detect_violations`` (the engine checks).
+
+The memo is keyed by destination and never read by a mid-path splice:
+an abort frontier in the edge map would let other destinations'
+measurements splice into it and abort where they would have completed.
+
 Splicing a cached chain is *not* exempt from validity checking: the
 engine consults this cache only after the atlas missed, and gates the
 spliced hops behind the same Appendix E violation check as RR-revealed
@@ -45,7 +73,7 @@ sample), so it takes no lock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.result import ReverseHop
 from repro.net.addr import Address
@@ -78,6 +106,21 @@ class SegmentEntry:
         return self.next_hop is None
 
 
+class RememberedAbort(NamedTuple):
+    """An ``aborted-interdomain-symmetry`` path toward one destination
+    (a tuple: every abort of a cold stream is stored, few are read)."""
+
+    #: the stored result's hops, destination placeholder first; a
+    #: served abort appends these very objects
+    hops: Tuple[ReverseHop, ...]
+    #: each hop's live positive edge when stored (None where none)
+    edges: Tuple[Optional[SegmentEntry], ...]
+    #: the storing engine's atlas and RR-atlas versions
+    atlases: Tuple[object, ...]
+    generation: int
+    stored_at: float
+
+
 @dataclass
 class SegmentCacheStats:
     """Accounting mirrored into ``revtr_segment_*`` metrics."""
@@ -86,7 +129,7 @@ class SegmentCacheStats:
     misses: int = 0
     negative_hits: int = 0
     stores: int = 0
-    #: chains spliced into results
+    #: chains spliced into results (remembered aborts served included)
     splices: int = 0
     invalidations_generation: int = 0
     invalidations_ttl: int = 0
@@ -114,6 +157,7 @@ class ReverseSegmentCache:
         self.ttl = ttl
         self.stats = SegmentCacheStats()
         self._entries: Dict[Address, SegmentEntry] = {}
+        self._aborts: Dict[Address, RememberedAbort] = {}
 
     # ------------------------------------------------------------------
     # Observability
@@ -181,9 +225,86 @@ class ReverseSegmentCache:
             stored_at=self.clock.now(),
         )
 
+    def store_abort(
+        self,
+        dst: Address,
+        hops: Sequence[ReverseHop],
+        atlases: Tuple[object, ...],
+    ) -> None:
+        """Remember the hops of an aborted measurement toward *dst*,
+        with the atlas versions (*atlases*) it was measured against.
+
+        Its age is that of the oldest live negative entry on its hops,
+        if older than the measurement: the abort may rest on one.
+        """
+        generation = self.internet.routing_generation
+        now = self.clock.now()
+        entries = self._entries
+        born = now
+        edges = []
+        for hop in hops:
+            entry = entries.get(hop.addr)
+            if entry is not None and entry.generation == generation:
+                age = now - entry.stored_at
+                if entry.next_hop is None:
+                    if age <= DEFAULT_NEGATIVE_TTL and entry.stored_at < born:
+                        born = entry.stored_at
+                elif age <= self.ttl:
+                    edges.append(entry)
+                    continue
+            edges.append(None)
+        self._aborts[dst] = RememberedAbort(
+            tuple(hops), tuple(edges), atlases, generation, born
+        )
+
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
+
+    def _live_edge(
+        self, addr: Address, generation: int, now: float
+    ) -> Optional[SegmentEntry]:
+        """The positive edge a lookup of *addr* would return, without
+        the lookup's accounting; None if there is none."""
+        entry = self._entries.get(addr)
+        if (
+            entry is None
+            or entry.next_hop is None
+            or entry.generation != generation
+            or now - entry.stored_at > self.ttl
+        ):
+            return None
+        return entry
+
+    def lookup_abort(
+        self, dst: Address, atlases: Tuple[object, ...]
+    ) -> Optional[Tuple[ReverseHop, ...]]:
+        """The hops of the abort remembered toward *dst*, or None.
+
+        Checks rules (a), (b), (c) and (e) of the module docstring
+        against the current atlas versions *atlases*; a memo that fails
+        one can never pass again (generations and versions only move
+        forward, and an edge is replaced, not restored), so it is
+        dropped.
+        """
+        memo = self._aborts.get(dst)
+        if memo is None:
+            return None
+        generation = self.internet.routing_generation
+        now = self.clock.now()
+        live_edge = self._live_edge
+        if (
+            memo.generation != generation
+            or now - memo.stored_at > DEFAULT_NEGATIVE_TTL
+            or memo.atlases != atlases
+            or any(
+                live_edge(hop.addr, generation, now) is not edge
+                for hop, edge in zip(memo.hops, memo.edges)
+            )
+        ):
+            del self._aborts[dst]
+            return None
+        return memo.hops
 
     def lookup(self, addr: Address) -> Optional[SegmentEntry]:
         """The cached edge from *addr*, or None on miss/invalidation.
@@ -279,24 +400,29 @@ class ReverseSegmentCache:
     # ------------------------------------------------------------------
 
     def purge_expired(self) -> int:
-        """Drop generation-stale and TTL-expired entries."""
+        """Drop generation-stale and TTL-expired entries and remembered
+        aborts."""
         now = self.clock.now()
         generation = self.internet.routing_generation
-        dead = []
-        for addr, entry in self._entries.items():
+
+        def reason(entry, ttl: float) -> Optional[str]:
             if entry.generation != generation:
-                dead.append((addr, "generation"))
-                continue
-            ttl = (
-                DEFAULT_NEGATIVE_TTL
-                if entry.next_hop is None
-                else self.ttl
-            )
-            if now - entry.stored_at > ttl:
-                dead.append((addr, "ttl"))
-        for addr, reason in dead:
-            del self._entries[addr]
-            if reason == "generation":
+                return "generation"
+            return "ttl" if now - entry.stored_at > ttl else None
+
+        dead = [
+            (self._entries, addr, reason(
+                entry, DEFAULT_NEGATIVE_TTL if entry.negative else self.ttl
+            ))
+            for addr, entry in self._entries.items()
+        ] + [
+            (self._aborts, dst, reason(memo, DEFAULT_NEGATIVE_TTL))
+            for dst, memo in self._aborts.items()
+        ]
+        dead = [item for item in dead if item[2] is not None]
+        for store, key, why in dead:
+            del store[key]
+            if why == "generation":
                 self.stats.invalidations_generation += 1
             else:
                 self.stats.invalidations_ttl += 1
@@ -304,9 +430,11 @@ class ReverseSegmentCache:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._aborts.clear()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Edges, negative entries and remembered aborts held."""
+        return len(self._entries) + len(self._aborts)
 
     def __contains__(self, addr: Address) -> bool:
         return addr in self._entries

@@ -313,10 +313,17 @@ class ProvenanceLedger:
             )
         if kind == "splice":
             if f.get("full_path"):
+                served = (
+                    "whole-path splice" if f.get("to_source")
+                    else "remembered abort"
+                )
                 return (
-                    "whole-path splice from destination {hop}: "
+                    "{served} from destination {hop}: "
                     "served {hops} cached reverse hop(s), zero probes"
-                    .format(hop=f.get("hop", "?"), hops=f.get("hops", "?"))
+                    .format(
+                        served=served, hop=f.get("hop", "?"),
+                        hops=f.get("hops", "?"),
+                    )
                 )
             tail = (
                 " -- path complete" if f.get("to_source") else ""

@@ -13,7 +13,9 @@ building a fresh ``ReverseHop`` for every spliced edge and source hop
 where ``src/`` appends the stored and the engine's own.  The splices
 are the old methods verbatim but for reading a segment entry's
 technique and link through its ``hop`` and handing ``_Run.reach`` the
-source hop it used to build.  They are kept so
+source hop it used to build, and the whole-path splice serving a
+remembered abort (``RevtrEngine._remembered_abort``) as rebuilt copies
+of its hops.  They are kept so
 ``tests/test_engine_hot_path.py`` can require the indexed versions to
 agree with them after every mutation, and so a whole request stream
 can be compared against one served with the oracles patched in.
@@ -27,7 +29,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.asmap.ip2as import IPToASMapper
 from repro.asmap.relationships import ASRelationships
-from repro.core.result import HopTechnique, ReverseHop
+from repro.core.result import HopTechnique, ReverseHop, RevtrStatus
 from repro.core.revtr import _MAX_PATH_HOPS, RevtrEngine
 from repro.net.addr import Address, is_private
 from repro.net.packet import ProbeKind
@@ -103,12 +105,27 @@ def reference_segcache_store(
 
 def rebuild_open_full_splice(self: RevtrEngine, run) -> bool:
     """The whole-path splice that builds a fresh ``ReverseHop`` per
-    spliced edge (and a fresh source hop) instead of appending the
-    stored ones."""
+    spliced edge (and a fresh source hop), and per hop of a served
+    remembered abort, instead of appending the stored ones."""
     dst = run.result.dst
     chain, _ = self.segcache.chain(dst, _MAX_PATH_HOPS - 1)
     if not chain or chain[-1].next_hop != self.source:
-        return False
+        remembered = self._remembered_abort(dst)
+        if remembered is None:
+            return False
+        run.hops.extend(
+            ReverseHop(
+                hop.addr, hop.technique, assumed_link=hop.assumed_link
+            )
+            for hop in remembered
+        )
+        run.status = RevtrStatus.ABORTED_INTERDOMAIN
+        self.segcache.note_splice()
+        if self._ev is not None:
+            self._ev.emit_t(
+                "splice", (dst, len(remembered) - 1, False, True)
+            )
+        return True
     addrs = [entry.next_hop for entry in chain]
     if self.config.detect_violations and len(addrs) >= 2:
         # Whole-path reuse earns the same Appendix E gating as a
@@ -214,7 +231,7 @@ def oracle_engine() -> Iterator[None]:
 
     def splice_and_restore(self, run):
         served = rebuild_open_full_splice(self, run)
-        if served:
+        if served and run.status is RevtrStatus.COMPLETE:
             reference_segcache_store(self, run.hops)
         return served
 

@@ -24,6 +24,7 @@ from repro.alias.resolver import AliasResolver
 from repro.asmap.ip2as import IPToASMapper
 from repro.asmap.relationships import ASRelationships
 from repro.core.atlas import TracerouteAtlas
+from repro.core.result import RevtrStatus
 from repro.core.revtr import RevtrEngine
 from repro.experiments import Scenario
 from repro.net.addr import addr_to_int, int_to_addr
@@ -345,6 +346,7 @@ def _serve_stream(check):
 
     checked = [0]
     shared = [0]
+    aborts = [0]
     index_is_terminal = RevtrEngine._is_terminal
     open_full_splice = RevtrEngine._open_full_splice
 
@@ -355,8 +357,17 @@ def _serve_stream(check):
         return answer
 
     def checked_full_splice(self, run):
+        memo = self.segcache._aborts.get(run.result.dst)
         served = open_full_splice(self, run)
-        if served:
+        if served and run.status is RevtrStatus.ABORTED_INTERDOMAIN:
+            # A served abort is the remembered hops themselves, and
+            # ends at the remembered last hop, not at the source.
+            assert len(run.hops) == len(memo.hops)
+            for hop, remembered in zip(run.hops, memo.hops):
+                assert hop is remembered, hop
+            assert run.hops[-1] is memo.hops[-1]
+            aborts[0] += 1
+        elif served:
             entries = self.segcache._entries
             for before, hop in zip(run.hops, run.hops[1:]):
                 assert hop is entries[before.addr].hop, hop
@@ -377,14 +388,16 @@ def _serve_stream(check):
             RevtrEngine._is_terminal = index_is_terminal
             RevtrEngine._open_full_splice = open_full_splice
     edges, stats = _segcache_state(service)
-    return served, edges, stats, checked[0], shared[0]
+    return served, edges, stats, checked[0], shared[0], aborts[0]
 
 
 def test_request_stream_identical_with_oracles_patched_in():
     """Against the oracles, which also rebuild every spliced hop."""
-    served, edges, stats, checked, shared = _serve_stream(check=True)
+    served, edges, stats, checked, shared, aborts = _serve_stream(
+        check=True
+    )
     with oracle_engine():
-        ref_served, ref_edges, ref_stats, _, _ = _serve_stream(
+        ref_served, ref_edges, ref_stats, _, _, _ = _serve_stream(
             check=False
         )
     assert served == ref_served
@@ -393,8 +406,10 @@ def test_request_stream_identical_with_oracles_patched_in():
     assert checked > 100
     assert sum(s.splices for s in stats) > 100
     assert [s.splices for s in stats] == [s.splices for s in ref_stats]
-    # Whole-path splices happened, and shared the stored hops.
+    # Whole-path splices happened, and shared the stored hops; so did
+    # remembered aborts.
     assert shared > 50
+    assert aborts > 0
     # Same edges; only the oracle restamps the ones it re-reads.
     assert edges.keys() == ref_edges.keys()
     restamped = 0

@@ -5,7 +5,10 @@ byte-identical to no cache, spliced == from-scratch equality under
 stable routing, invalidation on routing-generation bumps and TTL
 expiry, negative entries, the violation-check gating of spliced
 chains, grouped == sequential routes for ``measure_many``, and the
-paper's engines never splicing.
+paper's engines never splicing.  Remembered aborts: each validity
+rule of ``repro.core.segcache`` on its own, and a served abort equal
+to the re-derivation it replaces across every mutation the rules
+watch for (``test_served_abort_equals_the_rederivation``).
 """
 
 import json
@@ -13,13 +16,20 @@ import json
 import pytest
 
 from repro.core.result import HopTechnique, ReverseHop, RevtrStatus
+from repro.core.cache import DEFAULT_TTL
 from repro.core.revtr import EngineConfig
 from repro.core.segcache import DEFAULT_NEGATIVE_TTL, ReverseSegmentCache
 from repro.experiments import Scenario
 from repro.experiments.common import VARIANTS
 from repro.net.addr import Prefix
+from repro.obs import Instrumentation
+from repro.obs.provenance import ProvenanceLedger
+from repro.probing.traceroute import paris_traceroute
+from repro.service import MeasurementRequest
 from repro.sim.clock import VirtualClock
+from repro.sim.faults import FaultPlan, FaultSpec
 from repro.topology import TopologyConfig
+from repro.topology.policy import AnnouncementSpec, Origin
 from tests.helpers.segcache_engine import engine_with_segcache
 
 try:
@@ -158,6 +168,110 @@ class TestSegmentCacheUnit:
         assert cache.stats.invalidations_generation == 1
         assert cache.stats.invalidations_ttl == 1
         assert len(cache) == 1
+
+    # -- remembered aborts: the cache's rules (a), (b), (c), (e) --------
+
+    #: an aborted path: the destination, a public RR hop and a trailing
+    #: private one
+    ABORT = (
+        ReverseHop("d", HopTechnique.DESTINATION),
+        ReverseHop("x", HopTechnique.RR),
+        ReverseHop("10.0.0.1", HopTechnique.RR),
+    )
+    ATLASES = ("atlas", "rr-atlas")
+
+    def stored_abort(self):
+        cache = make_cache()
+        cache.store_abort("d", self.ABORT, self.ATLASES)
+        return cache
+
+    def test_abort_serves_the_stored_hops(self):
+        cache = self.stored_abort()
+        hops = cache.lookup_abort("d", self.ATLASES)
+        assert all(a is b for a, b in zip(hops, self.ABORT))
+        assert len(hops) == len(self.ABORT)
+        assert cache.lookup_abort("x", self.ATLASES) is None
+        # Not an edge: no mid-path splice can reach it.
+        assert "d" not in cache
+        assert cache.chain("d", limit=10) == ([], False)
+
+    def test_abort_dropped_on_generation_bump(self):
+        cache = self.stored_abort()
+        cache.internet.routing_generation += 1
+        assert cache.lookup_abort("d", self.ATLASES) is None
+        cache.internet.routing_generation -= 1
+        assert cache.lookup_abort("d", self.ATLASES) is None
+
+    def test_abort_lives_as_long_as_a_negative_entry(self):
+        cache = self.stored_abort()
+        cache.clock.advance(DEFAULT_NEGATIVE_TTL)
+        assert cache.lookup_abort("d", self.ATLASES) is not None
+        cache.clock.advance(1)
+        assert cache.lookup_abort("d", self.ATLASES) is None
+
+    def test_abort_ages_from_the_oldest_negative_entry_it_read(self):
+        cache = make_cache()
+        cache.store_negative("x")
+        cache.clock.advance(DEFAULT_NEGATIVE_TTL / 2)
+        cache.store_abort("d", self.ABORT, self.ATLASES)
+        cache.clock.advance(DEFAULT_NEGATIVE_TTL / 2)
+        assert cache.lookup_abort("d", self.ATLASES) is not None
+        cache.clock.advance(1)
+        assert cache.lookup_abort("d", self.ATLASES) is None
+
+    @pytest.mark.parametrize("where", ["d", "x", "10.0.0.1"])
+    def test_abort_dropped_when_a_hop_gains_an_edge(self, where):
+        cache = self.stored_abort()
+        cache.store(where, ReverseHop("s", HopTechnique.SOURCE))
+        assert cache.lookup_abort("d", self.ATLASES) is None
+
+    def test_abort_kept_while_its_hops_edges_are_unchanged(self):
+        cache = make_cache()
+        cache.store("x", ReverseHop("10.0.0.1", HopTechnique.RR))
+        cache.store_abort("d", self.ABORT, self.ATLASES)
+        # A negative entry is no edge to splice past the abort with.
+        cache.store_negative("10.0.0.1")
+        assert cache.lookup_abort("d", self.ATLASES) is not None
+        # Restamped, the edge is not the one the abort was stored with.
+        cache.store("x", ReverseHop("10.0.0.1", HopTechnique.RR))
+        assert cache.lookup_abort("d", self.ATLASES) is None
+
+    def test_abort_dropped_when_an_edge_it_had_expires(self):
+        cache = make_cache()
+        cache.store("x", ReverseHop("10.0.0.1", HopTechnique.RR))
+        cache.clock.advance(TTL - DEFAULT_NEGATIVE_TTL / 2)
+        cache.store_abort("d", self.ABORT, self.ATLASES)
+        assert cache.lookup_abort("d", self.ATLASES) is not None
+        cache.clock.advance(DEFAULT_NEGATIVE_TTL / 2 + 1)
+        assert cache.lookup_abort("d", self.ATLASES) is None
+
+    def test_abort_dropped_when_an_atlas_changes(self):
+        cache = self.stored_abort()
+        assert cache.lookup_abort("d", ("atlas", "grown")) is None
+        assert cache.lookup_abort("d", self.ATLASES) is None
+
+    def test_purge_expired_drops_stale_aborts(self):
+        cache = self.stored_abort()
+        cache.store_abort("e", self.ABORT[1:], self.ATLASES)
+        assert cache.purge_expired() == 0
+        cache.internet.routing_generation += 1
+        cache.store_abort("f", self.ABORT, self.ATLASES)
+        cache.clock.advance(DEFAULT_NEGATIVE_TTL)
+        cache.store_abort("g", self.ABORT, self.ATLASES)
+        cache.clock.advance(1)
+        assert cache.purge_expired() == 3
+        assert cache.stats.invalidations_generation == 2
+        assert cache.stats.invalidations_ttl == 1
+        assert len(cache) == 1
+        assert cache.lookup_abort("g", self.ATLASES) is not None
+
+    def test_len_and_clear_count_aborts(self):
+        cache = self.stored_abort()
+        cache.store("a", ReverseHop("b", HopTechnique.RR))
+        assert len(cache) == 2
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.lookup_abort("d", self.ATLASES) is None
 
 
 class TestFlagsOffByteIdentity:
@@ -648,3 +762,367 @@ if HAVE_HYPOTHESIS:
                 assert status is RevtrStatus.COMPLETE
             elif status is RevtrStatus.COMPLETE:
                 assert hops[-1] == base_hops[-1]
+
+
+# ----------------------------------------------------------------------
+# Remembered aborts: served only while a fresh run would re-derive them
+# ----------------------------------------------------------------------
+
+#: The differential deployment: a small world, two sources, and the
+#: destinations whose first measurement from some source aborts.
+ABORT_SEED = 3
+N_ABORT_DSTS = 120
+
+
+def _abort_deployment(config):
+    scenario = Scenario(
+        config=TopologyConfig.small(seed=ABORT_SEED),
+        seed=ABORT_SEED,
+        atlas_size=8,
+    )
+    service = scenario.service(engine_config=config)
+    key = service.add_user("zipf", max_per_day=1_000_000).api_key
+    sources = scenario.sources()[:2]
+    for source in sources:
+        service.add_source(key, source)
+        # Built now, so a twin can unhook the abort lookup of the one
+        # segment cache the source's engine splices from.
+        service._engine_for(source)
+    return scenario, service, key
+
+
+@pytest.fixture(scope="module")
+def abort_pool():
+    """``(source, destination, hops)`` to draw requests from: every
+    pair whose first measurement aborts (with no hops), then every
+    completed pair whose path crosses a hop of an aborted one (a later
+    completion there is what rule (c) watches for), with its hops."""
+    scenario, service, key = _abort_deployment(EngineConfig())
+    dsts = scenario.responsive_destinations(N_ABORT_DSTS)
+    aborted, completed = [], []
+    for source in service.registry.sources:
+        for dst in dsts:
+            result = service.request(
+                MeasurementRequest(key, dst, source)
+            )
+            if result.status is RevtrStatus.ABORTED_INTERDOMAIN:
+                aborted.append((source, dst, result))
+            elif result.status is RevtrStatus.COMPLETE:
+                completed.append((source, dst, result))
+    crossed = {
+        (source, hop.addr)
+        for source, _, result in aborted
+        for hop in result.hops[1:]
+    }
+    crossing = [
+        (source, dst, frozenset(result.addresses()[1:-1]))
+        for source, dst, result in completed
+        if any((source, hop.addr) in crossed for hop in result.hops[1:-1])
+    ]
+    return [(s, d, frozenset()) for s, d, _ in aborted] + crossing
+
+
+class _Twins:
+    """One deployment serving remembered aborts and one whose segment
+    caches never find one (every repeat re-derived, as before them),
+    driven op by op.  After every op the clock that ran behind (served
+    aborts take no virtual time) is moved up to the other, so both
+    read every TTL and fault window at the same instant."""
+
+    def __init__(self, config):
+        self.sides = [_abort_deployment(config) for _ in range(2)]
+        for cache in self.sides[1][1]._segcaches.values():
+            cache.lookup_abort = lambda dst, atlases: None
+        #: ``(source, destination, hop addresses)`` of every abort
+        self.aborted = []
+
+    def _align(self):
+        clocks = [scenario.clock for scenario, _, _ in self.sides]
+        latest = max(clock.now() for clock in clocks)
+        for clock in clocks:
+            clock.advance_to(latest)
+
+    def request(self, src, dst):
+        served, fresh = [
+            service.request(MeasurementRequest(key, dst, src))
+            for _, service, key in self.sides
+        ]
+        self._align()
+        return served, fresh
+
+    def apply(self, op, arg):
+        for scenario, service, _ in self.sides:
+            if op == "advance":
+                scenario.clock.advance(arg)
+            elif op == "invalidate":
+                scenario.internet.invalidate_routing()
+            elif op == "refresh":
+                service.registry.refresh_atlas(arg)
+            elif op == "grow":
+                service.registry.sources[arg].rr_atlas.build(
+                    scenario.background_prober, scenario.spoofer_addrs
+                )
+            elif op == "faults":
+                # A loss window opens (at *arg* per link) or closes.
+                scenario.internet.faults = None
+                if arg:
+                    scenario.install_faults(
+                        FaultPlan(seed=5).add(
+                            FaultSpec(kind="link-loss", rate=arg)
+                        )
+                    )
+            elif op == "poison":
+                # A real route change: the source's prefix is announced
+                # with an AS of an aborted path poisoned (§6.1).
+                src, asn = arg
+                internet = scenario.internet
+                prefix = internet.prefix_table.lookup_prefix(src)
+                origin = internet.prefixes[prefix].origin_asn
+                internet.announcements[prefix] = AnnouncementSpec(
+                    origins=(Origin(origin),), poisoned=frozenset({asn})
+                )
+                internet.invalidate_routing()
+            elif op == "trace":
+                # The atlas gains a vantage point in an aborted
+                # destination's network, and the RR atlas grows with it.
+                src, dst = arg
+                registered = service.registry.sources[src]
+                registered.atlas.add(
+                    paris_traceroute(scenario.background_prober, dst, src)
+                )
+                registered.rr_atlas.build(
+                    scenario.background_prober, scenario.spoofer_addrs
+                )
+            elif op == "alias":
+                # New alias evidence: an aborted destination turns out
+                # to be one router with a first hop of its source.
+                src, dst = arg
+                engine = service._engines[src]
+                scenario.resolver.add_group({dst, min(engine._terminal)})
+        self._align()
+
+
+def path_record(result):
+    """What a served abort must equal: status, hops (address,
+    technique, assumed link), suspicious-link flag and suspects."""
+    return (
+        result.status,
+        [(h.addr, h.technique, h.assumed_link) for h in result.hops],
+        result.flagged_as_path,
+        list(result.suspected_violations),
+    )
+
+
+#: Requests dominate; every other op is a mutation a remembered abort
+#: must notice, or must not be fooled by.
+_OPS = ["request"] * 6 + ["repeat"] * 3 + [
+    "cross", "advance", "invalidate", "poison", "refresh", "grow",
+    "trace", "faults", "alias",
+]
+
+if HAVE_HYPOTHESIS:
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.function_scoped_fixture,
+            HealthCheck.too_slow,
+        ],
+    )
+    @given(data=st.data())
+    def test_served_abort_equals_the_rederivation(abort_pool, data):
+        """A repeat stream interleaved with completions through aborted
+        hops, atlas refreshes, RR-atlas growth, routing invalidations,
+        route poisoning, clock advances past the negative TTL, fault
+        windows and new alias evidence, served twice in lockstep: every
+        request's answer (status, hops, suspicious-link flag, suspects)
+        is the same whether a remembered abort served it or the engine
+        re-derived it, and only a served abort spends less."""
+        config = EngineConfig(
+            # Rarely: with the check on, nothing is remembered at all.
+            detect_violations=data.draw(st.integers(0, 7), "detect") == 7,
+            use_cache=data.draw(st.booleans(), "use_cache"),
+        )
+        twins = _Twins(config)
+
+        def request(src, dst):
+            day_one = twins.sides[0][0].clock.now() < DEFAULT_TTL
+            served, fresh = twins.request(src, dst)
+            assert path_record(served) == path_record(fresh), dst
+            from_memo = (
+                served.status is RevtrStatus.ABORTED_INTERDOMAIN
+                and not sum(served.probe_counts.values())
+                and sum(fresh.probe_counts.values())
+            )
+            if not from_memo and day_one:
+                # A re-derivation re-measures, and re-caches, what
+                # expired from the measurement cache; a served abort
+                # does not.  Before any entry can have expired, the
+                # two sides spend alike on everything else.
+                assert served.probe_counts == fresh.probe_counts
+                assert served.duration == fresh.duration
+            if served.status is RevtrStatus.ABORTED_INTERDOMAIN:
+                twins.aborted.append((src, dst, served.addresses()))
+
+        for _ in range(data.draw(st.integers(15, 50), "ops")):
+            op = data.draw(st.sampled_from(_OPS))
+            if op == "request" or not twins.aborted:
+                src, dst, _ = data.draw(st.sampled_from(abort_pool))
+                request(src, dst)
+                continue
+            # Every other op is about an abort seen so far, which is
+            # repeated right after it.
+            src, dst, addrs = data.draw(st.sampled_from(twins.aborted))
+            if op == "cross":
+                # A completed measurement through one of its hops: what
+                # rule (c) watches for.
+                crossed = [
+                    ((aborted_src, aborted_dst), (s, d))
+                    for aborted_src, aborted_dst, aborted in twins.aborted
+                    for s, d, hops in abort_pool
+                    if s == aborted_src and hops & set(aborted)
+                ]
+                if crossed:
+                    (src, dst), crossing = data.draw(st.sampled_from(crossed))
+                    request(*crossing)
+                request(src, dst)
+                continue
+            if op == "repeat":
+                request(src, dst)
+                continue
+            if op == "faults":
+                # Measured inside a loss window, then repeated after it.
+                rate = data.draw(st.sampled_from([0.05, 0.2]))
+                twins.apply("faults", rate)
+                request(src, dst)
+                request(src, dst)
+                twins.apply("faults", None)
+                request(src, dst)
+                continue
+            if op == "advance":
+                arg = data.draw(st.sampled_from([600.0, 3_700.0]))
+            elif op in ("refresh", "grow"):
+                arg = src
+            elif op == "poison":
+                ip2as = twins.sides[0][0].ip2as
+                transit = sorted(
+                    {ip2as.asn(addr) for addr in addrs}
+                    - {None, ip2as.asn(src), ip2as.asn(dst)}
+                )
+                if not transit:
+                    request(src, dst)
+                    continue
+                arg = (src, data.draw(st.sampled_from(transit)))
+            elif op in ("alias", "trace"):
+                arg = (src, dst)
+            else:
+                arg = None
+            twins.apply(op, arg)
+            request(src, dst)
+
+
+class TestRememberedAborts:
+    """The engine's side: a repeat of an aborted measurement is served
+    from the memo with no probe, and rules (d), (f) and (g)."""
+
+    def deployment(self, abort_pool, **config):
+        scenario, service, key = _abort_deployment(EngineConfig(**config))
+        src, dst, _ = abort_pool[0]
+
+        def request():
+            return service.request(MeasurementRequest(key, dst, src))
+
+        return scenario, service, service._engines[src], request
+
+    def test_repeat_is_served_from_the_memo(self, abort_pool):
+        scenario, service, engine, request = self.deployment(abort_pool)
+        first = request()
+        assert first.status is RevtrStatus.ABORTED_INTERDOMAIN
+        remembered = engine.segcache._aborts[first.dst].hops
+        assert all(a is b for a, b in zip(first.hops, remembered))
+        before = scenario.clock.now()
+        again = request()
+        assert path_record(again) == path_record(first)
+        assert all(a is b for a, b in zip(again.hops, remembered))
+        assert not sum(again.probe_counts.values())
+        assert scenario.clock.now() == before
+        assert again.duration == 0.0
+
+    def test_served_abort_is_a_splice_event(self, abort_pool):
+        scenario = Scenario(
+            config=TopologyConfig.small(seed=ABORT_SEED),
+            seed=ABORT_SEED,
+            atlas_size=8,
+            instrumentation=Instrumentation(),
+        )
+        service = scenario.service()
+        key = service.add_user("u").api_key
+        src, dst, _ = abort_pool[0]
+        service.add_source(key, src)
+        first = service.request(MeasurementRequest(key, dst, src))
+        again = service.request(MeasurementRequest(key, dst, src))
+        events = scenario.obs.events.events()
+        splice = [
+            e for e in events
+            if e.kind == "splice" and e.mid == again.measurement_id
+        ]
+        assert [e.fields for e in splice] == [{
+            "hop": dst, "hops": len(first.hops) - 1,
+            "to_source": False, "full_path": True,
+        }]
+        story = ProvenanceLedger.from_events(
+            events, again.measurement_id
+        ).explain()
+        assert "remembered abort" in story
+
+    def test_a_hop_turned_terminal_is_rederived(self, abort_pool):
+        scenario, service, engine, request = self.deployment(abort_pool)
+        first = request()
+        # (d) New alias evidence puts the destination on the source's
+        # first hop: a fresh run ends there.
+        scenario.resolver.add_group({first.dst, min(engine._terminal)})
+        again = request()
+        assert again.status is RevtrStatus.COMPLETE
+        assert sum(again.probe_counts.values())
+
+    def test_nothing_is_remembered_from_a_faulted_measurement(
+        self, abort_pool
+    ):
+        scenario, service, engine, request = self.deployment(abort_pool)
+        injector = scenario.install_faults(FaultPlan())
+        # The engine binds its steps once; the last is the symmetry step.
+        step_symmetry = engine._steps[-1]
+
+        def injected(run):
+            # (f) stand-in for a loss the plan injected mid-measurement
+            injector.injections += 1
+            return step_symmetry(run)
+
+        engine._steps[-1] = injected
+        first = request()
+        assert first.status is RevtrStatus.ABORTED_INTERDOMAIN
+        assert first.dst not in engine.segcache._aborts
+        engine._steps[-1] = step_symmetry
+        request()
+        assert first.dst in engine.segcache._aborts
+        # ... and none is served while an injector is installed.
+        assert sum(request().probe_counts.values())
+        scenario.internet.faults = None
+        assert not sum(request().probe_counts.values())
+
+    def test_violation_checking_engines_neither_store_nor_serve(
+        self, abort_pool
+    ):
+        scenario, service, engine, request = self.deployment(
+            abort_pool, detect_violations=True
+        )
+        first = request()
+        assert first.status is RevtrStatus.ABORTED_INTERDOMAIN
+        assert first.dst not in engine.segcache._aborts
+        # (g) Even one stored under it is not served.
+        engine.segcache.store_abort(
+            first.dst, first.hops, engine._atlas_versions()
+        )
+        assert engine._remembered_abort(first.dst) is None
+        assert sum(request().probe_counts.values())
