@@ -31,9 +31,6 @@ class PathComparison:
     #: same, counting unresolvable direct hops as matches (the upper
     #: bound of Fig. 5a's shaded region)
     router_fraction_optimistic: float
-    #: fraction of direct-traceroute AS hops present in the reverse
-    #: traceroute's AS path
-    as_fraction: float
     #: the two AS paths are identical
     as_exact: bool
     #: reverse AS path is a subsequence of the direct one: incomplete
@@ -45,7 +42,6 @@ class PathComparison:
     #: reverse path has it — the paper's discrepancy case (4), "the
     #: direct traceroute is wrong"
     as_direct_incomplete: bool
-    compared_hops: int
 
     @property
     def as_correct(self) -> bool:
@@ -98,11 +94,6 @@ def compare_paths(
 
     direct_as = ip2as.collapsed_as_path(direct)
     reverse_as = ip2as.collapsed_as_path(reverse_addrs)
-    if direct_as:
-        present = sum(1 for asn in direct_as if asn in reverse_as)
-        as_fraction = present / len(direct_as)
-    else:
-        as_fraction = 0.0
     as_exact = bool(direct_as) and reverse_as == direct_as
     as_missing_only = (
         not as_exact
@@ -119,9 +110,7 @@ def compare_paths(
     return PathComparison(
         router_fraction=matched / len(routers),
         router_fraction_optimistic=optimistic / len(routers),
-        as_fraction=as_fraction,
         as_exact=as_exact,
         as_missing_only=as_missing_only,
         as_direct_incomplete=as_direct_incomplete,
-        compared_hops=len(routers),
     )

@@ -3,9 +3,10 @@
 The paper quantifies symmetry as *the fraction of hops on the forward
 traceroute that are also on the reverse traceroute* — deliberately not
 an edit distance (Appendix G.3 discusses the difference from
-de Vries et al.). These helpers compute that fraction at router and AS
-granularity, the per-AS asymmetry prevalence for the customer-cone
-scatter, and the positional symmetry profile.
+de Vries et al.). These helpers compute that fraction at router
+granularity, the AS-level symmetry predicate, the per-AS asymmetry
+prevalence for the customer-cone scatter, and the positional symmetry
+profile.
 """
 
 from __future__ import annotations
@@ -39,16 +40,6 @@ def hop_symmetry_fraction(
     return matched / len(routers)
 
 
-def as_symmetry_fraction(
-    forward_as: Sequence[int], reverse_as: Sequence[int]
-) -> Optional[float]:
-    """AS-level symmetry: fraction of forward ASes on the reverse path."""
-    if not forward_as:
-        return None
-    present = sum(1 for asn in forward_as if asn in reverse_as)
-    return present / len(forward_as)
-
-
 def is_symmetric_pair(
     forward_as: Sequence[int], reverse_as: Sequence[int]
 ) -> bool:
@@ -75,12 +66,6 @@ class AsymmetryPrevalence:
         if self.total_asymmetric == 0:
             return 0.0
         return self.involved.get(asn, 0) / self.total_asymmetric
-
-    def top(self, n: int = 10) -> List[Tuple[int, float]]:
-        ranked = sorted(
-            self.involved, key=lambda asn: -self.involved[asn]
-        )
-        return [(asn, self.prevalence(asn)) for asn in ranked[:n]]
 
 
 def asymmetry_prevalence(

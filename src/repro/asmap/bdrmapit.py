@@ -26,17 +26,15 @@ BDRMAPIT_RUNTIME_SECONDS = 30 * 60.0
 #: AS before the address is handed to it.
 _MAJORITY_THRESHOLD = 0.75
 
+#: Observed successors an address needs before it is voted on at all.
+_MIN_OBSERVATIONS = 2
+
 
 class BdrmapitLite:
     """Majority-vote border ownership inference over traceroutes."""
 
-    def __init__(
-        self,
-        base: IPToASMapper,
-        min_observations: int = 2,
-    ) -> None:
+    def __init__(self, base: IPToASMapper) -> None:
         self.base = base
-        self.min_observations = min_observations
 
     def infer(
         self, traceroutes: Iterable[TracerouteResult]
@@ -65,7 +63,7 @@ class BdrmapitLite:
             if own is None:
                 continue
             total = sum(counts.values())
-            if total < self.min_observations:
+            if total < _MIN_OBSERVATIONS:
                 continue
             winner, hits = counts.most_common(1)[0]
             if winner == own:

@@ -7,7 +7,7 @@ The cache is a large share of the Table 4 probe savings because reverse
 paths toward one source converge, so later reverse traceroutes re-hit
 the same (hop, source) measurements.
 
-The cache is bounded by time: entries expire after ``ttl`` and the
+The cache is bounded by time: entries expire after `DEFAULT_TTL` and the
 measurement path sweeps them out via :meth:`maybe_purge`, at most once
 per `PURGE_INTERVAL`.  Only the thread that serves requests touches
 it; telemetry readers see its stats as mirrored into a published
@@ -22,7 +22,7 @@ from typing import Any, Dict, Hashable, Optional, Tuple
 from repro.obs.instrument import NULL
 from repro.sim.clock import VirtualClock
 
-#: Default entry lifetime: one day (paper: daily refresh).
+#: Entry lifetime: one day (paper: daily refresh).
 DEFAULT_TTL = 86_400.0
 
 #: Spacing of opportunistic expired-entry sweeps (virtual seconds);
@@ -51,11 +51,9 @@ class MeasurementCache:
     def __init__(
         self,
         clock: VirtualClock,
-        ttl: float = DEFAULT_TTL,
         enabled: bool = True,
     ) -> None:
         self.clock = clock
-        self.ttl = ttl
         self.enabled = enabled
         self.stats = CacheStats()
         #: instrumentation sink; the owning engine sets its own
@@ -94,7 +92,7 @@ class MeasurementCache:
         entry = self._entries.get(key)
         if entry is not None:
             stored_at, stored = entry
-            if self.clock.now() - stored_at > self.ttl:
+            if self.clock.now() - stored_at > DEFAULT_TTL:
                 del self._entries[key]
                 self.stats.expirations += 1
                 self.stats.misses += 1
@@ -131,7 +129,7 @@ class MeasurementCache:
         entry = self._entries.get(key)
         if entry is None:
             return False
-        return self.clock.now() - entry[0] <= self.ttl
+        return self.clock.now() - entry[0] <= DEFAULT_TTL
 
     def age(self, key: Hashable) -> Optional[float]:
         entry = self._entries.get(key)
@@ -145,7 +143,7 @@ class MeasurementCache:
         expired = [
             key
             for key, (stored_at, _) in self._entries.items()
-            if now - stored_at > self.ttl
+            if now - stored_at > DEFAULT_TTL
         ]
         for key in expired:
             del self._entries[key]

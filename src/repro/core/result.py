@@ -79,9 +79,6 @@ class ReverseTracerouteResult:
         """The hop addresses, destination first, source last."""
         return [hop.addr for hop in self.hops]
 
-    def techniques(self) -> List[HopTechnique]:
-        return [hop.technique for hop in self.hops]
-
     def assumed_hops(self) -> List[ReverseHop]:
         return [
             hop

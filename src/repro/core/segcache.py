@@ -19,11 +19,11 @@ Validity is bounded two ways, mirroring the route-stability literature
 * **routing generation** — every entry is stamped with the simulator's
   ``routing_generation`` at store time; a generation bump (traffic
   engineering, topology change) invalidates it at the next lookup;
-* **TTL** — entries older than ``ttl`` virtual seconds expire, exactly
+* **TTL** — entries older than `DEFAULT_SEGMENT_TTL` expire, exactly
   like :class:`~repro.core.cache.MeasurementCache` entries.  An
   entry's age is the age of the measurement that revealed the edge
   (``stored_at``), however often it has been read since, so a spliced
-  path is never older than ``ttl``.
+  path is never older than that.
 
 Negative entries remember routers that proved RR-unresponsive, so the
 whole VP fleet is not re-pointed at a black hole once per measurement;
@@ -78,7 +78,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.core.result import ReverseHop
 from repro.net.addr import Address
 
-#: Default entry lifetime, matching the measurement cache (paper:
+#: Entry lifetime, matching the measurement cache (paper:
 #: routes are stable enough to reuse for a day).
 DEFAULT_SEGMENT_TTL = 86_400.0
 
@@ -146,15 +146,9 @@ class SegmentCacheStats:
 class ReverseSegmentCache:
     """Per-source map: router address -> cached reverse edge."""
 
-    def __init__(
-        self,
-        clock,
-        internet,
-        ttl: float = DEFAULT_SEGMENT_TTL,
-    ) -> None:
+    def __init__(self, clock, internet) -> None:
         self.clock = clock
         self.internet = internet
-        self.ttl = ttl
         self.stats = SegmentCacheStats()
         self._entries: Dict[Address, SegmentEntry] = {}
         self._aborts: Dict[Address, RememberedAbort] = {}
@@ -249,7 +243,7 @@ class ReverseSegmentCache:
                 if entry.next_hop is None:
                     if age <= DEFAULT_NEGATIVE_TTL and entry.stored_at < born:
                         born = entry.stored_at
-                elif age <= self.ttl:
+                elif age <= DEFAULT_SEGMENT_TTL:
                     edges.append(entry)
                     continue
             edges.append(None)
@@ -271,7 +265,7 @@ class ReverseSegmentCache:
             entry is None
             or entry.next_hop is None
             or entry.generation != generation
-            or now - entry.stored_at > self.ttl
+            or now - entry.stored_at > DEFAULT_SEGMENT_TTL
         ):
             return None
         return entry
@@ -323,7 +317,7 @@ class ReverseSegmentCache:
             self.stats.misses += 1
             return None
         negative = entry.next_hop is None
-        ttl = DEFAULT_NEGATIVE_TTL if negative else self.ttl
+        ttl = DEFAULT_NEGATIVE_TTL if negative else DEFAULT_SEGMENT_TTL
         if self.clock.now() - entry.stored_at > ttl:
             del self._entries[addr]
             self.stats.invalidations_ttl += 1
@@ -372,7 +366,7 @@ class ReverseSegmentCache:
                 stats.misses += 1
                 break
             nxt = entry.next_hop
-            ttl = DEFAULT_NEGATIVE_TTL if nxt is None else self.ttl
+            ttl = DEFAULT_NEGATIVE_TTL if nxt is None else DEFAULT_SEGMENT_TTL
             if now - entry.stored_at > ttl:
                 del entries[current]
                 stats.invalidations_ttl += 1
@@ -412,7 +406,9 @@ class ReverseSegmentCache:
 
         dead = [
             (self._entries, addr, reason(
-                entry, DEFAULT_NEGATIVE_TTL if entry.negative else self.ttl
+                entry,
+                DEFAULT_NEGATIVE_TTL if entry.negative
+                else DEFAULT_SEGMENT_TTL,
             ))
             for addr, entry in self._entries.items()
         ] + [

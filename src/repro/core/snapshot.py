@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.atlas import TracerouteAtlas
@@ -109,13 +110,18 @@ def _is_int(value: object) -> bool:
 
 
 _COUNT = "a non-negative int"
+_FINITE = "a finite number"
 _ROW = "[alias, vp, index >= 0]"
 
 #: The shape of every value :func:`save_snapshot` writes, by kind.
 _KINDS: Dict[str, Callable[[object], bool]] = {
     "a string": lambda v: isinstance(v, str),
     "a bool": lambda v: isinstance(v, bool),
-    "a number": lambda v: _is_int(v) or isinstance(v, float),
+    # `json.loads` reads NaN and Infinity; a staleness of NaN would
+    # make the atlas never stale.
+    _FINITE: lambda v: _is_int(v) or (
+        isinstance(v, float) and math.isfinite(v)
+    ),
     "an int": _is_int,
     "an int or null": lambda v: v is None or _is_int(v),
     "a positive int": lambda v: _is_int(v) and v > 0,
@@ -189,7 +195,7 @@ def load_snapshot(
         atlas = TracerouteAtlas(
             source,
             max_size=_want(spec["max_size"], "a positive int", "'max_size'"),
-            staleness=_want(spec["staleness"], "a number", "'staleness'"),
+            staleness=_want(spec["staleness"], _FINITE, "'staleness'"),
         )
         for entry in _want(spec["traceroutes"], "a list", "'traceroutes'"):
             src = _want(entry["src"], "a string", "a traceroute's 'src'")
@@ -204,7 +210,7 @@ def load_snapshot(
                 reached=_want(entry["reached"], "a bool", f"'reached' {of}"),
                 flow_id=_want(entry["flow_id"], "an int", f"'flow_id' {of}"),
                 timestamp=_want(
-                    entry["timestamp"], "a number", f"'timestamp' {of}"
+                    entry["timestamp"], _FINITE, f"'timestamp' {of}"
                 ),
             )
             generation = _want(

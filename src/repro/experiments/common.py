@@ -185,20 +185,11 @@ class Scenario:
         self.internet.faults = injector
         return injector
 
-    def install_vp_health(
-        self,
-        threshold: int = 3,
-        quarantine_seconds: float = 900.0,
-    ) -> "VPHealthTracker":
+    def install_vp_health(self) -> "VPHealthTracker":
         """Attach a quarantine tracker to the online prober."""
         from repro.probing.vantage import VPHealthTracker
 
-        tracker = VPHealthTracker(
-            self.clock,
-            threshold=threshold,
-            quarantine_seconds=quarantine_seconds,
-            instrumentation=self.obs,
-        )
+        tracker = VPHealthTracker(self.clock, instrumentation=self.obs)
         self.online_prober.health = tracker
         return tracker
 

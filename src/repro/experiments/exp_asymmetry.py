@@ -20,7 +20,6 @@ from typing import List, Optional, Tuple
 
 from repro.analysis.asymmetry import (
     AsymmetryPrevalence,
-    as_symmetry_fraction,
     asymmetry_prevalence,
     hop_symmetry_fraction,
     path_length_distribution,
@@ -46,7 +45,6 @@ class PairRecord:
     forward_as: List[int]
     reverse_as: List[int]  # normalised to forward orientation
     router_symmetry: Optional[float]
-    as_symmetry: Optional[float]
     has_assumption: bool
 
     @property
@@ -156,9 +154,6 @@ def run(
                         forward.hops,
                         result.addresses(),
                         scenario.resolver,
-                    ),
-                    as_symmetry=as_symmetry_fraction(
-                        forward_as, reverse_as
                     ),
                     has_assumption=result.has_symmetry_assumption,
                 )

@@ -139,7 +139,7 @@ def _refined_mapper(scenario: Scenario):
             paris_traceroute(scenario.background_prober, src, dst)
         )
     mapper = IPToASMapper(scenario.internet)
-    overrides = BdrmapitLite(mapper, min_observations=2).infer(corpus)
+    overrides = BdrmapitLite(mapper).infer(corpus)
     mapper.apply_overrides(overrides)
     return mapper
 

@@ -44,7 +44,6 @@ class PrefixEval:
     """Per-prefix evaluation against the held-out destination."""
 
     prefix: Prefix
-    eval_dst: Address
     #: technique -> reverse hops revealed by the first batch of 3
     first_batch_hops: Dict[str, int] = field(default_factory=dict)
     #: batch size -> reverse hops revealed by the first batch (ingress)
@@ -161,7 +160,7 @@ def run(
     for prefix, responsive in prefixes:
         eval_dst = responsive[2]
         source = rng.choice(sources)
-        evaluation = PrefixEval(prefix=prefix, eval_dst=eval_dst)
+        evaluation = PrefixEval(prefix=prefix)
 
         # Optimal: the best any VP can do.
         per_vp = {

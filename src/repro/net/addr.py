@@ -69,7 +69,7 @@ def is_private(addr: Address) -> bool:
 
 @dataclass(frozen=True, order=True)
 class Prefix:
-    """A CIDR block, e.g. ``Prefix.parse("10.1.2.0/24")``.
+    """A CIDR block, e.g. ``Prefix(addr_to_int("10.1.2.0"), 24)``.
 
     Attributes:
         network: integer value of the network address (host bits zero).
@@ -87,20 +87,6 @@ class Prefix:
                 f"network {int_to_addr(self.network)} has host bits set "
                 f"for /{self.length}"
             )
-
-    @classmethod
-    def parse(cls, text: str) -> "Prefix":
-        """Parse ``a.b.c.d/len`` notation."""
-        addr, _, length = text.partition("/")
-        if not length:
-            raise ValueError(f"missing prefix length in {text!r}")
-        return cls(addr_to_int(addr), int(length))
-
-    @classmethod
-    def of(cls, addr: Address, length: int) -> "Prefix":
-        """Return the /length prefix covering *addr*."""
-        mask = 0 if length == 0 else (~0 << (32 - length)) & _MAX_IPV4
-        return cls(addr_to_int(addr) & mask, length)
 
     def mask(self) -> int:
         """Return the integer netmask for this prefix."""

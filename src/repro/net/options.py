@@ -36,18 +36,12 @@ class RecordRouteOption:
     def is_full(self) -> bool:
         return len(self.slots) >= RECORD_ROUTE_SLOTS
 
-    def remaining(self) -> int:
-        return RECORD_ROUTE_SLOTS - len(self.slots)
-
     def stamp(self, addr: Address) -> bool:
         """Record *addr* if a slot remains; return True if recorded."""
         if self.is_full():
             return False
         self.slots.append(addr)
         return True
-
-    def copy(self) -> "RecordRouteOption":
-        return RecordRouteOption(list(self.slots))
 
     def loop_address(self) -> Optional[Address]:
         """Return the address that repeats with other hops in between
@@ -121,7 +115,3 @@ class TimestampOption:
         index = self.stamped.index(None)
         self.stamped[index] = now
         return True
-
-    def copy(self) -> "TimestampOption":
-        option = TimestampOption(self.prespecified, list(self.stamped))
-        return option

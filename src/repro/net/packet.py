@@ -82,7 +82,6 @@ class EchoReply:
 
     src: Address
     dst: Address
-    responder: Address
     record_route: Optional[RecordRouteOption] = None
     timestamp: Optional[TimestampOption] = None
     rtt: float = 0.0
@@ -126,9 +125,6 @@ class TracerouteResult:
     def responsive_hops(self) -> list:
         """Return the non-``*`` hop addresses, in order."""
         return [hop for hop in self.hops if hop is not None]
-
-    def hop_count(self) -> int:
-        return len(self.hops)
 
     def __iter__(self):
         return iter(self.hops)

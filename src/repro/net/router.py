@@ -49,7 +49,6 @@ class Interface:
     """A router interface: one IP alias of the router."""
 
     addr: Address
-    role: InterfaceRole
     router_id: int
     neighbor_router_id: Optional[int] = None
 
@@ -115,7 +114,7 @@ class Router:
         neighbor_router_id: Optional[int] = None,
     ) -> Interface:
         """Attach a new interface and return it."""
-        iface = Interface(addr, role, self.router_id, neighbor_router_id)
+        iface = Interface(addr, self.router_id, neighbor_router_id)
         self.interfaces[addr] = iface
         if role is InterfaceRole.LOOPBACK:
             self.loopback = addr

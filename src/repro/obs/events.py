@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -194,7 +195,9 @@ class Event:
             if value is _REQUIRED:
                 raise ValueError(f"event record has no {name!r}")
             if value is not default and (
-                not isinstance(value, types) or isinstance(value, bool)
+                not isinstance(value, types)
+                or isinstance(value, bool)
+                or (isinstance(value, float) and not math.isfinite(value))
             ):
                 raise ValueError(
                     f"event field {name!r} is {value!r}, not {what}"
@@ -214,8 +217,8 @@ class Event:
                 )
         return cls(
             seq=seq,
-            wall=field("wall", number, "a number", 0.0),
-            sim=field("sim", number, "a number", None),
+            wall=field("wall", number, "a finite number", 0.0),
+            sim=field("sim", number, "a finite number", None),
             mid=field("mid", (str,), "a string", None),
             kind=kind,
             fields=fields,

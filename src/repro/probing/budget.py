@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.net.packet import ProbeKind
 
@@ -70,30 +70,6 @@ class ProbeCounter:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def of(self, kind: ProbeKind) -> int:
-        return self.counts[kind]
-
     def snapshot(self) -> Dict[str, int]:
         """Stable dict view, suitable for reports."""
         return {kind.value: self.counts[kind] for kind in ProbeKind}
-
-    def merged(self, others: Iterable["ProbeCounter"]) -> "ProbeCounter":
-        """Sum of this counter and *others*, as a **detached** counter.
-
-        Contract:
-
-        * the result is a snapshot — mutating it never touches the
-          inputs, and neither input counts nor input ``parent`` links
-          are mutated by the merge;
-        * the result's ``parent`` is deliberately ``None``: the inputs
-          may already roll up into parents (possibly the *same*
-          parent), so propagating a merged total would double-count —
-          merged counters are for reporting, not for recording;
-        * iteration order of the result follows ``ProbeKind``
-          declaration order via :meth:`snapshot`, regardless of the
-          order probes were recorded in the inputs.
-        """
-        counts = Counter(self.counts)
-        for other in others:
-            counts.update(other.counts)
-        return ProbeCounter(counts, parent=None)

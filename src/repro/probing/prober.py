@@ -35,7 +35,6 @@ class RRPingResult:
 
     dst: Address
     vp: Address
-    spoofed_as: Optional[Address]
     responded: bool
     slots: List[Address] = field(default_factory=list)
     rtt: float = 0.0
@@ -66,12 +65,6 @@ class RRPingResult:
         if index is None:
             return []
         return self.slots[index + 1:]
-
-    def forward_hops(self) -> List[Address]:
-        index = self.destination_stamp_index()
-        if index is None:
-            return list(self.slots)
-        return self.slots[:index]
 
     def distance(self) -> Optional[int]:
         """RR-hop distance of the destination from the vantage point.
@@ -204,10 +197,7 @@ class Prober:
         )
         outcome = self.internet.send_probe(probe)
         result = RRPingResult(
-            dst=dst,
-            vp=vp,
-            spoofed_as=spoof_as if spoofed else None,
-            responded=outcome.echo is not None,
+            dst=dst, vp=vp, responded=outcome.echo is not None
         )
         if outcome.echo is not None:
             result.slots = list(outcome.echo.rr_slots)
@@ -252,16 +242,13 @@ class Prober:
                     record_route=RecordRouteOption(),
                 )
             )
-            metas.append((vp, dst, spoof_as if spoofed else None, kind))
+            metas.append((vp, dst, kind))
         outcomes = self.internet.send_probe_batch(probes)
         results = []
-        for (vp, dst, spoofed_as, kind), outcome in zip(metas, outcomes):
+        for (vp, dst, kind), outcome in zip(metas, outcomes):
             self._charge(vp, kind)
             result = RRPingResult(
-                dst=dst,
-                vp=vp,
-                spoofed_as=spoofed_as,
-                responded=outcome.echo is not None,
+                dst=dst, vp=vp, responded=outcome.echo is not None
             )
             if outcome.echo is not None:
                 result.slots = list(outcome.echo.rr_slots)
@@ -289,7 +276,6 @@ class Prober:
         own memo, like any single probe's.
         """
         probes = []
-        metas = []
         for vp in vps:
             spoofed = spoof_as is not None and spoof_as != vp
             kind = (
@@ -307,15 +293,11 @@ class Prober:
                     record_route=RecordRouteOption(),
                 )
             )
-            metas.append((vp, spoof_as if spoofed else None))
         outcomes = self.internet.send_probe_batch(probes)
         results = []
-        for (vp, spoofed_as), outcome in zip(metas, outcomes):
+        for vp, outcome in zip(vps, outcomes):
             result = RRPingResult(
-                dst=dst,
-                vp=vp,
-                spoofed_as=spoofed_as,
-                responded=outcome.echo is not None,
+                dst=dst, vp=vp, responded=outcome.echo is not None
             )
             if outcome.echo is not None:
                 result.slots = list(outcome.echo.rr_slots)

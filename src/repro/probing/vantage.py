@@ -26,6 +26,12 @@ from repro.net.addr import Address
 from repro.obs.instrument import NULL
 from repro.sim.network import Internet
 
+#: Consecutive spoofed-batch non-responses that quarantine a VP.
+QUARANTINE_STREAK = 3
+
+#: How long a quarantine lasts, in virtual seconds.
+QUARANTINE_SECONDS = 900.0
+
 
 @dataclass(frozen=True)
 class MLabSite:
@@ -87,27 +93,17 @@ class VantagePointPool:
 class VPHealthTracker:
     """Quarantine flapping vantage points; backfill spoofed batches.
 
-    A VP that fails to answer *threshold* consecutive spoofed-batch
-    rounds is quarantined for *quarantine_seconds* of virtual time.
-    While quarantined it is filtered out of batches (and replaced from
-    the healthy candidate fleet, keeping batch sizes up); a stale
-    quarantine is released on the next membership check, counting a
-    recovery.  Optional: a prober only consults a tracker when one is
-    installed, so fault-free runs are untouched.
+    A VP that fails to answer `QUARANTINE_STREAK` consecutive
+    spoofed-batch rounds is quarantined for `QUARANTINE_SECONDS` of
+    virtual time.  While quarantined it is filtered out of batches
+    (and replaced from the healthy candidate fleet, keeping batch
+    sizes up); a stale quarantine is released on the next membership
+    check, counting a recovery.  Optional: a prober only consults a
+    tracker when one is installed, so fault-free runs are untouched.
     """
 
-    def __init__(
-        self,
-        clock,
-        threshold: int = 3,
-        quarantine_seconds: float = 900.0,
-        instrumentation=None,
-    ) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
+    def __init__(self, clock, instrumentation=None) -> None:
         self.clock = clock
-        self.threshold = threshold
-        self.quarantine_seconds = quarantine_seconds
         self.obs = instrumentation if instrumentation is not None else NULL
         #: consecutive non-responses per VP
         self._streak: Dict[Address, int] = {}
@@ -138,10 +134,8 @@ class VPHealthTracker:
             return
         streak = self._streak.get(vp, 0) + 1
         self._streak[vp] = streak
-        if streak >= self.threshold and vp not in self._until:
-            self._until[vp] = (
-                self.clock.now() + self.quarantine_seconds
-            )
+        if streak >= QUARANTINE_STREAK and vp not in self._until:
+            self._until[vp] = self.clock.now() + QUARANTINE_SECONDS
             self._streak[vp] = 0
             self.quarantines += 1
             if self.obs.enabled:

@@ -93,17 +93,12 @@ class RevtrService:
         self,
         api_key: str,
         addr: Address,
-        serves_as_vantage_point: bool = False,
         replace: bool = False,
     ):
-        """Register a user-owned source (bootstraps it)."""
-        user = self.users.authenticate(api_key)
-        return self.registry.register(
-            addr,
-            owner=user.name,
-            serves_as_vantage_point=serves_as_vantage_point,
-            replace=replace,
-        )
+        """Register a source for an authenticated user (bootstraps
+        it)."""
+        self.users.authenticate(api_key)
+        return self.registry.register(addr, replace=replace)
 
     # ------------------------------------------------------------------
     # Measurement
@@ -186,12 +181,7 @@ class RevtrService:
             self.obs.observe(
                 "service_request_duration_seconds", result.duration
             )
-        self.store.append(
-            result,
-            user=user_name,
-            requested_at=self.prober.clock.now(),
-            label=label,
-        )
+        self.store.append(result, user=user_name, label=label)
         # Direct (non-scheduled) requests also heartbeat the telemetry
         # time-series; cheap clock-read guard when no sampler exists.
         sampler = self.obs.sampler

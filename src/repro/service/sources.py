@@ -40,8 +40,6 @@ class RegisteredSource:
     """A source available for reverse traceroute measurements."""
 
     addr: Address
-    owner: str
-    serves_as_vantage_point: bool
     atlas: TracerouteAtlas
     rr_atlas: RRAtlas
     report: BootstrapReport
@@ -81,8 +79,6 @@ class SourceRegistry:
     def register(
         self,
         addr: Address,
-        owner: str,
-        serves_as_vantage_point: bool = False,
         replace: bool = False,
     ) -> RegisteredSource:
         """Bootstrap and register *addr* as a source.
@@ -120,8 +116,6 @@ class SourceRegistry:
         )
         registered = RegisteredSource(
             addr=addr,
-            owner=owner,
-            serves_as_vantage_point=serves_as_vantage_point,
             atlas=atlas,
             rr_atlas=rr_atlas,
             report=report,

@@ -20,7 +20,6 @@ class StoredMeasurement:
 
     result: ReverseTracerouteResult
     user: str
-    requested_at: float
     label: str = ""
 
 
@@ -34,20 +33,11 @@ class MeasurementStore:
         self,
         result: ReverseTracerouteResult,
         user: str,
-        requested_at: float,
         label: str = "",
     ) -> StoredMeasurement:
-        record = StoredMeasurement(
-            result=result,
-            user=user,
-            requested_at=requested_at,
-            label=label,
-        )
+        record = StoredMeasurement(result=result, user=user, label=label)
         self._records.append(record)
         return record
-
-    def all(self) -> List[StoredMeasurement]:
-        return list(self._records)
 
     def complete(self) -> List[StoredMeasurement]:
         return [

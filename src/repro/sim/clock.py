@@ -17,8 +17,8 @@ class VirtualClock:
     readers see the sim time stamped on what that thread published.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     def now(self) -> float:
         return self._now

@@ -69,7 +69,6 @@ class ProbeOutcome:
     """
 
     delivered: bool = False
-    responder: Optional[Address] = None
     echo: Optional[EchoReply] = None
     te_reply: Optional[TracerouteReply] = None
     forward_router_path: List[int] = field(default_factory=list)
@@ -657,11 +656,9 @@ class Internet:
         latency = self.config.link_latency_ms / 1000.0
         rtt = (hop_count + reply_hops + 2) * latency
         outcome.delivered = True
-        outcome.responder = responder_addr
         outcome.echo = EchoReply(
             src=responder_addr,
             dst=probe.src,
-            responder=responder_addr,
             record_route=rr,
             timestamp=ts,
             rtt=rtt,

@@ -111,16 +111,6 @@ class TrafficEngineer:
     # The §6.1 knobs
     # ------------------------------------------------------------------
 
-    def poison(
-        self, deployment: AnycastDeployment, asn: int
-    ) -> AnycastDeployment:
-        """Poison *asn* on the announcement (Fig. 7 left)."""
-        return self.testbed.reannounce(
-            deployment,
-            poisoned=deployment.poisoned | {asn},
-            clock=self.prober.clock,
-        )
-
     def no_export(
         self, deployment: AnycastDeployment, via: int, neighbor: int
     ) -> AnycastDeployment:

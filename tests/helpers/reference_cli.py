@@ -106,9 +106,7 @@ def _fault_workload(args: argparse.Namespace, instr: Instrumentation):
     # Bootstrap (atlas builds) runs fault-free; the injector and the
     # quarantine tracker arm just before the measurement workload.
     service.add_source(user.api_key, source)
-    tracker = scenario.install_vp_health(
-        quarantine_seconds=args.quarantine
-    )
+    tracker = scenario.install_vp_health()
     injector = scenario.install_faults(plan)
 
     destinations = scenario.responsive_destinations(

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.alias.resolver import AliasResolver
 from repro.analysis.accuracy import compare_paths
 from repro.analysis.asymmetry import (
-    as_symmetry_fraction,
     asymmetry_prevalence,
     hop_symmetry_fraction,
     path_length_distribution,
@@ -147,11 +146,6 @@ class TestAsymmetryMetrics:
             is None
         )
 
-    def test_as_symmetry_fraction(self):
-        assert as_symmetry_fraction([1, 2, 3], [3, 2, 1]) == 1.0
-        assert as_symmetry_fraction([1, 2], [1]) == 0.5
-        assert as_symmetry_fraction([], [1]) is None
-
     def test_prevalence(self):
         pairs = [
             ([1, 2, 3], [1, 2, 3]),  # symmetric
@@ -162,7 +156,7 @@ class TestAsymmetryMetrics:
         assert prevalence.prevalence(2) == 1.0
         assert prevalence.prevalence(4) == 1.0
         assert prevalence.prevalence(1) == 0.0
-        assert set(dict(prevalence.top(2))) == {2, 4}
+        assert set(prevalence.involved) == {2, 4}
 
     def test_positional(self):
         pairs = [

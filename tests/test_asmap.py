@@ -132,7 +132,7 @@ class TestBdrmapit:
             for src in sources
             for dst in dests
         ]
-        tool = BdrmapitLite(mapper, min_observations=3)
+        tool = BdrmapitLite(mapper)
         overrides = tool.infer(corpus)
 
         # Recall over genuinely misnumbered, well-observed interfaces.

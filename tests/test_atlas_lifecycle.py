@@ -74,7 +74,7 @@ class TestRegistryRefresh:
             seed=3,
         )
         source = small_internet.mlab_hosts[3]
-        registry.register(source, owner="ops")
+        registry.register(source)
         prober.clock.advance(86_400.0)
         replaced = registry.refresh_atlas(source)
         assert replaced >= 0

@@ -1,30 +1,30 @@
 """Tests for the measurement cache."""
 
-from repro.core.cache import PURGE_INTERVAL, MeasurementCache
+from repro.core.cache import DEFAULT_TTL, PURGE_INTERVAL, MeasurementCache
 from repro.sim.clock import VirtualClock
 
 
 class TestCache:
     def test_put_get(self):
         clock = VirtualClock()
-        cache = MeasurementCache(clock, ttl=10)
+        cache = MeasurementCache(clock)
         cache.put("k", 42)
         assert cache.get("k") == 42
         assert cache.stats.hits == 1
 
     def test_expiry(self):
         clock = VirtualClock()
-        cache = MeasurementCache(clock, ttl=10)
+        cache = MeasurementCache(clock)
         cache.put("k", 42)
-        clock.advance(11)
+        clock.advance(DEFAULT_TTL + 1)
         assert cache.get("k") is None
         assert cache.stats.expirations == 1
 
     def test_fresh_within_ttl(self):
         clock = VirtualClock()
-        cache = MeasurementCache(clock, ttl=10)
+        cache = MeasurementCache(clock)
         cache.put("k", 1)
-        clock.advance(9.9)
+        clock.advance(DEFAULT_TTL - 0.1)
         assert cache.get("k") == 1
         assert cache.contains_fresh("k")
 
@@ -45,9 +45,9 @@ class TestCache:
 
     def test_purge_expired(self):
         clock = VirtualClock()
-        cache = MeasurementCache(clock, ttl=10)
+        cache = MeasurementCache(clock)
         cache.put("a", 1)
-        clock.advance(11)
+        clock.advance(DEFAULT_TTL + 1)
         cache.put("b", 2)
         assert cache.purge_expired() == 1
         assert len(cache) == 1
@@ -57,13 +57,13 @@ class TestCache:
 
         instr = Instrumentation()
         clock = VirtualClock()
-        cache = MeasurementCache(clock, ttl=10)
+        cache = MeasurementCache(clock)
         # What the owning engine does with the cache it builds.
         instr.register_collect_source(cache._obs_collect)
         cache.put("k", 1)
         cache.get("k")
         cache.get("missing")
-        clock.advance(11)
+        clock.advance(DEFAULT_TTL + 1)
         cache.get("k")
         # Stats are mirrored into the registry at collection time.
         series = instr.registry.snapshot()["cache_lookups_total"][
@@ -76,11 +76,11 @@ class TestCache:
 
     def test_overwrite_refreshes_timestamp(self):
         clock = VirtualClock()
-        cache = MeasurementCache(clock, ttl=10)
+        cache = MeasurementCache(clock)
         cache.put("k", 1)
-        clock.advance(8)
+        clock.advance(0.8 * DEFAULT_TTL)
         cache.put("k", 2)
-        clock.advance(8)
+        clock.advance(0.8 * DEFAULT_TTL)
         assert cache.get("k") == 2
 
 
@@ -90,20 +90,21 @@ class TestBoundedCache:
 
     def test_maybe_purge_rate_limited(self):
         clock = VirtualClock()
-        cache = MeasurementCache(clock, ttl=10)
+        cache = MeasurementCache(clock)
         cache.put("k", 1)
-        clock.advance(1.5 * PURGE_INTERVAL)  # entry expired at t=10
-        assert cache.maybe_purge() == 1
-        assert len(cache) == 0
+        clock.advance(0.5 * PURGE_INTERVAL)
         cache.put("j", 1)
-        clock.advance(0.5 * PURGE_INTERVAL)  # expired, inside the interval
+        clock.advance(DEFAULT_TTL - 0.25 * PURGE_INTERVAL)  # k expired
+        assert cache.maybe_purge() == 1
+        assert len(cache) == 1
+        clock.advance(0.5 * PURGE_INTERVAL)  # j expired, inside the interval
         assert cache.maybe_purge() == 0
         clock.advance(0.6 * PURGE_INTERVAL)
         assert cache.maybe_purge() == 1
 
     def test_unbounded_cache_never_evicts(self):
         clock = VirtualClock()
-        cache = MeasurementCache(clock, ttl=1000)
+        cache = MeasurementCache(clock)
         for i in range(500):
             cache.put(i, i)
         assert len(cache) == 500
@@ -119,10 +120,10 @@ class TestThreadedPurge:
         clock = VirtualClock()
         # No interval makes every maybe_purge call sweep.
         monkeypatch.setattr("repro.core.cache.PURGE_INTERVAL", 0.0)
-        cache = MeasurementCache(clock, ttl=10)
+        cache = MeasurementCache(clock)
         for i in range(400):
             cache.put(("old", i), i)
-        clock.advance(11)
+        clock.advance(DEFAULT_TTL + 1)
 
         purged = [0] * 4
         for i in range(200):

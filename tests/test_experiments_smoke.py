@@ -105,8 +105,6 @@ class TestAsymmetry:
         )
         assert campaign.records
         for record in campaign.records:
-            if record.as_symmetry is not None:
-                assert 0.0 <= record.as_symmetry <= 1.0
             if record.router_symmetry is not None:
                 assert 0.0 <= record.router_symmetry <= 1.0
             # The paper's membership predicate: symmetric means every

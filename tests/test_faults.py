@@ -15,7 +15,11 @@ from repro.experiments import Scenario
 from repro.net.packet import Probe
 from repro.obs import Instrumentation
 from repro.probing.traceroute import paris_traceroute
-from repro.probing.vantage import VPHealthTracker
+from repro.probing.vantage import (
+    QUARANTINE_SECONDS,
+    QUARANTINE_STREAK,
+    VPHealthTracker,
+)
 from repro.sim.faults import (
     FaultInjector,
     FaultPlan,
@@ -348,38 +352,35 @@ class TestVPOutageAndBlackhole:
         assert injector.counts["spoof-blackhole"] == len(others)
 
 
-class TestVPHealthTracker:
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError, match="threshold"):
-            VPHealthTracker(FakeClock(), threshold=0)
+def fail(tracker, vp, times=QUARANTINE_STREAK):
+    """*times* consecutive non-responses from *vp*."""
+    for _ in range(times):
+        tracker.record(vp, False)
 
+
+class TestVPHealthTracker:
     def test_streak_resets_on_success(self):
-        tracker = VPHealthTracker(FakeClock(), threshold=3)
-        tracker.record("vp1", False)
-        tracker.record("vp1", False)
+        tracker = VPHealthTracker(FakeClock())
+        fail(tracker, "vp1", QUARANTINE_STREAK - 1)
         tracker.record("vp1", True)
-        tracker.record("vp1", False)
-        tracker.record("vp1", False)
+        fail(tracker, "vp1", QUARANTINE_STREAK - 1)
         assert not tracker.is_quarantined("vp1")
         assert tracker.quarantines == 0
 
     def test_quarantine_and_release(self):
         clock = FakeClock()
-        tracker = VPHealthTracker(
-            clock, threshold=2, quarantine_seconds=100.0
-        )
-        tracker.record("vp1", False)
-        tracker.record("vp1", False)
+        tracker = VPHealthTracker(clock)
+        fail(tracker, "vp1")
         assert tracker.is_quarantined("vp1")
         assert tracker.quarantines == 1
-        clock.advance(100.0)
+        clock.advance(QUARANTINE_SECONDS)
         assert not tracker.is_quarantined("vp1")
         assert tracker.recoveries == 1
 
     def test_filter_batch_replaces_from_candidates(self):
         clock = FakeClock()
-        tracker = VPHealthTracker(clock, threshold=1)
-        tracker.record("vp1", False)
+        tracker = VPHealthTracker(clock)
+        fail(tracker, "vp1")
         kept, replaced = tracker.filter_batch(
             ["vp1", "vp2"],
             candidates=["vp1", "vp2", "src", "vp3"],
@@ -392,8 +393,8 @@ class TestVPHealthTracker:
         assert tracker.replacements == 1
 
     def test_snapshot_shape(self):
-        tracker = VPHealthTracker(FakeClock(), threshold=1)
-        tracker.record("vp9", False)
+        tracker = VPHealthTracker(FakeClock())
+        fail(tracker, "vp9")
         snap = tracker.snapshot()
         assert snap["quarantines"] == 1
         assert snap["quarantined_now"] == ["vp9"]
@@ -417,9 +418,7 @@ def measure_degraded(plan, destinations=None):
         destinations = scenario.responsive_destinations(
             4, options_only=True
         )
-    tracker = scenario.install_vp_health(
-        threshold=2, quarantine_seconds=300.0
-    )
+    tracker = scenario.install_vp_health()
     scenario.install_faults(plan)
     return [engine.measure(dst) for dst in destinations], engine, tracker
 
@@ -477,7 +476,9 @@ class TestEngineDegradation:
             ],
             seed=7,
         )
-        results, _, tracker = measure_degraded(plan, hungry[:4])
+        # Each destination twice: the outage's streaks quarantine on
+        # the first pass, and the second pass's batches replace them.
+        results, _, tracker = measure_degraded(plan, hungry[:4] * 2)
         health = tracker.snapshot()
         assert health["quarantines"] >= 1
         assert health["replacements"] >= 1

@@ -14,8 +14,8 @@ class TestStoreIteration:
         failed = ReverseTracerouteResult(
             src="s", dst="d", status=RevtrStatus.INCOMPLETE
         )
-        store.append(complete, user="u", requested_at=0.0)
-        store.append(failed, user="u", requested_at=1.0)
+        store.append(complete, user="u")
+        store.append(failed, user="u")
         assert store.completion_rate() == 0.5
         assert len(list(iter(store))) == 2
         assert len(store.complete()) == 1

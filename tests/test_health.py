@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.cache import DEFAULT_TTL
 from repro.obs import Instrumentation
 from repro.obs.health import (
     RULES,
@@ -417,7 +418,7 @@ class TestRulesFireForTheirCause:
         sampler.sample()
         assert fired(sampler, instr, "cache-hit-collapse") is None
         # Cause: every entry ages out at once.
-        scenario.clock.advance(engine.cache.ttl + 1.0)
+        scenario.clock.advance(DEFAULT_TTL + 1.0)
         sampler.sample()
         passes(1)
         sampler.sample()

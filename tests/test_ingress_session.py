@@ -9,12 +9,12 @@ from repro.core.ingress import (
     IngressSelector,
     PrefixSurvey,
 )
-from repro.net.addr import Prefix
+from repro.net.addr import Prefix, addr_to_int
 
 
 def make_survey(ingresses, fallback=()):
     survey = PrefixSurvey(
-        prefix=Prefix.parse("10.0.0.0/24"), destinations=["10.0.0.10"]
+        prefix=Prefix(addr_to_int("10.0.0.0"), 24), destinations=["10.0.0.10"]
     )
     for addr, vps in ingresses:
         survey.ingresses.append(

@@ -190,6 +190,10 @@ def test_read_events_names_file_line_and_field(tmp_path):
             "field 'path'",
         ),
         (good[:20], "line 1 column"),
+        # `json.loads` reads NaN and Infinity; a time that is one is
+        # refused like any other field of the wrong shape.
+        ('{"v": 1, "seq": 1, "wall": NaN, "kind": "x"}', "'wall' is nan"),
+        ('{"v": 1, "seq": 1, "sim": Infinity, "kind": "x"}', "'sim' is inf"),
     ]:
         path.write_text(good + "\n" + line + "\n")
         with pytest.raises(ValueError, match="ev.jsonl:2: ") as refusal:
@@ -379,6 +383,27 @@ def test_atlas_snapshot_loads_as_written_or_refuses(snapshot, data):
         assert code == 2 and err.startswith("error: "), err
     else:
         assert code == 0, err
+
+
+@pytest.mark.parametrize("field", ["staleness", "timestamp"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_snapshot_number_is_refused(snapshot, field, value):
+    """A snapshot whose atlas staleness is NaN used to load, and then
+    `TracerouteAtlas.is_stale` could never be true; an infinite
+    traceroute timestamp loaded too.  Both are refused, naming the
+    field."""
+    doc, internet = snapshot
+    doc = copy.deepcopy(doc)
+    if field == "staleness":
+        doc["atlas"]["staleness"] = value
+    else:
+        doc["atlas"]["traceroutes"][0]["timestamp"] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "atlas.snap")
+        with gzip.open(path, "wb") as fh:
+            fh.write(json.dumps(doc).encode())
+        with pytest.raises(SnapshotError, match=f"'{field}'"):
+            load_snapshot(path, internet)
 
 
 def test_retyped_snapshot_hop_is_refused_not_measured(tmp_path):

@@ -111,7 +111,7 @@ class _Deployment:
         ]
         # Atlases are built fault-free; the tracker and the injector
         # arm just before the stream, as in ``repro health``.
-        scenario.install_vp_health(quarantine_seconds=300.0)
+        scenario.install_vp_health()
         scenario.install_faults(
             preset_plan(
                 preset,

@@ -22,7 +22,7 @@ class TestDelivery:
         dst = responsive_host(tiny_internet)
         outcome = tiny_internet.send_probe(Probe(src=src, dst=dst))
         assert outcome.delivered
-        assert outcome.responder == dst
+        assert outcome.echo.src == dst
         assert outcome.echo.rtt > 0
 
     def test_unreachable_address(self, tiny_internet):
@@ -60,7 +60,7 @@ class TestDelivery:
             Probe(src=src, dst=router.loopback)
         )
         assert outcome.delivered
-        assert outcome.responder == router.loopback
+        assert outcome.echo.src == router.loopback
 
     def test_deterministic_forward_path(self, tiny_internet):
         src = tiny_internet.mlab_hosts[0]

@@ -326,7 +326,7 @@ class TestEndToEnd:
 
         by_mid = measurement_events(instr)
         for result in results:
-            techniques = set(result.techniques())
+            techniques = {hop.technique for hop in result.hops}
             kinds = recorded(by_mid[result.measurement_id])
             if (
                 HopTechnique.RR in techniques
@@ -362,7 +362,9 @@ class TestEndToEnd:
         for dst in scenario.responsive_destinations(options_only=True):
             result = engine.measure(dst)
             events = measurement_events(instr)[result.measurement_id]
-            for technique in events_of.keys() & set(result.techniques()):
+            for technique in events_of.keys() & {
+                hop.technique for hop in result.hops
+            }:
                 assert events_of[technique] <= recorded(events), (
                     dst, technique,
                 )

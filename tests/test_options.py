@@ -22,13 +22,10 @@ class TestRecordRoute:
 
     def test_remaining(self):
         option = RecordRouteOption(["1.1.1.1"])
-        assert option.remaining() == RECORD_ROUTE_SLOTS - 1
-
-    def test_copy_is_independent(self):
-        option = RecordRouteOption(["a"])
-        clone = option.copy()
-        clone.stamp("b")
-        assert option.slots == ["a"]
+        stamped = 0
+        while option.stamp(f"10.0.0.{stamped}"):
+            stamped += 1
+        assert stamped == RECORD_ROUTE_SLOTS - 1
 
     def test_loop_detection(self):
         option = RecordRouteOption(["x", "a", "b", "x"])
@@ -69,14 +66,6 @@ class TestTimestamp:
         option = TimestampOption.prespec(["a"])
         assert option.stamp_if_match(["a"], now=1)
         assert not option.stamp_if_match(["a"], now=2)
-
-    def test_copy(self):
-        option = TimestampOption.prespec(["a", "b"])
-        option.stamp_if_match(["a"], now=1)
-        clone = option.copy()
-        clone.stamp_if_match(["b"], now=2)
-        assert option.stamped == [1, None]
-        assert clone.stamped == [1, 2]
 
     @given(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
     def test_stamps_follow_prespec_order(self, names):

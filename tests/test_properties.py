@@ -277,7 +277,7 @@ def test_prefix_table_agrees_with_containment(value, length):
     from repro.net.addr import Prefix, PrefixTable
 
     addr = int_to_addr(value)
-    prefix = Prefix.of(addr, length)
+    prefix = Prefix(value & Prefix(0, length).mask(), length)
     table = PrefixTable()
     table.insert(prefix, "hit")
     assert table.lookup(addr) == "hit"

@@ -106,7 +106,6 @@ class TestRRPingResult:
         return RRPingResult(
             dst=dst,
             vp="1.1.1.1",
-            spoofed_as=None,
             responded=True,
             slots=slots,
         )
@@ -116,7 +115,6 @@ class TestRRPingResult:
             ["10.1.0.1", "10.0.0.5", "10.2.0.1", "10.3.0.1"]
         )
         assert result.destination_stamp_index() == 1
-        assert result.forward_hops() == ["10.1.0.1"]
         assert result.reverse_hops() == ["10.2.0.1", "10.3.0.1"]
         assert result.distance() == 2
         assert result.in_range()
@@ -135,7 +133,6 @@ class TestRRPingResult:
         result = self._result(["10.1.0.1", "10.2.0.1"])
         assert result.destination_stamp_index() is None
         assert result.reverse_hops() == []
-        assert result.forward_hops() == ["10.1.0.1", "10.2.0.1"]
         assert result.distance() is None
         assert not result.in_range()
 

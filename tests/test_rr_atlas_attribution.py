@@ -30,7 +30,6 @@ class TestAttributionRule:
         return RRPingResult(
             dst=dst,
             vp="9.9.9.9",
-            spoofed_as=None,
             responded=True,
             slots=slots,
         )

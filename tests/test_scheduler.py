@@ -600,8 +600,8 @@ def _serve(seed, preset, retry_budget, max_retries, stream):
             for job in door.scheduler.jobs
         ],
         "store": [
-            (record.user, record.requested_at, record.result.to_dict())
-            for record in door.service.store.all()
+            (record.user, record.result.to_dict())
+            for record in door.service.store
         ],
         "probes": dict(scenario.online_prober.counter.counts),
         "clock": scenario.clock.now(),

@@ -18,10 +18,14 @@ import pytest
 from repro.core.result import HopTechnique, ReverseHop, RevtrStatus
 from repro.core.cache import DEFAULT_TTL
 from repro.core.revtr import EngineConfig
-from repro.core.segcache import DEFAULT_NEGATIVE_TTL, ReverseSegmentCache
+from repro.core.segcache import (
+    DEFAULT_NEGATIVE_TTL,
+    DEFAULT_SEGMENT_TTL,
+    ReverseSegmentCache,
+)
 from repro.experiments import Scenario
 from repro.experiments.common import VARIANTS
-from repro.net.addr import Prefix
+from repro.net.addr import addr_to_int
 from repro.obs import Instrumentation
 from repro.obs.provenance import ProvenanceLedger
 from repro.probing.traceroute import paris_traceroute
@@ -73,12 +77,12 @@ class FakeInternet:
         self.routing_generation = 0
 
 
-#: A positive-entry lifetime well clear of the negative one.
-TTL = 10 * DEFAULT_NEGATIVE_TTL
+#: The positive-entry lifetime, well clear of the negative one.
+TTL = DEFAULT_SEGMENT_TTL
 
 
 def make_cache():
-    return ReverseSegmentCache(VirtualClock(), FakeInternet(), ttl=TTL)
+    return ReverseSegmentCache(VirtualClock(), FakeInternet())
 
 
 class TestSegmentCacheUnit:
@@ -372,9 +376,8 @@ class TestSplicing:
         engine = fresh_engine(
             scenario, source, segment_cache=True, use_cache=False
         )
-        engine.segcache.ttl = 50.0
         engine.measure(dst)
-        scenario.clock.advance(51.0)
+        scenario.clock.advance(DEFAULT_SEGMENT_TTL + 1.0)
         before = engine.segcache.stats.splices
         engine.measure(dst)
         assert engine.segcache.stats.splices == before
@@ -524,7 +527,7 @@ class TestReadsDoNotRefresh:
         engine = fresh_engine(
             scenario, source, segment_cache=True, use_cache=False
         )
-        ttl = engine.segcache.ttl
+        ttl = DEFAULT_SEGMENT_TTL
         cold = next(
             result
             for result in map(
@@ -549,7 +552,7 @@ class TestReadsDoNotRefresh:
             scenario, source, segment_cache=True, use_cache=False
         )
         stats = engine.segcache.stats
-        ttl = engine.segcache.ttl
+        ttl = DEFAULT_SEGMENT_TTL
         dsts = scenario.responsive_destinations(40, options_only=True)
         for dst in dsts[:8]:
             engine.measure(dst)
@@ -646,10 +649,11 @@ class TestCoalescing:
             scenario.internet.hosts.values(), key=lambda h: h.addr
         ):
             if not host.responds_to_ping and not host.is_vantage_point:
-                dead_by_prefix.setdefault(Prefix.of(host.addr, 24), host.addr)
+                slash24 = addr_to_int(host.addr) >> 8
+                dead_by_prefix.setdefault(slash24, host.addr)
         engine = fresh_engine(scenario, source)
         for alive in scenario.responsive_destinations(options_only=True):
-            dead = dead_by_prefix.get(Prefix.of(alive, 24))
+            dead = dead_by_prefix.get(addr_to_int(alive) >> 8)
             if dead is None:
                 continue
             solo = engine.measure(alive)
