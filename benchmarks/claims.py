@@ -543,7 +543,7 @@ def run_spoof_gain():
         TopologyConfig.evaluation(seed=BENCH_SEED)
     )
     return exp_rr_responsiveness.measure_spoofing_gain(
-        internet, max_pairs=300, seed=BENCH_SEED
+        internet, seed=BENCH_SEED
     )
 
 

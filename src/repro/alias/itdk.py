@@ -17,23 +17,16 @@ from repro.net.addr import Address
 from repro.sim.network import Internet
 
 
-def build_itdk_dataset(
-    internet: Internet,
-    coverage: float | None = None,
-    seed: int | None = None,
-) -> Dict[Address, int]:
+def build_itdk_dataset(internet: Internet) -> Dict[Address, int]:
     """Sample an ITDK-like alias map: address -> alias-group id.
 
     Only routers with at least two public addresses are meaningful
-    alias groups; a *coverage* fraction of them (default: the topology
-    config's ``alias_itdk_coverage``) is included. Group ids are
-    arbitrary but stable for a given seed.
+    alias groups; the topology config's ``alias_itdk_coverage``
+    fraction of them is included. Group ids are arbitrary but stable
+    for a given config seed.
     """
-    if coverage is None:
-        coverage = internet.config.alias_itdk_coverage
-    if seed is None:
-        seed = internet.config.seed ^ 0x17D4
-    rng = random.Random(seed)
+    coverage = internet.config.alias_itdk_coverage
+    rng = random.Random(internet.config.seed ^ 0x17D4)
     dataset: Dict[Address, int] = {}
     group_id = 0
     for router_id in sorted(internet.routers):

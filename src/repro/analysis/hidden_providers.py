@@ -15,6 +15,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+#: Destination networks the report lists by name.
+REPORT_TOP = 10
+
 
 @dataclass
 class HiddenProviderReport:
@@ -80,13 +83,13 @@ def find_hidden_providers(
     return report
 
 
-def format_report(report: HiddenProviderReport, top: int = 10) -> str:
+def format_report(report: HiddenProviderReport) -> str:
     findings = report.all_findings()
     lines = [
         "Hidden providers — upstreams visible only on reverse paths",
         f"destination networks with hidden upstreams: {len(findings)}",
     ]
-    for asn, hidden in findings[:top]:
+    for asn, hidden in findings[:REPORT_TOP]:
         rendered = ", ".join(f"AS{a}" for a in sorted(hidden))
         lines.append(f"  AS{asn}: {rendered}")
     return "\n".join(lines)

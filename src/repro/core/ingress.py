@@ -34,6 +34,9 @@ DEFAULT_BATCH_SIZE = 3
 #: Give up on an ingress after this many failed VPs in a row (§4.3).
 MAX_VPS_PER_INGRESS = 5
 
+#: Destinations per prefix the revtr 1.0 range survey probes.
+SURVEY_DESTS_PER_PREFIX = 20
+
 
 @dataclass
 class IngressInfo:
@@ -311,17 +314,17 @@ def survey_vp_ranges(
     prober: Prober,
     vp_addrs: Sequence[Address],
     prefixes: Iterable[PrefixInfo],
-    dests_per_prefix: int = 20,
 ) -> Dict[Prefix, Dict[Address, int]]:
     """Background range survey used by the revtr 1.0 baselines.
 
-    Probes up to *dests_per_prefix* destinations in each prefix from
-    every VP — the measurement-hungry approach that ate 20% of
-    revtr 1.0's probing budget (Insight 1.8's "whereas" clause).
+    Probes up to ``SURVEY_DESTS_PER_PREFIX`` destinations in each
+    prefix from every VP — the measurement-hungry approach that ate
+    20% of revtr 1.0's probing budget (Insight 1.8's "whereas"
+    clause).
     """
     ranges: Dict[Prefix, Dict[Address, int]] = {}
     for info in prefixes:
-        targets = sorted(info.hosts)[:dests_per_prefix]
+        targets = sorted(info.hosts)[:SURVEY_DESTS_PER_PREFIX]
         if not targets:
             continue
         per_vp: Dict[Address, int] = {}

@@ -55,6 +55,9 @@ VARIANTS = (
     "revtr2.0+TS",
 )
 
+#: Traceroutes in the Ark-style corpus behind :meth:`Scenario.adjacency_db`.
+ADJACENCY_TRACEROUTES = 400
+
 
 @dataclass
 class SourceBundle:
@@ -218,7 +221,7 @@ class Scenario:
             )
         return self._ranges
 
-    def adjacency_db(self, n_traceroutes: int = 400) -> AdjacencyDatabase:
+    def adjacency_db(self) -> AdjacencyDatabase:
         if self._adjacency is None:
             database = AdjacencyDatabase()
             sources = self.atlas_vp_addrs + self.mlab_addrs
@@ -227,7 +230,7 @@ class Scenario:
                 self.background_prober,
                 sources,
                 destinations,
-                n_traceroutes,
+                ADJACENCY_TRACEROUTES,
                 random.Random(self.seed ^ 0xAD1),
             )
             self._adjacency = database

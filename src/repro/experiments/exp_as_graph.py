@@ -33,6 +33,10 @@ PAPER = {
     "forward+symmetric": (0.60, 0.78),
 }
 
+#: Share of ASes hosting a RIPE Atlas probe: the real-world density
+#: (probes in ~6% of ASes) the RIPE-Atlas technique is scaled to.
+ATLAS_PROBE_FRACTION = 0.06
+
 
 @dataclass
 class Table3Result:
@@ -88,19 +92,14 @@ def run(
     scenario: Scenario,
     n_destinations: int = 250,
     n_sources: int = 3,
-    atlas_probe_fraction: float = 0.06,
 ) -> Table3Result:
-    """Run the Table 3 comparison.
-
-    ``atlas_probe_fraction`` scales the RIPE-Atlas technique's probe
-    population to the real-world density (probes in ~6% of ASes).
-    """
+    """Run the Table 3 comparison."""
     rng = random.Random(scenario.seed ^ 0x7A3)
     internet = scenario.internet
     sources = scenario.sources(n_sources)
     destinations = scenario.responsive_destinations(n_destinations)
     total_ases = len(internet.graph)
-    n_probes = max(2, int(total_ases * atlas_probe_fraction))
+    n_probes = max(2, int(total_ases * ATLAS_PROBE_FRACTION))
     probe_pool = list(scenario.atlas_vp_addrs)
     rng.shuffle(probe_pool)
     probe_pool = probe_pool[:n_probes]

@@ -35,6 +35,9 @@ from repro.probing.traceroute import paris_traceroute
 PAPER_AS_SYMMETRIC = 0.53
 PAPER_ROUTER_MEDIAN = 0.28
 
+#: ASes Table 7 ranks.
+TABLE7_ROWS = 10
+
 
 @dataclass
 class PairRecord:
@@ -64,32 +67,22 @@ class AsymmetryCampaign:
     def as_symmetric_fraction(
         self, exclude_assumptions: bool = False
     ) -> float:
-        records = self._subset(exclude_assumptions)
+        records = self.records
+        if exclude_assumptions:
+            records = [r for r in records if not r.has_assumption]
         if not records:
             return 0.0
         return sum(1 for r in records if r.as_symmetric) / len(records)
 
-    def router_symmetry_values(
-        self, exclude_assumptions: bool = False
-    ) -> List[float]:
+    def router_symmetry_values(self) -> List[float]:
         return [
             r.router_symmetry
-            for r in self._subset(exclude_assumptions)
+            for r in self.records
             if r.router_symmetry is not None
         ]
 
-    def as_pairs(
-        self, exclude_assumptions: bool = False
-    ) -> List[Tuple[List[int], List[int]]]:
-        return [
-            (r.forward_as, r.reverse_as)
-            for r in self._subset(exclude_assumptions)
-        ]
-
-    def _subset(self, exclude_assumptions: bool) -> List[PairRecord]:
-        if not exclude_assumptions:
-            return self.records
-        return [r for r in self.records if not r.has_assumption]
+    def as_pairs(self) -> List[Tuple[List[int], List[int]]]:
+        return [(r.forward_as, r.reverse_as) for r in self.records]
 
     def prevalence(self) -> AsymmetryPrevalence:
         return asymmetry_prevalence(self.as_pairs())
@@ -182,14 +175,14 @@ def format_fig8a(campaign: AsymmetryCampaign) -> str:
     return "\n".join(lines)
 
 
-def format_fig8b_table7(campaign: AsymmetryCampaign, top: int = 10) -> str:
+def format_fig8b_table7(campaign: AsymmetryCampaign) -> str:
     graph = campaign.scenario.internet.graph
     lines = [
         "Fig 8b / Table 7 — asymmetry prevalence vs customer cone",
         f"{'rank':>4} {'ASN':>6} {'prevalence':>11} {'cone':>6} {'tier':>8}",
     ]
     for rank, (asn, cone, prevalence, tier) in enumerate(
-        campaign.cone_scatter()[:top], start=1
+        campaign.cone_scatter()[:TABLE7_ROWS], start=1
     ):
         lines.append(
             f"{rank:4d} {asn:6d} {prevalence:11.3f} {cone:6d} {tier:>8}"

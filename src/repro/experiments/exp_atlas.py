@@ -27,6 +27,12 @@ from repro.net.addr import Address
 from repro.net.packet import TracerouteResult
 from repro.probing.traceroute import paris_traceroute
 
+#: Atlas sizes the Fig. 9a curves are drawn at.
+ATLAS_SIZES = (2, 5, 10, 15, 20, 25)
+
+#: Random++ iterations the Fig. 9b convergence runs.
+ITERATIONS = 10
+
 
 @dataclass
 class AtlasStudyResult:
@@ -131,14 +137,12 @@ def _mean_fraction(
 def run(
     scenario: Scenario,
     n_sources: int = 3,
-    sizes: Sequence[int] = (2, 5, 10, 15, 20, 25),
-    iterations: int = 10,
 ) -> AtlasStudyResult:
     """Run the atlas-selection study."""
     rng = random.Random(scenario.seed ^ 0x47A5)
-    random_curve: Dict[int, List[float]] = {s: [] for s in sizes}
-    optimal_curve: Dict[int, List[float]] = {s: [] for s in sizes}
-    convergence: List[List[float]] = [[] for _ in range(iterations)]
+    random_curve: Dict[int, List[float]] = {s: [] for s in ATLAS_SIZES}
+    optimal_curve: Dict[int, List[float]] = {s: [] for s in ATLAS_SIZES}
+    convergence: List[List[float]] = [[] for _ in range(ITERATIONS)]
     convergence_oracle: List[float] = []
     scaling: Dict[int, List[float]] = {}
     optimal_full: List[float] = []
@@ -157,7 +161,7 @@ def run(
         revtr_side = [traces[i] for i in indexes[split:]]
 
         # Fig 9a: random vs greedy-oracle selection at each size.
-        for size in sizes:
+        for size in ATLAS_SIZES:
             budget = min(size, len(atlas_side))
             picks = rng.sample(range(len(atlas_side)), budget)
             random_curve[size].append(
@@ -184,7 +188,7 @@ def run(
                 eval_sample,
             )
         )
-        for iteration in range(iterations):
+        for iteration in range(ITERATIONS):
             sample = [
                 revtr_side[rng.randrange(len(revtr_side))]
                 for _ in range(min(30, len(revtr_side) * 3))

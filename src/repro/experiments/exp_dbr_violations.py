@@ -25,6 +25,9 @@ from repro.net.addr import Address, is_private, same_slash30
 PAPER_VIOLATION_RATE = 0.066
 PAPER_AS_AFFECTING_RATE = 0.013
 
+#: Spoofed RR pings per (VP, destination) pair.
+REPEATS = 3
+
 
 @dataclass
 class DBRResult:
@@ -64,7 +67,6 @@ def _matches(a: Optional[Address], b: Optional[Address]) -> bool:
 def run(
     scenario: Scenario,
     n_pairs: int = 300,
-    repeats: int = 3,
 ) -> DBRResult:
     """Run the Appendix E replication."""
     rng = random.Random(scenario.seed ^ 0xDB12)
@@ -95,7 +97,7 @@ def run(
             if result.tuples_tested >= n_pairs:
                 break
             observed: Set[Address] = set()
-            for _ in range(repeats):
+            for _ in range(REPEATS):
                 probe_hops = _reveal(prober, selector, source, r)
                 nxt = _next_hop_after(probe_hops)
                 if nxt is not None:

@@ -212,6 +212,9 @@ def format_fig11(result: RRResponsivenessResult) -> str:
 PAPER_DIRECT_COVERAGE = 0.32
 PAPER_SPOOFED_COVERAGE = 0.63
 
+#: Pairs the spoofing-gain measurement tests, at most.
+SPOOFING_GAIN_PAIRS = 300
+
 
 @dataclass
 class SpoofingGainResult:
@@ -233,7 +236,6 @@ class SpoofingGainResult:
 
 def measure_spoofing_gain(
     internet: Internet,
-    max_pairs: int = 300,
     seed: int = 0,
 ) -> SpoofingGainResult:
     """Reverse-hop coverage with and without spoofing (Appendix F).
@@ -255,7 +257,7 @@ def measure_spoofing_gain(
     rng.shuffle(hosts)
     result = SpoofingGainResult()
     for dst in hosts:
-        if result.pairs >= max_pairs:
+        if result.pairs >= SPOOFING_GAIN_PAIRS:
             break
         source = rng.choice(vps)
         result.pairs += 1

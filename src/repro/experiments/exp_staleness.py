@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.result import RevtrStatus
 from repro.experiments.common import Scenario
@@ -27,6 +27,9 @@ from repro.probing.traceroute import paris_traceroute
 
 #: Paper headline: cumulative stale-intersection fraction after 24 h.
 PAPER_STALE_FRACTION = 0.007
+
+#: Hours at which a route preference flips.
+CHURN_HOURS = (3, 7, 11, 15, 19, 22)
 
 
 @dataclass
@@ -107,7 +110,6 @@ def run(
     scenario: Scenario,
     hours: int = 24,
     revtrs_per_hour: int = 20,
-    churn_hours: Tuple[int, ...] = (3, 7, 11, 15, 19, 22),
     n_sources: int = 2,
 ) -> StalenessResult:
     """Run the 24-hour staleness study."""
@@ -129,7 +131,7 @@ def run(
         hour_start = start + hour * 3600.0
         if clock.now() < hour_start:
             clock.advance_to(hour_start)
-        if hour in churn_hours and _flip_preference(scenario, rng):
+        if hour in CHURN_HOURS and _flip_preference(scenario, rng):
             churned.append(hour)
         bucket = buckets[hour]
         for _ in range(revtrs_per_hour):

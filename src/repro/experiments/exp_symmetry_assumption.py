@@ -35,6 +35,9 @@ PAPER_INTRADOMAIN = 0.90
 PAPER_INTERDOMAIN = 0.57
 PAPER_ALL = 0.81
 
+#: Sources each target is measured from.
+SOURCES_PER_TARGET = 2
+
 
 @dataclass
 class SymmetryCounts:
@@ -147,7 +150,6 @@ def _refined_mapper(scenario: Scenario):
 def run(
     scenario: Scenario,
     max_targets: int = 250,
-    sources_per_target: int = 2,
 ) -> Table2Result:
     """Run the Table 2 study."""
     rng = random.Random(scenario.seed ^ 0x7AB2)
@@ -162,7 +164,7 @@ def run(
 
     for target in targets:
         for source in rng.sample(
-            sources, k=min(sources_per_target, len(sources))
+            sources, k=min(SOURCES_PER_TARGET, len(sources))
         ):
             reverse_hops = _reverse_hops(
                 prober, selector, scenario, source, target

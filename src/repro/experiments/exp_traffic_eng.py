@@ -33,13 +33,15 @@ from repro.net.addr import Address
 from repro.te.engineering import CatchmentReport, TrafficEngineer
 from repro.te.peering import AnycastDeployment, PeeringTestbed
 
+#: Anycast sites besides the source's own.
+SITES = 2
 
 @dataclass
 class TERound:
     label: str
     report: CatchmentReport
 
-    def summary(self, ip2as=None) -> Dict[str, object]:
+    def summary(self) -> Dict[str, object]:
         return {
             "sites": self.report.site_shares(),
         }
@@ -95,7 +97,6 @@ def _entry_providers(report: CatchmentReport) -> Counter:
 def run(
     scenario: Scenario,
     n_monitors: int = 80,
-    n_sites: int = 2,
 ) -> TEResult:
     """Run the full Fig. 7 engineering loop."""
     rng = random.Random(scenario.seed ^ 0x7E)
@@ -103,7 +104,7 @@ def run(
     source = scenario.sources()[0]
     site_asns = [
         internet.hosts[addr].asn
-        for addr in scenario.sources(n_sites + 1)[1:]
+        for addr in scenario.sources(SITES + 1)[1:]
     ]
     testbed = PeeringTestbed(internet)
     deployment = testbed.deploy(source, site_asns)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.ingress import (
     GlobalOrderSelector,
@@ -37,6 +37,9 @@ PAPER_TABLE5 = {
 
 #: Techniques compared in Figs. 6b/6c.
 TECHNIQUES = ("ingress", "revtr1.0", "global")
+
+#: Spoofed-probe batch sizes Fig. 6c compares.
+BATCH_SIZES = (1, 3, 5)
 
 
 @dataclass
@@ -112,7 +115,6 @@ def _eval_prefixes(
 def run(
     scenario: Scenario,
     max_prefixes: int = 120,
-    batch_sizes: Sequence[int] = (1, 3, 5),
 ) -> VPSelectionResult:
     """Run the §5.3 evaluation."""
     rng = random.Random(scenario.seed ^ 0x6B)
@@ -198,7 +200,7 @@ def run(
         order = directories[
             "ingress+double-stamp+loop"
         ].vp_order_for(eval_dst)
-        for size in batch_sizes:
+        for size in BATCH_SIZES:
             first = order[:size]
             evaluation.batch_size_hops[size] = max(
                 (per_vp.get(vp, 0) for vp in first), default=0

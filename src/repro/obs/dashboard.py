@@ -26,15 +26,16 @@ SPARK_CHARS = "▁▂▃▄▅▆▇█"
 #: full 2J wipe because unchanged cells are simply overwritten).
 CLEAR = "\x1b[H\x1b[J"
 
+#: Points a sparkline shows: the newest of a series.
+SPARK_WIDTH = 24
 
-def sparkline(
-    values: Sequence[Optional[float]], width: int = 24
-) -> str:
+
+def sparkline(values: Sequence[Optional[float]]) -> str:
     """Render a numeric series as a fixed-width block-char strip."""
     points = [v for v in values if v is not None]
     if not points:
-        return "·" * min(width, 1)
-    points = points[-width:]
+        return "·"
+    points = points[-SPARK_WIDTH:]
     low = min(points)
     high = max(points)
     if high <= low:
@@ -140,21 +141,18 @@ def live_view(
     frame: Callable[[], Tuple[str, bool]],
     interval: float,
     max_frames: int = 0,
-    out=None,
-    clock: Optional[Callable[[], None]] = None,
 ) -> int:
-    """Run a redraw loop until *frame* reports done (or the frame cap).
+    """Run a redraw loop on stdout until *frame* reports done (or the
+    frame cap).
 
     *frame* returns ``(text, done)``; the loop renders, then sleeps
-    *interval* wall-seconds (through *clock* if given — tests inject a
-    no-op) and repeats.  On a TTY each frame repaints in place via
-    ANSI home+clear; otherwise frames are separated by a marker line
-    so piped output stays parseable.  Returns the frame count.
+    *interval* wall-seconds and repeats.  On a TTY each frame repaints
+    in place via ANSI home+clear; otherwise frames are separated by a
+    marker line so piped output stays parseable.  Returns the frame
+    count.
     """
-    if out is None:
-        out = sys.stdout
+    out = sys.stdout
     is_tty = bool(getattr(out, "isatty", lambda: False)())
-    sleep = clock if clock is not None else time.sleep
     frames = 0
     try:
         while True:
@@ -169,7 +167,7 @@ def live_view(
             frames += 1
             if done or (max_frames and frames >= max_frames):
                 break
-            sleep(interval)
+            time.sleep(interval)
     except KeyboardInterrupt:
         pass
     return frames

@@ -438,18 +438,6 @@ class EventLog:
         records.sort(key=lambda record: record[0])
         return records
 
-    def events(
-        self,
-        mid: Optional[str] = None,
-        kind: Optional[str] = None,
-    ) -> List[Event]:
-        """Retained events oldest-first, optionally filtered: *mid*
-        selects one measurement's events, *kind* one event kind."""
-        out: List[Event] = []
-        for record in self._snapshot():
-            if mid is not None and record[3] != mid:
-                continue
-            if kind is not None and record[4] != kind:
-                continue
-            out.append(Event(*record))
-        return out
+    def events(self) -> List[Event]:
+        """Retained events, oldest first."""
+        return [Event(*record) for record in self._snapshot()]

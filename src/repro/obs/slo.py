@@ -14,7 +14,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import family_by_label, family_total
 
-#: Quantiles reported by default.
+#: Quantiles each latency SLO reports.
 DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
 
 #: Histograms summarised as latency SLOs, with display labels.
@@ -98,10 +98,7 @@ def histogram_quantile(
     return previous_edge
 
 
-def slo_summary(
-    snapshot: Dict[str, Any],
-    quantiles: Sequence[float] = DEFAULT_QUANTILES,
-) -> Dict[str, Any]:
+def slo_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
     """Compute the SLO rollup from a metrics snapshot."""
     out: Dict[str, Any] = {}
 
@@ -165,7 +162,7 @@ def slo_summary(
             "count": count,
             "mean": total_sum / count,
         }
-        for q in quantiles:
+        for q in DEFAULT_QUANTILES:
             entry[f"p{int(q * 100)}"] = histogram_quantile(buckets, q)
         latencies[label] = entry
     out["latency"] = latencies

@@ -150,7 +150,7 @@ class Prober:
         }
 
     def _charge(self, vp: Address, kind: ProbeKind) -> None:
-        self._bucket(vp).acquire(1)
+        self._bucket(vp).acquire()
         self.counter.record(kind)
 
     # ------------------------------------------------------------------

@@ -37,23 +37,19 @@ class TokenBucket:
         )
         self._last = now
 
-    def acquire(self, n: int = 1) -> float:
-        """Take *n* tokens, advancing the clock if needed.
+    def acquire(self) -> float:
+        """Take one token, advancing the clock if needed.
 
         Returns the seconds waited (possibly zero).
         """
         self._refill()
-        if self._tokens >= n:
-            self._tokens -= n
+        if self._tokens >= 1:
+            self._tokens -= 1
             return 0.0
-        deficit = n - self._tokens
-        wait = deficit / self.rate
+        wait = (1 - self._tokens) / self.rate
         self.clock.advance(wait)
-        # Exactly `deficit` tokens accrued during the wait and all of
-        # them (plus the balance) are consumed by this acquire.  Going
-        # through `_refill()` here would cap the accrual at `burst`
-        # before the deduction, leaving permanent negative-token debt
-        # whenever n > burst and over-charging every later caller.
+        # Exactly the deficit accrued during the wait, and it is
+        # consumed by this acquire along with the balance.
         self._tokens = 0.0
         self._last = self.clock.now()
         return wait

@@ -20,7 +20,7 @@ from repro.probing.prober import LOSS_TIMEOUT, Prober
 #: Inter-probe pacing charged per TTL step.
 _PACING = 0.05
 
-#: Default TTL horizon.
+#: TTL horizon of every traceroute.
 MAX_TTL = 32
 
 
@@ -28,8 +28,6 @@ def paris_traceroute(
     prober: Prober,
     src: Address,
     dst: Address,
-    max_ttl: int = MAX_TTL,
-    flow_id: int = 0,
 ) -> TracerouteResult:
     """Run a Paris traceroute from *src* toward *dst*.
 
@@ -38,20 +36,16 @@ def paris_traceroute(
     answered, ends with the destination address itself.
     """
     clock = prober.clock
-    result = TracerouteResult(
-        src=src, dst=dst, flow_id=flow_id, timestamp=clock.now()
-    )
+    result = TracerouteResult(src=src, dst=dst, timestamp=clock.now())
     record = prober.counter.record
     bucket = prober._bucket(src)
-    sweep = prober.internet.send_ttl_sweep(
-        Probe(src=src, dst=dst, flow_id=flow_id), max_ttl
-    )
+    sweep = prober.internet.send_ttl_sweep(Probe(src=src, dst=dst), MAX_TTL)
     consecutive_stars = 0
-    for _ in range(max_ttl):
+    for _ in range(MAX_TTL):
         # Charged before the TTL's probe is sent: the bucket may wait
         # on the clock, and the simulator's fault hooks read it.
         record(ProbeKind.TRACEROUTE)
-        bucket.acquire(1)
+        bucket.acquire()
         outcome = next(sweep)
         clock.advance(_PACING)
         if outcome.te_reply is not None:

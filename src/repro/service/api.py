@@ -32,7 +32,6 @@ class MeasurementRequest:
     api_key: str
     dst: Address
     src: Address
-    label: str = ""
 
 
 class RevtrService:
@@ -64,16 +63,8 @@ class RevtrService:
         self.store = MeasurementStore()
         self._engines: Dict[Address, RevtrEngine] = {}
         #: per-source reverse-segment caches: every engine the service
-        #: builds for a source splices from the same one.  Deliberately
-        #: NOT dropped by :meth:`_invalidate_engine`: segments survive
-        #: engine rebuilds because generation/TTL invalidation already
-        #: governs their validity, so a re-registered source keeps the
-        #: amortization it earned.
+        #: builds for a source splices from the same one.
         self._segcaches: Dict[Address, ReverseSegmentCache] = {}
-        # A re-registered source gets a rebuilt atlas/RR atlas; drop
-        # any engine built against the old one so requests never keep
-        # serving stale state.
-        self.registry.subscribe(self._invalidate_engine)
 
     # ------------------------------------------------------------------
     # Administration
@@ -89,23 +80,15 @@ class RevtrService:
             name, max_parallel=max_parallel, max_per_day=max_per_day
         )
 
-    def add_source(
-        self,
-        api_key: str,
-        addr: Address,
-        replace: bool = False,
-    ):
+    def add_source(self, api_key: str, addr: Address):
         """Register a source for an authenticated user (bootstraps
         it)."""
         self.users.authenticate(api_key)
-        return self.registry.register(addr, replace=replace)
+        return self.registry.register(addr)
 
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------
-
-    def _invalidate_engine(self, source: Address) -> None:
-        self._engines.pop(source, None)
 
     def _engine_for(self, source: Address) -> RevtrEngine:
         engine = self._engines.get(source)
@@ -143,14 +126,13 @@ class RevtrService:
     ) -> List[ReverseTracerouteResult]:
         """Run a group through :meth:`RevtrEngine.measure_many`.
 
-        *items* is a sequence of ``(dst, user_name, label)`` triples;
-        every result gets its own per-request accounting (ledger
-        event, metrics, archive entry).  A direct request is a group
-        of one.
+        *items* is a sequence of ``(dst, user_name)`` pairs; every
+        result gets its own per-request accounting (ledger event,
+        metrics, archive entry).  A direct request is a group of one.
         """
-        results = engine.measure_many([dst for dst, _, _ in items])
-        for (dst, user_name, label), result in zip(items, results):
-            self._account(engine, result, dst, user_name, label)
+        results = engine.measure_many([dst for dst, _ in items])
+        for (dst, user_name), result in zip(items, results):
+            self._account(engine, result, dst, user_name)
         return results
 
     def _account(
@@ -159,7 +141,6 @@ class RevtrService:
         result: ReverseTracerouteResult,
         dst: Address,
         user_name: str,
-        label: str,
     ) -> None:
         """Per-request ledger/metrics/archive bookkeeping."""
         if self.obs.enabled:
@@ -181,7 +162,7 @@ class RevtrService:
             self.obs.observe(
                 "service_request_duration_seconds", result.duration
             )
-        self.store.append(result, user=user_name, label=label)
+        self.store.append(result, user=user_name)
         # Direct (non-scheduled) requests also heartbeat the telemetry
         # time-series; cheap clock-read guard when no sampler exists.
         sampler = self.obs.sampler
@@ -196,10 +177,15 @@ class RevtrService:
         # Resolved before the charge: an unregistered source raises
         # here and costs the user nothing.
         engine = self._engine_for(request.src)
-        user.charge(self.prober.clock.now())
-        (result,) = self._measure_group(
-            engine, [(request.dst, user.name, request.label)]
-        )
+        day = user.charge(self.prober.clock.now())
+        try:
+            (result,) = self._measure_group(
+                engine, [(request.dst, user.name)]
+            )
+        except Exception:
+            # The charge bought no measurement, so it goes back.
+            user.refund(day)
+            raise
         return result
 
     # ------------------------------------------------------------------

@@ -88,7 +88,6 @@ class Job:
     user: str
     dst: Address
     src: Address
-    label: str = ""
     submitted_at: float = 0.0
     #: earliest virtual time the job may start (retry backoff)
     eligible_at: float = 0.0
@@ -101,6 +100,8 @@ class Job:
     finished_at: Optional[float] = None
     #: the job completed, but after its deadline had already passed
     deadline_exceeded: bool = False
+    #: the quota day the job's start was charged against
+    _charged_day: Optional[int] = None
 
     @property
     def queue_wait(self) -> Optional[float]:
@@ -187,7 +188,6 @@ class RequestScheduler:
         api_key: str,
         dst: Address,
         src: Address,
-        label: str = "",
     ) -> Job:
         """Queue one request; returns the job (possibly already
         rejected with :attr:`RejectReason.QUEUE_FULL`)."""
@@ -197,7 +197,6 @@ class RequestScheduler:
             user=user.name,
             dst=dst,
             src=src,
-            label=label,
             submitted_at=self.clock.now(),
         )
         self.jobs.append(job)
@@ -235,9 +234,10 @@ class RequestScheduler:
         job.reject_reason = reason
         if reason is RejectReason.ERROR:
             # The engine failed past admission: the charge made at
-            # start time bought nothing, so it goes back.  Every other
-            # reason rejects before (or instead of) charging.
-            self._users[job.user].refund(job.started_at)
+            # start time bought nothing, so it goes back to the day it
+            # counted against.  Every other reason rejects before (or
+            # instead of) charging.
+            self._users[job.user].refund(job._charged_day)
         self.rejections[reason.value] = (
             self.rejections.get(reason.value, 0) + 1
         )
@@ -424,7 +424,7 @@ class RequestScheduler:
             self._reject(job, RejectReason.DEADLINE)
             return False
         try:
-            user.charge(t)
+            job._charged_day = user.charge(t)
         except QuotaExceeded as exc:
             job.error = str(exc)
             self._reject(job, RejectReason.QUOTA)
@@ -553,7 +553,7 @@ class RequestScheduler:
             results = self.service._measure_group(
                 engine,
                 [
-                    (_job.dst, _user.name, _job.label)
+                    (_job.dst, _user.name)
                     for _job, _user, _lane in admitted
                 ],
             )

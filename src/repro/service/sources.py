@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.core.atlas import TracerouteAtlas
 from repro.core.rr_atlas import RRAtlas
@@ -64,33 +64,15 @@ class SourceRegistry:
         self.atlas_size = atlas_size
         self._rng = random.Random(seed ^ 0x50BC)
         self.sources: Dict[Address, RegisteredSource] = {}
-        #: callables invoked with the address after every (re-)register
-        self._listeners: List = []
 
-    def subscribe(self, listener) -> None:
-        """Call *listener(addr)* whenever a source is (re-)registered.
-
-        The service layer uses this to drop engines built against an
-        atlas that a re-registration just rebuilt.
-        """
-        if listener not in self._listeners:
-            self._listeners.append(listener)
-
-    def register(
-        self,
-        addr: Address,
-        replace: bool = False,
-    ) -> RegisteredSource:
-        """Bootstrap and register *addr* as a source.
+    def register(self, addr: Address) -> RegisteredSource:
+        """Bootstrap and register *addr* as a source, once.
 
         Raises :class:`BootstrapError` if the host cannot receive
-        record-route packets (the bootstrap's first check).  Passing
-        ``replace=True`` re-bootstraps an already-registered address
-        with a fresh atlas and RR atlas; subscribed listeners are
-        notified so stale per-source state (cached engines) is
-        invalidated.
+        record-route packets (the bootstrap's first check), and
+        ``ValueError`` if *addr* is already registered.
         """
-        if addr in self.sources and not replace:
+        if addr in self.sources:
             raise ValueError(f"source {addr} already registered")
         if addr not in self.internet.hosts:
             raise BootstrapError(f"unknown host {addr}")
@@ -121,8 +103,6 @@ class SourceRegistry:
             report=report,
         )
         self.sources[addr] = registered
-        for listener in list(self._listeners):
-            listener(addr)
         return registered
 
     def _check_rr_receivable(self, addr: Address) -> bool:

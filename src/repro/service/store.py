@@ -20,7 +20,6 @@ class StoredMeasurement:
 
     result: ReverseTracerouteResult
     user: str
-    label: str = ""
 
 
 class MeasurementStore:
@@ -30,12 +29,9 @@ class MeasurementStore:
         self._records: List[StoredMeasurement] = []
 
     def append(
-        self,
-        result: ReverseTracerouteResult,
-        user: str,
-        label: str = "",
+        self, result: ReverseTracerouteResult, user: str
     ) -> StoredMeasurement:
-        record = StoredMeasurement(result=result, user=user, label=label)
+        record = StoredMeasurement(result=result, user=user)
         self._records.append(record)
         return record
 

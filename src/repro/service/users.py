@@ -49,25 +49,27 @@ class User:
             self._used_today = 0
         return day == self._day_index
 
-    def charge(self, now: float, n: int = 1) -> None:
-        """Charge *n* measurements against today's quota; a charge
-        dated before today counts against today."""
+    def charge(self, now: float) -> int:
+        """Charge one measurement against today's quota and return the
+        day it counted against; a charge dated before today counts
+        against today."""
         self._roll_day(now)
-        if self._used_today + n > self.max_per_day:
+        if self._used_today >= self.max_per_day:
             raise QuotaExceeded(
                 f"user {self.name} exceeded {self.max_per_day}/day"
             )
-        self._used_today += n
+        self._used_today += 1
+        return self._day_index
 
-    def refund(self, now: float, n: int = 1) -> None:
-        """Return *n* unused charges to today's quota.
+    def refund(self, day: int) -> None:
+        """Return one unused charge to *day*, the day :meth:`charge`
+        said it counted against.
 
-        Only charges made the same (virtual) day can come back; after
-        a day rollover there is nothing to refund against, and a
-        refund dated before today returns nothing.
+        Once that day is over there is nothing to refund against, so
+        the refund returns nothing.
         """
-        if self._roll_day(now):
-            self._used_today = max(0, self._used_today - n)
+        if day == self._day_index:
+            self._used_today = max(0, self._used_today - 1)
 
     def remaining_today(self, now: float) -> int:
         self._roll_day(now)
@@ -87,11 +89,10 @@ class UserDatabase:
         name: str,
         max_parallel: int = 10,
         max_per_day: int = 10_000,
-        api_key: Optional[str] = None,
     ) -> User:
         if name in self._by_name:
             raise ValueError(f"user {name!r} already registered")
-        key = api_key if api_key is not None else secrets.token_hex(8)
+        key = secrets.token_hex(8)
         user = User(
             name=name,
             api_key=key,

@@ -1110,16 +1110,14 @@ class Internet:
     # ------------------------------------------------------------------
 
     def ground_truth_router_path(
-        self, src: Address, dst: Address, flow_id: int = 0
+        self, src: Address, dst: Address
     ) -> List[int]:
         """Router-id path a plain packet takes from *src* to *dst*.
 
         A fault-free forward walk and nothing else: no probe is
         counted, no fault draw consumed, no reply sent.
         """
-        return self._forward_walk(
-            Probe(src=src, dst=dst, flow_id=flow_id)
-        )[1]
+        return self._forward_walk(Probe(src=src, dst=dst))[1]
 
     def topology_fingerprint(self) -> str:
         """Stable digest identifying this generated topology.

@@ -97,7 +97,6 @@ class PeeringTestbed:
     def reannounce(
         self,
         deployment: AnycastDeployment,
-        poisoned: Optional[FrozenSet[int]] = None,
         no_export: Optional[FrozenSet[Tuple[int, int]]] = None,
         prepends: Optional[Dict[int, int]] = None,
         clock=None,
@@ -106,8 +105,6 @@ class PeeringTestbed:
 
         Charges the 15-minute convergence delay if a clock is given.
         """
-        if poisoned is not None:
-            deployment.poisoned = poisoned
         if no_export is not None:
             deployment.no_export = no_export
         if prepends is not None:

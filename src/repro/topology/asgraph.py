@@ -104,7 +104,6 @@ class ASGraph:
         self,
         asn: int,
         tier: ASTier,
-        name: str = "",
         cold_potato: bool = False,
         allows_spoofing: bool = True,
     ) -> ASNode:
@@ -114,7 +113,7 @@ class ASGraph:
         node = ASNode(
             asn=asn,
             tier=tier,
-            name=name or f"AS{asn}",
+            name=f"AS{asn}",
             cold_potato=cold_potato,
             allows_spoofing=allows_spoofing,
         )

@@ -53,7 +53,7 @@ def _execute_virtual(
     try:
         engine = self.service._engine_for(job.src)
         result = self.service._measure_one(
-            engine, job.dst, user.name, job.label
+            engine, job.dst, user.name
         )
     except Exception as exc:  # typed, never kills the batch
         job.error = f"{type(exc).__name__}: {exc}"
@@ -63,11 +63,11 @@ def _execute_virtual(
 
 
 def _measure_one(
-    self, engine: RevtrEngine, dst: Address, user_name: str, label: str
+    self, engine: RevtrEngine, dst: Address, user_name: str
 ) -> ReverseTracerouteResult:
     """Run one measurement with service-level accounting."""
     result = engine.measure(dst)
-    self._account(engine, result, dst, user_name, label)
+    self._account(engine, result, dst, user_name)
     return result
 
 
@@ -81,5 +81,5 @@ def request(
     engine = self._engine_for(request.src)
     user.charge(self.prober.clock.now())
     return self._measure_one(
-        engine, request.dst, user.name, request.label
+        engine, request.dst, user.name
     )

@@ -39,7 +39,7 @@ def reference_paris_traceroute(
     consecutive_stars = 0
     for ttl in range(1, max_ttl + 1):
         prober.counter.record(ProbeKind.TRACEROUTE)
-        prober._bucket(src).acquire(1)
+        prober._bucket(src).acquire()
         probe = Probe(src=src, dst=dst, ttl=ttl, flow_id=flow_id)
         outcome = internet.send_probe(probe)
         prober.clock.advance(_PACING)

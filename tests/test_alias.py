@@ -1,5 +1,7 @@
 """Tests for alias resolution: ITDK sampling, SNMP, resolver."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.alias import (
@@ -22,9 +24,20 @@ def multi_iface_router(internet, snmp=None):
     pytest.skip("no suitable router in this topology seed")
 
 
+def itdk(internet, monkeypatch, coverage):
+    """The dataset *internet* samples when its config's ITDK coverage
+    is *coverage*."""
+    monkeypatch.setattr(
+        internet,
+        "config",
+        replace(internet.config, alias_itdk_coverage=coverage),
+    )
+    return build_itdk_dataset(internet)
+
+
 class TestITDK:
-    def test_groups_are_real_routers(self, tiny_internet):
-        dataset = build_itdk_dataset(tiny_internet, coverage=1.0)
+    def test_groups_are_real_routers(self, tiny_internet, monkeypatch):
+        dataset = itdk(tiny_internet, monkeypatch, 1.0)
         by_group = {}
         for addr, group in dataset.items():
             by_group.setdefault(group, []).append(addr)
@@ -32,16 +45,16 @@ class TestITDK:
             owners = {tiny_internet.iface_owner[a] for a in addrs}
             assert len(owners) == 1  # no false aliases: ground truth
 
-    def test_coverage_fraction(self, tiny_internet):
-        full = build_itdk_dataset(tiny_internet, coverage=1.0)
-        half = build_itdk_dataset(tiny_internet, coverage=0.5)
-        none = build_itdk_dataset(tiny_internet, coverage=0.0)
+    def test_coverage_fraction(self, tiny_internet, monkeypatch):
+        full = itdk(tiny_internet, monkeypatch, 1.0)
+        half = itdk(tiny_internet, monkeypatch, 0.5)
+        none = itdk(tiny_internet, monkeypatch, 0.0)
         assert len(none) == 0
         assert 0 < len(half) < len(full)
 
-    def test_deterministic(self, tiny_internet):
-        a = build_itdk_dataset(tiny_internet, coverage=0.5, seed=3)
-        b = build_itdk_dataset(tiny_internet, coverage=0.5, seed=3)
+    def test_deterministic(self, tiny_internet, monkeypatch):
+        a = itdk(tiny_internet, monkeypatch, 0.5)
+        b = itdk(tiny_internet, monkeypatch, 0.5)
         assert a == b
 
 

@@ -139,9 +139,7 @@ class TestStaleness:
         scenario = Scenario(
             config=TopologyConfig.tiny(seed=19), seed=19, atlas_size=8
         )
-        result = exp_staleness.run(
-            scenario, hours=6, revtrs_per_hour=5, churn_hours=(2,)
-        )
+        result = exp_staleness.run(scenario, hours=6, revtrs_per_hour=5)
         assert len(result.hours) == 6
         stale = [
             b.stale_no_intersection + b.stale_wrong_as_path

@@ -205,7 +205,9 @@ class TestEvidence:
         assert len(storm.event_seqs) == 4
         assert "degrade.retry" in storm.event_kinds
         cited = {
-            e.seq for e in instr.events.events(kind="degrade.retry")
+            e.seq
+            for e in instr.events.events()
+            if e.kind == "degrade.retry"
         }
         assert set(storm.event_seqs) <= cited
 
@@ -389,7 +391,8 @@ class TestRulesFireForTheirCause:
         assert finding.event_seqs == [
             event.seq
             for mid in stale
-            for event in instr.events.events(mid=mid, kind="stitch")
+            for event in instr.events.events()
+            if event.mid == mid and event.kind == "stitch"
         ]
         # Cause gone: a refreshed atlas, and the window moves on.
         engine.atlas.refresh(
@@ -463,7 +466,11 @@ class TestRulesFireForTheirCause:
         finding = fired(sampler, instr, "rejection-storm")
         assert finding is not None and finding.value == 7.0
         assert finding.evidence["window_by_reason"] == {"queue-full": 7.0}
-        rejects = instr.events.events(kind="sched.reject")
+        rejects = [
+            event
+            for event in instr.events.events()
+            if event.kind == "sched.reject"
+        ]
         assert finding.event_seqs == [event.seq for event in rejects]
         # Cause gone: the queue drains, later submissions fit, and the
         # burst leaves the window.

@@ -59,7 +59,8 @@ class TestTokenBucket:
     def test_refills_over_time(self):
         clock = VirtualClock()
         bucket = TokenBucket(clock, rate_per_second=10, burst=2)
-        bucket.acquire(2)
+        bucket.acquire()
+        bucket.acquire()
         clock.advance(1.0)
         assert bucket.acquire() == 0.0
 
@@ -68,24 +69,24 @@ class TestTokenBucket:
             TokenBucket(VirtualClock(), rate_per_second=0)
 
     def test_oversized_acquire_leaves_no_debt(self):
-        # Regression: n > burst used to re-apply the burst cap after
-        # the wait and then deduct n, leaving permanent negative-token
-        # debt that made every later caller over-wait.
+        # A run of acquires three times the burst: every wait takes
+        # exactly the deficit, so no negative-token debt makes a later
+        # caller over-wait.
         clock = VirtualClock()
         bucket = TokenBucket(clock, rate_per_second=10, burst=5)
-        waited = bucket.acquire(15)  # n = 3 * burst
-        # The initial deficit is 15 - 5 tokens at 10/s: exactly 1 s.
+        waited = sum(bucket.acquire() for _ in range(15))
+        # The deficit is 15 - 5 tokens at 10/s: 1 s.
         assert waited == pytest.approx(1.0)
         # The next token costs 1/rate, not (1 + old debt)/rate.
-        assert bucket.acquire(1) == pytest.approx(0.1)
-        assert bucket.acquire(1) == pytest.approx(0.1)
+        assert bucket.acquire() == pytest.approx(0.1)
+        assert bucket.acquire() == pytest.approx(0.1)
 
     def test_oversized_acquire_total_wait_bounded(self):
         clock = VirtualClock()
         bucket = TokenBucket(clock, rate_per_second=4, burst=2)
         start = clock.now()
-        for _ in range(3):
-            bucket.acquire(6)  # each is 3 * burst
+        for _ in range(18):  # 3 runs of 3 * burst
+            bucket.acquire()
         # 18 tokens at 4/s with 2 free from the initial burst.
         assert clock.now() - start == pytest.approx(16 / 4)
 
@@ -213,8 +214,8 @@ class TestTraceroute:
         prober = Prober(small_internet)
         src = small_internet.mlab_hosts[0]
         dst = responsive_host(small_internet)
-        first = paris_traceroute(prober, src, dst, flow_id=9)
-        second = paris_traceroute(prober, src, dst, flow_id=9)
+        first = paris_traceroute(prober, src, dst)
+        second = paris_traceroute(prober, src, dst)
         assert first.hops == second.hops
 
     def test_unresponsive_destination_gives_stars(self, tiny_internet):

@@ -114,9 +114,7 @@ class TestExperimentHelpers:
     def test_spoofing_gain_smoke(self, tiny_internet):
         from repro.experiments import exp_rr_responsiveness as m
 
-        result = m.measure_spoofing_gain(
-            tiny_internet, max_pairs=60, seed=1
-        )
+        result = m.measure_spoofing_gain(tiny_internet, seed=1)
         assert result.pairs > 0
         assert result.spoofed_fraction() >= result.direct_fraction()
         assert m.format_spoofing_gain(result)

@@ -384,7 +384,7 @@ class TestCoalescedGroups:
             groups.append(
                 [
                     queued[(user, dst, engine.source)]
-                    for dst, user, _ in items
+                    for dst, user in items
                 ]
             )
             return measure_group(engine, items)

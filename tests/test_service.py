@@ -136,13 +136,35 @@ class TestRequests:
         assert user.remaining_today(service.prober.clock.now()) == 10
         assert archived_for(service, "heidi") == []
 
+    def test_engine_error_refunds_the_charge(
+        self, service, small_scenario, monkeypatch
+    ):
+        # The charge is made before measuring; a measurement the engine
+        # raised on bought nothing, so the charge comes back.
+        user = service.add_user("pia", max_per_day=10)
+        source = small_scenario.sources()[1]
+        ensure_source(service, user.api_key, source)
+
+        def failing_measure(dst):
+            raise RuntimeError("engine blew up")
+
+        monkeypatch.setattr(
+            service._engine_for(source), "measure", failing_measure
+        )
+        dst = small_scenario.responsive_destinations(1)[0]
+        with pytest.raises(RuntimeError):
+            service.request(MeasurementRequest(user.api_key, dst, source))
+        assert user.remaining_today(service.prober.clock.now()) == 10
+        assert archived_for(service, "pia") == []
+
 
 class TestQuotaRollover:
     def test_rollover_via_remaining_today(self):
         clock = VirtualClock()
         db = UserDatabase(clock)
         user = db.add_user("ivy", max_per_day=5)
-        user.charge(clock.now(), n=5)
+        for _ in range(5):
+            user.charge(clock.now())
         assert user.remaining_today(clock.now()) == 0
         # remaining_today itself must roll the day, not just charge.
         clock.advance(86_400)
@@ -153,19 +175,23 @@ class TestQuotaRollover:
         db = UserDatabase(clock)
         user = db.add_user("judy", max_per_day=3)
         clock.advance(86_400 - 1)
-        user.charge(clock.now(), n=3)
+        for _ in range(3):
+            user.charge(clock.now())
         clock.advance(2)  # crosses the day boundary
-        user.charge(clock.now(), n=3)
+        for _ in range(3):
+            user.charge(clock.now())
         assert user.remaining_today(clock.now()) == 0
 
     def test_refund_restores_quota_same_day(self):
         clock = VirtualClock()
         db = UserDatabase(clock)
         user = db.add_user("kate", max_per_day=4)
-        user.charge(clock.now(), n=4)
-        user.refund(clock.now(), n=2)
+        days = [user.charge(clock.now()) for _ in range(4)]
+        user.refund(days[0])
+        user.refund(days[1])
         assert user.remaining_today(clock.now()) == 2
-        user.refund(clock.now(), n=10)  # clamped at zero used
+        for _ in range(10):
+            user.refund(days[0])  # clamped at zero used
         assert user.remaining_today(clock.now()) == 4
 
 
@@ -211,10 +237,45 @@ class TestQuotaDayMovesForward:
     def test_a_refund_dated_before_today_returns_nothing(self):
         clock = VirtualClock()
         user = UserDatabase(clock).add_user("noor", max_per_day=2)
+        yesterday = user.charge(clock.now())
         clock.advance(86_400)
-        user.charge(clock.now(), n=2)
-        user.refund(0.0)
+        user.charge(clock.now())
+        user.charge(clock.now())
+        user.refund(yesterday)
         assert user.remaining_today(clock.now()) == 0
+
+    def test_an_error_refund_at_lane_time_returns_to_today(
+        self, monkeypatch
+    ):
+        # After its first run the scheduler's lanes lag the serial
+        # clock, so a job it starts is charged at a time dated before
+        # today and counted against today.  When its engine raises, the
+        # refund must come back to today, not to the lane time's day.
+        scenario = Scenario(
+            config=TopologyConfig.tiny(seed=3), seed=3, atlas_size=10
+        )
+        service = scenario.service()
+        user = service.add_user("omar", max_per_day=3)
+        source = scenario.sources()[0]
+        service.add_source(user.api_key, source)
+        dsts = iter(scenario.responsive_destinations(3, options_only=True))
+        scheduler = service.scheduler(SchedulerConfig(parallelism=1))
+        scheduler.submit(user.api_key, next(dsts), source)
+        scheduler.run()
+        scenario.clock.advance(86_400)
+        service.request(MeasurementRequest(user.api_key, next(dsts), source))
+
+        def failing_measure(dst):
+            raise RuntimeError("engine blew up")
+
+        monkeypatch.setattr(
+            service._engine_for(source), "measure", failing_measure
+        )
+        job = scheduler.submit(user.api_key, next(dsts), source)
+        scheduler.run()
+        assert job.reject_reason is RejectReason.ERROR
+        assert job.started_at < scenario.clock.now() - 86_400 / 2
+        assert user.remaining_today(scenario.clock.now()) == 2
 
 
 class TestBatchCharging:
@@ -320,21 +381,6 @@ class TestBatchCharging:
 
 
 class TestEngineInvalidation:
-    def test_reregister_drops_stale_engine(
-        self, service, small_scenario
-    ):
-        key = service.add_user("mike").api_key
-        source = small_scenario.sources()[4]
-        ensure_source(service, key, source)
-        stale = service._engine_for(source)
-        assert stale.atlas is service.registry.sources[source].atlas
-        # Re-registering rebuilds the atlas; the cached engine must go.
-        service.add_source(key, source, replace=True)
-        fresh = service._engine_for(source)
-        assert fresh is not stale
-        assert fresh.atlas is service.registry.sources[source].atlas
-        assert fresh.atlas is not stale.atlas
-
     def test_duplicate_without_replace_still_rejected(
         self, service, small_scenario
     ):

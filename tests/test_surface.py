@@ -3,10 +3,11 @@
 Every module under ``src/repro``, every public top-level function and
 class, every public method, every field of a public dataclass and - as
 *options* - every field of a ``*Config`` dataclass and every defaulted
-``__init__`` parameter is collected here by AST and required to have a
-*caller* in ``src/`` (outside its own definition), ``benchmarks/`` or
-``examples/``.  What counts as one depends on what is called, because
-the rule reads owners, not words:
+parameter of a public function or method (``__init__`` included) is
+collected here by AST and required to have a *caller* in ``src/``
+(outside its own definition), ``benchmarks/`` or ``examples/``.  What
+counts as one depends on what is called, because the rule reads owners,
+not words:
 
 * a module: an import of it by name;
 * a function or a class: a name, an attribute, an import or an
@@ -19,13 +20,17 @@ the rule reads owners, not words:
 * a field: a read - an attribute load, or a literal under
   ``benchmarks/``.  A constructor keyword or a store only writes it;
 * an option: a *setter*, because the code that reads an option is not
-  a reason to have it - an argument in a call to its owning class
-  (``cls(...)`` in the class's own methods included),
+  a reason to have it - an argument, by keyword or by position, in a
+  call through its callee's name (the class, ``cls(...)`` in the
+  class's own methods included, for a field or an ``__init__``
+  parameter; the function's or method's own name otherwise),
   ``dataclasses.replace`` when the owner is a dataclass, or an
   attribute store outside the class.  A setter that passes the
   option's own default sets nothing, and one that forwards a defaulted
   parameter of its enclosing function sets it only once something sets
-  that parameter.
+  that parameter.  An option is labelled ``Class.name`` (a field or an
+  ``__init__`` parameter), ``function.name`` or ``Class.method.name``,
+  and a dead function's or method's options die with it.
 
 ``__init__.py`` re-exports, ``__all__`` and ``tests/`` vouch for
 nothing, an import counts only in a file that uses what it imports (and
@@ -35,9 +40,9 @@ a fixed point: what only dead code calls is dead too.
 What has no caller is deleted - an option with one value in use becomes
 the module constant it defaulted to - or, being an observer tests need,
 a mutation ROADMAP item 1's state machine is specified to drive, an
-option the paper itself describes or a deployment setting, listed in
-`TEST_ONLY` with its reason.  What a listed definition uses or forwards
-counts as used.
+option the paper itself describes, a deployment setting or the CLI
+entry point's arguments, listed in `TEST_ONLY` with its reason.  What a
+listed definition uses or forwards counts as used.
 
 The rule resolves what kind of reference names a definition, and an
 option's callee, but not the type of a receiver: a live ``.lookup`` on
@@ -153,6 +158,12 @@ TEST_ONLY = {
         "the interface the telemetry endpoint binds; loopback unless "
         "a deployment exposes it"
     ),
+    # Entry points.
+    "main.argv": (
+        "the CLI's arguments: tests/test_cli.py and "
+        "tests/helpers/reference_cli.py drive every verb through it, "
+        "and `python -m repro` leaves it to argparse to read sys.argv"
+    ),
 }
 
 
@@ -252,13 +263,20 @@ def repo_sources():
 class Definition:
     """One collected name: where it is defined and what kind it is."""
 
-    def __init__(self, kind, name, source, lineno, owner=None):
+    def __init__(self, kind, name, source, lineno, owner=None, callee=None):
         #: module | function | class | method | option | field
         self.kind = kind
         self.name = name
         self.rel = source.rel
         self.site = f"{source.rel}:{lineno}"
-        self.owner = owner  # the class, for a method, option or field
+        #: the class, for a method, field, ``*Config`` field or
+        #: ``__init__`` parameter; the function or ``Class.method``, for
+        #: any other option
+        self.owner = owner
+        #: for an option, the name a call that sets it is made through
+        #: (the `Parameter` key): the class, or the function's or
+        #: method's own name
+        self.callee = callee or owner
         self.label = f"{owner}.{name}" if owner else name
         #: What a reference's scope holds when it sits inside this
         #: definition (an option or a field is never a scope).
@@ -285,6 +303,7 @@ def collect_definitions(sources):
                 found.append(
                     Definition("function", node.name, source, node.lineno)
                 )
+                found.extend(options(node, source, node.name))
             elif isinstance(node, ast.ClassDef) and is_public(node.name):
                 found.append(
                     Definition("class", node.name, source, node.lineno)
@@ -293,20 +312,28 @@ def collect_definitions(sources):
     return found
 
 
+def options(function, source, owner, callee=None):
+    """The defaulted parameters of *function*, as options."""
+    for name in defaulted_parameters(function):
+        yield Definition(
+            "option", name, source, function.lineno, owner, callee
+        )
+
+
 def class_surface(cls, source):
-    """Public methods, ``*Config`` dataclass fields and defaulted
-    ``__init__`` parameters (options), and the fields of any other
-    dataclass, of one class."""
+    """Public methods, ``*Config`` dataclass fields and the defaulted
+    parameters of ``__init__`` and of every public method (options), and
+    the fields of any other dataclass, of one class."""
     for node in cls.body:
         if isinstance(node, ast.FunctionDef):
             if node.name == "__init__":
-                for name in defaulted_parameters(node):
-                    yield Definition(
-                        "option", name, source, node.lineno, cls.name
-                    )
+                yield from options(node, source, cls.name)
             elif is_public(node.name):
                 yield Definition(
                     "method", node.name, source, node.lineno, cls.name
+                )
+                yield from options(
+                    node, source, f"{cls.name}.{node.name}", node.name
                 )
     if is_dataclass(cls) and cls.name not in CALIBRATION:
         kind = "option" if cls.name.endswith("Config") else "field"
@@ -678,7 +705,11 @@ def uncalled(definitions, references, setters, parameters, kept):
     definition it names.  A module is called when something imports
     it by name or, being reached through its package's re-exports,
     when anything it defines is called."""
-    kept_parameters = {tuple(label.split(".", 1)) for label in kept}
+    kept_parameters = {
+        (d.callee, d.name)
+        for d in definitions
+        if d.kind == "option" and d.label in kept
+    }
 
     def called(definition, dead, is_set):
         if definition.name in CALLED_BY_STDLIB:
@@ -686,7 +717,7 @@ def uncalled(definitions, references, setters, parameters, kept):
         if definition.owner in dead:
             return False
         if definition.kind == "option":
-            return (definition.owner, definition.name) in is_set
+            return (definition.callee, definition.name) in is_set
         return any(
             how in VOUCHERS[definition.kind]
             and definition.key not in scope
@@ -739,7 +770,7 @@ def test_the_collector_still_finds_the_surface():
     for definition in DEFINITIONS:
         kinds[definition.kind] = kinds.get(definition.kind, 0) + 1
     assert kinds["module"] > 60 and kinds["method"] > 287, kinds
-    assert kinds["option"] > 54 and kinds["class"] > 100, kinds
+    assert kinds["option"] > 147 and kinds["class"] > 100, kinds
     assert kinds["field"] > 300, kinds
 
 
@@ -848,13 +879,44 @@ SHIELDS = {
             def __init__(self, clock, threshold=3, window=1.0):
                 self.clock = clock
 
-        class Scenario:
-            def install(self, threshold=3, window=1.0):
-                return Tracker(None, threshold=threshold, window=window)
+        def install(threshold=3, window=1.0):
+            return Tracker(None, threshold=threshold, window=window)
 
         def main():
-            return Scenario().install(window=2.0)
+            return install(window=2.0)
     """}, "Tracker.threshold", "Tracker.window"),
+    "a function's default nothing sets": ({"src/repro/m.py": """
+        def render(rows, width=24, top=10):
+            return rows[:top]
+
+        def main():
+            return render([], top=5)
+    """}, "render.width", "render.top"),
+    "a method's default passed positionally": ({"src/repro/m.py": """
+        class Bucket:
+            def acquire(self, n=1, wait=False):
+                return n, wait
+
+        def main():
+            return Bucket().acquire(1, True)
+    """}, "Bucket.acquire.n", "Bucket.acquire.wait"),
+    "a forward of a method's own unset default": ({"src/repro/m.py": """
+        class Registry:
+            def register(self, addr, replace=False, quiet=False):
+                return addr
+
+        class Service:
+            def __init__(self):
+                self.registry = Registry()
+
+            def add(self, addr, replace=False, quiet=False):
+                return self.registry.register(
+                    addr, replace=replace, quiet=quiet
+                )
+
+        def main():
+            return Service().add(1, quiet=True)
+    """}, "Registry.register.replace", "Registry.register.quiet"),
     "a write-only field": ({"src/repro/m.py": """
         from dataclasses import dataclass
 

@@ -74,9 +74,8 @@ class TestEngineering:
             asn: testbed.catchment_of(deployment, asn)
             for asn in internet.graph.asns()
         }
-        testbed.reannounce(
-            deployment, poisoned=frozenset({target_transit})
-        )
+        deployment.poisoned = frozenset({target_transit})
+        testbed.reannounce(deployment)
         assert (
             testbed.catchment_of(deployment, target_transit) is None
         )

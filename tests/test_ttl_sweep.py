@@ -158,10 +158,9 @@ def campaign(internet, traceroute, jobs, plan=None, vp_rate_pps=100.0):
     prober = Prober(internet, vp_rate_pps=vp_rate_pps)
     if plan is not None:
         internet.faults = FaultInjector(plan, prober.clock)
-    results = [
-        traceroute(prober, src, dst, max_ttl=max_ttl, flow_id=flow_id)
-        for src, dst, max_ttl, flow_id in jobs
-    ]
+    # A traceroute runs at flow 0 up to MAX_TTL: a job's drawn horizon
+    # and flow reach only the sweep itself, in (b).
+    results = [traceroute(prober, src, dst) for src, dst, _, _ in jobs]
     state = {
         "clock": prober.clock.now(),
         "buckets": {
@@ -177,14 +176,14 @@ def campaign(internet, traceroute, jobs, plan=None, vp_rate_pps=100.0):
 
 
 def fixed_jobs(name, count):
-    """*count* traceroutes cycling through the injectable sources,
-    every destination class and flow ids 0–3."""
+    """*count* traceroutes cycling through the injectable sources and
+    every destination class."""
     sources, by_class = endpoints(name)
     pools = list(by_class.values())
     jobs = []
     for i in range(count):
         pool = pools[i % len(pools)]
-        jobs.append((sources[i % 8], pool[(7 * i) % len(pool)], 32, i % 4))
+        jobs.append((sources[i % 8], pool[(7 * i) % len(pool)], 32, 0))
     return jobs
 
 
