@@ -9,14 +9,17 @@ not answer SNMPv3 are — like reality — simply unknown.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Optional
 
 from repro.net.addr import Address
 from repro.probing.prober import Prober
 
 
 class SnmpResolver:
-    """Groups addresses by SNMPv3 engine identifier."""
+    """Reads each address's SNMPv3 engine identifier, once.
+
+    Two addresses with the same engine id are aliases of one router.
+    """
 
     def __init__(self, prober: Prober) -> None:
         self.prober = prober
@@ -26,23 +29,3 @@ class SnmpResolver:
         if addr not in self._cache:
             self._cache[addr] = self.prober.snmpv3_probe(addr)
         return self._cache[addr]
-
-    def same_router(self, a: Address, b: Address) -> Optional[bool]:
-        """True/False when both respond; None when evidence is missing."""
-        id_a, id_b = self.engine_id(a), self.engine_id(b)
-        if id_a is None or id_b is None:
-            return None
-        return id_a == id_b
-
-    def resolve(self, addresses: Sequence[Address]) -> List[Set[Address]]:
-        """Group responsive addresses by engine id (singletons for the
-        unresponsive)."""
-        groups: Dict[str, Set[Address]] = {}
-        singletons: List[Set[Address]] = []
-        for addr in dict.fromkeys(addresses):
-            engine = self.engine_id(addr)
-            if engine is None:
-                singletons.append({addr})
-            else:
-                groups.setdefault(engine, set()).add(addr)
-        return list(groups.values()) + singletons

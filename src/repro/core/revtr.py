@@ -82,7 +82,7 @@ class EngineConfig:
     (there was a ``negative_ttl``; nothing set it).
     Reuse is wiring, not a field: an engine splices when it is given a
     :class:`~repro.core.segcache.ReverseSegmentCache` (the service
-    gives every engine for a source the same one; the paper's engines
+    builds one engine per source, with one; the paper's engines
     from ``Scenario.engine`` get none and measure from scratch); the
     measurement cache is the engine's own, on when ``use_cache`` is.
     """

@@ -63,11 +63,11 @@ class RRAtlas:
 
         Each distinct hop address is probed once per build even when it
         occurs in many VPs' traceroutes (the saved probes are tallied
-        in :attr:`probes_deduped`), and whole retry rounds go through
-        :meth:`Prober.rr_ping_batch`.  Forwarding outcomes are pure
-        functions of each probe, so the ``_mapping`` equals what one
-        ladder per occurrence, one :meth:`Prober.rr_ping` at a time,
-        registers (``tests/helpers/reference_rr_atlas.py``).
+        in :attr:`probes_deduped`).  The ladders are probed a retry
+        round at a time, one :meth:`Prober.rr_ping` per probe.
+        Forwarding outcomes are pure functions of each probe, so the
+        ``_mapping`` equals what one ladder per occurrence, one ladder
+        at a time, registers (``tests/helpers/reference_rr_atlas.py``).
         """
         self.version = object()
         source = self.atlas.source
@@ -104,14 +104,13 @@ class RRAtlas:
         targets: Sequence[Address],
         spoofers: Sequence[Address],
     ) -> List[Tuple[Optional[RRPingResult], int]]:
-        """Retry rounds through the batch walker.
+        """Every target's ladder, a retry round at a time.
 
         Round 0 probes every target directly from the source; round
         ``k`` retries the still-unusable remainder spoofed as the
-        source from the k-th spoofer — each target's own ladder,
-        probed a round at a time so the Python-level per-probe overhead
-        is amortised.  Returns ``(last result, probes sent)`` per
-        target.
+        source from the k-th spoofer, through
+        :meth:`Prober.rr_ping_batch` (one :meth:`Prober.rr_ping` per
+        probe).  Returns ``(last result, probes sent)`` per target.
         """
         states: List[List] = [[None, 0] for _ in targets]
         pending = list(range(len(targets)))

@@ -63,11 +63,11 @@ spliced hops behind the same Appendix E violation check as RR-revealed
 hops (Viger et al.: spliced paths need the same artifact gating as any
 inferred hop).
 
-One cache serves one source and is shared by every engine measuring
-toward that source — the whole point is that concurrent and successive
-measurements amortize each other's probes.  Only the thread that serves
-requests touches it (telemetry readers see its stats in a published
-sample), so it takes no lock.
+One cache serves one source, through the one engine the service
+builds for it — the whole point is that successive measurements
+toward that source amortize each other's probes.  Only the thread that
+serves requests touches it (telemetry readers see its stats in a
+published sample), so it takes no lock.
 """
 
 from __future__ import annotations

@@ -142,13 +142,16 @@ class ComparisonCampaign:
 
 def ground_truth_adjacencies(internet) -> AdjacencyDatabase:
     """A perfect adjacency database from simulator ground truth — the
-    "+ TS + ground truth adj." row of Fig. 5b (Appendix D.1)."""
+    "+ TS + ground truth adj." row of Fig. 5b (Appendix D.1).  Each
+    router link goes in as a two-hop traceroute."""
     database = AdjacencyDatabase()
-    fake = TracerouteResult(src="0.0.0.0", dst="0.0.0.0")
-    for router_id, neighbors in internet.adjacency.items():
-        for neighbor_id, (egress, ingress) in neighbors.items():
-            database._adjacent.setdefault(egress, set()).add(ingress)
-            database._adjacent.setdefault(ingress, set()).add(egress)
+    for neighbors in internet.adjacency.values():
+        for egress, ingress in neighbors.values():
+            database.add_traceroute(
+                TracerouteResult(
+                    src=egress, dst=ingress, hops=[egress, ingress]
+                )
+            )
     return database
 
 

@@ -31,7 +31,7 @@ from repro.core.revtr import RevtrEngine
 from repro.experiments.common import Scenario
 from repro.net.addr import Address
 from repro.te.engineering import CatchmentReport, TrafficEngineer
-from repro.te.peering import AnycastDeployment, PeeringTestbed
+from repro.te.peering import PeeringTestbed
 
 #: Anycast sites besides the source's own.
 SITES = 2
@@ -163,28 +163,10 @@ def run(
             shifted_before = majority_before / max(1, len(affected))
             rtt_before = _mean_ping_rtt(scenario, source, affected)
             # Poison the transit on the majority site's announcement.
-            new_origins = tuple(
-                (asn, frozenset({poisoned_transit}))
-                if asn == majority_site
-                else (asn, frozenset())
-                for asn in deployment.site_asns
-            )
-            from repro.topology.policy import Origin
-
-            deployment.prepends = dict(deployment.prepends)
-            # Rebuild the spec with per-origin poisoning.
-            deployment_spec_origins = tuple(
-                Origin(
-                    asn,
-                    prepend=deployment.prepends.get(asn, 0),
-                    poisoned=poison,
-                )
-                for asn, poison in new_origins
-            )
-            _announce_custom(
-                testbed, deployment, deployment_spec_origins
-            )
-            scenario.clock.advance(15 * 60.0)
+            deployment.poisoned = {
+                majority_site: frozenset({poisoned_transit})
+            }
+            testbed.reannounce(deployment, clock=scenario.clock)
 
             after = measure(
                 f"poisoned AS{poisoned_transit} at site "
@@ -293,27 +275,6 @@ def _mean_ping_rtt(
         if reply is not None:
             rtts.append(reply.rtt)
     return sum(rtts) / len(rtts) if rtts else float("nan")
-
-
-def _announce_custom(
-    testbed: PeeringTestbed,
-    deployment: AnycastDeployment,
-    origins,
-) -> None:
-    """Install a spec with per-origin poisoning."""
-    from repro.topology.policy import AnnouncementSpec
-
-    spec = AnnouncementSpec(
-        origins=origins,
-        poisoned=deployment.poisoned,
-        no_export=deployment.no_export,
-    )
-    internet = testbed.internet
-    internet.announcements[deployment.prefix] = spec
-    internet.anycast_anchors[deployment.prefix] = {
-        asn: testbed._anchor_for(asn) for asn in deployment.site_asns
-    }
-    internet.invalidate_routing()
 
 
 def format_report(result: TEResult) -> str:

@@ -21,7 +21,7 @@ from repro.obs.instrument import NULL
 from repro.probing.budget import ProbeCounter
 from repro.probing.ratelimit import TokenBucket
 from repro.sim.clock import VirtualClock
-from repro.sim.network import Internet
+from repro.sim.network import Internet, ProbeOutcome
 
 #: Receive timeout for a batch of spoofed probes (paper: 10 s).
 SPOOF_BATCH_TIMEOUT = 10.0
@@ -167,6 +167,41 @@ class Prober:
         self.clock.advance(outcome.echo.rtt)
         return outcome.echo
 
+    def _rr_probe(
+        self, vp: Address, dst: Address, spoof_as: Optional[Address]
+    ) -> Probe:
+        """Charge *vp* for one record-route ping and build it, spoofed
+        as *spoof_as* when that is another address."""
+        spoofed = spoof_as is not None and spoof_as != vp
+        kind = (
+            ProbeKind.SPOOFED_RECORD_ROUTE
+            if spoofed
+            else ProbeKind.RECORD_ROUTE
+        )
+        self._charge(vp, kind)
+        return Probe(
+            src=spoof_as if spoofed else vp,
+            dst=dst,
+            kind=kind,
+            injected_at=vp,
+            record_route=RecordRouteOption(),
+        )
+
+    @staticmethod
+    def _rr_result(
+        vp: Address, dst: Address, outcome: ProbeOutcome
+    ) -> RRPingResult:
+        echo = outcome.echo
+        if echo is None:
+            return RRPingResult(dst=dst, vp=vp, responded=False)
+        return RRPingResult(
+            dst=dst,
+            vp=vp,
+            responded=True,
+            slots=list(echo.rr_slots),
+            rtt=echo.rtt,
+        )
+
     def rr_ping(
         self,
         vp: Address,
@@ -180,28 +215,8 @@ class Prober:
         within :meth:`spoofed_rr_batch` for correct batch timing, or
         pass ``advance_clock=False`` and manage time at the call site.
         """
-        spoofed = spoof_as is not None and spoof_as != vp
-        kind = (
-            ProbeKind.SPOOFED_RECORD_ROUTE
-            if spoofed
-            else ProbeKind.RECORD_ROUTE
-        )
-        self._charge(vp, kind)
-        src = spoof_as if spoofed else vp
-        probe = Probe(
-            src=src,
-            dst=dst,
-            kind=kind,
-            injected_at=vp,
-            record_route=RecordRouteOption(),
-        )
-        outcome = self.internet.send_probe(probe)
-        result = RRPingResult(
-            dst=dst, vp=vp, responded=outcome.echo is not None
-        )
-        if outcome.echo is not None:
-            result.slots = list(outcome.echo.rr_slots)
-            result.rtt = outcome.echo.rtt
+        probe = self._rr_probe(vp, dst, spoof_as)
+        result = self._rr_result(vp, dst, self.internet.send_probe(probe))
         if advance_clock:
             self.clock.advance(
                 result.rtt if result.responded else LOSS_TIMEOUT
@@ -212,52 +227,12 @@ class Prober:
         self,
         items: Sequence[Tuple[Address, Address, Optional[Address]]],
     ) -> List[RRPingResult]:
-        """Record-route pings over the batch walker, loop-identical.
-
-        *items* is a sequence of ``(vp, dst, spoof_as)`` triples
-        (``spoof_as=None`` for direct probes).  The probes are walked
-        through :meth:`Internet.send_probe_batch` and then charged and
-        clock-advanced per probe in item order.  Because forwarding
-        outcomes are pure functions of each packet and walks never read
-        the clock, the results, the rate-limiter token dynamics, and
-        the final virtual-clock reading are all byte-identical to an
-        equivalent loop of :meth:`rr_ping` calls; only wall-clock time
-        shrinks.
-        """
-        probes = []
-        metas = []
-        for vp, dst, spoof_as in items:
-            spoofed = spoof_as is not None and spoof_as != vp
-            kind = (
-                ProbeKind.SPOOFED_RECORD_ROUTE
-                if spoofed
-                else ProbeKind.RECORD_ROUTE
-            )
-            probes.append(
-                Probe(
-                    src=spoof_as if spoofed else vp,
-                    dst=dst,
-                    kind=kind,
-                    injected_at=vp,
-                    record_route=RecordRouteOption(),
-                )
-            )
-            metas.append((vp, dst, kind))
-        outcomes = self.internet.send_probe_batch(probes)
-        results = []
-        for (vp, dst, kind), outcome in zip(metas, outcomes):
-            self._charge(vp, kind)
-            result = RRPingResult(
-                dst=dst, vp=vp, responded=outcome.echo is not None
-            )
-            if outcome.echo is not None:
-                result.slots = list(outcome.echo.rr_slots)
-                result.rtt = outcome.echo.rtt
-            self.clock.advance(
-                result.rtt if result.responded else LOSS_TIMEOUT
-            )
-            results.append(result)
-        return results
+        """One :meth:`rr_ping` per ``(vp, dst, spoof_as)`` item, in
+        order (``spoof_as=None`` for a direct probe)."""
+        return [
+            self.rr_ping(vp, dst, spoof_as=spoof_as)
+            for vp, dst, spoof_as in items
+        ]
 
     def spoofed_rr_batch(
         self,
@@ -270,39 +245,13 @@ class Prober:
         The batch is the unit of revtr latency (§5.2.4): replies land at
         the spoofed source and the system waits the full timeout since
         it cannot know how many will arrive.
-
-        The probes are walked through :meth:`Internet.send_probe_batch`;
-        the destination they share is resolved through the simulator's
-        own memo, like any single probe's.
         """
-        probes = []
-        for vp in vps:
-            spoofed = spoof_as is not None and spoof_as != vp
-            kind = (
-                ProbeKind.SPOOFED_RECORD_ROUTE
-                if spoofed
-                else ProbeKind.RECORD_ROUTE
-            )
-            self._charge(vp, kind)
-            probes.append(
-                Probe(
-                    src=spoof_as if spoofed else vp,
-                    dst=dst,
-                    kind=kind,
-                    injected_at=vp,
-                    record_route=RecordRouteOption(),
-                )
-            )
+        probes = [self._rr_probe(vp, dst, spoof_as) for vp in vps]
         outcomes = self.internet.send_probe_batch(probes)
-        results = []
-        for vp, outcome in zip(vps, outcomes):
-            result = RRPingResult(
-                dst=dst, vp=vp, responded=outcome.echo is not None
-            )
-            if outcome.echo is not None:
-                result.slots = list(outcome.echo.rr_slots)
-                result.rtt = outcome.echo.rtt
-            results.append(result)
+        results = [
+            self._rr_result(vp, dst, outcome)
+            for vp, outcome in zip(vps, outcomes)
+        ]
         self.clock.advance(SPOOF_BATCH_TIMEOUT)
         if self.health is not None:
             for result in results:

@@ -62,9 +62,6 @@ class RevtrService:
         self.users = UserDatabase(prober.clock)
         self.store = MeasurementStore()
         self._engines: Dict[Address, RevtrEngine] = {}
-        #: per-source reverse-segment caches: every engine the service
-        #: builds for a source splices from the same one.
-        self._segcaches: Dict[Address, ReverseSegmentCache] = {}
 
     # ------------------------------------------------------------------
     # Administration
@@ -96,12 +93,6 @@ class RevtrService:
             registered = self.registry.sources.get(source)
             if registered is None:
                 raise KeyError(f"source {source} not registered")
-            segcache = self._segcaches.get(source)
-            if segcache is None:
-                segcache = ReverseSegmentCache(
-                    self.prober.clock, self.prober.internet
-                )
-                self._segcaches[source] = segcache
             engine = RevtrEngine(
                 prober=self.prober,
                 source=source,
@@ -114,7 +105,9 @@ class RevtrService:
                 resolver=self.resolver,
                 spoofers=self.registry.spoofer_vps,
                 instrumentation=self.obs,
-                segcache=segcache,
+                segcache=ReverseSegmentCache(
+                    self.prober.clock, self.prober.internet
+                ),
             )
             self._engines[source] = engine
         return engine

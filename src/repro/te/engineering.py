@@ -3,7 +3,7 @@
 The TrafficEngineer closes the paper's loop: measure reverse routes
 from monitoring targets toward the anycast source, summarise which
 site and which transit each client arrives through, apply an
-announcement change (poison / no-export / prepend), wait out
+announcement change (poison / no-export), wait out
 convergence, and measure again. The Fig. 7 case study — shifting
 suboptimal transit routes toward a closer site and rebalancing
 providers — is the `exp_traffic_eng` experiment built on this class.
@@ -120,13 +120,4 @@ class TrafficEngineer:
             deployment,
             no_export=deployment.no_export | {(via, neighbor)},
             clock=self.prober.clock,
-        )
-
-    def prepend(
-        self, deployment: AnycastDeployment, site_asn: int, count: int
-    ) -> AnycastDeployment:
-        prepends = dict(deployment.prepends)
-        prepends[site_asn] = count
-        return self.testbed.reannounce(
-            deployment, prepends=prepends, clock=self.prober.clock
         )

@@ -3,9 +3,9 @@
 PEERING lets researchers announce real prefixes from multiple
 university/IXP sites and manipulate the announcements (§6.1). Here, a
 set of site ASes anycast one prefix; the deployment object owns the
-announcement spec and re-announces modified versions (poisoning,
-no-export, prepend), invalidating the simulator's routing caches the
-way BGP reconverges.
+announcement (per-site poisoning, no-export), and the testbed
+re-announces it after each change, invalidating the simulator's
+routing caches the way BGP reconverges.
 """
 
 from __future__ import annotations
@@ -29,20 +29,16 @@ class AnycastDeployment:
     prefix: Prefix
     source: Address  # the revtr source living on the prefix
     site_asns: Tuple[int, ...]
-    poisoned: FrozenSet[int] = frozenset()
+    #: site AS -> ASes poisoned on that site's announcement only
+    poisoned: Dict[int, FrozenSet[int]] = field(default_factory=dict)
     no_export: FrozenSet[Tuple[int, int]] = frozenset()
-    prepends: Dict[int, int] = field(default_factory=dict)
 
     def spec(self) -> AnnouncementSpec:
         origins = tuple(
-            Origin(asn, prepend=self.prepends.get(asn, 0))
+            Origin(asn, poisoned=self.poisoned.get(asn, frozenset()))
             for asn in sorted(self.site_asns)
         )
-        return AnnouncementSpec(
-            origins=origins,
-            poisoned=self.poisoned,
-            no_export=self.no_export,
-        )
+        return AnnouncementSpec(origins=origins, no_export=self.no_export)
 
 
 class PeeringTestbed:
@@ -98,17 +94,15 @@ class PeeringTestbed:
         self,
         deployment: AnycastDeployment,
         no_export: Optional[FrozenSet[Tuple[int, int]]] = None,
-        prepends: Optional[Dict[int, int]] = None,
         clock=None,
     ) -> AnycastDeployment:
-        """Apply announcement changes and let routing reconverge.
+        """Announce *deployment* as it now stands and let routing
+        reconverge.
 
         Charges the 15-minute convergence delay if a clock is given.
         """
         if no_export is not None:
             deployment.no_export = no_export
-        if prepends is not None:
-            deployment.prepends = dict(prepends)
         self._announce(deployment)
         if clock is not None:
             clock.advance(CONVERGENCE_SECONDS)

@@ -331,10 +331,10 @@ def _segcache_state(service):
     cache stats."""
     edges = {
         (source, addr): entry
-        for source, cache in service._segcaches.items()
-        for addr, entry in cache._entries.items()
+        for source, engine in service._engines.items()
+        for addr, entry in engine.segcache._entries.items()
     }
-    stats = [cache.stats for cache in service._segcaches.values()]
+    stats = [engine.segcache.stats for engine in service._engines.values()]
     return edges, stats
 
 

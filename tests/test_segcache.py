@@ -835,8 +835,8 @@ class _Twins:
 
     def __init__(self, config):
         self.sides = [_abort_deployment(config) for _ in range(2)]
-        for cache in self.sides[1][1]._segcaches.values():
-            cache.lookup_abort = lambda dst, atlases: None
+        for engine in self.sides[1][1]._engines.values():
+            engine.segcache.lookup_abort = lambda dst, atlases: None
         #: ``(source, destination, hop addresses)`` of every abort
         self.aborted = []
 

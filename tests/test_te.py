@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.probing import Prober
 from repro.te import PeeringTestbed, TrafficEngineer
 from repro.te.peering import CONVERGENCE_SECONDS
 
@@ -74,7 +75,10 @@ class TestEngineering:
             asn: testbed.catchment_of(deployment, asn)
             for asn in internet.graph.asns()
         }
-        deployment.poisoned = frozenset({target_transit})
+        deployment.poisoned = {
+            site: frozenset({target_transit})
+            for site in deployment.site_asns
+        }
         testbed.reannounce(deployment)
         assert (
             testbed.catchment_of(deployment, target_transit) is None
@@ -91,13 +95,41 @@ class TestEngineering:
         testbed, deployment, _ = testbed_setup
         clock = small_scenario.clock
         before = clock.now()
-        testbed.reannounce(
-            deployment, prepends={deployment.site_asns[0]: 1},
-            clock=clock,
-        )
+        testbed.reannounce(deployment, clock=clock)
         assert clock.now() - before == pytest.approx(
             CONVERGENCE_SECONDS
         )
+
+    def test_poisoning_survives_a_no_export_round(
+        self, testbed_setup, small_scenario
+    ):
+        """The deployment holds the per-site poisoning, so a later
+        re-announcement (here a no-export round) still carries it."""
+        testbed, deployment, _ = testbed_setup
+        internet = small_scenario.internet
+        poisoned_site, other_site = deployment.site_asns
+        transit = next(
+            asn
+            for asn in internet.graph.asns()
+            if asn not in deployment.site_asns
+        )
+        deployment.poisoned = {poisoned_site: frozenset({transit})}
+        testbed.reannounce(deployment)
+        # no_export measures nothing: it needs no engine, and a prober
+        # of its own keeps the shared scenario's clock where it was.
+        engineer = TrafficEngineer(
+            testbed, None, Prober(internet), small_scenario.ip2as
+        )
+        engineer.no_export(deployment, other_site, transit)
+        spec = internet.announcements[deployment.prefix]
+        poisoned_by_site = {
+            origin.asn: origin.poisoned for origin in spec.origins
+        }
+        assert poisoned_by_site == {
+            poisoned_site: frozenset({transit}),
+            other_site: frozenset(),
+        }
+        assert (other_site, transit) in spec.no_export
 
     def test_measured_catchment_matches_control_plane(self):
         """Reverse traceroutes see the same catchment BGP computes.
