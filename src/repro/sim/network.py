@@ -149,9 +149,13 @@ class Internet:
         self._fib: Dict[
             AnnouncementSpec, Dict[Address, Dict[int, FibEntry]]
         ] = {}
-        #: (router, next AS) -> the equal-cost next hops of the egress
-        #: pick, or the reason there is none; reads no address
-        self._egress: Dict[Tuple[int, int], Union[str, List[int]]] = {}
+        #: (router, next AS, the AS's cold_potato) -> the equal-cost
+        #: next hops of the egress pick, or the reason there is none;
+        #: reads no address and no announcement, so only connect()
+        #: drops it
+        self._egress: Dict[
+            Tuple[int, int, bool], Union[str, List[int]]
+        ] = {}
         #: (router, next router) -> the one FIB_DELIVER entry that every
         #: row slot forwarding over that link refers to; (router,
         #: candidate tuple) -> the one FIB_ECMP entry, likewise
@@ -210,23 +214,25 @@ class Internet:
             self._announce_cache.clear()
 
     def _drop_forwarding_memos(self) -> None:
-        """Start a routing generation: no FIB row, egress pick, shared
-        entry or resolution computed before it is read after it."""
+        """Start a routing generation: no FIB row, shared entry or
+        resolution computed before it is read after it."""
         self.routing_generation += 1
         self._fib.clear()
         self._fib_entries = 0
-        self._egress.clear()
         self._link_entries.clear()
         self._flush_resolution_caches()
 
     def _flush_topology_memos(self) -> None:
         """Drop what was computed from the link set before it changed:
-        the IGP tables and, once a walk has filled a row (the memos fill
-        nowhere else), everything forwarding remembers.  Free until then:
-        the generator's calls pay two truth tests."""
+        the IGP tables, the egress picks and, once a walk has filled a
+        row (the memos fill nowhere else), everything else forwarding
+        remembers.  Free until then: the generator's calls pay three
+        truth tests."""
         if self._intra_next:
             self._intra_next.clear()
             self._intra_dist.clear()
+        if self._egress:
+            self._egress.clear()
         if self._fib:
             self._drop_forwarding_memos()
 
@@ -413,8 +419,15 @@ class Internet:
         """A loop-safe alternate next-hop AS, for DBR-violating borders."""
         key = (asn, spec)
         hit = self._alt_next_as.get(key, _MISS)
-        if hit is not _MISS:
-            return hit  # type: ignore[return-value]
+        if hit is _MISS:
+            hit = self._alt_next_as[key] = self._alt_next_as_uncached(
+                asn, spec
+            )
+        return hit  # type: ignore[return-value]
+
+    def _alt_next_as_uncached(
+        self, asn: int, spec: AnnouncementSpec
+    ) -> Optional[int]:
         route_of = self.policy.route_of
         best = route_of(asn, spec)
         result: Optional[int] = None
@@ -432,7 +445,6 @@ class Internet:
                     key=lambda v: zlib.crc32(f"{asn}>{v}".encode())
                 )
                 result = candidates[0]
-        self._alt_next_as[key] = result
         return result
 
     # ------------------------------------------------------------------
@@ -942,17 +954,21 @@ class Internet:
         gen: int,
     ) -> FibEntry:
         """The deterministic egress action toward *next_as*: the pick is
-        made once per ``(router, next AS)``, the entry per destination."""
-        key = (router.router_id, next_as)
+        made once per ``(router, next AS, cold_potato)``, the entry per
+        destination."""
+        cold_potato = self.graph.nodes[router.asn].cold_potato
+        key = (router.router_id, next_as, cold_potato)
         egress = self._egress.get(key)
         if egress is None:
-            egress = self._egress[key] = self._egress_toward(router, next_as)
+            egress = self._egress[key] = self._egress_toward(
+                router, next_as, cold_potato
+            )
         if isinstance(egress, str):
             return FibEntry(FIB_ERROR, reason=egress, generation=gen)
         return self._ecmp_entry(router, target, egress, gen)
 
     def _egress_toward(
-        self, router: Router, next_as: int
+        self, router: Router, next_as: int, cold_potato: bool
     ) -> Union[str, List[int]]:
         """Equal-cost next hops from *router* toward its AS's egress to
         *next_as*, or why there is none."""
@@ -969,7 +985,7 @@ class Internet:
             return sorted(p[1] for p in own_pairs)
 
         # Pick an egress border router.
-        if self.graph.nodes[asn].cold_potato:
+        if cold_potato:
             local_border = min(pairs)[0]
         else:
             local_border = min(
@@ -1137,18 +1153,21 @@ class Internet:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def invalidate_routing(self) -> None:
-        """Drop routing caches after announcement changes (TE).
+        """Drop routing caches after announcement or policy changes.
 
         Bumps the routing generation — every cached
         :class:`~repro.sim.forwarding.FibEntry` stamped with an older
         generation becomes a miss, even if a reference to a FIB row
-        outlives the call — and drops the rows, the egress picks
-        (``cold_potato`` may have been edited), the shared entries and
-        the destination-resolution memos (anycast anchors may have
-        moved).
+        outlives the call — and drops the rows, the shared entries and
+        the destination-resolution memos (announcements and anycast
+        anchors may have moved).  What is a function of the AS graph
+        alone outlives the call while that input is unchanged: the
+        policy's floods and the alternate next-ASes while
+        :meth:`RoutingPolicy.invalidate` finds the compiled graph equal,
+        and the egress picks, keyed on the ``cold_potato`` they read.
         """
-        self.policy.invalidate()
-        self._alt_next_as.clear()
+        if self.policy.invalidate():
+            self._alt_next_as.clear()
         self._drop_forwarding_memos()
         self.prefix_table.flush_lookup_cache()
 

@@ -89,6 +89,9 @@ class ASGraph:
     or an ``ASNode`` edited in place — call ``RoutingPolicy.invalidate()``
     (or ``Internet.invalidate_routing()``); until then every route,
     read before or after the change, is that of the graph as it was.
+    The call compiles the graph again and drops the routes only if the
+    compiled copy differs, so an edit route selection does not read
+    (``neighbor_pref`` of an AS with customers) re-selects nothing.
     """
 
     def __init__(self) -> None:

@@ -157,7 +157,7 @@ class _CompiledGraph(NamedTuple):
     A pure function of the graph, the policy's salt and its
     ``symmetric_tiebreak_fraction`` — nothing here depends on the
     announcement — so one instance serves every spec until
-    :meth:`RoutingPolicy.invalidate`.
+    :meth:`RoutingPolicy.invalidate` compiles one that differs.
     """
 
     providers: Dict[int, _Edges]
@@ -206,9 +206,12 @@ class RoutingPolicy:
     read a compiled view of the graph, built on first use.  To change
     the graph under a live policy (edges, ``ASNode.neighbor_pref``, in
     place or not): **mutate, then call** :meth:`invalidate` —
-    ``Internet.invalidate_routing()`` does — which drops every cached
-    route and the compiled view.  Without the call nothing notices:
-    routes read before or after it are those of the graph as it was.
+    ``Internet.invalidate_routing()`` does — which compiles the graph
+    again and, if the view differs from the one held, drops every
+    cached route.  Without the call nothing notices: routes read before
+    or after it are those of the graph as it was.  A call that finds the
+    view unchanged keeps every flood: the view is the whole input of
+    route selection.
     """
 
     def __init__(
@@ -259,10 +262,20 @@ class RoutingPolicy:
         route = self.route_of(asn, spec)
         return route.origin if route else None
 
-    def invalidate(self) -> None:
-        """Drop every cached route and the compiled view of the graph."""
+    def invalidate(self) -> bool:
+        """Recompile the graph; if the view differs from the one held,
+        adopt it and drop every cached route.  Returns whether it did.
+
+        The view is the policy's whole input, so an equal one selects
+        every route as before and the floods stay."""
+        if self._compiled is None:
+            return True  # nothing compiled, so nothing flooded either
+        compiled = self._compile()
+        if compiled == self._compiled:
+            return False
         self._cache.clear()
-        self._compiled = None
+        self._compiled = compiled
+        return True
 
     # ------------------------------------------------------------------
     # Route selection

@@ -1,19 +1,24 @@
 """Reference forwarding: every decision recomputed, nothing remembered.
 
 ``Internet`` forwards through six memos — the per-(announcement,
-destination) FIB rows, the egress pick per ``(router, next AS)``, the
-link entry per ``(router, next router)`` those rows share, ``resolve``
-/ ``announcement_for`` per address, and the prefix table's
-longest-match results.  Until PR 17 a switch
-(``enable_fastpath(False)``) turned the row and resolution memos off
-so the two could be compared; what that switch selected is kept here
+destination) FIB rows, the egress pick per ``(router, next AS,
+cold_potato)``, the link entry per ``(router, next router)`` those rows
+share, ``resolve`` / ``announcement_for`` per address, and the prefix
+table's longest-match results — and reads routes through two more, the
+policy's floods and the alternate next-AS per ``(AS, announcement)``.
+The egress picks, floods and alternates outlive ``invalidate_routing()``
+while what they were computed from is unchanged.  A switch
+(``enable_fastpath(False)``) once turned the row and resolution memos
+off so the two could be compared; what it selected is kept here
 instead, together with the three entry builders as they were before
-PR 21 gave them the egress and link memos (one private ``FibEntry``
-per call, the border pick made again for every destination), so
+the egress and link memos (one private ``FibEntry`` per call, the
+border pick made again for every destination), a route read answered
+by a :class:`ReferencePolicy` built for that one read over the live
+graph, and ``alt_next_as`` without its memo, so
 ``tests/test_fwd_fastpath.py`` and ``tests/test_ttl_sweep.py`` can
 require a memoised Internet to answer a probe stream exactly as one
-that recomputes every hop.  Test-only: nothing under ``src/`` imports
-it.
+that recomputes every hop and shares none of those memos.  Test-only:
+nothing under ``src/`` imports it.
 
 Under :func:`uncached_forwarding` the hit / miss / entry tallies of
 ``forwarding_cache_stats()`` still tick but describe nothing (every
@@ -38,11 +43,22 @@ from repro.sim.forwarding import (
     FibEntry,
 )
 from repro.sim.network import Internet
+from repro.topology.policy import RoutingPolicy
+from tests.helpers.reference_policy import ReferencePolicy
 
 
 def fresh_fib_row(self, spec, dst):
     """A row no earlier walk filled: every hop is computed."""
     return {}
+
+
+def fresh_route_of(self, asn, spec):
+    """The route *asn* selects, from an eager all-AS computation over
+    the live graph that nothing before this read has seen."""
+    reference = ReferencePolicy(
+        self.graph, self.salt, self.symmetric_tiebreak_fraction
+    )
+    return reference.routes(spec).get(asn)
 
 
 def _flush_first(lookup):
@@ -165,14 +181,18 @@ def private_entries():
 
 def uncached_forwarding():
     """Run with the oracle patched in, process-wide: ``_walk`` gets an
-    empty FIB row per walk and builds each entry with the pre-PR 21
-    builders (so the egress pick is made again at every hop),
-    ``resolve`` / ``announcement_for`` run their uncached bodies, and
-    the prefix table forgets before every lookup."""
+    empty FIB row per walk and builds each entry with the builders that
+    predate the egress and link memos (so the egress pick is made again
+    at every hop), every route is computed afresh for its read,
+    ``resolve`` / ``announcement_for`` / ``alt_next_as`` run their
+    uncached bodies, and the prefix table forgets before every
+    lookup."""
     return _patched(
         BUILDERS
         + [
             (Internet, "_fib_for", fresh_fib_row),
+            (RoutingPolicy, "route_of", fresh_route_of),
+            (Internet, "alt_next_as", Internet._alt_next_as_uncached),
             (Internet, "resolve", Internet._resolve_uncached),
             (
                 Internet,

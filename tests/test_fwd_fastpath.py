@@ -6,8 +6,11 @@ decision (``tests/helpers/reference_walk.py``), including the
 stochastic load-balancer and DBR-violator hops, whose per-packet
 choices stay outside the cache; every memo must be dropped when a
 traffic-engineering announcement change calls ``invalidate_routing()``
-or ``connect()`` adds a link; and sharing one ``FibEntry`` between the
-row slots that resolve to the same link must move no lookup.
+or ``connect()`` adds a link, except those of what the AS graph alone
+determines (the policy's floods, the alternate next-ASes, the egress
+picks), which ``invalidate_routing()`` keeps while their input is
+unchanged; and sharing one ``FibEntry`` between the row slots that
+resolve to the same link must move no lookup.
 """
 
 from functools import lru_cache
@@ -21,9 +24,9 @@ from repro.net.options import RecordRouteOption
 from repro.net.packet import Probe, ProbeKind
 from repro.sim.forwarding import FIB_DELIVER
 from repro.topology import TopologyConfig
-from repro.topology.asgraph import ASTier
+from repro.topology.asgraph import ASTier, Relationship
 from repro.topology.generator import build_internet
-from repro.topology.policy import AnnouncementSpec, Origin
+from repro.topology.policy import AnnouncementSpec, Origin, RoutingPolicy
 from tests.helpers.reference_obs import fib_entry_count
 from tests.helpers.reference_walk import (
     private_entries,
@@ -113,6 +116,67 @@ def tiny_endpoints():
     return sources, destinations, multihomed[:20], flippable
 
 
+@lru_cache(maxsize=None)
+def tiny_new_links():
+    """AS pairs ``(a, b)`` of the tiny topology to link: *a* is a
+    flippable AS (customer-less), *b* a transit AS it is not adjacent
+    to.  Linked as *a*'s provider or peer, *b* gains no provider and
+    *a* no customer, so no provider cycle can close."""
+    graph = build_internet(TINY).graph
+    flippable = tiny_endpoints()[3]
+    assert not any(graph.nodes[a].customers() for a in flippable)
+    return [
+        (a, b)
+        for a in flippable
+        for b in sorted(graph.nodes)
+        if graph.nodes[b].customers() and b not in graph.nodes[a].neighbors
+    ]
+
+
+@lru_cache(maxsize=None)
+def tiny_potato_canaries():
+    """``{AS: (src, dst)}`` of the tiny topology: each AS with a router
+    whose egress pick toward some next AS moves with the AS's
+    ``cold_potato``, with a ping that flipping it reroutes (on the way
+    out or back).  Sources are the stream's and the hosts of those
+    ASes, destinations any host."""
+    internet = tiny_with_as_violators()
+    potato = [
+        asn
+        for asn, by_next in sorted(internet.borders.items())
+        if any(
+            internet._egress_toward(internet.routers[rid], next_as, False)
+            != internet._egress_toward(internet.routers[rid], next_as, True)
+            for next_as in by_next
+            for rid in internet.routers_by_as[asn]
+        )
+    ]
+    hosts = sorted(internet.hosts)
+    sources = tiny_endpoints()[0] + [
+        addr for addr in hosts if internet.hosts[addr].asn in potato
+    ]
+    pairs = [(src, dst) for src in sources for dst in hosts if src != dst]
+
+    def ping(net, pair):
+        src, dst = pair
+        return outcome_key(net.send_probe(Probe(src=src, dst=dst)), False)
+
+    @lru_cache(maxsize=None)
+    def unflipped(pair):
+        return ping(internet, pair)
+
+    canaries = {}
+    for asn in potato:
+        # Flipped before its first walk: no memo predates the flip.
+        flipped = tiny_with_as_violators()
+        node = flipped.graph.nodes[asn]
+        node.cold_potato = not node.cold_potato
+        canaries[asn] = next(
+            pair for pair in pairs if ping(flipped, pair) != unflipped(pair)
+        )
+    return canaries
+
+
 def tiny_with_as_violators():
     """The tiny topology with every fourth router outside the M-Lab
     ASes an AS-level DBR violator.  The generator draws one such router
@@ -138,6 +202,9 @@ def forwarding_ops(draw):
         st.sampled_from(("plain", "rr", "spoofed-rr", "ttl")),
         st.integers(0, 3),
     )
+    potato = st.tuples(
+        st.just("potato"), st.sampled_from(sorted(tiny_potato_canaries()))
+    )
     batch = st.tuples(st.just("batch"), st.sampled_from(destinations))
     sweep = st.tuples(
         st.just("sweep"),
@@ -151,11 +218,16 @@ def forwarding_ops(draw):
     flip = st.tuples(
         st.just("flip"), st.sampled_from(flippable), st.integers(0, 7)
     )
+    edge = st.tuples(
+        st.just("edge"),
+        st.sampled_from(tiny_new_links()),
+        st.sampled_from((Relationship.PROVIDER, Relationship.PEER)),
+    )
     return draw(
         st.lists(
             st.one_of(
                 probe, probe, probe, batch, sweep, override, flip,
-                st.just(("clear",)),
+                potato, edge, st.just(("clear",)), st.just(("noop",)),
             ),
             min_size=4,
             max_size=24,
@@ -211,11 +283,19 @@ def apply_op(internet, op, leak_stale_rows=False):
         )
     elif op[0] == "clear":
         internet.announcements.clear()
-    else:  # flip: the in-place local-pref edit of exp_staleness
+    elif op[0] == "flip":  # the in-place local-pref edit of exp_staleness
         node = internet.graph.nodes[op[1]]
         providers = sorted(node.providers())
         node.neighbor_pref.clear()
         node.neighbor_pref[providers[op[2] % len(providers)]] = 100
+    elif op[0] == "potato":
+        node = internet.graph.nodes[op[1]]
+        node.cold_potato = not node.cold_potato
+    elif op[0] == "edge":  # an AS-level link no router link carries
+        (a, b), rel_from_a = op[1:]
+        if b not in internet.graph.nodes[a].neighbors:
+            internet.graph.add_edge(a, b, rel_from_a)
+    # noop: nothing changed, and routing is invalidated all the same
     internet.invalidate_routing()
     if leak_stale_rows:
         # A reference to the old rows outlives the invalidation: the
@@ -228,10 +308,14 @@ def apply_op(internet, op, leak_stale_rows=False):
 @given(ops=forwarding_ops())
 def test_memoised_forwarding_equals_recomputing_every_hop(ops):
     memoised, recomputed = tiny_with_as_violators(), tiny_with_as_violators()
-    # Every probe is sent again at the end, after whatever rerouted it.
-    for op in ops + [
-        op for op in ops if op[0] in ("probe", "batch", "sweep")
-    ]:
+    # Every probe is sent again at the end, after whatever rerouted it;
+    # a ping each potato flip reroutes is sent first and last.
+    canaries = [
+        ("probe", src, dst, "plain", 0)
+        for src, dst in tiny_potato_canaries().values()
+    ]
+    resent = [op for op in ops if op[0] in ("probe", "batch", "sweep")]
+    for op in canaries + ops + resent + canaries:
         seen = apply_op(memoised, op, leak_stale_rows=True)
         with uncached_forwarding():
             expected = apply_op(recomputed, op)
@@ -378,8 +462,10 @@ class TestInvalidation:
             for spec, shard in internet._fib.items()
         }
         stale_links = dict(internet._link_entries)
+        egress = dict(internet._egress)
         internet.invalidate_routing()
-        assert not internet._egress and not internet._link_entries
+        # The egress picks read no announcement and outlive the call.
+        assert internet._egress == egress and not internet._link_entries
         # Simulate a leaked stale shard, and a leaked shared entry.
         internet._fib.update(stale)
         internet._link_entries.update(stale_links)
@@ -391,10 +477,44 @@ class TestInvalidation:
         internet.ground_truth_router_path(src, dst)
         assert internet._fib_misses == misses_before + len(path)
 
+    def test_noop_invalidation_keeps_what_the_graph_determines(
+        self, monkeypatch
+    ):
+        """Nothing changed: the call still starts a generation and
+        drops every per-destination memo, but floods no spec again and
+        keeps the egress picks and the alternate next-ASes."""
+        internet = tiny_with_as_violators()
+        sources, destinations, _, _ = tiny_endpoints()
+        pairs = [(s, d) for s in sources for d in destinations]
+        before = [internet.ground_truth_router_path(*p) for p in pairs]
+        egress = dict(internet._egress)
+        alternates = dict(internet._alt_next_as)
+        assert egress and alternates
+        flood, floods = RoutingPolicy._flood, []
+
+        def counted(policy, spec):
+            floods.append(spec)
+            return flood(policy, spec)
+
+        monkeypatch.setattr(RoutingPolicy, "_flood", counted)
+        generation = internet.routing_generation
+        internet.invalidate_routing()
+
+        stats = internet.forwarding_cache_stats()
+        assert stats["routing_generation"] == generation + 1
+        for name in ("fib", "resolve", "announcement", "lpm"):
+            assert stats["caches"][name]["entries"] == 0, name
+        assert not internet._link_entries
+        assert internet._egress == egress
+        assert internet._alt_next_as == alternates
+        assert [internet.ground_truth_router_path(*p) for p in pairs] == before
+        assert floods == []
+
     def test_cold_potato_flip_is_honoured_after_invalidation(self):
         """The egress pick reads ``ASNode.cold_potato``; flipped in
-        place, ``invalidate_routing()`` must drop the picks made under
-        the old value."""
+        place and back, each ``invalidate_routing()`` must serve the
+        picks made under the value now set, never those of the other
+        (which the memo still holds under its own key)."""
         internet, reference = build_internet(TINY), build_internet(TINY)
         sources, destinations, _, _ = tiny_endpoints()
         pairs = [(s, d) for s in sources for d in destinations]
@@ -402,15 +522,19 @@ class TestInvalidation:
         def paths(net):
             return [net.ground_truth_router_path(s, d) for s, d in pairs]
 
-        before = paths(internet)
-        for net in (internet, reference):
+        def flip_all(net):
             for node in net.graph.nodes.values():
                 node.cold_potato = not node.cold_potato
             net.invalidate_routing()
-        after = paths(internet)
-        with uncached_forwarding():
-            assert after == paths(reference)
-        assert after != before
+
+        before = paths(internet)
+        for expect_moved in (True, False):
+            flip_all(internet)
+            flip_all(reference)
+            now = paths(internet)
+            with uncached_forwarding():
+                assert now == paths(reference)
+            assert (now != before) is expect_moved
 
 
 class TestTopologyMutation:

@@ -406,7 +406,8 @@ def test_equal_tiebreaks_are_refused(monkeypatch):
 
 class TestMutateThenInvalidate:
     """The compiled view is a snapshot: graph edits show after
-    invalidate(), and not before."""
+    invalidate(), and not before; an invalidate() that finds the view
+    unchanged keeps every flood."""
 
     @staticmethod
     def flippable_leaf(internet):
@@ -444,6 +445,7 @@ class TestMutateThenInvalidate:
         assert policy.route_of(asn, spec) == before  # stale until told
 
         internet.invalidate_routing()
+        assert not policy._cache
         after = policy.route_of(asn, spec)
         assert after.next_as == other
         assert after != before
@@ -490,10 +492,33 @@ class TestMutateThenInvalidate:
         assert policy.route_of(2, spec).path == (2, 1, 3)
         assert policy.route_of(2, unseen).path == (2, 1, 3, 3)
 
-        policy.invalidate()
+        assert policy.invalidate() is True
         assert policy.route_of(2, spec).path == (2, 3)
         assert policy.route_of(2, unseen).path == (2, 3, 3)
         assert policy.routes(spec) == ReferencePolicy(graph).routes(spec)
+
+    def test_unchanged_graph_keeps_the_floods(self):
+        graph = diamond_graph()
+        policy = RoutingPolicy(graph)
+        spec = AnnouncementSpec.single(4)
+        route = policy.route_of(3, spec)
+        flooded, compiled = policy._cache[spec], policy._compiled
+
+        assert policy.invalidate() is False
+        assert policy._cache == {spec: flooded}
+        assert policy._compiled is compiled
+        assert policy.route_of(3, spec) is route
+
+    def test_salt_change_drops_the_floods(self):
+        graph = diamond_graph()
+        policy = RoutingPolicy(graph)
+        spec = AnnouncementSpec.single(4)
+        policy.route_of(3, spec)
+
+        policy.salt = 1
+        assert policy.invalidate() is True
+        assert not policy._cache
+        assert policy.routes(spec) == ReferencePolicy(graph, 1).routes(spec)
 
 
 class TestSpecHashing:
