@@ -56,7 +56,7 @@ class FibEntry:
     candidates.  Which entry a slot holds depends on all three; what a
     DELIVER or ECMP entry says depends only on the router and its next
     hop(s), so there is one object per ``(router, next router)`` (or
-    candidate tuple) per routing generation, held by every slot that
+    candidate tuple) per fill epoch, held by every slot that
     resolves to it and read-only once built — except the primary entry
     of an AS-level DBR violator, private because its ``alt`` depends on
     the announcement.
@@ -80,11 +80,15 @@ class FibEntry:
         alt: at an AS-level DBR-violating border router, the entry for
             the loop-safe alternate next AS; the walker hashes the
             packet source to pick between the two on first visit.
-        generation: routing generation the entry was computed under;
-            entries from older generations are treated as misses, so
-            traffic-engineering announcement changes can never be
-            served stale routes.  A shared entry keeps the stamp it was
-            built with, which is why there is one per generation.
+        generation: the fill epoch the entry was computed under, not
+            the public routing generation: the epoch advances only
+            where ``Internet`` drops its forwarding memos, so entries
+            survive an ``invalidate_routing()`` that changes no input,
+            while an entry from an older epoch is a miss even if its
+            row leaked past the drop, so a traffic-engineering change
+            is never served stale routes.  A shared entry keeps the
+            stamp it was built with, which is why there is one per
+            epoch.
     """
 
     __slots__ = (
@@ -121,13 +125,16 @@ class FibEntry:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class DestTarget:
     """Resolved delivery target(s) of a destination address.
 
+    One is memoised per resolved address, hence the slots.
+
     Attributes:
         dst: the probed address.
-        anchors: asn -> router to route toward inside that AS. Normally
+        anchors: asn -> router to route toward inside that AS, read-only
+            (unicast targets share one dict per AS and router). Normally
             a single entry; anycast prefixes have one per origin site.
         host: set when the destination is an end host.
         owner_router: set when the destination is a router interface.

@@ -135,11 +135,18 @@ class Internet:
         self._alt_next_as: Dict[Tuple[int, AnnouncementSpec], Optional[int]] = {}
 
         # -- forwarding memos -------------------------------------------
-        #: routing generation; bumped by :meth:`invalidate_routing` so
-        #: FIB entries computed under an old announcement set are
-        #: treated as misses even if a reference to a per-spec shard
-        #: outlives the invalidation
+        #: routing generation, bumped by every :meth:`invalidate_routing`
+        #: and by a ``connect()`` that drops the memos below: the segment
+        #: cache, the atlases and snapshots stamp what they store with it
         self.routing_generation = 0
+        #: fill epoch stamped into every FibEntry; advanced only where
+        #: the memos below are dropped, so an entry filled before a drop
+        #: is a miss even if a reference to its row outlives the drop
+        self._fill_epoch = 0
+        #: the routing inputs the memos below were filled under (see
+        #: :meth:`_routing_inputs`); :meth:`invalidate_routing` drops
+        #: the memos only when these or the compiled AS graph moved
+        self._filled_under = self._routing_inputs()
         #: spec -> destination -> {router_id -> FibEntry}; sharded per
         #: announcement and destination so the walker looks up the spec
         #: (whose hash is computed once, at construction) and hashes
@@ -161,9 +168,15 @@ class Internet:
         #: candidate tuple) -> the one FIB_ECMP entry, likewise
         self._link_entries: Dict[Tuple[int, object], FibEntry] = {}
         #: memoized Internet.resolve() / announcement_for() results;
-        #: flushed on topology mutation and invalidate_routing()
+        #: flushed on topology mutation and by an invalidate_routing()
+        #: that finds the routing inputs moved
         self._resolve_cache: Dict[Address, Optional[DestTarget]] = {}
         self._announce_cache: Dict[Address, Optional[AnnouncementSpec]] = {}
+        #: read-only values those memos share, each a function of its
+        #: key alone and so never dropped: the default announcement per
+        #: origin AS, and the one-site anchor map per (AS, router)
+        self._unicast_specs: Dict[int, AnnouncementSpec] = {}
+        self._anchor_maps: Dict[Tuple[int, int], Dict[int, int]] = {}
         self._fib_hits = 0
         self._fib_misses = 0
         #: slots (not distinct entry objects) currently held across all
@@ -213,10 +226,31 @@ class Internet:
         if self._announce_cache:
             self._announce_cache.clear()
 
+    def _routing_inputs(self) -> tuple:
+        """What the FIB rows, link entries and resolution memos read
+        besides the link set and the compiled AS graph, by value: the
+        announcement overrides, the anycast anchors (inner dicts copied:
+        callers edit them in place) and the cold-potato ASes, whose
+        flag picks the egress entries the rows hold."""
+        return (
+            dict(self.announcements),
+            {
+                prefix: dict(sites)
+                for prefix, sites in self.anycast_anchors.items()
+            },
+            frozenset(
+                asn
+                for asn, node in self.graph.nodes.items()
+                if node.cold_potato
+            ),
+        )
+
     def _drop_forwarding_memos(self) -> None:
-        """Start a routing generation: no FIB row, shared entry or
-        resolution computed before it is read after it."""
+        """Start a routing generation and a fill epoch: no FIB row,
+        shared entry or resolution computed before it is read after
+        it."""
         self.routing_generation += 1
+        self._fill_epoch += 1
         self._fib.clear()
         self._fib_entries = 0
         self._link_entries.clear()
@@ -288,10 +322,11 @@ class Internet:
         """Return the announcement governing routes toward *addr*.
 
         Memoized per address (the result is a pure function of the
-        prefix table and announcement overrides); the memo also interns
-        the default per-prefix :class:`AnnouncementSpec` so every probe
-        toward a prefix shares one spec object — and therefore one FIB
-        shard — instead of re-hashing a fresh spec per packet.
+        prefix table and announcement overrides); the default
+        :class:`AnnouncementSpec` is interned per origin AS, so every
+        address that AS originates shares one spec object — and
+        therefore one FIB shard — and a memoised address costs a dict
+        slot, not a spec.
         """
         hit = self._announce_cache.get(addr, _MISS)
         if hit is not _MISS:
@@ -311,8 +346,11 @@ class Internet:
         spec = self.announcements.get(prefix)
         if spec is not None:
             return spec
-        info = self.prefixes[prefix]
-        return AnnouncementSpec.single(info.origin_asn)
+        asn = self.prefixes[prefix].origin_asn
+        spec = self._unicast_specs.get(asn)
+        if spec is None:
+            spec = self._unicast_specs[asn] = AnnouncementSpec.single(asn)
+        return spec
 
     # ------------------------------------------------------------------
     # Destination resolution
@@ -325,7 +363,7 @@ class Internet:
         same destination (RR rounds, spoofed-VP batches), and the
         resolved :class:`DestTarget` is a pure function of topology and
         anycast anchors.  The memo is flushed on topology mutation and
-        by :meth:`invalidate_routing`.
+        by an :meth:`invalidate_routing` that finds its inputs moved.
         """
         hit = self._resolve_cache.get(dst, _MISS)
         if hit is not _MISS:
@@ -336,11 +374,19 @@ class Internet:
         self._resolve_cache[dst] = target
         return target
 
+    def _anchor_map(self, asn: int, router: int) -> Dict[int, int]:
+        """``{asn: router}``, one shared read-only dict per pair."""
+        key = (asn, router)
+        anchors = self._anchor_maps.get(key)
+        if anchors is None:
+            anchors = self._anchor_maps[key] = {asn: router}
+        return anchors
+
     def _resolve_uncached(self, dst: Address) -> Optional[DestTarget]:
         host = self.hosts.get(dst)
         if host is not None:
             prefix = self.prefix_table.lookup_prefix(dst)
-            anchors = {host.asn: host.edge_router_id}
+            anchors = self._anchor_map(host.asn, host.edge_router_id)
             if prefix is not None and prefix in self.anycast_anchors:
                 anchors = dict(self.anycast_anchors[prefix])
             return DestTarget(
@@ -356,7 +402,7 @@ class Internet:
                 endpoints = (owner, iface.neighbor_router_id)
             return DestTarget(
                 dst=dst,
-                anchors={anchor_asn: anchor},
+                anchors=self._anchor_map(anchor_asn, anchor),
                 host=None,
                 owner_router=owner,
                 link_endpoints=endpoints,
@@ -737,7 +783,7 @@ class Internet:
         visited: set = set()
         dst = target.dst
         fib = self._fib_for(spec, dst)
-        gen = self.routing_generation
+        gen = self._fill_epoch
         routers = self.routers
         crc32 = zlib.crc32
         lossy = faults is not None and faults.has_link_loss
@@ -861,7 +907,7 @@ class Internet:
         """
         current = router.router_id
         asn = router.asn
-        gen = self.routing_generation
+        gen = self._fill_epoch
 
         # Terminal kinds: delivery happens at this router.
         if router.owns(target.dst):
@@ -1001,7 +1047,7 @@ class Internet:
         self, current: int, next_router: int, gen: int
     ) -> FibEntry:
         """The forced-next-hop entry of link *current* -> *next_router*,
-        its link triple precomputed: one object per routing generation,
+        its link triple precomputed: one object per fill epoch,
         shared by every row slot that crosses the link."""
         key = (current, next_router)
         entry = self._link_entries.get(key)
@@ -1153,23 +1199,32 @@ class Internet:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def invalidate_routing(self) -> None:
-        """Drop routing caches after announcement or policy changes.
+        """Let routing reconverge after announcement or policy changes.
 
-        Bumps the routing generation — every cached
-        :class:`~repro.sim.forwarding.FibEntry` stamped with an older
-        generation becomes a miss, even if a reference to a FIB row
-        outlives the call — and drops the rows, the shared entries and
-        the destination-resolution memos (announcements and anycast
-        anchors may have moved).  What is a function of the AS graph
-        alone outlives the call while that input is unchanged: the
-        policy's floods and the alternate next-ASes while
-        :meth:`RoutingPolicy.invalidate` finds the compiled graph equal,
-        and the egress picks, keyed on the ``cold_potato`` they read.
+        Always bumps the routing generation, which the segment cache,
+        the atlases and snapshots stamp what they store with.  Each
+        forwarding memo is dropped only when an input it was computed
+        from moved since it was filled: the policy's floods and the
+        alternate next-ASes when :meth:`RoutingPolicy.invalidate` finds
+        the compiled AS graph changed; the FIB rows, the shared link
+        entries and the destination-resolution memos when that graph,
+        the announcement overrides, the anycast anchors or any AS's
+        ``cold_potato`` changed (:meth:`_routing_inputs`).  Dropping
+        them starts a fill epoch, stamped into every
+        :class:`~repro.sim.forwarding.FibEntry`, so a row that leaks
+        past the drop still misses.  The egress picks are keyed on the
+        ``cold_potato`` they read and outlive every call, and the prefix
+        table's longest-prefix matches read no announcement.
         """
-        if self.policy.invalidate():
+        graph_moved = self.policy.invalidate()
+        if graph_moved:
             self._alt_next_as.clear()
-        self._drop_forwarding_memos()
-        self.prefix_table.flush_lookup_cache()
+        inputs = self._routing_inputs()
+        if graph_moved or inputs != self._filled_under:
+            self._filled_under = inputs
+            self._drop_forwarding_memos()
+        else:
+            self.routing_generation += 1
 
     def forwarding_cache_stats(self) -> Dict[str, object]:
         """Hit/miss/size accounting for every forwarding memo.

@@ -6,8 +6,13 @@ cold_potato)``, the link entry per ``(router, next router)`` those rows
 share, ``resolve`` / ``announcement_for`` per address, and the prefix
 table's longest-match results — and reads routes through two more, the
 policy's floods and the alternate next-AS per ``(AS, announcement)``.
-The egress picks, floods and alternates outlive ``invalidate_routing()``
-while what they were computed from is unchanged.  A switch
+Each outlives an ``invalidate_routing()`` that moves none of its
+inputs: the egress picks every call (they are keyed on the
+``cold_potato`` they read), the floods and alternates while the
+compiled AS graph is equal, and the rows, link entries and resolution
+memos while that graph, the announcement overrides, the anycast anchors
+and every ``cold_potato`` are; the property test drives each of those
+inputs, and calls that move none, between its probes.  A switch
 (``enable_fastpath(False)``) once turned the row and resolution memos
 off so the two could be compared; what it selected is kept here
 instead, together with the three entry builders as they were before

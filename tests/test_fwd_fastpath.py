@@ -4,13 +4,13 @@ The memos' contract is that they are *invisible* except in speed and
 size: memoised forwarding must be bit-identical to recomputing every
 decision (``tests/helpers/reference_walk.py``), including the
 stochastic load-balancer and DBR-violator hops, whose per-packet
-choices stay outside the cache; every memo must be dropped when a
-traffic-engineering announcement change calls ``invalidate_routing()``
-or ``connect()`` adds a link, except those of what the AS graph alone
-determines (the policy's floods, the alternate next-ASes, the egress
-picks), which ``invalidate_routing()`` keeps while their input is
-unchanged; and sharing one ``FibEntry`` between the row slots that
-resolve to the same link must move no lookup.
+choices stay outside the cache; a memo must be dropped when an input
+it read moves — an announcement override, an anycast anchor, a
+``cold_potato`` flag or the AS graph, then ``invalidate_routing()``,
+or a link added by ``connect()`` — and kept by an
+``invalidate_routing()`` that moves none of them; and sharing one
+``FibEntry`` between the row slots that resolve to the same link must
+move no lookup.
 """
 
 from functools import lru_cache
@@ -23,6 +23,7 @@ from repro.net.host import Host
 from repro.net.options import RecordRouteOption
 from repro.net.packet import Probe, ProbeKind
 from repro.sim.forwarding import FIB_DELIVER
+from repro.sim.network import Internet
 from repro.topology import TopologyConfig
 from repro.topology.asgraph import ASTier, Relationship
 from repro.topology.generator import build_internet
@@ -177,6 +178,46 @@ def tiny_potato_canaries():
     return canaries
 
 
+@lru_cache(maxsize=None)
+def tiny_anycast():
+    """``(dst, prefix, spec, anchors, site, moved_to)`` of the tiny
+    topology: a two-site anycast announcement of a probed host's
+    prefix (its own AS and *site*), the anchors it is announced with,
+    and another router of *site* to move that site's anchor to, chosen
+    so the move reroutes a ping some stream source sends the host."""
+    internet = tiny_with_as_violators()
+    sources, destinations, _, _ = tiny_endpoints()
+
+    def pings(dst, prefix, spec, anchors):
+        internet.announcements[prefix] = spec
+        internet.anycast_anchors[prefix] = anchors
+        internet.invalidate_routing()
+        with uncached_forwarding():
+            return [
+                outcome_key(internet.send_probe(Probe(src=s, dst=dst)), False)
+                for s in sources
+            ]
+
+    for dst in destinations:
+        host = internet.hosts.get(dst)
+        if host is None:
+            continue
+        prefix = internet.prefix_table.lookup_prefix(dst)
+        for site, routers in sorted(internet.routers_by_as.items()):
+            if site == host.asn or len(routers) < 2:
+                continue
+            first, second = sorted(routers)[:2]
+            spec = AnnouncementSpec(
+                origins=(Origin(host.asn), Origin(site))
+            )
+            anchors = {host.asn: host.edge_router_id, site: first}
+            if pings(dst, prefix, spec, anchors) != pings(
+                dst, prefix, spec, {**anchors, site: second}
+            ):
+                return dst, prefix, spec, anchors, site, second
+    raise AssertionError("no anchor move reroutes a stream source")
+
+
 def tiny_with_as_violators():
     """The tiny topology with every fourth router outside the M-Lab
     ASes an AS-level DBR violator.  The generator draws one such router
@@ -228,6 +269,7 @@ def forwarding_ops(draw):
             st.one_of(
                 probe, probe, probe, batch, sweep, override, flip,
                 potato, edge, st.just(("clear",)), st.just(("noop",)),
+                st.just(("anchor",)),
             ),
             min_size=4,
             max_size=24,
@@ -257,6 +299,16 @@ def make_probe(src, dst, kind, flow):
     )
 
 
+def invalidate(internet, leak_stale_rows):
+    """``invalidate_routing()``.  With *leak_stale_rows* a reference to
+    the rows held before the call outlives it: if the call dropped
+    them, the fill-epoch stamp alone must make every entry a miss."""
+    stale = dict(internet._fib)
+    internet.invalidate_routing()
+    if leak_stale_rows:
+        internet._fib.update(stale)
+
+
 def apply_op(internet, op, leak_stale_rows=False):
     """Run one drawn operation; returns what it observed."""
     sources, _, multihomed, _ = tiny_endpoints()
@@ -272,7 +324,29 @@ def apply_op(internet, op, leak_stale_rows=False):
         return [
             outcome_key(o) for o in internet.send_ttl_sweep(probe, 12)
         ]
-    stale = dict(internet._fib)
+    if op[0] == "anchor":
+        # Announce a two-site anycast prefix, move one site's anchor by
+        # editing the anchor dict in place, withdraw; every stream
+        # source pings the host after each.
+        dst, prefix, spec, anchors, site, moved_to = tiny_anycast()
+        seen = []
+        for stage in ("announce", "edit", "withdraw"):
+            if stage == "announce":
+                internet.announcements[prefix] = spec
+                internet.anycast_anchors[prefix] = dict(anchors)
+            elif stage == "edit":
+                internet.anycast_anchors[prefix][site] = moved_to
+            else:
+                del internet.announcements[prefix]
+                del internet.anycast_anchors[prefix]
+            invalidate(internet, leak_stale_rows)
+            seen.append(
+                [
+                    outcome_key(internet.send_probe(Probe(src=s, dst=dst)))
+                    for s in sources
+                ]
+            )
+        return seen
     if op[0] == "override":
         host = multihomed[op[1]]
         provider = sorted(internet.graph.nodes[host.asn].providers())[0]
@@ -296,11 +370,7 @@ def apply_op(internet, op, leak_stale_rows=False):
         if b not in internet.graph.nodes[a].neighbors:
             internet.graph.add_edge(a, b, rel_from_a)
     # noop: nothing changed, and routing is invalidated all the same
-    internet.invalidate_routing()
-    if leak_stale_rows:
-        # A reference to the old rows outlives the invalidation: the
-        # generation stamp alone must make every entry a miss.
-        internet._fib.update(stale)
+    invalidate(internet, leak_stale_rows)
     return internet.routing_generation
 
 
@@ -400,8 +470,10 @@ class TestInvalidation:
 
     def test_te_override_flushes_every_cache(self):
         """A TE announcement override + invalidate_routing() drops the
-        FIB, resolution, announcement, and LPM caches, and the rerouted
-        paths equal those of a fresh Internet that memoises nothing."""
+        FIB, resolution and announcement caches, and the rerouted paths
+        equal those of a fresh Internet that memoises nothing.  The
+        longest-prefix matches read no announcement: they are kept, and
+        still agree with a table that has memoised nothing."""
         internet = fresh_internet()
         reference = fresh_internet()
 
@@ -434,7 +506,15 @@ class TestInvalidation:
         assert flushed["caches"]["fib"]["entries"] == 0
         assert flushed["caches"]["resolve"]["entries"] == 0
         assert flushed["caches"]["announcement"]["entries"] == 0
-        assert flushed["caches"]["lpm"]["entries"] == 0
+        remembered = list(internet.prefix_table._prefix_cache)
+        assert host.addr in remembered
+        table = PrefixTable()
+        for info in internet.prefixes.values():
+            table.insert(info.prefix, info)
+        for addr in remembered:
+            assert internet.prefix_table.lookup_prefix(
+                addr
+            ) == table.lookup_prefix(addr), addr
 
         after = internet.ground_truth_router_path(src, host.addr)
         # The cached Internet re-converges to exactly the uncached
@@ -445,8 +525,10 @@ class TestInvalidation:
             assert after != before
 
     def test_stale_generation_entries_are_misses(self):
-        """FIB entries stamped with an older generation are recomputed
-        even if a stale shard survived a flush."""
+        """FIB entries stamped with an older fill epoch are recomputed
+        even if a stale shard survived a flush.  An AS-level link the
+        walked path does not need is the change: the destination's
+        announcement (so the leaked shard's key) stays the same."""
         internet = fresh_internet()
         src = internet.mlab_hosts[0]
         dst = sorted(
@@ -463,16 +545,30 @@ class TestInvalidation:
         }
         stale_links = dict(internet._link_entries)
         egress = dict(internet._egress)
+        epoch = internet._fill_epoch
+        nodes = internet.graph.nodes
+        internet.graph.add_edge(
+            *next(
+                (a, b)
+                for a in sorted(nodes)
+                if not nodes[a].customers()
+                for b in sorted(nodes)
+                if nodes[b].customers() and b not in nodes[a].neighbors
+            ),
+            Relationship.PEER,
+        )
         internet.invalidate_routing()
+        assert internet._fill_epoch == epoch + 1
         # The egress picks read no announcement and outlive the call.
         assert internet._egress == egress and not internet._link_entries
+        assert not internet._fib
         # Simulate a leaked stale shard, and a leaked shared entry.
         internet._fib.update(stale)
         internet._link_entries.update(stale_links)
         misses_before = internet._fib_misses
         path = internet.ground_truth_router_path(src, dst)
         assert internet._fib_misses == misses_before + len(path)
-        # What the misses wrote carries this generation's stamp, not a
+        # What the misses wrote carries this fill epoch's stamp, not a
         # stale shared entry's: walked again, every hop is a hit.
         internet.ground_truth_router_path(src, dst)
         assert internet._fib_misses == misses_before + len(path)
@@ -480,34 +576,58 @@ class TestInvalidation:
     def test_noop_invalidation_keeps_what_the_graph_determines(
         self, monkeypatch
     ):
-        """Nothing changed: the call still starts a generation and
-        drops every per-destination memo, but floods no spec again and
-        keeps the egress picks and the alternate next-ASes."""
+        """Nothing changed: the call starts a routing generation, but
+        floods no spec again and keeps every forwarding memo — the
+        rows, the link entries, the resolution, announcement and LPM
+        memos, the egress picks and the alternate next-ASes — so a
+        re-walk computes no FIB entry.  The first call on a fresh
+        Internet already keeps them."""
         internet = tiny_with_as_violators()
         sources, destinations, _, _ = tiny_endpoints()
         pairs = [(s, d) for s in sources for d in destinations]
         before = [internet.ground_truth_router_path(*p) for p in pairs]
+        rows = {
+            spec: {dst: dict(row) for dst, row in shard.items()}
+            for spec, shard in internet._fib.items()
+        }
+        links = dict(internet._link_entries)
+        resolved = dict(internet._resolve_cache)
+        announced = dict(internet._announce_cache)
         egress = dict(internet._egress)
         alternates = dict(internet._alt_next_as)
+        assert rows and links and resolved and announced
         assert egress and alternates
+        lpm = internet.forwarding_cache_stats()["caches"]["lpm"]["entries"]
         flood, floods = RoutingPolicy._flood, []
+        compute, computed = Internet._compute_fib_entry, []
 
-        def counted(policy, spec):
+        def counted_flood(policy, spec):
             floods.append(spec)
             return flood(policy, spec)
 
-        monkeypatch.setattr(RoutingPolicy, "_flood", counted)
+        def counted_compute(net, router, target, spec):
+            computed.append(router.router_id)
+            return compute(net, router, target, spec)
+
+        monkeypatch.setattr(RoutingPolicy, "_flood", counted_flood)
+        monkeypatch.setattr(Internet, "_compute_fib_entry", counted_compute)
         generation = internet.routing_generation
         internet.invalidate_routing()
 
         stats = internet.forwarding_cache_stats()
         assert stats["routing_generation"] == generation + 1
-        for name in ("fib", "resolve", "announcement", "lpm"):
-            assert stats["caches"][name]["entries"] == 0, name
-        assert not internet._link_entries
+        assert stats["caches"]["lpm"]["entries"] == lpm
+        assert {
+            spec: {dst: dict(row) for dst, row in shard.items()}
+            for spec, shard in internet._fib.items()
+        } == rows
+        assert internet._link_entries == links
+        assert internet._resolve_cache == resolved
+        assert internet._announce_cache == announced
         assert internet._egress == egress
         assert internet._alt_next_as == alternates
         assert [internet.ground_truth_router_path(*p) for p in pairs] == before
+        assert computed == []
         assert floods == []
 
     def test_cold_potato_flip_is_honoured_after_invalidation(self):
