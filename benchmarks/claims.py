@@ -172,9 +172,7 @@ def check_table2(result):
 
 
 def run_table3():
-    return exp_as_graph.run(
-        fresh_scenario(), n_destinations=250, n_sources=3
-    )
+    return exp_as_graph.run(fresh_scenario())
 
 
 def check_table3(result):
@@ -448,7 +446,7 @@ def run_fig9d():
         seed=21,
         atlas_size=25,
     )
-    return exp_staleness.run(scenario, hours=24, revtrs_per_hour=15)
+    return exp_staleness.run(scenario, revtrs_per_hour=15)
 
 
 def check_fig9d(result):
@@ -556,7 +554,7 @@ def check_spoof_gain(result):
 
 def run_per_source():
     scenario = fresh_scenario(seed=15)
-    return exp_completeness.run(scenario, n_destinations=250, n_sources=6)
+    return exp_completeness.run(scenario)
 
 
 def check_per_source(result):

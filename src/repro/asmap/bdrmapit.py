@@ -6,8 +6,8 @@ numbered from the neighbour's space. The paper evaluates — and
 ultimately declines to deploy — bdrmapit because it is an offline tool
 that takes ~30 minutes on the traceroute atlas (Appendix B.2). This
 module reproduces the core inference (majority vote over traceroute
-successors) and the cost model, so the Appendix B.2 comparison can be
-re-run.
+successors), so the Appendix B.2 comparison can be re-run; the runtime
+that kept it out of the deployment is not modelled.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from typing import Dict, Iterable, List, Optional
 from repro.net.addr import Address
 from repro.net.packet import TracerouteResult
 from repro.asmap.ip2as import IPToASMapper
-
-#: Virtual-clock cost of one bdrmapit run (paper: ≈30 minutes).
-BDRMAPIT_RUNTIME_SECONDS = 30 * 60.0
 
 #: Share of an address's observed successors that must sit in one other
 #: AS before the address is handed to it.
@@ -70,16 +67,4 @@ class BdrmapitLite:
                 continue
             if hits / total >= _MAJORITY_THRESHOLD:
                 overrides[addr] = winner
-        return overrides
-
-    def run(
-        self,
-        traceroutes: Iterable[TracerouteResult],
-        clock=None,
-    ) -> Dict[Address, int]:
-        """Infer overrides, charging the offline runtime if a clock is
-        supplied (the 30-minute atlas outage discussed in §4.4)."""
-        overrides = self.infer(traceroutes)
-        if clock is not None:
-            clock.advance(BDRMAPIT_RUNTIME_SECONDS)
         return overrides

@@ -37,6 +37,10 @@ PAPER = {
 #: (probes in ~6% of ASes) the RIPE-Atlas technique is scaled to.
 ATLAS_PROBE_FRACTION = 0.06
 
+#: The destinations measured, and the sources they are measured from.
+N_DESTINATIONS = 250
+N_SOURCES = 3
+
 
 @dataclass
 class Table3Result:
@@ -88,16 +92,12 @@ def _truth_links(
     return links
 
 
-def run(
-    scenario: Scenario,
-    n_destinations: int = 250,
-    n_sources: int = 3,
-) -> Table3Result:
+def run(scenario: Scenario) -> Table3Result:
     """Run the Table 3 comparison."""
     rng = random.Random(scenario.seed ^ 0x7A3)
     internet = scenario.internet
-    sources = scenario.sources(n_sources)
-    destinations = scenario.responsive_destinations(n_destinations)
+    sources = scenario.sources(N_SOURCES)
+    destinations = scenario.responsive_destinations(N_DESTINATIONS)
     total_ases = len(internet.graph)
     n_probes = max(2, int(total_ases * ATLAS_PROBE_FRACTION))
     probe_pool = list(scenario.atlas_vp_addrs)

@@ -25,6 +25,10 @@ from repro.net.addr import Address
 PAPER_OVERALL_FRACTION = 39_544 / 72_272  # ~0.55
 PAPER_WORST_SOURCE_FRACTION = 0.26
 
+#: The destinations measured, and the sources they are measured from.
+N_DESTINATIONS = 250
+N_SOURCES = 6
+
 
 @dataclass
 class CompletenessResult:
@@ -52,19 +56,15 @@ class CompletenessResult:
         return fractions[0] if fractions else 0.0
 
 
-def run(
-    scenario: Scenario,
-    n_destinations: int = 250,
-    n_sources: int = 6,
-) -> CompletenessResult:
+def run(scenario: Scenario) -> CompletenessResult:
     """Measure per-source AS completeness."""
     internet = scenario.internet
-    destinations = scenario.responsive_destinations(n_destinations)
+    destinations = scenario.responsive_destinations(N_DESTINATIONS)
     total_ases = len(internet.graph)
 
     per_source: Dict[Address, set] = {}
     overall: set = set()
-    for source in scenario.sources(n_sources):
+    for source in scenario.sources(N_SOURCES):
         engine = scenario.engine(source, "revtr2.0")
         covered: set = set()
         for dst in destinations:

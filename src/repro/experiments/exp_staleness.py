@@ -31,6 +31,10 @@ PAPER_STALE_FRACTION = 0.007
 #: Hours at which a route preference flips.
 CHURN_HOURS = (3, 7, 11, 15, 19, 22)
 
+#: The study's length, and the sources it measures from.
+HOURS = 24
+N_SOURCES = 2
+
 
 @dataclass
 class HourBucket:
@@ -107,15 +111,12 @@ def _flip_preference(scenario: Scenario, rng: random.Random) -> bool:
 
 
 def run(
-    scenario: Scenario,
-    hours: int = 24,
-    revtrs_per_hour: int = 20,
-    n_sources: int = 2,
+    scenario: Scenario, revtrs_per_hour: int = 20
 ) -> StalenessResult:
     """Run the 24-hour staleness study."""
     rng = random.Random(scenario.seed ^ 0x57A1)
     clock = scenario.clock
-    sources = scenario.sources(n_sources)
+    sources = scenario.sources(N_SOURCES)
     engines = {
         source: scenario.engine(source, "revtr2.0")
         for source in sources
@@ -124,10 +125,10 @@ def run(
         options_only=True
     )
     start = clock.now()
-    buckets = [HourBucket() for _ in range(hours)]
+    buckets = [HourBucket() for _ in range(HOURS)]
     churned: List[int] = []
 
-    for hour in range(hours):
+    for hour in range(HOURS):
         hour_start = start + hour * 3600.0
         if clock.now() < hour_start:
             clock.advance_to(hour_start)

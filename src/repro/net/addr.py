@@ -152,16 +152,15 @@ class PrefixTable:
     registered length downward, which is simple and fast enough for the
     table sizes in this library (tens of thousands of prefixes).
 
-    Lookups memoize their result per address (the probing workload
-    resolves the same destinations over and over); :meth:`insert`
-    flushes the memo, so a re-announced or more-specific prefix is
-    always honoured.
+    Lookups memoize the longest matching prefix per address (the
+    probing workload resolves the same destinations over and over);
+    :meth:`insert` flushes the memo, so a re-announced or more-specific
+    prefix is always honoured.
     """
 
     def __init__(self) -> None:
         self._by_length: dict = {}
         self._lengths: List[int] = []
-        self._value_cache: dict = {}
         self._prefix_cache: dict = {}
         self.cache_hits = 0
         self.cache_misses = 0
@@ -178,33 +177,20 @@ class PrefixTable:
 
     def flush_lookup_cache(self) -> None:
         """Drop memoized lookup results (table contents changed)."""
-        if self._value_cache:
-            self._value_cache.clear()
         if self._prefix_cache:
             self._prefix_cache.clear()
 
     @property
     def cached_lookups(self) -> int:
         """Number of memoized lookup results currently held."""
-        return len(self._value_cache) + len(self._prefix_cache)
+        return len(self._prefix_cache)
 
     def lookup(self, addr: Address) -> Optional[object]:
         """Return the value of the longest matching prefix, or None."""
-        hit = self._value_cache.get(addr, _MISS)
-        if hit is not _MISS:
-            self.cache_hits += 1
-            return hit
-        self.cache_misses += 1
-        value = addr_to_int(addr)
-        result = None
-        for length in self._lengths:
-            mask = 0 if length == 0 else (~0 << (32 - length)) & _MAX_IPV4
-            hit = self._by_length[length].get(value & mask, _MISS)
-            if hit is not _MISS:
-                result = hit
-                break
-        self._value_cache[addr] = result
-        return result
+        prefix: Optional[Prefix] = self.lookup_prefix(addr)
+        if prefix is None:
+            return None
+        return self._by_length[prefix.length][prefix.network]
 
     def lookup_prefix(self, addr: Address) -> Optional[Prefix]:
         """Return the longest matching prefix itself, or None."""

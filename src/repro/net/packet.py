@@ -101,7 +101,6 @@ class TracerouteReply:
     ``hop_addr`` is None for an unresponsive hop (rendered as ``*``).
     """
 
-    ttl: int
     hop_addr: Optional[Address]
     rtt: float = 0.0
     reached: bool = False

@@ -2,7 +2,7 @@
 
 Instrumented code holds an ``obs`` attribute and calls a tiny surface:
 
-* ``obs.inc(name, n=1, **labels)`` — bump a counter;
+* ``obs.inc(name, **labels)`` — bump a counter by one;
 * ``obs.observe(name, value, **labels)`` — record a histogram sample;
 * ``obs.set_gauge(name, value, **labels)`` — set a gauge;
 * ``obs.emit(kind, **fields)`` — record a flight-recorder event
@@ -173,7 +173,7 @@ class NullInstrumentation:
     # with ``obs.sampler is not None`` so both facades carry the slot.
     sampler = None
 
-    def inc(self, name: str, n: float = 1.0, **labels: Any) -> None:
+    def inc(self, name: str, **labels: Any) -> None:
         pass
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
@@ -303,13 +303,13 @@ class Instrumentation:
 
     # -- metrics --------------------------------------------------------
 
-    def inc(self, name: str, n: float = 1.0, **labels: Any) -> None:
+    def inc(self, name: str, **labels: Any) -> None:
         key = (name, *labels.items())
         child = self._series.get(key)
         if child is None:
             child = self.registry.counter(name).labels(**labels)
             self._series[key] = child
-        child.inc(n)
+        child.inc()
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         key = (name, *labels.items())

@@ -76,12 +76,6 @@ class RRPingResult:
         index = self.destination_stamp_index()
         return None if index is None else index + 1
 
-    def in_range(self) -> bool:
-        """Destination reached with at least one slot left for reverse
-        hops (the paper's "within 8 hops")."""
-        distance = self.distance()
-        return distance is not None and distance <= 8
-
 
 @dataclass
 class TSPingResult:

@@ -115,16 +115,18 @@ class VPHealthTracker:
         if self.obs.enabled:
             self.obs.register_collect_source(self._obs_collect)
 
-    def _obs_collect(self) -> Dict:
-        # Count only quarantines still in force; expired entries are
-        # lazily removed by is_quarantined and shouldn't inflate the
-        # gauge in between.
+    def _in_force(self) -> List[Address]:
+        """The VPs whose quarantine has not lifted.  An expired entry
+        stays in ``_until`` until `is_quarantined` next asks about its
+        VP, so every reader of "quarantined now" filters here."""
         now = self.clock.now()
-        active = sum(1 for until in self._until.values() if until > now)
+        return [vp for vp, until in self._until.items() if until > now]
+
+    def _obs_collect(self) -> Dict:
         return {
             ("vp_quarantines_total", ()): float(self.quarantines),
             ("vp_replacements_total", ()): float(self.replacements),
-            ("vp_quarantined_current", ()): float(active),
+            ("vp_quarantined_current", ()): float(len(self._in_force())),
         }
 
     def record(self, vp: Address, responded: bool) -> None:
@@ -188,7 +190,5 @@ class VPHealthTracker:
             "quarantines": self.quarantines,
             "recoveries": self.recoveries,
             "replacements": self.replacements,
-            "quarantined_now": sorted(
-                str(vp) for vp in self._until
-            ),
+            "quarantined_now": sorted(str(vp) for vp in self._in_force()),
         }

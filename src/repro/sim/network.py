@@ -873,9 +873,7 @@ class Internet:
         first router).  *at_destination*: the router owns *dst*."""
         rtt = 2 * ttl * (self.config.link_latency_ms / 1000.0)
         if at_destination:
-            return TracerouteReply(
-                ttl=ttl, hop_addr=dst, rtt=rtt, reached=True
-            )
+            return TracerouteReply(hop_addr=dst, rtt=rtt, reached=True)
         reply_addr = router.traceroute_reply_address(ingress_addr)
         if (
             reply_addr is not None
@@ -886,9 +884,7 @@ class Internet:
             # Rate-limited/filtered routers stop answering
             # TTL-expired too: the hop reads as "*".
             reply_addr = None
-        return TracerouteReply(
-            ttl=ttl, hop_addr=reply_addr, rtt=rtt, reached=False
-        )
+        return TracerouteReply(hop_addr=reply_addr, rtt=rtt, reached=False)
 
     def _compute_fib_entry(
         self, router: Router, target: DestTarget, spec: AnnouncementSpec

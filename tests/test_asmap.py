@@ -158,15 +158,6 @@ class TestBdrmapit:
         )
         assert recovered / len(misnumbered) >= 0.5
 
-    def test_runtime_charged(self, small_internet):
-        from repro.asmap.bdrmapit import BDRMAPIT_RUNTIME_SECONDS
-        from repro.sim.clock import VirtualClock
-
-        mapper = IPToASMapper(small_internet)
-        clock = VirtualClock()
-        BdrmapitLite(mapper).run([], clock=clock)
-        assert clock.now() == BDRMAPIT_RUNTIME_SECONDS
-
     def test_needs_min_observations(self, small_internet):
         mapper = IPToASMapper(small_internet)
         lone = TracerouteResult(src="0.0.0.0", dst="0.0.0.1", hops=[])

@@ -71,10 +71,10 @@ class TestSymmetryAssumption:
 
 
 class TestASGraph:
-    def test_runs(self, exp_scenario):
-        result = exp_as_graph.run(
-            exp_scenario, n_destinations=40, n_sources=2
-        )
+    def test_runs(self, exp_scenario, monkeypatch):
+        monkeypatch.setattr(exp_as_graph, "N_DESTINATIONS", 40)
+        monkeypatch.setattr(exp_as_graph, "N_SOURCES", 2)
+        result = exp_as_graph.run(exp_scenario)
         rows = result.rows()
         assert len(rows) == 3
         for _, correctness, completeness, verified in rows:
@@ -135,11 +135,12 @@ class TestAtlasStudy:
 
 
 class TestStaleness:
-    def test_short_run(self):
+    def test_short_run(self, monkeypatch):
+        monkeypatch.setattr(exp_staleness, "HOURS", 6)
         scenario = Scenario(
             config=TopologyConfig.tiny(seed=19), seed=19, atlas_size=8
         )
-        result = exp_staleness.run(scenario, hours=6, revtrs_per_hour=5)
+        result = exp_staleness.run(scenario, revtrs_per_hour=5)
         assert len(result.hours) == 6
         stale = [
             b.stale_no_intersection + b.stale_wrong_as_path

@@ -399,6 +399,21 @@ class TestVPHealthTracker:
         assert snap["quarantines"] == 1
         assert snap["quarantined_now"] == ["vp9"]
 
+    def test_snapshot_names_only_quarantines_in_force(self):
+        # A lifted quarantine stays in the tracker until its VP is next
+        # asked about; before that, the snapshot and the gauge both read
+        # it as lifted.
+        clock = FakeClock()
+        instr = Instrumentation()
+        tracker = VPHealthTracker(clock, instr)
+        fail(tracker, "vp1")
+        clock.advance(QUARANTINE_SECONDS / 2)
+        fail(tracker, "vp2")
+        clock.advance(QUARANTINE_SECONDS / 2)
+        assert tracker.snapshot()["quarantined_now"] == ["vp2"]
+        series = instr.registry.snapshot()["vp_quarantined_current"]
+        assert series["series"][0]["value"] == 1.0
+
 
 def measure_degraded(plan, destinations=None):
     """Four measurements on a fresh tiny scenario under *plan*, with

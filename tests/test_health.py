@@ -26,6 +26,11 @@ def make_sampler():
     return instr, clock, sampler
 
 
+def bump(instr, name, n, **labels):
+    """Adds *n* to one counter series, as *n* ``instr.inc`` calls would."""
+    instr.registry.counter(name).labels(**labels).inc(n)
+
+
 def kinds(findings):
     return {f.kind for f in findings}
 
@@ -34,7 +39,7 @@ class TestRules:
     def test_quiet_series_is_healthy(self):
         instr, clock, sampler = make_sampler()
         for _ in range(3):
-            instr.inc("revtr_measurements_total", n=4, status="complete")
+            bump(instr, "revtr_measurements_total", 4, status="complete")
             sampler.sample()
             clock.advance(30.0)
         findings = HealthEngine().evaluate(sampler.samples())
@@ -46,9 +51,10 @@ class TestRules:
         sampler.sample()
         clock.advance(60.0)
         # 6/8 failed: error fraction 0.75, budget 0.25 -> burn 3.0
-        instr.inc("revtr_measurements_total", n=2, status="complete")
-        instr.inc(
-            "revtr_measurements_total", n=6, status="destination-unresponsive"
+        bump(instr, "revtr_measurements_total", 2, status="complete")
+        bump(
+            instr, "revtr_measurements_total", 6,
+            status="destination-unresponsive",
         )
         sampler.sample()
         findings = HealthEngine().evaluate(sampler.samples())
@@ -66,7 +72,7 @@ class TestRules:
         instr, clock, sampler = make_sampler()
         sampler.sample()
         clock.advance(60.0)
-        instr.inc("revtr_measurements_total", n=2, status="failed")
+        bump(instr, "revtr_measurements_total", 2, status="failed")
         sampler.sample()
         assert HealthEngine().evaluate(sampler.samples()) == []
 
@@ -74,8 +80,8 @@ class TestRules:
         instr, clock, sampler = make_sampler()
         sampler.sample()
         clock.advance(60.0)
-        instr.inc("revtr_retries_total", n=4, reason="unresponsive")
-        instr.inc("service_retries_total", n=4, user="u")
+        bump(instr, "revtr_retries_total", 4, reason="unresponsive")
+        bump(instr, "service_retries_total", 4, user="u")
         sampler.sample()
         findings = HealthEngine().evaluate(sampler.samples())
         assert "retry-storm" in kinds(findings)
@@ -90,8 +96,8 @@ class TestRules:
         instr, clock, sampler = make_sampler()
         sampler.sample()
         clock.advance(60.0)
-        instr.inc("vp_quarantines_total", n=2)
-        instr.inc("vp_replacements_total", n=3)
+        bump(instr, "vp_quarantines_total", 2)
+        bump(instr, "vp_replacements_total", 3)
         instr.set_gauge("vp_quarantined_current", 2.0)
         sampler.sample()
         findings = HealthEngine().evaluate(sampler.samples())
@@ -104,16 +110,16 @@ class TestRules:
         instr, clock, sampler = make_sampler()
         sampler.sample()
         clock.advance(60.0)
-        instr.inc("cache_lookups_total", n=10, outcome="miss", kind="m")
+        bump(instr, "cache_lookups_total", 10, outcome="miss", kind="m")
         sampler.sample()
         assert HealthEngine().evaluate(sampler.samples()) == []
         # Warm baseline that collapses inside the window: finding.
         instr, clock, sampler = make_sampler()
-        instr.inc("cache_lookups_total", n=6, outcome="hit", kind="m")
-        instr.inc("cache_lookups_total", n=4, outcome="miss", kind="m")
+        bump(instr, "cache_lookups_total", 6, outcome="hit", kind="m")
+        bump(instr, "cache_lookups_total", 4, outcome="miss", kind="m")
         sampler.sample()
         clock.advance(60.0)
-        instr.inc("cache_lookups_total", n=10, outcome="miss", kind="m")
+        bump(instr, "cache_lookups_total", 10, outcome="miss", kind="m")
         sampler.sample()
         findings = HealthEngine().evaluate(sampler.samples())
         collapse = next(
@@ -163,12 +169,11 @@ class TestRules:
         instr, clock, sampler = make_sampler()
         sampler.sample()
         clock.advance(60.0)
-        instr.inc(
-            "service_rejections_total", n=4, user="u", reason="queue-full"
+        bump(
+            instr, "service_rejections_total", 4, user="u",
+            reason="queue-full",
         )
-        instr.inc(
-            "service_rejections_total", n=2, user="u", reason="quota"
-        )
+        bump(instr, "service_rejections_total", 2, user="u", reason="quota")
         sampler.sample()
         findings = HealthEngine().evaluate(sampler.samples())
         storm = next(f for f in findings if f.kind == "rejection-storm")
@@ -220,7 +225,7 @@ class TestEvidence:
         sampler.sample()
         clock.advance(10.0)
         instr.emit("degrade.retry", vp="5.6.7.8")
-        instr.inc("revtr_retries_total", n=4, reason="unresponsive")
+        bump(instr, "revtr_retries_total", 4, reason="unresponsive")
         clock.advance(5.0)
         sampler.sample()
         findings = HealthEngine().evaluate(sampler.samples(), instr.events)
@@ -232,9 +237,9 @@ class TestEvidence:
         sampler.sample()
         clock.advance(60.0)
         # warning-grade SLO burn + critical-grade retry storm.
-        instr.inc("revtr_measurements_total", n=3, status="complete")
-        instr.inc("revtr_measurements_total", n=5, status="failed")
-        instr.inc("revtr_retries_total", n=10, reason="unresponsive")
+        bump(instr, "revtr_measurements_total", 3, status="complete")
+        bump(instr, "revtr_measurements_total", 5, status="failed")
+        bump(instr, "revtr_retries_total", 10, reason="unresponsive")
         sampler.sample()
         findings = HealthEngine().evaluate(sampler.samples())
         severities = [f.severity for f in findings]
@@ -249,7 +254,7 @@ class TestEvidence:
         instr, clock, sampler = make_sampler()
         sampler.sample()
         clock.advance(60.0)
-        instr.inc("revtr_retries_total", n=4, reason="unresponsive")
+        bump(instr, "revtr_retries_total", 4, reason="unresponsive")
         sampler.sample()
         findings = HealthEngine().evaluate(sampler.samples())
         docs = [f.to_dict() for f in findings]
@@ -276,8 +281,8 @@ class TestContract:
         instr, clock, sampler = make_sampler()
         sampler.sample()
         clock.advance(60.0)
-        instr.inc("revtr_retries_total", n=8, reason="unresponsive")
-        instr.inc("vp_quarantines_total", n=2)
+        bump(instr, "revtr_retries_total", 8, reason="unresponsive")
+        bump(instr, "vp_quarantines_total", 2)
         for _ in range(4):
             sampler.sample()
             clock.advance(60.0)
@@ -305,7 +310,7 @@ class TestContract:
         sampler.sample()
         clock.advance(60.0)
         instr.emit("degrade.retry", vp="1.2.3.4")
-        instr.inc("revtr_retries_total", n=4, reason="unresponsive")
+        bump(instr, "revtr_retries_total", 4, reason="unresponsive")
         sampler.sample()
         findings = HealthEngine().evaluate(sampler.samples(), instr.events)
         text = format_findings(findings)

@@ -140,7 +140,6 @@ class TestTTL:
         dst = responsive_host(tiny_internet)
         outcome = tiny_internet.send_probe(Probe(src=src, dst=dst, ttl=1))
         assert outcome.te_reply is not None
-        assert outcome.te_reply.ttl == 1
         assert not outcome.te_reply.reached
 
     def test_ttl_sweep_reaches_destination(self, tiny_internet):

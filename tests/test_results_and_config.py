@@ -117,7 +117,6 @@ class TestRRPingResult:
         assert result.destination_stamp_index() == 1
         assert result.reverse_hops() == ["10.2.0.1", "10.3.0.1"]
         assert result.distance() == 2
-        assert result.in_range()
 
     def test_double_stamp_fallback(self):
         result = self._result(
@@ -134,13 +133,11 @@ class TestRRPingResult:
         assert result.destination_stamp_index() is None
         assert result.reverse_hops() == []
         assert result.distance() is None
-        assert not result.in_range()
 
     def test_out_of_range_distance(self):
         slots = [f"10.1.0.{i}" for i in range(8)] + ["10.0.0.5"]
         result = self._result(slots)
         assert result.distance() == 9
-        assert not result.in_range()
 
 
 class TestTopologyConfig:

@@ -98,15 +98,15 @@ class TestEndToEndDeterminism:
 
 
 class TestExperimentHelpers:
-    def test_completeness_experiment_smoke(self):
+    def test_completeness_experiment_smoke(self, monkeypatch):
         from repro.experiments import exp_completeness
 
+        monkeypatch.setattr(exp_completeness, "N_DESTINATIONS", 30)
+        monkeypatch.setattr(exp_completeness, "N_SOURCES", 2)
         scenario = Scenario(
             config=TopologyConfig.tiny(seed=55), seed=55, atlas_size=8
         )
-        result = exp_completeness.run(
-            scenario, n_destinations=30, n_sources=2
-        )
+        result = exp_completeness.run(scenario)
         assert 0.0 < result.overall_fraction() <= 1.0
         assert result.worst_fraction() <= result.median_fraction()
         assert exp_completeness.format_report(result)

@@ -20,7 +20,8 @@ not words:
 * a field: a read - an attribute load, or a literal under
   ``benchmarks/``.  A constructor keyword or a store only writes it;
 * an option: a *setter*, because the code that reads an option is not
-  a reason to have it - an argument, by keyword or by position, in a
+  a reason to have it - an argument, by keyword or by position (the
+  parameter at that position in each signature the call reaches), in a
   call through its callee's name (the class, ``cls(...)`` in the
   class's own methods included, for a field or an ``__init__``
   parameter; the function's or method's own name otherwise),
@@ -29,8 +30,9 @@ not words:
   option's own default sets nothing, and one that forwards a defaulted
   parameter of its enclosing function sets it only once something sets
   that parameter.  An option is labelled ``Class.name`` (a field or an
-  ``__init__`` parameter), ``function.name`` or ``Class.method.name``,
-  and a dead function's or method's options die with it.
+  ``__init__`` parameter), ``module.function.name`` or
+  ``Class.method.name``, and a dead function's or method's options die
+  with it.
 
 ``__init__.py`` re-exports, ``__all__`` and ``tests/`` vouch for
 nothing, an import counts only in a file that uses what it imports (and
@@ -44,13 +46,17 @@ option the paper itself describes, a deployment setting or the CLI
 entry point's arguments, listed in `TEST_ONLY` with its reason.  What a
 listed definition uses or forwards counts as used.
 
-The rule resolves what kind of reference names a definition, and an
-option's callee, but not the type of a receiver: a live ``.lookup`` on
-one class still vouches for a dead ``lookup`` method of another, and a
-call reaches every function of its callee's name.  `SHIELDS` are the
-shields it does see through, each tested on a synthetic tree.  Run as
-a script, it prints every collected definition as ``kind label``, one
-per line, which CI diffs between the parent and the change.
+The rule resolves what kind of reference names a definition, and - in
+the five ways `Resolver` lists - the owner of its receiver or callee:
+a resolved reference or setter vouches only for that module's or
+class's definitions, an unresolved one for every definition of its
+name, so resolving can only find more.  A builtin-typed receiver is
+not resolved: a dict field's ``.clear()`` still vouches for every
+``clear`` method.  Functions are labelled by module (``module.name``).
+`SHIELDS` are the shields it does see through, each tested on a
+synthetic tree.  Run as a script, it prints every collected definition
+as ``kind label``, one per line, which CI diffs between the parent and
+the change.
 """
 
 import ast
@@ -89,7 +95,7 @@ TEST_ONLY = {
         "the RR atlas's key set, walked by the attribution and "
         "snapshot round-trip tests"
     ),
-    "render_rules_table": (
+    "health.render_rules_table": (
         "tests/test_health.py holds DESIGN.md's health table to RULES "
         "through it"
     ),
@@ -100,6 +106,10 @@ TEST_ONLY = {
     "Origin.announces_to": (
         "tests/helpers/reference_policy.py (an oracle, not edited) "
         "reads export scoping through it"
+    ),
+    "RouteChoice.length": (
+        "tests/helpers/reference_policy.py (an oracle, not edited) "
+        "compares route lengths through it"
     ),
     "FaultPlan.empty": (
         "whether a plan injects nothing; the `none` preset and the "
@@ -159,7 +169,7 @@ TEST_ONLY = {
         "a deployment exposes it"
     ),
     # Entry points.
-    "main.argv": (
+    "cli.main.argv": (
         "the CLI's arguments: tests/test_cli.py and "
         "tests/helpers/reference_cli.py drive every verb through it, "
         "and `python -m repro` leaves it to argparse to read sys.argv"
@@ -231,18 +241,25 @@ MODULE, ENTRY, REEXPORT, BENCHMARKS = (
 
 
 class Source:
-    """One parsed file: its path relative to the repository root and
-    the role that path gives it."""
+    """One parsed file: its path relative to the repository root, the
+    role that path gives it and, under ``src/``, its dotted module path
+    (a package's, for ``__init__.py``) and that path's last part, which
+    labels the functions it defines."""
 
     def __init__(self, rel, tree):
         self.rel = rel
         self.tree = tree
         self.name = rel.rsplit("/", 1)[-1]
         top = rel.split("/", 1)[0]
+        self.module = self.label = None
         if top == "src":
             self.role = {"__init__.py": REEXPORT, "__main__.py": ENTRY}.get(
                 self.name, MODULE
             )
+            parts = rel[len("src/"):-len(".py")].split("/")
+            if parts[-1] == "__init__":
+                parts.pop()
+            self.module, self.label = ".".join(parts), parts[-1]
         else:
             self.role = top
 
@@ -263,26 +280,33 @@ def repo_sources():
 class Definition:
     """One collected name: where it is defined and what kind it is."""
 
-    def __init__(self, kind, name, source, lineno, owner=None, callee=None):
+    def __init__(
+        self, kind, name, source, lineno, owner=None, callee=None, home=None
+    ):
         #: module | function | class | method | option | field
         self.kind = kind
         self.name = name
         self.rel = source.rel
         self.site = f"{source.rel}:{lineno}"
         #: the class, for a method, field, ``*Config`` field or
-        #: ``__init__`` parameter; the function or ``Class.method``, for
-        #: any other option
+        #: ``__init__`` parameter; the module, for a function; the
+        #: function or ``Class.method``, for any other option
         self.owner = owner
         #: for an option, the name a call that sets it is made through
         #: (the `Parameter` key): the class, or the function's or
         #: method's own name
         self.callee = callee or owner
+        #: what a resolved reference must name to vouch for it (see
+        #: `Resolver`): the defining module's label, for a function or
+        #: a class; the class, for a method, a field or a class's or
+        #: method's option; the module, for a function's option
+        self.home = home
         self.label = f"{owner}.{name}" if owner else name
         #: What a reference's scope holds when it sits inside this
         #: definition (an option or a field is never a scope).
         self.key = {
             "module": f"{name}.py",
-            "function": name,
+            "function": self.label,
             "class": name,
             "method": self.label,
         }.get(kind)
@@ -298,25 +322,37 @@ def collect_definitions(sources):
             found.append(
                 Definition("module", source.name[:-3], source, 1)
             )
+        module = source.label
         for node in source.tree.body:
             if isinstance(node, ast.FunctionDef) and is_public(node.name):
                 found.append(
-                    Definition("function", node.name, source, node.lineno)
+                    Definition(
+                        "function", node.name, source, node.lineno,
+                        module, home=module,
+                    )
                 )
-                found.extend(options(node, source, node.name))
+                found.extend(
+                    options(
+                        node, source, f"{module}.{node.name}", module,
+                        node.name,
+                    )
+                )
             elif isinstance(node, ast.ClassDef) and is_public(node.name):
                 found.append(
-                    Definition("class", node.name, source, node.lineno)
+                    Definition(
+                        "class", node.name, source, node.lineno,
+                        home=module,
+                    )
                 )
                 found.extend(class_surface(node, source))
     return found
 
 
-def options(function, source, owner, callee=None):
+def options(function, source, owner, home, callee=None):
     """The defaulted parameters of *function*, as options."""
     for name in defaulted_parameters(function):
         yield Definition(
-            "option", name, source, function.lineno, owner, callee
+            "option", name, source, function.lineno, owner, callee, home
         )
 
 
@@ -327,28 +363,36 @@ def class_surface(cls, source):
     for node in cls.body:
         if isinstance(node, ast.FunctionDef):
             if node.name == "__init__":
-                yield from options(node, source, cls.name)
+                yield from options(node, source, cls.name, cls.name)
             elif is_public(node.name):
                 yield Definition(
-                    "method", node.name, source, node.lineno, cls.name
+                    "method", node.name, source, node.lineno, cls.name,
+                    home=cls.name,
                 )
                 yield from options(
-                    node, source, f"{cls.name}.{node.name}", node.name
+                    node, source, f"{cls.name}.{node.name}", cls.name,
+                    node.name,
                 )
     if is_dataclass(cls) and cls.name not in CALIBRATION:
         kind = "option" if cls.name.endswith("Config") else "field"
         for node, name in dataclass_fields(cls):
-            yield Definition(kind, name, source, node.lineno, cls.name)
+            yield Definition(
+                kind, name, source, node.lineno, cls.name, home=cls.name
+            )
 
 
 class Parameter:
     """A parameter some call can set: a defaulted parameter of any
     function under ``src/``, or a dataclass field.  *key* is the name a
     call that sets it is made through - the class, for an ``__init__``
-    parameter or a field; the function's own name otherwise."""
+    parameter or a field; the function's own name otherwise - and
+    *owner* is its class, or a function's module."""
 
-    def __init__(self, key, name, default, attribute=False, field=False):
+    def __init__(
+        self, key, owner, name, default, attribute=False, field=False
+    ):
         self.key = key
+        self.owner = owner
         self.name = name
         self.default = default  # its source text; None if it has none
         #: an instance attribute too, so a store outside the class sets it
@@ -359,14 +403,16 @@ class Parameter:
 
 def signatures(sources):
     """``(parameters, positions)``: every `Parameter` under ``src/``,
-    and ``{callee: [[parameter, ...], ...]}`` - the names positional
-    arguments fill, per function or class of that name."""
+    and ``{callee: [(owner, [parameter, ...]), ...]}`` - the names
+    positional arguments fill, per function or class of that name."""
     parameters, positions = [], {}
 
-    def function(node, key, attribute=False):
-        positions.setdefault(key, []).append(positional_parameters(node))
+    def function(node, key, owner, attribute=False):
+        positions.setdefault(key, []).append(
+            (owner, positional_parameters(node))
+        )
         parameters.extend(
-            Parameter(key, name, default, attribute=attribute)
+            Parameter(key, owner, name, default, attribute=attribute)
             for name, default in defaulted_parameters(node).items()
         )
 
@@ -375,30 +421,501 @@ def signatures(sources):
             continue
         for node in source.tree.body:
             if isinstance(node, ast.FunctionDef):
-                function(node, node.name)
+                function(node, node.name, source.label)
             if not isinstance(node, ast.ClassDef):
                 continue
             for member in node.body:
                 if not isinstance(member, ast.FunctionDef):
                     continue
                 if member.name == "__init__":
-                    function(member, node.name, attribute=True)
+                    function(member, node.name, node.name, attribute=True)
                 else:
-                    function(member, member.name)
+                    function(member, member.name, node.name)
             if is_dataclass(node):
                 fields = list(dataclass_fields(node))
                 positions.setdefault(node.name, []).append(
-                    [name for _, name in fields]
+                    (node.name, [name for _, name in fields])
                 )
                 parameters.extend(
                     Parameter(
-                        node.name, name,
+                        node.name, node.name, name,
                         field.value and ast.unparse(field.value),
                         attribute=True, field=True,
                     )
                     for field, name in fields
                 )
     return parameters, positions
+
+
+class Value:
+    """What a name or an expression is, as far as the AST shows it: a
+    module (*owners*: its dotted path), a top-level function or a class
+    (*home*: the labels of the modules that define it, None when not
+    known; a class's *owners*: its name), or an instance (*owners*: the
+    names of the classes it may be one of)."""
+
+    MODULE, FUNCTION, CLASS, INSTANCE = (
+        "module", "function", "class", "instance"
+    )
+
+    def __init__(self, kind, owners=frozenset(), home=None):
+        self.kind = kind
+        self.owners = owners
+        self.home = home
+
+
+#: ``None``: what an ``Optional`` adds, and no kind of its own.
+NONE = Value("none")
+
+
+def union(values):
+    """One `Value` for what any of *values* may be: None (not known)
+    unless each is known and all are of one kind."""
+    values = [v for v in values if v is not NONE]
+    if not values or any(v is None for v in values):
+        return None
+    if len({v.kind for v in values}) > 1:
+        return None
+    homes = [v.home for v in values]
+    return Value(
+        values[0].kind,
+        frozenset().union(*(v.owners for v in values)),
+        None if None in homes else frozenset().union(*homes),
+    )
+
+
+#: How a name is bound: to the value of an expression, to what an
+#: annotation names, to a `Value` already known, or to something the
+#: rule does not follow.
+EXPRESSION, ANNOTATION, KNOWN, OTHER = "expr", "annotation", "known", "other"
+
+
+class Scope:
+    """One namespace of a file - the module, a class body or a function
+    - and how each of its names is bound.  A lambda's or a
+    comprehension's names count as its enclosing function's, bound to
+    nothing known."""
+
+    def __init__(self, parent, home=None, of_class=False):
+        #: the enclosing scope (a class body encloses no method)
+        self.parent = parent
+        self.of_class = of_class
+        #: a function's `Parameter` owner: the class of a method, the
+        #: module label of a top-level function under ``src/``
+        self.home = home
+        #: ``{name: [(how, node or Value), ...]}``
+        self.bindings = {}
+        self.values = {}
+
+    def bind(self, name, how, what=None):
+        self.bindings.setdefault(name, []).append((how, what))
+
+    def value(self, name, resolver):
+        """What *name* is here: every binding of it, joined."""
+        if name not in self.values:
+            self.values[name] = None  # a cycle resolves to nothing
+            self.values[name] = union(
+                resolver.describe(self, how, what)
+                for how, what in self.bindings[name]
+            )
+        return self.values[name]
+
+
+class Resolver:
+    """Resolves a reference's receiver to its owner where the AST shows
+    it, in five ways: a module alias or a ``from`` import; ``self`` or
+    ``cls``; an attribute of an instance that its class's own methods
+    only ever assign from a constructor or an annotated parameter (or a
+    dataclass field's annotation); a name its scope binds only to
+    constructor calls; and a parameter (or a local) annotated with a
+    class (``Optional`` and ``X | None`` included).  A class resolves to
+    itself, its subclasses and all their bases - every class an
+    instance of it may find an attribute on."""
+
+    def __init__(self, sources):
+        #: ``{dotted path: {top-level name: Value kind}}`` under ``src/``
+        self.modules = {}
+        #: ``{class name: [base names]}``: every top-level class
+        self.bases = {}
+        #: ``{id(node): Scope}`` of every module, class and function
+        self.scopes = {}
+        #: ``{class: {attribute: [(scope, how, node), ...]}}``: how its
+        #: own methods and body bind each attribute
+        self.attributes = {}
+        #: attributes stored through anything but ``self``: no class's
+        #: own methods alone decide what they hold
+        self.foreign = set()
+        self.memo, self.families = {}, {}
+        for source in sources:
+            if source.module:
+                self.modules[source.module] = {
+                    node.name: (
+                        Value.CLASS if isinstance(node, ast.ClassDef)
+                        else Value.FUNCTION
+                    )
+                    for node in source.tree.body
+                    if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                }
+            for node in source.tree.body:
+                if isinstance(node, ast.ClassDef):
+                    self.bases.setdefault(node.name, []).extend(
+                        ast.unparse(base).rsplit(".", 1)[-1]
+                        for base in node.bases
+                    )
+        for source in sources:
+            Binder(self, source)
+
+    def related(self, classes):
+        """*classes*, their subclasses and every base of any of them."""
+        if classes not in self.families:
+            found = set(classes)
+            while True:
+                more = {
+                    c for c, bases in self.bases.items()
+                    if found.intersection(bases)
+                } - found
+                if not more:
+                    break
+                found |= more
+            pending = list(found)
+            while pending:
+                for base in self.bases.get(pending.pop(), ()):
+                    if base not in found:
+                        found.add(base)
+                        pending.append(base)
+            self.families[classes] = frozenset(found)
+        return self.families[classes]
+
+    def module(self, dotted):
+        if dotted in self.modules:
+            return Value(Value.MODULE, frozenset({dotted}))
+        return None
+
+    def imported(self, module, name):
+        """What ``from module import name`` binds: a module, a function
+        or class *module* defines, or a class of ``repro`` re-exported by
+        its package."""
+        value = self.module(f"{module}.{name}") or self.member(
+            self.module(module), name
+        )
+        if value is None and name in self.bases and (
+            module.split(".")[0] == "repro"
+        ):
+            value = Value(Value.CLASS, frozenset({name}))
+        return value
+
+    def member(self, value, attribute):
+        """What ``value.attribute`` is."""
+        if value is None:
+            return None
+        if value.kind == Value.INSTANCE:
+            return self.attribute(value.owners, attribute)
+        if value.kind != Value.MODULE:
+            return None
+        found = []
+        for dotted in value.owners:
+            kind = self.modules[dotted].get(attribute)
+            home = frozenset({dotted.rsplit(".", 1)[-1]})
+            found.append(
+                self.module(f"{dotted}.{attribute}")
+                or kind and Value(
+                    kind,
+                    frozenset({attribute}) if kind == Value.CLASS
+                    else frozenset(),
+                    home,
+                )
+            )
+        return union(found)
+
+    def attribute(self, classes, name):
+        """What an instance attribute holds, by how its classes bind
+        it; nothing known if anything else stores it, or nothing
+        binds it."""
+        key = (classes, name)
+        if name in self.foreign:
+            return None
+        if key not in self.memo:
+            self.memo[key] = None  # a cycle resolves to nothing
+            bindings = [
+                binding
+                for cls in self.related(classes)
+                for binding in self.attributes.get(cls, {}).get(name, ())
+            ]
+            self.memo[key] = union(
+                self.describe(*binding) for binding in bindings
+            ) if bindings else None
+        return self.memo[key]
+
+    def describe(self, scope, how, what):
+        if how == KNOWN:
+            return what
+        if how == EXPRESSION:
+            return self.evaluate(what, scope)
+        if how == ANNOTATION:
+            return self.annotated(what, scope)
+        return None
+
+    def lookup(self, name, scope):
+        while scope is not None and name not in scope.bindings:
+            scope = scope.parent
+        return scope and scope.value(name, self)
+
+    def evaluate(self, node, scope):
+        """What the expression *node* is: a name, an attribute, a
+        constructor call or ``None``; nothing known otherwise."""
+        if isinstance(node, ast.Name):
+            return self.lookup(node.id, scope)
+        if isinstance(node, ast.Attribute):
+            return self.member(self.evaluate(node.value, scope), node.attr)
+        if isinstance(node, ast.Call):
+            callee = self.evaluate(node.func, scope)
+            if callee and callee.kind == Value.CLASS:
+                return Value(Value.INSTANCE, callee.owners)
+            return None
+        if isinstance(node, ast.Constant) and node.value is None:
+            return NONE
+        return None
+
+    def annotated(self, node, scope):
+        """The instances an annotation names."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                node = ast.parse(node.value, mode="eval").body
+            except SyntaxError:
+                return None
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            return union(
+                self.annotated(side, scope) for side in (node.left, node.right)
+            )
+        if isinstance(node, ast.Subscript):
+            wrapper = ast.unparse(node.value).rsplit(".", 1)[-1]
+            inner = node.slice
+            if wrapper == "Optional":
+                return self.annotated(inner, scope)
+            if wrapper == "Union":
+                parts = inner.elts if isinstance(inner, ast.Tuple) else [inner]
+                return union(self.annotated(part, scope) for part in parts)
+            return None
+        value = self.evaluate(node, scope)
+        if value is NONE:
+            return NONE
+        if value and value.kind == Value.CLASS:
+            return Value(Value.INSTANCE, value.owners)
+        return None
+
+    @staticmethod
+    def named(value):
+        """The homes a reference that is *value* can name (a function's
+        or class's module); None where any can."""
+        return value and value.home
+
+    def through(self, receiver):
+        """The homes an attribute of *receiver* can name: its classes;
+        None where any can."""
+        if receiver and receiver.kind in (Value.INSTANCE, Value.CLASS):
+            return self.related(receiver.owners)
+        return None
+
+    def attribute_homes(self, node, scope):
+        """The homes ``receiver.attr`` (*node*) can name: a module's own
+        function or class, or an attribute of a class or instance."""
+        receiver = self.evaluate(node.value, scope)
+        if receiver is not None and receiver.kind == Value.MODULE:
+            return self.named(self.member(receiver, node.attr))
+        return self.through(receiver)
+
+    def call_owners(self, func, scope):
+        """The `Parameter` owners a call through *func* can set; None
+        where any can, and for a constructor, whose key names its
+        class."""
+        value = self.evaluate(func, scope)
+        if value is not None and value.kind == Value.CLASS:
+            return None
+        if isinstance(func, ast.Attribute):
+            return self.attribute_homes(func, scope)
+        return self.named(value)
+
+
+class Binder(ast.NodeVisitor):
+    """Records one file's scopes, its names' bindings and its classes'
+    attribute bindings in a `Resolver`."""
+
+    def __init__(self, resolver, source):
+        self.resolver = resolver
+        self.source = source
+        self.scope = self.top = Scope(None)
+        resolver.scopes[id(source.tree)] = self.scope
+        #: the top-level class whose body is being walked
+        self.cls = None
+        #: ``(class, name of self)`` while in a method of a top-level
+        #: class or in a function nested in one
+        self.method = None
+        self.dynamic = False
+        self.visit(source.tree)
+        if self.dynamic:
+            # a ``setattr`` with a computed name may store any attribute
+            # the file spells
+            self.resolver.foreign.update(
+                node.value for node in ast.walk(source.tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and IDENTIFIER.match(node.value)
+            )
+
+    def bind(self, target, how, what=None):
+        """Binds an assignment target: a name in this scope (and, in a
+        class body, the class's attribute), or an attribute through
+        ``self``; any other attribute store is foreign, and the names
+        in any other target bind to nothing known."""
+        if isinstance(target, ast.Name):
+            self.scope.bind(target.id, how, what)
+            if self.cls:
+                self.attribute(self.cls, target.id, how, what)
+        elif isinstance(target, ast.Attribute):
+            receiver = target.value
+            if self.method and isinstance(receiver, ast.Name) and (
+                receiver.id == self.method[1]
+            ):
+                self.attribute(self.method[0], target.attr, how, what)
+            else:
+                self.resolver.foreign.add(target.attr)
+        else:
+            self.visit(target)
+
+    def attribute(self, cls, name, how, what):
+        self.resolver.attributes.setdefault(cls, {}).setdefault(
+            name, []
+        ).append((self.scope, how, what))
+
+    def walk(self, node, scope, body, cls=None, method=None):
+        outer = self.scope, self.cls, self.method
+        self.resolver.scopes[id(node)] = scope
+        self.scope, self.cls, self.method = scope, cls, method
+        for statement in body:
+            self.visit(statement)
+        self.scope, self.cls, self.method = outer
+
+    def define(self, node, kind, owners=frozenset()):
+        """Binds a ``def`` or ``class`` name: at the top of a module, to
+        what it defines there."""
+        if self.scope is self.top:
+            home = {self.source.label} if self.source.label else set()
+            value = Value(kind, owners, frozenset(home))
+            self.scope.bind(node.name, KNOWN, value)
+        else:
+            self.bind(ast.Name(node.name), OTHER)
+
+    def visit_FunctionDef(self, node):
+        arguments = node.args
+        for part in node.decorator_list + arguments.defaults + [
+            d for d in arguments.kw_defaults if d
+        ]:
+            self.visit(part)
+        self.define(node, Value.FUNCTION)
+        cls = self.cls
+        home = cls or (self.scope is self.top and self.source.label or None)
+        outer = self.scope.parent if self.scope.of_class else self.scope
+        scope = Scope(outer, home)
+        parameters = arguments.posonlyargs + arguments.args
+        decorators = {ast.unparse(d) for d in node.decorator_list}
+        method = self.method
+        if cls and parameters and "staticmethod" not in decorators:
+            first, parameters = parameters[0], parameters[1:]
+            if "classmethod" in decorators:
+                scope.bind(first.arg, KNOWN, Value(Value.CLASS, frozenset({cls})))
+            else:
+                scope.bind(
+                    first.arg, KNOWN, Value(Value.INSTANCE, frozenset({cls}))
+                )
+                method = (cls, first.arg)
+        for parameter in parameters + arguments.kwonlyargs:
+            if parameter.annotation:
+                scope.bind(parameter.arg, ANNOTATION, parameter.annotation)
+            else:
+                scope.bind(parameter.arg, OTHER)
+        for parameter in (arguments.vararg, arguments.kwarg):
+            if parameter:
+                scope.bind(parameter.arg, OTHER)
+        self.walk(node, scope, node.body, method=method)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_ClassDef(self, node):
+        for part in node.decorator_list + node.bases + node.keywords:
+            self.visit(part)
+        top = self.scope is self.top
+        self.define(node, Value.CLASS, frozenset({node.name}))
+        # Only a top-level class's instances are followed; a class
+        # nested in a function may subclass anything.
+        self.walk(
+            node, Scope(self.scope, of_class=True), node.body,
+            node.name if top else None,
+        )
+
+    def visit_Assign(self, node):
+        for target in node.targets:
+            self.bind(target, EXPRESSION, node.value)
+        self.visit(node.value)
+
+    def visit_AnnAssign(self, node):
+        self.bind(node.target, ANNOTATION, node.annotation)
+        if node.value:
+            self.visit(node.value)
+
+    # Any other store - a loop, ``with`` or comprehension target, an
+    # augmented or walrus assignment, a ``del``, a lambda's parameter,
+    # an ``except`` name, a ``global`` - binds to nothing known.
+
+    def visit_Name(self, node):
+        if not isinstance(node.ctx, ast.Load):
+            self.bind(node, OTHER)
+
+    def visit_Attribute(self, node):
+        if not isinstance(node.ctx, ast.Load):
+            self.bind(node, OTHER)
+        self.visit(node.value)
+
+    def visit_arg(self, node):
+        self.scope.bind(node.arg, OTHER)
+
+    def visit_ExceptHandler(self, node):
+        if node.name:
+            self.scope.bind(node.name, OTHER)
+        self.generic_visit(node)
+
+    def visit_Global(self, node):
+        for name in node.names:
+            self.scope.bind(name, OTHER)
+            self.top.bind(name, OTHER)
+
+    visit_Nonlocal = visit_Global
+
+    def visit_Import(self, node):
+        for alias in node.names:
+            if alias.asname:
+                value = self.resolver.module(alias.name)
+            else:
+                value = self.resolver.module(alias.name.split(".")[0])
+            self.scope.bind(bound_name(node, alias), KNOWN, value)
+
+    def visit_ImportFrom(self, node):
+        for alias in node.names:
+            value = None
+            if not node.level:
+                value = self.resolver.imported(node.module, alias.name)
+            self.scope.bind(bound_name(node, alias), KNOWN, value)
+
+    def visit_Call(self, node):
+        func = node.func
+        if getattr(func, "id", None) == "setattr" or (
+            getattr(func, "attr", None) == "__setattr__"
+        ):
+            name = node.args[1] if len(node.args) > 1 else None
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                self.resolver.foreign.add(name.value)
+            else:
+                self.dynamic = True
+        self.generic_visit(node)
 
 
 #: How a reference names its target.  A module needs an import; a
@@ -426,20 +943,24 @@ CALL, REPLACE = "call", "replace"
 class Setter:
     """One place that passes a value for a parameter."""
 
-    def __init__(self, how, key, name, value, forwarded, scope):
+    def __init__(self, how, key, name, value, forwarded, scope, owners):
         self.how = how
         self.key = key  # the callee, for a call
         self.name = name
         #: the source text of the value, None where it is not one
         #: expression (an augmented or unpacking store)
         self.value = value
-        #: ``(key, name)`` of the enclosing function's defaulted
+        #: ``(key, owner, name)`` of the enclosing function's defaulted
         #: parameter the value is, if it is one: the setter then sets
         #: something only when that parameter is set
         self.forwarded = forwarded
         self.scope = scope
+        #: the `Parameter` owners its receiver resolves to; None if any
+        self.owners = owners
 
     def reaches(self, parameter):
+        if self.owners is not None and parameter.owner not in self.owners:
+            return False
         if self.how == CALL:
             return parameter.key == self.key
         if self.how == REPLACE:
@@ -488,15 +1009,19 @@ def unused_imports(tree):
 
 
 class ReferenceCollector(ast.NodeVisitor):
-    """Walks one file and records ``(name, how, scope)`` per reference
-    and a `Setter` per argument and attribute store, *scope* being the
-    keys of the collected definitions it sits inside (empty outside
-    ``src/``: everything there is traffic)."""
+    """Walks one file and records ``(name, how, scope, homes)`` per
+    reference and a `Setter` per argument and attribute store, *scope*
+    being the keys of the collected definitions it sits inside (empty
+    outside ``src/``: everything there is traffic) and *homes* what the
+    `Resolver` resolves it to (None: every definition of the name)."""
 
-    def __init__(self, source, positions):
+    def __init__(self, source, positions, resolver):
         module = source.role == MODULE
         self.source = source
         self.positions = positions
+        self.resolver = resolver
+        #: the `Scope` names are resolved in
+        self.where = resolver.scopes[id(source.tree)]
         self.scope = (source.name,) if module else ()
         #: names the file reads; an import of anything else vouches
         #: for nothing
@@ -506,25 +1031,25 @@ class ReferenceCollector(ast.NodeVisitor):
         #: 0 at module level, 1 inside a top-level definition; None
         #: where scopes are not tracked.
         self.depth = 0 if module else None
-        #: enclosing classes, and enclosing functions as ``(key,
+        #: enclosing classes, and enclosing functions as ``(key, owner,
         #: {defaulted parameter: default})``
         self.classes, self.functions = [], []
 
-    def note(self, name, how):
-        self.references.append((name, how, self.scope))
+    def note(self, name, how, homes=None):
+        self.references.append((name, how, self.scope, homes))
 
-    def set(self, how, key, name, value):
+    def set(self, how, key, name, value, owners):
         forwarded = None
         if (
             isinstance(value, ast.Name)
             and self.functions
-            and value.id in self.functions[-1][1]
+            and value.id in self.functions[-1][2]
         ):
-            forwarded = (self.functions[-1][0], value.id)
+            forwarded = self.functions[-1][:2] + (value.id,)
         self.setters.append(
             Setter(
                 how, key, name, value and ast.unparse(value), forwarded,
-                self.scope,
+                self.scope, owners,
             )
         )
 
@@ -532,23 +1057,30 @@ class ReferenceCollector(ast.NodeVisitor):
         # Only top-level definitions and the methods of top-level
         # classes are collected; anything deeper, or private, belongs
         # to what encloses it.
-        outer, depth = self.scope, self.depth
+        outer, depth, where = self.scope, self.depth, self.where
+        self.where = self.resolver.scopes[id(node)]
         if depth is not None:
             if depth == 0 and is_public(node.name):
-                self.scope = outer + (node.name,)
+                function = not isinstance(node, ast.ClassDef)
+                self.scope = outer + (
+                    f"{self.source.label}.{node.name}" if function
+                    else node.name,
+                )
             elif depth == 1 and is_public(node.name) and len(outer) == 2:
                 self.scope = outer + (f"{outer[1]}.{node.name}",)
             self.depth = depth + 1
         if isinstance(node, ast.ClassDef):
             stack, entry = self.classes, node.name
         else:
-            init = node.name == "__init__" and self.classes
-            key = self.classes[-1] if init else node.name
-            stack, entry = self.functions, (key, defaulted_parameters(node))
+            home = self.where.home
+            init = node.name == "__init__" and home in self.classes
+            key = home if init else node.name
+            stack = self.functions
+            entry = (key, home, defaulted_parameters(node))
         stack.append(entry)
         self.generic_visit(node)
         stack.pop()
-        self.scope, self.depth = outer, depth
+        self.scope, self.depth, self.where = outer, depth, where
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = nested
 
@@ -559,7 +1091,10 @@ class ReferenceCollector(ast.NodeVisitor):
         if isinstance(target, ast.Attribute) and not (
             isinstance(target.value, ast.Name) and target.value.id == "self"
         ):
-            self.set(STORE, None, target.attr, value)
+            self.set(
+                STORE, None, target.attr, value,
+                self.resolver.attribute_homes(target, self.where),
+            )
 
     def visit_Assign(self, node):
         if any(
@@ -585,11 +1120,15 @@ class ReferenceCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Name(self, node):
-        self.note(node.id, NAME)
+        self.note(
+            node.id, NAME,
+            self.resolver.named(self.resolver.lookup(node.id, self.where)),
+        )
 
     def visit_Attribute(self, node):
         self.note(
-            node.attr, STORE if isinstance(node.ctx, ast.Store) else LOAD
+            node.attr, STORE if isinstance(node.ctx, ast.Store) else LOAD,
+            self.resolver.attribute_homes(node, self.where),
         )
         self.generic_visit(node)
 
@@ -618,7 +1157,12 @@ class ReferenceCollector(ast.NodeVisitor):
             for part in (node.module or "").split("."):
                 self.note(part, IMPORT)
         for name in used:
-            self.note(name, IMPORT)
+            self.note(
+                name, IMPORT,
+                self.resolver.named(
+                    self.resolver.imported(node.module, name)
+                ),
+            )
 
     def callee(self, node):
         """The name a call is made through: ``cls`` inside a class is
@@ -641,39 +1185,48 @@ class ReferenceCollector(ast.NodeVisitor):
             and isinstance(node.args[1].value, str)
         ):
             self.note(node.args[1].value, GETATTR)
-        how = REPLACE if callee == "replace" else CALL
+        if callee == "replace":
+            how = REPLACE
+            owners = node.args and self.resolver.through(
+                self.resolver.evaluate(node.args[0], self.where)
+            ) or None
+        else:
+            how = CALL
+            owners = self.resolver.call_owners(node.func, self.where)
         for keyword in node.keywords:
             if keyword.arg:
-                self.set(how, callee, keyword.arg, keyword.value)
-        for names in self.positions.get(callee, ()):
+                self.set(how, callee, keyword.arg, keyword.value, owners)
+        for owner, names in self.positions.get(callee, ()):
+            if owners is not None and owner not in owners:
+                continue
             for name, arg in zip(names, node.args):
                 if isinstance(arg, ast.Starred):
                     break
-                self.set(CALL, callee, name, arg)
+                self.set(CALL, callee, name, arg, frozenset({owner}))
         self.generic_visit(node)
 
 
-def collect_references(sources, positions):
-    """``({name: [(how, scope), ...]}, [Setter, ...])`` over ``src/``
-    and the caller directories."""
+def collect_references(sources, positions, resolver):
+    """``({name: [(how, scope, homes), ...]}, [Setter, ...])`` over
+    ``src/`` and the caller directories."""
     by_name, setters = {}, []
     for source in sources:
         if source.role == REEXPORT:
             continue
-        collector = ReferenceCollector(source, positions)
+        collector = ReferenceCollector(source, positions, resolver)
         collector.visit(source.tree)
-        for name, how, scope in collector.references:
-            by_name.setdefault(name, []).append((how, scope))
+        for name, how, scope, homes in collector.references:
+            by_name.setdefault(name, []).append((how, scope, homes))
         setters.extend(collector.setters)
     return by_name, setters
 
 
 def settled(parameters, setters, kept):
-    """``(key, name)`` of every parameter a setter sets: to something
-    other than its default, and - when it forwards a defaulted
-    parameter of its enclosing function - only once that one is set,
-    or is an option *kept* on purpose.  The least fixed point, so a
-    cycle of forwards sets nothing."""
+    """``(key, owner, name)`` of every parameter a setter sets: to
+    something other than its default, and - when it forwards a
+    defaulted parameter of its enclosing function - only once that one
+    is set, or is an option *kept* on purpose.  The least fixed point,
+    so a cycle of forwards sets nothing."""
     by_name = {}
     for parameter in parameters:
         by_name.setdefault(parameter.name, []).append(parameter)
@@ -687,7 +1240,7 @@ def settled(parameters, setters, kept):
                 waiting.append(setter)
                 continue
             done.update(
-                (parameter.key, parameter.name)
+                (parameter.key, parameter.owner, parameter.name)
                 for parameter in by_name.get(setter.name, ())
                 if setter.reaches(parameter)
                 and setter.value != parameter.default
@@ -702,11 +1255,11 @@ def uncalled(definitions, references, setters, parameters, kept):
     reference or a setter counts when every definition it sits inside
     is itself called or *kept* (labels listed on purpose: what they
     use is used), and a reference also only when it sits outside the
-    definition it names.  A module is called when something imports
-    it by name or, being reached through its package's re-exports,
-    when anything it defines is called."""
+    definition it names and, if resolved, names its home.  A module is
+    called when something imports it by name or, being reached through
+    its package's re-exports, when anything it defines is called."""
     kept_parameters = {
-        (d.callee, d.name)
+        (d.callee, d.home, d.name)
         for d in definitions
         if d.kind == "option" and d.label in kept
     }
@@ -717,12 +1270,13 @@ def uncalled(definitions, references, setters, parameters, kept):
         if definition.owner in dead:
             return False
         if definition.kind == "option":
-            return (definition.callee, definition.name) in is_set
+            return (definition.callee, definition.home, definition.name) in is_set
         return any(
             how in VOUCHERS[definition.kind]
+            and (homes is None or definition.home in homes)
             and definition.key not in scope
             and not dead.intersection(scope)
-            for how, scope in references.get(definition.name, ())
+            for how, scope, homes in references.get(definition.name, ())
         )
 
     # Every pass can only add to what is dead (fewer live scopes vouch
@@ -756,7 +1310,9 @@ def survey(sources, kept=()):
     """``(definitions, uncalled definitions)`` of a set of sources."""
     definitions = collect_definitions(sources)
     parameters, positions = signatures(sources)
-    references, setters = collect_references(sources, positions)
+    references, setters = collect_references(
+        sources, positions, Resolver(sources)
+    )
     return definitions, uncalled(
         definitions, references, setters, parameters, kept
     )
@@ -770,7 +1326,7 @@ def test_the_collector_still_finds_the_surface():
     for definition in DEFINITIONS:
         kinds[definition.kind] = kinds.get(definition.kind, 0) + 1
     assert kinds["module"] > 60 and kinds["method"] > 287, kinds
-    assert kinds["option"] > 147 and kinds["class"] > 100, kinds
+    assert kinds["option"] > 138 and kinds["class"] > 100, kinds
     assert kinds["field"] > 300, kinds
 
 
@@ -811,10 +1367,14 @@ def test_test_only_is_short_and_true():
         )
 
 
+#: A module with one function other trees call and one they do not.
+TEXT = "def area():\n    return 2\n\ndef width():\n    return 3\n"
+
 #: Synthetic trees, each planting one shield the rule must see
 #: through: name -> ``({path: source}, shielded label, called label)``.
 #: Every tree has a caller that imports ``main`` from ``repro.m``; the
-#: called label is the control, showing the caller is seen at all.
+#: called label is the control, showing the caller is seen at all.  The
+#: shielded definition's owner is itself called.
 SHIELDS = {
     "a same-named local": ({"src/repro/m.py": """
         class Box:
@@ -891,7 +1451,7 @@ SHIELDS = {
 
         def main():
             return render([], top=5)
-    """}, "render.width", "render.top"),
+    """}, "m.render.width", "m.render.top"),
     "a method's default passed positionally": ({"src/repro/m.py": """
         class Bucket:
             def acquire(self, n=1, wait=False):
@@ -931,6 +1491,106 @@ SHIELDS = {
             log.append(record)
             return record.user
     """}, "Record.requested_at", "Record.user"),
+    # One per way the `Resolver` resolves a receiver.
+    "a same-named function of another module": ({
+        "src/repro/m.py": """
+            from repro import shapes, text
+
+            def main():
+                return shapes.area(), text.width()
+        """,
+        "src/repro/shapes.py": "def area():\n    return 1\n",
+        "src/repro/text.py": TEXT,
+    }, "text.area", "shapes.area"),
+    "a same-named function imported from another module": ({
+        "src/repro/m.py": """
+            from repro.shapes import area
+            from repro.text import width
+
+            def main():
+                return area(), width()
+        """,
+        "src/repro/shapes.py": "def area():\n    return 1\n",
+        "src/repro/text.py": TEXT,
+    }, "text.area", "shapes.area"),
+    "a same-named method called through self": ({"src/repro/m.py": """
+        class Box:
+            def close(self):
+                return 1
+
+        class Door:
+            def close(self):
+                return 2
+
+            def shut(self):
+                return self.close()
+
+        def main():
+            return Box, Door().shut()
+    """}, "Box.close", "Door.close"),
+    "a same-named method of an attribute's class": ({"src/repro/m.py": """
+        class Cache:
+            def get(self):
+                return 1
+
+        class Index:
+            def get(self):
+                return 2
+
+        class Service:
+            def __init__(self):
+                self.cache = Cache()
+
+            def fetch(self):
+                return self.cache.get()
+
+        def main():
+            return Index, Service().fetch()
+    """}, "Index.get", "Cache.get"),
+    "a same-named method of a local's class": ({"src/repro/m.py": """
+        class Box:
+            def open(self):
+                return 1
+
+        class Jar:
+            def open(self):
+                return 2
+
+        def main():
+            box = Box()
+            return Jar, box.open()
+    """}, "Jar.open", "Box.open"),
+    "a same-named method of an annotated parameter's class": ({
+        "src/repro/m.py": """
+            from typing import Optional
+
+            class Box:
+                def size(self):
+                    return 1
+
+            class Crate:
+                def size(self):
+                    return 2
+
+            def measure(box: Optional["Box"]):
+                return box.size()
+
+            def main():
+                return Crate, measure(Box())
+        """,
+    }, "Crate.size", "Box.size"),
+    "the same keyword to another module's run": ({
+        "src/repro/m.py": """
+            from repro import exp_a, exp_b
+
+            def main():
+                return exp_a.run(1, n_sources=3), exp_b.run(1)
+        """,
+        "src/repro/exp_a.py": "def run(scenario, n_sources=2):\n"
+                              "    return n_sources\n",
+        "src/repro/exp_b.py": "def run(scenario, n_sources=2):\n"
+                              "    return n_sources\n",
+    }, "exp_b.run.n_sources", "exp_a.run.n_sources"),
 }
 
 
