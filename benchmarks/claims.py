@@ -28,7 +28,6 @@ from repro.analysis.asymmetry import (
     positional_symmetry,
 )
 from repro.analysis.stats import mean, median
-from repro.core.atlas import TracerouteAtlas
 from repro.core.result import HopTechnique, RevtrStatus
 from repro.core.revtr import EngineConfig, RevtrEngine
 from repro.core.segcache import ReverseSegmentCache
@@ -47,6 +46,7 @@ from repro.experiments import (
     exp_vp_selection,
 )
 from repro.experiments.exp_symmetry_assumption import Table2Result
+from repro.service.sources import build_atlas
 from repro.topology import TopologyConfig, build_internet
 
 #: Shared seed for the benchmark topology.
@@ -597,7 +597,7 @@ def _run_stream(amortized):
     The amortized arm is wired as the service wires an engine: a
     segment cache of the source's own, one ``measure_many`` per pass.
     It is built on the scenario's atlases rather than taken from a
-    service, whose bootstrap draws an atlas of its own: both arms then
+    service, whose bootstrap measures the same atlas again: both arms then
     start from one atlas, so the warm-up cost and the ground-truth
     comparison set cache against no cache, not atlas against atlas.
     """
@@ -866,11 +866,12 @@ def _run_variant(scenario, config):
 
     engines = {}
     for source in sources:
-        atlas = TracerouteAtlas(source, max_size=scenario.atlas_size)
-        atlas.build(
+        atlas, _ = build_atlas(
             scenario.background_prober,
+            source,
             atlas_pool,
-            scenario.bundle_rng(source),
+            scenario.atlas_size,
+            scenario.seed,
         )
         scenario.adopt_atlases(source, atlas)
         engines[source] = scenario.engine(source, "revtr2.0", config)

@@ -90,8 +90,7 @@ def main() -> None:
     registered = service.add_source(user.api_key, source)
     report = registered.report
     print(
-        f"  RR receivable: {report.rr_receivable}; atlas "
-        f"{report.atlas_size} traceroutes; RR atlas "
+        f"  atlas {report.atlas_size} traceroutes; RR atlas "
         f"{report.rr_atlas_aliases} aliases; took "
         f"{report.duration / 60:.1f} virtual minutes"
     )

@@ -163,8 +163,5 @@ class MeasurementCache:
         self._last_purge = now
         return self.purge_expired()
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def __len__(self) -> int:
         return len(self._entries)

@@ -424,10 +424,6 @@ class ReverseSegmentCache:
                 self.stats.invalidations_ttl += 1
         return len(dead)
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self._aborts.clear()
-
     def __len__(self) -> int:
         """Edges, negative entries and remembered aborts held."""
         return len(self._entries) + len(self._aborts)

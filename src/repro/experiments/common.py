@@ -16,7 +16,6 @@ counter so online probe costs (Table 4) stay clean.
 from __future__ import annotations
 
 import random
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,6 +40,7 @@ from repro.probing.budget import ProbeCounter
 from repro.probing.prober import Prober
 from repro.probing.vantage import VantagePointPool
 from repro.sim.clock import VirtualClock
+from repro.service.sources import build_atlas
 from repro.sim.network import Internet
 from repro.topology.config import TopologyConfig
 from repro.topology.generator import build_internet
@@ -240,26 +240,12 @@ class Scenario:
     # Per-source bundles
     # ------------------------------------------------------------------
 
-    def bundle_rng(self, source: Address) -> random.Random:
-        """The per-source RNG every atlas build for *source* draws from.
-
-        Centralised so the lazy :meth:`bundle` build (and with it the
-        ``repro atlas`` CLI verbs) and an experiment that draws its own
-        atlas from another VP pool seed the draw the same way for the
-        same ``(seed, source)``.
-        """
-        return random.Random(
-            self.seed ^ zlib.crc32(source.encode()) & 0xFFFF
-        )
-
     def bundle(self, source: Address) -> SourceBundle:
         bundle = self._bundles.get(source)
         if bundle is None:
-            atlas = TracerouteAtlas(source, max_size=self.atlas_size)
-            atlas.build(
-                self.background_prober,
-                self.atlas_vp_addrs,
-                self.bundle_rng(source),
+            atlas, _ = build_atlas(
+                self.background_prober, source, self.atlas_vp_addrs,
+                self.atlas_size, self.seed,
             )
             bundle = SourceBundle(source=source, atlas=atlas)
             self._bundles[source] = bundle

@@ -10,8 +10,9 @@ this takes about 15 minutes, dominated by the RIPE Atlas traceroutes.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 from repro.core.atlas import TracerouteAtlas
 from repro.core.rr_atlas import RRAtlas
@@ -24,12 +25,27 @@ class BootstrapError(Exception):
     """The source could not be bootstrapped."""
 
 
+def build_atlas(
+    prober: Prober,
+    source: Address,
+    atlas_vps: Sequence[Address],
+    atlas_size: int,
+    seed: int,
+) -> Tuple[TracerouteAtlas, random.Random]:
+    """*source*'s atlas, drawn from a stream seeded by ``(seed, source)``
+    alone - the same whichever sources were drawn before it - and that
+    stream, which the source's refreshes continue."""
+    rng = random.Random(seed ^ zlib.crc32(source.encode()) & 0xFFFF)
+    atlas = TracerouteAtlas(source, max_size=atlas_size)
+    atlas.build(prober, atlas_vps, rng)
+    return atlas, rng
+
+
 @dataclass
 class BootstrapReport:
     """What the bootstrap process measured and built."""
 
     source: Address
-    rr_receivable: bool
     atlas_size: int
     rr_atlas_aliases: int
     duration: float
@@ -43,6 +59,8 @@ class RegisteredSource:
     atlas: TracerouteAtlas
     rr_atlas: RRAtlas
     report: BootstrapReport
+    #: the source's own atlas stream, continued by each refresh
+    rng: random.Random
 
 
 class SourceRegistry:
@@ -62,7 +80,7 @@ class SourceRegistry:
         self.atlas_vps = list(atlas_vps)
         self.spoofer_vps = list(spoofer_vps)
         self.atlas_size = atlas_size
-        self._rng = random.Random(seed ^ 0x50BC)
+        self.seed = seed
         self.sources: Dict[Address, RegisteredSource] = {}
 
     def register(self, addr: Address) -> RegisteredSource:
@@ -78,29 +96,28 @@ class SourceRegistry:
             raise BootstrapError(f"unknown host {addr}")
         started = self.prober.clock.now()
 
-        rr_ok = self._check_rr_receivable(addr)
-        if not rr_ok:
+        if not self._check_rr_receivable(addr):
             raise BootstrapError(
                 f"source {addr} cannot receive record-route packets"
             )
 
-        atlas = TracerouteAtlas(addr, max_size=self.atlas_size)
-        atlas.build(self.prober, self.atlas_vps, self._rng)
+        atlas, rng = build_atlas(
+            self.prober, addr, self.atlas_vps, self.atlas_size, self.seed
+        )
         rr_atlas = RRAtlas(atlas)
         rr_atlas.build(self.prober, self.spoofer_vps)
 
-        report = BootstrapReport(
-            source=addr,
-            rr_receivable=True,
-            atlas_size=len(atlas),
-            rr_atlas_aliases=len(rr_atlas),
-            duration=self.prober.clock.now() - started,
-        )
         registered = RegisteredSource(
             addr=addr,
             atlas=atlas,
             rr_atlas=rr_atlas,
-            report=report,
+            report=BootstrapReport(
+                source=addr,
+                atlas_size=len(atlas),
+                rr_atlas_aliases=len(rr_atlas),
+                duration=self.prober.clock.now() - started,
+            ),
+            rng=rng,
         )
         self.sources[addr] = registered
         return registered
@@ -118,5 +135,5 @@ class SourceRegistry:
         if registered is None:
             raise KeyError(f"source {addr} not registered")
         return registered.atlas.refresh(
-            self.prober, self.atlas_vps, self._rng
+            self.prober, self.atlas_vps, registered.rng
         )

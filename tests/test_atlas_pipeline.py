@@ -11,6 +11,7 @@ dictionaries directly instead of sampling.
 
 import gzip
 import json
+import random
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.core.rr_atlas import RRAtlas
 from repro.core.snapshot import SNAPSHOT_VERSION
 from repro.experiments import Scenario
 from repro.net.packet import TracerouteResult
+from repro.service.sources import build_atlas
 from repro.te.peering import PeeringTestbed
 from repro.topology import TopologyConfig
 from repro.topology.generator import build_internet
@@ -71,11 +73,12 @@ def serial_world():
     (one probe at a time, one ladder per hop occurrence)."""
     scenario = fresh_scenario()
     source = scenario.sources()[0]
-    atlas = TracerouteAtlas(source, max_size=ATLAS_SIZE)
-    atlas.build(
+    atlas, _ = build_atlas(
         scenario.background_prober,
+        source,
         scenario.atlas_vp_addrs,
-        scenario.bundle_rng(source),
+        ATLAS_SIZE,
+        scenario.seed,
     )
     rr_atlas = RRAtlas(atlas)
     reference_build(
@@ -233,8 +236,15 @@ class TestRRAtlasStaleLookup:
             config=TopologyConfig.tiny(seed=1), seed=1, atlas_size=10
         )
         source = scenario.sources()[0]
+        atlas, rng = build_atlas(
+            scenario.background_prober,
+            source,
+            scenario.atlas_vp_addrs,
+            scenario.atlas_size,
+            scenario.seed,
+        )
+        scenario.adopt_atlases(source, atlas)
         rr_atlas = scenario.rr_atlas(source)
-        atlas = rr_atlas.atlas
         before = {
             vp: list(trace.hops) for vp, trace in atlas.traceroutes.items()
         }
@@ -247,9 +257,7 @@ class TestRRAtlasStaleLookup:
         for vp in before:
             atlas.mark_useful(vp)
         atlas.refresh(
-            scenario.background_prober,
-            scenario.atlas_vp_addrs,
-            scenario.bundle_rng(source),
+            scenario.background_prober, scenario.atlas_vp_addrs, rng
         )
         moved = {
             alias
@@ -313,8 +321,7 @@ class TestRefreshPrunesUnresponsive:
             )
         )
         atlas.mark_useful(ghost)
-        rng = scenario.bundle_rng(source)
-        atlas.refresh(prober, scenario.atlas_vp_addrs, rng)
+        atlas.refresh(prober, scenario.atlas_vp_addrs, random.Random(SEED))
         assert ghost not in atlas.traceroutes
         assert atlas.lookup("203.0.113.1") is None
         assert atlas.last_refresh["pruned_unresponsive"] == 1
@@ -330,11 +337,12 @@ class TestIncrementalRefresh:
 
     def test_default_refresh_still_remeasures(self, serial_world):
         scenario, source, _, _ = serial_world
-        atlas = TracerouteAtlas(source, max_size=8)
-        atlas.build(
+        atlas, rng = build_atlas(
             scenario.background_prober,
+            source,
             scenario.atlas_vp_addrs,
-            scenario.bundle_rng(source),
+            8,
+            scenario.seed,
         )
         kept = list(atlas.traceroutes)
         for vp in kept:
@@ -342,9 +350,7 @@ class TestIncrementalRefresh:
         scenario.clock.advance(1.0)
         started = scenario.clock.now()
         atlas.refresh(
-            scenario.background_prober,
-            scenario.atlas_vp_addrs,
-            scenario.bundle_rng(source),
+            scenario.background_prober, scenario.atlas_vp_addrs, rng
         )
         assert atlas.last_refresh["remeasured"] == len(kept)
         # Nothing kept is carried over: every kept trace is fresh.

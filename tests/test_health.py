@@ -15,6 +15,7 @@ from repro.obs.health import (
     render_rules_table,
 )
 from repro.obs.timeseries import install_sampler
+from repro.service.sources import build_atlas
 from repro.sim.clock import VirtualClock
 
 
@@ -372,7 +373,16 @@ def fired(sampler, instr, kind):
 class TestRulesFireForTheirCause:
     def test_atlas_staleness_cites_the_stale_stitch(self):
         instr, sampler, scenario = live_world()
-        engine = scenario.engine(scenario.sources()[0], "revtr2.0")
+        source = scenario.sources()[0]
+        atlas, rng = build_atlas(
+            scenario.background_prober,
+            source,
+            scenario.atlas_vp_addrs,
+            scenario.atlas_size,
+            scenario.seed,
+        )
+        scenario.adopt_atlases(source, atlas)
+        engine = scenario.engine(source, "revtr2.0")
         sampler.sample()
         assert fired(sampler, instr, "atlas-staleness") is None
         # Cause: the atlas outlives its staleness bound and the engine
@@ -401,9 +411,7 @@ class TestRulesFireForTheirCause:
         ]
         # Cause gone: a refreshed atlas, and the window moves on.
         engine.atlas.refresh(
-            scenario.background_prober,
-            scenario.atlas_vp_addrs,
-            scenario.bundle_rng(engine.source),
+            scenario.background_prober, scenario.atlas_vp_addrs, rng
         )
         scenario.clock.advance(1000.0)
         sampler.sample()

@@ -269,13 +269,11 @@ class TestSegmentCacheUnit:
         assert len(cache) == 1
         assert cache.lookup_abort("g", self.ATLASES) is not None
 
-    def test_len_and_clear_count_aborts(self):
+    def test_len_counts_aborts(self):
         cache = self.stored_abort()
         cache.store("a", ReverseHop("b", HopTechnique.RR))
         assert len(cache) == 2
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.lookup_abort("d", self.ATLASES) is None
+        assert len(make_cache()) == 0
 
 
 class TestFlagsOffByteIdentity:
@@ -387,16 +385,23 @@ class TestSplicing:
         """A router that recently ignored the whole RR arsenal is not
         re-probed: the engine skips its RR step entirely."""
         source = scenario.sources()[0]
-        engine = fresh_engine(
-            scenario, source, segment_cache=True, use_cache=False
-        )
+        probed = []
+
+        def recording_engine():
+            """An engine with an empty segment cache of its own whose
+            RR steps are recorded in ``probed``."""
+            engine = fresh_engine(
+                scenario, source, segment_cache=True, use_cache=False
+            )
+            real_rr = engine._rr_step
+            engine._rr_step = lambda cur: (
+                probed.append(cur) or real_rr(cur)
+            )
+            return engine
+
         # Pick a destination whose RR step actually runs (i.e. the
         # atlas does not complete the path at the destination hop).
-        probed = []
-        real_rr = engine._rr_step
-        engine._rr_step = lambda cur: (
-            probed.append(cur) or real_rr(cur)
-        )
+        engine = recording_engine()
         dst = None
         for cand in scenario.responsive_destinations(
             8, options_only=True
@@ -408,7 +413,7 @@ class TestSplicing:
                 break
         if dst is None:
             pytest.skip("atlas resolved every candidate destination")
-        engine.segcache.clear()
+        engine = recording_engine()
         engine.segcache.store_negative(dst)
         probed.clear()
         result = engine.measure(dst)

@@ -81,7 +81,6 @@ class TestBootstrap:
         key = service.add_user("carol").api_key
         source = small_scenario.sources()[5]
         registered = service.add_source(key, source)
-        assert registered.report.rr_receivable
         assert registered.report.atlas_size > 0
         assert registered.report.rr_atlas_aliases > 0
         assert registered.report.duration > 0
@@ -90,6 +89,21 @@ class TestBootstrap:
         key = service.add_user("dave").api_key
         with pytest.raises(BootstrapError):
             service.add_source(key, "203.0.113.50")
+
+    def test_host_dropping_rr_options_rejected(
+        self, service, small_scenario
+    ):
+        """The bootstrap's first check: a host that answers pings but
+        drops record-route packets cannot be a source."""
+        key = service.add_user("dora").api_key
+        host = next(
+            host
+            for host in small_scenario.internet.hosts.values()
+            if host.responds_to_ping and not host.responds_to_options
+        )
+        with pytest.raises(BootstrapError, match="record-route"):
+            service.add_source(key, host.addr)
+        assert host.addr not in service.registry.sources
 
     def test_duplicate_source_rejected(self, service, small_scenario):
         key = service.add_user("erin").api_key

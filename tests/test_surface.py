@@ -47,12 +47,12 @@ entry point's arguments, listed in `TEST_ONLY` with its reason.  What a
 listed definition uses or forwards counts as used.
 
 The rule resolves what kind of reference names a definition, and - in
-the five ways `Resolver` lists - the owner of its receiver or callee:
+the six ways `Resolver` lists - the owner of its receiver or callee:
 a resolved reference or setter vouches only for that module's or
 class's definitions, an unresolved one for every definition of its
-name, so resolving can only find more.  A builtin-typed receiver is
-not resolved: a dict field's ``.clear()`` still vouches for every
-``clear`` method.  Functions are labelled by module (``module.name``).
+name, so resolving can only find more.  A builtin-typed receiver (a
+dict field's ``.clear()``) vouches for no method under ``src/``.
+Functions are labelled by module (``module.name``).
 `SHIELDS` are the shields it does see through, each tested on a
 synthetic tree.  Run as a script, it prints every collected definition
 as ``kind label``, one per line, which CI diffs between the parent and
@@ -451,11 +451,11 @@ class Value:
     """What a name or an expression is, as far as the AST shows it: a
     module (*owners*: its dotted path), a top-level function or a class
     (*home*: the labels of the modules that define it, None when not
-    known; a class's *owners*: its name), or an instance (*owners*: the
-    names of the classes it may be one of)."""
+    known; a class's *owners*: its name), an instance (*owners*: the
+    names of the classes it may be one of), or a builtin container."""
 
-    MODULE, FUNCTION, CLASS, INSTANCE = (
-        "module", "function", "class", "instance"
+    MODULE, FUNCTION, CLASS, INSTANCE, BUILTIN = (
+        "module", "function", "class", "instance", "builtin"
     )
 
     def __init__(self, kind, owners=frozenset(), home=None):
@@ -466,6 +466,15 @@ class Value:
 
 #: ``None``: what an ``Optional`` adds, and no kind of its own.
 NONE = Value("none")
+#: A dict, list or set: its methods are the builtin type's.
+BUILTIN = Value(Value.BUILTIN)
+#: Builtin container types, by the names that build them and the
+#: ``typing`` aliases that annotate them.
+CONTAINERS, ALIASES = {"dict", "list", "set"}, {"Dict", "List", "Set"}
+#: Expressions that build a builtin container.
+DISPLAYS = (
+    ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp
+)
 
 
 def union(values):
@@ -523,14 +532,19 @@ class Scope:
 
 class Resolver:
     """Resolves a reference's receiver to its owner where the AST shows
-    it, in five ways: a module alias or a ``from`` import; ``self`` or
+    it, in six ways: a module alias or a ``from`` import; ``self`` or
     ``cls``; an attribute of an instance that its class's own methods
     only ever assign from a constructor or an annotated parameter (or a
     dataclass field's annotation); a name its scope binds only to
-    constructor calls; and a parameter (or a local) annotated with a
-    class (``Optional`` and ``X | None`` included).  A class resolves to
-    itself, its subclasses and all their bases - every class an
-    instance of it may find an attribute on."""
+    constructor calls; a parameter (or a local) annotated with a
+    class (``Optional`` and ``X | None`` included); and a builtin
+    container - a name or attribute bound only to a display, a
+    comprehension or ``dict()`` / ``list()`` / ``set()``, or annotated
+    ``Dict[...]`` / ``List[...]`` / ``Set[...]``, which owns no method
+    under ``src/``.  An attribute of an unresolved receiver is a builtin
+    container when every class that binds its name binds it to one.  A
+    class resolves to itself, its subclasses and all their bases - every
+    class an instance of it may find an attribute on."""
 
     def __init__(self, sources):
         #: ``{dotted path: {top-level name: Value kind}}`` under ``src/``
@@ -630,20 +644,29 @@ class Resolver:
     def attribute(self, classes, name):
         """What an instance attribute holds, by how its classes bind
         it; nothing known if anything else stores it, or nothing
-        binds it."""
+        binds it.  With *classes* None (the receiver is not known), a
+        builtin container if every class that binds *name* binds it
+        to one; nothing known otherwise."""
         key = (classes, name)
         if name in self.foreign:
             return None
         if key not in self.memo:
             self.memo[key] = None  # a cycle resolves to nothing
+            owners = (
+                self.attributes if classes is None
+                else self.related(classes)
+            )
             bindings = [
                 binding
-                for cls in self.related(classes)
+                for cls in owners
                 for binding in self.attributes.get(cls, {}).get(name, ())
             ]
-            self.memo[key] = union(
+            value = union(
                 self.describe(*binding) for binding in bindings
             ) if bindings else None
+            if classes is None and value and value.kind != Value.BUILTIN:
+                value = None
+            self.memo[key] = value
         return self.memo[key]
 
     def describe(self, scope, how, what):
@@ -655,19 +678,40 @@ class Resolver:
             return self.annotated(what, scope)
         return None
 
-    def lookup(self, name, scope):
+    @staticmethod
+    def binder(name, scope):
+        """The scope that binds *name*; None for a builtin."""
         while scope is not None and name not in scope.bindings:
             scope = scope.parent
+        return scope
+
+    def lookup(self, name, scope):
+        scope = self.binder(name, scope)
         return scope and scope.value(name, self)
+
+    def container(self, node, scope):
+        """Does *node* name a builtin container type (a builtin that
+        no scope rebinds, or its ``typing`` alias)?"""
+        if isinstance(node, ast.Name) and node.id in CONTAINERS:
+            return self.binder(node.id, scope) is None
+        return ast.unparse(node).rsplit(".", 1)[-1] in ALIASES
 
     def evaluate(self, node, scope):
         """What the expression *node* is: a name, an attribute, a
-        constructor call or ``None``; nothing known otherwise."""
+        constructor call, a builtin container or ``None``; nothing
+        known otherwise."""
         if isinstance(node, ast.Name):
             return self.lookup(node.id, scope)
         if isinstance(node, ast.Attribute):
-            return self.member(self.evaluate(node.value, scope), node.attr)
+            receiver = self.evaluate(node.value, scope)
+            if receiver is None:
+                return self.attribute(None, node.attr)
+            return self.member(receiver, node.attr)
+        if isinstance(node, DISPLAYS):
+            return BUILTIN
         if isinstance(node, ast.Call):
+            if self.container(node.func, scope):
+                return BUILTIN
             callee = self.evaluate(node.func, scope)
             if callee and callee.kind == Value.CLASS:
                 return Value(Value.INSTANCE, callee.owners)
@@ -688,6 +732,8 @@ class Resolver:
                 self.annotated(side, scope) for side in (node.left, node.right)
             )
         if isinstance(node, ast.Subscript):
+            if self.container(node.value, scope):
+                return BUILTIN
             wrapper = ast.unparse(node.value).rsplit(".", 1)[-1]
             inner = node.slice
             if wrapper == "Optional":
@@ -696,6 +742,8 @@ class Resolver:
                 parts = inner.elts if isinstance(inner, ast.Tuple) else [inner]
                 return union(self.annotated(part, scope) for part in parts)
             return None
+        if self.container(node, scope):
+            return BUILTIN
         value = self.evaluate(node, scope)
         if value is NONE:
             return NONE
@@ -710,8 +758,10 @@ class Resolver:
         return value and value.home
 
     def through(self, receiver):
-        """The homes an attribute of *receiver* can name: its classes;
-        None where any can."""
+        """The homes an attribute of *receiver* can name: its classes,
+        none for a builtin container; None where any can."""
+        if receiver and receiver.kind == Value.BUILTIN:
+            return frozenset()
         if receiver and receiver.kind in (Value.INSTANCE, Value.CLASS):
             return self.related(receiver.owners)
         return None
@@ -1591,6 +1641,37 @@ SHIELDS = {
         "src/repro/exp_b.py": "def run(scenario, n_sources=2):\n"
                               "    return n_sources\n",
     }, "exp_b.run.n_sources", "exp_a.run.n_sources"),
+    "a same-named method of a builtin container": ({"src/repro/m.py": """
+        from dataclasses import dataclass, field
+        from typing import Dict
+
+        class Cache:
+            def clear(self):
+                return 1
+
+            def purge(self):
+                return 2
+
+        @dataclass
+        class Node:
+            pref: Dict[int, int] = field(default_factory=dict)
+
+        class Table:
+            def __init__(self):
+                self.rows: dict = {}
+                self.seen = set()
+
+            def reset(self):
+                self.rows.clear()
+                self.seen.clear()
+
+        def main(node):
+            pending = [n for n in range(3)]
+            pending.clear()
+            node.pref.clear()
+            Table().reset()
+            return Cache().purge()
+    """}, "Cache.clear", "Cache.purge"),
 }
 
 
