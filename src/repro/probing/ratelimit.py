@@ -10,6 +10,8 @@ they do in the deployed system.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.sim.clock import VirtualClock
 
 
@@ -30,26 +32,40 @@ class TokenBucket:
         self._tokens = self.burst
         self._last = clock.now()
 
-    def _refill(self) -> None:
-        now = self.clock.now()
-        self._tokens = min(
+    def _take(self, now: float) -> float:
+        """Take one token at time *now*, waiting for it if the bucket
+        is empty; returns the time it was taken at."""
+        tokens = min(
             self.burst, self._tokens + (now - self._last) * self.rate
         )
+        if tokens >= 1:
+            tokens -= 1
+        else:
+            # Exactly the deficit accrues during the wait, and it is
+            # consumed by this take along with the balance.
+            now += (1 - tokens) / self.rate
+            tokens = 0.0
+        self._tokens = tokens
         self._last = now
+        return now
 
     def acquire(self) -> float:
         """Take one token, advancing the clock if needed.
 
         Returns the seconds waited (possibly zero).
         """
-        self._refill()
-        if self._tokens >= 1:
-            self._tokens -= 1
+        now = self.clock.now()
+        taken = self._take(now)
+        if taken == now:
             return 0.0
-        wait = (1 - self._tokens) / self.rate
-        self.clock.advance(wait)
-        # Exactly the deficit accrued during the wait, and it is
-        # consumed by this acquire along with the balance.
-        self._tokens = 0.0
-        self._last = self.clock.now()
-        return wait
+        return self.clock.advance_to(taken) - now
+
+    def pace(self, costs: Iterable[float], pacing: float) -> None:
+        """Charge one probe per entry of *costs*, in order: each takes
+        a token, then holds the clock for *pacing* and then its cost.
+        ``acquire(); advance(pacing); advance(cost)`` per entry, float
+        for float, with the clock set once, at the end."""
+        now = self.clock.now()
+        for cost in costs:
+            now = self._take(now) + pacing + cost
+        self.clock.advance_to(now)

@@ -520,57 +520,92 @@ class Internet:
         return [self._tally_outcome(self._send_probe(p)) for p in probes]
 
     def send_ttl_sweep(
-        self, probe: Probe, max_ttl: int
-    ) -> Iterator[ProbeOutcome]:
-        """Yield the outcomes of *probe* sent at TTL 1, 2, … *max_ttl*.
+        self, probe: Probe, max_ttl: int, max_stars: int
+    ) -> Tuple[List[TracerouteReply], Iterator[Optional[TracerouteReply]]]:
+        """*probe* sent at TTL 1, 2, … *max_ttl*, as ``(replies, steps)``.
 
-        The k-th item is what ``send_probe(replace(probe, ttl=k))``
-        would return at the moment it is asked for, and the simulator
-        is left in the state that call would leave it in; the caller
-        may stop early.  Forwarding never reads the TTL, so the forward
-        path is walked once, fault-free, and TTL k's time-exceeded
-        reply is read off its k-th router.  Whatever reads the clock
-        or a draw counter still runs once per TTL, in the order a
-        single probe runs it: the injection-time faults, one loss draw
-        per link crossed, the expiring router's ICMP policing.  TTLs
-        past the end of the path — the destination's echo, or silence
-        — and probes that cannot be injected or routed are single
-        probes.  *probe* must carry no options: a walk stamps them.
+        Forwarding never reads the TTL, so the path is walked once,
+        fault-free, and TTL k's reply is read off its k-th router.  With
+        no fault injector nothing inside the path reads the clock or a
+        draw counter, so ``replies`` holds those TTLs' replies up to the
+        traceroute's stop point (the first ``reached`` one or the
+        *max_stars*-th star in a row), already tallied.  ``steps`` sends
+        each later TTL when asked: under an injector every TTL, running
+        the injection-time faults, one loss draw per link crossed and the
+        expiring router's policing in single-probe order; past the path's
+        end, a single probe.  A step yields the reply (``None``: lost).
+        Reply k, and the state it leaves, are those of a single probe
+        sent at TTL k.  *probe* must carry no options: a walk stamps them.
         """
         if probe.has_options:
             raise ValueError("a TTL sweep takes an option-less probe")
         delivered, path = self._forward_walk(probe)
-        routers = self.routers
-        adjacency = self.adjacency
-        at_owner = delivered and routers[path[-1]].owns(probe.dst)
+        at_owner = delivered and self.routers[path[-1]].owns(probe.dst)
+        replies: List[TracerouteReply] = []
+        if self.faults is None:
+            stars = 0
+            for ttl in range(1, min(len(path), max_ttl) + 1):
+                reply = self._expiry(path, ttl, probe.dst, at_owner, None)
+                replies.append(reply)
+                stars = 0 if reply.hop_addr is not None else stars + 1
+                if reply.reached or stars >= max_stars:
+                    break
+            sent = len(replies)  # TTL k crosses k routers
+            self._obs_outcomes["ttl-expired"] += sent
+            self._obs_hops += sent * (sent + 1) // 2
+        first = len(replies) + 1
+        return replies, self._ttl_steps(probe, path, at_owner, first, max_ttl)
+
+    def _ttl_steps(
+        self,
+        probe: Probe,
+        path: List[int],
+        at_owner: bool,
+        first: int,
+        max_ttl: int,
+    ) -> Iterator[Optional[TracerouteReply]]:
         faults = self.faults
         lossy = faults is not None and faults.has_link_loss
         expiring = min(len(path), max_ttl)
-        for ttl in range(1, expiring + 1):
-            outcome = ProbeOutcome()
+        for ttl in range(first, expiring + 1):
             reason = None if faults is None else faults.pre_send(probe)
+            lost: List[int] = []
             if reason is None and lossy:
                 for i in range(ttl - 1):
                     if faults.link_drops(path[i], path[i + 1], probe):
                         reason = faults.consume_reason()
-                        outcome.forward_router_path = path[: i + 1]
+                        lost = path[: i + 1]
                         break
             if reason is not None:
-                outcome.drop_reason = reason
-            else:
-                hop = path[ttl - 1]
-                outcome.forward_router_path = path[:ttl]
-                outcome.te_reply = self._time_exceeded(
-                    routers[hop],
-                    adjacency[path[ttl - 2]][hop][1] if ttl > 1 else None,
-                    ttl,
-                    probe.dst,
-                    at_owner and ttl == len(path),
-                    faults,
+                self._tally_outcome(
+                    ProbeOutcome(forward_router_path=lost, drop_reason=reason)
                 )
-            yield self._tally_outcome(outcome)
+                yield None
+                continue
+            self._obs_outcomes["ttl-expired"] += 1
+            self._obs_hops += ttl
+            yield self._expiry(path, ttl, probe.dst, at_owner, faults)
         for ttl in range(expiring + 1, max_ttl + 1):
-            yield self.send_probe(replace(probe, ttl=ttl))
+            echo = self.send_probe(replace(probe, ttl=ttl)).echo
+            # TTL outlived the path: the destination itself answered
+            yield None if echo is None else TracerouteReply(
+                probe.dst, echo.rtt, True
+            )
+
+    def _expiry(
+        self, path: List[int], ttl: int, dst: Address, at_owner: bool, faults
+    ) -> TracerouteReply:
+        """TTL *ttl*'s time-exceeded reply on forward *path*: its
+        *ttl*-th router's, entered through link *ttl*−1 → *ttl*."""
+        hop = path[ttl - 1]
+        return self._time_exceeded(
+            self.routers[hop],
+            self.adjacency[path[ttl - 2]][hop][1] if ttl > 1 else None,
+            ttl,
+            dst,
+            at_owner and ttl == len(path),
+            faults,
+        )
 
     def _forward_walk(self, probe: Probe) -> Tuple[bool, List[int]]:
         """(delivered, router path) of *probe*'s forward walk alone: no
@@ -873,7 +908,7 @@ class Internet:
         first router).  *at_destination*: the router owns *dst*."""
         rtt = 2 * ttl * (self.config.link_latency_ms / 1000.0)
         if at_destination:
-            return TracerouteReply(hop_addr=dst, rtt=rtt, reached=True)
+            return TracerouteReply(dst, rtt, True)
         reply_addr = router.traceroute_reply_address(ingress_addr)
         if (
             reply_addr is not None
@@ -884,7 +919,7 @@ class Internet:
             # Rate-limited/filtered routers stop answering
             # TTL-expired too: the hop reads as "*".
             reply_addr = None
-        return TracerouteReply(hop_addr=reply_addr, rtt=rtt, reached=False)
+        return TracerouteReply(reply_addr, rtt, False)
 
     def _compute_fib_entry(
         self, router: Router, target: DestTarget, spec: AnnouncementSpec

@@ -2,13 +2,15 @@
 
 This is ``repro.probing.traceroute.paris_traceroute`` exactly as it
 stood before TTL sweeps: one :class:`Probe` per TTL, each sent through
-``Internet.send_probe`` and therefore walked from the first router.
-It is kept verbatim so that ``tests/test_ttl_sweep.py`` can require
-the sweep-based implementation to return the same
-:class:`TracerouteResult` and leave the clock, the token buckets, the
-probe counters, the simulator's tallies and a fault injector's draw
-state exactly where this one does.  Test-only: nothing under ``src/``
-imports it.
+``Internet.send_probe`` and therefore walked from the first router,
+and each charged on its own - one counter call, one token-bucket
+``acquire`` and two clock advances per TTL.  It is kept verbatim so
+that ``tests/test_ttl_sweep.py`` can require the sweep-based
+implementation, which charges a fault-free run of TTLs at once, to
+return the same :class:`TracerouteResult` and leave the clock, the
+token buckets, the probe counters, the simulator's tallies and a fault
+injector's draw state exactly where this one does.  Test-only:
+nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from repro.net.addr import Prefix, PrefixTable, addr_to_int
 from repro.net.host import Host
 from repro.net.options import RecordRouteOption
 from repro.net.packet import Probe, ProbeKind
+from repro.probing.traceroute import MAX_STARS
 from repro.sim.forwarding import FIB_DELIVER
 from repro.sim.network import Internet
 from repro.topology import TopologyConfig
@@ -320,10 +321,12 @@ def apply_op(internet, op, leak_stale_rows=False):
             outcome_key(o) for o in internet.send_probe_batch(probes)
         ]
     if op[0] == "sweep":
+        # Every TTL up to 12: the in-path steps after the stop point
+        # included.  A step is a reply (hop, rtt, `reached`), not an
+        # outcome: its router paths reach the hop tally only.
         probe = make_probe(op[1], op[2], "plain", op[3])
-        return [
-            outcome_key(o) for o in internet.send_ttl_sweep(probe, 12)
-        ]
+        replies, steps = internet.send_ttl_sweep(probe, 12, MAX_STARS)
+        return replies, list(steps)
     if op[0] == "anchor":
         # Announce a two-site anycast prefix, move one site's anchor by
         # editing the anchor dict in place, withdraw; every stream

@@ -18,9 +18,15 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.atlas as atlas_module
+from repro.experiments import Scenario
 from repro.net.options import RecordRouteOption
-from repro.net.packet import Probe
+from repro.net.packet import Probe, TracerouteReply
 from repro.probing import Prober, paris_traceroute
+from repro.probing.prober import LOSS_TIMEOUT
+from repro.probing.ratelimit import TokenBucket
+from repro.probing.traceroute import _PACING, MAX_STARS, MAX_TTL
+from repro.service.sources import build_atlas
 from repro.sim.clock import VirtualClock
 from repro.sim.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.topology import TopologyConfig
@@ -218,24 +224,49 @@ def test_traceroute_equals_one_probe_per_ttl(data):
 
 
 # ----------------------------------------------------------------------
-# (b) item by item: the k-th outcome is send_probe(Probe(ttl=k))'s
+# (b) item by item: the k-th reply is send_probe(Probe(ttl=k))'s
 # ----------------------------------------------------------------------
 
 
-def assert_same_items(name, src, dst, max_ttl, flow_id, plan=None):
+def as_reply(outcome, dst):
+    """What a sweep step yields for *outcome*: its time-exceeded reply,
+    a ``reached`` reply from *dst* for an echo, ``None`` for a loss."""
+    if outcome.te_reply is not None:
+        return outcome.te_reply
+    if outcome.delivered:
+        return TracerouteReply(dst, outcome.echo.rtt, reached=True)
+    return None
+
+
+def assert_same_items(
+    name, src, dst, max_ttl, flow_id, max_stars=MAX_STARS, plan=None
+):
     swept, walked = twins(name)
     clocks = VirtualClock(), VirtualClock()
     if plan is not None:
         swept.faults = FaultInjector(plan, clocks[0])
         walked.faults = FaultInjector(plan, clocks[1])
     probe = Probe(src=src, dst=dst, flow_id=flow_id)
-    sweep = swept.send_ttl_sweep(probe, max_ttl)
-    for ttl in range(1, max_ttl + 1):
-        outcome = next(sweep)
+    replies, steps = swept.send_ttl_sweep(probe, max_ttl, max_stars)
+    # The fault-free prefix is sent as one: its k-th reply is
+    # send_probe(Probe(ttl=k))'s, and the state it leaves is theirs.
+    if plan is not None:
+        assert replies == []
+    for ttl, reply in enumerate(replies, 1):
         expected = walked.send_probe(replace(probe, ttl=ttl))
-        # ProbeOutcome is a dataclass: te_reply, echo (rtt and IP-ID
-        # included), both router paths, delivered, drop_reason
-        assert outcome == expected, ttl
+        assert reply == expected.te_reply, ttl
+    assert sim_state(swept) == sim_state(walked)
+    # ... and it runs to the traceroute's stop point, not short of it
+    tail = [reply.hop_addr for reply in replies[-max_stars:]]
+    stopped = replies and (replies[-1].reached or tail == [None] * max_stars)
+    for ttl in range(len(replies) + 1, max_ttl + 1):
+        reply = next(steps)
+        expected = walked.send_probe(replace(probe, ttl=ttl))
+        if plan is None and ttl == len(replies) + 1 and not stopped:
+            assert expected.te_reply is None, ttl
+        # hop address, rtt and `reached`; the router paths are what the
+        # hop tally in sim_state adds up
+        assert reply == as_reply(expected, dst), ttl
         assert sim_state(swept) == sim_state(walked), ttl
         if plan is not None:
             assert injector_state(swept.faults) == injector_state(
@@ -244,7 +275,7 @@ def assert_same_items(name, src, dst, max_ttl, flow_id, plan=None):
         # time passes between TTLs, so fault windows open and close
         for clock in clocks:
             clock.advance(0.05 + 0.01 * ttl)
-    assert next(sweep, None) is None
+    assert next(steps, "end") == "end"
 
 
 @settings(max_examples=80, deadline=None)
@@ -252,10 +283,12 @@ def assert_same_items(name, src, dst, max_ttl, flow_id, plan=None):
 def test_each_item_equals_the_single_probe(data):
     name = data.draw(st.sampled_from(sorted(CONFIGS)), label="topology")
     (job,) = data.draw(traceroutes(name, max_count=1), label="traceroute")
+    # one star ends the prefix at the first silent hop
+    max_stars = data.draw(st.sampled_from((MAX_STARS, 1)), label="stars")
     plan = data.draw(
         st.one_of(st.none(), fault_plans(name)), label="plan"
     )
-    assert_same_items(name, *job, plan=plan)
+    assert_same_items(name, *job, max_stars=max_stars, plan=plan)
 
 
 def test_sweep_rejects_option_probes(tiny_internet):
@@ -266,7 +299,7 @@ def test_sweep_rejects_option_probes(tiny_internet):
         record_route=RecordRouteOption(),
     )
     with pytest.raises(ValueError, match="option-less"):
-        next(tiny_internet.send_ttl_sweep(probe, 4))
+        tiny_internet.send_ttl_sweep(probe, 4, MAX_STARS)
 
 
 # ----------------------------------------------------------------------
@@ -357,6 +390,109 @@ def test_sweep_follows_a_reroute_between_two_traceroutes():
     assert after.hops != before.hops
     assert probers[0].clock.now() == probers[1].clock.now()
     assert sim_state(swept) == sim_state(walked)
+
+
+# ----------------------------------------------------------------------
+# (e) the fault-free prefix is paced in one token-bucket pass
+# ----------------------------------------------------------------------
+
+#: What a TTL holds the clock for: an in-path reply's RTT on either
+#: topology, or a lost probe's timeout.
+COSTS = sorted(
+    {
+        2 * ttl * (config.link_latency_ms / 1000.0)
+        for config in CONFIGS.values()
+        for ttl in range(1, MAX_TTL + 1)
+    }
+) + [LOSS_TIMEOUT]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rate=st.sampled_from((3.0, 100.0)),
+    start=st.floats(0.0, 100.0),
+    prior=st.lists(st.sampled_from(COSTS), max_size=5),
+    costs=st.lists(st.sampled_from(COSTS), min_size=1, max_size=MAX_TTL),
+)
+def test_bulk_pacing_equals_per_step_pacing(rate, start, prior, costs):
+    """``TokenBucket.pace`` is ``acquire(); advance(pacing);
+    advance(cost)`` per cost, bit for bit: tokens, refill time, clock."""
+
+    def bucket():
+        clock = VirtualClock()
+        clock.advance(start)
+        # burst = rate, as Prober._bucket builds it
+        made = TokenBucket(clock, rate, burst=rate)
+        for gap in prior:
+            made.acquire()
+            clock.advance(gap)
+        return made
+
+    bulk, stepped = bucket(), bucket()
+    bulk.pace(costs, _PACING)
+    for cost in costs:
+        stepped.acquire()
+        stepped.clock.advance(_PACING)
+        stepped.clock.advance(cost)
+    assert bulk._tokens == stepped._tokens
+    assert bulk._last == stepped._last
+    assert bulk.clock.now() == stepped.clock.now()
+
+
+def test_fault_free_campaign_waits_mid_traceroute():
+    """At 3 pps (burst 3) the bucket runs dry inside nearly every
+    traceroute, so bulk pacing's waits, refills and float order are
+    held to a probe per TTL without a lucky draw."""
+    assert_same_campaign("small", fixed_jobs("small", 60), vp_rate_pps=3.0)
+
+
+# ----------------------------------------------------------------------
+# (f) a consumer: an atlas built and refreshed twice
+# ----------------------------------------------------------------------
+
+
+def atlas_lifecycle():
+    """Build a source's atlas, then refresh it twice, keeping every
+    other VP each time (so both the re-measure and the replacement
+    loop run); return what that could have touched."""
+    scenario = Scenario(
+        config=TopologyConfig.small(seed=5), seed=5, atlas_size=30
+    )
+    prober = scenario.background_prober
+    atlas, rng = build_atlas(
+        prober,
+        scenario.sources()[0],
+        scenario.atlas_vp_addrs,
+        scenario.atlas_size,
+        scenario.seed,
+    )
+    for _ in range(2):
+        for vp in sorted(atlas.traceroutes)[::2]:
+            atlas.mark_useful(vp)
+        atlas.refresh(prober, scenario.atlas_vp_addrs, rng)
+    return {
+        "traceroutes": {
+            vp: (tuple(trace.hops), trace.reached, trace.timestamp)
+            for vp, trace in atlas.traceroutes.items()
+        },
+        "clock": scenario.clock.now(),
+        "probes": dict(scenario.background_counter.counts),
+        "buckets": {
+            vp: (bucket._tokens, bucket._last)
+            for vp, bucket in prober._buckets.items()
+        },
+        "sim": sim_state(scenario.internet),
+    }
+
+
+def test_atlas_lifecycle_equals_one_probe_per_ttl(monkeypatch):
+    swept = atlas_lifecycle()
+    monkeypatch.setattr(
+        atlas_module, "paris_traceroute", reference_paris_traceroute
+    )
+    walked = atlas_lifecycle()
+    assert swept == walked
+    assert len(swept["traceroutes"]) > 20
 
 
 # ----------------------------------------------------------------------
