@@ -22,13 +22,14 @@ are auditable in one place:
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.addr import Address
 from repro.net.host import Host
 from repro.net.packet import Probe
 from repro.net.router import Router
+from repro.topology.policy import AnnouncementSpec
 
 
 #: :class:`FibEntry` kinds.  ``DELIVER`` is a forced single next hop
@@ -49,11 +50,12 @@ FIB_LAN = 4
 class FibEntry:
     """The deterministic part of one forwarding decision, memoizable.
 
-    A slot of ``Internet._fib`` — one per ``(announcement, destination,
-    router)`` — holds everything about that hop of ``Internet._walk``
-    that does *not* depend on the individual packet: delivery
-    detection, resolved intra-AS target, egress-border pick, equal-cost
-    candidates.  Which entry a slot holds depends on all three; what a
+    A slot of a FIB row (``DestTarget.row``) — one per ``(destination,
+    router)``, under the destination's announcement — holds everything
+    about that hop of ``Internet._walk`` that does *not* depend on the
+    individual packet: delivery detection, resolved intra-AS target,
+    egress-border pick, equal-cost candidates.  Which entry a slot
+    holds depends on all three; what a
     DELIVER or ECMP entry says depends only on the router and its next
     hop(s), so there is one object per ``(router, next router)`` (or
     candidate tuple) per fill epoch, held by every slot that
@@ -129,13 +131,16 @@ class FibEntry:
 class DestTarget:
     """Resolved delivery target(s) of a destination address.
 
-    One is memoised per resolved address, hence the slots.
+    One is memoised per resolved address, hence the slots; it is the
+    one per-address forwarding memo, and its ``row`` goes with it.
 
     Attributes:
         dst: the probed address.
         anchors: asn -> router to route toward inside that AS, read-only
             (unicast targets share one dict per AS and router). Normally
             a single entry; anycast prefixes have one per origin site.
+        spec: the announcement routes toward *dst* follow (``None``: no
+            prefix covers it).
         host: set when the destination is an end host.
         owner_router: set when the destination is a router interface.
         link_endpoints: for a /30 link interface, both endpoint router
@@ -144,13 +149,17 @@ class DestTarget:
             and crosses the link if it arrived at the far side — this
             is why the penultimate traceroute hop toward an interface
             is so often the other end of its link (§4.4).
+        row: the FIB row, router id -> :class:`FibEntry`, filled by
+            the walks toward *dst*.
     """
 
     dst: Address
     anchors: Dict[int, int]
+    spec: Optional[AnnouncementSpec] = None
     host: Optional[Host] = None
     owner_router: Optional[int] = None
     link_endpoints: Optional[Tuple[int, int]] = None
+    row: Dict[int, FibEntry] = field(default_factory=dict)
 
 
 def choose_candidate(

@@ -15,7 +15,7 @@ import hashlib
 import json
 import zlib
 from copy import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.net.addr import Address, Prefix, PrefixTable
@@ -147,15 +147,6 @@ class Internet:
         #: :meth:`_routing_inputs`); :meth:`invalidate_routing` drops
         #: the memos only when these or the compiled AS graph moved
         self._filled_under = self._routing_inputs()
-        #: spec -> destination -> {router_id -> FibEntry}; sharded per
-        #: announcement and destination so the walker looks up the spec
-        #: (whose hash is computed once, at construction) and hashes
-        #: the destination string once per packet, leaving a bare-int
-        #: dict lookup per hop.  Slots are per address; the entries in
-        #: them are shared (see ``_link_entries``)
-        self._fib: Dict[
-            AnnouncementSpec, Dict[Address, Dict[int, FibEntry]]
-        ] = {}
         #: (router, next AS, the AS's cold_potato) -> the equal-cost
         #: next hops of the egress pick, or the reason there is none;
         #: reads no address and no announcement, so only connect()
@@ -167,12 +158,12 @@ class Internet:
         #: row slot forwarding over that link refers to; (router,
         #: candidate tuple) -> the one FIB_ECMP entry, likewise
         self._link_entries: Dict[Tuple[int, object], FibEntry] = {}
-        #: memoized Internet.resolve() / announcement_for() results;
-        #: flushed on topology mutation and by an invalidate_routing()
-        #: that finds the routing inputs moved
+        #: the one per-address memo: Internet.resolve() results, each
+        #: carrying its announcement and FIB row; flushed on topology
+        #: mutation and by an invalidate_routing() that finds the
+        #: routing inputs moved
         self._resolve_cache: Dict[Address, Optional[DestTarget]] = {}
-        self._announce_cache: Dict[Address, Optional[AnnouncementSpec]] = {}
-        #: read-only values those memos share, each a function of its
+        #: read-only values that memo shares, each a function of its
         #: key alone and so never dropped: the default announcement per
         #: origin AS, and the one-site anchor map per (AS, router)
         self._unicast_specs: Dict[int, AnnouncementSpec] = {}
@@ -181,12 +172,10 @@ class Internet:
         self._fib_misses = 0
         #: slots (not distinct entry objects) currently held across all
         #: FIB rows: bumped where :meth:`_walk` fills a new key, zeroed
-        #: wherever ``_fib`` is cleared, so reading it never walks it
+        #: with ``_resolve_cache``, so reading it never walks it
         self._fib_entries = 0
         self._resolve_hits = 0
         self._resolve_misses = 0
-        self._announce_hits = 0
-        self._announce_misses = 0
 
     @property
     def probe_outcome_counts(self) -> Dict[str, int]:
@@ -220,14 +209,14 @@ class Internet:
         self._flush_resolution_caches()
 
     def _flush_resolution_caches(self) -> None:
-        """Drop destination-resolution memos after topology mutation."""
+        """Drop the resolved targets, and the FIB rows they carry,
+        after topology mutation."""
         if self._resolve_cache:
             self._resolve_cache.clear()
-        if self._announce_cache:
-            self._announce_cache.clear()
+            self._fib_entries = 0
 
     def _routing_inputs(self) -> tuple:
-        """What the FIB rows, link entries and resolution memos read
+        """What the resolved targets, their rows and the link entries read
         besides the link set and the compiled AS graph, by value: the
         announcement overrides, the anycast anchors (inner dicts copied:
         callers edit them in place) and the cold-potato ASes, whose
@@ -251,8 +240,6 @@ class Internet:
         it."""
         self.routing_generation += 1
         self._fill_epoch += 1
-        self._fib.clear()
-        self._fib_entries = 0
         self._link_entries.clear()
         self._flush_resolution_caches()
 
@@ -267,7 +254,7 @@ class Internet:
             self._intra_dist.clear()
         if self._egress:
             self._egress.clear()
-        if self._fib:
+        if self._fib_entries:
             self._drop_forwarding_memos()
 
     def connect(
@@ -318,28 +305,10 @@ class Internet:
             if not info.is_infrastructure
         ]
 
-    def announcement_for(self, addr: Address) -> Optional[AnnouncementSpec]:
-        """Return the announcement governing routes toward *addr*.
-
-        Memoized per address (the result is a pure function of the
-        prefix table and announcement overrides); the default
-        :class:`AnnouncementSpec` is interned per origin AS, so every
-        address that AS originates shares one spec object — and
-        therefore one FIB shard — and a memoised address costs a dict
-        slot, not a spec.
-        """
-        hit = self._announce_cache.get(addr, _MISS)
-        if hit is not _MISS:
-            self._announce_hits += 1
-            return hit  # type: ignore[return-value]
-        self._announce_misses += 1
-        spec = self._announcement_for_uncached(addr)
-        self._announce_cache[addr] = spec
-        return spec
-
-    def _announcement_for_uncached(
-        self, addr: Address
-    ) -> Optional[AnnouncementSpec]:
+    def _announcement_of(self, addr: Address) -> Optional[AnnouncementSpec]:
+        """The announcement governing routes toward *addr*: its prefix's
+        override, or the default unicast spec of the origin AS, interned
+        so every address that AS originates shares one spec object."""
         prefix = self.prefix_table.lookup_prefix(addr)
         if prefix is None:
             return None
@@ -360,10 +329,10 @@ class Internet:
         """Resolve a destination address to its delivery target(s).
 
         Memoized: every revtr measurement fires dozens of probes at the
-        same destination (RR rounds, spoofed-VP batches), and the
-        resolved :class:`DestTarget` is a pure function of topology and
-        anycast anchors.  The memo is flushed on topology mutation and
-        by an :meth:`invalidate_routing` that finds its inputs moved.
+        same destination (RR rounds, spoofed-VP batches).  The
+        :class:`DestTarget` carries its announcement and the FIB row the
+        walks toward it fill.  The memo is flushed on topology mutation
+        and by an :meth:`invalidate_routing` that finds its inputs moved.
         """
         hit = self._resolve_cache.get(dst, _MISS)
         if hit is not _MISS:
@@ -390,7 +359,10 @@ class Internet:
             if prefix is not None and prefix in self.anycast_anchors:
                 anchors = dict(self.anycast_anchors[prefix])
             return DestTarget(
-                dst=dst, anchors=anchors, host=host, owner_router=None
+                dst=dst,
+                anchors=anchors,
+                spec=self._announcement_of(dst),
+                host=host,
             )
         owner = self.iface_owner.get(dst)
         if owner is not None:
@@ -403,7 +375,7 @@ class Internet:
             return DestTarget(
                 dst=dst,
                 anchors=self._anchor_map(anchor_asn, anchor),
-                host=None,
+                spec=self._announcement_of(dst),
                 owner_router=owner,
                 link_endpoints=endpoints,
             )
@@ -513,9 +485,8 @@ class Internet:
         """Walk a batch of probes in order.
 
         Outcomes are bit-identical to sequential :meth:`send_probe`
-        calls: each probe's destination resolution and announcement
-        lookup are the simulator's own memos, so a batch shares nothing
-        they do not.
+        calls: each probe's destination resolution is the simulator's
+        own memo, so a batch shares nothing it does not.
         """
         return [self._tally_outcome(self._send_probe(p)) for p in probes]
 
@@ -586,8 +557,10 @@ class Internet:
             self._obs_hops += ttl
             yield self._expiry(path, ttl, probe.dst, at_owner, faults)
         for ttl in range(expiring + 1, max_ttl + 1):
-            echo = self.send_probe(replace(probe, ttl=ttl)).echo
-            # TTL outlived the path: the destination itself answered
+            # TTL outlived the path, so only the destination can answer;
+            # faults only shorten a walk: the sweep's TTL-less probe is
+            # the same packet
+            echo = self.send_probe(probe).echo
             yield None if echo is None else TracerouteReply(
                 probe.dst, echo.rtt, True
             )
@@ -618,13 +591,11 @@ class Internet:
         ):
             return False, []
         target = self.resolve(probe.dst)
-        spec = self.announcement_for(probe.dst)
-        if target is None or spec is None:
+        if target is None or target.spec is None:
             return False, []
         delivered, _, _, path, _ = self._walk(
             start_router=origin_host.edge_router_id,
             target=target,
-            spec=spec,
             probe=probe,
             rr=None,
             ts=None,
@@ -669,11 +640,10 @@ class Internet:
                 return outcome
 
         target = self.resolve(probe.dst)
-        spec = self.announcement_for(probe.dst)
         if target is None:
             outcome.drop_reason = "unreachable-destination"
             return outcome
-        if spec is None:
+        if target.spec is None:
             outcome.drop_reason = "no-announcement"
             return outcome
 
@@ -682,7 +652,6 @@ class Internet:
         delivered, responder_addr, hop_count, path, te = self._walk(
             start_router=origin_host.edge_router_id,
             target=target,
-            spec=spec,
             probe=probe,
             rr=rr,
             ts=ts,
@@ -714,8 +683,7 @@ class Internet:
 
         # Route the echo reply back to the probe's source address.
         reply_target = self.resolve(probe.src)
-        reply_spec = self.announcement_for(probe.src)
-        if reply_target is None or reply_spec is None:
+        if reply_target is None or reply_target.spec is None:
             outcome.drop_reason = "reply-unroutable"
             return outcome
         reply_probe = Probe(
@@ -730,7 +698,6 @@ class Internet:
         delivered, _, reply_hops, reply_path, _ = self._walk(
             start_router=start,
             target=reply_target,
-            spec=reply_spec,
             probe=reply_probe,
             rr=rr,
             ts=ts,
@@ -773,37 +740,17 @@ class Internet:
 
     # -- walk internals -------------------------------------------------
 
-    def _fib_for(
-        self, spec: AnnouncementSpec, dst: Address
-    ) -> Dict[int, FibEntry]:
-        """The per-destination FIB row for *spec*.
-
-        Fetched once per walk so the spec and the destination string
-        are each looked up once per packet; the per-hop lookup then
-        keys on the bare router id.
-        """
-        shard = self._fib.get(spec)
-        if shard is None:
-            shard = {}
-            self._fib[spec] = shard
-        row = shard.get(dst)
-        if row is None:
-            row = {}
-            shard[dst] = row
-        return row
-
     def _walk(
         self,
         start_router: int,
         target: DestTarget,
-        spec: AnnouncementSpec,
         probe: Probe,
         rr: Optional[RecordRouteOption],
         ts: Optional[TimestampOption],
         ttl: Optional[int],
         faults,
     ) -> Tuple[bool, Optional[Address], int, List[int], Optional[TracerouteReply]]:
-        """Walk from *start_router* toward *target*.
+        """Walk from *start_router* toward *target*, filling its row.
 
         *faults* is the injector whose hooks the walk consults, or
         ``None`` for a fault-free walk (no hook runs, whatever
@@ -817,7 +764,7 @@ class Internet:
         path: List[int] = []
         visited: set = set()
         dst = target.dst
-        fib = self._fib_for(spec, dst)
+        fib = target.row
         gen = self._fill_epoch
         routers = self.routers
         crc32 = zlib.crc32
@@ -840,7 +787,7 @@ class Internet:
             if entry is None or entry.generation != gen:
                 if entry is None:
                     self._fib_entries += 1
-                entry = self._compute_fib_entry(router, target, spec)
+                entry = self._compute_fib_entry(router, target)
                 fib[current] = entry
                 self._fib_misses += 1
             else:
@@ -922,7 +869,7 @@ class Internet:
         return TracerouteReply(reply_addr, rtt, False)
 
     def _compute_fib_entry(
-        self, router: Router, target: DestTarget, spec: AnnouncementSpec
+        self, router: Router, target: DestTarget
     ) -> FibEntry:
         """Compute the deterministic forwarding action at *router*.
 
@@ -1006,6 +953,7 @@ class Internet:
             return self._ecmp_entry(router, target, candidates, gen)
 
         # Interdomain step.
+        spec = target.spec
         next_as = self.policy.next_hop_as(asn, spec)
         if next_as is None:
             return FibEntry(
@@ -1237,8 +1185,8 @@ class Internet:
         forwarding memo is dropped only when an input it was computed
         from moved since it was filled: the policy's floods and the
         alternate next-ASes when :meth:`RoutingPolicy.invalidate` finds
-        the compiled AS graph changed; the FIB rows, the shared link
-        entries and the destination-resolution memos when that graph,
+        the compiled AS graph changed; the resolved targets with the FIB
+        rows they carry, and the shared link entries, when that graph,
         the announcement overrides, the anycast anchors or any AS's
         ``cold_potato`` changed (:meth:`_routing_inputs`).  Dropping
         them starts a fill epoch, stamped into every
@@ -1276,11 +1224,6 @@ class Internet:
                     "hits": self._resolve_hits,
                     "misses": self._resolve_misses,
                     "entries": len(self._resolve_cache),
-                },
-                "announcement": {
-                    "hits": self._announce_hits,
-                    "misses": self._announce_misses,
-                    "entries": len(self._announce_cache),
                 },
                 "lpm": {
                     "hits": table.cache_hits,

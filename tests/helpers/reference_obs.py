@@ -4,8 +4,9 @@ These are the formulas the pull sources used before they read
 tallies: the event ring's ``total`` / ``dropped`` / retained count
 derived from a full sorted copy of the ring
 (``EventLog._snapshot()``), and the FIB's entry count summed over
-every row.  They are kept so ``tests/test_obs_tallies.py`` can require
-the O(1) tallies to agree with them after every operation, and so a
+every resolved target's row.  They are kept so
+``tests/test_obs_tallies.py`` can require the O(1) tallies to agree
+with them after every operation, and so a
 whole sampler export can be compared against one produced with the
 oracles patched in.  Test-only: nothing under ``src/`` imports it.
 """
@@ -29,9 +30,9 @@ def ring_accounting(log: EventLog) -> Tuple[int, int, int]:
 def fib_entry_count(internet: Internet) -> int:
     """Entries held by the FIB, counted row by row."""
     return sum(
-        len(row)
-        for shard in internet._fib.values()
-        for row in shard.values()
+        len(target.row)
+        for target in internet._resolve_cache.values()
+        if target is not None
     )
 
 

@@ -1,25 +1,25 @@
 """Reference forwarding: every decision recomputed, nothing remembered.
 
-``Internet`` forwards through six memos — the per-(announcement,
-destination) FIB rows, the egress pick per ``(router, next AS,
-cold_potato)``, the link entry per ``(router, next router)`` those rows
-share, ``resolve`` / ``announcement_for`` per address, and the prefix
-table's longest-match results — and reads routes through two more, the
+``Internet`` forwards through four memos — ``resolve`` per address,
+whose target carries the address's announcement and FIB row, the egress
+pick per ``(router, next AS, cold_potato)``, the link entry per
+``(router, next router)`` the rows share, and the prefix table's
+longest-match results — and reads routes through two more, the
 policy's floods and the alternate next-AS per ``(AS, announcement)``.
 Each outlives an ``invalidate_routing()`` that moves none of its
 inputs: the egress picks every call (they are keyed on the
 ``cold_potato`` they read), the floods and alternates while the
-compiled AS graph is equal, and the rows, link entries and resolution
-memos while that graph, the announcement overrides, the anycast anchors
-and every ``cold_potato`` are; the property test drives each of those
-inputs, and calls that move none, between its probes.  A switch
-(``enable_fastpath(False)``) once turned the row and resolution memos
-off so the two could be compared; what it selected is kept here
-instead, together with the three entry builders as they were before
-the egress and link memos (one private ``FibEntry`` per call, the
-border pick made again for every destination), a route read answered
-by a :class:`ReferencePolicy` built for that one read over the live
-graph, and ``alt_next_as`` without its memo, so
+compiled AS graph is equal, and the resolved targets with their rows,
+and the link entries, while that graph, the announcement overrides,
+the anycast anchors and every ``cold_potato`` are; the property test
+drives each of those inputs, and calls that move none, between its
+probes.  A switch (``enable_fastpath(False)``) once turned the row and
+resolution memos off so the two could be compared; what it selected is
+kept here instead, together with the three entry builders as they
+were before the egress and link memos (one private ``FibEntry`` per
+call, the border pick made again for every destination), a route read
+answered by a :class:`ReferencePolicy` built for that one read over
+the live graph, and ``alt_next_as`` without its memo, so
 ``tests/test_fwd_fastpath.py`` and ``tests/test_ttl_sweep.py`` can
 require a memoised Internet to answer a probe stream exactly as one
 that recomputes every hop and shares none of those memos.  Test-only:
@@ -50,11 +50,6 @@ from repro.sim.forwarding import (
 from repro.sim.network import Internet
 from repro.topology.policy import RoutingPolicy
 from tests.helpers.reference_policy import ReferencePolicy
-
-
-def fresh_fib_row(self, spec, dst):
-    """A row no earlier walk filled: every hop is computed."""
-    return {}
 
 
 def fresh_route_of(self, asn, spec):
@@ -185,25 +180,19 @@ def private_entries():
 
 
 def uncached_forwarding():
-    """Run with the oracle patched in, process-wide: ``_walk`` gets an
-    empty FIB row per walk and builds each entry with the builders that
-    predate the egress and link memos (so the egress pick is made again
-    at every hop), every route is computed afresh for its read,
-    ``resolve`` / ``announcement_for`` / ``alt_next_as`` run their
-    uncached bodies, and the prefix table forgets before every
-    lookup."""
+    """Run with the oracle patched in, process-wide: ``resolve`` and
+    ``alt_next_as`` run their uncached bodies, so every walk gets a
+    fresh target, announcement and empty FIB row, ``_walk`` builds
+    each entry with the builders that predate the egress and link memos
+    (so the egress pick is made again at every hop), every route is
+    computed afresh for its read, and the prefix table forgets before
+    every lookup."""
     return _patched(
         BUILDERS
         + [
-            (Internet, "_fib_for", fresh_fib_row),
             (RoutingPolicy, "route_of", fresh_route_of),
             (Internet, "alt_next_as", Internet._alt_next_as_uncached),
             (Internet, "resolve", Internet._resolve_uncached),
-            (
-                Internet,
-                "announcement_for",
-                Internet._announcement_for_uncached,
-            ),
             (PrefixTable, "lookup", _flush_first(PrefixTable.lookup)),
             (
                 PrefixTable,

@@ -300,14 +300,31 @@ def make_probe(src, dst, kind, flow):
     )
 
 
+def fib_rows(internet):
+    """``{address: FIB row}`` of every resolved target."""
+    return {
+        dst: target.row
+        for dst, target in internet._resolve_cache.items()
+        if target is not None
+    }
+
+
+def leak_rows(internet, rows):
+    """Hand each of *rows* to the target ``resolve`` returns now for its
+    address: only the row leaks, never a target's announcement, which
+    the fill-epoch stamp does not guard."""
+    for dst, row in rows.items():
+        internet.resolve(dst).row = row
+
+
 def invalidate(internet, leak_stale_rows):
     """``invalidate_routing()``.  With *leak_stale_rows* a reference to
     the rows held before the call outlives it: if the call dropped
     them, the fill-epoch stamp alone must make every entry a miss."""
-    stale = dict(internet._fib)
+    stale = fib_rows(internet)
     internet.invalidate_routing()
     if leak_stale_rows:
-        internet._fib.update(stale)
+        leak_rows(internet, stale)
 
 
 def apply_op(internet, op, leak_stale_rows=False):
@@ -422,9 +439,8 @@ class TestDeterminism:
         assert stats["fib"]["hits"] > 0
         assert stats["resolve"]["hits"] > 0
         assert stats["lpm"]["hits"] > 0
-        # The oracle remembered nothing.
-        assert slow._fib == {}
-        assert slow._resolve_cache == {} and slow._announce_cache == {}
+        # The oracle remembered nothing: no target, so no row.
+        assert slow._resolve_cache == {} and slow._link_entries == {}
         assert slow.prefix_table.cache_hits == 0
 
     def test_batch_equals_sequential(self):
@@ -473,7 +489,7 @@ class TestInvalidation:
 
     def test_te_override_flushes_every_cache(self):
         """A TE announcement override + invalidate_routing() drops the
-        FIB, resolution and announcement caches, and the rerouted paths
+        resolved targets with their FIB rows, and the rerouted paths
         equal those of a fresh Internet that memoises nothing.  The
         longest-prefix matches read no announcement: they are kept, and
         still agree with a table that has memoised nothing."""
@@ -508,7 +524,6 @@ class TestInvalidation:
         assert flushed["routing_generation"] == generation + 1
         assert flushed["caches"]["fib"]["entries"] == 0
         assert flushed["caches"]["resolve"]["entries"] == 0
-        assert flushed["caches"]["announcement"]["entries"] == 0
         remembered = list(internet.prefix_table._prefix_cache)
         assert host.addr in remembered
         table = PrefixTable()
@@ -529,9 +544,9 @@ class TestInvalidation:
 
     def test_stale_generation_entries_are_misses(self):
         """FIB entries stamped with an older fill epoch are recomputed
-        even if a stale shard survived a flush.  An AS-level link the
-        walked path does not need is the change: the destination's
-        announcement (so the leaked shard's key) stays the same."""
+        even if a stale row survived a flush, handed to the fresh
+        targets.  An AS-level link the walked path does not need is the
+        change."""
         internet = fresh_internet()
         src = internet.mlab_hosts[0]
         dst = sorted(
@@ -540,12 +555,7 @@ class TestInvalidation:
             if host.responds_to_ping and not host.is_vantage_point
         )[0]
         internet.ground_truth_router_path(src, dst)
-        stale = {
-            spec: {
-                d: dict(row) for d, row in shard.items()
-            }
-            for spec, shard in internet._fib.items()
-        }
+        stale = {d: dict(row) for d, row in fib_rows(internet).items()}
         stale_links = dict(internet._link_entries)
         egress = dict(internet._egress)
         epoch = internet._fill_epoch
@@ -564,9 +574,9 @@ class TestInvalidation:
         assert internet._fill_epoch == epoch + 1
         # The egress picks read no announcement and outlive the call.
         assert internet._egress == egress and not internet._link_entries
-        assert not internet._fib
-        # Simulate a leaked stale shard, and a leaked shared entry.
-        internet._fib.update(stale)
+        assert not internet._resolve_cache
+        # Simulate leaked stale rows, and a leaked shared entry.
+        leak_rows(internet, stale)
         internet._link_entries.update(stale_links)
         misses_before = internet._fib_misses
         path = internet.ground_truth_router_path(src, dst)
@@ -581,24 +591,20 @@ class TestInvalidation:
     ):
         """Nothing changed: the call starts a routing generation, but
         floods no spec again and keeps every forwarding memo — the
-        rows, the link entries, the resolution, announcement and LPM
-        memos, the egress picks and the alternate next-ASes — so a
+        resolved targets and their rows, the link entries, the LPM
+        memo, the egress picks and the alternate next-ASes — so a
         re-walk computes no FIB entry.  The first call on a fresh
         Internet already keeps them."""
         internet = tiny_with_as_violators()
         sources, destinations, _, _ = tiny_endpoints()
         pairs = [(s, d) for s in sources for d in destinations]
         before = [internet.ground_truth_router_path(*p) for p in pairs]
-        rows = {
-            spec: {dst: dict(row) for dst, row in shard.items()}
-            for spec, shard in internet._fib.items()
-        }
+        rows = {dst: dict(row) for dst, row in fib_rows(internet).items()}
         links = dict(internet._link_entries)
         resolved = dict(internet._resolve_cache)
-        announced = dict(internet._announce_cache)
         egress = dict(internet._egress)
         alternates = dict(internet._alt_next_as)
-        assert rows and links and resolved and announced
+        assert rows and links and resolved
         assert egress and alternates
         lpm = internet.forwarding_cache_stats()["caches"]["lpm"]["entries"]
         flood, floods = RoutingPolicy._flood, []
@@ -608,9 +614,9 @@ class TestInvalidation:
             floods.append(spec)
             return flood(policy, spec)
 
-        def counted_compute(net, router, target, spec):
+        def counted_compute(net, router, target):
             computed.append(router.router_id)
-            return compute(net, router, target, spec)
+            return compute(net, router, target)
 
         monkeypatch.setattr(RoutingPolicy, "_flood", counted_flood)
         monkeypatch.setattr(Internet, "_compute_fib_entry", counted_compute)
@@ -621,12 +627,10 @@ class TestInvalidation:
         assert stats["routing_generation"] == generation + 1
         assert stats["caches"]["lpm"]["entries"] == lpm
         assert {
-            spec: {dst: dict(row) for dst, row in shard.items()}
-            for spec, shard in internet._fib.items()
+            dst: dict(row) for dst, row in fib_rows(internet).items()
         } == rows
         assert internet._link_entries == links
         assert internet._resolve_cache == resolved
-        assert internet._announce_cache == announced
         assert internet._egress == egress
         assert internet._alt_next_as == alternates
         assert [internet.ground_truth_router_path(*p) for p in pairs] == before
@@ -747,8 +751,7 @@ class TestSharedEntries:
     def slots(internet):
         return [
             (router_id, entry)
-            for shard in internet._fib.values()
-            for row in shard.values()
+            for row in fib_rows(internet).values()
             for router_id, entry in row.items()
         ]
 
@@ -859,8 +862,6 @@ class TestPrefixTableCache:
 class TestAccounting:
     def test_stats_shape_and_introspection(self, small_scenario):
         stats = small_scenario.internet.forwarding_cache_stats()
-        assert set(stats["caches"]) == {
-            "fib", "resolve", "announcement", "lpm"
-        }
+        assert set(stats["caches"]) == {"fib", "resolve", "lpm"}
         for cache_stats in stats["caches"].values():
             assert set(cache_stats) == {"hits", "misses", "entries"}

@@ -47,7 +47,7 @@ entry point's arguments, listed in `TEST_ONLY` with its reason.  What a
 listed definition uses or forwards counts as used.
 
 The rule resolves what kind of reference names a definition, and - in
-the six ways `Resolver` lists - the owner of its receiver or callee:
+the seven ways `Resolver` lists - the owner of its receiver or callee:
 a resolved reference or setter vouches only for that module's or
 class's definitions, an unresolved one for every definition of its
 name, so resolving can only find more.  A builtin-typed receiver (a
@@ -110,6 +110,11 @@ TEST_ONLY = {
     "RouteChoice.length": (
         "tests/helpers/reference_policy.py (an oracle, not edited) "
         "compares route lengths through it"
+    ),
+    "ASNode.peers": (
+        "tests/helpers/reference_policy.py (an oracle, not edited) "
+        "walks peer edges through it; the compiled policy reads its "
+        "own peer table"
     ),
     "FaultPlan.empty": (
         "whether a plan injects nothing; the `none` preset and the "
@@ -451,8 +456,8 @@ class Value:
     """What a name or an expression is, as far as the AST shows it: a
     module (*owners*: its dotted path), a top-level function or a class
     (*home*: the labels of the modules that define it, None when not
-    known; a class's *owners*: its name), an instance (*owners*: the
-    names of the classes it may be one of), or a builtin container."""
+    known; *owners*: its name), an instance (*owners*: the names of the
+    classes it may be one of), or a builtin container."""
 
     MODULE, FUNCTION, CLASS, INSTANCE, BUILTIN = (
         "module", "function", "class", "instance", "builtin"
@@ -532,19 +537,22 @@ class Scope:
 
 class Resolver:
     """Resolves a reference's receiver to its owner where the AST shows
-    it, in six ways: a module alias or a ``from`` import; ``self`` or
+    it, in seven ways: a module alias or a ``from`` import; ``self`` or
     ``cls``; an attribute of an instance that its class's own methods
     only ever assign from a constructor or an annotated parameter (or a
     dataclass field's annotation); a name its scope binds only to
     constructor calls; a parameter (or a local) annotated with a
-    class (``Optional`` and ``X | None`` included); and a builtin
-    container - a name or attribute bound only to a display, a
-    comprehension or ``dict()`` / ``list()`` / ``set()``, or annotated
-    ``Dict[...]`` / ``List[...]`` / ``Set[...]``, which owns no method
-    under ``src/``.  An attribute of an unresolved receiver is a builtin
-    container when every class that binds its name binds it to one.  A
-    class resolves to itself, its subclasses and all their bases - every
-    class an instance of it may find an attribute on."""
+    class (``Optional`` and ``X | None`` included); a call whose callee
+    resolves - a module's function, or a method of a resolved
+    receiver's classes - to what the callee's return annotation names;
+    and a builtin container - a name or attribute bound only to a
+    display, a comprehension or ``dict()`` / ``list()`` / ``set()``, or
+    annotated ``Dict[...]`` / ``List[...]`` / ``Set[...]``, which owns
+    no method under ``src/``.  An attribute of an unresolved receiver
+    is a builtin container when every class that binds its name binds
+    it to one.  A class resolves to itself, its subclasses and all
+    their bases - every class an instance of it may find an attribute
+    on."""
 
     def __init__(self, sources):
         #: ``{dotted path: {top-level name: Value kind}}`` under ``src/``
@@ -559,6 +567,10 @@ class Resolver:
         #: attributes stored through anything but ``self``: no class's
         #: own methods alone decide what they hold
         self.foreign = set()
+        #: ``{(module label or class, name): [(def, module tree), ...]}``:
+        #: every top-level function and every method of a top-level
+        #: class under ``src/``, for its return annotation
+        self.defs = {}
         self.memo, self.families = {}, {}
         for source in sources:
             if source.module:
@@ -576,6 +588,17 @@ class Resolver:
                         ast.unparse(base).rsplit(".", 1)[-1]
                         for base in node.bases
                     )
+                if not source.module:
+                    continue
+                owner, members = (
+                    (node.name, node.body) if isinstance(node, ast.ClassDef)
+                    else (source.label, [node])
+                )
+                for member in members:
+                    if isinstance(member, ast.FunctionDef):
+                        self.defs.setdefault(
+                            (owner, member.name), []
+                        ).append((member, source.tree))
         for source in sources:
             Binder(self, source)
 
@@ -632,12 +655,7 @@ class Resolver:
             home = frozenset({dotted.rsplit(".", 1)[-1]})
             found.append(
                 self.module(f"{dotted}.{attribute}")
-                or kind and Value(
-                    kind,
-                    frozenset({attribute}) if kind == Value.CLASS
-                    else frozenset(),
-                    home,
-                )
+                or kind and Value(kind, frozenset({attribute}), home)
             )
         return union(found)
 
@@ -715,10 +733,34 @@ class Resolver:
             callee = self.evaluate(node.func, scope)
             if callee and callee.kind == Value.CLASS:
                 return Value(Value.INSTANCE, callee.owners)
-            return None
+            return self.returned(node.func, callee, scope)
         if isinstance(node, ast.Constant) and node.value is None:
             return NONE
         return None
+
+    def returned(self, func, callee, scope):
+        """What a call through *func* returns, by its callee's return
+        annotation: a module function's, or the same-named methods' of
+        a resolved receiver's classes (each must be annotated); nothing
+        known otherwise."""
+        if callee and callee.kind == Value.FUNCTION and callee.home:
+            keys = [(h, n) for h in callee.home for n in callee.owners]
+        elif isinstance(func, ast.Attribute):
+            receiver = self.evaluate(func.value, scope)
+            if not receiver or receiver.kind not in (
+                Value.INSTANCE, Value.CLASS
+            ):
+                return None
+            keys = [(c, func.attr) for c in self.related(receiver.owners)]
+        else:
+            return None
+        defs = [d for key in keys for d in self.defs.get(key, ())]
+        if not defs or any(d.returns is None for d, _ in defs):
+            return None
+        return union(
+            self.annotated(d.returns, self.scopes[id(tree)])
+            for d, tree in defs
+        )
 
     def annotated(self, node, scope):
         """The instances an annotation names."""
@@ -845,12 +887,12 @@ class Binder(ast.NodeVisitor):
             self.visit(statement)
         self.scope, self.cls, self.method = outer
 
-    def define(self, node, kind, owners=frozenset()):
+    def define(self, node, kind):
         """Binds a ``def`` or ``class`` name: at the top of a module, to
         what it defines there."""
         if self.scope is self.top:
             home = {self.source.label} if self.source.label else set()
-            value = Value(kind, owners, frozenset(home))
+            value = Value(kind, frozenset({node.name}), frozenset(home))
             self.scope.bind(node.name, KNOWN, value)
         else:
             self.bind(ast.Name(node.name), OTHER)
@@ -894,7 +936,7 @@ class Binder(ast.NodeVisitor):
         for part in node.decorator_list + node.bases + node.keywords:
             self.visit(part)
         top = self.scope is self.top
-        self.define(node, Value.CLASS, frozenset({node.name}))
+        self.define(node, Value.CLASS)
         # Only a top-level class's instances are followed; a class
         # nested in a function may subclass anything.
         self.walk(
@@ -1672,6 +1714,25 @@ SHIELDS = {
             Table().reset()
             return Cache().purge()
     """}, "Cache.clear", "Cache.purge"),
+    "the same keyword to a method of a call's result": ({"src/repro/m.py": """
+        class Child:
+            def inc(self, amount=1.0):
+                return amount
+
+        class Gauge:
+            def inc(self, amount=1.0):
+                return amount
+
+        class Family:
+            def labels(self, **values) -> "Child":
+                return Child()
+
+        def family() -> Family:
+            return Family()
+
+        def main():
+            return Gauge().inc(), family().labels(op="x").inc(amount=2.0)
+    """}, "Gauge.inc.amount", "Child.inc.amount"),
 }
 
 
