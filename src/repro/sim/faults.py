@@ -12,10 +12,11 @@ and is installed on :class:`~repro.sim.network.Internet` (see
 
 * **injection** — vantage-point outages and spoofed-batch black-holes
   drop the probe before it enters the network;
-* **link traversal** — packet loss on (all or selected) router links,
-  drawn from a seeded counter-mode hash, so the same plan over the
-  same workload drops exactly the same packets, while a *retry* of a
-  lost probe gets an independent draw and can succeed;
+* **link traversal** — packet loss on (all or selected) router links:
+  each matching crossing takes the next uniform from the injector's own
+  stream, seeded by the plan, so the same plan over the same workload
+  drops exactly the same packets, while a *retry* of a lost probe takes
+  a later draw and can succeed;
 * **response generation** — ICMP filtering and rate limiting at
   routers suppress echo replies and turn TTL-expired replies into
   anonymous (``None``) traceroute hops, exactly how rate limiting
@@ -27,7 +28,9 @@ Determinism guarantees:
   plan — every hook is a no-op and measurement outputs are
   byte-identical to a build without this module (enforced by test).
 * With a non-empty plan, outcomes are a pure function of
-  ``(plan, seed, workload)``: no wall clock, no shared RNG state.
+  ``(plan, seed, workload)``: no wall clock, and the one random stream
+  is the injector's own ``random.Random(plan.seed)``, never the global
+  ``random``.
   Saving a plan with :meth:`FaultPlan.to_json` and replaying it via
   ``repro health --plan`` reproduces a run bit-for-bit.
 """
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -372,18 +376,21 @@ class FaultInjector:
     Injections are tallied per kind and published by
     :meth:`snapshot`; what an injection *did* to a measurement is the
     engine's ``degrade.retry`` event and the dropped probe's reason.
+    Loss draws come from one stream the injector owns, seeded by the
+    plan: one uniform per link crossing a loss window matches, in the
+    order the single walking thread crosses links.
     """
 
     def __init__(self, plan: FaultPlan, clock) -> None:
         self.plan = plan
         self.clock = clock
-        self.seed = plan.seed
         #: monotone injection counter; the engine snapshots it around a
         #: technique step to tell fault-tainted failures from organic
         #: ones (see ``RevtrEngine._rr_step``'s negative-cache gate)
         self.injections = 0
         self.counts: Dict[str, int] = {}
         self._draws = 0
+        self._rng = random.Random(plan.seed)
         self._last_reason: Optional[str] = None
         #: (spec index, router id, window index) -> replies granted
         self._granted: Dict[Tuple[int, int, int], int] = {}
@@ -440,14 +447,14 @@ class FaultInjector:
                     return self.consume_reason()
         return None
 
-    def link_drops(self, a: int, b: int, probe) -> bool:
+    def link_drops(self, a: int, b: int) -> bool:
         """One loss draw for the traversal of link *a*->*b*.
 
-        Counter-mode hashing: the draw mixes the plan seed, a monotone
-        draw counter, the link, and the packet, so identical packets
-        over the same link get independent draws over time — a retry
-        can succeed — while the full sequence stays a pure function of
-        the workload.
+        Each loss window that is open and covers the link takes the
+        next uniform from the injector's stream and drops the packet
+        with its ``rate``: every crossing is an independent draw, so a
+        retry of a lost probe can succeed, while the whole sequence
+        stays a pure function of the plan and the workload.
         """
         now = self.clock.now()
         for spec in self._loss:
@@ -458,11 +465,7 @@ class FaultInjector:
             ) not in spec.links:
                 continue
             self._draws += 1
-            digest = zlib.crc32(
-                f"{self.seed}|{self._draws}|{a}|{b}|"
-                f"{probe.src}|{probe.dst}|{probe.flow_id}".encode()
-            )
-            if digest / 4294967296.0 < spec.rate:
+            if self._rng.random() < spec.rate:
                 self._inject("link-loss")
                 return True
         return False

@@ -20,7 +20,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.net.addr import Address, Prefix, PrefixTable
 from repro.net.host import Host
-from repro.net.options import RecordRouteOption, TimestampOption
+from repro.net.options import (
+    RECORD_ROUTE_SLOTS,
+    RecordRouteOption,
+    TimestampOption,
+)
 from repro.net.packet import EchoReply, Probe, TracerouteReply
 from repro.net.router import Router
 from repro.sim.forwarding import (
@@ -498,13 +502,15 @@ class Internet:
         Forwarding never reads the TTL, so the path is walked once,
         fault-free, and TTL k's reply is read off its k-th router.  With
         no fault injector nothing inside the path reads the clock or a
-        draw counter, so ``replies`` holds those TTLs' replies up to the
+        loss draw, so ``replies`` holds those TTLs' replies up to the
         traceroute's stop point (the first ``reached`` one or the
         *max_stars*-th star in a row), already tallied.  ``steps`` sends
         each later TTL when asked: under an injector every TTL, running
         the injection-time faults, one loss draw per link crossed and the
         expiring router's policing in single-probe order; past the path's
-        end, a single probe.  A step yields the reply (``None``: lost).
+        end, a single probe (with no injector, an unanswered one is
+        walked once and tallied per TTL).  A step yields the reply
+        (``None``: lost).
         Reply k, and the state it leaves, are those of a single probe
         sent at TTL k.  *probe* must carry no options: a walk stamps them.
         """
@@ -543,7 +549,7 @@ class Internet:
             lost: List[int] = []
             if reason is None and lossy:
                 for i in range(ttl - 1):
-                    if faults.link_drops(path[i], path[i + 1], probe):
+                    if faults.link_drops(path[i], path[i + 1]):
                         reason = faults.consume_reason()
                         lost = path[: i + 1]
                         break
@@ -556,14 +562,25 @@ class Internet:
             self._obs_outcomes["ttl-expired"] += 1
             self._obs_hops += ttl
             yield self._expiry(path, ttl, probe.dst, at_owner, faults)
+        silent = None
         for ttl in range(expiring + 1, max_ttl + 1):
             # TTL outlived the path, so only the destination can answer;
             # faults only shorten a walk: the sweep's TTL-less probe is
-            # the same packet
-            echo = self.send_probe(probe).echo
-            yield None if echo is None else TracerouteReply(
-                probe.dst, echo.rtt, True
-            )
+            # the same packet.  With no injector an unanswered probe
+            # changed no state its repeat reads, so it is walked once
+            # and tallied again per TTL.
+            if silent is not None:
+                self._tally_outcome(silent)
+                yield None
+                continue
+            outcome = self.send_probe(probe)
+            echo = outcome.echo
+            if echo is None:
+                if faults is None:
+                    silent = outcome
+                yield None
+            else:
+                yield TracerouteReply(probe.dst, echo.rtt, True)
 
     def _expiry(
         self, path: List[int], ttl: int, dst: Address, at_owner: bool, faults
@@ -762,14 +779,19 @@ class Internet:
         ingress_addr: Optional[Address] = None
         hops = 0
         path: List[int] = []
-        visited: set = set()
         dst = target.dst
         fib = target.row
         gen = self._fill_epoch
         routers = self.routers
         crc32 = zlib.crc32
         lossy = faults is not None and faults.has_link_loss
-        stamping = rr is not None or ts is not None
+        # RR slots still open (``None`` once full: transit routers stop
+        # stamping, and nothing else reads the option on the way).
+        slots = (
+            rr.slots
+            if rr is not None and len(rr.slots) < RECORD_ROUTE_SLOTS
+            else None
+        )
 
         # The loop body below is the whole forwarding decision, FIB
         # dispatch inlined (plus delivery/TTL handling via the terminal
@@ -778,8 +800,6 @@ class Internet:
         # be a measurable slice of campaign runtime.
         while hops < MAX_HOPS:
             router = routers[current]
-            first_visit = current not in visited
-            visited.add(current)
             hops += 1
             path.append(current)
 
@@ -806,11 +826,15 @@ class Internet:
             if kind == FIB_DST:
                 return True, dst, hops, path, None
             if kind == FIB_LAN:
-                if stamping:
-                    self._transit_stamp(router, ingress_addr, None, rr, ts)
+                if slots is not None:
+                    stamp = router.rr_stamp_address(ingress_addr, None)
+                    if stamp is not None:
+                        slots.append(stamp)
+                if ts is not None:
+                    self._ts_stamp(router, ts)
                 return True, dst, hops, path, None
 
-            if entry.alt is not None and first_visit:
+            if entry.alt is not None and path.index(current) == hops - 1:
                 # AS-level DBR violation: the router hashes the packet
                 # source to deviate toward the alternate next AS (§E).
                 # First visit only: two deviating routers could bounce
@@ -830,12 +854,16 @@ class Internet:
             else:  # FIB_ERROR: deterministic dead end.
                 return False, None, hops, path, None
 
-            if lossy and faults.link_drops(current, next_router, probe):
+            if lossy and faults.link_drops(current, next_router):
                 return False, None, hops, path, None
-            if stamping:
-                self._transit_stamp(
-                    router, ingress_addr, egress_addr, rr, ts
-                )
+            if slots is not None:
+                stamp = router.rr_stamp_address(ingress_addr, egress_addr)
+                if stamp is not None:
+                    slots.append(stamp)
+                    if len(slots) >= RECORD_ROUTE_SLOTS:
+                        slots = None
+            if ts is not None:
+                self._ts_stamp(router, ts)
             ingress_addr = next_ingress
             current = next_router
 
@@ -1068,22 +1096,12 @@ class Internet:
             self._link_entries[key] = entry
         return entry
 
-    def _transit_stamp(
-        self,
-        router: Router,
-        ingress_addr: Optional[Address],
-        egress_addr: Optional[Address],
-        rr: Optional[RecordRouteOption],
-        ts: Optional[TimestampOption],
-    ) -> None:
-        """Apply in-transit option processing at *router*."""
-        if rr is not None and not rr.is_full():
-            stamp = router.rr_stamp_address(ingress_addr, egress_addr)
-            if stamp is not None:
-                rr.stamp(stamp)
-        if ts is not None and router.supports_timestamp:
-            owned = router.addresses()
-            ts.stamp_if_match(owned, now=1)
+    @staticmethod
+    def _ts_stamp(router: Router, ts: TimestampOption) -> None:
+        """In-transit timestamp processing at *router* (the walk stamps
+        record route itself)."""
+        if router.supports_timestamp:
+            ts.stamp_if_match(router.addresses(), now=1)
 
     def _destination_responds(self, addr: Address, probe: Probe) -> bool:
         host = self.hosts.get(addr)

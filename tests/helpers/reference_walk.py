@@ -15,11 +15,14 @@ the anycast anchors and every ``cold_potato`` are; the property test
 drives each of those inputs, and calls that move none, between its
 probes.  A switch (``enable_fastpath(False)``) once turned the row and
 resolution memos off so the two could be compared; what it selected is
-kept here instead, together with the three entry builders as they
-were before the egress and link memos (one private ``FibEntry`` per
-call, the border pick made again for every destination), a route read
-answered by a :class:`ReferencePolicy` built for that one read over
-the live graph, and ``alt_next_as`` without its memo, so
+kept here instead, together with a copy of the resolution itself
+(``_resolve_uncached`` and ``_announcement_of``, so a defect planted in
+``src/``'s resolution is on one side of the comparison only), the
+three entry builders as they were before the egress and link memos
+(one private ``FibEntry`` per call, the border pick made again for
+every destination), a route read answered by a
+:class:`ReferencePolicy` built for that one read over the live graph,
+and ``alt_next_as`` without its memo, so
 ``tests/test_fwd_fastpath.py`` and ``tests/test_ttl_sweep.py`` can
 require a memoised Internet to answer a probe stream exactly as one
 that recomputes every hop and shares none of those memos.  Test-only:
@@ -36,9 +39,9 @@ from __future__ import annotations
 
 import zlib
 from contextlib import contextmanager
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
-from repro.net.addr import PrefixTable
+from repro.net.addr import Address, PrefixTable
 from repro.net.router import Router
 from repro.sim.forwarding import (
     FIB_DELIVER,
@@ -48,7 +51,7 @@ from repro.sim.forwarding import (
     FibEntry,
 )
 from repro.sim.network import Internet
-from repro.topology.policy import RoutingPolicy
+from repro.topology.policy import AnnouncementSpec, RoutingPolicy
 from tests.helpers.reference_policy import ReferencePolicy
 
 
@@ -151,6 +154,57 @@ def _ecmp_entry(
     return entry
 
 
+# -- the destination resolution of ``Internet``, copied verbatim --------
+
+
+def _announcement_of(self, addr: Address) -> Optional[AnnouncementSpec]:
+    """The announcement governing routes toward *addr*: its prefix's
+    override, or the default unicast spec of the origin AS, interned
+    so every address that AS originates shares one spec object."""
+    prefix = self.prefix_table.lookup_prefix(addr)
+    if prefix is None:
+        return None
+    spec = self.announcements.get(prefix)
+    if spec is not None:
+        return spec
+    asn = self.prefixes[prefix].origin_asn
+    spec = self._unicast_specs.get(asn)
+    if spec is None:
+        spec = self._unicast_specs[asn] = AnnouncementSpec.single(asn)
+    return spec
+
+
+def _resolve_uncached(self, dst: Address) -> Optional[DestTarget]:
+    host = self.hosts.get(dst)
+    if host is not None:
+        prefix = self.prefix_table.lookup_prefix(dst)
+        anchors = self._anchor_map(host.asn, host.edge_router_id)
+        if prefix is not None and prefix in self.anycast_anchors:
+            anchors = dict(self.anycast_anchors[prefix])
+        return DestTarget(
+            dst=dst,
+            anchors=anchors,
+            spec=self._announcement_of(dst),
+            host=host,
+        )
+    owner = self.iface_owner.get(dst)
+    if owner is not None:
+        anchor = self.iface_anchor[dst]
+        anchor_asn = self.routers[anchor].asn
+        iface = self.routers[owner].interfaces.get(dst)
+        endpoints = None
+        if iface is not None and iface.neighbor_router_id is not None:
+            endpoints = (owner, iface.neighbor_router_id)
+        return DestTarget(
+            dst=dst,
+            anchors=self._anchor_map(anchor_asn, anchor),
+            spec=self._announcement_of(dst),
+            owner_router=owner,
+            link_endpoints=endpoints,
+        )
+    return None
+
+
 # ----------------------------------------------------------------------
 
 BUILDERS = [
@@ -180,19 +234,20 @@ def private_entries():
 
 
 def uncached_forwarding():
-    """Run with the oracle patched in, process-wide: ``resolve`` and
-    ``alt_next_as`` run their uncached bodies, so every walk gets a
-    fresh target, announcement and empty FIB row, ``_walk`` builds
-    each entry with the builders that predate the egress and link memos
-    (so the egress pick is made again at every hop), every route is
-    computed afresh for its read, and the prefix table forgets before
-    every lookup."""
+    """Run with the oracle patched in, process-wide: ``resolve`` runs
+    the resolution copied above and ``alt_next_as`` its uncached body,
+    so every walk gets a fresh target, announcement and empty FIB row,
+    ``_walk`` builds each entry with the builders that predate the
+    egress and link memos (so the egress pick is made again at every
+    hop), every route is computed afresh for its read, and the prefix
+    table forgets before every lookup."""
     return _patched(
         BUILDERS
         + [
             (RoutingPolicy, "route_of", fresh_route_of),
             (Internet, "alt_next_as", Internet._alt_next_as_uncached),
-            (Internet, "resolve", Internet._resolve_uncached),
+            (Internet, "resolve", _resolve_uncached),
+            (Internet, "_announcement_of", _announcement_of),
             (PrefixTable, "lookup", _flush_first(PrefixTable.lookup)),
             (
                 PrefixTable,

@@ -86,7 +86,7 @@ def test_fib_entry_tally_matches_oracle():
 # -- one telemetry sample -----------------------------------------------
 
 
-def faulted_run(requests: int = 24):
+def faulted_run(requests: int = 48):
     """A seeded scheduler run under link loss and a VP outage, full
     obs and the sampler on; the event ring is small enough to wrap."""
     instr = Instrumentation(event_capacity=64)
@@ -145,6 +145,8 @@ def faulted_run(requests: int = 24):
 
 
 def test_sampler_export_equals_oracle_accounting():
+    # The default run is long enough in virtual time for the sampler
+    # to tick 8 times whatever the loss draws decide.
     instr, sampler = faulted_run()
     assert sampler.total >= 8
     assert instr.events.dropped > 0

@@ -8,7 +8,8 @@ the other (``tests/helpers/reference_traceroute.py`` is the previous
 ``paris_traceroute``) — and requires equal results *and* equal state:
 virtual clock, token buckets, probe counters, the simulator's outcome
 / hop / drop tallies, IP-ID counters and, under faults, the injector's
-draw counter, injection tallies and rate-limit grants.
+draw count and random stream, injection tallies and rate-limit
+grants.
 """
 
 from contextlib import nullcontext
@@ -151,6 +152,7 @@ def sim_state(internet):
 def injector_state(injector):
     return {
         "draws": injector._draws,
+        "stream": injector._rng.getstate(),
         "injections": injector.injections,
         "counts": dict(injector.counts),
         "granted": dict(injector._granted),
