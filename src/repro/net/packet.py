@@ -1,11 +1,13 @@
 """Probe and reply packet models.
 
 A :class:`Probe` is what a vantage point injects; the simulator walks it
-through the topology and produces an :class:`EchoReply` (or a
-:class:`TracerouteReply` for TTL-expired probes). The ``spoofed_from``
-field captures the paper's key trick (Insight 1.3): the probe's source
-address may name a *different* host than the injecting vantage point, so
-that the echo reply travels the reverse path toward the spoofed source.
+through the topology and produces an :class:`EchoReply`.  A traceroute
+sends one probe at every TTL, and ``Internet.send_ttl_sweep`` reads each
+TTL's :class:`TracerouteReply` off the probe's one forward walk.  The
+``spoofed_from`` field captures the paper's key trick (Insight 1.3): the
+probe's source address may name a *different* host than the injecting
+vantage point, so that the echo reply travels the reverse path toward
+the spoofed source.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class ProbeKind(enum.Enum):
 
 @dataclass
 class Probe:
-    """An ICMP echo request (optionally TTL-limited, optionally spoofed).
+    """An ICMP echo request (optionally spoofed).
 
     Attributes:
         src: source address written in the IP header. When spoofing,
@@ -42,7 +44,6 @@ class Probe:
         kind: probe category for budget accounting.
         injected_at: address of the host that actually transmits the
             packet (equals ``src`` unless spoofing).
-        ttl: IP TTL; ``None`` means the OS default (no traceroute).
         flow_id: Paris-traceroute flow identifier. Load-balancers hash
             this for per-flow balancing of option-less packets.
         record_route: attached record-route option, if any.
@@ -53,7 +54,6 @@ class Probe:
     dst: Address
     kind: ProbeKind = ProbeKind.PING
     injected_at: Optional[Address] = None
-    ttl: Optional[int] = None
     flow_id: int = 0
     record_route: Optional[RecordRouteOption] = None
     timestamp: Optional[TimestampOption] = None

@@ -72,9 +72,9 @@ class Router:
         interfaces: all interfaces, keyed by address.
         loopback: the loopback address.
         rr_policy: record-route stamping behaviour.
-        responds_to_ping / responds_to_options / responds_to_ttl:
-            responsiveness knobs; options-responsiveness is the paper's
-            78% figure (Appendix F).
+        responds_to_options / responds_to_ttl: responsiveness knobs;
+            options-responsiveness is the paper's 78% figure (Appendix
+            F).  Every router answers an option-less ping.
         snmpv3_responsive: answers unsolicited SNMPv3 with engine id.
         supports_timestamp: honours tsprespec options.
         ipid_shared: shares one IP-ID counter across interfaces (the
@@ -95,7 +95,6 @@ class Router:
     interfaces: Dict[Address, Interface] = field(default_factory=dict)
     loopback: Optional[Address] = None
     rr_policy: RRStampPolicy = RRStampPolicy.EGRESS
-    responds_to_ping: bool = True
     responds_to_options: bool = True
     responds_to_ttl: bool = True
     snmpv3_responsive: bool = False

@@ -2,15 +2,16 @@
 
 Table 4 of the paper compares system variants by the number and type of
 packets they send; every probe issued through a :class:`Prober` is
-counted here by :class:`~repro.net.packet.ProbeKind`. Counters nest:
-a revtr engine keeps a per-measurement counter and a global one.
+counted here by :class:`~repro.net.packet.ProbeKind`.  A prober has one
+counter; a revtr engine reads one measurement's probes off it as the
+:meth:`ProbeCounter.delta` since a :meth:`ProbeCounter.mark`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.net.packet import ProbeKind
 
@@ -20,10 +21,9 @@ _KIND_INDEX = {kind: index for index, kind in enumerate(ProbeKind)}
 
 @dataclass
 class ProbeCounter:
-    """Counts probes by kind, with optional parent roll-up."""
+    """Counts probes by kind."""
 
     counts: Counter = field(default_factory=Counter)
-    parent: Optional["ProbeCounter"] = None
     #: ``counts`` again, by :data:`_KIND_INDEX` position: what
     #: :meth:`mark` copies, so a mark hashes no enum member.  Every
     #: method that changes ``counts`` keeps it in step.
@@ -37,8 +37,6 @@ class ProbeCounter:
     def record(self, kind: ProbeKind, n: int = 1) -> None:
         self.counts[kind] += n
         self._by_index[_KIND_INDEX[kind]] += n
-        if self.parent is not None:
-            self.parent.record(kind, n)
 
     def mark(self) -> tuple:
         """Cheap fixed-size position marker for later :meth:`delta`.

@@ -4,9 +4,10 @@
 routers, links, prefixes, hosts — plus the forwarding machinery. Its
 central method, :meth:`Internet.send_probe`, walks a probe hop-by-hop
 to its destination and routes the reply back to the probe's (possibly
-spoofed) source, applying record-route stamping, TTL expiry, timestamp
-prespec matching, and the load-balancing / destination-based-routing
-quirks along the way.
+spoofed) source, applying record-route stamping, timestamp prespec
+matching, and the load-balancing / destination-based-routing quirks
+along the way.  :meth:`Internet.send_ttl_sweep` sends a traceroute's
+TTLs, reading each one's time-exceeded reply off one forward walk.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class ProbeOutcome:
 
     delivered: bool = False
     echo: Optional[EchoReply] = None
-    te_reply: Optional[TracerouteReply] = None
     forward_router_path: List[int] = field(default_factory=list)
     reply_router_path: List[int] = field(default_factory=list)
     drop_reason: Optional[str] = None
@@ -586,20 +586,31 @@ class Internet:
         self, path: List[int], ttl: int, dst: Address, at_owner: bool, faults
     ) -> TracerouteReply:
         """TTL *ttl*'s time-exceeded reply on forward *path*: its
-        *ttl*-th router's, entered through link *ttl*−1 → *ttl*."""
+        *ttl*-th router's, entered through link *ttl*−1 → *ttl* (the
+        first router through none).  The last router answers as the
+        destination when it owns *dst* (*at_owner*).  The one place a
+        TTL expires."""
+        rtt = 2 * ttl * (self.config.link_latency_ms / 1000.0)
+        if at_owner and ttl == len(path):
+            return TracerouteReply(dst, rtt, True)
         hop = path[ttl - 1]
-        return self._time_exceeded(
-            self.routers[hop],
-            self.adjacency[path[ttl - 2]][hop][1] if ttl > 1 else None,
-            ttl,
-            dst,
-            at_owner and ttl == len(path),
-            faults,
+        reply_addr = self.routers[hop].traceroute_reply_address(
+            self.adjacency[path[ttl - 2]][hop][1] if ttl > 1 else None
         )
+        if (
+            reply_addr is not None
+            and faults is not None
+            and faults.has_router_faults
+            and faults.te_suppressed(hop)
+        ):
+            # Rate-limited/filtered routers stop answering
+            # TTL-expired too: the hop reads as "*".
+            reply_addr = None
+        return TracerouteReply(reply_addr, rtt, False)
 
     def _forward_walk(self, probe: Probe) -> Tuple[bool, List[int]]:
         """(delivered, router path) of *probe*'s forward walk alone: no
-        TTL, no options, no fault hooks, no reply, nothing tallied.
+        options, no fault hooks, no reply, nothing tallied.
         The path is empty when *probe* cannot be injected or routed."""
         origin_host = self.hosts.get(probe.injected_at)
         if origin_host is None or (
@@ -610,13 +621,12 @@ class Internet:
         target = self.resolve(probe.dst)
         if target is None or target.spec is None:
             return False, []
-        delivered, _, _, path, _ = self._walk(
+        delivered, _, _, path = self._walk(
             start_router=origin_host.edge_router_id,
             target=target,
             probe=probe,
             rr=None,
             ts=None,
-            ttl=None,
             faults=None,
         )
         return delivered, path
@@ -627,8 +637,6 @@ class Internet:
         )
         if outcome.delivered:
             self._obs_outcomes["delivered"] += 1
-        elif outcome.te_reply is not None:
-            self._obs_outcomes["ttl-expired"] += 1
         else:
             self._obs_outcomes["dropped"] += 1
             reason = outcome.drop_reason
@@ -666,19 +674,15 @@ class Internet:
 
         rr = probe.record_route
         ts = probe.timestamp
-        delivered, responder_addr, hop_count, path, te = self._walk(
+        delivered, responder_addr, hop_count, path = self._walk(
             start_router=origin_host.edge_router_id,
             target=target,
             probe=probe,
             rr=rr,
             ts=ts,
-            ttl=probe.ttl,
             faults=faults,
         )
         outcome.forward_router_path = path
-        if te is not None:
-            outcome.te_reply = te
-            return outcome
         if not delivered or responder_addr is None:
             outcome.drop_reason = "forward-path-drop"
             if faults is not None:
@@ -712,13 +716,12 @@ class Internet:
             timestamp=ts,
         )
         start = self._reply_start_router(responder_addr)
-        delivered, _, reply_hops, reply_path, _ = self._walk(
+        delivered, _, reply_hops, reply_path = self._walk(
             start_router=start,
             target=reply_target,
             probe=reply_probe,
             rr=rr,
             ts=ts,
-            ttl=None,
             faults=faults,
         )
         outcome.reply_router_path = reply_path
@@ -764,16 +767,15 @@ class Internet:
         probe: Probe,
         rr: Optional[RecordRouteOption],
         ts: Optional[TimestampOption],
-        ttl: Optional[int],
         faults,
-    ) -> Tuple[bool, Optional[Address], int, List[int], Optional[TracerouteReply]]:
+    ) -> Tuple[bool, Optional[Address], int, List[int]]:
         """Walk from *start_router* toward *target*, filling its row.
 
         *faults* is the injector whose hooks the walk consults, or
         ``None`` for a fault-free walk (no hook runs, whatever
         ``self.faults`` holds).
 
-        Returns (delivered, responder_addr, hops, router_path, te_reply).
+        Returns (delivered, responder_addr, hops, router_path).
         """
         current = start_router
         ingress_addr: Optional[Address] = None
@@ -794,10 +796,10 @@ class Internet:
         )
 
         # The loop body below is the whole forwarding decision, FIB
-        # dispatch inlined (plus delivery/TTL handling via the terminal
-        # entry kinds): at tens of thousands of hops per measurement
-        # stream, a per-hop function call and adjacency lookups would
-        # be a measurable slice of campaign runtime.
+        # dispatch inlined (plus delivery via the terminal entry
+        # kinds): at tens of thousands of hops per measurement stream,
+        # a per-hop function call and adjacency lookups would be a
+        # measurable slice of campaign runtime.
         while hops < MAX_HOPS:
             router = routers[current]
             hops += 1
@@ -814,17 +816,10 @@ class Internet:
                 self._fib_hits += 1
             kind = entry.kind
 
-            # TTL expiry check (the router that decrements to zero).
-            if ttl is not None and hops == ttl:
-                te = self._time_exceeded(
-                    router, ingress_addr, ttl, dst, kind == FIB_DST, faults
-                )
-                return False, None, hops, path, te
-
             # Delivery: this router owns the destination interface, or
             # is the edge router handing the packet to the host's LAN.
             if kind == FIB_DST:
-                return True, dst, hops, path, None
+                return True, dst, hops, path
             if kind == FIB_LAN:
                 if slots is not None:
                     stamp = router.rr_stamp_address(ingress_addr, None)
@@ -832,7 +827,7 @@ class Internet:
                         slots.append(stamp)
                 if ts is not None:
                     self._ts_stamp(router, ts)
-                return True, dst, hops, path, None
+                return True, dst, hops, path
 
             if entry.alt is not None and path.index(current) == hops - 1:
                 # AS-level DBR violation: the router hashes the packet
@@ -852,10 +847,10 @@ class Internet:
                 )
                 egress_addr, next_ingress = entry.adj[next_router]
             else:  # FIB_ERROR: deterministic dead end.
-                return False, None, hops, path, None
+                return False, None, hops, path
 
             if lossy and faults.link_drops(current, next_router):
-                return False, None, hops, path, None
+                return False, None, hops, path
             if slots is not None:
                 stamp = router.rr_stamp_address(ingress_addr, egress_addr)
                 if stamp is not None:
@@ -867,34 +862,7 @@ class Internet:
             ingress_addr = next_ingress
             current = next_router
 
-        return False, None, hops, path, None
-
-    def _time_exceeded(
-        self,
-        router: Router,
-        ingress_addr: Optional[Address],
-        ttl: int,
-        dst: Address,
-        at_destination: bool,
-        faults,
-    ) -> TracerouteReply:
-        """The reply to a packet whose TTL ran out at *router*, *ttl*
-        hops in, having entered through *ingress_addr* (``None`` at the
-        first router).  *at_destination*: the router owns *dst*."""
-        rtt = 2 * ttl * (self.config.link_latency_ms / 1000.0)
-        if at_destination:
-            return TracerouteReply(dst, rtt, True)
-        reply_addr = router.traceroute_reply_address(ingress_addr)
-        if (
-            reply_addr is not None
-            and faults is not None
-            and faults.has_router_faults
-            and faults.te_suppressed(router.router_id)
-        ):
-            # Rate-limited/filtered routers stop answering
-            # TTL-expired too: the hop reads as "*".
-            reply_addr = None
-        return TracerouteReply(reply_addr, rtt, False)
+        return False, None, hops, path
 
     def _compute_fib_entry(
         self, router: Router, target: DestTarget
@@ -1111,9 +1079,7 @@ class Internet:
             return host.responds_to_ping
         router = self.router_of(addr)
         if router is not None:
-            if probe.has_options:
-                return router.responds_to_options
-            return router.responds_to_ping
+            return not probe.has_options or router.responds_to_options
         return False
 
     def _destination_stamp(

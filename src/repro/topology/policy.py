@@ -1,11 +1,11 @@
 """Gao-Rexford BGP route selection over the AS graph.
 
-For a given announcement (one or more origin ASes, optional poisoning,
-prepending, and selective-export constraints) this module selects, for
-any AS, its route: learned class, full AS path, next-hop AS, and — for
-anycast announcements — which origin its traffic lands at (the
-*catchment*, the quantity the Section 6.1 traffic-engineering case
-study manipulates).
+For a given announcement (one or more origin ASes, per-origin poisoning
+and no-export constraints: the two tools of the §6.1 case study) this
+module selects, for any AS, its route: learned class, full AS path,
+next-hop AS, and — for anycast announcements — which origin its traffic
+lands at (the *catchment*, the quantity the Section 6.1
+traffic-engineering case study manipulates).
 
 The selection is the classic three-phase algorithm over a compiled view
 of the graph, flooded only through the ASes that can pass a route on;
@@ -50,8 +50,6 @@ class Origin:
 
     Attributes:
         asn: the announcing AS.
-        prepend: extra copies of the origin ASN on the path.
-        announce_to: neighbours the origin announces to; None = all.
         poisoned: ASNs included on *this origin's* path so those ASes
             reject routes to this origin but may still reach others —
             the per-site poisoning of the §6.1 case study (poisoning
@@ -59,21 +57,15 @@ class Origin:
     """
 
     asn: int
-    prepend: int = 0
-    announce_to: Optional[FrozenSet[int]] = None
     poisoned: FrozenSet[int] = frozenset()
 
     def __post_init__(self) -> None:
         # Hashed once: origins sit inside the specs that key every
         # routes(), FIB and alternate-next-hop lookup.
-        fields = (self.asn, self.prepend, self.announce_to, self.poisoned)
-        object.__setattr__(self, "_hash", hash(fields))
+        object.__setattr__(self, "_hash", hash((self.asn, self.poisoned)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def announces_to(self, neighbor: int) -> bool:
-        return self.announce_to is None or neighbor in self.announce_to
 
 
 @dataclass(frozen=True)
@@ -82,18 +74,15 @@ class AnnouncementSpec:
 
     Attributes:
         origins: announcement points; more than one models anycast.
-        poisoned: ASNs placed on the announced path so that those ASes
-            reject the route (BGP loop detection) — the §6.1 poisoning.
         no_export: (exporter, neighbour) pairs suppressed, modelling
             provider no-export BGP communities (§6.1).
     """
 
     origins: Tuple[Origin, ...]
-    poisoned: FrozenSet[int] = frozenset()
     no_export: FrozenSet[Tuple[int, int]] = frozenset()
 
     def __post_init__(self) -> None:
-        fields = (self.origins, self.poisoned, self.no_export)
+        fields = (self.origins, self.no_export)
         object.__setattr__(self, "_hash", hash(fields))
 
     def __hash__(self) -> int:
@@ -183,8 +172,6 @@ class _Flooded(NamedTuple):
     route_class: Dict[int, RouteClass]
     #: per origin ASN: the ASes whose loop detection rejects it
     rejecting: Dict[int, FrozenSet[int]]
-    #: per origin ASN: the neighbours it announces to (None = all)
-    announce: Dict[int, Optional[FrozenSet[int]]]
     blocked: FrozenSet[Tuple[int, int]]
     chosen: Dict[int, Optional[RouteChoice]]
 
@@ -351,13 +338,9 @@ class RoutingPolicy:
         if compiled is None:
             compiled = self._compiled = self._compile()
         blocked = spec.no_export
-        # Should an ASN be listed twice, the last entry's poisoning and
-        # the first's announce_to apply.
-        rejecting: Dict[int, FrozenSet[int]] = {}
-        announce: Dict[int, Optional[FrozenSet[int]]] = {}
-        for origin in spec.origins:
-            rejecting[origin.asn] = spec.poisoned | origin.poisoned
-            announce.setdefault(origin.asn, origin.announce_to)
+        # Should an ASN be listed twice, the last entry's poisoning
+        # applies.
+        rejecting = {origin.asn: origin.poisoned for origin in spec.origins}
 
         keys: Dict[int, int] = {}
         via: Dict[int, int] = {}
@@ -379,7 +362,6 @@ class RoutingPolicy:
             """
             origin = origin_of[asn]
             reject = rejecting[origin]
-            allowed = announce.get(asn)
             base = length << _LENGTH_SHIFT
             taken = []
             for neighbor, tiebreak in edges:
@@ -389,10 +371,8 @@ class RoutingPolicy:
                     held <= offer or neighbor in protected
                 ):
                     continue
-                if (
-                    neighbor in reject
-                    or (blocked and (asn, neighbor) in blocked)
-                    or (allowed is not None and neighbor not in allowed)
+                if neighbor in reject or (
+                    blocked and (asn, neighbor) in blocked
                 ):
                     continue
                 keys[neighbor] = offer
@@ -434,9 +414,8 @@ class RoutingPolicy:
             tiebreak = compiled.origin_tiebreak.get(asn)
             if tiebreak is None or asn in rejecting[asn]:
                 continue  # not in the graph, or poisoned against itself
-            key = (1 + origin.prepend) << _LENGTH_SHIFT | tiebreak
-            if asn not in keys or key < keys[asn]:
-                keys[asn] = key
+            if asn not in keys:
+                keys[asn] = 1 << _LENGTH_SHIFT | tiebreak
                 origin_of[asn] = asn
                 class_of[asn] = RouteClass.ORIGIN
         flood(compiled.providers, RouteClass.CUSTOMER, ())
@@ -449,9 +428,7 @@ class RoutingPolicy:
 
         # Phase 3: provider routes, Dijkstra down customer edges.
         flood(compiled.customers, RouteClass.PROVIDER, set(keys))
-        return _Flooded(
-            keys, via, origin_of, class_of, rejecting, announce, blocked, {}
-        )
+        return _Flooded(keys, via, origin_of, class_of, rejecting, blocked, {})
 
     def _select(self, state: _Flooded, asn: int) -> Optional[RouteChoice]:
         """Build, and remember, the route of *asn* under *state*."""
@@ -463,9 +440,7 @@ class RoutingPolicy:
         if route_class is None:
             route = None
         elif exporter is None:
-            # An origin; the key's length is that of the entry that won.
-            path = (asn,) * (key >> _LENGTH_SHIFT)
-            route = RouteChoice(route_class, path, None, asn)
+            route = RouteChoice(route_class, (asn,), None, asn)  # an origin
         else:
             heard = state.chosen.get(exporter) or self._select(state, exporter)
             path = (asn,) + heard.path
@@ -498,11 +473,8 @@ class RoutingPolicy:
                 key = keys.get(exporter)
                 if key is None or classes[exporter] > worst:
                     continue
-                allowed = state.announce.get(exporter)
-                if (
-                    asn in state.rejecting[state.origin[exporter]]
-                    or (blocked and (exporter, asn) in blocked)
-                    or (allowed is not None and asn not in allowed)
+                if asn in state.rejecting[state.origin[exporter]] or (
+                    blocked and (exporter, asn) in blocked
                 ):
                     continue
                 length = (key >> _LENGTH_SHIFT) + 1

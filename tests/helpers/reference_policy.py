@@ -1,12 +1,15 @@
 """Reference Gao-Rexford route computation: the test oracle.
 
 This is ``RoutingPolicy._compute`` / ``_apply_leaf_preferences`` (and
-the tie-break helpers they call) exactly as they stood before the
-control plane was compiled — the object-graph walk that rehashes every
-relaxed edge.  It is kept verbatim so that
-``tests/test_policy.py`` can require the compiled implementation to
-select the same :class:`RouteChoice` for every AS, in the same dict
-order.  Test-only: nothing under ``src/`` imports it.
+the tie-break helpers they call) as they stood before the control plane
+was compiled — the object-graph walk that rehashes every relaxed edge.
+It is kept verbatim, but for the announcement features ``src/`` no
+longer has (spec-wide poisoning, prepending, selective announcement),
+whose lines went with them: what remains is what §6.1 uses, per-origin
+poisoning and no-export.  ``tests/test_policy.py`` requires the
+compiled implementation to select the same :class:`RouteChoice` for
+every AS, in the same dict order.  Test-only: nothing under ``src/``
+imports it.
 """
 
 from __future__ import annotations
@@ -16,12 +19,7 @@ import zlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.topology.asgraph import ASGraph, Relationship
-from repro.topology.policy import (
-    AnnouncementSpec,
-    Origin,
-    RouteChoice,
-    RouteClass,
-)
+from repro.topology.policy import AnnouncementSpec, RouteChoice, RouteClass
 
 
 def _tiebreak(asn: int, via: int, salt: int) -> int:
@@ -61,7 +59,6 @@ class ReferencePolicy:
 
     def _compute(self, spec: AnnouncementSpec) -> Dict[int, RouteChoice]:
         graph = self.graph
-        poisoned = spec.poisoned
         blocked = spec.no_export
         origin_poison = {
             origin.asn: origin.poisoned for origin in spec.origins
@@ -71,9 +68,7 @@ class ReferencePolicy:
             return (exporter, neighbor) not in blocked
 
         def rejects(asn: int, origin_asn: int) -> bool:
-            return asn in poisoned or asn in origin_poison.get(
-                origin_asn, ()
-            )
+            return asn in origin_poison.get(origin_asn, ())
 
         def better(
             candidate: Tuple[int, int], incumbent: Optional[Tuple[int, int]]
@@ -88,7 +83,7 @@ class ReferencePolicy:
         for origin in spec.origins:
             if origin.asn not in graph or rejects(origin.asn, origin.asn):
                 continue
-            path = (origin.asn,) * (1 + origin.prepend)
+            path = (origin.asn,)
             key = (len(path), self._tb(origin.asn, origin.asn))
             if better(key, keys.get(origin.asn)):
                 keys[origin.asn] = key
@@ -112,11 +107,6 @@ class ReferencePolicy:
                 if rejects(provider, exporting.origin) or provider in settled:
                     continue
                 if not may_export(asn, provider):
-                    continue
-                origin_cfg = self._origin_config(spec, asn)
-                if origin_cfg is not None and not origin_cfg.announces_to(
-                    provider
-                ):
                     continue
                 new_path = (provider,) + exporting.path
                 key = (
@@ -144,15 +134,10 @@ class ReferencePolicy:
         customer_holders = dict(best)
         for asn, route in customer_holders.items():
             node = graph.nodes[asn]
-            origin_cfg = self._origin_config(spec, asn)
             for peer in node.peers():
                 if rejects(peer, route.origin) or peer in customer_holders:
                     continue
                 if not may_export(asn, peer):
-                    continue
-                if origin_cfg is not None and not origin_cfg.announces_to(
-                    peer
-                ):
                     continue
                 new_path = (peer,) + route.path
                 key = (len(new_path), self._tb(peer, asn))
@@ -189,15 +174,10 @@ class ReferencePolicy:
             settled.add(asn)
             exporting = best[asn]
             node = graph.nodes[asn]
-            origin_cfg = self._origin_config(spec, asn)
             for customer in node.customers():
                 if rejects(customer, exporting.origin) or customer in settled:
                     continue
                 if not may_export(asn, customer):
-                    continue
-                if origin_cfg is not None and not origin_cfg.announces_to(
-                    customer
-                ):
                     continue
                 incumbent = best.get(customer)
                 if (
@@ -276,13 +256,3 @@ class ReferencePolicy:
                 neighbor,
                 via.origin,
             )
-
-    @staticmethod
-    def _origin_config(
-        spec: AnnouncementSpec, asn: int
-    ) -> Optional[Origin]:
-        """Return the Origin config if *asn* is an announcement point."""
-        for origin in spec.origins:
-            if origin.asn == asn:
-                return origin
-        return None

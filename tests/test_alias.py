@@ -18,8 +18,6 @@ def multi_iface_router(internet, snmp=None):
             continue
         if snmp is not None and router.snmpv3_responsive != snmp:
             continue
-        if not router.responds_to_ping:
-            continue
         return router
     pytest.skip("no suitable router in this topology seed")
 

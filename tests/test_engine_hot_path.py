@@ -257,13 +257,12 @@ counter_ops = st.lists(
     ops=counter_ops,
 )
 def test_marks_and_deltas_equal_oracle(seeded, ops):
-    """Counter 0 rolls up into counter 1, which was constructed with
+    """Counter 0 starts empty and counter 1 was constructed with
     counts; counters constructed from two counters' summed counts join
     the pool.  After every operation every
     counter's mark, and its delta from every mark taken of it so far
     (contents *and* key order), equal the oracle's."""
-    parent = ProbeCounter(Counter(seeded))
-    counters = [ProbeCounter(parent=parent), parent]
+    counters = [ProbeCounter(), ProbeCounter(Counter(seeded))]
     marks = [[c.mark()] for c in counters]
     for op, who, kind in ops:
         counter = counters[who]

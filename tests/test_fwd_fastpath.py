@@ -76,7 +76,6 @@ def outcome_key(outcome, ipid=True):
         None
         if echo is None
         else (echo.src, echo.rtt, ipid and echo.ipid, tuple(echo.rr_slots)),
-        outcome.te_reply,
     )
 
 
@@ -241,7 +240,7 @@ def forwarding_ops(draw):
         st.just("probe"),
         st.sampled_from(sources),
         st.sampled_from(destinations),
-        st.sampled_from(("plain", "rr", "spoofed-rr", "ttl")),
+        st.sampled_from(("plain", "rr", "spoofed-rr")),
         st.integers(0, 3),
     )
     potato = st.tuples(
@@ -282,8 +281,6 @@ def make_probe(src, dst, kind, flow):
     sources = tiny_endpoints()[0]
     if kind == "plain":
         return Probe(src=src, dst=dst, flow_id=flow)
-    if kind == "ttl":
-        return Probe(src=src, dst=dst, flow_id=flow, ttl=2 + flow)
     spoofed = kind == "spoofed-rr"
     return Probe(
         # a spoofed probe claims the next source's address

@@ -54,7 +54,7 @@ class TestDelivery:
         router = next(
             r
             for r in tiny_internet.routers.values()
-            if r.responds_to_ping and r.loopback
+            if r.loopback
         )
         outcome = tiny_internet.send_probe(
             Probe(src=src, dst=router.loopback)
@@ -138,22 +138,23 @@ class TestTTL:
     def test_ttl_expiry_returns_hop(self, tiny_internet):
         src = tiny_internet.mlab_hosts[0]
         dst = responsive_host(tiny_internet)
-        outcome = tiny_internet.send_probe(Probe(src=src, dst=dst, ttl=1))
-        assert outcome.te_reply is not None
-        assert not outcome.te_reply.reached
+        replies, _ = tiny_internet.send_ttl_sweep(
+            Probe(src=src, dst=dst), 1, 4
+        )
+        (first,) = replies
+        assert not first.reached
 
     def test_ttl_sweep_reaches_destination(self, tiny_internet):
         src = tiny_internet.mlab_hosts[0]
         dst = responsive_host(tiny_internet)
-        for ttl in range(1, 32):
-            outcome = tiny_internet.send_probe(
-                Probe(src=src, dst=dst, ttl=ttl)
-            )
-            if outcome.te_reply is None:
-                assert outcome.delivered
-                break
-        else:
-            pytest.fail("TTL sweep never reached destination")
+        replies, steps = tiny_internet.send_ttl_sweep(
+            Probe(src=src, dst=dst), 31, 31
+        )
+        # a host is behind its edge router: its echo answers the first
+        # TTL past the path, after every in-path TTL expired
+        assert replies and not any(reply.reached for reply in replies)
+        reply = next(steps)
+        assert reply.hop_addr == dst and reply.reached
 
 
 class TestSpoofing:

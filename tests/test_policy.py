@@ -114,22 +114,11 @@ class TestPoisoning:
     def test_poisoned_as_rejects_route(self):
         graph = diamond_graph()
         policy = RoutingPolicy(graph)
-        spec = AnnouncementSpec(
-            origins=(Origin(4),), poisoned=frozenset({1})
-        )
+        spec = AnnouncementSpec(origins=(Origin(4, poisoned=frozenset({1})),))
         assert policy.route_of(1, spec) is None
         # 3 now reaches 4 only via the direct peering.
         route3 = policy.route_of(3, spec)
         assert route3.path == (3, 4)
-
-    def test_prepend_lengthens_path(self):
-        graph = diamond_graph()
-        policy = RoutingPolicy(graph)
-        plain = policy.route_of(1, AnnouncementSpec.single(4))
-        prepended = policy.route_of(
-            1, AnnouncementSpec(origins=(Origin(4, prepend=3),))
-        )
-        assert prepended.length == plain.length + 3
 
 
 class TestNoExportAndSelectiveAnnounce:
@@ -142,15 +131,6 @@ class TestNoExportAndSelectiveAnnounce:
         )
         route1 = policy.route_of(1, spec)
         # 1 cannot hear 4 directly; it hears via peer 2.
-        assert route1.path == (1, 2, 4)
-
-    def test_selective_announce(self):
-        graph = diamond_graph()
-        policy = RoutingPolicy(graph)
-        spec = AnnouncementSpec(
-            origins=(Origin(4, announce_to=frozenset({2})),)
-        )
-        route1 = policy.route_of(1, spec)
         assert route1.path == (1, 2, 4)
 
 
@@ -254,25 +234,16 @@ def oracle_graphs(tiny_internet, small_internet):
 @st.composite
 def announcement_specs(draw, graph):
     """Everything an AnnouncementSpec can express, over *graph*: 1-4
-    origins with prepends, announce_to subsets and per-origin poisoning;
-    optionally a repeated origin ASN and an ASN the graph lacks; global
-    poisoning; no_export pairs on real edges."""
+    origins with per-origin poisoning, optionally on top of a set every
+    origin poisons; optionally a repeated origin ASN and an ASN the
+    graph lacks; no_export pairs on real edges."""
     asns = graph.asns()
     some_asns = st.frozensets(st.sampled_from(asns), max_size=3)
+    everywhere = draw(st.one_of(st.just(frozenset()), some_asns))
 
     def origin(asn):
-        neighbors = sorted(graph.nodes[asn].neighbors) if asn in graph else []
-        announce_to = st.none()
-        if neighbors:
-            announce_to = st.one_of(
-                st.none(), st.frozensets(st.sampled_from(neighbors))
-            )
-        return Origin(
-            asn,
-            prepend=draw(st.integers(min_value=0, max_value=3)),
-            announce_to=draw(announce_to),
-            poisoned=draw(st.one_of(st.just(frozenset()), some_asns)),
-        )
+        own = draw(st.one_of(st.just(frozenset()), some_asns))
+        return Origin(asn, poisoned=own | everywhere)
 
     origins = [
         origin(asn)
@@ -294,7 +265,6 @@ def announcement_specs(draw, graph):
     ]
     return AnnouncementSpec(
         origins=tuple(origins),
-        poisoned=draw(st.one_of(st.just(frozenset()), some_asns)),
         no_export=draw(
             st.one_of(
                 st.just(frozenset()),
@@ -467,7 +437,11 @@ class TestMutateThenInvalidate:
         )
         # Compiles the graph and floods spec; asn itself stays unread.
         assert policy.route_of(other, spec) is not None
-        unseen = AnnouncementSpec(origins=(Origin(spec.origins[0].asn, 1),))
+        # Poisoning an AS the graph lacks moves no route.
+        absent = frozenset({max(internet.graph.nodes) + 1})
+        unseen = AnnouncementSpec(
+            origins=(Origin(spec.origins[0].asn, poisoned=absent),)
+        )
 
         node = internet.graph.nodes[asn]
         node.neighbor_pref.clear()
@@ -486,15 +460,15 @@ class TestMutateThenInvalidate:
         assert policy.route_of(2, spec).path == (2, 1, 3)
         # A spec the policy has not seen yet, to show that the compiled
         # view — not only the route cache — predates the new edge.
-        unseen = AnnouncementSpec(origins=(Origin(3, prepend=1),))
+        unseen = AnnouncementSpec(origins=(Origin(3, poisoned=frozenset({4})),))
 
         graph.add_edge(2, 3, Relationship.CUSTOMER)
         assert policy.route_of(2, spec).path == (2, 1, 3)
-        assert policy.route_of(2, unseen).path == (2, 1, 3, 3)
+        assert policy.route_of(2, unseen).path == (2, 1, 3)
 
         assert policy.invalidate() is True
         assert policy.route_of(2, spec).path == (2, 3)
-        assert policy.route_of(2, unseen).path == (2, 3, 3)
+        assert policy.route_of(2, unseen).path == (2, 3)
         assert policy.routes(spec) == ReferencePolicy(graph).routes(spec)
 
     def test_unchanged_graph_keeps_the_floods(self):
@@ -526,10 +500,9 @@ class TestSpecHashing:
         def build():
             return AnnouncementSpec(
                 origins=(
-                    Origin(4, prepend=1, announce_to=frozenset({1, 2})),
+                    Origin(4, poisoned=frozenset({1, 9})),
                     Origin(3, poisoned=frozenset({2})),
                 ),
-                poisoned=frozenset({9}),
                 no_export=frozenset({(4, 1)}),
             )
 

@@ -99,12 +99,6 @@ class TestProbeCounter:
         assert counter.total() == 4
         assert counter.counts[ProbeKind.RECORD_ROUTE] == 3
 
-    def test_parent_rollup(self):
-        parent = ProbeCounter()
-        child = ProbeCounter(parent=parent)
-        child.record(ProbeKind.PING, 2)
-        assert parent.counts[ProbeKind.PING] == 2
-
     def test_merged_snapshot_order_is_declaration_order(self):
         # Counts merged in an order unlike ProbeKind declaration order.
         merged = Counter({ProbeKind.SNMP: 1})

@@ -888,7 +888,7 @@ class _Twins:
                 prefix = internet.prefix_table.lookup_prefix(src)
                 origin = internet.prefixes[prefix].origin_asn
                 internet.announcements[prefix] = AnnouncementSpec(
-                    origins=(Origin(origin),), poisoned=frozenset({asn})
+                    origins=(Origin(origin, poisoned=frozenset({asn})),)
                 )
                 internet.invalidate_routing()
             elif op == "trace":

@@ -1,11 +1,13 @@
 """TTL sweeps against one probe per TTL.
 
 ``Internet.send_ttl_sweep`` walks a traceroute's forward path once and
-reads every TTL's reply off it.  ``send_probe(Probe(ttl=k))`` remains
-the definition of a TTL-limited packet, so everything here runs the
-same workload on twin Internets — the sweep on one, a probe per TTL on
-the other (``tests/helpers/reference_traceroute.py`` is the previous
-``paris_traceroute``) — and requires equal results *and* equal state:
+reads every TTL's reply off it.  The definition of a TTL-limited packet
+is the oracle's ``send_ttl_probe(internet, probe, k)``, the walk with a
+per-hop TTL check that ``src/`` had before its one reply builder
+(``tests/helpers/reference_traceroute.py``, which also holds the
+previous ``paris_traceroute``), so everything here runs the same
+workload on twin Internets — the sweep on one, a probe per TTL on the
+other — and requires equal results *and* equal state:
 virtual clock, token buckets, probe counters, the simulator's outcome
 / hop / drop tallies, IP-ID counters and, under faults, the injector's
 draw count and random stream, injection tallies and rate-limit
@@ -13,7 +15,6 @@ grants.
 """
 
 from contextlib import nullcontext
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -33,7 +34,10 @@ from repro.sim.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.topology import TopologyConfig
 from repro.topology.generator import build_internet
 from repro.topology.policy import AnnouncementSpec, Origin
-from tests.helpers.reference_traceroute import reference_paris_traceroute
+from tests.helpers.reference_traceroute import (
+    reference_paris_traceroute,
+    send_ttl_probe,
+)
 from tests.helpers.reference_walk import uncached_forwarding
 
 CONFIGS = {
@@ -226,7 +230,7 @@ def test_traceroute_equals_one_probe_per_ttl(data):
 
 
 # ----------------------------------------------------------------------
-# (b) item by item: the k-th reply is send_probe(Probe(ttl=k))'s
+# (b) item by item: the k-th reply is send_ttl_probe(..., k)'s
 # ----------------------------------------------------------------------
 
 
@@ -251,11 +255,11 @@ def assert_same_items(
     probe = Probe(src=src, dst=dst, flow_id=flow_id)
     replies, steps = swept.send_ttl_sweep(probe, max_ttl, max_stars)
     # The fault-free prefix is sent as one: its k-th reply is
-    # send_probe(Probe(ttl=k))'s, and the state it leaves is theirs.
+    # send_ttl_probe(..., k)'s, and the state it leaves is theirs.
     if plan is not None:
         assert replies == []
     for ttl, reply in enumerate(replies, 1):
-        expected = walked.send_probe(replace(probe, ttl=ttl))
+        expected = send_ttl_probe(walked, probe, ttl)
         assert reply == expected.te_reply, ttl
     assert sim_state(swept) == sim_state(walked)
     # ... and it runs to the traceroute's stop point, not short of it
@@ -263,7 +267,7 @@ def assert_same_items(
     stopped = replies and (replies[-1].reached or tail == [None] * max_stars)
     for ttl in range(len(replies) + 1, max_ttl + 1):
         reply = next(steps)
-        expected = walked.send_probe(replace(probe, ttl=ttl))
+        expected = send_ttl_probe(walked, probe, ttl)
         if plan is None and ttl == len(replies) + 1 and not stopped:
             assert expected.te_reply is None, ttl
         # hop address, rtt and `reached`; the router paths are what the
