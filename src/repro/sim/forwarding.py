@@ -4,8 +4,9 @@ Separated from the walker so the decision semantics — what is
 destination-based, what depends on the flow, what depends on the packet —
 are auditable in one place:
 
-* a plain router picks the first equal-cost candidate: strictly
-  destination-based;
+* a plain router hashes ``(router, destination)``: strictly
+  destination-based, so ``Internet._ecmp_entry`` folds the destination
+  hash into the entry and the walk never asks this module;
 * a load balancer hashes the flow id for option-less packets (Paris
   traceroute keeps the flow id fixed to see one consistent path) and
   hashes a *different*, per-router key for option-carrying packets, so
@@ -58,10 +59,12 @@ class FibEntry:
     holds depends on all three; what a
     DELIVER or ECMP entry says depends only on the router and its next
     hop(s), so there is one object per ``(router, next router)`` (or
-    candidate tuple) per fill epoch, held by every slot that
-    resolves to it and read-only once built — except the primary entry
-    of an AS-level DBR violator, private because its ``alt`` depends on
-    the announcement.
+    candidate tuple) until ``Internet.connect()`` adds a link, held by
+    every slot that resolves to it and read-only once built — except
+    the primary entry of an AS-level DBR violator, private because its
+    ``alt`` depends on the announcement.  A row lives on its
+    ``DestTarget`` and is dropped with it by whichever call moves an
+    input of the row.
     The flow/packet-dependent pieces (load-balancer hashing,
     DBR-violator source hashing, Paris flow ids) are applied by the
     walker on top of the entry, so cached and uncached forwarding are
@@ -82,20 +85,9 @@ class FibEntry:
         alt: at an AS-level DBR-violating border router, the entry for
             the loop-safe alternate next AS; the walker hashes the
             packet source to pick between the two on first visit.
-        generation: the fill epoch the entry was computed under, not
-            the public routing generation: the epoch advances only
-            where ``Internet`` drops its forwarding memos, so entries
-            survive an ``invalidate_routing()`` that changes no input,
-            while an entry from an older epoch is a miss even if its
-            row leaked past the drop, so a traffic-engineering change
-            is never served stale routes.  A shared entry keeps the
-            stamp it was built with, which is why there is one per
-            epoch.
     """
 
-    __slots__ = (
-        "kind", "candidates", "via", "adj", "reason", "alt", "generation"
-    )
+    __slots__ = ("kind", "candidates", "via", "adj", "reason", "alt")
 
     def __init__(
         self,
@@ -103,7 +95,6 @@ class FibEntry:
         candidates: Tuple[int, ...] = (),
         reason: str = "",
         alt: Optional["FibEntry"] = None,
-        generation: int = 0,
     ) -> None:
         self.kind = kind
         self.candidates = candidates
@@ -111,7 +102,6 @@ class FibEntry:
         self.adj: Optional[Dict] = None
         self.reason = reason
         self.alt = alt
-        self.generation = generation
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = {
@@ -121,10 +111,8 @@ class FibEntry:
             FIB_DST: "dst",
             FIB_LAN: "lan",
         }
-        return (
-            f"FibEntry({label[self.kind]}, {self.candidates or self.reason}"
-            f", gen={self.generation})"
-        )
+        detail = self.candidates or self.reason
+        return f"FibEntry({label[self.kind]}, {detail})"
 
 
 @dataclass(slots=True)
@@ -167,7 +155,8 @@ def choose_candidate(
     candidates: List[int],
     probe: Probe,
 ) -> int:
-    """Pick one of the equal-cost *candidates* at *router*.
+    """Pick one of the two or more equal-cost *candidates* of a
+    ``FIB_ECMP`` entry at *router*, a DBR violator or a load balancer.
 
     Every branch is a deterministic hash of (packet, router) fields:
     forwarding is a pure function of the packet, with no hidden state
@@ -175,34 +164,23 @@ def choose_candidate(
     prober, the RR-atlas probe deduplicator, and snapshot warm starts
     guarantee byte-identical outcomes to serial probing.
     """
-    if len(candidates) == 1:
-        return candidates[0]
     if router.dbr_violator:
         index = zlib.crc32(
             f"{probe.src}|{router.router_id}".encode()
         ) % len(candidates)
         return candidates[index]
-    if router.is_load_balancer:
-        if probe.has_options:
-            # Option packets are punted off the fast hardware path on
-            # real load balancers, so they spread differently from the
-            # plain-packet flow hash: include the router id and an
-            # options tag so the spread decorrelates from the
-            # option-less choice below.
-            index = zlib.crc32(
-                f"{probe.src}|{probe.dst}|{probe.flow_id}"
-                f"|{router.router_id}|opt".encode()
-            ) % len(candidates)
-            return candidates[index]
+    if probe.has_options:
+        # Option packets are punted off the fast hardware path on
+        # real load balancers, so they spread differently from the
+        # plain-packet flow hash: include the router id and an
+        # options tag so the spread decorrelates from the
+        # option-less choice below.
         index = zlib.crc32(
-            f"{probe.src}|{probe.dst}|{probe.flow_id}".encode()
+            f"{probe.src}|{probe.dst}|{probe.flow_id}"
+            f"|{router.router_id}|opt".encode()
         ) % len(candidates)
         return candidates[index]
-    # Plain routers break equal-cost ties per destination: strictly
-    # destination-based, but direction-asymmetric — one source of the
-    # router-level asymmetry the paper measures even on AS-symmetric
-    # paths (§6.2).
     index = zlib.crc32(
-        f"{router.router_id}|{probe.dst}".encode()
+        f"{probe.src}|{probe.dst}|{probe.flow_id}".encode()
     ) % len(candidates)
     return candidates[index]

@@ -111,11 +111,14 @@ class Internet:
         self.intra_adj: Dict[int, List[int]] = {}
         #: asn -> neighbour asn -> [(local border, remote border)]
         self.borders: Dict[int, Dict[int, List[Tuple[int, int]]]] = {}
-        #: announcement overrides (traffic engineering); default is
-        #: a unicast announcement from the prefix's origin AS
-        self.announcements: Dict[Prefix, AnnouncementSpec] = {}
-        #: anycast delivery points: prefix -> origin asn -> edge router
-        self.anycast_anchors: Dict[Prefix, Dict[int, int]] = {}
+        #: announcement overrides (traffic engineering), written only
+        #: by announce() / withdraw(); default is a unicast announcement
+        #: from the prefix's origin AS
+        self._announcements: Dict[Prefix, AnnouncementSpec] = {}
+        #: anycast delivery points: prefix -> origin asn -> edge router,
+        #: likewise; each inner dict is announce()'s own copy, which the
+        #: targets resolved under it share read-only
+        self._anycast_anchors: Dict[Prefix, Dict[int, int]] = {}
 
         self.mlab_hosts: List[Address] = []
         self.atlas_hosts: List[Address] = []
@@ -139,33 +142,27 @@ class Internet:
         self._alt_next_as: Dict[Tuple[int, AnnouncementSpec], Optional[int]] = {}
 
         # -- forwarding memos -------------------------------------------
-        #: routing generation, bumped by every :meth:`invalidate_routing`
-        #: and by a ``connect()`` that drops the memos below: the segment
-        #: cache, the atlases and snapshots stamp what they store with it
+        # Each is dropped by the call that changes what it read:
+        # connect() (the link set), announce() / withdraw() (an
+        # announcement) or an invalidate_routing() whose compiled AS
+        # view moved (routes and cold_potato).
+        #: routing generation, bumped by announce(), withdraw(), every
+        #: invalidate_routing() and a connect() that drops the rows: the
+        #: segment cache, the atlases and snapshots stamp what they store
+        #: with it
         self.routing_generation = 0
-        #: fill epoch stamped into every FibEntry; advanced only where
-        #: the memos below are dropped, so an entry filled before a drop
-        #: is a miss even if a reference to its row outlives the drop
-        self._fill_epoch = 0
-        #: the routing inputs the memos below were filled under (see
-        #: :meth:`_routing_inputs`); :meth:`invalidate_routing` drops
-        #: the memos only when these or the compiled AS graph moved
-        self._filled_under = self._routing_inputs()
-        #: (router, next AS, the AS's cold_potato) -> the equal-cost
-        #: next hops of the egress pick, or the reason there is none;
-        #: reads no address and no announcement, so only connect()
-        #: drops it
-        self._egress: Dict[
-            Tuple[int, int, bool], Union[str, List[int]]
-        ] = {}
+        #: (router, next AS) -> the equal-cost next hops of the egress
+        #: pick, or the reason there is none; reads the link set and the
+        #: AS's cold_potato, no address and no announcement
+        self._egress: Dict[Tuple[int, int], Union[str, List[int]]] = {}
         #: (router, next router) -> the one FIB_DELIVER entry that every
         #: row slot forwarding over that link refers to; (router,
-        #: candidate tuple) -> the one FIB_ECMP entry, likewise
+        #: candidate tuple) -> the one FIB_ECMP entry, likewise; reads
+        #: only the adjacency, so only connect() drops it
         self._link_entries: Dict[Tuple[int, object], FibEntry] = {}
         #: the one per-address memo: Internet.resolve() results, each
-        #: carrying its announcement and FIB row; flushed on topology
-        #: mutation and by an invalidate_routing() that finds the
-        #: routing inputs moved
+        #: carrying its announcement and FIB row; dropped by every call
+        #: above and on any other topology mutation
         self._resolve_cache: Dict[Address, Optional[DestTarget]] = {}
         #: read-only values that memo shares, each a function of its
         #: key alone and so never dropped: the default announcement per
@@ -219,47 +216,27 @@ class Internet:
             self._resolve_cache.clear()
             self._fib_entries = 0
 
-    def _routing_inputs(self) -> tuple:
-        """What the resolved targets, their rows and the link entries read
-        besides the link set and the compiled AS graph, by value: the
-        announcement overrides, the anycast anchors (inner dicts copied:
-        callers edit them in place) and the cold-potato ASes, whose
-        flag picks the egress entries the rows hold."""
-        return (
-            dict(self.announcements),
-            {
-                prefix: dict(sites)
-                for prefix, sites in self.anycast_anchors.items()
-            },
-            frozenset(
-                asn
-                for asn, node in self.graph.nodes.items()
-                if node.cold_potato
-            ),
-        )
-
-    def _drop_forwarding_memos(self) -> None:
-        """Start a routing generation and a fill epoch: no FIB row,
-        shared entry or resolution computed before it is read after
-        it."""
+    def _drop_resolved(self) -> None:
+        """Start a routing generation that reads no target, and so no
+        FIB row, resolved before it."""
         self.routing_generation += 1
-        self._fill_epoch += 1
-        self._link_entries.clear()
         self._flush_resolution_caches()
 
     def _flush_topology_memos(self) -> None:
         """Drop what was computed from the link set before it changed:
-        the IGP tables, the egress picks and, once a walk has filled a
-        row (the memos fill nowhere else), everything else forwarding
-        remembers.  Free until then: the generator's calls pay three
-        truth tests."""
+        the IGP tables, the egress picks, the link entries and, once a
+        walk has filled a row (rows fill nowhere else), the resolved
+        targets.  Free until then: the generator's calls pay four truth
+        tests."""
         if self._intra_next:
             self._intra_next.clear()
             self._intra_dist.clear()
         if self._egress:
             self._egress.clear()
+        if self._link_entries:
+            self._link_entries.clear()
         if self._fib_entries:
-            self._drop_forwarding_memos()
+            self._drop_resolved()
 
     def connect(
         self,
@@ -283,6 +260,24 @@ class Internet:
             self.borders.setdefault(router_b.asn, {}).setdefault(
                 router_a.asn, []
             ).append((b, a))
+
+    def announce(
+        self, prefix: Prefix, spec: AnnouncementSpec, anchors: Dict[int, int]
+    ) -> None:
+        """Announce *prefix* as *spec*, delivered at *anchors* (origin
+        asn -> edge router; a copy is kept), in place of what it was
+        announced as.  Starts a routing generation and drops the
+        resolved targets with their rows, which read the announcement."""
+        self._announcements[prefix] = spec
+        self._anycast_anchors[prefix] = dict(anchors)
+        self._drop_resolved()
+
+    def withdraw(self, prefix: Prefix) -> None:
+        """Return *prefix* to the default unicast announcement from its
+        origin AS; drops what :meth:`announce` drops."""
+        self._announcements.pop(prefix, None)
+        self._anycast_anchors.pop(prefix, None)
+        self._drop_resolved()
 
     def finalize(self) -> None:
         """Sort adjacency lists for deterministic candidate ordering."""
@@ -316,7 +311,7 @@ class Internet:
         prefix = self.prefix_table.lookup_prefix(addr)
         if prefix is None:
             return None
-        spec = self.announcements.get(prefix)
+        spec = self._announcements.get(prefix)
         if spec is not None:
             return spec
         asn = self.prefixes[prefix].origin_asn
@@ -335,8 +330,9 @@ class Internet:
         Memoized: every revtr measurement fires dozens of probes at the
         same destination (RR rounds, spoofed-VP batches).  The
         :class:`DestTarget` carries its announcement and the FIB row the
-        walks toward it fill.  The memo is flushed on topology mutation
-        and by an :meth:`invalidate_routing` that finds its inputs moved.
+        walks toward it fill.  The memo is flushed on topology mutation,
+        by :meth:`announce` / :meth:`withdraw` and by an
+        :meth:`invalidate_routing` whose compiled AS view moved.
         """
         hit = self._resolve_cache.get(dst, _MISS)
         if hit is not _MISS:
@@ -359,9 +355,9 @@ class Internet:
         host = self.hosts.get(dst)
         if host is not None:
             prefix = self.prefix_table.lookup_prefix(dst)
-            anchors = self._anchor_map(host.asn, host.edge_router_id)
-            if prefix is not None and prefix in self.anycast_anchors:
-                anchors = dict(self.anycast_anchors[prefix])
+            anchors = self._anycast_anchors.get(prefix)
+            if anchors is None:
+                anchors = self._anchor_map(host.asn, host.edge_router_id)
             return DestTarget(
                 dst=dst,
                 anchors=anchors,
@@ -783,7 +779,6 @@ class Internet:
         path: List[int] = []
         dst = target.dst
         fib = target.row
-        gen = self._fill_epoch
         routers = self.routers
         crc32 = zlib.crc32
         lossy = faults is not None and faults.has_link_loss
@@ -806,11 +801,9 @@ class Internet:
             path.append(current)
 
             entry = fib.get(current)
-            if entry is None or entry.generation != gen:
-                if entry is None:
-                    self._fib_entries += 1
-                entry = self._compute_fib_entry(router, target)
-                fib[current] = entry
+            if entry is None:
+                entry = fib[current] = self._compute_fib_entry(router, target)
+                self._fib_entries += 1
                 self._fib_misses += 1
             else:
                 self._fib_hits += 1
@@ -881,17 +874,16 @@ class Internet:
         """
         current = router.router_id
         asn = router.asn
-        gen = self._fill_epoch
 
         # Terminal kinds: delivery happens at this router.
         if router.owns(target.dst):
-            return FibEntry(FIB_DST, generation=gen)
+            return FibEntry(FIB_DST)
         if (
             target.host is not None
             and asn in target.anchors
             and target.anchors[asn] == current
         ):
-            return FibEntry(FIB_LAN, generation=gen)
+            return FibEntry(FIB_LAN)
 
         if target.owner_router is not None:
             owner = target.owner_router
@@ -902,14 +894,14 @@ class Internet:
                 and current in target.link_endpoints
                 and owner in self.adjacency.get(current, {})
             ):
-                return self._deliver_entry(current, owner, gen)
+                return self._deliver_entry(current, owner)
             # Interdomain misnumbered iface: any router adjacent to the
             # owner in a different AS has the /30 as a connected route.
             if (
                 owner in self.adjacency.get(current, {})
                 and self.routers[owner].asn != asn
             ):
-                return self._deliver_entry(current, owner, gen)
+                return self._deliver_entry(current, owner)
 
         if asn in target.anchors:
             anchor = target.anchors[asn]
@@ -935,61 +927,45 @@ class Internet:
                 if owner is not None and owner in self.adjacency.get(
                     current, {}
                 ):
-                    return self._deliver_entry(current, owner, gen)
-                return FibEntry(
-                    FIB_ERROR, reason="anchor cannot deliver",
-                    generation=gen,
-                )
+                    return self._deliver_entry(current, owner)
+                return FibEntry(FIB_ERROR, reason="anchor cannot deliver")
             candidates = self.intra_next_hops(asn, intra_target, current)
             if not candidates:
                 return FibEntry(
-                    FIB_ERROR, reason="intra-AS target unreachable",
-                    generation=gen,
+                    FIB_ERROR, reason="intra-AS target unreachable"
                 )
-            return self._ecmp_entry(router, target, candidates, gen)
+            return self._ecmp_entry(router, target, candidates)
 
         # Interdomain step.
         spec = target.spec
         next_as = self.policy.next_hop_as(asn, spec)
         if next_as is None:
-            return FibEntry(
-                FIB_ERROR, reason="no BGP route", generation=gen
-            )
-        entry = self._border_entry(router, target, next_as, gen)
+            return FibEntry(FIB_ERROR, reason="no BGP route")
+        entry = self._border_entry(router, target, next_as)
         if router.dbr_as_violator:
             alt_as = self.alt_next_as(asn, spec)
             if alt_as is not None:
                 # ``.alt`` depends on the spec: set it on a private copy,
                 # never on the entry other rows share.
                 entry = copy(entry)
-                entry.alt = self._border_entry(
-                    router, target, alt_as, gen
-                )
+                entry.alt = self._border_entry(router, target, alt_as)
         return entry
 
     def _border_entry(
-        self,
-        router: Router,
-        target: DestTarget,
-        next_as: int,
-        gen: int,
+        self, router: Router, target: DestTarget, next_as: int
     ) -> FibEntry:
         """The deterministic egress action toward *next_as*: the pick is
-        made once per ``(router, next AS, cold_potato)``, the entry per
-        destination."""
-        cold_potato = self.graph.nodes[router.asn].cold_potato
-        key = (router.router_id, next_as, cold_potato)
+        made once per ``(router, next AS)``, the entry per destination."""
+        key = (router.router_id, next_as)
         egress = self._egress.get(key)
         if egress is None:
-            egress = self._egress[key] = self._egress_toward(
-                router, next_as, cold_potato
-            )
+            egress = self._egress[key] = self._egress_toward(router, next_as)
         if isinstance(egress, str):
-            return FibEntry(FIB_ERROR, reason=egress, generation=gen)
-        return self._ecmp_entry(router, target, egress, gen)
+            return FibEntry(FIB_ERROR, reason=egress)
+        return self._ecmp_entry(router, target, egress)
 
     def _egress_toward(
-        self, router: Router, next_as: int, cold_potato: bool
+        self, router: Router, next_as: int
     ) -> Union[str, List[int]]:
         """Equal-cost next hops from *router* toward its AS's egress to
         *next_as*, or why there is none."""
@@ -1006,7 +982,7 @@ class Internet:
             return sorted(p[1] for p in own_pairs)
 
         # Pick an egress border router.
-        if cold_potato:
+        if self.graph.nodes[asn].cold_potato:
             local_border = min(pairs)[0]
         else:
             local_border = min(
@@ -1018,16 +994,14 @@ class Internet:
             or "border unreachable intra-AS"
         )
 
-    def _deliver_entry(
-        self, current: int, next_router: int, gen: int
-    ) -> FibEntry:
+    def _deliver_entry(self, current: int, next_router: int) -> FibEntry:
         """The forced-next-hop entry of link *current* -> *next_router*,
-        its link triple precomputed: one object per fill epoch,
-        shared by every row slot that crosses the link."""
+        its link triple precomputed: one object, shared by every row
+        slot that crosses the link."""
         key = (current, next_router)
         entry = self._link_entries.get(key)
-        if entry is None or entry.generation != gen:
-            entry = FibEntry(FIB_DELIVER, (next_router,), generation=gen)
+        if entry is None:
+            entry = FibEntry(FIB_DELIVER, (next_router,))
             egress_addr, next_ingress = self.adjacency[current][next_router]
             entry.via = (next_router, egress_addr, next_ingress)
             self._link_entries[key] = entry
@@ -1038,7 +1012,6 @@ class Internet:
         router: Router,
         target: DestTarget,
         candidates: List[int],
-        gen: int,
     ) -> FibEntry:
         """Wrap equal-cost *candidates*, folding deterministic picks.
 
@@ -1050,16 +1023,20 @@ class Internet:
         """
         current = router.router_id
         if len(candidates) == 1:
-            return self._deliver_entry(current, candidates[0], gen)
+            return self._deliver_entry(current, candidates[0])
         if not router.dbr_violator and not router.is_load_balancer:
+            # Plain routers break equal-cost ties per destination:
+            # strictly destination-based, but direction-asymmetric —
+            # one source of the router-level asymmetry the paper
+            # measures even on AS-symmetric paths (§6.2).
             index = zlib.crc32(
                 f"{router.router_id}|{target.dst}".encode()
             ) % len(candidates)
-            return self._deliver_entry(current, candidates[index], gen)
+            return self._deliver_entry(current, candidates[index])
         key = (current, tuple(candidates))
         entry = self._link_entries.get(key)
-        if entry is None or entry.generation != gen:
-            entry = FibEntry(FIB_ECMP, key[1], generation=gen)
+        if entry is None:
+            entry = FibEntry(FIB_ECMP, key[1])
             entry.adj = self.adjacency[current]
             self._link_entries[key] = entry
         return entry
@@ -1162,32 +1139,23 @@ class Internet:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def invalidate_routing(self) -> None:
-        """Let routing reconverge after announcement or policy changes.
+        """Let routing reconverge after the AS graph was edited in place
+        (edges, ``neighbor_pref``, ``cold_potato``).
 
         Always bumps the routing generation, which the segment cache,
-        the atlases and snapshots stamp what they store with.  Each
-        forwarding memo is dropped only when an input it was computed
-        from moved since it was filled: the policy's floods and the
-        alternate next-ASes when :meth:`RoutingPolicy.invalidate` finds
-        the compiled AS graph changed; the resolved targets with the FIB
-        rows they carry, and the shared link entries, when that graph,
-        the announcement overrides, the anycast anchors or any AS's
-        ``cold_potato`` changed (:meth:`_routing_inputs`).  Dropping
-        them starts a fill epoch, stamped into every
-        :class:`~repro.sim.forwarding.FibEntry`, so a row that leaks
-        past the drop still misses.  The egress picks are keyed on the
-        ``cold_potato`` they read and outlive every call, and the prefix
-        table's longest-prefix matches read no announcement.
+        the atlases and snapshots stamp what they store with.  When
+        :meth:`RoutingPolicy.invalidate` finds the compiled AS view
+        moved, it drops what read that view: the alternate next-ASes,
+        the egress picks and the resolved targets with the FIB rows they
+        carry.  An announcement change drops its own memos
+        (:meth:`announce`); the link entries and the prefix table's
+        longest-prefix matches read neither.
         """
-        graph_moved = self.policy.invalidate()
-        if graph_moved:
+        self.routing_generation += 1
+        if self.policy.invalidate():
             self._alt_next_as.clear()
-        inputs = self._routing_inputs()
-        if graph_moved or inputs != self._filled_under:
-            self._filled_under = inputs
-            self._drop_forwarding_memos()
-        else:
-            self.routing_generation += 1
+            self._egress.clear()
+            self._flush_resolution_caches()
 
     def forwarding_cache_stats(self) -> Dict[str, object]:
         """Hit/miss/size accounting for every forwarding memo.

@@ -4,8 +4,8 @@ PEERING lets researchers announce real prefixes from multiple
 university/IXP sites and manipulate the announcements (§6.1). Here, a
 set of site ASes anycast one prefix; the deployment object owns the
 announcement (per-site poisoning, no-export), and the testbed
-re-announces it after each change, invalidating the simulator's
-routing caches the way BGP reconverges.
+re-announces it after each change through ``Internet.announce``, which
+drops the simulator's per-destination routes the way BGP reconverges.
 """
 
 from __future__ import annotations
@@ -79,12 +79,11 @@ class PeeringTestbed:
         return min(routers)
 
     def _announce(self, deployment: AnycastDeployment) -> None:
-        spec = deployment.spec()
-        self.internet.announcements[deployment.prefix] = spec
-        self.internet.anycast_anchors[deployment.prefix] = {
-            asn: self._anchor_for(asn) for asn in deployment.site_asns
-        }
-        self.internet.invalidate_routing()
+        self.internet.announce(
+            deployment.prefix,
+            deployment.spec(),
+            {asn: self._anchor_for(asn) for asn in deployment.site_asns},
+        )
 
     # ------------------------------------------------------------------
     # Announcement manipulation
@@ -110,9 +109,7 @@ class PeeringTestbed:
 
     def withdraw(self, deployment: AnycastDeployment) -> None:
         """Remove the anycast announcement (back to unicast)."""
-        self.internet.announcements.pop(deployment.prefix, None)
-        self.internet.anycast_anchors.pop(deployment.prefix, None)
-        self.internet.invalidate_routing()
+        self.internet.withdraw(deployment.prefix)
         self.deployments.pop(deployment.prefix, None)
 
     def catchment_of(

@@ -84,14 +84,16 @@ class ASGraph:
 
     The graph does not notify its readers.  A
     :class:`~repro.topology.policy.RoutingPolicy` selects each route,
-    when it is first read, from a compiled copy of the edges and
-    ``neighbor_pref`` tables, so after changing either — :meth:`add_edge`,
-    or an ``ASNode`` edited in place — call ``RoutingPolicy.invalidate()``
-    (or ``Internet.invalidate_routing()``); until then every route,
-    read before or after the change, is that of the graph as it was.
-    The call compiles the graph again and drops the routes only if the
-    compiled copy differs, so an edit route selection does not read
-    (``neighbor_pref`` of an AS with customers) re-selects nothing.
+    when it is first read, from a compiled copy of the edges, the
+    ``neighbor_pref`` tables and the ``cold_potato`` flags (which the
+    simulator's egress picks read), so after changing any of them —
+    :meth:`add_edge`, or an ``ASNode`` edited in place — call
+    ``RoutingPolicy.invalidate()`` (or ``Internet.invalidate_routing()``);
+    until then every route, read before or after the change, is that of
+    the graph as it was.  The call compiles the graph again and drops
+    the routes only if the compiled copy differs, so an edit route
+    selection does not read (``neighbor_pref`` of an AS with customers)
+    re-selects nothing.
     """
 
     def __init__(self) -> None:

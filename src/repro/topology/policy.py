@@ -143,6 +143,10 @@ class _CompiledGraph(NamedTuple):
     ASes, read when one is asked for its route: the tie-break is the
     one *this AS* gives a route heard from the neighbour.
 
+    ``cold_potato`` is the set of ASes that pick their egress border
+    cold-potato: route selection reads none of it, but forwarding's
+    egress picks do, so a flip is a change of the view like a new edge.
+
     A pure function of the graph, the policy's salt and its
     ``symmetric_tiebreak_fraction`` — nothing here depends on the
     announcement — so one instance serves every spec until
@@ -159,6 +163,7 @@ class _CompiledGraph(NamedTuple):
     #: ``{provider: local pref}`` of every customer-less AS whose
     #: neighbor_pref names a provider
     pref_leaves: Dict[int, Dict[int, int]]
+    cold_potato: FrozenSet[int]
 
 
 class _Flooded(NamedTuple):
@@ -191,14 +196,15 @@ class RoutingPolicy:
     flooded AS from the neighbours its route came through, a
     customer-less AS by selecting among its neighbours' routes.  Both
     read a compiled view of the graph, built on first use.  To change
-    the graph under a live policy (edges, ``ASNode.neighbor_pref``, in
-    place or not): **mutate, then call** :meth:`invalidate` —
-    ``Internet.invalidate_routing()`` does — which compiles the graph
-    again and, if the view differs from the one held, drops every
-    cached route.  Without the call nothing notices: routes read before
-    or after it are those of the graph as it was.  A call that finds the
-    view unchanged keeps every flood: the view is the whole input of
-    route selection.
+    the graph under a live policy (edges, ``ASNode.neighbor_pref`` or
+    ``ASNode.cold_potato``, in place or not): **mutate, then call**
+    :meth:`invalidate` — ``Internet.invalidate_routing()`` does — which
+    compiles the graph again and, if the view differs from the one
+    held, drops every cached route and reports it, so forwarding drops
+    what it read of the view too.  Without the call nothing notices:
+    routes read before or after it are those of the graph as it was.  A
+    call that finds the view unchanged keeps every flood: the view is
+    the whole input of route selection.
     """
 
     def __init__(
@@ -330,6 +336,9 @@ class RoutingPolicy:
             leaf_peers=edges(Relationship.PEER, True),
             leaf_providers=leaf_providers,
             pref_leaves=pref_leaves,
+            cold_potato=frozenset(
+                asn for asn, node in nodes.items() if node.cold_potato
+            ),
         )
 
     def _flood(self, spec: AnnouncementSpec) -> _Flooded:

@@ -274,7 +274,6 @@ def _walk(
     path: List[int] = []
     dst = target.dst
     fib = target.row
-    gen = self._fill_epoch
     routers = self.routers
     crc32 = zlib.crc32
     lossy = faults is not None and faults.has_link_loss
@@ -297,9 +296,8 @@ def _walk(
         path.append(current)
 
         entry = fib.get(current)
-        if entry is None or entry.generation != gen:
-            if entry is None:
-                self._fib_entries += 1
+        if entry is None:
+            self._fib_entries += 1
             entry = self._compute_fib_entry(router, target)
             fib[current] = entry
             self._fib_misses += 1

@@ -2,31 +2,30 @@
 
 ``Internet`` forwards through four memos — ``resolve`` per address,
 whose target carries the address's announcement and FIB row, the egress
-pick per ``(router, next AS, cold_potato)``, the link entry per
-``(router, next router)`` the rows share, and the prefix table's
-longest-match results — and reads routes through two more, the
-policy's floods and the alternate next-AS per ``(AS, announcement)``.
-Each outlives an ``invalidate_routing()`` that moves none of its
-inputs: the egress picks every call (they are keyed on the
-``cold_potato`` they read), the floods and alternates while the
-compiled AS graph is equal, and the resolved targets with their rows,
-and the link entries, while that graph, the announcement overrides,
-the anycast anchors and every ``cold_potato`` are; the property test
-drives each of those inputs, and calls that move none, between its
-probes.  A switch (``enable_fastpath(False)``) once turned the row and
-resolution memos off so the two could be compared; what it selected is
-kept here instead, together with a copy of the resolution itself
-(``_resolve_uncached`` and ``_announcement_of``, so a defect planted in
-``src/``'s resolution is on one side of the comparison only), the
-three entry builders as they were before the egress and link memos
-(one private ``FibEntry`` per call, the border pick made again for
-every destination), a route read answered by a
-:class:`ReferencePolicy` built for that one read over the live graph,
-and ``alt_next_as`` without its memo, so
-``tests/test_fwd_fastpath.py`` and ``tests/test_ttl_sweep.py`` can
-require a memoised Internet to answer a probe stream exactly as one
-that recomputes every hop and shares none of those memos.  Test-only:
-nothing under ``src/`` imports it.
+pick per ``(router, next AS)``, the link entry per ``(router, next
+router)`` the rows share, and the prefix table's longest-match results —
+and reads routes through two more, the policy's floods and the alternate
+next-AS per ``(AS, announcement)``.  Each is dropped by the call that
+changes what it read: ``connect()`` drops the link entries and egress
+picks (and the rows); ``Internet.announce`` / ``withdraw`` drop the
+resolved targets with their rows; an ``invalidate_routing()`` whose
+compiled AS view (edges, ``neighbor_pref``, ``cold_potato``) moved drops
+the floods, the alternates, the egress picks and the targets, and one
+that finds the view equal drops nothing.  The property test drives each
+of those inputs, and calls that move none, between its probes.  A switch
+(``enable_fastpath(False)``) once turned the row and resolution memos
+off so the two could be compared; what it selected is kept here instead,
+together with a copy of the resolution itself (``_resolve_uncached`` and
+``_announcement_of``, so a defect planted in ``src/``'s resolution is on
+one side of the comparison only), the three entry builders as they were
+before the egress and link memos (one private ``FibEntry`` per call, the
+border pick made again for every destination), a route read answered by
+a :class:`ReferencePolicy` built for that one read over the live graph,
+and ``alt_next_as`` without its memo, so ``tests/test_fwd_fastpath.py``
+and ``tests/test_ttl_sweep.py`` can require a memoised Internet to
+answer a probe stream exactly as one that recomputes every hop and
+shares none of those memos.  Test-only: nothing under ``src/`` imports
+it.
 
 Under :func:`uncached_forwarding` the hit / miss / entry tallies of
 ``forwarding_cache_stats()`` still tick but describe nothing (every
@@ -80,24 +79,20 @@ def _border_entry(
     router: Router,
     target: DestTarget,
     next_as: int,
-    gen: int,
 ) -> FibEntry:
     """The deterministic egress action toward *next_as*."""
     current = router.router_id
     asn = router.asn
     pairs = self.borders.get(asn, {}).get(next_as)
     if not pairs:
-        return FibEntry(
-            FIB_ERROR, reason="no border link to next AS",
-            generation=gen,
-        )
+        return FibEntry(FIB_ERROR, reason="no border link to next AS")
 
     # If we are a border router on one of the candidate links,
     # egress directly (hot potato at zero cost).
     own_pairs = [p for p in pairs if p[0] == current]
     if own_pairs:
         remotes = sorted(p[1] for p in own_pairs)
-        return self._ecmp_entry(router, target, remotes, gen)
+        return self._ecmp_entry(router, target, remotes)
 
     # Pick an egress border router.
     if self.graph.nodes[asn].cold_potato:
@@ -109,18 +104,13 @@ def _border_entry(
         )[1]
     candidates = self.intra_next_hops(asn, local_border, current)
     if not candidates:
-        return FibEntry(
-            FIB_ERROR, reason="border unreachable intra-AS",
-            generation=gen,
-        )
-    return self._ecmp_entry(router, target, candidates, gen)
+        return FibEntry(FIB_ERROR, reason="border unreachable intra-AS")
+    return self._ecmp_entry(router, target, candidates)
 
 
-def _deliver_entry(
-    self, current: int, next_router: int, gen: int
-) -> FibEntry:
+def _deliver_entry(self, current: int, next_router: int) -> FibEntry:
     """A forced-next-hop entry with its link triple precomputed."""
-    entry = FibEntry(FIB_DELIVER, (next_router,), generation=gen)
+    entry = FibEntry(FIB_DELIVER, (next_router,))
     egress_addr, next_ingress = self.adjacency[current][next_router]
     entry.via = (next_router, egress_addr, next_ingress)
     return entry
@@ -131,7 +121,6 @@ def _ecmp_entry(
     router: Router,
     target: DestTarget,
     candidates: List[int],
-    gen: int,
 ) -> FibEntry:
     """Wrap equal-cost *candidates*, folding deterministic picks.
 
@@ -143,13 +132,13 @@ def _ecmp_entry(
     """
     current = router.router_id
     if len(candidates) == 1:
-        return self._deliver_entry(current, candidates[0], gen)
+        return self._deliver_entry(current, candidates[0])
     if not router.dbr_violator and not router.is_load_balancer:
         index = zlib.crc32(
             f"{router.router_id}|{target.dst}".encode()
         ) % len(candidates)
-        return self._deliver_entry(current, candidates[index], gen)
-    entry = FibEntry(FIB_ECMP, tuple(candidates), generation=gen)
+        return self._deliver_entry(current, candidates[index])
+    entry = FibEntry(FIB_ECMP, tuple(candidates))
     entry.adj = self.adjacency[current]
     return entry
 
@@ -164,7 +153,7 @@ def _announcement_of(self, addr: Address) -> Optional[AnnouncementSpec]:
     prefix = self.prefix_table.lookup_prefix(addr)
     if prefix is None:
         return None
-    spec = self.announcements.get(prefix)
+    spec = self._announcements.get(prefix)
     if spec is not None:
         return spec
     asn = self.prefixes[prefix].origin_asn
@@ -178,9 +167,9 @@ def _resolve_uncached(self, dst: Address) -> Optional[DestTarget]:
     host = self.hosts.get(dst)
     if host is not None:
         prefix = self.prefix_table.lookup_prefix(dst)
-        anchors = self._anchor_map(host.asn, host.edge_router_id)
-        if prefix is not None and prefix in self.anycast_anchors:
-            anchors = dict(self.anycast_anchors[prefix])
+        anchors = self._anycast_anchors.get(prefix)
+        if anchors is None:
+            anchors = self._anchor_map(host.asn, host.edge_router_id)
         return DestTarget(
             dst=dst,
             anchors=anchors,

@@ -191,9 +191,9 @@ class TestTrafficEng:
         scenario = Scenario(
             config=TopologyConfig.tiny(seed=13), seed=13, atlas_size=8
         )
-        before = dict(scenario.internet.announcements)
+        before = dict(scenario.internet._announcements)
         result = exp_traffic_eng.run(scenario, n_monitors=25)
         assert result.rounds
         assert exp_traffic_eng.format_report(result)
         # The testbed must clean up after itself.
-        assert scenario.internet.announcements == before
+        assert scenario.internet._announcements == before

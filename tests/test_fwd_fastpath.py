@@ -4,13 +4,13 @@ The memos' contract is that they are *invisible* except in speed and
 size: memoised forwarding must be bit-identical to recomputing every
 decision (``tests/helpers/reference_walk.py``), including the
 stochastic load-balancer and DBR-violator hops, whose per-packet
-choices stay outside the cache; a memo must be dropped when an input
-it read moves — an announcement override, an anycast anchor, a
-``cold_potato`` flag or the AS graph, then ``invalidate_routing()``,
-or a link added by ``connect()`` — and kept by an
-``invalidate_routing()`` that moves none of them; and sharing one
-``FibEntry`` between the row slots that resolve to the same link must
-move no lookup.
+choices stay outside the cache; a memo must be dropped by the call
+that moves an input it read — ``Internet.announce`` / ``withdraw`` (an
+announcement override or an anycast anchor), ``invalidate_routing()``
+after a ``cold_potato`` flag or the AS graph was edited, or
+``connect()`` adding a link — and kept by an ``invalidate_routing()``
+that finds nothing moved; and sharing one ``FibEntry`` between the row
+slots that resolve to the same link must move no lookup.
 """
 
 from functools import lru_cache
@@ -141,13 +141,17 @@ def tiny_potato_canaries():
     ``cold_potato``, with a ping that flipping it reroutes (on the way
     out or back).  Sources are the stream's and the hosts of those
     ASes, destinations any host."""
-    internet = tiny_with_as_violators()
+    internet, every_flipped = tiny_with_as_violators(), build_internet(TINY)
+    for node in every_flipped.graph.nodes.values():
+        node.cold_potato = not node.cold_potato
     potato = [
         asn
         for asn, by_next in sorted(internet.borders.items())
         if any(
-            internet._egress_toward(internet.routers[rid], next_as, False)
-            != internet._egress_toward(internet.routers[rid], next_as, True)
+            internet._egress_toward(internet.routers[rid], next_as)
+            != every_flipped._egress_toward(
+                every_flipped.routers[rid], next_as
+            )
             for next_as in by_next
             for rid in internet.routers_by_as[asn]
         )
@@ -189,9 +193,7 @@ def tiny_anycast():
     sources, destinations, _, _ = tiny_endpoints()
 
     def pings(dst, prefix, spec, anchors):
-        internet.announcements[prefix] = spec
-        internet.anycast_anchors[prefix] = anchors
-        internet.invalidate_routing()
+        internet.announce(prefix, spec, anchors)
         with uncached_forwarding():
             return [
                 outcome_key(internet.send_probe(Probe(src=s, dst=dst)), False)
@@ -306,25 +308,7 @@ def fib_rows(internet):
     }
 
 
-def leak_rows(internet, rows):
-    """Hand each of *rows* to the target ``resolve`` returns now for its
-    address: only the row leaks, never a target's announcement, which
-    the fill-epoch stamp does not guard."""
-    for dst, row in rows.items():
-        internet.resolve(dst).row = row
-
-
-def invalidate(internet, leak_stale_rows):
-    """``invalidate_routing()``.  With *leak_stale_rows* a reference to
-    the rows held before the call outlives it: if the call dropped
-    them, the fill-epoch stamp alone must make every entry a miss."""
-    stale = fib_rows(internet)
-    internet.invalidate_routing()
-    if leak_stale_rows:
-        leak_rows(internet, stale)
-
-
-def apply_op(internet, op, leak_stale_rows=False):
+def apply_op(internet, op):
     """Run one drawn operation; returns what it observed."""
     sources, _, multihomed, _ = tiny_endpoints()
     if op[0] == "probe":
@@ -342,21 +326,18 @@ def apply_op(internet, op, leak_stale_rows=False):
         replies, steps = internet.send_ttl_sweep(probe, 12, MAX_STARS)
         return replies, list(steps)
     if op[0] == "anchor":
-        # Announce a two-site anycast prefix, move one site's anchor by
-        # editing the anchor dict in place, withdraw; every stream
-        # source pings the host after each.
+        # Announce a two-site anycast prefix, announce it again with one
+        # site's anchor moved, withdraw; every stream source pings the
+        # host after each.
         dst, prefix, spec, anchors, site, moved_to = tiny_anycast()
         seen = []
-        for stage in ("announce", "edit", "withdraw"):
+        for stage in ("announce", "move", "withdraw"):
             if stage == "announce":
-                internet.announcements[prefix] = spec
-                internet.anycast_anchors[prefix] = dict(anchors)
-            elif stage == "edit":
-                internet.anycast_anchors[prefix][site] = moved_to
+                internet.announce(prefix, spec, anchors)
+            elif stage == "move":
+                internet.announce(prefix, spec, {**anchors, site: moved_to})
             else:
-                del internet.announcements[prefix]
-                del internet.anycast_anchors[prefix]
-            invalidate(internet, leak_stale_rows)
+                internet.withdraw(prefix)
             seen.append(
                 [
                     outcome_key(internet.send_probe(Probe(src=s, dst=dst)))
@@ -368,13 +349,20 @@ def apply_op(internet, op, leak_stale_rows=False):
         host = multihomed[op[1]]
         provider = sorted(internet.graph.nodes[host.asn].providers())[0]
         prefix = internet.prefix_table.lookup_prefix(host.addr)
-        internet.announcements[prefix] = AnnouncementSpec(
-            origins=(Origin(host.asn),),
-            no_export=frozenset({(host.asn, provider)}),
+        internet.announce(
+            prefix,
+            AnnouncementSpec(
+                origins=(Origin(host.asn),),
+                no_export=frozenset({(host.asn, provider)}),
+            ),
+            {host.asn: internet.prefixes[prefix].edge_router_id},
         )
-    elif op[0] == "clear":
-        internet.announcements.clear()
-    elif op[0] == "flip":  # the in-place local-pref edit of exp_staleness
+        return internet.routing_generation
+    if op[0] == "clear":
+        for prefix in list(internet._announcements):
+            internet.withdraw(prefix)
+        return internet.routing_generation
+    if op[0] == "flip":  # the in-place local-pref edit of exp_staleness
         node = internet.graph.nodes[op[1]]
         providers = sorted(node.providers())
         node.neighbor_pref.clear()
@@ -387,7 +375,7 @@ def apply_op(internet, op, leak_stale_rows=False):
         if b not in internet.graph.nodes[a].neighbors:
             internet.graph.add_edge(a, b, rel_from_a)
     # noop: nothing changed, and routing is invalidated all the same
-    invalidate(internet, leak_stale_rows)
+    internet.invalidate_routing()
     return internet.routing_generation
 
 
@@ -403,7 +391,7 @@ def test_memoised_forwarding_equals_recomputing_every_hop(ops):
     ]
     resent = [op for op in ops if op[0] in ("probe", "batch", "sweep")]
     for op in canaries + ops + resent + canaries:
-        seen = apply_op(memoised, op, leak_stale_rows=True)
+        seen = apply_op(memoised, op)
         with uncached_forwarding():
             expected = apply_op(recomputed, op)
         assert seen == expected, op
@@ -485,7 +473,7 @@ class TestInvalidation:
         pytest.skip("no overridable destination in this topology")
 
     def test_te_override_flushes_every_cache(self):
-        """A TE announcement override + invalidate_routing() drops the
+        """A TE announcement override (``Internet.announce``) drops the
         resolved targets with their FIB rows, and the rerouted paths
         equal those of a fresh Internet that memoises nothing.  The
         longest-prefix matches read no announcement: they are kept, and
@@ -514,8 +502,8 @@ class TestInvalidation:
             no_export=frozenset({(host.asn, used_provider)}),
         )
         for net in (internet, reference):
-            net.announcements[prefix] = override
-            net.invalidate_routing()
+            anchor = net.prefixes[prefix].edge_router_id
+            net.announce(prefix, override, {host.asn: anchor})
 
         flushed = internet.forwarding_cache_stats()
         assert flushed["routing_generation"] == generation + 1
@@ -538,50 +526,6 @@ class TestInvalidation:
         assert after == reference_path(src, host.addr)
         if after:
             assert after != before
-
-    def test_stale_generation_entries_are_misses(self):
-        """FIB entries stamped with an older fill epoch are recomputed
-        even if a stale row survived a flush, handed to the fresh
-        targets.  An AS-level link the walked path does not need is the
-        change."""
-        internet = fresh_internet()
-        src = internet.mlab_hosts[0]
-        dst = sorted(
-            host.addr
-            for host in internet.hosts.values()
-            if host.responds_to_ping and not host.is_vantage_point
-        )[0]
-        internet.ground_truth_router_path(src, dst)
-        stale = {d: dict(row) for d, row in fib_rows(internet).items()}
-        stale_links = dict(internet._link_entries)
-        egress = dict(internet._egress)
-        epoch = internet._fill_epoch
-        nodes = internet.graph.nodes
-        internet.graph.add_edge(
-            *next(
-                (a, b)
-                for a in sorted(nodes)
-                if not nodes[a].customers()
-                for b in sorted(nodes)
-                if nodes[b].customers() and b not in nodes[a].neighbors
-            ),
-            Relationship.PEER,
-        )
-        internet.invalidate_routing()
-        assert internet._fill_epoch == epoch + 1
-        # The egress picks read no announcement and outlive the call.
-        assert internet._egress == egress and not internet._link_entries
-        assert not internet._resolve_cache
-        # Simulate leaked stale rows, and a leaked shared entry.
-        leak_rows(internet, stale)
-        internet._link_entries.update(stale_links)
-        misses_before = internet._fib_misses
-        path = internet.ground_truth_router_path(src, dst)
-        assert internet._fib_misses == misses_before + len(path)
-        # What the misses wrote carries this fill epoch's stamp, not a
-        # stale shared entry's: walked again, every hop is a hit.
-        internet.ground_truth_router_path(src, dst)
-        assert internet._fib_misses == misses_before + len(path)
 
     def test_noop_invalidation_keeps_what_the_graph_determines(
         self, monkeypatch
@@ -635,10 +579,10 @@ class TestInvalidation:
         assert floods == []
 
     def test_cold_potato_flip_is_honoured_after_invalidation(self):
-        """The egress pick reads ``ASNode.cold_potato``; flipped in
-        place and back, each ``invalidate_routing()`` must serve the
-        picks made under the value now set, never those of the other
-        (which the memo still holds under its own key)."""
+        """The egress pick reads ``ASNode.cold_potato``, which is part
+        of the policy's compiled view; flipped in place and back, each
+        ``invalidate_routing()`` must drop the picks made under the
+        other value and serve those of the value now set."""
         internet, reference = build_internet(TINY), build_internet(TINY)
         sources, destinations, _, _ = tiny_endpoints()
         pairs = [(s, d) for s in sources for d in destinations]

@@ -238,11 +238,14 @@ class TestAnycast:
                 Origin(asn) for asn in sorted([host_a.asn, host_b.asn])
             )
         )
-        internet.announcements[prefix] = spec
-        internet.anycast_anchors[prefix] = {
-            host_a.asn: host_a.edge_router_id,
-            host_b.asn: host_b.edge_router_id,
-        }
+        internet.announce(
+            prefix,
+            spec,
+            {
+                host_a.asn: host_a.edge_router_id,
+                host_b.asn: host_b.edge_router_id,
+            },
+        )
         try:
             dst = responsive_host(internet)
             probe = Probe(src=dst, dst=mlab[0])
@@ -256,6 +259,4 @@ class TestAnycast:
             assert landing_asn in (host_a.asn, host_b.asn)
             assert landing_asn == expected
         finally:
-            del internet.announcements[prefix]
-            del internet.anycast_anchors[prefix]
-            internet.invalidate_routing()
+            internet.withdraw(prefix)

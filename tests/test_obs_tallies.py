@@ -66,18 +66,16 @@ def test_fib_entry_tally_matches_oracle():
     seen_nonzero = False
     for _ in range(60):
         op = rng.choice(
-            ["measure", "measure", "measure", "invalidate", "stale"]
+            ["measure", "measure", "measure", "invalidate", "withdraw"]
         )
         if op == "measure":
             engine.measure(rng.choice(dsts))
         elif op == "invalidate":
             internet.invalidate_routing()
         else:
-            # Age every entry without flushing: the next walks
-            # overwrite keys the tally has already counted.  The FIB
-            # stamp is the fill epoch; the routing generation moves
-            # on every invalidation and stales no entry.
-            internet._fill_epoch += 1
+            # Withdrawing a prefix drops every resolved target with its
+            # row, so the tally restarts from zero.
+            internet.withdraw(internet.prefix_table.lookup_prefix(dsts[0]))
         assert entries() == fib_entry_count(internet)
         seen_nonzero = seen_nonzero or entries() > 0
     assert seen_nonzero

@@ -483,6 +483,19 @@ class TestMutateThenInvalidate:
         assert policy._compiled is compiled
         assert policy.route_of(3, spec) is route
 
+    def test_cold_potato_flip_is_a_change_of_the_view(self):
+        """No route reads ``cold_potato``, but forwarding's egress picks
+        do: a flip is reported, and routes are selected as before."""
+        graph = diamond_graph()
+        policy = RoutingPolicy(graph)
+        spec = AnnouncementSpec.single(4)
+        routes = policy.routes(spec)
+
+        graph.nodes[2].cold_potato = not graph.nodes[2].cold_potato
+        assert policy.invalidate() is True
+        assert policy.routes(spec) == routes
+        assert policy.invalidate() is False
+
     def test_salt_change_drops_the_floods(self):
         graph = diamond_graph()
         policy = RoutingPolicy(graph)

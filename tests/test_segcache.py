@@ -887,10 +887,13 @@ class _Twins:
                 internet = scenario.internet
                 prefix = internet.prefix_table.lookup_prefix(src)
                 origin = internet.prefixes[prefix].origin_asn
-                internet.announcements[prefix] = AnnouncementSpec(
-                    origins=(Origin(origin, poisoned=frozenset({asn})),)
+                internet.announce(
+                    prefix,
+                    AnnouncementSpec(
+                        origins=(Origin(origin, poisoned=frozenset({asn})),)
+                    ),
+                    {origin: internet.prefixes[prefix].edge_router_id},
                 )
-                internet.invalidate_routing()
             elif op == "trace":
                 # The atlas gains a vantage point in an aborted
                 # destination's network, and the RR atlas grows with it.

@@ -180,11 +180,14 @@ class TestAnnouncementOverrides:
             pytest.skip("path does not end via a provider")
         from repro.topology.policy import AnnouncementSpec, Origin
 
-        internet.announcements[prefix] = AnnouncementSpec(
-            origins=(Origin(host.asn),),
-            no_export=frozenset({(host.asn, used_provider)}),
+        internet.announce(
+            prefix,
+            AnnouncementSpec(
+                origins=(Origin(host.asn),),
+                no_export=frozenset({(host.asn, used_provider)}),
+            ),
+            {host.asn: internet.prefixes[prefix].edge_router_id},
         )
-        internet.invalidate_routing()
         try:
             after = internet.ground_truth_router_path(src, host.addr)
             after_asns = {
@@ -193,5 +196,4 @@ class TestAnnouncementOverrides:
             if after:  # still reachable via the other provider
                 assert before != after
         finally:
-            del internet.announcements[prefix]
-            internet.invalidate_routing()
+            internet.withdraw(prefix)

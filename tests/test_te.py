@@ -1,10 +1,13 @@
 """Tests for the PEERING-like testbed and traffic engineering."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.probing import Prober
 from repro.te import PeeringTestbed, TrafficEngineer
 from repro.te.peering import CONVERGENCE_SECONDS
+from repro.topology.policy import AnnouncementSpec
 
 
 @pytest.fixture()
@@ -27,8 +30,8 @@ class TestDeployment:
         assert len(deployment.site_asns) == 2
         internet = small_scenario.internet
         prefix = deployment.prefix
-        assert prefix in internet.announcements
-        assert set(internet.anycast_anchors[prefix]) == set(
+        assert prefix in internet._announcements
+        assert set(internet._anycast_anchors[prefix]) == set(
             deployment.site_asns
         )
 
@@ -43,6 +46,74 @@ class TestDeployment:
                 counts[catchment] += 1
         assert all(count > 0 for count in counts.values()), counts
 
+    def test_probes_land_in_the_catchment_after_each_announcement(
+        self, small_scenario
+    ):
+        """Walks toward the deployment's prefix fill rows under the
+        unicast announcement; after ``deploy``, ``reannounce`` (a site
+        poisoned against a transit) and ``withdraw``, a probe from each
+        AS lands in the AS the control plane sends it to: a row filled
+        before an announcement change is never walked after it."""
+        internet = small_scenario.internet
+        source = small_scenario.sources()[0]
+        origin = internet.hosts[source].asn
+        other = internet.hosts[small_scenario.sources()[1]].asn
+        probers = {}
+        for host in sorted(internet.hosts.values(), key=lambda h: h.addr):
+            if host.asn != origin:
+                probers.setdefault(host.asn, host.addr)
+
+        def landings():
+            """``{AS: AS its probe lands in}``, skipping a path through
+            an AS-level DBR violator (which may leave the route)."""
+            landed = {}
+            for asn, src in probers.items():
+                path = internet.ground_truth_router_path(src, source)
+                routers = [internet.routers[rid] for rid in path]
+                if routers and not any(r.dbr_as_violator for r in routers):
+                    landed[asn] = routers[-1].asn
+            return landed
+
+        def catchments(spec):
+            return {
+                asn: internet.policy.catchment(asn, spec) for asn in probers
+            }
+
+        def check(expected):
+            landed = landings()
+            assert len(landed) > 0.8 * len(probers)
+            assert landed == {asn: expected[asn] for asn in landed}
+            return landed
+
+        unicast = catchments(AnnouncementSpec.single(origin))
+        assert set(check(unicast).values()) == {origin}
+        testbed = PeeringTestbed(internet)
+        deployment = testbed.deploy(source, [other])
+        try:
+            deployed = catchments(deployment.spec())
+            assert set(check(deployed).values()) == {origin, other}
+            # Poison, on the other site's announcement, the transit a
+            # probing AS of that site's catchment reaches it through.
+            for asn in sorted(probers):
+                route = internet.policy.route_of(asn, deployment.spec())
+                if route.origin == other and len(route.path) >= 3:
+                    transit = route.path[1]
+                    poisoned = {other: frozenset({transit})}
+                    moved = catchments(
+                        replace(deployment, poisoned=poisoned).spec()
+                    )
+                    if moved != deployed:
+                        break
+            else:
+                raise AssertionError("no poisoning moves a catchment")
+            deployment.poisoned = poisoned
+            testbed.reannounce(deployment)
+            assert catchments(deployment.spec()) == moved
+            check(moved)
+        finally:
+            testbed.withdraw(deployment)
+        check(unicast)
+
     def test_withdraw_restores_unicast(self, small_scenario):
         internet = small_scenario.internet
         source = small_scenario.sources()[0]
@@ -51,7 +122,7 @@ class TestDeployment:
         deployment = testbed.deploy(source, [other])
         prefix = deployment.prefix
         testbed.withdraw(deployment)
-        assert prefix not in internet.announcements
+        assert prefix not in internet._announcements
 
 
 class TestEngineering:
@@ -121,7 +192,7 @@ class TestEngineering:
             testbed, None, Prober(internet), small_scenario.ip2as
         )
         engineer.no_export(deployment, other_site, transit)
-        spec = internet.announcements[deployment.prefix]
+        spec = internet._announcements[deployment.prefix]
         poisoned_by_site = {
             origin.asn: origin.poisoned for origin in spec.origins
         }

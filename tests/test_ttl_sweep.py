@@ -387,8 +387,11 @@ def test_sweep_follows_a_reroute_between_two_traceroutes():
         probers[1], src, host.addr
     )
     for internet in (swept, walked):
-        internet.announcements[prefix] = override
-        internet.invalidate_routing()
+        internet.announce(
+            prefix,
+            override,
+            {host.asn: internet.prefixes[prefix].edge_router_id},
+        )
     after = paris_traceroute(probers[0], src, host.addr)
     assert after == reference_paris_traceroute(
         probers[1], src, host.addr
