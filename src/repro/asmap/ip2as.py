@@ -30,6 +30,10 @@ class IPToASMapper:
         #: and :meth:`clear_overrides` can change an answer; both drop
         #: the memo.
         self._asn: Dict[Optional[Address], Optional[int]] = {}
+        #: bumped by :meth:`apply_overrides` and
+        #: :meth:`clear_overrides`, so a reader that memoises answers
+        #: derived from :meth:`asn` drops them at the same moments
+        self.version = 0
 
     def asn(self, addr: Optional[Address]) -> Optional[int]:
         """AS of *addr*, or None (private, unknown, or a ``*`` hop)."""
@@ -50,10 +54,12 @@ class IPToASMapper:
         """Install per-address corrections (e.g. from bdrmapit)."""
         self._overrides.update(overrides)
         self._asn.clear()
+        self.version += 1
 
     def clear_overrides(self) -> None:
         self._overrides.clear()
         self._asn.clear()
+        self.version += 1
 
     def as_path(
         self, hops: Sequence[Optional[Address]]

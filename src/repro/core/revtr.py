@@ -28,7 +28,8 @@ selects (DESIGN.md, "The measurement loop").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from operator import is_
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.alias.resolver import AliasResolver
 from repro.asmap.ip2as import IPToASMapper
@@ -36,7 +37,7 @@ from repro.asmap.relationships import ASRelationships
 from repro.core.adjacency import AdjacencyDatabase
 from repro.core.atlas import Intersection, TracerouteAtlas
 from repro.core.cache import MeasurementCache
-from repro.core.flags import flag_suspicious_links
+from repro.core.flags import ASPathEntry, flag_suspicious_links
 from repro.core.result import (
     HopTechnique,
     ReverseHop,
@@ -140,13 +141,39 @@ class EngineConfig:
         return " ".join(parts)
 
 
+class _Served(NamedTuple):
+    """A path served whole toward one destination, and what
+    :meth:`RevtrEngine._finish` derives from its hops."""
+
+    #: what it was served from: the segment-cache chain's entries, or
+    #: a remembered abort's hops; reused only while these very objects
+    #: are served again
+    basis: Sequence[object]
+    hops: Tuple[ReverseHop, ...]
+    flagged: Tuple[ASPathEntry, ...]
+    #: ``(technique value, hops)`` in order of first appearance
+    tallies: Tuple[Tuple[str, int], ...]
+
+
+def _hop_tallies(
+    hops: Sequence[ReverseHop],
+) -> Tuple[Tuple[str, int], ...]:
+    """Hops per technique, keyed by ``technique._value_`` in order of
+    first appearance (see :meth:`RevtrEngine._finish`)."""
+    counts: Dict[str, int] = {}
+    for hop in hops:
+        value = hop.technique._value_
+        counts[value] = counts.get(value, 0) + 1
+    return tuple(counts.items())
+
+
 class _Run:
     """One measurement in flight: what the openers and steps of
     :meth:`RevtrEngine._measure` read and advance."""
 
     __slots__ = (
         "result", "start_time", "mark", "injections", "hops", "seen",
-        "spliced_at", "current", "status", "rr_dead",
+        "spliced_at", "current", "status", "rr_dead", "served",
     )
 
     def __init__(self, result, start_time, mark, injections) -> None:
@@ -158,22 +185,24 @@ class _Run:
         self.injections = injections
         #: the result's own hop list, grown in place
         self.hops: List[ReverseHop] = result.hops
-        self.seen: Set[Address] = {result.dst}
+        #: None until an opener or step settles the measurement
+        self.status: Optional[RevtrStatus] = None
+        #: the path an opener served whole, else None
+        self.served: Optional[_Served] = None
+
+    def depart(self) -> None:
+        """Open the hop-by-hop walk: the destination placeholder hop,
+        and the state the steps read and advance."""
+        dst = self.result.dst
+        self.hops.append(ReverseHop(dst, HopTechnique.DESTINATION))
+        self.seen: Set[Address] = {dst}
         #: indices into ``hops`` of hops whose edge from their
         #: predecessor was read from the segment cache
         self.spliced_at: Set[int] = set()
-        self.current: Address = result.dst
-        #: None until an opener or step settles the measurement
-        self.status: Optional[RevtrStatus] = None
+        self.current: Address = dst
         #: the segment cache's verdict on ``current`` (it ignored the
         #: whole RR arsenal), rewritten by the splice step at every hop
         self.rr_dead = False
-
-    def depart(self) -> None:
-        """Open the path with the destination placeholder hop."""
-        self.hops.append(
-            ReverseHop(self.result.dst, HopTechnique.DESTINATION)
-        )
 
     def reach(self, source_hop: ReverseHop) -> None:
         """The path arrived: close it with the engine's source hop."""
@@ -289,6 +318,14 @@ class RevtrEngine:
         #: and the resolver versions its changes, so while both stand
         #: the answer stands
         self._abort_checked: Dict[Address, Tuple[tuple, tuple]] = {}
+        #: destination -> the path last served whole toward it, while
+        #: the same objects serve it again; every entry goes when the
+        #: AS graph's edges or the IP-to-AS overrides move (the
+        #: versions below), and one when its destination is not served
+        self._served: Dict[Address, _Served] = {}
+        self._served_versions = (
+            relationships.graph.edge_version, ip2as.version,
+        )
         self._atlas_by_group: Dict[int, List[Address]] = {}
         self._harvest_terminal_from_atlas()
         if self.config.use_alias_intersection:
@@ -836,7 +873,8 @@ class RevtrEngine:
 
     def _begin(self, dst: Address) -> _Run:
         """Reset the per-measurement tallies; open the run state."""
-        start_time = self.prober.clock.now()
+        prober = self.prober
+        start_time = prober.clock.now()
         # Opportunistic TTL sweep so a long-running service does not
         # accumulate a day of dead entries (rate-limited internally).
         self.cache.maybe_purge()
@@ -848,12 +886,12 @@ class RevtrEngine:
         result = ReverseTracerouteResult(
             src=self.source, dst=dst, status=RevtrStatus.INCOMPLETE
         )
-        faults = getattr(self.prober.internet, "faults", None)
+        faults = getattr(prober.internet, "faults", None)
         # Fixed-size position marker, not a Counter copy: the
         # per-measurement probe delta must not scale with how many
         # probe kinds the global counter has accumulated.
         return _Run(
-            result, start_time, self.prober.counter.mark(),
+            result, start_time, prober.counter.mark(),
             faults.injections if faults is not None else None,
         )
 
@@ -932,9 +970,14 @@ class RevtrEngine:
         if not chain or chain[-1].next_hop != self.source:
             hops = self._remembered_abort(dst)
             if hops is None:
+                self._served.pop(dst, None)
                 return False
+            served = self._served_path(dst, hops)
+            if served is None:
+                served = self._remember_served(dst, hops, hops)
             run.hops.extend(hops)
             run.status = RevtrStatus.ABORTED_INTERDOMAIN
+            run.served = served
             self.segcache.note_splice()
             if self._ev is not None:
                 self._ev.emit_t("splice", (dst, len(hops) - 1, False, True))
@@ -947,13 +990,65 @@ class RevtrEngine:
             )
             if suspect is not None:
                 run.result.suspected_violations.append(suspect)
-        run.depart()
-        run.hops.extend([entry.hop for entry in chain[:-1]])
-        run.reach(self._source_hop)
+        served = self._served_path(dst, chain)
+        if served is None:
+            hops = [ReverseHop(dst, HopTechnique.DESTINATION)]
+            hops.extend([entry.hop for entry in chain[:-1]])
+            hops.append(self._source_hop)
+            served = self._remember_served(dst, chain, hops)
+        run.hops.extend(served.hops)
+        run.status = RevtrStatus.COMPLETE
+        run.served = served
         self.segcache.note_splice()
         if self._ev is not None:
             self._ev.emit_t("splice", (dst, len(chain), True, True))
         return True
+
+    def _served_path(
+        self, dst: Address, basis: Sequence[object]
+    ) -> Optional[_Served]:
+        """The path last served whole toward *dst*, if it was served
+        from the very objects in *basis* (chain entries or remembered
+        hops, which fix every hop address) and neither the AS graph's
+        edges nor the IP-to-AS overrides have moved since; else
+        None."""
+        versions = (
+            self.relationships.graph.edge_version, self.ip2as.version,
+        )
+        if versions != self._served_versions:
+            self._served.clear()
+            self._served_versions = versions
+            return None
+        served = self._served.get(dst)
+        if (
+            served is None
+            or len(served.basis) != len(basis)
+            or not all(map(is_, served.basis, basis))
+        ):
+            return None
+        return served
+
+    def _remember_served(
+        self,
+        dst: Address,
+        basis: Sequence[object],
+        hops: Sequence[ReverseHop],
+    ) -> _Served:
+        """Derive what :meth:`_finish` reads off *hops*, served whole
+        toward *dst* from *basis*, and keep it for the next serve."""
+        served = self._served[dst] = _Served(
+            basis,
+            tuple(hops),
+            tuple(
+                flag_suspicious_links(
+                    [hop.addr for hop in hops],
+                    self.ip2as,
+                    self.relationships,
+                )
+            ),
+            _hop_tallies(hops),
+        )
+        return served
 
     def _open_ping_check(self, run: _Run) -> bool:
         """Settle a destination that answers no ping, with no hops."""
@@ -1199,11 +1294,18 @@ class RevtrEngine:
             result.status = run.status
         result.duration = self.prober.clock.now() - run.start_time
         result.probe_counts = self.prober.counter.delta(run.mark)
-        if result.hops:
-            result.flagged_as_path = flag_suspicious_links(
-                result.addresses(), self.ip2as, self.relationships
-            )
-        status = result.status.value
+        served = run.served
+        if served is not None:
+            # Each result gets its own list.
+            result.flagged_as_path = list(served.flagged)
+            tallies = served.tallies
+        else:
+            if result.hops:
+                result.flagged_as_path = flag_suspicious_links(
+                    result.addresses(), self.ip2as, self.relationships
+                )
+            tallies = _hop_tallies(result.hops)
+        status = result.status._value_
         self._t_measurements[status] = (
             self._t_measurements.get(status, 0) + 1
         )
@@ -1211,9 +1313,8 @@ class RevtrEngine:
         # Python-level ``Enum.__hash__`` per hop, and ``.value`` a
         # descriptor call (see the measure.end note below).
         t_hops = self._t_hops
-        for hop in result.hops:
-            value = hop.technique._value_
-            t_hops[value] = t_hops.get(value, 0) + 1
+        for value, count in tallies:
+            t_hops[value] = t_hops.get(value, 0) + count
         if self._obs_on:
             self.obs.observe(
                 "revtr_measure_duration_seconds", result.duration

@@ -255,21 +255,6 @@ class ReverseSegmentCache:
     # Lookup
     # ------------------------------------------------------------------
 
-    def _live_edge(
-        self, addr: Address, generation: int, now: float
-    ) -> Optional[SegmentEntry]:
-        """The positive edge a lookup of *addr* would return, without
-        the lookup's accounting; None if there is none."""
-        entry = self._entries.get(addr)
-        if (
-            entry is None
-            or entry.next_hop is None
-            or entry.generation != generation
-            or now - entry.stored_at > DEFAULT_SEGMENT_TTL
-        ):
-            return None
-        return entry
-
     def lookup_abort(
         self, dst: Address, atlases: Tuple[object, ...]
     ) -> Optional[Tuple[ReverseHop, ...]]:
@@ -286,16 +271,33 @@ class ReverseSegmentCache:
             return None
         generation = self.internet.routing_generation
         now = self.clock.now()
-        live_edge = self._live_edge
         if (
             memo.generation != generation
             or now - memo.stored_at > DEFAULT_NEGATIVE_TTL
             or memo.atlases != atlases
-            or any(
-                live_edge(hop.addr, generation, now) is not edge
-                for hop, edge in zip(memo.hops, memo.edges)
-            )
         ):
+            del self._aborts[dst]
+            return None
+        # Rule (c): the positive, current-generation, unexpired entry
+        # of each hop (its live edge, None if it has none) is the edge
+        # stored with it.  A stored edge was live in the memo's
+        # generation, which is this one: while it is still the entry,
+        # only its age can fail it.
+        entry_of = self._entries.get
+        for hop, edge in zip(memo.hops, memo.edges):
+            entry = entry_of(hop.addr)
+            if entry is edge:
+                if (
+                    edge is None
+                    or now - edge.stored_at <= DEFAULT_SEGMENT_TTL
+                ):
+                    continue
+            elif edge is None and (
+                entry.next_hop is None
+                or entry.generation != generation
+                or now - entry.stored_at > DEFAULT_SEGMENT_TTL
+            ):
+                continue
             del self._aborts[dst]
             return None
         return memo.hops
@@ -355,7 +357,10 @@ class ReverseSegmentCache:
         now = self.clock.now()
         stats = self.stats
         entries = self._entries
-        while len(chain) < limit:
+        # Tallied here and added once: a whole-path splice reads every
+        # edge of its path through this loop.
+        hits = 0
+        for _ in range(limit):  # each pass appends or leaves
             entry = entries.get(current)
             if entry is None:
                 stats.misses += 1
@@ -377,12 +382,13 @@ class ReverseSegmentCache:
                 if not chain:
                     return [], True
                 break
-            stats.hits += 1
+            hits += 1
             if nxt in seen_here or (stop is not None and stop(nxt)):
                 break
             chain.append(entry)
             seen_here.add(nxt)
             current = nxt
+        stats.hits += hits
         return chain, False
 
     def note_splice(self) -> None:

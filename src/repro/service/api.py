@@ -136,10 +136,11 @@ class RevtrService:
         user_name: str,
     ) -> None:
         """Per-request ledger/metrics/archive bookkeeping."""
-        if self.obs.enabled:
+        obs = self.obs
+        if obs.enabled:
             # Service-level ledger entry, correlated to the engine's
             # measurement id so `repro explain` sees who asked.
-            self.obs.emit(
+            obs.emit(
                 "service.request",
                 _mid=result.measurement_id,
                 user=user_name,
@@ -147,18 +148,18 @@ class RevtrService:
                 dst=str(dst),
                 status=result.status.value,
             )
-            self.obs.inc(
+            obs.inc(
                 "service_requests_total",
                 user=user_name,
                 status=result.status.value,
             )
-            self.obs.observe(
+            obs.observe(
                 "service_request_duration_seconds", result.duration
             )
-        self.store.append(result, user=user_name)
+        self.store.append(result, user_name)
         # Direct (non-scheduled) requests also heartbeat the telemetry
         # time-series; cheap clock-read guard when no sampler exists.
-        sampler = self.obs.sampler
+        sampler = obs.sampler
         if sampler is not None:
             sampler.maybe_sample()
 

@@ -251,9 +251,8 @@ class RequestScheduler:
             )
 
     def _note_started(self, job: Job) -> None:
-        """Queue-wait accounting at the instant a job starts running."""
-        if not self.obs.enabled:
-            return
+        """Queue-wait accounting at the instant a job starts running
+        (observed runs only)."""
         wait = job.queue_wait
         if wait is not None:
             # Labelled by admission attempt so retry backoff shows up
@@ -275,17 +274,6 @@ class RequestScheduler:
         self._queued += delta
         if self.obs.enabled:
             self.obs.set_gauge("service_queue_depth", self._queued)
-
-    def _tick_sampler(self) -> None:
-        # Completion is the scheduler's natural heartbeat: tick the
-        # telemetry time-series here, off the measurement hot path.
-        # The not-due cost is one clock read plus a compare.
-        sampler = self.obs.sampler
-        if sampler is not None:
-            sampler.maybe_sample()
-
-    def _any_queued(self) -> bool:
-        return self._queued > 0
 
     def _note_status(self, statuses: Dict[str, int], job: Job) -> None:
         if job.result is not None:
@@ -343,28 +331,26 @@ class RequestScheduler:
         or ``None`` once every queue is empty.  Stepping one job at a
         time keeps the interleaving inspectable from tests.
         """
-        if not self._any_queued():
+        if not self._queued:
             return None
-        if self._lanes is None:
+        lanes = self._lanes
+        if lanes is None:
             self._t0 = self.clock.now()
-            self._lanes = [self._t0] * self.config.parallelism
+            lanes = self._lanes = [self._t0] * self.config.parallelism
         while True:
-            lane = min(
-                range(len(self._lanes)),
-                key=lambda i: (self._lanes[i], i),
-            )
-            t = self._lanes[lane]
+            # The earliest-free lane; of tied lanes, the lowest.
+            t = min(lanes)
+            lane = lanes.index(t)
             picked = self._pick(t)
             if picked is not None:
-                job, user = picked
                 break
             nxt = self._next_event_after(t)
             if nxt is None:
                 # Defensive: cannot happen while queues are non-empty,
                 # but a stall must not become an infinite loop.
                 return None
-            self._lanes[lane] = nxt
-        return self._execute_group(job, user, lane, t)
+            lanes[lane] = nxt
+        return self._execute_group(picked[0], picked[1], lane, t)
 
     def _pick(
         self, t: float, src: Optional[Address] = None
@@ -373,28 +359,33 @@ class RequestScheduler:
         restricted to jobs toward *src* when given (one same-source
         group runs through one per-source engine)."""
         order = self._user_order
-        for offset in range(len(order)):
-            idx = (self._rr_index + offset) % len(order)
+        count = len(order)
+        queues = self._queues
+        for offset in range(count):
+            idx = (self._rr_index + offset) % count
             name = order[idx]
-            queue = self._queues[name]
+            queue = queues[name]
             if not queue:
                 continue
             job = queue[0]
-            if src is not None and job.src != src:
+            if (src is not None and job.src != src) or job.eligible_at > t:
                 continue
-            if job.eligible_at > t:
-                continue
-            if self._inflight_at(name, t) >= self._users[name].max_parallel:
+            user = self._users[name]
+            if self._inflight_at(name, t) >= user.max_parallel:
                 continue
             queue.popleft()
-            self._rr_index = (idx + 1) % len(order)
+            self._rr_index = (idx + 1) % count
             self._queue_depth_changed(-1)
-            return job, self._users[name]
+            return job, user
         return None
 
     def _inflight_at(self, name: str, t: float) -> int:
+        """*name*'s jobs in flight at instant *t*: its finish list,
+        rid of every finish not after *t*.  A list with none such is
+        left as it is."""
         finishes = self._inflight_finish[name]
-        finishes[:] = [f for f in finishes if f > t]
+        if finishes and min(finishes) <= t:
+            finishes[:] = [f for f in finishes if f > t]
         return len(finishes)
 
     def _next_event_after(self, t: float) -> Optional[float]:
@@ -414,13 +405,11 @@ class RequestScheduler:
     def _admit_virtual(self, job: Job, user: User, t: float) -> bool:
         """Start-time checks, per job of a group: deadline at start,
         then quota.  Returns False when the job was rejected."""
-        cfg = self.config
         job.started_at = t
-        self._note_started(job)
-        if (
-            cfg.deadline is not None
-            and t - job.submitted_at > cfg.deadline
-        ):
+        if self.obs.enabled:
+            self._note_started(job)
+        deadline = self.config.deadline
+        if deadline is not None and t - job.submitted_at > deadline:
             self._reject(job, RejectReason.DEADLINE)
             return False
         try:
@@ -440,16 +429,22 @@ class RequestScheduler:
         result: ReverseTracerouteResult,
     ) -> Job:
         """Finish-side bookkeeping for a job started at instant *t*."""
-        self._tick_sampler()
+        # Completion is the scheduler's natural heartbeat: tick the
+        # telemetry time-series here, off the measurement hot path.
+        # The not-due cost is one clock read plus a compare.
+        sampler = self.obs.sampler
+        if sampler is not None:
+            sampler.maybe_sample()
         cfg = self.config
         job.result = result
         finish = t + result.duration
         job.finished_at = finish
         self._lanes[lane] = finish
-        finishes = self._inflight_finish[user.name]
-        finishes[:] = [f for f in finishes if f > t]
-        finishes.append(finish)
-        current = len(finishes)
+        current = self._inflight_at(user.name, t) + 1
+        if finish > t:
+            # No later read is at an instant before *t* (lane times
+            # only grow), so a finish at *t* is never in flight again.
+            self._inflight_finish[user.name].append(finish)
         if current > self.peak_inflight[user.name]:
             self.peak_inflight[user.name] = current
         if self.obs.enabled:
@@ -526,21 +521,27 @@ class RequestScheduler:
         ``t + its own duration`` — the group starts together, like N
         lanes of a real deployment hitting the same engine at once.
         """
-        inf = float("inf")
         group: List[Tuple[Job, User, int]] = [(job, user, lane)]
-        # Reserve an in-flight slot per picked job so per-user parallel
-        # caps hold across the whole group, not just the first pick.
-        self._inflight_finish[user.name].append(inf)
-        for other in range(len(self._lanes)):
-            if other == lane or self._lanes[other] > t:
-                continue
-            picked = self._pick(t, job.src)
-            if picked is None:
-                break
-            self._inflight_finish[picked[1].name].append(inf)
-            group.append((picked[0], picked[1], other))
-        for _job, _user, _lane in group:
-            self._inflight_finish[_user.name].remove(inf)
+        lanes = self._lanes
+        # *t* is the earliest lane time (``step``), so another lane is
+        # free at *t* only if it reads *t* as well.
+        if lanes.count(t) > 1:
+            inf = float("inf")
+            reserved = self._inflight_finish
+            # Reserve an in-flight slot per picked job so per-user
+            # parallel caps hold across the whole group, not just the
+            # first pick.
+            reserved[user.name].append(inf)
+            for other, free_at in enumerate(lanes):
+                if other == lane or free_at > t:
+                    continue
+                picked = self._pick(t, job.src)
+                if picked is None:
+                    break
+                reserved[picked[1].name].append(inf)
+                group.append((picked[0], picked[1], other))
+            for _job, _user, _lane in group:
+                reserved[_user.name].remove(inf)
         admitted = [
             entry
             for entry in group

@@ -31,7 +31,7 @@ class MeasurementStore:
     def append(
         self, result: ReverseTracerouteResult, user: str
     ) -> StoredMeasurement:
-        record = StoredMeasurement(result=result, user=user)
+        record = StoredMeasurement(result, user)
         self._records.append(record)
         return record
 

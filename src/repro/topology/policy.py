@@ -200,8 +200,9 @@ class RoutingPolicy:
     ``ASNode.cold_potato``, in place or not): **mutate, then call**
     :meth:`invalidate` — ``Internet.invalidate_routing()`` does — which
     compiles the graph again and, if the view differs from the one
-    held, drops every cached route and reports it, so forwarding drops
-    what it read of the view too.  Without the call nothing notices:
+    held, reports it, so forwarding drops what it read of the view
+    too, and drops every cached route unless only ``cold_potato``
+    moved.  Without the call nothing notices:
     routes read before or after it are those of the graph as it was.  A
     call that finds the view unchanged keeps every flood: the view is
     the whole input of route selection.
@@ -257,16 +258,20 @@ class RoutingPolicy:
 
     def invalidate(self) -> bool:
         """Recompile the graph; if the view differs from the one held,
-        adopt it and drop every cached route.  Returns whether it did.
+        adopt it and report it.  Returns whether it did.
 
         The view is the policy's whole input, so an equal one selects
-        every route as before and the floods stay."""
+        every route as before and the floods stay.  So do they when
+        only ``cold_potato`` moved, which no route reads: the change is
+        still reported, for forwarding's egress picks read it."""
         if self._compiled is None:
             return True  # nothing compiled, so nothing flooded either
+        held = self._compiled
         compiled = self._compile()
-        if compiled == self._compiled:
+        if compiled == held:
             return False
-        self._cache.clear()
+        if compiled._replace(cold_potato=held.cold_potato) != held:
+            self._cache.clear()
         self._compiled = compiled
         return True
 

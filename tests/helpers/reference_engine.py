@@ -15,7 +15,14 @@ are the old methods verbatim but for reading a segment entry's
 technique and link through its ``hop`` and handing ``_Run.reach`` the
 source hop it used to build, and the whole-path splice serving a
 remembered abort (``RevtrEngine._remembered_abort``) as rebuilt copies
-of its hops.  They are kept so
+of its hops.  ``reference_finish`` is ``RevtrEngine._finish`` before a
+path served whole reused the flagged AS path and hop tallies derived
+the last time the same objects served it: it flags and tallies every
+result's hops.  ``reference_chain`` and ``reference_lookup_abort``
+(with the ``_live_edge`` it calls per hop) are the segment cache's
+walk and rule (c) check before they tallied hits once per walk and
+compared each hop's entry inline.  All three are the old methods
+verbatim.  They are kept so
 ``tests/test_engine_hot_path.py`` can require the indexed versions to
 agree with them after every mutation, and so a whole request stream
 can be compared against one served with the oracles patched in.
@@ -25,12 +32,19 @@ Test-only: nothing under ``src/`` imports it.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.asmap.ip2as import IPToASMapper
 from repro.asmap.relationships import ASRelationships
+from repro.core.flags import flag_suspicious_links
 from repro.core.result import HopTechnique, ReverseHop, RevtrStatus
 from repro.core.revtr import _MAX_PATH_HOPS, RevtrEngine
+from repro.core.segcache import (
+    DEFAULT_NEGATIVE_TTL,
+    DEFAULT_SEGMENT_TTL,
+    ReverseSegmentCache,
+    SegmentEntry,
+)
 from repro.net.addr import Address, is_private
 from repro.net.packet import ProbeKind
 from repro.probing.budget import ProbeCounter
@@ -222,6 +236,167 @@ def rebuild_step_splice(self: RevtrEngine, run) -> bool:
     return run.advance(next_current)
 
 
+def reference_finish(self, run: _Run) -> None:
+    result = run.result
+    if run.status is not None:
+        result.status = run.status
+    result.duration = self.prober.clock.now() - run.start_time
+    result.probe_counts = self.prober.counter.delta(run.mark)
+    if result.hops:
+        result.flagged_as_path = flag_suspicious_links(
+            result.addresses(), self.ip2as, self.relationships
+        )
+    status = result.status.value
+    self._t_measurements[status] = (
+        self._t_measurements.get(status, 0) + 1
+    )
+    # Keyed by ``._value_``: an enum-keyed tally would pay a
+    # Python-level ``Enum.__hash__`` per hop, and ``.value`` a
+    # descriptor call (see the measure.end note below).
+    t_hops = self._t_hops
+    for hop in result.hops:
+        value = hop.technique._value_
+        t_hops[value] = t_hops.get(value, 0) + 1
+    if self._obs_on:
+        self.obs.observe(
+            "revtr_measure_duration_seconds", result.duration
+        )
+    if self._ev is not None:
+        # The closing ledger entry: final status, the probe budget
+        # actually spent, and the full path with per-hop technique
+        # attribution (so `repro explain` can reconstruct the
+        # decision record even if mid-flight events were dropped).
+        self._ev.emit_t(
+            "measure.end",
+            (
+                status,
+                len(result.hops),
+                result.duration,
+                # None when no ping-check ran (disabled, or the
+                # whole-path splice fast path skipped it).
+                self._m_ping,
+                dict(result.probe_counts),
+                # Tuples, not lists: stored field payloads live in
+                # the event ring, and all-atomic tuples (unlike
+                # lists) let the GC untrack the whole record after
+                # one scan.  ._value_ not .value: Enum.value goes
+                # through a DynamicClassAttribute descriptor (~4x
+                # the cost of a plain slot read), and this runs
+                # once per hop per measurement.
+                tuple(
+                    [
+                        (hop.addr, hop.technique._value_)
+                        for hop in result.hops
+                    ]
+                ),
+            ),
+        )
+
+
+def _live_edge(
+    self, addr: Address, generation: int, now: float
+) -> Optional[SegmentEntry]:
+    """The positive edge a lookup of *addr* would return, without
+    the lookup's accounting; None if there is none."""
+    entry = self._entries.get(addr)
+    if (
+        entry is None
+        or entry.next_hop is None
+        or entry.generation != generation
+        or now - entry.stored_at > DEFAULT_SEGMENT_TTL
+    ):
+        return None
+    return entry
+
+
+def reference_lookup_abort(
+    self, dst: Address, atlases: Tuple[object, ...]
+) -> Optional[Tuple[ReverseHop, ...]]:
+    """The hops of the abort remembered toward *dst*, or None.
+
+    Checks rules (a), (b), (c) and (e) of the module docstring
+    against the current atlas versions *atlases*; a memo that fails
+    one can never pass again (generations and versions only move
+    forward, and an edge is replaced, not restored), so it is
+    dropped.
+    """
+    memo = self._aborts.get(dst)
+    if memo is None:
+        return None
+    generation = self.internet.routing_generation
+    now = self.clock.now()
+    live_edge = self._live_edge
+    if (
+        memo.generation != generation
+        or now - memo.stored_at > DEFAULT_NEGATIVE_TTL
+        or memo.atlases != atlases
+        or any(
+            live_edge(hop.addr, generation, now) is not edge
+            for hop, edge in zip(memo.hops, memo.edges)
+        )
+    ):
+        del self._aborts[dst]
+        return None
+    return memo.hops
+
+
+def reference_chain(
+    self,
+    addr: Address,
+    limit: int,
+    stop=None,
+) -> Tuple[List[SegmentEntry], bool]:
+    """Follow cached edges from *addr*, at most *limit* hops.
+
+    Returns ``(chain, negative)`` where *chain* is the list of
+    :class:`SegmentEntry` edges in reverse-path order (each entry's
+    ``hop`` is the spliced hop) and *negative* is True when
+    the *first* lookup hit a negative entry (the router is
+    known-unresponsive; there is nothing to splice but the RR step
+    can be skipped).  *stop* is an optional predicate; chain
+    extension halts before any address for which it returns True
+    (the engine passes its seen-set to keep splices loop-free).  A
+    negative entry mid-chain simply ends the chain — the hops
+    before it are still real.
+    """
+    chain: List[SegmentEntry] = []
+    seen_here = {addr}
+    current = addr
+    generation = self.internet.routing_generation
+    now = self.clock.now()
+    stats = self.stats
+    entries = self._entries
+    while len(chain) < limit:
+        entry = entries.get(current)
+        if entry is None:
+            stats.misses += 1
+            break
+        if entry.generation != generation:
+            del entries[current]
+            stats.invalidations_generation += 1
+            stats.misses += 1
+            break
+        nxt = entry.next_hop
+        ttl = DEFAULT_NEGATIVE_TTL if nxt is None else DEFAULT_SEGMENT_TTL
+        if now - entry.stored_at > ttl:
+            del entries[current]
+            stats.invalidations_ttl += 1
+            stats.misses += 1
+            break
+        if nxt is None:
+            stats.negative_hits += 1
+            if not chain:
+                return [], True
+            break
+        stats.hits += 1
+        if nxt in seen_here or (stop is not None and stop(nxt)):
+            break
+        chain.append(entry)
+        seen_here.add(nxt)
+        current = nxt
+    return chain, False
+
+
 @contextmanager
 def oracle_engine() -> Iterator[None]:
     """Run with every oracle patched in, process-wide.
@@ -248,12 +423,22 @@ def oracle_engine() -> Iterator[None]:
         ),
         (ProbeCounter, "mark", reference_mark),
         (ProbeCounter, "delta", reference_delta),
+        (RevtrEngine, "_finish", reference_finish),
+        (ReverseSegmentCache, "_live_edge", _live_edge),
+        (ReverseSegmentCache, "lookup_abort", reference_lookup_abort),
+        (ReverseSegmentCache, "chain", reference_chain),
     ]
-    saved = [(cls, name, cls.__dict__[name]) for cls, name, _ in patches]
+    # ``src/`` has no ``_live_edge``: it is added, then removed again.
+    saved = [
+        (cls, name, cls.__dict__.get(name)) for cls, name, _ in patches
+    ]
     for cls, name, oracle in patches:
         setattr(cls, name, oracle)
     try:
         yield
     finally:
         for cls, name, original in saved:
-            setattr(cls, name, original)
+            if original is None:
+                delattr(cls, name)
+            else:
+                setattr(cls, name, original)

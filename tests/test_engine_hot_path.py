@@ -18,12 +18,13 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.alias.resolver import AliasResolver
 from repro.asmap.ip2as import IPToASMapper
 from repro.asmap.relationships import ASRelationships
 from repro.core.atlas import TracerouteAtlas
+from repro.core.flags import STAR, flag_suspicious_links
 from repro.core.result import RevtrStatus
 from repro.core.revtr import RevtrEngine
 from repro.experiments import Scenario
@@ -284,6 +285,113 @@ def test_marks_and_deltas_equal_oracle(seeded, ops):
 
 
 # ----------------------------------------------------------------------
+# (5) served paths
+# ----------------------------------------------------------------------
+
+
+def _served_world():
+    """A warmed Zipf deployment, the destinations it serves toward its
+    first source with no probe (whole-path splices and remembered
+    aborts both), and a suspicious AS pair ``(low, high)``: *high*
+    provides one of small AS *low*'s providers, with no *low*-*high*
+    edge."""
+    service, key, stream = _zipf_deployment()
+    for src, dst in stream:
+        service.request(MeasurementRequest(key, dst, src))
+    source = stream[0][0]
+    served = {}
+    for dst in sorted({dst for src, dst in stream if src == source}):
+        result = service.request(MeasurementRequest(key, dst, source))
+        if not result.probe_counts:
+            served[dst] = result
+    rels = service.relationships
+    graph = rels.graph
+    low, high = next(
+        (low, high)
+        for low in sorted(graph.nodes)
+        if rels.is_small(low)
+        for provider in rels.providers(low)
+        for high in graph.nodes[provider].providers()
+        if high != low and rels.relationship(low, high) is None
+    )
+    return service, key, source, list(served.values()), (low, high)
+
+
+served_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("serve"), st.integers(0, 15)),
+        st.tuples(st.just("pair"), st.integers(0, 15)),
+        st.tuples(st.just("asn"), st.integers(0, 15)),
+        st.tuples(st.just("clear"), st.none()),
+        st.tuples(st.just("edge"), st.integers(0, 3)),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ops=served_ops)
+# Fill, move the AS map under the memo, then the graph: each later
+# serve reads a flagged path the memo must not hand back.
+@example(
+    ops=[
+        ("serve", 0), ("pair", 0), ("serve", 0), ("edge", 0),
+        ("serve", 0), ("clear", None), ("serve", 0),
+    ]
+)
+def test_served_flagged_path_equals_a_fresh_flagging(ops):
+    """Every served result's ``flagged_as_path`` is what
+    ``flag_suspicious_links`` makes of its hops now, across
+    ``apply_overrides``, ``clear_overrides``, ``ASGraph.add_edge`` and
+    repeats; each result owns its list.  ``pair`` maps two adjacent
+    public hops of a served path to the suspicious pair (the flagging
+    then stars the link), ``asn`` one hop to an AS no one else has,
+    and ``edge`` adds the pair's edge (which unstars it) or another."""
+    service, key, source, served, (low, high) = _served_world()
+    assert len(served) >= 4
+    assert any(
+        r.status is RevtrStatus.ABORTED_INTERDOMAIN for r in served
+    )
+    ip2as, rels = service.ip2as, service.relationships
+    nodes = sorted(rels.graph.nodes)
+    edges = [(low, high)] + list(zip(nodes, nodes[1:]))[:3]
+    results = []
+
+    def public_hops(index):
+        hops = served[index % len(served)].addresses()
+        return [addr for addr in hops if ip2as.asn(addr) is not None]
+
+    starred = False
+    for op, arg in [("serve", 0)] + ops:
+        if op == "serve":
+            dst = served[arg % len(served)].dst
+            result = service.request(MeasurementRequest(key, dst, source))
+            assert not result.probe_counts, dst
+            fresh = flag_suspicious_links(result.addresses(), ip2as, rels)
+            assert result.flagged_as_path == fresh, (op, arg)
+            starred |= STAR in fresh and arg % len(served) == 0
+            results.append((result, list(result.flagged_as_path)))
+        elif op == "pair":
+            hops = public_hops(arg)
+            ip2as.apply_overrides({hops[0]: low, hops[1]: high})
+        elif op == "asn":
+            hops = public_hops(arg)
+            ip2as.apply_overrides({hops[arg % len(hops)]: 64_512 + arg})
+        elif op == "clear":
+            ip2as.clear_overrides()
+        else:
+            rels.graph.add_edge(*edges[arg], Relationship.PEER)
+    # Each result holds its own list: growing one moves no other.
+    for result, _ in results:
+        result.flagged_as_path.append("mine")
+    for result, flagged in results:
+        assert result.flagged_as_path == flagged + ["mine"]
+    if ops[:3] == [("serve", 0), ("pair", 0), ("serve", 0)]:
+        # The explicit example did star the pair's link.
+        assert starred
+
+
+# ----------------------------------------------------------------------
 # One request stream, served with and without the oracles
 # ----------------------------------------------------------------------
 
@@ -423,6 +531,40 @@ def test_request_stream_identical_with_oracles_patched_in():
         restamped += entry.stored_at < ref.stored_at
     assert restamped > 0
     assert sum(s.stores for s in stats) < sum(s.stores for s in ref_stats)
+
+
+def test_served_stream_flags_and_tallies_equal_the_oracles():
+    """What ``to_dict`` leaves out: each result's flagged AS path and
+    each engine's per-status and per-technique tallies (key order
+    included) equal those of the stream served with the oracles, which
+    flag and tally every result's hops afresh."""
+
+    def serve():
+        service, key, stream = _zipf_deployment()
+        flagged = [
+            service.request(
+                MeasurementRequest(key, dst, src)
+            ).flagged_as_path
+            for src, dst in stream
+        ]
+        tallies = [
+            (
+                list(engine._t_measurements.items()),
+                list(engine._t_hops.items()),
+            )
+            for engine in service._engines.values()
+        ]
+        served = sum(
+            len(engine._served) for engine in service._engines.values()
+        )
+        return flagged, tallies, served
+
+    flagged, tallies, served = serve()
+    with oracle_engine():
+        ref_flagged, ref_tallies, ref_served = serve()
+    assert flagged == ref_flagged
+    assert tallies == ref_tallies
+    assert served > 10 and ref_served == 0
 
 
 def test_scheduled_stream_identical_without_an_observer(monkeypatch):

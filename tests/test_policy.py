@@ -485,14 +485,17 @@ class TestMutateThenInvalidate:
 
     def test_cold_potato_flip_is_a_change_of_the_view(self):
         """No route reads ``cold_potato``, but forwarding's egress picks
-        do: a flip is reported, and routes are selected as before."""
+        do: a flip is reported, the flood is kept, and routes are
+        selected as before."""
         graph = diamond_graph()
         policy = RoutingPolicy(graph)
         spec = AnnouncementSpec.single(4)
         routes = policy.routes(spec)
+        flooded = policy._cache[spec]
 
         graph.nodes[2].cold_potato = not graph.nodes[2].cold_potato
         assert policy.invalidate() is True
+        assert policy._cache[spec] is flooded
         assert policy.routes(spec) == routes
         assert policy.invalidate() is False
 

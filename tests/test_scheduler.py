@@ -3,14 +3,17 @@ overload behavior, and same-source groups."""
 
 import contextlib
 import dataclasses
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.result import RevtrStatus
+from repro.core.result import ReverseTracerouteResult, RevtrStatus
 from repro.core.revtr import EngineConfig
 from repro.experiments import Scenario
 from repro.obs import Instrumentation
+from repro.obs.instrument import NULL
 from repro.service import (
     JobState,
     MeasurementRequest,
@@ -19,10 +22,15 @@ from repro.service import (
     SchedulerConfig,
     SourceRegistry,
 )
-from repro.service.scheduler import RETRY_BACKOFF
+from repro.service.scheduler import RETRY_BACKOFF, RequestScheduler
+from repro.service.users import UserDatabase
+from repro.sim.clock import VirtualClock
 from repro.sim.faults import preset_plan
 from repro.topology import TopologyConfig
-from tests.helpers.reference_scheduler import solo_path
+from tests.helpers.reference_scheduler import (
+    reference_scheduling,
+    solo_path,
+)
 
 
 def build_service(scenario, instrumentation=None, atlas_size=15):
@@ -662,3 +670,202 @@ def test_a_group_of_one_is_the_solo_path(
         solo = _serve(seed, preset, retry_budget, max_retries, stream)
     for name, value in grouped.items():
         assert value == solo[name], name
+
+
+# ----------------------------------------------------------------------
+# The step against the bookkeeping it replaced
+# ----------------------------------------------------------------------
+
+#: what one scripted measurement returns: (status, virtual duration),
+#: or None for an engine that raises
+outcomes = st.one_of(
+    st.tuples(
+        st.sampled_from(
+            (
+                RevtrStatus.COMPLETE,
+                RevtrStatus.ABORTED_INTERDOMAIN,
+                RevtrStatus.UNRESPONSIVE,
+            )
+        ),
+        st.sampled_from((0.0, 0.0, 1.5, 4.0, 30.0, 90.0)),
+    ),
+    st.none(),
+)
+
+
+class _ScriptedService:
+    """What a scheduler reads of a service, with every destination's
+    measurements scripted: its *n*-th measurement returns the *n*-th
+    outcome of its script (cycling), so two schedulers that call in
+    the same order get the same results."""
+
+    def __init__(self, clock, scripts):
+        self.obs = NULL
+        self.prober = SimpleNamespace(clock=clock)
+        self.users = UserDatabase(clock)
+        self._scripts = scripts
+        self._calls = Counter()
+
+    def _engine_for(self, src):
+        return src
+
+    def _measure_group(self, engine, items):
+        results = []
+        for dst, _user in items:
+            script = self._scripts[dst]
+            outcome = script[self._calls[dst] % len(script)]
+            self._calls[dst] += 1
+            if outcome is None:
+                raise RuntimeError(f"engine failed toward {dst}")
+            status, duration = outcome
+            results.append(
+                ReverseTracerouteResult(
+                    src=engine, dst=dst, status=status, duration=duration
+                )
+            )
+        return results
+
+
+def _schedule(config, caps, scripts, stream):
+    """Drive a scheduler over *stream* on a scripted service; returns
+    every step's job and lanes, every completion's lane, and every
+    job's fields."""
+    clock = VirtualClock()
+    service = _ScriptedService(clock, scripts)
+    users = [
+        service.users.add_user(
+            f"u{index}", max_parallel=parallel, max_per_day=per_day
+        )
+        for index, (parallel, per_day) in enumerate(caps)
+    ]
+    scheduler = RequestScheduler(service, config)
+    completions = []
+    complete = scheduler._complete_virtual
+
+    def recording(job, user, lane, t, result):
+        completions.append((job.id, lane, t))
+        return complete(job, user, lane, t, result)
+
+    scheduler._complete_virtual = recording
+    steps = []
+
+    def step():
+        job = scheduler.step()
+        steps.append(
+            (None if job is None else job.id, list(scheduler._lanes or ()))
+        )
+        return job
+
+    for op in stream + [("run",)]:
+        if op[0] == "submit":
+            _, who, dst, src = op
+            scheduler.submit(
+                users[who % len(users)].api_key, f"d{dst}", f"s{src}"
+            )
+        elif op[0] == "advance":
+            clock.advance(op[1])
+        elif op[0] == "step":
+            step()
+        else:
+            while step() is not None:
+                pass
+    return {
+        "steps": steps,
+        "completions": completions,
+        "jobs": [
+            (
+                job.id, job.user, job.dst, job.src, job.state,
+                job.reject_reason, job.attempts, job.submitted_at,
+                job.eligible_at, job.started_at, job.finished_at,
+                job.deadline_exceeded, job.error,
+                None if job.result is None else job.result.status,
+            )
+            for job in scheduler.jobs
+        ],
+        "peak_inflight": dict(scheduler.peak_inflight),
+        "report": scheduler.report().as_dict(),
+    }
+
+
+schedule_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("submit"),
+            st.integers(0, 3),
+            st.integers(0, 3),
+            st.integers(0, 1),
+        ),
+        st.tuples(
+            st.just("advance"), st.sampled_from((0.5, 10.0, 120.0))
+        ),
+        st.tuples(st.just("step")),
+        st.tuples(st.just("run")),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parallelism=st.integers(1, 4),
+    max_queue=st.integers(1, 8),
+    deadline=st.sampled_from((None, 45.0, 400.0)),
+    max_retries=st.integers(0, 2),
+    caps=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(1, 12)),
+        min_size=1,
+        max_size=4,
+    ),
+    scripts=st.lists(
+        st.lists(outcomes, min_size=1, max_size=4), min_size=4, max_size=4
+    ),
+    stream=schedule_ops,
+)
+@example(
+    parallelism=3,
+    max_queue=8,
+    deadline=None,
+    max_retries=0,
+    caps=[(4, 12)],
+    scripts=[[(RevtrStatus.COMPLETE, 0.0)]] * 4,
+    stream=[("submit", 0, 0, 0)],
+)
+# Two jobs of one user start together and the later-appended finishes
+# first: at its finish the user's list holds a finish past the instant
+# ahead of one that is not.
+@example(
+    parallelism=2,
+    max_queue=8,
+    deadline=None,
+    max_retries=0,
+    caps=[(2, 12)],
+    scripts=[
+        [(RevtrStatus.COMPLETE, 90.0)],
+        [(RevtrStatus.COMPLETE, 1.5)],
+        [(RevtrStatus.COMPLETE, 0.0)],
+        [(RevtrStatus.COMPLETE, 0.0)],
+    ],
+    stream=[("submit", 0, 0, 0), ("submit", 0, 1, 0), ("submit", 0, 2, 0)],
+)
+def test_the_step_equals_the_bookkeeping_it_replaced(
+    parallelism, max_queue, deadline, max_retries, caps, scripts, stream
+):
+    """Several users with their own parallel caps and quotas, results
+    that take no time and results that do, unresponsive destinations
+    retried with backoff, a queue-wait deadline and engines that raise:
+    every step returns the job and leaves the lanes that the step kept
+    in ``tests/helpers/reference_scheduler.py`` does (a ``min`` over a
+    per-lane key, finish lists rebuilt at every pick and completion),
+    and every job ends with its fields."""
+    config = SchedulerConfig(
+        parallelism=parallelism,
+        max_queue_per_user=max_queue,
+        deadline=deadline,
+        max_retries=max_retries,
+    )
+    scripts = {f"d{index}": script for index, script in enumerate(scripts)}
+    served = _schedule(config, caps, scripts, stream)
+    with reference_scheduling():
+        reference = _schedule(config, caps, scripts, stream)
+    for name, value in served.items():
+        assert value == reference[name], name
