@@ -61,9 +61,6 @@ class ReverseTracerouteResult:
     probe_counts: Dict[str, int] = field(default_factory=dict)
     stale_intersection: bool = False
     intersection_vp: Optional[Address] = None
-    #: hops where redundant probing suggested a violation of
-    #: destination-based routing (Appendix E's optional detection)
-    suspected_violations: List[Address] = field(default_factory=list)
     #: AS-level path with "*" markers from the §5.2.2 flagging;
     #: populated by :func:`repro.core.flags.flag_suspicious_links`.
     flagged_as_path: Optional[List[object]] = None
@@ -142,9 +139,6 @@ class ReverseTracerouteResult:
                 if self.intersection_vp is None
                 else str(self.intersection_vp)
             ),
-            "suspected_violations": [
-                str(addr) for addr in self.suspected_violations
-            ],
         }
 
     def render(self) -> str:

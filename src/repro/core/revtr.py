@@ -75,12 +75,10 @@ class EngineConfig:
     given a segment cache, so build a new engine rather than editing a
     live one's config.
     What no caller varies is not a field but a module constant above:
-    ``_MAX_BATCHES_PER_HOP``, ``_MAX_ADJACENCIES``, ``_MAX_PATH_HOPS``
-    (was ``max_path_hops``), ``_PING_RETRIES`` / ``_RR_RETRIES`` (were
-    ``ping_retries`` / ``rr_retries``); batch size is
+    ``_MAX_BATCHES_PER_HOP``, ``_MAX_ADJACENCIES``, ``_MAX_PATH_HOPS``,
+    ``_PING_RETRIES`` / ``_RR_RETRIES``; batch size is
     :data:`repro.core.ingress.DEFAULT_BATCH_SIZE`, and an empty RR
-    outcome lives in the measurement cache as long as any other entry
-    (there was a ``negative_ttl``; nothing set it).
+    outcome lives in the measurement cache as long as any other entry.
     Reuse is wiring, not a field: an engine splices when it is given a
     :class:`~repro.core.segcache.ReverseSegmentCache` (the service
     builds one engine per source, with one; the paper's engines
@@ -99,11 +97,6 @@ class EngineConfig:
     #: the traceroute online instead of using the stale copy. None
     #: accepts any age (the atlas refresh policy handles staleness).
     max_intersection_age: Optional[float] = None
-    #: Appendix E option: spend one redundant spoofed RR per adopted
-    #: hop to detect destination-based-routing violations; suspected
-    #: violations are flagged on the result rather than silently
-    #: trusted.
-    detect_violations: bool = False
     #: Graceful-degradation knobs, off by default so fault-free runs
     #: stay byte-identical.  ``retry_budget`` is the total extra
     #: technique attempts one measurement may spend recovering from
@@ -412,7 +405,7 @@ class RevtrEngine:
             out[
                 ("revtr_retries_total", (("technique", technique),))
             ] = float(n)
-        traceroutes = getattr(self.atlas, "traceroutes", None)
+        traceroutes = self.atlas.traceroutes
         if not traceroutes:
             return out
         now = self.prober.clock.now()
@@ -552,7 +545,7 @@ class RevtrEngine:
                 )
             return cached
 
-        faults = getattr(self.prober.internet, "faults", None)
+        faults = self.prober.internet.faults
         mark = faults.injections if faults is not None else 0
 
         result = self.prober.rr_ping(self.source, current)
@@ -657,7 +650,7 @@ class RevtrEngine:
     def _instrumented_batch(
         self, current: Address, vps, index: int = 0, mode: str = "static"
     ):
-        health = getattr(self.prober, "health", None)
+        health = self.prober.health
         if health is not None:
             vps, replaced = health.filter_batch(
                 vps, self.spoofers, exclude=(self.source,)
@@ -701,35 +694,6 @@ class RevtrEngine:
         if self.config.use_alias_intersection:
             self.refresh_alias_index()
         return self._intersect(current)
-
-    def _violation_check(
-        self, revealed: List[Address]
-    ) -> Optional[Address]:
-        """One redundant spoofed RR to the first revealed hop: does the
-        reverse path still run through the second (Appendix E)?
-
-        Returns the suspect hop address, or None when consistent or
-        inconclusive.
-        """
-        first, expected = revealed[0], revealed[1]
-        if is_private(first) or is_private(expected):
-            return None
-        redundant = self.prober.rr_ping(self.source, first)
-        if not redundant.responded:
-            return None
-        hops = [
-            hop
-            for hop in redundant.reverse_hops()[1:]
-            if not is_private(hop)
-        ]
-        if not hops:
-            return None
-        nxt = hops[0]
-        if nxt == expected or slash30_peer(nxt) == expected:
-            return None
-        if self.resolver.aligned(nxt, expected):
-            return None
-        return first
 
     def _timestamp_step(self, current: Address) -> Optional[Address]:
         """revtr 1.0's adjacency tests via tsprespec (Fig. 1e).
@@ -886,7 +850,7 @@ class RevtrEngine:
         result = ReverseTracerouteResult(
             src=self.source, dst=dst, status=RevtrStatus.INCOMPLETE
         )
-        faults = getattr(prober.internet, "faults", None)
+        faults = prober.internet.faults
         # Fixed-size position marker, not a Counter copy: the
         # per-measurement probe delta must not scale with how many
         # probe kinds the global counter has accumulated.
@@ -906,11 +870,8 @@ class RevtrEngine:
 
     def _remember_abort(self, run: _Run) -> None:
         """Hand an aborted path to the segment cache, unless a fault
-        fired while it was measured (rule (f)) or the engine runs the
-        violation check (rule (g)): either can make a repeat differ."""
-        if self.config.detect_violations:
-            return
-        faults = getattr(self.prober.internet, "faults", None)
+        fired while it was measured (rule (f)): a repeat could differ."""
+        faults = self.prober.internet.faults
         if faults is not None and faults.injections != run.injections:
             return
         self.segcache.store_abort(
@@ -922,12 +883,9 @@ class RevtrEngine:
     ) -> Optional[Tuple[ReverseHop, ...]]:
         """The hops of the abort the segment cache remembers toward
         *dst*, while a fresh measurement would reach it again (the
-        cache checks rules (a)-(c) and (e); this adds (d), (f) and
-        (g)); else None."""
-        if (
-            self.config.detect_violations
-            or getattr(self.prober.internet, "faults", None) is not None
-        ):
+        cache checks rules (a)-(c) and (e); this adds (d) and (f));
+        else None."""
+        if self.prober.internet.faults is not None:
             return None
         hops = self.segcache.lookup_abort(dst, self._atlas_versions())
         if hops is None:
@@ -951,9 +909,7 @@ class RevtrEngine:
         measurement already verified the destination's liveness.
         Re-running the ping check and the per-hop loop would re-derive
         the same path one cache hit at a time, so the whole path is
-        spliced in one step: no ping check and no per-hop probes (with
-        ``detect_violations`` on, one redundant RR per splice, as
-        :meth:`_violation_check` sends for every adopted chain).  Each
+        spliced in one step: no ping check and no per-hop probes.  Each
         spliced hop is the stored entry's hop, not a copy.  Any break
         in the chain — miss, negative entry, generation bump, TTL
         expiry, a loop, or a chain longer than the hop budget — returns
@@ -982,14 +938,6 @@ class RevtrEngine:
             if self._ev is not None:
                 self._ev.emit_t("splice", (dst, len(hops) - 1, False, True))
             return True
-        if self.config.detect_violations and len(chain) >= 2:
-            # Whole-path reuse earns the same Appendix E gating as a
-            # mid-path splice: ride behind the violation check.
-            suspect = self._violation_check(
-                [entry.next_hop for entry in chain]
-            )
-            if suspect is not None:
-                run.result.suspected_violations.append(suspect)
         served = self._served_path(dst, chain)
         if served is None:
             hops = [ReverseHop(dst, HopTechnique.DESTINATION)]
@@ -1134,15 +1082,6 @@ class RevtrEngine:
             return False
         if not chain:
             return False
-        if self.config.detect_violations and len(chain) >= 2:
-            # Spliced chains earn the same Appendix E redundant-probe
-            # gating as RR-revealed hops: reuse must ride behind the
-            # violation check, not around it.
-            suspect = self._violation_check(
-                [entry.next_hop for entry in chain]
-            )
-            if suspect is not None:
-                run.result.suspected_violations.append(suspect)
         source = self.source
         next_current: Optional[Address] = None
         spliced_before = len(hops)
@@ -1196,10 +1135,6 @@ class RevtrEngine:
         fresh = [addr for addr in revealed if addr not in seen]
         if not fresh:
             return False
-        if self.config.detect_violations and len(revealed) >= 2:
-            suspect = self._violation_check(revealed)
-            if suspect is not None:
-                run.result.suspected_violations.append(suspect)
         next_current: Optional[Address] = None
         adopted_before = len(hops)
         for addr in fresh:

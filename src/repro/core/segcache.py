@@ -50,18 +50,11 @@ it reads has changed, so a remembered abort is served only while:
     stored under: a fresh run could now intersect;
 (f) no fault was injected during the measurement that stored it, and
     no fault injector is installed now (the engine checks; a served
-    abort skips the probes whose loss draws the injector counts);
-(g) the engine does not run ``detect_violations`` (the engine checks).
+    abort skips the probes whose loss draws the injector counts).
 
 The memo is keyed by destination and never read by a mid-path splice:
 an abort frontier in the edge map would let other destinations'
 measurements splice into it and abort where they would have completed.
-
-Splicing a cached chain is *not* exempt from validity checking: the
-engine consults this cache only after the atlas missed, and gates the
-spliced hops behind the same Appendix E violation check as RR-revealed
-hops (Viger et al.: spliced paths need the same artifact gating as any
-inferred hop).
 
 One cache serves one source, through the one engine the service
 builds for it — the whole point is that successive measurements

@@ -108,7 +108,7 @@ class Scenario:
         self.internet: Internet = build_internet(self.config)
         self.pool = VantagePointPool(self.internet)
         self.clock = VirtualClock()
-        events = getattr(self.obs, "events", None)
+        events = self.obs.events
         if events is not None and events.clock is None:
             # Late-bind the sim clock so flight-recorder events carry
             # sim timestamps.

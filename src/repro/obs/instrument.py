@@ -131,7 +131,7 @@ DECLARED_METRICS: Dict[str, Tuple[str, str, Optional[Sequence[float]]]] = {
     "service_rejections_total": (
         "counter",
         "Scheduler admissions refused, by reason "
-        "(queue-full/deadline/quota/error).",
+        "(queue-full/quota/error).",
         None,
     ),
     "service_retries_total": (

@@ -52,9 +52,8 @@ class ProbeCounter:
 
         Nothing recorded since the mark is ``{}`` off one tuple
         compare.  Otherwise iterates the live counter in its own
-        insertion order — the same order the previous
-        ``Counter``-copy implementation produced — so downstream
-        dict/JSON ordering is unchanged.
+        insertion order, which must hold: result dicts and their JSON
+        carry the kinds in the order they were first counted.
         """
         if mark == tuple(self._by_index):
             return {}

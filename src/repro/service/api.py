@@ -188,7 +188,7 @@ class RevtrService:
 
     def scheduler(self, config=None):
         """A :class:`~repro.service.scheduler.RequestScheduler` bound
-        to this service (admission control, deadlines, retries)."""
+        to this service (admission control, quota, retries)."""
         from repro.service.scheduler import RequestScheduler
 
         return RequestScheduler(self, config=config)

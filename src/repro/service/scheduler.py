@@ -22,8 +22,7 @@ bounded by simultaneously-free lanes); a job with no same-source
 company is a group of one.
 
 Overload degrades into *typed* outcomes rather than exceptions: a full
-per-user queue, an expired deadline, or an exhausted daily quota turn
-into :class:`RejectReason` on the job and
+per-user queue or an exhausted daily quota turns into :class:`RejectReason` on the job and
 ``service_rejections_total{reason=...}`` metrics, so one saturated user
 never kills anyone else's batch.  ``UNRESPONSIVE`` destinations are
 optionally retried with exponential backoff.
@@ -54,7 +53,6 @@ class RejectReason(enum.Enum):
     """Why a job was refused (typed; never raised at the caller)."""
 
     QUEUE_FULL = "queue-full"
-    DEADLINE = "deadline"
     QUOTA = "quota"
     ERROR = "error"
 
@@ -72,9 +70,6 @@ class SchedulerConfig:
     parallelism: int = 4
     #: bounded per-user queue; submissions beyond it are rejected
     max_queue_per_user: int = 16
-    #: max seconds a job may wait in queue before it is dropped
-    #: (virtual seconds; ``None`` disables the deadline)
-    deadline: Optional[float] = None
     #: re-run jobs whose destination was unresponsive up to this many
     #: extra times
     max_retries: int = 0
@@ -98,8 +93,6 @@ class Job:
     attempts: int = 0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    #: the job completed, but after its deadline had already passed
-    deadline_exceeded: bool = False
     #: the quota day the job's start was charged against
     _charged_day: Optional[int] = None
 
@@ -119,7 +112,6 @@ class SchedulerReport:
     completed: int
     rejected: Dict[str, int]
     retries: int
-    deadline_overruns: int
     makespan: float
     throughput: float
     peak_inflight: Dict[str, int]
@@ -135,7 +127,6 @@ class SchedulerReport:
             "completed": self.completed,
             "rejected": dict(sorted(self.rejected.items())),
             "retries": self.retries,
-            "deadline_overruns": self.deadline_overruns,
             "makespan_virtual_seconds": round(self.makespan, 6),
             "throughput_per_virtual_second": round(self.throughput, 6),
             "peak_inflight": dict(sorted(self.peak_inflight.items())),
@@ -161,7 +152,6 @@ class RequestScheduler:
         self.jobs: List[Job] = []
         self.retries = 0
         self.completed = 0
-        self.deadline_overruns = 0
         self.rejections: Dict[str, int] = {}
         self.peak_inflight: Dict[str, int] = {}
         self._ids = itertools.count(1)
@@ -306,7 +296,6 @@ class RequestScheduler:
             completed=self.completed,
             rejected=dict(self.rejections),
             retries=self.retries,
-            deadline_overruns=self.deadline_overruns,
             makespan=makespan,
             throughput=throughput,
             peak_inflight=dict(self.peak_inflight),
@@ -403,15 +392,11 @@ class RequestScheduler:
         return min(candidates) if candidates else None
 
     def _admit_virtual(self, job: Job, user: User, t: float) -> bool:
-        """Start-time checks, per job of a group: deadline at start,
-        then quota.  Returns False when the job was rejected."""
+        """Start-time check, per job of a group: quota.  Returns False
+        when the job was rejected."""
         job.started_at = t
         if self.obs.enabled:
             self._note_started(job)
-        deadline = self.config.deadline
-        if deadline is not None and t - job.submitted_at > deadline:
-            self._reject(job, RejectReason.DEADLINE)
-            return False
         try:
             job._charged_day = user.charge(t)
         except QuotaExceeded as exc:
@@ -459,18 +444,6 @@ class RequestScheduler:
             job.eligible_at = finish + RETRY_BACKOFF * (
                 2 ** (job.attempts - 1)
             )
-            if (
-                cfg.deadline is not None
-                and job.eligible_at - job.submitted_at > cfg.deadline
-            ):
-                # The backoff alone already overshoots the queue-wait
-                # deadline: requeuing would park a doomed job at the
-                # head of the user's queue for the whole backoff (and
-                # charge its dispatch against quota) only to reject it
-                # at start time.  Reject now, keeping the partial
-                # result of the last attempt on the job.
-                self._reject(job, RejectReason.DEADLINE)
-                return job
             job.state = JobState.QUEUED
             self._queues[user.name].append(job)
             self.retries += 1
@@ -497,14 +470,6 @@ class RequestScheduler:
                 user=user.name,
                 status=result.status.value,
             )
-        if (
-            cfg.deadline is not None
-            and finish - job.submitted_at > cfg.deadline
-        ):
-            # It ran, but finished late: flagged on the job and
-            # tallied, not retroactively cancelled.
-            job.deadline_exceeded = True
-            self.deadline_overruns += 1
         return job
 
     def _execute_group(
@@ -514,7 +479,7 @@ class RequestScheduler:
         admissible jobs and run them as one
         :meth:`~repro.core.revtr.RevtrEngine.measure_many` group.
 
-        Admission semantics are per job (deadline/quota checks, typed
+        Admission semantics are per job (quota checks, typed
         rejections, retry scheduling), and so is the probing: a group is
         jobs started at one instant through one engine, sharing only
         that engine's caches.  Each job's virtual finish is

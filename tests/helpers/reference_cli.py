@@ -115,7 +115,6 @@ def _fault_workload(args: argparse.Namespace, instr: Instrumentation):
     scheduler = service.scheduler(
         SchedulerConfig(
             parallelism=args.parallel,
-            deadline=args.deadline,
             max_retries=args.retries,
         )
     )
@@ -178,7 +177,6 @@ def serve_report(args: argparse.Namespace) -> dict:
         SchedulerConfig(
             parallelism=args.parallel,
             max_queue_per_user=args.queue,
-            deadline=args.deadline,
             max_retries=args.retries,
         )
     )

@@ -13,9 +13,10 @@ building a fresh ``ReverseHop`` for every spliced edge and source hop
 where ``src/`` appends the stored and the engine's own.  The splices
 are the old methods verbatim but for reading a segment entry's
 technique and link through its ``hop`` and handing ``_Run.reach`` the
-source hop it used to build, and the whole-path splice serving a
+source hop it used to build, the whole-path splice serving a
 remembered abort (``RevtrEngine._remembered_abort``) as rebuilt copies
-of its hops.  ``reference_finish`` is ``RevtrEngine._finish`` before a
+of its hops, and dropping the Appendix E violation check that
+``src/`` deleted with ``EngineConfig.detect_violations``.  ``reference_finish`` is ``RevtrEngine._finish`` before a
 path served whole reused the flagged AS path and hop tallies derived
 the last time the same objects served it: it flags and tallies every
 result's hops.  ``reference_chain`` and ``reference_lookup_abort``
@@ -140,13 +141,6 @@ def rebuild_open_full_splice(self: RevtrEngine, run) -> bool:
                 "splice", (dst, len(remembered) - 1, False, True)
             )
         return True
-    addrs = [entry.next_hop for entry in chain]
-    if self.config.detect_violations and len(addrs) >= 2:
-        # Whole-path reuse earns the same Appendix E gating as a
-        # mid-path splice: ride behind the violation check.
-        suspect = self._violation_check(addrs)
-        if suspect is not None:
-            run.result.suspected_violations.append(suspect)
     hops = run.hops
     hops.append(ReverseHop(dst, HopTechnique.DESTINATION))
     for entry in chain[:-1]:
@@ -182,14 +176,6 @@ def rebuild_step_splice(self: RevtrEngine, run) -> bool:
         return False
     if not chain:
         return False
-    addrs = [entry.next_hop for entry in chain]
-    if self.config.detect_violations and len(addrs) >= 2:
-        # Spliced chains earn the same Appendix E redundant-probe
-        # gating as RR-revealed hops: reuse must ride behind the
-        # violation check, not around it.
-        suspect = self._violation_check(addrs)
-        if suspect is not None:
-            run.result.suspected_violations.append(suspect)
     next_current: Optional[Address] = None
     spliced_before = len(hops)
     for entry in chain:

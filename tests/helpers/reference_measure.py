@@ -13,7 +13,9 @@ counting hops per technique inline where they called the deleted
 ``ReverseTracerouteResult.hops_by_technique``, keying the coalesced
 ping memo by destination where it keyed it by /24 (hosts of one /24
 answer pings independently), dropping the never-read
-``pings_coalesced`` tally, and reading the coalescer through
+``pings_coalesced`` tally, dropping the Appendix E violation check
+that ``src/`` deleted with ``EngineConfig.detect_violations``, and
+reading the coalescer through
 ``getattr(self, "_coalescer", None)`` since ``src/`` deleted it (so
 the memo is never consulted: every ``measure_many`` group runs
 destination by destination), so
@@ -196,18 +198,6 @@ class ReferenceMeasureEngine(RevtrEngine):
                             "splice.negative", (current,)
                         )
                 elif chain:
-                    addrs = [entry.next_hop for entry in chain]
-                    if (
-                        self.config.detect_violations
-                        and len(addrs) >= 2
-                    ):
-                        # Spliced chains earn the same Appendix E
-                        # redundant-probe gating as RR-revealed hops:
-                        # reuse must ride behind the violation check,
-                        # not around it.
-                        suspect = self._violation_check(addrs)
-                        if suspect is not None:
-                            result.suspected_violations.append(suspect)
                     terminated = False
                     next_current: Optional[Address] = None
                     spliced_before = len(hops)
@@ -274,14 +264,6 @@ class ReferenceMeasureEngine(RevtrEngine):
             if not skip_rr:
                 revealed, technique = self._rr_step(current)
             fresh = [addr for addr in revealed if addr not in seen]
-            if (
-                fresh
-                and self.config.detect_violations
-                and len(revealed) >= 2
-            ):
-                suspect = self._violation_check(revealed)
-                if suspect is not None:
-                    result.suspected_violations.append(suspect)
             if fresh:
                 terminated = False
                 next_current: Optional[Address] = None
@@ -426,13 +408,6 @@ class ReferenceMeasureEngine(RevtrEngine):
         )
         if not chain or chain[-1].next_hop != self.source:
             return None
-        addrs = [entry.next_hop for entry in chain]
-        if self.config.detect_violations and len(addrs) >= 2:
-            # Whole-path reuse earns the same Appendix E gating as a
-            # mid-path splice: ride behind the violation check.
-            suspect = self._violation_check(addrs)
-            if suspect is not None:
-                result.suspected_violations.append(suspect)
         hops: List[ReverseHop] = [
             ReverseHop(dst, HopTechnique.DESTINATION)
         ]

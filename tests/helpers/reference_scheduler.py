@@ -234,17 +234,10 @@ def _inflight_at(self, name: str, t: float) -> int:
 
 
 def _admit_virtual(self, job: Job, user: User, t: float) -> bool:
-    """Start-time checks, per job of a group: deadline at start,
-    then quota.  Returns False when the job was rejected."""
-    cfg = self.config
+    """Start-time check, per job of a group: quota.  Returns False
+    when the job was rejected."""
     job.started_at = t
     self._note_started(job)
-    if (
-        cfg.deadline is not None
-        and t - job.submitted_at > cfg.deadline
-    ):
-        self._reject(job, RejectReason.DEADLINE)
-        return False
     try:
         job._charged_day = user.charge(t)
     except QuotaExceeded as exc:
@@ -287,18 +280,6 @@ def _complete_virtual(
         job.eligible_at = finish + RETRY_BACKOFF * (
             2 ** (job.attempts - 1)
         )
-        if (
-            cfg.deadline is not None
-            and job.eligible_at - job.submitted_at > cfg.deadline
-        ):
-            # The backoff alone already overshoots the queue-wait
-            # deadline: requeuing would park a doomed job at the
-            # head of the user's queue for the whole backoff (and
-            # charge its dispatch against quota) only to reject it
-            # at start time.  Reject now, keeping the partial
-            # result of the last attempt on the job.
-            self._reject(job, RejectReason.DEADLINE)
-            return job
         job.state = JobState.QUEUED
         self._queues[user.name].append(job)
         self.retries += 1
@@ -325,14 +306,6 @@ def _complete_virtual(
             user=user.name,
             status=result.status.value,
         )
-    if (
-        cfg.deadline is not None
-        and finish - job.submitted_at > cfg.deadline
-    ):
-        # It ran, but finished late: flagged on the job and
-        # tallied, not retroactively cancelled.
-        job.deadline_exceeded = True
-        self.deadline_overruns += 1
     return job
 
 
@@ -343,7 +316,7 @@ def _execute_group(
     admissible jobs and run them as one
     :meth:`~repro.core.revtr.RevtrEngine.measure_many` group.
 
-    Admission semantics are per job (deadline/quota checks, typed
+    Admission semantics are per job (quota checks, typed
     rejections, retry scheduling), and so is the probing: a group is
     jobs started at one instant through one engine, sharing only
     that engine's caches.  Each job's virtual finish is

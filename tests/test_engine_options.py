@@ -67,33 +67,3 @@ class TestStalenessOption:
         )[1]
         engine.measure(dst)
 
-
-class TestViolationDetection:
-    def test_option_records_suspects_or_nothing(self, small_scenario):
-        source = small_scenario.sources()[0]
-        engine = small_scenario.engine(
-            source,
-            "revtr2.0",
-            config=EngineConfig(detect_violations=True),
-        )
-        dests = small_scenario.responsive_destinations(
-            20, options_only=True
-        )
-        suspects = 0
-        for dst in dests:
-            result = engine.measure(dst)
-            suspects += len(result.suspected_violations)
-            for addr in result.suspected_violations:
-                # Suspects must be hops the measurement actually saw.
-                assert addr in result.addresses()
-        # Violations are rare; the option must not flag everything.
-        assert suspects <= len(dests)
-
-    def test_disabled_by_default(self, small_scenario):
-        source = small_scenario.sources()[0]
-        engine = small_scenario.engine(source, "revtr2.0")
-        dst = small_scenario.responsive_destinations(
-            1, options_only=True
-        )[0]
-        result = engine.measure(dst)
-        assert result.suspected_violations == []

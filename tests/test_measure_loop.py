@@ -4,7 +4,7 @@
 once from the config; ``tests/helpers/reference_measure.py`` keeps the
 single 379-line function it was split from.  Two identically seeded
 deployments serve one drawn request stream — every Table 4 variant,
-the reuse and degradation options, the Appendix A/E request options,
+the reuse and degradation options, the Appendix A request option,
 faults with VP health installed, repeats, routing invalidations and
 clock jumps past the cache TTLs — one through each, and everything an
 operator or a test can observe must agree: results, step and retry
@@ -42,7 +42,7 @@ STEPS = {
 }
 #: (topology seed, source index) pairs whose first twelve destinations
 #: between them reach every branch of the steps: atlas hits, mid-path
-#: splices, cached negatives, Appendix E suspects, every end status.
+#: splices, cached negatives, every end status.
 WORLDS = (
     (2, 1), (6, 2), (7, 0), (7, 2), (9, 2), (10, 1), (11, 0), (11, 2),
 )
@@ -70,7 +70,6 @@ ops = st.lists(
 )
 options = st.fixed_dictionaries(
     {
-        "detect_violations": st.booleans(),
         "max_intersection_age": st.sampled_from((None, 1.0)),
         "ping_check": st.sampled_from((True, True, False)),
         "retry_budget": st.sampled_from((0, 3)),

@@ -122,7 +122,7 @@ def test_retired_switches_stay_retired(small_scenario):
     ):
         assert name not in inspect.signature(function).parameters, name
     assert [f.name for f in dataclasses.fields(SchedulerConfig)] == [
-        "parallelism", "max_queue_per_user", "deadline", "max_retries",
+        "parallelism", "max_queue_per_user", "max_retries",
     ]
     # Knobs no caller varied are constants, not EngineConfig fields.
     engine_fields = {f.name for f in dataclasses.fields(EngineConfig)}
@@ -131,7 +131,7 @@ def test_retired_switches_stay_retired(small_scenario):
         "max_path_hops", "ping_retries", "rr_retries", "negative_ttl",
         "segment_cache", "coalesce_batches",
     }
-    assert len(engine_fields) == 10
+    assert len(engine_fields) == 9
     for build in (
         lambda: EngineConfig(max_path_hops=5),
         lambda: EngineConfig(segment_cache=True),

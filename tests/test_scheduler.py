@@ -143,35 +143,6 @@ class TestAdmissionControl:
         )
         assert counter >= 5
 
-    def test_deadline_rejects_late_starters(
-        self, sched_service, small_scenario
-    ):
-        service, source, _ = sched_service
-        user = service.add_user(
-            "hurried", max_parallel=1, max_per_day=1000
-        )
-        dsts = small_scenario.responsive_destinations(
-            4, options_only=True
-        )
-        scheduler = service.scheduler(
-            SchedulerConfig(
-                parallelism=4, max_queue_per_user=16, deadline=0.01
-            )
-        )
-        jobs = [
-            scheduler.submit(user.api_key, dst, source) for dst in dsts
-        ]
-        report = scheduler.run()
-        # max_parallel=1 serialises the user; only the first job can
-        # start within the deadline, the rest waited too long.
-        assert jobs[0].state is JobState.DONE
-        assert all(
-            j.state is JobState.REJECTED
-            and j.reject_reason is RejectReason.DEADLINE
-            for j in jobs[1:]
-        )
-        assert report.rejected["deadline"] == 3
-
     def test_quota_exhaustion_is_typed(
         self, sched_service, small_scenario
     ):
@@ -315,58 +286,12 @@ class TestDeterminism:
         scheduler.run()
 
 
-class TestDoomedRetry:
-    """A retry whose backoff alone overshoots the deadline is rejected
-    at requeue time (typed DEADLINE), not parked in the queue to be
-    rejected after the whole backoff has been waited out."""
-
-    def _config(self):
-        return SchedulerConfig(
-            parallelism=2,
-            max_retries=2,
-            deadline=RETRY_BACKOFF,
-        )
-
-    def _check(self, report, doomed, healthy):
-        assert doomed.state is JobState.REJECTED
-        assert doomed.reject_reason is RejectReason.DEADLINE
-        assert report.rejected["deadline"] == 1
-        # The retry was never enqueued: no retry counted, no second
-        # attempt executed, no wait to the backoff horizon.
-        assert report.retries == 0
-        assert doomed.attempts == 1
-        assert (
-            doomed.finished_at - doomed.submitted_at
-            < RETRY_BACKOFF
-        )
-        # The last attempt's result survives on the rejected job.
-        assert doomed.result is not None
-        assert doomed.result.status is RevtrStatus.UNRESPONSIVE
-        # Unrelated work is untouched.
-        assert healthy.state is JobState.DONE
-
-    def test_virtual_mode(self, sched_service, small_scenario):
-        service, source, _ = sched_service
-        user = service.add_user(
-            "doomed-v", max_parallel=2, max_per_day=1000
-        )
-        dead = unresponsive_destination(small_scenario)
-        alive = small_scenario.responsive_destinations(
-            1, options_only=True
-        )[0]
-        scheduler = service.scheduler(self._config())
-        doomed = scheduler.submit(user.api_key, dead, source)
-        healthy = scheduler.submit(user.api_key, alive, source)
-        report = scheduler.run()
-        self._check(report, doomed, healthy)
-
-
 class TestCoalescedGroups:
     """The grouped path (`_execute_group` -> `_measure_group`): the
     scheduler runs same-source jobs admissible at one instant as one
     ``measure_many`` group."""
 
-    def _build(self, parallelism=4, **config):
+    def _build(self, parallelism=4):
         scenario = Scenario(
             config=TopologyConfig.tiny(seed=3), seed=3, atlas_size=10
         )
@@ -377,7 +302,7 @@ class TestCoalescedGroups:
             service.add_source(owner.api_key, source)
         dsts = scenario.responsive_destinations(8, options_only=True)
         scheduler = service.scheduler(
-            SchedulerConfig(parallelism=parallelism, **config)
+            SchedulerConfig(parallelism=parallelism)
         )
         # Every group the scheduler hands the service, as job lists.
         groups = []
@@ -455,34 +380,25 @@ class TestCoalescedGroups:
         assert len(durations) > 1
 
     def test_failed_admission_rejects_one_job_not_its_group(self):
-        service, scheduler, sources, dsts, groups = self._build(
-            deadline=5.0
-        )
-        late = service.add_user("late", max_parallel=1)
+        service, scheduler, sources, dsts, groups = self._build()
         frugal = service.add_user("frugal", max_parallel=4, max_per_day=1)
         rich = service.add_user("rich", max_parallel=4)
-        overdue = scheduler.submit(late.api_key, dsts[0], sources[0])
-        # Everything else is submitted 10 s later, so only `overdue`
-        # has out-waited the deadline when the first instant comes.
-        service.prober.clock.advance(10.0)
         paid = scheduler.submit(frugal.api_key, dsts[1], sources[0])
         unpaid = scheduler.submit(frugal.api_key, dsts[2], sources[0])
         sibling = scheduler.submit(rich.api_key, dsts[3], sources[0])
         t0 = service.prober.clock.now()
-        assert scheduler.step() is overdue
-        # One instant, one group of four picked; two fail admission.
-        assert [job.started_at for job in scheduler.jobs] == [t0] * 4
-        assert overdue.reject_reason is RejectReason.DEADLINE
+        assert scheduler.step() is paid
+        # One instant, one group of three picked; one fails admission.
+        assert [job.started_at for job in scheduler.jobs] == [t0] * 3
         assert unpaid.reject_reason is RejectReason.QUOTA
-        assert overdue.result is None and unpaid.result is None
+        assert unpaid.result is None
         assert groups == [[paid, sibling]]
         assert paid.state is sibling.state is JobState.DONE
         # A rejection at admission charged nothing, so refunds nothing.
         assert frugal.remaining_today(t0) == 0
-        assert late.remaining_today(t0) == late.max_per_day
         report = scheduler.run()
         assert report.completed == 2
-        assert report.rejected == {"deadline": 1, "quota": 1}
+        assert report.rejected == {"quota": 1}
 
     def test_engine_failure_refunds_the_charge(self):
         """ERROR is the one rejection that comes after the charge: the
@@ -777,7 +693,7 @@ def _schedule(config, caps, scripts, stream):
                 job.id, job.user, job.dst, job.src, job.state,
                 job.reject_reason, job.attempts, job.submitted_at,
                 job.eligible_at, job.started_at, job.finished_at,
-                job.deadline_exceeded, job.error,
+                job.error,
                 None if job.result is None else job.result.status,
             )
             for job in scheduler.jobs
@@ -809,7 +725,6 @@ schedule_ops = st.lists(
 @given(
     parallelism=st.integers(1, 4),
     max_queue=st.integers(1, 8),
-    deadline=st.sampled_from((None, 45.0, 400.0)),
     max_retries=st.integers(0, 2),
     caps=st.lists(
         st.tuples(st.integers(0, 4), st.integers(1, 12)),
@@ -824,7 +739,6 @@ schedule_ops = st.lists(
 @example(
     parallelism=3,
     max_queue=8,
-    deadline=None,
     max_retries=0,
     caps=[(4, 12)],
     scripts=[[(RevtrStatus.COMPLETE, 0.0)]] * 4,
@@ -836,7 +750,6 @@ schedule_ops = st.lists(
 @example(
     parallelism=2,
     max_queue=8,
-    deadline=None,
     max_retries=0,
     caps=[(2, 12)],
     scripts=[
@@ -848,11 +761,11 @@ schedule_ops = st.lists(
     stream=[("submit", 0, 0, 0), ("submit", 0, 1, 0), ("submit", 0, 2, 0)],
 )
 def test_the_step_equals_the_bookkeeping_it_replaced(
-    parallelism, max_queue, deadline, max_retries, caps, scripts, stream
+    parallelism, max_queue, max_retries, caps, scripts, stream
 ):
     """Several users with their own parallel caps and quotas, results
     that take no time and results that do, unresponsive destinations
-    retried with backoff, a queue-wait deadline and engines that raise:
+    retried with backoff and engines that raise:
     every step returns the job and leaves the lanes that the step kept
     in ``tests/helpers/reference_scheduler.py`` does (a ``min`` over a
     per-lane key, finish lists rebuilt at every pick and completion),
@@ -860,7 +773,6 @@ def test_the_step_equals_the_bookkeeping_it_replaced(
     config = SchedulerConfig(
         parallelism=parallelism,
         max_queue_per_user=max_queue,
-        deadline=deadline,
         max_retries=max_retries,
     )
     scripts = {f"d{index}": script for index, script in enumerate(scripts)}

@@ -164,20 +164,6 @@ TEST_ONLY = {
         "Fig. 2's \"destination responsive?\" box; tests turn it off to "
         "walk the loop from destinations that answer no ping"
     ),
-    "EngineConfig.detect_violations": (
-        "Appendix E option: redundant spoofed RR to flag destination-"
-        "based-routing violations"
-    ),
-    # ROADMAP item 8 decides these two together.
-    "SchedulerConfig.deadline": (
-        "the queue-wait bound behind the typed `deadline` rejection "
-        "tests/test_scheduler.py drives; the benchmark builds "
-        "SchedulerConfig by field name, so the field stays"
-    ),
-    "Job.deadline_exceeded": (
-        "goes or stays with SchedulerConfig.deadline under ROADMAP "
-        "item 8"
-    ),
     # Deployment settings.
     "ObsHTTPServer.host": (
         "the interface the telemetry endpoint binds; loopback unless "
